@@ -6,8 +6,11 @@
 //! * `sign/*` — one steady-state leaf signature per scheme (fresh key
 //!   each iteration, keygen excluded): the per-signature price of the
 //!   hierarchy when no rollover fires.
-//! * `verify/*` — one signature verified through the ordinary
-//!   `VerifyingKey` path: the chained-cert walk an HSS signature adds.
+//! * `verify/*` — one never-seen signature verified through the
+//!   ordinary `VerifyingKey` path: `hss_4x2` under a never-seen subtree
+//!   certificate (the chained-cert walk at its first sight),
+//!   `hss_seen_cert` under one the verification memo already holds
+//!   (every later signature of that subtree), `mss_h6` the flat tree.
 //! * `rollover_cycle/hss` — five signatures crossing exactly one
 //!   subtree exhaustion: the throughput dip at the rollover boundary,
 //!   amortised over the cycle.
@@ -20,8 +23,9 @@
 //! `scripts/bench_baseline_7.jsonl`; see docs/BENCHMARKS.md.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use nonrep_bench::FreshSignatures;
 use nonrep_crypto::rng::SecureRandom;
-use nonrep_crypto::sig::{KeyPair, SignatureScheme};
+use nonrep_crypto::sig::{KeyPair, Signature, SignaturePayload, SignatureScheme};
 use std::time::Duration;
 
 const HSS: SignatureScheme = SignatureScheme::Hss {
@@ -35,6 +39,14 @@ fn scheme_name(scheme: SignatureScheme) -> &'static str {
         SignatureScheme::Hss { .. } => "hss_4x2",
         SignatureScheme::Mss { .. } => "mss_h6",
         _ => "other",
+    }
+}
+
+/// The subtree generation an HSS signature was issued under.
+fn cert_of(sig: &Signature) -> Option<u32> {
+    match &sig.payload {
+        SignaturePayload::Hss(h) => Some(h.subtree_root_cert.generation),
+        _ => None,
     }
 }
 
@@ -65,18 +77,54 @@ fn bench_rollover(c: &mut Criterion) {
         );
     }
 
-    // Verify through the ordinary VerifyingKey path: the HSS row walks
-    // signature -> subtree root -> rollover cert -> registered root.
+    // Verify through the ordinary VerifyingKey path, first sight: a
+    // fresh key per iteration (setup excluded), so neither the signature
+    // nor — for HSS — the subtree certificate is in the verification
+    // memo. The HSS row walks signature -> subtree root -> rollover
+    // cert -> registered root: two W-OTS recoveries to the flat row's one.
     for scheme in [HSS, MSS] {
-        let kp = KeyPair::generate(scheme, &mut SecureRandom::from_seed(99));
-        let sig = kp.sign(b"message").unwrap();
-        let vk = kp.verifying_key();
         group.bench_with_input(
             BenchmarkId::new("verify", scheme_name(scheme)),
-            &(),
-            |b, _| b.iter(|| assert!(vk.verify(b"message", &sig))),
+            &scheme,
+            |b, &scheme| {
+                let mut seed = 3000u64;
+                b.iter_batched(
+                    || {
+                        seed += 1;
+                        FreshSignatures::new(scheme, seed).sign(b"message")
+                    },
+                    |(vk, sig)| assert!(vk.verify(b"message", &sig)),
+                    BatchSize::PerIteration,
+                )
+            },
         );
     }
+
+    // Steady-state HSS verify: a fresh signature under a certificate the
+    // verifier has already seen (the setup verifies a sibling signature of
+    // the same subtree first). The cert check is a memo hit, so the row
+    // should sit at the flat-MSS verify cost — what every signature after
+    // the first of a subtree generation costs in a running system.
+    group.bench_function("verify/hss_seen_cert", |b| {
+        let roomy = SignatureScheme::Hss {
+            root_height: 4,
+            subtree_height: 6,
+        };
+        let mut fresh = FreshSignatures::new(roomy, 4000);
+        b.iter_batched(
+            || loop {
+                let (vk, sibling) = fresh.sign(b"sibling");
+                assert!(vk.verify(b"sibling", &sibling));
+                let (vk2, sig) = fresh.sign(b"message");
+                // A rollover (or key change) between the two: try again.
+                if vk2 == vk && cert_of(&sig) == cert_of(&sibling) {
+                    break (vk, sig);
+                }
+            },
+            |(vk, sig)| assert!(vk.verify(b"message", &sig)),
+            BatchSize::PerIteration,
+        )
+    });
 
     // The rollover boundary: five signatures on a fresh hierarchy of
     // 2^2-leaf subtrees — four exhaust the first subtree, the fifth

@@ -8,6 +8,7 @@
 //! linear in capacity.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
+use nonrep_bench::FreshSignatures;
 use nonrep_crypto::digest::{mb, sha256, sha256_pair, sha256_short, Digest};
 use nonrep_crypto::hmac::hmac_sha256;
 use nonrep_crypto::merkle::MerkleTree;
@@ -69,15 +70,16 @@ fn bench_crypto(c: &mut Criterion) {
                 BatchSize::PerIteration,
             )
         });
-        // MSS verify (stateless; one signature reused).
-        let kp = KeyPair::generate(
-            SignatureScheme::Mss { height: 4 },
-            &mut SecureRandom::from_seed(99),
-        );
-        let sig = kp.sign(b"message").unwrap();
-        let vk = kp.verifying_key();
+        // MSS verify: a fresh signature per iteration (signed in the
+        // excluded setup phase), so the row stays one W-OTS recovery —
+        // re-verifying one signature would time a verification-memo hit.
+        let mut fresh = FreshSignatures::new(SignatureScheme::Mss { height: 4 }, 99);
         group.bench_function("mss_verify", |b| {
-            b.iter(|| assert!(vk.verify(b"message", &sig)))
+            b.iter_batched(
+                || fresh.sign(b"message"),
+                |(vk, sig)| assert!(vk.verify(b"message", &sig)),
+                BatchSize::PerIteration,
+            )
         });
     }
 

@@ -12,7 +12,8 @@ use std::sync::Arc;
 use nonrep_container::component::FnComponent;
 use nonrep_container::descriptor::{DeploymentDescriptor, NrConfig};
 use nonrep_core::{OrgMiddleware, TrustDomain};
-use nonrep_crypto::sig::SignatureScheme;
+use nonrep_crypto::rng::SecureRandom;
+use nonrep_crypto::sig::{KeyPair, Signature, SignatureScheme, VerifyingKey};
 use nonrep_net::bus::LocalBus;
 use nonrep_net::fault::FaultPlan;
 use nonrep_net::latency::LatencyModel;
@@ -100,9 +101,49 @@ pub fn lossy_bus(p: f64, bound: u32, seed: u64) -> Arc<LocalBus> {
     LocalBus::with_config(FaultPlan::lossy(p, bound, seed), LatencyModel::Zero, seed)
 }
 
+/// An endless supply of signatures nobody has verified yet, so a bench
+/// row that times `verify` keeps measuring a first sight — a W-OTS
+/// recovery — rather than a hit in `nonrep_crypto::mss`'s verification
+/// memo (which any loop over *one* signature would measure). Keys are
+/// replaced as they run out; call it from the untimed setup phase.
+pub struct FreshSignatures {
+    scheme: SignatureScheme,
+    seed: u64,
+    keys: KeyPair,
+}
+
+impl FreshSignatures {
+    /// A supply under keys of `scheme`, seeded from `seed` upward.
+    pub fn new(scheme: SignatureScheme, seed: u64) -> Self {
+        let keys = KeyPair::generate(scheme, &mut SecureRandom::from_seed(seed));
+        Self { scheme, seed, keys }
+    }
+
+    /// Signs `message` with a leaf never used before.
+    pub fn sign(&mut self, message: &[u8]) -> (VerifyingKey, Signature) {
+        if self.keys.remaining() == Some(0) {
+            *self = Self::new(self.scheme, self.seed + 1);
+        }
+        let sig = self.keys.sign(message).expect("key has leaves left");
+        (self.keys.verifying_key(), sig)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fresh_signatures_outlive_their_keys() {
+        let mut fresh = FreshSignatures::new(SignatureScheme::Mss { height: 1 }, 7);
+        let mut seen = Vec::new();
+        for _ in 0..5 {
+            let (vk, sig) = fresh.sign(b"m");
+            assert!(vk.verify(b"m", &sig));
+            assert!(!seen.contains(&sig));
+            seen.push(sig);
+        }
+    }
 
     #[test]
     fn world_helpers_work() {

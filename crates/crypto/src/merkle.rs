@@ -123,54 +123,6 @@ impl AuthPath {
     }
 }
 
-/// Recomputes the roots implied by many `(leaf, path)` pairs in
-/// lockstep under the active dispatch: at each level the still-active
-/// paths' `(running hash, sibling)` pairs hash through
-/// [`mb::pair_lanes_with`], so up to `mb::lane_width()` paths climb per
-/// two compressions; a path shorter than the deepest retires early and
-/// keeps its root. Identical to mapping [`AuthPath::implied_root`] —
-/// the batch-verification shape of the MSS layer
-/// (`crate::mss::verify_many`).
-///
-/// # Panics
-///
-/// Panics if `leaves` and `paths` differ in length.
-pub fn implied_roots(leaves: &[Digest], paths: &[&AuthPath]) -> Vec<Digest> {
-    implied_roots_with(mb::Dispatch::active(), leaves, paths)
-}
-
-/// [`implied_roots`] under an explicit dispatch tier.
-///
-/// # Panics
-///
-/// Panics if `leaves` and `paths` differ in length or `d` is
-/// unavailable on this host.
-pub fn implied_roots_with(d: mb::Dispatch, leaves: &[Digest], paths: &[&AuthPath]) -> Vec<Digest> {
-    assert_eq!(leaves.len(), paths.len(), "one leaf per path");
-    let mut accs: Vec<Digest> = leaves.to_vec();
-    let depth = paths.iter().map(|p| p.steps.len()).max().unwrap_or(0);
-    for level in 0..depth {
-        let active: Vec<usize> = (0..paths.len())
-            .filter(|&i| level < paths[i].steps.len())
-            .collect();
-        let pairs: Vec<(Digest, Digest)> = active
-            .iter()
-            .map(|&i| {
-                let step = &paths[i].steps[level];
-                if step.sibling_on_right {
-                    (accs[i], step.sibling)
-                } else {
-                    (step.sibling, accs[i])
-                }
-            })
-            .collect();
-        for (&i, parent) in active.iter().zip(mb::pair_lanes_with(d, NODE_TAG, &pairs)) {
-            accs[i] = parent;
-        }
-    }
-    accs
-}
-
 /// The canonical wire format for authentication paths, shared by every
 /// signature type that carries one (`MssSignature`, `BatchSignature`):
 /// `u32` step count, then 32 raw sibling bytes + one direction bool per
@@ -446,47 +398,6 @@ mod tests {
             }
         }
         assert_eq!(leaf_hash_digests(&payloads).len(), payloads.len());
-    }
-
-    #[test]
-    fn lockstep_implied_roots_match_per_path_for_every_tier() {
-        // Paths of different depths (trees of 9, 4 and 1 leaves) in one
-        // batch: deep paths keep climbing after shallow ones retire, and
-        // the single-leaf path is a no-op that must pass its leaf
-        // through unchanged.
-        let big = MerkleTree::from_payloads(payloads(9).iter().map(Vec::as_slice));
-        let small = MerkleTree::from_payloads(payloads(4).iter().map(Vec::as_slice));
-        let lone = MerkleTree::from_payloads([b"solo".as_slice()]);
-        let mut leaves = Vec::new();
-        let mut paths = Vec::new();
-        for i in 0..9 {
-            leaves.push(big.leaf(i));
-            paths.push(big.auth_path(i));
-        }
-        for i in 0..4 {
-            leaves.push(small.leaf(i));
-            paths.push(small.auth_path(i));
-        }
-        leaves.push(lone.leaf(0));
-        paths.push(lone.auth_path(0));
-        let path_refs: Vec<&AuthPath> = paths.iter().collect();
-        let expected: Vec<Digest> = leaves
-            .iter()
-            .zip(&paths)
-            .map(|(leaf, path)| path.implied_root(leaf))
-            .collect();
-        for tier in mb::Dispatch::all() {
-            if !tier.is_available() {
-                continue;
-            }
-            assert_eq!(
-                implied_roots_with(tier, &leaves, &path_refs),
-                expected,
-                "tier {tier:?}"
-            );
-        }
-        assert_eq!(implied_roots(&leaves, &path_refs), expected);
-        assert!(implied_roots(&[], &[]).is_empty());
     }
 
     #[test]

@@ -14,11 +14,15 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::LazyLock;
+
+use parking_lot::Mutex;
 
 use nonrep_types::codec::{CodecError, Decode, Encode, Reader, Writer};
 
 use crate::digest::{mb, Digest};
-use crate::merkle::{implied_roots_with, leaf_hash, leaf_hash_digests_with, AuthPath, MerkleTree};
+use crate::merkle::{leaf_hash, leaf_hash_digests_with, AuthPath, MerkleTree, PathStep};
 use crate::par;
 use crate::rng::SecureRandom;
 use crate::wots::{self, WotsKeyPair, WotsSignature};
@@ -214,7 +218,15 @@ impl MssSigner {
 /// the direction bits of the authentication path (the index is what binds a
 /// signature to *one* one-time key, so it must not be forgeable
 /// independently of the path).
+///
+/// A triple that verified before is answered from the process-wide memo:
+/// a shared certificate or batch signature costs one W-OTS recovery in all.
 pub fn verify(public_key: &Digest, digest: &Digest, sig: &MssSignature) -> bool {
+    MEMO.verify(public_key, digest, sig)
+}
+
+/// The full walk: what the memo caches and what its tests compare against.
+fn verify_walk(public_key: &Digest, digest: &Digest, sig: &MssSignature) -> bool {
     if !index_matches_path(sig) {
         return false;
     }
@@ -236,44 +248,120 @@ fn index_matches_path(sig: &MssSignature) -> bool {
     implied_index == u64::from(sig.leaf_index)
 }
 
-/// Batch [`verify`] under the active dispatch: checks many signatures
-/// against one `public_key` (root), returning one flag per signature.
-/// Identical to mapping [`verify`] over the pairs, but every hashing
-/// stage runs lane-batched — the W-OTS recovery walks are scheduled
-/// over one flat chain list spanning all signatures, the candidate-key
-/// compressions and leaf hashes run in lockstep, and the
-/// authentication paths climb level by level through
-/// [`crate::merkle::implied_roots`].
-///
-/// # Panics
-///
-/// Panics if `digests` and `sigs` differ in length.
-pub fn verify_many(public_key: &Digest, digests: &[Digest], sigs: &[&MssSignature]) -> Vec<bool> {
-    verify_many_with(public_key, digests, sigs, mb::Dispatch::active())
+/// Slots in the process-wide memo (≈ 2.9 KiB each, ≈ 3 MiB): room for two
+/// 66-record dispute windows and every live certificate of a log's signers.
+const MEMO_SLOTS: usize = 1024;
+
+/// Longest path the memo stores (the tallest tree [`MssSigner::generate`]
+/// builds); a signature under a taller, hand-built tree always walks.
+const MEMO_MAX_PATH: usize = 20;
+
+static MEMO: LazyLock<Memo> = LazyLock::new(|| Memo::with_slots(MEMO_SLOTS));
+
+/// One `(public key, digest, signature)` triple [`verify_walk`] accepted.
+struct Verified {
+    key: Digest,
+    digest: Digest,
+    leaf_index: u32,
+    wots: WotsSignature,
+    path: [PathStep; MEMO_MAX_PATH],
+    path_len: usize,
 }
 
-/// [`verify_many`] under an explicit dispatch tier.
+/// A direct-mapped, per-slot-locked memo of verified triples.
 ///
-/// # Panics
-///
-/// Panics if `digests` and `sigs` differ in length or the tier is
-/// unavailable on this host.
-pub fn verify_many_with(
-    public_key: &Digest,
-    digests: &[Digest],
-    sigs: &[&MssSignature],
-    d: mb::Dispatch,
-) -> Vec<bool> {
-    assert_eq!(digests.len(), sigs.len(), "one digest per signature");
-    let wots_sigs: Vec<&WotsSignature> = sigs.iter().map(|s| &s.wots).collect();
-    let pks = wots::recover_public_keys_with(digests, &wots_sigs, d);
-    let leaves = leaf_hash_digests_with(d, &pks);
-    let paths: Vec<&AuthPath> = sigs.iter().map(|s| &s.path).collect();
-    let roots = implied_roots_with(d, &leaves, &paths);
-    sigs.iter()
-        .zip(&roots)
-        .map(|(sig, root)| index_matches_path(sig) && *root == *public_key)
-        .collect()
+/// Sound because [`verify_walk`] is a pure function of three public
+/// inputs: a lookup answers `true` only when key, digest and the whole
+/// signature (leaf index and path included) equal a stored triple byte
+/// for byte, anything else walks, and only successes are stored — a
+/// colliding triple merely overwrites its slot.
+#[derive(Default)]
+struct Memo {
+    /// Entries sit inline in one block: boxed one by one they would lie
+    /// scattered over the heap and pin it against trimming after an audit.
+    slots: Box<[Mutex<Option<Verified>>]>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    inserts: AtomicU64,
+    overwrites: AtomicU64,
+}
+
+/// Counters of the verification memo since process start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Verifications answered from the memo.
+    pub hits: u64,
+    /// Verifications that took the full walk (valid or not).
+    pub misses: u64,
+    /// Verified triples stored.
+    pub inserts: u64,
+    /// Stores that displaced an earlier triple from its slot.
+    pub overwrites: u64,
+}
+
+/// The process-wide memo's counters.
+pub fn memo_stats() -> MemoStats {
+    MEMO.stats()
+}
+
+impl Memo {
+    fn with_slots(n: usize) -> Self {
+        Self {
+            slots: (0..n).map(|_| Mutex::new(None)).collect(),
+            ..Self::default()
+        }
+    }
+
+    fn verify(&self, key: &Digest, digest: &Digest, sig: &MssSignature) -> bool {
+        let steps = &sig.path.steps;
+        if steps.len() > MEMO_MAX_PATH {
+            return verify_walk(key, digest, sig);
+        }
+        // Both are SHA-256 outputs, so any eight bytes spread evenly.
+        let word = |d: &Digest| u64::from_le_bytes(d.as_bytes()[..8].try_into().expect("8 bytes"));
+        let slot = &self.slots[(word(key) ^ word(digest)) as usize % self.slots.len()];
+        let seen = slot.lock().as_ref().is_some_and(|v| {
+            v.key == *key
+                && v.digest == *digest
+                && v.leaf_index == sig.leaf_index
+                && v.wots == sig.wots
+                && v.path[..v.path_len] == steps[..]
+        });
+        if seen {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return true;
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        if !verify_walk(key, digest, sig) {
+            return false;
+        }
+        let mut path = [PathStep {
+            sibling: Digest::ZERO,
+            sibling_on_right: false,
+        }; MEMO_MAX_PATH];
+        path[..steps.len()].copy_from_slice(steps);
+        let displaced = slot.lock().replace(Verified {
+            key: *key,
+            digest: *digest,
+            leaf_index: sig.leaf_index,
+            wots: sig.wots.clone(),
+            path,
+            path_len: steps.len(),
+        });
+        self.inserts.fetch_add(1, Ordering::Relaxed);
+        let overwrote = u64::from(displaced.is_some());
+        self.overwrites.fetch_add(overwrote, Ordering::Relaxed);
+        true
+    }
+
+    fn stats(&self) -> MemoStats {
+        MemoStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            inserts: self.inserts.load(Ordering::Relaxed),
+            overwrites: self.overwrites.load(Ordering::Relaxed),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -381,42 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_many_matches_verify_for_every_tier() {
-        // A mixed batch: valid signatures, a wrong digest, a tampered
-        // chain value, and a doctored leaf index — the batch path must
-        // agree with the one-at-a-time path on every flag.
-        let mut s = signer(3, 12);
-        let pk = s.public_key();
-        let mut digests: Vec<Digest> = (0..6u8).map(|i| sha256(&[i, 0x9D])).collect();
-        let mut sigs: Vec<MssSignature> = digests
-            .iter()
-            .map(|digest| s.sign(digest).unwrap())
-            .collect();
-        digests[1] = sha256(b"swapped after signing");
-        sigs[2].wots.chains[0][0] ^= 0xFF;
-        sigs[3].leaf_index ^= 1;
-        let sig_refs: Vec<&MssSignature> = sigs.iter().collect();
-        let expected: Vec<bool> = digests
-            .iter()
-            .zip(&sigs)
-            .map(|(digest, sig)| verify(&pk, digest, sig))
-            .collect();
-        assert_eq!(expected, [true, false, false, false, true, true]);
-        for tier in mb::Dispatch::all() {
-            if !tier.is_available() {
-                continue;
-            }
-            assert_eq!(
-                verify_many_with(&pk, &digests, &sig_refs, tier),
-                expected,
-                "tier {tier:?}"
-            );
-        }
-        assert_eq!(verify_many(&pk, &digests, &sig_refs), expected);
-        assert!(verify_many(&pk, &[], &[]).is_empty());
-    }
-
-    #[test]
     fn parallel_and_sequential_keygen_agree() {
         // Same seed stream ⇒ identical key material and root, for every
         // worker budget (including oversubscription on a 1-core host).
@@ -449,5 +501,154 @@ mod tests {
         let d = sha256(b"cross");
         let sig = par.sign(&d).unwrap();
         assert!(verify(&seq.public_key(), &d, &sig));
+    }
+
+    /// What [`verify`] takes: public key, digest, signature.
+    type Triple = (Digest, Digest, MssSignature);
+
+    /// A genuine signature plus every single-field mutation of the
+    /// triple (each of which the walk rejects).
+    fn genuine_and_mutations(seed: u64) -> (Triple, Vec<Triple>) {
+        let mut s = signer(3, seed);
+        let (pk, d) = (s.public_key(), sha256(&seed.to_le_bytes()));
+        let sig = s.sign(&d).unwrap();
+        let with = |f: &dyn Fn(&mut MssSignature)| {
+            let mut m = sig.clone();
+            f(&mut m);
+            (pk, d, m)
+        };
+        let mutants = vec![
+            (pk, sha256(b"another digest"), sig.clone()),
+            (signer(3, seed + 1).public_key(), d, sig.clone()),
+            with(&|m| m.leaf_index ^= 1),
+            with(&|m| m.wots.chains[66][31] ^= 1),
+            with(&|m| m.path.steps[2].sibling = sha256(b"evil")),
+            with(&|m| m.path.steps[0].sibling_on_right ^= true),
+            with(&|m| {
+                m.path.steps.pop();
+            }),
+        ];
+        ((pk, d, sig), mutants)
+    }
+
+    #[test]
+    fn memo_answers_only_the_exact_triple() {
+        // One slot, so every mutant is compared against the genuine entry.
+        let memo = Memo::with_slots(1);
+        let ((pk, d, sig), mutants) = genuine_and_mutations(40);
+        // Cold, warm, warm again: a mutant never rides on that entry.
+        for round in 0..3 {
+            for (k, dg, m) in &mutants {
+                assert!(!verify_walk(k, dg, m));
+                assert!(!memo.verify(k, dg, m), "round {round}");
+            }
+            assert!(memo.verify(&pk, &d, &sig));
+        }
+        let stats = memo.stats();
+        assert_eq!(stats.hits, 2, "only the genuine triple's repeats hit");
+        assert_eq!(stats.misses, 3 * mutants.len() as u64 + 1);
+        assert_eq!((stats.inserts, stats.overwrites), (1, 0));
+    }
+
+    #[test]
+    fn failed_verifications_walk_every_time_and_are_never_stored() {
+        let memo = Memo::with_slots(4);
+        let (_, mutants) = genuine_and_mutations(41);
+        let (k, d, forged) = &mutants[3];
+        assert!(!memo.verify(k, d, forged));
+        assert!(!memo.verify(k, d, forged));
+        assert_eq!(
+            memo.stats(),
+            MemoStats {
+                hits: 0,
+                misses: 2,
+                inserts: 0,
+                overwrites: 0
+            }
+        );
+        assert!(memo.slots.iter().all(|s| s.lock().is_none()));
+    }
+
+    #[test]
+    fn memo_stays_at_its_bound_and_evicted_triples_reverify() {
+        let memo = Memo::with_slots(2);
+        let mut s = signer(4, 42);
+        let pk = s.public_key();
+        let signed: Vec<(Digest, MssSignature)> = (0..16u8)
+            .map(|i| {
+                let d = sha256(&[i, 42]);
+                (d, s.sign(&d).unwrap())
+            })
+            .collect();
+        for (d, sig) in &signed {
+            assert!(memo.verify(&pk, d, sig));
+        }
+        let occupied = memo.slots.iter().filter(|s| s.lock().is_some()).count() as u64;
+        let stats = memo.stats();
+        assert_eq!(stats.inserts, 16);
+        assert!(occupied <= 2);
+        assert_eq!(stats.inserts - stats.overwrites, occupied);
+        // Fourteen of the sixteen were displaced; each still verifies (by
+        // the walk) and a tampered copy of each still fails.
+        for (d, sig) in &signed {
+            assert!(memo.verify(&pk, d, sig));
+            let mut bad = sig.clone();
+            bad.wots.chains[0][0] ^= 1;
+            assert!(!memo.verify(&pk, d, &bad));
+        }
+        assert_eq!(memo.stats().inserts - memo.stats().overwrites, occupied);
+    }
+
+    #[test]
+    fn paths_taller_than_the_memo_stores_always_walk() {
+        // Graft a genuine 1-level signature under MEMO_MAX_PATH more
+        // hand-built levels: valid under the grafted root, too tall to store.
+        let mut s = signer(1, 43);
+        let d = sha256(b"tall");
+        let mut sig = s.sign(&d).unwrap();
+        let mut root = s.public_key();
+        for _ in 0..MEMO_MAX_PATH {
+            let sibling = sha256(root.as_bytes());
+            root = crate::merkle::node_hash(&root, &sibling);
+            sig.path.steps.push(PathStep {
+                sibling,
+                sibling_on_right: true,
+            });
+        }
+        let memo = Memo::with_slots(4);
+        assert!(verify_walk(&root, &d, &sig));
+        assert!(memo.verify(&root, &d, &sig) && memo.verify(&root, &d, &sig));
+        assert!(!memo.verify(&root, &sha256(b"other"), &sig));
+        assert_eq!(memo.stats().inserts + memo.stats().hits, 0);
+    }
+
+    #[test]
+    fn concurrent_verifiers_agree_with_the_walk() {
+        // Eight threads, one two-slot memo, overlapping work lists of
+        // genuine and forged triples: constant eviction under contention.
+        let memo = Memo::with_slots(2);
+        let mut cases = Vec::new();
+        for seed in 50..54 {
+            let (genuine, mutants) = genuine_and_mutations(seed);
+            cases.push((genuine, true));
+            cases.extend(mutants.into_iter().take(3).map(|m| (m, false)));
+        }
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for t in 0..8usize {
+                let (memo, cases, start) = (&memo, &cases, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..4 * cases.len() {
+                        let ((k, d, sig), expect) = &cases[(i * (t + 1) + t) % cases.len()];
+                        assert_eq!(memo.verify(k, d, sig), *expect);
+                        assert_eq!(verify_walk(k, d, sig), *expect);
+                    }
+                });
+            }
+        });
+        let stats = memo.stats();
+        assert_eq!(stats.hits + stats.misses, 8 * 4 * cases.len() as u64);
+        assert!(stats.inserts - stats.overwrites <= 2);
     }
 }

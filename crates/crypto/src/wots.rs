@@ -165,9 +165,9 @@ fn walk_chains(
 /// immediately refilled with the next pending chain — so lanes stay
 /// full even though chains finish at different steps (signing and
 /// verification advance each chain by its digest-dependent chunk).
-/// Batch callers flatten the chains of many keys or signatures into one
-/// job list, so lanes also stay full *across* W-OTS boundaries instead
-/// of draining at each key's 67-chain tail.
+/// Batch keygen flattens the chains of many keys into one job list, so
+/// lanes also stay full *across* W-OTS boundaries instead of draining
+/// at each key's 67-chain tail.
 fn walk_chains_flat(
     d: mb::Dispatch,
     values: &mut [[u8; 32]],
@@ -368,46 +368,6 @@ impl WotsKeyPair {
     pub fn sign_with(&self, digest: &Digest, d: mb::Dispatch) -> WotsSignature {
         Self::sign_from_seed_with(&self.seed, digest, d)
     }
-}
-
-/// Batch [`recover_public_key_with`]: recomputes every signature's
-/// candidate public key, the verification walks scheduled over one flat
-/// job list (lanes refill across signature boundaries, not just within
-/// one signature's 67 chains) and the final compressions in lockstep.
-/// Identical to mapping [`recover_public_key_with`] over the pairs —
-/// the batch-verification hot path of the MSS layer.
-///
-/// # Panics
-///
-/// Panics if `digests` and `sigs` differ in length.
-pub fn recover_public_keys_with(
-    digests: &[Digest],
-    sigs: &[&WotsSignature],
-    d: mb::Dispatch,
-) -> Vec<Digest> {
-    assert_eq!(digests.len(), sigs.len(), "one digest per signature");
-    if d.lanes() <= 1 {
-        return digests
-            .iter()
-            .zip(sigs)
-            .map(|(digest, sig)| recover_public_key_with(digest, sig, d))
-            .collect();
-    }
-    let n = digests.len() * CHAINS;
-    let mut values = Vec::with_capacity(n);
-    let mut idx = Vec::with_capacity(n);
-    let mut start = Vec::with_capacity(n);
-    let mut steps = Vec::with_capacity(n);
-    for (digest, sig) in digests.iter().zip(sigs) {
-        values.extend(sig.chains);
-        for (c, chunk) in chunks_of(digest).into_iter().enumerate() {
-            idx.push(c as u16);
-            start.push(chunk);
-            steps.push(MAX_STEP - chunk);
-        }
-    }
-    walk_chains_flat(d, &mut values, &idx, &start, &steps);
-    compress_pk_lanes(d, &values)
 }
 
 /// Recomputes the candidate public key from a signature and digest.
@@ -625,26 +585,6 @@ mod tests {
                     expected[..n],
                     "tier {tier:?} n {n}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_recovery_matches_per_signature_for_every_tier() {
-        // Signatures over different digests skew the per-chain step
-        // counts across the flat job list; the shared refill schedule
-        // must still recover each candidate key exactly.
-        let kps: Vec<WotsKeyPair> = (10u8..14).map(keypair).collect();
-        let digests: Vec<Digest> = (0u8..4).map(|i| sha256(&[i, 0xEE])).collect();
-        let sigs: Vec<WotsSignature> = kps.iter().zip(&digests).map(|(kp, d)| kp.sign(d)).collect();
-        let sig_refs: Vec<&WotsSignature> = sigs.iter().collect();
-        for tier in mb::Dispatch::all() {
-            if !tier.is_available() {
-                continue;
-            }
-            let got = recover_public_keys_with(&digests, &sig_refs, tier);
-            for (kp, pk) in kps.iter().zip(&got) {
-                assert_eq!(*pk, kp.public_key(), "tier {tier:?}");
             }
         }
     }

@@ -1,10 +1,13 @@
 //! Property tests for the cryptographic primitives.
 
+use nonrep_crypto::batch::{batch_digest, batch_leaf, BatchSignature};
 use nonrep_crypto::digest::{mb, sha256, sha256_short, Digest, Sha256};
 use nonrep_crypto::hmac::{hmac_sha256, hmac_short_lanes_with};
+use nonrep_crypto::hss::{HssSignature, SubtreeCert, SubtreeSig};
 use nonrep_crypto::merkle::{leaf_hash, leaf_hash_digests_with, MerkleTree};
+use nonrep_crypto::mss::MssSignature;
 use nonrep_crypto::rng::SecureRandom;
-use nonrep_crypto::sig::{KeyPair, Signature, SignatureScheme};
+use nonrep_crypto::sig::{KeyPair, Signature, SignaturePayload, SignatureScheme, VerifyingKey};
 use nonrep_crypto::wots::{self, WotsKeyPair};
 use nonrep_types::codec::{Decode, Encode};
 use proptest::collection::vec;
@@ -16,6 +19,148 @@ fn tiers() -> Vec<mb::Dispatch> {
         .into_iter()
         .filter(|t| t.is_available())
         .collect()
+}
+
+/// The uncached MSS verification, rebuilt from public primitives: what
+/// the memoised `mss::verify` must agree with on every input.
+fn reference_mss(root: &Digest, digest: &Digest, sig: &MssSignature) -> bool {
+    let implied = sig.path.steps.iter().enumerate().fold(0u64, |acc, (l, s)| {
+        acc | (u64::from(!s.sibling_on_right) << l)
+    });
+    let leaf = leaf_hash(wots::recover_public_key(digest, &sig.wots).as_bytes());
+    implied == u64::from(sig.leaf_index) && MerkleTree::verify(root, &leaf, &sig.path)
+}
+
+fn reference_batch(root: &Digest, digest: &Digest, b: &BatchSignature) -> bool {
+    let implied = b.auth_path.implied_root(&batch_leaf(digest));
+    reference_mss(root, &batch_digest(&implied), &b.mss_sig)
+}
+
+fn reference_hss(root: &Digest, digest: &Digest, h: &HssSignature) -> bool {
+    let cert = &h.subtree_root_cert;
+    let cert_digest = SubtreeCert::signing_digest(cert.generation, &cert.subtree_root);
+    reference_mss(root, &cert_digest, &cert.root_sig)
+        && match &h.subtree_sig {
+            SubtreeSig::Direct(s) => reference_mss(&cert.subtree_root, digest, s),
+            SubtreeSig::Batched(b) => reference_batch(&cert.subtree_root, digest, b),
+        }
+}
+
+/// Uncached `VerifyingKey::verify_digest` for Merkle keys.
+fn reference(vk: &VerifyingKey, digest: &Digest, sig: &Signature) -> bool {
+    let VerifyingKey::Mss { root } = vk else {
+        panic!("reference covers Merkle keys only");
+    };
+    sig.key_id == vk.key_id()
+        && match &sig.payload {
+            SignaturePayload::Mss(s) => reference_mss(root, digest, s),
+            SignaturePayload::BatchedMss(b) => reference_batch(root, digest, b),
+            SignaturePayload::Hss(h) => reference_hss(root, digest, h),
+            SignaturePayload::Arbitrated(_) => false,
+        }
+}
+
+/// Every single-field mutation of `sig` a hostile submitter could try,
+/// each with whether verification must reject it. (A batch signature's
+/// `leaf_index` and `leaf_count` are informational — the position is
+/// bound by the authentication path's direction bits — so changing
+/// them alone leaves a signature that still verifies.)
+fn mutations(sig: &Signature) -> Vec<(Signature, bool)> {
+    fn mss(s: &mut MssSignature, which: usize) -> bool {
+        match which {
+            0 => s.leaf_index ^= 1,
+            1 => s.wots.chains[7][3] ^= 0x40,
+            _ => s.path.steps[0].sibling = sha256(b"grafted sibling"),
+        }
+        true
+    }
+    fn batch(b: &mut BatchSignature, which: usize) -> bool {
+        match which {
+            0..=2 => return mss(&mut b.mss_sig, which),
+            3 => b.leaf_index ^= 1,
+            4 => b.leaf_count += 1,
+            _ => b.auth_path.steps[0].sibling = sha256(b"grafted step"),
+        }
+        which > 4
+    }
+    fn cert(c: &mut SubtreeCert, which: usize) -> bool {
+        match which {
+            0..=2 => return mss(&mut c.root_sig, which),
+            3 => c.generation += 1,
+            _ => c.subtree_root = sha256(b"grafted subtree"),
+        }
+        true
+    }
+    let arms = match &sig.payload {
+        SignaturePayload::Mss(_) => 3,
+        SignaturePayload::BatchedMss(_) => 6,
+        SignaturePayload::Hss(h) if h.is_batched() => 5 + 6,
+        SignaturePayload::Hss(_) => 5 + 3,
+        SignaturePayload::Arbitrated(_) => 0,
+    };
+    (0..arms)
+        .map(|which| {
+            let mut m = sig.clone();
+            let rejected = match &mut m.payload {
+                SignaturePayload::Mss(s) => mss(s, which),
+                SignaturePayload::BatchedMss(b) => batch(b, which),
+                SignaturePayload::Hss(h) => match (which.checked_sub(5), &mut h.subtree_sig) {
+                    (None, _) => cert(&mut h.subtree_root_cert, which),
+                    (Some(w), SubtreeSig::Direct(s)) => mss(s, w),
+                    (Some(w), SubtreeSig::Batched(b)) => batch(b, w),
+                },
+                SignaturePayload::Arbitrated(_) => true,
+            };
+            (m, rejected)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The verification memo is invisible: for flat, batched,
+    /// hierarchical and hierarchical-batched signatures, the genuine
+    /// signature, every single-field mutation of it, a different digest
+    /// and a different root key presenting it all verify exactly as the
+    /// uncached reference says — before the genuine triple is cached
+    /// and after.
+    #[test]
+    fn memoised_verification_equals_the_uncached_reference(seed in any::<u64>()) {
+        let key = |scheme, salt: u64| {
+            KeyPair::generate(scheme, &mut SecureRandom::from_seed(seed ^ salt))
+        };
+        let hss = SignatureScheme::Hss { root_height: 2, subtree_height: 2 };
+        let flat = key(SignatureScheme::Mss { height: 3 }, 1);
+        let tree = key(hss, 2);
+        let digests: Vec<Digest> = (0..3u8).map(|i| sha256(&[i, seed as u8])).collect();
+        let cases = [
+            (&flat, flat.sign_digest(&digests[0]).unwrap()),
+            (&flat, flat.sign_batch(&digests).unwrap().swap_remove(0)),
+            (&tree, tree.sign_digest(&digests[0]).unwrap()),
+            (&tree, tree.sign_batch(&digests).unwrap().swap_remove(0)),
+        ];
+        for (kp, genuine) in &cases {
+            let vk = kp.verifying_key();
+            // The same signature (cert included) presented under another
+            // registered root.
+            let other = key(hss, 3).verifying_key();
+            let mut transplanted = genuine.clone();
+            transplanted.key_id = other.key_id();
+            for warm in [false, true] {
+                for (m, rejected) in mutations(genuine) {
+                    prop_assert_eq!(reference(&vk, &digests[0], &m), !rejected);
+                    prop_assert_eq!(vk.verify_digest(&digests[0], &m), !rejected, "warm {}", warm);
+                }
+                prop_assert!(!vk.verify_digest(&digests[1], genuine));
+                prop_assert!(!reference(&vk, &digests[1], genuine));
+                prop_assert!(!other.verify_digest(&digests[0], &transplanted));
+                prop_assert!(!reference(&other, &digests[0], &transplanted));
+                prop_assert!(vk.verify_digest(&digests[0], genuine));
+                prop_assert!(reference(&vk, &digests[0], genuine));
+            }
+        }
+    }
 }
 
 proptest! {

@@ -330,7 +330,8 @@ impl DirectServerHandler {
             }
             .encode_to_vec(),
         )?;
-        self.runs.record_response(msg.run_id, msg2.clone());
+        self.runs
+            .record_response(msg.run_id, msg2.clone(), Some(resp_digest));
         Ok(msg2)
     }
 
@@ -339,15 +340,13 @@ impl DirectServerHandler {
         from: &OrgId,
         msg: ProtocolMessage,
     ) -> Result<ProtocolMessage, ProtocolError> {
-        let cached = self
+        // The receipt must cover the digest of the response we actually sent.
+        let resp_digest = self
             .runs
-            .cached_response(&msg.run_id)
+            .receipt_digest(&msg.run_id)
             .ok_or(ProtocolError::UnknownRun(msg.run_id))?;
         self.engine.verify_frame_from(&msg, from)?;
         let step3: Step3 = self.engine.decode_body(&msg.body)?;
-        // The receipt must cover the digest of the response we actually sent.
-        let step2: Step2 = self.engine.decode_body(&cached.body)?;
-        let resp_digest = sha256(&step2.response.encode_to_vec());
         if !self.runs.receipt_received(&msg.run_id) {
             self.engine.absorb(
                 &step3.nrr_resp,

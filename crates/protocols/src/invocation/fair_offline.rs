@@ -809,7 +809,7 @@ impl FairServerHandler {
                 aborted: false,
             },
         );
-        self.runs.record_response(msg.run_id, msg2.clone());
+        self.runs.record_response(msg.run_id, msg2.clone(), None);
         // Step 2 is committed: the receipt window opens. A supervised
         // server arms the timeout-abort escalation here — if the client
         // never commits its receipt, the TTP abort choreography closes

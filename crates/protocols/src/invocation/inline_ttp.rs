@@ -349,7 +349,7 @@ impl InlineTtpHandler {
         let msg2 = self
             .engine
             .request_frame(msg.run_id, 2, body.encode_to_vec())?;
-        self.runs.record_response(msg.run_id, msg2.clone());
+        self.runs.record_response(msg.run_id, msg2.clone(), None);
         Ok(msg2)
     }
 }

@@ -20,6 +20,7 @@ use std::collections::HashMap;
 
 use parking_lot::Mutex;
 
+use nonrep_crypto::digest::Digest;
 use nonrep_types::codec::{CodecError, Decode, Encode, Reader, Writer};
 use nonrep_types::ids::{OrgId, RunId};
 
@@ -109,6 +110,8 @@ pub struct RunRegistry {
 #[derive(Debug, Clone)]
 struct RunEntry {
     response: ProtocolMessage,
+    /// Digest of the response a later client receipt must cover.
+    receipt_digest: Option<Digest>,
     receipt_received: bool,
 }
 
@@ -124,15 +127,29 @@ impl RunRegistry {
         self.runs.lock().get(run).map(|e| e.response.clone())
     }
 
-    /// Records the response produced for `run`.
-    pub fn record_response(&self, run: RunId, response: ProtocolMessage) {
+    /// Records the response produced for `run` and, for a variant whose
+    /// server later checks a client receipt against this registry, the
+    /// digest that receipt must cover.
+    pub fn record_response(
+        &self,
+        run: RunId,
+        response: ProtocolMessage,
+        receipt_digest: Option<Digest>,
+    ) {
         self.runs.lock().insert(
             run,
             RunEntry {
                 response,
+                receipt_digest,
                 receipt_received: false,
             },
         );
+    }
+
+    /// The digest recorded for `run`'s receipt (`None` for an unknown run
+    /// or one recorded without a digest).
+    pub fn receipt_digest(&self, run: &RunId) -> Option<Digest> {
+        self.runs.lock().get(run).and_then(|e| e.receipt_digest)
     }
 
     /// Marks the client receipt as received for `run`. Returns `false` if
@@ -191,8 +208,10 @@ mod tests {
         assert!(reg.cached_response(&run).is_none());
         assert!(reg.is_empty());
         let resp = ProtocolMessage::new("direct", run, 2, "server", vec![1]);
-        reg.record_response(run, resp.clone());
+        assert_eq!(reg.receipt_digest(&run), None);
+        reg.record_response(run, resp.clone(), Some(Digest::ZERO));
         assert_eq!(reg.cached_response(&run).unwrap(), resp);
+        assert_eq!(reg.receipt_digest(&run), Some(Digest::ZERO));
         assert_eq!(reg.len(), 1);
         assert!(!reg.receipt_received(&run));
         assert!(reg.mark_receipt(&run));

@@ -10,6 +10,7 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 
+use nonrep_crypto::mss::memo_stats;
 use nonrep_sim::engine::run_fleet;
 use nonrep_sim::scenario::Scenario;
 
@@ -62,6 +63,13 @@ proptest! {
 
 /// Replay determinism for the seed under investigation: honours
 /// `NONREP_SIM_SEED` so a failure reported elsewhere can be pinned here.
+///
+/// The second replay re-verifies, signature for signature, what the
+/// first left in the process-wide verification memo
+/// (`nonrep_crypto::mss`), so equality here — every `RunOutcome`, its
+/// facts, suspects, defectors and stalled sets — also shows that
+/// verdicts and attributions do not depend on the memo's state, which
+/// the sweep above, running many fleets through one table, relies on.
 #[test]
 fn seeded_fleet_replays_bit_for_bit() {
     let seed = std::env::var("NONREP_SIM_SEED")
@@ -70,7 +78,9 @@ fn seeded_fleet_replays_bit_for_bit() {
         .unwrap_or(1u64);
     let scenario = Scenario::from_seed(seed);
     let a = run_fleet(&scenario, 0, &scratch("replay-a")).unwrap();
+    let hits_before = memo_stats().hits;
     let b = run_fleet(&scenario, 0, &scratch("replay-b")).unwrap();
+    assert!(memo_stats().hits > hits_before, "replay b ran warm");
     assert_eq!(a, b, "seed {seed}: replay diverged");
     assert!(
         a.runs.iter().any(|r| !r.facts.is_empty()),

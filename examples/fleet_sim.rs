@@ -95,11 +95,22 @@ fn main() -> ExitCode {
         }
     }
     println!(
-        "ok: verdicts schedule-invariant, {} byzantine org(s) detected ({:?}), no false accusations",
+        "ok: verdicts schedule-invariant, {} byzantine org(s) detected ({:?}), no false accusations; {}",
         scenario.byzantine.len(),
         base.all_suspects(),
+        memo_summary(),
     );
     ExitCode::SUCCESS
+}
+
+/// The process-wide MSS verification memo's counters, for the summary
+/// line of every mode.
+fn memo_summary() -> String {
+    let m = nonrep_crypto::mss::memo_stats();
+    format!(
+        "verify memo {} hits / {} misses / {} inserts / {} overwrites",
+        m.hits, m.misses, m.inserts, m.overwrites
+    )
 }
 
 fn fail(seed: u64, what: &str) -> ExitCode {
@@ -162,7 +173,8 @@ fn dispute_sweep(base_seed: u64) -> ExitCode {
     }
     println!(
         "ok: {checked} dispute scenarios convicted their defectors under permuted schedules, \
-         no false accusations"
+         no false accusations; {}",
+        memo_summary()
     );
     ExitCode::SUCCESS
 }
@@ -248,10 +260,11 @@ fn stall_sweep(seed: u64) -> ExitCode {
     }
     println!(
         "ok: {} orgs, {} runs all terminated; timeout abort attributed {:?}; \
-         verdicts schedule-invariant; no false accusations",
+         verdicts schedule-invariant; no false accusations; {}",
         scenario.regular.len(),
         base.runs.len(),
         aborted[0].stalled,
+        memo_summary(),
     );
     ExitCode::SUCCESS
 }

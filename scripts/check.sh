@@ -5,7 +5,8 @@
 # locally.
 #
 #   scripts/check.sh           # build + tests + fmt + clippy + rustdoc + examples
-#   scripts/check.sh --fast    # skip the release build and example smoke tests
+#                              # + fleet sweep + benchmark smoke
+#   scripts/check.sh --fast    # skip the release build and the smoke runs
 #   scripts/check.sh --bench   # additionally run the bench-regression gate
 #                              # (self-test + newest BENCH_*.json vs baseline)
 #
@@ -81,6 +82,11 @@ if [[ "$FAST" -eq 0 ]]; then
     # permuted schedules; prints a NONREP_SIM_SEED repro line on failure.
     echo "==> adversarial fleet sweep (scripts/sim.sh)"
     scripts/sim.sh 4
+
+    # The end-to-end benchmark at 1/100 of the work: all four workloads
+    # build, run, stay correct and emit well-formed results.
+    echo "==> benchmark/run.sh --smoke"
+    benchmark/run.sh --smoke >/dev/null
 fi
 
 if [[ "$BENCH" -eq 1 ]]; then
