@@ -1,17 +1,18 @@
 //! E12: epoch-grouped durability on disk-backed evidence logs.
 //!
-//! Measures what PR 3's `SyncPolicy` is for: making the epoch the
-//! durability unit. Both contenders push 16 records per iteration
-//! through a batch-16 commitment scheduler over a `FileLog`, so each
-//! iteration ends with an epoch seal; the only difference is *when the
-//! bytes hit the platter*:
+//! Measures what `SyncPolicy` is for: making the epoch the durability
+//! unit. Both contenders push 16 records per iteration through a
+//! batch-16 commitment scheduler over a `FileLog`, so each iteration
+//! ends with an epoch seal, and both end the iteration durable; the only
+//! difference is *when the bytes hit the platter*:
 //!
 //! * `append_x16/fsync_per_append` — [`SyncPolicy::WriteThrough`]: every
 //!   append writes and fsyncs (17 fsyncs per iteration, counting the
 //!   epoch record).
-//! * `append_x16/fsync_per_epoch` — [`SyncPolicy::PerEpoch`]: appends
-//!   buffer in memory; the epoch seal lands one contiguous write + one
-//!   fsync for the whole batch.
+//! * `append_x16/group_commit` — [`SyncPolicy::GroupCommit`]: appends
+//!   buffer in memory; the epoch seal hands one contiguous write + one
+//!   fsync for the whole batch to the sync thread, and the iteration
+//!   waits on that seal's own ticket.
 //!
 //! `append_x16/memory` is the no-disk reference (same scheduler work on
 //! a `MemoryLog`), so the two file numbers decompose into sign/hash cost
@@ -95,14 +96,15 @@ fn bench_durability(c: &mut Criterion) {
         let _ = std::fs::remove_file(&path);
     }
     {
-        let path = temp_log("per-epoch");
-        let log: Arc<dyn EvidenceLog> =
-            Arc::new(FileLog::open_with(&path, SyncPolicy::PerEpoch).unwrap());
-        let s = scheduler_over(log);
+        let path = temp_log("group-commit");
+        let file = Arc::new(FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap());
+        let s = scheduler_over(file.clone() as Arc<dyn EvidenceLog>);
         let mut round = 0u64;
-        group.bench_function("append_x16/fsync_per_epoch", |b| {
+        group.bench_function("append_x16/group_commit", |b| {
             b.iter(|| {
                 push16(&s, round);
+                let ticket = file.last_seal_ticket().expect("16th record sealed");
+                ticket.wait_durable().unwrap();
                 round += 1;
             })
         });

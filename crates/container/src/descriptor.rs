@@ -23,9 +23,6 @@ pub enum EvidenceDurability {
     /// Every append must be durable before it returns (a write-through
     /// file log). Highest per-append cost, zero loss window.
     WriteThrough,
-    /// Appends may buffer; each epoch seal must land them with an
-    /// inline write + fsync.
-    PerEpoch,
     /// Appends may buffer; the epoch seal hands them to a background
     /// sync thread and concurrent epochs share one device barrier
     /// (lowest append latency; loss window = unsealed + unacked tail).
@@ -56,24 +53,6 @@ pub struct NrConfig {
     pub platform: String,
     /// Which registered protocol to execute (e.g. `"direct"`).
     pub protocol: ProtocolId,
-    /// Requested evidence batching: `None` keeps per-record signatures;
-    /// `Some(n)` asks the hosting middleware to run its evidence through
-    /// the batched commitment pipeline, sealing an epoch every `n`
-    /// records (one signature per batch instead of one per record).
-    ///
-    /// Declarative, like the rest of the descriptor: the programmer
-    /// *identifies* the batching requirement; the middleware instantiates
-    /// the commitment scheduler that satisfies it.
-    pub evidence_batch: Option<u32>,
-    /// Requested seal deadline in milliseconds: the longest any appended
-    /// evidence may sit uncovered by an epoch commitment (and, on a
-    /// buffered file log, un-fsynced). `None` leaves sealing purely
-    /// size/run-end driven.
-    ///
-    /// With `evidence_batch` set this yields a seal-on-size-*or*-time
-    /// policy; on its own it asks for the middleware's load-driven
-    /// auto-tuned batching under the given deadline.
-    pub evidence_deadline_ms: Option<u64>,
     /// Required durability class of the hosting middleware's evidence
     /// log. `None` accepts whatever the deployment runs (including the
     /// in-memory log of tests); `Some(req)` makes a mismatch a
@@ -105,27 +84,10 @@ impl NrConfig {
         Self {
             platform: "rust".into(),
             protocol: protocol.into(),
-            evidence_batch: None,
-            evidence_deadline_ms: None,
             evidence_durability: None,
             evidence_shards: None,
             key_lifecycle: None,
         }
-    }
-
-    /// Requests batched evidence commitments with the given batch size.
-    #[must_use]
-    pub fn with_batched_evidence(mut self, batch_size: u32) -> Self {
-        self.evidence_batch = Some(batch_size.max(1));
-        self
-    }
-
-    /// Requests a seal deadline: evidence is committed (and made durable
-    /// on buffered logs) within `deadline_ms`, even when the log goes idle.
-    #[must_use]
-    pub fn with_evidence_deadline_ms(mut self, deadline_ms: u64) -> Self {
-        self.evidence_deadline_ms = Some(deadline_ms.max(1));
-        self
     }
 
     /// Requires the hosting middleware's evidence log to provide the

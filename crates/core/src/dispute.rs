@@ -1288,7 +1288,7 @@ mod tests {
         ));
         dir.insert(OrgId::new("alice"), keys.verifying_key());
         let log = Arc::new(
-            ShardedEvidenceLog::open(path, shards, nonrep_store::SyncPolicy::PerEpoch).unwrap(),
+            ShardedEvidenceLog::open(path, shards, nonrep_store::SyncPolicy::GroupCommit).unwrap(),
         );
         Party::with_sharded_commitment(
             "alice",

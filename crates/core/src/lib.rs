@@ -12,7 +12,7 @@
 //!   The builder also selects the evidence pipeline: commitment mode
 //!   (per-record vs batched, size/time/auto seal policy — with a
 //!   background deadline sealer when a time bound is set) and the log
-//!   backend (e.g. a per-epoch-fsynced file log).
+//!   backend (e.g. a group-commit file log). Both are fixed once built.
 //! * [`interceptor`] — [`ClientNrInterceptor`], the client-side JBoss-NR-
 //!   interceptor analogue: first on the outgoing path, it diverts the
 //!   invocation into a non-repudiation protocol instead of the plain

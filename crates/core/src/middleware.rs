@@ -15,8 +15,6 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use nonrep_container::component::Component;
 use nonrep_container::descriptor::{DeploymentDescriptor, EvidenceDurability, KeyLifecycle};
 use nonrep_container::proxy::{BusTransport, ClientProxy, ContainerEndpoint};
@@ -32,7 +30,7 @@ use nonrep_protocols::invocation::fair_offline::{
 use nonrep_protocols::invocation::inline_ttp::{InlineTtpClient, InlineTtpHandler};
 use nonrep_protocols::invocation::voluntary::{VoluntaryClient, VoluntaryServerHandler};
 use nonrep_protocols::party::{Party, StaticKeyDirectory};
-use nonrep_protocols::scheduler::{BatchPolicy, CommitmentMode, DeadlineSealer};
+use nonrep_protocols::scheduler::{CommitmentMode, DeadlineSealer};
 use nonrep_protocols::sharing::coordination::{
     CoordinationOutcome, SharingMember, UpdateValidator,
 };
@@ -126,9 +124,11 @@ impl MiddlewareBuilder {
     /// [`CommitmentMode::batched`] routes this organisation's evidence
     /// through the batched pipeline: one signature per token batch, and
     /// epoch commitments sealing the log every `batch_size` records. A
-    /// policy with a seal deadline ([`BatchPolicy::size_or_time`] /
-    /// [`BatchPolicy::auto`]) additionally gets a background
-    /// [`DeadlineSealer`], so idle evidence is sealed on time.
+    /// policy with a seal deadline (`BatchPolicy::size_or_time` /
+    /// `BatchPolicy::auto`) additionally gets a background
+    /// [`DeadlineSealer`], so idle evidence is sealed on time. This is
+    /// the one place the mode is decided: it is fixed for the life of the
+    /// organisation once [`MiddlewareBuilder::build`] returns.
     #[must_use]
     pub fn commitment(mut self, mode: CommitmentMode) -> Self {
         self.commitment = mode;
@@ -137,8 +137,8 @@ impl MiddlewareBuilder {
 
     /// Uses `log` as this organisation's evidence backend instead of the
     /// default in-memory log — e.g. a `nonrep_store::FileLog` opened with
-    /// `SyncPolicy::PerEpoch` (durability lands inline with each epoch
-    /// seal) or `SyncPolicy::GroupCommit` (the seal hands the batch to a
+    /// `SyncPolicy::WriteThrough` (every append fsyncs) or
+    /// `SyncPolicy::GroupCommit` (the seal hands the batch to a
     /// dedicated sync thread and concurrent epochs share one fsync).
     ///
     /// A buffering backend must be paired with a batched commitment mode
@@ -212,8 +212,8 @@ impl MiddlewareBuilder {
     /// # Panics
     ///
     /// If the configured evidence log buffers its appends
-    /// (`SyncPolicy::PerEpoch` or `SyncPolicy::GroupCommit`) while the
-    /// commitment mode is per-record: per-record mode never seals, so
+    /// (`SyncPolicy::GroupCommit`) while the commitment mode is
+    /// per-record: per-record mode never seals, so
     /// nothing would ever be fsynced and a kill could lose the
     /// organisation's whole evidence history. That combination is a
     /// deployment error, rejected here rather than discovered at the
@@ -234,7 +234,7 @@ impl MiddlewareBuilder {
         };
         assert!(
             !(buffers && matches!(self.commitment, CommitmentMode::PerRecord)),
-            "evidence log buffers appends per epoch (SyncPolicy::PerEpoch/GroupCommit) \
+            "evidence log buffers appends per epoch (SyncPolicy::GroupCommit) \
              but the commitment mode is PerRecord, which never seals epochs — nothing \
              would ever be made durable; configure MiddlewareBuilder::commitment with \
              a batched mode (see nonrep_store::SyncPolicy)"
@@ -297,7 +297,16 @@ impl MiddlewareBuilder {
         coordinator.register_handler(sharing.clone());
         coordinator.register_handler(MembershipHandler::new(sharing.clone()));
 
-        let mw = Arc::new(OrgMiddleware {
+        // A policy with a seal deadline needs a wakeup for idle logs; on
+        // a sharded plane one sealer thread polls every shard's scheduler.
+        let sealer = match self.commitment {
+            CommitmentMode::Batched(policy) => policy.max_delay_ms.map(|delay| {
+                DeadlineSealer::spawn(party.schedulers(), sealer_poll_interval(delay))
+            }),
+            CommitmentMode::PerRecord => None,
+        };
+
+        Arc::new(OrgMiddleware {
             org: self.org,
             bus: self.bus,
             directory: self.directory,
@@ -308,10 +317,8 @@ impl MiddlewareBuilder {
             groups,
             sharing,
             domain: self.domain,
-            sealer: Mutex::new(None),
-        });
-        mw.ensure_deadline_sealer();
-        mw
+            _sealer: sealer,
+        })
     }
 }
 
@@ -336,9 +343,8 @@ pub struct OrgMiddleware {
     sharing: Arc<SharingMember>,
     domain: TrustDomain,
     /// Background deadline poller, present whenever the commitment policy
-    /// carries a seal deadline (spawned at build or on a deploy-time
-    /// upgrade; stopped when the middleware is dropped).
-    sealer: Mutex<Option<DeadlineSealer>>,
+    /// carries a seal deadline (stopped when the middleware is dropped).
+    _sealer: Option<DeadlineSealer>,
 }
 
 impl fmt::Debug for OrgMiddleware {
@@ -376,23 +382,6 @@ impl OrgMiddleware {
             commitment: CommitmentMode::PerRecord,
             evidence_log: None,
             sharded_evidence: None,
-        }
-    }
-
-    /// Spawns the background [`DeadlineSealer`] if the current commitment
-    /// policy has a seal deadline and none is running yet. On a sharded
-    /// evidence plane one sealer thread polls every shard's scheduler.
-    fn ensure_deadline_sealer(&self) {
-        if let CommitmentMode::Batched(policy) = self.party.commitment_mode() {
-            if let Some(delay) = policy.max_delay_ms {
-                let mut sealer = self.sealer.lock();
-                if sealer.is_none() {
-                    *sealer = Some(DeadlineSealer::spawn_many(
-                        self.party.schedulers(),
-                        sealer_poll_interval(delay),
-                    ));
-                }
-            }
         }
     }
 
@@ -489,26 +478,19 @@ impl OrgMiddleware {
         &self.domain
     }
 
-    /// Deploys a component, honouring the descriptor's declarative NR
-    /// configuration: a component that requests batched evidence
-    /// (`NrConfig::with_batched_evidence`) and/or a seal deadline
-    /// (`NrConfig::with_evidence_deadline_ms`) upgrades this
-    /// organisation's commitment scheduler to the matching batched
-    /// pipeline — size-sealed, size-or-time, or (deadline only)
-    /// load-driven auto-tuned — and starts the background
-    /// [`DeadlineSealer`] when a deadline is in play.
+    /// Deploys a component, validating the descriptor's declarative NR
+    /// requirements against the evidence pipeline this organisation was
+    /// *built* with. A descriptor identifies requirements; it never
+    /// reconfigures the organisation.
     ///
     /// # Errors
     ///
     /// See [`Container::deploy`]; additionally
-    /// [`ContainerError::Protocol`] if two components declare *different*
-    /// batching policies (the pipeline is org-global, so that is a
-    /// deployment conflict), if switching commitment mode fails to
-    /// persist its closing seal, or if the descriptor declares an
-    /// evidence-durability requirement
-    /// (`NrConfig::with_evidence_durability`) the organisation's log does
-    /// not provide — e.g. requiring group commit while the org runs an
-    /// inline per-epoch (or in-memory) log.
+    /// [`ContainerError::Protocol`] if the descriptor declares an
+    /// evidence-durability (`NrConfig::with_evidence_durability`),
+    /// shard-count or key-lifecycle requirement the organisation does not
+    /// provide — e.g. requiring group commit while the org runs a
+    /// write-through (or in-memory) log.
     pub fn deploy(
         &self,
         descriptor: DeploymentDescriptor,
@@ -524,7 +506,6 @@ impl OrgMiddleware {
             // mismatch is a deployment error, not a reconfiguration.
             let required_class = match required {
                 EvidenceDurability::WriteThrough => DurabilityClass::Synchronous,
-                EvidenceDurability::PerEpoch => DurabilityClass::BufferedEpoch,
                 EvidenceDurability::GroupCommit => DurabilityClass::GroupCommit,
             };
             let in_force = self.party.log().durability_class();
@@ -600,32 +581,6 @@ impl OrgMiddleware {
                     }
                 )));
             }
-        }
-        let requested = descriptor.non_repudiation.as_ref().and_then(|nr| {
-            match (nr.evidence_batch, nr.evidence_deadline_ms) {
-                (Some(batch), Some(deadline)) => Some(CommitmentMode::Batched(
-                    BatchPolicy::size_or_time(batch as usize, deadline),
-                )),
-                (Some(batch), None) => Some(CommitmentMode::batched(batch as usize)),
-                (None, Some(deadline)) => Some(CommitmentMode::auto(deadline)),
-                (None, None) => None,
-            }
-        });
-        if let Some(requested) = requested {
-            // The commitment pipeline is org-global: the first batching
-            // component switches it on; a later (or racing) component
-            // asking for a *different* policy is a deployment conflict,
-            // not a silent reconfiguration. `upgrade_mode` decides under
-            // one lock hold, so concurrent deploys cannot both win.
-            let in_force = self.party.upgrade_commitment_mode(requested);
-            if in_force != requested {
-                return Err(ContainerError::Protocol(format!(
-                    "conflicting evidence batching: org already runs {in_force:?}, \
-                     descriptor for {} requests {requested:?}",
-                    descriptor.service
-                )));
-            }
-            self.ensure_deadline_sealer();
         }
         self.container.deploy(descriptor, component)
     }
@@ -854,45 +809,35 @@ mod tests {
     }
 
     #[test]
-    fn descriptor_batching_upgrades_the_scheduler() {
-        use nonrep_container::component::FnComponent;
-        use nonrep_types::ids::MethodName;
+    fn deploy_never_changes_the_commitment_mode() {
+        // The commitment mode is decided once, by the builder. Whatever a
+        // descriptor declares — and whether the deploy is accepted or
+        // refused — the mode observed afterwards is the mode built.
+        use nonrep_container::descriptor::{KeyLifecycle, NrConfig};
         let (bus, dir, clock) = world();
-        let server = OrgMiddleware::builder("server", bus, dir, clock).build();
-        assert_eq!(server.party().scheduler().mode(), CommitmentMode::PerRecord);
-        // A component declaring batched evidence upgrades the org's
-        // commitment pipeline at deploy time.
-        server
-            .deploy(
-                DeploymentDescriptor::new("urn:batched", [MethodName::new("m")])
-                    .with_non_repudiation(
-                        nonrep_container::descriptor::NrConfig::protocol("direct")
-                            .with_batched_evidence(32),
-                    ),
-                Arc::new(FnComponent::new().method("m", |args| Ok(args.clone()))),
-            )
-            .unwrap();
-        assert_eq!(
-            server.party().scheduler().mode(),
-            CommitmentMode::batched(32)
-        );
-        // Same batch size again is fine; a different size is a conflict.
-        server
-            .deploy(
-                DeploymentDescriptor::new("urn:same", [MethodName::new("m")]).with_non_repudiation(
-                    nonrep_container::descriptor::NrConfig::protocol("direct")
-                        .with_batched_evidence(32),
-                ),
-                Arc::new(FnComponent::new().method("m", |args| Ok(args.clone()))),
-            )
-            .unwrap();
-        let conflict = server.deploy(
-            DeploymentDescriptor::new("urn:conflict", [MethodName::new("m")]).with_non_repudiation(
-                nonrep_container::descriptor::NrConfig::protocol("direct").with_batched_evidence(4),
-            ),
-            Arc::new(FnComponent::new().method("m", |args| Ok(args.clone()))),
-        );
-        assert!(matches!(conflict, Err(ContainerError::Protocol(_))));
+        let built = [CommitmentMode::PerRecord, CommitmentMode::auto(40)];
+        for (i, mode) in built.into_iter().enumerate() {
+            let org =
+                OrgMiddleware::builder(format!("org{i}"), bus.clone(), dir.clone(), clock.clone())
+                    .commitment(mode)
+                    .build();
+            let configs = [
+                None,
+                Some(NrConfig::protocol("direct")),
+                Some(NrConfig::protocol("direct").with_key_lifecycle(KeyLifecycle::SingleTree)),
+                Some(NrConfig::protocol("direct").with_evidence_shards(4)),
+            ];
+            for (n, config) in configs.into_iter().enumerate() {
+                let mut descriptor =
+                    DeploymentDescriptor::new(format!("urn:svc{n}"), [MethodName::new("m")]);
+                descriptor.non_repudiation = config;
+                let _ = org.deploy(
+                    descriptor,
+                    Arc::new(FnComponent::new().method("m", |args| Ok(args.clone()))),
+                );
+                assert_eq!(org.party().commitment_mode(), mode);
+            }
+        }
     }
 
     #[test]
@@ -1066,11 +1011,7 @@ mod tests {
         client
             .deploy(
                 DeploymentDescriptor::new("urn:sharded", [MethodName::new("m")])
-                    .with_non_repudiation(
-                        NrConfig::protocol("direct")
-                            .with_batched_evidence(4)
-                            .with_evidence_shards(4),
-                    ),
+                    .with_non_repudiation(NrConfig::protocol("direct").with_evidence_shards(4)),
                 Arc::new(FnComponent::new().method("m", |args| Ok(args.clone()))),
             )
             .unwrap();
@@ -1110,11 +1051,12 @@ mod tests {
             Arc::new(FnComponent::new().method("m", |args| Ok(args.clone()))),
         )
         .unwrap();
-        // A component requiring inline per-epoch durability conflicts
-        // with the group-commit log in force.
+        // A component requiring write-through durability conflicts with
+        // the group-commit log in force.
         let mismatch = org.deploy(
-            DeploymentDescriptor::new("urn:pe", [MethodName::new("m")]).with_non_repudiation(
-                NrConfig::protocol("direct").with_evidence_durability(EvidenceDurability::PerEpoch),
+            DeploymentDescriptor::new("urn:wt0", [MethodName::new("m")]).with_non_repudiation(
+                NrConfig::protocol("direct")
+                    .with_evidence_durability(EvidenceDurability::WriteThrough),
             ),
             Arc::new(FnComponent::new().method("m", |args| Ok(args.clone()))),
         );

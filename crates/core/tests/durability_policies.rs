@@ -1,17 +1,17 @@
 //! Durability and seal-policy plumbing through the middleware, and the
 //! adjudication-unaffected-by-construction guarantee: how an organisation
-//! stores (memory vs file), syncs (write-through vs per-epoch) and seals
-//! (per-record vs size vs size-or-time vs auto) its evidence is a local
-//! deployment choice — the facts an adjudicator derives from the evidence
-//! are identical across all of them.
+//! stores (memory vs file vs sharded plane), syncs (write-through vs
+//! group commit) and seals (per-record vs size vs auto) its evidence is
+//! a local build-time choice — the facts an adjudicator derives from the
+//! evidence are identical across all of them.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
 use nonrep_container::component::FnComponent;
-use nonrep_container::descriptor::{DeploymentDescriptor, NrConfig};
-use nonrep_container::ContainerError;
+use nonrep_container::descriptor::DeploymentDescriptor;
+use nonrep_core::middleware::MiddlewareBuilder;
 use nonrep_core::{Adjudicator, OrgMiddleware};
 use nonrep_net::bus::LocalBus;
 use nonrep_protocols::party::{KeyDirectory, StaticKeyDirectory};
@@ -21,9 +21,6 @@ use nonrep_store::{EvidenceLog, FileLog, SyncPolicy};
 use nonrep_types::ids::{MethodName, OrgId};
 use nonrep_types::time::LogicalClock;
 use nonrep_types::value::Value;
-
-/// A named pipeline variant: (label, commitment mode, log backend).
-type Variant = (&'static str, CommitmentMode, Option<Arc<dyn EvidenceLog>>);
 
 fn temp_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -39,20 +36,22 @@ fn deploy_echo(mw: &OrgMiddleware) {
     .unwrap();
 }
 
+/// Points a builder at an evidence backend rooted at the given path.
+type Backend = fn(MiddlewareBuilder, &Path) -> MiddlewareBuilder;
+
 /// One echo invocation between a fresh client/server pair; the client's
-/// evidence pipeline is `mode` over `log` (None = default memory log).
-/// Returns the adjudication facts: (any suspects, the four §3.2
-/// cannot-deny assurances).
-fn facts_for(mode: CommitmentMode, log: Option<Arc<dyn EvidenceLog>>) -> (bool, [bool; 4]) {
+/// evidence pipeline is `mode` over `backend`. Returns the adjudication
+/// facts: (any suspects, the four §3.2 cannot-deny assurances).
+fn facts_for(mode: CommitmentMode, backend: Backend, tag: &str) -> (bool, [bool; 4]) {
     let bus = LocalBus::new();
     let dir = Arc::new(StaticKeyDirectory::new());
     let clock = LogicalClock::new();
-    let mut builder =
+    let path = temp_path(&format!("invariance-{tag}"));
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
+    let builder =
         OrgMiddleware::builder("client", bus.clone(), dir.clone(), clock.clone()).commitment(mode);
-    if let Some(log) = log {
-        builder = builder.evidence_log(log);
-    }
-    let client = builder.build();
+    let client = backend(builder, &path).build();
     let server = OrgMiddleware::builder("server", bus, dir, clock).build();
     deploy_echo(&server);
     let proxy = client.nr_proxy(server.org(), "urn:echo");
@@ -61,14 +60,28 @@ fn facts_for(mode: CommitmentMode, log: Option<Arc<dyn EvidenceLog>>) -> (bool, 
         Value::from(7i64)
     );
     // Seal (and, on buffered logs, fsync) whatever the policy left
-    // pending, then adjudicate both windows.
+    // pending, then adjudicate both windows. On the sharded plane the
+    // run's evidence is one shard's window.
     client.flush_evidence().unwrap();
-    let run = client.log().snapshot_range(0..1)[0].draft.run_id;
+    let (run, client_window) = match client.sharded_log() {
+        Some(plane) => {
+            let shard = (0..plane.shard_count())
+                .find(|&s| !plane.shard(s).is_empty())
+                .expect("the run landed on a shard");
+            let run = plane.shard(shard).snapshot_range(0..1)[0].draft.run_id;
+            (run, client.submit_shard_full_window(shard))
+        }
+        None => (
+            client.log().snapshot_range(0..1)[0].draft.run_id,
+            client.submit_full_window(),
+        ),
+    };
     let adjudicator = Adjudicator::new(client.directory().clone() as Arc<dyn KeyDirectory>);
-    let verdict = adjudicator.adjudicate_windows(
-        run,
-        &[client.submit_full_window(), server.submit_full_window()],
-    );
+    let verdict =
+        adjudicator.adjudicate_windows(run, &[client_window, server.submit_full_window()]);
+    drop(client);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
     (
         verdict.suspect_submitters().is_empty(),
         [
@@ -82,43 +95,48 @@ fn facts_for(mode: CommitmentMode, log: Option<Arc<dyn EvidenceLog>>) -> (bool, 
 
 #[test]
 fn adjudication_is_unaffected_by_seal_and_sync_policy() {
-    let reference = facts_for(CommitmentMode::PerRecord, None);
-    assert_eq!(reference, (true, [true; 4]), "clean exchange, full facts");
-    let file_we = temp_path("invariance-wt.log");
-    let file_pe = temp_path("invariance-pe.log");
-    let _ = std::fs::remove_file(&file_we);
-    let _ = std::fs::remove_file(&file_pe);
-    let variants: Vec<Variant> = vec![
-        ("batched-16", CommitmentMode::batched(16), None),
-        (
-            "size-or-time",
-            CommitmentMode::Batched(BatchPolicy::size_or_time(8, 1_000)),
-            None,
-        ),
-        ("auto", CommitmentMode::auto(1_000), None),
-        (
-            "file-write-through",
-            CommitmentMode::batched(4),
-            Some(Arc::new(FileLog::open(&file_we).unwrap()) as Arc<dyn EvidenceLog>),
-        ),
-        (
-            "file-per-epoch",
-            CommitmentMode::batched(4),
-            Some(
-                Arc::new(FileLog::open_with(&file_pe, SyncPolicy::PerEpoch).unwrap())
-                    as Arc<dyn EvidenceLog>,
-            ),
-        ),
+    // Exactly the configurations the code still supports: every
+    // commitment mode over every backend, minus per-record over the
+    // buffering log (rejected at build), plus one 4-shard plane.
+    let modes = [
+        ("per-record", CommitmentMode::PerRecord),
+        ("batched-4", CommitmentMode::batched(4)),
+        ("auto", CommitmentMode::auto(1_000)),
     ];
-    for (name, mode, log) in variants {
+    let backends: [(&str, Backend); 3] = [
+        ("memory", |b, _| b),
+        ("write-through", |b, path| {
+            b.evidence_file(path, SyncPolicy::WriteThrough).unwrap()
+        }),
+        ("group-commit", |b, path| {
+            b.evidence_file(path, SyncPolicy::GroupCommit).unwrap()
+        }),
+    ];
+    let sharded: Backend = |b, path| {
+        b.sharded_evidence_dir(path, 4, SyncPolicy::GroupCommit)
+            .unwrap()
+    };
+    let mut table: Vec<(String, CommitmentMode, Backend)> = Vec::new();
+    for (mode_name, mode) in modes {
+        for (backend_name, backend) in backends {
+            if mode != CommitmentMode::PerRecord || backend_name != "group-commit" {
+                table.push((format!("{mode_name}-{backend_name}"), mode, backend));
+            }
+        }
+    }
+    table.push((
+        "batched-4-sharded".into(),
+        CommitmentMode::batched(4),
+        sharded,
+    ));
+    assert_eq!(table.len(), 9);
+    for (tag, mode, backend) in table {
         assert_eq!(
-            facts_for(mode, log),
-            reference,
-            "facts differ under {name} — durability policy leaked into adjudication"
+            facts_for(mode, backend, &tag),
+            (true, [true; 4]),
+            "facts differ under {tag} — a local policy leaked into adjudication"
         );
     }
-    let _ = std::fs::remove_file(&file_we);
-    let _ = std::fs::remove_file(&file_pe);
 }
 
 #[test]
@@ -128,7 +146,7 @@ fn per_epoch_log_with_per_record_mode_is_rejected_at_build() {
     // would ever be fsynced); the builder refuses to assemble it.
     let path = temp_path("misconfig.log");
     let _ = std::fs::remove_file(&path);
-    let log = Arc::new(FileLog::open_with(&path, SyncPolicy::PerEpoch).unwrap());
+    let log = Arc::new(FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap());
     let _ = OrgMiddleware::builder(
         "org",
         LocalBus::new(),
@@ -147,17 +165,20 @@ fn per_epoch_file_log_through_middleware_survives_reopen() {
         let bus = LocalBus::new();
         let dir = Arc::new(StaticKeyDirectory::new());
         let clock = LogicalClock::new();
-        let log = Arc::new(FileLog::open_with(&path, SyncPolicy::PerEpoch).unwrap());
+        let log = Arc::new(FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap());
         let client = OrgMiddleware::builder("client", bus.clone(), dir.clone(), clock.clone())
             .commitment(CommitmentMode::batched(4))
-            .evidence_log(log)
+            .evidence_log(log.clone())
             .build();
         let server = OrgMiddleware::builder("server", bus, dir, clock).build();
         deploy_echo(&server);
         let proxy = client.nr_proxy(server.org(), "urn:echo");
         proxy.invoke("echo", Value::from(1i64)).unwrap();
-        // Run-end sealing covered the run: the epoch seal carried the
-        // grouped fsync, so everything below is already durable.
+        // Run-end sealing covered the run: once the seal's barrier is
+        // acked everything below is durable, and a kill (no Drop drain)
+        // loses nothing.
+        log.last_seal_ticket().unwrap().wait_durable().unwrap();
+        std::mem::forget(log);
     }
     let log = FileLog::open(&path).unwrap();
     assert_eq!(log.len(), 5, "4 tokens + 1 epoch commitment on disk");
@@ -195,64 +216,4 @@ fn deadline_sealer_covers_idle_middleware_evidence() {
     assert_eq!(scheduler.unsealed_len(), 0, "background sealer never fired");
     assert_eq!(client.log().count_where(&|r| r.is_epoch_commit()), 1);
     client.log().verify().unwrap();
-}
-
-#[test]
-fn descriptor_deadline_upgrades_to_auto_tuned_batching() {
-    let bus = LocalBus::new();
-    let dir = Arc::new(StaticKeyDirectory::new());
-    let clock = LogicalClock::new();
-    let server = OrgMiddleware::builder("server", bus, dir, clock).build();
-    assert_eq!(server.party().scheduler().mode(), CommitmentMode::PerRecord);
-    server
-        .deploy(
-            DeploymentDescriptor::new("urn:dl", [MethodName::new("m")])
-                .with_non_repudiation(NrConfig::protocol("direct").with_evidence_deadline_ms(40)),
-            Arc::new(FnComponent::new().method("m", |args| Ok(args.clone()))),
-        )
-        .unwrap();
-    assert_eq!(server.party().scheduler().mode(), CommitmentMode::auto(40));
-    assert_eq!(
-        server.party().scheduler().effective_batch_size(),
-        BatchPolicy::DEFAULT_AUTO_BATCH
-    );
-    // Same policy again: fine. A different one: deployment conflict.
-    server
-        .deploy(
-            DeploymentDescriptor::new("urn:same", [MethodName::new("m")])
-                .with_non_repudiation(NrConfig::protocol("direct").with_evidence_deadline_ms(40)),
-            Arc::new(FnComponent::new().method("m", |args| Ok(args.clone()))),
-        )
-        .unwrap();
-    let conflict = server.deploy(
-        DeploymentDescriptor::new("urn:conflict", [MethodName::new("m")]).with_non_repudiation(
-            NrConfig::protocol("direct")
-                .with_batched_evidence(8)
-                .with_evidence_deadline_ms(40),
-        ),
-        Arc::new(FnComponent::new().method("m", |args| Ok(args.clone()))),
-    );
-    assert!(matches!(conflict, Err(ContainerError::Protocol(_))));
-}
-
-#[test]
-fn descriptor_size_and_deadline_yield_size_or_time_policy() {
-    let bus = LocalBus::new();
-    let dir = Arc::new(StaticKeyDirectory::new());
-    let clock = LogicalClock::new();
-    let server = OrgMiddleware::builder("server", bus, dir, clock).build();
-    server
-        .deploy(
-            DeploymentDescriptor::new("urn:st", [MethodName::new("m")]).with_non_repudiation(
-                NrConfig::protocol("direct")
-                    .with_batched_evidence(32)
-                    .with_evidence_deadline_ms(250),
-            ),
-            Arc::new(FnComponent::new().method("m", |args| Ok(args.clone()))),
-        )
-        .unwrap();
-    assert_eq!(
-        server.party().scheduler().mode(),
-        CommitmentMode::Batched(BatchPolicy::size_or_time(32, 250))
-    );
 }

@@ -411,7 +411,7 @@ mod tests {
         ));
         dir.insert(OrgId::new("alice"), keys.verifying_key());
         let log = Arc::new(
-            nonrep_store::ShardedEvidenceLog::open(path, 2, nonrep_store::SyncPolicy::PerEpoch)
+            nonrep_store::ShardedEvidenceLog::open(path, 2, nonrep_store::SyncPolicy::GroupCommit)
                 .unwrap(),
         );
         Party::with_sharded_commitment(

@@ -6,10 +6,9 @@
 //! the protocol-facing face of a trusted interceptor's local resources.
 //!
 //! All evidence generation — token issuance *and* log appends — routes
-//! through the party's [`CommitmentScheduler`], so switching between
+//! through the party's [`CommitmentScheduler`], so choosing between
 //! per-record signing and the batched commitment pipeline is a
-//! construction-time (or [`Party::scheduler`]-level) choice that protocol
-//! code never sees.
+//! construction-time choice that protocol code never sees.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -296,8 +295,8 @@ impl Party {
 
     /// Every commitment scheduler of this party: one for the default
     /// single plane, one per shard for a sharded party — hand the lot to
-    /// [`crate::scheduler::DeadlineSealer::spawn_many`] so idle shards
-    /// seal on time.
+    /// [`crate::scheduler::DeadlineSealer::spawn`] so idle shards seal on
+    /// time.
     pub fn schedulers(&self) -> Vec<Arc<CommitmentScheduler>> {
         match &self.plane {
             EvidencePlane::Single(scheduler) => vec![Arc::clone(scheduler)],
@@ -319,17 +318,6 @@ impl Party {
         match &self.plane {
             EvidencePlane::Single(scheduler) => scheduler.mode(),
             EvidencePlane::Sharded(plane) => plane.mode(),
-        }
-    }
-
-    /// Atomically applies `requested` if the party is still in per-record
-    /// mode (every shard, on a sharded party), returning the mode in
-    /// force afterwards — semantics of
-    /// [`CommitmentScheduler::upgrade_mode`].
-    pub fn upgrade_commitment_mode(&self, requested: CommitmentMode) -> CommitmentMode {
-        match &self.plane {
-            EvidencePlane::Single(scheduler) => scheduler.upgrade_mode(requested),
-            EvidencePlane::Sharded(plane) => plane.upgrade_mode(requested),
         }
     }
 
@@ -364,16 +352,17 @@ impl Party {
         }
     }
 
-    /// Marks the end of a protocol run: seals any pending evidence if the
-    /// commitment policy asks for run-end sealing (no-op per-record).
+    /// Marks the end of protocol run `run`: seals any pending evidence
+    /// (on the run's own shard, for a sharded party) if the commitment
+    /// policy asks for run-end sealing (no-op per-record).
     ///
     /// # Errors
     ///
     /// [`ProtocolError::Storage`] if the seal cannot be persisted.
-    pub fn end_of_run(&self) -> Result<(), ProtocolError> {
+    pub fn end_of_run(&self, run: &RunId) -> Result<(), ProtocolError> {
         match &self.plane {
             EvidencePlane::Single(scheduler) => scheduler.end_of_run(),
-            EvidencePlane::Sharded(plane) => plane.end_of_run(),
+            EvidencePlane::Sharded(plane) => plane.end_of_run(run),
         }
         .map_err(ProtocolError::from)
     }

@@ -125,9 +125,8 @@ impl ShardedCommitmentPlane {
     }
 
     /// The per-shard schedulers, index-aligned with the log's shards.
-    /// Hand these to a [`crate::scheduler::DeadlineSealer`] (see
-    /// [`crate::scheduler::DeadlineSealer::spawn_many`]) so idle shards
-    /// still seal on time.
+    /// Hand these to a [`crate::scheduler::DeadlineSealer`] so idle
+    /// shards still seal on time.
     pub fn schedulers(&self) -> &[Arc<CommitmentScheduler>] {
         &self.schedulers
     }
@@ -143,25 +142,9 @@ impl ShardedCommitmentPlane {
     }
 
     /// The commitment mode in force (uniform across shards: the plane is
-    /// constructed with one mode and upgraded atomically per shard).
+    /// constructed with one mode, and a scheduler's mode never changes).
     pub fn mode(&self) -> CommitmentMode {
         self.schedulers[0].mode()
-    }
-
-    /// Applies `requested` to every shard scheduler still in per-record
-    /// mode, returning the mode in force afterwards (the first shard's —
-    /// shards only ever change mode through this method, so they agree).
-    /// Semantics per shard are
-    /// [`CommitmentScheduler::upgrade_mode`]'s.
-    pub fn upgrade_mode(&self, requested: CommitmentMode) -> CommitmentMode {
-        let mut in_force = requested;
-        for (i, scheduler) in self.schedulers.iter().enumerate() {
-            let got = scheduler.upgrade_mode(requested);
-            if i == 0 {
-                in_force = got;
-            }
-        }
-        in_force
     }
 
     /// Appends an evidence record on its run's shard (sealing that shard
@@ -190,18 +173,14 @@ impl ShardedCommitmentPlane {
     }
 
     /// Run-completion hook: forwards [`CommitmentScheduler::end_of_run`]
-    /// to every shard (the finished run's records live on exactly one
-    /// shard, but the hook carries no run id; shards with nothing pending
-    /// are a cheap no-op, and seal failures never fail the finished run).
+    /// to the one shard `run`'s records live on — other runs' epochs on
+    /// other shards are not cut short, and no signature is spent there.
     ///
     /// # Errors
     ///
     /// None currently (mirrors the scheduler's contract).
-    pub fn end_of_run(&self) -> Result<(), StoreError> {
-        for scheduler in &self.schedulers {
-            scheduler.end_of_run()?;
-        }
-        Ok(())
+    pub fn end_of_run(&self, run: &RunId) -> Result<(), StoreError> {
+        self.scheduler_for(run).end_of_run()
     }
 
     /// Explicitly seals every shard's pending range. All shards are
@@ -379,6 +358,31 @@ mod tests {
         assert_eq!(log.shard(3).count_where(&|r| r.is_epoch_commit()), 0);
         assert_eq!(log.shard(1).len(), 0);
         assert_eq!(p.unsealed_len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn run_end_seals_only_the_finished_runs_shard() {
+        // Two open runs on different shards under a seal-on-run-end
+        // policy: ending run A seals A's shard and leaves B's epoch open
+        // — no signature spent there, no epoch chopped short.
+        let dir = temp_dir("run-end");
+        let keys = keys(6);
+        let p = plane(&dir, 4, &keys);
+        let run_a = run_for_shard(0, 4);
+        let run_b = run_for_shard(3, 4);
+        p.record(draft(run_a, 0)).unwrap();
+        p.record(draft(run_b, 1)).unwrap();
+        let leaves = keys.remaining().unwrap();
+        p.end_of_run(&run_a).unwrap();
+        let log = p.log();
+        assert_eq!(log.shard(0).count_where(&|r| r.is_epoch_commit()), 1);
+        assert_eq!(log.shard(3).len(), 1, "no epoch record on B's shard");
+        assert_eq!(keys.remaining().unwrap(), leaves - 1, "one signature");
+        assert_eq!(p.unsealed_len(), 1);
+        p.end_of_run(&run_b).unwrap();
+        assert_eq!(log.shard(3).count_where(&|r| r.is_epoch_commit()), 1);
+        assert_eq!(p.unsealed_len(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

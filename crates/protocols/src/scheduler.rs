@@ -42,32 +42,30 @@
 //! signature and per fsync) and shrinks when the deadline keeps firing
 //! on part-filled batches (low throughput → smaller loss window). The
 //! deadline bounds the unsealed tail in *time* either way, which is what
-//! bounds the crash-loss window of a `SyncPolicy::PerEpoch` file log
+//! bounds the crash-loss window of a `SyncPolicy::GroupCommit` file log
 //! (see `nonrep_store::SyncPolicy`).
 //!
 //! # Durability interaction
 //!
 //! The epoch is also the store's durability unit: a
-//! `nonrep_store::FileLog` opened with `SyncPolicy::PerEpoch` buffers
-//! appends and lands one grouped write + fsync exactly when the sealed
-//! epoch-commitment record is appended. The scheduler needs no extra
-//! hook for that — sealing *is* the flush point — but
-//! [`CommitmentScheduler::seal`] additionally flushes the log in
-//! per-record mode so `flush_evidence`-style calls drain buffered
-//! backends regardless of commitment mode.
+//! `nonrep_store::FileLog` opened with `SyncPolicy::GroupCommit` buffers
+//! appends and hands one grouped write + fsync to its sync thread
+//! exactly when the sealed epoch-commitment record is appended. The
+//! scheduler needs no extra hook for that — sealing *is* the flush
+//! point — but [`CommitmentScheduler::seal`] additionally flushes the
+//! log in per-record mode so `flush_evidence`-style calls reach the
+//! device regardless of commitment mode.
 //!
-//! Under `SyncPolicy::GroupCommit` the same seal is an **async
-//! handoff**: appending the epoch record enqueues the batch to the
-//! store's dedicated sync thread and the seal returns once the frame is
+//! The seal is an **async handoff**: it returns once the frame is
 //! queued, so append latency is decoupled from disk latency and bursts
 //! of epochs coalesce into one device barrier. A barrier that later
 //! fails is consumed by the **next** seal (the store surfaces the async
-//! completion error from the epoch append), which then enters exactly
-//! the degraded/cooldown path described above — probe with a
-//! signature-free `flush()`, exponential cooldown, at most one MSS leaf
-//! burned per outage discovery. Callers that must *know* the evidence
-//! hit the platter use [`CommitmentScheduler::seal_durable`], which
-//! seals and then waits out the device barrier.
+//! completion error from the epoch append), which then enters the
+//! degraded/cooldown path — probe with a signature-free `flush()`,
+//! exponential cooldown, at most one MSS leaf burned per outage
+//! discovery. Callers that must *know* the evidence hit the platter use
+//! [`CommitmentScheduler::seal_durable`], which seals and then waits out
+//! the seal's own device barrier.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -134,8 +132,8 @@ impl BatchPolicy {
     /// soon as the oldest unsealed record is `max_delay_ms` old,
     /// whichever comes first. Run-end sealing is off — concurrent runs
     /// share epochs, and the deadline bounds how long a completed run's
-    /// evidence can sit unsealed (and, on a `SyncPolicy::PerEpoch` file
-    /// log, un-fsynced). Re-enable per-run coverage with
+    /// evidence can sit unsealed (and, on a `SyncPolicy::GroupCommit`
+    /// file log, un-fsynced). Re-enable per-run coverage with
     /// [`BatchPolicy::sealing_on_run_end`] if an application needs it.
     pub fn size_or_time(batch_size: usize, max_delay_ms: u64) -> Self {
         Self {
@@ -233,8 +231,8 @@ enum SealTrigger {
     /// is high — feeding it to the tuner as a size seal would ratchet
     /// the effective batch toward its max on every cap seal.
     Overflow,
-    /// User/operator-driven ([`CommitmentScheduler::seal`], mode
-    /// switches): bypasses the failure cooldown.
+    /// User/operator-driven ([`CommitmentScheduler::seal`]): bypasses
+    /// the failure cooldown.
     Explicit,
 }
 
@@ -316,7 +314,6 @@ const EXHAUSTION_LOW_WATER_EPOCHS: f64 = 16.0;
 
 #[derive(Debug)]
 struct SchedulerState {
-    mode: CommitmentMode,
     /// First log sequence number not yet covered by an epoch commitment.
     sealed_next: u64,
     /// Highest hierarchical-key generation whose rollover record is in
@@ -357,17 +354,15 @@ pub struct CommitmentScheduler {
     log: Arc<dyn EvidenceLog>,
     actor: OrgId,
     clock: Arc<dyn Clock>,
+    /// Fixed at construction: how an organisation commits its evidence
+    /// is decided once, when it is built.
+    mode: CommitmentMode,
     state: Mutex<SchedulerState>,
 }
 
 impl fmt::Debug for CommitmentScheduler {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "CommitmentScheduler({}, {:?})",
-            self.actor,
-            self.state.lock().mode
-        )
+        write!(f, "CommitmentScheduler({}, {:?})", self.actor, self.mode)
     }
 }
 
@@ -415,8 +410,8 @@ impl CommitmentScheduler {
             log,
             actor,
             clock,
+            mode,
             state: Mutex::new(SchedulerState {
-                mode,
                 sealed_next,
                 rollover_persisted,
                 forecast: ExhaustionForecaster::new(),
@@ -428,72 +423,14 @@ impl CommitmentScheduler {
         }
     }
 
-    /// The current commitment mode.
+    /// The commitment mode this scheduler was built with.
     pub fn mode(&self) -> CommitmentMode {
-        self.state.lock().mode
+        self.mode
     }
 
     /// The evidence log this scheduler appends to.
     pub fn log(&self) -> &Arc<dyn EvidenceLog> {
         &self.log
-    }
-
-    /// Switches commitment mode. Leaving batched mode seals any pending
-    /// range first so no records are left uncovered.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError`] if the closing seal cannot be persisted.
-    pub fn set_mode(&self, mode: CommitmentMode) -> Result<(), StoreError> {
-        let mut state = self.state.lock();
-        if matches!(state.mode, CommitmentMode::Batched(_)) {
-            self.seal_locked(&mut state, SealTrigger::Explicit)?;
-        }
-        self.apply_mode_locked(&mut state, mode);
-        Ok(())
-    }
-
-    /// Mode-entry bookkeeping shared by [`CommitmentScheduler::set_mode`]
-    /// and [`CommitmentScheduler::upgrade_mode`]: effective batch size,
-    /// and — when entering batched mode with an already-unsealed tail
-    /// (e.g. upgraded from per-record) — the deadline countdown start.
-    fn apply_mode_locked(&self, state: &mut SchedulerState, mode: CommitmentMode) {
-        state.mode = mode;
-        match mode {
-            CommitmentMode::Batched(policy) => {
-                state.effective_batch = policy.batch_size;
-                state.pending_since =
-                    (self.log.len() > state.sealed_next).then(|| self.clock.now());
-            }
-            CommitmentMode::PerRecord => {
-                state.effective_batch = 1;
-                state.pending_since = None;
-            }
-        }
-    }
-
-    /// Atomically applies `requested` *if* the scheduler is still in
-    /// per-record mode, and returns the mode in force afterwards. Unlike
-    /// a `mode()`-check-then-`set_mode()` sequence this holds the state
-    /// lock across the decision, so two concurrent upgraders cannot both
-    /// observe per-record mode and silently overwrite each other —
-    /// exactly one wins, and a caller whose `requested` differs from the
-    /// returned mode knows it lost to a conflicting policy (deploy-time
-    /// upgrades treat that as a deployment conflict).
-    pub fn upgrade_mode(&self, requested: CommitmentMode) -> CommitmentMode {
-        let mut state = self.state.lock();
-        match state.mode {
-            CommitmentMode::PerRecord => {
-                // Per-record mode has no epoch commitments at all, so
-                // there is no pending range to close with a seal (unlike
-                // `set_mode` when *leaving* batched mode). Any existing
-                // uncovered tail — normal in per-record mode — starts
-                // its deadline countdown in `apply_mode_locked`.
-                self.apply_mode_locked(&mut state, requested);
-                requested
-            }
-            current => current,
-        }
     }
 
     /// `true` while the scheduler is in the degraded-seal state: the
@@ -525,7 +462,7 @@ impl CommitmentScheduler {
     ///
     /// [`ProtocolError::Signing`] if the key is exhausted.
     pub fn issue(&self, specs: &[TokenSpec]) -> Result<Vec<NrToken>, ProtocolError> {
-        let batched = matches!(self.mode(), CommitmentMode::Batched(_));
+        let batched = matches!(self.mode, CommitmentMode::Batched(_));
         if !batched || specs.len() <= 1 {
             // A batch of one gains nothing over a direct signature and
             // would carry a (pointless) single-leaf auth path.
@@ -595,7 +532,7 @@ impl CommitmentScheduler {
         // toward a spurious append failure. If sealing is itself failing
         // (cooldown, spent key) the seal error propagates: buffer-full
         // with broken sealing is real backpressure.
-        if matches!(state.mode, CommitmentMode::Batched(_)) {
+        if matches!(self.mode, CommitmentMode::Batched(_)) {
             if let Some(headroom) = self.log.buffer_headroom() {
                 let estimate =
                     (draft.payload.len() + draft.kind.len() + draft.actor.as_str().len() + 4096)
@@ -606,7 +543,7 @@ impl CommitmentScheduler {
             }
         }
         let record = self.log.append(draft)?;
-        if let CommitmentMode::Batched(policy) = state.mode {
+        if let CommitmentMode::Batched(policy) = self.mode {
             let now = self.clock.now();
             let since = *state.pending_since.get_or_insert(now);
             let due = if self.log.len().saturating_sub(state.sealed_next)
@@ -640,10 +577,10 @@ impl CommitmentScheduler {
     ///
     /// [`StoreError`] if the seal cannot be persisted.
     pub fn poll(&self) -> Result<Option<Arc<EvidenceRecord>>, StoreError> {
-        let mut state = self.state.lock();
-        let CommitmentMode::Batched(policy) = state.mode else {
+        let CommitmentMode::Batched(policy) = self.mode else {
             return Ok(None);
         };
+        let mut state = self.state.lock();
         let (Some(deadline), Some(since)) = (policy.max_delay_ms, state.pending_since) else {
             return Ok(None);
         };
@@ -668,12 +605,11 @@ impl CommitmentScheduler {
     ///
     /// [`StoreError`] if signing the root or persisting the record fails.
     pub fn seal(&self) -> Result<Option<Arc<EvidenceRecord>>, StoreError> {
-        let mut state = self.state.lock();
-        if matches!(state.mode, CommitmentMode::PerRecord) {
+        if matches!(self.mode, CommitmentMode::PerRecord) {
             self.log.flush()?;
             return Ok(None);
         }
-        self.seal_locked(&mut state, SealTrigger::Explicit)
+        self.seal_locked(&mut self.state.lock(), SealTrigger::Explicit)
     }
 
     /// [`CommitmentScheduler::seal`], then waits for the backend's
@@ -688,8 +624,8 @@ impl CommitmentScheduler {
     pub fn seal_durable(&self) -> Result<Option<Arc<EvidenceRecord>>, StoreError> {
         let record = self.seal()?;
         if self.log.durability_class() == nonrep_store::DurabilityClass::GroupCommit {
-            // The seal only queued the frame; flush submits a barrier
-            // behind it and waits (coalescing with it when possible).
+            // The seal only queued the frame; with nothing appended
+            // since, flush waits on that frame's own barrier.
             self.log.flush()?;
         }
         Ok(record)
@@ -712,10 +648,9 @@ impl CommitmentScheduler {
     /// None currently — the `Result` is kept so a future hard-fail (e.g.
     /// a poisoned log) can surface without an API break.
     pub fn end_of_run(&self) -> Result<(), StoreError> {
-        let mut state = self.state.lock();
-        if let CommitmentMode::Batched(policy) = state.mode {
+        if let CommitmentMode::Batched(policy) = self.mode {
             if policy.seal_on_run_end {
-                let _ = self.seal_locked(&mut state, SealTrigger::RunEnd);
+                let _ = self.seal_locked(&mut self.state.lock(), SealTrigger::RunEnd);
             }
         }
         Ok(())
@@ -724,9 +659,9 @@ impl CommitmentScheduler {
     /// Seals `[sealed_next, len)` under one signature. Caller holds the
     /// state lock, serializing seals against scheduler appends.
     ///
-    /// On a `SyncPolicy::PerEpoch` file log, appending the commitment
-    /// record is also the durability point: the store writes and fsyncs
-    /// the whole buffered batch when the epoch record lands.
+    /// On a `SyncPolicy::GroupCommit` file log, appending the commitment
+    /// record is also the durability point: the store hands the whole
+    /// buffered batch to its sync thread when the epoch record lands.
     fn seal_locked(
         &self,
         state: &mut SchedulerState,
@@ -810,7 +745,7 @@ impl CommitmentScheduler {
             // `is_degraded` monitors. The range cannot be *sealed*
             // without a signature, but it can still be made *durable*:
             // flush the buffered tail so exhaustion does not also void
-            // the crash-loss bound of a `SyncPolicy::PerEpoch` log
+            // the crash-loss bound of a `SyncPolicy::GroupCommit` log
             // (degrading durability cadence to the retry cooldown, not
             // to never).
             self.log.flush()?;
@@ -842,9 +777,9 @@ impl CommitmentScheduler {
             root,
             signature,
         };
-        // A buffered (`SyncPolicy::PerEpoch`) backend rolls the epoch
-        // record back out of its chain when the grouped fsync fails, so
-        // an error here leaves no orphaned commitment behind — the range
+        // A buffered (`SyncPolicy::GroupCommit`) backend rolls the epoch
+        // record back out of its chain when the handoff fails, so an
+        // error here leaves no orphaned commitment behind — the range
         // stays pending and the next attempt re-seals it cleanly.
         let record = self
             .log
@@ -860,7 +795,7 @@ impl CommitmentScheduler {
 
     /// Load-driven batch-size update, fed by the seal that just landed.
     fn tune_locked(&self, state: &mut SchedulerState, trigger: SealTrigger, sealed: u64) {
-        let CommitmentMode::Batched(policy) = state.mode else {
+        let CommitmentMode::Batched(policy) = self.mode else {
             return;
         };
         if !policy.auto_tune {
@@ -937,18 +872,13 @@ impl fmt::Debug for DeadlineSealer {
 }
 
 impl DeadlineSealer {
-    /// Spawns the polling thread over `scheduler`.
-    pub fn spawn(scheduler: Arc<CommitmentScheduler>, poll_interval: Duration) -> Self {
-        Self::spawn_many(vec![scheduler], poll_interval)
-    }
-
-    /// Spawns **one** polling thread over several schedulers — the shape
-    /// of a sharded commitment plane, where each shard has its own
-    /// scheduler but a thread per shard would be waste. Every cycle
-    /// polls every scheduler; a failing scheduler backs the whole
-    /// cadence off (the shards share a disk, so one shard's barrier
-    /// failure is rarely alone).
-    pub fn spawn_many(schedulers: Vec<Arc<CommitmentScheduler>>, poll_interval: Duration) -> Self {
+    /// Spawns **one** polling thread over `schedulers` — a single
+    /// scheduler, or every shard's of a sharded commitment plane, where
+    /// a thread per shard would be waste. Every cycle polls every
+    /// scheduler; a failing scheduler backs the whole cadence off (the
+    /// shards share a disk, so one shard's barrier failure is rarely
+    /// alone).
+    pub fn spawn(schedulers: Vec<Arc<CommitmentScheduler>>, poll_interval: Duration) -> Self {
         // Clamp away a zero interval: park_timeout(0) returns
         // immediately, which would turn the poller into a busy spin that
         // pins a core (and on which the error backoff's doubling stays
@@ -988,14 +918,9 @@ impl DeadlineSealer {
     /// the background, the driver calls [`DeadlineSealer::tick`] at the
     /// points *it* chooses. Combined with a
     /// [`nonrep_types::time::LogicalClock`] the deadline path replays
-    /// bit-identically — wall time never enters the schedule.
-    pub fn manual(scheduler: Arc<CommitmentScheduler>) -> Self {
-        Self::manual_many(vec![scheduler])
-    }
-
-    /// [`DeadlineSealer::manual`] over several schedulers (a sharded
-    /// plane's, typically): one [`DeadlineSealer::tick`] polls them all.
-    pub fn manual_many(schedulers: Vec<Arc<CommitmentScheduler>>) -> Self {
+    /// bit-identically — wall time never enters the schedule. One
+    /// [`DeadlineSealer::tick`] polls every scheduler.
+    pub fn manual(schedulers: Vec<Arc<CommitmentScheduler>>) -> Self {
         Self {
             stop: Arc::new(AtomicBool::new(false)),
             handle: None,
@@ -1343,7 +1268,7 @@ mod tests {
         let mode = CommitmentMode::Batched(BatchPolicy::size_or_time(1000, 30));
         let (s, log) = scheduler_with_clock(mode, Arc::new(SystemClock::new()));
         s.record(draft(0)).unwrap();
-        let sealer = DeadlineSealer::spawn(Arc::clone(&s), Duration::from_millis(5));
+        let sealer = DeadlineSealer::spawn(vec![Arc::clone(&s)], Duration::from_millis(5));
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while s.unsealed_len() > 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
@@ -1363,7 +1288,7 @@ mod tests {
             let clock = Arc::new(LogicalClock::new());
             let mode = CommitmentMode::Batched(BatchPolicy::size_or_time(1000, 30));
             let (s, log) = scheduler_with_clock(mode, clock.clone());
-            let sealer = DeadlineSealer::manual(Arc::clone(&s));
+            let sealer = DeadlineSealer::manual(vec![Arc::clone(&s)]);
             s.record(draft(0)).unwrap();
             assert!(sealer.tick().unwrap().is_none(), "deadline not reached");
             clock.advance(30);
@@ -1620,11 +1545,10 @@ mod tests {
         ));
         let clock = Arc::new(LogicalClock::new());
         {
-            let log: Arc<dyn EvidenceLog> =
-                Arc::new(FileLog::open_with(&path, SyncPolicy::PerEpoch).unwrap());
+            let file = Arc::new(FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap());
             let s = CommitmentScheduler::new(
                 keys.clone(),
-                log.clone(),
+                file.clone() as Arc<dyn EvidenceLog>,
                 OrgId::new("org"),
                 clock.clone(),
                 CommitmentMode::batched(2),
@@ -1636,14 +1560,15 @@ mod tests {
             }
             assert_eq!(keys.generation(), 1);
             assert_eq!(
-                log.count_where(&|r| r.is_key_rollover()),
+                file.count_where(&|r| r.is_key_rollover()),
                 0,
                 "rollover exists only in signer memory at the kill point"
             );
-            std::mem::forget(log);
+            file.last_seal_ticket().unwrap().wait_durable().unwrap();
+            std::mem::forget(file);
         }
         let log: Arc<dyn EvidenceLog> =
-            Arc::new(FileLog::open_recover_with(&path, SyncPolicy::PerEpoch).unwrap());
+            Arc::new(FileLog::open_recover_with(&path, SyncPolicy::GroupCommit).unwrap());
         let s = CommitmentScheduler::new(
             keys.clone(),
             log.clone(),
@@ -1689,11 +1614,10 @@ mod tests {
         let keys = Arc::new(KeyPair::generate(scheme, &mut SecureRandom::from_seed(29)));
         let clock = Arc::new(LogicalClock::new());
         {
-            let log: Arc<dyn EvidenceLog> =
-                Arc::new(FileLog::open_with(&path, SyncPolicy::PerEpoch).unwrap());
+            let file = Arc::new(FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap());
             let s = CommitmentScheduler::new(
                 keys.clone(),
-                log.clone(),
+                file.clone() as Arc<dyn EvidenceLog>,
                 OrgId::new("org"),
                 clock.clone(),
                 CommitmentMode::batched(2),
@@ -1704,10 +1628,11 @@ mod tests {
                 s.record(draft(i)).unwrap();
             }
             assert_eq!(keys.generation(), 0);
-            std::mem::forget(log);
+            file.last_seal_ticket().unwrap().wait_durable().unwrap();
+            std::mem::forget(file);
         }
         let log: Arc<dyn EvidenceLog> =
-            Arc::new(FileLog::open_recover_with(&path, SyncPolicy::PerEpoch).unwrap());
+            Arc::new(FileLog::open_recover_with(&path, SyncPolicy::GroupCommit).unwrap());
         let s = CommitmentScheduler::new(
             keys.clone(),
             log.clone(),
@@ -1841,7 +1766,7 @@ mod tests {
     #[test]
     fn per_epoch_file_log_kill_mid_epoch_loses_only_unsealed_tail() {
         use nonrep_store::{FileLog, SyncPolicy};
-        let path = temp_path("perepoch-kill-");
+        let path = temp_path("epoch-kill-");
         let _ = std::fs::remove_file(&path);
         let keys = Arc::new(KeyPair::generate(
             SignatureScheme::Mss { height: 6 },
@@ -1849,28 +1774,28 @@ mod tests {
         ));
         let clock = Arc::new(LogicalClock::new());
         {
-            let file = FileLog::open_with(&path, SyncPolicy::PerEpoch).unwrap();
-            let log: Arc<dyn EvidenceLog> = Arc::new(file);
+            let file = Arc::new(FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap());
             let s = CommitmentScheduler::new(
                 keys.clone(),
-                log.clone(),
+                file.clone() as Arc<dyn EvidenceLog>,
                 OrgId::new("org"),
                 clock.clone(),
                 CommitmentMode::batched(4),
             );
-            // One full epoch (fsynced with its seal) + 2 unsealed,
-            // buffered records. Kill: skip FileLog's Drop flush.
+            // One full epoch (acked: its seal's barrier is awaited) + 2
+            // unsealed, buffered records. Kill: skip FileLog's Drop flush.
             for i in 0..6 {
                 s.record(draft(i)).unwrap();
             }
             assert_eq!(s.unsealed_len(), 2);
-            std::mem::forget(log);
+            file.last_seal_ticket().unwrap().wait_durable().unwrap();
+            std::mem::forget(file);
         }
         // Recovery: the sealed epoch (records 0..=3 + commitment) is on
         // disk and intact; the two buffered records are gone — that IS
         // the loss window the policy documents.
         let log: Arc<dyn EvidenceLog> =
-            Arc::new(FileLog::open_recover_with(&path, SyncPolicy::PerEpoch).unwrap());
+            Arc::new(FileLog::open_recover_with(&path, SyncPolicy::GroupCommit).unwrap());
         log.verify().unwrap();
         assert_eq!(log.len(), 5, "sealed epoch survives, unsealed tail lost");
         assert_eq!(log.count_where(&|r| r.is_epoch_commit()), 1);
@@ -1910,9 +1835,10 @@ mod tests {
     }
 
     /// A log whose epoch-record appends and flushes fail while `fail`
-    /// is set — models a PerEpoch `FileLog` on a broken disk (which
-    /// rolls the commitment back out of its chain on fsync failure, so
-    /// from the scheduler's view the epoch append simply errors).
+    /// is set — models a buffered `FileLog` on a broken disk (which
+    /// rolls the commitment back out of its chain when the handoff
+    /// fails, so from the scheduler's view the epoch append simply
+    /// errors).
     struct FlakyLog {
         inner: MemoryLog,
         fail: std::sync::atomic::AtomicBool,
@@ -2074,7 +2000,7 @@ mod tests {
             SignatureScheme::Mss { height: 3 },
             &mut SecureRandom::from_seed(17),
         ));
-        let file = Arc::new(FileLog::open_with(&path, SyncPolicy::PerEpoch).unwrap());
+        let file = Arc::new(FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap());
         let s = CommitmentScheduler::new(
             keys.clone(),
             file.clone() as Arc<dyn EvidenceLog>,
@@ -2091,11 +2017,12 @@ mod tests {
         }
         assert!(file.unflushed_len() == 3, "all buffered, far from batch");
         // The 4th 16 MiB record overflows the 64 MiB cap: the scheduler
-        // seals (flushing records 0..2) and retries — the caller just
-        // sees Ok.
+        // seals (handing records 0..2 to the sync thread) and retries —
+        // the caller just sees Ok.
         let record = s.record(big(3)).unwrap();
         assert_eq!(record.draft.payload.len(), 16 << 20);
         assert_eq!(file.count_where(&|r| r.is_epoch_commit()), 1);
+        file.last_seal_ticket().unwrap().wait_durable().unwrap();
         assert_eq!(file.unflushed_len(), 1, "the retried record is buffered");
         assert!(!s.is_degraded());
         s.seal().unwrap().unwrap();
@@ -2110,7 +2037,7 @@ mod tests {
 
     #[test]
     fn exhausted_signer_still_flushes_buffered_evidence() {
-        // PerEpoch file log + tiny key: once the signer is spent the
+        // Buffered file log + tiny key: once the signer is spent the
         // tail cannot be *sealed*, but seal attempts still make it
         // *durable* — the crash-loss bound degrades to the retry
         // cooldown, not to "never".
@@ -2121,7 +2048,7 @@ mod tests {
             SignatureScheme::Mss { height: 2 },
             &mut SecureRandom::from_seed(13),
         ));
-        let file = Arc::new(FileLog::open_with(&path, SyncPolicy::PerEpoch).unwrap());
+        let file = Arc::new(FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap());
         let s = CommitmentScheduler::new(
             keys.clone(),
             file.clone() as Arc<dyn EvidenceLog>,
@@ -2153,38 +2080,6 @@ mod tests {
         assert_eq!(reopened.len(), total);
         reopened.verify().unwrap();
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn upgrade_mode_is_first_wins() {
-        let (s, _) = scheduler(CommitmentMode::PerRecord);
-        let a = CommitmentMode::batched(16);
-        let b = CommitmentMode::auto(500);
-        assert_eq!(s.upgrade_mode(a), a, "first upgrader wins");
-        assert_eq!(s.effective_batch_size(), 16);
-        // A second, conflicting upgrade does not overwrite — it reports
-        // the mode in force so the caller can raise a conflict.
-        assert_eq!(s.upgrade_mode(b), a);
-        assert_eq!(s.mode(), a);
-        // Re-requesting the winning policy is a no-op agreement.
-        assert_eq!(s.upgrade_mode(a), a);
-    }
-
-    #[test]
-    fn set_mode_seals_pending_before_switching() {
-        let (s, log) = scheduler(CommitmentMode::batched(100));
-        assert_eq!(s.effective_batch_size(), 100);
-        s.record(draft(0)).unwrap();
-        s.set_mode(CommitmentMode::PerRecord).unwrap();
-        assert_eq!(log.count_where(&|r| r.is_epoch_commit()), 1);
-        assert_eq!(s.mode(), CommitmentMode::PerRecord);
-        assert_eq!(
-            s.effective_batch_size(),
-            1,
-            "per-record mode reports batch size 1, as the constructor does"
-        );
-        s.set_mode(CommitmentMode::batched(8)).unwrap();
-        assert_eq!(s.effective_batch_size(), 8);
     }
 
     #[test]
@@ -2221,6 +2116,44 @@ mod tests {
         let reopened = FileLog::open(&path).unwrap();
         assert_eq!(reopened.len(), 12, "9 records + 3 epoch commitments");
         reopened.verify().unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn seal_durable_costs_one_device_barrier() {
+        // A durable seal waits on the barrier of the frame it queued; it
+        // does not queue a second, empty frame behind it. On an
+        // otherwise idle log N durable seals are therefore exactly N
+        // device barriers (it was 2 per seal when flush() always
+        // submitted its own frame).
+        use nonrep_store::{FileLog, SyncPolicy};
+        let path = temp_path("gc-one-barrier-");
+        let _ = std::fs::remove_file(&path);
+        let keys = Arc::new(KeyPair::generate(
+            SignatureScheme::Mss { height: 6 },
+            &mut SecureRandom::from_seed(27),
+        ));
+        let file = Arc::new(FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap());
+        let s = CommitmentScheduler::new(
+            keys,
+            file.clone() as Arc<dyn EvidenceLog>,
+            OrgId::new("org"),
+            Arc::new(LogicalClock::new()),
+            CommitmentMode::batched(100),
+        );
+        for n in 0..8u64 {
+            let before = file.sync_batches();
+            s.record(draft(n)).unwrap();
+            s.seal_durable().unwrap().unwrap();
+            assert_eq!(file.unflushed_len(), 0);
+            assert_eq!(file.sync_batches(), before + 1, "durable seal {n}");
+        }
+        // With nothing new to seal, a durable seal has nothing to wait
+        // for either.
+        assert!(s.seal_durable().unwrap().is_none());
+        assert_eq!(file.sync_batches(), 8);
+        drop(s);
+        drop(file);
         let _ = std::fs::remove_file(&path);
     }
 

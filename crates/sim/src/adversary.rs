@@ -526,7 +526,7 @@ mod tests {
             &mut nonrep_crypto::rng::SecureRandom::from_seed(61),
         ));
         keydir.insert(OrgId::new("alice"), keys.verifying_key());
-        let sharded = Arc::new(ShardedEvidenceLog::open(&dir, 4, SyncPolicy::PerEpoch).unwrap());
+        let sharded = Arc::new(ShardedEvidenceLog::open(&dir, 4, SyncPolicy::GroupCommit).unwrap());
         let party = Party::with_sharded_commitment(
             "alice",
             keys,

@@ -2,10 +2,9 @@
 //! since PR 7, for every shard of a
 //! [`ShardedEvidenceLog`](crate::ShardedEvidenceLog) at once.
 //!
-//! PR 3 made the epoch the fsync unit ([`crate::SyncPolicy::PerEpoch`]),
-//! but the sealing thread still executed the write +
-//! fsync *inline* while holding the log's lock: every appender behind
-//! a seal stalled on disk latency. Classic group commit decouples the
+//! The epoch is the fsync unit, but a seal that executes the write +
+//! fsync *inline* while holding the log's lock stalls every appender
+//! behind it on disk latency. Classic group commit decouples the
 //! two — the seal *enqueues* the epoch's frames to a dedicated sync
 //! thread and returns immediately; the sync thread drains the bounded
 //! handoff channel, coalescing every epoch that arrived while the
@@ -40,7 +39,7 @@
 //!   yet enqueued (still in the log's pending buffer) and frames whose
 //!   barrier had not completed. Everything behind a completed ticket
 //!   survives; recovery (`FileLog::open_recover_with`) drops a torn
-//!   suffix of the in-flight batch, exactly as for `PerEpoch`.
+//!   suffix of the in-flight batch.
 //! * A failed barrier keeps its bytes in the owning sink's backlog and
 //!   retries them ahead of that sink's next frame, so no on-disk chain
 //!   ever skips records its in-memory chain holds. The error is recorded
@@ -418,14 +417,6 @@ impl GroupCommitQueue {
                 ))
             }
         }
-    }
-
-    /// Submits an empty barrier frame without consuming the pending async
-    /// error: the deterministic counterpart of the sync thread's idle
-    /// retry timer (see [`FileLog::kick_sync`](crate::FileLog::kick_sync)).
-    pub(crate) fn kick(&self) -> Result<DurabilityTicket, StoreError> {
-        self.check_poisoned()?;
-        self.submit(Vec::new(), 0).map_err(|(_, e)| e)
     }
 
     /// Absolute count of this sink's records whose barrier completed

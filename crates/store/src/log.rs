@@ -32,8 +32,8 @@
 //! ordinary chained records; backends treat them like any other append.
 //! Sealing policy lives above the store (the protocols crate's
 //! `CommitmentScheduler`) — but **durability** policy lives here: a
-//! [`FileLog`] opened with [`SyncPolicy::PerEpoch`] buffers appends in
-//! memory and lands a single write + fsync with each epoch-commitment
+//! [`FileLog`] opened with [`SyncPolicy::GroupCommit`] buffers appends in
+//! memory and hands them to its sync thread with each epoch-commitment
 //! record, making the epoch the unit of durability as well as of
 //! signature amortization. [`SyncPolicy::WriteThrough`] (the default)
 //! keeps the write-and-fsync-per-append semantics. See [`SyncPolicy`]
@@ -65,47 +65,37 @@ use crate::StoreError;
 /// * **`WriteThrough`** — an append that returned `Ok` survives a crash
 ///   (the record was written and fsynced before the call returned). The
 ///   torn-tail window of [`FileLog::open_recover`] is at most one record.
-/// * **`PerEpoch`** — appends buffer in memory; the buffered tail is
-///   written and fsynced *in one batch* when an epoch-commitment record
-///   (kind [`EPOCH_KIND`]) is appended, or when [`EvidenceLog::flush`] is
-///   called explicitly. A crash loses at most the unsealed tail: every
-///   record up to (and including) the last flushed epoch commitment
-///   survives, and [`FileLog::open_recover`] drops whatever suffix of the
-///   final buffered batch did not land intact. Recovery never masks
-///   tampering with record *content*: corruption inside the retained
-///   prefix still fails the open. (Tampered length *prefixes* are
-///   indistinguishable from a torn tail and truncate instead — reported
-///   via [`FileLog::recovery_dropped_bytes`]; see the caveat on
-///   [`FileLog::open_recover`].)
-/// * **`GroupCommit`** — appends buffer exactly as under `PerEpoch`, but
-///   the epoch seal *enqueues* the buffered batch to a dedicated sync
-///   thread ([`crate::group_commit::GroupCommitQueue`]) and returns once
-///   the frame is queued; epochs sealed while a barrier is in flight
+/// * **`GroupCommit`** — appends buffer in memory; appending an
+///   epoch-commitment record (kind [`EPOCH_KIND`]) *enqueues* the
+///   buffered batch to a dedicated sync thread
+///   ([`crate::group_commit::GroupCommitQueue`]) and returns once the
+///   frame is queued; epochs sealed while a barrier is in flight
 ///   coalesce into **one** contiguous write + fsync. A crash loses at
 ///   most the *unsealed + unacked* tail: everything behind a completed
 ///   [`DurabilityTicket`] survives ([`EvidenceLog::flush`] is the
 ///   synchronous barrier; [`EvidenceLog::flush_async`] hands back the
-///   ticket). A failed barrier keeps its bytes queued for retry and its
-///   error is consumed by the *next* seal or flush; an unrecoverable
-///   write error poisons the queue fail-stop. Tampering detection and
-///   recovery behave exactly as under `PerEpoch`.
+///   ticket), and [`FileLog::open_recover`] drops whatever suffix of the
+///   in-flight batch did not land intact. A failed barrier keeps its
+///   bytes queued for retry and its error is consumed by the *next* seal
+///   or flush; an unrecoverable write error poisons the queue fail-stop.
+///   Recovery never masks tampering with record *content*: corruption
+///   inside the retained prefix still fails the open. (Tampered length
+///   *prefixes* are indistinguishable from a torn tail and truncate
+///   instead — reported via [`FileLog::recovery_dropped_bytes`]; see the
+///   caveat on [`FileLog::open_recover`].)
 ///
-/// `PerEpoch` and `GroupCommit` are designed to pair with the batched
-/// commitment pipeline (`CommitmentScheduler` in the protocols crate):
-/// the scheduler bounds the unsealed tail by batch size and/or a time
-/// deadline, which in turn bounds the loss window of these policies.
-/// Running such a log *without* epoch sealing (per-record commitment
-/// mode) leaves the tail buffered indefinitely — the log still flushes
-/// on drop, but a kill can lose an unbounded suffix, so that combination
-/// is a misconfiguration.
+/// `GroupCommit` is designed to pair with the batched commitment
+/// pipeline (`CommitmentScheduler` in the protocols crate): the
+/// scheduler bounds the unsealed tail by batch size and/or a time
+/// deadline, which in turn bounds the loss window. Running such a log
+/// *without* epoch sealing (per-record commitment mode) leaves the tail
+/// buffered indefinitely — the log still flushes on drop, but a kill can
+/// lose an unbounded suffix, so that combination is a misconfiguration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
     /// Write and fsync every append before returning (the default).
     #[default]
     WriteThrough,
-    /// Buffer appends; write + fsync *inline* once per epoch seal (or
-    /// explicit [`EvidenceLog::flush`]).
-    PerEpoch,
     /// Buffer appends; the epoch seal hands the batch to a dedicated
     /// sync thread and returns immediately. Concurrent epochs coalesce
     /// into one device barrier; append latency is decoupled from disk
@@ -127,9 +117,6 @@ pub enum DurabilityClass {
     /// Every append is written and fsynced before it returns: a
     /// [`FileLog`] under [`SyncPolicy::WriteThrough`].
     Synchronous,
-    /// Appends buffer; the epoch seal lands them with an inline write +
-    /// fsync ([`SyncPolicy::PerEpoch`]).
-    BufferedEpoch,
     /// Appends buffer; the epoch seal enqueues them to a background sync
     /// thread and concurrent epochs share one device barrier
     /// ([`SyncPolicy::GroupCommit`]).
@@ -219,15 +206,11 @@ pub trait EvidenceLog: Send + Sync {
 
     /// `true` if appends buffer in memory until an epoch seal or an
     /// explicit [`EvidenceLog::flush`] (a [`FileLog`] under
-    /// [`SyncPolicy::PerEpoch`] or [`SyncPolicy::GroupCommit`]). Lets
-    /// assemblies validate that a buffering backend is actually paired
-    /// with a sealing commitment policy — without one, nothing would
-    /// ever reach the disk.
+    /// [`SyncPolicy::GroupCommit`]). Lets assemblies validate that a
+    /// buffering backend is actually paired with a sealing commitment
+    /// policy — without one, nothing would ever reach the disk.
     fn buffers_appends(&self) -> bool {
-        matches!(
-            self.durability_class(),
-            DurabilityClass::BufferedEpoch | DurabilityClass::GroupCommit
-        )
+        self.durability_class() == DurabilityClass::GroupCommit
     }
 
     /// Remaining capacity, in bytes, of the append buffer — `None` when
@@ -242,12 +225,12 @@ pub trait EvidenceLog: Send + Sync {
     ///
     /// A no-op for backends without a durability boundary (the in-memory
     /// log, or a [`FileLog`] under [`SyncPolicy::WriteThrough`], whose
-    /// appends are already synced). For a [`SyncPolicy::PerEpoch`] file
-    /// log this writes and fsyncs the buffered tail; under
-    /// [`SyncPolicy::GroupCommit`] it submits a barrier to the sync
-    /// thread and **waits** for it — the synchronous durability point of
-    /// the async pipeline (and the signature-free health probe the
-    /// scheduler's degraded path relies on).
+    /// appends are already synced). Under [`SyncPolicy::GroupCommit`] it
+    /// **waits** for a barrier covering every appended record — the last
+    /// submission's own when nothing was appended since, otherwise one it
+    /// submits — the synchronous durability point of the async pipeline
+    /// (and the signature-free health probe the scheduler's degraded path
+    /// relies on).
     ///
     /// # Errors
     ///
@@ -452,7 +435,8 @@ impl EvidenceLog for MemoryLog {
 /// loaded and chain-verified on open (rebuilding the head cache and run
 /// index). Durability of appends is governed by [`SyncPolicy`]: written
 /// and fsynced per append ([`SyncPolicy::WriteThrough`], the default) or
-/// buffered and fsynced once per epoch seal ([`SyncPolicy::PerEpoch`]).
+/// buffered and handed to the sync thread once per epoch seal
+/// ([`SyncPolicy::GroupCommit`]).
 #[derive(Debug)]
 pub struct FileLog {
     path: PathBuf,
@@ -469,9 +453,9 @@ struct FileLogInner {
     /// Committed on-disk length, tracked so the error path can truncate
     /// a partial write without a per-append stat.
     file_len: u64,
-    /// Encoded-but-unwritten records ([`SyncPolicy::PerEpoch`] only):
-    /// length-prefixed frames exactly as they will land on disk, so one
-    /// flush is a single contiguous write.
+    /// Encoded-but-unsubmitted records ([`SyncPolicy::GroupCommit`]
+    /// only): length-prefixed frames exactly as they will land on disk,
+    /// so one handoff is a single contiguous write.
     pending: Vec<u8>,
     /// Number of records currently buffered in `pending`.
     pending_records: u64,
@@ -505,49 +489,42 @@ impl FileLogInner {
         Ok(())
     }
 
-    /// Writes and fsyncs the buffered tail. On failure the file is
-    /// truncated back to its committed length and the buffer is kept, so
-    /// the flush can be retried.
+    /// Write-through `flush`: nothing is ever buffered, so this is a
+    /// bare fsync — `flush` doubles as a device health probe, and callers
+    /// that use it to check whether a previously failing disk has
+    /// recovered (the scheduler's degraded-seal probe) get a real answer.
     fn flush_pending(&mut self) -> Result<(), StoreError> {
         self.check_poisoned()?;
+        self.file.sync_data()?;
+        Ok(())
+    }
+
+    /// The group-commit durability barrier behind `flush`/`flush_async`.
+    /// With nothing buffered and the last submission not known to have
+    /// failed, that submission's ticket already covers every appended
+    /// record (frames land in submission order, a failed frame's bytes
+    /// ahead of newer ones), so it is returned instead of queueing an
+    /// empty frame behind it — a durable seal costs one device barrier,
+    /// not two. Otherwise the pending buffer is submitted; empty, it is
+    /// the pure barrier that retries a failed frame's backlog (the probe
+    /// the scheduler's degraded path relies on). Either way an earlier
+    /// barrier's recorded async error is consumed first.
+    fn barrier(&mut self) -> Result<DurabilityTicket, StoreError> {
         if self.pending.is_empty() {
-            // Nothing buffered — still fsync, so `flush` doubles as a
-            // device health probe: callers that use it to check whether
-            // a previously failing disk has recovered (the scheduler's
-            // degraded-seal probe) get a real answer in write-through
-            // mode too, where the buffer is always empty.
-            self.file.sync_data()?;
-            return Ok(());
-        }
-        let result = (|| {
-            self.file.write_all(&self.pending)?;
-            self.file.sync_data()?;
-            Ok(())
-        })();
-        match result {
-            Ok(()) => {
-                self.file_len += self.pending.len() as u64;
-                self.pending.clear();
-                // Don't pin a burst's peak allocation for the log's
-                // lifetime: steady-state epochs are a few KiB, so shed
-                // capacity beyond a comfortable retained buffer.
-                self.pending.shrink_to(64 << 10);
-                self.pending_records = 0;
-                Ok(())
-            }
-            Err(e) => {
-                // Drop any partially-landed bytes so a retried flush (or
-                // a later write-through append) starts from the committed
-                // prefix instead of interleaving with garbage. If even
-                // the truncation fails, `file_len` no longer describes
-                // the file — fail-stop rather than risk corrupting or
-                // (on a later error) chopping into fsynced records.
-                if self.file.set_len(self.file_len).is_err() {
-                    self.poisoned = true;
+            if let Some(ticket) = &self.last_ticket {
+                if !ticket.is_complete() || ticket.wait_durable().is_ok() {
+                    self.queue().take_error()?;
+                    return Ok(ticket.clone());
                 }
-                Err(e)
             }
         }
+        self.enqueue_pending()
+    }
+
+    fn queue(&self) -> &GroupCommitQueue {
+        self.group
+            .as_ref()
+            .expect("GroupCommit policy without queue")
     }
 
     /// Hands the pending buffer (possibly empty — then a pure barrier)
@@ -556,15 +533,11 @@ impl FileLogInner {
     /// left exactly as it was, so the caller can roll back an epoch
     /// frame or retry later.
     fn enqueue_pending(&mut self) -> Result<DurabilityTicket, StoreError> {
-        let queue = self
-            .group
-            .as_ref()
-            .expect("GroupCommit policy without queue");
-        queue.take_error()?;
+        self.queue().take_error()?;
         let bytes = std::mem::take(&mut self.pending);
         let records = self.pending_records;
         self.pending_records = 0;
-        match queue.submit(bytes, records) {
+        match self.queue().submit(bytes, records) {
             Ok(ticket) => {
                 self.last_ticket = Some(ticket.clone());
                 Ok(ticket)
@@ -579,7 +552,7 @@ impl FileLogInner {
 }
 
 impl FileLog {
-    /// Upper bound on bytes buffered under [`SyncPolicy::PerEpoch`]
+    /// Upper bound on bytes buffered under [`SyncPolicy::GroupCommit`]
     /// before appends start failing. The seal policy is supposed to
     /// bound the buffer at a batch or a deadline's worth of records; a
     /// buffer anywhere near this size means sealing (or the disk under
@@ -590,7 +563,7 @@ impl FileLog {
 
     /// Opens (or creates) the log at `path`, verifying any existing
     /// chain. Opens under [`SyncPolicy::WriteThrough`] — the policy is a
-    /// property of the handle, not of the file, so a `PerEpoch`
+    /// property of the handle, not of the file, so a `GroupCommit`
     /// deployment must reopen with [`FileLog::open_with`] to keep its
     /// grouped-fsync behaviour.
     ///
@@ -644,15 +617,15 @@ impl FileLog {
     /// Opens the log, discarding a torn tail left by a crash mid-write.
     /// Like [`FileLog::open`], the handle comes back under
     /// [`SyncPolicy::WriteThrough`] (safe but fsync-per-append) — a
-    /// `PerEpoch` deployment recovering after a crash should use
+    /// `GroupCommit` deployment recovering after a crash should use
     /// [`FileLog::open_recover_with`] to keep its grouped-fsync policy.
     ///
     /// A process killed mid-write can leave a partial length prefix or a
     /// partial record at the end of the file — under
-    /// [`SyncPolicy::PerEpoch`] the torn region can even span several
-    /// records of the final buffered batch (a contiguous flush landing
+    /// [`SyncPolicy::GroupCommit`] the torn region can even span several
+    /// records of the final coalesced batch (a contiguous write landing
     /// partially writes a prefix of the batch). None of those bytes are
-    /// covered by a flushed epoch commitment, so dropping them restores
+    /// covered by an acknowledged barrier, so dropping them restores
     /// the last consistent prefix: the file is truncated back to the end
     /// of the last complete record and the log reopens cleanly
     /// (subsequent appends — including a re-seal of any unsealed epoch
@@ -834,27 +807,6 @@ impl FileLog {
             .map_or(0, GroupCommitQueue::batches_synced)
     }
 
-    /// Deterministic wake-up of the group-commit sync thread: submits an
-    /// empty barrier frame, forcing any backlog left by a failed barrier
-    /// to be re-attempted *now* instead of when the thread's wall-clock
-    /// retry timer fires. Unlike [`EvidenceLog::flush`] the pending async
-    /// error is left in place for the next seal to consume, so scenario
-    /// harnesses replaying under a [`nonrep_types::time::LogicalClock`]
-    /// can drive recovery without perturbing the documented
-    /// error-consumption flow. Returns a ready ticket on synchronous
-    /// policies (nothing is ever backlogged there).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Unavailable`] if the sync thread is gone.
-    pub fn kick_sync(&self) -> Result<DurabilityTicket, StoreError> {
-        let inner = self.inner.lock();
-        match &inner.group {
-            Some(queue) => queue.kick(),
-            None => Ok(DurabilityTicket::ready()),
-        }
-    }
-
     /// Test hook: make the next `n` group-commit barriers fail without
     /// touching the file (models a transient device outage).
     #[cfg(test)]
@@ -882,20 +834,16 @@ impl FileLog {
 
 impl Drop for FileLog {
     /// Best-effort flush of any buffered tail, so a *clean* shutdown
-    /// under [`SyncPolicy::PerEpoch`] / [`SyncPolicy::GroupCommit`]
-    /// loses nothing. (A kill, by definition, skips this — that is the
-    /// loss window those policies document.) For group commit the
-    /// pending buffer is enqueued and the queue's own drop then drains
-    /// the channel and joins the sync thread, landing every submitted
-    /// frame. Write-through logs skip it entirely: every append already
-    /// fsynced, and the empty-buffer flush would pay a redundant device
-    /// barrier per dropped handle.
+    /// under [`SyncPolicy::GroupCommit`] loses nothing. (A kill, by
+    /// definition, skips this — that is the loss window the policy
+    /// documents.) The pending buffer is enqueued and the queue's own
+    /// drop then drains the channel and joins the sync thread, landing
+    /// every submitted frame. Write-through logs skip it entirely: every
+    /// append already fsynced, and an empty-buffer flush would pay a
+    /// redundant device barrier per dropped handle.
     fn drop(&mut self) {
         match self.policy {
             SyncPolicy::WriteThrough => {}
-            SyncPolicy::PerEpoch => {
-                let _ = self.inner.lock().flush_pending();
-            }
             SyncPolicy::GroupCommit => {
                 let mut inner = self.inner.lock();
                 if !inner.pending.is_empty() {
@@ -957,7 +905,7 @@ impl EvidenceLog for FileLog {
                 }
                 result
             }),
-            SyncPolicy::PerEpoch | SyncPolicy::GroupCommit => {
+            SyncPolicy::GroupCommit => {
                 // Super-epoch records (the sharded plane's meta shard)
                 // are sealing points too: they trigger the same flush /
                 // handoff as an ordinary epoch commitment.
@@ -982,7 +930,7 @@ impl EvidenceLog for FileLog {
                         )));
                     }
                     // Frame into the in-memory buffer only; the write and
-                    // fsync land with the next epoch seal (or explicit
+                    // fsync follow the next epoch seal (or explicit
                     // flush). Past the cap check, buffering cannot fail,
                     // so the chain and the buffer never diverge.
                     pending.extend_from_slice(&len.to_le_bytes());
@@ -991,20 +939,12 @@ impl EvidenceLog for FileLog {
                     Ok(())
                 })?;
                 if lands_epoch {
-                    // The epoch commitment is the durability point. Under
-                    // PerEpoch: one inline contiguous write + fsync
-                    // covers the whole batch. Under GroupCommit: the
+                    // The epoch commitment is the durability point: the
                     // batch is handed to the sync thread and this append
                     // returns once the frame is queued — an earlier
                     // barrier's *async* failure is consumed here and
-                    // fails this seal instead (mirroring the inline
-                    // error path one epoch late).
-                    let sealed = match self.policy {
-                        SyncPolicy::PerEpoch => inner.flush_pending(),
-                        SyncPolicy::GroupCommit => inner.enqueue_pending().map(|_| ()),
-                        SyncPolicy::WriteThrough => unreachable!("outer match"),
-                    };
-                    if let Err(e) = sealed {
+                    // fails this seal instead.
+                    if let Err(e) = inner.enqueue_pending() {
                         // Keep "Err ⇒ not appended" true: remove the
                         // epoch record from the chain and the buffer
                         // again (earlier buffered records stay pending
@@ -1027,7 +967,6 @@ impl EvidenceLog for FileLog {
     fn durability_class(&self) -> DurabilityClass {
         match self.policy {
             SyncPolicy::WriteThrough => DurabilityClass::Synchronous,
-            SyncPolicy::PerEpoch => DurabilityClass::BufferedEpoch,
             SyncPolicy::GroupCommit => DurabilityClass::GroupCommit,
         }
     }
@@ -1035,7 +974,7 @@ impl EvidenceLog for FileLog {
     fn buffer_headroom(&self) -> Option<u64> {
         match self.policy {
             SyncPolicy::WriteThrough => None,
-            SyncPolicy::PerEpoch | SyncPolicy::GroupCommit => Some(
+            SyncPolicy::GroupCommit => Some(
                 (Self::MAX_BUFFERED_BYTES as u64)
                     .saturating_sub(self.inner.lock().pending.len() as u64),
             ),
@@ -1044,12 +983,12 @@ impl EvidenceLog for FileLog {
 
     fn flush(&self) -> Result<(), StoreError> {
         match self.policy {
-            SyncPolicy::WriteThrough | SyncPolicy::PerEpoch => self.inner.lock().flush_pending(),
+            SyncPolicy::WriteThrough => self.inner.lock().flush_pending(),
             SyncPolicy::GroupCommit => {
-                // Submit a barrier, then wait *outside* the log's lock so
-                // appenders keep running while the disk syncs — the whole
-                // point of the group-commit design.
-                let ticket = self.inner.lock().enqueue_pending()?;
+                // Take the barrier's ticket, then wait *outside* the log's
+                // lock so appenders keep running while the disk syncs —
+                // the whole point of the group-commit design.
+                let ticket = self.inner.lock().barrier()?;
                 ticket.wait_durable()
             }
         }
@@ -1057,11 +996,11 @@ impl EvidenceLog for FileLog {
 
     fn flush_async(&self) -> Result<DurabilityTicket, StoreError> {
         match self.policy {
-            SyncPolicy::WriteThrough | SyncPolicy::PerEpoch => {
+            SyncPolicy::WriteThrough => {
                 self.inner.lock().flush_pending()?;
                 Ok(DurabilityTicket::ready())
             }
-            SyncPolicy::GroupCommit => self.inner.lock().enqueue_pending(),
+            SyncPolicy::GroupCommit => self.inner.lock().barrier(),
         }
     }
 
@@ -1387,83 +1326,61 @@ mod tests {
         }
     }
 
-    #[test]
-    fn per_epoch_buffers_until_epoch_record_lands() {
-        let path = temp_path("buffered.log");
-        let _ = std::fs::remove_file(&path);
-        let log = FileLog::open_with(&path, SyncPolicy::PerEpoch).unwrap();
-        assert_eq!(log.sync_policy(), SyncPolicy::PerEpoch);
-        for i in 0..3 {
-            log.append(draft(i)).unwrap();
-        }
-        // Nothing on disk yet: the three appends are buffered.
-        assert_eq!(log.unflushed_len(), 3);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
-        // The epoch record is the durability point: one write covers all.
-        log.append(epoch_draft(3)).unwrap();
-        assert_eq!(log.unflushed_len(), 0);
-        let on_disk = std::fs::metadata(&path).unwrap().len();
-        assert!(on_disk > 0);
-        // An explicit flush drains the buffer too.
-        log.append(draft(4)).unwrap();
-        assert_eq!(log.unflushed_len(), 1);
-        log.flush().unwrap();
-        assert_eq!(log.unflushed_len(), 0);
-        assert!(std::fs::metadata(&path).unwrap().len() > on_disk);
-        drop(log);
-        // Strict reopen sees the complete, verifiable log.
-        let log = FileLog::open(&path).unwrap();
-        assert_eq!(log.len(), 5);
-        log.verify().unwrap();
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn per_epoch_clean_drop_flushes_the_tail() {
-        let path = temp_path("drop-flush.log");
-        let _ = std::fs::remove_file(&path);
-        {
-            let log = FileLog::open_with(&path, SyncPolicy::PerEpoch).unwrap();
-            for i in 0..4 {
-                log.append(draft(i)).unwrap();
-            }
-            assert_eq!(log.unflushed_len(), 4);
-        }
-        let log = FileLog::open(&path).unwrap();
-        assert_eq!(log.len(), 4, "clean shutdown loses nothing");
-        log.verify().unwrap();
-        let _ = std::fs::remove_file(&path);
-    }
-
     /// Simulates a kill: the buffered tail vanishes without the `Drop`
     /// flush running. Leaks the file handle — fine for a test process.
     fn kill(log: FileLog) {
         std::mem::forget(log);
     }
 
-    // Kill-point matrix around the buffered append → seal → fsync
-    // sequence. Timeline of one epoch under `PerEpoch`:
-    //
-    //     appends buffer … epoch record buffers … write() … fsync()
-    //        K1                   K2                 K3        (K4: after)
-    //
-    // K1/K2 (before the write): the whole unsealed batch is lost, the
-    // log recovers to the last flushed prefix. K3 (mid-write): a prefix
-    // of the batch lands, recovery drops the torn record and everything
-    // after it. K4 (after fsync): nothing is lost.
+    #[test]
+    fn per_epoch_buffers_until_epoch_record_lands() {
+        // Appends buffer until a sealing record lands — an epoch
+        // commitment or, on a sharded plane's meta shard, a super-epoch.
+        // Nothing reaches the file before; the whole buffer is handed
+        // off with it.
+        for kind in [EPOCH_KIND, SUPER_EPOCH_KIND] {
+            let path = temp_path(&format!("buffered-{kind}.log"));
+            let _ = std::fs::remove_file(&path);
+            let log = FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap();
+            for i in 0..3 {
+                log.append(draft(i)).unwrap();
+            }
+            assert_eq!(log.unflushed_len(), 3);
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+            assert!(log.buffer_headroom().unwrap() < FileLog::MAX_BUFFERED_BYTES as u64);
+            log.append(RecordDraft {
+                kind: kind.to_string(),
+                ..draft(3)
+            })
+            .unwrap();
+            assert_eq!(
+                log.buffer_headroom(),
+                Some(FileLog::MAX_BUFFERED_BYTES as u64),
+                "{kind} handed the buffer off"
+            );
+            log.last_seal_ticket().unwrap().wait_durable().unwrap();
+            assert_eq!(log.unflushed_len(), 0);
+            kill(log);
+            assert_eq!(FileLog::open(&path).unwrap().len(), 4);
+            let _ = std::fs::remove_file(&path);
+        }
+    }
 
     #[test]
     fn kill_before_flush_loses_only_the_unsealed_tail() {
+        // K1 with both durability points in play: a sealed epoch, then
+        // an unsealed range made durable by an explicit flush(), then a
+        // tail that was never flushed. The kill costs exactly that tail.
         let path = temp_path("kill-k1.log");
         let _ = std::fs::remove_file(&path);
-        let log = FileLog::open_with(&path, SyncPolicy::PerEpoch).unwrap();
-        // First epoch flushed…
+        let log = FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap();
         for i in 0..3 {
             log.append(draft(i)).unwrap();
         }
         log.append(epoch_draft(3)).unwrap();
-        // …then an unsealed tail (K1: killed before any flush of it).
-        for i in 4..7 {
+        log.append(draft(4)).unwrap();
+        log.flush().unwrap();
+        for i in 5..8 {
             log.append(draft(i)).unwrap();
         }
         assert_eq!(log.unflushed_len(), 3);
@@ -1471,7 +1388,7 @@ mod tests {
         // Even the *strict* open succeeds: the flushed prefix ends on a
         // record boundary, so there is no torn tail, just fewer records.
         let log = FileLog::open(&path).unwrap();
-        assert_eq!(log.len(), 4, "exactly the flushed prefix survives");
+        assert_eq!(log.len(), 5, "exactly the flushed prefix survives");
         assert_eq!(
             log.count_where(&|r| r.is_epoch_commit()),
             1,
@@ -1483,54 +1400,75 @@ mod tests {
 
     #[test]
     fn kill_mid_write_drops_torn_suffix_of_the_batch() {
-        // K3: the contiguous flush landed partially. Model every torn
-        // offset: from "only part of the first frame" to "all but the
-        // last byte".
+        // K3: the contiguous write of the second batch landed partially.
+        // Model *every* torn offset, from one byte of the first frame to
+        // all but the last byte: recovery keeps exactly the frames that
+        // landed whole and nothing of the torn one.
         let path = temp_path("kill-k3-ref.log");
         let _ = std::fs::remove_file(&path);
-        let log = FileLog::open_with(&path, SyncPolicy::PerEpoch).unwrap();
+        let log = FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap();
         for i in 0..3 {
             log.append(draft(i)).unwrap();
         }
         log.append(epoch_draft(3)).unwrap();
-        let sealed_len = std::fs::metadata(&path).unwrap().len();
+        log.last_seal_ticket().unwrap().wait_durable().unwrap();
+        let sealed_len = std::fs::metadata(&path).unwrap().len() as usize;
         for i in 4..7 {
             log.append(draft(i)).unwrap();
         }
-        log.append(epoch_draft(7)).unwrap(); // second epoch: flushes 4 frames
+        log.append(epoch_draft(7)).unwrap(); // second epoch: a 4-frame batch
         drop(log);
         let full = std::fs::read(&path).unwrap();
-        for torn_end in [sealed_len + 1, sealed_len + 7, full.len() as u64 - 1] {
-            std::fs::write(&path, &full[..torn_end as usize]).unwrap();
-            assert!(
-                FileLog::open(&path).is_err(),
-                "strict open must refuse a torn tail at {torn_end}"
+        // End offset of every frame, by walking the length prefixes.
+        let mut frame_ends = Vec::new();
+        let mut offset = 0usize;
+        while offset < full.len() {
+            let len = u32::from_le_bytes(full[offset..offset + 4].try_into().unwrap());
+            offset += 4 + len as usize;
+            frame_ends.push(offset);
+        }
+        assert_eq!(frame_ends.len(), 8);
+        for torn_end in sealed_len + 1..full.len() {
+            std::fs::write(&path, &full[..torn_end]).unwrap();
+            let whole = frame_ends.iter().filter(|&&end| end <= torn_end).count();
+            if !frame_ends.contains(&torn_end) {
+                assert!(
+                    FileLog::open(&path).is_err(),
+                    "strict open must refuse a torn tail at {torn_end}"
+                );
+            }
+            let log = FileLog::open_recover(&path).unwrap();
+            assert_eq!(
+                log.len(),
+                whole as u64,
+                "whole frames kept (torn {torn_end})"
             );
-            let log = FileLog::open_recover_with(&path, SyncPolicy::PerEpoch).unwrap();
-            // Whatever complete frames of the second batch landed are
-            // kept; the torn frame and everything after are dropped. The
-            // first sealed epoch is always intact.
-            assert!(log.len() >= 4, "flushed prefix survives (torn {torn_end})");
-            assert!(log.len() < 8, "torn tail dropped (torn {torn_end})");
             assert_eq!(log.count_where(&|r| r.is_epoch_commit()), 1);
             log.verify().unwrap();
-            // The log stays usable: append + seal continue the chain.
-            log.append(draft(99)).unwrap();
-            log.append(epoch_draft(100)).unwrap();
-            drop(log);
-            let reopened = FileLog::open(&path).unwrap();
-            reopened.verify().unwrap();
         }
+        // The recovered log stays usable under the policy it crashed
+        // with: append + seal continue the chain.
+        std::fs::write(&path, &full[..sealed_len + 7]).unwrap();
+        let log = FileLog::open_recover_with(&path, SyncPolicy::GroupCommit).unwrap();
+        assert_eq!(log.recovery_dropped_bytes(), 7);
+        log.append(draft(99)).unwrap();
+        log.append(epoch_draft(100)).unwrap();
+        drop(log);
+        let reopened = FileLog::open(&path).unwrap();
+        assert_eq!(reopened.len(), 6);
+        reopened.verify().unwrap();
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn kill_after_fsync_loses_nothing() {
-        // K4: the epoch flush completed; a kill immediately after costs
-        // nothing sealed.
+        // K4 for write-through, whose whole contract it is: every append
+        // that returned Ok already fsynced, so a kill right after costs
+        // nothing — no seal, no barrier, no Drop. (The group-commit twin
+        // is group_commit_kill_after_fsync_loses_nothing.)
         let path = temp_path("kill-k4.log");
         let _ = std::fs::remove_file(&path);
-        let log = FileLog::open_with(&path, SyncPolicy::PerEpoch).unwrap();
+        let log = FileLog::open(&path).unwrap();
         for i in 0..5 {
             log.append(draft(i)).unwrap();
         }
@@ -1589,34 +1527,10 @@ mod tests {
     }
 
     #[test]
-    fn per_epoch_recovery_does_not_mask_mid_file_tampering() {
-        let path = temp_path("kill-tamper.log");
-        let _ = std::fs::remove_file(&path);
-        let log = FileLog::open_with(&path, SyncPolicy::PerEpoch).unwrap();
-        for i in 0..6 {
-            log.append(draft(i)).unwrap();
-        }
-        log.append(epoch_draft(6)).unwrap();
-        drop(log);
-        // Flip a byte in the flushed region *and* tear the tail: recovery
-        // may drop the torn tail but must still reject the tampering.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 3;
-        bytes[mid] ^= 0xFF;
-        bytes.truncate(bytes.len() - 2);
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(
-            FileLog::open_recover_with(&path, SyncPolicy::PerEpoch).is_err(),
-            "tampering inside the retained prefix must still be rejected"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn per_epoch_buffer_is_capped_and_cap_failure_commits_nothing() {
         let path = temp_path("buffer-cap.log");
         let _ = std::fs::remove_file(&path);
-        let log = FileLog::open_with(&path, SyncPolicy::PerEpoch).unwrap();
+        let log = FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap();
         // 16 MiB payloads: the 4th would cross the 64 MiB cap.
         let big = |n: u64| RecordDraft {
             payload: vec![n as u8; 16 << 20],
@@ -1636,7 +1550,13 @@ mod tests {
         // An epoch record is exempt from the cap — sealing is exactly
         // what drains a full buffer, so it must never be refused.
         log.append(epoch_draft(3)).unwrap();
-        assert_eq!(log.unflushed_len(), 0, "seal drained the full buffer");
+        assert_eq!(
+            log.buffer_headroom(),
+            Some(FileLog::MAX_BUFFERED_BYTES as u64),
+            "seal drained the full buffer"
+        );
+        log.last_seal_ticket().unwrap().wait_durable().unwrap();
+        assert_eq!(log.unflushed_len(), 0);
         log.append(draft(4)).unwrap();
         log.verify().unwrap();
         drop(log);
@@ -1648,7 +1568,7 @@ mod tests {
 
     #[test]
     fn rollback_tail_restores_chain_head_and_run_index() {
-        // The rollback used when an epoch-seal flush fails: the popped
+        // The rollback used when an epoch-seal handoff fails: the popped
         // record must leave no trace — head, index and subsequent
         // appends behave as if it was never appended.
         let log = MemoryLog::new();
@@ -1692,8 +1612,10 @@ mod tests {
     // record and everything after. G4 (after the fsync, ack not yet
     // observed): the data is durable regardless — an ack is knowledge,
     // not durability. The on-disk states of G2/G3 are simulated by file
-    // surgery (truncation), exactly like the PerEpoch K-matrix: a kill
-    // is indistinguishable from the state it leaves on disk.
+    // surgery (truncation): a kill is indistinguishable from the state
+    // it leaves on disk. The K tests above are the same matrix from the
+    // caller's side: K1 adds the explicit flush() durability point, K3
+    // tears the batch at every byte offset, K4 is the write-through row.
 
     #[test]
     fn group_commit_seal_is_async_and_barrier_makes_it_durable() {
@@ -1848,9 +1770,8 @@ mod tests {
         // A failed async barrier: the frame's ticket errors, the bytes
         // stay in the sync thread's backlog, and the error is consumed
         // by the NEXT seal (which fails and rolls its epoch record back,
-        // exactly like an inline PerEpoch flush failure — one epoch
-        // late). Once the "device" recovers, the next barrier lands the
-        // backlog and the new frame in ONE coalesced batch.
+        // one epoch late). Once the "device" recovers, the next barrier
+        // lands the backlog and the new frame in ONE coalesced batch.
         let path = temp_path("gc-fail.log");
         let _ = std::fs::remove_file(&path);
         let log = FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap();
@@ -1900,30 +1821,6 @@ mod tests {
         assert!(matches!(log.flush(), Err(StoreError::Io(_))), "consumed");
         log.flush().unwrap();
         assert_eq!(log.unflushed_len(), 0);
-        drop(log);
-        assert_eq!(FileLog::open(&path).unwrap().len(), 1);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn group_commit_kick_retries_backlog_without_consuming_the_error() {
-        // The deterministic stand-in for the sync thread's wall-clock
-        // retry timer: after a transient barrier failure, kick_sync()
-        // lands the backlog immediately, yet the recorded async error is
-        // still there for the next flush to consume — the documented
-        // error-consumption flow is unperturbed.
-        let path = temp_path("gc-kick.log");
-        let _ = std::fs::remove_file(&path);
-        let log = FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap();
-        log.append(draft(0)).unwrap();
-        log.inject_barrier_failures(1);
-        let ticket = log.flush_async().unwrap();
-        assert!(ticket.wait_durable().is_err());
-        assert_eq!(log.unflushed_len(), 1);
-        log.kick_sync().unwrap().wait_durable().unwrap();
-        assert_eq!(log.unflushed_len(), 0, "backlog landed by the kick");
-        assert!(matches!(log.flush(), Err(StoreError::Io(_))), "error kept");
-        log.flush().unwrap();
         drop(log);
         assert_eq!(FileLog::open(&path).unwrap().len(), 1);
         let _ = std::fs::remove_file(&path);

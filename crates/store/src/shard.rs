@@ -676,10 +676,10 @@ mod tests {
 
     #[test]
     fn sharded_plane_works_without_group_commit() {
-        // The plane is policy-generic: PerEpoch shards flush per sealed
-        // epoch with no shared pool.
-        let dir = temp_dir("per-epoch");
-        let plane = ShardedEvidenceLog::open(&dir, 3, SyncPolicy::PerEpoch).unwrap();
+        // The plane is policy-generic: write-through shards fsync per
+        // append with no shared pool.
+        let dir = temp_dir("write-through");
+        let plane = ShardedEvidenceLog::open(&dir, 3, SyncPolicy::WriteThrough).unwrap();
         assert!(plane.pool().is_none());
         for n in 0..9u64 {
             plane

@@ -72,8 +72,10 @@
 //! commitments (`MiddlewareBuilder::commitment`, one signature per epoch
 //! instead of per token, sealed on size and/or a time deadline) and
 //! disk-backed durability grouped at the same epoch boundary
-//! (`MiddlewareBuilder::evidence_log` with a
-//! `store::SyncPolicy::PerEpoch` file log — one fsync per sealed epoch).
+//! (`MiddlewareBuilder::evidence_file` with
+//! `store::SyncPolicy::GroupCommit` — one fsync per sealed epoch, on a
+//! dedicated sync thread). Both are chosen when the organisation is
+//! built and fixed from then on.
 //! See `docs/ARCHITECTURE.md` for the full map from the paper's concepts
 //! to these crates.
 
