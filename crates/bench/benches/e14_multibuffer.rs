@@ -7,10 +7,11 @@
 //! side by side:
 //!
 //! * `single_scalar` — the sequential scalar path: what a host without
-//!   SHA-NI ran before this engine existed. The baseline the ≥ 2×
-//!   multi-buffer claim is measured against.
-//! * `scalar` — the portable 4-way interleaved kernel on the same
-//!   machine profile: the no-SHA-NI host win.
+//!   SHA-NI ran before this engine existed. The baseline the
+//!   multi-buffer tiers are measured against.
+//! * `scalar` — the portable 4-way interleaved kernel at baseline
+//!   codegen (what a non-x86_64 target runs); on x86_64 it is level
+//!   with `single_scalar` and never auto-selected.
 //! * `sse2` / `avx2` — the explicit SIMD kernels (4- and 8-way).
 //! * `single` — one lane through the digest module's runtime dispatch
 //!   (SHA-NI here, if present): the path `auto` must never regress.

@@ -47,7 +47,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use nonrep_core::{Adjudicator, WindowSubmission};
+use nonrep_core::{Adjudicator, Corroboration, WindowSubmission};
 use nonrep_crypto::digest::sha256;
 use nonrep_crypto::rng::SecureRandom;
 use nonrep_crypto::sig::{KeyPair, SignatureScheme};
@@ -248,7 +248,10 @@ fn bench_sharded(c: &mut Criterion) {
             }
         });
         assert!(!supers.is_empty(), "setup must have cut a super-epoch");
-        let gossip = BTreeMap::from([(OrgId::new("org"), supers)]);
+        let adj = adjudicator().corroborated_by(Corroboration {
+            supers: BTreeMap::from([(OrgId::new("org"), supers)]),
+            ..Corroboration::default()
+        });
         let mut i = 0usize;
         group.bench_function("adjudicate_run_16x32/shards_16", |b| {
             b.iter(|| {
@@ -257,7 +260,7 @@ fn bench_sharded(c: &mut Criterion) {
                 let shard = p.shard_for(&run);
                 let len = p.log().shard(shard).len();
                 let sub = WindowSubmission::from_shard("org", p.log(), shard, 0..len);
-                let verdict = adj.adjudicate_sharded(run, &[sub], &gossip);
+                let verdict = adj.adjudicate_windows(run, &[sub]);
                 assert!(verdict
                     .reports
                     .iter()

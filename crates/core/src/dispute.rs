@@ -29,7 +29,12 @@
 //! [`Adjudicator::adjudicate_windows`] anchors chain verification at the
 //! window's first record ([`ChainVerifier::resume`]) instead of replaying
 //! from genesis, checks the tail against the claimed head, and verifies
-//! every in-window commitment over the records it covers.
+//! every in-window commitment over the records it covers. A whole log is
+//! the window that starts at sequence 0. Every window is also checked
+//! against the anchors its *submitter* gossiped to counterparties (one
+//! [`Corroboration`], [`Adjudicator::corroborated_by`]): a forked history
+//! or truncated tail the hash chain alone cannot see becomes
+//! [`LogReport::anchor_violation`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -37,6 +42,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use nonrep_crypto::digest::Digest;
+pub use nonrep_protocols::gossip::Corroboration;
 use nonrep_protocols::party::KeyDirectory;
 use nonrep_protocols::tokens::{defection_digest, NrToken, TokenKind};
 use nonrep_store::record::{
@@ -71,10 +77,10 @@ pub struct LogReport {
     /// means the record was hand-crafted — e.g. a token from one run
     /// replayed into another run's history.
     pub context_mismatches: usize,
-    /// Violation found by corroborating the submission against epoch
+    /// Violation found by corroborating the submission against the
     /// anchors the submitter previously gossiped to counterparties
-    /// ([`Adjudicator::verify_window_with_anchors`]): a forked history or
-    /// withheld records. `None` when no anchors were checked or all agree.
+    /// ([`Adjudicator::corroborated_by`]): a forked history or withheld
+    /// records. `None` when no anchors were held or all agree.
     pub anchor_violation: Option<ChainViolation>,
     /// Key-rollover records encountered in the submission.
     pub rollovers: usize,
@@ -122,8 +128,9 @@ pub struct WindowSubmission {
     /// Which shard of a sharded evidence plane this window was cut from.
     /// `None` for single-log submissions (and for the meta shard, whose
     /// super-epoch records are checked directly). Super-epoch anchors only
-    /// constrain the shard they name, so corroboration via
-    /// [`Adjudicator::verify_window_with_super_anchors`] needs this tag.
+    /// constrain the shard they name, so a tagged window is corroborated
+    /// against [`Corroboration::supers`], an untagged one against
+    /// [`Corroboration::epochs`].
     pub shard: Option<u32>,
 }
 
@@ -386,6 +393,7 @@ impl fmt::Display for Verdict {
 /// The dispute-resolution service.
 pub struct Adjudicator {
     directory: Arc<dyn KeyDirectory>,
+    corroboration: Corroboration,
 }
 
 impl fmt::Debug for Adjudicator {
@@ -395,28 +403,32 @@ impl fmt::Debug for Adjudicator {
 }
 
 impl Adjudicator {
-    /// Creates an adjudicator trusting `directory` for key resolution.
+    /// Creates an adjudicator trusting `directory` for key resolution,
+    /// holding no anchors to corroborate submissions against.
     pub fn new(directory: Arc<dyn KeyDirectory>) -> Self {
-        Self { directory }
+        Self {
+            directory,
+            corroboration: Corroboration::default(),
+        }
     }
 
-    /// Verifies one submitted log in isolation (full-log submission:
-    /// chain anchored at genesis).
-    pub fn verify_log(&self, submitter: OrgId, records: &[Arc<EvidenceRecord>]) -> LogReport {
-        let mut builder = ReportBuilder::new(submitter, &*self.directory);
-        for record in records {
-            builder.check(record);
-        }
-        builder.finish()
+    /// Hands the adjudicator the anchors counterparties collected over
+    /// the bus while the evidence was being produced (typically
+    /// `AnchorStore::snapshot`). A submitter whose window conflicts with
+    /// what it gossiped itself is established as having forked or
+    /// truncated its history ([`Verdict::violations`]).
+    pub fn corroborated_by(mut self, corroboration: Corroboration) -> Self {
+        self.corroboration = corroboration;
+        self
     }
 
     /// Verifies a windowed submission: the chain is anchored at the
     /// window's first record (genesis rules still apply when the window
     /// starts at sequence 0), in-window epoch commitments are checked
-    /// over the records they cover, and — when a head is claimed — the
-    /// window's tail must hash to it.
+    /// over the records they cover, when a head is claimed the window's
+    /// tail must hash to it, and the submitter's held anchors must agree.
     pub fn verify_window(&self, submission: &WindowSubmission) -> LogReport {
-        let mut builder = ReportBuilder::for_window(
+        let mut builder = ReportBuilder::new(
             submission.submitter.clone(),
             &*self.directory,
             submission.records.first().map(|r| (r.seq, r.prev_hash)),
@@ -425,6 +437,11 @@ impl Adjudicator {
             builder.check(record);
         }
         builder.check_head_claim(&submission.head);
+        builder.corroborate(
+            &self.corroboration,
+            submission.shard,
+            submission.head != Digest::ZERO,
+        );
         builder.finish()
     }
 
@@ -432,9 +449,10 @@ impl Adjudicator {
     /// [`EvidenceLog::for_each_window`] — peak memory stays one window
     /// (never a whole-log clone), and the log's internal lock is *not*
     /// held while token signatures are cryptographically verified, so
-    /// concurrent appenders are not stalled behind an audit.
+    /// concurrent appenders are not stalled behind an audit (which claims
+    /// no head and is not corroborated; a dispute submits a window).
     pub fn verify_log_in_place(&self, submitter: OrgId, log: &dyn EvidenceLog) -> LogReport {
-        let mut builder = ReportBuilder::new(submitter, &*self.directory);
+        let mut builder = ReportBuilder::new(submitter, &*self.directory, None);
         log.for_each_window(256, &mut |window| {
             for record in window {
                 builder.check(record);
@@ -444,175 +462,22 @@ impl Adjudicator {
         builder.finish()
     }
 
-    /// Adjudicates `run_id` over the submitted logs.
+    /// Adjudicates `run_id` over windowed submissions: each party sends
+    /// a `snapshot_range` window plus its chain head and the epoch
+    /// commitments (batch proofs) sealed inside it, instead of a clone
+    /// of its full log.
     ///
     /// Facts are established only from tokens that verify
     /// cryptographically; an unverifiable (forged) token contributes
     /// nothing except suspicion against its submitter.
-    pub fn adjudicate(
-        &self,
-        run_id: RunId,
-        submissions: &[(OrgId, Vec<Arc<EvidenceRecord>>)],
-    ) -> Verdict {
-        let reports = submissions
-            .iter()
-            .map(|(submitter, records)| self.verify_log(submitter.clone(), records))
-            .collect();
-        verdict_from_reports(run_id, reports)
-    }
-
-    /// Adjudicates `run_id` over windowed submissions — the scalable
-    /// submission path: each party sends a `snapshot_range` window plus
-    /// its chain head and the epoch commitments (batch proofs) sealed
-    /// inside it, instead of a clone of its full log.
     pub fn adjudicate_windows(&self, run_id: RunId, submissions: &[WindowSubmission]) -> Verdict {
         let reports = submissions.iter().map(|s| self.verify_window(s)).collect();
         verdict_from_reports(run_id, reports)
     }
-
-    /// [`Adjudicator::verify_window`] plus corroboration against epoch
-    /// `anchors` previously gossiped by the submitter to counterparties
-    /// (see `ReportBuilder::check_anchors` rules: forked histories and
-    /// withheld evidence become [`ChainViolation`]s on the report).
-    pub fn verify_window_with_anchors(
-        &self,
-        submission: &WindowSubmission,
-        anchors: &[EpochCommitment],
-    ) -> LogReport {
-        let mut builder = ReportBuilder::for_window(
-            submission.submitter.clone(),
-            &*self.directory,
-            submission.records.first().map(|r| (r.seq, r.prev_hash)),
-        );
-        for record in &submission.records {
-            builder.check(record);
-        }
-        builder.check_head_claim(&submission.head);
-        builder.check_anchors(anchors, submission.head != Digest::ZERO);
-        builder.finish()
-    }
-
-    /// Adjudicates `run_id` over windowed submissions with cross-submitter
-    /// anchor corroboration: `anchors[org]` holds the epoch commitments
-    /// that counterparties collected *from* `org` over the bus while the
-    /// evidence was being produced. A submitter whose submission conflicts
-    /// with its own gossiped anchors is established as having forked or
-    /// truncated its history ([`Verdict::violations`]).
-    pub fn adjudicate_with_anchors(
-        &self,
-        run_id: RunId,
-        submissions: &[WindowSubmission],
-        anchors: &BTreeMap<OrgId, Vec<EpochCommitment>>,
-    ) -> Verdict {
-        static NO_ANCHORS: &[EpochCommitment] = &[];
-        let reports = submissions
-            .iter()
-            .map(|s| {
-                let theirs = anchors.get(&s.submitter).map_or(NO_ANCHORS, Vec::as_slice);
-                self.verify_window_with_anchors(s, theirs)
-            })
-            .collect();
-        verdict_from_reports(run_id, reports)
-    }
-
-    /// [`Adjudicator::verify_window`] plus corroboration against
-    /// super-epoch anchors (`supers`) previously gossiped by the
-    /// submitter from its sharded evidence plane. The submission must be
-    /// shard-tagged ([`WindowSubmission::from_shard`]); each verified
-    /// super-epoch contributes the shard anchor naming that shard, and
-    /// the fork / withheld-records rules of
-    /// [`Adjudicator::verify_window_with_anchors`] apply unchanged.
-    pub fn verify_window_with_super_anchors(
-        &self,
-        submission: &WindowSubmission,
-        supers: &[SuperEpochCommitment],
-    ) -> LogReport {
-        let mut builder = ReportBuilder::for_window(
-            submission.submitter.clone(),
-            &*self.directory,
-            submission.records.first().map(|r| (r.seq, r.prev_hash)),
-        );
-        for record in &submission.records {
-            builder.check(record);
-        }
-        builder.check_head_claim(&submission.head);
-        builder.check_super_anchors(supers, submission.shard, submission.head != Digest::ZERO);
-        builder.finish()
-    }
-
-    /// Adjudicates `run_id` over shard-tagged windowed submissions with
-    /// super-epoch corroboration: `supers[org]` holds the
-    /// [`SuperEpochCommitment`]s counterparties collected *from* `org`
-    /// over the bus. The windowed adjudication path consumes super-epochs
-    /// exactly like [`EpochCommitment`] anchors — a submitter whose shard
-    /// window conflicts with the shard anchors inside its own gossiped
-    /// super-epochs is established as having forked or truncated that
-    /// shard's history ([`Verdict::violations`]).
-    pub fn adjudicate_sharded(
-        &self,
-        run_id: RunId,
-        submissions: &[WindowSubmission],
-        supers: &BTreeMap<OrgId, Vec<SuperEpochCommitment>>,
-    ) -> Verdict {
-        static NO_SUPERS: &[SuperEpochCommitment] = &[];
-        let reports = submissions
-            .iter()
-            .map(|s| {
-                let theirs = supers.get(&s.submitter).map_or(NO_SUPERS, Vec::as_slice);
-                self.verify_window_with_super_anchors(s, theirs)
-            })
-            .collect();
-        verdict_from_reports(run_id, reports)
-    }
-
-    /// Adjudicates a mixed fleet: each shard-tagged submission is
-    /// corroborated against the super-epoch `supers` its submitter
-    /// gossiped, each untagged one against the plain epoch `anchors` —
-    /// one verdict over organisations running single-log and sharded
-    /// evidence planes side by side.
-    pub fn adjudicate_gossiped(
-        &self,
-        run_id: RunId,
-        submissions: &[WindowSubmission],
-        anchors: &BTreeMap<OrgId, Vec<EpochCommitment>>,
-        supers: &BTreeMap<OrgId, Vec<SuperEpochCommitment>>,
-    ) -> Verdict {
-        static NO_ANCHORS: &[EpochCommitment] = &[];
-        static NO_SUPERS: &[SuperEpochCommitment] = &[];
-        let reports = submissions
-            .iter()
-            .map(|s| {
-                if s.shard.is_some() {
-                    let theirs = supers.get(&s.submitter).map_or(NO_SUPERS, Vec::as_slice);
-                    self.verify_window_with_super_anchors(s, theirs)
-                } else {
-                    let theirs = anchors.get(&s.submitter).map_or(NO_ANCHORS, Vec::as_slice);
-                    self.verify_window_with_anchors(s, theirs)
-                }
-            })
-            .collect();
-        verdict_from_reports(run_id, reports)
-    }
-
-    /// Adjudicates `run_id` directly over live evidence logs, verifying
-    /// each chain and decoding tokens in place instead of snapshotting
-    /// whole logs first. This is the hot path for audit/dispute queries
-    /// within one process (trust-domain adjudication, monitoring).
-    pub fn adjudicate_logs(
-        &self,
-        run_id: RunId,
-        submissions: &[(OrgId, &dyn EvidenceLog)],
-    ) -> Verdict {
-        let reports = submissions
-            .iter()
-            .map(|(submitter, log)| self.verify_log_in_place(submitter.clone(), *log))
-            .collect();
-        verdict_from_reports(run_id, reports)
-    }
 }
 
-/// Incremental [`LogReport`] construction shared by the slice-based,
-/// windowed and visitor-based verification paths.
+/// Incremental [`LogReport`] construction shared by the windowed and
+/// visitor-based verification paths.
 struct ReportBuilder<'a> {
     submitter: OrgId,
     directory: &'a dyn KeyDirectory,
@@ -634,11 +499,21 @@ struct ReportBuilder<'a> {
 }
 
 impl<'a> ReportBuilder<'a> {
-    fn new(submitter: OrgId, directory: &'a dyn KeyDirectory) -> Self {
+    /// Builder for records starting at `anchor` (the first record's
+    /// sequence number and claimed predecessor hash); `None`, or a first
+    /// record at sequence 0, starts at genesis.
+    fn new(
+        submitter: OrgId,
+        directory: &'a dyn KeyDirectory,
+        anchor: Option<(u64, Digest)>,
+    ) -> Self {
         Self {
             submitter,
             directory,
-            chain: ChainVerifier::new(),
+            chain: match anchor {
+                Some((seq, prev_hash)) if seq > 0 => ChainVerifier::resume(seq, prev_hash),
+                _ => ChainVerifier::new(),
+            },
             tokens: Vec::new(),
             undecodable: 0,
             first_seq: None,
@@ -651,23 +526,6 @@ impl<'a> ReportBuilder<'a> {
             rollovers: 0,
             rollovers_verified: 0,
         }
-    }
-
-    /// Builder for a windowed submission anchored at `anchor` (first
-    /// record's sequence number and claimed predecessor hash). A window
-    /// starting at sequence 0 keeps the genesis rule.
-    fn for_window(
-        submitter: OrgId,
-        directory: &'a dyn KeyDirectory,
-        anchor: Option<(u64, Digest)>,
-    ) -> Self {
-        let mut builder = Self::new(submitter, directory);
-        if let Some((seq, prev_hash)) = anchor {
-            if seq > 0 {
-                builder.chain = ChainVerifier::resume(seq, prev_hash);
-            }
-        }
-        builder
     }
 
     fn check(&mut self, record: &EvidenceRecord) {
@@ -800,93 +658,74 @@ impl<'a> ReportBuilder<'a> {
         }
     }
 
-    /// Corroborates the submission against epoch anchors the submitter
-    /// gossiped to counterparties while the evidence was being produced.
+    /// Corroborates the submission against the anchors its submitter
+    /// gossiped: a shard-tagged window against the
+    /// [`nonrep_store::ShardAnchor`] naming its shard inside each of the
+    /// submitter's super-epochs (a super-epoch says nothing about shards
+    /// it does not anchor), an untagged window against its epoch anchors.
     ///
-    /// Only anchors whose signature verifies under the submitter's own key
-    /// count — a counterparty cannot frame an honest submitter by
-    /// presenting anchors the submitter never signed. For each verified
-    /// anchor:
-    ///
-    /// - a covered range lying inside the submission must recompute to the
-    ///   anchored root, else the submitter forked its history
-    ///   ([`ChainViolation::ForkedHistory`]);
-    /// - two verified anchors over the same range with different roots are
-    ///   themselves proof of a fork (the submitter told two counterparties
-    ///   two different histories);
-    /// - when the submission claims to reach the log's tail
-    ///   (`claims_tail`), an anchor attesting records beyond that tail
-    ///   proves evidence was withheld
-    ///   ([`ChainViolation::WithheldRecords`]). Partial windows claim
-    ///   nothing about the tail and are never flagged.
-    fn check_anchors(&mut self, anchors: &[EpochCommitment], claims_tail: bool) {
-        let Some(key) = self.directory.key_of(&self.submitter) else {
-            return; // unknown submitter key: anchors cannot be attributed
+    /// Only anchors that verify under the submitter's own key count (for
+    /// a super-epoch the whole [`SuperEpochCommitment::verify`]) — a
+    /// counterparty cannot frame an honest submitter with anchors the
+    /// submitter never signed.
+    fn corroborate(&mut self, held: &Corroboration, shard: Option<u32>, claims_tail: bool) {
+        let verified: Vec<(u64, u64, Digest)> = match shard {
+            Some(shard) => {
+                let Some(supers) = held.supers.get(&self.submitter) else {
+                    return; // nothing held against this submitter
+                };
+                let Some(key) = self.directory.key_of(&self.submitter) else {
+                    return; // unknown submitter key: anchors cannot be attributed
+                };
+                supers
+                    .iter()
+                    .filter(|s| s.verify(&key))
+                    .filter_map(|s| s.anchor_for(shard))
+                    .filter(|a| a.hi >= a.lo)
+                    .map(|a| (a.lo, a.hi, a.root))
+                    .collect()
+            }
+            None => {
+                let Some(epochs) = held.epochs.get(&self.submitter) else {
+                    return;
+                };
+                let Some(key) = self.directory.key_of(&self.submitter) else {
+                    return;
+                };
+                epochs
+                    .iter()
+                    .filter(|a| a.hi >= a.lo)
+                    .filter(|a| {
+                        key.verify_digest(
+                            &EpochCommitment::signing_digest(a.lo, a.hi, &a.root),
+                            &a.signature,
+                        )
+                    })
+                    .map(|a| (a.lo, a.hi, a.root))
+                    .collect()
+            }
         };
-        let verified: Vec<(u64, u64, Digest)> = anchors
-            .iter()
-            .filter(|a| a.hi >= a.lo)
-            .filter(|a| {
-                key.verify_digest(
-                    &EpochCommitment::signing_digest(a.lo, a.hi, &a.root),
-                    &a.signature,
-                )
-            })
-            .map(|a| (a.lo, a.hi, a.root))
-            .collect();
         self.corroborate_ranges(&verified, claims_tail);
     }
 
-    /// Corroborates the submission against super-epoch anchors the
-    /// submitter gossiped from a sharded evidence plane.
+    /// The fork / withheld-records rules over already-attributed anchor
+    /// ranges `(lo, hi, root)`; the first violation found is reported:
     ///
-    /// Only whole super-epochs that verify under the submitter's key
-    /// count (structure, merkle-of-merkles root and batch signature — see
-    /// [`SuperEpochCommitment::verify`]), and each contributes only the
-    /// [`nonrep_store::ShardAnchor`] naming the submission's shard: a
-    /// super-epoch says nothing about shards it does not anchor, and a
-    /// submission not cut from a shard (`shard == None`) cannot be
-    /// corroborated this way at all. The fork / withheld-records rules
-    /// are then identical to [`ReportBuilder::check_anchors`].
-    fn check_super_anchors(
-        &mut self,
-        supers: &[SuperEpochCommitment],
-        shard: Option<u32>,
-        claims_tail: bool,
-    ) {
-        let Some(shard) = shard else {
-            return; // untagged window: no shard for the anchors to name
-        };
-        let Some(key) = self.directory.key_of(&self.submitter) else {
-            return; // unknown submitter key: anchors cannot be attributed
-        };
-        let verified: Vec<(u64, u64, Digest)> = supers
-            .iter()
-            .filter(|s| s.verify(&key))
-            .filter_map(|s| s.anchor_for(shard))
-            .filter(|a| a.hi >= a.lo)
-            .map(|a| (a.lo, a.hi, a.root))
-            .collect();
-        self.corroborate_ranges(&verified, claims_tail);
-    }
-
-    /// The shared fork / withheld-records logic over already-attributed
-    /// anchor ranges `(lo, hi, root)`:
-    ///
+    /// - two anchors over the same range with different roots are
+    ///   themselves proof of a fork (two counterparties were told two
+    ///   histories, [`ChainViolation::ForkedHistory`]);
     /// - a covered range lying inside the submission must recompute to the
     ///   anchored root, else the submitter forked its history;
-    /// - two anchors over the same range with different roots are
-    ///   themselves proof of a fork;
     /// - when the submission claims the log's tail, an anchor attesting
-    ///   records beyond it proves evidence was withheld.
+    ///   records beyond it proves evidence was withheld
+    ///   ([`ChainViolation::WithheldRecords`]); a partial window claims
+    ///   nothing about the tail and is never flagged.
     fn corroborate_ranges(&mut self, verified: &[(u64, u64, Digest)], claims_tail: bool) {
-        for (i, a) in verified.iter().enumerate() {
-            if verified[i + 1..]
-                .iter()
-                .any(|b| a.0 == b.0 && a.1 == b.1 && a.2 != b.2)
-            {
+        let mut roots: BTreeMap<(u64, u64), Digest> = BTreeMap::new();
+        for &(lo, hi, root) in verified {
+            if *roots.entry((lo, hi)).or_insert(root) != root {
                 self.anchor_violation
-                    .get_or_insert(ChainViolation::ForkedHistory { lo: a.0, hi: a.1 });
+                    .get_or_insert(ChainViolation::ForkedHistory { lo, hi });
             }
         }
         let first = self.first_seq.unwrap_or(0);
@@ -1024,18 +863,72 @@ mod tests {
         run
     }
 
+    /// Logs `n` tokens of `run` under the party's own name and seals them.
+    fn seal_tokens(party: &Party, run: RunId, n: u8) {
+        for i in 0..n {
+            let t = party
+                .issue_token(TokenKind::NroReq, run, sha256(&[i]))
+                .unwrap();
+            party.store_token(&t).unwrap();
+        }
+        party.flush_evidence().unwrap();
+    }
+
+    /// Every anchor of one kind sealed into `log` — what peers collected.
+    fn sealed<T>(log: &dyn EvidenceLog, decode: fn(&EvidenceRecord) -> Option<T>) -> Vec<T> {
+        log.records().iter().filter_map(|r| decode(r)).collect()
+    }
+
+    /// A whole log as records: the window from sequence 0, claiming no head.
+    fn full(org: &str, records: Vec<Arc<EvidenceRecord>>) -> WindowSubmission {
+        WindowSubmission {
+            submitter: OrgId::new(org),
+            records,
+            head: Digest::ZERO,
+            shard: None,
+        }
+    }
+
+    /// The first `keep` records of `log` as if they were all of it: the
+    /// head claim is honestly computed over the truncated tail.
+    fn truncated(
+        org: &str,
+        log: &dyn EvidenceLog,
+        keep: u64,
+        shard: Option<u32>,
+    ) -> WindowSubmission {
+        let records = log.snapshot_range(0..keep);
+        WindowSubmission {
+            head: records.last().unwrap().record_hash(),
+            shard,
+            ..full(org, records)
+        }
+    }
+
+    /// A party's live log, disputed whole.
+    fn live(party: &Party) -> WindowSubmission {
+        WindowSubmission::from_log(party.org().clone(), &**party.log(), 0..party.log().len())
+    }
+
+    /// An adjudicator holding what alice gossiped.
+    fn holding(
+        dir: &Arc<StaticKeyDirectory>,
+        epochs: &[EpochCommitment],
+        supers: &[SuperEpochCommitment],
+    ) -> Adjudicator {
+        let alice = OrgId::new("alice");
+        Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>).corroborated_by(Corroboration {
+            epochs: BTreeMap::from([(alice.clone(), epochs.to_vec())]),
+            supers: BTreeMap::from([(alice, supers.to_vec())]),
+        })
+    }
+
     #[test]
     fn honest_logs_establish_mutual_facts() {
         let p = pair();
         let run = run_exchange(&p);
         let adjudicator = Adjudicator::new(p.dir.clone() as Arc<dyn KeyDirectory>);
-        let verdict = adjudicator.adjudicate_logs(
-            run,
-            &[
-                (OrgId::new("alice"), &**p.alice.log()),
-                (OrgId::new("bob"), &**p.bob.log()),
-            ],
-        );
+        let verdict = adjudicator.adjudicate_windows(run, &[live(&p.alice), live(&p.bob)]);
         // Neither party can deny their token.
         assert!(verdict.cannot_deny(&OrgId::new("alice"), TokenKind::NroReq));
         assert!(verdict.cannot_deny(&OrgId::new("bob"), TokenKind::NrrReq));
@@ -1054,7 +947,7 @@ mod tests {
         let p = pair();
         let run = run_exchange(&p);
         let adjudicator = Adjudicator::new(p.dir.clone() as Arc<dyn KeyDirectory>);
-        let verdict = adjudicator.adjudicate_logs(run, &[(OrgId::new("alice"), &**p.alice.log())]);
+        let verdict = adjudicator.adjudicate_windows(run, &[live(&p.alice)]);
         assert!(verdict.cannot_deny(&OrgId::new("bob"), TokenKind::NrrReq));
     }
 
@@ -1065,7 +958,7 @@ mod tests {
         let mut records = p.alice.log().records();
         Arc::make_mut(&mut records[0]).draft.kind = "doctored".into();
         let adjudicator = Adjudicator::new(p.dir.clone() as Arc<dyn KeyDirectory>);
-        let verdict = adjudicator.adjudicate(run, &[(OrgId::new("alice"), records)]);
+        let verdict = adjudicator.adjudicate_windows(run, &[full("alice", records)]);
         assert_eq!(verdict.suspect_submitters(), vec![OrgId::new("alice")]);
     }
 
@@ -1083,7 +976,7 @@ mod tests {
         p.alice.store_token(&forged).unwrap();
         let adjudicator = Adjudicator::new(p.dir.clone() as Arc<dyn KeyDirectory>);
         let verdict =
-            adjudicator.adjudicate(run, &[(OrgId::new("alice"), p.alice.log().records())]);
+            adjudicator.adjudicate_windows(run, &[full("alice", p.alice.log().records())]);
         assert!(!verdict.cannot_deny(&OrgId::new("bob"), TokenKind::NrrReq));
         // Alice's submission contains an unverifiable token → suspect.
         assert_eq!(verdict.suspect_submitters(), vec![OrgId::new("alice")]);
@@ -1097,7 +990,7 @@ mod tests {
         assert_ne!(run1, run2);
         let adjudicator = Adjudicator::new(p.dir.clone() as Arc<dyn KeyDirectory>);
         let verdict =
-            adjudicator.adjudicate(run1, &[(OrgId::new("alice"), p.alice.log().records())]);
+            adjudicator.adjudicate_windows(run1, &[full("alice", p.alice.log().records())]);
         assert!(verdict.facts.iter().all(|f| f.run_id == run1));
     }
 
@@ -1131,7 +1024,7 @@ mod tests {
             })
             .unwrap();
         let adjudicator = Adjudicator::new(p.dir.clone() as Arc<dyn KeyDirectory>);
-        let verdict = adjudicator.adjudicate(run2, &[(OrgId::new("bob"), p.bob.log().records())]);
+        let verdict = adjudicator.adjudicate_windows(run2, &[full("bob", p.bob.log().records())]);
         // The replay establishes nothing in run 2 (facts group by the
         // token's own run id)…
         assert!(verdict.facts.is_empty());
@@ -1146,36 +1039,18 @@ mod tests {
         let dir = Arc::new(StaticKeyDirectory::new());
         let alice = Party::quick_batched("alice", 1, &clock, &dir, 2);
         let run = alice.new_run_id();
-        for i in 0..4u8 {
-            let t = alice
-                .issue_token(TokenKind::NroReq, run, sha256(&[i]))
-                .unwrap();
-            alice.store_token(&t).unwrap();
-        }
-        alice.flush_evidence().unwrap();
+        seal_tokens(&alice, run, 4);
         // Counterparties collected alice's sealed epoch anchors while the
         // evidence was produced.
-        let anchors: Vec<EpochCommitment> = alice
-            .log()
-            .records()
-            .iter()
-            .filter_map(|r| EpochCommitment::from_record(r))
-            .collect();
+        let anchors = sealed(&**alice.log(), EpochCommitment::from_record);
         assert!(anchors.len() >= 2);
         // Alice later submits a truncated "full log": a valid prefix with
         // an honestly-computed head over the truncated tail — undetectable
         // by chain verification alone.
-        let records = alice.log().snapshot_range(0..2);
-        let head = records.last().unwrap().record_hash();
-        let submission = WindowSubmission {
-            submitter: OrgId::new("alice"),
-            records,
-            head,
-            shard: None,
-        };
+        let submission = truncated("alice", &**alice.log(), 2, None);
         let adjudicator = Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>);
         assert!(adjudicator.verify_window(&submission).clean());
-        let report = adjudicator.verify_window_with_anchors(&submission, &anchors);
+        let report = holding(&dir, &anchors, &[]).verify_window(&submission);
         assert!(matches!(
             report.anchor_violation,
             Some(ChainViolation::WithheldRecords { .. })
@@ -1189,13 +1064,7 @@ mod tests {
         let dir = Arc::new(StaticKeyDirectory::new());
         let alice = Party::quick_batched("alice", 1, &clock, &dir, 2);
         let run = alice.new_run_id();
-        for i in 0..2u8 {
-            let t = alice
-                .issue_token(TokenKind::NroReq, run, sha256(&[i]))
-                .unwrap();
-            alice.store_token(&t).unwrap();
-        }
-        alice.flush_evidence().unwrap();
+        seal_tokens(&alice, run, 2);
         let real = alice
             .log()
             .records()
@@ -1219,25 +1088,23 @@ mod tests {
             root: other_root,
             signature,
         };
-        let submission = WindowSubmission::from_log("alice", &**alice.log(), 0..alice.log().len());
-        let adjudicator = Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>);
+        let submission = live(&alice);
         // The divergent anchor alone: its in-window root recomputation
         // conflicts with the submitted records.
-        let report =
-            adjudicator.verify_window_with_anchors(&submission, std::slice::from_ref(&forked));
+        let report = holding(&dir, std::slice::from_ref(&forked), &[]).verify_window(&submission);
         assert!(matches!(
             report.anchor_violation,
             Some(ChainViolation::ForkedHistory { .. })
         ));
         // Both anchors together: pairwise equivocation over one range.
-        let report = adjudicator.verify_window_with_anchors(&submission, &[real.clone(), forked]);
+        let report = holding(&dir, &[real.clone(), forked], &[]).verify_window(&submission);
         assert!(matches!(
             report.anchor_violation,
             Some(ChainViolation::ForkedHistory { .. })
         ));
         // The genuine anchor alone corroborates the submission.
-        assert!(adjudicator
-            .verify_window_with_anchors(&submission, &[real])
+        assert!(holding(&dir, &[real], &[])
+            .verify_window(&submission)
             .clean());
     }
 
@@ -1248,13 +1115,7 @@ mod tests {
         let alice = Party::quick_batched("alice", 1, &clock, &dir, 2);
         let mallory = Party::quick("mallory", 66, &clock, &dir);
         let run = alice.new_run_id();
-        for i in 0..2u8 {
-            let t = alice
-                .issue_token(TokenKind::NroReq, run, sha256(&[i]))
-                .unwrap();
-            alice.store_token(&t).unwrap();
-        }
-        alice.flush_evidence().unwrap();
+        seal_tokens(&alice, run, 2);
         // Mallory fabricates an anchor accusing alice of withholding up to
         // seq 99 — but can only sign it with mallory's own key.
         let root = sha256(b"fabricated");
@@ -1268,9 +1129,7 @@ mod tests {
             root,
             signature,
         };
-        let submission = WindowSubmission::from_log("alice", &**alice.log(), 0..alice.log().len());
-        let adjudicator = Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>);
-        let report = adjudicator.verify_window_with_anchors(&submission, &[fabricated]);
+        let report = holding(&dir, &[fabricated], &[]).verify_window(&live(&alice));
         assert!(report.anchor_violation.is_none());
         assert!(report.clean());
     }
@@ -1318,13 +1177,7 @@ mod tests {
         let base = scratch("doctored-super");
         let alice = sharded_alice(&clock, &dir, &base, 2);
         let run = alice.new_run_id();
-        for i in 0..4u8 {
-            let t = alice
-                .issue_token(TokenKind::NroReq, run, sha256(&[i]))
-                .unwrap();
-            alice.store_token(&t).unwrap();
-        }
-        alice.flush_evidence().unwrap();
+        seal_tokens(&alice, run, 4);
         let plane = alice.sharded_plane().unwrap();
         let (_, genuine) = plane.log().latest_super_epoch().unwrap();
         let adjudicator = Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>);
@@ -1361,48 +1214,26 @@ mod tests {
         let base = scratch("shard-truncate");
         let alice = sharded_alice(&clock, &dir, &base, 2);
         let run = alice.new_run_id();
-        for i in 0..4u8 {
-            let t = alice
-                .issue_token(TokenKind::NroReq, run, sha256(&[i]))
-                .unwrap();
-            alice.store_token(&t).unwrap();
-        }
-        alice.flush_evidence().unwrap();
+        seal_tokens(&alice, run, 4);
         let plane = alice.sharded_plane().unwrap();
         let shard = plane.shard_for(&run);
         // Counterparties hold the super-epochs alice gossiped.
-        let supers: Vec<SuperEpochCommitment> = plane
-            .log()
-            .meta()
-            .records()
-            .iter()
-            .filter_map(|r| SuperEpochCommitment::from_record(r))
-            .collect();
+        let supers = sealed(&**plane.log().meta(), SuperEpochCommitment::from_record);
         assert_eq!(supers.len(), 1);
-        let adjudicator = Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>);
+        let adjudicator = holding(&dir, &[], &supers);
 
         // The full shard window corroborates against the anchors.
         let shard_len = plane.log().shard(shard).len();
         let honest = WindowSubmission::from_shard("alice", plane.log(), shard, 0..shard_len);
-        assert!(adjudicator
-            .verify_window_with_super_anchors(&honest, &supers)
-            .clean());
+        assert!(adjudicator.verify_window(&honest).clean());
 
         // A truncated window with an honestly-computed head claim passes
         // every internal check, but the shard anchor inside alice's own
         // super-epoch attests records beyond the claimed tail.
-        let records = plane.log().shard(shard).snapshot_range(0..1);
-        let head = records.last().unwrap().record_hash();
-        let truncated = WindowSubmission {
-            submitter: OrgId::new("alice"),
-            records,
-            head,
-            shard: Some(shard),
-        };
-        assert!(adjudicator.verify_window(&truncated).clean());
-        let supers_by_org = BTreeMap::from([(OrgId::new("alice"), supers.clone())]);
-        let verdict =
-            adjudicator.adjudicate_sharded(run, std::slice::from_ref(&truncated), &supers_by_org);
+        let truncated = truncated("alice", &**plane.log().shard(shard), 1, Some(shard));
+        let uncorroborated = Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>);
+        assert!(uncorroborated.verify_window(&truncated).clean());
+        let verdict = adjudicator.adjudicate_windows(run, std::slice::from_ref(&truncated));
         assert!(matches!(
             verdict.reports[0].anchor_violation,
             Some(ChainViolation::WithheldRecords { .. })
@@ -1412,9 +1243,92 @@ mod tests {
         // An untagged window cannot be corroborated by shard anchors.
         let mut untagged = truncated;
         untagged.shard = None;
-        let report = adjudicator.verify_window_with_super_anchors(&untagged, &supers);
+        let report = adjudicator.verify_window(&untagged);
         assert!(report.anchor_violation.is_none());
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn mixed_fleet_convicts_each_submitter_from_its_own_half_of_the_corroboration() {
+        // Sharded alice and single-log bob each submit one record under
+        // an honest head claim. Her shard-tagged window answers to her
+        // gossiped super-epochs, his untagged one to his epoch anchors.
+        let clock = LogicalClock::new();
+        let dir = Arc::new(StaticKeyDirectory::new());
+        let base = scratch("mixed-fleet");
+        let alice = sharded_alice(&clock, &dir, &base, 2);
+        let bob = Party::quick_batched("bob", 2, &clock, &dir, 2);
+        let run = alice.new_run_id();
+        seal_tokens(&alice, run, 4);
+        seal_tokens(&bob, run, 4);
+        let plane = alice.sharded_plane().unwrap().log();
+        let shard = plane.shard_for(&run);
+        let epochs = sealed(&**bob.log(), EpochCommitment::from_record);
+        let supers = sealed(&**plane.meta(), SuperEpochCommitment::from_record);
+        let held = Corroboration {
+            epochs: BTreeMap::from([(OrgId::new("bob"), epochs)]),
+            supers: BTreeMap::from([(OrgId::new("alice"), supers)]),
+        };
+        let submissions = [
+            truncated("alice", &**plane.shard(shard), 1, Some(shard)),
+            truncated("bob", &**bob.log(), 1, None),
+        ];
+        let withheld_by = |held: Corroboration| -> Vec<OrgId> {
+            let judge = Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>);
+            let verdict = judge
+                .corroborated_by(held)
+                .adjudicate_windows(run, &submissions);
+            let convicted = verdict.violations().into_iter().map(|(org, violation)| {
+                assert!(matches!(violation, ChainViolation::WithheldRecords { .. }));
+                org
+            });
+            convicted.collect()
+        };
+        let (alice, bob) = (OrgId::new("alice"), OrgId::new("bob"));
+        assert_eq!(withheld_by(held.clone()), [alice.clone(), bob.clone()]);
+        // Each conviction rests on its own half alone.
+        let Corroboration { epochs, supers } = held;
+        let only = |epochs, supers| Corroboration { epochs, supers };
+        assert_eq!(withheld_by(only(BTreeMap::new(), supers)), [alice]);
+        assert_eq!(withheld_by(only(epochs, BTreeMap::new())), [bob]);
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn one_conflicting_pair_among_thousands_of_anchors_is_named_exactly() {
+        // However many epochs an organisation gossiped, the one range it
+        // signed two roots for is found in a single pass and named,
+        // wherever the pair sits in the list.
+        let keys = nonrep_crypto::sig::KeyPair::generate(
+            nonrep_crypto::sig::SignatureScheme::Arbitrated,
+            &mut nonrep_crypto::rng::SecureRandom::from_seed(77),
+        );
+        let dir = Arc::new(StaticKeyDirectory::new());
+        dir.insert(OrgId::new("alice"), keys.verifying_key());
+        let anchor = |lo: u64, hi: u64, root: Digest| EpochCommitment {
+            lo,
+            hi,
+            root,
+            signature: keys
+                .sign_digest(&EpochCommitment::signing_digest(lo, hi, &root))
+                .unwrap(),
+        };
+        let honest: Vec<EpochCommitment> = (0..2_000u64)
+            .map(|i| anchor(2 * i, 2 * i + 1, sha256(&i.to_le_bytes())))
+            .collect();
+        // An empty window claiming no tail: nothing to recompute, so only
+        // the pair itself can be the violation.
+        let nothing = full("alice", Vec::new());
+        assert!(holding(&dir, &honest, &[]).verify_window(&nothing).clean());
+        for at in [0, honest.len() / 2, honest.len()] {
+            let (lo, hi) = (9_000 + at as u64, 9_001 + at as u64);
+            let mut anchors = honest.clone();
+            anchors.insert(at, anchor(lo, hi, sha256(b"told to bob")));
+            anchors.insert(at + 1, anchor(lo, hi, sha256(b"told to carol")));
+            let report = holding(&dir, &anchors, &[]).verify_window(&nothing);
+            let expected = Some(ChainViolation::ForkedHistory { lo, hi });
+            assert_eq!(report.anchor_violation, expected, "pair at {at}");
+        }
     }
 
     #[test]
@@ -1438,7 +1352,7 @@ mod tests {
             .verify_and_store(&abort, TokenKind::Abort, run, None)
             .unwrap();
         let adjudicator = Adjudicator::new(p.dir.clone() as Arc<dyn KeyDirectory>);
-        let verdict = adjudicator.adjudicate(run, &[(OrgId::new("bob"), p.bob.log().records())]);
+        let verdict = adjudicator.adjudicate_windows(run, &[full("bob", p.bob.log().records())]);
         assert_eq!(verdict.conflicting_decisions(), vec![OrgId::new("alice")]);
         // Bob's submission itself is honest.
         assert!(verdict.suspect_submitters().is_empty());
@@ -1487,11 +1401,11 @@ mod tests {
             .unwrap();
 
         let adjudicator = Adjudicator::new(t.dir.clone() as Arc<dyn KeyDirectory>);
-        let verdict = adjudicator.adjudicate(
+        let verdict = adjudicator.adjudicate_windows(
             run,
             &[
-                (OrgId::new("client"), t.client.log().records()),
-                (OrgId::new("server"), t.server.log().records()),
+                full("client", t.client.log().records()),
+                full("server", t.server.log().records()),
             ],
         );
         // The server is convicted by its own submission; the client,
@@ -1533,7 +1447,7 @@ mod tests {
             .unwrap();
         let adjudicator = Adjudicator::new(t.dir.clone() as Arc<dyn KeyDirectory>);
         let verdict =
-            adjudicator.adjudicate(run, &[(OrgId::new("server"), t.server.log().records())]);
+            adjudicator.adjudicate_windows(run, &[full("server", t.server.log().records())]);
         assert_eq!(
             verdict.stalled_parties(&OrgId::new("ttp")),
             vec![OrgId::new("client")]
@@ -1574,16 +1488,12 @@ mod tests {
             .unwrap();
         let adjudicator = Adjudicator::new(t.dir.clone() as Arc<dyn KeyDirectory>);
         let verdict =
-            adjudicator.adjudicate(run, &[(OrgId::new("server"), t.server.log().records())]);
+            adjudicator.adjudicate_windows(run, &[full("server", t.server.log().records())]);
         assert!(verdict.stalled_parties(&OrgId::new("ttp")).is_empty());
         // ... and without any abort at all, nobody is stalled either.
-        let no_abort = adjudicator.adjudicate(
-            run,
-            &[(OrgId::new("client"), {
-                t.client.store_token(&nro).unwrap();
-                t.client.log().records()
-            })],
-        );
+        t.client.store_token(&nro).unwrap();
+        let no_abort =
+            adjudicator.adjudicate_windows(run, &[full("client", t.client.log().records())]);
         assert!(no_abort.stalled_parties(&OrgId::new("ttp")).is_empty());
     }
 
@@ -1602,7 +1512,7 @@ mod tests {
             .unwrap();
         let adjudicator = Adjudicator::new(t.dir.clone() as Arc<dyn KeyDirectory>);
         let verdict =
-            adjudicator.adjudicate(run, &[(OrgId::new("server"), t.server.log().records())]);
+            adjudicator.adjudicate_windows(run, &[full("server", t.server.log().records())]);
         assert!(verdict.abort_after_receipt(&OrgId::new("ttp")).is_empty());
     }
 
@@ -1635,7 +1545,7 @@ mod tests {
         let adjudicator = Adjudicator::new(t.dir.clone() as Arc<dyn KeyDirectory>);
         // Only the client submits — the defector stays silent.
         let verdict =
-            adjudicator.adjudicate(run, &[(OrgId::new("client"), t.client.log().records())]);
+            adjudicator.adjudicate_windows(run, &[full("client", t.client.log().records())]);
         assert_eq!(
             verdict.convicted_defectors(&OrgId::new("ttp")),
             vec![OrgId::new("server")]
@@ -1660,7 +1570,7 @@ mod tests {
         let adjudicator =
             Adjudicator::new(Arc::new(StaticKeyDirectory::new()) as Arc<dyn KeyDirectory>);
         let verdict =
-            adjudicator.adjudicate(run, &[(OrgId::new("stranger"), stranger.log().records())]);
+            adjudicator.adjudicate_windows(run, &[full("stranger", stranger.log().records())]);
         assert!(verdict.facts.is_empty());
         assert_eq!(verdict.suspect_submitters(), vec![OrgId::new("stranger")]);
     }

@@ -37,7 +37,7 @@ pub mod handler_factory;
 pub mod interceptor;
 pub mod middleware;
 
-pub use dispute::{Adjudicator, Fact, LogReport, Verdict, WindowSubmission};
+pub use dispute::{Adjudicator, Corroboration, Fact, LogReport, Verdict, WindowSubmission};
 pub use domain::TrustDomain;
 pub use handler_factory::{B2BInvocation, B2BInvocationHandler, InvocationHandlerFactory};
 pub use interceptor::{ClientNrInterceptor, ContainerExecutor};

@@ -449,8 +449,7 @@ impl OrgMiddleware {
 
     /// Builds a shard-tagged adjudication submission covering `range` of
     /// shard `shard` on a sharded evidence plane — super-epoch anchors
-    /// naming that shard corroborate it
-    /// (`Adjudicator::verify_window_with_super_anchors`).
+    /// naming that shard corroborate it (`Adjudicator::corroborated_by`).
     ///
     /// # Panics
     ///
@@ -1002,9 +1001,12 @@ mod tests {
         assert!(plane.shard(shard).len() >= 2);
         let adjudicator = Adjudicator::new(
             client.directory().clone() as Arc<dyn nonrep_protocols::party::KeyDirectory>
-        );
-        let submission = client.submit_shard_full_window(shard);
-        let report = adjudicator.verify_window_with_super_anchors(&submission, &[commitment]);
+        )
+        .corroborated_by(crate::dispute::Corroboration {
+            supers: [(client.org().clone(), vec![commitment])].into(),
+            ..Default::default()
+        });
+        let report = adjudicator.verify_window(&client.submit_shard_full_window(shard));
         assert!(report.clean());
         // Descriptor shard requirements are validated at deploy time.
         use nonrep_container::descriptor::NrConfig;

@@ -3,10 +3,15 @@
 
 use std::sync::Arc;
 
-use nonrep_core::Adjudicator;
-use nonrep_crypto::digest::sha256;
+use nonrep_core::{Adjudicator, WindowSubmission};
+use nonrep_crypto::digest::{sha256, Digest};
+use nonrep_crypto::rng::SecureRandom;
+use nonrep_crypto::HssSigner;
 use nonrep_protocols::party::{KeyDirectory, Party, StaticKeyDirectory};
 use nonrep_protocols::tokens::TokenKind;
+use nonrep_store::record::{EpochCommitment, EvidenceRecord, KeyRollover, RecordDraft};
+use nonrep_store::EvidenceLog;
+use nonrep_types::codec::Encode;
 use nonrep_types::ids::{OrgId, RunId};
 use nonrep_types::time::LogicalClock;
 
@@ -23,6 +28,16 @@ fn duo() -> Duo {
         alice: Party::quick("alice", 1, &clock, &dir),
         bob: Party::quick("bob", 2, &clock, &dir),
         dir,
+    }
+}
+
+/// A whole log as records: the window from sequence 0, claiming no head.
+fn full(org: &str, records: Vec<Arc<EvidenceRecord>>) -> WindowSubmission {
+    WindowSubmission {
+        submitter: OrgId::new(org),
+        records,
+        head: Digest::ZERO,
+        shard: None,
     }
 }
 
@@ -56,7 +71,7 @@ fn replayed_records_from_another_run_do_not_pollute_the_verdict() {
     let adj = Adjudicator::new(d.dir.clone() as Arc<dyn KeyDirectory>);
     // Submitting *everything* while adjudicating run2: run1 tokens are
     // verified but contribute no facts to run2.
-    let verdict = adj.adjudicate(run2, &[(OrgId::new("alice"), d.alice.log().records())]);
+    let verdict = adj.adjudicate_windows(run2, &[full("alice", d.alice.log().records())]);
     assert!(verdict.facts.iter().all(|f| f.run_id == run2));
     assert_ne!(run1, run2);
 }
@@ -68,7 +83,7 @@ fn reordered_log_is_flagged_but_tokens_still_count() {
     let mut records = d.alice.log().records();
     records.swap(0, 1); // breaks seq order + chain
     let adj = Adjudicator::new(d.dir.clone() as Arc<dyn KeyDirectory>);
-    let verdict = adj.adjudicate(run, &[(OrgId::new("alice"), records)]);
+    let verdict = adj.adjudicate_windows(run, &[full("alice", records)]);
     assert_eq!(verdict.suspect_submitters(), vec![OrgId::new("alice")]);
     // The tokens themselves are genuine, so the facts still stand —
     // tampering with ordering does not let alice *suppress* bob's receipt.
@@ -80,7 +95,7 @@ fn empty_submission_set_yields_no_facts() {
     let d = duo();
     let run = exchange(&d);
     let adj = Adjudicator::new(d.dir.clone() as Arc<dyn KeyDirectory>);
-    let verdict = adj.adjudicate(run, &[]);
+    let verdict = adj.adjudicate_windows(run, &[]);
     assert!(verdict.facts.is_empty());
     assert!(verdict.suspect_submitters().is_empty());
 }
@@ -94,7 +109,7 @@ fn both_parties_tampering_is_both_flagged() {
     Arc::make_mut(&mut a[0]).draft.kind = "edited".into();
     Arc::make_mut(&mut b[1]).draft.payload.push(0xFF);
     let adj = Adjudicator::new(d.dir.clone() as Arc<dyn KeyDirectory>);
-    let verdict = adj.adjudicate(run, &[(OrgId::new("alice"), a), (OrgId::new("bob"), b)]);
+    let verdict = adj.adjudicate_windows(run, &[full("alice", a), full("bob", b)]);
     let mut suspects = verdict.suspect_submitters();
     suspects.sort();
     assert_eq!(suspects, vec![OrgId::new("alice"), OrgId::new("bob")]);
@@ -126,8 +141,104 @@ fn third_party_submission_corroborates() {
         witness.store_token(&token).unwrap();
     }
     let adj = Adjudicator::new(d.dir.clone() as Arc<dyn KeyDirectory>);
-    let verdict = adj.adjudicate(run, &[(OrgId::new("witness"), witness.log().records())]);
+    let verdict = adj.adjudicate_windows(run, &[full("witness", witness.log().records())]);
     assert!(verdict.cannot_deny(&OrgId::new("alice"), TokenKind::NroReq));
     assert!(verdict.cannot_deny(&OrgId::new("bob"), TokenKind::NrrReq));
     assert!(verdict.suspect_submitters().is_empty());
+}
+
+/// Doctored records served through the [`EvidenceLog`] surface, so the
+/// in-place audit door sees the same bytes a window submission carries.
+struct Exhibit(Vec<Arc<EvidenceRecord>>);
+
+impl EvidenceLog for Exhibit {
+    fn append(&self, _: RecordDraft) -> Result<Arc<EvidenceRecord>, nonrep_store::StoreError> {
+        unreachable!("an exhibit is never appended to")
+    }
+    fn for_each(&self, f: &mut dyn FnMut(&EvidenceRecord)) {
+        self.0.iter().for_each(|r| f(r));
+    }
+    fn snapshot_range(&self, range: std::ops::Range<u64>) -> Vec<Arc<EvidenceRecord>> {
+        self.0[range.start as usize..range.end.min(self.len()) as usize].to_vec()
+    }
+    fn head(&self) -> Digest {
+        self.0.last().map_or(Digest::ZERO, |r| r.record_hash())
+    }
+    fn len(&self) -> u64 {
+        self.0.len() as u64
+    }
+}
+
+#[test]
+fn the_window_door_and_the_in_place_door_report_the_same_log_identically() {
+    // One batched log, honest and doctored five ways: the whole log as a
+    // window and the same records audited in place yield the same report
+    // (no anchors are held, so neither door sets `anchor_violation`).
+    let clock = LogicalClock::new();
+    let dir = Arc::new(StaticKeyDirectory::new());
+    let alice = Party::quick_batched("alice", 1, &clock, &dir, 2);
+    let run = alice.new_run_id();
+    for i in 0..4u8 {
+        let t = alice
+            .issue_token(TokenKind::NroReq, run, sha256(&[i]))
+            .unwrap();
+        alice.store_token(&t).unwrap();
+    }
+    alice.flush_evidence().unwrap();
+    let forge_epoch_root = |r: &mut Vec<Arc<EvidenceRecord>>| {
+        let at = r.iter().position(|x| x.is_epoch_commit()).unwrap();
+        let mut commitment = EpochCommitment::from_record(&r[at]).unwrap();
+        commitment.root = sha256(b"another history");
+        Arc::make_mut(&mut r[at]).draft.payload = commitment.encode_to_vec();
+    };
+    let graft_rollover = |r: &mut Vec<Arc<EvidenceRecord>>| {
+        let mut attacker = HssSigner::generate(2, 1, &mut SecureRandom::from_seed(666));
+        for i in 0..3u8 {
+            attacker.sign(&sha256(&[i])).unwrap();
+        }
+        let forged = KeyRollover::from_event(&attacker.rollover_history()[0]);
+        let last = r.last().unwrap();
+        r.push(Arc::new(EvidenceRecord {
+            seq: last.seq + 1,
+            prev_hash: last.record_hash(),
+            draft: forged.to_draft(OrgId::new("alice"), alice.now()),
+        }));
+    };
+    type Doctoring<'a> = &'a dyn Fn(&mut Vec<Arc<EvidenceRecord>>);
+    let table: [(&str, Doctoring, bool); 6] = [
+        ("honest", &|_| {}, true),
+        // Past the first record: a window is anchored where it starts.
+        ("swapped records", &|r| r.swap(1, 2), false),
+        (
+            "edited payload",
+            &|r| Arc::make_mut(&mut r[0]).draft.payload.push(0xFF),
+            false,
+        ),
+        ("forged epoch root", &forge_epoch_root, false),
+        ("grafted rollover record", &graft_rollover, false),
+        // Internally consistent: only held anchors could convict it.
+        ("truncated tail", &|r| r.truncate(3), true),
+    ];
+    let adj = Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>);
+    for (what, doctor, clean) in table {
+        let mut records = alice.log().records();
+        doctor(&mut records);
+        let in_place = adj.verify_log_in_place(OrgId::new("alice"), &Exhibit(records.clone()));
+        assert_eq!(in_place.clean(), clean, "{what}");
+        assert_eq!(in_place.anchor_violation, None, "{what}");
+        let tail = records.last().unwrap().record_hash();
+        let window = |head| {
+            let records = records.clone();
+            adj.verify_window(&WindowSubmission {
+                head,
+                ..full("alice", records)
+            })
+        };
+        assert_eq!(window(Digest::ZERO), in_place, "{what}: no head claimed");
+        assert_eq!(window(tail), in_place, "{what}: honest head");
+        // A false head claim changes `chain` and nothing else.
+        let mut misclaimed = window(sha256(b"not the tail"));
+        misclaimed.chain = in_place.chain.clone();
+        assert_eq!(misclaimed, in_place, "{what}: false head");
+    }
 }

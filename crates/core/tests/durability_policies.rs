@@ -12,7 +12,7 @@ use std::time::Duration;
 use nonrep_container::component::FnComponent;
 use nonrep_container::descriptor::DeploymentDescriptor;
 use nonrep_core::middleware::MiddlewareBuilder;
-use nonrep_core::{Adjudicator, OrgMiddleware};
+use nonrep_core::{Adjudicator, Corroboration, OrgMiddleware};
 use nonrep_net::bus::LocalBus;
 use nonrep_protocols::party::{KeyDirectory, StaticKeyDirectory};
 use nonrep_protocols::scheduler::{BatchPolicy, CommitmentMode};
@@ -76,9 +76,15 @@ fn facts_for(mode: CommitmentMode, backend: Backend, tag: &str) -> (bool, [bool;
             client.submit_full_window(),
         ),
     };
-    let adjudicator = Adjudicator::new(client.directory().clone() as Arc<dyn KeyDirectory>);
-    let verdict =
-        adjudicator.adjudicate_windows(run, &[client_window, server.submit_full_window()]);
+    let windows = [client_window, server.submit_full_window()];
+    let adjudicator = || Adjudicator::new(client.directory().clone() as Arc<dyn KeyDirectory>);
+    let verdict = adjudicator().adjudicate_windows(run, &windows);
+    // Handing over an empty corroboration is not a second configuration.
+    let defaulted = adjudicator()
+        .corroborated_by(Corroboration::default())
+        .adjudicate_windows(run, &windows);
+    assert_eq!(defaulted.reports, verdict.reports, "{tag}");
+    assert_eq!(defaulted.facts, verdict.facts, "{tag}");
     drop(client);
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_dir_all(&path);

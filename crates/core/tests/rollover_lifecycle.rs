@@ -242,7 +242,12 @@ fn forged_rollover_cert_convicts_the_submitter() {
         prev_hash: last.record_hash(),
         draft: forged.to_draft(OrgId::new("alice"), d.alice.now()),
     }));
-    let report = adjudicator(&d).verify_log(OrgId::new("alice"), &records);
+    let report = adjudicator(&d).verify_window(&WindowSubmission {
+        submitter: OrgId::new("alice"),
+        records,
+        head: Digest::ZERO,
+        shard: None,
+    });
     assert!(
         report.chain.is_ok(),
         "the graft chains — crypto must catch it"

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use nonrep_core::{Adjudicator, Fact, LogReport, Verdict, WindowSubmission};
+use nonrep_core::{Adjudicator, Corroboration, Fact, LogReport, Verdict, WindowSubmission};
 use nonrep_crypto::digest::sha256;
 use nonrep_crypto::mss::{memo_stats, MemoStats};
 use nonrep_crypto::rng::SecureRandom;
@@ -197,7 +197,11 @@ fn doctored_submissions_draw_the_same_verdict_cold_warm_and_after_a_clean_pass()
         root: other_root,
         ..real.clone()
     };
-    let anchors = BTreeMap::from([(alice.clone(), vec![real, forked])]);
+    let anchored =
+        Adjudicator::new(d.dir.clone() as Arc<dyn KeyDirectory>).corroborated_by(Corroboration {
+            epochs: BTreeMap::from([(alice.clone(), vec![real, forked])]),
+            ..Corroboration::default()
+        });
 
     let clean = || adj.adjudicate_windows(run, &[window("alice", &d.alice), bob_window.clone()]);
     let baseline = clean();
@@ -217,13 +221,8 @@ fn doctored_submissions_draw_the_same_verdict_cold_warm_and_after_a_clean_pass()
         assert_eq!(content(&clean()), content(&baseline), "{what}: clean after");
         assert_eq!(content(&judge()), content(&first), "{what}: after clean");
     }
-    let judge = || {
-        adj.adjudicate_with_anchors(
-            run,
-            &[window("alice", &d.alice), bob_window.clone()],
-            &anchors,
-        )
-    };
+    let judge =
+        || anchored.adjudicate_windows(run, &[window("alice", &d.alice), bob_window.clone()]);
     let first = judge();
     assert_eq!(first.violations().len(), 1, "forked history");
     assert_eq!(first.suspect_submitters(), std::slice::from_ref(&alice));

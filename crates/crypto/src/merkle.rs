@@ -30,7 +30,7 @@ pub fn leaf_hash(data: &[u8]) -> Digest {
 /// Leaf-hashes a batch of digest-sized payloads (e.g. W-OTS public
 /// keys, the MSS keygen shape) through the multi-buffer engine: each
 /// 33-byte leaf message fits one compression block, so up to
-/// [`mb::lane_width`] leaves hash per compression. Identical to mapping
+/// [`mb::Dispatch::lanes`] leaves hash per compression. Identical to mapping
 /// [`leaf_hash`] over the payload bytes.
 pub fn leaf_hash_digests(payloads: &[Digest]) -> Vec<Digest> {
     leaf_hash_digests_with(mb::Dispatch::active(), payloads)

@@ -19,10 +19,10 @@
 //!   the *sender itself* signed — a third party cannot frame an
 //!   organisation by gossiping anchors on its behalf — and files them in
 //!   an [`AnchorStore`].
-//! - At dispute time the store's snapshot feeds
-//!   `Adjudicator::adjudicate_with_anchors` (crate `nonrep_core`), which
-//!   corroborates every submission against the anchors its submitter
-//!   previously distributed.
+//! - At dispute time the store's [`AnchorStore::snapshot`] — one
+//!   [`Corroboration`] — is handed to `Adjudicator::corroborated_by`
+//!   (crate `nonrep_core`), which corroborates every submission against
+//!   the anchors its submitter previously distributed.
 //!
 //! Duplicate anchors are idempotent; *conflicting* anchors (same range,
 //! different root, both genuinely signed) are deliberately both kept —
@@ -34,8 +34,7 @@
 //! over every shard's latest epoch — and sends them at
 //! [`STEP_SUPER_EPOCH`]. The handler verifies the whole structure (entry
 //! ordering, recomputed root, batch signature) before filing it in the
-//! store's super-epoch dimension, which feeds
-//! `Adjudicator::adjudicate_sharded`.
+//! store's super-epoch half, which corroborates shard-tagged windows.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -67,12 +66,23 @@ fn gossip_run_id() -> RunId {
     RunId::from_u128(0)
 }
 
-/// Anchors collected from counterparties, keyed by the organisation that
-/// signed (and is bound by) them.
+/// What counterparties hold against each organisation at dispute time:
+/// the anchors it gossiped, keyed by the organisation that signed (and is
+/// alone bound by) them, in arrival order. Empty is legal.
+#[derive(Debug, Clone, Default)]
+pub struct Corroboration {
+    /// Epoch anchors of single-log parties; they corroborate untagged
+    /// windows.
+    pub epochs: BTreeMap<OrgId, Vec<EpochCommitment>>,
+    /// Super-epoch anchors of sharded parties; each corroborates a
+    /// shard-tagged window through the shard anchor naming that shard.
+    pub supers: BTreeMap<OrgId, Vec<SuperEpochCommitment>>,
+}
+
+/// Anchors collected from counterparties.
 #[derive(Debug, Default)]
 pub struct AnchorStore {
-    anchors: Mutex<BTreeMap<OrgId, Vec<EpochCommitment>>>,
-    supers: Mutex<BTreeMap<OrgId, Vec<SuperEpochCommitment>>>,
+    held: Mutex<Corroboration>,
 }
 
 impl AnchorStore {
@@ -85,43 +95,27 @@ impl AnchorStore {
     /// a retry) are dropped; a conflicting anchor for an already-seen
     /// range is kept — that conflict *is* the evidence.
     pub fn record(&self, org: &OrgId, commitment: EpochCommitment) {
-        let mut anchors = self.anchors.lock();
-        let list = anchors.entry(org.clone()).or_default();
+        let mut held = self.held.lock();
+        let list = held.epochs.entry(org.clone()).or_default();
         if !list.contains(&commitment) {
             list.push(commitment);
         }
-    }
-
-    /// The anchors collected from `org`, in arrival order.
-    pub fn anchors_for(&self, org: &OrgId) -> Vec<EpochCommitment> {
-        self.anchors.lock().get(org).cloned().unwrap_or_default()
-    }
-
-    /// Everything collected, ready for
-    /// `Adjudicator::adjudicate_with_anchors`.
-    pub fn snapshot(&self) -> BTreeMap<OrgId, Vec<EpochCommitment>> {
-        self.anchors.lock().clone()
     }
 
     /// Files a super-epoch anchor under `org`. Same semantics as
     /// [`AnchorStore::record`]: duplicates dropped, conflicts kept.
     pub fn record_super(&self, org: &OrgId, commitment: SuperEpochCommitment) {
-        let mut supers = self.supers.lock();
-        let list = supers.entry(org.clone()).or_default();
+        let mut held = self.held.lock();
+        let list = held.supers.entry(org.clone()).or_default();
         if !list.contains(&commitment) {
             list.push(commitment);
         }
     }
 
-    /// The super-epoch anchors collected from `org`, in arrival order.
-    pub fn super_epochs_for(&self, org: &OrgId) -> Vec<SuperEpochCommitment> {
-        self.supers.lock().get(org).cloned().unwrap_or_default()
-    }
-
-    /// Every super-epoch anchor collected, ready for
-    /// `Adjudicator::adjudicate_sharded`.
-    pub fn snapshot_supers(&self) -> BTreeMap<OrgId, Vec<SuperEpochCommitment>> {
-        self.supers.lock().clone()
+    /// Everything collected so far, both halves under one lock, ready
+    /// for `Adjudicator::corroborated_by`.
+    pub fn snapshot(&self) -> Corroboration {
+        self.held.lock().clone()
     }
 }
 
@@ -337,7 +331,7 @@ mod tests {
         assert_eq!(gossip.gossip_to(&peers).unwrap(), 2);
         // Idempotent: nothing new sealed, nothing re-sent.
         assert_eq!(gossip.gossip_to(&peers).unwrap(), 0);
-        let held = store.anchors_for(&OrgId::new("alice"));
+        let held = store.snapshot().epochs[&OrgId::new("alice")].clone();
         assert_eq!(held.len(), 2);
         assert!(held.iter().all(|a| {
             let key = bob.key_of(&OrgId::new("alice")).unwrap();
@@ -382,7 +376,7 @@ mod tests {
             .is_err());
         // An unsigned frame claiming alice as sender: rejected too.
         assert!(handler.process(&OrgId::new("alice"), msg).is_err());
-        assert!(store.anchors_for(&OrgId::new("alice")).is_empty());
+        assert!(!store.snapshot().epochs.contains_key(&OrgId::new("alice")));
         // Honestly re-sent under mallory's own name, the anchor binds
         // *mallory* — never the org it gossips about.
         let own = ProtocolMessage::new(
@@ -395,8 +389,8 @@ mod tests {
         .signed(mallory.keys())
         .unwrap();
         handler.process(&OrgId::new("mallory"), own).unwrap();
-        assert!(store.anchors_for(&OrgId::new("alice")).is_empty());
-        assert_eq!(store.anchors_for(&OrgId::new("mallory")).len(), 1);
+        assert!(!store.snapshot().epochs.contains_key(&OrgId::new("alice")));
+        assert_eq!(store.snapshot().epochs[&OrgId::new("mallory")].len(), 1);
     }
 
     fn sharded_alice(
@@ -459,7 +453,7 @@ mod tests {
         let peers = [OrgId::new("bob")];
         assert_eq!(gossip.gossip_to(&peers).unwrap(), 1);
         assert_eq!(gossip.gossip_to(&peers).unwrap(), 0);
-        let held = store.super_epochs_for(&OrgId::new("alice"));
+        let held = store.snapshot().supers[&OrgId::new("alice")].clone();
         assert_eq!(held.len(), 1);
         let key = bob.key_of(&OrgId::new("alice")).unwrap();
         assert!(held[0].verify(&key));
@@ -509,7 +503,7 @@ mod tests {
             handler.process(&OrgId::new("alice"), msg),
             Err(ProtocolError::BadSignature { .. })
         ));
-        assert!(store.super_epochs_for(&OrgId::new("alice")).is_empty());
+        assert!(store.snapshot().supers.is_empty());
 
         // The genuine anchor is accepted.
         let ok = ProtocolMessage::new(
@@ -522,7 +516,7 @@ mod tests {
         .signed(alice.keys())
         .unwrap();
         handler.process(&OrgId::new("alice"), ok).unwrap();
-        assert_eq!(store.super_epochs_for(&OrgId::new("alice")).len(), 1);
+        assert_eq!(store.snapshot().supers[&OrgId::new("alice")].len(), 1);
         let _ = std::fs::remove_dir_all(&base);
     }
 }

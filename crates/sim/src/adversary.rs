@@ -395,7 +395,7 @@ impl Adversary for EquivocatingTtp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nonrep_core::dispute::Adjudicator;
+    use nonrep_core::dispute::{Adjudicator, Corroboration};
     use nonrep_crypto::digest::sha256;
     use nonrep_protocols::party::{KeyDirectory, StaticKeyDirectory};
     use nonrep_types::time::LogicalClock;
@@ -424,6 +424,14 @@ mod tests {
             .collect()
     }
 
+    /// A judge holding `anchors` as what alice gossiped.
+    fn judge_holding(dir: Arc<StaticKeyDirectory>, anchors: Vec<EpochCommitment>) -> Adjudicator {
+        Adjudicator::new(dir as Arc<dyn KeyDirectory>).corroborated_by(Corroboration {
+            epochs: [(OrgId::new("alice"), anchors)].into(),
+            ..Corroboration::default()
+        })
+    }
+
     #[test]
     fn forked_submission_is_internally_clean_but_anchors_convict_it() {
         let (party, dir, run) = batched_party_with_tokens();
@@ -431,11 +439,11 @@ mod tests {
         assert!(!anchors.is_empty());
         let adversary = ForkHistorySubmitter::new(party.clone(), sha256(b"forged"));
         let submission = adversary.submission(run);
-        let judge = Adjudicator::new(dir as Arc<dyn KeyDirectory>);
+        let judge = Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>);
         // Internally consistent: chain, tokens and epoch proofs all pass.
         assert!(judge.verify_window(&submission).clean());
         // The gossiped anchors attest the *real* history.
-        let report = judge.verify_window_with_anchors(&submission, &anchors);
+        let report = judge_holding(dir, anchors).verify_window(&submission);
         assert!(matches!(
             report.anchor_violation,
             Some(nonrep_store::record::ChainViolation::ForkedHistory { .. })
@@ -450,9 +458,9 @@ mod tests {
         let submission = adversary.submission(run);
         assert_eq!(submission.records.len(), 1);
         assert_ne!(submission.head, Digest::ZERO);
-        let judge = Adjudicator::new(dir as Arc<dyn KeyDirectory>);
+        let judge = Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>);
         assert!(judge.verify_window(&submission).clean());
-        let report = judge.verify_window_with_anchors(&submission, &anchors);
+        let report = judge_holding(dir, anchors).verify_window(&submission);
         assert!(matches!(
             report.anchor_violation,
             Some(nonrep_store::record::ChainViolation::WithheldRecords { .. })
@@ -494,7 +502,7 @@ mod tests {
             submission.head,
             submission.records.last().unwrap().record_hash()
         );
-        let judge = Adjudicator::new(dir as Arc<dyn KeyDirectory>);
+        let judge = Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>);
         let report = judge.verify_window(&submission);
         // The chain holds and the record decodes — only the cert check
         // catches the graft.
@@ -504,7 +512,7 @@ mod tests {
         assert!(!report.clean());
         // The grafted tail lands beyond every gossiped anchor, so anchor
         // corroboration alone would have let it through.
-        let with_anchors = judge.verify_window_with_anchors(&submission, &anchors);
+        let with_anchors = judge_holding(dir, anchors).verify_window(&submission);
         assert!(with_anchors.anchor_violation.is_none());
     }
 

@@ -546,19 +546,21 @@ impl<'a> Fleet<'a> {
         Ok(completed)
     }
 
-    fn adjudicate(&self, item: &WorkItem, completed: bool) -> RunOutcome {
-        let adjudicator = Adjudicator::new(Arc::clone(&self.dir) as Arc<dyn KeyDirectory>);
+    /// An adjudicator holding everything gossiped so far (super-epochs
+    /// for the sharded durable org's shard-tagged submissions, epoch
+    /// anchors for everyone else's); one serves every item.
+    fn adjudicator(&self) -> Adjudicator {
+        Adjudicator::new(Arc::clone(&self.dir) as Arc<dyn KeyDirectory>)
+            .corroborated_by(self.anchors.snapshot())
+    }
+
+    fn adjudicate(&self, judge: &Adjudicator, item: &WorkItem, completed: bool) -> RunOutcome {
         let submissions: Vec<WindowSubmission> = item
             .participants(&self.scenario.ttp)
             .iter()
             .map(|p| self.handles[p].conduct.submission(item.run_id))
             .collect();
-        // Mixed corroboration: shard-tagged submissions (the sharded
-        // durable org) against gossiped super-epochs, everyone else
-        // against plain epoch anchors.
-        let anchors = self.anchors.snapshot();
-        let supers = self.anchors.snapshot_supers();
-        let verdict = adjudicator.adjudicate_gossiped(item.run_id, &submissions, &anchors, &supers);
+        let verdict = judge.adjudicate_windows(item.run_id, &submissions);
         reduce(item, completed, &verdict, &self.scenario.ttp)
     }
 }
@@ -655,10 +657,11 @@ pub fn run_fleet(
     for org in &orgs {
         fleet.handles[org].conduct.finalize();
     }
+    let judge = fleet.adjudicator();
     let runs = scenario
         .items
         .iter()
-        .map(|item| fleet.adjudicate(item, completed[item.index]))
+        .map(|item| fleet.adjudicate(&judge, item, completed[item.index]))
         .collect();
     Ok(FleetOutcome {
         seed: scenario.seed,
@@ -911,7 +914,7 @@ mod tests {
         let item = scenario.items[0].clone();
         let completed = fleet.run_item(&item).unwrap();
         assert!(completed);
-        let before = fleet.adjudicate(&item, completed);
+        let before = fleet.adjudicate(&fleet.adjudicator(), &item, completed);
         assert!(before.suspects.is_empty());
         assert!(!before.facts.is_empty());
 
@@ -980,7 +983,7 @@ mod tests {
         }
         // The verdict on the already-adjudicated run is unchanged: the
         // backlog the kill took was never part of any submission.
-        let after = fleet.adjudicate(&item, completed);
+        let after = fleet.adjudicate(&fleet.adjudicator(), &item, completed);
         assert_eq!(before, after);
         // And the recovered plane keeps sealing: fresh evidence lands,
         // flushes, and the whole plane verifies end to end.

@@ -29,6 +29,25 @@ for arg in "$@"; do
     esac
 done
 
+# Names simplicity PRs deleted (append, never reuse): none may come back
+# as a whole word. This file and CHANGES.md (the history) are excepted.
+retired=(
+    # PR 13
+    PerEpoch BufferedEpoch set_mode upgrade_mode upgrade_commitment_mode apply_mode_locked
+    with_batched_evidence with_evidence_deadline_ms evidence_batch evidence_deadline_ms
+    spawn_many manual_many kick_sync ensure_deadline_sealer
+    # PR 14
+    verify_window_with_anchors verify_window_with_super_anchors adjudicate_with_anchors
+    adjudicate_sharded adjudicate_gossiped adjudicate_logs snapshot_supers super_epochs_for
+    anchors_for chain_steps_x8 chain_steps_x4 portable16
+)
+echo "==> retired names"
+if grep -rnwF "${retired[@]/#/-e}" --exclude=check.sh \
+    crates/ src/ examples/ docs/ scripts/ benchmark/src/; then
+    echo "check.sh: a retired name is back (file:line above)" >&2
+    exit 1
+fi
+
 if [[ "$FAST" -eq 0 ]]; then
     echo "==> cargo build --release"
     cargo build --release
@@ -52,6 +71,10 @@ cargo test -q -p nonrep_protocols --test conformance
 # so it must stay green on the portable path.
 echo "==> NONREP_DISPATCH=scalar cargo test -q -p nonrep_crypto"
 NONREP_DISPATCH=scalar cargo test -q -p nonrep_crypto
+
+# For the log: the kernel `auto` picks when nothing pins it.
+echo "==> digest::mb auto dispatch in a test process"
+cargo test -q -p nonrep_crypto --lib dispatch_invariants -- --nocapture | grep 'digest::mb'
 
 echo "==> cargo fmt --check"
 cargo fmt --check

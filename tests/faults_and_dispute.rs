@@ -121,7 +121,7 @@ fn adjudication_after_interrupted_exchange_favours_the_honest_party() {
 
     let run = client.log().snapshot_range(0..1)[0].draft.run_id;
     let adjudicator = Adjudicator::new(dir as Arc<dyn KeyDirectory>);
-    let verdict = adjudicator.adjudicate_logs(run, &[(OrgId::new("client"), &**client.log())]);
+    let verdict = adjudicator.adjudicate_windows(run, &[client.submit_full_window()]);
     assert!(verdict.cannot_deny(&OrgId::new("server"), TokenKind::NroResp));
     assert!(verdict.cannot_deny(&OrgId::new("server"), TokenKind::NrrReq));
 }
