@@ -17,7 +17,7 @@
 //!   (SHA-NI here, if present): the path `auto` must never regress.
 //!
 //! The regression gate (`scripts/bench_gate.sh`) guards these rows via
-//! `scripts/bench_baseline_6.jsonl`; see docs/BENCHMARKS.md for how to
+//! `scripts/bench_baseline_7.jsonl`; see docs/BENCHMARKS.md for how to
 //! read forced-tier rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -60,15 +60,6 @@ pub struct NrConfig {
     /// durability requirement must not silently land on a backend that
     /// fsyncs inline (or not at all).
     pub evidence_durability: Option<EvidenceDurability>,
-    /// Required shard count of the hosting middleware's evidence plane.
-    /// `None` accepts any layout (single-log or sharded); `Some(n)` makes
-    /// a mismatch a deployment error — a component that *identifies* an
-    /// n-way sharded evidence plane (e.g. sized for its expected run
-    /// concurrency) must not silently land on a single contended log.
-    /// Validated like [`NrConfig::evidence_durability`]: the layout is a
-    /// property of the log the organisation was built with, never
-    /// reconfigured by a descriptor.
-    pub evidence_shards: Option<u32>,
     /// Required lifecycle of the hosting organisation's signing key.
     /// `None` accepts any key; `Some(req)` makes a mismatch a deployment
     /// error — a long-lived component that *identifies* a hierarchical
@@ -85,7 +76,6 @@ impl NrConfig {
             platform: "rust".into(),
             protocol: protocol.into(),
             evidence_durability: None,
-            evidence_shards: None,
             key_lifecycle: None,
         }
     }
@@ -95,15 +85,6 @@ impl NrConfig {
     #[must_use]
     pub fn with_evidence_durability(mut self, durability: EvidenceDurability) -> Self {
         self.evidence_durability = Some(durability);
-        self
-    }
-
-    /// Requires the hosting middleware's evidence plane to be sharded
-    /// `shards` ways (deploy fails on a mismatch, and on an invalid shard
-    /// count — the store's deploy-time bounds apply).
-    #[must_use]
-    pub fn with_evidence_shards(mut self, shards: u32) -> Self {
-        self.evidence_shards = Some(shards);
         self
     }
 

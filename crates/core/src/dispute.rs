@@ -48,7 +48,7 @@ use nonrep_protocols::tokens::{defection_digest, NrToken, TokenKind};
 use nonrep_store::record::{
     ChainVerifier, ChainViolation, EpochCommitment, EvidenceRecord, KeyRollover, RunMarker,
 };
-use nonrep_store::{EvidenceLog, ShardedEvidenceLog, SuperEpochCommitment};
+use nonrep_store::EvidenceLog;
 use nonrep_types::codec::Decode;
 use nonrep_types::ids::{OrgId, RunId};
 
@@ -125,13 +125,6 @@ pub struct WindowSubmission {
     /// window does not extend to the log's tail (the head then cannot be
     /// cross-checked against the window).
     pub head: Digest,
-    /// Which shard of a sharded evidence plane this window was cut from.
-    /// `None` for single-log submissions (and for the meta shard, whose
-    /// super-epoch records are checked directly). Super-epoch anchors only
-    /// constrain the shard they name, so a tagged window is corroborated
-    /// against [`Corroboration::supers`], an untagged one against
-    /// [`Corroboration::epochs`].
-    pub shard: Option<u32>,
 }
 
 impl WindowSubmission {
@@ -152,26 +145,7 @@ impl WindowSubmission {
             submitter: submitter.into(),
             records,
             head: if reaches_tail { head } else { Digest::ZERO },
-            shard: None,
         }
-    }
-
-    /// Builds a submission from one shard of a sharded evidence plane,
-    /// tagged with the shard index so super-epoch anchors naming that
-    /// shard can corroborate it.
-    ///
-    /// # Panics
-    ///
-    /// If `shard` is out of range for `log`.
-    pub fn from_shard(
-        submitter: impl Into<OrgId>,
-        log: &ShardedEvidenceLog,
-        shard: u32,
-        range: Range<u64>,
-    ) -> Self {
-        let mut submission = Self::from_log(submitter, &**log.shard(shard), range);
-        submission.shard = Some(shard);
-        submission
     }
 }
 
@@ -437,11 +411,7 @@ impl Adjudicator {
             builder.check(record);
         }
         builder.check_head_claim(&submission.head);
-        builder.corroborate(
-            &self.corroboration,
-            submission.shard,
-            submission.head != Digest::ZERO,
-        );
+        builder.corroborate(&self.corroboration, submission.head != Digest::ZERO);
         builder.finish()
     }
 
@@ -550,27 +520,6 @@ impl<'a> ReportBuilder<'a> {
             }
             return;
         }
-        if record.is_super_epoch_commit() {
-            // A super-epoch is self-contained: its merkle-of-merkles root
-            // and batch signature verify from the record alone, so a
-            // doctored shard root inside it fails here even though the
-            // shard histories it anchors live outside this submission.
-            self.epoch_commits += 1;
-            match SuperEpochCommitment::from_record(record) {
-                Some(commitment) => {
-                    let ok = self
-                        .directory
-                        .key_of(&self.submitter)
-                        .map(|key| commitment.verify(&key))
-                        .unwrap_or(false);
-                    if ok {
-                        self.epoch_verified += 1;
-                    }
-                }
-                None => self.undecodable += 1,
-            }
-            return;
-        }
         if record.is_key_rollover() {
             // A rollover record attests a hierarchical signer's
             // generation change: its subtree certificate must chain to
@@ -658,58 +607,11 @@ impl<'a> ReportBuilder<'a> {
         }
     }
 
-    /// Corroborates the submission against the anchors its submitter
-    /// gossiped: a shard-tagged window against the
-    /// [`nonrep_store::ShardAnchor`] naming its shard inside each of the
-    /// submitter's super-epochs (a super-epoch says nothing about shards
-    /// it does not anchor), an untagged window against its epoch anchors.
-    ///
-    /// Only anchors that verify under the submitter's own key count (for
-    /// a super-epoch the whole [`SuperEpochCommitment::verify`]) — a
-    /// counterparty cannot frame an honest submitter with anchors the
-    /// submitter never signed.
-    fn corroborate(&mut self, held: &Corroboration, shard: Option<u32>, claims_tail: bool) {
-        let verified: Vec<(u64, u64, Digest)> = match shard {
-            Some(shard) => {
-                let Some(supers) = held.supers.get(&self.submitter) else {
-                    return; // nothing held against this submitter
-                };
-                let Some(key) = self.directory.key_of(&self.submitter) else {
-                    return; // unknown submitter key: anchors cannot be attributed
-                };
-                supers
-                    .iter()
-                    .filter(|s| s.verify(&key))
-                    .filter_map(|s| s.anchor_for(shard))
-                    .filter(|a| a.hi >= a.lo)
-                    .map(|a| (a.lo, a.hi, a.root))
-                    .collect()
-            }
-            None => {
-                let Some(epochs) = held.epochs.get(&self.submitter) else {
-                    return;
-                };
-                let Some(key) = self.directory.key_of(&self.submitter) else {
-                    return;
-                };
-                epochs
-                    .iter()
-                    .filter(|a| a.hi >= a.lo)
-                    .filter(|a| {
-                        key.verify_digest(
-                            &EpochCommitment::signing_digest(a.lo, a.hi, &a.root),
-                            &a.signature,
-                        )
-                    })
-                    .map(|a| (a.lo, a.hi, a.root))
-                    .collect()
-            }
-        };
-        self.corroborate_ranges(&verified, claims_tail);
-    }
-
-    /// The fork / withheld-records rules over already-attributed anchor
-    /// ranges `(lo, hi, root)`; the first violation found is reported:
+    /// Corroborates the submission against the epoch anchors its
+    /// submitter gossiped. Only anchors that verify under the
+    /// submitter's own key count — a counterparty cannot frame an honest
+    /// submitter with anchors the submitter never signed. The first
+    /// violation found is reported:
     ///
     /// - two anchors over the same range with different roots are
     ///   themselves proof of a fork (two counterparties were told two
@@ -720,29 +622,45 @@ impl<'a> ReportBuilder<'a> {
     ///   records beyond it proves evidence was withheld
     ///   ([`ChainViolation::WithheldRecords`]); a partial window claims
     ///   nothing about the tail and is never flagged.
-    fn corroborate_ranges(&mut self, verified: &[(u64, u64, Digest)], claims_tail: bool) {
+    fn corroborate(&mut self, held: &Corroboration, claims_tail: bool) {
+        let Some(epochs) = held.epochs.get(&self.submitter) else {
+            return; // nothing held against this submitter
+        };
+        let Some(key) = self.directory.key_of(&self.submitter) else {
+            return; // unknown submitter key: anchors cannot be attributed
+        };
+        let verified: Vec<&EpochCommitment> = epochs
+            .iter()
+            .filter(|a| a.hi >= a.lo)
+            .filter(|a| {
+                key.verify_digest(
+                    &EpochCommitment::signing_digest(a.lo, a.hi, &a.root),
+                    &a.signature,
+                )
+            })
+            .collect();
         let mut roots: BTreeMap<(u64, u64), Digest> = BTreeMap::new();
-        for &(lo, hi, root) in verified {
-            if *roots.entry((lo, hi)).or_insert(root) != root {
+        for a in &verified {
+            if *roots.entry((a.lo, a.hi)).or_insert(a.root) != a.root {
                 self.anchor_violation
-                    .get_or_insert(ChainViolation::ForkedHistory { lo, hi });
+                    .get_or_insert(ChainViolation::ForkedHistory { lo: a.lo, hi: a.hi });
             }
         }
         let first = self.first_seq.unwrap_or(0);
         let last = first + (self.hashes.len() as u64).saturating_sub(1);
-        for (lo, hi, root) in verified {
-            if !self.hashes.is_empty() && *lo >= first && *hi <= last {
-                let lo_i = (lo - first) as usize;
-                let hi_i = (hi - first) as usize;
-                if EpochCommitment::root_over_hashes(&self.hashes[lo_i..=hi_i]) != *root {
+        for a in verified {
+            if !self.hashes.is_empty() && a.lo >= first && a.hi <= last {
+                let lo_i = (a.lo - first) as usize;
+                let hi_i = (a.hi - first) as usize;
+                if EpochCommitment::root_over_hashes(&self.hashes[lo_i..=hi_i]) != a.root {
                     self.anchor_violation
-                        .get_or_insert(ChainViolation::ForkedHistory { lo: *lo, hi: *hi });
+                        .get_or_insert(ChainViolation::ForkedHistory { lo: a.lo, hi: a.hi });
                 }
             }
-            if claims_tail && *hi > last {
+            if claims_tail && a.hi > last {
                 self.anchor_violation
                     .get_or_insert(ChainViolation::WithheldRecords {
-                        attested: *hi,
+                        attested: a.hi,
                         submitted: if self.hashes.is_empty() { 0 } else { last },
                     });
             }
@@ -885,22 +803,15 @@ mod tests {
             submitter: OrgId::new(org),
             records,
             head: Digest::ZERO,
-            shard: None,
         }
     }
 
     /// The first `keep` records of `log` as if they were all of it: the
     /// head claim is honestly computed over the truncated tail.
-    fn truncated(
-        org: &str,
-        log: &dyn EvidenceLog,
-        keep: u64,
-        shard: Option<u32>,
-    ) -> WindowSubmission {
+    fn truncated(org: &str, log: &dyn EvidenceLog, keep: u64) -> WindowSubmission {
         let records = log.snapshot_range(0..keep);
         WindowSubmission {
             head: records.last().unwrap().record_hash(),
-            shard,
             ..full(org, records)
         }
     }
@@ -911,15 +822,9 @@ mod tests {
     }
 
     /// An adjudicator holding what alice gossiped.
-    fn holding(
-        dir: &Arc<StaticKeyDirectory>,
-        epochs: &[EpochCommitment],
-        supers: &[SuperEpochCommitment],
-    ) -> Adjudicator {
-        let alice = OrgId::new("alice");
+    fn holding(dir: &Arc<StaticKeyDirectory>, epochs: &[EpochCommitment]) -> Adjudicator {
         Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>).corroborated_by(Corroboration {
-            epochs: BTreeMap::from([(alice.clone(), epochs.to_vec())]),
-            supers: BTreeMap::from([(alice, supers.to_vec())]),
+            epochs: BTreeMap::from([(OrgId::new("alice"), epochs.to_vec())]),
         })
     }
 
@@ -1047,10 +952,10 @@ mod tests {
         // Alice later submits a truncated "full log": a valid prefix with
         // an honestly-computed head over the truncated tail — undetectable
         // by chain verification alone.
-        let submission = truncated("alice", &**alice.log(), 2, None);
+        let submission = truncated("alice", &**alice.log(), 2);
         let adjudicator = Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>);
         assert!(adjudicator.verify_window(&submission).clean());
-        let report = holding(&dir, &anchors, &[]).verify_window(&submission);
+        let report = holding(&dir, &anchors).verify_window(&submission);
         assert!(matches!(
             report.anchor_violation,
             Some(ChainViolation::WithheldRecords { .. })
@@ -1091,21 +996,19 @@ mod tests {
         let submission = live(&alice);
         // The divergent anchor alone: its in-window root recomputation
         // conflicts with the submitted records.
-        let report = holding(&dir, std::slice::from_ref(&forked), &[]).verify_window(&submission);
+        let report = holding(&dir, std::slice::from_ref(&forked)).verify_window(&submission);
         assert!(matches!(
             report.anchor_violation,
             Some(ChainViolation::ForkedHistory { .. })
         ));
         // Both anchors together: pairwise equivocation over one range.
-        let report = holding(&dir, &[real.clone(), forked], &[]).verify_window(&submission);
+        let report = holding(&dir, &[real.clone(), forked]).verify_window(&submission);
         assert!(matches!(
             report.anchor_violation,
             Some(ChainViolation::ForkedHistory { .. })
         ));
         // The genuine anchor alone corroborates the submission.
-        assert!(holding(&dir, &[real], &[])
-            .verify_window(&submission)
-            .clean());
+        assert!(holding(&dir, &[real]).verify_window(&submission).clean());
     }
 
     #[test]
@@ -1129,169 +1032,38 @@ mod tests {
             root,
             signature,
         };
-        let report = holding(&dir, &[fabricated], &[]).verify_window(&live(&alice));
+        let report = holding(&dir, &[fabricated]).verify_window(&live(&alice));
         assert!(report.anchor_violation.is_none());
         assert!(report.clean());
     }
 
-    fn sharded_alice(
-        clock: &LogicalClock,
-        dir: &Arc<StaticKeyDirectory>,
-        path: &std::path::Path,
-        shards: u32,
-    ) -> Arc<Party> {
-        let mut rng = nonrep_crypto::rng::SecureRandom::from_seed(41);
-        let keys = Arc::new(nonrep_crypto::sig::KeyPair::generate(
-            nonrep_crypto::sig::SignatureScheme::Mss { height: 8 },
-            &mut rng,
-        ));
-        dir.insert(OrgId::new("alice"), keys.verifying_key());
-        let log = Arc::new(
-            ShardedEvidenceLog::open(path, shards, nonrep_store::SyncPolicy::GroupCommit).unwrap(),
-        );
-        Party::with_sharded_commitment(
-            "alice",
-            keys,
-            Arc::new(clock.clone()),
-            log,
-            Arc::clone(dir) as Arc<dyn KeyDirectory>,
-            rng,
-            nonrep_protocols::CommitmentMode::batched(2),
-        )
-    }
-
-    fn scratch(tag: &str) -> std::path::PathBuf {
-        let base = std::env::temp_dir().join(format!(
-            "nonrep-dispute-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&base);
-        base
-    }
-
     #[test]
-    fn doctored_shard_root_in_super_epoch_is_flagged() {
-        let clock = LogicalClock::new();
-        let dir = Arc::new(StaticKeyDirectory::new());
-        let base = scratch("doctored-super");
-        let alice = sharded_alice(&clock, &dir, &base, 2);
-        let run = alice.new_run_id();
-        seal_tokens(&alice, run, 4);
-        let plane = alice.sharded_plane().unwrap();
-        let (_, genuine) = plane.log().latest_super_epoch().unwrap();
-        let adjudicator = Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>);
-
-        // The meta shard with the genuine super-epoch adjudicates clean —
-        // windowed adjudication consumes super-epochs like epoch commits.
-        let meta =
-            WindowSubmission::from_log("alice", &**plane.log().meta(), 0..plane.log().meta().len());
-        assert_eq!(adjudicator.verify_window(&meta).epoch_commits, 1);
-        assert!(adjudicator.verify_window(&meta).clean());
-
-        // Alice rewrites shard 0's history and re-presents the super-epoch
-        // with the rewritten shard root in a fresh, internally-consistent
-        // meta log. The batch signature covers the merkle-of-merkles root,
-        // so the doctored entry fails verification at adjudication.
-        let mut doctored = genuine.clone();
-        doctored.entries[0].root = sha256(b"rewritten shard history");
-        let forged_meta = nonrep_store::MemoryLog::new();
-        forged_meta
-            .append(doctored.to_draft(OrgId::new("alice"), alice.now()))
-            .unwrap();
-        let report = adjudicator.verify_log_in_place(OrgId::new("alice"), &forged_meta);
-        assert!(report.chain.is_ok(), "forgery is internally consistent");
-        assert_eq!(report.epoch_commits, 1);
-        assert_eq!(report.epoch_verified, 0);
+    fn retired_super_epoch_record_is_undecodable_never_clean() {
+        // Sharded planes once logged `super_epoch_commit` records. With
+        // that kind retired, such a record falls through to token
+        // decoding and counts against the window instead of passing.
+        let p = pair();
+        let run = run_exchange(&p);
+        let log = nonrep_store::MemoryLog::new();
+        for record in p.alice.log().records() {
+            log.append(record.draft.clone()).unwrap();
+        }
+        log.append(nonrep_store::RecordDraft {
+            run_id: run,
+            kind: "super_epoch_commit".into(),
+            actor: OrgId::new("alice"),
+            at: p.alice.now(),
+            content_digest: sha256(b"super root"),
+            payload: b"retired super-epoch anchor".to_vec(),
+        })
+        .unwrap();
+        let adjudicator = Adjudicator::new(p.dir.clone() as Arc<dyn KeyDirectory>);
+        let report =
+            adjudicator.verify_window(&WindowSubmission::from_log("alice", &log, 0..log.len()));
+        assert!(report.chain.is_ok());
+        assert_eq!(report.undecodable, 1);
+        assert_eq!(report.epoch_commits, 0);
         assert!(!report.clean());
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
-    #[test]
-    fn shard_truncation_detected_via_super_epoch_anchors() {
-        let clock = LogicalClock::new();
-        let dir = Arc::new(StaticKeyDirectory::new());
-        let base = scratch("shard-truncate");
-        let alice = sharded_alice(&clock, &dir, &base, 2);
-        let run = alice.new_run_id();
-        seal_tokens(&alice, run, 4);
-        let plane = alice.sharded_plane().unwrap();
-        let shard = plane.shard_for(&run);
-        // Counterparties hold the super-epochs alice gossiped.
-        let supers = sealed(&**plane.log().meta(), SuperEpochCommitment::from_record);
-        assert_eq!(supers.len(), 1);
-        let adjudicator = holding(&dir, &[], &supers);
-
-        // The full shard window corroborates against the anchors.
-        let shard_len = plane.log().shard(shard).len();
-        let honest = WindowSubmission::from_shard("alice", plane.log(), shard, 0..shard_len);
-        assert!(adjudicator.verify_window(&honest).clean());
-
-        // A truncated window with an honestly-computed head claim passes
-        // every internal check, but the shard anchor inside alice's own
-        // super-epoch attests records beyond the claimed tail.
-        let truncated = truncated("alice", &**plane.log().shard(shard), 1, Some(shard));
-        let uncorroborated = Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>);
-        assert!(uncorroborated.verify_window(&truncated).clean());
-        let verdict = adjudicator.adjudicate_windows(run, std::slice::from_ref(&truncated));
-        assert!(matches!(
-            verdict.reports[0].anchor_violation,
-            Some(ChainViolation::WithheldRecords { .. })
-        ));
-        assert_eq!(verdict.suspect_submitters(), vec![OrgId::new("alice")]);
-
-        // An untagged window cannot be corroborated by shard anchors.
-        let mut untagged = truncated;
-        untagged.shard = None;
-        let report = adjudicator.verify_window(&untagged);
-        assert!(report.anchor_violation.is_none());
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
-    #[test]
-    fn mixed_fleet_convicts_each_submitter_from_its_own_half_of_the_corroboration() {
-        // Sharded alice and single-log bob each submit one record under
-        // an honest head claim. Her shard-tagged window answers to her
-        // gossiped super-epochs, his untagged one to his epoch anchors.
-        let clock = LogicalClock::new();
-        let dir = Arc::new(StaticKeyDirectory::new());
-        let base = scratch("mixed-fleet");
-        let alice = sharded_alice(&clock, &dir, &base, 2);
-        let bob = Party::quick_batched("bob", 2, &clock, &dir, 2);
-        let run = alice.new_run_id();
-        seal_tokens(&alice, run, 4);
-        seal_tokens(&bob, run, 4);
-        let plane = alice.sharded_plane().unwrap().log();
-        let shard = plane.shard_for(&run);
-        let epochs = sealed(&**bob.log(), EpochCommitment::from_record);
-        let supers = sealed(&**plane.meta(), SuperEpochCommitment::from_record);
-        let held = Corroboration {
-            epochs: BTreeMap::from([(OrgId::new("bob"), epochs)]),
-            supers: BTreeMap::from([(OrgId::new("alice"), supers)]),
-        };
-        let submissions = [
-            truncated("alice", &**plane.shard(shard), 1, Some(shard)),
-            truncated("bob", &**bob.log(), 1, None),
-        ];
-        let withheld_by = |held: Corroboration| -> Vec<OrgId> {
-            let judge = Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>);
-            let verdict = judge
-                .corroborated_by(held)
-                .adjudicate_windows(run, &submissions);
-            let convicted = verdict.violations().into_iter().map(|(org, violation)| {
-                assert!(matches!(violation, ChainViolation::WithheldRecords { .. }));
-                org
-            });
-            convicted.collect()
-        };
-        let (alice, bob) = (OrgId::new("alice"), OrgId::new("bob"));
-        assert_eq!(withheld_by(held.clone()), [alice.clone(), bob.clone()]);
-        // Each conviction rests on its own half alone.
-        let Corroboration { epochs, supers } = held;
-        let only = |epochs, supers| Corroboration { epochs, supers };
-        assert_eq!(withheld_by(only(BTreeMap::new(), supers)), [alice]);
-        assert_eq!(withheld_by(only(epochs, BTreeMap::new())), [bob]);
-        let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]
@@ -1319,13 +1091,13 @@ mod tests {
         // An empty window claiming no tail: nothing to recompute, so only
         // the pair itself can be the violation.
         let nothing = full("alice", Vec::new());
-        assert!(holding(&dir, &honest, &[]).verify_window(&nothing).clean());
+        assert!(holding(&dir, &honest).verify_window(&nothing).clean());
         for at in [0, honest.len() / 2, honest.len()] {
             let (lo, hi) = (9_000 + at as u64, 9_001 + at as u64);
             let mut anchors = honest.clone();
             anchors.insert(at, anchor(lo, hi, sha256(b"told to bob")));
             anchors.insert(at + 1, anchor(lo, hi, sha256(b"told to carol")));
-            let report = holding(&dir, &anchors, &[]).verify_window(&nothing);
+            let report = holding(&dir, &anchors).verify_window(&nothing);
             let expected = Some(ChainViolation::ForkedHistory { lo, hi });
             assert_eq!(report.anchor_violation, expected, "pair at {at}");
         }

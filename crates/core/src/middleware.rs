@@ -37,9 +37,7 @@ use nonrep_protocols::sharing::coordination::{
 use nonrep_protocols::sharing::membership::{self, MembershipHandler};
 use nonrep_protocols::sharing::GroupRegistry;
 use nonrep_protocols::{B2BCoordinator, ProtocolError};
-use nonrep_store::{
-    DurabilityClass, EvidenceLog, MemoryLog, ShardedEvidenceLog, StateStore, SyncPolicy,
-};
+use nonrep_store::{DurabilityClass, EvidenceLog, MemoryLog, StateStore, SyncPolicy};
 use nonrep_types::ids::{GroupId, OrgId, ServiceUri};
 use nonrep_types::time::LogicalClock;
 
@@ -66,7 +64,6 @@ pub struct MiddlewareBuilder {
     server_conduct: ServerConduct,
     commitment: CommitmentMode,
     evidence_log: Option<Arc<dyn EvidenceLog>>,
-    sharded_evidence: Option<Arc<ShardedEvidenceLog>>,
 }
 
 impl fmt::Debug for MiddlewareBuilder {
@@ -170,43 +167,6 @@ impl MiddlewareBuilder {
         Ok(self.evidence_log(Arc::new(log)))
     }
 
-    /// Uses an already-open sharded evidence plane as this organisation's
-    /// backend: appends partition across the plane's shards by run id,
-    /// each shard seals its own epochs, and periodic super-epoch records
-    /// on the meta shard restore the global anchor. The party's
-    /// [`Party::log`] becomes the *meta* shard (global anchors for gossip
-    /// and windowed adjudication); per-shard windows come from
-    /// [`OrgMiddleware::submit_shard_window`].
-    ///
-    /// Requires a batched commitment mode, like any buffering backend
-    /// (see [`MiddlewareBuilder::build`]).
-    #[must_use]
-    pub fn sharded_evidence(mut self, log: Arc<ShardedEvidenceLog>) -> Self {
-        self.sharded_evidence = Some(log);
-        self
-    }
-
-    /// Deploy-time selection of a sharded evidence plane: opens (creating
-    /// or crash-recovering) `shards` data shards plus the meta shard under
-    /// `dir`, all sharing one group-commit pool, and uses the plane as
-    /// this organisation's evidence backend. The shard count is validated
-    /// here — deploy time — and must match the directory's existing
-    /// layout when reopening.
-    ///
-    /// # Errors
-    ///
-    /// [`nonrep_store::StoreError`] if the count is out of bounds, the
-    /// layout mismatches, or a shard cannot be opened.
-    pub fn sharded_evidence_dir(
-        self,
-        dir: impl AsRef<std::path::Path>,
-        shards: u32,
-        policy: SyncPolicy,
-    ) -> Result<Self, nonrep_store::StoreError> {
-        let log = ShardedEvidenceLog::open_recover(dir, shards, policy)?;
-        Ok(self.sharded_evidence(Arc::new(log)))
-    }
-
     /// Assembles the middleware and registers it on the bus.
     ///
     /// # Panics
@@ -221,17 +181,10 @@ impl MiddlewareBuilder {
     pub fn build(self) -> Arc<OrgMiddleware> {
         // Validate before any side effect (keygen, directory insert), so
         // a rejected configuration leaves no stale key registered.
-        assert!(
-            !(self.sharded_evidence.is_some() && self.evidence_log.is_some()),
-            "both evidence_log and sharded_evidence configured — pick one backend"
-        );
-        let buffers = match &self.sharded_evidence {
-            Some(sharded) => sharded.meta().buffers_appends(),
-            None => self
-                .evidence_log
-                .as_ref()
-                .is_some_and(|log| log.buffers_appends()),
-        };
+        let buffers = self
+            .evidence_log
+            .as_ref()
+            .is_some_and(|log| log.buffers_appends());
         assert!(
             !(buffers && matches!(self.commitment, CommitmentMode::PerRecord)),
             "evidence log buffers appends per epoch (SyncPolicy::GroupCommit) \
@@ -243,27 +196,16 @@ impl MiddlewareBuilder {
         let keys = Arc::new(KeyPair::generate(self.scheme, &mut rng));
         self.directory
             .insert(self.org.clone(), keys.verifying_key());
-        let party = match self.sharded_evidence {
-            Some(sharded) => Party::with_sharded_commitment(
-                self.org.clone(),
-                keys,
-                Arc::new(self.clock.clone()),
-                sharded,
-                Arc::clone(&self.directory) as Arc<_>,
-                rng,
-                self.commitment,
-            ),
-            None => Party::with_commitment(
-                self.org.clone(),
-                keys,
-                Arc::new(self.clock.clone()),
-                self.evidence_log
-                    .unwrap_or_else(|| Arc::new(MemoryLog::new())),
-                Arc::clone(&self.directory) as Arc<_>,
-                rng,
-                self.commitment,
-            ),
-        };
+        let party = Party::with_commitment(
+            self.org.clone(),
+            keys,
+            Arc::new(self.clock.clone()),
+            self.evidence_log
+                .unwrap_or_else(|| Arc::new(MemoryLog::new())),
+            Arc::clone(&self.directory) as Arc<_>,
+            rng,
+            self.commitment,
+        );
 
         let requester = ReliableRequester::new(self.bus.clone(), self.retry);
         let coordinator = B2BCoordinator::with_peer_suffix(self.org.clone(), requester, "#b2b");
@@ -297,11 +239,10 @@ impl MiddlewareBuilder {
         coordinator.register_handler(sharing.clone());
         coordinator.register_handler(MembershipHandler::new(sharing.clone()));
 
-        // A policy with a seal deadline needs a wakeup for idle logs; on
-        // a sharded plane one sealer thread polls every shard's scheduler.
+        // A policy with a seal deadline needs a wakeup for idle logs.
         let sealer = match self.commitment {
             CommitmentMode::Batched(policy) => policy.max_delay_ms.map(|delay| {
-                DeadlineSealer::spawn(party.schedulers(), sealer_poll_interval(delay))
+                DeadlineSealer::spawn(Arc::clone(party.scheduler()), sealer_poll_interval(delay))
             }),
             CommitmentMode::PerRecord => None,
         };
@@ -381,7 +322,6 @@ impl OrgMiddleware {
             server_conduct: ServerConduct::Honest,
             commitment: CommitmentMode::PerRecord,
             evidence_log: None,
-            sharded_evidence: None,
         }
     }
 
@@ -441,37 +381,6 @@ impl OrgMiddleware {
         self.submit_window(0..self.party.log().len())
     }
 
-    /// This organisation's sharded evidence plane, when it runs one
-    /// (see [`MiddlewareBuilder::sharded_evidence_dir`]).
-    pub fn sharded_log(&self) -> Option<&Arc<ShardedEvidenceLog>> {
-        self.party.sharded_plane().map(|p| p.log())
-    }
-
-    /// Builds a shard-tagged adjudication submission covering `range` of
-    /// shard `shard` on a sharded evidence plane — super-epoch anchors
-    /// naming that shard corroborate it (`Adjudicator::corroborated_by`).
-    ///
-    /// # Panics
-    ///
-    /// If the organisation does not run a sharded evidence plane, or
-    /// `shard` is out of range.
-    pub fn submit_shard_window(&self, shard: u32, range: std::ops::Range<u64>) -> WindowSubmission {
-        let log = self
-            .sharded_log()
-            .expect("submit_shard_window requires a sharded evidence plane");
-        WindowSubmission::from_shard(self.org.clone(), log, shard, range)
-    }
-
-    /// [`OrgMiddleware::submit_shard_window`] over the shard's whole log.
-    pub fn submit_shard_full_window(&self, shard: u32) -> WindowSubmission {
-        let len = self
-            .sharded_log()
-            .expect("submit_shard_full_window requires a sharded evidence plane")
-            .shard(shard)
-            .len();
-        self.submit_shard_window(shard, 0..len)
-    }
-
     /// The default trust domain for outgoing invocations.
     pub fn domain(&self) -> &TrustDomain {
         &self.domain
@@ -486,10 +395,10 @@ impl OrgMiddleware {
     ///
     /// See [`Container::deploy`]; additionally
     /// [`ContainerError::Protocol`] if the descriptor declares an
-    /// evidence-durability (`NrConfig::with_evidence_durability`),
-    /// shard-count or key-lifecycle requirement the organisation does not
-    /// provide — e.g. requiring group commit while the org runs a
-    /// write-through (or in-memory) log.
+    /// evidence-durability (`NrConfig::with_evidence_durability`) or
+    /// key-lifecycle requirement the organisation does not provide —
+    /// e.g. requiring group commit while the org runs a write-through (or
+    /// in-memory) log.
     pub fn deploy(
         &self,
         descriptor: DeploymentDescriptor,
@@ -515,35 +424,6 @@ impl OrgMiddleware {
                      {in_force:?} — build the middleware with \
                      MiddlewareBuilder::evidence_file(path, SyncPolicy::...) to match",
                     descriptor.service
-                )));
-            }
-        }
-        if let Some(required) = descriptor
-            .non_repudiation
-            .as_ref()
-            .and_then(|nr| nr.evidence_shards)
-        {
-            // Like durability, the evidence-plane layout is fixed when the
-            // organisation is built; a descriptor can only *require* it.
-            nonrep_store::validate_shard_count(required).map_err(|e| {
-                ContainerError::Protocol(format!(
-                    "invalid evidence_shards in descriptor for {}: {e}",
-                    descriptor.service
-                ))
-            })?;
-            let in_force = self.party.sharded_plane().map(|p| p.shard_count());
-            if in_force != Some(required) {
-                return Err(ContainerError::Protocol(format!(
-                    "evidence sharding mismatch: descriptor for {} requires a \
-                     {required}-shard evidence plane but the organisation runs {} — \
-                     build the middleware with \
-                     MiddlewareBuilder::sharded_evidence_dir(dir, {required}, \
-                     SyncPolicy::...) to match",
-                    descriptor.service,
-                    match in_force {
-                        Some(n) => format!("a {n}-shard plane"),
-                        None => "a single unsharded log".to_string(),
-                    }
                 )));
             }
         }
@@ -824,7 +704,10 @@ mod tests {
                 None,
                 Some(NrConfig::protocol("direct")),
                 Some(NrConfig::protocol("direct").with_key_lifecycle(KeyLifecycle::SingleTree)),
-                Some(NrConfig::protocol("direct").with_evidence_shards(4)),
+                Some(
+                    NrConfig::protocol("direct")
+                        .with_evidence_durability(EvidenceDurability::GroupCommit),
+                ),
             ];
             for (n, config) in configs.into_iter().enumerate() {
                 let mut descriptor =
@@ -958,80 +841,6 @@ mod tests {
         assert_eq!(reopened.len(), len);
         reopened.verify().unwrap();
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn sharded_evidence_plane_end_to_end() {
-        use crate::dispute::Adjudicator;
-        let (bus, dir, clock) = world();
-        let mut base = std::env::temp_dir();
-        base.push(format!("nonrep-mw-sharded-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
-        let client = OrgMiddleware::builder("client", bus.clone(), dir.clone(), clock.clone())
-            .commitment(CommitmentMode::batched(4))
-            .sharded_evidence_dir(&base, 4, SyncPolicy::GroupCommit)
-            .unwrap()
-            .build();
-        let server = OrgMiddleware::builder("server", bus, dir, clock).build();
-        deploy_echo(&server);
-        let proxy = client.nr_proxy(server.org(), "urn:echo");
-        assert_eq!(
-            proxy.invoke("echo", Value::from(5i64)).unwrap(),
-            Value::from(5i64)
-        );
-        // flush_evidence seals every shard tail, appends a super-epoch to
-        // the meta shard and lands it all behind the shared pool.
-        client.flush_evidence().unwrap();
-        let plane = client.sharded_log().unwrap();
-        assert_eq!(plane.shard_count(), 4);
-        let (_, commitment) = plane.latest_super_epoch().unwrap();
-        assert!(!commitment.entries.is_empty());
-        plane.verify_all().unwrap();
-        // The run's evidence lives on exactly one shard; its shard-tagged
-        // window adjudicates clean against the gossiped super-epoch.
-        let run = plane
-            .shards()
-            .iter()
-            .flat_map(|s| s.records())
-            .find(|r| !r.is_epoch_commit())
-            .unwrap()
-            .draft
-            .run_id;
-        let shard = plane.shard_for(&run);
-        assert!(plane.shard(shard).len() >= 2);
-        let adjudicator = Adjudicator::new(
-            client.directory().clone() as Arc<dyn nonrep_protocols::party::KeyDirectory>
-        )
-        .corroborated_by(crate::dispute::Corroboration {
-            supers: [(client.org().clone(), vec![commitment])].into(),
-            ..Default::default()
-        });
-        let report = adjudicator.verify_window(&client.submit_shard_full_window(shard));
-        assert!(report.clean());
-        // Descriptor shard requirements are validated at deploy time.
-        use nonrep_container::descriptor::NrConfig;
-        client
-            .deploy(
-                DeploymentDescriptor::new("urn:sharded", [MethodName::new("m")])
-                    .with_non_repudiation(NrConfig::protocol("direct").with_evidence_shards(4)),
-                Arc::new(FnComponent::new().method("m", |args| Ok(args.clone()))),
-            )
-            .unwrap();
-        let mismatch = client.deploy(
-            DeploymentDescriptor::new("urn:wrong", [MethodName::new("m")])
-                .with_non_repudiation(NrConfig::protocol("direct").with_evidence_shards(16)),
-            Arc::new(FnComponent::new().method("m", |args| Ok(args.clone()))),
-        );
-        assert!(matches!(mismatch, Err(ContainerError::Protocol(_))));
-        // An unsharded org cannot satisfy a shard requirement either.
-        let mismatch = server.deploy(
-            DeploymentDescriptor::new("urn:needs-shards", [MethodName::new("m")])
-                .with_non_repudiation(NrConfig::protocol("direct").with_evidence_shards(4)),
-            Arc::new(FnComponent::new().method("m", |args| Ok(args.clone()))),
-        );
-        assert!(matches!(mismatch, Err(ContainerError::Protocol(_))));
-        drop(client);
-        let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]

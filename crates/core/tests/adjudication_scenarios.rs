@@ -37,7 +37,6 @@ fn full(org: &str, records: Vec<Arc<EvidenceRecord>>) -> WindowSubmission {
         submitter: OrgId::new(org),
         records,
         head: Digest::ZERO,
-        shard: None,
     }
 }
 

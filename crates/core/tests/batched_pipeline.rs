@@ -183,7 +183,6 @@ fn dropping_a_sealed_run_from_the_window_is_detected() {
         submitter: OrgId::new("bob"),
         records: doctored,
         head: d.bob.log().head(),
-        shard: None,
     };
     let verdict = adjudicator(&d).adjudicate_windows(run2, &[submission]);
     assert_eq!(verdict.suspect_submitters(), vec![OrgId::new("bob")]);
@@ -211,7 +210,6 @@ fn doctor_epoch(
         // The tampered record breaks the old head claim trivially; drop
         // the claim so detection must come from the chain/epoch checks.
         head: Digest::ZERO,
-        shard: None,
     }
 }
 
@@ -239,7 +237,6 @@ proptest! {
             submitter: OrgId::new("alice"),
             records,
             head: Digest::ZERO,
-            shard: None,
         };
         let verdict = adjudicator(&d).adjudicate_windows(run, &[submission]);
         prop_assert_eq!(verdict.suspect_submitters(), vec![OrgId::new("alice")]);

@@ -1,6 +1,6 @@
 //! Durability and seal-policy plumbing through the middleware, and the
 //! adjudication-unaffected-by-construction guarantee: how an organisation
-//! stores (memory vs file vs sharded plane), syncs (write-through vs
+//! stores (memory vs file), syncs (write-through vs
 //! group commit) and seals (per-record vs size vs auto) its evidence is
 //! a local build-time choice — the facts an adjudicator derives from the
 //! evidence are identical across all of them.
@@ -48,7 +48,6 @@ fn facts_for(mode: CommitmentMode, backend: Backend, tag: &str) -> (bool, [bool;
     let clock = LogicalClock::new();
     let path = temp_path(&format!("invariance-{tag}"));
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_dir_all(&path);
     let builder =
         OrgMiddleware::builder("client", bus.clone(), dir.clone(), clock.clone()).commitment(mode);
     let client = backend(builder, &path).build();
@@ -60,23 +59,10 @@ fn facts_for(mode: CommitmentMode, backend: Backend, tag: &str) -> (bool, [bool;
         Value::from(7i64)
     );
     // Seal (and, on buffered logs, fsync) whatever the policy left
-    // pending, then adjudicate both windows. On the sharded plane the
-    // run's evidence is one shard's window.
+    // pending, then adjudicate both windows.
     client.flush_evidence().unwrap();
-    let (run, client_window) = match client.sharded_log() {
-        Some(plane) => {
-            let shard = (0..plane.shard_count())
-                .find(|&s| !plane.shard(s).is_empty())
-                .expect("the run landed on a shard");
-            let run = plane.shard(shard).snapshot_range(0..1)[0].draft.run_id;
-            (run, client.submit_shard_full_window(shard))
-        }
-        None => (
-            client.log().snapshot_range(0..1)[0].draft.run_id,
-            client.submit_full_window(),
-        ),
-    };
-    let windows = [client_window, server.submit_full_window()];
+    let run = client.log().snapshot_range(0..1)[0].draft.run_id;
+    let windows = [client.submit_full_window(), server.submit_full_window()];
     let adjudicator = || Adjudicator::new(client.directory().clone() as Arc<dyn KeyDirectory>);
     let verdict = adjudicator().adjudicate_windows(run, &windows);
     // Handing over an empty corroboration is not a second configuration.
@@ -87,7 +73,6 @@ fn facts_for(mode: CommitmentMode, backend: Backend, tag: &str) -> (bool, [bool;
     assert_eq!(defaulted.facts, verdict.facts, "{tag}");
     drop(client);
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_dir_all(&path);
     (
         verdict.suspect_submitters().is_empty(),
         [
@@ -103,7 +88,7 @@ fn facts_for(mode: CommitmentMode, backend: Backend, tag: &str) -> (bool, [bool;
 fn adjudication_is_unaffected_by_seal_and_sync_policy() {
     // Exactly the configurations the code still supports: every
     // commitment mode over every backend, minus per-record over the
-    // buffering log (rejected at build), plus one 4-shard plane.
+    // buffering log (rejected at build).
     let modes = [
         ("per-record", CommitmentMode::PerRecord),
         ("batched-4", CommitmentMode::batched(4)),
@@ -118,10 +103,6 @@ fn adjudication_is_unaffected_by_seal_and_sync_policy() {
             b.evidence_file(path, SyncPolicy::GroupCommit).unwrap()
         }),
     ];
-    let sharded: Backend = |b, path| {
-        b.sharded_evidence_dir(path, 4, SyncPolicy::GroupCommit)
-            .unwrap()
-    };
     let mut table: Vec<(String, CommitmentMode, Backend)> = Vec::new();
     for (mode_name, mode) in modes {
         for (backend_name, backend) in backends {
@@ -130,12 +111,7 @@ fn adjudication_is_unaffected_by_seal_and_sync_policy() {
             }
         }
     }
-    table.push((
-        "batched-4-sharded".into(),
-        CommitmentMode::batched(4),
-        sharded,
-    ));
-    assert_eq!(table.len(), 9);
+    assert_eq!(table.len(), 8);
     for (tag, mode, backend) in table {
         assert_eq!(
             facts_for(mode, backend, &tag),

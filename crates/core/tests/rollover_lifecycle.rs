@@ -246,7 +246,6 @@ fn forged_rollover_cert_convicts_the_submitter() {
         submitter: OrgId::new("alice"),
         records,
         head: Digest::ZERO,
-        shard: None,
     });
     assert!(
         report.chain.is_ok(),

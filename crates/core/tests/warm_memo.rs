@@ -172,7 +172,6 @@ fn doctored_submissions_draw_the_same_verdict_cold_warm_and_after_a_clean_pass()
             submitter: alice.clone(),
             records,
             head: nonrep_crypto::Digest::ZERO,
-            shard: None,
         };
         (what, submission)
     })
@@ -200,7 +199,6 @@ fn doctored_submissions_draw_the_same_verdict_cold_warm_and_after_a_clean_pass()
     let anchored =
         Adjudicator::new(d.dir.clone() as Arc<dyn KeyDirectory>).corroborated_by(Corroboration {
             epochs: BTreeMap::from([(alice.clone(), vec![real, forked])]),
-            ..Corroboration::default()
         });
 
     let clean = || adj.adjudicate_windows(run, &[window("alice", &d.alice), bob_window.clone()]);

@@ -31,8 +31,7 @@
 //!   Merkle construction and batch commitments; the worker budget is
 //!   detected from the host, or overridden with the `NONREP_WORKERS`
 //!   environment variable (see [`par::workers`]),
-//! * [`sig`] — scheme-agnostic [`Signature`]/[`KeyPair`] types and traits,
-//! * [`timestamp`] — a time-stamping authority (§3.5).
+//! * [`sig`] — scheme-agnostic [`Signature`]/[`KeyPair`] types and traits.
 //!
 //! # Example
 //!
@@ -58,7 +57,6 @@ pub mod par;
 pub mod rng;
 pub mod sig;
 pub mod stream;
-pub mod timestamp;
 pub mod wots;
 
 pub use batch::{BatchSignature, MerkleAccumulator};

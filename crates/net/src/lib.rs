@@ -19,8 +19,6 @@
 //!   bus. With a `FaultPlan` whose failures are bounded and retries
 //!   exceeding that bound, delivery is guaranteed — making the liveness
 //!   assumption executable.
-//! * [`sim`] — a discrete-event simulator for asynchronous message-passing
-//!   experiments (event queue over a logical clock).
 //! * [`stats`] — message/byte/drop accounting for the communication
 //!   overhead experiment (E8).
 
@@ -28,7 +26,6 @@ pub mod bus;
 pub mod fault;
 pub mod latency;
 pub mod retry;
-pub mod sim;
 pub mod stats;
 
 pub use bus::{BusEndpoint, LocalBus, RequestBus};

@@ -27,14 +27,6 @@
 //! Duplicate anchors are idempotent; *conflicting* anchors (same range,
 //! different root, both genuinely signed) are deliberately both kept —
 //! they are the proof of equivocation.
-//!
-//! Sharded parties gossip the same way: their [`crate::party::Party::log`]
-//! is the meta shard, so the cursor walks
-//! [`SuperEpochCommitment`] records — each one a merkle-of-merkles anchor
-//! over every shard's latest epoch — and sends them at
-//! [`STEP_SUPER_EPOCH`]. The handler verifies the whole structure (entry
-//! ordering, recomputed root, batch signature) before filing it in the
-//! store's super-epoch half, which corroborates shard-tagged windows.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -42,7 +34,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use nonrep_store::record::EpochCommitment;
-use nonrep_store::SuperEpochCommitment;
 use nonrep_types::codec::{Decode, Encode};
 use nonrep_types::ids::{OrgId, ProtocolId, RunId};
 
@@ -55,10 +46,8 @@ use crate::ProtocolError;
 /// Wire id of the anchor-gossip protocol.
 pub const PROTOCOL_ID: &str = "anchor-gossip";
 
-/// Message step carrying a single-shard [`EpochCommitment`].
+/// Message step carrying an [`EpochCommitment`].
 pub const STEP_EPOCH: u32 = 1;
-/// Message step carrying a [`SuperEpochCommitment`] global anchor.
-pub const STEP_SUPER_EPOCH: u32 = 2;
 
 /// Anchors do not belong to any protocol run; they travel under the same
 /// reserved run id as epoch records in the log.
@@ -71,12 +60,8 @@ fn gossip_run_id() -> RunId {
 /// alone bound by) them, in arrival order. Empty is legal.
 #[derive(Debug, Clone, Default)]
 pub struct Corroboration {
-    /// Epoch anchors of single-log parties; they corroborate untagged
-    /// windows.
+    /// Epoch anchors, each corroborating the windows of its signer.
     pub epochs: BTreeMap<OrgId, Vec<EpochCommitment>>,
-    /// Super-epoch anchors of sharded parties; each corroborates a
-    /// shard-tagged window through the shard anchor naming that shard.
-    pub supers: BTreeMap<OrgId, Vec<SuperEpochCommitment>>,
 }
 
 /// Anchors collected from counterparties.
@@ -102,18 +87,8 @@ impl AnchorStore {
         }
     }
 
-    /// Files a super-epoch anchor under `org`. Same semantics as
-    /// [`AnchorStore::record`]: duplicates dropped, conflicts kept.
-    pub fn record_super(&self, org: &OrgId, commitment: SuperEpochCommitment) {
-        let mut held = self.held.lock();
-        let list = held.supers.entry(org.clone()).or_default();
-        if !list.contains(&commitment) {
-            list.push(commitment);
-        }
-    }
-
-    /// Everything collected so far, both halves under one lock, ready
-    /// for `Adjudicator::corroborated_by`.
+    /// Everything collected so far, ready for
+    /// `Adjudicator::corroborated_by`.
     pub fn snapshot(&self) -> Corroboration {
         self.held.lock().clone()
     }
@@ -171,22 +146,6 @@ impl ProtocolHandler for AnchorGossipHandler {
                     });
                 }
                 self.store.record(&msg.sender, commitment);
-            }
-            STEP_SUPER_EPOCH => {
-                let commitment =
-                    SuperEpochCommitment::decode_from_slice(&msg.body).map_err(|e| {
-                        ProtocolError::BadMessage(format!("undecodable super anchor: {e}"))
-                    })?;
-                // `verify` checks well-formedness (non-empty, strictly
-                // increasing shards), the merkle-of-merkles root, and the
-                // sender's batch signature in one pass.
-                if !commitment.verify(&key) {
-                    return Err(ProtocolError::BadSignature {
-                        org: msg.sender.clone(),
-                        what: "gossiped super-epoch anchor".into(),
-                    });
-                }
-                self.store.record_super(&msg.sender, commitment);
             }
             step => {
                 return Err(ProtocolError::BadMessage(format!(
@@ -248,19 +207,13 @@ impl AnchorGossip {
         while *cursor < len {
             let records = log.snapshot_range(*cursor..len);
             for record in &records {
-                let body = if let Some(commitment) = EpochCommitment::from_record(record) {
-                    Some((STEP_EPOCH, commitment.encode_to_vec()))
-                } else {
-                    SuperEpochCommitment::from_record(record)
-                        .map(|commitment| (STEP_SUPER_EPOCH, commitment.encode_to_vec()))
-                };
-                if let Some((step, body)) = body {
+                if let Some(commitment) = EpochCommitment::from_record(record) {
                     let msg = ProtocolMessage::new(
                         PROTOCOL_ID,
                         gossip_run_id(),
-                        step,
+                        STEP_EPOCH,
                         self.party.org().clone(),
-                        body,
+                        commitment.encode_to_vec(),
                     )
                     .signed(self.party.keys())
                     .map_err(ProtocolError::from)?;
@@ -393,130 +346,41 @@ mod tests {
         assert_eq!(store.snapshot().epochs[&OrgId::new("mallory")].len(), 1);
     }
 
-    fn sharded_alice(
-        clock: &LogicalClock,
-        dir: &Arc<StaticKeyDirectory>,
-        path: &std::path::Path,
-    ) -> Arc<Party> {
-        let mut rng = nonrep_crypto::rng::SecureRandom::from_seed(31);
-        let keys = Arc::new(nonrep_crypto::sig::KeyPair::generate(
-            nonrep_crypto::sig::SignatureScheme::Mss { height: 8 },
-            &mut rng,
-        ));
-        dir.insert(OrgId::new("alice"), keys.verifying_key());
-        let log = Arc::new(
-            nonrep_store::ShardedEvidenceLog::open(path, 2, nonrep_store::SyncPolicy::GroupCommit)
+    #[test]
+    fn retired_super_epoch_step_is_refused_and_nothing_is_filed() {
+        // Step 2 once carried sharded super-epoch anchors. A genuinely
+        // signed frame at that step is now an unknown step: refused,
+        // never filed.
+        let (_bus, clock, dir) = world();
+        let alice = Party::quick("alice", 1, &clock, &dir);
+        let bob = Party::quick("bob", 2, &clock, &dir);
+        let store = Arc::new(AnchorStore::new());
+        let handler = AnchorGossipHandler::new(bob, store.clone());
+        let root = sha256(b"retired");
+        let commitment = EpochCommitment {
+            lo: 0,
+            hi: 3,
+            root,
+            signature: alice
+                .keys()
+                .sign_digest(&EpochCommitment::signing_digest(0, 3, &root))
                 .unwrap(),
-        );
-        Party::with_sharded_commitment(
-            "alice",
-            keys,
-            Arc::new(clock.clone()),
-            log,
-            Arc::clone(dir) as Arc<dyn crate::party::KeyDirectory>,
-            rng,
-            crate::scheduler::CommitmentMode::batched(2),
-        )
-    }
-
-    #[test]
-    fn super_epoch_anchors_gossip_from_the_meta_shard() {
-        let (bus, clock, dir) = world();
-        let base = std::env::temp_dir().join(format!(
-            "nonrep-gossip-super-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&base);
-        let alice = sharded_alice(&clock, &dir, &base);
-        let bob = Party::quick("bob", 2, &clock, &dir);
-        let alice_coord = coordinator(&bus, "alice");
-        let _bob_coord = coordinator(&bus, "bob");
-        let store = Arc::new(AnchorStore::new());
-        _bob_coord.register_handler(Arc::new(AnchorGossipHandler::new(
-            bob.clone(),
-            store.clone(),
-        )));
-
-        let run = alice.new_run_id();
-        for i in 0..4u8 {
-            let t = alice
-                .issue_token(TokenKind::NroReq, run, sha256(&[i]))
-                .unwrap();
-            alice.store_token(&t).unwrap();
-        }
-        // flush_evidence seals every shard tail and appends one
-        // super-epoch to the meta shard — the log the gossiper scans.
-        alice.flush_evidence().unwrap();
-
-        let gossip = AnchorGossip::new(alice.clone(), alice_coord);
-        let peers = [OrgId::new("bob")];
-        assert_eq!(gossip.gossip_to(&peers).unwrap(), 1);
-        assert_eq!(gossip.gossip_to(&peers).unwrap(), 0);
-        let held = store.snapshot().supers[&OrgId::new("alice")].clone();
-        assert_eq!(held.len(), 1);
-        let key = bob.key_of(&OrgId::new("alice")).unwrap();
-        assert!(held[0].verify(&key));
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
-    #[test]
-    fn doctored_super_epoch_anchor_is_rejected() {
-        let (bus, clock, dir) = world();
-        let base = std::env::temp_dir().join(format!(
-            "nonrep-gossip-doctored-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&base);
-        let alice = sharded_alice(&clock, &dir, &base);
-        let bob = Party::quick("bob", 2, &clock, &dir);
-        let _ = coordinator(&bus, "alice");
-        let store = Arc::new(AnchorStore::new());
-        let handler = AnchorGossipHandler::new(bob.clone(), store.clone());
-
-        let run = alice.new_run_id();
-        for i in 0..4u8 {
-            let t = alice
-                .issue_token(TokenKind::NroReq, run, sha256(&[i]))
-                .unwrap();
-            alice.store_token(&t).unwrap();
-        }
-        alice.flush_evidence().unwrap();
-        let plane = alice.sharded_plane().unwrap();
-        let (_, genuine) = plane.log().latest_super_epoch().unwrap();
-
-        // A doctored shard root inside an otherwise genuine super-epoch
-        // must fail verification at the receiving handler.
-        let mut doctored = genuine.clone();
-        doctored.entries[0].root = sha256(b"rewritten shard history");
+        };
         let msg = ProtocolMessage::new(
             PROTOCOL_ID,
             gossip_run_id(),
-            STEP_SUPER_EPOCH,
+            2,
             OrgId::new("alice"),
-            doctored.encode_to_vec(),
+            commitment.encode_to_vec(),
         )
         .signed(alice.keys())
         .unwrap();
-        assert!(matches!(
+        assert_eq!(
             handler.process(&OrgId::new("alice"), msg),
-            Err(ProtocolError::BadSignature { .. })
-        ));
-        assert!(store.snapshot().supers.is_empty());
-
-        // The genuine anchor is accepted.
-        let ok = ProtocolMessage::new(
-            PROTOCOL_ID,
-            gossip_run_id(),
-            STEP_SUPER_EPOCH,
-            OrgId::new("alice"),
-            genuine.encode_to_vec(),
-        )
-        .signed(alice.keys())
-        .unwrap();
-        handler.process(&OrgId::new("alice"), ok).unwrap();
-        assert_eq!(store.snapshot().supers[&OrgId::new("alice")].len(), 1);
-        let _ = std::fs::remove_dir_all(&base);
+            Err(ProtocolError::BadMessage(
+                "unknown anchor gossip step 2".into()
+            ))
+        );
+        assert!(store.snapshot().epochs.is_empty());
     }
 }

@@ -356,7 +356,7 @@ impl DirectServerHandler {
             )?;
             self.runs.mark_receipt(&msg.run_id);
             // The server's evidence set for this run is complete.
-            self.engine.seal_run(msg.run_id)?;
+            self.engine.seal_run()?;
         }
         Ok(self.engine.open_frame(msg.run_id, 4, Vec::new()))
     }

@@ -204,7 +204,7 @@ impl ProtocolHandler for VoluntaryServerHandler {
         self.runs.record_response(msg.run_id, msg2.clone(), None);
         // The server holds all the evidence it will ever get for this
         // one-sided run; seal it if the commitment policy asks for it.
-        self.engine.seal_run(msg.run_id)?;
+        self.engine.seal_run()?;
         Ok(msg2)
     }
 }

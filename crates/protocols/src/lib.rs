@@ -49,7 +49,6 @@ pub mod handler;
 pub mod invocation;
 pub mod message;
 pub mod party;
-pub mod plane;
 pub mod scheduler;
 pub mod session;
 pub mod sharing;
@@ -59,7 +58,6 @@ pub use coordinator::B2BCoordinator;
 pub use handler::ProtocolHandler;
 pub use message::ProtocolMessage;
 pub use party::{KeyDirectory, Party, StaticKeyDirectory};
-pub use plane::ShardedCommitmentPlane;
 pub use scheduler::{
     BatchPolicy, CommitmentMode, CommitmentScheduler, DeadlineSealer, ExhaustionForecaster,
     TokenSpec,

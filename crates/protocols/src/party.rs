@@ -19,11 +19,10 @@ use parking_lot::Mutex;
 use nonrep_crypto::digest::Digest;
 use nonrep_crypto::rng::SecureRandom;
 use nonrep_crypto::sig::{KeyPair, VerifyingKey};
-use nonrep_store::{EvidenceLog, MemoryLog, RecordDraft, ShardedEvidenceLog};
+use nonrep_store::{EvidenceLog, MemoryLog, RecordDraft};
 use nonrep_types::ids::{OrgId, RunId};
 use nonrep_types::time::{Clock, LogicalClock, Timestamp};
 
-use crate::plane::ShardedCommitmentPlane;
 use crate::scheduler::{CommitmentMode, CommitmentScheduler, TokenSpec};
 use crate::tokens::{NrToken, TokenKind};
 use crate::ProtocolError;
@@ -61,15 +60,6 @@ impl KeyDirectory for StaticKeyDirectory {
     }
 }
 
-/// The commitment plane evidence routes through: one scheduler over one
-/// log (the default), or per-shard schedulers over a
-/// [`ShardedEvidenceLog`] (see [`crate::plane`]). Protocol code never
-/// sees the difference — [`Party`] routes.
-enum EvidencePlane {
-    Single(Arc<CommitmentScheduler>),
-    Sharded(Arc<ShardedCommitmentPlane>),
-}
-
 /// One organisation's protocol-level identity and local services.
 pub struct Party {
     org: OrgId,
@@ -78,7 +68,7 @@ pub struct Party {
     log: Arc<dyn EvidenceLog>,
     directory: Arc<dyn KeyDirectory>,
     rng: Mutex<SecureRandom>,
-    plane: EvidencePlane,
+    scheduler: Arc<CommitmentScheduler>,
 }
 
 impl fmt::Debug for Party {
@@ -134,43 +124,7 @@ impl Party {
             log,
             directory,
             rng: Mutex::new(rng),
-            plane: EvidencePlane::Single(scheduler),
-        })
-    }
-
-    /// Creates a party over a sharded evidence plane: per-shard
-    /// commitment schedulers route appends by run id, and the meta shard
-    /// carries the super-epoch anchors (see [`crate::plane`]).
-    ///
-    /// [`Party::log`] returns the plane's **meta shard** — the log that
-    /// holds the organisation's global anchors; per-shard logs are
-    /// reached through [`Party::sharded_plane`].
-    pub fn with_sharded_commitment(
-        org: impl Into<OrgId>,
-        keys: Arc<KeyPair>,
-        clock: Arc<dyn Clock>,
-        sharded: Arc<ShardedEvidenceLog>,
-        directory: Arc<dyn KeyDirectory>,
-        rng: SecureRandom,
-        mode: CommitmentMode,
-    ) -> Arc<Self> {
-        let org = org.into();
-        let log = Arc::clone(sharded.meta()) as Arc<dyn EvidenceLog>;
-        let plane = Arc::new(ShardedCommitmentPlane::new(
-            sharded,
-            Arc::clone(&keys),
-            org.clone(),
-            Arc::clone(&clock),
-            mode,
-        ));
-        Arc::new(Self {
-            org,
-            keys,
-            clock,
-            log,
-            directory,
-            rng: Mutex::new(rng),
-            plane: EvidencePlane::Sharded(plane),
+            scheduler,
         })
     }
 
@@ -246,10 +200,7 @@ impl Party {
         &self.clock
     }
 
-    /// This party's evidence log. On a sharded party
-    /// ([`Party::with_sharded_commitment`]) this is the plane's meta
-    /// shard — the global-anchor log; per-shard logs live behind
-    /// [`Party::sharded_plane`].
+    /// This party's evidence log.
     pub fn log(&self) -> &Arc<dyn EvidenceLog> {
         &self.log
     }
@@ -278,47 +229,13 @@ impl Party {
     /// This party's evidence-commitment scheduler (seal policy, epoch
     /// sealing state). Returned as an `Arc` so deployments can hand it to
     /// a background [`crate::scheduler::DeadlineSealer`].
-    ///
-    /// # Panics
-    ///
-    /// On a sharded party there is no *single* scheduler — use
-    /// [`Party::schedulers`] or [`Party::sharded_plane`].
     pub fn scheduler(&self) -> &Arc<CommitmentScheduler> {
-        match &self.plane {
-            EvidencePlane::Single(scheduler) => scheduler,
-            EvidencePlane::Sharded(_) => panic!(
-                "sharded party has one scheduler per shard; \
-                 use Party::schedulers() or Party::sharded_plane()"
-            ),
-        }
+        &self.scheduler
     }
 
-    /// Every commitment scheduler of this party: one for the default
-    /// single plane, one per shard for a sharded party — hand the lot to
-    /// [`crate::scheduler::DeadlineSealer::spawn`] so idle shards seal on
-    /// time.
-    pub fn schedulers(&self) -> Vec<Arc<CommitmentScheduler>> {
-        match &self.plane {
-            EvidencePlane::Single(scheduler) => vec![Arc::clone(scheduler)],
-            EvidencePlane::Sharded(plane) => plane.schedulers().to_vec(),
-        }
-    }
-
-    /// The sharded commitment plane, when this party was built over one.
-    pub fn sharded_plane(&self) -> Option<&Arc<ShardedCommitmentPlane>> {
-        match &self.plane {
-            EvidencePlane::Sharded(plane) => Some(plane),
-            EvidencePlane::Single(_) => None,
-        }
-    }
-
-    /// The commitment mode in force (uniform across shards on a sharded
-    /// party).
+    /// The commitment mode in force.
     pub fn commitment_mode(&self) -> CommitmentMode {
-        match &self.plane {
-            EvidencePlane::Single(scheduler) => scheduler.mode(),
-            EvidencePlane::Sharded(plane) => plane.mode(),
-        }
+        self.scheduler.mode()
     }
 
     /// Issues a signed token as this party (routed through the
@@ -346,25 +263,18 @@ impl Party {
     ///
     /// [`ProtocolError::Signing`] if the key is exhausted.
     pub fn issue_tokens(&self, specs: &[TokenSpec]) -> Result<Vec<NrToken>, ProtocolError> {
-        match &self.plane {
-            EvidencePlane::Single(scheduler) => scheduler.issue(specs),
-            EvidencePlane::Sharded(plane) => plane.issue(specs),
-        }
+        self.scheduler.issue(specs)
     }
 
-    /// Marks the end of protocol run `run`: seals any pending evidence
-    /// (on the run's own shard, for a sharded party) if the commitment
-    /// policy asks for run-end sealing (no-op per-record).
+    /// Marks the end of a protocol run: seals any pending evidence if
+    /// the commitment policy asks for run-end sealing (no-op
+    /// per-record).
     ///
     /// # Errors
     ///
     /// [`ProtocolError::Storage`] if the seal cannot be persisted.
-    pub fn end_of_run(&self, run: &RunId) -> Result<(), ProtocolError> {
-        match &self.plane {
-            EvidencePlane::Single(scheduler) => scheduler.end_of_run(),
-            EvidencePlane::Sharded(plane) => plane.end_of_run(run),
-        }
-        .map_err(ProtocolError::from)
+    pub fn end_of_run(&self) -> Result<(), ProtocolError> {
+        self.scheduler.end_of_run().map_err(ProtocolError::from)
     }
 
     /// Explicitly seals pending evidence under an epoch commitment and
@@ -377,13 +287,10 @@ impl Party {
     ///
     /// [`ProtocolError::Storage`] if the seal cannot be persisted.
     pub fn flush_evidence(&self) -> Result<(), ProtocolError> {
-        match &self.plane {
-            EvidencePlane::Single(scheduler) => scheduler.seal_durable().map(|_| ()),
-            // Sharded: seal every shard, cut the covering super-epoch,
-            // and wait out the shared barrier — all frames coalesce.
-            EvidencePlane::Sharded(plane) => plane.flush_durable(),
-        }
-        .map_err(ProtocolError::from)
+        self.scheduler
+            .seal_durable()
+            .map(|_| ())
+            .map_err(ProtocolError::from)
     }
 
     /// Verifies a token allegedly issued by `issuer`, pinned to
@@ -443,10 +350,7 @@ impl Party {
     ///
     /// [`ProtocolError::Storage`] on logging failure.
     pub fn record_draft(&self, draft: RecordDraft) -> Result<(), ProtocolError> {
-        match &self.plane {
-            EvidencePlane::Single(scheduler) => scheduler.record(draft)?,
-            EvidencePlane::Sharded(plane) => plane.record(draft)?,
-        };
+        self.scheduler.record(draft)?;
         Ok(())
     }
 }

@@ -862,7 +862,7 @@ impl CommitmentScheduler {
 pub struct DeadlineSealer {
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
-    schedulers: Vec<Arc<CommitmentScheduler>>,
+    scheduler: Arc<CommitmentScheduler>,
 }
 
 impl fmt::Debug for DeadlineSealer {
@@ -872,13 +872,8 @@ impl fmt::Debug for DeadlineSealer {
 }
 
 impl DeadlineSealer {
-    /// Spawns **one** polling thread over `schedulers` — a single
-    /// scheduler, or every shard's of a sharded commitment plane, where
-    /// a thread per shard would be waste. Every cycle polls every
-    /// scheduler; a failing scheduler backs the whole cadence off (the
-    /// shards share a disk, so one shard's barrier failure is rarely
-    /// alone).
-    pub fn spawn(schedulers: Vec<Arc<CommitmentScheduler>>, poll_interval: Duration) -> Self {
+    /// Spawns the polling thread over `scheduler`.
+    pub fn spawn(scheduler: Arc<CommitmentScheduler>, poll_interval: Duration) -> Self {
         // Clamp away a zero interval: park_timeout(0) returns
         // immediately, which would turn the poller into a busy spin that
         // pins a core (and on which the error backoff's doubling stays
@@ -886,7 +881,7 @@ impl DeadlineSealer {
         let poll_interval = poll_interval.max(Duration::from_millis(1));
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = Arc::clone(&stop);
-        let thread_schedulers = schedulers.clone();
+        let thread_scheduler = Arc::clone(&scheduler);
         let handle = std::thread::spawn(move || {
             let mut delay = poll_interval;
             while !thread_stop.load(Ordering::Relaxed) {
@@ -894,11 +889,7 @@ impl DeadlineSealer {
                 if thread_stop.load(Ordering::Relaxed) {
                     break;
                 }
-                let mut failed = false;
-                for scheduler in &thread_schedulers {
-                    failed |= scheduler.poll().is_err();
-                }
-                delay = if failed {
+                delay = if thread_scheduler.poll().is_err() {
                     // Failure backoff; the degraded probe already keeps the
                     // retries signature-free, this keeps them rare.
                     (delay * 2).min(poll_interval * 64)
@@ -910,7 +901,7 @@ impl DeadlineSealer {
         Self {
             stop,
             handle: Some(handle),
-            schedulers,
+            scheduler,
         }
     }
 
@@ -918,43 +909,26 @@ impl DeadlineSealer {
     /// the background, the driver calls [`DeadlineSealer::tick`] at the
     /// points *it* chooses. Combined with a
     /// [`nonrep_types::time::LogicalClock`] the deadline path replays
-    /// bit-identically — wall time never enters the schedule. One
-    /// [`DeadlineSealer::tick`] polls every scheduler.
-    pub fn manual(schedulers: Vec<Arc<CommitmentScheduler>>) -> Self {
+    /// bit-identically — wall time never enters the schedule.
+    pub fn manual(scheduler: Arc<CommitmentScheduler>) -> Self {
         Self {
             stop: Arc::new(AtomicBool::new(false)),
             handle: None,
-            schedulers,
+            scheduler,
         }
     }
 
-    /// Runs one deadline poll now over every scheduler, returning the
-    /// last epoch record sealed by this tick, if any (exactly
-    /// [`CommitmentScheduler::poll`] per scheduler). On a
+    /// Runs one deadline poll now, returning the epoch record it sealed,
+    /// if any (exactly [`CommitmentScheduler::poll`]). On a
     /// [`DeadlineSealer::manual`] sealer this is the *only* driver of the
     /// deadline path; on a spawned sealer it is a deterministic kick in
     /// addition to the background cadence.
     ///
     /// # Errors
     ///
-    /// The first per-scheduler [`StoreError`]; every scheduler is still
-    /// polled (one shard's failure must not starve the others' seals).
+    /// The scheduler's [`StoreError`].
     pub fn tick(&self) -> Result<Option<Arc<EvidenceRecord>>, StoreError> {
-        let mut sealed = None;
-        let mut first_err = None;
-        for scheduler in &self.schedulers {
-            match scheduler.poll() {
-                Ok(Some(record)) => sealed = Some(record),
-                Ok(None) => {}
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(sealed),
-        }
+        self.scheduler.poll()
     }
 }
 
@@ -1268,7 +1242,7 @@ mod tests {
         let mode = CommitmentMode::Batched(BatchPolicy::size_or_time(1000, 30));
         let (s, log) = scheduler_with_clock(mode, Arc::new(SystemClock::new()));
         s.record(draft(0)).unwrap();
-        let sealer = DeadlineSealer::spawn(vec![Arc::clone(&s)], Duration::from_millis(5));
+        let sealer = DeadlineSealer::spawn(Arc::clone(&s), Duration::from_millis(5));
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while s.unsealed_len() > 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
@@ -1288,7 +1262,7 @@ mod tests {
             let clock = Arc::new(LogicalClock::new());
             let mode = CommitmentMode::Batched(BatchPolicy::size_or_time(1000, 30));
             let (s, log) = scheduler_with_clock(mode, clock.clone());
-            let sealer = DeadlineSealer::manual(vec![Arc::clone(&s)]);
+            let sealer = DeadlineSealer::manual(Arc::clone(&s));
             s.record(draft(0)).unwrap();
             assert!(sealer.tick().unwrap().is_none(), "deadline not reached");
             clock.advance(30);

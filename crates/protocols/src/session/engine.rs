@@ -346,13 +346,13 @@ impl ExchangeEngine {
             .map_err(ExchangeError::from)
     }
 
-    /// Marks the end of protocol run `run`: seals pending evidence if the
+    /// Marks the end of a protocol run: seals pending evidence if the
     /// commitment policy asks for run-end sealing.
     ///
     /// # Errors
     ///
     /// [`ExchangeError::Local`] if the seal cannot be persisted.
-    pub fn seal_run(&self, run: RunId) -> Result<(), ExchangeError> {
-        self.party.end_of_run(&run).map_err(ExchangeError::from)
+    pub fn seal_run(&self) -> Result<(), ExchangeError> {
+        self.party.end_of_run().map_err(ExchangeError::from)
     }
 }

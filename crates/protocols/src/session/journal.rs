@@ -111,7 +111,7 @@ impl RunJournal {
             step,
             phase: MarkerPhase::Aborted,
         })?;
-        self.party.end_of_run(&run).map_err(ExchangeError::from)
+        self.party.end_of_run().map_err(ExchangeError::from)
     }
 
     /// Folds `log` into the set of runs that were open when the log was

@@ -241,8 +241,8 @@ impl SealOnTimeout {
 }
 
 impl EscalationAction for SealOnTimeout {
-    fn escalate(&self, run: RunId) -> EscalationOutcome {
-        match self.engine.seal_run(run) {
+    fn escalate(&self, _run: RunId) -> EscalationOutcome {
+        match self.engine.seal_run() {
             Ok(()) => EscalationOutcome::Faulted,
             Err(e) => EscalationOutcome::Failed(e.to_string()),
         }

@@ -447,7 +447,7 @@ impl<R: Role> Session<R, End> {
     /// [`ExchangeError::Local`] if the seal cannot be persisted.
     pub fn finish(self) -> Result<(), ExchangeError> {
         self.engine.journal_close(self.run, 0)?;
-        self.engine.seal_run(self.run)
+        self.engine.seal_run()
     }
 }
 

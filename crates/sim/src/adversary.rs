@@ -41,7 +41,6 @@ use nonrep_crypto::HssSigner;
 use nonrep_protocols::party::Party;
 use nonrep_protocols::tokens::{NrToken, TokenKind};
 use nonrep_store::record::{EpochCommitment, EvidenceRecord, KeyRollover, RecordDraft, EPOCH_KIND};
-use nonrep_store::EvidenceLog;
 use nonrep_types::codec::{Decode, Encode};
 use nonrep_types::ids::{OrgId, RunId};
 
@@ -61,31 +60,14 @@ pub trait Adversary: Send + Sync {
     fn finalize(&self) {}
 
     /// The evidence submission this organisation presents to the
-    /// adjudicator for `run`. Every strategy here submits the same
-    /// window for every run (the crafted histories are whole-log
-    /// artefacts); the run only matters to honest parties on a *sharded*
-    /// evidence plane, which present the full window of the shard the
-    /// run routes to, tagged so super-epoch anchors corroborate it.
-    fn submission(&self, run: RunId) -> WindowSubmission;
+    /// adjudicator. Every strategy submits the same window for every run
+    /// (the crafted histories are whole-log artefacts).
+    fn submission(&self) -> WindowSubmission;
 }
 
 fn full_log_submission(party: &Party) -> WindowSubmission {
     let log = party.log();
     WindowSubmission::from_log(party.org().clone(), log.as_ref(), 0..log.len())
-}
-
-/// The honest submission for `run`: on a sharded party the full window
-/// of the shard `run` routes to (shard-tagged — corroborated against the
-/// party's gossiped super-epoch anchors); otherwise the full single log.
-fn honest_submission(party: &Party, run: RunId) -> WindowSubmission {
-    match party.sharded_plane() {
-        Some(plane) => {
-            let log = plane.log();
-            let shard = log.shard_for(&run);
-            WindowSubmission::from_shard(party.org().clone(), log, shard, 0..log.shard(shard).len())
-        }
-        None => full_log_submission(party),
-    }
 }
 
 /// Submits the full log, exactly as an honest organisation would.
@@ -105,8 +87,8 @@ impl Adversary for HonestSubmitter {
         &self.party
     }
 
-    fn submission(&self, run: RunId) -> WindowSubmission {
-        honest_submission(&self.party, run)
+    fn submission(&self) -> WindowSubmission {
+        full_log_submission(&self.party)
     }
 }
 
@@ -176,7 +158,6 @@ fn forked_submission(
         submitter: party.org().clone(),
         records: forged,
         head: prev,
-        shard: None,
     }
 }
 
@@ -202,7 +183,7 @@ impl Adversary for ForkHistorySubmitter {
         &self.party
     }
 
-    fn submission(&self, _run: RunId) -> WindowSubmission {
+    fn submission(&self) -> WindowSubmission {
         forked_submission(&self.party, None, self.forged_subject)
     }
 }
@@ -225,7 +206,7 @@ impl Adversary for EvidenceWithholder {
         &self.party
     }
 
-    fn submission(&self, _run: RunId) -> WindowSubmission {
+    fn submission(&self) -> WindowSubmission {
         let records = self.party.log().snapshot_range(0..1);
         // The head claim is the truncated tail's hash: a well-formed lie
         // that only a counterparty-held anchor can expose.
@@ -237,7 +218,6 @@ impl Adversary for EvidenceWithholder {
             submitter: self.party.org().clone(),
             records,
             head,
-            shard: None,
         }
     }
 }
@@ -292,7 +272,7 @@ impl Adversary for TokenReplayer {
             .expect("append replayed record");
     }
 
-    fn submission(&self, _run: RunId) -> WindowSubmission {
+    fn submission(&self) -> WindowSubmission {
         full_log_submission(&self.party)
     }
 }
@@ -339,7 +319,7 @@ impl Adversary for ForgedRolloverSubmitter {
         &self.party
     }
 
-    fn submission(&self, _run: RunId) -> WindowSubmission {
+    fn submission(&self) -> WindowSubmission {
         let mut submission = full_log_submission(&self.party);
         let (seq, prev_hash) = submission
             .records
@@ -383,7 +363,7 @@ impl Adversary for EquivocatingTtp {
         &self.party
     }
 
-    fn submission(&self, _run: RunId) -> WindowSubmission {
+    fn submission(&self) -> WindowSubmission {
         forked_submission(
             &self.party,
             Some(TokenKind::TtpReceipt),
@@ -400,7 +380,7 @@ mod tests {
     use nonrep_protocols::party::{KeyDirectory, StaticKeyDirectory};
     use nonrep_types::time::LogicalClock;
 
-    fn batched_party_with_tokens() -> (Arc<Party>, Arc<StaticKeyDirectory>, RunId) {
+    fn batched_party_with_tokens() -> (Arc<Party>, Arc<StaticKeyDirectory>) {
         let clock = LogicalClock::new();
         let dir = Arc::new(StaticKeyDirectory::new());
         let party = Party::quick_batched("alice", 7, &clock, &dir, 2);
@@ -412,7 +392,7 @@ mod tests {
             party.store_token(&t).unwrap();
         }
         party.flush_evidence().unwrap();
-        (party, dir, run)
+        (party, dir)
     }
 
     fn real_anchors(party: &Party) -> Vec<EpochCommitment> {
@@ -428,17 +408,16 @@ mod tests {
     fn judge_holding(dir: Arc<StaticKeyDirectory>, anchors: Vec<EpochCommitment>) -> Adjudicator {
         Adjudicator::new(dir as Arc<dyn KeyDirectory>).corroborated_by(Corroboration {
             epochs: [(OrgId::new("alice"), anchors)].into(),
-            ..Corroboration::default()
         })
     }
 
     #[test]
     fn forked_submission_is_internally_clean_but_anchors_convict_it() {
-        let (party, dir, run) = batched_party_with_tokens();
+        let (party, dir) = batched_party_with_tokens();
         let anchors = real_anchors(&party);
         assert!(!anchors.is_empty());
         let adversary = ForkHistorySubmitter::new(party.clone(), sha256(b"forged"));
-        let submission = adversary.submission(run);
+        let submission = adversary.submission();
         let judge = Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>);
         // Internally consistent: chain, tokens and epoch proofs all pass.
         assert!(judge.verify_window(&submission).clean());
@@ -452,10 +431,10 @@ mod tests {
 
     #[test]
     fn withheld_submission_claims_the_truncated_tail() {
-        let (party, dir, run) = batched_party_with_tokens();
+        let (party, dir) = batched_party_with_tokens();
         let anchors = real_anchors(&party);
         let adversary = EvidenceWithholder::new(party.clone());
-        let submission = adversary.submission(run);
+        let submission = adversary.submission();
         assert_eq!(submission.records.len(), 1);
         assert_ne!(submission.head, Digest::ZERO);
         let judge = Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>);
@@ -483,7 +462,7 @@ mod tests {
             .unwrap();
         let adversary = TokenReplayer::new(alice.clone(), RunId::from_u128(6));
         adversary.finalize();
-        let submission = adversary.submission(run);
+        let submission = adversary.submission();
         let judge = Adjudicator::new(dir as Arc<dyn KeyDirectory>);
         let report = judge.verify_window(&submission);
         assert_eq!(report.context_mismatches, 1);
@@ -492,10 +471,10 @@ mod tests {
 
     #[test]
     fn forged_rollover_chains_cleanly_but_fails_cert_verification() {
-        let (party, dir, run) = batched_party_with_tokens();
+        let (party, dir) = batched_party_with_tokens();
         let anchors = real_anchors(&party);
         let adversary = ForgedRolloverSubmitter::new(party.clone(), 0x726f_6c6c);
-        let submission = adversary.submission(run);
+        let submission = adversary.submission();
         // One record beyond the honest log, head claim covering it.
         assert_eq!(submission.records.len() as u64, party.log().len() + 1);
         assert_eq!(
@@ -514,53 +493,5 @@ mod tests {
         // corroboration alone would have let it through.
         let with_anchors = judge_holding(dir, anchors).verify_window(&submission);
         assert!(with_anchors.anchor_violation.is_none());
-    }
-
-    #[test]
-    fn honest_submission_on_a_sharded_party_is_the_runs_shard_window() {
-        use nonrep_protocols::CommitmentMode;
-        use nonrep_store::{ShardedEvidenceLog, SyncPolicy};
-
-        let dir = std::env::temp_dir().join(format!(
-            "nonrep-sim-adv-shard-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let clock = LogicalClock::new();
-        let keydir = Arc::new(StaticKeyDirectory::new());
-        let keys = Arc::new(nonrep_crypto::sig::KeyPair::generate(
-            nonrep_crypto::sig::SignatureScheme::Mss { height: 8 },
-            &mut nonrep_crypto::rng::SecureRandom::from_seed(61),
-        ));
-        keydir.insert(OrgId::new("alice"), keys.verifying_key());
-        let sharded = Arc::new(ShardedEvidenceLog::open(&dir, 4, SyncPolicy::GroupCommit).unwrap());
-        let party = Party::with_sharded_commitment(
-            "alice",
-            keys,
-            Arc::new(clock),
-            Arc::clone(&sharded),
-            keydir as Arc<dyn KeyDirectory>,
-            nonrep_crypto::rng::SecureRandom::from_seed(62),
-            CommitmentMode::batched(2),
-        );
-        let run = RunId::from_u128(9);
-        for i in 0..3u8 {
-            let t = party
-                .issue_token(TokenKind::NroReq, run, sha256(&[i]))
-                .unwrap();
-            party.store_token(&t).unwrap();
-        }
-        party.flush_evidence().unwrap();
-        let submission = HonestSubmitter::new(party).submission(run);
-        let shard = sharded.shard_for(&run);
-        assert_eq!(submission.shard, Some(shard));
-        assert_eq!(
-            submission.records.len() as u64,
-            sharded.shard(shard).len(),
-            "the whole shard window is presented"
-        );
-        assert!(submission.records.iter().any(|r| r.draft.run_id == run));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

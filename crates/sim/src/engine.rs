@@ -24,19 +24,16 @@
 //! budget, so message delivery (and hence run completion) is guaranteed —
 //! losses perturb *how* evidence is produced, never *whether* it is.
 //!
-//! # Sharded evidence planes
+//! # The durable organisation
 //!
-//! When `scenario.evidence_shards > 1` the durable organisation runs on a
-//! [`ShardedEvidenceLog`] instead of a single `FileLog`: evidence routes
-//! to shards by run id, every flush cuts per-shard epochs plus one
-//! super-epoch on the meta shard, gossip carries the super-epochs
-//! (`STEP_SUPER_EPOCH`), and the org's submissions are per-run
-//! shard-tagged windows the adjudicator corroborates against the gossiped
-//! super-epoch anchors. Its crash faults land *at the shard barrier*: the
-//! kill leaves a half-written append image on one shard's tail, which
-//! `ShardedEvidenceLog::open_recover` must drop. Only fully durable
-//! (anchored) records precede the torn bytes, so recovery is verdict-
-//! neutral and schedule invariance holds across the whole family.
+//! `o0` keeps its evidence in a `FileLog`, under
+//! `SyncPolicy::GroupCommit` when `scenario.group_commit` is set and
+//! `SyncPolicy::WriteThrough` otherwise. Its crash faults land mid-append:
+//! the kill leaves a half-written frame on the log's tail, which
+//! `FileLog::open_recover_with` must drop. Only durable records precede
+//! the torn bytes — the crashed stack drains on drop, and anchors are
+//! gossiped only after a durable flush — so recovery is verdict-neutral
+//! and schedule invariance holds across the whole family.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -63,7 +60,7 @@ use nonrep_protocols::tokens::TokenKind;
 use nonrep_protocols::{B2BCoordinator, BatchPolicy, CommitmentMode, ExchangeSupervisor};
 use nonrep_store::log::{FileLog, SyncPolicy};
 use nonrep_store::record::ChainViolation;
-use nonrep_store::{MemoryLog, ShardedEvidenceLog};
+use nonrep_store::MemoryLog;
 use nonrep_types::ids::{OrgId, RunId};
 use nonrep_types::time::LogicalClock;
 
@@ -196,9 +193,6 @@ struct Fleet<'a> {
     handles: BTreeMap<OrgId, OrgHandle>,
     anchors: Arc<AnchorStore>,
     durable_path: PathBuf,
-    /// Directory of `o0`'s sharded plane when
-    /// `scenario.evidence_shards > 1` (unused otherwise).
-    sharded_dir: PathBuf,
     retry: RetryPolicy,
 }
 
@@ -221,8 +215,6 @@ impl<'a> Fleet<'a> {
         let dir = Arc::new(StaticKeyDirectory::new());
         let durable_path = scratch.join(format!("{}-o0.log", scenario.seed));
         let _ = std::fs::remove_file(&durable_path);
-        let sharded_dir = scratch.join(format!("{}-o0-shards", scenario.seed));
-        let _ = std::fs::remove_dir_all(&sharded_dir);
         let mut fleet = Fleet {
             scenario,
             bus,
@@ -233,7 +225,6 @@ impl<'a> Fleet<'a> {
             handles: BTreeMap::new(),
             anchors: Arc::new(AnchorStore::new()),
             durable_path,
-            sharded_dir,
             retry,
         };
 
@@ -303,55 +294,31 @@ impl<'a> Fleet<'a> {
         };
         let salt = if recovered { 0x7265_6375 } else { 0x7274 };
         let rng = SecureRandom::from_seed(derive_seed(scenario.seed, org, salt));
-        let party = if durable && scenario.evidence_shards > 1 {
-            // The durable organisation on the sharded evidence plane:
-            // per-run shard routing, one group-commit pool under every
-            // shard, super-epoch anchors on the meta shard.
-            let sharded = if recovered {
-                ShardedEvidenceLog::open_recover(
-                    &self.sharded_dir,
-                    scenario.evidence_shards,
-                    SyncPolicy::GroupCommit,
-                )
+        let log: Arc<dyn nonrep_store::EvidenceLog> = if durable {
+            let policy = if scenario.group_commit {
+                SyncPolicy::GroupCommit
             } else {
-                ShardedEvidenceLog::open(
-                    &self.sharded_dir,
-                    scenario.evidence_shards,
-                    SyncPolicy::GroupCommit,
-                )
+                SyncPolicy::WriteThrough
+            };
+            let file = if recovered {
+                FileLog::open_recover_with(&self.durable_path, policy)
+            } else {
+                FileLog::open_with(&self.durable_path, policy)
             }
             .map_err(|e| std::io::Error::other(e.to_string()))?;
-            Party::with_sharded_commitment(
-                org.clone(),
-                Arc::clone(&self.keys[org]),
-                Arc::new(self.clock.clone()),
-                Arc::new(sharded),
-                Arc::clone(&self.dir) as Arc<dyn KeyDirectory>,
-                rng,
-                mode,
-            )
+            Arc::new(file)
         } else {
-            let log: Arc<dyn nonrep_store::EvidenceLog> = if durable {
-                let file = if recovered {
-                    FileLog::open_recover_with(&self.durable_path, SyncPolicy::WriteThrough)
-                } else {
-                    FileLog::open_with(&self.durable_path, SyncPolicy::WriteThrough)
-                }
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-                Arc::new(file)
-            } else {
-                Arc::new(MemoryLog::new())
-            };
-            Party::with_commitment(
-                org.clone(),
-                Arc::clone(&self.keys[org]),
-                Arc::new(self.clock.clone()),
-                log,
-                Arc::clone(&self.dir) as Arc<dyn KeyDirectory>,
-                rng,
-                mode,
-            )
+            Arc::new(MemoryLog::new())
         };
+        let party = Party::with_commitment(
+            org.clone(),
+            Arc::clone(&self.keys[org]),
+            Arc::new(self.clock.clone()),
+            log,
+            Arc::clone(&self.dir) as Arc<dyn KeyDirectory>,
+            rng,
+            mode,
+        );
         let coordinator = B2BCoordinator::new(
             org.clone(),
             ReliableRequester::new(self.bus.clone(), self.retry),
@@ -439,20 +406,25 @@ impl<'a> Fleet<'a> {
         // evidence from disk and rebuild around the recovered log.
         self.bus.unregister(&org);
         self.handles.remove(&org);
-        if self.scenario.evidence_shards > 1 {
-            // The kill lands at the shard barrier: leave the half-written
-            // append image a mid-write crash leaves on one shard's tail.
-            // Recovery must drop exactly these bytes — every durable
-            // (anchored) record precedes them, so the verdicts cannot
-            // move. Which shard is torn derives from the seed.
-            let shard = (self.scenario.seed % u64::from(self.scenario.evidence_shards)) as u32;
-            let path = self.sharded_dir.join(format!("shard-{shard:03}.log"));
-            let mut file = std::fs::OpenOptions::new().append(true).open(&path)?;
+        // The kill lands mid-append: leave the half-written frame a
+        // mid-write crash leaves on the log's tail. Recovery must drop
+        // exactly these bytes — every durable record precedes them, so
+        // the verdicts cannot move.
+        let durable_len = std::fs::metadata(&self.durable_path)?.len();
+        {
             use std::io::Write;
+            let mut file = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&self.durable_path)?;
             file.write_all(b"torn mid-append frame")?;
             file.sync_all()?;
         }
         self.install(&org, true)?;
+        if std::fs::metadata(&self.durable_path)?.len() != durable_len {
+            return Err(std::io::Error::other(
+                "recovery kept the torn mid-append frame",
+            ));
+        }
         self.bus.fault_plan().recover(&org);
         Ok(())
     }
@@ -546,9 +518,8 @@ impl<'a> Fleet<'a> {
         Ok(completed)
     }
 
-    /// An adjudicator holding everything gossiped so far (super-epochs
-    /// for the sharded durable org's shard-tagged submissions, epoch
-    /// anchors for everyone else's); one serves every item.
+    /// An adjudicator holding every epoch anchor gossiped so far; one
+    /// serves every item.
     fn adjudicator(&self) -> Adjudicator {
         Adjudicator::new(Arc::clone(&self.dir) as Arc<dyn KeyDirectory>)
             .corroborated_by(self.anchors.snapshot())
@@ -558,7 +529,7 @@ impl<'a> Fleet<'a> {
         let submissions: Vec<WindowSubmission> = item
             .participants(&self.scenario.ttp)
             .iter()
-            .map(|p| self.handles[p].conduct.submission(item.run_id))
+            .map(|p| self.handles[p].conduct.submission())
             .collect();
         let verdict = judge.adjudicate_windows(item.run_id, &submissions);
         reduce(item, completed, &verdict, &self.scenario.ttp)
@@ -627,9 +598,8 @@ fn reduce(item: &WorkItem, completed: bool, verdict: &Verdict, ttp: &OrgId) -> R
 
 /// Executes `scenario` with the item order derived from `schedule_seed`
 /// and adjudicates every run. `scratch` hosts the durable organisation's
-/// `FileLog` — or its sharded plane's directory when
-/// `scenario.evidence_shards > 1` (one path per scenario seed —
-/// concurrent fleets need distinct scratch directories).
+/// `FileLog` (one path per scenario seed — concurrent fleets need
+/// distinct scratch directories).
 ///
 /// # Errors
 ///
@@ -808,31 +778,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_showcase_convicts_byzantines_and_survives_permutation() {
-        // The full byzantine cast with o0 on a four-way sharded plane:
-        // super-epoch gossip, shard-window submissions, and a crash that
-        // tears a shard tail at the barrier — same verdicts, any schedule.
-        let scenario = Scenario::showcase_sharded(29);
-        let base = run_fleet(&scenario, 0, &scratch("shard-base")).unwrap();
-        let permuted = run_fleet(&scenario, 42, &scratch("shard-alt")).unwrap();
-        assert!(base.verdicts_match(&permuted));
-        for (org, role) in &scenario.byzantine {
-            assert!(base.detected(org), "{org} ({}) not detected", role.name());
-        }
-        for org in scenario.honest_orgs() {
-            assert!(!base.detected(&org), "honest {org} falsely accused");
-        }
-        // The sharded org's evidence actually established facts: its
-        // shard windows held tokens for at least one adjudicated run.
-        let o0 = scenario.regular[0].as_str();
-        assert!(base
-            .runs
-            .iter()
-            .flat_map(|r| r.facts.iter())
-            .any(|(_, _, _, held)| held.iter().any(|h| h == o0)));
-    }
-
-    #[test]
     fn showcase_crash_crosses_the_rollover_boundary_and_recovery_keeps_the_chain() {
         use nonrep_store::record::KeyRollover;
 
@@ -903,13 +848,16 @@ mod tests {
         use nonrep_protocols::tokens::TokenKind;
         use std::time::{Duration, Instant};
 
-        // The sharded fleet runs its durable org under
+        // The showcase with o0's durable log under
         // `SyncPolicy::GroupCommit`. Drive one item to completion, then
-        // pile an un-flushed burst onto a different shard and kill the
-        // org with the backlog still in flight: recovery must come back
-        // to exactly the acked prefix, and the already-adjudicated
-        // verdict must not move.
-        let scenario = Scenario::showcase_sharded(31);
+        // pile an un-flushed burst onto o0's log and kill the org with
+        // the backlog still in flight: recovery must come back to
+        // exactly the acked prefix, and the already-adjudicated verdict
+        // must not move.
+        let scenario = Scenario {
+            group_commit: true,
+            ..Scenario::showcase(31)
+        };
         let mut fleet = Fleet::build(&scenario, &scratch("gc-backlog")).unwrap();
         let item = scenario.items[0].clone();
         let completed = fleet.run_item(&item).unwrap();
@@ -920,16 +868,11 @@ mod tests {
 
         let o0 = scenario.regular[0].clone();
         let party = Arc::clone(fleet.handles[&o0].conduct.party());
-        let plane = Arc::clone(party.sharded_plane().unwrap().log());
-        let shards = scenario.evidence_shards;
-        // A run on a different shard than the adjudicated item keeps the
-        // item's submission window byte-identical across the kill.
-        let item_shard = plane.shard_for(&item.run_id);
+        let log = Arc::clone(party.log());
+        // A run no item adjudicates: its records add no fact to the item.
         let burst_run = (1u128..)
             .map(RunId::from_u128)
-            .find(|r| {
-                plane.shard_for(r) != item_shard && scenario.items.iter().all(|i| i.run_id != *r)
-            })
+            .find(|r| scenario.items.iter().all(|i| i.run_id != *r))
             .unwrap();
         for i in 0..3u8 {
             let t = party
@@ -938,55 +881,44 @@ mod tests {
             party.store_token(&t).unwrap();
         }
         // Let the sync thread drain every barrier that was enqueued; what
-        // remains un-flushed is the pure in-memory backlog the kill will
-        // take. (Stability poll: the backlog count must sit still.)
-        let unflushed = |plane: &ShardedEvidenceLog| -> Vec<u64> {
-            (0..shards)
-                .map(|s| plane.shard(s).unflushed_len())
-                .collect()
-        };
+        // remains off disk is the pure in-memory backlog the kill will
+        // take. (Stability poll: the on-disk record count must sit
+        // still; a read racing a write fails strict decoding and counts
+        // as a change.)
+        let path = fleet.durable_path.clone();
+        let on_disk = || FileLog::open(&path).map_or(0, |f| f.len());
         let deadline = Instant::now() + Duration::from_secs(10);
-        let backlog = loop {
-            let sample = unflushed(&plane);
+        let on_disk = loop {
+            let sample = on_disk();
             std::thread::sleep(Duration::from_millis(100));
-            if unflushed(&plane) == sample || Instant::now() > deadline {
+            if on_disk() == sample || Instant::now() > deadline {
                 break sample;
             }
         };
-        assert!(
-            backlog.iter().sum::<u64>() > 0,
-            "the burst left no backlog to lose"
-        );
-        let at_kill: Vec<u64> = (0..shards).map(|s| plane.shard(s).len()).collect();
+        let at_kill = log.len();
+        let backlog = at_kill - on_disk;
+        assert!(backlog > 0, "the burst left no backlog to lose");
 
         // Kill o0 mid-backlog: forget an Arc so no destructor ever drains
         // the buffered tail, then recover from disk and rebuild.
         fleet.bus.unregister(&o0);
         fleet.handles.remove(&o0);
         std::mem::forget(party);
+        drop(log);
         fleet.install(&o0, true).unwrap();
 
-        let recovered = Arc::clone(
-            fleet.handles[&o0]
-                .conduct
-                .party()
-                .sharded_plane()
-                .unwrap()
-                .log(),
+        let recovered = Arc::clone(fleet.handles[&o0].conduct.party().log());
+        assert_eq!(
+            recovered.len(),
+            at_kill - backlog,
+            "recovery must resume at the acked prefix"
         );
-        for s in 0..shards {
-            assert_eq!(
-                recovered.shard(s).len(),
-                at_kill[s as usize] - backlog[s as usize],
-                "shard {s}: recovery must resume at the acked prefix"
-            );
-        }
         // The verdict on the already-adjudicated run is unchanged: the
         // backlog the kill took was never part of any submission.
         let after = fleet.adjudicate(&fleet.adjudicator(), &item, completed);
         assert_eq!(before, after);
-        // And the recovered plane keeps sealing: fresh evidence lands,
-        // flushes, and the whole plane verifies end to end.
+        // And the recovered log keeps sealing: fresh evidence lands,
+        // flushes, and the whole log verifies end to end.
         let party = Arc::clone(fleet.handles[&o0].conduct.party());
         for i in 0..2u8 {
             let t = party
@@ -995,70 +927,6 @@ mod tests {
             party.store_token(&t).unwrap();
         }
         party.flush_evidence().unwrap();
-        recovered.verify_all().unwrap();
-    }
-
-    #[test]
-    fn shard_tear_below_the_barrier_flags_stale_super_epochs_and_reseals() {
-        use nonrep_protocols::tokens::TokenKind;
-
-        // Build the sharded fleet and drive the first item (o0 client):
-        // its flush seals the run's shard and cuts a covering super-epoch.
-        let scenario = Scenario::showcase_sharded(23);
-        let mut fleet = Fleet::build(&scenario, &scratch("shard-tear")).unwrap();
-        let item = scenario.items[0].clone();
-        assert!(fleet.run_item(&item).unwrap());
-        let o0 = scenario.regular[0].clone();
-        let torn_shard = {
-            let party = fleet.handles[&o0].conduct.party();
-            let plane = party.sharded_plane().unwrap().log();
-            let shard = plane.shard_for(&item.run_id);
-            let (_, sup) = plane.latest_super_epoch().expect("super-epoch sealed");
-            let anchor = sup.anchor_for(shard).expect("run's shard anchored");
-            assert!(plane.shard(shard).len() > anchor.hi);
-            shard
-        };
-        // Crash o0 and destroy the anchored shard *below* its sealed
-        // boundary — unlike a torn append, this loses records the global
-        // anchor vouches for.
-        fleet.bus.unregister(&o0);
-        fleet.handles.remove(&o0);
-        let path = fleet.sharded_dir.join(format!("shard-{torn_shard:03}.log"));
-        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        file.set_len(1).unwrap();
-        drop(file);
-        fleet.install(&o0, true).unwrap();
-        fleet.bus.fault_plan().recover(&o0);
-        let party = Arc::clone(fleet.handles[&o0].conduct.party());
-        let plane = Arc::clone(party.sharded_plane().unwrap().log());
-        // Recovery dropped the torn shard and flagged every super-epoch
-        // whose anchor outruns what the disk still holds.
-        let recovery = plane.recovery();
-        assert!(recovery.shard_dropped[torn_shard as usize] > 0);
-        assert!(
-            recovery
-                .stale_super_epochs
-                .iter()
-                .any(|s| s.shard == torn_shard && s.recovered_len == 0),
-            "stale super-epoch not flagged: {recovery:?}"
-        );
-        // New evidence on the torn shard re-seals it, and the next
-        // super-epoch anchors the re-sealed state (superseding the stale
-        // one) — the plane verifies end to end.
-        let run = (0u128..)
-            .map(RunId::from_u128)
-            .find(|r| *r != RunId::from_u128(0) && plane.shard_for(r) == torn_shard)
-            .unwrap();
-        for i in 0..2u8 {
-            let t = party
-                .issue_token(TokenKind::NroReq, run, sha256(&[i]))
-                .unwrap();
-            party.store_token(&t).unwrap();
-        }
-        party.flush_evidence().unwrap();
-        let (_, newest) = plane.latest_super_epoch().unwrap();
-        let anchor = newest.anchor_for(torn_shard).expect("re-sealed anchor");
-        assert_eq!(anchor.hi + 2, plane.shard(torn_shard).len());
-        plane.verify_all().unwrap();
+        recovered.verify().unwrap();
     }
 }

@@ -17,10 +17,6 @@
 //! - [`Scenario::showcase`] — the maximal hand-laid fleet (every byzantine
 //!   role at once) used by the `fleet_sim` example and the headline
 //!   regression test.
-//! - [`Scenario::showcase_sharded`] — the showcase with the durable
-//!   organisation on a sharded evidence plane: super-epoch anchors,
-//!   per-run shard-window submissions, and crash faults that land at the
-//!   shard barrier.
 //!
 //! Byzantine organisations participate in **exactly one** work item each.
 //! Items execute atomically, so a single-item log has the same record
@@ -217,12 +213,10 @@ pub struct Scenario {
     pub byzantine: Vec<(OrgId, Role)>,
     /// The runs to drive, in index order.
     pub items: Vec<WorkItem>,
-    /// Shard count of `o0`'s durable evidence plane: `1` keeps the
-    /// classic single `FileLog`; `> 1` puts `o0` on a
-    /// `ShardedEvidenceLog` (group-commit pool, per-shard epochs,
-    /// super-epoch anchors on the meta shard) — its gossip then carries
-    /// super-epochs and its submissions are per-run shard windows.
-    pub evidence_shards: u32,
+    /// `true` runs `o0`'s durable `FileLog` under
+    /// `SyncPolicy::GroupCommit` (a sync thread lands each sealed epoch);
+    /// `false` keeps `SyncPolicy::WriteThrough` (every append fsyncs).
+    pub group_commit: bool,
     /// Per-hop message drop probability on the bus.
     pub drop_probability: f64,
     /// Bound on consecutive drops per link (the paper's bounded-failure
@@ -440,10 +434,10 @@ impl Scenario {
         }
 
         let drop_probability = [0.0, 0.1, 0.25][d.below(3) as usize];
-        // A third of the family runs o0 on a sharded evidence plane, so
-        // the property sweep covers super-epoch gossip, shard-window
-        // submissions and shard-barrier crash faults for free.
-        let evidence_shards = [1, 1, 2, 4][d.below(4) as usize];
+        // Half the family runs o0's durable log under group commit, so
+        // the property sweep covers the sync thread's landing of sealed
+        // epochs next to the write-through path.
+        let group_commit = d.below(4) >= 2;
         // Half the family puts one always-honest organisation on a
         // hierarchical key (o0 and o1 are never byzantine, so the choice
         // is safe): its subtrees roll mid-scenario, and the o0 draw
@@ -459,7 +453,7 @@ impl Scenario {
             slow,
             byzantine,
             items,
-            evidence_shards,
+            group_commit,
             drop_probability,
             max_consecutive_drops: 2,
             key_height: 7,
@@ -542,25 +536,12 @@ impl Scenario {
             slow,
             byzantine,
             items,
-            evidence_shards: 1,
+            group_commit: false,
             drop_probability: 0.2,
             max_consecutive_drops: 2,
             key_height: 7,
             ttp_key_height: 7,
             gossip_fanout: usize::MAX,
-        }
-    }
-
-    /// [`Scenario::showcase`] with `o0` on a four-way sharded evidence
-    /// plane: the same maximal byzantine cast and adversity overlays, but
-    /// the durable organisation routes evidence by run across shards,
-    /// anchors them with super-epochs, and crashes *at the shard
-    /// barrier* (the recovery drops the torn shard tail the kill left
-    /// behind).
-    pub fn showcase_sharded(seed: u64) -> Self {
-        Self {
-            evidence_shards: 4,
-            ..Self::showcase(seed)
         }
     }
 
@@ -653,7 +634,7 @@ impl Scenario {
             slow,
             byzantine,
             items,
-            evidence_shards: 1,
+            group_commit: false,
             drop_probability: 0.1,
             max_consecutive_drops: 2,
             key_height: 5,
@@ -787,20 +768,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_counts_are_valid_and_the_sharded_family_is_reachable() {
-        for seed in 0..200u64 {
-            let s = Scenario::from_seed(seed);
-            assert!(
-                matches!(s.evidence_shards, 1 | 2 | 4),
-                "seed {seed}: bad shard count {}",
-                s.evidence_shards
-            );
-        }
-        assert!((0..200u64).any(|s| Scenario::from_seed(s).evidence_shards > 1));
-        assert!((0..200u64).any(|s| Scenario::from_seed(s).evidence_shards == 1));
-        let sharded = Scenario::showcase_sharded(9);
-        assert_eq!(sharded.evidence_shards, 4);
-        assert_eq!(sharded.items, Scenario::showcase(9).items);
+    fn both_sync_policies_are_reachable_from_the_seed_family() {
+        assert!((0..200u64).any(|s| Scenario::from_seed(s).group_commit));
+        assert!((0..200u64).any(|s| !Scenario::from_seed(s).group_commit));
     }
 
     #[test]

@@ -19,34 +19,24 @@
 //!   never payloads), chain verification, queries by protocol run, and
 //!   the [`SyncPolicy`] durability contract (fsync per append, one
 //!   grouped fsync per sealed epoch, or async group commit).
-//! * [`group_commit`] — the [`GroupCommitPool`] behind
-//!   [`SyncPolicy::GroupCommit`]: a dedicated sync thread fed by a
-//!   bounded handoff channel, coalescing concurrently sealed epochs —
-//!   across one log or many attached shard sinks — into one device
-//!   barrier, with [`DurabilityTicket`] completions.
-//! * [`shard`] — the [`ShardedEvidenceLog`]: per-run partitioning over N
-//!   `FileLog` shards sharing one group-commit pool, plus the meta shard
-//!   carrying [`SuperEpochCommitment`] global anchors and
-//!   stale-super-epoch detection on recovery.
+//! * [`group_commit`] — the [`GroupCommitQueue`] behind
+//!   [`SyncPolicy::GroupCommit`]: one dedicated sync thread per log, fed
+//!   by a bounded handoff channel, coalescing concurrently sealed epochs
+//!   into one write and one device barrier, with [`DurabilityTicket`]
+//!   completions.
 //! * [`state`] — [`StateStore`], a content-addressed store mapping digests
 //!   to state bytes, with named version histories for shared objects.
 
 pub mod group_commit;
 pub mod log;
 pub mod record;
-pub mod shard;
 pub mod state;
 
-pub use group_commit::{DurabilityTicket, GroupCommitPool, GroupCommitQueue};
+pub use group_commit::{DurabilityTicket, GroupCommitQueue};
 pub use log::{DurabilityClass, EvidenceLog, FileLog, MemoryLog, SyncPolicy};
 pub use record::{
     ChainViolation, EpochCommitment, EvidenceRecord, KeyRollover, MarkerPhase, RecordDraft,
-    RunMarker, ShardAnchor, SuperEpochCommitment, EPOCH_KIND, ROLLOVER_KIND, RUN_MARKER_KIND,
-    SUPER_EPOCH_KIND,
-};
-pub use shard::{
-    latest_epoch, latest_super_epoch, shard_index, validate_shard_count, ShardedEvidenceLog,
-    ShardedRecovery, StaleSuperEpoch, MAX_EVIDENCE_SHARDS,
+    RunMarker, EPOCH_KIND, ROLLOVER_KIND, RUN_MARKER_KIND,
 };
 pub use state::StateStore;
 

@@ -52,10 +52,8 @@ use nonrep_crypto::digest::Digest;
 use nonrep_types::codec::{Decode, Reader, Writer};
 use nonrep_types::ids::RunId;
 
-use crate::group_commit::{DurabilityTicket, GroupCommitPool, GroupCommitQueue};
-use crate::record::{
-    ChainVerifier, ChainViolation, EvidenceRecord, RecordDraft, EPOCH_KIND, SUPER_EPOCH_KIND,
-};
+use crate::group_commit::{DurabilityTicket, GroupCommitQueue};
+use crate::record::{ChainVerifier, ChainViolation, EvidenceRecord, RecordDraft, EPOCH_KIND};
 use crate::StoreError;
 
 /// When a [`FileLog`] makes appended records durable.
@@ -573,7 +571,7 @@ impl FileLog {
     /// violation. A file truncated mid-append fails too — use
     /// [`FileLog::open_recover`] to discard a torn tail instead.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::open_impl(path.as_ref(), false, SyncPolicy::WriteThrough, None)
+        Self::open_impl(path.as_ref(), false, SyncPolicy::WriteThrough)
     }
 
     /// [`FileLog::open`] with an explicit durability policy.
@@ -582,36 +580,7 @@ impl FileLog {
     ///
     /// As [`FileLog::open`].
     pub fn open_with(path: impl AsRef<Path>, policy: SyncPolicy) -> Result<Self, StoreError> {
-        Self::open_impl(path.as_ref(), false, policy, None)
-    }
-
-    /// Opens the log under [`SyncPolicy::GroupCommit`], attached to a
-    /// *shared* [`GroupCommitPool`] instead of a private sync thread —
-    /// the sharded evidence plane opens every shard this way so
-    /// concurrent shards' epoch frames coalesce into few device
-    /// barriers.
-    ///
-    /// # Errors
-    ///
-    /// As [`FileLog::open`].
-    pub fn open_in_pool(
-        path: impl AsRef<Path>,
-        pool: &Arc<GroupCommitPool>,
-    ) -> Result<Self, StoreError> {
-        Self::open_impl(path.as_ref(), false, SyncPolicy::GroupCommit, Some(pool))
-    }
-
-    /// [`FileLog::open_in_pool`] with crash recovery (see
-    /// [`FileLog::open_recover`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`FileLog::open_recover`].
-    pub fn open_recover_in_pool(
-        path: impl AsRef<Path>,
-        pool: &Arc<GroupCommitPool>,
-    ) -> Result<Self, StoreError> {
-        Self::open_impl(path.as_ref(), true, SyncPolicy::GroupCommit, Some(pool))
+        Self::open_impl(path.as_ref(), false, policy)
     }
 
     /// Opens the log, discarding a torn tail left by a crash mid-write.
@@ -649,7 +618,7 @@ impl FileLog {
     /// Returns [`StoreError`] on I/O failure, mid-file corruption or a
     /// chain violation.
     pub fn open_recover(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::open_impl(path.as_ref(), true, SyncPolicy::WriteThrough, None)
+        Self::open_impl(path.as_ref(), true, SyncPolicy::WriteThrough)
     }
 
     /// [`FileLog::open_recover`] with an explicit durability policy.
@@ -661,15 +630,10 @@ impl FileLog {
         path: impl AsRef<Path>,
         policy: SyncPolicy,
     ) -> Result<Self, StoreError> {
-        Self::open_impl(path.as_ref(), true, policy, None)
+        Self::open_impl(path.as_ref(), true, policy)
     }
 
-    fn open_impl(
-        path: &Path,
-        recover: bool,
-        policy: SyncPolicy,
-        pool: Option<&Arc<GroupCommitPool>>,
-    ) -> Result<Self, StoreError> {
+    fn open_impl(path: &Path, recover: bool, policy: SyncPolicy) -> Result<Self, StoreError> {
         let path = path.to_path_buf();
         let mut records = Vec::new();
         let mut verifier = ChainVerifier::new();
@@ -730,10 +694,7 @@ impl FileLog {
         let group = (policy == SyncPolicy::GroupCommit)
             .then(|| -> Result<GroupCommitQueue, StoreError> {
                 let sync_handle = file.try_clone()?;
-                Ok(match pool {
-                    Some(pool) => pool.attach(sync_handle, file_len, record_count),
-                    None => GroupCommitQueue::spawn(sync_handle, file_len, record_count),
-                })
+                Ok(GroupCommitQueue::spawn(sync_handle, file_len, record_count))
             })
             .transpose()?;
         Ok(Self {
@@ -906,10 +867,7 @@ impl EvidenceLog for FileLog {
                 result
             }),
             SyncPolicy::GroupCommit => {
-                // Super-epoch records (the sharded plane's meta shard)
-                // are sealing points too: they trigger the same flush /
-                // handoff as an ordinary epoch commitment.
-                let lands_epoch = draft.kind == EPOCH_KIND || draft.kind == SUPER_EPOCH_KIND;
+                let lands_epoch = draft.kind == EPOCH_KIND;
                 let frame_start = pending.len();
                 let record = state.append_with(draft, |encoded| {
                     let len = u32::try_from(encoded.len())
@@ -1334,36 +1292,29 @@ mod tests {
 
     #[test]
     fn per_epoch_buffers_until_epoch_record_lands() {
-        // Appends buffer until a sealing record lands — an epoch
-        // commitment or, on a sharded plane's meta shard, a super-epoch.
-        // Nothing reaches the file before; the whole buffer is handed
-        // off with it.
-        for kind in [EPOCH_KIND, SUPER_EPOCH_KIND] {
-            let path = temp_path(&format!("buffered-{kind}.log"));
-            let _ = std::fs::remove_file(&path);
-            let log = FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap();
-            for i in 0..3 {
-                log.append(draft(i)).unwrap();
-            }
-            assert_eq!(log.unflushed_len(), 3);
-            assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
-            assert!(log.buffer_headroom().unwrap() < FileLog::MAX_BUFFERED_BYTES as u64);
-            log.append(RecordDraft {
-                kind: kind.to_string(),
-                ..draft(3)
-            })
-            .unwrap();
-            assert_eq!(
-                log.buffer_headroom(),
-                Some(FileLog::MAX_BUFFERED_BYTES as u64),
-                "{kind} handed the buffer off"
-            );
-            log.last_seal_ticket().unwrap().wait_durable().unwrap();
-            assert_eq!(log.unflushed_len(), 0);
-            kill(log);
-            assert_eq!(FileLog::open(&path).unwrap().len(), 4);
-            let _ = std::fs::remove_file(&path);
+        // Appends buffer until an epoch commitment lands. Nothing
+        // reaches the file before; the whole buffer is handed off with
+        // it.
+        let path = temp_path("buffered.log");
+        let _ = std::fs::remove_file(&path);
+        let log = FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap();
+        for i in 0..3 {
+            log.append(draft(i)).unwrap();
         }
+        assert_eq!(log.unflushed_len(), 3);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        assert!(log.buffer_headroom().unwrap() < FileLog::MAX_BUFFERED_BYTES as u64);
+        log.append(epoch_draft(3)).unwrap();
+        assert_eq!(
+            log.buffer_headroom(),
+            Some(FileLog::MAX_BUFFERED_BYTES as u64),
+            "the epoch handed the buffer off"
+        );
+        log.last_seal_ticket().unwrap().wait_durable().unwrap();
+        assert_eq!(log.unflushed_len(), 0);
+        kill(log);
+        assert_eq!(FileLog::open(&path).unwrap().len(), 4);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -78,12 +78,6 @@ impl EvidenceRecord {
         self.draft.kind == EPOCH_KIND
     }
 
-    /// `true` if this record carries a [`SuperEpochCommitment`] (meta
-    /// shard of a sharded plane).
-    pub fn is_super_epoch_commit(&self) -> bool {
-        self.draft.kind == SUPER_EPOCH_KIND
-    }
-
     /// `true` if this record carries a [`KeyRollover`].
     pub fn is_key_rollover(&self) -> bool {
         self.draft.kind == ROLLOVER_KIND
@@ -449,183 +443,6 @@ impl Decode for RunMarker {
                 .map_err(|_| CodecError::InvalidUtf8)?,
             step: r.get_u32()?,
             phase: MarkerPhase::from_tag(r.get_u8()?)?,
-        })
-    }
-}
-
-/// Record kind under which super-epoch commitments are logged (on the
-/// meta shard of a sharded evidence plane).
-pub const SUPER_EPOCH_KIND: &str = "super_epoch_commit";
-
-/// One shard's latest sealed epoch, as anchored by a
-/// [`SuperEpochCommitment`]: the shard index plus the `(lo, hi, root)`
-/// of that shard's newest [`EpochCommitment`]. Ranges are in the
-/// *shard-local* sequence space.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardAnchor {
-    /// Shard index within the plane (the meta shard never appears here).
-    pub shard: u32,
-    /// First sequence the shard epoch covers (shard-local).
-    pub lo: u64,
-    /// Last covered sequence (inclusive, shard-local).
-    pub hi: u64,
-    /// The shard epoch's Merkle root.
-    pub root: Digest,
-}
-
-impl ShardAnchor {
-    /// Domain-separated leaf digest of this anchor in the super-epoch's
-    /// merkle-of-merkles. Binds the shard index and the range, so an
-    /// anchor cannot be replayed for a different shard or window.
-    pub fn anchor_digest(&self) -> Digest {
-        let mut h = Sha256::new();
-        h.update(b"nonrep.shardanchor.v1");
-        h.update(&self.shard.to_le_bytes());
-        h.update(&self.lo.to_le_bytes());
-        h.update(&self.hi.to_le_bytes());
-        h.update(self.root.as_bytes());
-        h.finalize()
-    }
-}
-
-impl Encode for ShardAnchor {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.shard);
-        w.put_u64(self.lo);
-        w.put_u64(self.hi);
-        self.root.encode(w);
-    }
-}
-
-impl Decode for ShardAnchor {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            shard: r.get_u32()?,
-            lo: r.get_u64()?,
-            hi: r.get_u64()?,
-            root: Digest::decode(r)?,
-        })
-    }
-}
-
-/// The sharded plane's single global anchor: a merkle-of-merkles over
-/// every shard's latest epoch root, sealed under **one** signature and
-/// appended to the designated meta shard.
-///
-/// Sharding trades the old single totally-ordered chain for N
-/// independent chains; the super-epoch restores the global commitment
-/// the adjudicator (and anchor gossip) needs. Each leaf of its tree is a
-/// [`ShardAnchor::anchor_digest`], so the one signature transitively
-/// seals every shard's epoch root — doctoring any shard root inside a
-/// gossiped super-epoch breaks the recomputed tree and the commitment is
-/// rejected. Per-shard epoch signatures still exist in the shard logs;
-/// the super-epoch is the cross-shard summary, produced at a fraction of
-/// the signing cost of N extra epoch signatures.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SuperEpochCommitment {
-    /// One anchor per shard that had sealed at least one epoch when this
-    /// super-epoch was cut, in strictly increasing shard order.
-    pub entries: Vec<ShardAnchor>,
-    /// Merkle root over the entries' [`ShardAnchor::anchor_digest`]s.
-    pub root: Digest,
-    /// The sealer's signature over [`SuperEpochCommitment::signing_digest`]
-    /// (batched-MSS when the org signs with hash-based keys: the one
-    /// batch leaf seals the whole merkle-of-merkles).
-    pub signature: Signature,
-}
-
-impl SuperEpochCommitment {
-    /// The domain-separated digest the sealer signs.
-    pub fn signing_digest(entry_count: u32, root: &Digest) -> Digest {
-        let mut h = Sha256::new();
-        h.update(b"nonrep.superepoch.v1");
-        h.update(&entry_count.to_le_bytes());
-        h.update(root.as_bytes());
-        h.finalize()
-    }
-
-    /// The merkle-of-merkles root over shard anchors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is empty (a super-epoch always anchors ≥ 1
-    /// shard epoch).
-    pub fn root_over_entries(entries: &[ShardAnchor]) -> Digest {
-        let mut acc = MerkleAccumulator::new();
-        for entry in entries {
-            acc.push(leaf_hash(entry.anchor_digest().as_bytes()));
-        }
-        acc.root()
-    }
-
-    /// Verifies the commitment: entries non-empty and strictly ordered
-    /// by shard, the recomputed merkle-of-merkles matches `root`, and
-    /// the signature checks under `key`. Any doctored shard root, range
-    /// bound, shard index, duplicated entry, or signature fails.
-    pub fn verify(&self, key: &VerifyingKey) -> bool {
-        if self.entries.is_empty() {
-            return false;
-        }
-        if !self.entries.windows(2).all(|w| w[0].shard < w[1].shard) {
-            return false;
-        }
-        Self::root_over_entries(&self.entries) == self.root
-            && key.verify_digest(
-                &Self::signing_digest(self.entries.len() as u32, &self.root),
-                &self.signature,
-            )
-    }
-
-    /// The anchor for `shard`, if this super-epoch covers it.
-    pub fn anchor_for(&self, shard: u32) -> Option<&ShardAnchor> {
-        self.entries.iter().find(|e| e.shard == shard)
-    }
-
-    /// Wraps this commitment as a log record draft for the meta shard
-    /// (kind [`SUPER_EPOCH_KIND`], content digest = super root).
-    pub fn to_draft(&self, actor: OrgId, at: Timestamp) -> RecordDraft {
-        RecordDraft {
-            run_id: epoch_run_id(),
-            kind: SUPER_EPOCH_KIND.to_string(),
-            actor,
-            at,
-            content_digest: self.root,
-            payload: self.encode_to_vec(),
-        }
-    }
-
-    /// Decodes the commitment carried by a super-epoch record, if
-    /// `record` is one.
-    pub fn from_record(record: &EvidenceRecord) -> Option<Self> {
-        if record.draft.kind != SUPER_EPOCH_KIND {
-            return None;
-        }
-        Self::decode_from_slice(&record.draft.payload).ok()
-    }
-}
-
-impl Encode for SuperEpochCommitment {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.entries.len() as u32);
-        for entry in &self.entries {
-            entry.encode(w);
-        }
-        self.root.encode(w);
-        self.signature.encode(w);
-    }
-}
-
-impl Decode for SuperEpochCommitment {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let count = r.get_u32()?;
-        let mut entries = Vec::with_capacity(count.min(1024) as usize);
-        for _ in 0..count {
-            entries.push(ShardAnchor::decode(r)?);
-        }
-        Ok(Self {
-            entries,
-            root: Digest::decode(r)?,
-            signature: Signature::decode(r)?,
         })
     }
 }
@@ -1035,104 +852,6 @@ mod tests {
         let mut swapped = records.clone();
         swapped.swap(1, 2);
         assert!(!commit.verify(&vk, &swapped));
-    }
-
-    fn super_seal(
-        entries: Vec<ShardAnchor>,
-        keys: &nonrep_crypto::sig::KeyPair,
-    ) -> SuperEpochCommitment {
-        let root = SuperEpochCommitment::root_over_entries(&entries);
-        let digest = SuperEpochCommitment::signing_digest(entries.len() as u32, &root);
-        // One batch leaf seals the whole merkle-of-merkles.
-        let signature = keys.sign_batch(&[digest]).unwrap().pop().unwrap();
-        SuperEpochCommitment {
-            entries,
-            root,
-            signature,
-        }
-    }
-
-    fn shard_anchors() -> Vec<ShardAnchor> {
-        (0..4)
-            .map(|i| ShardAnchor {
-                shard: i,
-                lo: u64::from(i) * 3,
-                hi: u64::from(i) * 3 + 2,
-                root: sha256(format!("shard-root-{i}").as_bytes()),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn super_epoch_verifies_and_roundtrips() {
-        let keys = test_keys();
-        let commit = super_seal(shard_anchors(), &keys);
-        let vk = keys.verifying_key();
-        assert!(commit.verify(&vk));
-        assert_eq!(commit.anchor_for(2).unwrap().lo, 6);
-        assert!(commit.anchor_for(9).is_none());
-        let back = SuperEpochCommitment::decode_from_slice(&commit.encode_to_vec()).unwrap();
-        assert_eq!(back, commit);
-        // As a record draft it is recognizable and decodable.
-        let draft = commit.to_draft(OrgId::new("org"), Timestamp(11));
-        assert_eq!(draft.kind, SUPER_EPOCH_KIND);
-        let rec = EvidenceRecord {
-            seq: 3,
-            prev_hash: Digest::ZERO,
-            draft,
-        };
-        assert_eq!(SuperEpochCommitment::from_record(&rec).unwrap(), commit);
-        // An ordinary record is not mistaken for a super-epoch.
-        assert!(SuperEpochCommitment::from_record(&chain(1)[0]).is_none());
-    }
-
-    #[test]
-    fn super_epoch_rejects_all_tampering() {
-        let keys = test_keys();
-        let vk = keys.verifying_key();
-        let commit = super_seal(shard_anchors(), &keys);
-
-        // Doctored shard root inside the commitment — the adjudication
-        // tamper case: the merkle-of-merkles no longer recomputes.
-        let mut doctored = commit.clone();
-        doctored.entries[1].root = sha256(b"evil");
-        assert!(!doctored.verify(&vk));
-
-        // Doctored range bounds or shard index of an entry.
-        let mut bad_hi = commit.clone();
-        bad_hi.entries[2].hi += 1;
-        assert!(!bad_hi.verify(&vk));
-        let mut bad_shard = commit.clone();
-        bad_shard.entries[3].shard = 7;
-        assert!(!bad_shard.verify(&vk));
-
-        // Tampered super root (signature covers it).
-        let mut bad_root = commit.clone();
-        bad_root.root = sha256(b"evil-root");
-        assert!(!bad_root.verify(&vk));
-
-        // Dropped or duplicated entries.
-        let mut dropped = commit.clone();
-        dropped.entries.pop();
-        assert!(!dropped.verify(&vk));
-        let mut dup = commit.clone();
-        dup.entries[1] = dup.entries[0].clone();
-        assert!(!dup.verify(&vk));
-
-        // Unordered entries are rejected outright.
-        let mut unordered = commit.clone();
-        unordered.entries.swap(0, 1);
-        assert!(!unordered.verify(&vk));
-
-        // Empty commitment and wrong key.
-        let mut empty = commit.clone();
-        empty.entries.clear();
-        assert!(!empty.verify(&vk));
-        let other = nonrep_crypto::sig::KeyPair::generate(
-            nonrep_crypto::sig::SignatureScheme::Mss { height: 3 },
-            &mut nonrep_crypto::rng::SecureRandom::from_seed(43),
-        );
-        assert!(!commit.verify(&other.verifying_key()));
     }
 
     #[test]

@@ -76,7 +76,6 @@ fn main() -> Result<(), Box<dyn Error>> {
             .cloned()
             .collect(),
         head: honest.head,
-        shard: None,
     };
     println!(
         "\nmanufacturer submits a doctored window ({} of {} records)",

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Runs the full perf-tracked experiment suite (e1–e3, e5–e17) and writes
+# Runs the full perf-tracked experiment suite (e1–e3, e5–e14, e16, e17) and writes
 # BENCH_<N>.json at the repo root with before/after numbers, where
-# "before" is the checked-in baseline (scripts/bench_baseline_<N>.jsonl —
+# "before" is the checked-in baseline (scripts/bench_baseline_7.jsonl —
 # seed-implementation numbers carried forward, plus regression-guard
 # rows for post-seed benches). See docs/BENCHMARKS.md; the regression
 # gate over the result is scripts/bench_gate.sh.
 #
-# The disk-bound suites (e12/e13/e15) run three times and the merge
+# The disk-bound suites (e12/e13) run three times and the merge
 # keeps each row's best run: their numbers ride on fsync latency, which
 # drifts with host load far more than the CPU-bound suites (BENCH_5
 # showed 0.87–0.92× swings on e12/e13 from noise alone), and the best
@@ -17,14 +17,14 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.." || exit 1
 N="${1:-7}"
-BASELINE="scripts/bench_baseline_${N}.jsonl"
+BASELINE="scripts/bench_baseline_7.jsonl"
 CURRENT="$(mktemp /tmp/nonrep-bench-XXXX.jsonl)"
 trap 'rm -f "$CURRENT"' EXIT
 
-DISK_BOUND=" e12_durability e13_group_commit e15_sharded "
+DISK_BOUND=" e12_durability e13_group_commit "
 for bench in e1_invocation e2_sharing e3_trust_domains e5_container e6_crypto \
              e7_evidence_space e8_messages e9_faults e10_group_size e11_batch_commit \
-             e12_durability e13_group_commit e14_multibuffer e15_sharded \
+             e12_durability e13_group_commit e14_multibuffer \
              e16_rollover e17_supervisor; do
     runs=1
     [[ "$DISK_BOUND" == *" $bench "* ]] && runs=3

@@ -1,17 +1,16 @@
 #!/usr/bin/env bash
 # Bench-regression gate: compares the newest BENCH_<N>.json "after"
-# numbers against its checked-in baseline
-# (scripts/bench_baseline_<N>.jsonl) and fails on a >25% regression on
-# the headline perf paths (e1_invocation, e11_batch, e12_durability,
-# e13_group_commit, e14_multibuffer, e15_sharded, e16_rollover,
-# e17_supervisor). The disk-bound rows
-# among these are best-of-3 numbers (scripts/bench.sh runs e12/e13/e15
+# numbers against the checked-in baseline (scripts/bench_baseline_7.jsonl)
+# and fails on a >25% regression on the headline perf paths
+# (e1_invocation, e11_batch, e12_durability, e13_group_commit,
+# e14_multibuffer, e16_rollover, e17_supervisor). The disk-bound rows
+# among these are best-of-3 numbers (scripts/bench.sh runs e12/e13
 # three times), so a trip means a real slowdown, not fsync drift. See
 # docs/BENCHMARKS.md.
 #
-#   scripts/bench_gate.sh                      # newest BENCH_*.json vs its baseline
-#   scripts/bench_gate.sh BENCH_4.json         # explicit report (baseline inferred)
-#   scripts/bench_gate.sh BENCH_4.json base.jsonl
+#   scripts/bench_gate.sh                      # newest BENCH_*.json vs the baseline
+#   scripts/bench_gate.sh BENCH_7.json         # explicit report
+#   scripts/bench_gate.sh BENCH_7.json base.jsonl
 #   scripts/bench_gate.sh --self-test          # gate trips on a synthetic 30% regression
 #
 # BENCH_GATE_THRESHOLD overrides the allowed after/baseline ratio
@@ -29,7 +28,7 @@ import json, sys
 
 bench_path, baseline_path, threshold = sys.argv[1], sys.argv[2], float(sys.argv[3])
 HEADLINE = {"e1_invocation", "e11_batch", "e12_durability", "e13_group_commit",
-            "e14_multibuffer", "e15_sharded", "e16_rollover", "e17_supervisor"}
+            "e14_multibuffer", "e16_rollover", "e17_supervisor"}
 
 baseline = {}
 with open(baseline_path) as f:
@@ -80,13 +79,13 @@ if [[ "${1:-}" == "--self-test" ]]; then
     printf '%s\n' \
         '{"group":"e1_invocation","bench":"direct_16KiB","ns_per_iter":100000.0,"iters":100}' \
         '{"group":"e13_group_commit","bench":"append_4x64/group_commit","ns_per_iter":1000000.0,"iters":10}' \
-        '{"group":"e15_sharded","bench":"adjudicate_run_16x32/shards_16","ns_per_iter":30000.0,"iters":1000}' \
+        '{"group":"e16_rollover","bench":"sign/hss_4x2","ns_per_iter":40000.0,"iters":1000}' \
         >"$tmp/baseline.jsonl"
     printf '%s\n' \
-        '{"benches":{"e1_invocation/direct_16KiB":{"after_ns":130000.0},"e13_group_commit/append_4x64/group_commit":{"after_ns":900000.0},"e15_sharded/adjudicate_run_16x32/shards_16":{"after_ns":31000.0}}}' \
+        '{"benches":{"e1_invocation/direct_16KiB":{"after_ns":130000.0},"e13_group_commit/append_4x64/group_commit":{"after_ns":900000.0},"e16_rollover/sign/hss_4x2":{"after_ns":41000.0}}}' \
         >"$tmp/regressed.json"
     printf '%s\n' \
-        '{"benches":{"e1_invocation/direct_16KiB":{"after_ns":110000.0},"e13_group_commit/append_4x64/group_commit":{"after_ns":1200000.0},"e15_sharded/adjudicate_run_16x32/shards_16":{"after_ns":31000.0}}}' \
+        '{"benches":{"e1_invocation/direct_16KiB":{"after_ns":110000.0},"e13_group_commit/append_4x64/group_commit":{"after_ns":1200000.0},"e16_rollover/sign/hss_4x2":{"after_ns":41000.0}}}' \
         >"$tmp/clean.json"
     echo "==> self-test: synthetic 30% regression must fail"
     if run_gate "$tmp/regressed.json" "$tmp/baseline.jsonl"; then
@@ -107,8 +106,7 @@ if [[ -z "$BENCH" || ! -f "$BENCH" ]]; then
     echo "bench_gate: no BENCH_*.json found (run scripts/bench.sh first)" >&2
     exit 2
 fi
-N="$(basename "$BENCH" | sed -E 's/^BENCH_([0-9]+)\.json$/\1/')"
-BASELINE="${2:-scripts/bench_baseline_${N}.jsonl}"
+BASELINE="${2:-scripts/bench_baseline_7.jsonl}"
 if [[ ! -f "$BASELINE" ]]; then
     echo "bench_gate: baseline $BASELINE not found" >&2
     exit 2

@@ -40,6 +40,14 @@ retired=(
     verify_window_with_anchors verify_window_with_super_anchors adjudicate_with_anchors
     adjudicate_sharded adjudicate_gossiped adjudicate_logs snapshot_supers super_epochs_for
     anchors_for chain_steps_x8 chain_steps_x4 portable16
+    # PR 26
+    ShardedEvidenceLog ShardedCommitmentPlane SuperEpochCommitment ShardAnchor SUPER_EPOCH_KIND
+    STEP_SUPER_EPOCH GroupCommitPool with_sharded_commitment sharded_plane sharded_log
+    sharded_evidence sharded_evidence_dir submit_shard_window submit_shard_full_window from_shard
+    with_evidence_shards evidence_shards record_super open_in_pool open_recover_in_pool
+    showcase_sharded SimNet TimeStampAuthority TimeStampToken EvidencePlane shard_index
+    validate_shard_count MAX_EVIDENCE_SHARDS ShardedRecovery StaleSuperEpoch latest_super_epoch
+    is_super_epoch_commit e15_sharded
 )
 echo "==> retired names"
 if grep -rnwF "${retired[@]/#/-e}" --exclude=check.sh \
