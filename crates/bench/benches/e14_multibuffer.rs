@@ -1,20 +1,14 @@
 //! E14: the multi-buffer SHA-256 engine under the W-OTS workloads it
-//! was built for — key generation, signing and verification swept
-//! across every dispatch tier the host can run.
+//! was built for — key generation, signing and verification, plus a
+//! raw 8-lane chain-step batch, under both dispatch tiers.
 //!
 //! Tier rows use *forced* dispatch (`Dispatch::all()` filtered by
-//! availability), so one run on one host compares all profiles
-//! side by side:
+//! availability), so one run on one host compares the two side by side:
 //!
-//! * `single_scalar` — the sequential scalar path: what a host without
-//!   SHA-NI ran before this engine existed. The baseline the
-//!   multi-buffer tiers are measured against.
-//! * `scalar` — the portable 4-way interleaved kernel at baseline
-//!   codegen (what a non-x86_64 target runs); on x86_64 it is level
-//!   with `single_scalar` and never auto-selected.
-//! * `sse2` / `avx2` — the explicit SIMD kernels (4- and 8-way).
-//! * `single` — one lane through the digest module's runtime dispatch
-//!   (SHA-NI here, if present): the path `auto` must never regress.
+//! * `avx2` — the 8-lane AVX2 kernel.
+//! * `single` — multi-buffer off: one lane through the digest module's
+//!   runtime dispatch (SHA-NI here, if present). What a host without
+//!   AVX2 runs, and the row `auto` must never do worse than.
 //!
 //! The regression gate (`scripts/bench_gate.sh`) guards these rows via
 //! `scripts/bench_baseline_7.jsonl`; see docs/BENCHMARKS.md for how to
@@ -28,10 +22,7 @@ use std::time::Duration;
 fn tier_name(d: mb::Dispatch) -> &'static str {
     match d {
         mb::Dispatch::Avx2 => "avx2",
-        mb::Dispatch::Sse2 => "sse2",
-        mb::Dispatch::Scalar => "scalar",
         mb::Dispatch::Single => "single",
-        mb::Dispatch::SingleScalar => "single_scalar",
     }
 }
 
@@ -76,8 +67,8 @@ fn bench_multibuffer(c: &mut Criterion) {
         );
     }
 
-    // The raw engine: a full 8-lane chain-step batch (one compression
-    // per lane on avx2, two 4-lane batches on the narrower tiers).
+    // The raw engine: a full 8-lane chain-step batch (one lockstep
+    // compression on avx2, eight sequential ones on single).
     for &tier in &tiers {
         let mut blocks = [[0u8; 64]; 8];
         for (l, block) in blocks.iter_mut().enumerate() {

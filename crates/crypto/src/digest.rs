@@ -25,7 +25,7 @@
 //!
 //! For workloads with many *independent* messages (W-OTS chain walks,
 //! Merkle levels, batched HMAC derivation), the [`mb`] submodule
-//! compresses up to 16 of them in lockstep across SIMD lanes.
+//! compresses up to eight of them in lockstep across AVX2 lanes.
 
 use std::fmt;
 

@@ -3,36 +3,33 @@
 //! The W-OTS chain walk hashes 67 *independent* chains and Merkle level
 //! construction hashes independent node pairs — embarrassingly
 //! data-parallel work that the single-message paths in [`super`] feed
-//! through one compression at a time. This module compresses N
-//! independent single-block messages in lockstep across SIMD lanes with
-//! a *transposed* state layout: eight vectors hold the working variables
-//! `a..h`, each vector carrying one 32-bit word per lane, so every round
-//! of the compression advances all lanes at once.
-//!
-//! Three kernels sit behind one dispatch:
-//!
-//! * **AVX2, 8-way** (`x86_64`, runtime-detected) — explicit
-//!   intrinsics,
-//! * **SSE2, 4-way** (`x86_64` baseline) — explicit intrinsics,
-//! * **portable, 4-way**: the same transposed kernel over `[u32; 4]`
-//!   arrays with every op an elementwise loop — no intrinsics, baseline
-//!   codegen. The only multi-buffer kernel off `x86_64`; on `x86_64` it
-//!   is level with the sequential scalar path and `auto` never picks it.
+//! through one compression at a time. This module compresses up to
+//! eight independent single-block messages in lockstep with an AVX2
+//! kernel over a *transposed* state layout: eight vectors hold the
+//! working variables `a..h`, each vector carrying one 32-bit word per
+//! lane, so every round of the compression advances all lanes at once.
 //!
 //! # Dispatch
 //!
-//! [`Dispatch::active`] picks the tier once per process: the
-//! `NONREP_DISPATCH` environment variable (`avx2|sse2|scalar|auto`,
-//! mirroring `NONREP_WORKERS`) pins a tier for benches and tests;
-//! `auto` (or unset) *measures* every available multi-buffer kernel
-//! against the single-lane path of [`super`] (SHA-NI where the host has
-//! it) on chain-step-shaped work and picks the fastest — so dispatch
-//! never selects a tier slower than measured single-lane SHA-NI, and on
-//! a fast SHA-NI host the engine may legitimately decide that
-//! [`Dispatch::Single`] wins and multi-buffer stays off.
+//! Two tiers sit behind one API:
 //!
-//! A forced tier that the host cannot run falls back down the chain
-//! (`avx2 → sse2 → scalar`); forcing bypasses calibration by design.
+//! * [`Dispatch::Avx2`] — the 8-lane intrinsics kernel (`x86_64`,
+//!   runtime-detected).
+//! * [`Dispatch::Single`] — multi-buffer off: every lane compresses on
+//!   its own through [`super`]'s SHA-NI / scalar dispatch. What every
+//!   host without AVX2 runs.
+//!
+//! [`Dispatch::active`] picks the tier once per process: the
+//! `NONREP_DISPATCH` environment variable (`avx2|single|auto`, mirroring
+//! `NONREP_WORKERS`) pins a tier for benches and tests; `auto` (or
+//! unset) *measures* the AVX2 kernel against the single-lane path on
+//! chain-step-shaped work and picks the faster — so dispatch never
+//! selects a tier slower than measured single-lane SHA-NI. A pinned
+//! `avx2` on a host without AVX2 falls back to `single`; pinning
+//! bypasses calibration by design.
+//!
+//! Every lane-batched entry point lays out its blocks the same way for
+//! both tiers; only the private `compress_lanes` branches on the tier.
 //!
 //! # API shape
 //!
@@ -48,15 +45,15 @@
 //!   derivation).
 //!
 //! All lane-batched paths are bit-identical to their sequential
-//! counterparts; `scripts/check.sh` additionally runs the crypto suite
-//! under `NONREP_DISPATCH=scalar` so a SIMD bug cannot hide behind a
-//! fast host.
+//! counterparts in [`super`]; `scripts/check.sh` additionally runs the
+//! crypto suite under `NONREP_DISPATCH=single`, so both tiers run on
+//! every AVX2 host.
 
 use std::sync::OnceLock;
 
-use super::{compress_blocks, scalar, sha256_short, state_to_digest, Digest, H0};
+use super::{compress_blocks, state_to_digest, Digest, H0};
 
-/// Widest lane count of any kernel (AVX2).
+/// Lane count of the AVX2 kernel.
 pub const MAX_LANES: usize = 8;
 
 /// Longest message that fits one padded SHA-256 block.
@@ -68,41 +65,24 @@ pub enum Dispatch {
     /// 8 lanes, AVX2 transposed-state intrinsics kernel (`x86_64`,
     /// detected).
     Avx2,
-    /// 4 lanes, SSE2 transposed-state intrinsics kernel (`x86_64`
-    /// baseline).
-    Sse2,
-    /// 4 lanes, the portable interleaved kernel (any target, no
-    /// intrinsics, baseline codegen).
-    Scalar,
     /// Multi-buffer off: one lane through [`super`]'s runtime dispatch
-    /// (SHA-NI where the host has it). What `auto` picks when the
-    /// single-lane path measures faster than every SIMD tier.
+    /// (SHA-NI where the host has it, scalar otherwise). What a host
+    /// without AVX2 runs, and what `auto` picks when one lane measures
+    /// faster than the AVX2 kernel.
     Single,
-    /// One lane pinned to the portable *scalar* compression — the
-    /// sequential no-SHA-NI host profile on any machine. Never
-    /// auto-selected; exists as the reference row benchmarks (e14) and
-    /// differential tests compare multi-buffer tiers against.
-    SingleScalar,
 }
 
 impl Dispatch {
     /// Every tier, widest first.
-    pub fn all() -> [Dispatch; 5] {
-        [
-            Dispatch::Avx2,
-            Dispatch::Sse2,
-            Dispatch::Scalar,
-            Dispatch::Single,
-            Dispatch::SingleScalar,
-        ]
+    pub fn all() -> [Dispatch; 2] {
+        [Dispatch::Avx2, Dispatch::Single]
     }
 
     /// Lanes the tier advances per compression.
     pub fn lanes(self) -> usize {
         match self {
-            Dispatch::Avx2 => 8,
-            Dispatch::Sse2 | Dispatch::Scalar => 4,
-            Dispatch::Single | Dispatch::SingleScalar => 1,
+            Dispatch::Avx2 => MAX_LANES,
+            Dispatch::Single => 1,
         }
     }
 
@@ -113,8 +93,7 @@ impl Dispatch {
             Dispatch::Avx2 => avx2::available(),
             #[cfg(not(target_arch = "x86_64"))]
             Dispatch::Avx2 => false,
-            Dispatch::Sse2 => cfg!(target_arch = "x86_64"),
-            Dispatch::Scalar | Dispatch::Single | Dispatch::SingleScalar => true,
+            Dispatch::Single => true,
         }
     }
 
@@ -125,55 +104,42 @@ impl Dispatch {
     /// # Panics
     ///
     /// Panics on an unrecognized `NONREP_DISPATCH` value. A tier pin
-    /// exists to *guarantee* which kernel runs (the forced-scalar
-    /// differential pass in `scripts/check.sh` relies on it); a typo
-    /// silently falling back to auto would void that guarantee while
-    /// reporting green.
+    /// exists to *guarantee* which kernel runs (the pinned `single`
+    /// pass in `scripts/check.sh` relies on it); a typo silently falling
+    /// back to auto would void that guarantee while reporting green.
     pub fn active() -> Dispatch {
         static ACTIVE: OnceLock<Dispatch> = OnceLock::new();
         *ACTIVE.get_or_init(|| match std::env::var("NONREP_DISPATCH").as_deref() {
             Ok("avx2") => clamp(Dispatch::Avx2),
-            Ok("sse2") => clamp(Dispatch::Sse2),
-            Ok("scalar") => Dispatch::Scalar,
+            Ok("single") => Dispatch::Single,
             Ok("auto") | Ok("") | Err(_) => auto_select(),
             Ok(other) => panic!(
                 "NONREP_DISPATCH={other:?} is not a dispatch tier \
-                 (expected avx2|sse2|scalar|auto)"
+                 (expected avx2|single|auto)"
             ),
         })
     }
 }
 
-/// Falls back down the tier chain until the host can run the request.
+/// A pinned tier the host cannot run falls back to [`Dispatch::Single`].
 fn clamp(want: Dispatch) -> Dispatch {
-    let chain = [want, Dispatch::Sse2, Dispatch::Scalar];
-    chain
-        .into_iter()
-        .find(|t| t.is_available())
-        .unwrap_or(Dispatch::Scalar)
+    if want.is_available() {
+        want
+    } else {
+        Dispatch::Single
+    }
 }
 
-/// Picks the auto tier: every available multi-buffer kernel is timed
+/// Picks the auto tier: where the host has AVX2, the kernel is timed
 /// against the single-lane path (SHA-NI on capable hosts) on
-/// chain-step-shaped work, and the fastest wins — a multi-buffer tier
-/// is selected only when it measured *strictly faster* than
-/// single-lane, so dispatch can never pick a tier slower than measured
+/// chain-step-shaped work and selected only when it measured *strictly
+/// faster* — so dispatch can never pick a tier slower than measured
 /// SHA-NI. The measurement runs once, on first use.
 fn auto_select() -> Dispatch {
-    let mut best: Option<(Dispatch, u128)> = None;
-    for tier in [Dispatch::Avx2, Dispatch::Sse2, Dispatch::Scalar] {
-        if !tier.is_available() {
-            continue;
-        }
-        let per_hash = time_tier(tier);
-        if best.is_none_or(|(_, t)| per_hash < t) {
-            best = Some((tier, per_hash));
-        }
-    }
-    let single = time_tier(Dispatch::Single);
-    match best {
-        Some((tier, per_hash)) if per_hash < single => tier,
-        _ => Dispatch::Single,
+    if Dispatch::Avx2.is_available() && time_tier(Dispatch::Avx2) < time_tier(Dispatch::Single) {
+        Dispatch::Avx2
+    } else {
+        Dispatch::Single
     }
 }
 
@@ -203,108 +169,6 @@ fn time_tier(d: Dispatch) -> u128 {
         black_box(&blocks);
     }
     best.saturating_mul(1000) / (STEPS * width) as u128
-}
-
-/// One round of the compression for every lane at once; identical
-/// structure to the scalar `round!` in [`super`], over lane vectors.
-macro_rules! mb_round {
-    ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident,
-     $k:expr, $w:expr) => {{
-        let s1 = xor(xor(rotr_6($e), rotr_11($e)), rotr_25($e));
-        let ch = xor(and($e, $f), andnot($e, $g));
-        let t1 = add(add(add(add($h, s1), ch), splat($k)), $w);
-        let s0 = xor(xor(rotr_2($a), rotr_13($a)), rotr_22($a));
-        let maj = xor(xor(and($a, $b), and($a, $c)), and($b, $c));
-        $d = add($d, t1);
-        $h = add(add(t1, s0), maj);
-    }};
-}
-
-/// Eight rounds with the register rotation hard-coded (mirrors the
-/// scalar `rounds8!`).
-macro_rules! mb_rounds8 {
-    ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident,
-     $t:expr, $w:ident) => {{
-        mb_round!($a, $b, $c, $d, $e, $f, $g, $h, K[$t], $w[($t) & 15]);
-        mb_round!($h, $a, $b, $c, $d, $e, $f, $g, K[$t + 1], $w[($t + 1) & 15]);
-        mb_round!($g, $h, $a, $b, $c, $d, $e, $f, K[$t + 2], $w[($t + 2) & 15]);
-        mb_round!($f, $g, $h, $a, $b, $c, $d, $e, K[$t + 3], $w[($t + 3) & 15]);
-        mb_round!($e, $f, $g, $h, $a, $b, $c, $d, K[$t + 4], $w[($t + 4) & 15]);
-        mb_round!($d, $e, $f, $g, $h, $a, $b, $c, K[$t + 5], $w[($t + 5) & 15]);
-        mb_round!($c, $d, $e, $f, $g, $h, $a, $b, K[$t + 6], $w[($t + 6) & 15]);
-        mb_round!($b, $c, $d, $e, $f, $g, $h, $a, K[$t + 7], $w[($t + 7) & 15]);
-    }};
-}
-
-/// One rolling message-schedule step for every lane at once.
-macro_rules! mb_schedule_step {
-    ($w:ident, $t:expr) => {{
-        let w15 = $w[($t + 1) & 15];
-        let w2 = $w[($t + 14) & 15];
-        let s0 = xor(xor(rotr_7(w15), rotr_18(w15)), shr_3(w15));
-        let s1 = xor(xor(rotr_17(w2), rotr_19(w2)), shr_10(w2));
-        $w[$t & 15] = add(add(add($w[$t & 15], s0), $w[($t + 9) & 15]), s1);
-    }};
-}
-
-/// The full transposed compression for the *intrinsics* backends: load
-/// lane-transposed state and message vectors, 64 rounds, feed-forward,
-/// store. Expanded inside each backend so every op resolves to that
-/// backend's vector type. (The portable backend carries its own body,
-/// shaped so the lane loops seed the autovectorizer — see `portable4`.)
-macro_rules! mb_compress_body {
-    ($states:expr, $blocks:expr) => {{
-        let mut a = load_state($states, 0);
-        let mut b = load_state($states, 1);
-        let mut c = load_state($states, 2);
-        let mut d = load_state($states, 3);
-        let mut e = load_state($states, 4);
-        let mut f = load_state($states, 5);
-        let mut g = load_state($states, 6);
-        let mut h = load_state($states, 7);
-        let (a0, b0, c0, d0, e0, f0, g0, h0) = (a, b, c, d, e, f, g, h);
-        let mut w = [
-            gather($blocks, 0),
-            gather($blocks, 1),
-            gather($blocks, 2),
-            gather($blocks, 3),
-            gather($blocks, 4),
-            gather($blocks, 5),
-            gather($blocks, 6),
-            gather($blocks, 7),
-            gather($blocks, 8),
-            gather($blocks, 9),
-            gather($blocks, 10),
-            gather($blocks, 11),
-            gather($blocks, 12),
-            gather($blocks, 13),
-            gather($blocks, 14),
-            gather($blocks, 15),
-        ];
-        mb_rounds8!(a, b, c, d, e, f, g, h, 0, w);
-        mb_rounds8!(a, b, c, d, e, f, g, h, 8, w);
-        let mut t = 16;
-        while t < 64 {
-            mb_schedule_step!(w, t);
-            mb_schedule_step!(w, t + 1);
-            mb_schedule_step!(w, t + 2);
-            mb_schedule_step!(w, t + 3);
-            mb_schedule_step!(w, t + 4);
-            mb_schedule_step!(w, t + 5);
-            mb_schedule_step!(w, t + 6);
-            mb_schedule_step!(w, t + 7);
-            mb_rounds8!(a, b, c, d, e, f, g, h, t, w);
-            t += 8;
-        }
-        store_state($states, 0, add(a, a0));
-        store_state($states, 1, add(b, b0));
-        store_state($states, 2, add(c, c0));
-        store_state($states, 3, add(d, d0));
-        store_state($states, 4, add(e, e0));
-        store_state($states, 5, add(f, f0));
-        store_state($states, 6, add(g, g0));
-        store_state($states, 7, add(h, h0));
-    }};
 }
 
 /// AVX2 backend: 8 lanes per `__m256i` vector.
@@ -420,285 +284,65 @@ mod avx2 {
         }
     }
 
-    /// Compresses one 64-byte block per lane into its lane's state.
+    /// One round of the compression for every lane at once; identical
+    /// structure to the scalar `round!` in `digest`, over lane vectors.
+    macro_rules! mb_round {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident,
+         $k:expr, $w:expr) => {{
+            let s1 = xor(xor(rotr_6($e), rotr_11($e)), rotr_25($e));
+            let ch = xor(and($e, $f), andnot($e, $g));
+            let t1 = add(add(add(add($h, s1), ch), splat($k)), $w);
+            let s0 = xor(xor(rotr_2($a), rotr_13($a)), rotr_22($a));
+            let maj = xor(xor(and($a, $b), and($a, $c)), and($b, $c));
+            $d = add($d, t1);
+            $h = add(add(t1, s0), maj);
+        }};
+    }
+
+    /// Eight rounds with the register rotation hard-coded (mirrors the
+    /// scalar `rounds8!`).
+    macro_rules! mb_rounds8 {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident,
+         $t:expr, $w:ident) => {{
+            mb_round!($a, $b, $c, $d, $e, $f, $g, $h, K[$t], $w[($t) & 15]);
+            mb_round!($h, $a, $b, $c, $d, $e, $f, $g, K[$t + 1], $w[($t + 1) & 15]);
+            mb_round!($g, $h, $a, $b, $c, $d, $e, $f, K[$t + 2], $w[($t + 2) & 15]);
+            mb_round!($f, $g, $h, $a, $b, $c, $d, $e, K[$t + 3], $w[($t + 3) & 15]);
+            mb_round!($e, $f, $g, $h, $a, $b, $c, $d, K[$t + 4], $w[($t + 4) & 15]);
+            mb_round!($d, $e, $f, $g, $h, $a, $b, $c, K[$t + 5], $w[($t + 5) & 15]);
+            mb_round!($c, $d, $e, $f, $g, $h, $a, $b, K[$t + 6], $w[($t + 6) & 15]);
+            mb_round!($b, $c, $d, $e, $f, $g, $h, $a, K[$t + 7], $w[($t + 7) & 15]);
+        }};
+    }
+
+    /// One rolling message-schedule step for every lane at once.
+    macro_rules! mb_schedule_step {
+        ($w:ident, $t:expr) => {{
+            let w15 = $w[($t + 1) & 15];
+            let w2 = $w[($t + 14) & 15];
+            let s0 = xor(xor(rotr_7(w15), rotr_18(w15)), shr_3(w15));
+            let s1 = xor(xor(rotr_17(w2), rotr_19(w2)), shr_10(w2));
+            $w[$t & 15] = add(add(add($w[$t & 15], s0), $w[($t + 9) & 15]), s1);
+        }};
+    }
+
+    /// Compresses one 64-byte block per lane into its lane's state:
+    /// load lane-transposed state and message vectors, 64 rounds,
+    /// feed-forward, store.
     ///
     /// # Safety
     ///
     /// Caller must ensure the avx2 target feature is available.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn compress(states: &mut [[u32; 8]; 8], blocks: &[[u8; 64]; 8]) {
-        mb_compress_body!(states, blocks);
-    }
-}
-
-/// SSE2 backend: 4 lanes per `__m128i` vector (`x86_64` baseline).
-#[cfg(target_arch = "x86_64")]
-mod sse2 {
-    use super::super::K;
-    use core::arch::x86_64::*;
-
-    type V = __m128i;
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn splat(x: u32) -> V {
-        _mm_set1_epi32(x as i32)
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn add(a: V, b: V) -> V {
-        _mm_add_epi32(a, b)
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn xor(a: V, b: V) -> V {
-        _mm_xor_si128(a, b)
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn and(a: V, b: V) -> V {
-        _mm_and_si128(a, b)
-    }
-
-    /// `!a & b`.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn andnot(a: V, b: V) -> V {
-        _mm_andnot_si128(a, b)
-    }
-
-    macro_rules! rotr_fn {
-        ($name:ident, $r:literal) => {
-            #[inline]
-            #[target_feature(enable = "sse2")]
-            unsafe fn $name(v: V) -> V {
-                _mm_or_si128(_mm_srli_epi32::<$r>(v), _mm_slli_epi32::<{ 32 - $r }>(v))
-            }
-        };
-    }
-    rotr_fn!(rotr_2, 2);
-    rotr_fn!(rotr_6, 6);
-    rotr_fn!(rotr_7, 7);
-    rotr_fn!(rotr_11, 11);
-    rotr_fn!(rotr_13, 13);
-    rotr_fn!(rotr_17, 17);
-    rotr_fn!(rotr_18, 18);
-    rotr_fn!(rotr_19, 19);
-    rotr_fn!(rotr_22, 22);
-    rotr_fn!(rotr_25, 25);
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn shr_3(v: V) -> V {
-        _mm_srli_epi32::<3>(v)
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn shr_10(v: V) -> V {
-        _mm_srli_epi32::<10>(v)
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn gather(blocks: &[[u8; 64]; 4], t: usize) -> V {
-        let mut tmp = [0u32; 4];
-        for (slot, block) in tmp.iter_mut().zip(blocks) {
-            *slot = u32::from_be_bytes(block[4 * t..4 * t + 4].try_into().expect("4-byte word"));
-        }
-        _mm_loadu_si128(tmp.as_ptr().cast())
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn load_state(states: &[[u32; 8]; 4], w: usize) -> V {
-        let mut tmp = [0u32; 4];
-        for (slot, state) in tmp.iter_mut().zip(states) {
-            *slot = state[w];
-        }
-        _mm_loadu_si128(tmp.as_ptr().cast())
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn store_state(states: &mut [[u32; 8]; 4], w: usize, v: V) {
-        let mut tmp = [0u32; 4];
-        _mm_storeu_si128(tmp.as_mut_ptr().cast(), v);
-        for (state, slot) in states.iter_mut().zip(tmp) {
-            state[w] = slot;
-        }
-    }
-
-    /// Compresses one 64-byte block per lane into its lane's state.
-    ///
-    /// # Safety
-    ///
-    /// SSE2 is part of the `x86_64` baseline; always available there.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn compress(states: &mut [[u32; 8]; 4], blocks: &[[u8; 64]; 4]) {
-        mb_compress_body!(states, blocks);
-    }
-}
-
-/// The portable interleaved backend over `[u32; 4]` lane vectors: every
-/// op is an elementwise loop, so the body is plain array code LLVM's
-/// vectorizers can lower to whatever SIMD the baseline codegen offers —
-/// and that still overlaps four independent dependency chains otherwise.
-mod portable4 {
-    use super::super::K;
-
-    const LANES: usize = 4;
-
-    type V = [u32; LANES];
-
-    #[inline(always)]
-    fn splat(x: u32) -> V {
-        [x; LANES]
-    }
-
-    #[inline(always)]
-    fn add(a: V, b: V) -> V {
-        let mut out = [0u32; LANES];
-        for i in 0..LANES {
-            out[i] = a[i].wrapping_add(b[i]);
-        }
-        out
-    }
-
-    #[inline(always)]
-    fn xor(a: V, b: V) -> V {
-        let mut out = [0u32; LANES];
-        for i in 0..LANES {
-            out[i] = a[i] ^ b[i];
-        }
-        out
-    }
-
-    #[inline(always)]
-    fn and(a: V, b: V) -> V {
-        let mut out = [0u32; LANES];
-        for i in 0..LANES {
-            out[i] = a[i] & b[i];
-        }
-        out
-    }
-
-    /// `!a & b`.
-    #[inline(always)]
-    fn andnot(a: V, b: V) -> V {
-        let mut out = [0u32; LANES];
-        for i in 0..LANES {
-            out[i] = !a[i] & b[i];
-        }
-        out
-    }
-
-    #[inline(always)]
-    fn rotr<const R: u32>(v: V) -> V {
-        let mut out = [0u32; LANES];
-        for i in 0..LANES {
-            out[i] = v[i].rotate_right(R);
-        }
-        out
-    }
-
-    #[inline(always)]
-    fn shr<const R: u32>(v: V) -> V {
-        let mut out = [0u32; LANES];
-        for i in 0..LANES {
-            out[i] = v[i] >> R;
-        }
-        out
-    }
-
-    #[inline(always)]
-    fn rotr_2(v: V) -> V {
-        rotr::<2>(v)
-    }
-    #[inline(always)]
-    fn rotr_6(v: V) -> V {
-        rotr::<6>(v)
-    }
-    #[inline(always)]
-    fn rotr_7(v: V) -> V {
-        rotr::<7>(v)
-    }
-    #[inline(always)]
-    fn rotr_11(v: V) -> V {
-        rotr::<11>(v)
-    }
-    #[inline(always)]
-    fn rotr_13(v: V) -> V {
-        rotr::<13>(v)
-    }
-    #[inline(always)]
-    fn rotr_17(v: V) -> V {
-        rotr::<17>(v)
-    }
-    #[inline(always)]
-    fn rotr_18(v: V) -> V {
-        rotr::<18>(v)
-    }
-    #[inline(always)]
-    fn rotr_19(v: V) -> V {
-        rotr::<19>(v)
-    }
-    #[inline(always)]
-    fn rotr_22(v: V) -> V {
-        rotr::<22>(v)
-    }
-    #[inline(always)]
-    fn rotr_25(v: V) -> V {
-        rotr::<25>(v)
-    }
-    #[inline(always)]
-    fn shr_3(v: V) -> V {
-        shr::<3>(v)
-    }
-    #[inline(always)]
-    fn shr_10(v: V) -> V {
-        shr::<10>(v)
-    }
-
-    #[inline(always)]
-    fn gather(blocks: &[[u8; 64]; LANES], t: usize) -> V {
-        let mut tmp = [0u32; LANES];
-        for (slot, block) in tmp.iter_mut().zip(blocks) {
-            *slot = u32::from_be_bytes(block[4 * t..4 * t + 4].try_into().expect("4-byte word"));
-        }
-        tmp
-    }
-
-    /// Compresses one 64-byte block per lane into its lane's state.
-    ///
-    /// The body differs from `mb_compress_body!` in exactly the
-    /// shapes that seed LLVM's SLP vectorizer: state load and
-    /// feed-forward are *fused per-lane loops over contiguous
-    /// words* (the store group it builds its trees from) and the
-    /// message schedule is a rolled loop. With the intrinsics
-    /// layout the same code ran scalar with heavy spilling.
-    pub(super) fn compress(states: &mut [[u32; 8]; LANES], blocks: &[[u8; 64]; LANES]) {
-        let mut a = splat(0);
-        let mut b = splat(0);
-        let mut c = splat(0);
-        let mut d = splat(0);
-        let mut e = splat(0);
-        let mut f = splat(0);
-        let mut g = splat(0);
-        let mut h = splat(0);
-        for (l, state) in states.iter().enumerate() {
-            a[l] = state[0];
-            b[l] = state[1];
-            c[l] = state[2];
-            d[l] = state[3];
-            e[l] = state[4];
-            f[l] = state[5];
-            g[l] = state[6];
-            h[l] = state[7];
-        }
+    unsafe fn compress(states: &mut [[u32; 8]; 8], blocks: &[[u8; 64]; 8]) {
+        let mut a = load_state(states, 0);
+        let mut b = load_state(states, 1);
+        let mut c = load_state(states, 2);
+        let mut d = load_state(states, 3);
+        let mut e = load_state(states, 4);
+        let mut f = load_state(states, 5);
+        let mut g = load_state(states, 6);
+        let mut h = load_state(states, 7);
         let (a0, b0, c0, d0, e0, f0, g0, h0) = (a, b, c, d, e, f, g, h);
         let mut w = [
             gather(blocks, 0),
@@ -722,87 +366,78 @@ mod portable4 {
         mb_rounds8!(a, b, c, d, e, f, g, h, 8, w);
         let mut t = 16;
         while t < 64 {
-            for i in 0..8 {
-                let w15 = w[(t + i + 1) & 15];
-                let w2 = w[(t + i + 14) & 15];
-                let s0 = xor(xor(rotr_7(w15), rotr_18(w15)), shr_3(w15));
-                let s1 = xor(xor(rotr_17(w2), rotr_19(w2)), shr_10(w2));
-                w[(t + i) & 15] = add(add(add(w[(t + i) & 15], s0), w[(t + i + 9) & 15]), s1);
-            }
+            mb_schedule_step!(w, t);
+            mb_schedule_step!(w, t + 1);
+            mb_schedule_step!(w, t + 2);
+            mb_schedule_step!(w, t + 3);
+            mb_schedule_step!(w, t + 4);
+            mb_schedule_step!(w, t + 5);
+            mb_schedule_step!(w, t + 6);
+            mb_schedule_step!(w, t + 7);
             mb_rounds8!(a, b, c, d, e, f, g, h, t, w);
             t += 8;
         }
-        for (l, state) in states.iter_mut().enumerate() {
-            state[0] = a[l].wrapping_add(a0[l]);
-            state[1] = b[l].wrapping_add(b0[l]);
-            state[2] = c[l].wrapping_add(c0[l]);
-            state[3] = d[l].wrapping_add(d0[l]);
-            state[4] = e[l].wrapping_add(e0[l]);
-            state[5] = f[l].wrapping_add(f0[l]);
-            state[6] = g[l].wrapping_add(g0[l]);
-            state[7] = h[l].wrapping_add(h0[l]);
-        }
+        store_state(states, 0, add(a, a0));
+        store_state(states, 1, add(b, b0));
+        store_state(states, 2, add(c, c0));
+        store_state(states, 3, add(d, d0));
+        store_state(states, 4, add(e, e0));
+        store_state(states, 5, add(f, f0));
+        store_state(states, 6, add(g, g0));
+        store_state(states, 7, add(h, h0));
     }
-}
 
-/// Splits `states`/`blocks` into `N`-lane chunks for `kernel`, padding
-/// the final partial chunk with dummy lanes whose results are dropped.
-fn compress_chunks<const N: usize>(
-    states: &mut [[u32; 8]],
-    blocks: &[[u8; 64]],
-    kernel: impl Fn(&mut [[u32; 8]; N], &[[u8; 64]; N]),
-) {
-    let mut schunks = states.chunks_exact_mut(N);
-    let mut bchunks = blocks.chunks_exact(N);
-    for (s, b) in (&mut schunks).zip(&mut bchunks) {
-        kernel(
-            s.try_into().expect("exact state chunk"),
-            b.try_into().expect("exact block chunk"),
-        );
-    }
-    let srem = schunks.into_remainder();
-    let brem = bchunks.remainder();
-    if !srem.is_empty() {
-        let mut ps = [[0u32; 8]; N];
-        let mut pb = [[0u8; 64]; N];
-        ps[..srem.len()].copy_from_slice(srem);
-        pb[..brem.len()].copy_from_slice(brem);
-        kernel(&mut ps, &pb);
-        srem.copy_from_slice(&ps[..srem.len()]);
+    /// Compresses one 64-byte block per lane for any number of lanes,
+    /// eight per kernel call, padding a final partial batch with dummy
+    /// lanes whose results are dropped.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the avx2 target feature is available.
+    pub(super) unsafe fn compress_lanes(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
+        let mut schunks = states.chunks_exact_mut(8);
+        let mut bchunks = blocks.chunks_exact(8);
+        for (s, b) in (&mut schunks).zip(&mut bchunks) {
+            compress(
+                s.try_into().expect("exact state chunk"),
+                b.try_into().expect("exact block chunk"),
+            );
+        }
+        let srem = schunks.into_remainder();
+        let brem = bchunks.remainder();
+        if !srem.is_empty() {
+            let mut ps = [[0u32; 8]; 8];
+            let mut pb = [[0u8; 64]; 8];
+            ps[..srem.len()].copy_from_slice(srem);
+            pb[..brem.len()].copy_from_slice(brem);
+            compress(&mut ps, &pb);
+            srem.copy_from_slice(&ps[..srem.len()]);
+        }
     }
 }
 
 /// Compresses one 64-byte block per lane into its lane's state under
-/// `d`, chunking to the tier's width.
+/// `d` — the one place the tier is decided.
 fn compress_lanes(d: Dispatch, states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
     debug_assert_eq!(states.len(), blocks.len());
-    assert!(
-        d.is_available(),
-        "dispatch tier {d:?} is not available on this host"
-    );
     match d {
         Dispatch::Single => {
             for (state, block) in states.iter_mut().zip(blocks) {
                 compress_blocks(state, &block[..]);
             }
         }
-        Dispatch::SingleScalar => {
-            for (state, block) in states.iter_mut().zip(blocks) {
-                scalar::compress_blocks(state, &block[..]);
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
         Dispatch::Avx2 => {
-            // Availability asserted above.
-            compress_chunks::<8>(states, blocks, |s, b| unsafe { avx2::compress(s, b) })
+            assert!(
+                d.is_available(),
+                "dispatch tier {d:?} is not available on this host"
+            );
+            // SAFETY: the kernel's one requirement, AVX2 on this host, is
+            // asserted above.
+            #[cfg(target_arch = "x86_64")]
+            unsafe {
+                avx2::compress_lanes(states, blocks)
+            };
         }
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Sse2 => {
-            compress_chunks::<4>(states, blocks, |s, b| unsafe { sse2::compress(s, b) })
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        Dispatch::Avx2 | Dispatch::Sse2 => unreachable!("tier unavailable off x86_64"),
-        Dispatch::Scalar => compress_chunks::<4>(states, blocks, portable4::compress),
     }
 }
 
@@ -824,22 +459,6 @@ fn state_to_bytes(state: &[u32; 8], out: &mut [u8]) {
     }
 }
 
-/// Single-lane short hash pinned to the portable scalar compression —
-/// what [`super::sha256_short`] computes on a host without SHA-NI. The
-/// reference the multi-buffer tiers are differentially tested against,
-/// and e14's sequential-scalar baseline row.
-///
-/// # Panics
-///
-/// Panics if `data` exceeds 55 bytes.
-pub fn sha256_short_scalar(data: &[u8]) -> Digest {
-    let mut block = [0u8; 64];
-    pad_short(data, &mut block);
-    let mut state = H0;
-    scalar::compress_blocks(&mut state, &block);
-    state_to_digest(&state)
-}
-
 /// Hashes N independent short (≤ 55-byte) messages in lockstep under
 /// the active dispatch. Equivalent to mapping [`super::sha256_short`]
 /// over `msgs`, at up to [`Dispatch::lanes`] messages per compression.
@@ -858,14 +477,6 @@ pub fn hash_lanes(msgs: &[&[u8]]) -> Vec<Digest> {
 /// Panics if any message exceeds 55 bytes or `d` is unavailable here.
 pub fn hash_lanes_with(d: Dispatch, msgs: &[&[u8]]) -> Vec<Digest> {
     let mut out = Vec::with_capacity(msgs.len());
-    if d.lanes() <= 1 {
-        let single: fn(&[u8]) -> Digest = match d {
-            Dispatch::SingleScalar => sha256_short_scalar,
-            _ => sha256_short,
-        };
-        out.extend(msgs.iter().map(|m| single(m)));
-        return out;
-    }
     for chunk in msgs.chunks(MAX_LANES) {
         let mut blocks = [[0u8; 64]; MAX_LANES];
         let mut states = [H0; MAX_LANES];
@@ -898,22 +509,6 @@ pub fn hash_eq_lanes_with(d: Dispatch, msgs: &[&[u8]]) -> Vec<Digest> {
     );
     let total_blocks = (len + 9).div_ceil(64);
     let mut out = Vec::with_capacity(msgs.len());
-    if d.lanes() <= 1 {
-        let mut buf = vec![0u8; total_blocks * 64];
-        for msg in msgs {
-            buf.fill(0);
-            buf[..len].copy_from_slice(msg);
-            buf[len] = 0x80;
-            buf[total_blocks * 64 - 8..].copy_from_slice(&((len as u64) * 8).to_be_bytes());
-            let mut state = H0;
-            match d {
-                Dispatch::SingleScalar => scalar::compress_blocks(&mut state, &buf),
-                _ => compress_blocks(&mut state, &buf),
-            }
-            out.push(state_to_digest(&state));
-        }
-        return out;
-    }
     for chunk in msgs.chunks(MAX_LANES) {
         let mut states = [H0; MAX_LANES];
         for b in 0..total_blocks {
@@ -962,17 +557,6 @@ fn fill_eq_block(block: &mut [u8; 64], msg: &[u8], lo: usize, last: bool) {
 /// unavailable on this host.
 pub fn chain_steps_with(d: Dispatch, blocks: &mut [[u8; 64]]) {
     assert!(blocks.len() <= MAX_LANES, "mb: too many chain lanes");
-    if d.lanes() <= 1 {
-        let single: fn(&[u8]) -> Digest = match d {
-            Dispatch::SingleScalar => sha256_short_scalar,
-            _ => sha256_short,
-        };
-        for block in blocks {
-            let digest = single(&block[..36]);
-            block[4..36].copy_from_slice(digest.as_bytes());
-        }
-        return;
-    }
     let mut states = [H0; MAX_LANES];
     compress_lanes(d, &mut states[..blocks.len()], blocks);
     for (block, state) in blocks.iter_mut().zip(&states) {
@@ -989,25 +573,6 @@ pub fn chain_steps_with(d: Dispatch, blocks: &mut [[u8; 64]]) {
 /// Panics if `d` is unavailable on this host.
 pub fn pair_lanes_with(d: Dispatch, tag: u8, pairs: &[(Digest, Digest)]) -> Vec<Digest> {
     let mut out = Vec::with_capacity(pairs.len());
-    if d.lanes() <= 1 {
-        match d {
-            Dispatch::SingleScalar => {
-                for (left, right) in pairs {
-                    let mut blocks = [0u8; 128];
-                    fill_pair_blocks(tag, left, right, &mut blocks);
-                    let mut state = H0;
-                    scalar::compress_blocks(&mut state, &blocks);
-                    out.push(state_to_digest(&state));
-                }
-            }
-            _ => {
-                for (left, right) in pairs {
-                    out.push(super::sha256_pair(tag, left.as_bytes(), right.as_bytes()));
-                }
-            }
-        }
-        return out;
-    }
     for chunk in pairs.chunks(MAX_LANES) {
         let mut block0 = [[0u8; 64]; MAX_LANES];
         let mut block1 = [[0u8; 64]; MAX_LANES];
@@ -1093,7 +658,7 @@ pub fn finish_short_lanes_with(d: Dispatch, mid: &Midstate, msgs: &[&[u8]]) -> V
 
 #[cfg(test)]
 mod tests {
-    use super::super::{sha256_pair, Sha256};
+    use super::super::{sha256_pair, sha256_short, Sha256};
     use super::*;
 
     fn available_tiers() -> Vec<Dispatch> {
@@ -1101,6 +666,17 @@ mod tests {
             .into_iter()
             .filter(|t| t.is_available())
             .collect()
+    }
+
+    /// Asserts `f` panics under every tier this host runs, then re-raises
+    /// the last panic so the test's `should_panic` checks its message.
+    fn panics_under_every_tier(f: impl Fn(Dispatch)) {
+        let mut last = None;
+        for tier in available_tiers() {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(tier)));
+            last = Some(caught.expect_err(&format!("tier {tier:?} accepted the input")));
+        }
+        std::panic::resume_unwind(last.expect("Single is always available"));
     }
 
     #[test]
@@ -1166,15 +742,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "equal-length messages")]
     fn hash_eq_lanes_rejects_ragged_lengths() {
-        let _ = hash_eq_lanes_with(Dispatch::Scalar, &[b"aa".as_slice(), b"b".as_slice()]);
-    }
-
-    #[test]
-    fn sha256_short_scalar_matches_dispatch() {
-        for len in [0usize, 1, 36, 55] {
-            let data: Vec<u8> = (0..len).map(|i| i as u8 ^ 0xA5).collect();
-            assert_eq!(sha256_short_scalar(&data), sha256_short(&data), "len {len}");
-        }
+        panics_under_every_tier(|tier| {
+            let _ = hash_eq_lanes_with(tier, &[b"aa".as_slice(), b"b".as_slice()]);
+        });
     }
 
     #[test]
@@ -1287,9 +857,9 @@ mod tests {
 
     #[test]
     fn dispatch_invariants() {
-        assert!(Dispatch::Scalar.is_available());
+        assert_eq!(Dispatch::all(), [Dispatch::Avx2, Dispatch::Single]);
+        assert_eq!(Dispatch::Avx2.lanes(), MAX_LANES);
         assert!(Dispatch::Single.is_available());
-        assert!(Dispatch::SingleScalar.is_available());
         let active = Dispatch::active();
         assert!(active.is_available());
         // `scripts/check.sh` shows this line in every CI log.
@@ -1297,39 +867,16 @@ mod tests {
             "digest::mb dispatch in this process: {active:?} ({} lanes)",
             active.lanes()
         );
-        for tier in Dispatch::all() {
-            assert!(tier.lanes() == 1 || tier.lanes() >= 4);
-        }
-        // The forced-tier fallback chain always lands somewhere runnable.
+        // A pinned tier always lands somewhere runnable.
         assert!(clamp(Dispatch::Avx2).is_available());
-        assert!(clamp(Dispatch::Sse2).is_available());
     }
 
     #[test]
     #[should_panic(expected = "does not fit one padded block")]
     fn hash_lanes_rejects_long_messages() {
         let long = [0u8; 56];
-        let _ = hash_lanes_with(Dispatch::Scalar, &[&long]);
-    }
-
-    #[test]
-    fn portable_baseline_instance_matches_reference() {
-        // Drive the 4-lane baseline instance directly, partial tail
-        // chunks included: it is the kernel every non-x86 target falls
-        // back to and must stay covered everywhere.
-        for n in 1..=9usize {
-            let msgs: Vec<Vec<u8>> = (0..n)
-                .map(|i| (0..(i * 9) % 56).map(|j| (i * 41 + j) as u8).collect())
-                .collect();
-            let mut states = vec![H0; n];
-            let mut blocks = vec![[0u8; 64]; n];
-            for (block, msg) in blocks.iter_mut().zip(&msgs) {
-                pad_short(msg, block);
-            }
-            compress_chunks::<4>(&mut states, &blocks, portable4::compress);
-            for (state, msg) in states.iter().zip(&msgs) {
-                assert_eq!(state_to_digest(state), sha256_short(msg), "n {n}");
-            }
-        }
+        panics_under_every_tier(|tier| {
+            let _ = hash_lanes_with(tier, &[&long]);
+        });
     }
 }

@@ -1,10 +1,10 @@
 //! Scoped-thread data parallelism (no external dependencies).
 //!
-//! [`par_map`] / [`par_map_indexed`] split an embarrassingly parallel map
+//! [`par_map_range_with`] and the maps built on it ([`par_map_indexed_with`],
+//! [`par_map_with`], [`par_map`]) split an embarrassingly parallel map
 //! over `std::thread::scope` workers. They are used by MSS key generation
-//! (per-leaf W-OTS chain walks) and Merkle level construction, and are
-//! reusable by any batch workload — e.g. batch evidence commitments that
-//! leaf-hash many records at once.
+//! (per-leaf W-OTS chain walks), Merkle level construction and Merkle
+//! leaf hashing of batch payloads.
 //!
 //! Work is only split when it is worth it: each worker must receive at
 //! least `min_per_worker` items, and the worker count is capped by
@@ -14,7 +14,7 @@
 
 use std::sync::OnceLock;
 
-/// The worker count used by the `par_map*` convenience wrappers:
+/// The default worker budget (what [`par_map`] uses):
 /// `NONREP_WORKERS` if set, otherwise `std::thread::available_parallelism`.
 pub fn workers() -> usize {
     static WORKERS: OnceLock<usize> = OnceLock::new();
@@ -79,15 +79,6 @@ where
     out
 }
 
-/// [`par_map_range_with`] using the default [`workers`] budget.
-pub fn par_map_range<R, F>(n: usize, min_per_worker: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(std::ops::Range<usize>) -> Vec<R> + Sync,
-{
-    par_map_range_with(workers(), n, min_per_worker, f)
-}
-
 /// Maps `f` over `0..n` with an explicit worker budget, preserving order.
 ///
 /// Splits into contiguous index ranges, one per worker; falls back to a
@@ -110,15 +101,6 @@ where
     par_map_range_with(worker_budget, n, min_per_worker, |range| {
         range.map(&f).collect()
     })
-}
-
-/// [`par_map_indexed_with`] using the default [`workers`] budget.
-pub fn par_map_indexed<R, F>(n: usize, min_per_worker: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_map_indexed_with(workers(), n, min_per_worker, f)
 }
 
 /// Maps `f` over a slice with an explicit worker budget, preserving order.

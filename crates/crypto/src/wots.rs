@@ -21,8 +21,11 @@
 //! at different steps, and the per-chain secrets are derived with the
 //! batched HMAC path ([`crate::hmac::hmac_short_lanes_with`]). Every
 //! public entry point has a `_with` variant taking an explicit
-//! [`mb::Dispatch`] tier; [`mb::Dispatch::Single`] reproduces the
-//! sequential reference path bit for bit.
+//! [`mb::Dispatch`] tier: [`mb::Dispatch::Avx2`] walks eight chains per
+//! compression, and [`mb::Dispatch::Single`] runs the sequential
+//! reference path (one chain at a time through
+//! [`crate::digest::sha256_short`]); both produce the same keys and
+//! signatures bit for bit.
 
 use crate::digest::{mb, sha256_short, Digest, Sha256};
 use crate::hmac::{hmac_sha256, hmac_short_lanes_with};
@@ -102,14 +105,9 @@ fn chunks_of(digest: &Digest) -> [u8; CHAINS] {
 }
 
 /// Applies the domain-separated chain function `steps` times starting at
-/// step `from`, one compression per step through `hash`.
-fn chain_seq(
-    mut value: [u8; 32],
-    chain_idx: u16,
-    from: u8,
-    steps: u8,
-    hash: fn(&[u8]) -> Digest,
-) -> [u8; 32] {
+/// step `from`: the sequential reference the lane-batched walk is tested
+/// against.
+fn chain(mut value: [u8; 32], chain_idx: u16, from: u8, steps: u8) -> [u8; 32] {
     // 36-byte message — fits one padded block, so each step is a single
     // compression over a stack buffer.
     let mut buf = [0u8; 36];
@@ -118,16 +116,9 @@ fn chain_seq(
     for s in from..from + steps {
         buf[3] = s;
         buf[4..].copy_from_slice(&value);
-        value = *hash(&buf).as_bytes();
+        value = *sha256_short(&buf).as_bytes();
     }
     value
-}
-
-/// The sequential chain function (the reference the lane-batched walk is
-/// tested against).
-#[cfg(test)]
-fn chain(value: [u8; 32], chain_idx: u16, from: u8, steps: u8) -> [u8; 32] {
-    chain_seq(value, chain_idx, from, steps, sha256_short)
 }
 
 /// A 64-byte compression block pre-padded for the 36-byte chain-step
@@ -181,13 +172,9 @@ fn walk_chains_flat(
     );
     let width = d.lanes();
     if width <= 1 {
-        let hash: fn(&[u8]) -> Digest = match d {
-            mb::Dispatch::SingleScalar => mb::sha256_short_scalar,
-            _ => sha256_short,
-        };
         for i in 0..values.len() {
             if steps[i] > 0 {
-                values[i] = chain_seq(values[i], chain_idx[i], start[i], steps[i], hash);
+                values[i] = chain(values[i], chain_idx[i], start[i], steps[i]);
             }
         }
         return;

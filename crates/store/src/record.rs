@@ -622,19 +622,6 @@ impl ChainVerifier {
     }
 }
 
-/// Verifies the hash chain over a slice of records.
-///
-/// # Errors
-///
-/// Returns the first [`ChainViolation`] found.
-pub fn verify_chain(records: &[EvidenceRecord]) -> Result<(), ChainViolation> {
-    let mut verifier = ChainVerifier::new();
-    for rec in records {
-        verifier.check(rec);
-    }
-    verifier.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,11 +653,20 @@ mod tests {
         out
     }
 
+    /// Feeds `records` from genesis through a fresh [`ChainVerifier`].
+    fn verdict(records: &[EvidenceRecord]) -> Result<(), ChainViolation> {
+        let mut verifier = ChainVerifier::new();
+        for rec in records {
+            verifier.check(rec);
+        }
+        verifier.finish()
+    }
+
     #[test]
     fn valid_chain_verifies() {
-        assert_eq!(verify_chain(&chain(0)), Ok(()));
-        assert_eq!(verify_chain(&chain(1)), Ok(()));
-        assert_eq!(verify_chain(&chain(10)), Ok(()));
+        assert_eq!(verdict(&chain(0)), Ok(()));
+        assert_eq!(verdict(&chain(1)), Ok(()));
+        assert_eq!(verdict(&chain(10)), Ok(()));
     }
 
     #[test]
@@ -678,7 +674,7 @@ mod tests {
         let mut records = chain(5);
         records[2].draft.payload = vec![0xFF];
         assert_eq!(
-            verify_chain(&records),
+            verdict(&records),
             Err(ChainViolation::BrokenLink { seq: 3 })
         );
     }
@@ -688,7 +684,7 @@ mod tests {
         let mut records = chain(5);
         records.remove(2);
         assert_eq!(
-            verify_chain(&records),
+            verdict(&records),
             Err(ChainViolation::BadSequence {
                 expected: 2,
                 found: 3
@@ -702,14 +698,14 @@ mod tests {
         // why the adjudicator cross-checks both parties' logs.
         let mut records = chain(5);
         records.truncate(3);
-        assert_eq!(verify_chain(&records), Ok(()));
+        assert_eq!(verdict(&records), Ok(()));
     }
 
     #[test]
     fn bad_genesis_detected() {
         let mut records = chain(2);
         records[0].prev_hash = sha256(b"evil");
-        assert_eq!(verify_chain(&records), Err(ChainViolation::BadGenesis));
+        assert_eq!(verdict(&records), Err(ChainViolation::BadGenesis));
     }
 
     fn arc_chain(n: u64) -> Vec<Arc<EvidenceRecord>> {

@@ -48,6 +48,9 @@ retired=(
     showcase_sharded SimNet TimeStampAuthority TimeStampToken EvidencePlane shard_index
     validate_shard_count MAX_EVIDENCE_SHARDS ShardedRecovery StaleSuperEpoch latest_super_epoch
     is_super_epoch_commit e15_sharded
+    # two multi-buffer tiers; caller-less par wrappers; test-only chain check
+    Sse2 SingleScalar Dispatch::Scalar sha256_short_scalar portable4 mb_compress_body
+    par_map_range par_map_indexed verify_chain
 )
 echo "==> retired names"
 if grep -rnwF "${retired[@]/#/-e}" --exclude=check.sh \
@@ -73,16 +76,17 @@ cargo test -q -p nonrep_protocols --test conformance
 
 # SIMD bugs must not hide behind a fast host: the crypto differential
 # suite (multi-buffer vs sequential hashing, W-OTS tier equivalence)
-# re-runs with dispatch pinned to the portable kernel. That covers the
-# hss suite too: the hierarchical lifecycle (subtree walks, rollover
-# certs, chained verification) leans on the same lane-batched kernels,
-# so it must stay green on the portable path.
-echo "==> NONREP_DISPATCH=scalar cargo test -q -p nonrep_crypto"
-NONREP_DISPATCH=scalar cargo test -q -p nonrep_crypto
+# re-runs with dispatch pinned to `single`, the path every host without
+# AVX2 runs. The full pass above ran the hss and mss suites under `auto`
+# (AVX2 on an AVX2 host), so both tiers run on every CI host.
+echo "==> NONREP_DISPATCH=single cargo test -q -p nonrep_crypto"
+NONREP_DISPATCH=single cargo test -q -p nonrep_crypto
 
-# For the log: the kernel `auto` picks when nothing pins it.
-echo "==> digest::mb auto dispatch in a test process"
-cargo test -q -p nonrep_crypto --lib dispatch_invariants -- --nocapture | grep 'digest::mb'
+# For the log: the kernel `auto` picks when nothing pins it, calibrated
+# in a release build (the profile every benchmark runs).
+echo "==> digest::mb auto dispatch in a release test process"
+cargo test --release -q -p nonrep_crypto --lib dispatch_invariants -- --nocapture |
+    grep 'digest::mb'
 
 echo "==> cargo fmt --check"
 cargo fmt --check
