@@ -14,6 +14,7 @@ use nonrep_crypto::sig::SignaturePayload;
 use nonrep_protocols::party::{KeyDirectory, Party, StaticKeyDirectory};
 use nonrep_protocols::scheduler::TokenSpec;
 use nonrep_protocols::tokens::{NrToken, TokenKind};
+use nonrep_protocols::ProtocolMessage;
 use nonrep_store::record::EpochCommitment;
 use nonrep_store::EvidenceRecord;
 use nonrep_types::codec::{Decode, Encode};
@@ -323,4 +324,46 @@ fn batched_tokens_survive_wire_roundtrip_and_adjudication() {
     );
     assert!(verdict.cannot_deny(&OrgId::new("alice"), TokenKind::NroReq));
     assert!(verdict.suspect_submitters().is_empty());
+}
+
+#[test]
+fn token_lifted_out_of_its_frame_verifies_and_adjudicates_clean() {
+    // A frame and the token it carries share one batch leaf; the token,
+    // once out of the frame, is ordinary self-contained evidence.
+    let d = duo(Some(16));
+    let run = d.alice.new_run_id();
+    let subject = sha256(b"request");
+    let frame = d
+        .alice
+        .sign_frame(
+            ProtocolMessage::new("direct", run, 1, "alice", b"request".to_vec()),
+            &[TokenSpec::new(TokenKind::NroReq, run, subject)],
+        )
+        .unwrap();
+    let frame = ProtocolMessage::decode_from_slice(&frame.encode_to_vec()).unwrap();
+    let alice_key = d.bob.key_of(&OrgId::new("alice")).unwrap();
+    assert!(frame.verify_frame(&alice_key));
+    let token = frame.tokens[0].clone();
+    assert!(token.signature.is_batched());
+    assert!(token.verify(
+        &alice_key,
+        Some(TokenKind::NroReq),
+        Some(run),
+        Some(&subject)
+    ));
+    d.bob
+        .absorb_carried(&frame, [(TokenKind::NroReq, subject)])
+        .unwrap();
+    d.bob.flush_evidence().unwrap();
+    let verdict = adjudicator(&d).adjudicate_windows(
+        run,
+        &[WindowSubmission::from_log(
+            "bob",
+            &**d.bob.log(),
+            0..u64::MAX,
+        )],
+    );
+    assert!(verdict.cannot_deny(&OrgId::new("alice"), TokenKind::NroReq));
+    assert!(verdict.suspect_submitters().is_empty());
+    assert!(verdict.reports.iter().all(|r| r.clean()));
 }

@@ -208,15 +208,16 @@ impl AnchorGossip {
             let records = log.snapshot_range(*cursor..len);
             for record in &records {
                 if let Some(commitment) = EpochCommitment::from_record(record) {
-                    let msg = ProtocolMessage::new(
-                        PROTOCOL_ID,
-                        gossip_run_id(),
-                        STEP_EPOCH,
-                        self.party.org().clone(),
-                        commitment.encode_to_vec(),
-                    )
-                    .signed(self.party.keys())
-                    .map_err(ProtocolError::from)?;
+                    let msg = self.party.sign_frame(
+                        ProtocolMessage::new(
+                            PROTOCOL_ID,
+                            gossip_run_id(),
+                            STEP_EPOCH,
+                            self.party.org().clone(),
+                            commitment.encode_to_vec(),
+                        ),
+                        &[],
+                    )?;
                     for peer in peers {
                         self.coordinator.deliver(peer, &msg)?;
                     }
@@ -332,15 +333,18 @@ mod tests {
         assert!(!store.snapshot().epochs.contains_key(&OrgId::new("alice")));
         // Honestly re-sent under mallory's own name, the anchor binds
         // *mallory* — never the org it gossips about.
-        let own = ProtocolMessage::new(
-            PROTOCOL_ID,
-            gossip_run_id(),
-            1,
-            OrgId::new("mallory"),
-            commitment.encode_to_vec(),
-        )
-        .signed(mallory.keys())
-        .unwrap();
+        let own = mallory
+            .sign_frame(
+                ProtocolMessage::new(
+                    PROTOCOL_ID,
+                    gossip_run_id(),
+                    1,
+                    OrgId::new("mallory"),
+                    commitment.encode_to_vec(),
+                ),
+                &[],
+            )
+            .unwrap();
         handler.process(&OrgId::new("mallory"), own).unwrap();
         assert!(!store.snapshot().epochs.contains_key(&OrgId::new("alice")));
         assert_eq!(store.snapshot().epochs[&OrgId::new("mallory")].len(), 1);
@@ -366,15 +370,18 @@ mod tests {
                 .sign_digest(&EpochCommitment::signing_digest(0, 3, &root))
                 .unwrap(),
         };
-        let msg = ProtocolMessage::new(
-            PROTOCOL_ID,
-            gossip_run_id(),
-            2,
-            OrgId::new("alice"),
-            commitment.encode_to_vec(),
-        )
-        .signed(alice.keys())
-        .unwrap();
+        let msg = alice
+            .sign_frame(
+                ProtocolMessage::new(
+                    PROTOCOL_ID,
+                    gossip_run_id(),
+                    2,
+                    OrgId::new("alice"),
+                    commitment.encode_to_vec(),
+                ),
+                &[],
+            )
+            .unwrap();
         assert_eq!(
             handler.process(&OrgId::new("alice"), msg),
             Err(ProtocolError::BadMessage(

@@ -10,12 +10,14 @@
 //! The client side is the [`DirectChoreography`] session type — a
 //! signed request/reply round followed by a lossy receipt/ack round —
 //! driven by the shared [`ExchangeEngine`]: steps 1/2 ride one
-//! `deliverRequest`, steps 3/4 a second. The server caches step 2 per
-//! run, so a client retry after a lost response re-collects the
-//! identical message without re-executing the request (at-most-once,
-//! §3.2). Each side verifies every peer token before persisting it; a
-//! bad token aborts the exchange (interceptor assumption 4:
-//! well-constructed messages only).
+//! `deliverRequest`, steps 3/4 a second. Each signed frame carries the
+//! tokens its sender issues at that step, under one signature in batched
+//! mode; the bodies are the request, the encoded [`ServerResponse`], and
+//! nothing. The server caches step 2 per run, so a client retry after a
+//! lost response re-collects the identical message without re-executing
+//! the request (at-most-once, §3.2). Each side verifies every peer token
+//! before persisting it; a bad token aborts the exchange (interceptor
+//! assumption 4: well-constructed messages only).
 //!
 //! Sending the receipt before the request is a compile error:
 //!
@@ -26,7 +28,7 @@
 //!
 //! fn receipt_first(s: Session<Client, DirectChoreography>, server: &OrgId) {
 //!     // Step 3 before step 1: the opening state has no `call_lossy`.
-//!     let _ = s.call_lossy(server, vec![]);
+//!     let _ = s.call_lossy(server, vec![], &[]);
 //! }
 //! ```
 
@@ -34,13 +36,14 @@ use std::fmt;
 use std::sync::Arc;
 
 use nonrep_crypto::digest::sha256;
-use nonrep_types::codec::{CodecError, Decode, Encode, Reader, Writer};
+use nonrep_types::codec::Encode;
 use nonrep_types::ids::{OrgId, ProtocolId, RunId};
 
 use crate::handler::ProtocolHandler;
 use crate::invocation::{RequestExecutor, RunRegistry, ServerResponse};
 use crate::message::ProtocolMessage;
 use crate::party::Party;
+use crate::scheduler::TokenSpec;
 use crate::session::{Call, CallLossy, Client, End, ExchangeEngine, ExchangeError, RunJournal};
 use crate::tokens::{NrToken, TokenKind};
 use crate::{B2BCoordinator, ProtocolError};
@@ -51,81 +54,6 @@ pub const PROTOCOL_ID: &str = "direct";
 /// The client's choreography: signed request/evidence round (steps
 /// 1/2), then a lossy receipt/ack round (steps 3/4), then seal.
 pub type DirectChoreography = Call<1, 2, CallLossy<3, 4, End>>;
-
-/// Step-1 body: the request and the client's NRO.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Step1 {
-    /// Encoded application request (e.g. a container `Invocation`).
-    pub request: Vec<u8>,
-    /// Client's non-repudiation of origin over the request digest.
-    pub nro_req: NrToken,
-}
-
-impl Encode for Step1 {
-    fn encode(&self, w: &mut Writer) {
-        w.put_bytes(&self.request);
-        self.nro_req.encode(w);
-    }
-}
-
-impl Decode for Step1 {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            request: r.get_bytes()?.to_vec(),
-            nro_req: NrToken::decode(r)?,
-        })
-    }
-}
-
-/// Step-2 body: the response plus the server's two tokens.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Step2 {
-    /// The server-side outcome.
-    pub response: ServerResponse,
-    /// Server's non-repudiation of receipt of the request.
-    pub nrr_req: NrToken,
-    /// Server's non-repudiation of origin of the response.
-    pub nro_resp: NrToken,
-}
-
-impl Encode for Step2 {
-    fn encode(&self, w: &mut Writer) {
-        self.response.encode(w);
-        self.nrr_req.encode(w);
-        self.nro_resp.encode(w);
-    }
-}
-
-impl Decode for Step2 {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            response: ServerResponse::decode(r)?,
-            nrr_req: NrToken::decode(r)?,
-            nro_resp: NrToken::decode(r)?,
-        })
-    }
-}
-
-/// Step-3 body: the client's receipt for the response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Step3 {
-    /// Client's non-repudiation of receipt of the response.
-    pub nrr_resp: NrToken,
-}
-
-impl Encode for Step3 {
-    fn encode(&self, w: &mut Writer) {
-        self.nrr_resp.encode(w);
-    }
-}
-
-impl Decode for Step3 {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            nrr_resp: NrToken::decode(r)?,
-        })
-    }
-}
 
 /// The client's view of a completed exchange.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -209,35 +137,28 @@ impl DirectClient {
         let req_digest = sha256(&request);
         let session = self.engine.session::<Client, DirectChoreography>(run_id);
 
-        // Step 1: NRO_req + request; steps 1/2 ride one deliverRequest
+        // Step 1: request + NRO_req; steps 1/2 ride one deliverRequest
         // (with retries; the server caches its reply per run).
-        let nro_req = self
-            .engine
-            .issue_and_store(TokenKind::NroReq, run_id, req_digest)?;
-        let step1 = Step1 { request, nro_req };
-        let (msg2, session) = session.call(server, step1.encode_to_vec())?;
-        let step2: Step2 = self.engine.decode_body(&msg2.body)?;
+        let nro_req = TokenSpec::new(TokenKind::NroReq, run_id, req_digest);
+        let (msg2, session) = session.call(server, request, &[nro_req])?;
+        let response: ServerResponse = self.engine.decode_body(&msg2.body)?;
 
         // Verify and persist the server's evidence.
-        self.engine
-            .absorb(&step2.nrr_req, TokenKind::NrrReq, run_id, Some(&req_digest))?;
-        let resp_digest = sha256(&step2.response.encode_to_vec());
-        self.engine.absorb(
-            &step2.nro_resp,
-            TokenKind::NroResp,
-            run_id,
-            Some(&resp_digest),
+        let resp_digest = sha256(&msg2.body);
+        let [nrr_req, nro_resp] = self.engine.party().absorb_carried(
+            &msg2,
+            [
+                (TokenKind::NrrReq, req_digest),
+                (TokenKind::NroResp, resp_digest),
+            ],
         )?;
 
         // Step 3: client receipt for the response. The exchange is
         // already complete for the client; a lost ack only means the
         // server may chase the receipt (it has evidence that the
         // response was produced, §3.2).
-        let nrr_resp = self
-            .engine
-            .issue_and_store(TokenKind::NrrResp, run_id, resp_digest)?;
-        let (receipt_acked, session) =
-            session.call_lossy(server, Step3 { nrr_resp }.encode_to_vec())?;
+        let nrr_resp = TokenSpec::new(TokenKind::NrrResp, run_id, resp_digest);
+        let (receipt_acked, session) = session.call_lossy(server, Vec::new(), &[nrr_resp])?;
 
         // The run is complete for the client: let the commitment policy
         // seal its evidence (no-op in per-record mode).
@@ -245,9 +166,9 @@ impl DirectClient {
 
         Ok(DirectOutcome {
             run_id,
-            response: step2.response,
-            nrr_req: step2.nrr_req,
-            nro_resp: step2.nro_resp,
+            response,
+            nrr_req,
+            nro_resp,
             receipt_acked,
         })
     }
@@ -292,46 +213,33 @@ impl DirectServerHandler {
             return Ok(cached);
         }
         self.engine.verify_frame_from(&msg, from)?;
-        let step1: Step1 = self.engine.decode_body(&msg.body)?;
-        if step1.nro_req.issuer != *from {
-            return Err(ProtocolError::BadMessage(
-                "NRO_req issuer is not the sender".into(),
-            ));
-        }
-        let req_digest = sha256(&step1.request);
-        self.engine.absorb(
-            &step1.nro_req,
-            TokenKind::NroReq,
-            msg.run_id,
-            Some(&req_digest),
-        )?;
+        let req_digest = sha256(&msg.body);
+        self.engine
+            .party()
+            .absorb_carried(&msg, [(TokenKind::NroReq, req_digest)])?;
 
         // NRO verified: the request is "made available" to the server.
         // Execute it, turning business failure into evidenced failure.
-        let response = match self.executor.execute(from, &step1.request) {
+        let response = match self.executor.execute(from, &msg.body) {
             Ok(result) => ServerResponse::Executed(result),
             Err(reason) => ServerResponse::Failed(reason),
         };
-        let resp_digest = sha256(&response.encode_to_vec());
+        let body = response.encode_to_vec();
+        let resp_digest = sha256(&body);
 
-        // The shared seal hook issues the server's token pair in one
-        // scheduler call (a single batch signature in batched mode).
-        let (nrr_req, nro_resp) =
-            self.engine
-                .issue_paired_tokens(msg.run_id, req_digest, resp_digest)?;
-
+        // The server's token pair rides the response frame: one
+        // signature for both tokens and the frame in batched mode.
         let msg2 = self.engine.request_frame(
             msg.run_id,
             2,
-            Step2 {
-                response,
-                nrr_req,
-                nro_resp,
-            }
-            .encode_to_vec(),
+            body,
+            &[
+                TokenSpec::new(TokenKind::NrrReq, msg.run_id, req_digest),
+                TokenSpec::new(TokenKind::NroResp, msg.run_id, resp_digest),
+            ],
         )?;
         self.runs
-            .record_response(msg.run_id, msg2.clone(), Some(resp_digest));
+            .record_response(msg.run_id, &msg2, Some(resp_digest));
         Ok(msg2)
     }
 
@@ -346,14 +254,10 @@ impl DirectServerHandler {
             .receipt_digest(&msg.run_id)
             .ok_or(ProtocolError::UnknownRun(msg.run_id))?;
         self.engine.verify_frame_from(&msg, from)?;
-        let step3: Step3 = self.engine.decode_body(&msg.body)?;
         if !self.runs.receipt_received(&msg.run_id) {
-            self.engine.absorb(
-                &step3.nrr_resp,
-                TokenKind::NrrResp,
-                msg.run_id,
-                Some(&resp_digest),
-            )?;
+            self.engine
+                .party()
+                .absorb_carried(&msg, [(TokenKind::NrrResp, resp_digest)])?;
             self.runs.mark_receipt(&msg.run_id);
             // The server's evidence set for this run is complete.
             self.engine.seal_run()?;
@@ -606,30 +510,25 @@ mod tests {
         let fx = fixture();
         let run = fx.client_party.new_run_id();
         let request = b"idempotent".to_vec();
-        let nro = fx
+        let nro = TokenSpec::new(TokenKind::NroReq, run, sha256(&request));
+        let msg1 = fx
             .client_party
-            .issue_token(TokenKind::NroReq, run, sha256(&request))
+            .sign_frame(
+                ProtocolMessage::new(PROTOCOL_ID, run, 1, "client", request),
+                &[nro],
+            )
             .unwrap();
-        let msg1 = ProtocolMessage::new(
-            PROTOCOL_ID,
-            run,
-            1,
-            "client",
-            Step1 {
-                request,
-                nro_req: nro,
-            }
-            .encode_to_vec(),
-        )
-        .signed(fx.client_party.keys())
-        .unwrap();
         let from = OrgId::new("client");
         let r1 = fx
             .server_handler
             .process_request(&from, msg1.clone())
             .unwrap();
         let r2 = fx.server_handler.process_request(&from, msg1).unwrap();
-        assert_eq!(r1, r2);
+        assert_eq!(
+            r1.encode_to_vec(),
+            r2.encode_to_vec(),
+            "byte-identical resend"
+        );
         assert_eq!(*fx.exec_count.lock(), 1);
     }
 
@@ -637,24 +536,69 @@ mod tests {
     fn receipt_for_unknown_run_rejected() {
         let fx = fixture();
         let run = fx.client_party.new_run_id();
-        let token = fx
+        let msg3 = fx
             .client_party
-            .issue_token(TokenKind::NrrResp, run, sha256(b"x"))
+            .sign_frame(
+                ProtocolMessage::new(PROTOCOL_ID, run, 3, "client", Vec::new()),
+                &[TokenSpec::new(TokenKind::NrrResp, run, sha256(b"x"))],
+            )
             .unwrap();
-        let msg3 = ProtocolMessage::new(
-            PROTOCOL_ID,
-            run,
-            3,
-            "client",
-            Step3 { nrr_resp: token }.encode_to_vec(),
-        )
-        .signed(fx.client_party.keys())
-        .unwrap();
         assert!(matches!(
             fx.server_handler
                 .process_request(&OrgId::new("client"), msg3),
             Err(ProtocolError::UnknownRun(_))
         ));
+    }
+
+    /// Leaves each side spends on one exchange, as `KeyPair::remaining`
+    /// deltas, and the epoch seals among them.
+    fn leaves_per_exchange(batch: Option<usize>) -> ((u32, u64), (u32, u64)) {
+        let clock = LogicalClock::new();
+        let dir = Arc::new(StaticKeyDirectory::new());
+        let party = |org: &str, seed: u64| match batch {
+            Some(size) => Party::quick_batched(org, seed, &clock, &dir, size),
+            None => Party::quick(org, seed, &clock, &dir),
+        };
+        let client_party = party("client", 1);
+        let server_party = party("server", 2);
+        let bus = LocalBus::new();
+        let coord = |org: &str| {
+            let c = B2BCoordinator::new(
+                org,
+                ReliableRequester::new(bus.clone(), RetryPolicy::new(4)),
+            );
+            bus.register(OrgId::new(org), c.clone());
+            c
+        };
+        let client_coord = coord("client");
+        coord("server").register_handler(DirectServerHandler::new(
+            server_party.clone(),
+            Arc::new(|_: &OrgId, req: &[u8]| Ok(req.to_vec())),
+        ));
+        let remaining = |p: &Party| p.keys().remaining().unwrap();
+        let epochs = |p: &Party| p.log().count_where(&|r| r.is_epoch_commit());
+        let before = (remaining(&client_party), remaining(&server_party));
+        DirectClient::new(client_party.clone(), client_coord)
+            .invoke(&OrgId::new("server"), b"req".to_vec())
+            .unwrap();
+        (
+            (before.0 - remaining(&client_party), epochs(&client_party)),
+            (before.1 - remaining(&server_party), epochs(&server_party)),
+        )
+    }
+
+    #[test]
+    fn each_signed_step_spends_one_leaf_in_batched_mode() {
+        let ((client, client_seals), (server, server_seals)) = leaves_per_exchange(Some(64));
+        // Steps 1 and 3 for the client, step 2 for the server: each frame
+        // shares one leaf with the tokens it carries.
+        assert_eq!(client, 2 + client_seals as u32);
+        assert_eq!(server, 1 + server_seals as u32);
+        assert!(client_seals + server_seals > 0, "run-end seals counted");
+        // Per-record mode: one leaf per token and one per frame.
+        let ((client, client_seals), (server, server_seals)) = leaves_per_exchange(None);
+        assert_eq!((client, client_seals), (4, 0));
+        assert_eq!((server, server_seals), (3, 0));
     }
 
     #[test]

@@ -59,7 +59,7 @@
 //! fn dispute_first(s: Session<Client, FairChoreography>, ttp: &OrgId) {
 //!     // The opening state only offers `call`; the dispute branch is
 //!     // reachable only through the receipt round.
-//!     let _ = s.call_or(ttp, vec![], |_| true); // error: no method `call_or`
+//!     let _ = s.call_or(ttp, vec![], &[], |_| true); // error: no method `call_or`
 //! }
 //! ```
 
@@ -75,10 +75,10 @@ use nonrep_types::codec::{CodecError, Decode, Encode, Reader, Writer};
 use nonrep_types::ids::{OrgId, ProtocolId, RunId};
 
 use crate::handler::ProtocolHandler;
-use crate::invocation::direct::Step1;
 use crate::invocation::{RequestExecutor, RunRegistry, ServerResponse};
 use crate::message::ProtocolMessage;
 use crate::party::Party;
+use crate::scheduler::TokenSpec;
 use crate::session::{
     Branch, Call, CallOpen, CallOr, Client, End, EscalationAction, EscalationOutcome,
     ExchangeEngine, ExchangeError, ExchangeSupervisor, PeerFault, RunJournal, Server, Session,
@@ -126,6 +126,15 @@ pub type ResolveChoreography = CallOpen<STEP_RESOLVE, STEP_RESOLVE_ACK, End>;
 pub type FairChoreography =
     Call<STEP_REQUEST, STEP_RESPONSE, CallOr<STEP_RECEIPT, STEP_KEY, End, ResolveChoreography>>;
 
+/// What [`FairChoreography`]'s opening round leaves the client: the
+/// session at the receipt round, the step-2 body, and the server's
+/// `NRR_req` / `NRO_resp`.
+type Opened = (
+    Session<Client, CallOr<STEP_RECEIPT, STEP_KEY, End, ResolveChoreography>>,
+    FairStep2,
+    [NrToken; 2],
+);
+
 /// The server's escrow leg: deposit the key, collect the signed ack.
 pub type EscrowChoreography = CallOpen<STEP_ESCROW, STEP_ESCROW_ACK, End>;
 
@@ -135,18 +144,16 @@ pub type AbortChoreography = CallOpen<STEP_ABORT, STEP_ABORT_ACK, End>;
 /// The server's fetch sub-protocol at the TTP.
 pub type FetchChoreography = CallOpen<STEP_FETCH, STEP_FETCH_ACK, End>;
 
-/// Step-2 body.
+/// Step-2 body. The server's `NRR_req` and `NRO_resp` (over the
+/// plaintext response digest) ride the frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FairStep2 {
     /// The response encrypted under the escrowed key.
     pub enc_response: Vec<u8>,
     /// Digest of the *plaintext* encoded response.
     pub resp_digest: Digest,
-    /// Server's receipt for the request.
-    pub nrr_req: NrToken,
-    /// Server's origin token over the plaintext response digest.
-    pub nro_resp: NrToken,
-    /// TTP's escrow acknowledgement (proof the key is recoverable).
+    /// TTP's escrow acknowledgement (proof the key is recoverable),
+    /// relayed by the server.
     pub escrow_ack: NrToken,
 }
 
@@ -154,8 +161,6 @@ impl Encode for FairStep2 {
     fn encode(&self, w: &mut Writer) {
         w.put_bytes(&self.enc_response);
         self.resp_digest.encode(w);
-        self.nrr_req.encode(w);
-        self.nro_resp.encode(w);
         self.escrow_ack.encode(w);
     }
 }
@@ -165,8 +170,6 @@ impl Decode for FairStep2 {
         Ok(Self {
             enc_response: r.get_bytes()?.to_vec(),
             resp_digest: Digest::decode(r)?,
-            nrr_req: NrToken::decode(r)?,
-            nro_resp: NrToken::decode(r)?,
             escrow_ack: NrToken::decode(r)?,
         })
     }
@@ -355,23 +358,8 @@ impl FairClient {
         request: Vec<u8>,
         pause: impl FnOnce(),
     ) -> Result<FairOutcome, ExchangeError> {
-        let req_digest = sha256(&request);
-        let session = self.engine.session::<Client, FairChoreography>(run_id);
-        let nro_req = self
-            .engine
-            .issue_and_store(TokenKind::NroReq, run_id, req_digest)?;
-
-        let (msg2, session) = session.call(server, Step1 { request, nro_req }.encode_to_vec())?;
-        let step2: FairStep2 = self.engine.decode_body(&msg2.body)?;
         // Verify all evidence before committing.
-        self.engine
-            .absorb(&step2.nrr_req, TokenKind::NrrReq, run_id, Some(&req_digest))?;
-        self.engine.absorb(
-            &step2.nro_resp,
-            TokenKind::NroResp,
-            run_id,
-            Some(&step2.resp_digest),
-        )?;
+        let (session, step2, [nrr_req, nro_resp]) = self.request_round(run_id, server, request)?;
         // The escrow ack must come from *our* TTP and cover this run.
         if step2.escrow_ack.issuer != self.ttp {
             return Err(ExchangeError::Peer(PeerFault::BadMessage(
@@ -391,13 +379,11 @@ impl FairClient {
 
         // Step 3: commit the receipt. From here the exchange must end
         // fairly: K from the server, or K + a conviction from the TTP.
-        let nrr_resp =
-            self.engine
-                .issue_and_store(TokenKind::NrrResp, run_id, step2.resp_digest)?;
+        let nrr_resp = TokenSpec::new(TokenKind::NrrResp, run_id, step2.resp_digest);
         // Accept a step-4 body only if it actually decrypts the committed
         // ciphertext: 32 bytes of garbage is a withheld key with extra
         // steps, and diverts to the TTP exactly like silence.
-        let branch = session.call_or(server, nrr_resp.encode_to_vec(), |m| {
+        let branch = session.call_or(server, Vec::new(), &[nrr_resp], |m| {
             m.body.len() == 32 && {
                 let mut key = [0u8; 32];
                 key.copy_from_slice(&m.body);
@@ -410,9 +396,10 @@ impl FairClient {
                 key.copy_from_slice(&msg4.body);
                 (key, KeySource::Server, session)
             }
-            // Server defected or vanished: the dispute sub-protocol.
-            Branch::Diverted(dispute) => {
-                let (key, session) = self.resolve(dispute, server, &nrr_resp)?;
+            // Server defected or vanished: the dispute sub-protocol,
+            // presenting the receipt the step-3 frame carried.
+            Branch::Diverted(sent, dispute) => {
+                let (key, session) = self.resolve(dispute, server, &sent[0])?;
                 (key, KeySource::TtpResolve, session)
             }
         };
@@ -434,8 +421,8 @@ impl FairClient {
         Ok(FairOutcome {
             run_id,
             response,
-            nrr_req: step2.nrr_req,
-            nro_resp: step2.nro_resp,
+            nrr_req,
+            nro_resp,
             key_source,
         })
     }
@@ -458,25 +445,35 @@ impl FairClient {
         server: &OrgId,
         request: Vec<u8>,
     ) -> Result<(), ExchangeError> {
-        let req_digest = sha256(&request);
-        let session = self.engine.session::<Client, FairChoreography>(run_id);
-        let nro_req = self
-            .engine
-            .issue_and_store(TokenKind::NroReq, run_id, req_digest)?;
-        let (msg2, session) = session.call(server, Step1 { request, nro_req }.encode_to_vec())?;
-        let step2: FairStep2 = self.engine.decode_body(&msg2.body)?;
-        self.engine
-            .absorb(&step2.nrr_req, TokenKind::NrrReq, run_id, Some(&req_digest))?;
-        self.engine.absorb(
-            &step2.nro_resp,
-            TokenKind::NroResp,
-            run_id,
-            Some(&step2.resp_digest),
-        )?;
+        let (session, _, _) = self.request_round(run_id, server, request)?;
         // Silence: the session is dropped mid-choreography (legal at
         // runtime — typestate forbids wrong orders, not walking away).
         drop(session);
         Ok(())
+    }
+
+    /// The step-1/2 round: sends `request` with its `NRO_req`, then
+    /// verifies and persists the `NRR_req` / `NRO_resp` pair the step-2
+    /// frame carries.
+    fn request_round(
+        &self,
+        run_id: RunId,
+        server: &OrgId,
+        request: Vec<u8>,
+    ) -> Result<Opened, ExchangeError> {
+        let req_digest = sha256(&request);
+        let session = self.engine.session::<Client, FairChoreography>(run_id);
+        let nro_req = TokenSpec::new(TokenKind::NroReq, run_id, req_digest);
+        let (msg2, session) = session.call(server, request, &[nro_req])?;
+        let step2: FairStep2 = self.engine.decode_body(&msg2.body)?;
+        let pair = self.engine.party().absorb_carried(
+            &msg2,
+            [
+                (TokenKind::NrrReq, req_digest),
+                (TokenKind::NroResp, step2.resp_digest),
+            ],
+        )?;
+        Ok((session, step2, pair))
     }
 
     /// The dispute sub-protocol: deposit the receipt with the TTP, get
@@ -488,7 +485,7 @@ impl FairClient {
         nrr_resp: &NrToken,
     ) -> Result<([u8; 32], Session<Client, End>), ExchangeError> {
         let run = dispute.run();
-        let (reply, session) = match dispute.call_open(&self.ttp, nrr_resp.encode_to_vec()) {
+        let (reply, session) = match dispute.call_open(&self.ttp, nrr_resp.encode_to_vec(), &[]) {
             Ok(ok) => ok,
             Err(ExchangeError::Transport(e)) => return Err(ExchangeError::Transport(e)),
             // A refusal (aborted run, bad receipt) surfaces as a
@@ -692,7 +689,7 @@ impl FairServerHandler {
     /// TTP then holds the client's receipt — fetch it instead).
     pub fn abort(&self, run: RunId) -> Result<NrToken, ProtocolError> {
         let session = self.engine.session::<Server, AbortChoreography>(run);
-        let (reply, _done) = match session.call_open(&self.ttp, Vec::new()) {
+        let (reply, _done) = match session.call_open(&self.ttp, Vec::new(), &[]) {
             Ok(ok) => ok,
             Err(ExchangeError::Transport(e)) => return Err(ProtocolError::Net(e)),
             Err(_) => {
@@ -723,7 +720,7 @@ impl FairServerHandler {
     /// [`ProtocolError::UnknownRun`] if the TTP holds no receipt for `run`.
     pub fn fetch_receipt(&self, run: RunId) -> Result<NrToken, ProtocolError> {
         let session = self.engine.session::<Server, FetchChoreography>(run);
-        let (reply, _done) = match session.call_open(&self.ttp, Vec::new()) {
+        let (reply, _done) = match session.call_open(&self.ttp, Vec::new(), &[]) {
             Ok(ok) => ok,
             Err(ExchangeError::Transport(e)) => return Err(ProtocolError::Net(e)),
             Err(_) => return Err(ProtocolError::UnknownRun(run)),
@@ -742,16 +739,12 @@ impl FairServerHandler {
             return Ok(cached);
         }
         self.engine.verify_frame_from(&msg, from)?;
-        let step1: Step1 = self.engine.decode_body(&msg.body)?;
-        let req_digest = sha256(&step1.request);
-        self.engine.absorb(
-            &step1.nro_req,
-            TokenKind::NroReq,
-            msg.run_id,
-            Some(&req_digest),
-        )?;
+        let req_digest = sha256(&msg.body);
+        self.engine
+            .party()
+            .absorb_carried(&msg, [(TokenKind::NroReq, req_digest)])?;
 
-        let response = match self.executor.execute(from, &step1.request) {
+        let response = match self.executor.execute(from, &msg.body) {
             Ok(result) => ServerResponse::Executed(result),
             Err(reason) => ServerResponse::Failed(reason),
         };
@@ -769,7 +762,7 @@ impl FairServerHandler {
         let session = self
             .engine
             .session::<Server, EscrowChoreography>(msg.run_id);
-        let (ack, _escrowed) = match session.call_open(&self.ttp, escrow.encode_to_vec()) {
+        let (ack, _escrowed) = match session.call_open(&self.ttp, escrow.encode_to_vec(), &[]) {
             Ok(ok) => ok,
             Err(ExchangeError::Transport(e)) => return Err(ProtocolError::Net(e)),
             Err(_) => return Err(ProtocolError::BadMessage("TTP refused escrow".into())),
@@ -782,23 +775,21 @@ impl FairServerHandler {
             Some(&resp_digest),
         )?;
 
-        // The shared seal hook: one scheduler call for the pair (a single
-        // batch signature in batched commitment mode).
-        let (nrr_req, nro_resp) =
-            self.engine
-                .issue_paired_tokens(msg.run_id, req_digest, resp_digest)?;
-
+        // The server's token pair rides the response frame: one
+        // signature for both tokens and the frame in batched mode.
         let msg2 = self.engine.request_frame(
             msg.run_id,
             STEP_RESPONSE,
             FairStep2 {
                 enc_response,
                 resp_digest,
-                nrr_req,
-                nro_resp,
                 escrow_ack,
             }
             .encode_to_vec(),
+            &[
+                TokenSpec::new(TokenKind::NrrReq, msg.run_id, req_digest),
+                TokenSpec::new(TokenKind::NroResp, msg.run_id, resp_digest),
+            ],
         )?;
         self.keys.lock().insert(
             msg.run_id,
@@ -809,7 +800,7 @@ impl FairServerHandler {
                 aborted: false,
             },
         );
-        self.runs.record_response(msg.run_id, msg2.clone(), None);
+        self.runs.record_response(msg.run_id, &msg2, None);
         // Step 2 is committed: the receipt window opens. A supervised
         // server arms the timeout-abort escalation here — if the client
         // never commits its receipt, the TTP abort choreography closes
@@ -835,7 +826,6 @@ impl FairServerHandler {
         msg: ProtocolMessage,
     ) -> Result<ProtocolMessage, ProtocolError> {
         self.engine.verify_frame_from(&msg, from)?;
-        let nrr_resp: NrToken = self.engine.decode_body(&msg.body)?;
         let (key, resp_digest) = {
             let keys = self.keys.lock();
             let state = keys
@@ -852,12 +842,9 @@ impl FairServerHandler {
         };
         // The receipt must cover the committed response digest — the key
         // is exchanged for evidence that is actually worth something.
-        self.engine.absorb(
-            &nrr_resp,
-            TokenKind::NrrResp,
-            msg.run_id,
-            Some(&resp_digest),
-        )?;
+        self.engine
+            .party()
+            .absorb_carried(&msg, [(TokenKind::NrrResp, resp_digest)])?;
         if let Some(state) = self.keys.lock().get_mut(&msg.run_id) {
             state.receipt_received = true;
         }
@@ -1217,6 +1204,34 @@ mod tests {
         }
     }
 
+    /// The client's signed frame for `step` of `run`, carrying `tokens`.
+    fn client_frame(
+        w: &World,
+        run: RunId,
+        step: u32,
+        body: Vec<u8>,
+        tokens: &[TokenSpec],
+    ) -> ProtocolMessage {
+        w.client_party
+            .sign_frame(
+                ProtocolMessage::new(PROTOCOL_ID, run, step, "client", body),
+                tokens,
+            )
+            .unwrap()
+    }
+
+    /// The client's step-1 frame for `request`.
+    fn request_frame(w: &World, run: RunId, request: &[u8]) -> ProtocolMessage {
+        let nro = TokenSpec::new(TokenKind::NroReq, run, sha256(request));
+        client_frame(w, run, STEP_REQUEST, request.to_vec(), &[nro])
+    }
+
+    /// The client's step-3 frame with a receipt over `digest`.
+    fn receipt_frame(w: &World, run: RunId, digest: Digest) -> ProtocolMessage {
+        let nrr = TokenSpec::new(TokenKind::NrrResp, run, digest);
+        client_frame(w, run, STEP_RECEIPT, Vec::new(), &[nrr])
+    }
+
     #[test]
     fn honest_exchange_completes_via_server_key() {
         let w = world(ServerConduct::Honest);
@@ -1295,41 +1310,11 @@ mod tests {
         // and never marks the run as receipted.
         let w = world(ServerConduct::Honest);
         let run = w.client_party.new_run_id();
-        let request = b"req".to_vec();
-        let nro = w
-            .client_party
-            .issue_token(TokenKind::NroReq, run, sha256(&request))
-            .unwrap();
-        let msg1 = ProtocolMessage::new(
-            PROTOCOL_ID,
-            run,
-            STEP_REQUEST,
-            "client",
-            Step1 {
-                request,
-                nro_req: nro,
-            }
-            .encode_to_vec(),
-        )
-        .signed(w.client_party.keys())
-        .unwrap();
         w.server_handler
-            .process_request(&OrgId::new("client"), msg1)
+            .process_request(&OrgId::new("client"), request_frame(&w, run, b"req"))
             .unwrap();
 
-        let bogus = w
-            .client_party
-            .issue_token(TokenKind::NrrResp, run, sha256(b"not the response"))
-            .unwrap();
-        let msg3 = ProtocolMessage::new(
-            PROTOCOL_ID,
-            run,
-            STEP_RECEIPT,
-            "client",
-            bogus.encode_to_vec(),
-        )
-        .signed(w.client_party.keys())
-        .unwrap();
+        let msg3 = receipt_frame(&w, run, sha256(b"not the response"));
         let err = w
             .server_handler
             .process_request(&OrgId::new("client"), msg3)
@@ -1345,45 +1330,15 @@ mod tests {
         // abort race at the TTP before the client's resolve arrives.
         let w = world(ServerConduct::WithholdKey);
         let run = w.client_party.new_run_id();
-        let request = b"req".to_vec();
-        let nro = w
-            .client_party
-            .issue_token(TokenKind::NroReq, run, sha256(&request))
-            .unwrap();
-        let msg1 = ProtocolMessage::new(
-            PROTOCOL_ID,
-            run,
-            STEP_REQUEST,
-            "client",
-            Step1 {
-                request,
-                nro_req: nro,
-            }
-            .encode_to_vec(),
-        )
-        .signed(w.client_party.keys())
-        .unwrap();
         let msg2 = w
             .server_handler
-            .process_request(&OrgId::new("client"), msg1)
+            .process_request(&OrgId::new("client"), request_frame(&w, run, b"req"))
             .unwrap();
         let step2 = FairStep2::decode_from_slice(&msg2.body).unwrap();
-        let nrr = w
-            .client_party
-            .issue_token(TokenKind::NrrResp, run, step2.resp_digest)
-            .unwrap();
-        w.client_party.store_token(&nrr).unwrap();
-        let msg3 = ProtocolMessage::new(
-            PROTOCOL_ID,
-            run,
-            STEP_RECEIPT,
-            "client",
-            nrr.encode_to_vec(),
-        )
-        .signed(w.client_party.keys())
-        .unwrap();
+        let msg3 = receipt_frame(&w, run, step2.resp_digest);
+        let nrr = msg3.tokens[0].clone();
         w.server_handler
-            .process_request(&OrgId::new("client"), msg3)
+            .process_request(&OrgId::new("client"), msg3.clone())
             .unwrap();
         assert!(w.server_handler.receipt_received(&run));
 
@@ -1410,18 +1365,9 @@ mod tests {
 
         // And a receipt arriving after the abort is refused, so an
         // *honest* aborting server never produces that pairing.
-        let late = ProtocolMessage::new(
-            PROTOCOL_ID,
-            run,
-            STEP_RECEIPT,
-            "client",
-            nrr.encode_to_vec(),
-        )
-        .signed(w.client_party.keys())
-        .unwrap();
         let err = w
             .server_handler
-            .process_request(&OrgId::new("client"), late)
+            .process_request(&OrgId::new("client"), msg3)
             .unwrap_err();
         assert!(matches!(err, ProtocolError::Aborted(_)));
     }
@@ -1432,9 +1378,7 @@ mod tests {
         // else) racing an abort against its own exchange is refused.
         let w = world(ServerConduct::Honest);
         let out = w.client.invoke(&w.server, b"req".to_vec()).unwrap();
-        let msg = ProtocolMessage::new(PROTOCOL_ID, out.run_id, STEP_ABORT, "client", Vec::new())
-            .signed(w.client_party.keys())
-            .unwrap();
+        let msg = client_frame(&w, out.run_id, STEP_ABORT, Vec::new(), &[]);
         let err = w
             .ttp_handler
             .process_request(&OrgId::new("client"), msg)
@@ -1450,27 +1394,9 @@ mod tests {
         // aborts; a later resolve attempt by the client must fail.
         // Drive the protocol manually up to step 2.
         let run = w.client_party.new_run_id();
-        let request = b"req".to_vec();
-        let nro = w
-            .client_party
-            .issue_token(TokenKind::NroReq, run, sha256(&request))
-            .unwrap();
-        let msg1 = ProtocolMessage::new(
-            PROTOCOL_ID,
-            run,
-            STEP_REQUEST,
-            "client",
-            Step1 {
-                request,
-                nro_req: nro,
-            }
-            .encode_to_vec(),
-        )
-        .signed(w.client_party.keys())
-        .unwrap();
         let msg2 = w
             .server_handler
-            .process_request(&OrgId::new("client"), msg1)
+            .process_request(&OrgId::new("client"), request_frame(&w, run, b"req"))
             .unwrap();
         let step2 = FairStep2::decode_from_slice(&msg2.body).unwrap();
 
@@ -1533,18 +1459,18 @@ mod tests {
         let w = world(ServerConduct::Honest);
         let out = w.client.invoke(&w.server, b"req".to_vec()).unwrap();
         // The server itself tries to "resolve" as if it were the client.
-        let msg = ProtocolMessage::new(
-            PROTOCOL_ID,
-            out.run_id,
-            STEP_RESOLVE,
-            "server",
-            w.server_party
-                .issue_token(TokenKind::NrrResp, out.run_id, sha256(b"x"))
-                .unwrap()
-                .encode_to_vec(),
-        )
-        .signed(w.server_party.keys())
-        .unwrap();
+        let body = w
+            .server_party
+            .issue_token(TokenKind::NrrResp, out.run_id, sha256(b"x"))
+            .unwrap()
+            .encode_to_vec();
+        let msg = w
+            .server_party
+            .sign_frame(
+                ProtocolMessage::new(PROTOCOL_ID, out.run_id, STEP_RESOLVE, "server", body),
+                &[],
+            )
+            .unwrap();
         let err = w
             .ttp_handler
             .process_request(&OrgId::new("server"), msg)

@@ -28,8 +28,8 @@
 //! use nonrep_types::ids::OrgId;
 //!
 //! fn replay_round(s: Session<Client, InlineChoreography>, ttp: &OrgId) {
-//!     let _ = s.call_relayed(ttp, vec![]);
-//!     let _ = s.call_relayed(ttp, vec![]); // error[E0382]: use of moved value
+//!     let _ = s.call_relayed(ttp, vec![], &[]);
+//!     let _ = s.call_relayed(ttp, vec![], &[]); // error[E0382]: use of moved value
 //! }
 //! ```
 
@@ -45,6 +45,7 @@ use crate::invocation::direct::DirectClient;
 use crate::invocation::{RunRegistry, ServerResponse};
 use crate::message::ProtocolMessage;
 use crate::party::Party;
+use crate::scheduler::TokenSpec;
 use crate::session::{
     CallRelayed, Client, End, ExchangeEngine, ExchangeError, Forward, PeerFault, RunJournal, Ttp,
 };
@@ -62,22 +63,20 @@ pub type InlineChoreography = CallRelayed<1, 2, End>;
 /// unchanged to the next hop and take its signed step-2 reply.
 pub type RelayChoreography = Forward<1, 2, End>;
 
-/// Step-1 body: the request, its NRO, and the ultimate destination.
+/// Step-1 body: the request and its ultimate destination. The client's
+/// `NRO_req` rides the frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InlineStep1 {
     /// The server that should ultimately execute the request.
     pub server: OrgId,
     /// Encoded application request.
     pub request: Vec<u8>,
-    /// Client's NRO over the request digest.
-    pub nro_req: NrToken,
 }
 
 impl Encode for InlineStep1 {
     fn encode(&self, w: &mut Writer) {
         self.server.encode(w);
         w.put_bytes(&self.request);
-        self.nro_req.encode(w);
     }
 }
 
@@ -86,20 +85,21 @@ impl Decode for InlineStep1 {
         Ok(Self {
             server: OrgId::decode(r)?,
             request: r.get_bytes()?.to_vec(),
-            nro_req: NrToken::decode(r)?,
         })
     }
 }
 
-/// Step-2 body: the response, the server's origin token, and the
-/// accumulated TTP receipts (outermost relay first).
+/// Step-2 body: the response, the server's origin token, and the TTP
+/// receipts issued before the replying hop signed its frame, in issue
+/// order. That hop's response receipt rides the frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InlineResp {
     /// The server-side outcome.
     pub response: ServerResponse,
     /// The server's NRO over the response (forwarded by the terminal TTP).
     pub server_nro_resp: NrToken,
-    /// TTP receipts accumulated along the path.
+    /// Receipts from this hop's request receipt onwards, relayed inner
+    /// receipts included.
     pub receipts: Vec<NrToken>,
 }
 
@@ -130,7 +130,9 @@ pub struct InlineOutcome {
     pub response: ServerResponse,
     /// The server's NRO over the response.
     pub server_nro_resp: NrToken,
-    /// Verified TTP receipts (request and response, per hop).
+    /// Verified TTP receipts (request and response, per hop), in issue
+    /// order: the first hop's request receipt first, its response
+    /// receipt last.
     pub receipts: Vec<NrToken>,
 }
 
@@ -198,28 +200,30 @@ impl InlineTtpClient {
     ) -> Result<InlineOutcome, ExchangeError> {
         let req_digest = sha256(&request);
         let session = self.engine.session::<Client, InlineChoreography>(run_id);
-        let nro_req = self
-            .engine
-            .issue_and_store(TokenKind::NroReq, run_id, req_digest)?;
         let step1 = InlineStep1 {
             server: server.clone(),
             request,
-            nro_req,
         };
+        let nro_req = TokenSpec::new(TokenKind::NroReq, run_id, req_digest);
         // The reply frame is signed by the first TTP hop, so the relayed
         // round verifies it under the reply *sender*'s key.
-        let (msg2, session) = session.call_relayed(&self.ttp, step1.encode_to_vec())?;
+        let (msg2, session) = session.call_relayed(&self.ttp, step1.encode_to_vec(), &[nro_req])?;
         let resp: InlineResp = self.engine.decode_body(&msg2.body)?;
-        // Verify every receipt under its issuer key and persist it.
+        // Verify every relayed receipt under its issuer key and persist
+        // it, then the first hop's own response receipt.
         for receipt in &resp.receipts {
             self.engine
                 .absorb(receipt, TokenKind::TtpReceipt, run_id, None)?;
         }
+        let resp_digest = sha256(&resp.response.encode_to_vec());
+        let [last_receipt] = self
+            .engine
+            .party()
+            .absorb_carried(&msg2, [(TokenKind::TtpReceipt, resp_digest)])?;
         // Verify the server's own response-origin token. It is bound to the
         // *inner* run id of the TTP↔server direct exchange (the TTP acts as
         // the protocol client there), so only kind and subject are pinned;
         // the TTP receipts bind the inner exchange to this outer run.
-        let resp_digest = sha256(&resp.response.encode_to_vec());
         let server_key = self.engine.party().key_of(&resp.server_nro_resp.issuer)?;
         if !resp.server_nro_resp.verify(
             &server_key,
@@ -235,11 +239,13 @@ impl InlineTtpClient {
         self.engine.party().store_token(&resp.server_nro_resp)?;
         // Run complete: seal pending evidence if the policy asks for it.
         session.finish()?;
+        let mut receipts = resp.receipts;
+        receipts.push(last_receipt);
         Ok(InlineOutcome {
             run_id,
             response: resp.response,
             server_nro_resp: resp.server_nro_resp,
-            receipts: resp.receipts,
+            receipts,
         })
     }
 }
@@ -298,18 +304,16 @@ impl InlineTtpHandler {
         self.engine.verify_sender_frame(&msg)?;
         let step1: InlineStep1 = self.engine.decode_body(&msg.body)?;
         let req_digest = sha256(&step1.request);
-        self.engine.absorb(
-            &step1.nro_req,
-            TokenKind::NroReq,
-            msg.run_id,
-            Some(&req_digest),
-        )?;
-        // Receipt for the request passing through this TTP.
+        self.engine
+            .party()
+            .absorb_carried(&msg, [(TokenKind::NroReq, req_digest)])?;
+        // Receipt for the request passing through this TTP, issued now
+        // and sent in the body of the later response frame.
         let receipt_req =
             self.engine
                 .issue_and_store(TokenKind::TtpReceipt, msg.run_id, req_digest)?;
 
-        let (response, server_nro_resp, mut receipts) = match &self.next_hop {
+        let (response, server_nro_resp, inner_receipts) = match &self.next_hop {
             None => {
                 // Terminal: invoke the server with the direct protocol,
                 // acting as the client's proxy.
@@ -331,25 +335,33 @@ impl InlineTtpHandler {
                 let relay = self.engine.session::<Ttp, RelayChoreography>(msg.run_id);
                 let (reply, _end) = relay.forward(next, &msg)?;
                 let inner: InlineResp = self.engine.decode_body(&reply.body)?;
-                (inner.response, inner.server_nro_resp, inner.receipts)
+                // The next hop's response receipt rode its frame; relayed
+                // on, it joins the body.
+                let mut receipts = inner.receipts;
+                receipts.extend(reply.tokens);
+                (inner.response, inner.server_nro_resp, receipts)
             }
         };
         let resp_digest = sha256(&response.encode_to_vec());
-        let receipt_resp =
-            self.engine
-                .issue_and_store(TokenKind::TtpReceipt, msg.run_id, resp_digest)?;
-        // This hop's receipts go in front of any inner receipts.
-        let mut all = vec![receipt_req, receipt_resp];
-        all.append(&mut receipts);
+        let mut receipts = vec![receipt_req];
+        receipts.extend(inner_receipts);
         let body = InlineResp {
             response,
             server_nro_resp,
-            receipts: all,
+            receipts,
         };
-        let msg2 = self
-            .engine
-            .request_frame(msg.run_id, 2, body.encode_to_vec())?;
-        self.runs.record_response(msg.run_id, msg2.clone(), None);
+        // This hop's response receipt rides the response frame.
+        let msg2 = self.engine.request_frame(
+            msg.run_id,
+            2,
+            body.encode_to_vec(),
+            &[TokenSpec::new(
+                TokenKind::TtpReceipt,
+                msg.run_id,
+                resp_digest,
+            )],
+        )?;
+        self.runs.record_response(msg.run_id, &msg2, None);
         Ok(msg2)
     }
 }
@@ -480,10 +492,9 @@ mod tests {
             .invoke(&OrgId::new("server"), b"req".to_vec())
             .unwrap();
         assert_eq!(out.response, ServerResponse::Executed(b"res:req".to_vec()));
-        // Four receipts: A(req, resp), B(req, resp).
-        assert_eq!(out.receipts.len(), 4);
-        assert_eq!(out.receipts[0].issuer, OrgId::new("ttp-a"));
-        assert_eq!(out.receipts[2].issuer, OrgId::new("ttp-b"));
+        // Four receipts in issue order: A(req), B(req), B(resp), A(resp).
+        let issuers: Vec<&str> = out.receipts.iter().map(|r| r.issuer.as_str()).collect();
+        assert_eq!(issuers, ["ttp-a", "ttp-b", "ttp-b", "ttp-a"]);
         // Both TTPs logged their legs.
         assert!(ttp_a_party.log().len() >= 3);
         assert!(ttp_b_party.log().len() >= 3);
@@ -500,23 +511,22 @@ mod tests {
 
         // NRO over a different request than the one sent.
         let run = client_party.new_run_id();
-        let nro = client_party
-            .issue_token(TokenKind::NroReq, run, sha256(b"other"))
+        let msg = client_party
+            .sign_frame(
+                ProtocolMessage::new(
+                    PROTOCOL_ID,
+                    run,
+                    1,
+                    "client",
+                    InlineStep1 {
+                        server: OrgId::new("server"),
+                        request: b"real".to_vec(),
+                    }
+                    .encode_to_vec(),
+                ),
+                &[TokenSpec::new(TokenKind::NroReq, run, sha256(b"other"))],
+            )
             .unwrap();
-        let msg = ProtocolMessage::new(
-            PROTOCOL_ID,
-            run,
-            1,
-            "client",
-            InlineStep1 {
-                server: OrgId::new("server"),
-                request: b"real".to_vec(),
-                nro_req: nro,
-            }
-            .encode_to_vec(),
-        )
-        .signed(client_party.keys())
-        .unwrap();
         let err = handler
             .process_request(&OrgId::new("client"), msg)
             .unwrap_err();
@@ -534,23 +544,23 @@ mod tests {
 
         let run = client_party.new_run_id();
         let request = b"dup".to_vec();
-        let nro = client_party
-            .issue_token(TokenKind::NroReq, run, sha256(&request))
+        let nro = TokenSpec::new(TokenKind::NroReq, run, sha256(&request));
+        let msg = client_party
+            .sign_frame(
+                ProtocolMessage::new(
+                    PROTOCOL_ID,
+                    run,
+                    1,
+                    "client",
+                    InlineStep1 {
+                        server: OrgId::new("server"),
+                        request,
+                    }
+                    .encode_to_vec(),
+                ),
+                &[nro],
+            )
             .unwrap();
-        let msg = ProtocolMessage::new(
-            PROTOCOL_ID,
-            run,
-            1,
-            "client",
-            InlineStep1 {
-                server: OrgId::new("server"),
-                request,
-                nro_req: nro,
-            }
-            .encode_to_vec(),
-        )
-        .signed(client_party.keys())
-        .unwrap();
         let r1 = handler
             .process_request(&OrgId::new("client"), msg.clone())
             .unwrap();

@@ -102,6 +102,10 @@ impl Decode for ServerResponse {
 
 /// Per-run server state: caches the step-2 response for idempotent retries
 /// (at-most-once semantics, §3.2) and tracks receipt arrival.
+///
+/// The registry keeps one entry per run for the server's lifetime, so it
+/// holds each reply *encoded*: a decoded frame's tokens take several times
+/// their wire size in memory. Only a duplicate delivery decodes one.
 #[derive(Debug, Default)]
 pub struct RunRegistry {
     runs: Mutex<HashMap<RunId, RunEntry>>,
@@ -109,7 +113,8 @@ pub struct RunRegistry {
 
 #[derive(Debug, Clone)]
 struct RunEntry {
-    response: ProtocolMessage,
+    /// The encoded reply frame.
+    response: Vec<u8>,
     /// Digest of the response a later client receipt must cover.
     receipt_digest: Option<Digest>,
     receipt_received: bool,
@@ -124,7 +129,10 @@ impl RunRegistry {
     /// Returns the cached response for `run`, if the request was already
     /// executed (duplicate delivery).
     pub fn cached_response(&self, run: &RunId) -> Option<ProtocolMessage> {
-        self.runs.lock().get(run).map(|e| e.response.clone())
+        self.runs.lock().get(run).map(|e| {
+            ProtocolMessage::decode_from_slice(&e.response)
+                .expect("the registry holds frames it encoded itself")
+        })
     }
 
     /// Records the response produced for `run` and, for a variant whose
@@ -133,9 +141,10 @@ impl RunRegistry {
     pub fn record_response(
         &self,
         run: RunId,
-        response: ProtocolMessage,
+        response: &ProtocolMessage,
         receipt_digest: Option<Digest>,
     ) {
+        let response = response.encode_to_vec();
         self.runs.lock().insert(
             run,
             RunEntry {
@@ -209,7 +218,7 @@ mod tests {
         assert!(reg.is_empty());
         let resp = ProtocolMessage::new("direct", run, 2, "server", vec![1]);
         assert_eq!(reg.receipt_digest(&run), None);
-        reg.record_response(run, resp.clone(), Some(Digest::ZERO));
+        reg.record_response(run, &resp, Some(Digest::ZERO));
         assert_eq!(reg.cached_response(&run).unwrap(), resp);
         assert_eq!(reg.receipt_digest(&run), Some(Digest::ZERO));
         assert_eq!(reg.len(), 1);

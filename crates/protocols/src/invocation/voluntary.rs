@@ -24,8 +24,8 @@
 //! use nonrep_types::ids::OrgId;
 //!
 //! fn double_send(s: Session<Client, VoluntaryChoreography>, server: &OrgId) {
-//!     let _ = s.call_open(server, vec![]);
-//!     let _ = s.call_open(server, vec![]); // error[E0382]: use of moved value
+//!     let _ = s.call_open(server, vec![], &[]);
+//!     let _ = s.call_open(server, vec![], &[]); // error[E0382]: use of moved value
 //! }
 //! ```
 
@@ -36,10 +36,10 @@ use nonrep_crypto::digest::sha256;
 use nonrep_types::ids::{OrgId, ProtocolId, RunId};
 
 use crate::handler::ProtocolHandler;
-use crate::invocation::direct::Step1;
 use crate::invocation::{RequestExecutor, RunRegistry, ServerResponse};
 use crate::message::ProtocolMessage;
 use crate::party::Party;
+use crate::scheduler::TokenSpec;
 use crate::session::{CallOpen, Client, End, ExchangeEngine, ExchangeError, RunJournal};
 use crate::tokens::TokenKind;
 use crate::{B2BCoordinator, ProtocolError};
@@ -123,11 +123,8 @@ impl VoluntaryClient {
     ) -> Result<VoluntaryOutcome, ExchangeError> {
         let req_digest = sha256(&request);
         let session = self.engine.session::<Client, VoluntaryChoreography>(run_id);
-        let nro_req = self
-            .engine
-            .issue_and_store(TokenKind::NroReq, run_id, req_digest)?;
-        let (msg2, session) =
-            session.call_open(server, Step1 { request, nro_req }.encode_to_vec())?;
+        let nro_req = TokenSpec::new(TokenKind::NroReq, run_id, req_digest);
+        let (msg2, session) = session.call_open(server, request, &[nro_req])?;
         let response: ServerResponse = self.engine.decode_body(&msg2.body)?;
         // Run complete: seal pending evidence if the policy asks for it.
         session.finish()?;
@@ -186,22 +183,17 @@ impl ProtocolHandler for VoluntaryServerHandler {
             return Ok(cached);
         }
         self.engine.verify_frame_from(&msg, from)?;
-        let step1: Step1 = self.engine.decode_body(&msg.body)?;
-        let req_digest = sha256(&step1.request);
-        self.engine.absorb(
-            &step1.nro_req,
-            TokenKind::NroReq,
-            msg.run_id,
-            Some(&req_digest),
-        )?;
-        let response = match self.executor.execute(from, &step1.request) {
+        self.engine
+            .party()
+            .absorb_carried(&msg, [(TokenKind::NroReq, sha256(&msg.body))])?;
+        let response = match self.executor.execute(from, &msg.body) {
             Ok(result) => ServerResponse::Executed(result),
             Err(reason) => ServerResponse::Failed(reason),
         };
         let msg2 = self
             .engine
             .open_frame(msg.run_id, 2, response.encode_to_vec());
-        self.runs.record_response(msg.run_id, msg2.clone(), None);
+        self.runs.record_response(msg.run_id, &msg2, None);
         // The server holds all the evidence it will ever get for this
         // one-sided run; seal it if the commitment policy asks for it.
         self.engine.seal_run()?;
@@ -275,22 +267,13 @@ mod tests {
         drop(client);
         // Build a message whose NRO subject doesn't match the request.
         let run = client_party.new_run_id();
-        let nro = client_party
-            .issue_token(TokenKind::NroReq, run, sha256(b"other"))
+        let nro = TokenSpec::new(TokenKind::NroReq, run, sha256(b"other"));
+        let msg = client_party
+            .sign_frame(
+                ProtocolMessage::new(PROTOCOL_ID, run, 1, "client", b"real".to_vec()),
+                &[nro],
+            )
             .unwrap();
-        let msg = ProtocolMessage::new(
-            PROTOCOL_ID,
-            run,
-            1,
-            "client",
-            Step1 {
-                request: b"real".to_vec(),
-                nro_req: nro,
-            }
-            .encode_to_vec(),
-        )
-        .signed(client_party.keys())
-        .unwrap();
         // Dispatch directly at a fresh handler.
         let clock = LogicalClock::new();
         let dir = Arc::new(StaticKeyDirectory::new());

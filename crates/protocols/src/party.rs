@@ -23,6 +23,7 @@ use nonrep_store::{EvidenceLog, MemoryLog, RecordDraft};
 use nonrep_types::ids::{OrgId, RunId};
 use nonrep_types::time::{Clock, LogicalClock, Timestamp};
 
+use crate::message::ProtocolMessage;
 use crate::scheduler::{CommitmentMode, CommitmentScheduler, TokenSpec};
 use crate::tokens::{NrToken, TokenKind};
 use crate::ProtocolError;
@@ -266,6 +267,60 @@ impl Party {
         self.scheduler.issue(specs)
     }
 
+    /// Signs `frame` as this party together with the tokens `specs` asks
+    /// it to issue at this step (one batch signature in batched mode, see
+    /// [`CommitmentScheduler::sign_frame`]), and persists those tokens.
+    /// The returned frame carries them.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Signing`] if the key is exhausted,
+    /// [`ProtocolError::Storage`] on logging failure.
+    pub fn sign_frame(
+        &self,
+        frame: ProtocolMessage,
+        specs: &[TokenSpec],
+    ) -> Result<ProtocolMessage, ProtocolError> {
+        let frame = self.scheduler.sign_frame(frame, specs)?;
+        for token in &frame.tokens {
+            self.store_token(token)?;
+        }
+        Ok(frame)
+    }
+
+    /// Verifies and persists the tokens `msg`'s sender issued at this
+    /// step: exactly one per `expected` entry, in order, each of that
+    /// entry's kind and subject, bound to the frame's run and issued by
+    /// the frame's sender. Returns the tokens.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::BadMessage`] on a wrong token count or issuer,
+    /// otherwise as [`Party::verify_and_store`].
+    pub fn absorb_carried<const N: usize>(
+        &self,
+        msg: &ProtocolMessage,
+        expected: [(TokenKind, Digest); N],
+    ) -> Result<[NrToken; N], ProtocolError> {
+        let tokens: [NrToken; N] = msg.tokens.clone().try_into().map_err(|_| {
+            ProtocolError::BadMessage(format!(
+                "step-{} frame carries {} tokens, expected {N}",
+                msg.step,
+                msg.tokens.len()
+            ))
+        })?;
+        for (token, (kind, subject)) in tokens.iter().zip(expected) {
+            if token.issuer != msg.sender {
+                return Err(ProtocolError::BadMessage(format!(
+                    "{kind} carried by {} was issued by {}",
+                    msg.sender, token.issuer
+                )));
+            }
+            self.verify_and_store(token, kind, msg.run_id, Some(&subject))?;
+        }
+        Ok(tokens)
+    }
+
     /// Marks the end of a protocol run: seals any pending evidence if
     /// the commitment policy asks for run-end sealing (no-op
     /// per-record).
@@ -421,6 +476,35 @@ mod tests {
         let a = alice.new_run_id();
         let b = alice.new_run_id();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn carried_tokens_are_pinned_to_count_and_sender() {
+        let (alice, bob, _dir) = setup();
+        let run = alice.new_run_id();
+        let subject = sha256(b"request");
+        let spec = TokenSpec::new(TokenKind::NroReq, run, subject);
+        let frame = ProtocolMessage::new("direct", run, 1, "alice", Vec::new());
+        let signed = alice.sign_frame(frame.clone(), &[spec]).unwrap();
+        assert!(matches!(
+            bob.absorb_carried(&signed, []),
+            Err(ProtocolError::BadMessage(_))
+        ));
+        let [nro] = bob
+            .absorb_carried(&signed, [(TokenKind::NroReq, subject)])
+            .unwrap();
+        assert_eq!(nro.issuer, OrgId::new("alice"));
+        assert_eq!(bob.log().len(), 1);
+        // Alice signs a frame carrying a genuine token of Bob's: the
+        // token is not hers to carry.
+        let mut relayed = frame;
+        relayed.tokens = bob.issue_tokens(&[spec]).unwrap();
+        relayed.signature = Some(alice.keys().sign_digest(&relayed.frame_digest()).unwrap());
+        assert!(matches!(
+            bob.absorb_carried(&relayed, [(TokenKind::NroReq, subject)]),
+            Err(ProtocolError::BadMessage(_))
+        ));
+        assert_eq!(bob.log().len(), 1);
     }
 
     #[test]

@@ -7,13 +7,15 @@
 //! both token issuance and log appends here), and it amortizes that cost
 //! two ways when batching is enabled:
 //!
-//! 1. **Token batches** — [`CommitmentScheduler::issue`] signs all the
-//!    tokens of one call with a *single* MSS signature over a Merkle
-//!    batch root ([`nonrep_crypto::sig::KeyPair::sign_batch`]); each
-//!    token carries the shared signature plus its own authentication
-//!    path and verifies through the ordinary
-//!    [`nonrep_crypto::sig::VerifyingKey::verify`] path, so peers and
-//!    adjudicators need no new machinery.
+//! 1. **Token batches** — [`CommitmentScheduler::sign_frame`] signs a
+//!    protocol frame and the tokens its sender issues at that step with
+//!    a *single* MSS signature over a Merkle batch root
+//!    ([`nonrep_crypto::sig::KeyPair::sign_batch`]), and
+//!    [`CommitmentScheduler::issue`] does the same for tokens sent
+//!    without a frame of their own. Each token carries the shared
+//!    signature plus its own authentication path and verifies through
+//!    the ordinary [`nonrep_crypto::sig::VerifyingKey::verify`] path, so
+//!    peers and adjudicators need no new machinery.
 //! 2. **Epoch commitments** — appended records accumulate until the
 //!    policy's batch size is reached, then one signature seals the whole
 //!    range `[lo, hi]` as an [`EpochCommitment`] record. A sealed range
@@ -22,8 +24,8 @@
 //!    of a clone of the full log.
 //!
 //! Per-record signing ([`CommitmentMode::PerRecord`]) remains the
-//! compatibility mode and the default: every token gets its own
-//! signature and no epoch records are written.
+//! compatibility mode and the default: every token and every frame gets
+//! its own signature and no epoch records are written.
 //!
 //! # Seal policy
 //!
@@ -81,6 +83,7 @@ use nonrep_store::{EvidenceLog, EvidenceRecord, RecordDraft, StoreError};
 use nonrep_types::ids::{OrgId, RunId};
 use nonrep_types::time::{Clock, Timestamp};
 
+use crate::message::ProtocolMessage;
 use crate::tokens::{NrToken, TokenKind};
 use crate::ProtocolError;
 
@@ -502,6 +505,57 @@ impl CommitmentScheduler {
                 )
             })
             .collect())
+    }
+
+    /// Signs `frame` as this party together with the tokens `specs` asks
+    /// it to issue at this step; the returned frame carries them.
+    ///
+    /// In batched mode one batch signature covers every token digest
+    /// (leaves `0..n`) and the frame digest (leaf `n`), which
+    /// [`ProtocolMessage::frame_digest`] computes over the tokens'
+    /// digests, not their signatures. Per-record mode signs each token
+    /// and then the frame directly, and so does batched mode for a frame
+    /// with no tokens. The caller persists the tokens.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Signing`] if the key is exhausted.
+    pub fn sign_frame(
+        &self,
+        mut frame: ProtocolMessage,
+        specs: &[TokenSpec],
+    ) -> Result<ProtocolMessage, ProtocolError> {
+        let at = self.clock.now();
+        let mut digests: Vec<Digest> = specs
+            .iter()
+            .map(|s| NrToken::signing_digest(s.kind, &s.run_id, &self.actor, &s.subject, at))
+            .collect();
+        digests.push(frame.digest_over(&digests));
+        let batched = matches!(self.mode, CommitmentMode::Batched(_));
+        let mut signatures = if batched && !specs.is_empty() {
+            self.keys.sign_batch(&digests)?
+        } else {
+            digests
+                .iter()
+                .map(|d| self.keys.sign_digest(d))
+                .collect::<Result<_, _>>()?
+        };
+        frame.signature = signatures.pop();
+        frame.tokens = specs
+            .iter()
+            .zip(signatures)
+            .map(|(s, signature)| {
+                NrToken::from_parts(
+                    s.kind,
+                    s.run_id,
+                    self.actor.clone(),
+                    s.subject,
+                    at,
+                    signature,
+                )
+            })
+            .collect();
+        Ok(frame)
     }
 
     /// Appends an evidence record, sealing an epoch automatically when

@@ -4,19 +4,23 @@
 //! Each protocol variant used to hand-roll this plumbing. The engine
 //! centralises it:
 //!
-//! - **framing** — [`ExchangeEngine::request_frame`] signs outbound
-//!   messages, [`ExchangeEngine::open_frame`] builds unsigned ones;
+//! - **framing and evidence** — [`ExchangeEngine::request_frame`] signs
+//!   an outbound frame together with the tokens this party issues at
+//!   that step, which the frame carries (one batch signature for all of
+//!   them in batched mode, through the party's `CommitmentScheduler`),
+//!   and persists those tokens; [`ExchangeEngine::open_frame`] builds
+//!   unsigned frames;
 //! - **delivery** — [`ExchangeEngine::deliver`] rides the coordinator's
 //!   [`ReliableRequester`](nonrep_net::retry::ReliableRequester), so
 //!   retries, fault injection (`net::fault`) and latency models apply
 //!   uniformly;
 //! - **verification** — [`ExchangeEngine::verify_frame_from`] /
 //!   [`ExchangeEngine::verify_sender_frame`] check frame signatures,
-//!   [`ExchangeEngine::absorb`] verifies-and-persists peer tokens;
-//! - **evidence** — [`ExchangeEngine::issue_and_store`] and the shared
-//!   seal hook [`ExchangeEngine::issue_paired_tokens`] route issuance
-//!   through the party's `CommitmentScheduler` (one batch signature for
-//!   a token pair in batched mode);
+//!   `Party::absorb_carried` verifies-and-persists the tokens a frame
+//!   carries and [`ExchangeEngine::absorb`] any other peer token;
+//! - **unframed evidence** — [`ExchangeEngine::issue_and_store`] issues
+//!   and persists a token sent outside a signed frame of its own (in an
+//!   open reply, or at a later step);
 //! - **sealing** — [`ExchangeEngine::seal_run`] invokes the party's
 //!   `end_of_run` commitment hook.
 //!
@@ -162,26 +166,31 @@ impl ExchangeEngine {
         Session::open(self.clone(), run)
     }
 
-    /// Builds and signs an outbound frame for `step` of `run`.
+    /// Builds and signs an outbound frame for `step` of `run`, carrying
+    /// the tokens `tokens` asks this party to issue at that step
+    /// (persisted before the frame is returned; see `Party::sign_frame`).
     ///
     /// # Errors
     ///
-    /// [`ExchangeError::Local`] if signing fails (key exhausted).
+    /// [`ExchangeError::Local`] if signing (key exhausted) or persisting
+    /// the tokens fails.
     pub fn request_frame(
         &self,
         run: RunId,
         step: u32,
         body: Vec<u8>,
+        tokens: &[TokenSpec],
     ) -> Result<ProtocolMessage, ExchangeError> {
-        ProtocolMessage::new(
+        let frame = ProtocolMessage::new(
             self.protocol.clone(),
             run,
             step,
             self.party.org().clone(),
             body,
-        )
-        .signed(self.party.keys())
-        .map_err(ExchangeError::from)
+        );
+        self.party
+            .sign_frame(frame, tokens)
+            .map_err(ExchangeError::from)
     }
 
     /// Builds an unsigned frame (acks and voluntary-style replies whose
@@ -240,7 +249,8 @@ impl ExchangeEngine {
         Ok(reply)
     }
 
-    /// Verifies `msg`'s frame signature under `org`'s directory key.
+    /// Verifies that `msg` names `org` as its sender and carries a frame
+    /// signature under `org`'s directory key.
     ///
     /// # Errors
     ///
@@ -252,7 +262,7 @@ impl ExchangeEngine {
         org: &OrgId,
     ) -> Result<(), ExchangeError> {
         let key = self.party.key_of(org).map_err(ExchangeError::from)?;
-        if !msg.verify_frame(&key) {
+        if msg.sender != *org || !msg.verify_frame(&key) {
             return Err(ExchangeError::Peer(PeerFault::BadSignature {
                 org: org.clone(),
                 what: format!("step-{} frame", msg.step),
@@ -284,7 +294,7 @@ impl ExchangeEngine {
     }
 
     /// Issues a token as this party and persists it, routed through the
-    /// commitment scheduler.
+    /// commitment scheduler — for tokens no frame of this party carries.
     ///
     /// # Errors
     ///
@@ -298,33 +308,6 @@ impl ExchangeEngine {
         let token = self.party.issue_token(kind, run, subject)?;
         self.party.store_token(&token)?;
         Ok(token)
-    }
-
-    /// The shared seal hook for responder evidence: issues the
-    /// `NRR_req`/`NRO_resp` pair every request/response variant owes the
-    /// client, in **one** scheduler call (a single batch signature covers
-    /// both tokens in batched commitment mode), and persists both.
-    ///
-    /// Returns `(nrr_req, nro_resp)`.
-    ///
-    /// # Errors
-    ///
-    /// [`ExchangeError::Local`] on signing or persistence failure.
-    pub fn issue_paired_tokens(
-        &self,
-        run: RunId,
-        req_digest: Digest,
-        resp_digest: Digest,
-    ) -> Result<(NrToken, NrToken), ExchangeError> {
-        let mut tokens = self.party.issue_tokens(&[
-            TokenSpec::new(TokenKind::NrrReq, run, req_digest),
-            TokenSpec::new(TokenKind::NroResp, run, resp_digest),
-        ])?;
-        let nro_resp = tokens.pop().expect("two specs yield two tokens");
-        let nrr_req = tokens.pop().expect("two specs yield two tokens");
-        self.party.store_token(&nrr_req)?;
-        self.party.store_token(&nro_resp)?;
-        Ok((nrr_req, nro_resp))
     }
 
     /// Verifies a peer token pinned to `kind`/`run` (and `subject` if

@@ -19,8 +19,8 @@
 //! use nonrep_types::ids::OrgId;
 //!
 //! fn double_send(s: Session<Client, VoluntaryChoreography>, to: &OrgId) {
-//!     let _ = s.call_open(to, vec![]);
-//!     let _ = s.call_open(to, vec![]); // error[E0382]: use of moved value `s`
+//!     let _ = s.call_open(to, vec![], &[]);
+//!     let _ = s.call_open(to, vec![], &[]); // error[E0382]: use of moved value `s`
 //! }
 //! ```
 //!
@@ -34,7 +34,7 @@
 //!
 //! fn receipt_before_request(s: Session<Client, DirectChoreography>, to: &OrgId) {
 //!     // Step 3 before step 1: the opening state only offers `call`.
-//!     let _ = s.call_lossy(to, vec![]); // error: no method `call_lossy`
+//!     let _ = s.call_lossy(to, vec![], &[]); // error: no method `call_lossy`
 //! }
 //! ```
 
@@ -46,6 +46,8 @@ use super::engine::ExchangeEngine;
 use super::error::ExchangeError;
 use super::trace::{prepend, TraceStep, WireMode};
 use crate::message::ProtocolMessage;
+use crate::scheduler::TokenSpec;
+use crate::tokens::NrToken;
 
 mod sealed {
     pub trait Sealed {}
@@ -231,13 +233,17 @@ pub enum Branch<R: Role, Next: State, Alt: State> {
     /// (Boxed: a [`ProtocolMessage`] dwarfs the diverted variant.)
     Primary(Box<ProtocolMessage>, Session<R, Next>),
     /// The peer defected (or transport failed); the session diverts to
-    /// the alternative sub-choreography.
-    Diverted(Session<R, Alt>),
+    /// the alternative sub-choreography, holding the tokens this party
+    /// issued in the diverted round's request — the evidence it already
+    /// committed, which the alternative path may present.
+    Diverted(Vec<NrToken>, Session<R, Alt>),
 }
 
 impl<R: Role, const STEP: u32, const REPLY: u32, Next: State> Session<R, Call<STEP, REPLY, Next>> {
-    /// Sends `body` as step `STEP` to `to`; the signed `REPLY` is pinned
-    /// to this run and verified under `to`'s key.
+    /// Sends `body` as step `STEP` to `to`, in a frame carrying the
+    /// tokens `tokens` asks this party to issue at this step (see
+    /// [`ExchangeEngine::request_frame`]); the signed `REPLY` is pinned to
+    /// this run and verified under `to`'s key.
     ///
     /// # Errors
     ///
@@ -248,8 +254,9 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State> Session<R, Call<ST
         self,
         to: &OrgId,
         body: Vec<u8>,
+        tokens: &[TokenSpec],
     ) -> Result<(ProtocolMessage, Session<R, Next>), ExchangeError> {
-        let msg = self.engine.request_frame(self.run, STEP, body)?;
+        let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
         let reply = self.engine.deliver(to, &msg)?;
         let reply = self.engine.expect_step(self.run, REPLY, reply)?;
         self.engine.verify_frame_from(&reply, to)?;
@@ -276,9 +283,10 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State> Session<R, Call<ST
         self,
         to: &OrgId,
         body: Vec<u8>,
+        tokens: &[TokenSpec],
         deadline_ms: u64,
     ) -> Result<(ProtocolMessage, Session<R, Next>), ExchangeError> {
-        let msg = self.engine.request_frame(self.run, STEP, body)?;
+        let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
         let started = self.engine.party().now();
         match self.engine.deliver(to, &msg) {
             Ok(reply) => {
@@ -317,8 +325,9 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
         self,
         to: &OrgId,
         body: Vec<u8>,
+        tokens: &[TokenSpec],
     ) -> Result<(ProtocolMessage, Session<R, Next>), ExchangeError> {
-        let msg = self.engine.request_frame(self.run, STEP, body)?;
+        let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
         let reply = self.engine.deliver(to, &msg)?;
         let reply = self.engine.expect_step(self.run, REPLY, reply)?;
         self.engine.verify_sender_frame(&reply)?;
@@ -340,8 +349,9 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
         self,
         to: &OrgId,
         body: Vec<u8>,
+        tokens: &[TokenSpec],
     ) -> Result<(ProtocolMessage, Session<R, Next>), ExchangeError> {
-        let msg = self.engine.request_frame(self.run, STEP, body)?;
+        let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
         let reply = self.engine.deliver(to, &msg)?;
         let reply = self.engine.expect_step(self.run, REPLY, reply)?;
         self.engine.journal_progress(self.run, STEP)?;
@@ -352,7 +362,8 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
 impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
     Session<R, CallLossy<STEP, REPLY, Next>>
 {
-    /// Sends `body` as step `STEP`, tolerating a lost ack: returns
+    /// Sends `body` (and `tokens`, as in [`Session::call`]) as step
+    /// `STEP`, tolerating a lost ack: returns
     /// whether a `REPLY`-stepped ack arrived. A transport fault is *not*
     /// an error — the session still advances (the exchange is complete
     /// for this side; the peer may chase the receipt).
@@ -364,8 +375,9 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
         self,
         to: &OrgId,
         body: Vec<u8>,
+        tokens: &[TokenSpec],
     ) -> Result<(bool, Session<R, Next>), ExchangeError> {
-        let msg = self.engine.request_frame(self.run, STEP, body)?;
+        let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
         let outcome = match self.engine.deliver(to, &msg) {
             Ok(ack) => ack.step == REPLY,
             Err(ExchangeError::Transport(_)) => false,
@@ -379,7 +391,8 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
 impl<R: Role, const STEP: u32, const REPLY: u32, Next: State, Alt: State>
     Session<R, CallOr<STEP, REPLY, Next, Alt>>
 {
-    /// Sends `body` as step `STEP` and branches on the outcome: a
+    /// Sends `body` (and `tokens`, as in [`Session::call`]) as step
+    /// `STEP` and branches on the outcome: a
     /// `REPLY`-stepped answer of this run that satisfies `accept`
     /// continues on the primary path; anything else — wrong step,
     /// rejected payload, or a transport fault — diverts the session to
@@ -393,15 +406,16 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State, Alt: State>
         self,
         to: &OrgId,
         body: Vec<u8>,
+        tokens: &[TokenSpec],
         accept: impl FnOnce(&ProtocolMessage) -> bool,
     ) -> Result<Branch<R, Next, Alt>, ExchangeError> {
-        let msg = self.engine.request_frame(self.run, STEP, body)?;
+        let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
         match self.engine.deliver(to, &msg) {
             Ok(reply) if reply.step == REPLY && reply.run_id == self.run && accept(&reply) => {
                 self.engine.journal_progress(self.run, STEP)?;
                 Ok(Branch::Primary(Box::new(reply), self.advance()))
             }
-            _ => Ok(Branch::Diverted(self.advance())),
+            _ => Ok(Branch::Diverted(msg.tokens, self.advance())),
         }
     }
 }

@@ -36,6 +36,7 @@ use nonrep_types::ids::{GroupId, OrgId, ProtocolId, RunId};
 use crate::handler::ProtocolHandler;
 use crate::message::ProtocolMessage;
 use crate::party::Party;
+use crate::scheduler::TokenSpec;
 use crate::sharing::GroupRegistry;
 use crate::tokens::{NrToken, TokenKind};
 use crate::{B2BCoordinator, ProtocolError};
@@ -89,29 +90,6 @@ impl Decode for ProposalBody {
             base_version: r.get_u64()?,
             new_state: r.get_bytes()?.to_vec(),
             proposer: OrgId::decode(r)?,
-        })
-    }
-}
-
-/// Step-1 body: proposal + proposer token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ProposeMsg {
-    proposal: ProposalBody,
-    token: NrToken,
-}
-
-impl Encode for ProposeMsg {
-    fn encode(&self, w: &mut Writer) {
-        self.proposal.encode(w);
-        self.token.encode(w);
-    }
-}
-
-impl Decode for ProposeMsg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            proposal: ProposalBody::decode(r)?,
-            token: NrToken::decode(r)?,
         })
     }
 }
@@ -186,7 +164,8 @@ impl Decode for SignedVote {
 }
 
 /// Step-3 body: the decision with all signed votes (and the proposal, so
-/// the message is self-contained).
+/// the message is self-contained). The proposer's token over the
+/// decision digest rides the frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecisionBody {
     /// `true` iff every vote accepted.
@@ -195,8 +174,6 @@ pub struct DecisionBody {
     pub proposal: ProposalBody,
     /// Every member's signed vote.
     pub votes: Vec<SignedVote>,
-    /// The proposer's token over the decision digest.
-    pub token: NrToken,
 }
 
 impl DecisionBody {
@@ -220,7 +197,6 @@ impl Encode for DecisionBody {
         w.put_bool(self.accepted);
         self.proposal.encode(w);
         encode_seq(&self.votes, w);
-        self.token.encode(w);
     }
 }
 
@@ -230,7 +206,6 @@ impl Decode for DecisionBody {
             accepted: r.get_bool()?,
             proposal: ProposalBody::decode(r)?,
             votes: decode_seq(r)?,
-            token: NrToken::decode(r)?,
         })
     }
 }
@@ -362,23 +337,16 @@ impl SharingMember {
             proposer: self.party.org().clone(),
         };
         let digest = proposal.digest();
-        let token = self
-            .party
-            .issue_token(TokenKind::Proposal, run_id, digest)?;
-        self.party.store_token(&token)?;
-        let propose_msg = ProtocolMessage::new(
-            PROTOCOL_ID,
-            run_id,
-            STEP_PROPOSE,
-            self.party.org().clone(),
-            ProposeMsg {
-                proposal: proposal.clone(),
-                token,
-            }
-            .encode_to_vec(),
-        )
-        .signed(self.party.keys())
-        .map_err(ProtocolError::from)?;
+        let propose_msg = self.party.sign_frame(
+            ProtocolMessage::new(
+                PROTOCOL_ID,
+                run_id,
+                STEP_PROPOSE,
+                self.party.org().clone(),
+                proposal.encode_to_vec(),
+            ),
+            &[TokenSpec::new(TokenKind::Proposal, run_id, digest)],
+        )?;
 
         // Step 1/2: collect signed votes from every other member.
         let mut votes = Vec::new();
@@ -409,25 +377,21 @@ impl SharingMember {
 
         // Step 3/4: disseminate the decision with all signed votes.
         let decision_digest = DecisionBody::decision_digest(accepted, &digest, &votes);
-        let decision_token =
-            self.party
-                .issue_token(TokenKind::Decision, run_id, decision_digest)?;
-        self.party.store_token(&decision_token)?;
         let decision = DecisionBody {
             accepted,
             proposal: proposal.clone(),
             votes: votes.clone(),
-            token: decision_token,
         };
-        let decision_msg = ProtocolMessage::new(
-            PROTOCOL_ID,
-            run_id,
-            STEP_DECISION,
-            self.party.org().clone(),
-            decision.encode_to_vec(),
-        )
-        .signed(self.party.keys())
-        .map_err(ProtocolError::from)?;
+        let decision_msg = self.party.sign_frame(
+            ProtocolMessage::new(
+                PROTOCOL_ID,
+                run_id,
+                STEP_DECISION,
+                self.party.org().clone(),
+                decision.encode_to_vec(),
+            ),
+            &[TokenSpec::new(TokenKind::Decision, run_id, decision_digest)],
+        )?;
         for member in members.iter().filter(|m| *m != self.party.org()) {
             let ack = coordinator.deliver_request(member, &decision_msg)?;
             if ack.step != STEP_ACK {
@@ -469,27 +433,22 @@ impl SharingMember {
         msg: ProtocolMessage,
     ) -> Result<ProtocolMessage, ProtocolError> {
         let proposer_key = self.party.key_of(from)?;
-        if !msg.verify_frame(&proposer_key) {
+        if msg.sender != *from || !msg.verify_frame(&proposer_key) {
             return Err(ProtocolError::BadSignature {
                 org: from.clone(),
                 what: "proposal frame".into(),
             });
         }
-        let propose = ProposeMsg::decode_from_slice(&msg.body)
+        let proposal = ProposalBody::decode_from_slice(&msg.body)
             .map_err(|e| ProtocolError::BadMessage(e.to_string()))?;
-        let proposal = propose.proposal;
         if proposal.proposer != *from {
             return Err(ProtocolError::BadMessage(
                 "proposal proposer is not the sender".into(),
             ));
         }
         let digest = proposal.digest();
-        self.party.verify_and_store(
-            &propose.token,
-            TokenKind::Proposal,
-            msg.run_id,
-            Some(&digest),
-        )?;
+        self.party
+            .absorb_carried(&msg, [(TokenKind::Proposal, digest)])?;
 
         // Membership check: both proposer and this node must be members.
         let members = self.groups.members(&proposal.group)?;
@@ -553,7 +512,7 @@ impl SharingMember {
         msg: ProtocolMessage,
     ) -> Result<ProtocolMessage, ProtocolError> {
         let proposer_key = self.party.key_of(from)?;
-        if !msg.verify_frame(&proposer_key) {
+        if msg.sender != *from || !msg.verify_frame(&proposer_key) {
             return Err(ProtocolError::BadSignature {
                 org: from.clone(),
                 what: "decision frame".into(),
@@ -579,12 +538,8 @@ impl SharingMember {
         // Verify the proposer's decision token.
         let decision_digest =
             DecisionBody::decision_digest(decision.accepted, &digest, &decision.votes);
-        self.party.verify_and_store(
-            &decision.token,
-            TokenKind::Decision,
-            msg.run_id,
-            Some(&decision_digest),
-        )?;
+        self.party
+            .absorb_carried(&msg, [(TokenKind::Decision, decision_digest)])?;
         // Independently verify every vote; the proposer's claim of
         // unanimity is never taken on trust.
         let members = self.groups.members(&decision.proposal.group)?;
@@ -790,20 +745,21 @@ mod tests {
             new_state: b"conflicting".to_vec(),
             proposer: OrgId::new("a"),
         };
-        let token = nodes[0]
+        let token = TokenSpec::new(TokenKind::Proposal, run, proposal.digest());
+        let msg = nodes[0]
             .member
             .party()
-            .issue_token(TokenKind::Proposal, run, proposal.digest())
+            .sign_frame(
+                ProtocolMessage::new(
+                    PROTOCOL_ID,
+                    run,
+                    STEP_PROPOSE,
+                    "a",
+                    proposal.encode_to_vec(),
+                ),
+                &[token],
+            )
             .unwrap();
-        let msg = ProtocolMessage::new(
-            PROTOCOL_ID,
-            run,
-            STEP_PROPOSE,
-            "a",
-            ProposeMsg { proposal, token }.encode_to_vec(),
-        )
-        .signed(nodes[0].member.party().keys())
-        .unwrap();
         let reply = nodes[1]
             .member
             .handle_propose(&OrgId::new("a"), msg)
@@ -855,26 +811,25 @@ mod tests {
         };
         let votes = vec![forged_b, forged_c];
         let decision_digest = DecisionBody::decision_digest(true, &digest, &votes);
-        let token = nodes[0]
-            .member
-            .party()
-            .issue_token(TokenKind::Decision, run, decision_digest)
-            .unwrap();
         let decision = DecisionBody {
             accepted: true,
             proposal,
             votes,
-            token,
         };
-        let msg = ProtocolMessage::new(
-            PROTOCOL_ID,
-            run,
-            STEP_DECISION,
-            "a",
-            decision.encode_to_vec(),
-        )
-        .signed(nodes[0].member.party().keys())
-        .unwrap();
+        let msg = nodes[0]
+            .member
+            .party()
+            .sign_frame(
+                ProtocolMessage::new(
+                    PROTOCOL_ID,
+                    run,
+                    STEP_DECISION,
+                    "a",
+                    decision.encode_to_vec(),
+                ),
+                &[TokenSpec::new(TokenKind::Decision, run, decision_digest)],
+            )
+            .unwrap();
         let err = nodes[1]
             .member
             .handle_decision(&OrgId::new("a"), msg)

@@ -27,6 +27,7 @@ use nonrep_types::ids::{GroupId, OrgId, ProtocolId};
 
 use crate::handler::ProtocolHandler;
 use crate::message::ProtocolMessage;
+use crate::scheduler::TokenSpec;
 use crate::sharing::coordination::{CoordinationOutcome, DecisionBody, SharingMember};
 use crate::tokens::TokenKind;
 use crate::{B2BCoordinator, ProtocolError};
@@ -97,12 +98,13 @@ impl Decode for ObjectSnapshot {
 }
 
 /// Welcome message body: the decided member set with its evidence, plus
-/// state snapshots of every shared object.
+/// state snapshots of every shared object. The sponsor's
+/// [`TokenKind::Membership`] token over the decision rides the frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Welcome {
     /// The group being joined.
     pub group: GroupId,
-    /// The membership decision (proposal + all signed votes + token).
+    /// The membership decision (proposal + all signed votes).
     pub decision: DecisionBody,
     /// Replica snapshots for the joiner.
     pub snapshots: Vec<ObjectSnapshot>,
@@ -167,11 +169,6 @@ pub fn connect(
     };
     let digest = proposal.digest();
     let decision_digest = DecisionBody::decision_digest(true, &digest, &outcome.votes);
-    let token =
-        sponsor
-            .party()
-            .issue_token(TokenKind::Membership, outcome.run_id, decision_digest)?;
-    sponsor.party().store_token(&token)?;
     // Snapshot every shared object (including the group object, whose
     // history now ends at the just-agreed member set) for the joiner.
     let store = sponsor.store();
@@ -194,19 +191,23 @@ pub fn connect(
             accepted: true,
             proposal,
             votes: outcome.votes.clone(),
-            token,
         },
         snapshots,
     };
-    let msg = ProtocolMessage::new(
-        WELCOME_PROTOCOL_ID,
-        outcome.run_id,
-        STEP_WELCOME,
-        sponsor.party().org().clone(),
-        welcome.encode_to_vec(),
-    )
-    .signed(sponsor.party().keys())
-    .map_err(ProtocolError::from)?;
+    let msg = sponsor.party().sign_frame(
+        ProtocolMessage::new(
+            WELCOME_PROTOCOL_ID,
+            outcome.run_id,
+            STEP_WELCOME,
+            sponsor.party().org().clone(),
+            welcome.encode_to_vec(),
+        ),
+        &[TokenSpec::new(
+            TokenKind::Membership,
+            outcome.run_id,
+            decision_digest,
+        )],
+    )?;
     let ack = coordinator.deliver_request(joiner, &msg)?;
     if ack.step != STEP_WELCOME_ACK {
         return Err(ProtocolError::BadMessage(
@@ -273,7 +274,7 @@ impl MembershipHandler {
     ) -> Result<ProtocolMessage, ProtocolError> {
         let party = self.member.party();
         let sponsor_key = party.key_of(from)?;
-        if !msg.verify_frame(&sponsor_key) {
+        if msg.sender != *from || !msg.verify_frame(&sponsor_key) {
             return Err(ProtocolError::BadSignature {
                 org: from.clone(),
                 what: "welcome frame".into(),
@@ -299,12 +300,7 @@ impl MembershipHandler {
         // Verify the membership token and all votes independently.
         let digest = decision.proposal.digest();
         let decision_digest = DecisionBody::decision_digest(true, &digest, &decision.votes);
-        party.verify_and_store(
-            &decision.token,
-            TokenKind::Membership,
-            msg.run_id,
-            Some(&decision_digest),
-        )?;
+        party.absorb_carried(&msg, [(TokenKind::Membership, decision_digest)])?;
         for vote in &decision.votes {
             let key = party.key_of(&vote.voter)?;
             if vote.proposal_digest != digest || !vote.verify(&key, msg.run_id) || !vote.accept {
@@ -598,30 +594,29 @@ mod tests {
         };
         let digest = proposal.digest();
         let decision_digest = DecisionBody::decision_digest(true, &digest, &[]);
-        let token = nodes[1]
-            .member
-            .party()
-            .issue_token(TokenKind::Membership, run, decision_digest)
-            .unwrap();
         let welcome = Welcome {
             group: group(),
             decision: DecisionBody {
                 accepted: true,
                 proposal,
                 votes: vec![],
-                token,
             },
             snapshots: vec![],
         };
-        let msg = ProtocolMessage::new(
-            WELCOME_PROTOCOL_ID,
-            run,
-            STEP_WELCOME,
-            "b",
-            welcome.encode_to_vec(),
-        )
-        .signed(nodes[1].member.party().keys())
-        .unwrap();
+        let msg = nodes[1]
+            .member
+            .party()
+            .sign_frame(
+                ProtocolMessage::new(
+                    WELCOME_PROTOCOL_ID,
+                    run,
+                    STEP_WELCOME,
+                    "b",
+                    welcome.encode_to_vec(),
+                ),
+                &[TokenSpec::new(TokenKind::Membership, run, decision_digest)],
+            )
+            .unwrap();
         // The welcome has no votes — but the joiner cannot check the vote
         // set against membership it does not know; what it *can* check is
         // that every vote is an accept from its issuer. An empty vote set

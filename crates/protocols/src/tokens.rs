@@ -151,6 +151,18 @@ impl NrToken {
         nonrep_crypto::sha256(&Self::tbs(kind, run_id, issuer, subject, at))
     }
 
+    /// [`NrToken::signing_digest`] of this token's body: what its
+    /// signature covers, and what a frame carrying it signs in its place.
+    pub fn digest(&self) -> Digest {
+        Self::signing_digest(
+            self.kind,
+            &self.run_id,
+            &self.issuer,
+            &self.subject,
+            self.at,
+        )
+    }
+
     /// Assembles a token from a body and an externally produced signature
     /// (the batch-commitment path; the signature must cover
     /// [`NrToken::signing_digest`] of the same body to verify).
@@ -220,16 +232,7 @@ impl NrToken {
                 return false;
             }
         }
-        key.verify(
-            &Self::tbs(
-                self.kind,
-                &self.run_id,
-                &self.issuer,
-                &self.subject,
-                self.at,
-            ),
-            &self.signature,
-        )
+        key.verify_digest(&self.digest(), &self.signature)
     }
 
     /// Serialized size in bytes (space-overhead accounting).

@@ -24,9 +24,7 @@ use std::sync::Arc;
 use nonrep_crypto::digest::sha256;
 use nonrep_net::bus::LocalBus;
 use nonrep_net::retry::{ReliableRequester, RetryPolicy};
-use nonrep_protocols::invocation::direct::{
-    DirectChoreography, DirectClient, DirectServerHandler, Step1, Step2, Step3,
-};
+use nonrep_protocols::invocation::direct::{DirectChoreography, DirectClient, DirectServerHandler};
 use nonrep_protocols::invocation::fair_offline::{
     FairChoreography, FairClient, FairServerHandler, FairServerRuntime, FairStep2, KeySource,
     OfflineTtpHandler, ResolveChoreography, ServerConduct, STEP_KEY, STEP_RECEIPT, STEP_RESOLVE,
@@ -37,11 +35,11 @@ use nonrep_protocols::invocation::inline_ttp::{
 use nonrep_protocols::invocation::voluntary::{
     VoluntaryChoreography, VoluntaryClient, VoluntaryServerHandler,
 };
-use nonrep_protocols::invocation::{direct, voluntary};
+use nonrep_protocols::invocation::{direct, voluntary, ServerResponse};
 use nonrep_protocols::party::{Party, StaticKeyDirectory};
 use nonrep_protocols::session::{Branch, Client, Session};
 use nonrep_protocols::tokens::TokenKind;
-use nonrep_protocols::{B2BCoordinator, ExchangeSupervisor, RunJournal};
+use nonrep_protocols::{B2BCoordinator, ExchangeSupervisor, RunJournal, TokenSpec};
 use nonrep_types::codec::Encode;
 use nonrep_types::ids::OrgId;
 use nonrep_types::time::LogicalClock;
@@ -186,18 +184,9 @@ fn direct_killed_after_step1_resumes_to_the_same_facts() {
     let run = w.client_party.new_run_id();
     let engine = client.engine();
     let session = engine.session::<Client, DirectChoreography>(run);
-    let nro_req = engine
-        .issue_and_store(TokenKind::NroReq, run, sha256(b"req"))
-        .unwrap();
+    let nro_req = TokenSpec::new(TokenKind::NroReq, run, sha256(b"req"));
     let (_msg2, session) = session
-        .call(
-            &w.server,
-            Step1 {
-                request: b"req".to_vec(),
-                nro_req,
-            }
-            .encode_to_vec(),
-        )
+        .call(&w.server, b"req".to_vec(), &[nro_req])
         .unwrap();
     drop(session); // crash
 
@@ -223,32 +212,25 @@ fn direct_killed_after_step3_closes_on_recovery() {
     let engine = client.engine();
     let session = engine.session::<Client, DirectChoreography>(run);
     let req_digest = sha256(b"req");
-    let nro_req = engine
-        .issue_and_store(TokenKind::NroReq, run, req_digest)
-        .unwrap();
+    let nro_req = TokenSpec::new(TokenKind::NroReq, run, req_digest);
     let (msg2, session) = session
-        .call(
-            &w.server,
-            Step1 {
-                request: b"req".to_vec(),
-                nro_req,
-            }
-            .encode_to_vec(),
+        .call(&w.server, b"req".to_vec(), &[nro_req])
+        .unwrap();
+    let response: ServerResponse = engine.decode_body(&msg2.body).unwrap();
+    let resp_digest = sha256(&response.encode_to_vec());
+    engine
+        .party()
+        .absorb_carried(
+            &msg2,
+            [
+                (TokenKind::NrrReq, req_digest),
+                (TokenKind::NroResp, resp_digest),
+            ],
         )
         .unwrap();
-    let step2: Step2 = engine.decode_body(&msg2.body).unwrap();
-    engine
-        .absorb(&step2.nrr_req, TokenKind::NrrReq, run, Some(&req_digest))
-        .unwrap();
-    let resp_digest = sha256(&step2.response.encode_to_vec());
-    engine
-        .absorb(&step2.nro_resp, TokenKind::NroResp, run, Some(&resp_digest))
-        .unwrap();
-    let nrr_resp = engine
-        .issue_and_store(TokenKind::NrrResp, run, resp_digest)
-        .unwrap();
+    let nrr_resp = TokenSpec::new(TokenKind::NrrResp, run, resp_digest);
     let (_acked, session) = session
-        .call_lossy(&w.server, Step3 { nrr_resp }.encode_to_vec())
+        .call_lossy(&w.server, Vec::new(), &[nrr_resp])
         .unwrap();
     drop(session); // crash before the seal
 
@@ -277,18 +259,9 @@ fn voluntary_killed_after_its_single_round_closes_on_recovery() {
     let run = w.client_party.new_run_id();
     let engine = client.engine();
     let session = engine.session::<Client, VoluntaryChoreography>(run);
-    let nro_req = engine
-        .issue_and_store(TokenKind::NroReq, run, sha256(b"req"))
-        .unwrap();
+    let nro_req = TokenSpec::new(TokenKind::NroReq, run, sha256(b"req"));
     let (_msg2, session) = session
-        .call_open(
-            &w.server,
-            Step1 {
-                request: b"req".to_vec(),
-                nro_req,
-            }
-            .encode_to_vec(),
-        )
+        .call_open(&w.server, b"req".to_vec(), &[nro_req])
         .unwrap();
     drop(session); // crash before the seal
 
@@ -309,8 +282,10 @@ fn voluntary_killed_before_any_step_leaves_nothing_behind() {
     let run = w.client_party.new_run_id();
     let engine = client.engine();
     let session = engine.session::<Client, VoluntaryChoreography>(run);
-    let _nro_req = engine
-        .issue_and_store(TokenKind::NroReq, run, sha256(b"req"))
+    // The step-1 frame is signed, and its NRO_req logged, but never sent.
+    let nro_req = TokenSpec::new(TokenKind::NroReq, run, sha256(b"req"));
+    let _frame = engine
+        .request_frame(run, 1, b"req".to_vec(), &[nro_req])
         .unwrap();
     drop(session); // crash before step 1 even went out
     assert!(w.journal.recovered_open_runs().is_empty());
@@ -328,19 +303,13 @@ fn inline_killed_after_its_relayed_round_closes_on_recovery() {
     let run = w.client_party.new_run_id();
     let engine = client.engine();
     let session = engine.session::<Client, InlineChoreography>(run);
-    let nro_req = engine
-        .issue_and_store(TokenKind::NroReq, run, sha256(b"req"))
-        .unwrap();
+    let nro_req = TokenSpec::new(TokenKind::NroReq, run, sha256(b"req"));
+    let step1 = InlineStep1 {
+        server: w.server.clone(),
+        request: b"req".to_vec(),
+    };
     let (_msg2, session) = session
-        .call_relayed(
-            &w.ttp,
-            InlineStep1 {
-                server: w.server.clone(),
-                request: b"req".to_vec(),
-                nro_req,
-            }
-            .encode_to_vec(),
-        )
+        .call_relayed(&w.ttp, step1.encode_to_vec(), &[nro_req])
         .unwrap();
     drop(session); // crash before the seal
 
@@ -393,40 +362,28 @@ fn fair_client_killed_after_key_arrival_closes_on_recovery() {
     let engine = client.engine();
     let session = engine.session::<Client, FairChoreography>(run);
     let req_digest = sha256(b"req");
-    let nro_req = engine
-        .issue_and_store(TokenKind::NroReq, run, req_digest)
-        .unwrap();
+    let nro_req = TokenSpec::new(TokenKind::NroReq, run, req_digest);
     let (msg2, session) = session
-        .call(
-            &w.server,
-            Step1 {
-                request: b"req".to_vec(),
-                nro_req,
-            }
-            .encode_to_vec(),
-        )
+        .call(&w.server, b"req".to_vec(), &[nro_req])
         .unwrap();
     let step2: FairStep2 = engine.decode_body(&msg2.body).unwrap();
     engine
-        .absorb(&step2.nrr_req, TokenKind::NrrReq, run, Some(&req_digest))
-        .unwrap();
-    engine
-        .absorb(
-            &step2.nro_resp,
-            TokenKind::NroResp,
-            run,
-            Some(&step2.resp_digest),
+        .party()
+        .absorb_carried(
+            &msg2,
+            [
+                (TokenKind::NrrReq, req_digest),
+                (TokenKind::NroResp, step2.resp_digest),
+            ],
         )
         .unwrap();
-    let nrr_resp = engine
-        .issue_and_store(TokenKind::NrrResp, run, step2.resp_digest)
-        .unwrap();
+    let nrr_resp = TokenSpec::new(TokenKind::NrrResp, run, step2.resp_digest);
     let branch: Branch<Client, _, _> = session
-        .call_or(&w.server, nrr_resp.encode_to_vec(), |m| m.body.len() == 32)
+        .call_or(&w.server, Vec::new(), &[nrr_resp], |m| m.body.len() == 32)
         .unwrap();
     let session: Session<Client, nonrep_protocols::session::End> = match branch {
         Branch::Primary(_msg4, s) => s,
-        Branch::Diverted(_) => panic!("honest server must deliver the key"),
+        Branch::Diverted(..) => panic!("honest server must deliver the key"),
     };
     drop(session); // crash after the key arrived, before the seal
 
@@ -495,37 +452,25 @@ fn fair_client_killed_mid_resolve_still_holds_the_conviction() {
     let run = client_party.new_run_id();
     let engine = client.engine();
     let session = engine.session::<Client, FairChoreography>(run);
-    let req_digest = sha256(b"req");
-    let nro_req = engine
-        .issue_and_store(TokenKind::NroReq, run, req_digest)
-        .unwrap();
+    let nro_req = TokenSpec::new(TokenKind::NroReq, run, sha256(b"req"));
     let (msg2, session) = session
-        .call(
-            &OrgId::new("server"),
-            Step1 {
-                request: b"req".to_vec(),
-                nro_req,
-            }
-            .encode_to_vec(),
-        )
+        .call(&OrgId::new("server"), b"req".to_vec(), &[nro_req])
         .unwrap();
     let step2: FairStep2 = engine.decode_body(&msg2.body).unwrap();
-    let nrr_resp = engine
-        .issue_and_store(TokenKind::NrrResp, run, step2.resp_digest)
-        .unwrap();
+    let nrr_resp = TokenSpec::new(TokenKind::NrrResp, run, step2.resp_digest);
     // The withholding server answers step 3 with a useless frame → the
     // session diverts into the dispute sub-protocol.
     let branch: Branch<Client, _, _> = session
-        .call_or(&OrgId::new("server"), nrr_resp.encode_to_vec(), |m| {
+        .call_or(&OrgId::new("server"), Vec::new(), &[nrr_resp], |m| {
             m.body.len() == 32
         })
         .unwrap();
-    let dispute: Session<Client, ResolveChoreography> = match branch {
-        Branch::Diverted(d) => d,
+    let (sent, dispute): (_, Session<Client, ResolveChoreography>) = match branch {
+        Branch::Diverted(sent, d) => (sent, d),
         Branch::Primary(..) => panic!("withholding server must not deliver the key"),
     };
     let (_reply, session) = dispute
-        .call_open(&OrgId::new("ttp"), nrr_resp.encode_to_vec())
+        .call_open(&OrgId::new("ttp"), sent[0].encode_to_vec(), &[])
         .unwrap();
     drop(session); // crash after the TTP resolved, before the seal
 

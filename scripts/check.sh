@@ -51,6 +51,8 @@ retired=(
     # two multi-buffer tiers; caller-less par wrappers; test-only chain check
     Sse2 SingleScalar Dispatch::Scalar sha256_short_scalar portable4 mb_compress_body
     par_map_range par_map_indexed verify_chain
+    # a frame and its sender's tokens share one signature
+    issue_paired_tokens signed_bytes ProposeMsg Step1 Step2 Step3
 )
 echo "==> retired names"
 if grep -rnwF "${retired[@]/#/-e}" --exclude=check.sh \
