@@ -3,17 +3,22 @@
 //! schemes, key generation.
 //!
 //! Expected shape: arbitrated HMAC tags are ~2 hash compressions; MSS
-//! signatures cost hundreds of compressions to sign/verify and are the
-//! dominant cost of every NR protocol message; MSS key generation is
+//! verification costs hundreds of compressions and is the dominant
+//! crypto cost of every NR protocol message; a W-OTS signature from the
+//! keygen's stored chain checkpoints (≈ 100 compressions) costs several
+//! times less than one from the seed (≈ 630); MSS key generation is
 //! linear in capacity.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
+use criterion::{
+    black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput,
+};
 use nonrep_bench::FreshSignatures;
 use nonrep_crypto::digest::{mb, sha256, sha256_pair, sha256_short, Digest};
 use nonrep_crypto::hmac::hmac_sha256;
 use nonrep_crypto::merkle::MerkleTree;
 use nonrep_crypto::rng::SecureRandom;
 use nonrep_crypto::sig::{KeyPair, SignatureScheme};
+use nonrep_crypto::wots::{self, WotsKeyPair};
 use std::time::Duration;
 
 fn bench_crypto(c: &mut Criterion) {
@@ -80,6 +85,30 @@ fn bench_crypto(c: &mut Criterion) {
                 |(vk, sig)| assert!(vk.verify(b"message", &sig)),
                 BatchSize::PerIteration,
             )
+        });
+    }
+
+    // One W-OTS signature over one fixed key and digest, from the seed
+    // (re-derive the 67 chain secrets, walk each chain to its chunk)
+    // and from the keygen's chain checkpoints (at most 3 steps a chain):
+    // the per-signature ratio, with keygen outside the loop.
+    {
+        let seed = [0x5Eu8; 32];
+        let digest = sha256(b"message");
+        let d = mb::Dispatch::active();
+        let mut checkpoints = vec![[0u8; 32]; wots::KEY_CHECKPOINTS];
+        WotsKeyPair::public_keys_and_checkpoints_with(&[seed], d, &mut checkpoints);
+        group.bench_function("wots_sign_from_seed", |b| {
+            b.iter(|| WotsKeyPair::sign_from_seed_with(black_box(&seed), black_box(&digest), d))
+        });
+        group.bench_function("wots_sign_from_checkpoints", |b| {
+            b.iter(|| {
+                WotsKeyPair::sign_from_checkpoints_with(
+                    black_box(&checkpoints),
+                    black_box(&digest),
+                    d,
+                )
+            })
         });
     }
 

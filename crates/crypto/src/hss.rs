@@ -15,15 +15,25 @@
 //!   [`HssSigner::sign`] activates the next one, burns a single root
 //!   leaf on its certificate, and records a [`RolloverEvent`] that the
 //!   evidence layer seals into the log as a `key_rollover` record.
-//! * **Pre-generation** hides keygen latency: once the active subtree is
-//!   half spent, the next one is built on a background thread through
-//!   the same `par` + multi-buffer machinery as ordinary keygen. The
-//!   subtree seed is drawn (and retained) *before* the thread starts,
-//!   so a lost or still-running pregeneration falls back to a
-//!   synchronous build of the **identical** subtree — the generation
-//!   chain is a pure function of the seed chain's initial secret.
-//! * **Forward security** is preserved: subtree leaves destroy their
-//!   seeds on use exactly as in [`mss`], retired subtrees are dropped
+//! * **Pre-generation** hides keygen latency: as soon as a subtree
+//!   activates (right after its first signature), the next one is built
+//!   on a background thread through the same `par` + multi-buffer
+//!   machinery as ordinary keygen, so the build has a whole subtree's
+//!   signatures to finish in. The subtree seed is drawn (and retained)
+//!   *before* the thread starts, so a lost or still-running
+//!   pregeneration falls back to a synchronous build of the
+//!   **identical** subtree — the generation chain is a pure function of
+//!   the seed chain's initial secret.
+//! * **Leaf secrets.** Subtrees of at most 2^8 leaves keep their W-OTS
+//!   chain checkpoints (see [`mss`]), so a message signature walks at
+//!   most 3 hash steps per chain; the root tree (one certificate per
+//!   subtree) is taller and keeps seeds. At most two subtrees are live
+//!   at once, the active one and the one being built: 2 × 2.1 MiB at
+//!   height 8. A retired subtree's (all-zero) checkpoint buffer is what
+//!   the next build writes into, so a key allocates those two buffers
+//!   once.
+//! * **Forward security** is preserved: subtree leaves zero their
+//!   secrets on use exactly as in [`mss`], retired subtrees are dropped
 //!   wholesale, and subtree seeds come from a one-way hash ratchet
 //!   (`SeedChain`) whose prior state is overwritten on every draw.
 //!   Compromising live signer state therefore exposes the active and
@@ -265,12 +275,17 @@ impl Pregen {
                 return signer;
             }
         }
-        build_subtree(self.seed, height, workers)
+        build_subtree(self.seed, height, workers, Vec::new())
     }
 }
 
-fn build_subtree(seed: [u8; 32], height: u8, workers: usize) -> MssSigner {
-    MssSigner::generate_with_workers(height, &mut SecureRandom::from_seed32(seed), workers)
+fn build_subtree(seed: [u8; 32], height: u8, workers: usize, buffer: Vec<[u8; 32]>) -> MssSigner {
+    MssSigner::generate_into(
+        height,
+        &mut SecureRandom::from_seed32(seed),
+        workers,
+        buffer,
+    )
 }
 
 /// The signing half of a hierarchical key: a root [`MssSigner`] that
@@ -288,6 +303,12 @@ pub struct HssSigner {
     /// timing, but the live state cannot be rewound to retired subtrees.
     seed_chain: SeedChain,
     pregen: Option<Pregen>,
+    /// The retired subtree's checkpoint buffer (all zeros: every leaf
+    /// signed), which the next build writes into. A key thus allocates
+    /// two buffers in its lifetime rather than one per generation, and
+    /// the allocator is never left holding freed 2.1 MiB blocks in the
+    /// arenas of exited pregen threads.
+    spare: Vec<[u8; 32]>,
     rollovers: Vec<RolloverEvent>,
     workers: usize,
 }
@@ -327,7 +348,7 @@ impl HssSigner {
     ) -> Self {
         let mut root = MssSigner::generate_with_workers(root_height, rng, workers);
         let mut seed_chain = SeedChain::new(rng.secret32());
-        let active = build_subtree(seed_chain.next_seed(), subtree_height, workers);
+        let active = build_subtree(seed_chain.next_seed(), subtree_height, workers, Vec::new());
         let active_cert = certify(&mut root, 0, active.public_key())
             .expect("fresh root key certifies generation 0");
         Self {
@@ -338,6 +359,7 @@ impl HssSigner {
             generation: 0,
             seed_chain,
             pregen: None,
+            spare: Vec::new(),
             rollovers: Vec::new(),
             workers,
         }
@@ -439,6 +461,7 @@ impl HssSigner {
                 self.seed_chain.next_seed(),
                 self.subtree_height,
                 self.workers,
+                std::mem::take(&mut self.spare),
             ),
         };
         let generation = self.generation + 1;
@@ -449,29 +472,29 @@ impl HssSigner {
             leaves_spent: self.active.capacity() - self.active.remaining(),
             cert: cert.clone(),
         });
-        self.active = next;
+        self.spare = std::mem::replace(&mut self.active, next).into_buffer();
         self.active_cert = cert;
         self.generation = generation;
         Ok(())
     }
 
-    /// Kicks off the background build of the next subtree once the
-    /// active one is half spent (and another generation is possible).
-    /// The seed is drawn — and kept — before the thread starts, so the
-    /// chain stays deterministic whatever the thread's fate.
+    /// Kicks off the background build of the next subtree as soon as a
+    /// subtree activates — called after its first signature — if
+    /// another generation is possible. The build then has the whole
+    /// subtree's signatures to finish in. The seed is drawn — and kept —
+    /// before the thread starts, so the chain stays deterministic
+    /// whatever the thread's fate.
     fn maybe_start_pregen(&mut self) {
-        if self.pregen.is_some()
-            || self.root.remaining() == 0
-            || self.active.remaining() * 2 > self.active.capacity()
-        {
+        if self.pregen.is_some() || self.root.remaining() == 0 {
             return;
         }
         let seed = self.seed_chain.next_seed();
         let height = self.subtree_height;
         let workers = self.workers;
+        let buffer = std::mem::take(&mut self.spare);
         let handle = std::thread::Builder::new()
             .name("hss-pregen".into())
-            .spawn(move || build_subtree(seed, height, workers))
+            .spawn(move || build_subtree(seed, height, workers, buffer))
             .ok();
         self.pregen = Some(Pregen { seed, handle });
     }
@@ -603,17 +626,21 @@ mod tests {
     }
 
     #[test]
-    fn pregen_starts_once_half_spent() {
-        let mut s = signer(2, 2, 5);
+    fn pregen_starts_at_activation() {
+        // Root height 3 (8 generations) over subtrees of 4 leaves: the
+        // first signature of every generation leaves the next subtree
+        // building, until the root has no leaf left to certify it.
+        let mut s = signer(3, 2, 5);
         assert!(!s.pregen_in_flight());
-        s.sign(&sha256(b"a")).unwrap();
-        s.sign(&sha256(b"b")).unwrap(); // 2 of 4 spent
-        assert!(s.pregen_in_flight());
-        // Pregen survives rollover bookkeeping: next generation activates.
-        s.sign(&sha256(b"c")).unwrap();
-        s.sign(&sha256(b"d")).unwrap();
-        s.sign(&sha256(b"e")).unwrap();
-        assert_eq!(s.generation(), 1);
+        for generation in 0..8u32 {
+            s.sign(&sha256(&[generation as u8])).unwrap();
+            assert_eq!(s.generation(), generation);
+            assert_eq!(s.pregen_in_flight(), generation < 7, "gen {generation}");
+            for i in 1..4u8 {
+                s.sign(&sha256(&[generation as u8, i])).unwrap();
+            }
+        }
+        assert_eq!(s.remaining_total(), 0);
     }
 
     #[test]

@@ -3,14 +3,29 @@
 //!
 //! * **Many-time**: a key of height `h` signs `2^h` messages.
 //! * **Stateful**: the signer tracks the next unused leaf.
-//! * **Forward-secure**: each leaf seed is destroyed after use, so
-//!   compromising the signer later cannot forge signatures for earlier
-//!   indices — this mirrors the paper's interest in forward-secure schemes
-//!   that "obviate the need for a third party signature on time-stamps"
-//!   (§3.5, ref \[25\]).
+//! * **Forward-secure**: each leaf's secret is overwritten with zeros
+//!   as it signs, so compromising the signer later cannot forge
+//!   signatures for earlier indices — this mirrors the paper's interest
+//!   in forward-secure schemes that "obviate the need for a third party
+//!   signature on time-stamps" (§3.5, ref \[25\]).
 //!
 //! The public key is the 32-byte Merkle root. A signature carries the leaf
 //! index, the W-OTS signature, and the authentication path.
+//!
+//! # Where the leaf secret lives
+//!
+//! A signer keeps one form of leaf secret, fixed by the tree height.
+//! Trees of at most 2^8 leaves (every HSS subtree in use, and the
+//! builder's default key) keep each leaf's W-OTS chain checkpoints
+//! ([`wots::KEY_CHECKPOINTS`] values, 8 576 B a leaf, 2.1 MiB a tree) in
+//! one contiguous buffer that the keygen workers fill as they walk the
+//! chains; a signature then walks at most 3 hash steps per chain instead
+//! of re-deriving all 67. Taller trees (an HSS root, a long-lived flat
+//! key) keep one 32-byte seed per leaf, because checkpoints would cost
+//! 8.4 MiB at height 10 and 8.4 GiB at height 20; they sign from the
+//! seed. [`MssSigner::generate_sequential`] always keeps seeds: it is
+//! the reference the parallel keygen is tested against. Signatures are
+//! identical whichever form signs.
 
 use std::error::Error;
 use std::fmt;
@@ -31,6 +46,10 @@ use crate::wots::{self, WotsKeyPair, WotsSignature};
 /// (each leaf costs ~1300 compressions, so even small chunks amortize
 /// thread spawn).
 const PAR_MIN_LEAVES: usize = 8;
+
+/// Tallest tree whose leaves keep W-OTS chain checkpoints rather than
+/// seeds (see the module docs).
+const CHECKPOINT_MAX_HEIGHT: u8 = 8;
 
 /// Errors from the signing side of MSS.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,12 +109,28 @@ impl Decode for MssSignature {
 }
 
 /// The signing half of an MSS key.
-#[derive(Debug)]
 pub struct MssSigner {
-    /// Per-leaf W-OTS seeds; `None` once used (forward security).
-    leaf_seeds: Vec<Option<[u8; 32]>>,
+    secrets: LeafSecrets,
     tree: MerkleTree,
     next_leaf: u32,
+}
+
+/// The unused leaves' secrets, in the one form the tree height picked.
+/// A leaf's entry is overwritten with zeros as it signs.
+enum LeafSecrets {
+    /// One W-OTS seed per leaf.
+    Seeds(Vec<[u8; 32]>),
+    /// [`wots::KEY_CHECKPOINTS`] chain values per leaf, leaf after leaf.
+    Checkpoints(Vec<[u8; 32]>),
+}
+
+impl fmt::Debug for MssSigner {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MssSigner")
+            .field("capacity", &self.capacity())
+            .field("remaining", &self.remaining())
+            .finish_non_exhaustive()
+    }
 }
 
 impl MssSigner {
@@ -118,7 +153,9 @@ impl MssSigner {
     /// across scoped threads, and inside each worker the per-leaf chain
     /// walks and the leaf hashes run lane-batched through the
     /// multi-buffer engine — thread-level and lane-level parallelism
-    /// compose.
+    /// compose. A tree of at most 2^8 leaves has each worker write its
+    /// leaves' chain checkpoints straight into the signer's buffer, and
+    /// drops the seeds.
     ///
     /// # Panics
     ///
@@ -126,25 +163,61 @@ impl MssSigner {
     /// already takes noticeable time to generate; anything larger is
     /// a configuration mistake).
     pub fn generate_with_workers(height: u8, rng: &mut SecureRandom, workers: usize) -> Self {
+        Self::generate_into(height, rng, workers, Vec::new())
+    }
+
+    /// [`MssSigner::generate_with_workers`] that writes the chain
+    /// checkpoints into `checkpoints` (whatever it held is overwritten; a
+    /// tree that keeps seeds drops it), so
+    /// a caller that builds tree after tree can hand back a spent
+    /// tree's buffer ([`MssSigner::into_buffer`]) instead of
+    /// allocating 2.1 MiB per tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `height` is 0 or greater than 20.
+    pub(crate) fn generate_into(
+        height: u8,
+        rng: &mut SecureRandom,
+        workers: usize,
+        mut checkpoints: Vec<[u8; 32]>,
+    ) -> Self {
         assert!((1..=20).contains(&height), "height must be in 1..=20");
         let count = 1usize << height;
         let seeds: Vec<[u8; 32]> = (0..count).map(|_| rng.secret32()).collect();
         let d = mb::Dispatch::active();
-        let leaf_hashes = par::par_map_range_with(workers, count, PAR_MIN_LEAVES, |range| {
-            let pks = WotsKeyPair::public_keys_from_seeds_with(&seeds[range], d);
-            leaf_hash_digests_with(d, &pks)
-        });
-        let tree = MerkleTree::from_leaf_hashes_with_workers(leaf_hashes, workers);
+        let (leaf_hashes, secrets) = if height <= CHECKPOINT_MAX_HEIGHT {
+            checkpoints.clear();
+            checkpoints.resize(count * wots::KEY_CHECKPOINTS, [0; 32]);
+            let leaf_hashes = par::par_map_chunks_with(
+                workers,
+                &mut checkpoints,
+                wots::KEY_CHECKPOINTS,
+                PAR_MIN_LEAVES,
+                |range, out| {
+                    let pks = WotsKeyPair::public_keys_and_checkpoints_with(&seeds[range], d, out);
+                    leaf_hash_digests_with(d, &pks)
+                },
+            );
+            (leaf_hashes, LeafSecrets::Checkpoints(checkpoints))
+        } else {
+            let leaf_hashes = par::par_map_range_with(workers, count, PAR_MIN_LEAVES, |range| {
+                let pks = WotsKeyPair::public_keys_from_seeds_with(&seeds[range], d);
+                leaf_hash_digests_with(d, &pks)
+            });
+            (leaf_hashes, LeafSecrets::Seeds(seeds))
+        };
         Self {
-            leaf_seeds: seeds.into_iter().map(Some).collect(),
-            tree,
+            secrets,
+            tree: MerkleTree::from_leaf_hashes_with_workers(leaf_hashes, workers),
             next_leaf: 0,
         }
     }
 
     /// Strictly sequential key generation: one thread, single-lane
-    /// hashing (the pre-parallel, pre-multi-buffer reference path, kept
-    /// for differential tests and benchmarks).
+    /// hashing, one seed per leaf whatever the height (the
+    /// pre-parallel, pre-multi-buffer reference path, kept for
+    /// differential tests and benchmarks).
     ///
     /// # Panics
     ///
@@ -152,19 +225,29 @@ impl MssSigner {
     pub fn generate_sequential(height: u8, rng: &mut SecureRandom) -> Self {
         assert!((1..=20).contains(&height), "height must be in 1..=20");
         let count = 1usize << height;
-        let mut leaf_seeds = Vec::with_capacity(count);
+        let mut seeds = Vec::with_capacity(count);
         let mut leaf_hashes = Vec::with_capacity(count);
         for _ in 0..count {
             let seed = rng.secret32();
             let kp = WotsKeyPair::from_seed_with(seed, mb::Dispatch::Single);
             leaf_hashes.push(leaf_hash(kp.public_key().as_bytes()));
-            leaf_seeds.push(Some(seed));
+            seeds.push(seed);
         }
-        let tree = MerkleTree::from_leaf_hashes_with_workers(leaf_hashes, 1);
         Self {
-            leaf_seeds,
-            tree,
+            secrets: LeafSecrets::Seeds(seeds),
+            tree: MerkleTree::from_leaf_hashes_with_workers(leaf_hashes, 1),
             next_leaf: 0,
+        }
+    }
+
+    /// The checkpoint buffer of a signer whose every leaf has signed (so
+    /// it holds only zeros), for [`MssSigner::generate_into`] to reuse;
+    /// empty for a signer that keeps seeds.
+    pub(crate) fn into_buffer(self) -> Vec<[u8; 32]> {
+        debug_assert_eq!(self.remaining(), 0, "only a spent tree gives up its buffer");
+        match self.secrets {
+            LeafSecrets::Checkpoints(buffer) => buffer,
+            LeafSecrets::Seeds(_) => Vec::new(),
         }
     }
 
@@ -175,34 +258,41 @@ impl MssSigner {
 
     /// Remaining signature capacity.
     pub fn remaining(&self) -> u32 {
-        self.leaf_seeds.len() as u32 - self.next_leaf
+        self.capacity() - self.next_leaf
     }
 
     /// Total capacity (`2^height`).
     pub fn capacity(&self) -> u32 {
-        self.leaf_seeds.len() as u32
+        self.tree.leaf_count() as u32
     }
 
-    /// Signs a message digest with the next unused leaf and destroys that
-    /// leaf's secret (forward security).
+    /// Signs a message digest with the next unused leaf and overwrites
+    /// that leaf's secret with zeros (forward security).
     ///
     /// # Errors
     ///
     /// Returns [`MssError::KeyExhausted`] when all leaves are used.
     pub fn sign(&mut self, digest: &Digest) -> Result<MssSignature, MssError> {
         let idx = self.next_leaf as usize;
-        if idx >= self.leaf_seeds.len() {
+        if idx >= self.capacity() as usize {
             return Err(MssError::KeyExhausted);
         }
-        let seed = self.leaf_seeds[idx]
-            .take()
-            .expect("unused leaf seed present");
         self.next_leaf += 1;
-        // Sign straight from the seed: the full keypair derivation would
-        // also walk every chain to its end for a public key this path
-        // never reads (the verifier recovers it) — roughly double the
-        // signing cost for nothing.
-        let wots = WotsKeyPair::sign_from_seed_with(&seed, digest, mb::Dispatch::active());
+        let d = mb::Dispatch::active();
+        let wots = match &mut self.secrets {
+            LeafSecrets::Checkpoints(all) => {
+                let leaf = &mut all[idx * wots::KEY_CHECKPOINTS..][..wots::KEY_CHECKPOINTS];
+                let sig = WotsKeyPair::sign_from_checkpoints_with(leaf, digest, d);
+                leaf.fill([0; 32]);
+                sig
+            }
+            // Sign straight from the seed: the full keypair derivation
+            // would also walk every chain to its end for a public key
+            // this path never reads (the verifier recovers it).
+            LeafSecrets::Seeds(seeds) => {
+                WotsKeyPair::sign_from_seed_with(&std::mem::take(&mut seeds[idx]), digest, d)
+            }
+        };
         let path = self.tree.auth_path(idx);
         Ok(MssSignature {
             leaf_index: idx as u32,
@@ -405,15 +495,106 @@ mod tests {
         assert_eq!(s.sign(&sha256(b"c")).unwrap_err(), MssError::KeyExhausted);
     }
 
+    /// Every secret byte block the signer holds: seeds, or checkpoints.
+    fn secrets(s: &MssSigner) -> &[[u8; 32]] {
+        match &s.secrets {
+            LeafSecrets::Seeds(v) | LeafSecrets::Checkpoints(v) => v,
+        }
+    }
+
+    fn leaf_checkpoints(s: &MssSigner, leaf: usize) -> &[[u8; 32]] {
+        let LeafSecrets::Checkpoints(all) = &s.secrets else {
+            panic!("signer keeps seeds");
+        };
+        &all[leaf * wots::KEY_CHECKPOINTS..][..wots::KEY_CHECKPOINTS]
+    }
+
     #[test]
     fn forward_security_deletes_used_seeds() {
-        let mut s = signer(2, 4);
+        let mut s = MssSigner::generate_sequential(2, &mut SecureRandom::from_seed(4));
         s.sign(&sha256(b"a")).unwrap();
-        assert!(
-            s.leaf_seeds[0].is_none(),
-            "used leaf seed must be destroyed"
-        );
-        assert!(s.leaf_seeds[1].is_some());
+        let LeafSecrets::Seeds(seeds) = &s.secrets else {
+            panic!("the sequential reference keeps seeds");
+        };
+        assert_eq!(seeds[0], [0; 32], "used leaf seed must be destroyed");
+        assert_ne!(seeds[1], [0; 32]);
+    }
+
+    #[test]
+    fn forward_security_zeroes_used_checkpoints() {
+        let mut s = signer(3, 4);
+        let fresh: Vec<Vec<[u8; 32]>> = (0..8).map(|i| leaf_checkpoints(&s, i).to_vec()).collect();
+        for i in 0..8 {
+            assert_eq!(leaf_checkpoints(&s, i), &fresh[i][..], "leaf {i} intact");
+            s.sign(&sha256(&[i as u8])).unwrap();
+            assert!(
+                leaf_checkpoints(&s, i).iter().all(|v| *v == [0; 32]),
+                "leaf {i} must leave nothing behind"
+            );
+            if i + 1 < 8 {
+                assert_eq!(leaf_checkpoints(&s, i + 1), &fresh[i + 1][..]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_spent_trees_buffer_is_zero_and_rebuilds_an_identical_key() {
+        let mut spent = signer(2, 14);
+        for i in 0..4u8 {
+            spent.sign(&sha256(&[i])).unwrap();
+        }
+        let buffer = spent.into_buffer();
+        assert_eq!(buffer.len(), 4 * wots::KEY_CHECKPOINTS);
+        assert!(buffer.iter().all(|v| *v == [0; 32]));
+        // A recycled buffer, and one of the wrong size full of junk, both
+        // give the key a fresh allocation would.
+        for buffer in [buffer, vec![[0xA5; 32]; 7]] {
+            let mut reused =
+                MssSigner::generate_into(3, &mut SecureRandom::from_seed(15), 2, buffer);
+            let mut fresh = signer(3, 15);
+            assert_eq!(reused.public_key(), fresh.public_key());
+            let d = sha256(b"reuse");
+            assert_eq!(reused.sign(&d).unwrap(), fresh.sign(&d).unwrap());
+        }
+    }
+
+    #[test]
+    fn tree_height_picks_the_leaf_secret_form() {
+        for (height, checkpoints) in [(8u8, true), (9, false)] {
+            let mut s = signer(height, 12);
+            let per_leaf = if checkpoints {
+                wots::KEY_CHECKPOINTS
+            } else {
+                1
+            };
+            assert_eq!(
+                matches!(s.secrets, LeafSecrets::Checkpoints(_)),
+                checkpoints,
+                "h={height}"
+            );
+            assert_eq!(secrets(&s).len(), (1 << height) * per_leaf, "h={height}");
+            for i in 0..3u8 {
+                let d = sha256(&[height, i]);
+                assert!(
+                    verify(&s.public_key(), &d, &s.sign(&d).unwrap()),
+                    "h={height}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn debug_output_holds_no_secret() {
+        let checkpointed = signer(2, 13);
+        let seeded = MssSigner::generate_sequential(2, &mut SecureRandom::from_seed(13));
+        for s in [&checkpointed, &seeded] {
+            let shown = format!("{s:?}");
+            assert_eq!(shown, "MssSigner { capacity: 4, remaining: 4, .. }");
+            for secret in secrets(s) {
+                assert!(!shown.contains(&format!("{secret:?}")));
+                assert!(!shown.contains(&Digest::from_bytes(*secret).to_hex()));
+            }
+        }
     }
 
     #[test]
@@ -470,13 +651,17 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_keygen_agree() {
-        // Same seed stream ⇒ identical key material and root, for every
-        // worker budget (including oversubscription on a 1-core host).
+        // Same seed stream ⇒ identical root and identical signatures
+        // (checkpoints against seeds), for every worker budget
+        // (including oversubscription on a 1-core host).
         for height in [1u8, 3, 5] {
-            let reference =
+            let mut reference =
                 MssSigner::generate_sequential(height, &mut SecureRandom::from_seed(42));
+            let digests: Vec<Digest> = (0..2u8).map(|i| sha256(&[height, i])).collect();
+            let want: Vec<MssSignature> =
+                digests.iter().map(|d| reference.sign(d).unwrap()).collect();
             for workers in [1usize, 2, 4, 7] {
-                let par = MssSigner::generate_with_workers(
+                let mut par = MssSigner::generate_with_workers(
                     height,
                     &mut SecureRandom::from_seed(42),
                     workers,
@@ -486,10 +671,9 @@ mod tests {
                     reference.public_key(),
                     "h={height} w={workers}"
                 );
-                assert_eq!(
-                    par.leaf_seeds, reference.leaf_seeds,
-                    "h={height} w={workers}"
-                );
+                for (d, want) in digests.iter().zip(&want) {
+                    assert_eq!(&par.sign(d).unwrap(), want, "h={height} w={workers}");
+                }
             }
         }
     }

@@ -4,7 +4,9 @@
 //! [`par_map_with`], [`par_map`]) split an embarrassingly parallel map
 //! over `std::thread::scope` workers. They are used by MSS key generation
 //! (per-leaf W-OTS chain walks), Merkle level construction and Merkle
-//! leaf hashing of batch payloads.
+//! leaf hashing of batch payloads. Under them sits the crate-internal
+//! `par_map_chunks_with`, which also hands each worker its part of one
+//! shared output buffer (MSS keygen writes chain checkpoints so).
 //!
 //! Work is only split when it is worth it: each worker must receive at
 //! least `min_per_worker` items, and the worker count is capped by
@@ -56,20 +58,58 @@ where
     R: Send,
     F: Fn(std::ops::Range<usize>) -> Vec<R> + Sync,
 {
+    par_map_chunks_with(
+        worker_budget,
+        &mut vec![(); n],
+        1,
+        min_per_worker,
+        |range, _| f(range),
+    )
+}
+
+/// [`par_map_range_with`] over the items of `slots`, each of which owns
+/// `stride` consecutive slots: a worker gets its index range together
+/// with that range's slots, so the workers fill one shared buffer in
+/// place, with no per-item allocation and no copy afterwards (MSS keygen
+/// writes every leaf's W-OTS chain checkpoints this way).
+///
+/// # Panics
+///
+/// Panics if `stride` is 0 or does not divide `slots.len()`, and
+/// propagates panics from `f` (the scope joins all workers first).
+pub(crate) fn par_map_chunks_with<T, R, F>(
+    worker_budget: usize,
+    slots: &mut [T],
+    stride: usize,
+    min_per_worker: usize,
+    f: F,
+) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(std::ops::Range<usize>, &mut [T]) -> Vec<R> + Sync,
+{
+    assert!(
+        stride > 0 && slots.len().is_multiple_of(stride),
+        "par: slots must hold whole items"
+    );
+    let n = slots.len() / stride;
     let max_useful = n.checked_div(min_per_worker).unwrap_or(worker_budget);
     let workers = worker_budget.min(max_useful).max(1);
     if workers == 1 || n == 0 {
-        return f(0..n);
+        return f(0..n, slots);
     }
     let chunk = n.div_ceil(workers);
     let mut out: Vec<R> = Vec::with_capacity(n);
     std::thread::scope(|s| {
         let f = &f;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let start = (w * chunk).min(n);
-                let end = ((w + 1) * chunk).min(n);
-                s.spawn(move || f(start..end))
+        let handles: Vec<_> = slots
+            .chunks_mut(chunk * stride)
+            .enumerate()
+            .map(|(w, mine)| {
+                let start = w * chunk;
+                let end = start + mine.len() / stride;
+                s.spawn(move || f(start..end, mine))
             })
             .collect();
         for handle in handles {
@@ -186,6 +226,24 @@ mod tests {
                 out
             });
             assert_eq!(got, expected, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn chunk_map_hands_each_worker_its_own_slots() {
+        // Every index writes its three slots; the buffer must come back
+        // filled in order whatever the split, with one result per index.
+        for workers in [1usize, 2, 3, 8] {
+            let mut slots = vec![0usize; 3 * 100];
+            let got = par_map_chunks_with(workers, &mut slots, 3, 1, |range, mine| {
+                assert_eq!(mine.len(), 3 * range.len());
+                for (slot, k) in mine.iter_mut().zip(3 * range.start..) {
+                    *slot = k;
+                }
+                range.collect()
+            });
+            assert_eq!(got, (0..100).collect::<Vec<_>>(), "workers={workers}");
+            assert_eq!(slots, (0..300).collect::<Vec<_>>(), "workers={workers}");
         }
     }
 

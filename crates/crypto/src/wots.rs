@@ -12,6 +12,21 @@
 //! same key reveals enough chain preimages to forge. The MSS layer enforces
 //! single use; this module documents and tests the primitive in isolation.
 //!
+//! # Where the leaf secret lives
+//!
+//! A key is a 32-byte seed; the 67 chain secrets are HMACs of it. Signing
+//! from the seed ([`WotsKeyPair::sign_from_seed_with`]) re-derives those
+//! secrets and walks every chain up to its digest chunk: ≈ 630
+//! compressions. Batch keygen ([`WotsKeyPair::public_keys_and_checkpoints_with`])
+//! can instead keep each chain's value at steps 0, 4, 8 and 12
+//! ([`KEY_CHECKPOINTS`] values, 8 576 B per key), which it computes anyway
+//! on its way to the chain ends; signing from those
+//! ([`WotsKeyPair::sign_from_checkpoints_with`]) starts each chain at the
+//! highest stored step not above its chunk and walks the remaining 0–3
+//! steps: ≈ 100 compressions. Both give the same signature bit for bit.
+//! The caller keeps the checkpoints as secret as the seed, and destroys
+//! them on use.
+//!
 //! # Performance
 //!
 //! The 67 chains are *independent*, so key generation, signing and
@@ -22,10 +37,12 @@
 //! batched HMAC path ([`crate::hmac::hmac_short_lanes_with`]). Every
 //! public entry point has a `_with` variant taking an explicit
 //! [`mb::Dispatch`] tier: [`mb::Dispatch::Avx2`] walks eight chains per
-//! compression, and [`mb::Dispatch::Single`] runs the sequential
-//! reference path (one chain at a time through
-//! [`crate::digest::sha256_short`]); both produce the same keys and
-//! signatures bit for bit.
+//! compression, and [`mb::Dispatch::Single`] runs one chain at a time;
+//! both produce the same keys and signatures bit for bit. The per-key
+//! paths under `Single` ([`WotsKeyPair::from_seed_with`],
+//! [`WotsKeyPair::sign_from_seed_with`]) step through
+//! [`crate::digest::sha256_short`] and are the sequential reference the
+//! lane walks are tested against.
 
 use crate::digest::{mb, sha256_short, Digest, Sha256};
 use crate::hmac::{hmac_sha256, hmac_short_lanes_with};
@@ -38,6 +55,14 @@ pub const CSUM_CHUNKS: usize = 3;
 pub const CHAINS: usize = MSG_CHUNKS + CSUM_CHUNKS;
 /// Maximum chain step (w - 1).
 pub const MAX_STEP: u8 = 15;
+/// Chain steps between stored checkpoints: keygen keeps steps 0, 4, 8
+/// and 12, so signing from them walks at most 3 steps per chain.
+const CHECKPOINT_STRIDE: u8 = 4;
+/// Checkpoints kept per chain.
+const CHAIN_CHECKPOINTS: usize = (MAX_STEP / CHECKPOINT_STRIDE) as usize + 1;
+/// Checkpoint values kept per key: each chain's values at steps 0, 4, 8
+/// and 12, chain after chain. 268 values, 8 576 bytes.
+pub const KEY_CHECKPOINTS: usize = CHAINS * CHAIN_CHECKPOINTS;
 
 const CHAIN_TAG: u8 = 0x02;
 const PK_TAG: u8 = 0x03;
@@ -80,10 +105,18 @@ impl WotsSignature {
 /// Per-chain secrets are derived `sk_i = HMAC(seed, chain_index)`, so only
 /// the seed needs storing; destroying the seed after use gives forward
 /// security at the MSS layer.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct WotsKeyPair {
     seed: [u8; 32],
     public: Digest,
+}
+
+impl std::fmt::Debug for WotsKeyPair {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WotsKeyPair")
+            .field("public", &self.public)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Splits a digest into the 67 Winternitz chunk values (message + checksum).
@@ -134,21 +167,7 @@ fn padded_chain_block(chain_idx: u16) -> [u8; 64] {
 }
 
 /// Walks all 67 chains of one key: chain `i` starts from `values[i]` at
-/// step `start[i]` and advances `steps[i]` steps in place. See
-/// [`walk_chains_flat`] for the schedule.
-fn walk_chains(
-    d: mb::Dispatch,
-    values: &mut [[u8; 32]; CHAINS],
-    start: &[u8; CHAINS],
-    steps: &[u8; CHAINS],
-) {
-    let idx: [u16; CHAINS] = std::array::from_fn(|i| i as u16);
-    walk_chains_flat(d, values, &idx, start, steps);
-}
-
-/// Walks an arbitrary job list of chains: entry `i` starts from
-/// `values[i]` (chain header `chain_idx[i]`) at step `start[i]` and
-/// advances `steps[i]` steps in place.
+/// step `start[i]` and advances `steps[i]` steps in place.
 ///
 /// Under a multi-lane dispatch the walk runs lane-batched: chains are
 /// scheduled deepest-remaining-first into the tier's lanes, every lane
@@ -156,32 +175,24 @@ fn walk_chains(
 /// immediately refilled with the next pending chain — so lanes stay
 /// full even though chains finish at different steps (signing and
 /// verification advance each chain by its digest-dependent chunk).
-/// Batch keygen flattens the chains of many keys into one job list, so
-/// lanes also stay full *across* W-OTS boundaries instead of draining
-/// at each key's 67-chain tail.
-fn walk_chains_flat(
+fn walk_chains(
     d: mb::Dispatch,
-    values: &mut [[u8; 32]],
-    chain_idx: &[u16],
-    start: &[u8],
-    steps: &[u8],
+    values: &mut [[u8; 32]; CHAINS],
+    start: &[u8; CHAINS],
+    steps: &[u8; CHAINS],
 ) {
-    debug_assert!(
-        values.len() == chain_idx.len() && values.len() == start.len(),
-        "walk job columns must align"
-    );
     let width = d.lanes();
     if width <= 1 {
-        for i in 0..values.len() {
+        for i in 0..CHAINS {
             if steps[i] > 0 {
-                values[i] = chain(values[i], chain_idx[i], start[i], steps[i]);
+                values[i] = chain(values[i], i as u16, start[i], steps[i]);
             }
         }
         return;
     }
     // Deepest chains first: the stragglers start early, so the tail of
     // the schedule (when fewer chains remain than lanes) is short.
-    let mut order: Vec<usize> = (0..values.len()).filter(|&i| steps[i] > 0).collect();
+    let mut order: Vec<usize> = (0..CHAINS).filter(|&i| steps[i] > 0).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(steps[i]));
     let mut next = 0usize;
     let mut blocks = [[0u8; 64]; mb::MAX_LANES];
@@ -202,7 +213,7 @@ fn walk_chains_flat(
             if next < order.len() {
                 let c = order[next];
                 next += 1;
-                blocks[l] = padded_chain_block(chain_idx[c]);
+                blocks[l] = padded_chain_block(c as u16);
                 blocks[l][3] = start[c];
                 blocks[l][4..36].copy_from_slice(&values[c]);
                 lane_chain[l] = c;
@@ -221,6 +232,47 @@ fn walk_chains_flat(
                     blocks[l][3] += 1;
                 }
             }
+        }
+    }
+}
+
+/// The keygen walk: advances every chain of `values` (67 per key,
+/// key-major, so chain header `i % CHAINS`) from its secret to its end,
+/// in place. Every chain runs the same 15 steps, so groups of
+/// `d.lanes()` chains go through the lanes in lockstep with no
+/// scheduling, and lanes stay full *across* key boundaries.
+///
+/// With `CAPTURE`, chain `i`'s values at steps 0, 4, 8 and 12 land in
+/// `checkpoints[i * CHAIN_CHECKPOINTS..(i + 1) * CHAIN_CHECKPOINTS]`;
+/// without it `checkpoints` is not touched, and the copies compile away.
+fn walk_to_ends<const CAPTURE: bool>(
+    d: mb::Dispatch,
+    values: &mut [[u8; 32]],
+    checkpoints: &mut [[u8; 32]],
+) {
+    let width = d.lanes();
+    let mut blocks = [[0u8; 64]; mb::MAX_LANES];
+    for (g, group) in values.chunks_mut(width).enumerate() {
+        let first = g * width;
+        let lanes = &mut blocks[..group.len()];
+        for (l, (block, value)) in lanes.iter_mut().zip(group.iter()).enumerate() {
+            *block = padded_chain_block(((first + l) % CHAINS) as u16);
+            block[4..36].copy_from_slice(value);
+        }
+        for step in 0..MAX_STEP {
+            if CAPTURE && step % CHECKPOINT_STRIDE == 0 {
+                let j = usize::from(step / CHECKPOINT_STRIDE);
+                for (l, block) in lanes.iter().enumerate() {
+                    checkpoints[(first + l) * CHAIN_CHECKPOINTS + j].copy_from_slice(&block[4..36]);
+                }
+            }
+            for block in lanes.iter_mut() {
+                block[3] = step;
+            }
+            mb::chain_steps_with(d, lanes);
+        }
+        for (value, block) in group.iter_mut().zip(lanes.iter()) {
+            value.copy_from_slice(&block[4..36]);
         }
     }
 }
@@ -281,6 +333,21 @@ fn compress_pk_lanes(d: mb::Dispatch, values: &[[u8; 32]]) -> Vec<Digest> {
     mb::hash_eq_lanes_with(d, &refs)
 }
 
+/// Batch keygen: the public keys of `seeds`, and with `CAPTURE` their
+/// chain checkpoints (see [`walk_to_ends`]).
+fn keygen<const CAPTURE: bool>(
+    seeds: &[[u8; 32]],
+    d: mb::Dispatch,
+    checkpoints: &mut [[u8; 32]],
+) -> Vec<Digest> {
+    let mut values = Vec::with_capacity(seeds.len() * CHAINS);
+    for seed in seeds {
+        values.extend(derive_secrets(d, seed));
+    }
+    walk_to_ends::<CAPTURE>(d, &mut values, checkpoints);
+    compress_pk_lanes(d, &values)
+}
+
 impl WotsKeyPair {
     /// Derives a key pair from a 32-byte seed under the active dispatch.
     pub fn from_seed(seed: [u8; 32]) -> Self {
@@ -304,24 +371,32 @@ impl WotsKeyPair {
     /// so lanes stay in lockstep across key boundaries with no refill
     /// tail per key), then the public-key compressions in lockstep.
     /// Identical to mapping [`WotsKeyPair::from_seed_with`] and taking
-    /// each public key — the MSS keygen hot path.
+    /// each public key — the MSS keygen path of trees that keep seeds.
     pub fn public_keys_from_seeds_with(seeds: &[[u8; 32]], d: mb::Dispatch) -> Vec<Digest> {
-        if d.lanes() <= 1 {
-            return seeds
-                .iter()
-                .map(|s| Self::from_seed_with(*s, d).public_key())
-                .collect();
-        }
-        let mut values = Vec::with_capacity(seeds.len() * CHAINS);
-        for seed in seeds {
-            values.extend(derive_secrets(d, seed));
-        }
-        let n = values.len();
-        let idx: Vec<u16> = (0..n).map(|i| (i % CHAINS) as u16).collect();
-        let start = vec![0u8; n];
-        let steps = vec![MAX_STEP; n];
-        walk_chains_flat(d, &mut values, &idx, &start, &steps);
-        compress_pk_lanes(d, &values)
+        keygen::<false>(seeds, d, &mut [])
+    }
+
+    /// [`WotsKeyPair::public_keys_from_seeds_with`] that also keeps what
+    /// the walk passes through: key `k`'s [`KEY_CHECKPOINTS`] chain
+    /// values land in `checkpoints[k * KEY_CHECKPOINTS..]`, ready for
+    /// [`WotsKeyPair::sign_from_checkpoints_with`]. Costs no extra
+    /// compression.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `checkpoints` holds exactly [`KEY_CHECKPOINTS`]
+    /// values per seed.
+    pub fn public_keys_and_checkpoints_with(
+        seeds: &[[u8; 32]],
+        d: mb::Dispatch,
+        checkpoints: &mut [[u8; 32]],
+    ) -> Vec<Digest> {
+        assert_eq!(
+            checkpoints.len(),
+            seeds.len() * KEY_CHECKPOINTS,
+            "wots: one checkpoint block per seed"
+        );
+        keygen::<true>(seeds, d, checkpoints)
     }
 
     /// Signs `digest` with the key derived from `seed` *without*
@@ -334,6 +409,42 @@ impl WotsKeyPair {
         let chunks = chunks_of(digest);
         let mut values = derive_secrets(d, seed);
         walk_chains(d, &mut values, &[0; CHAINS], &chunks);
+        WotsSignature { chains: values }
+    }
+
+    /// Signs `digest` from one key's stored chain checkpoints (as
+    /// written by [`WotsKeyPair::public_keys_and_checkpoints_with`]):
+    /// each chain starts at the highest stored step not above its chunk
+    /// and walks the remaining 0–3 steps. The signature is identical to
+    /// [`WotsKeyPair::sign_from_seed_with`] for the seed the checkpoints
+    /// came from. The caller owns one-time use, and destroys the
+    /// checkpoints afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `checkpoints` holds exactly [`KEY_CHECKPOINTS`]
+    /// values.
+    pub fn sign_from_checkpoints_with(
+        checkpoints: &[[u8; 32]],
+        digest: &Digest,
+        d: mb::Dispatch,
+    ) -> WotsSignature {
+        assert_eq!(
+            checkpoints.len(),
+            KEY_CHECKPOINTS,
+            "wots: one key's checkpoints"
+        );
+        let chunks = chunks_of(digest);
+        let mut values = [[0u8; 32]; CHAINS];
+        let mut start = [0u8; CHAINS];
+        let mut steps = [0u8; CHAINS];
+        for i in 0..CHAINS {
+            let j = chunks[i] / CHECKPOINT_STRIDE;
+            values[i] = checkpoints[i * CHAIN_CHECKPOINTS + usize::from(j)];
+            start[i] = j * CHECKPOINT_STRIDE;
+            steps[i] = chunks[i] - start[i];
+        }
+        walk_chains(d, &mut values, &start, &steps);
         WotsSignature { chains: values }
     }
 
@@ -572,6 +683,33 @@ mod tests {
                     expected[..n],
                     "tier {tier:?} n {n}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn checkpoints_are_the_chain_values_at_every_stride() {
+        // Two keys, so the second key's chains sit in lanes shared with
+        // the first key's tail.
+        let seeds = [[0x21u8; 32], [0x42u8; 32]];
+        for tier in mb::Dispatch::all() {
+            if !tier.is_available() {
+                continue;
+            }
+            let mut checkpoints = vec![[0u8; 32]; 2 * KEY_CHECKPOINTS];
+            let pks = WotsKeyPair::public_keys_and_checkpoints_with(&seeds, tier, &mut checkpoints);
+            assert_eq!(pks, WotsKeyPair::public_keys_from_seeds_with(&seeds, tier));
+            for (k, seed) in seeds.iter().enumerate() {
+                for i in 0..CHAINS {
+                    for j in 0..CHAIN_CHECKPOINTS {
+                        let step = j as u8 * CHECKPOINT_STRIDE;
+                        assert_eq!(
+                            checkpoints[k * KEY_CHECKPOINTS + i * CHAIN_CHECKPOINTS + j],
+                            chain(derive_secret(seed, i as u16), i as u16, 0, step),
+                            "{tier:?} key {k} chain {i} step {step}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -5,7 +5,7 @@ use nonrep_crypto::digest::{mb, sha256, sha256_short, Digest, Sha256};
 use nonrep_crypto::hmac::{hmac_sha256, hmac_short_lanes_with};
 use nonrep_crypto::hss::{HssSignature, SubtreeCert, SubtreeSig};
 use nonrep_crypto::merkle::{leaf_hash, leaf_hash_digests_with, MerkleTree};
-use nonrep_crypto::mss::MssSignature;
+use nonrep_crypto::mss::{self, MssSignature, MssSigner};
 use nonrep_crypto::rng::SecureRandom;
 use nonrep_crypto::sig::{KeyPair, Signature, SignaturePayload, SignatureScheme, VerifyingKey};
 use nonrep_crypto::wots::{self, WotsKeyPair};
@@ -159,6 +159,50 @@ proptest! {
                 prop_assert!(vk.verify_digest(&digests[0], genuine));
                 prop_assert!(reference(&vk, &digests[0], genuine));
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Signing from stored chain checkpoints is signing from the seed,
+    /// for random digests and the two extreme chunk patterns (all-0
+    /// chunks start every message chain at step 0 and walk the checksum
+    /// chains deepest; all-15 chunks take every message chain from its
+    /// last checkpoint to the end). Under every tier the checkpoint
+    /// signature equals the sequential seed signature, and a
+    /// checkpoint-keeping MSS key signs exactly as the
+    /// `generate_sequential` reference built from the same seed stream.
+    #[test]
+    fn checkpoint_signing_equals_seed_signing(seed in any::<u64>(),
+                                              random in proptest::array::uniform32(any::<u8>())) {
+        let digests = [
+            Digest::from_bytes(random),
+            Digest::from_bytes([0x00; 32]),
+            Digest::from_bytes([0xFF; 32]),
+        ];
+        let key_seed = SecureRandom::from_seed(seed).secret32();
+        let reference_pk = WotsKeyPair::from_seed_with(key_seed, mb::Dispatch::Single).public_key();
+        for tier in tiers() {
+            let mut checkpoints = vec![[0u8; 32]; wots::KEY_CHECKPOINTS];
+            let pks =
+                WotsKeyPair::public_keys_and_checkpoints_with(&[key_seed], tier, &mut checkpoints);
+            prop_assert_eq!(pks, vec![reference_pk], "tier {:?}", tier);
+            for d in &digests {
+                let sig = WotsKeyPair::sign_from_checkpoints_with(&checkpoints, d, tier);
+                let want = WotsKeyPair::sign_from_seed_with(&key_seed, d, mb::Dispatch::Single);
+                prop_assert_eq!(&sig, &want, "tier {:?}", tier);
+                prop_assert!(wots::verify_with(&reference_pk, d, &sig, tier));
+            }
+        }
+        let mut fast = MssSigner::generate_with_workers(3, &mut SecureRandom::from_seed(seed), 2);
+        let mut reference = MssSigner::generate_sequential(3, &mut SecureRandom::from_seed(seed));
+        prop_assert_eq!(fast.public_key(), reference.public_key());
+        for d in &digests {
+            let sig = fast.sign(d).unwrap();
+            prop_assert_eq!(&sig, &reference.sign(d).unwrap());
+            prop_assert!(mss::verify(&fast.public_key(), d, &sig));
         }
     }
 }
