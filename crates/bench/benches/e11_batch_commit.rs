@@ -1,11 +1,11 @@
 //! E11: the batched evidence-commitment pipeline.
 //!
-//! Measures what the PR-2 refactor is for: amortizing MSS signatures over
+//! Measures what batching is for: amortizing MSS signatures over
 //! evidence batches. `evidence_x16/per_record` signs and appends 16
-//! records with one signature each (the PR-1 pipeline);
-//! `evidence_x16/batched_16` pushes the same 16 records through the
-//! commitment scheduler with batch size 16 — one signature for the token
-//! batch plus one sealing the epoch. Same work, ⌈N/16⌉·2 signatures
+//! records with one signature each; `evidence_x16/batched_16` pushes the
+//! same 16 records through a batched commitment scheduler — one
+//! signature for a frame carrying the 16 tokens plus one sealing the
+//! epoch at the end of the iteration. Same work, ⌈N/16⌉·2 signatures
 //! instead of N.
 //!
 //! `submit_window_1k` measures building a windowed adjudication
@@ -22,6 +22,7 @@ use nonrep_crypto::rng::SecureRandom;
 use nonrep_crypto::sig::{KeyPair, SignatureScheme};
 use nonrep_protocols::scheduler::{CommitmentMode, CommitmentScheduler, TokenSpec};
 use nonrep_protocols::tokens::TokenKind;
+use nonrep_protocols::ProtocolMessage;
 use nonrep_store::{EvidenceLog, MemoryLog};
 use nonrep_types::codec::Encode;
 use nonrep_types::ids::{OrgId, RunId};
@@ -42,7 +43,9 @@ fn scheduler(mode: CommitmentMode, scheme: SignatureScheme, seed: u64) -> Commit
 }
 
 /// Issue + store 16 evidence records through `s` (the per-record
-/// evidence cost unit: sign + append, ×16).
+/// evidence cost unit: sign + append, ×16). Per-record mode signs each
+/// token on its own; batched mode signs all 16 with the one frame that
+/// would carry them.
 fn push16(s: &CommitmentScheduler, round: u64) {
     let run = RunId::from_u128(u128::from(round) + 1);
     let specs: Vec<TokenSpec> = (0..16u64)
@@ -54,7 +57,14 @@ fn push16(s: &CommitmentScheduler, round: u64) {
             )
         })
         .collect();
-    let tokens = s.issue(&specs).expect("key sized for the bench window");
+    let tokens = match s.mode() {
+        CommitmentMode::PerRecord => specs.iter().map(|spec| s.issue(*spec)).collect(),
+        CommitmentMode::Batched { .. } => {
+            let frame = ProtocolMessage::new("direct", run, 1, "org", Vec::new());
+            s.sign_frame(frame, &specs).map(|frame| frame.tokens)
+        }
+    }
+    .expect("key sized for the bench window");
     for t in tokens {
         s.record(nonrep_store::RecordDraft {
             run_id: t.run_id,
@@ -84,16 +94,21 @@ fn bench_batch_commit(c: &mut Criterion) {
         group.bench_function("evidence_x16/per_record", |b| {
             b.iter(|| {
                 push16(&s, round);
+                s.seal().unwrap();
                 round += 1;
             })
         });
     }
     {
-        let s = scheduler(CommitmentMode::batched(16), mss, 2);
+        // The logical clock never moves, so the tuner would double the
+        // batch after every size seal; sealing each 16 keeps one epoch
+        // per iteration.
+        let s = scheduler(CommitmentMode::auto(50), mss, 2);
         let mut round = 0u64;
         group.bench_function("evidence_x16/batched_16", |b| {
             b.iter(|| {
                 push16(&s, round);
+                s.seal().unwrap();
                 round += 1;
             })
         });
@@ -102,7 +117,7 @@ fn bench_batch_commit(c: &mut Criterion) {
     // Windowed adjudication submission over a 1k-record sealed log:
     // Arc handle clones + head, no deep copy.
     {
-        let s = scheduler(CommitmentMode::batched(64), SignatureScheme::Arbitrated, 3);
+        let s = scheduler(CommitmentMode::auto(50), SignatureScheme::Arbitrated, 3);
         for round in 0..63u64 {
             push16(&s, round);
         }

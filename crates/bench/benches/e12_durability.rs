@@ -2,9 +2,9 @@
 //!
 //! Measures what `SyncPolicy` is for: making the epoch the durability
 //! unit. Both contenders push 16 records per iteration through a
-//! batch-16 commitment scheduler over a `FileLog`, so each iteration
-//! ends with an epoch seal, and both end the iteration durable; the only
-//! difference is *when the bytes hit the platter*:
+//! batched commitment scheduler over a `FileLog` and end the iteration
+//! with an explicit epoch seal, and both end the iteration durable; the
+//! only difference is *when the bytes hit the platter*:
 //!
 //! * `append_x16/fsync_per_append` — [`SyncPolicy::WriteThrough`]: every
 //!   append writes and fsyncs (17 fsyncs per iteration, counting the
@@ -47,12 +47,14 @@ fn scheduler_over(log: Arc<dyn EvidenceLog>) -> CommitmentScheduler {
         log,
         OrgId::new("org"),
         Arc::new(LogicalClock::new()),
-        CommitmentMode::batched(16),
+        CommitmentMode::auto(50),
     )
 }
 
-/// Appends 16 records through the scheduler; the 16th triggers the epoch
-/// seal (and, per sync policy, the fsync(s)).
+/// Appends 16 records through the scheduler, then seals them as one
+/// epoch (and, per sync policy, fsyncs). The seal is explicit because
+/// the logical clock never moves: the tuner would otherwise double the
+/// batch after every size seal.
 fn push16(s: &CommitmentScheduler, round: u64) {
     for i in 0..16u64 {
         let n = round * 16 + i;
@@ -66,6 +68,7 @@ fn push16(s: &CommitmentScheduler, round: u64) {
         })
         .unwrap();
     }
+    s.seal().unwrap();
 }
 
 fn temp_log(name: &str) -> PathBuf {
@@ -103,7 +106,7 @@ fn bench_durability(c: &mut Criterion) {
         group.bench_function("append_x16/group_commit", |b| {
             b.iter(|| {
                 push16(&s, round);
-                let ticket = file.last_seal_ticket().expect("16th record sealed");
+                let ticket = file.last_seal_ticket().expect("iteration sealed");
                 ticket.wait_durable().unwrap();
                 round += 1;
             })

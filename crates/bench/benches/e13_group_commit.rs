@@ -2,8 +2,9 @@
 //!
 //! Measures what `SyncPolicy::GroupCommit` is for: decoupling append
 //! latency from disk latency. Every contender pushes 4 appender threads
-//! × 64 records each (= 256 records, 16 sealed epochs) through ONE
-//! batch-16 commitment scheduler:
+//! × 64 records each (= 256 records, about 16 sealed epochs) through ONE
+//! batched commitment scheduler, each thread sealing after every 16 of
+//! its records:
 //!
 //! * `append_4x64/group_commit` — [`SyncPolicy::GroupCommit`]: the
 //!   sealing append enqueues the batch to the dedicated sync thread and
@@ -48,12 +49,14 @@ fn scheduler_over(log: Arc<dyn EvidenceLog>) -> Arc<CommitmentScheduler> {
         log,
         OrgId::new("org"),
         Arc::new(LogicalClock::new()),
-        CommitmentMode::batched(16),
+        CommitmentMode::auto(50),
     ))
 }
 
 /// One iteration: 4 threads push 64 records each through the shared
-/// scheduler (auto-sealing every 16), then a final barrier makes the
+/// scheduler, each sealing after every 16 of its records (explicitly:
+/// the logical clock never moves, so the tuner would otherwise double
+/// the batch after every size seal), then a final barrier makes the
 /// whole iteration durable on whatever backend is under test.
 fn push_concurrent(s: &Arc<CommitmentScheduler>, round: u64) {
     std::thread::scope(|scope| {
@@ -71,6 +74,9 @@ fn push_concurrent(s: &Arc<CommitmentScheduler>, round: u64) {
                         payload: vec![n as u8; 64],
                     })
                     .unwrap();
+                    if i % 16 == 15 {
+                        s.seal().unwrap();
+                    }
                 }
             });
         }

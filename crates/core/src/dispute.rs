@@ -782,12 +782,16 @@ mod tests {
     }
 
     /// Logs `n` tokens of `run` under the party's own name and seals them.
+    /// Issues and stores `n` tokens, sealing an epoch after every two.
     fn seal_tokens(party: &Party, run: RunId, n: u8) {
         for i in 0..n {
             let t = party
                 .issue_token(TokenKind::NroReq, run, sha256(&[i]))
                 .unwrap();
             party.store_token(&t).unwrap();
+            if i % 2 == 1 {
+                party.flush_evidence().unwrap();
+            }
         }
         party.flush_evidence().unwrap();
     }
@@ -942,7 +946,7 @@ mod tests {
     fn withheld_evidence_detected_via_gossiped_anchors() {
         let clock = LogicalClock::new();
         let dir = Arc::new(StaticKeyDirectory::new());
-        let alice = Party::quick_batched("alice", 1, &clock, &dir, 2);
+        let alice = Party::quick_batched("alice", 1, &clock, &dir);
         let run = alice.new_run_id();
         seal_tokens(&alice, run, 4);
         // Counterparties collected alice's sealed epoch anchors while the
@@ -967,7 +971,7 @@ mod tests {
     fn forked_history_detected_via_gossiped_anchors() {
         let clock = LogicalClock::new();
         let dir = Arc::new(StaticKeyDirectory::new());
-        let alice = Party::quick_batched("alice", 1, &clock, &dir, 2);
+        let alice = Party::quick_batched("alice", 1, &clock, &dir);
         let run = alice.new_run_id();
         seal_tokens(&alice, run, 2);
         let real = alice
@@ -1015,7 +1019,7 @@ mod tests {
     fn unattributable_anchors_cannot_frame_an_honest_submitter() {
         let clock = LogicalClock::new();
         let dir = Arc::new(StaticKeyDirectory::new());
-        let alice = Party::quick_batched("alice", 1, &clock, &dir, 2);
+        let alice = Party::quick_batched("alice", 1, &clock, &dir);
         let mallory = Party::quick("mallory", 66, &clock, &dir);
         let run = alice.new_run_id();
         seal_tokens(&alice, run, 2);

@@ -118,14 +118,13 @@ impl MiddlewareBuilder {
     }
 
     /// Sets the evidence-commitment mode; defaults to per-record signing.
-    /// [`CommitmentMode::batched`] routes this organisation's evidence
-    /// through the batched pipeline: one signature per token batch, and
-    /// epoch commitments sealing the log every `batch_size` records. A
-    /// policy with a seal deadline (`BatchPolicy::size_or_time` /
-    /// `BatchPolicy::auto`) additionally gets a background
-    /// [`DeadlineSealer`], so idle evidence is sealed on time. This is
-    /// the one place the mode is decided: it is fixed for the life of the
-    /// organisation once [`MiddlewareBuilder::build`] returns.
+    /// [`CommitmentMode::auto`] routes this organisation's evidence
+    /// through the batched pipeline: one signature per signed step, and
+    /// epoch commitments sealing the log on a load-tuned size or the
+    /// given deadline, with a background [`DeadlineSealer`] so idle
+    /// evidence is sealed on time. This is the one place the mode is
+    /// decided: it is fixed for the life of the organisation once
+    /// [`MiddlewareBuilder::build`] returns.
     #[must_use]
     pub fn commitment(mut self, mode: CommitmentMode) -> Self {
         self.commitment = mode;
@@ -239,18 +238,11 @@ impl MiddlewareBuilder {
         coordinator.register_handler(sharing.clone());
         coordinator.register_handler(MembershipHandler::new(sharing.clone()));
 
-        // A policy with a seal deadline needs a wakeup for idle logs.
-        let sealer = match self.commitment {
-            CommitmentMode::Batched(policy) => policy.max_delay_ms.map(|delay| {
-                DeadlineSealer::spawn(Arc::clone(party.scheduler()), sealer_poll_interval(delay))
-            }),
-            CommitmentMode::PerRecord => None,
-        };
-
         Arc::new(OrgMiddleware {
             org: self.org,
             bus: self.bus,
             directory: self.directory,
+            _sealer: DeadlineSealer::spawn(Arc::clone(party.scheduler())),
             party,
             coordinator,
             container,
@@ -258,17 +250,8 @@ impl MiddlewareBuilder {
             groups,
             sharing,
             domain: self.domain,
-            _sealer: sealer,
         })
     }
-}
-
-/// Polling cadence for a [`DeadlineSealer`] serving a `max_delay_ms`
-/// deadline: a quarter of the deadline, clamped to 5ms..=1s. (The
-/// cadence is wall-clock even under a [`LogicalClock`]; the deadline
-/// itself is always read on the scheduler's own clock.)
-fn sealer_poll_interval(max_delay_ms: u64) -> std::time::Duration {
-    std::time::Duration::from_millis((max_delay_ms / 4).clamp(5, 1000))
 }
 
 /// One organisation's assembled middleware stack.
@@ -283,8 +266,8 @@ pub struct OrgMiddleware {
     groups: Arc<GroupRegistry>,
     sharing: Arc<SharingMember>,
     domain: TrustDomain,
-    /// Background deadline poller, present whenever the commitment policy
-    /// carries a seal deadline (stopped when the middleware is dropped).
+    /// Background deadline poller, present in batched mode (stopped when
+    /// the middleware is dropped).
     _sealer: Option<DeadlineSealer>,
 }
 
@@ -660,12 +643,13 @@ mod tests {
     fn batched_commitment_through_middleware_builder() {
         let (bus, dir, clock) = world();
         let client = OrgMiddleware::builder("client", bus.clone(), dir.clone(), clock.clone())
-            .commitment(CommitmentMode::batched(16))
+            .commitment(CommitmentMode::auto(50))
             .build();
         let server = OrgMiddleware::builder("server", bus, dir.clone(), clock).build();
         deploy_echo(&server);
         let proxy = client.nr_proxy(server.org(), "urn:echo");
         proxy.invoke("echo", Value::from(1i64)).unwrap();
+        client.flush_evidence().unwrap();
         // Client sealed its run under an epoch commitment: 4 tokens + 1
         // epoch record; the per-record server has exactly 4.
         assert_eq!(client.log().len(), 5);
@@ -818,7 +802,7 @@ mod tests {
         let (bus, dir, clock) = world();
         let path = temp_log("gc");
         let client = OrgMiddleware::builder("client", bus.clone(), dir.clone(), clock.clone())
-            .commitment(CommitmentMode::batched(4))
+            .commitment(CommitmentMode::auto(50))
             .evidence_file(&path, SyncPolicy::GroupCommit)
             .unwrap()
             .build();
@@ -849,7 +833,7 @@ mod tests {
         let (bus, dir, clock) = world();
         let path = temp_log("req");
         let org = OrgMiddleware::builder("org", bus.clone(), dir.clone(), clock.clone())
-            .commitment(CommitmentMode::batched(8))
+            .commitment(CommitmentMode::auto(50))
             .evidence_file(&path, SyncPolicy::GroupCommit)
             .unwrap()
             .build();

@@ -175,15 +175,17 @@ fn the_window_door_and_the_in_place_door_report_the_same_log_identically() {
     // (no anchors are held, so neither door sets `anchor_violation`).
     let clock = LogicalClock::new();
     let dir = Arc::new(StaticKeyDirectory::new());
-    let alice = Party::quick_batched("alice", 1, &clock, &dir, 2);
+    let alice = Party::quick_batched("alice", 1, &clock, &dir);
     let run = alice.new_run_id();
     for i in 0..4u8 {
         let t = alice
             .issue_token(TokenKind::NroReq, run, sha256(&[i]))
             .unwrap();
         alice.store_token(&t).unwrap();
+        if i % 2 == 1 {
+            alice.flush_evidence().unwrap();
+        }
     }
-    alice.flush_evidence().unwrap();
     let forge_epoch_root = |r: &mut Vec<Arc<EvidenceRecord>>| {
         let at = r.iter().position(|x| x.is_epoch_commit()).unwrap();
         let mut commitment = EpochCommitment::from_record(&r[at]).unwrap();

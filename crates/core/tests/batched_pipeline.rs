@@ -27,21 +27,35 @@ struct Duo {
     dir: Arc<StaticKeyDirectory>,
 }
 
-/// A pair of parties; `batch` selects the evidence pipeline.
-fn duo(batch: Option<usize>) -> Duo {
+/// A pair of parties; `batched` selects the evidence pipeline.
+fn duo(batched: bool) -> Duo {
     let clock = LogicalClock::new();
     let dir = Arc::new(StaticKeyDirectory::new());
-    let (alice, bob) = match batch {
-        Some(n) => (
-            Party::quick_batched("alice", 1, &clock, &dir, n),
-            Party::quick_batched("bob", 2, &clock, &dir, n),
-        ),
-        None => (
+    let (alice, bob) = if batched {
+        (
+            Party::quick_batched("alice", 1, &clock, &dir),
+            Party::quick_batched("bob", 2, &clock, &dir),
+        )
+    } else {
+        (
             Party::quick("alice", 1, &clock, &dir),
             Party::quick("bob", 2, &clock, &dir),
-        ),
+        )
     };
     Duo { alice, bob, dir }
+}
+
+/// Signs a two-token batch as `party`: the tokens share one batch
+/// signature with the (discarded) frame carrying them.
+fn token_pair(party: &Party, specs: [TokenSpec; 2]) -> Vec<NrToken> {
+    let frame = ProtocolMessage::new(
+        "direct",
+        specs[0].run_id,
+        2,
+        party.org().clone(),
+        Vec::new(),
+    );
+    party.scheduler().sign_frame(frame, &specs).unwrap().tokens
 }
 
 /// One §3.2-style exchange: alice's NRO + bob's NRR, both cross-stored.
@@ -73,8 +87,8 @@ fn differential_batched_and_per_record_verdicts_agree() {
     // Same exchanges through both pipelines; the *verdicts* must agree on
     // every fact even though the batched logs contain epoch records and
     // batch signatures.
-    let per_record = duo(None);
-    let batched = duo(Some(4));
+    let per_record = duo(false);
+    let batched = duo(true);
     for d in [&per_record, &batched] {
         for i in 0..3u8 {
             exchange(d, &[i]);
@@ -127,10 +141,14 @@ fn differential_batched_and_per_record_verdicts_agree() {
 
 #[test]
 fn windowed_submission_with_head_and_batch_proofs() {
-    let d = duo(Some(4));
+    let d = duo(true);
     let mut runs = Vec::new();
     for i in 0..5u8 {
         runs.push(exchange(&d, &[i]));
+        // Epochs of four of alice's records.
+        if i % 2 == 1 {
+            d.alice.flush_evidence().unwrap();
+        }
     }
     d.alice.flush_evidence().unwrap();
     let log = d.alice.log();
@@ -152,7 +170,7 @@ fn windowed_submission_with_head_and_batch_proofs() {
 
 #[test]
 fn forged_head_claim_is_flagged() {
-    let d = duo(Some(4));
+    let d = duo(true);
     let run = exchange(&d, b"x");
     d.alice.flush_evidence().unwrap();
     let log = d.alice.log();
@@ -168,7 +186,7 @@ fn forged_head_claim_is_flagged() {
 fn dropping_a_sealed_run_from_the_window_is_detected() {
     // The dispute_resolution scenario, windowed: the cheater drops the
     // records of one run from an otherwise contiguous window.
-    let d = duo(Some(8));
+    let d = duo(true);
     let _run1 = exchange(&d, b"one");
     let run2 = exchange(&d, b"two");
     let _run3 = exchange(&d, b"three");
@@ -220,7 +238,7 @@ proptest! {
     /// Tampering any single record inside a sealed batch is detected.
     #[test]
     fn tampered_record_in_sealed_batch_detected(victim in 0usize..4, flip in any::<u8>()) {
-        let d = duo(Some(4));
+        let d = duo(true);
         let run = exchange(&d, b"payload");
         d.alice.flush_evidence().unwrap();
         let log = d.alice.log();
@@ -246,7 +264,7 @@ proptest! {
     /// Tampering the epoch root or either range bound is detected.
     #[test]
     fn tampered_epoch_root_or_bounds_detected(which in 0usize..3, delta in 1u64..4) {
-        let d = duo(Some(4));
+        let d = duo(true);
         let run = exchange(&d, b"payload");
         d.alice.flush_evidence().unwrap();
         let window = WindowSubmission::from_log("alice", &**d.alice.log(), 0..u64::MAX);
@@ -262,13 +280,13 @@ proptest! {
     /// Tampering a batched token's authentication path is detected.
     #[test]
     fn tampered_auth_path_detected(step_byte in any::<u8>()) {
-        let d = duo(Some(4));
+        let d = duo(true);
         let run = d.bob.new_run_id();
         // A genuine two-token batch from bob (shared signature).
-        let tokens = d.bob.issue_tokens(&[
+        let tokens = token_pair(&d.bob, [
             TokenSpec::new(TokenKind::NrrReq, run, sha256(b"req")),
             TokenSpec::new(TokenKind::NroResp, run, sha256(b"resp")),
-        ]).unwrap();
+        ]);
         let mut forged = tokens[0].clone();
         if let SignaturePayload::BatchedMss(BatchSignature { auth_path, .. }) =
             &mut forged.signature.payload
@@ -295,15 +313,15 @@ proptest! {
 
 #[test]
 fn batched_tokens_survive_wire_roundtrip_and_adjudication() {
-    let d = duo(Some(16));
+    let d = duo(true);
     let run = d.alice.new_run_id();
-    let tokens = d
-        .alice
-        .issue_tokens(&[
+    let tokens = token_pair(
+        &d.alice,
+        [
             TokenSpec::new(TokenKind::NroReq, run, sha256(b"a")),
             TokenSpec::new(TokenKind::NrrResp, run, sha256(b"b")),
-        ])
-        .unwrap();
+        ],
+    );
     for t in &tokens {
         assert!(t.signature.is_batched());
         let wire = t.encode_to_vec();
@@ -330,7 +348,7 @@ fn batched_tokens_survive_wire_roundtrip_and_adjudication() {
 fn token_lifted_out_of_its_frame_verifies_and_adjudicates_clean() {
     // A frame and the token it carries share one batch leaf; the token,
     // once out of the frame, is ordinary self-contained evidence.
-    let d = duo(Some(16));
+    let d = duo(true);
     let run = d.alice.new_run_id();
     let subject = sha256(b"request");
     let frame = d

@@ -1,8 +1,8 @@
 //! Durability and seal-policy plumbing through the middleware, and the
 //! adjudication-unaffected-by-construction guarantee: how an organisation
 //! stores (memory vs file), syncs (write-through vs
-//! group commit) and seals (per-record vs size vs auto) its evidence is
-//! a local build-time choice — the facts an adjudicator derives from the
+//! group commit) and seals (per-record vs batched, sealing rarely or
+//! often) its evidence is a local build-time choice — the facts an adjudicator derives from the
 //! evidence are identical across all of them.
 
 use std::path::{Path, PathBuf};
@@ -14,8 +14,10 @@ use nonrep_container::descriptor::DeploymentDescriptor;
 use nonrep_core::middleware::MiddlewareBuilder;
 use nonrep_core::{Adjudicator, Corroboration, OrgMiddleware};
 use nonrep_net::bus::LocalBus;
+use nonrep_net::fault::FaultPlan;
+use nonrep_net::latency::LatencyModel;
 use nonrep_protocols::party::{KeyDirectory, StaticKeyDirectory};
-use nonrep_protocols::scheduler::{BatchPolicy, CommitmentMode};
+use nonrep_protocols::scheduler::CommitmentMode;
 use nonrep_protocols::TokenKind;
 use nonrep_store::{EvidenceLog, FileLog, SyncPolicy};
 use nonrep_types::ids::{MethodName, OrgId};
@@ -39,13 +41,18 @@ fn deploy_echo(mw: &OrgMiddleware) {
 /// Points a builder at an evidence backend rooted at the given path.
 type Backend = fn(MiddlewareBuilder, &Path) -> MiddlewareBuilder;
 
-/// One echo invocation between a fresh client/server pair; the client's
-/// evidence pipeline is `mode` over `backend`. Returns the adjudication
-/// facts: (any suspects, the four §3.2 cannot-deny assurances).
-fn facts_for(mode: CommitmentMode, backend: Backend, tag: &str) -> (bool, [bool; 4]) {
-    let bus = LocalBus::new();
+/// Facts an adjudicator derives from one invocation: (no suspects, the
+/// four §3.2 cannot-deny assurances).
+type Facts = (bool, [bool; 4]);
+
+/// One echo invocation between a fresh client/server pair on a bus whose
+/// every hop takes 1 ms of the shared clock; the client's evidence
+/// pipeline is `mode` over `backend`. Returns the adjudication facts and
+/// the number of epochs the client sealed.
+fn facts_for(mode: CommitmentMode, backend: Backend, tag: &str) -> (Facts, u64) {
+    let bus = LocalBus::with_config(FaultPlan::none(), LatencyModel::Constant(1), 0);
     let dir = Arc::new(StaticKeyDirectory::new());
-    let clock = LogicalClock::new();
+    let clock = bus.clock();
     let path = temp_path(&format!("invariance-{tag}"));
     let _ = std::fs::remove_file(&path);
     let builder =
@@ -71,9 +78,10 @@ fn facts_for(mode: CommitmentMode, backend: Backend, tag: &str) -> (bool, [bool;
         .adjudicate_windows(run, &windows);
     assert_eq!(defaulted.reports, verdict.reports, "{tag}");
     assert_eq!(defaulted.facts, verdict.facts, "{tag}");
+    let epochs = client.log().count_where(&|r| r.is_epoch_commit());
     drop(client);
     let _ = std::fs::remove_file(&path);
-    (
+    let facts = (
         verdict.suspect_submitters().is_empty(),
         [
             verdict.cannot_deny(&OrgId::new("client"), TokenKind::NroReq),
@@ -81,17 +89,20 @@ fn facts_for(mode: CommitmentMode, backend: Backend, tag: &str) -> (bool, [bool;
             verdict.cannot_deny(&OrgId::new("server"), TokenKind::NroResp),
             verdict.cannot_deny(&OrgId::new("client"), TokenKind::NrrResp),
         ],
-    )
+    );
+    (facts, epochs)
 }
 
 #[test]
 fn adjudication_is_unaffected_by_seal_and_sync_policy() {
     // Exactly the configurations the code still supports: every
     // commitment mode over every backend, minus per-record over the
-    // buffering log (rejected at build).
+    // buffering log (rejected at build). A 1 ms deadline seals on the
+    // first append after each bus hop, so that row adjudicates a log of
+    // several epochs; the 1 s deadline leaves the run to the final seal.
     let modes = [
         ("per-record", CommitmentMode::PerRecord),
-        ("batched-4", CommitmentMode::batched(4)),
+        ("auto-1ms", CommitmentMode::auto(1)),
         ("auto", CommitmentMode::auto(1_000)),
     ];
     let backends: [(&str, Backend); 3] = [
@@ -113,11 +124,19 @@ fn adjudication_is_unaffected_by_seal_and_sync_policy() {
     }
     assert_eq!(table.len(), 8);
     for (tag, mode, backend) in table {
+        let (facts, epochs) = facts_for(mode, backend, &tag);
         assert_eq!(
-            facts_for(mode, backend, &tag),
+            facts,
             (true, [true; 4]),
             "facts differ under {tag} — a local policy leaked into adjudication"
         );
+        match mode {
+            CommitmentMode::PerRecord => assert_eq!(epochs, 0, "{tag}"),
+            CommitmentMode::Batched { max_delay_ms: 1 } => {
+                assert!(epochs >= 2, "{tag}: {epochs} epochs")
+            }
+            CommitmentMode::Batched { .. } => assert_eq!(epochs, 1, "{tag}"),
+        }
     }
 }
 
@@ -149,17 +168,16 @@ fn per_epoch_file_log_through_middleware_survives_reopen() {
         let clock = LogicalClock::new();
         let log = Arc::new(FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap());
         let client = OrgMiddleware::builder("client", bus.clone(), dir.clone(), clock.clone())
-            .commitment(CommitmentMode::batched(4))
+            .commitment(CommitmentMode::auto(50))
             .evidence_log(log.clone())
             .build();
         let server = OrgMiddleware::builder("server", bus, dir, clock).build();
         deploy_echo(&server);
         let proxy = client.nr_proxy(server.org(), "urn:echo");
         proxy.invoke("echo", Value::from(1i64)).unwrap();
-        // Run-end sealing covered the run: once the seal's barrier is
-        // acked everything below is durable, and a kill (no Drop drain)
-        // loses nothing.
-        log.last_seal_ticket().unwrap().wait_durable().unwrap();
+        // A durable seal covers the run: everything below is on disk,
+        // and a kill (no Drop drain) loses nothing.
+        client.flush_evidence().unwrap();
         std::mem::forget(log);
     }
     let log = FileLog::open(&path).unwrap();
@@ -171,16 +189,14 @@ fn per_epoch_file_log_through_middleware_survives_reopen() {
 
 #[test]
 fn deadline_sealer_covers_idle_middleware_evidence() {
-    // size_or_time through the builder: run-end sealing is off and the
-    // batch is far from full, so only the deadline can cover the run's
-    // evidence — via the background sealer, with no further appends.
+    // The batch is far from full, so only the deadline can cover the
+    // run's evidence — via the background sealer, with no further
+    // appends.
     let bus = LocalBus::new();
     let dir = Arc::new(StaticKeyDirectory::new());
     let clock = LogicalClock::new();
     let client = OrgMiddleware::builder("client", bus.clone(), dir.clone(), clock.clone())
-        .commitment(CommitmentMode::Batched(BatchPolicy::size_or_time(
-            1_000, 50,
-        )))
+        .commitment(CommitmentMode::auto(50))
         .build();
     let server = OrgMiddleware::builder("server", bus, dir, clock.clone()).build();
     deploy_echo(&server);

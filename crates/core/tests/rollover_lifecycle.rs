@@ -28,7 +28,7 @@ struct Duo {
 
 /// A pair of batched parties where alice's signature scheme is chosen by
 /// the caller (hierarchical or flat); bob stays on a flat MSS key.
-fn duo_with_alice_scheme(scheme: SignatureScheme, seed: u64, batch: usize) -> Duo {
+fn duo_with_alice_scheme(scheme: SignatureScheme, seed: u64) -> Duo {
     let clock = LogicalClock::new();
     let dir = Arc::new(StaticKeyDirectory::new());
     let party = |org: &str, scheme: SignatureScheme, seed: u64| {
@@ -42,7 +42,7 @@ fn duo_with_alice_scheme(scheme: SignatureScheme, seed: u64, batch: usize) -> Du
             Arc::new(MemoryLog::new()),
             Arc::clone(&dir) as Arc<dyn KeyDirectory>,
             rng,
-            CommitmentMode::batched(batch),
+            CommitmentMode::auto(50),
         )
     };
     let alice = party("alice", scheme, seed);
@@ -67,6 +67,17 @@ fn exchange(d: &Duo, payload: &[u8]) -> RunId {
     d.alice
         .verify_and_store(&nrr, TokenKind::NrrReq, run, Some(&subject))
         .unwrap();
+    run
+}
+
+/// [`exchange`], then an epoch seal on each side — every seal must
+/// land. A rollover a seal's own signature triggers is persisted by the
+/// next seal, so sealing per exchange keeps every generation's record in
+/// the log by the time the run ends.
+fn sealed_exchange(d: &Duo, payload: &[u8]) -> RunId {
+    let run = exchange(d, payload);
+    d.alice.scheduler().seal().unwrap();
+    d.bob.scheduler().seal().unwrap();
     run
 }
 
@@ -119,7 +130,6 @@ proptest! {
         let hss = duo_with_alice_scheme(
             SignatureScheme::Hss { root_height: 3, subtree_height },
             seed,
-            2,
         );
         // Drive exchanges until alice has crossed the target number of
         // rollovers (capped well below every key's capacity).
@@ -130,14 +140,14 @@ proptest! {
                 break;
             }
             let payload = [seed.to_le_bytes(), i.to_le_bytes()].concat();
-            runs_h.push(exchange(&hss, &payload));
+            runs_h.push(sealed_exchange(&hss, &payload));
             payloads.push(payload);
         }
         prop_assert!(hss.alice.keys().generation() >= target_rollovers);
         // Ground truth: the identical workload in a world where alice
         // holds one flat tree with enough capacity to never roll.
-        let mss = duo_with_alice_scheme(SignatureScheme::Mss { height: 6 }, seed, 2);
-        let runs_m: Vec<RunId> = payloads.iter().map(|p| exchange(&mss, p)).collect();
+        let mss = duo_with_alice_scheme(SignatureScheme::Mss { height: 6 }, seed);
+        let runs_m: Vec<RunId> = payloads.iter().map(|p| sealed_exchange(&mss, p)).collect();
         for d in [&hss, &mss] {
             d.alice.flush_evidence().unwrap();
             d.bob.flush_evidence().unwrap();
@@ -172,12 +182,11 @@ fn sustained_issuance_crosses_four_exhaustions_with_zero_failed_seals() {
             subtree_height: 2,
         },
         42,
-        2,
     );
     let mut runs = Vec::new();
     let mut i = 0u64;
     while d.alice.keys().generation() < 4 {
-        runs.push(exchange(&d, &i.to_le_bytes()));
+        runs.push(sealed_exchange(&d, &i.to_le_bytes()));
         i += 1;
         // Zero degraded-mode entries, checked after every exchange: the
         // lifecycle must never let the signer starve mid-run.
@@ -222,7 +231,6 @@ fn forged_rollover_cert_convicts_the_submitter() {
             subtree_height: 1,
         },
         7,
-        2,
     );
     exchange(&d, b"legit");
     d.alice.flush_evidence().unwrap();

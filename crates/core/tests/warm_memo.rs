@@ -19,7 +19,7 @@ use nonrep_crypto::HssSigner;
 use nonrep_protocols::party::{KeyDirectory, Party, StaticKeyDirectory};
 use nonrep_protocols::scheduler::TokenSpec;
 use nonrep_protocols::tokens::{NrToken, TokenKind};
-use nonrep_protocols::CommitmentMode;
+use nonrep_protocols::{CommitmentMode, ProtocolMessage};
 use nonrep_store::record::{EpochCommitment, KeyRollover, RecordDraft};
 use nonrep_store::{EvidenceRecord, MemoryLog};
 use nonrep_types::codec::{Decode, Encode};
@@ -34,8 +34,8 @@ struct Duo {
     dir: Arc<StaticKeyDirectory>,
 }
 
-/// Two hierarchical-key parties sealing in batches of two, so tokens
-/// share subtree certificates and batch signatures — what the memo caches.
+/// Two batched hierarchical-key parties, so tokens share subtree
+/// certificates and batch signatures — what the memo caches.
 fn duo(seed: u64) -> Duo {
     let clock = LogicalClock::new();
     let dir = Arc::new(StaticKeyDirectory::new());
@@ -54,7 +54,7 @@ fn duo(seed: u64) -> Duo {
             Arc::new(MemoryLog::new()),
             Arc::clone(&dir) as Arc<dyn KeyDirectory>,
             rng,
-            CommitmentMode::batched(2),
+            CommitmentMode::auto(50),
         )
     };
     let alice = party("alice", seed);
@@ -241,14 +241,14 @@ fn tokens_sharing_a_batch_signature_cost_one_walk_each_for_cert_and_batch() {
     let d = duo(0xba7c);
     let run = d.alice.new_run_id();
     let (req, resp) = (sha256(b"request"), sha256(b"response"));
-    // The server's pair for one run: one seal, one shared batch signature.
-    let pair = d
-        .bob
-        .issue_tokens(&[
-            TokenSpec::new(TokenKind::NrrReq, run, req),
-            TokenSpec::new(TokenKind::NroResp, run, resp),
-        ])
-        .unwrap();
+    // The server's pair for one run, carried by its step-2 frame: one
+    // shared batch signature.
+    let specs = [
+        TokenSpec::new(TokenKind::NrrReq, run, req),
+        TokenSpec::new(TokenKind::NroResp, run, resp),
+    ];
+    let frame = ProtocolMessage::new("direct", run, 2, "bob", Vec::new());
+    let pair = d.bob.scheduler().sign_frame(frame, &specs).unwrap().tokens;
     let before = memo_stats();
     d.alice
         .verify_and_store(&pair[0], TokenKind::NrrReq, run, Some(&req))

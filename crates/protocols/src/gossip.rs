@@ -261,7 +261,7 @@ mod tests {
     #[test]
     fn anchors_flow_from_sealer_to_counterparty_store() {
         let (bus, clock, dir) = world();
-        let alice = Party::quick_batched("alice", 1, &clock, &dir, 2);
+        let alice = Party::quick_batched("alice", 1, &clock, &dir);
         let bob = Party::quick("bob", 2, &clock, &dir);
         let alice_coord = coordinator(&bus, "alice");
         let bob_coord = coordinator(&bus, "bob");
@@ -277,8 +277,10 @@ mod tests {
                 .issue_token(TokenKind::NroReq, run, sha256(&[i]))
                 .unwrap();
             alice.store_token(&t).unwrap();
+            if i % 2 == 1 {
+                alice.flush_evidence().unwrap();
+            }
         }
-        alice.flush_evidence().unwrap();
 
         let gossip = AnchorGossip::new(alice.clone(), alice_coord);
         let peers = [OrgId::new("bob")];

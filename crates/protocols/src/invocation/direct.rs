@@ -259,8 +259,6 @@ impl DirectServerHandler {
                 .party()
                 .absorb_carried(&msg, [(TokenKind::NrrResp, resp_digest)])?;
             self.runs.mark_receipt(&msg.run_id);
-            // The server's evidence set for this run is complete.
-            self.engine.seal_run()?;
         }
         Ok(self.engine.open_frame(msg.run_id, 4, Vec::new()))
     }
@@ -552,12 +550,15 @@ mod tests {
 
     /// Leaves each side spends on one exchange, as `KeyPair::remaining`
     /// deltas, and the epoch seals among them.
-    fn leaves_per_exchange(batch: Option<usize>) -> ((u32, u64), (u32, u64)) {
+    fn leaves_per_exchange(batched: bool) -> ((u32, u64), (u32, u64)) {
         let clock = LogicalClock::new();
         let dir = Arc::new(StaticKeyDirectory::new());
-        let party = |org: &str, seed: u64| match batch {
-            Some(size) => Party::quick_batched(org, seed, &clock, &dir, size),
-            None => Party::quick(org, seed, &clock, &dir),
+        let party = |org: &str, seed: u64| {
+            if batched {
+                Party::quick_batched(org, seed, &clock, &dir)
+            } else {
+                Party::quick(org, seed, &clock, &dir)
+            }
         };
         let client_party = party("client", 1);
         let server_party = party("server", 2);
@@ -589,14 +590,14 @@ mod tests {
 
     #[test]
     fn each_signed_step_spends_one_leaf_in_batched_mode() {
-        let ((client, client_seals), (server, server_seals)) = leaves_per_exchange(Some(64));
         // Steps 1 and 3 for the client, step 2 for the server: each frame
-        // shares one leaf with the tokens it carries.
-        assert_eq!(client, 2 + client_seals as u32);
-        assert_eq!(server, 1 + server_seals as u32);
-        assert!(client_seals + server_seals > 0, "run-end seals counted");
+        // shares one leaf with the tokens it carries, and one exchange
+        // fills no epoch.
+        let ((client, client_seals), (server, server_seals)) = leaves_per_exchange(true);
+        assert_eq!((client, client_seals), (2, 0));
+        assert_eq!((server, server_seals), (1, 0));
         // Per-record mode: one leaf per token and one per frame.
-        let ((client, client_seals), (server, server_seals)) = leaves_per_exchange(None);
+        let ((client, client_seals), (server, server_seals)) = leaves_per_exchange(false);
         assert_eq!((client, client_seals), (4, 0));
         assert_eq!((server, server_seals), (3, 0));
     }

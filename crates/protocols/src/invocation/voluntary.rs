@@ -194,9 +194,6 @@ impl ProtocolHandler for VoluntaryServerHandler {
             .engine
             .open_frame(msg.run_id, 2, response.encode_to_vec());
         self.runs.record_response(msg.run_id, &msg2, None);
-        // The server holds all the evidence it will ever get for this
-        // one-sided run; seal it if the commitment policy asks for it.
-        self.engine.seal_run()?;
         Ok(msg2)
     }
 }

@@ -34,9 +34,8 @@
 //! [`party::Party`] (one organisation's protocol identity: keys, clock,
 //! evidence log, key directory), [`scheduler::CommitmentScheduler`] (the
 //! batched evidence-commitment pipeline every party routes token issuance
-//! and log appends through — sealing epochs on size, elapsed time, or a
-//! load-driven auto-tuned mix, with [`scheduler::DeadlineSealer`]
-//! covering idle logs), [`coordinator::B2BCoordinator`]
+//! and log appends through — sealing epochs on a load-tuned size or a
+//! deadline, with [`scheduler::DeadlineSealer`] covering idle logs), [`coordinator::B2BCoordinator`]
 //! (`deliver`/`deliverRequest` dispatch to registered
 //! [`handler::ProtocolHandler`]s), and [`session`] (the typestate
 //! choreography core: every variant above is a typed state machine
@@ -59,12 +58,11 @@ pub use handler::ProtocolHandler;
 pub use message::ProtocolMessage;
 pub use party::{KeyDirectory, Party, StaticKeyDirectory};
 pub use scheduler::{
-    BatchPolicy, CommitmentMode, CommitmentScheduler, DeadlineSealer, ExhaustionForecaster,
-    TokenSpec,
+    CommitmentMode, CommitmentScheduler, DeadlineSealer, ExhaustionForecaster, TokenSpec,
 };
 pub use session::{
     EscalationAction, EscalationOutcome, ExchangeEngine, ExchangeError, ExchangeSupervisor,
-    ExpiryReport, LocalFault, OpenRun, PeerFault, RunJournal, SealOnTimeout,
+    ExpiryReport, LocalFault, OpenRun, PeerFault, RunJournal,
 };
 pub use tokens::{NrToken, TokenKind};
 

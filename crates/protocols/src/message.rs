@@ -161,12 +161,13 @@ mod tests {
     use crate::tokens::TokenKind;
     use nonrep_types::time::{LogicalClock, Timestamp};
 
-    fn party(seed: u64, batch: Option<usize>) -> Arc<Party> {
+    fn party(seed: u64, batched: bool) -> Arc<Party> {
         let clock = LogicalClock::new();
         let dir = Arc::new(StaticKeyDirectory::new());
-        match batch {
-            Some(size) => Party::quick_batched("client", seed, &clock, &dir, size),
-            None => Party::quick("client", seed, &clock, &dir),
+        if batched {
+            Party::quick_batched("client", seed, &clock, &dir)
+        } else {
+            Party::quick("client", seed, &clock, &dir)
         }
     }
 
@@ -190,7 +191,7 @@ mod tests {
 
     #[test]
     fn sign_and_verify_frame() {
-        let p = party(1, None);
+        let p = party(1, false);
         let m = p.sign_frame(msg(), &[]).unwrap();
         assert!(m.verify_frame(&p.keys().verifying_key()));
         assert!(
@@ -201,7 +202,7 @@ mod tests {
 
     #[test]
     fn tampered_fields_break_signature() {
-        let p = party(2, Some(64));
+        let p = party(2, true);
         let signed = p.sign_frame(msg(), &specs(b"a")).unwrap();
         let key = p.keys().verifying_key();
         assert!(signed.verify_frame(&key));
@@ -236,7 +237,7 @@ mod tests {
 
     #[test]
     fn a_token_from_another_frame_breaks_the_signature() {
-        let p = party(3, Some(64));
+        let p = party(3, true);
         let key = p.keys().verifying_key();
         let one = p.sign_frame(msg(), &specs(b"one")).unwrap();
         let other = p.sign_frame(msg(), &specs(b"other")).unwrap();
@@ -248,7 +249,7 @@ mod tests {
 
     #[test]
     fn batched_frame_and_tokens_share_one_leaf() {
-        let p = party(4, Some(64));
+        let p = party(4, true);
         let key = p.keys().verifying_key();
         let before = p.keys().remaining().unwrap();
         let m = p.sign_frame(msg(), &specs(b"x")).unwrap();
@@ -266,7 +267,7 @@ mod tests {
             ));
         }
         // Per-record mode: one signature per token plus the frame's.
-        let p = party(5, None);
+        let p = party(5, false);
         let before = p.keys().remaining().unwrap();
         let m = p.sign_frame(msg(), &specs(b"x")).unwrap();
         assert_eq!(p.keys().remaining().unwrap(), before - 3);
@@ -278,7 +279,7 @@ mod tests {
 
     #[test]
     fn codec_roundtrip_signed_and_unsigned() {
-        let p = party(6, Some(64));
+        let p = party(6, true);
         for m in [
             msg(),
             p.sign_frame(msg(), &[]).unwrap(),
@@ -312,7 +313,7 @@ mod tests {
     }
 
     fn vote_tokens(n: usize) -> Vec<NrToken> {
-        let p = party(7, None);
+        let p = party(7, false);
         (0..n)
             .map(|i| {
                 p.issue_token(TokenKind::Vote, RunId::from_u128(5), sha256(&[i as u8]))
@@ -323,7 +324,7 @@ mod tests {
 
     #[test]
     fn frame_digest_is_stable_and_signature_independent() {
-        let p = party(8, None);
+        let p = party(8, false);
         let unsigned = msg();
         let signed = p.sign_frame(msg(), &[]).unwrap();
         assert_eq!(unsigned.frame_digest(), signed.frame_digest());

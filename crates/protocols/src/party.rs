@@ -140,21 +140,15 @@ impl Party {
         Self::quick_with(org, seed, clock, directory, CommitmentMode::PerRecord)
     }
 
-    /// [`Party::quick`] with the batched commitment pipeline enabled.
+    /// [`Party::quick`] with the batched commitment pipeline enabled
+    /// (a 50 ms deadline on `clock`).
     pub fn quick_batched(
         org: &str,
         seed: u64,
         clock: &LogicalClock,
         directory: &Arc<StaticKeyDirectory>,
-        batch_size: usize,
     ) -> Arc<Self> {
-        Self::quick_with(
-            org,
-            seed,
-            clock,
-            directory,
-            CommitmentMode::batched(batch_size),
-        )
+        Self::quick_with(org, seed, clock, directory, CommitmentMode::auto(50))
     }
 
     fn quick_with(
@@ -251,20 +245,7 @@ impl Party {
         run_id: RunId,
         subject: Digest,
     ) -> Result<NrToken, ProtocolError> {
-        let mut tokens = self.issue_tokens(&[TokenSpec::new(kind, run_id, subject)])?;
-        Ok(tokens.pop().expect("one spec yields one token"))
-    }
-
-    /// Issues several tokens at once. In batched commitment mode the whole
-    /// call consumes a **single** signature (each token carries the shared
-    /// batch signature plus its own authentication path); in per-record
-    /// mode each token is signed individually.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::Signing`] if the key is exhausted.
-    pub fn issue_tokens(&self, specs: &[TokenSpec]) -> Result<Vec<NrToken>, ProtocolError> {
-        self.scheduler.issue(specs)
+        self.scheduler.issue(TokenSpec::new(kind, run_id, subject))
     }
 
     /// Signs `frame` as this party together with the tokens `specs` asks
@@ -319,17 +300,6 @@ impl Party {
             self.verify_and_store(token, kind, msg.run_id, Some(&subject))?;
         }
         Ok(tokens)
-    }
-
-    /// Marks the end of a protocol run: seals any pending evidence if
-    /// the commitment policy asks for run-end sealing (no-op
-    /// per-record).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::Storage`] if the seal cannot be persisted.
-    pub fn end_of_run(&self) -> Result<(), ProtocolError> {
-        self.scheduler.end_of_run().map_err(ProtocolError::from)
     }
 
     /// Explicitly seals pending evidence under an epoch commitment and
@@ -498,7 +468,9 @@ mod tests {
         // Alice signs a frame carrying a genuine token of Bob's: the
         // token is not hers to carry.
         let mut relayed = frame;
-        relayed.tokens = bob.issue_tokens(&[spec]).unwrap();
+        relayed.tokens = vec![bob
+            .issue_token(spec.kind, spec.run_id, spec.subject)
+            .unwrap()];
         relayed.signature = Some(alice.keys().sign_digest(&relayed.frame_digest()).unwrap());
         assert!(matches!(
             bob.absorb_carried(&relayed, [(TokenKind::NroReq, subject)]),

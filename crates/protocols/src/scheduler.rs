@@ -1,27 +1,27 @@
 //! The batched evidence-commitment pipeline.
 //!
-//! PR 1 made hashing cheap; what dominates the evidence hot path now is
-//! **signing** — every token and every sealed log range costs one MSS
-//! signature. [`CommitmentScheduler`] is the single chokepoint all
-//! evidence generation routes through ([`crate::party::Party`] delegates
-//! both token issuance and log appends here), and it amortizes that cost
-//! two ways when batching is enabled:
+//! What dominates the evidence hot path is **signing** — every token and
+//! every sealed log range costs one MSS signature.
+//! [`CommitmentScheduler`] is the single chokepoint all evidence
+//! generation routes through ([`crate::party::Party`] delegates both
+//! token issuance and log appends here), and it amortizes that cost two
+//! ways when batching is enabled:
 //!
 //! 1. **Token batches** — [`CommitmentScheduler::sign_frame`] signs a
 //!    protocol frame and the tokens its sender issues at that step with
 //!    a *single* MSS signature over a Merkle batch root
-//!    ([`nonrep_crypto::sig::KeyPair::sign_batch`]), and
-//!    [`CommitmentScheduler::issue`] does the same for tokens sent
-//!    without a frame of their own. Each token carries the shared
-//!    signature plus its own authentication path and verifies through
-//!    the ordinary [`nonrep_crypto::sig::VerifyingKey::verify`] path, so
-//!    peers and adjudicators need no new machinery.
-//! 2. **Epoch commitments** — appended records accumulate until the
-//!    policy's batch size is reached, then one signature seals the whole
-//!    range `[lo, hi]` as an [`EpochCommitment`] record. A sealed range
-//!    can later be submitted for adjudication as a `snapshot_range`
-//!    *window* (plus the chain head and the epoch's batch proof) instead
-//!    of a clone of the full log.
+//!    ([`nonrep_crypto::sig::KeyPair::sign_batch`]). Each token carries
+//!    the shared signature plus its own authentication path and verifies
+//!    through the ordinary [`nonrep_crypto::sig::VerifyingKey::verify`]
+//!    path, so peers and adjudicators need no new machinery. A token
+//!    sent without a frame of its own ([`CommitmentScheduler::issue`]) is
+//!    signed directly.
+//! 2. **Epoch commitments** — appended records accumulate until a seal,
+//!    then one signature seals the whole range `[lo, hi]` as an
+//!    [`EpochCommitment`] record. A sealed range can later be submitted
+//!    for adjudication as a `snapshot_range` *window* (plus the chain
+//!    head and the epoch's batch proof) instead of a clone of the full
+//!    log.
 //!
 //! Per-record signing ([`CommitmentMode::PerRecord`]) remains the
 //! compatibility mode and the default: every token and every frame gets
@@ -29,23 +29,28 @@
 //!
 //! # Seal policy
 //!
-//! Sealing is policy-driven: automatically when `batch_size` unsealed
-//! records accumulate, when the oldest unsealed record has waited
-//! [`BatchPolicy::max_delay_ms`] (checked on every append and by
-//! [`CommitmentScheduler::poll`] — see [`DeadlineSealer`] for the
-//! background wakeup), explicitly via [`CommitmentScheduler::seal`], and
-//! (if [`BatchPolicy::seal_on_run_end`] is set) whenever a protocol run
-//! completes ([`CommitmentScheduler::end_of_run`]), so a finished
-//! exchange's evidence is always covered by a commitment.
+//! A batched scheduler has one setting, its deadline
+//! ([`CommitmentMode::auto`]), and seals the pending range on the first
+//! of:
 //!
-//! [`BatchPolicy::auto`] adds a load-driven tuner on top of
-//! size-or-time: the effective batch size grows while batches fill well
-//! before the deadline (high throughput → more amortization per
-//! signature and per fsync) and shrinks when the deadline keeps firing
-//! on part-filled batches (low throughput → smaller loss window). The
-//! deadline bounds the unsealed tail in *time* either way, which is what
-//! bounds the crash-loss window of a `SyncPolicy::GroupCommit` file log
-//! (see `nonrep_store::SyncPolicy`).
+//! - **size** — the unsealed records reach the *effective batch size*.
+//!   It starts at [`DEFAULT_AUTO_BATCH`] and a load-driven tuner moves
+//!   it within [`MIN_AUTO_BATCH`]..=[`MAX_AUTO_BATCH`]: it doubles when a
+//!   batch fills in under half the deadline (high load → more
+//!   amortization per signature and per fsync) and halves when the
+//!   deadline fires on a less-than-half-full batch (low load → smaller
+//!   loss window);
+//! - **deadline** — the oldest unsealed record has waited the deadline,
+//!   checked on every append and by [`CommitmentScheduler::poll`] (see
+//!   [`DeadlineSealer`] for the background wakeup). The deadline bounds
+//!   the unsealed tail in *time*, which is what bounds the crash-loss
+//!   window of a `SyncPolicy::GroupCommit` file log (see
+//!   `nonrep_store::SyncPolicy`);
+//! - **overflow** — the next append would overflow a buffering
+//!   backend's byte cap;
+//! - **explicit** — [`CommitmentScheduler::seal`] (and
+//!   [`CommitmentScheduler::seal_durable`]), for callers that need an
+//!   epoch boundary at a point of their choosing.
 //!
 //! # Durability interaction
 //!
@@ -87,111 +92,33 @@ use crate::message::ProtocolMessage;
 use crate::tokens::{NrToken, TokenKind};
 use crate::ProtocolError;
 
-/// When a batched scheduler seals an epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Seal automatically once this many unsealed records accumulate.
-    /// Under [`BatchPolicy::auto`] this is the *initial* effective batch
-    /// size; the tuner moves it within
-    /// [`BatchPolicy::MIN_AUTO_BATCH`]..=[`BatchPolicy::MAX_AUTO_BATCH`].
-    pub batch_size: usize,
-    /// Also seal when a protocol run completes
-    /// ([`CommitmentScheduler::end_of_run`]). Keeps completed exchanges
-    /// fully covered at the cost of smaller batches; high-throughput
-    /// deployments with many concurrent runs can disable it and rely on
-    /// size/time sealing so runs share epochs.
-    pub seal_on_run_end: bool,
-    /// Maximum time, in milliseconds on the scheduler's clock, the
-    /// *oldest* unsealed record may wait before a seal is forced.
-    /// `None` disables the time trigger. The deadline is checked on
-    /// every append and by [`CommitmentScheduler::poll`]; pair it with a
-    /// [`DeadlineSealer`] so an *idle* log still seals on time.
-    pub max_delay_ms: Option<u64>,
-    /// Enables the load-driven batch-size tuner (see
-    /// [`BatchPolicy::auto`]). Requires `max_delay_ms` — without a
-    /// deadline there is no load signal to tune against.
-    pub auto_tune: bool,
-}
-
-impl BatchPolicy {
-    /// Smallest effective batch size the auto-tuner will shrink to.
-    pub const MIN_AUTO_BATCH: usize = 4;
-    /// Largest effective batch size the auto-tuner will grow to.
-    pub const MAX_AUTO_BATCH: usize = 4096;
-    /// Initial effective batch size under [`BatchPolicy::auto`].
-    pub const DEFAULT_AUTO_BATCH: usize = 16;
-
-    /// Seal every `batch_size` records and at each run end.
-    pub fn new(batch_size: usize) -> Self {
-        Self {
-            batch_size: batch_size.max(1),
-            seal_on_run_end: true,
-            max_delay_ms: None,
-            auto_tune: false,
-        }
-    }
-
-    /// Seal on size *or* elapsed time: every `batch_size` records, or as
-    /// soon as the oldest unsealed record is `max_delay_ms` old,
-    /// whichever comes first. Run-end sealing is off — concurrent runs
-    /// share epochs, and the deadline bounds how long a completed run's
-    /// evidence can sit unsealed (and, on a `SyncPolicy::GroupCommit`
-    /// file log, un-fsynced). Re-enable per-run coverage with
-    /// [`BatchPolicy::sealing_on_run_end`] if an application needs it.
-    pub fn size_or_time(batch_size: usize, max_delay_ms: u64) -> Self {
-        Self {
-            batch_size: batch_size.max(1),
-            seal_on_run_end: false,
-            max_delay_ms: Some(max_delay_ms.max(1)),
-            auto_tune: false,
-        }
-    }
-
-    /// [`BatchPolicy::size_or_time`] with a load-driven batch size: the
-    /// effective size starts at [`BatchPolicy::DEFAULT_AUTO_BATCH`],
-    /// doubles whenever a batch fills in under half the deadline (high
-    /// load — amortize more per signature/fsync) and halves whenever the
-    /// deadline fires on a less-than-half-full batch (low load — shrink
-    /// the loss window), clamped to
-    /// [`BatchPolicy::MIN_AUTO_BATCH`]..=[`BatchPolicy::MAX_AUTO_BATCH`].
-    pub fn auto(max_delay_ms: u64) -> Self {
-        Self {
-            batch_size: Self::DEFAULT_AUTO_BATCH,
-            seal_on_run_end: false,
-            max_delay_ms: Some(max_delay_ms.max(1)),
-            auto_tune: true,
-        }
-    }
-
-    /// Sets run-end sealing (builder). `false` on a [`BatchPolicy::new`]
-    /// policy means sealing on batch size only — maximum amortization,
-    /// with concurrent runs sharing epochs.
-    #[must_use]
-    pub fn sealing_on_run_end(mut self, on: bool) -> Self {
-        self.seal_on_run_end = on;
-        self
-    }
-}
+/// Initial effective batch size of a batched scheduler.
+pub const DEFAULT_AUTO_BATCH: usize = 16;
+/// Smallest effective batch size the tuner shrinks to.
+pub const MIN_AUTO_BATCH: usize = 4;
+/// Largest effective batch size the tuner grows to.
+pub const MAX_AUTO_BATCH: usize = 4096;
 
 /// How evidence is signed and committed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitmentMode {
     /// Compatibility mode: one signature per token, no epoch records.
     PerRecord,
-    /// One signature per token *batch* and one per sealed epoch.
-    Batched(BatchPolicy),
+    /// One signature per signed step and one per sealed epoch, sealed by
+    /// the policy in the [module docs](self).
+    Batched {
+        /// Maximum time, in milliseconds on the scheduler's clock, the
+        /// *oldest* unsealed record may wait before a seal is forced.
+        max_delay_ms: u64,
+    },
 }
 
 impl CommitmentMode {
-    /// Batched mode with the given batch size and run-end sealing.
-    pub fn batched(batch_size: usize) -> Self {
-        CommitmentMode::Batched(BatchPolicy::new(batch_size))
-    }
-
-    /// Batched mode with the load-driven auto-tuner
-    /// ([`BatchPolicy::auto`]) under the given seal deadline.
+    /// Batched mode sealing within `max_delay_ms` (at least 1).
     pub fn auto(max_delay_ms: u64) -> Self {
-        CommitmentMode::Batched(BatchPolicy::auto(max_delay_ms))
+        CommitmentMode::Batched {
+            max_delay_ms: max_delay_ms.max(1),
+        }
     }
 }
 
@@ -218,16 +145,11 @@ impl TokenSpec {
 }
 
 /// What caused a seal — drives the auto-tuner (only size/deadline seals
-/// are load signals; explicit and run-end seals say nothing about load).
+/// are load signals; overflow and explicit seals say nothing about load).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SealTrigger {
     Size,
     Deadline,
-    /// Automatic seal at protocol-run completion: cooldown-gated like
-    /// the size/deadline triggers (runs complete constantly, so without
-    /// gating an outage would burn one finite signature per run), but
-    /// not a load signal for the tuner.
-    RunEnd,
     /// Automatic seal because the next append would overflow the
     /// backend's byte cap. Cooldown-gated, and deliberately *not* a
     /// tuner signal: it says the records are large, not that the load
@@ -327,8 +249,8 @@ struct SchedulerState {
     /// When the oldest currently-unsealed record was appended (`None`
     /// when nothing is pending). The time trigger compares against this.
     pending_since: Option<Timestamp>,
-    /// Current effective batch size (equals the policy's `batch_size`
-    /// unless the auto-tuner has moved it).
+    /// Current effective batch size ([`DEFAULT_AUTO_BATCH`] until the
+    /// tuner moves it; 1 in per-record mode).
     effective_batch: usize,
     /// When the last seal attempt failed, and how many attempts have
     /// failed in a row. `Some` doubles as the degraded flag: the next
@@ -405,7 +327,7 @@ impl CommitmentScheduler {
         // bounds is how long they sit unsealed *from here on*.
         let pending_since = (log.len() > sealed_next).then(|| clock.now());
         let effective_batch = match mode {
-            CommitmentMode::Batched(policy) => policy.batch_size,
+            CommitmentMode::Batched { .. } => DEFAULT_AUTO_BATCH,
             CommitmentMode::PerRecord => 1,
         };
         Self {
@@ -446,9 +368,9 @@ impl CommitmentScheduler {
         self.state.lock().last_seal_failure.is_some()
     }
 
-    /// The batch size currently in force: the policy's `batch_size`, as
-    /// moved by the auto-tuner under [`BatchPolicy::auto`] (1 in
-    /// per-record mode, where every record is its own signature).
+    /// The batch size currently in force: [`DEFAULT_AUTO_BATCH`] as moved
+    /// by the tuner (1 in per-record mode, where every record is its own
+    /// signature).
     pub fn effective_batch_size(&self) -> usize {
         self.state.lock().effective_batch
     }
@@ -458,53 +380,23 @@ impl CommitmentScheduler {
         self.log.len().saturating_sub(self.state.lock().sealed_next)
     }
 
-    /// Issues signed tokens for `specs` — one signature for the whole
-    /// call in batched mode, one per token in per-record mode.
+    /// Issues one token for `spec` under a direct signature — for a
+    /// token no frame of this party carries (a carried token shares its
+    /// frame's signature, see [`CommitmentScheduler::sign_frame`]).
     ///
     /// # Errors
     ///
     /// [`ProtocolError::Signing`] if the key is exhausted.
-    pub fn issue(&self, specs: &[TokenSpec]) -> Result<Vec<NrToken>, ProtocolError> {
-        let batched = matches!(self.mode, CommitmentMode::Batched(_));
-        if !batched || specs.len() <= 1 {
-            // A batch of one gains nothing over a direct signature and
-            // would carry a (pointless) single-leaf auth path.
-            return specs
-                .iter()
-                .map(|s| {
-                    NrToken::issue(
-                        s.kind,
-                        s.run_id,
-                        self.actor.clone(),
-                        s.subject,
-                        self.clock.now(),
-                        &self.keys,
-                    )
-                    .map_err(ProtocolError::from)
-                })
-                .collect();
-        }
-        let stamped: Vec<(TokenSpec, nonrep_types::time::Timestamp)> =
-            specs.iter().map(|s| (*s, self.clock.now())).collect();
-        let digests: Vec<Digest> = stamped
-            .iter()
-            .map(|(s, at)| NrToken::signing_digest(s.kind, &s.run_id, &self.actor, &s.subject, *at))
-            .collect();
-        let signatures = self.keys.sign_batch(&digests)?;
-        Ok(stamped
-            .into_iter()
-            .zip(signatures)
-            .map(|((s, at), signature)| {
-                NrToken::from_parts(
-                    s.kind,
-                    s.run_id,
-                    self.actor.clone(),
-                    s.subject,
-                    at,
-                    signature,
-                )
-            })
-            .collect())
+    pub fn issue(&self, spec: TokenSpec) -> Result<NrToken, ProtocolError> {
+        NrToken::issue(
+            spec.kind,
+            spec.run_id,
+            self.actor.clone(),
+            spec.subject,
+            self.clock.now(),
+            &self.keys,
+        )
+        .map_err(ProtocolError::from)
     }
 
     /// Signs `frame` as this party together with the tokens `specs` asks
@@ -531,7 +423,7 @@ impl CommitmentScheduler {
             .map(|s| NrToken::signing_digest(s.kind, &s.run_id, &self.actor, &s.subject, at))
             .collect();
         digests.push(frame.digest_over(&digests));
-        let batched = matches!(self.mode, CommitmentMode::Batched(_));
+        let batched = matches!(self.mode, CommitmentMode::Batched { .. });
         let mut signatures = if batched && !specs.is_empty() {
             self.keys.sign_batch(&digests)?
         } else {
@@ -559,8 +451,8 @@ impl CommitmentScheduler {
     }
 
     /// Appends an evidence record, sealing an epoch automatically when
-    /// the batch policy's size is reached or the oldest unsealed record
-    /// has waited out [`BatchPolicy::max_delay_ms`].
+    /// the effective batch size is reached or the oldest unsealed record
+    /// has waited out the deadline.
     ///
     /// A *failed* auto-seal does not fail the append: the caller's
     /// record is committed either way, the records stay pending, and
@@ -580,13 +472,13 @@ impl CommitmentScheduler {
         // On a bounded-buffer backend in batched mode, seal *before* an
         // append that would overflow the byte cap: the epoch record is
         // cap-exempt and its append flushes (drains) the whole buffer.
-        // Without this, a size-only policy whose batch never fills
-        // before the cap would wedge appends permanently. A generous
-        // size estimate errs toward sealing slightly early — never
-        // toward a spurious append failure. If sealing is itself failing
-        // (cooldown, spent key) the seal error propagates: buffer-full
-        // with broken sealing is real backpressure.
-        if matches!(self.mode, CommitmentMode::Batched(_)) {
+        // Without this, large records arriving faster than the deadline
+        // would wedge appends until it fires. A generous size estimate
+        // errs toward sealing slightly early — never toward a spurious
+        // append failure. If sealing is itself failing (cooldown, spent
+        // key) the seal error propagates: buffer-full with broken
+        // sealing is real backpressure.
+        if matches!(self.mode, CommitmentMode::Batched { .. }) {
             if let Some(headroom) = self.log.buffer_headroom() {
                 let estimate =
                     (draft.payload.len() + draft.kind.len() + draft.actor.as_str().len() + 4096)
@@ -597,14 +489,14 @@ impl CommitmentScheduler {
             }
         }
         let record = self.log.append(draft)?;
-        if let CommitmentMode::Batched(policy) = self.mode {
+        if let CommitmentMode::Batched { max_delay_ms } = self.mode {
             let now = self.clock.now();
             let since = *state.pending_since.get_or_insert(now);
             let due = if self.log.len().saturating_sub(state.sealed_next)
                 >= state.effective_batch as u64
             {
                 Some(SealTrigger::Size)
-            } else if policy.max_delay_ms.is_some_and(|d| now.since(since) >= d) {
+            } else if now.since(since) >= max_delay_ms {
                 Some(SealTrigger::Deadline)
             } else {
                 None
@@ -620,9 +512,9 @@ impl CommitmentScheduler {
     }
 
     /// Deadline check: seals the pending range if the oldest unsealed
-    /// record has waited out [`BatchPolicy::max_delay_ms`]. Returns the
-    /// epoch record if a seal happened. No-op when the policy has no
-    /// time trigger, when nothing is pending, or in per-record mode.
+    /// record has waited out the deadline. Returns the epoch record if a
+    /// seal happened. No-op when nothing is pending or in per-record
+    /// mode.
     ///
     /// Call this periodically so an *idle* log still seals on time —
     /// [`DeadlineSealer`] wraps exactly that loop in a background thread.
@@ -631,14 +523,14 @@ impl CommitmentScheduler {
     ///
     /// [`StoreError`] if the seal cannot be persisted.
     pub fn poll(&self) -> Result<Option<Arc<EvidenceRecord>>, StoreError> {
-        let CommitmentMode::Batched(policy) = self.mode else {
+        let CommitmentMode::Batched { max_delay_ms } = self.mode else {
             return Ok(None);
         };
         let mut state = self.state.lock();
-        let (Some(deadline), Some(since)) = (policy.max_delay_ms, state.pending_since) else {
+        let Some(since) = state.pending_since else {
             return Ok(None);
         };
-        if self.clock.now().since(since) < deadline {
+        if self.clock.now().since(since) < max_delay_ms {
             return Ok(None);
         }
         self.seal_locked(&mut state, SealTrigger::Deadline)
@@ -683,31 +575,6 @@ impl CommitmentScheduler {
             self.log.flush()?;
         }
         Ok(record)
-    }
-
-    /// Run-completion hook: seals pending evidence when the policy asks
-    /// for run-end sealing. No-op in per-record mode.
-    ///
-    /// A failed seal does **not** fail the completed run: by the time
-    /// this hook fires the exchange succeeded and all its evidence is
-    /// appended, so propagating a sealing error here would bait callers
-    /// into retrying — and duplicating — a finished exchange. The
-    /// records stay pending, sealing retries on later triggers, and the
-    /// condition is visible via [`CommitmentScheduler::is_degraded`];
-    /// callers that must *know* the seal landed use
-    /// [`CommitmentScheduler::seal`], which does propagate.
-    ///
-    /// # Errors
-    ///
-    /// None currently — the `Result` is kept so a future hard-fail (e.g.
-    /// a poisoned log) can surface without an API break.
-    pub fn end_of_run(&self) -> Result<(), StoreError> {
-        if let CommitmentMode::Batched(policy) = self.mode {
-            if policy.seal_on_run_end {
-                let _ = self.seal_locked(&mut self.state.lock(), SealTrigger::RunEnd);
-            }
-        }
-        Ok(())
     }
 
     /// Seals `[sealed_next, len)` under one signature. Caller holds the
@@ -849,12 +716,9 @@ impl CommitmentScheduler {
 
     /// Load-driven batch-size update, fed by the seal that just landed.
     fn tune_locked(&self, state: &mut SchedulerState, trigger: SealTrigger, sealed: u64) {
-        let CommitmentMode::Batched(policy) = self.mode else {
+        let CommitmentMode::Batched { max_delay_ms } = self.mode else {
             return;
         };
-        if !policy.auto_tune {
-            return;
-        }
         // Exhaustion pressure outranks load signals: when the EWMA
         // forecast says fewer than `EXHAUSTION_LOW_WATER_EPOCHS` seals
         // remain in the key, grow the batch regardless of trigger —
@@ -865,14 +729,10 @@ impl CommitmentScheduler {
         // latency, so this trades seal frequency, not coverage.
         if let Some(epochs) = state.forecast.forecast_epochs(self.keys.remaining()) {
             if epochs < EXHAUSTION_LOW_WATER_EPOCHS {
-                state.effective_batch =
-                    (state.effective_batch * 2).min(BatchPolicy::MAX_AUTO_BATCH);
+                state.effective_batch = (state.effective_batch * 2).min(MAX_AUTO_BATCH);
                 return;
             }
         }
-        let Some(deadline) = policy.max_delay_ms else {
-            return;
-        };
         let elapsed = state
             .pending_since
             .map_or(0, |since| self.clock.now().since(since));
@@ -880,18 +740,16 @@ impl CommitmentScheduler {
             // The batch filled in under half the deadline: load is high,
             // a bigger batch amortizes more per signature and per fsync
             // while still sealing well within the deadline.
-            SealTrigger::Size if elapsed * 2 < deadline => {
-                state.effective_batch =
-                    (state.effective_batch * 2).min(BatchPolicy::MAX_AUTO_BATCH);
+            SealTrigger::Size if elapsed * 2 < max_delay_ms => {
+                state.effective_batch = (state.effective_batch * 2).min(MAX_AUTO_BATCH);
             }
             // The deadline fired on a less-than-half-full batch: load is
             // low, a smaller batch keeps epochs (and the crash-loss
             // window of a buffered log) proportionate to actual traffic.
             SealTrigger::Deadline if sealed * 2 < state.effective_batch as u64 => {
-                state.effective_batch =
-                    (state.effective_batch / 2).max(BatchPolicy::MIN_AUTO_BATCH);
+                state.effective_batch = (state.effective_batch / 2).max(MIN_AUTO_BATCH);
             }
-            // Explicit/run-end seals say nothing about load.
+            // Overflow and explicit seals say nothing about load.
             _ => {}
         }
     }
@@ -899,24 +757,23 @@ impl CommitmentScheduler {
 
 /// Background deadline wakeups for a [`CommitmentScheduler`].
 ///
-/// Spawns a thread that calls [`CommitmentScheduler::poll`] every
-/// `poll_interval` (wall-clock), so a log that goes *idle* under a
-/// [`BatchPolicy::max_delay_ms`] policy still seals within its deadline —
-/// without a wakeup, the time trigger would only ever be checked on the
-/// next append. The thread reads deadlines through the scheduler's own
-/// [`Clock`], so it drives simulated (`LogicalClock`) and wall-clock
-/// deployments alike; only the polling cadence is wall-time.
+/// Spawns a thread that calls [`CommitmentScheduler::poll`] every quarter
+/// of the deadline (clamped to 5 ms..=1 s, wall-clock), so a log that
+/// goes *idle* still seals within its deadline — without a wakeup, the
+/// time trigger would only ever be checked on the next append. The
+/// thread reads deadlines through the scheduler's own [`Clock`], so it
+/// drives simulated (`LogicalClock`) and wall-clock deployments alike;
+/// only the polling cadence is wall-time.
 ///
 /// Seal errors inside the poll loop are not fatal: the records stay
 /// pending and the next poll (or append, or explicit seal) retries them.
 /// Consecutive failures back the polling off exponentially (up to 64×
-/// the configured interval) so a persistently broken disk is not
-/// hammered with fsync probes; the first success restores the cadence.
-/// The thread stops and joins when the handle is dropped.
+/// the interval) so a persistently broken disk is not hammered with
+/// fsync probes; the first success restores the cadence. The thread
+/// stops and joins when the handle is dropped.
 pub struct DeadlineSealer {
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
-    scheduler: Arc<CommitmentScheduler>,
 }
 
 impl fmt::Debug for DeadlineSealer {
@@ -926,63 +783,38 @@ impl fmt::Debug for DeadlineSealer {
 }
 
 impl DeadlineSealer {
-    /// Spawns the polling thread over `scheduler`.
-    pub fn spawn(scheduler: Arc<CommitmentScheduler>, poll_interval: Duration) -> Self {
-        // Clamp away a zero interval: park_timeout(0) returns
-        // immediately, which would turn the poller into a busy spin that
-        // pins a core (and on which the error backoff's doubling stays
-        // zero forever).
-        let poll_interval = poll_interval.max(Duration::from_millis(1));
+    /// Spawns the polling thread over `scheduler`, or returns `None` in
+    /// per-record mode, which has no deadline to keep.
+    pub fn spawn(scheduler: Arc<CommitmentScheduler>) -> Option<Self> {
+        let CommitmentMode::Batched { max_delay_ms } = scheduler.mode() else {
+            return None;
+        };
+        let poll_interval = Duration::from_millis((max_delay_ms / 4).clamp(5, 1000));
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = Arc::clone(&stop);
-        let thread_scheduler = Arc::clone(&scheduler);
-        let handle = std::thread::spawn(move || {
-            let mut delay = poll_interval;
-            while !thread_stop.load(Ordering::Relaxed) {
-                std::thread::park_timeout(delay);
-                if thread_stop.load(Ordering::Relaxed) {
-                    break;
+        let handle = std::thread::Builder::new()
+            .name("nonrep-sealer".into())
+            .spawn(move || {
+                let mut delay = poll_interval;
+                while !thread_stop.load(Ordering::Relaxed) {
+                    std::thread::park_timeout(delay);
+                    if thread_stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    delay = if scheduler.poll().is_err() {
+                        // Failure backoff; the degraded probe already keeps
+                        // the retries signature-free, this keeps them rare.
+                        (delay * 2).min(poll_interval * 64)
+                    } else {
+                        poll_interval
+                    };
                 }
-                delay = if thread_scheduler.poll().is_err() {
-                    // Failure backoff; the degraded probe already keeps the
-                    // retries signature-free, this keeps them rare.
-                    (delay * 2).min(poll_interval * 64)
-                } else {
-                    poll_interval
-                };
-            }
-        });
-        Self {
+            })
+            .expect("spawn deadline sealer thread");
+        Some(Self {
             stop,
             handle: Some(handle),
-            scheduler,
-        }
-    }
-
-    /// A threadless sealer for deterministic harnesses: nothing polls in
-    /// the background, the driver calls [`DeadlineSealer::tick`] at the
-    /// points *it* chooses. Combined with a
-    /// [`nonrep_types::time::LogicalClock`] the deadline path replays
-    /// bit-identically — wall time never enters the schedule.
-    pub fn manual(scheduler: Arc<CommitmentScheduler>) -> Self {
-        Self {
-            stop: Arc::new(AtomicBool::new(false)),
-            handle: None,
-            scheduler,
-        }
-    }
-
-    /// Runs one deadline poll now, returning the epoch record it sealed,
-    /// if any (exactly [`CommitmentScheduler::poll`]). On a
-    /// [`DeadlineSealer::manual`] sealer this is the *only* driver of the
-    /// deadline path; on a spawned sealer it is a deterministic kick in
-    /// addition to the background cadence.
-    ///
-    /// # Errors
-    ///
-    /// The scheduler's [`StoreError`].
-    pub fn tick(&self) -> Result<Option<Arc<EvidenceRecord>>, StoreError> {
-        self.scheduler.poll()
+        })
     }
 }
 
@@ -1039,7 +871,6 @@ mod tests {
         for i in 0..10 {
             s.record(draft(i)).unwrap();
         }
-        s.end_of_run().unwrap();
         assert_eq!(log.len(), 10);
         assert_eq!(log.count_where(&|r| r.is_epoch_commit()), 0);
         assert_eq!(s.unsealed_len(), 10, "per-record mode never seals");
@@ -1047,13 +878,14 @@ mod tests {
 
     #[test]
     fn batched_mode_seals_every_batch_size_records() {
-        let (s, log) = scheduler(CommitmentMode::batched(4));
-        for i in 0..9 {
+        let (s, log) = scheduler(CommitmentMode::auto(100));
+        for i in 0..=DEFAULT_AUTO_BATCH as u64 {
             s.record(draft(i)).unwrap();
         }
-        // 9 ordinary records → seals after the 4th and 8th: 2 epochs.
-        assert_eq!(log.count_where(&|r| r.is_epoch_commit()), 2);
+        // The 16th record seals the first epoch; the 17th waits.
+        assert_eq!(log.count_where(&|r| r.is_epoch_commit()), 1);
         assert_eq!(s.unsealed_len(), 1);
+        s.seal().unwrap().unwrap();
         log.verify().unwrap();
         // Every commitment verifies against its covered range.
         let keys_vk = {
@@ -1080,8 +912,8 @@ mod tests {
     }
 
     #[test]
-    fn explicit_seal_and_run_end_cover_the_tail() {
-        let (s, log) = scheduler(CommitmentMode::batched(100));
+    fn explicit_seal_covers_the_tail() {
+        let (s, log) = scheduler(CommitmentMode::auto(100));
         for i in 0..3 {
             s.record(draft(i)).unwrap();
         }
@@ -1090,54 +922,23 @@ mod tests {
         assert_eq!(epoch.draft.kind, EPOCH_KIND);
         assert_eq!(s.unsealed_len(), 0);
         assert!(s.seal().unwrap().is_none(), "nothing pending");
-        // end_of_run seals when the policy says so.
-        s.record(draft(9)).unwrap();
-        s.end_of_run().unwrap();
-        assert_eq!(s.unsealed_len(), 0);
-        // A policy without run-end sealing ignores run ends.
-        let (s2, _) = scheduler(CommitmentMode::Batched(
-            BatchPolicy::new(100).sealing_on_run_end(false),
-        ));
-        s2.record(draft(0)).unwrap();
-        s2.end_of_run().unwrap();
-        assert_eq!(s2.unsealed_len(), 1);
         log.verify().unwrap();
     }
 
     #[test]
-    fn issue_batches_share_one_signature() {
-        let (s, _) = scheduler(CommitmentMode::batched(16));
-        let run = RunId::from_u128(7);
-        let specs = [
-            TokenSpec::new(TokenKind::NrrReq, run, sha256(b"req")),
-            TokenSpec::new(TokenKind::NroResp, run, sha256(b"resp")),
-        ];
-        let tokens = s.issue(&specs).unwrap();
-        assert_eq!(tokens.len(), 2);
-        let vk = s.keys.verifying_key();
-        for t in &tokens {
-            assert!(t.signature.is_batched());
-            assert!(t.verify(&vk, Some(t.kind), Some(run), None));
+    fn issue_signs_one_token_directly_in_either_mode() {
+        for mode in [CommitmentMode::PerRecord, CommitmentMode::auto(100)] {
+            let (s, _) = scheduler(mode);
+            let run = RunId::from_u128(7);
+            let before = s.keys.remaining().unwrap();
+            let token = s
+                .issue(TokenSpec::new(TokenKind::NrrReq, run, sha256(b"req")))
+                .unwrap();
+            assert_eq!(s.keys.remaining().unwrap(), before - 1);
+            assert!(!token.signature.is_batched());
+            let vk = s.keys.verifying_key();
+            assert!(token.verify(&vk, Some(TokenKind::NrrReq), Some(run), None));
         }
-        // A single-token call uses a direct signature (no path overhead).
-        let one = s.issue(&specs[..1]).unwrap();
-        assert!(!one[0].signature.is_batched());
-        assert!(one[0].verify(&vk, Some(TokenKind::NrrReq), Some(run), None));
-    }
-
-    #[test]
-    fn issue_per_record_mode_signs_individually() {
-        let (s, _) = scheduler(CommitmentMode::PerRecord);
-        let run = RunId::from_u128(7);
-        let remaining_before = s.keys.remaining().unwrap();
-        let tokens = s
-            .issue(&[
-                TokenSpec::new(TokenKind::NrrReq, run, sha256(b"a")),
-                TokenSpec::new(TokenKind::NroResp, run, sha256(b"b")),
-            ])
-            .unwrap();
-        assert_eq!(s.keys.remaining().unwrap(), remaining_before - 2);
-        assert!(tokens.iter().all(|t| !t.signature.is_batched()));
     }
 
     #[test]
@@ -1157,10 +958,13 @@ mod tests {
                 log.clone(),
                 OrgId::new("org"),
                 clock.clone(),
-                CommitmentMode::batched(3),
+                CommitmentMode::auto(100),
             );
             for i in 0..7 {
                 s.record(draft(i)).unwrap();
+                if i % 3 == 2 {
+                    s.seal().unwrap().unwrap();
+                }
             }
             // 7 records → epochs sealed after 3 and 6 appends; one record
             // (seq 8) pending. Seal it so the tail is an epoch record.
@@ -1183,7 +987,7 @@ mod tests {
             log.clone(),
             OrgId::new("org"),
             clock,
-            CommitmentMode::batched(3),
+            CommitmentMode::auto(100),
         );
         assert_eq!(s.unsealed_len(), 1, "the orphaned record is pending again");
         s.record(draft(99)).unwrap();
@@ -1218,7 +1022,7 @@ mod tests {
     #[test]
     fn size_or_time_seals_on_deadline_via_append() {
         let clock = Arc::new(LogicalClock::new());
-        let mode = CommitmentMode::Batched(BatchPolicy::size_or_time(100, 50));
+        let mode = CommitmentMode::auto(50);
         let (s, log) = scheduler_with_clock(mode, clock.clone());
         s.record(draft(0)).unwrap();
         clock.advance(49);
@@ -1239,7 +1043,7 @@ mod tests {
     #[test]
     fn poll_seals_an_idle_log_after_the_deadline() {
         let clock = Arc::new(LogicalClock::new());
-        let mode = CommitmentMode::Batched(BatchPolicy::size_or_time(100, 50));
+        let mode = CommitmentMode::auto(50);
         let (s, log) = scheduler_with_clock(mode, clock.clone());
         for i in 0..3 {
             s.record(draft(i)).unwrap();
@@ -1262,19 +1066,20 @@ mod tests {
     #[test]
     fn poll_is_noop_without_time_trigger_or_in_per_record_mode() {
         let clock = Arc::new(LogicalClock::new());
-        let (s, _) = scheduler_with_clock(CommitmentMode::batched(100), clock.clone());
+        let (s, _) = scheduler_with_clock(CommitmentMode::auto(50), clock.clone());
         s.record(draft(0)).unwrap();
-        clock.advance(1_000_000);
-        assert!(s.poll().unwrap().is_none(), "no max_delay_ms → no trigger");
-        let (s2, _) = scheduler_with_clock(CommitmentMode::PerRecord, clock);
+        clock.advance(49);
+        assert!(s.poll().unwrap().is_none(), "deadline not due → no trigger");
+        let (s2, _) = scheduler_with_clock(CommitmentMode::PerRecord, clock.clone());
         s2.record(draft(0)).unwrap();
+        clock.advance(1_000_000);
         assert!(s2.poll().unwrap().is_none());
     }
 
     #[test]
     fn deadline_countdown_restarts_after_each_seal() {
         let clock = Arc::new(LogicalClock::new());
-        let mode = CommitmentMode::Batched(BatchPolicy::size_or_time(100, 50));
+        let mode = CommitmentMode::auto(50);
         let (s, log) = scheduler_with_clock(mode, clock.clone());
         s.record(draft(0)).unwrap();
         clock.advance(50);
@@ -1291,12 +1096,12 @@ mod tests {
     #[test]
     fn deadline_sealer_seals_idle_log_in_wall_time() {
         use nonrep_types::time::SystemClock;
-        // Real clock + real thread: an idle log under size_or_time seals
-        // within the deadline with no further appends.
-        let mode = CommitmentMode::Batched(BatchPolicy::size_or_time(1000, 30));
+        // Real clock + real thread: an idle log seals within the
+        // deadline with no further appends.
+        let mode = CommitmentMode::auto(30);
         let (s, log) = scheduler_with_clock(mode, Arc::new(SystemClock::new()));
         s.record(draft(0)).unwrap();
-        let sealer = DeadlineSealer::spawn(Arc::clone(&s), Duration::from_millis(5));
+        let sealer = DeadlineSealer::spawn(Arc::clone(&s)).expect("batched mode");
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while s.unsealed_len() > 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
@@ -1308,38 +1113,19 @@ mod tests {
     }
 
     #[test]
-    fn manual_sealer_is_deterministic_under_logical_clock() {
-        // No background thread: the deadline path fires exactly when the
-        // driver advances the logical clock and ticks — twice over, the
-        // same schedule produces the same epoch layout.
-        let run = || {
-            let clock = Arc::new(LogicalClock::new());
-            let mode = CommitmentMode::Batched(BatchPolicy::size_or_time(1000, 30));
-            let (s, log) = scheduler_with_clock(mode, clock.clone());
-            let sealer = DeadlineSealer::manual(Arc::clone(&s));
-            s.record(draft(0)).unwrap();
-            assert!(sealer.tick().unwrap().is_none(), "deadline not reached");
-            clock.advance(30);
-            assert!(sealer.tick().unwrap().is_some(), "deadline seal");
-            s.record(draft(1)).unwrap();
-            clock.advance(29);
-            assert!(sealer.tick().unwrap().is_none());
-            clock.advance(1);
-            assert!(sealer.tick().unwrap().is_some());
-            log.verify().unwrap();
-            log.records()
-                .iter()
-                .map(|r| r.record_hash())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run());
+    fn deadline_sealer_spawns_only_in_batched_mode() {
+        let clock = Arc::new(LogicalClock::new());
+        let (per_record, _) = scheduler_with_clock(CommitmentMode::PerRecord, clock.clone());
+        assert!(DeadlineSealer::spawn(per_record).is_none());
+        let (batched, _) = scheduler_with_clock(CommitmentMode::auto(50), clock);
+        assert!(DeadlineSealer::spawn(batched).is_some());
     }
 
     #[test]
     fn auto_tuner_grows_under_load_and_shrinks_when_idle() {
         let clock = Arc::new(LogicalClock::new());
         let (s, log) = scheduler_with_clock(CommitmentMode::auto(100), clock.clone());
-        assert_eq!(s.effective_batch_size(), BatchPolicy::DEFAULT_AUTO_BATCH);
+        assert_eq!(s.effective_batch_size(), DEFAULT_AUTO_BATCH);
         // High load: fill batches with no time passing → size seals far
         // inside the deadline → effective batch doubles each epoch.
         let mut n = 0u64;
@@ -1350,10 +1136,7 @@ mod tests {
                 n += 1;
             }
         }
-        assert_eq!(
-            s.effective_batch_size(),
-            4 * BatchPolicy::DEFAULT_AUTO_BATCH
-        );
+        assert_eq!(s.effective_batch_size(), 4 * DEFAULT_AUTO_BATCH);
         // Low load: one record, deadline fires → batch halves, floored.
         for _ in 0..20 {
             s.record(draft(n)).unwrap();
@@ -1361,7 +1144,7 @@ mod tests {
             clock.advance(100);
             s.poll().unwrap().unwrap();
         }
-        assert_eq!(s.effective_batch_size(), BatchPolicy::MIN_AUTO_BATCH);
+        assert_eq!(s.effective_batch_size(), MIN_AUTO_BATCH);
         log.verify().unwrap();
     }
 
@@ -1377,9 +1160,9 @@ mod tests {
                 s.record(draft(n)).unwrap();
                 n += 1;
             }
-            assert!(s.effective_batch_size() <= BatchPolicy::MAX_AUTO_BATCH);
+            assert!(s.effective_batch_size() <= MAX_AUTO_BATCH);
         }
-        assert_eq!(s.effective_batch_size(), BatchPolicy::MAX_AUTO_BATCH);
+        assert_eq!(s.effective_batch_size(), MAX_AUTO_BATCH);
     }
 
     #[test]
@@ -1475,17 +1258,26 @@ mod tests {
             s.record(draft(n)).unwrap();
             clock.advance(100);
             s.poll().unwrap().unwrap();
-            floored |= s.effective_batch_size() == BatchPolicy::MIN_AUTO_BATCH;
+            floored |= s.effective_batch_size() == MIN_AUTO_BATCH;
         }
         assert!(floored, "low load first halves the batch to the floor");
         assert!(
-            s.effective_batch_size() >= 8 * BatchPolicy::MIN_AUTO_BATCH,
+            s.effective_batch_size() >= 8 * MIN_AUTO_BATCH,
             "exhaustion pressure regrew the batch, got {}",
             s.effective_batch_size()
         );
         assert!(!s.is_degraded(), "the key never starved");
         assert!(keys.remaining().unwrap() > 0);
         log.verify().unwrap();
+    }
+
+    /// Appends `draft(n)` and seals after every odd `n`: epochs of two
+    /// records, the layout the rollover and exhaustion tests count.
+    fn record_in_pairs(s: &CommitmentScheduler, n: u64) {
+        s.record(draft(n)).unwrap();
+        if n % 2 == 1 {
+            s.seal().unwrap().unwrap();
+        }
     }
 
     /// Everything the rollover tests want to inspect, collected in one
@@ -1521,12 +1313,12 @@ mod tests {
             log.clone(),
             OrgId::new("org"),
             Arc::new(LogicalClock::new()),
-            CommitmentMode::batched(2),
+            CommitmentMode::auto(100),
         );
         // 4 subtrees x 2 leaves: 8 epoch seals drain the hierarchy.
         let mut n = 0u64;
         while keys.remaining().unwrap() > 0 {
-            s.record(draft(n)).unwrap();
+            record_in_pairs(&s, n);
             n += 1;
         }
         assert_eq!(
@@ -1579,12 +1371,12 @@ mod tests {
                 file.clone() as Arc<dyn EvidenceLog>,
                 OrgId::new("org"),
                 clock.clone(),
-                CommitmentMode::batched(2),
+                CommitmentMode::auto(100),
             );
             // Three seals: the third one's signature rolls the signer to
             // generation 1; its record would only land at seal 4.
             for i in 0..6 {
-                s.record(draft(i)).unwrap();
+                record_in_pairs(&s, i);
             }
             assert_eq!(keys.generation(), 1);
             assert_eq!(
@@ -1602,11 +1394,11 @@ mod tests {
             log.clone(),
             OrgId::new("org"),
             clock,
-            CommitmentMode::batched(2),
+            CommitmentMode::auto(100),
         );
         let mut n = 10u64;
         while keys.remaining().unwrap() > 0 {
-            s.record(draft(n)).unwrap();
+            record_in_pairs(&s, n);
             n += 1;
         }
         let (rollovers, epochs) = lifecycle_records(&log);
@@ -1648,12 +1440,12 @@ mod tests {
                 file.clone() as Arc<dyn EvidenceLog>,
                 OrgId::new("org"),
                 clock.clone(),
-                CommitmentMode::batched(2),
+                CommitmentMode::auto(100),
             );
             // Two seals spend half of generation 0, which kicks off
             // background pre-generation of generation 1. Kill right there.
             for i in 0..4 {
-                s.record(draft(i)).unwrap();
+                record_in_pairs(&s, i);
             }
             assert_eq!(keys.generation(), 0);
             file.last_seal_ticket().unwrap().wait_durable().unwrap();
@@ -1666,11 +1458,11 @@ mod tests {
             log.clone(),
             OrgId::new("org"),
             clock,
-            CommitmentMode::batched(2),
+            CommitmentMode::auto(100),
         );
         let mut n = 10u64;
         while keys.remaining().unwrap() > 0 {
-            s.record(draft(n)).unwrap();
+            record_in_pairs(&s, n);
             n += 1;
         }
         let (rollovers, _) = lifecycle_records(&log);
@@ -1716,11 +1508,11 @@ mod tests {
             log.clone(),
             OrgId::new("org"),
             clock,
-            CommitmentMode::batched(2),
+            CommitmentMode::auto(100),
         );
-        // Two size seals spend generation 0's two leaves.
+        // Two seals spend generation 0's two leaves.
         for n in 0..4u64 {
-            s.record(draft(n)).unwrap();
+            record_in_pairs(&s, n);
         }
         assert_eq!(keys.generation(), 0);
         // Token-path signatures activate and exhaust the terminal
@@ -1780,7 +1572,7 @@ mod tests {
             log.clone(),
             OrgId::new("org"),
             clock.clone(),
-            CommitmentMode::Batched(BatchPolicy::size_or_time(100, 50)),
+            CommitmentMode::auto(50),
         );
         assert_eq!(s.unsealed_len(), 2);
         clock.advance(49);
@@ -1808,12 +1600,15 @@ mod tests {
                 file.clone() as Arc<dyn EvidenceLog>,
                 OrgId::new("org"),
                 clock.clone(),
-                CommitmentMode::batched(4),
+                CommitmentMode::auto(100),
             );
             // One full epoch (acked: its seal's barrier is awaited) + 2
             // unsealed, buffered records. Kill: skip FileLog's Drop flush.
             for i in 0..6 {
                 s.record(draft(i)).unwrap();
+                if i == 3 {
+                    s.seal().unwrap().unwrap();
+                }
             }
             assert_eq!(s.unsealed_len(), 2);
             file.last_seal_ticket().unwrap().wait_durable().unwrap();
@@ -1834,12 +1629,13 @@ mod tests {
             log.clone(),
             OrgId::new("org"),
             clock,
-            CommitmentMode::batched(4),
+            CommitmentMode::auto(100),
         );
         assert_eq!(s.unsealed_len(), 0);
         for i in 10..14 {
             s.record(draft(i)).unwrap();
         }
+        s.seal().unwrap().unwrap();
         let commits: Vec<EpochCommitment> = {
             let mut out = Vec::new();
             log.for_each(&mut |r| {
@@ -1935,14 +1731,15 @@ mod tests {
             log.clone(),
             OrgId::new("org"),
             clock.clone(),
-            CommitmentMode::Batched(BatchPolicy::size_or_time(2, 50)),
+            CommitmentMode::auto(50),
         );
         let budget = keys.remaining().unwrap();
         assert!(!s.is_degraded());
-        // The append that trips the size trigger still succeeds even
-        // though the seal behind it fails — evidence is never doubly
-        // appended because a caller saw a spurious error.
+        // The append that trips the deadline still succeeds even though
+        // the seal behind it fails — evidence is never doubly appended
+        // because a caller saw a spurious error.
         s.record(draft(0)).unwrap();
+        clock.advance(50);
         s.record(draft(1)).unwrap();
         assert_eq!(log.len(), 2, "both records committed");
         assert_eq!(s.unsealed_len(), 2, "nothing sealed");
@@ -1951,7 +1748,6 @@ mod tests {
         assert_eq!(budget - after_first_attempt, 1, "first attempt signed once");
         // Retries while the disk is down are cooldown-gated and probe
         // with flush() first — they must not consume signatures.
-        clock.advance(50);
         for _ in 0..5 {
             assert!(s.poll().is_err(), "disk still broken");
         }
@@ -1988,23 +1784,26 @@ mod tests {
             &mut SecureRandom::from_seed(11),
         ));
         let log: Arc<dyn EvidenceLog> = Arc::new(MemoryLog::new());
+        let clock = Arc::new(LogicalClock::new());
         let s = CommitmentScheduler::new(
             keys.clone(),
             log.clone(),
             OrgId::new("org"),
-            Arc::new(LogicalClock::new()),
-            CommitmentMode::batched(2),
+            clock.clone(),
+            CommitmentMode::auto(100),
         );
         let mut n = 0u64;
         while keys.remaining().unwrap() > 0 {
-            s.record(draft(n)).unwrap();
+            record_in_pairs(&s, n);
             n += 1;
         }
         assert_eq!(log.count_where(&|r| r.is_epoch_commit()), 4);
         assert!(!s.is_degraded());
-        // Key is spent. Further appends succeed but cannot seal.
+        // Key is spent. Further appends succeed but cannot seal, however
+        // overdue the deadline.
         for _ in 0..6 {
             s.record(draft(n)).unwrap();
+            clock.advance(100);
             n += 1;
         }
         assert!(s.is_degraded(), "exhaustion is observable");
@@ -2018,9 +1817,10 @@ mod tests {
 
     #[test]
     fn buffer_full_append_seals_and_retries() {
-        // Size-only policy whose batch never fills before the byte cap:
-        // the overflowing append must trigger a seal (draining the
-        // buffer) and then land, not wedge the log permanently.
+        // A batch that never fills, on a clock that never reaches the
+        // deadline, before the byte cap: the overflowing append must
+        // trigger a seal (draining the buffer) and then land, not wedge
+        // the log.
         use nonrep_store::{FileLog, SyncPolicy};
         let path = temp_path("cap-retry-");
         let _ = std::fs::remove_file(&path);
@@ -2034,7 +1834,7 @@ mod tests {
             file.clone() as Arc<dyn EvidenceLog>,
             OrgId::new("org"),
             Arc::new(LogicalClock::new()),
-            CommitmentMode::Batched(BatchPolicy::new(1_000_000).sealing_on_run_end(false)),
+            CommitmentMode::auto(100),
         );
         let big = |n: u64| RecordDraft {
             payload: vec![n as u8; 16 << 20],
@@ -2077,21 +1877,23 @@ mod tests {
             &mut SecureRandom::from_seed(13),
         ));
         let file = Arc::new(FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap());
+        let clock = Arc::new(LogicalClock::new());
         let s = CommitmentScheduler::new(
             keys.clone(),
             file.clone() as Arc<dyn EvidenceLog>,
             OrgId::new("org"),
-            Arc::new(LogicalClock::new()),
-            CommitmentMode::batched(2),
+            clock.clone(),
+            CommitmentMode::auto(100),
         );
         let mut n = 0u64;
         while keys.remaining().unwrap() > 0 {
-            s.record(draft(n)).unwrap();
+            record_in_pairs(&s, n);
             n += 1;
         }
-        // Two more records trip the size trigger with a spent key: the
+        // Two more records trip the deadline with a spent key: the
         // failed seal attempt flushes them before reporting Unavailable.
         s.record(draft(n)).unwrap();
+        clock.advance(100);
         s.record(draft(n + 1)).unwrap();
         assert!(s.is_degraded());
         assert_eq!(
@@ -2125,11 +1927,14 @@ mod tests {
             file.clone() as Arc<dyn EvidenceLog>,
             OrgId::new("org"),
             Arc::new(LogicalClock::new()),
-            CommitmentMode::batched(4),
+            CommitmentMode::auto(100),
         );
-        // Two auto-seals: each returns once its frame is queued.
+        // Two seals: each returns once its frame is queued.
         for i in 0..8 {
             s.record(draft(i)).unwrap();
+            if i % 4 == 3 {
+                s.seal().unwrap().unwrap();
+            }
         }
         assert_eq!(s.unsealed_len(), 0, "both epochs sealed");
         assert_eq!(file.count_where(&|r| r.is_epoch_commit()), 2);
@@ -2167,7 +1972,7 @@ mod tests {
             file.clone() as Arc<dyn EvidenceLog>,
             OrgId::new("org"),
             Arc::new(LogicalClock::new()),
-            CommitmentMode::batched(100),
+            CommitmentMode::auto(100),
         );
         for n in 0..8u64 {
             let before = file.sync_batches();
@@ -2208,7 +2013,7 @@ mod tests {
             file.clone() as Arc<dyn EvidenceLog>,
             OrgId::new("org"),
             clock.clone(),
-            CommitmentMode::batched(16),
+            CommitmentMode::auto(100),
         ));
         std::thread::scope(|scope| {
             for t in 0..4u64 {
@@ -2248,9 +2053,13 @@ mod tests {
         // A fresh scheduler resumes from the surviving watermark and
         // keeps sealing.
         let log: Arc<dyn EvidenceLog> = Arc::new(recovered);
-        let s = CommitmentScheduler::new(keys, log.clone(), OrgId::new("org"), clock, {
-            CommitmentMode::batched(16)
-        });
+        let s = CommitmentScheduler::new(
+            keys,
+            log.clone(),
+            OrgId::new("org"),
+            clock,
+            CommitmentMode::auto(100),
+        );
         s.record(draft(10_000)).unwrap();
         s.seal_durable().unwrap().unwrap();
         assert_eq!(s.unsealed_len(), 0);
@@ -2350,13 +2159,14 @@ mod tests {
             log.clone(),
             OrgId::new("org"),
             clock.clone(),
-            CommitmentMode::Batched(BatchPolicy::size_or_time(2, 50)),
+            CommitmentMode::auto(50),
         );
         let budget = keys.remaining().unwrap();
         // Device breaks. The seal itself still succeeds — it returns
         // once the frame is queued, and the barrier fails behind it.
         flaky.set_fail(true);
         s.record(draft(0)).unwrap();
+        clock.advance(50);
         s.record(draft(1)).unwrap();
         assert!(!s.is_degraded(), "async failure not visible yet");
         assert_eq!(s.unsealed_len(), 0, "epoch sealed (queued)");
@@ -2364,6 +2174,7 @@ mod tests {
         // The NEXT seal consumes the async completion error: it fails,
         // rolls its own epoch record back, and enters the degraded path.
         s.record(draft(2)).unwrap();
+        clock.advance(50);
         s.record(draft(3)).unwrap();
         assert!(s.is_degraded(), "async failure consumed and observable");
         assert_eq!(s.unsealed_len(), 2, "second epoch rolled back");

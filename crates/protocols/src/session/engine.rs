@@ -1,5 +1,5 @@
 //! The shared exchange engine: one implementation of framing, delivery
-//! with retries, evidence capture and run sealing for every choreography.
+//! with retries and evidence capture for every choreography.
 //!
 //! Each protocol variant used to hand-roll this plumbing. The engine
 //! centralises it:
@@ -20,9 +20,10 @@
 //!   carries and [`ExchangeEngine::absorb`] any other peer token;
 //! - **unframed evidence** — [`ExchangeEngine::issue_and_store`] issues
 //!   and persists a token sent outside a signed frame of its own (in an
-//!   open reply, or at a later step);
-//! - **sealing** — [`ExchangeEngine::seal_run`] invokes the party's
-//!   `end_of_run` commitment hook.
+//!   open reply, or at a later step).
+//!
+//! Sealing is not a per-run event: the party's `CommitmentScheduler`
+//! seals evidence on its own policy, whichever runs it belongs to.
 //!
 //! Typed choreographies drive the engine through
 //! [`Session`]; handlers (which are callback-shaped by
@@ -93,7 +94,7 @@ impl ExchangeEngine {
     }
 
     /// Enables crash-recovery journalling: every completed choreography
-    /// step appends a progress marker through `journal`, and sealing a
+    /// step appends a progress marker through `journal`, and finishing a
     /// run appends its close marker. Off by default — the fast path
     /// pays nothing unless a deployment opts in.
     #[must_use]
@@ -131,8 +132,7 @@ impl ExchangeEngine {
         }
     }
 
-    /// Journals "`run` aborted at `step`" and seals, if journalling is
-    /// on.
+    /// Journals "`run` aborted at `step`", if journalling is on.
     ///
     /// # Errors
     ///
@@ -327,15 +327,5 @@ impl ExchangeEngine {
         self.party
             .verify_and_store(token, kind, run, subject)
             .map_err(ExchangeError::from)
-    }
-
-    /// Marks the end of a protocol run: seals pending evidence if the
-    /// commitment policy asks for run-end sealing.
-    ///
-    /// # Errors
-    ///
-    /// [`ExchangeError::Local`] if the seal cannot be persisted.
-    pub fn seal_run(&self) -> Result<(), ExchangeError> {
-        self.party.end_of_run().map_err(ExchangeError::from)
     }
 }

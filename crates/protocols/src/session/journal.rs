@@ -2,7 +2,7 @@
 //!
 //! A crash between choreography steps must not orphan a run. Every
 //! journalled party appends a [`RunMarker`] record as each step
-//! completes and when the run closes (sealed or aborted); the markers
+//! completes and when the run closes (completed or aborted); the markers
 //! ride the ordinary hash chain, so they are tamper-evident, survive
 //! exactly as far as the log's durability policy guarantees, and cost
 //! one unsigned append per step on the hot path (amortised into the
@@ -14,7 +14,7 @@
 //! The recovering party either resumes each open run from its last
 //! completed step (the peer's caches make redelivery idempotent) or
 //! closes it with [`RunJournal::abort`] — appending the `Aborted`
-//! marker and sealing, so no run is ever left open and no accusation is
+//! marker, so no run is ever left open and no accusation is
 //! manufactured: markers attest nothing about the peer, and
 //! adjudicators skip them.
 
@@ -83,7 +83,7 @@ impl RunJournal {
         })
     }
 
-    /// Records that `run` completed and sealed.
+    /// Records that `run` completed.
     ///
     /// # Errors
     ///
@@ -98,8 +98,9 @@ impl RunJournal {
     }
 
     /// Closes `run` without completion (timeout abort, or recovery
-    /// declining to resume) and seals the party's pending evidence, so
-    /// the decision itself is durable.
+    /// declining to resume). The marker becomes durable with the next
+    /// sealed epoch, or at once on a write-through log; a caller that
+    /// must know it is on disk follows with `Party::flush_evidence`.
     ///
     /// # Errors
     ///
@@ -110,8 +111,7 @@ impl RunJournal {
             variant: variant.to_string(),
             step,
             phase: MarkerPhase::Aborted,
-        })?;
-        self.party.end_of_run().map_err(ExchangeError::from)
+        })
     }
 
     /// Folds `log` into the set of runs that were open when the log was

@@ -7,9 +7,9 @@
 //! consumes itself on every transition and returns the next state type,
 //! so sending out of order or twice is a **compile error**, and all
 //! variants inherit one implementation of framing, retries (the
-//! coordinator's `ReliableRequester`, hence `net::fault` injection),
-//! evidence capture through the `CommitmentScheduler`, and the
-//! `end_of_run` seal hook.
+//! coordinator's `ReliableRequester`, hence `net::fault` injection) and
+//! evidence capture through the `CommitmentScheduler`, which seals on
+//! its own policy rather than per run.
 //!
 //! Declaring a new choreography is a type alias plus payload
 //! construction:
@@ -18,7 +18,7 @@
 //! use nonrep_protocols::session::{Call, CallOpen, End};
 //!
 //! // A two-round notarisation: signed request/reply, then an
-//! // unverified ack round, then seal.
+//! // unverified ack round, then end.
 //! type Notarise = Call<1, 2, CallOpen<3, 4, End>>;
 //!
 //! // The legal traces fall out of the type — conformance tests walk
@@ -51,9 +51,7 @@ pub mod typestate;
 pub use engine::ExchangeEngine;
 pub use error::{ExchangeError, LocalFault, PeerFault};
 pub use journal::{OpenRun, RunJournal};
-pub use supervisor::{
-    EscalationAction, EscalationOutcome, ExchangeSupervisor, ExpiryReport, SealOnTimeout,
-};
+pub use supervisor::{EscalationAction, EscalationOutcome, ExchangeSupervisor, ExpiryReport};
 pub use trace::{TraceStep, WireMode};
 pub use typestate::{
     Branch, Call, CallLossy, CallOpen, CallOr, CallRelayed, Client, End, Forward, Role, Server,

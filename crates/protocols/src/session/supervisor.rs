@@ -16,16 +16,18 @@
 //! 1. **retry** — the transport layer's business: `ReliableRequester`
 //!    retries with backoff until its deadline budget expires
 //!    (`NetError::Timeout`). The supervisor never re-sends.
-//! 2. **seal** — for variants with no recourse (direct, voluntary,
-//!    inline TTP), [`SealOnTimeout`] flushes whatever evidence the
-//!    local party already holds, so the partial run is durable and
-//!    adjudicable even though the exchange is dead.
-//! 3. **abort choreography** — the fair-offline server escalates to the
+//! 2. **abort choreography** — the fair-offline server escalates to the
 //!    TTP's abort sub-protocol, closing the run so a stalled client can
 //!    never collect the key later. If the client already delivered the
 //!    receipt, the action reports [`EscalationOutcome::AlreadyComplete`]
 //!    and nothing is aborted — the timeout path never manufactures an
 //!    `abort_after_receipt` conviction against an honest server.
+//!
+//! Variants with no recourse protocol (direct, voluntary, inline TTP)
+//! have no rung of their own yet: their partial evidence is already in
+//! the log and reaches disk with the party's next sealed epoch. The
+//! facade escalation for them arrives when the supervisor is wired
+//! into the middleware.
 //!
 //! Safety never depends on any of this firing: a run the supervisor
 //! abandons is merely unfinished, not unfair. Timeouts buy liveness
@@ -40,7 +42,6 @@ use nonrep_types::ids::{ProtocolId, RunId};
 use nonrep_types::time::{Clock, Timestamp};
 use parking_lot::Mutex;
 
-use super::engine::ExchangeEngine;
 use super::error::ExchangeError;
 
 /// What an [`EscalationAction`] did when its watch expired.
@@ -50,9 +51,9 @@ pub enum EscalationOutcome {
     /// exchange): the TTP confirmed the abort, the stalled peer can
     /// never finish the run.
     Aborted,
-    /// The run was declared dead and local evidence sealed; no recourse
-    /// protocol exists for this variant, so the caller surfaces a
-    /// timeout fault with the partial evidence already durable.
+    /// The run was declared dead; no recourse protocol exists for this
+    /// variant, so the caller surfaces a timeout fault with the partial
+    /// evidence it holds.
     Faulted,
     /// The run had in fact completed between the deadline passing and
     /// the escalation firing (or the expected message raced the sweep);
@@ -220,32 +221,6 @@ impl ExchangeSupervisor {
                 }
             })
             .collect()
-    }
-}
-
-/// The no-recourse escalation (ladder rung 2): seal whatever evidence
-/// the local party holds so the dead run's partial record is durable.
-/// Used by direct, voluntary-receipt, and inline-TTP runs, which have
-/// no abort choreography to invoke.
-pub struct SealOnTimeout {
-    engine: ExchangeEngine,
-}
-
-impl SealOnTimeout {
-    /// An action sealing through `engine`'s party.
-    pub fn new(engine: &ExchangeEngine) -> Arc<Self> {
-        Arc::new(Self {
-            engine: engine.clone(),
-        })
-    }
-}
-
-impl EscalationAction for SealOnTimeout {
-    fn escalate(&self, _run: RunId) -> EscalationOutcome {
-        match self.engine.seal_run() {
-            Ok(()) => EscalationOutcome::Faulted,
-            Err(e) => EscalationOutcome::Failed(e.to_string()),
-        }
     }
 }
 

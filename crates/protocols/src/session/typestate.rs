@@ -92,7 +92,7 @@ pub trait State: Send + Sync + 'static {
 }
 
 /// Terminal state: the only transition left is [`Session::finish`],
-/// which runs the engine's seal hook.
+/// which journals the run's close.
 pub struct End(());
 
 /// Signed request `STEP`, signed reply `REPLY` verified under the
@@ -451,17 +451,15 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
 }
 
 impl<R: Role> Session<R, End> {
-    /// Completes the run: journals the close marker (if journalling is
-    /// on) and invokes the engine's seal hook (`end_of_run`), letting
-    /// the commitment policy seal the run's evidence — close marker
-    /// included.
+    /// Completes the run: journals the close marker, if journalling is
+    /// on. The run's evidence is sealed with whatever epoch the
+    /// commitment policy seals next, close marker included.
     ///
     /// # Errors
     ///
-    /// [`ExchangeError::Local`] if the seal cannot be persisted.
+    /// [`ExchangeError::Local`] if the marker cannot be persisted.
     pub fn finish(self) -> Result<(), ExchangeError> {
-        self.engine.journal_close(self.run, 0)?;
-        self.engine.seal_run()
+        self.engine.journal_close(self.run, 0)
     }
 }
 

@@ -328,7 +328,7 @@ impl SharingMember {
             ));
         }
         let run_id = self.party.new_run_id();
-        let base_version = self.store.history(object).len() as u64;
+        let base_version = self.store.latest(object).map_or(0, |(v, _)| v + 1);
         let proposal = ProposalBody {
             group: group.clone(),
             object: object.to_owned(),
@@ -459,7 +459,10 @@ impl SharingMember {
         }
 
         // Decide the vote: staleness first, then application validators.
-        let local_version = self.store.history(&proposal.object).len() as u64;
+        let local_version = self
+            .store
+            .latest(&proposal.object)
+            .map_or(0, |(v, _)| v + 1);
         let (accept, reason) = if proposal.base_version != local_version {
             (
                 false,
@@ -569,7 +572,10 @@ impl SharingMember {
 
         // Apply if unanimously accepted.
         if decision.accepted {
-            let local_version = self.store.history(&decision.proposal.object).len() as u64;
+            let local_version = self
+                .store
+                .latest(&decision.proposal.object)
+                .map_or(0, |(v, _)| v + 1);
             if decision.proposal.base_version != local_version {
                 return Err(ProtocolError::StaleVersion {
                     proposed_base: decision.proposal.base_version,

@@ -239,7 +239,6 @@ fn direct_killed_after_step3_closes_on_recovery() {
     let open = w.sole_open_run();
     assert_eq!(open.last_step, 3);
     client.engine().journal_close(run, 3).unwrap();
-    client.engine().seal_run().unwrap();
     w.assert_recovered_clean();
     // The server saw the receipt: no party has grounds to accuse.
     assert!(w
@@ -269,7 +268,6 @@ fn voluntary_killed_after_its_single_round_closes_on_recovery() {
     assert_eq!(open.last_step, 1);
     assert_eq!(open.variant.as_str(), voluntary::PROTOCOL_ID);
     client.engine().journal_close(run, 1).unwrap();
-    client.engine().seal_run().unwrap();
     w.assert_recovered_clean();
 }
 
@@ -316,7 +314,6 @@ fn inline_killed_after_its_relayed_round_closes_on_recovery() {
     let open = w.sole_open_run();
     assert_eq!(open.last_step, 1);
     client.engine().journal_close(run, 1).unwrap();
-    client.engine().seal_run().unwrap();
     w.assert_recovered_clean();
 }
 
@@ -390,7 +387,6 @@ fn fair_client_killed_after_key_arrival_closes_on_recovery() {
     let open = w.sole_open_run();
     assert_eq!(open.last_step, STEP_RECEIPT);
     client.engine().journal_close(run, STEP_KEY).unwrap();
-    client.engine().seal_run().unwrap();
     w.assert_recovered_clean();
     // Both items changed hands before the kill: receipt at the server,
     // key at the client — fairness held through the crash.
@@ -478,7 +474,6 @@ fn fair_client_killed_mid_resolve_still_holds_the_conviction() {
     assert_eq!(open.len(), 1);
     assert_eq!(open[0].last_step, STEP_RESOLVE);
     engine.journal_close(run, STEP_RESOLVE).unwrap();
-    engine.seal_run().unwrap();
     assert!(journal.recovered_open_runs().is_empty());
     client_party.log().verify().unwrap();
 }

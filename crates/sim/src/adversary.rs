@@ -383,15 +383,17 @@ mod tests {
     fn batched_party_with_tokens() -> (Arc<Party>, Arc<StaticKeyDirectory>) {
         let clock = LogicalClock::new();
         let dir = Arc::new(StaticKeyDirectory::new());
-        let party = Party::quick_batched("alice", 7, &clock, &dir, 2);
+        let party = Party::quick_batched("alice", 7, &clock, &dir);
         let run = RunId::from_u128(9);
         for i in 0..4u8 {
             let t = party
                 .issue_token(TokenKind::NroReq, run, sha256(&[i]))
                 .unwrap();
             party.store_token(&t).unwrap();
+            if i % 2 == 1 {
+                party.flush_evidence().unwrap();
+            }
         }
-        party.flush_evidence().unwrap();
         (party, dir)
     }
 

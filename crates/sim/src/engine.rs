@@ -57,7 +57,7 @@ use nonrep_protocols::invocation::voluntary::{VoluntaryClient, VoluntaryServerHa
 use nonrep_protocols::invocation::RequestExecutor;
 use nonrep_protocols::party::{KeyDirectory, Party, StaticKeyDirectory};
 use nonrep_protocols::tokens::TokenKind;
-use nonrep_protocols::{B2BCoordinator, BatchPolicy, CommitmentMode, ExchangeSupervisor};
+use nonrep_protocols::{B2BCoordinator, CommitmentMode, ExchangeSupervisor};
 use nonrep_store::log::{FileLog, SyncPolicy};
 use nonrep_store::record::ChainViolation;
 use nonrep_store::MemoryLog;
@@ -288,7 +288,7 @@ impl<'a> Fleet<'a> {
         // the batched pipeline and gossips its anchors.
         let batched = !exhausted && role != Some(Role::TokenReplayer);
         let mode = if batched {
-            CommitmentMode::Batched(BatchPolicy::new(2))
+            CommitmentMode::auto(50)
         } else {
             CommitmentMode::PerRecord
         };

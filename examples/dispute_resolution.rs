@@ -26,10 +26,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Both organisations batch their evidence: one MSS signature per
     // sealed epoch instead of one per record.
     let dealer = OrgMiddleware::builder("dealer", bus.clone(), dir.clone(), clock.clone())
-        .commitment(CommitmentMode::batched(8))
+        .commitment(CommitmentMode::auto(500))
         .build();
     let manufacturer = OrgMiddleware::builder("manufacturer", bus, dir.clone(), clock)
-        .commitment(CommitmentMode::batched(8))
+        .commitment(CommitmentMode::auto(500))
         .build();
 
     manufacturer.deploy(

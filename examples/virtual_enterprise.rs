@@ -45,15 +45,15 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     let dealer = org_stack("dealer", &bus, &dir, &clock);
     // The manufacturer's evidence goes to a durable, group-committed
-    // file log: batched commitments (one signature per 8-record epoch),
-    // each sealed epoch enqueued to the log's sync thread instead of
-    // fsyncing inline.
+    // file log: batched commitments (one signature per sealed epoch,
+    // sealed within 500 ms), each sealed epoch enqueued to the log's sync
+    // thread instead of fsyncing inline.
     let log_path = std::env::temp_dir().join(format!("nonrep-ve-{}.log", std::process::id()));
     let _ = std::fs::remove_file(&log_path);
     let manufacturer_builder =
         OrgMiddleware::builder("manufacturer", bus.clone(), dir.clone(), clock.clone());
     let manufacturer = manufacturer_builder
-        .commitment(CommitmentMode::batched(8))
+        .commitment(CommitmentMode::auto(500))
         .evidence_file(&log_path, SyncPolicy::GroupCommit)?
         .build();
     let supplier_a = org_stack("supplier-a", &bus, &dir, &clock);

@@ -53,6 +53,9 @@ retired=(
     par_map_range par_map_indexed verify_chain
     # a frame and its sender's tokens share one signature
     issue_paired_tokens signed_bytes ProposeMsg Step1 Step2 Step3
+    # one seal policy: the deadline is a batched scheduler's only setting
+    BatchPolicy size_or_time sealing_on_run_end seal_on_run_end auto_tune RunEnd end_of_run
+    seal_run SealOnTimeout issue_tokens sealer_poll_interval
 )
 echo "==> retired names"
 if grep -rnwF "${retired[@]/#/-e}" --exclude=check.sh \

@@ -107,7 +107,7 @@ pub mod prelude {
     pub use nonrep_net::latency::LatencyModel;
     pub use nonrep_net::retry::RetryPolicy;
     pub use nonrep_protocols::party::{KeyDirectory, Party, StaticKeyDirectory};
-    pub use nonrep_protocols::scheduler::{BatchPolicy, CommitmentMode, DeadlineSealer};
+    pub use nonrep_protocols::scheduler::{CommitmentMode, DeadlineSealer};
     pub use nonrep_protocols::tokens::TokenKind;
     pub use nonrep_protocols::ProtocolError;
     pub use nonrep_store::{
