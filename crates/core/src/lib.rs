@@ -6,7 +6,9 @@
 //! * [`middleware`] — [`OrgMiddleware`], one organisation's full stack:
 //!   party identity (keys, clock, evidence log), component container,
 //!   B2B coordinator (registered on the bus at `"{org}#b2b"`), state
-//!   store, sharing membership, and protocol handlers. The programmatic
+//!   store, sharing membership, protocol handlers, the anchor store its
+//!   counterparties gossip into and the supervisor its fair server arms
+//!   (swept by `OrgMiddleware::tick`). The programmatic
 //!   face of "the NR interceptor, B2BInvocationHandler, B2BProtocolHandler
 //!   and B2BCoordinator comprise each party's trusted interceptor" (§4.2).
 //!   The builder also selects the evidence pipeline: commitment mode
@@ -41,4 +43,4 @@ pub use dispute::{Adjudicator, Corroboration, Fact, LogReport, Verdict, WindowSu
 pub use domain::TrustDomain;
 pub use handler_factory::{B2BInvocation, B2BInvocationHandler, InvocationHandlerFactory};
 pub use interceptor::{ClientNrInterceptor, ContainerExecutor};
-pub use middleware::{b2b_address, MiddlewareBuilder, OrgMiddleware};
+pub use middleware::{b2b_address, MiddlewareBuilder, OrgMiddleware, RECEIPT_WINDOW_MS};

@@ -9,7 +9,8 @@
 //!   bus address (ordinary, un-evidenced remoting stays available as the
 //!   baseline);
 //! * the **B2B coordinator** is registered at [`b2b_address`]
-//!   (`"{org}#b2b"`), with the full protocol-handler suite.
+//!   (`"{org}#b2b"`), with the protocol handlers, anchor gossip and
+//!   receipt-window supervision.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -23,9 +24,10 @@ use nonrep_crypto::rng::SecureRandom;
 use nonrep_crypto::sig::{KeyPair, SignatureScheme};
 use nonrep_net::bus::LocalBus;
 use nonrep_net::retry::{ReliableRequester, RetryPolicy};
+use nonrep_protocols::gossip::{AnchorGossip, AnchorGossipHandler, AnchorStore};
 use nonrep_protocols::invocation::direct::{DirectClient, DirectServerHandler};
 use nonrep_protocols::invocation::fair_offline::{
-    FairClient, FairServerHandler, OfflineTtpHandler, ServerConduct,
+    FairClient, FairServerHandler, FairServerRuntime, OfflineTtpHandler, ServerConduct,
 };
 use nonrep_protocols::invocation::inline_ttp::{InlineTtpClient, InlineTtpHandler};
 use nonrep_protocols::invocation::voluntary::{VoluntaryClient, VoluntaryServerHandler};
@@ -36,14 +38,18 @@ use nonrep_protocols::sharing::coordination::{
 };
 use nonrep_protocols::sharing::membership::{self, MembershipHandler};
 use nonrep_protocols::sharing::GroupRegistry;
-use nonrep_protocols::{B2BCoordinator, ProtocolError};
+use nonrep_protocols::{B2BCoordinator, ExchangeSupervisor, ExpiryReport, ProtocolError};
 use nonrep_store::{DurabilityClass, EvidenceLog, MemoryLog, StateStore, SyncPolicy};
 use nonrep_types::ids::{GroupId, OrgId, ServiceUri};
 use nonrep_types::time::LogicalClock;
 
-use crate::dispute::WindowSubmission;
+use crate::dispute::{Corroboration, WindowSubmission};
 use crate::domain::TrustDomain;
 use crate::interceptor::{ClientNrInterceptor, ContainerExecutor, ProtocolClient};
+
+/// Clock milliseconds a fair server's client has between the step-2
+/// response and its receipt before [`OrgMiddleware::tick`] aborts the run.
+pub const RECEIPT_WINDOW_MS: u64 = 400;
 
 /// The bus address of an organisation's B2B coordinator.
 pub fn b2b_address(org: &OrgId) -> OrgId {
@@ -58,6 +64,7 @@ pub struct MiddlewareBuilder {
     clock: LogicalClock,
     seed: u64,
     scheme: SignatureScheme,
+    keys: Option<Arc<KeyPair>>,
     retry: RetryPolicy,
     domain: TrustDomain,
     offline_ttp: Option<OrgId>,
@@ -85,6 +92,15 @@ impl MiddlewareBuilder {
     #[must_use]
     pub fn scheme(mut self, scheme: SignatureScheme) -> Self {
         self.scheme = scheme;
+        self
+    }
+
+    /// Signs with `keys`, overriding `scheme` and the key use of `seed`.
+    /// Rebuilding on a reopened log needs the surviving key pair: one
+    /// regenerated from the seed re-signs one-time leaves already used.
+    #[must_use]
+    pub fn keys(mut self, keys: Arc<KeyPair>) -> Self {
+        self.keys = Some(keys);
         self
     }
 
@@ -151,7 +167,8 @@ impl MiddlewareBuilder {
     /// `policy` and uses it as this organisation's evidence backend.
     /// Recovery semantics are those of `FileLog::open_recover_with` — a
     /// torn tail from a previous kill is dropped, mid-file tampering
-    /// still refuses to open.
+    /// still refuses to open. The signer is not restored: reopening without
+    /// [`MiddlewareBuilder::keys`] re-signs one-time leaves already used.
     ///
     /// # Errors
     ///
@@ -192,7 +209,9 @@ impl MiddlewareBuilder {
              a batched mode (see nonrep_store::SyncPolicy)"
         );
         let mut rng = SecureRandom::from_seed(self.seed);
-        let keys = Arc::new(KeyPair::generate(self.scheme, &mut rng));
+        let keys = self
+            .keys
+            .unwrap_or_else(|| Arc::new(KeyPair::generate(self.scheme, &mut rng)));
         self.directory
             .insert(self.org.clone(), keys.verifying_key());
         let party = Party::with_commitment(
@@ -221,15 +240,23 @@ impl MiddlewareBuilder {
         let executor = ContainerExecutor::new(container.clone());
         coordinator.register_handler(DirectServerHandler::new(party.clone(), executor.clone()));
         coordinator.register_handler(VoluntaryServerHandler::new(party.clone(), executor.clone()));
+        let supervisor = ExchangeSupervisor::new(Arc::new(self.clock.clone()));
         if let Some(ttp) = &self.offline_ttp {
-            coordinator.register_handler(FairServerHandler::new(
+            coordinator.register_handler(FairServerHandler::with_runtime(
                 party.clone(),
                 coordinator.clone(),
                 executor,
                 ttp.clone(),
                 self.server_conduct,
+                FairServerRuntime {
+                    supervision: Some((Arc::clone(&supervisor), RECEIPT_WINDOW_MS)),
+                    journal: None,
+                },
             ));
         }
+        let anchors = Arc::new(AnchorStore::new());
+        let anchor_handler = AnchorGossipHandler::new(party.clone(), anchors.clone());
+        coordinator.register_handler(Arc::new(anchor_handler));
 
         // Information sharing.
         let store = Arc::new(StateStore::new());
@@ -243,12 +270,15 @@ impl MiddlewareBuilder {
             bus: self.bus,
             directory: self.directory,
             _sealer: DeadlineSealer::spawn(Arc::clone(party.scheduler())),
+            gossip: AnchorGossip::new(party.clone(), coordinator.clone()),
             party,
             coordinator,
             container,
             store,
             groups,
             sharing,
+            anchors,
+            supervisor,
             domain: self.domain,
         })
     }
@@ -265,6 +295,9 @@ pub struct OrgMiddleware {
     store: Arc<StateStore>,
     groups: Arc<GroupRegistry>,
     sharing: Arc<SharingMember>,
+    anchors: Arc<AnchorStore>,
+    gossip: AnchorGossip,
+    supervisor: Arc<ExchangeSupervisor>,
     domain: TrustDomain,
     /// Background deadline poller, present in batched mode (stopped when
     /// the middleware is dropped).
@@ -299,6 +332,7 @@ impl OrgMiddleware {
             clock,
             seed,
             scheme: SignatureScheme::Mss { height: 8 },
+            keys: None,
             retry: RetryPolicy::new(8),
             domain: TrustDomain::Direct,
             offline_ttp: None,
@@ -349,6 +383,30 @@ impl OrgMiddleware {
     /// [`ProtocolError::Storage`] if the seal cannot be persisted.
     pub fn flush_evidence(&self) -> Result<(), ProtocolError> {
         self.party.flush_evidence()
+    }
+
+    /// Sends each epoch anchor sealed since the last call to every peer
+    /// and returns how many went out; call after
+    /// [`OrgMiddleware::flush_evidence`] (see [`AnchorGossip::gossip_to`]).
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError`] if signing or delivery fails; the next call
+    /// re-sends the failed anchor.
+    pub fn gossip_anchors(&self, peers: &[OrgId]) -> Result<usize, ProtocolError> {
+        self.gossip.gossip_to(peers)
+    }
+
+    /// The anchors counterparties gossiped here, for
+    /// [`crate::Adjudicator::corroborated_by`].
+    pub fn corroboration(&self) -> Corroboration {
+        self.anchors.snapshot()
+    }
+
+    /// Fires every supervised deadline past on the clock: a fair run whose
+    /// client sent no receipt within [`RECEIPT_WINDOW_MS`] is aborted.
+    pub fn tick(&self) -> Vec<ExpiryReport> {
+        self.supervisor.sweep()
     }
 
     /// Builds a windowed adjudication submission covering `range` of this
@@ -592,8 +650,9 @@ impl OrgMiddleware {
         self.groups.members(group)
     }
 
-    /// The shared key directory (the simple-PKI stand-in used in tests and
-    /// examples; production deployments adapt `nonrep_pki::CredentialManager`).
+    /// The shared key directory: one current verifying key per
+    /// organisation. It is the only `KeyDirectory` the middleware builds
+    /// on; `nonrep_pki::CredentialManager` does not implement that trait.
     pub fn directory(&self) -> &Arc<StaticKeyDirectory> {
         &self.directory
     }
@@ -824,6 +883,70 @@ mod tests {
         let reopened = nonrep_store::FileLog::open(&path).unwrap();
         assert_eq!(reopened.len(), len);
         reopened.verify().unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn rebuild_on_a_reopened_log_keeps_the_live_signer() {
+        use nonrep_crypto::sig::SignaturePayload;
+        use nonrep_protocols::NrToken;
+        use nonrep_types::codec::Decode;
+
+        let (bus, dir, clock) = world();
+        let path = temp_log("rekey");
+        let server =
+            OrgMiddleware::builder("server", bus.clone(), dir.clone(), clock.clone()).build();
+        deploy_echo(&server);
+        let open = |keys: Option<Arc<KeyPair>>| {
+            let builder = OrgMiddleware::builder("client", bus.clone(), dir.clone(), clock.clone())
+                .evidence_file(&path, SyncPolicy::WriteThrough)
+                .unwrap();
+            let builder = match keys {
+                Some(keys) => builder.keys(keys),
+                None => builder,
+            };
+            builder.build()
+        };
+        let invoke = |client: &OrgMiddleware, n: i64| {
+            client
+                .nr_proxy(server.org(), "urn:echo")
+                .invoke("echo", Value::from(n))
+                .unwrap();
+        };
+
+        let client = open(None);
+        invoke(&client, 1);
+        let keys = Arc::clone(client.party().keys());
+        let after_first = keys.remaining().unwrap();
+        // Stop the stack: both bus registrations hold it alive.
+        bus.unregister(client.org());
+        bus.unregister(&b2b_address(client.org()));
+        drop(client);
+
+        let client = open(Some(Arc::clone(&keys)));
+        assert_eq!(client.log().len(), 4, "the reopened log lost records");
+        invoke(&client, 2);
+        assert!(keys.remaining().unwrap() < after_first);
+        // Every token the client signed, before and after the restart,
+        // used its own one-time leaf.
+        let mut leaves = Vec::new();
+        for record in client.log().records() {
+            let token = NrToken::decode_from_slice(&record.draft.payload).unwrap();
+            if token.issuer == *client.org() {
+                match token.signature.payload {
+                    SignaturePayload::Mss(sig) => leaves.push(sig.leaf_index),
+                    other => panic!("per-record token signed as {other:?}"),
+                }
+            }
+        }
+        let distinct: BTreeSet<u32> = leaves.iter().copied().collect();
+        assert_eq!(leaves.len(), 4);
+        assert_eq!(
+            distinct.len(),
+            leaves.len(),
+            "a leaf was re-signed: {leaves:?}"
+        );
+        drop(client);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -616,27 +616,10 @@ impl fmt::Debug for FairServerHandler {
 }
 
 impl FairServerHandler {
-    /// Creates the handler (escrowing keys with `ttp`).
-    pub fn new(
-        party: Arc<Party>,
-        coordinator: Arc<B2BCoordinator>,
-        executor: Arc<dyn RequestExecutor>,
-        ttp: OrgId,
-        conduct: ServerConduct,
-    ) -> Arc<Self> {
-        Self::with_runtime(
-            party,
-            coordinator,
-            executor,
-            ttp,
-            conduct,
-            FairServerRuntime::default(),
-        )
-    }
-
-    /// [`FairServerHandler::new`] with runtime attachments: a
-    /// supervisor watching the receipt window (escalating to the TTP's
-    /// abort choreography on expiry) and/or a crash-recovery journal.
+    /// Creates the handler (escrowing keys with `ttp`) with its runtime
+    /// attachments: a supervisor watching the receipt window (escalating
+    /// to the TTP's abort choreography on expiry) and/or a crash-recovery
+    /// journal (`FairServerRuntime::default()` for neither).
     pub fn with_runtime(
         party: Arc<Party>,
         coordinator: Arc<B2BCoordinator>,

@@ -6,10 +6,10 @@
 //! supervisor closes that hole: every in-flight run registers a watch
 //! ([`ExchangeSupervisor::watch`]) carrying a deadline on the shared [`Clock`] and an
 //! [`EscalationAction`] to fire if the deadline passes before the run
-//! completes. Periodic [`ExchangeSupervisor::sweep`] calls (the fleet
-//! simulator drives them off its logical clock; a deployment would use
-//! a timer) fire every expired watch exactly once and report what
-//! happened.
+//! completes. Periodic [`ExchangeSupervisor::sweep`] calls (through
+//! `OrgMiddleware::tick` in crate `nonrep_core`; the fleet simulator
+//! calls it on its logical clock) fire every expired watch exactly once
+//! and report what happened.
 //!
 //! The escalation ladder, least to most drastic:
 //!
@@ -26,8 +26,7 @@
 //! Variants with no recourse protocol (direct, voluntary, inline TTP)
 //! have no rung of their own yet: their partial evidence is already in
 //! the log and reaches disk with the party's next sealed epoch. The
-//! facade escalation for them arrives when the supervisor is wired
-//! into the middleware.
+//! middleware arms no watch for them yet.
 //!
 //! Safety never depends on any of this firing: a run the supervisor
 //! abandons is merely unfinished, not unfair. Timeouts buy liveness
@@ -113,8 +112,9 @@ struct Watch {
 /// Tracks every in-flight exchange against the shared clock and fires
 /// escalations when deadlines pass.
 ///
-/// One supervisor serves a whole process (all parties, all variants);
-/// watches are keyed by run id. Cheap to clone handles via `Arc`.
+/// One supervisor serves every run of its owner (the middleware builds
+/// one per organisation); watches are keyed by run id. Cheap to clone
+/// handles via `Arc`.
 pub struct ExchangeSupervisor {
     clock: Arc<dyn Clock>,
     inflight: Mutex<BTreeMap<RunId, Watch>>,

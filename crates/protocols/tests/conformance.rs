@@ -16,8 +16,9 @@ use nonrep_net::bus::LocalBus;
 use nonrep_net::retry::{ReliableRequester, RetryPolicy};
 use nonrep_protocols::invocation::direct::{DirectChoreography, DirectClient, DirectServerHandler};
 use nonrep_protocols::invocation::fair_offline::{
-    FairChoreography, FairClient, FairServerHandler, KeySource, OfflineTtpHandler,
-    ResolveChoreography, ServerConduct, STEP_RECEIPT, STEP_REQUEST, STEP_RESOLVE,
+    FairChoreography, FairClient, FairServerHandler, FairServerRuntime, KeySource,
+    OfflineTtpHandler, ResolveChoreography, ServerConduct, STEP_RECEIPT, STEP_REQUEST,
+    STEP_RESOLVE,
 };
 use nonrep_protocols::invocation::inline_ttp::{
     InlineChoreography, InlineTtpClient, InlineTtpHandler, RelayChoreography,
@@ -72,12 +73,13 @@ fn world(conduct: ServerConduct) -> World {
         server_party.clone(),
         executor.clone(),
     ));
-    server_coord.register_handler(FairServerHandler::new(
+    server_coord.register_handler(FairServerHandler::with_runtime(
         server_party.clone(),
         server_coord.clone(),
         executor,
         OrgId::new("ttp"),
         conduct,
+        FairServerRuntime::default(),
     ));
     ttp_coord.register_handler(InlineTtpHandler::terminal(
         ttp_party.clone(),

@@ -425,12 +425,13 @@ fn fair_client_killed_mid_resolve_still_holds_the_conviction() {
         let client_coord = mk("client");
         let server_coord = mk("server");
         let ttp_coord = mk("ttp");
-        server_coord.register_handler(FairServerHandler::new(
+        server_coord.register_handler(FairServerHandler::with_runtime(
             server_party.clone(),
             server_coord.clone(),
             Arc::new(|_: &OrgId, req: &[u8]| Ok([b"res:".as_slice(), req].concat())),
             OrgId::new("ttp"),
             ServerConduct::WithholdKey,
+            FairServerRuntime::default(),
         ));
         let ttp_handler = OfflineTtpHandler::new(ttp_party);
         ttp_coord.register_handler(ttp_handler);

@@ -2,67 +2,54 @@
 //! items in a schedule-seed-derived order, and adjudicates every run with
 //! anchor corroboration.
 //!
-//! # Determinism and schedule invariance
+//! Every organisation is an [`OrgMiddleware`] built with
+//! `OrgMiddleware::builder`, the stack a deployment builds; the engine
+//! picks keys, seeds and conduct and drives the protocol clients over each
+//! org's party and coordinator. Outcomes are *replay-deterministic* (every
+//! key, run id, payload and drop verdict derives from the scenario seed)
+//! and *schedule-invariant* (verdicts compare facts by kind, issuer,
+//! subject and holders, never by log order or signing leaf); see
+//! "Scenario engine & schedule invariance" in `docs/ARCHITECTURE.md`.
+//! Retries exceed the bounded drop budget, so losses change how evidence
+//! is produced, never whether it is.
 //!
-//! Two different kinds of reproducibility are engineered here:
-//!
-//! - **Replay determinism** — `run_fleet(scenario, s)` twice yields
-//!   byte-identical [`FleetOutcome`]s: every key, run id, payload and
-//!   channel-fault verdict derives from the scenario seed (the fault plan
-//!   keys drop decisions off `(seed, link, attempt)`, never off shared RNG
-//!   state).
-//! - **Schedule invariance** — `run_fleet(scenario, a)` and
-//!   `run_fleet(scenario, b)` yield *equal verdicts* for any two schedule
-//!   seeds, even though the permuted execution order changes every
-//!   signature (MSS leaf order), every channel-drop pattern, and the
-//!   record order of multi-item logs. The verdict layer never looks at
-//!   any of those: facts compare token kind/issuer/subject/run plus the
-//!   set of logs holding them, and byzantine organisations participate in
-//!   exactly one item so their crafted submissions are order-free.
-//!
-//! The retry budget is sized above the scenario's bounded consecutive-drop
-//! budget, so message delivery (and hence run completion) is guaranteed —
-//! losses perturb *how* evidence is produced, never *whether* it is.
-//!
-//! # The durable organisation
-//!
-//! `o0` keeps its evidence in a `FileLog`, under
-//! `SyncPolicy::GroupCommit` when `scenario.group_commit` is set and
-//! `SyncPolicy::WriteThrough` otherwise. Its crash faults land mid-append:
-//! the kill leaves a half-written frame on the log's tail, which
-//! `FileLog::open_recover_with` must drop. Only durable records precede
-//! the torn bytes — the crashed stack drains on drop, and anchors are
-//! gossiped only after a durable flush — so recovery is verdict-neutral
-//! and schedule invariance holds across the whole family.
+//! `o0` keeps its evidence in a `FileLog` (`SyncPolicy::GroupCommit` or
+//! `WriteThrough`, per `scenario.group_commit`). Its crash leaves a torn
+//! frame on the log's tail that `FileLog::open_recover_with` must drop;
+//! only durable records precede it (anchors are gossiped only after a
+//! durable flush), so recovery is verdict-neutral. The rebuilt org keeps
+//! its live signer (`MiddlewareBuilder::keys`).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use nonrep_container::component::FnComponent;
+use nonrep_container::descriptor::DeploymentDescriptor;
+use nonrep_container::interceptor::Invocation;
 use nonrep_core::dispute::{Adjudicator, Verdict, WindowSubmission};
+use nonrep_core::{b2b_address, OrgMiddleware, RECEIPT_WINDOW_MS};
 use nonrep_crypto::digest::{sha256, Digest};
 use nonrep_crypto::rng::SecureRandom;
 use nonrep_crypto::sig::{KeyPair, SignatureScheme};
 use nonrep_net::bus::LocalBus;
 use nonrep_net::fault::FaultPlan;
 use nonrep_net::latency::LatencyModel;
-use nonrep_net::retry::{ReliableRequester, RetryPolicy};
-use nonrep_protocols::gossip::{AnchorGossip, AnchorGossipHandler, AnchorStore};
-use nonrep_protocols::invocation::direct::{DirectClient, DirectServerHandler};
-use nonrep_protocols::invocation::fair_offline::{
-    FairClient, FairServerHandler, FairServerRuntime, OfflineTtpHandler, ServerConduct,
-};
-use nonrep_protocols::invocation::inline_ttp::{InlineTtpClient, InlineTtpHandler};
-use nonrep_protocols::invocation::voluntary::{VoluntaryClient, VoluntaryServerHandler};
-use nonrep_protocols::invocation::RequestExecutor;
-use nonrep_protocols::party::{KeyDirectory, Party, StaticKeyDirectory};
+use nonrep_net::retry::RetryPolicy;
+use nonrep_protocols::gossip::AnchorStore;
+use nonrep_protocols::invocation::direct::DirectClient;
+use nonrep_protocols::invocation::fair_offline::{FairClient, ServerConduct};
+use nonrep_protocols::invocation::inline_ttp::InlineTtpClient;
+use nonrep_protocols::invocation::voluntary::VoluntaryClient;
+use nonrep_protocols::party::{KeyDirectory, StaticKeyDirectory};
 use nonrep_protocols::tokens::TokenKind;
-use nonrep_protocols::{B2BCoordinator, CommitmentMode, ExchangeSupervisor};
-use nonrep_store::log::{FileLog, SyncPolicy};
+use nonrep_protocols::{CommitmentMode, ExpiryReport};
+use nonrep_store::log::SyncPolicy;
 use nonrep_store::record::ChainViolation;
-use nonrep_store::MemoryLog;
-use nonrep_types::ids::{OrgId, RunId};
+use nonrep_types::codec::Encode;
+use nonrep_types::ids::{MethodName, OrgId, RunId};
 use nonrep_types::time::LogicalClock;
+use nonrep_types::value::Value;
 
 use crate::adversary::{
     Adversary, EquivocatingTtp, EvidenceWithholder, ForgedRolloverSubmitter, ForkHistorySubmitter,
@@ -92,22 +79,15 @@ pub struct RunOutcome {
     pub violations: BTreeSet<(String, String)>,
     /// Issuers proven to have both resolved and aborted the run.
     pub conflicting_decisions: BTreeSet<String>,
-    /// Organisations convicted as protocol-time defectors: a TTP-signed
-    /// dispute `Decision` in the adjudicated evidence names them for
-    /// this run (fair-offline dispute sub-protocol), or their own
-    /// submission pairs the counterparty's `NRR_resp` with a TTP `Abort`
-    /// token (the receipt-then-abort race, `Verdict::abort_after_receipt`).
+    /// Protocol-time defectors: named by a TTP dispute `Decision`, or
+    /// caught by `Verdict::abort_after_receipt`.
     pub defectors: BTreeSet<String>,
-    /// `true` if the agreed TTP's `Abort` token is among the established
-    /// facts — the run was closed by the abort choreography (a
-    /// supervisor timeout escalation) rather than by key release.
+    /// `true` if the TTP's `Abort` token is an established fact (the run
+    /// was closed by a supervisor timeout, not by key release).
     pub aborted: bool,
-    /// Parties attributed as *stalling* a timeout-aborted run: they
-    /// provably started it and never produced the receipt the abort
-    /// stands in for (`Verdict::stalled_parties`). Attribution, not
-    /// conviction — but in the simulator's bounded-failure world only a
-    /// genuine staller ever earns it, so [`FleetOutcome::detected`]
-    /// counts it.
+    /// Parties `Verdict::stalled_parties` attributes the timeout abort to:
+    /// attribution, not conviction, but in the simulator only a genuine
+    /// staller earns it, so [`FleetOutcome::detected`] counts it.
     pub stalled: BTreeSet<String>,
 }
 
@@ -168,36 +148,41 @@ fn derive_seed(seed: u64, org: &OrgId, salt: u64) -> u64 {
 }
 
 struct OrgHandle {
+    mw: Arc<OrgMiddleware>,
     conduct: Box<dyn Adversary>,
-    coordinator: Arc<B2BCoordinator>,
-    gossip: AnchorGossip,
-    /// `false` for organisations that never seal epochs (nothing to
-    /// gossip, and an exhausted org could not sign the frames anyway).
-    gossips: bool,
 }
 
-/// The receipt window fair servers arm on the shared supervisor: how
-/// long (in simulated milliseconds) a client may sit between the step-2
-/// response and the step-3 receipt before the server escalates to the
-/// TTP's abort choreography. Scenario time only advances when a conduct
-/// role burns it, so honest runs never come near the deadline.
-const RECEIPT_WINDOW_MS: u64 = 400;
+/// Both bus identities of a middleware org.
+fn identities(org: &OrgId) -> [OrgId; 2] {
+    [org.clone(), b2b_address(org)]
+}
+
+/// Puts `adversity` in force (`active`) or lifts it, on both bus
+/// identities of every organisation it names.
+fn set_overlay(plan: &FaultPlan, adversity: &Adversity, active: bool) {
+    let links = |a: &OrgId, b: &OrgId| {
+        let ys = identities(b);
+        identities(a)
+            .into_iter()
+            .flat_map(move |x| ys.clone().map(|y| (x.clone(), y)))
+    };
+    match (adversity, active) {
+        (Adversity::CrashRecover(org), true) => identities(org).iter().for_each(|o| plan.crash(o)),
+        (Adversity::CrashRecover(org), false) => {
+            identities(org).iter().for_each(|o| plan.recover(o))
+        }
+        (Adversity::Partition(a, b), true) => links(a, b).for_each(|(x, y)| plan.partition(&x, &y)),
+        (Adversity::Partition(a, b), false) => links(a, b).for_each(|(x, y)| plan.heal(&x, &y)),
+    }
+}
 
 struct Fleet<'a> {
     scenario: &'a Scenario,
     bus: Arc<LocalBus>,
     clock: LogicalClock,
-    supervisor: Arc<ExchangeSupervisor>,
     dir: Arc<StaticKeyDirectory>,
-    keys: BTreeMap<OrgId, Arc<KeyPair>>,
     handles: BTreeMap<OrgId, OrgHandle>,
-    anchors: Arc<AnchorStore>,
     durable_path: PathBuf,
-    retry: RetryPolicy,
-}
-
-fn echo_executor() -> Arc<dyn RequestExecutor> {
-    Arc::new(|_caller: &OrgId, req: &[u8]| Ok([b"ok:".as_slice(), req].concat()))
 }
 
 impl<'a> Fleet<'a> {
@@ -208,34 +193,21 @@ impl<'a> Fleet<'a> {
             scenario.max_consecutive_drops,
             scenario.seed,
         );
-        let retry = RetryPolicy::new(scenario.max_consecutive_drops + 2);
-        let bus = LocalBus::with_config(fault, LatencyModel::Zero, scenario.seed);
-        let clock = LogicalClock::new();
-        let supervisor = ExchangeSupervisor::new(Arc::new(clock.clone()));
-        let dir = Arc::new(StaticKeyDirectory::new());
         let durable_path = scratch.join(format!("{}-o0.log", scenario.seed));
         let _ = std::fs::remove_file(&durable_path);
         let mut fleet = Fleet {
             scenario,
-            bus,
-            clock,
-            supervisor,
-            dir,
-            keys: BTreeMap::new(),
+            bus: LocalBus::with_config(fault, LatencyModel::Zero, scenario.seed),
+            clock: LogicalClock::new(),
+            dir: Arc::new(StaticKeyDirectory::new()),
             handles: BTreeMap::new(),
-            anchors: Arc::new(AnchorStore::new()),
             durable_path,
-            retry,
         };
-
-        let orgs: Vec<OrgId> = scenario
+        let orgs = scenario
             .regular
             .iter()
-            .chain(std::iter::once(&scenario.ttp))
-            .chain(scenario.exhausted.iter())
-            .cloned()
-            .collect();
-        for org in &orgs {
+            .chain(std::iter::once(&scenario.ttp));
+        for org in orgs.chain(scenario.exhausted.iter()) {
             let exhausted = scenario.exhausted.as_ref() == Some(org);
             // The hierarchical org gets the same 128-signature capacity as
             // everyone else (2^5 subtrees of 2^2 leaves vs one 2^7 tree),
@@ -259,109 +231,76 @@ impl<'a> Fleet<'a> {
             };
             let mut rng = SecureRandom::from_seed(derive_seed(scenario.seed, org, 0x6b65));
             let keys = Arc::new(KeyPair::generate(scheme, &mut rng));
-            fleet.dir.insert(org.clone(), keys.verifying_key());
-            fleet.keys.insert(org.clone(), keys);
-        }
-        for org in &orgs {
-            fleet.install(org, false)?;
-        }
-        // Key exhaustion is injected *before* the scenario starts: the
-        // burn count then never depends on the schedule.
-        if let Some(x) = &scenario.exhausted {
-            let keys = &fleet.keys[x];
-            while keys.sign_digest(&Digest::ZERO).is_ok() {}
+            // Key exhaustion is injected *before* the scenario starts: the
+            // burn count then never depends on the schedule.
+            while exhausted && keys.sign_digest(&Digest::ZERO).is_ok() {}
+            fleet.install(org, keys, false)?;
         }
         Ok(fleet)
     }
 
-    /// Builds (or, after a crash, rebuilds) the full protocol stack of
-    /// `org` and registers it on the bus. `recovered` selects
-    /// `FileLog::open_recover` for the durable organisation.
-    fn install(&mut self, org: &OrgId, recovered: bool) -> std::io::Result<()> {
+    /// Builds (or, after a crash, rebuilds around the recovered log) the
+    /// middleware of `org`, signing with its live `keys`; the middleware
+    /// registers itself on the bus. `recovered` re-salts the run-id seed.
+    fn install(&mut self, org: &OrgId, keys: Arc<KeyPair>, recovered: bool) -> std::io::Result<()> {
         let scenario = self.scenario;
         let role = scenario.role_of(org);
-        let exhausted = scenario.exhausted.as_ref() == Some(org);
-        let durable = *org == scenario.regular[0];
         // Per-record commitment for organisations whose logs must carry no
         // epoch anchors (the replayer's poison pill lands after the final
         // flush; the exhausted org cannot sign seals); everyone else runs
         // the batched pipeline and gossips its anchors.
-        let batched = !exhausted && role != Some(Role::TokenReplayer);
-        let mode = if batched {
+        let batched = scenario.exhausted.as_ref() != Some(org) && role != Some(Role::TokenReplayer);
+        let salt = if recovered { 0x7265_6375 } else { 0x7274 };
+        let mut builder = OrgMiddleware::builder(
+            org.clone(),
+            self.bus.clone(),
+            Arc::clone(&self.dir),
+            self.clock.clone(),
+        )
+        .keys(keys)
+        .seed(derive_seed(scenario.seed, org, salt))
+        // Above the bounded drop budget: delivery is guaranteed.
+        .retry(RetryPolicy::new(scenario.max_consecutive_drops + 2))
+        .commitment(if batched {
             CommitmentMode::auto(50)
         } else {
             CommitmentMode::PerRecord
-        };
-        let salt = if recovered { 0x7265_6375 } else { 0x7274 };
-        let rng = SecureRandom::from_seed(derive_seed(scenario.seed, org, salt));
-        let log: Arc<dyn nonrep_store::EvidenceLog> = if durable {
+        });
+        if *org == scenario.regular[0] {
             let policy = if scenario.group_commit {
                 SyncPolicy::GroupCommit
             } else {
                 SyncPolicy::WriteThrough
             };
-            let file = if recovered {
-                FileLog::open_recover_with(&self.durable_path, policy)
-            } else {
-                FileLog::open_with(&self.durable_path, policy)
-            }
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-            Arc::new(file)
-        } else {
-            Arc::new(MemoryLog::new())
-        };
-        let party = Party::with_commitment(
-            org.clone(),
-            Arc::clone(&self.keys[org]),
-            Arc::new(self.clock.clone()),
-            log,
-            Arc::clone(&self.dir) as Arc<dyn KeyDirectory>,
-            rng,
-            mode,
-        );
-        let coordinator = B2BCoordinator::new(
-            org.clone(),
-            ReliableRequester::new(self.bus.clone(), self.retry),
-        );
-        self.bus.register(org.clone(), coordinator.clone());
-        if *org == scenario.ttp {
-            coordinator.register_handler(InlineTtpHandler::terminal(
-                party.clone(),
-                coordinator.clone(),
-            ));
-            coordinator.register_handler(OfflineTtpHandler::new(party.clone()));
-        } else {
-            coordinator.register_handler(DirectServerHandler::new(party.clone(), echo_executor()));
-            coordinator
-                .register_handler(VoluntaryServerHandler::new(party.clone(), echo_executor()));
+            builder = builder
+                .evidence_file(&self.durable_path, policy)
+                .map_err(|e| std::io::Error::other(e.to_string()))?;
+        }
+        if *org != scenario.ttp {
             // Protocol-time conduct: the defecting server withholds the
             // fair-exchange step-4 key on the wire, the stalling server
             // goes silent before releasing it (both submit honestly —
             // the wire behaviour is the attack).
-            let fair_conduct = match role {
-                Some(Role::DefectingServer) => ServerConduct::WithholdKey,
-                Some(Role::StallingServer) => ServerConduct::Stall,
-                _ => ServerConduct::Honest,
-            };
-            // Every fair server arms the shared supervisor with the
-            // receipt window; a client that goes silent after step 2 is
-            // escalated to the TTP's abort choreography at sweep time.
-            coordinator.register_handler(FairServerHandler::with_runtime(
-                party.clone(),
-                coordinator.clone(),
-                echo_executor(),
-                scenario.ttp.clone(),
-                fair_conduct,
-                FairServerRuntime {
-                    supervision: Some((Arc::clone(&self.supervisor), RECEIPT_WINDOW_MS)),
-                    journal: None,
-                },
-            ));
+            builder = builder
+                .offline_ttp(scenario.ttp.clone())
+                .server_conduct(match role {
+                    Some(Role::DefectingServer) => ServerConduct::WithholdKey,
+                    Some(Role::StallingServer) => ServerConduct::Stall,
+                    _ => ServerConduct::Honest,
+                });
         }
-        coordinator.register_handler(Arc::new(AnchorGossipHandler::new(
-            party.clone(),
-            Arc::clone(&self.anchors),
-        )));
+        let mw = builder.build();
+        if *org == scenario.ttp {
+            mw.serve_as_inline_ttp(None);
+            mw.serve_as_offline_ttp();
+        } else {
+            mw.deploy(
+                DeploymentDescriptor::new("urn:echo", [MethodName::new("echo")]),
+                Arc::new(FnComponent::new().method("echo", |args| Ok(args.clone()))),
+            )
+            .map_err(|e| std::io::Error::other(e.to_string()))?;
+        }
+        let party = Arc::clone(mw.party());
         let forged_subject = sha256(format!("forged-{}-{org}", scenario.seed).as_bytes());
         let conduct: Box<dyn Adversary> = match role {
             None => Box::new(HonestSubmitter::new(party.clone())),
@@ -387,16 +326,7 @@ impl<'a> Fleet<'a> {
                 Box::new(HonestSubmitter::new(party.clone()))
             }
         };
-        let gossip = AnchorGossip::new(party, coordinator.clone());
-        self.handles.insert(
-            org.clone(),
-            OrgHandle {
-                conduct,
-                coordinator,
-                gossip,
-                gossips: batched,
-            },
-        );
+        self.handles.insert(org.clone(), OrgHandle { mw, conduct });
         Ok(())
     }
 
@@ -404,7 +334,10 @@ impl<'a> Fleet<'a> {
         let org = self.scenario.regular[0].clone();
         // Drop the whole stack first so the log closes, then recover the
         // evidence from disk and rebuild around the recovered log.
-        self.bus.unregister(&org);
+        for id in identities(&org) {
+            self.bus.unregister(&id);
+        }
+        let keys = Arc::clone(self.handles[&org].mw.party().keys());
         self.handles.remove(&org);
         // The kill lands mid-append: leave the half-written frame a
         // mid-write crash leaves on the log's tail. Recovery must drop
@@ -419,47 +352,47 @@ impl<'a> Fleet<'a> {
             file.write_all(b"torn mid-append frame")?;
             file.sync_all()?;
         }
-        self.install(&org, true)?;
+        self.install(&org, keys, true)?;
         if std::fs::metadata(&self.durable_path)?.len() != durable_len {
             return Err(std::io::Error::other(
                 "recovery kept the torn mid-append frame",
             ));
         }
-        self.bus.fault_plan().recover(&org);
         Ok(())
     }
 
     fn flush_and_gossip(&self, org: &OrgId) {
-        let handle = &self.handles[org];
-        handle
-            .conduct
-            .party()
-            .flush_evidence()
+        let mw = &self.handles[org].mw;
+        mw.flush_evidence()
             .unwrap_or_else(|e| panic!("{org}: flush failed: {e}"));
-        if handle.gossips {
-            // Anchors land in the shared store on first delivery, so a
-            // bounded fan-out keeps corroboration intact while capping
-            // the per-flush signature cost at fleet scale.
-            let mut peers: Vec<OrgId> =
-                self.handles.keys().filter(|o| *o != org).cloned().collect();
-            peers.truncate(self.scenario.gossip_fanout);
-            handle
-                .gossip
-                .gossip_to(&peers)
-                .unwrap_or_else(|e| panic!("{org}: anchor gossip failed: {e}"));
-        }
+        // The anchors of one epoch reach the judge if any peer holds
+        // them, so a bounded fan-out keeps corroboration intact while
+        // capping the per-flush signature cost at fleet scale.
+        let mut peers: Vec<OrgId> = self.handles.keys().filter(|o| *o != org).cloned().collect();
+        peers.truncate(self.scenario.gossip_fanout);
+        mw.gossip_anchors(&peers)
+            .unwrap_or_else(|e| panic!("{org}: anchor gossip failed: {e}"));
+    }
+
+    /// Sweeps every organisation's supervisor.
+    fn tick_all(&self) -> Vec<ExpiryReport> {
+        self.handles.values().flat_map(|h| h.mw.tick()).collect()
     }
 
     fn run_item(&mut self, item: &WorkItem) -> std::io::Result<bool> {
-        match &item.adversity {
-            Some(Adversity::CrashRecover(org)) => self.bus.fault_plan().crash(org),
-            Some(Adversity::Partition(a, b)) => self.bus.fault_plan().partition(a, b),
-            None => {}
+        if let Some(adversity) = &item.adversity {
+            set_overlay(self.bus.fault_plan(), adversity, true);
         }
-        let handle = &self.handles[&item.client];
-        let party = Arc::clone(handle.conduct.party());
-        let coordinator = Arc::clone(&handle.coordinator);
-        let request = format!("req-{}-{}", self.scenario.seed, item.index).into_bytes();
+        let mw = &self.handles[&item.client].mw;
+        let party = Arc::clone(mw.party());
+        let coordinator = Arc::clone(mw.coordinator());
+        let request = Invocation::new(
+            item.client.clone(),
+            "urn:echo",
+            "echo",
+            Value::Bytes(format!("req-{}-{}", self.scenario.seed, item.index).into_bytes()),
+        )
+        .encode_to_vec();
         let completed = match item.variant {
             Variant::Direct => DirectClient::new(party, coordinator)
                 .invoke_with(item.run_id, &item.server, request)
@@ -482,19 +415,17 @@ impl<'a> Fleet<'a> {
                     // client that stalls it.
                     let _ = client.invoke_stalling(item.run_id, &item.server, request);
                     self.clock.advance(RECEIPT_WINDOW_MS);
-                    for report in self.supervisor.sweep() {
+                    for report in self.tick_all() {
                         assert_eq!(report.run, item.run_id, "foreign watch fired: {report}");
                     }
                     false
                 } else if self.scenario.slow.as_ref() == Some(&item.client) {
                     // The slow-but-honest peer answers one simulated
                     // millisecond under the deadline; nothing may fire.
-                    let clock = self.clock.clone();
-                    let supervisor = Arc::clone(&self.supervisor);
                     client
-                        .invoke_paced(item.run_id, &item.server, request, move || {
-                            clock.advance(RECEIPT_WINDOW_MS - 1);
-                            let fired = supervisor.sweep();
+                        .invoke_paced(item.run_id, &item.server, request, || {
+                            self.clock.advance(RECEIPT_WINDOW_MS - 1);
+                            let fired = self.tick_all();
                             assert!(fired.is_empty(), "slow peer timed out: {fired:?}");
                         })
                         .is_ok()
@@ -505,10 +436,11 @@ impl<'a> Fleet<'a> {
                 }
             }
         };
-        match &item.adversity {
-            Some(Adversity::CrashRecover(_)) => self.crash_and_recover_durable()?,
-            Some(Adversity::Partition(a, b)) => self.bus.fault_plan().heal(a, b),
-            None => {}
+        if let Some(adversity) = &item.adversity {
+            if matches!(adversity, Adversity::CrashRecover(_)) {
+                self.crash_and_recover_durable()?;
+            }
+            set_overlay(self.bus.fault_plan(), adversity, false);
         }
         // Participants seal what the run produced and gossip the anchors
         // while every organisation is reachable again.
@@ -518,11 +450,19 @@ impl<'a> Fleet<'a> {
         Ok(completed)
     }
 
-    /// An adjudicator holding every epoch anchor gossiped so far; one
-    /// serves every item.
+    /// An adjudicator holding every epoch anchor any organisation has
+    /// been gossiped so far; one serves every item.
     fn adjudicator(&self) -> Adjudicator {
+        let anchors = AnchorStore::new();
+        for handle in self.handles.values() {
+            for (org, epochs) in handle.mw.corroboration().epochs {
+                for epoch in epochs {
+                    anchors.record(&org, epoch);
+                }
+            }
+        }
         Adjudicator::new(Arc::clone(&self.dir) as Arc<dyn KeyDirectory>)
-            .corroborated_by(self.anchors.snapshot())
+            .corroborated_by(anchors.snapshot())
     }
 
     fn adjudicate(&self, judge: &Adjudicator, item: &WorkItem, completed: bool) -> RunOutcome {
@@ -563,37 +503,30 @@ fn reduce(item: &WorkItem, completed: bool, verdict: &Verdict, ttp: &OrgId) -> R
         variant: item.variant.name(),
         completed,
         facts,
-        suspects: verdict
-            .suspect_submitters()
-            .iter()
-            .map(ToString::to_string)
-            .collect(),
+        suspects: names(&verdict.suspect_submitters()),
         violations: verdict
             .violations()
             .iter()
             .map(|(o, v)| (o.to_string(), violation_label(v).to_string()))
             .collect(),
-        conflicting_decisions: verdict
-            .conflicting_decisions()
-            .iter()
-            .map(ToString::to_string)
-            .collect(),
-        defectors: verdict
-            .convicted_defectors(ttp)
-            .iter()
-            .chain(verdict.abort_after_receipt(ttp).iter())
-            .map(ToString::to_string)
-            .collect(),
+        conflicting_decisions: names(&verdict.conflicting_decisions()),
+        defectors: names(
+            &[
+                verdict.convicted_defectors(ttp),
+                verdict.abort_after_receipt(ttp),
+            ]
+            .concat(),
+        ),
         aborted: verdict
             .facts
             .iter()
             .any(|f| f.kind == TokenKind::Abort && f.issuer == *ttp),
-        stalled: verdict
-            .stalled_parties(ttp)
-            .iter()
-            .map(ToString::to_string)
-            .collect(),
+        stalled: names(&verdict.stalled_parties(ttp)),
     }
+}
+
+fn names(orgs: &[OrgId]) -> BTreeSet<String> {
+    orgs.iter().map(ToString::to_string).collect()
 }
 
 /// Executes `scenario` with the item order derived from `schedule_seed`
@@ -620,12 +553,11 @@ pub fn run_fleet(
     }
     // Final seal + gossip for everyone, then let the adversaries plant
     // their dispute-time evidence.
-    let orgs: Vec<OrgId> = fleet.handles.keys().cloned().collect();
-    for org in &orgs {
+    for org in fleet.handles.keys() {
         fleet.flush_and_gossip(org);
     }
-    for org in &orgs {
-        fleet.handles[org].conduct.finalize();
+    for handle in fleet.handles.values() {
+        handle.conduct.finalize();
     }
     let judge = fleet.adjudicator();
     let runs = scenario
@@ -643,6 +575,7 @@ pub fn run_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nonrep_store::log::FileLog;
     use nonrep_store::EvidenceLog;
 
     fn scratch(tag: &str) -> PathBuf {
@@ -769,6 +702,50 @@ mod tests {
     }
 
     #[test]
+    fn overlays_cut_both_bus_identities_until_lifted() {
+        // A middleware org sends as `org` and receives at `org#b2b`. An
+        // overlay that cut only one identity would leave the other open,
+        // and the crash and partition items would pass vacuously.
+        let scenario = Scenario::showcase(5);
+        let fleet = Fleet::build(&scenario, &scratch("overlay")).unwrap();
+        let plan = fleet.bus.fault_plan();
+        let mut run = 0xfeed_0000u128;
+        let mut invoke = |client: &OrgId, server: &OrgId| {
+            run += 1;
+            let mw = &fleet.handles[client].mw;
+            let request = Invocation::new(client.clone(), "urn:echo", "echo", Value::Null);
+            DirectClient::new(Arc::clone(mw.party()), Arc::clone(mw.coordinator()))
+                .invoke_with(RunId::from_u128(run), server, request.encode_to_vec())
+                .is_ok()
+        };
+        let (a, b, c) = (OrgId::new("o0"), OrgId::new("o1"), OrgId::new("o2"));
+
+        let crash = Adversity::CrashRecover(a.clone());
+        set_overlay(plan, &crash, true);
+        assert!(!invoke(&a, &b), "a crashed org still sends");
+        assert!(!invoke(&b, &a), "a crashed org still receives");
+        set_overlay(plan, &crash, false);
+        assert!(
+            invoke(&a, &b) && invoke(&b, &a),
+            "recovery left the org cut off"
+        );
+
+        let partition = Adversity::Partition(b.clone(), c.clone());
+        set_overlay(plan, &partition, true);
+        assert!(!invoke(&b, &c), "a partition lets b reach c");
+        assert!(!invoke(&c, &b), "a partition lets c reach b");
+        assert!(
+            invoke(&a, &b) && invoke(&c, &a),
+            "a partition cut a bystander"
+        );
+        set_overlay(plan, &partition, false);
+        assert!(
+            invoke(&b, &c) && invoke(&c, &b),
+            "healing left the pair cut off"
+        );
+    }
+
+    #[test]
     fn showcase_verdicts_survive_a_schedule_permutation() {
         let scenario = Scenario::showcase(17);
         let base = run_fleet(&scenario, 0, &scratch("perm-base")).unwrap();
@@ -793,23 +770,24 @@ mod tests {
             .iter()
             .position(|i| matches!(&i.adversity, Some(Adversity::CrashRecover(org)) if *org == o0))
             .expect("showcase has a crash overlay on o0");
+        // The rebuilt middleware signs with this same key pair.
+        let keys = Arc::clone(fleet.handles[&o0].mw.party().keys());
         let mut gen_at_crash = 0;
         for index in scenario.schedule(0) {
             if index == crash_index {
-                gen_at_crash = fleet.keys[&o0].generation();
+                gen_at_crash = keys.generation();
             }
             let item = scenario.items[index].clone();
             fleet.run_item(&item).unwrap();
         }
-        let orgs: Vec<OrgId> = fleet.handles.keys().cloned().collect();
-        for org in &orgs {
+        for org in fleet.handles.keys() {
             fleet.flush_and_gossip(org);
         }
         // Subtree exhaustions happened on both sides of the crash: the
         // signer had already rolled when the kill landed, and recovery
         // kept it rolling instead of starving it.
         assert!(gen_at_crash >= 1, "no rollover before the crash");
-        let final_gen = fleet.keys[&o0].generation();
+        let final_gen = keys.generation();
         assert!(final_gen > gen_at_crash, "no rollover after recovery");
         // The recovered log persisted every generation's rollover record
         // exactly once (the watermark rescan survives the crash), and all
@@ -901,11 +879,14 @@ mod tests {
 
         // Kill o0 mid-backlog: forget an Arc so no destructor ever drains
         // the buffered tail, then recover from disk and rebuild.
-        fleet.bus.unregister(&o0);
+        for id in identities(&o0) {
+            fleet.bus.unregister(&id);
+        }
         fleet.handles.remove(&o0);
+        let keys = Arc::clone(party.keys());
         std::mem::forget(party);
         drop(log);
-        fleet.install(&o0, true).unwrap();
+        fleet.install(&o0, keys, true).unwrap();
 
         let recovered = Arc::clone(fleet.handles[&o0].conduct.party().log());
         assert_eq!(

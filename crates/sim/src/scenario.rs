@@ -229,10 +229,11 @@ pub struct Scenario {
     /// Merkle-tree height of the TTP's key — larger fleets route more
     /// runs through the TTP, so its signature budget scales separately.
     pub ttp_key_height: u8,
-    /// Upper bound on anchor-gossip fan-out per flush. Anchors land in
-    /// the shared store on first delivery, so a bounded fan-out keeps
-    /// corroboration intact while capping the per-flush signature cost
-    /// — which is what lets a hundred organisations gossip at all.
+    /// Upper bound on anchor-gossip fan-out per flush. The judge holds
+    /// the union of every org's anchor store, so one recipient per anchor
+    /// keeps corroboration intact while a bounded fan-out caps the
+    /// per-flush signature cost — which is what lets a hundred
+    /// organisations gossip at all.
     pub gossip_fanout: usize,
 }
 

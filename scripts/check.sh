@@ -56,11 +56,29 @@ retired=(
     # one seal policy: the deadline is a batched scheduler's only setting
     BatchPolicy size_or_time sealing_on_run_end seal_on_run_end auto_tune RunEnd end_of_run
     seal_run SealOnTimeout issue_tokens sealer_poll_interval
+    # one wiring: the simulator builds every org with OrgMiddleware::builder
+    echo_executor
 )
 echo "==> retired names"
 if grep -rnwF "${retired[@]/#/-e}" --exclude=check.sh \
     crates/ src/ examples/ docs/ scripts/ benchmark/src/; then
     echo "check.sh: a retired name is back (file:line above)" >&2
+    exit 1
+fi
+
+# One wiring: the simulator drives the stack a deployment builds
+# (OrgMiddleware::builder), so its non-test code (every line before a
+# file's `#[cfg(test)] mod`) assembles no protocol stack of its own.
+echo "==> one wiring (crates/sim/src)"
+if awk 'FNR == 1 { test_attr = 0 }
+        test_attr && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { nextfile }
+        { test_attr = ($0 ~ /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/) }
+        $0 ~ wiring { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }' \
+    wiring='Party::with_commitment|B2BCoordinator::new|AnchorGossipHandler::new|FairServerHandler::|ExchangeSupervisor::new|AnchorGossip::new' \
+    crates/sim/src/*.rs; then
+    echo "check.sh: crates/sim/src wires protocol parts itself (file:line above);" \
+        "build the org with OrgMiddleware::builder" >&2
     exit 1
 fi
 
