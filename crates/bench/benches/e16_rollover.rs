@@ -45,7 +45,7 @@ fn scheme_name(scheme: SignatureScheme) -> &'static str {
 /// The subtree generation an HSS signature was issued under.
 fn cert_of(sig: &Signature) -> Option<u32> {
     match &sig.payload {
-        SignaturePayload::Hss(h) => Some(h.subtree_root_cert.generation),
+        SignaturePayload::Hss(h) => Some(h.cert.reference().generation),
         _ => None,
     }
 }

@@ -5,14 +5,19 @@
 //! Expected shape: evidence volume is constant per interaction (4 tokens
 //! per direct invocation, 1 for voluntary, N+2 per sharing round for N
 //! validators); the signature scheme dominates record size (MSS tokens
-//! are ~2.3 KB vs ~100 B arbitrated).
+//! are ~2.3 KB vs ~100 B arbitrated). A hierarchical (HSS 10/8) token
+//! record is ~2.7 KB: its signature references its ~2.5 KB subtree
+//! certificate, which the log stores once per signer and subtree as a
+//! `subtree_cert` record (on the wire the token carries it inline,
+//! ~5.2 KB).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nonrep_bench::{deploy_echo, install_group, payload, World};
 use nonrep_core::{OrgMiddleware, TrustDomain};
 use nonrep_crypto::digest::sha256;
 use nonrep_crypto::sig::SignatureScheme;
-use nonrep_store::record::RecordDraft;
+use nonrep_protocols::TokenKind;
+use nonrep_store::record::{EvidenceRecord, RecordDraft};
 use nonrep_store::{EvidenceLog, MemoryLog};
 use nonrep_types::ids::{GroupId, OrgId, RunId};
 use nonrep_types::time::Timestamp;
@@ -72,6 +77,44 @@ fn report() {
             client.log().len() + server.log().len(),
             client.log().total_bytes(),
             server.log().total_bytes()
+        );
+    }
+    // Direct invocation, the hierarchical scheme of the end-to-end
+    // benchmark. The first call in a log also stores each signer's
+    // subtree certificate, once; token records only reference it.
+    {
+        let w = World::new();
+        let hss = |org: &str| {
+            OrgMiddleware::builder(org, w.bus.clone(), w.dir.clone(), w.clock.clone())
+                .scheme(SignatureScheme::Hss {
+                    root_height: 10,
+                    subtree_height: 8,
+                })
+                .build()
+        };
+        let client = hss("client");
+        let server = hss("server");
+        deploy_echo(&server);
+        client
+            .nr_proxy(server.org(), "urn:svc")
+            .invoke("work", payload(64))
+            .unwrap();
+        println!(
+            "{:<26} {:>8} {:>12} {:>14}",
+            "direct (hss 10/8)",
+            client.log().len() + server.log().len(),
+            client.log().total_bytes(),
+            server.log().total_bytes()
+        );
+        let records = client.log().records();
+        let size = |pred: &dyn Fn(&EvidenceRecord) -> bool| {
+            records.iter().find(|r| pred(r)).map_or(0, |r| r.byte_len())
+        };
+        println!(
+            "{:<26} token record {} B, certificate record {} B (once per signer and subtree)",
+            "",
+            size(&|r| r.draft.kind == TokenKind::NroReq.label()),
+            size(&|r| r.is_subtree_cert()),
         );
     }
     // Voluntary.

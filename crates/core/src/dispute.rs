@@ -35,18 +35,32 @@
 //! [`Corroboration`], [`Adjudicator::corroborated_by`]): a forked history
 //! or truncated tail the hash chain alone cannot see becomes
 //! [`LogReport::anchor_violation`].
+//!
+//! # Subtree certificates
+//!
+//! A stored hierarchical token signature references its subtree
+//! certificate instead of carrying it; the log keeps the certificate
+//! once, as its own record, ahead of the first token that references
+//! it. A window resolves a reference from the certificate records it
+//! has already scanned and from the certificates the submission carries
+//! ([`WindowSubmission::certs`], which [`WindowSubmission::from_log`]
+//! fills from the log). The token then verifies through the ordinary
+//! signature chain against its issuer's root key. A reference neither
+//! resolves is an unverifiable token, exactly like a forged one.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
 use nonrep_crypto::digest::Digest;
+use nonrep_crypto::hss::{CertRef, SubtreeCert};
 pub use nonrep_protocols::gossip::Corroboration;
 use nonrep_protocols::party::KeyDirectory;
 use nonrep_protocols::tokens::{defection_digest, NrToken, TokenKind};
 use nonrep_store::record::{
-    ChainVerifier, ChainViolation, EpochCommitment, EvidenceRecord, KeyRollover, RunMarker,
+    cert_from_record, cert_run_id, ChainVerifier, ChainViolation, EpochCommitment, EvidenceRecord,
+    KeyRollover, RunMarker,
 };
 use nonrep_store::EvidenceLog;
 use nonrep_types::codec::Decode;
@@ -62,7 +76,7 @@ pub struct LogReport {
     /// Tokens decoded from the log: `(token, signature_valid)`.
     pub tokens: Vec<(NrToken, bool)>,
     /// Records whose payload was not a decodable token (or a decodable
-    /// epoch commitment).
+    /// epoch commitment, rollover, run marker or subtree certificate).
     pub undecodable: usize,
     /// Epoch commitments encountered in the submission.
     pub epoch_commits: usize,
@@ -125,12 +139,17 @@ pub struct WindowSubmission {
     /// window does not extend to the log's tail (the head then cannot be
     /// cross-checked against the window).
     pub head: Digest,
+    /// The subtree certificates the window's token signatures
+    /// reference, which the log stores once, possibly before the window
+    /// starts.
+    pub certs: Vec<SubtreeCert>,
 }
 
 impl WindowSubmission {
     /// Builds a submission directly from a live log: `range` is clamped,
-    /// and the head claim is attached automatically when the window
-    /// reaches the log's tail.
+    /// the head claim is attached automatically when the window reaches
+    /// the log's tail, and every subtree certificate the window's tokens
+    /// reference is attached from the log's certificate records.
     pub fn from_log(submitter: impl Into<OrgId>, log: &dyn EvidenceLog, range: Range<u64>) -> Self {
         let records = log.snapshot_range(range.start..range.end);
         // Read order matters under concurrent appenders: head before len.
@@ -141,12 +160,34 @@ impl WindowSubmission {
         // larger len).
         let head = log.head();
         let reaches_tail = records.last().map(|r| r.seq + 1) == Some(log.len());
+        let certs = referenced_certs(log, &records);
         Self {
             submitter: submitter.into(),
             records,
             head: if reaches_tail { head } else { Digest::ZERO },
+            certs,
         }
     }
+}
+
+/// The certificates `log` holds for the references in `records`' token
+/// signatures, found through the run index of the certificate run.
+fn referenced_certs(log: &dyn EvidenceLog, records: &[Arc<EvidenceRecord>]) -> Vec<SubtreeCert> {
+    let wanted: HashSet<CertRef> = records
+        .iter()
+        .filter_map(|r| NrToken::decode_from_slice(&r.draft.payload).ok())
+        .filter_map(|t| t.signature.cert_ref())
+        .collect();
+    if wanted.is_empty() {
+        return Vec::new();
+    }
+    let roots: HashSet<Digest> = wanted.iter().map(|r| r.subtree_root).collect();
+    log.by_run(&cert_run_id())
+        .iter()
+        .filter(|r| roots.contains(&r.draft.content_digest))
+        .filter_map(|r| cert_from_record(r))
+        .filter(|c| wanted.contains(&c.reference()))
+        .collect()
 }
 
 /// A token assertion established by the adjudication.
@@ -407,6 +448,9 @@ impl Adjudicator {
             &*self.directory,
             submission.records.first().map(|r| (r.seq, r.prev_hash)),
         );
+        for cert in &submission.certs {
+            builder.certs.insert(cert.reference(), cert.clone());
+        }
         for record in &submission.records {
             builder.check(record);
         }
@@ -466,6 +510,9 @@ struct ReportBuilder<'a> {
     anchor_violation: Option<ChainViolation>,
     rollovers: usize,
     rollovers_verified: usize,
+    /// Subtree certificates stored token signatures can reference: the
+    /// submission's, then each certificate record as it is scanned.
+    certs: HashMap<CertRef, SubtreeCert>,
 }
 
 impl<'a> ReportBuilder<'a> {
@@ -495,6 +542,7 @@ impl<'a> ReportBuilder<'a> {
             anchor_violation: None,
             rollovers: 0,
             rollovers_verified: 0,
+            certs: HashMap::new(),
         }
     }
 
@@ -543,6 +591,18 @@ impl<'a> ReportBuilder<'a> {
             }
             return;
         }
+        if record.is_subtree_cert() {
+            // Attests nothing by itself: a token that references it
+            // verifies the certificate through its own signature chain.
+            // An edited one no longer decodes or names its subtree.
+            match cert_from_record(record) {
+                Some(cert) => {
+                    self.certs.insert(cert.reference(), cert);
+                }
+                None => self.undecodable += 1,
+            }
+            return;
+        }
         if record.is_run_marker() {
             // Progress bookkeeping for crash recovery: the submitter's
             // private claim about its own run state, carried inside the
@@ -555,7 +615,13 @@ impl<'a> ReportBuilder<'a> {
             return;
         }
         match NrToken::decode_from_slice(&record.draft.payload) {
-            Ok(token) => {
+            Ok(mut token) => {
+                // A stored signature references its subtree certificate;
+                // one this submission cannot resolve leaves the reference
+                // in place, and a reference never verifies.
+                if let Some(cert) = token.signature.cert_ref().and_then(|r| self.certs.get(&r)) {
+                    token.signature.attach_cert(cert.clone());
+                }
                 let ok = self
                     .directory
                     .key_of(&token.issuer)
@@ -807,6 +873,7 @@ mod tests {
             submitter: OrgId::new(org),
             records,
             head: Digest::ZERO,
+            certs: Vec::new(),
         }
     }
 

@@ -3,12 +3,15 @@
 
 use std::sync::Arc;
 
-use nonrep_core::{Adjudicator, WindowSubmission};
+use nonrep_core::{Adjudicator, Verdict, WindowSubmission};
 use nonrep_crypto::digest::{sha256, Digest};
+use nonrep_crypto::mss::MssSigner;
 use nonrep_crypto::rng::SecureRandom;
-use nonrep_crypto::HssSigner;
+use nonrep_crypto::sig::{KeyPair, SignatureScheme};
+use nonrep_crypto::{HssSigner, SubtreeCert};
 use nonrep_protocols::party::{KeyDirectory, Party, StaticKeyDirectory};
 use nonrep_protocols::tokens::TokenKind;
+use nonrep_protocols::CommitmentMode;
 use nonrep_store::record::{EpochCommitment, EvidenceRecord, KeyRollover, RecordDraft};
 use nonrep_store::EvidenceLog;
 use nonrep_types::codec::Encode;
@@ -37,6 +40,7 @@ fn full(org: &str, records: Vec<Arc<EvidenceRecord>>) -> WindowSubmission {
         submitter: OrgId::new(org),
         records,
         head: Digest::ZERO,
+        certs: Vec::new(),
     }
 }
 
@@ -241,5 +245,163 @@ fn the_window_door_and_the_in_place_door_report_the_same_log_identically() {
         let mut misclaimed = window(sha256(b"not the tail"));
         misclaimed.chain = in_place.chain.clone();
         assert_eq!(misclaimed, in_place, "{what}: false head");
+    }
+}
+
+/// Alice and bob on hierarchical keys with 16-leaf subtrees, batched,
+/// after eight exchanges each sealed on both sides.
+fn hierarchical_duo() -> (Duo, Vec<RunId>) {
+    let clock = LogicalClock::new();
+    let dir = Arc::new(StaticKeyDirectory::new());
+    let party = |org: &str, seed: u64| {
+        let mut rng = SecureRandom::from_seed(seed);
+        let keys = Arc::new(KeyPair::generate(
+            SignatureScheme::Hss {
+                root_height: 4,
+                subtree_height: 4,
+            },
+            &mut rng,
+        ));
+        dir.insert(OrgId::new(org), keys.verifying_key());
+        Party::with_commitment(
+            org,
+            keys,
+            Arc::new(clock.clone()),
+            Arc::new(nonrep_store::MemoryLog::new()),
+            Arc::clone(&dir) as Arc<dyn KeyDirectory>,
+            rng,
+            CommitmentMode::auto(50),
+        )
+    };
+    let duo = Duo {
+        alice: party("alice", 11),
+        bob: party("bob", 12),
+        dir: dir.clone(),
+    };
+    let runs = (0..8)
+        .map(|_| {
+            let run = exchange(&duo);
+            duo.alice.flush_evidence().unwrap();
+            duo.bob.flush_evidence().unwrap();
+            run
+        })
+        .collect();
+    (duo, runs)
+}
+
+/// The span of `run`'s records in `party`'s log, as a window.
+fn run_window(party: &Party, run: RunId) -> WindowSubmission {
+    let seqs: Vec<u64> = party.log().by_run(&run).iter().map(|r| r.seq).collect();
+    let (lo, hi) = (seqs[0], *seqs.last().unwrap());
+    WindowSubmission::from_log(party.org().clone(), &**party.log(), lo..hi + 1)
+}
+
+/// A run of [`hierarchical_duo`] whose window in alice's log holds no
+/// certificate record: every certificate its tokens reference was
+/// stored before the window starts.
+fn run_with_certs_before_its_window(d: &Duo, runs: &[RunId]) -> (RunId, WindowSubmission) {
+    runs.iter()
+        .map(|run| (*run, run_window(&d.alice, *run)))
+        .find(|(_, w)| w.records.iter().all(|r| !r.is_subtree_cert()))
+        .expect("most runs store no certificate")
+}
+
+/// The established facts as `(kind, issuer, holders)`.
+fn fact_shape(v: &Verdict) -> Vec<(TokenKind, OrgId, Vec<OrgId>)> {
+    v.facts
+        .iter()
+        .map(|f| (f.kind, f.issuer.clone(), f.held_by.clone()))
+        .collect()
+}
+
+#[test]
+fn a_window_stripped_of_its_certs_establishes_nothing_and_spares_the_counterparty() {
+    let (d, runs) = hierarchical_duo();
+    let (run, honest) = run_with_certs_before_its_window(&d, &runs);
+    // Alice's NRO references her certificate, bob's NRR his.
+    assert_eq!(honest.certs.len(), 2);
+    let bob = run_window(&d.bob, run);
+    let adj = Adjudicator::new(d.dir.clone() as Arc<dyn KeyDirectory>);
+    let verdict = adj.adjudicate_windows(run, &[honest.clone(), bob.clone()]);
+    assert!(verdict.suspect_submitters().is_empty());
+    let both = vec![OrgId::new("alice"), OrgId::new("bob")];
+    assert_eq!(
+        fact_shape(&verdict),
+        vec![
+            (TokenKind::NroReq, OrgId::new("alice"), both.clone()),
+            (TokenKind::NrrReq, OrgId::new("bob"), both),
+        ]
+    );
+
+    let stripped = WindowSubmission {
+        certs: Vec::new(),
+        ..honest
+    };
+    let verdict = adj.adjudicate_windows(run, &[stripped, bob.clone()]);
+    let report = &verdict.reports[0];
+    assert!(!report.clean());
+    assert_eq!(report.tokens.len(), 2);
+    assert!(report.tokens.iter().all(|(_, ok)| !ok));
+    assert_eq!(verdict.suspect_submitters(), vec![OrgId::new("alice")]);
+    // Bob's window alone proves what it proved before.
+    let bob_alone = adj.adjudicate_windows(run, &[bob]);
+    assert!(bob_alone.suspect_submitters().is_empty());
+    assert_eq!(fact_shape(&verdict), fact_shape(&bob_alone));
+    assert!(verdict
+        .facts
+        .iter()
+        .all(|f| f.held_by == [OrgId::new("bob")]));
+}
+
+#[test]
+fn a_cert_swapped_for_one_under_another_root_fails() {
+    let (d, runs) = hierarchical_duo();
+    let (run, honest) = run_with_certs_before_its_window(&d, &runs);
+    let mut other_root = MssSigner::generate(3, &mut SecureRandom::from_seed(99));
+    // Same generation, same subtree: only the certifying root differs.
+    let swapped = WindowSubmission {
+        certs: honest
+            .certs
+            .iter()
+            .map(|c| SubtreeCert {
+                root_sig: other_root
+                    .sign(&SubtreeCert::signing_digest(c.generation, &c.subtree_root))
+                    .unwrap(),
+                ..c.clone()
+            })
+            .collect(),
+        ..honest
+    };
+    let adj = Adjudicator::new(d.dir.clone() as Arc<dyn KeyDirectory>);
+    let verdict = adj.adjudicate_windows(run, &[swapped]);
+    assert!(verdict.facts.is_empty());
+    assert!(verdict.reports[0].tokens.iter().all(|(_, ok)| !ok));
+    assert_eq!(verdict.suspect_submitters(), vec![OrgId::new("alice")]);
+}
+
+#[test]
+fn an_edited_cert_record_counts_as_undecodable() {
+    let (d, _) = hierarchical_duo();
+    let adj = Adjudicator::new(d.dir.clone() as Arc<dyn KeyDirectory>);
+    let records = d.alice.log().records();
+    assert!(adj
+        .verify_log_in_place(OrgId::new("alice"), &Exhibit(records.clone()))
+        .clean());
+    let at = records.iter().position(|r| r.is_subtree_cert()).unwrap();
+    type Edit = fn(&mut RecordDraft);
+    let edits: [(&str, Edit); 2] = [
+        ("cut payload", |d| {
+            d.payload.pop();
+        }),
+        ("renamed subtree", |d| {
+            d.content_digest = sha256(b"another subtree")
+        }),
+    ];
+    for (what, edit) in edits {
+        let mut doctored = records.clone();
+        edit(&mut Arc::make_mut(&mut doctored[at]).draft);
+        let report = adj.verify_log_in_place(OrgId::new("alice"), &Exhibit(doctored));
+        assert_eq!(report.undecodable, 1, "{what}");
+        assert!(!report.clean(), "{what}");
     }
 }

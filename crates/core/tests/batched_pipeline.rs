@@ -202,6 +202,7 @@ fn dropping_a_sealed_run_from_the_window_is_detected() {
         submitter: OrgId::new("bob"),
         records: doctored,
         head: d.bob.log().head(),
+        certs: Vec::new(),
     };
     let verdict = adjudicator(&d).adjudicate_windows(run2, &[submission]);
     assert_eq!(verdict.suspect_submitters(), vec![OrgId::new("bob")]);
@@ -229,6 +230,7 @@ fn doctor_epoch(
         // The tampered record breaks the old head claim trivially; drop
         // the claim so detection must come from the chain/epoch checks.
         head: Digest::ZERO,
+        certs: window.certs.clone(),
     }
 }
 
@@ -256,6 +258,7 @@ proptest! {
             submitter: OrgId::new("alice"),
             records,
             head: Digest::ZERO,
+            certs: Vec::new(),
         };
         let verdict = adjudicator(&d).adjudicate_windows(run, &[submission]);
         prop_assert_eq!(verdict.suspect_submitters(), vec![OrgId::new("alice")]);

@@ -148,6 +148,7 @@ fn forked_submission(org: &OrgMiddleware, forged_subject: Digest) -> WindowSubmi
         submitter: party.org().clone(),
         records: forged,
         head: prev,
+        certs: Vec::new(),
     }
 }
 

@@ -254,6 +254,7 @@ fn forged_rollover_cert_convicts_the_submitter() {
         submitter: OrgId::new("alice"),
         records,
         head: Digest::ZERO,
+        certs: Vec::new(),
     });
     assert!(
         report.chain.is_ok(),

@@ -12,6 +12,7 @@ use parking_lot::Mutex;
 
 use nonrep_core::{Adjudicator, Corroboration, Fact, LogReport, Verdict, WindowSubmission};
 use nonrep_crypto::digest::sha256;
+use nonrep_crypto::hss::CertLink;
 use nonrep_crypto::mss::{memo_stats, MemoStats};
 use nonrep_crypto::rng::SecureRandom;
 use nonrep_crypto::sig::{KeyPair, SignaturePayload, SignatureScheme};
@@ -20,7 +21,7 @@ use nonrep_protocols::party::{KeyDirectory, Party, StaticKeyDirectory};
 use nonrep_protocols::scheduler::TokenSpec;
 use nonrep_protocols::tokens::{NrToken, TokenKind};
 use nonrep_protocols::{CommitmentMode, ProtocolMessage};
-use nonrep_store::record::{EpochCommitment, KeyRollover, RecordDraft};
+use nonrep_store::record::{cert_from_record, EpochCommitment, KeyRollover, RecordDraft};
 use nonrep_store::{EvidenceRecord, MemoryLog};
 use nonrep_types::codec::{Decode, Encode};
 use nonrep_types::ids::{OrgId, RunId};
@@ -125,17 +126,28 @@ fn doctored_submissions_draw_the_same_verdict_cold_warm_and_after_a_clean_pass()
     let bob_window = window("bob", &d.bob);
 
     // Forged cert: bob's receipt in alice's log, its genuine (and soon
-    // cached) batch signature kept, its certificate's generation bumped.
+    // cached) batch signature kept, its certificate put back inline from
+    // alice's certificate record with the generation bumped.
     let mut forged_cert = records();
     let slot = forged_cert
         .iter()
         .position(|r| r.draft.kind == TokenKind::NrrReq.label() && r.draft.run_id == run)
         .unwrap();
     let mut token = NrToken::decode_from_slice(&forged_cert[slot].draft.payload).unwrap();
+    let reference = token.signature.cert_ref().expect("stored tokens reference");
+    let cert = forged_cert
+        .iter()
+        .filter_map(|r| cert_from_record(r))
+        .find(|c| c.reference() == reference)
+        .unwrap();
+    assert!(token.signature.attach_cert(cert));
     let SignaturePayload::Hss(h) = &mut token.signature.payload else {
         panic!("hierarchical keys sign hierarchical signatures");
     };
-    h.subtree_root_cert.generation += 1;
+    let CertLink::Inline(cert) = &mut h.cert else {
+        panic!("the cert was just attached");
+    };
+    cert.generation += 1;
     Arc::make_mut(&mut forged_cert[slot]).draft.payload = token.encode_to_vec();
 
     // Forged rollover: an attacker's genuine-looking subtree hand-over
@@ -172,6 +184,7 @@ fn doctored_submissions_draw_the_same_verdict_cold_warm_and_after_a_clean_pass()
             submitter: alice.clone(),
             records,
             head: nonrep_crypto::Digest::ZERO,
+            certs: Vec::new(),
         };
         (what, submission)
     })

@@ -191,10 +191,9 @@ impl BatchSignature {
         crate::mss::verify(key_root, &batch_digest(&implied), &self.mss_sig)
     }
 
-    /// Serialized size in bytes (space-overhead accounting). The batch
-    /// signature adds one auth path per record but shares the MSS
-    /// signature bytes across the whole batch on the wire-free local
-    /// path; this reports the full standalone encoding.
+    /// Serialized size in bytes (space-overhead accounting): the full
+    /// encoding, shared MSS signature included — every record of a batch
+    /// carries its own copy.
     pub fn byte_len(&self) -> usize {
         self.mss_sig.byte_len() + 8 + self.auth_path.byte_len()
     }

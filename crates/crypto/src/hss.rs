@@ -7,9 +7,17 @@
 //! one [`SubtreeCert`] per subtree of height `S`, giving `2^R · 2^S`
 //! total signatures while verifiers keep holding the *same* 32-byte
 //! public key (the root tree's Merkle root — key directories, key ids
-//! and gossip are untouched). Each [`HssSignature`] carries its
-//! subtree signature plus the certificate chaining it to the root, so
-//! verification never needs signer state.
+//! and gossip are untouched). On the wire each [`HssSignature`]
+//! carries its subtree signature plus the certificate chaining it to
+//! the root (RFC 8554 §6), so verification never needs signer state.
+//!
+//! * **Stored form.** The certificate is identical for every signature
+//!   of one subtree, so an evidence log keeps it once, as its own
+//!   record, and a stored signature carries a [`CertLink::Ref`] — the
+//!   36-byte `(generation, subtree_root)` pair — in its place
+//!   ([`HssSignature::detach_cert`]). A reader puts the certificate back
+//!   ([`HssSignature::attach_cert`]) and verifies as usual; a signature
+//!   still holding a reference never verifies.
 //!
 //! * **Rollover** is automatic: when the active subtree exhausts,
 //!   [`HssSigner::sign`] activates the next one, burns a single root
@@ -89,9 +97,75 @@ impl SubtreeCert {
         )
     }
 
+    /// The `(generation, subtree_root)` pair a stored signature carries
+    /// in place of this cert.
+    pub fn reference(&self) -> CertRef {
+        CertRef {
+            generation: self.generation,
+            subtree_root: self.subtree_root,
+        }
+    }
+
     /// Serialized size in bytes.
     pub fn byte_len(&self) -> usize {
         4 + 32 + self.root_sig.byte_len()
+    }
+}
+
+/// Names one subtree certificate: what a stored [`HssSignature`]
+/// carries instead of the certificate itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CertRef {
+    /// The certified subtree's generation.
+    pub generation: u32,
+    /// The certified subtree's Merkle root.
+    pub subtree_root: Digest,
+}
+
+impl CertRef {
+    /// Serialized size in bytes.
+    pub const BYTE_LEN: usize = 4 + 32;
+}
+
+impl Encode for CertRef {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u32(self.generation);
+        self.subtree_root.encode(w);
+    }
+}
+
+impl Decode for CertRef {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Self {
+            generation: r.get_u32()?,
+            subtree_root: Digest::decode(r)?,
+        })
+    }
+}
+
+/// The certificate an [`HssSignature`] chains through: the full cert
+/// (the wire form) or a reference to one stored elsewhere.
+// Unboxed on purpose: every wire signature is `Inline`, and a `Ref`
+// lives only between decoding a stored token and attaching its cert,
+// so boxing would add an allocation to the common case to save space
+// in the rare one.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CertLink {
+    /// The root key's certificate itself.
+    Inline(SubtreeCert),
+    /// A reference to a certificate the reader resolves before
+    /// verifying ([`HssSignature::attach_cert`]).
+    Ref(CertRef),
+}
+
+impl CertLink {
+    /// The `(generation, subtree_root)` pair, whichever the form.
+    pub fn reference(&self) -> CertRef {
+        match self {
+            CertLink::Inline(cert) => cert.reference(),
+            CertLink::Ref(r) => *r,
+        }
     }
 }
 
@@ -126,25 +200,34 @@ pub enum SubtreeSig {
 
 const SUBTREE_TAG_DIRECT: u8 = 0;
 const SUBTREE_TAG_BATCHED: u8 = 1;
+/// Or'd into the subtree tag when a [`CertRef`] follows the subtree
+/// signature instead of a [`SubtreeCert`], so the inline (wire) encoding
+/// is the same bytes it always was.
+const SUBTREE_TAG_CERT_REF: u8 = 2;
 
 /// A hierarchical signature: the subtree's signature over the message
-/// plus the root-key certificate over that subtree. Self-contained — a
-/// verifier holding only the root public key walks the chain
-/// cert-then-signature without any signer state.
+/// plus the root-key certificate over that subtree. With the cert
+/// inline it is self-contained — a verifier holding only the root
+/// public key walks the chain cert-then-signature without any signer
+/// state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HssSignature {
     /// The active subtree's signature over the message digest.
     pub subtree_sig: SubtreeSig,
-    /// The root key's certificate over that subtree.
-    pub subtree_root_cert: SubtreeCert,
+    /// The root key's certificate over that subtree, or a reference to
+    /// it in the stored form.
+    pub cert: CertLink,
 }
 
 impl HssSignature {
     /// Verifies the full chain: the cert under the registered `root`
     /// public key, then the message signature under the certified
-    /// subtree root.
+    /// subtree root. A signature whose cert is only referenced never
+    /// verifies.
     pub fn verify(&self, root: &Digest, digest: &Digest) -> bool {
-        let cert = &self.subtree_root_cert;
+        let CertLink::Inline(cert) = &self.cert else {
+            return false;
+        };
         if !cert.verify(root) {
             return false;
         }
@@ -159,48 +242,85 @@ impl HssSignature {
         matches!(self.subtree_sig, SubtreeSig::Batched(_))
     }
 
+    /// Replaces an inline cert with its reference and returns the cert
+    /// (`None`, changing nothing, if the cert is already a reference).
+    pub fn detach_cert(&mut self) -> Option<SubtreeCert> {
+        let reference = CertLink::Ref(self.cert.reference());
+        match std::mem::replace(&mut self.cert, reference) {
+            CertLink::Inline(cert) => Some(cert),
+            CertLink::Ref(_) => None,
+        }
+    }
+
+    /// Puts `cert` in place of the reference it answers. Returns `false`,
+    /// changing nothing, if the cert is inline already or `cert` names
+    /// another subtree.
+    pub fn attach_cert(&mut self, cert: SubtreeCert) -> bool {
+        match self.cert {
+            CertLink::Ref(r) if r == cert.reference() => {
+                self.cert = CertLink::Inline(cert);
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Serialized size in bytes.
     pub fn byte_len(&self) -> usize {
         let inner = match &self.subtree_sig {
             SubtreeSig::Direct(s) => s.byte_len(),
             SubtreeSig::Batched(b) => b.byte_len(),
         };
-        1 + inner + self.subtree_root_cert.byte_len()
+        let cert = match &self.cert {
+            CertLink::Inline(cert) => cert.byte_len(),
+            CertLink::Ref(_) => CertRef::BYTE_LEN,
+        };
+        1 + inner + cert
     }
 }
 
 impl Encode for HssSignature {
     fn encode(&self, w: &mut Writer) {
+        let cert_tag = match self.cert {
+            CertLink::Inline(_) => 0,
+            CertLink::Ref(_) => SUBTREE_TAG_CERT_REF,
+        };
         match &self.subtree_sig {
             SubtreeSig::Direct(s) => {
-                w.put_u8(SUBTREE_TAG_DIRECT);
+                w.put_u8(SUBTREE_TAG_DIRECT | cert_tag);
                 s.encode(w);
             }
             SubtreeSig::Batched(b) => {
-                w.put_u8(SUBTREE_TAG_BATCHED);
+                w.put_u8(SUBTREE_TAG_BATCHED | cert_tag);
                 b.encode(w);
             }
         }
-        self.subtree_root_cert.encode(w);
+        match &self.cert {
+            CertLink::Inline(cert) => cert.encode(w),
+            CertLink::Ref(r) => r.encode(w),
+        }
     }
 }
 
 impl Decode for HssSignature {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let subtree_sig = match r.get_u8()? {
+        let tag = r.get_u8()?;
+        let subtree_sig = match tag & !SUBTREE_TAG_CERT_REF {
             SUBTREE_TAG_DIRECT => SubtreeSig::Direct(MssSignature::decode(r)?),
             SUBTREE_TAG_BATCHED => SubtreeSig::Batched(BatchSignature::decode(r)?),
-            tag => {
+            _ => {
                 return Err(CodecError::InvalidTag {
                     ty: "HssSignature",
                     tag,
                 })
             }
         };
-        Ok(Self {
-            subtree_sig,
-            subtree_root_cert: SubtreeCert::decode(r)?,
-        })
+        let cert = if tag & SUBTREE_TAG_CERT_REF == 0 {
+            CertLink::Inline(SubtreeCert::decode(r)?)
+        } else {
+            CertLink::Ref(CertRef::decode(r)?)
+        };
+        Ok(Self { subtree_sig, cert })
     }
 }
 
@@ -427,7 +547,7 @@ impl HssSigner {
         let (sig, cert) = self.sign_leaf(digest)?;
         Ok(HssSignature {
             subtree_sig: SubtreeSig::Direct(sig),
-            subtree_root_cert: cert,
+            cert: CertLink::Inline(cert),
         })
     }
 
@@ -550,7 +670,7 @@ mod tests {
             assert!(sig.verify(&pk, &d), "message {i} failed to verify");
             if let SubtreeSig::Direct(m) = &sig.subtree_sig {
                 assert!(
-                    seen.insert((sig.subtree_root_cert.generation, m.leaf_index)),
+                    seen.insert((sig.cert.reference().generation, m.leaf_index)),
                     "leaf reused at message {i}"
                 );
             }
@@ -650,11 +770,67 @@ mod tests {
         let d = sha256(b"claim");
         let mut sig = alice.sign(&d).unwrap();
         // Substitute a cert signed by mallory's root.
-        sig.subtree_root_cert = mallory.sign(&d).unwrap().subtree_root_cert;
+        sig.cert = mallory.sign(&d).unwrap().cert;
         assert!(!sig.verify(&alice.public_key(), &d));
         // Tampering the generation breaks the cert's digest binding.
         let mut sig = alice.sign(&d).unwrap();
-        sig.subtree_root_cert.generation += 1;
+        if let CertLink::Inline(cert) = &mut sig.cert {
+            cert.generation += 1;
+        }
+        assert!(!sig.verify(&alice.public_key(), &d));
+    }
+
+    #[test]
+    fn stored_form_verifies_only_with_its_cert_attached() {
+        let mut s = signer(2, 1, 11);
+        let pk = s.public_key();
+        let d = sha256(b"stored");
+        let wire = s.sign(&d).unwrap();
+        let mut stored = wire.clone();
+        let cert = stored
+            .detach_cert()
+            .expect("a fresh signature carries its cert");
+        assert_eq!(stored.cert, CertLink::Ref(cert.reference()));
+        assert_eq!(stored.detach_cert(), None, "already a reference");
+        // The reference alone never verifies, and round-trips as one.
+        assert!(!stored.verify(&pk, &d));
+        let back = HssSignature::decode_from_slice(&stored.encode_to_vec()).unwrap();
+        assert_eq!(back, stored);
+        assert_eq!(
+            wire.encode_to_vec().len() - stored.encode_to_vec().len(),
+            cert.byte_len() - CertRef::BYTE_LEN
+        );
+        // Only the cert the reference names can be attached.
+        let mut other = s.active_cert().clone();
+        other.generation += 1;
+        assert!(!stored.attach_cert(other));
+        assert!(stored.attach_cert(cert.clone()));
+        assert!(!stored.attach_cert(cert), "already inline");
+        assert_eq!(stored, wire);
+        assert!(stored.verify(&pk, &d));
+    }
+
+    #[test]
+    fn attached_cert_from_another_root_fails() {
+        let mut alice = signer(2, 1, 12);
+        let mut other_root = MssSigner::generate(2, &mut SecureRandom::from_seed(13));
+        let d = sha256(b"claim");
+        let mut sig = alice.sign(&d).unwrap();
+        let genuine = sig.detach_cert().unwrap();
+        // Another root key certifies alice's subtree: the reference
+        // matches and the cert is genuine under its own root, but the
+        // chain to alice's root does not hold.
+        let swapped = SubtreeCert {
+            root_sig: other_root
+                .sign(&SubtreeCert::signing_digest(
+                    genuine.generation,
+                    &genuine.subtree_root,
+                ))
+                .unwrap(),
+            ..genuine
+        };
+        assert!(swapped.verify(&other_root.public_key()));
+        assert!(sig.attach_cert(swapped));
         assert!(!sig.verify(&alice.public_key(), &d));
     }
 
@@ -675,7 +851,10 @@ mod tests {
         let back = HssSignature::decode_from_slice(&sig.encode_to_vec()).unwrap();
         assert_eq!(back, sig);
         assert!(back.verify(&s.public_key(), &d));
-        assert!(sig.encode_to_vec().len() >= sig.byte_len());
+        assert_eq!(sig.encode_to_vec().len(), sig.byte_len());
+        let mut stored = sig;
+        stored.detach_cert();
+        assert_eq!(stored.encode_to_vec().len(), stored.byte_len());
     }
 
     #[test]
@@ -685,5 +864,6 @@ mod tests {
         let back = SubtreeCert::decode_from_slice(&cert.encode_to_vec()).unwrap();
         assert_eq!(back, cert);
         assert!(back.verify(&s.public_key()));
+        assert_eq!(cert.encode_to_vec().len(), cert.byte_len());
     }
 }

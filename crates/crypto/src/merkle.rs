@@ -117,9 +117,10 @@ impl AuthPath {
         acc
     }
 
-    /// Serialized size in bytes (32 per step + 1 direction byte).
+    /// Serialized size in bytes: the step count, then 32 sibling bytes
+    /// and 1 direction byte per step.
     pub fn byte_len(&self) -> usize {
-        self.steps.len() * 33
+        4 + self.steps.len() * 33
     }
 }
 
@@ -347,7 +348,11 @@ mod tests {
     fn path_byte_len() {
         let data = payloads(8);
         let tree = MerkleTree::from_payloads(data.iter().map(Vec::as_slice));
-        assert_eq!(tree.auth_path(0).byte_len(), 3 * 33);
+        assert_eq!(tree.auth_path(0).byte_len(), 4 + 3 * 33);
+        assert_eq!(
+            tree.auth_path(0).byte_len(),
+            tree.auth_path(0).encode_to_vec().len()
+        );
     }
 
     #[test]

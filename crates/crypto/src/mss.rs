@@ -80,9 +80,10 @@ pub struct MssSignature {
 }
 
 impl MssSignature {
-    /// Serialized size in bytes.
+    /// Serialized size in bytes: the leaf index, the length-prefixed
+    /// W-OTS signature and the authentication path.
     pub fn byte_len(&self) -> usize {
-        4 + WotsSignature::BYTE_LEN + self.path.byte_len()
+        4 + 4 + WotsSignature::BYTE_LEN + self.path.byte_len()
     }
 }
 
@@ -639,8 +640,7 @@ mod tests {
     fn byte_len_matches_reported() {
         let mut s = signer(3, 10);
         let sig = s.sign(&sha256(b"len")).unwrap();
-        // encode has some length prefixes; byte_len reports the raw payload.
-        assert!(sig.encode_to_vec().len() >= sig.byte_len());
+        assert_eq!(sig.encode_to_vec().len(), sig.byte_len());
     }
 
     #[test]

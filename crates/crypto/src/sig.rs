@@ -22,7 +22,9 @@ use nonrep_types::codec::{CodecError, Decode, Encode, Reader, Writer};
 use crate::arbitrated::ArbitratedKey;
 use crate::batch::{batch_digest, batch_leaves, BatchSignature};
 use crate::digest::{sha256, Digest};
-use crate::hss::{HssSignature, HssSigner, RolloverEvent, SubtreeSig};
+use crate::hss::{
+    CertLink, CertRef, HssSignature, HssSigner, RolloverEvent, SubtreeCert, SubtreeSig,
+};
 use crate::merkle::MerkleTree;
 use crate::mss::{self, MssError, MssSignature, MssSigner};
 use crate::rng::SecureRandom;
@@ -124,22 +126,55 @@ pub enum SignaturePayload {
     /// [`crate::batch`]).
     BatchedMss(BatchSignature),
     /// Hierarchical signature: a subtree signature (direct or batched)
-    /// chained to the root key by its subtree certificate (see
-    /// [`crate::hss`]). Boxed: the chained cert makes it several times
-    /// the size of the other variants, and signatures mostly live
-    /// behind this enum in bulk.
+    /// chained to the root key by its subtree certificate, or — in the
+    /// stored form — by a reference to it (see [`crate::hss`]). Boxed:
+    /// it is several times the size of the other variants, and
+    /// signatures mostly live behind this enum in bulk.
     Hss(Box<HssSignature>),
 }
 
 impl Signature {
-    /// Size of the signature material in bytes (for the space-overhead
-    /// experiment, E7).
+    /// Size of the signature's encoding in bytes (for the space-overhead
+    /// experiment, E7): the key id, the scheme tag and the payload.
     pub fn byte_len(&self) -> usize {
-        32 + match &self.payload {
-            SignaturePayload::Mss(s) => s.byte_len(),
-            SignaturePayload::Arbitrated(_) => 32,
-            SignaturePayload::BatchedMss(b) => b.byte_len(),
-            SignaturePayload::Hss(h) => h.byte_len(),
+        32 + 1
+            + match &self.payload {
+                SignaturePayload::Mss(s) => s.byte_len(),
+                SignaturePayload::Arbitrated(_) => 32,
+                SignaturePayload::BatchedMss(b) => b.byte_len(),
+                SignaturePayload::Hss(h) => h.byte_len(),
+            }
+    }
+
+    /// Turns a hierarchical signature into its stored form: the inline
+    /// subtree certificate is replaced by its reference and returned.
+    /// `None` (nothing changed) for other schemes and for a signature
+    /// already in the stored form.
+    pub fn detach_cert(&mut self) -> Option<SubtreeCert> {
+        match &mut self.payload {
+            SignaturePayload::Hss(h) => h.detach_cert(),
+            _ => None,
+        }
+    }
+
+    /// The certificate reference a stored hierarchical signature carries
+    /// (`None` when the cert is inline, or the scheme has none).
+    pub fn cert_ref(&self) -> Option<CertRef> {
+        match &self.payload {
+            SignaturePayload::Hss(h) => match h.cert {
+                CertLink::Ref(r) => Some(r),
+                CertLink::Inline(_) => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// Resolves a stored signature's reference with `cert` (see
+    /// [`HssSignature::attach_cert`]); `false` if it names another cert.
+    pub fn attach_cert(&mut self, cert: SubtreeCert) -> bool {
+        match &mut self.payload {
+            SignaturePayload::Hss(h) => h.attach_cert(cert),
+            _ => false,
         }
     }
 
@@ -518,7 +553,7 @@ impl KeyPair {
                                 leaf_count: digests.len() as u32,
                                 auth_path: tree.auth_path(i),
                             }),
-                            subtree_root_cert: cert.clone(),
+                            cert: CertLink::Inline(cert.clone()),
                         })),
                     })
                     .collect())
@@ -604,6 +639,7 @@ mod tests {
             let back = Signature::decode_from_slice(&sig.encode_to_vec()).unwrap();
             assert_eq!(back, sig);
             assert!(kp.verifying_key().verify(b"wire", &back));
+            assert_eq!(sig.byte_len(), sig.encode_to_vec().len());
         }
     }
 
@@ -666,6 +702,7 @@ mod tests {
         // Codec roundtrip preserves verifiability.
         let back = Signature::decode_from_slice(&sigs[3].encode_to_vec()).unwrap();
         assert!(vk.verify_digest(&digests[3], &back));
+        assert_eq!(sigs[3].byte_len(), sigs[3].encode_to_vec().len());
     }
 
     #[test]
@@ -767,6 +804,17 @@ mod tests {
         assert!(!vk.verify_digest(&digests[0], &sigs[1]));
         let back = Signature::decode_from_slice(&sigs[2].encode_to_vec()).unwrap();
         assert!(vk.verify_digest(&digests[2], &back));
+        assert_eq!(sigs[2].byte_len(), sigs[2].encode_to_vec().len());
+        // The stored form: the cert comes out, a reference stays behind,
+        // and only the named cert puts it back.
+        let mut stored = sigs[2].clone();
+        let cert = stored.detach_cert().unwrap();
+        assert_eq!(stored.cert_ref(), Some(cert.reference()));
+        assert_eq!(stored.byte_len(), stored.encode_to_vec().len());
+        assert!(!vk.verify_digest(&digests[2], &stored));
+        assert!(stored.attach_cert(cert));
+        assert_eq!(stored, sigs[2]);
+        assert_eq!(stored.cert_ref(), None);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use nonrep_crypto::batch::{batch_digest, batch_leaf, BatchSignature};
 use nonrep_crypto::digest::{mb, sha256, sha256_short, Digest, Sha256};
 use nonrep_crypto::hmac::{hmac_sha256, hmac_short_lanes_with};
-use nonrep_crypto::hss::{HssSignature, SubtreeCert, SubtreeSig};
+use nonrep_crypto::hss::{CertLink, HssSignature, SubtreeCert, SubtreeSig};
 use nonrep_crypto::merkle::{leaf_hash, leaf_hash_digests_with, MerkleTree};
 use nonrep_crypto::mss::{self, MssSignature, MssSigner};
 use nonrep_crypto::rng::SecureRandom;
@@ -37,7 +37,9 @@ fn reference_batch(root: &Digest, digest: &Digest, b: &BatchSignature) -> bool {
 }
 
 fn reference_hss(root: &Digest, digest: &Digest, h: &HssSignature) -> bool {
-    let cert = &h.subtree_root_cert;
+    let CertLink::Inline(cert) = &h.cert else {
+        return false;
+    };
     let cert_digest = SubtreeCert::signing_digest(cert.generation, &cert.subtree_root);
     reference_mss(root, &cert_digest, &cert.root_sig)
         && match &h.subtree_sig {
@@ -61,7 +63,9 @@ fn reference(vk: &VerifyingKey, digest: &Digest, sig: &Signature) -> bool {
 }
 
 /// Every single-field mutation of `sig` a hostile submitter could try,
-/// each with whether verification must reject it. (A batch signature's
+/// each with whether verification must reject it. A hierarchical
+/// signature is also tried in its stored form, its cert replaced by a
+/// reference, which never verifies on its own. (A batch signature's
 /// `leaf_index` and `leaf_count` are informational — the position is
 /// bound by the authentication path's direction bits — so changing
 /// them alone leaves a signature that still verifies.)
@@ -94,8 +98,8 @@ fn mutations(sig: &Signature) -> Vec<(Signature, bool)> {
     let arms = match &sig.payload {
         SignaturePayload::Mss(_) => 3,
         SignaturePayload::BatchedMss(_) => 6,
-        SignaturePayload::Hss(h) if h.is_batched() => 5 + 6,
-        SignaturePayload::Hss(_) => 5 + 3,
+        SignaturePayload::Hss(h) if h.is_batched() => 6 + 6,
+        SignaturePayload::Hss(_) => 6 + 3,
         SignaturePayload::Arbitrated(_) => 0,
     };
     (0..arms)
@@ -104,8 +108,12 @@ fn mutations(sig: &Signature) -> Vec<(Signature, bool)> {
             let rejected = match &mut m.payload {
                 SignaturePayload::Mss(s) => mss(s, which),
                 SignaturePayload::BatchedMss(b) => batch(b, which),
-                SignaturePayload::Hss(h) => match (which.checked_sub(5), &mut h.subtree_sig) {
-                    (None, _) => cert(&mut h.subtree_root_cert, which),
+                SignaturePayload::Hss(h) => match (which.checked_sub(6), &mut h.subtree_sig) {
+                    (None, _) if which == 5 => h.detach_cert().is_some(),
+                    (None, _) => match &mut h.cert {
+                        CertLink::Inline(c) => cert(c, which),
+                        CertLink::Ref(_) => true,
+                    },
                     (Some(w), SubtreeSig::Direct(s)) => mss(s, w),
                     (Some(w), SubtreeSig::Batched(b)) => batch(b, w),
                 },

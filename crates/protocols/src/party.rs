@@ -347,25 +347,35 @@ impl Party {
         Ok(())
     }
 
-    /// Persists a token in the evidence log without verification (used for
-    /// tokens this party itself issued). Routed through the commitment
-    /// scheduler, so in batched mode the append counts toward the next
-    /// epoch seal.
+    /// Persists a token in the evidence log without verification: the
+    /// tokens this party issued itself, and — through
+    /// [`Party::verify_and_store`] — peer tokens it has verified. This is
+    /// the one place a token becomes a record. Routed through the
+    /// commitment scheduler, so in batched mode the append counts toward
+    /// the next epoch seal.
+    ///
+    /// A hierarchical signature is stored with its subtree certificate
+    /// replaced by a reference; the certificate itself gets one record
+    /// per log, ahead of the first token that references it
+    /// ([`CommitmentScheduler::record_token`]).
     ///
     /// # Errors
     ///
     /// [`ProtocolError::Storage`] on logging failure.
     pub fn store_token(&self, token: &NrToken) -> Result<(), ProtocolError> {
         use nonrep_types::codec::Encode;
+        let mut stored = token.clone();
+        let cert = stored.signature.detach_cert();
         let draft = RecordDraft {
             run_id: token.run_id,
             kind: token.kind.label().to_string(),
             actor: token.issuer.clone(),
             at: self.now(),
             content_digest: token.subject,
-            payload: token.encode_to_vec(),
+            payload: stored.encode_to_vec(),
         };
-        self.record_draft(draft)
+        self.scheduler.record_token(draft, cert)?;
+        Ok(())
     }
 
     /// Appends an arbitrary draft through the commitment pipeline (run

@@ -27,6 +27,11 @@
 //! compatibility mode and the default: every token and every frame gets
 //! its own signature and no epoch records are written.
 //!
+//! In either mode the scheduler stores each hierarchical signer's
+//! subtree certificate once per log: [`CommitmentScheduler::record_token`]
+//! appends a certificate's record ahead of the first token record that
+//! references it.
+//!
 //! # Seal policy
 //!
 //! A batched scheduler has one setting, its deadline
@@ -74,6 +79,7 @@
 //! [`CommitmentScheduler::seal_durable`], which seals and then waits out
 //! the seal's own device barrier.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -82,8 +88,9 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use nonrep_crypto::digest::Digest;
+use nonrep_crypto::hss::{CertRef, SubtreeCert};
 use nonrep_crypto::sig::KeyPair;
-use nonrep_store::record::{EpochCommitment, KeyRollover};
+use nonrep_store::record::{cert_draft, cert_from_record, EpochCommitment, KeyRollover};
 use nonrep_store::{EvidenceLog, EvidenceRecord, RecordDraft, StoreError};
 use nonrep_types::ids::{OrgId, RunId};
 use nonrep_types::time::{Clock, Timestamp};
@@ -244,6 +251,9 @@ struct SchedulerState {
     /// Highest hierarchical-key generation whose rollover record is in
     /// the log (0 = none). Seals append records for newer generations.
     rollover_persisted: u32,
+    /// The subtree certificates the log holds a record of, whichever
+    /// signer's: stored token signatures reference these.
+    certs_stored: HashSet<CertRef>,
     /// Leaves-per-epoch EWMA driving pre-exhaustion cadence slowdown.
     forecast: ExhaustionForecaster,
     /// When the oldest currently-unsealed record was appended (`None`
@@ -308,9 +318,12 @@ impl CommitmentScheduler {
     ) -> Self {
         let mut sealed_next = 0u64;
         let mut rollover_persisted = 0u32;
+        let mut certs_stored = HashSet::new();
         log.for_each(&mut |r| {
             if r.is_epoch_commit() {
                 sealed_next = r.seq + 1;
+            } else if let Some(cert) = cert_from_record(r) {
+                certs_stored.insert(cert.reference());
             } else if r.is_key_rollover() {
                 // Recover the rollover watermark so a reopened log does
                 // not get duplicate records for generations already
@@ -339,6 +352,7 @@ impl CommitmentScheduler {
             state: Mutex::new(SchedulerState {
                 sealed_next,
                 rollover_persisted,
+                certs_stored,
                 forecast: ExhaustionForecaster::new(),
                 pending_since,
                 effective_batch,
@@ -468,7 +482,40 @@ impl CommitmentScheduler {
     ///
     /// [`StoreError`] if persisting the record itself fails.
     pub fn record(&self, draft: RecordDraft) -> Result<Arc<EvidenceRecord>, StoreError> {
+        self.record_locked(&mut self.state.lock(), draft)
+    }
+
+    /// [`CommitmentScheduler::record`] for a token record whose
+    /// signature references `cert` (`None` when it references none): if
+    /// the log holds no record of `cert` yet, one is appended first,
+    /// under the same lock, so no token record ever precedes its
+    /// certificate's.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError`] if persisting either record fails.
+    pub fn record_token(
+        &self,
+        draft: RecordDraft,
+        cert: Option<SubtreeCert>,
+    ) -> Result<Arc<EvidenceRecord>, StoreError> {
         let mut state = self.state.lock();
+        if let Some(cert) = cert {
+            let reference = cert.reference();
+            if !state.certs_stored.contains(&reference) {
+                let signer = draft.actor.clone();
+                self.record_locked(&mut state, cert_draft(&cert, signer, self.clock.now()))?;
+                state.certs_stored.insert(reference);
+            }
+        }
+        self.record_locked(&mut state, draft)
+    }
+
+    fn record_locked(
+        &self,
+        state: &mut SchedulerState,
+        draft: RecordDraft,
+    ) -> Result<Arc<EvidenceRecord>, StoreError> {
         // On a bounded-buffer backend in batched mode, seal *before* an
         // append that would overflow the byte cap: the epoch record is
         // cap-exempt and its append flushes (drains) the whole buffer.
@@ -484,7 +531,7 @@ impl CommitmentScheduler {
                     (draft.payload.len() + draft.kind.len() + draft.actor.as_str().len() + 4096)
                         as u64;
                 if estimate > headroom {
-                    self.seal_locked(&mut state, SealTrigger::Overflow)?;
+                    self.seal_locked(state, SealTrigger::Overflow)?;
                 }
             }
         }
@@ -505,7 +552,7 @@ impl CommitmentScheduler {
                 // Deferred, not fatal (see the doc comment above): the
                 // seal keeps retrying, and the degraded probe keeps the retries
                 // from burning a signature each.
-                let _ = self.seal_locked(&mut state, trigger);
+                let _ = self.seal_locked(state, trigger);
             }
         }
         Ok(record)

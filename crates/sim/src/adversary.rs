@@ -108,6 +108,7 @@ fn forked_submission(
     let target = records.iter().position(|r| {
         r.draft.actor == *party.org()
             && r.draft.kind != EPOCH_KIND
+            && !r.is_subtree_cert()
             && target_kind.is_none_or(|k| r.draft.kind == k.label())
     });
     let Some(target) = target else {
@@ -158,6 +159,7 @@ fn forked_submission(
         submitter: party.org().clone(),
         records: forged,
         head: prev,
+        certs: Vec::new(),
     }
 }
 
@@ -218,6 +220,7 @@ impl Adversary for EvidenceWithholder {
             submitter: self.party.org().clone(),
             records,
             head,
+            certs: Vec::new(),
         }
     }
 }
@@ -244,10 +247,9 @@ impl Adversary for TokenReplayer {
 
     fn finalize(&self) {
         let records = self.party.log().records();
-        let Some(foreign) = records
-            .iter()
-            .find(|r| r.draft.actor != *self.party.org() && r.draft.kind != EPOCH_KIND)
-        else {
+        let Some(foreign) = records.iter().find(|r| {
+            r.draft.actor != *self.party.org() && r.draft.kind != EPOCH_KIND && !r.is_subtree_cert()
+        }) else {
             return;
         };
         let Ok(token) = NrToken::decode_from_slice(&foreign.draft.payload) else {

@@ -9,11 +9,17 @@
 //! `snapshot_range` *window* of a log — the window's records recompute the
 //! committed root — without replaying the chain from genesis
 //! ([`ChainVerifier::resume`]).
+//!
+//! A hierarchical signer's subtree certificate is the same for every
+//! signature of one subtree, so a log stores it once, as a
+//! [`CERT_KIND`] record under the reserved [`cert_run_id`], ahead of the
+//! first token record whose signature references it.
 
 use std::fmt;
 use std::sync::Arc;
 
 use nonrep_crypto::digest::{sha256, Digest, Sha256};
+use nonrep_crypto::hss::SubtreeCert;
 use nonrep_crypto::merkle::leaf_hash;
 use nonrep_crypto::sig::{Signature, VerifyingKey};
 use nonrep_crypto::MerkleAccumulator;
@@ -86,6 +92,12 @@ impl EvidenceRecord {
     /// `true` if this record carries a [`RunMarker`].
     pub fn is_run_marker(&self) -> bool {
         self.draft.kind == RUN_MARKER_KIND
+    }
+
+    /// `true` if this record carries a subtree certificate
+    /// ([`cert_draft`]).
+    pub fn is_subtree_cert(&self) -> bool {
+        self.draft.kind == CERT_KIND
     }
 }
 
@@ -277,7 +289,7 @@ pub struct KeyRollover {
     /// Leaves the retired subtree had spent when it was retired.
     pub leaves_spent: u32,
     /// The root key's certificate over the newly activated subtree.
-    pub cert: nonrep_crypto::hss::SubtreeCert,
+    pub cert: SubtreeCert,
 }
 
 impl KeyRollover {
@@ -342,9 +354,44 @@ impl Decode for KeyRollover {
             generation: r.get_u32()?,
             retired_root: Digest::decode(r)?,
             leaves_spent: r.get_u32()?,
-            cert: nonrep_crypto::hss::SubtreeCert::decode(r)?,
+            cert: SubtreeCert::decode(r)?,
         })
     }
+}
+
+/// Record kind under which a log keeps each subtree certificate once.
+pub const CERT_KIND: &str = "subtree_cert";
+
+/// The reserved control run subtree-certificate records are filed under:
+/// one of their own, so the run index returns the certificates alone.
+/// Minted run ids are 128 random bits, so the all-ones id is never one.
+pub fn cert_run_id() -> RunId {
+    RunId::from_u128(u128::MAX)
+}
+
+/// Wraps the subtree certificate `signer`'s stored token signatures
+/// reference as a log record draft (kind [`CERT_KIND`], filed under
+/// [`cert_run_id`]; content digest = the certified subtree root).
+pub fn cert_draft(cert: &SubtreeCert, signer: OrgId, at: Timestamp) -> RecordDraft {
+    RecordDraft {
+        run_id: cert_run_id(),
+        kind: CERT_KIND.to_string(),
+        actor: signer,
+        at,
+        content_digest: cert.subtree_root,
+        payload: cert.encode_to_vec(),
+    }
+}
+
+/// Decodes the certificate a record carries, if `record` is a
+/// certificate record whose content digest names the certified subtree.
+pub fn cert_from_record(record: &EvidenceRecord) -> Option<SubtreeCert> {
+    if !record.is_subtree_cert() {
+        return None;
+    }
+    SubtreeCert::decode_from_slice(&record.draft.payload)
+        .ok()
+        .filter(|cert| cert.subtree_root == record.draft.content_digest)
 }
 
 /// Record kind under which exchange progress markers are journalled.
@@ -802,6 +849,31 @@ mod tests {
         let mut forged = roll.clone();
         forged.generation += 1;
         assert!(!forged.verify(&nonrep_crypto::sig::VerifyingKey::Mss { root }));
+    }
+
+    #[test]
+    fn cert_record_roundtrips_and_rejects_edits() {
+        let (signer, _) = rolled_signer();
+        let cert = signer.active_cert().clone();
+        let rec = EvidenceRecord {
+            seq: 0,
+            prev_hash: Digest::ZERO,
+            draft: cert_draft(&cert, OrgId::new("org"), Timestamp(1)),
+        };
+        assert!(rec.is_subtree_cert());
+        assert!(!rec.is_key_rollover());
+        assert_eq!(rec.draft.run_id, cert_run_id());
+        assert_ne!(cert_run_id(), epoch_run_id());
+        assert_eq!(cert_from_record(&rec), Some(cert));
+        // A payload that no longer decodes, or a content digest naming
+        // another subtree, is not a certificate record.
+        let mut cut = rec.clone();
+        cut.draft.payload.pop();
+        assert_eq!(cert_from_record(&cut), None);
+        let mut renamed = rec;
+        renamed.draft.content_digest = sha256(b"another subtree");
+        assert_eq!(cert_from_record(&renamed), None);
+        assert_eq!(cert_from_record(&chain(1)[0]), None);
     }
 
     #[test]

@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             .filter(|r| r.draft.run_id != run_id)
             .cloned()
             .collect(),
-        head: honest.head,
+        ..honest
     };
     println!(
         "\nmanufacturer submits a doctored window ({} of {} records)",

@@ -156,6 +156,20 @@ else
     # build, run, stay correct and emit well-formed results.
     echo "==> benchmark/run.sh --smoke"
     benchmark/run.sh --smoke >/dev/null
+
+    # Evidence stored once: a hierarchical token record references its
+    # subtree certificate, which the log keeps once. Carrying the
+    # certificate in every token record again puts direct_hss back at
+    # ~43 KB per op.
+    echo "==> direct_hss evidence_bytes_per_op <= 30000 B (smoke)"
+    python3 - benchmark/out/results-smoke.json <<'PY'
+import json, sys
+
+runs = json.load(open(sys.argv[1]))["workloads"]["direct_hss"]["runs"]
+worst = max(r["metrics"]["evidence_bytes_per_op"]["value"] for r in runs)
+print(f"direct_hss evidence_bytes_per_op: {worst:.0f} B")
+sys.exit(worst > 30000)
+PY
 fi
 
 if [[ "$BENCH" -eq 1 ]]; then
