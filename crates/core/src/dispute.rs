@@ -17,7 +17,9 @@
 //! 3. decodes and cryptographically verifies every token against the key
 //!    directory (per-record and batch signatures alike),
 //! 4. produces the set of [`Fact`]s — token assertions that some submitted
-//!    log proves and that their issuer therefore **cannot deny**.
+//!    log proves and that their issuer therefore **cannot deny**,
+//! 5. reduces the reports and facts, one rule at a time, to the set of
+//!    [`Finding`]s against the organisations' conduct.
 //!
 //! # Windowed submissions
 //!
@@ -201,8 +203,83 @@ pub struct Fact {
     pub subject: Digest,
     /// The protocol run.
     pub run_id: RunId,
-    /// Which submitters' logs prove this fact.
+    /// Which submitters' logs prove this fact, sorted and without
+    /// repeats, whatever order the logs were submitted in.
     pub held_by: Vec<OrgId>,
+}
+
+/// What an adjudication found against an organisation's conduct; each
+/// variant's doc states its rule. A finding names organisations and
+/// kinds, never log positions (those depend on seal timing and stay in
+/// [`LogReport::chain`] and [`LogReport::anchor_violation`]). One
+/// grounded in a TTP's token names that token's issuer as `ttp`: the
+/// adjudicator does not know which TTP the parties agreed on, so the
+/// caller checks the name ([`Finding::ttp`]).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Finding {
+    /// The submission is not [`LogReport::clean`].
+    Suspect { submitter: OrgId },
+    /// The submission's hash chain does not verify.
+    BrokenChain { submitter: OrgId },
+    /// The submission contradicts an epoch root its submitter gossiped,
+    /// or the submitter gossiped two roots for one range.
+    ForkedHistory { submitter: OrgId },
+    /// The submission claims the log's tail, but its submitter gossiped
+    /// anchors over records beyond it.
+    WithheldRecords { submitter: OrgId },
+    /// `ttp` issued both a `Resolve` and an `Abort` for the run. An
+    /// honest offline TTP's escrow ledger never does, so it told the two
+    /// exchange parties contradictory outcomes.
+    Equivocated { ttp: OrgId },
+    /// `ttp` issued a [`TokenKind::Decision`] over the
+    /// [`defection_digest`] of `party` and the run: the fair-offline
+    /// dispute's conviction. Every organisation the verdict saw
+    /// (submitter, issuer or holder) is a candidate, so a defector that
+    /// never submits is still named through the tokens it issued.
+    Defected { party: OrgId, ttp: OrgId },
+    /// `party`'s own submission holds a verified peer-issued
+    /// [`TokenKind::NrrResp`] and `ttp`'s [`TokenKind::Abort`]: it took
+    /// the receipt, then won an abort race against the client's resolve,
+    /// the one unfair interleaving an offline TTP cannot prevent. An
+    /// honest server refuses late receipts once it aborts, and only its
+    /// own submission grounds this, so counterparties cannot frame it.
+    AbortedAfterReceipt { party: OrgId, ttp: OrgId },
+    /// `ttp` aborted the run, `party` issued a [`TokenKind::NroReq`], and
+    /// `party` issued no [`TokenKind::NrrResp`]: the trace of a client
+    /// silent inside the receipt window. Attribution, not conviction: a
+    /// timeout cannot tell a crash from malice, so this names who owes
+    /// the receipt — grounds to stop serving it, not to punish it.
+    Stalled { party: OrgId, ttp: OrgId },
+}
+
+impl Finding {
+    /// The TTP whose token grounds this finding, if one does.
+    pub fn ttp(&self) -> Option<&OrgId> {
+        match self {
+            Self::Equivocated { ttp }
+            | Self::Defected { ttp, .. }
+            | Self::AbortedAfterReceipt { ttp, .. }
+            | Self::Stalled { ttp, .. } => Some(ttp),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Suspect { submitter } => write!(f, "suspect submission from {submitter}"),
+            Self::BrokenChain { submitter } => write!(f, "{submitter}'s hash chain is broken"),
+            Self::ForkedHistory { submitter } => write!(f, "{submitter} forked its history"),
+            Self::WithheldRecords { submitter } => write!(f, "{submitter} withheld records"),
+            Self::Equivocated { ttp } => write!(f, "{ttp} both resolved and aborted"),
+            Self::Defected { party, ttp } => write!(f, "{party} defected, decided by {ttp}"),
+            Self::AbortedAfterReceipt { party, ttp } => {
+                write!(f, "{party} took the receipt and aborted at {ttp}")
+            }
+            Self::Stalled { party, ttp } => write!(f, "{party} stalled the run {ttp} aborted"),
+        }
+    }
 }
 
 /// The outcome of an adjudication over one protocol run.
@@ -214,6 +291,8 @@ pub struct Verdict {
     pub reports: Vec<LogReport>,
     /// Established, undeniable facts.
     pub facts: Vec<Fact>,
+    /// What the conduct rules found.
+    pub findings: BTreeSet<Finding>,
 }
 
 impl Verdict {
@@ -225,164 +304,14 @@ impl Verdict {
             .any(|f| f.issuer == *issuer && f.kind == kind)
     }
 
-    /// Submitters whose logs failed verification (tampering or forgery).
+    /// Submitters whose logs failed verification (tampering or forgery):
+    /// every [`Finding::Suspect`].
     pub fn suspect_submitters(&self) -> Vec<OrgId> {
-        self.reports
-            .iter()
-            .filter(|r| !r.clean())
-            .map(|r| r.submitter.clone())
-            .collect()
-    }
-
-    /// Chain and anchor violations established against submitters, in
-    /// submission order.
-    pub fn violations(&self) -> Vec<(OrgId, ChainViolation)> {
-        let mut out = Vec::new();
-        for report in &self.reports {
-            if let Err(v) = &report.chain {
-                out.push((report.submitter.clone(), v.clone()));
-            }
-            if let Some(v) = &report.anchor_violation {
-                out.push((report.submitter.clone(), v.clone()));
-            }
-        }
-        out
-    }
-
-    /// Issuers proven to have both resolved *and* aborted this run.
-    ///
-    /// An honest offline TTP's escrow ledger refuses to issue a `Resolve`
-    /// after an `Abort` (and vice versa), so verified tokens of both kinds
-    /// from one issuer for one run prove the TTP equivocated — told the
-    /// two exchange parties contradictory outcomes.
-    pub fn conflicting_decisions(&self) -> Vec<OrgId> {
-        let resolved: BTreeSet<&OrgId> = self
-            .facts
-            .iter()
-            .filter(|f| f.kind == TokenKind::Resolve)
-            .map(|f| &f.issuer)
-            .collect();
-        let mut out: Vec<OrgId> = self
-            .facts
-            .iter()
-            .filter(|f| f.kind == TokenKind::Abort && resolved.contains(&f.issuer))
-            .map(|f| f.issuer.clone())
-            .collect();
-        out.dedup();
-        out
-    }
-
-    /// Parties convicted of defection by the trusted `ttp`'s dispute
-    /// decision for this run.
-    ///
-    /// A fair-offline resolve mints a [`TokenKind::Decision`] whose
-    /// subject is the domain-separated
-    /// [`nonrep_protocols::tokens::defection_digest`] of the accused and
-    /// the run, so the conviction is checkable from the sealed evidence
-    /// alone: any organisation known to this adjudication whose
-    /// recomputed digest matches a verified decision issued by `ttp` is
-    /// the named defector. Candidates are every organisation the verdict
-    /// saw — submitters, but also token issuers and fact holders — so a
-    /// real defector that declines to submit its own log is still
-    /// attributed through the tokens it issued into its counterparties'
-    /// logs. Decisions issued by anyone else are ignored — only the
-    /// agreed TTP can convict.
-    pub fn convicted_defectors(&self, ttp: &OrgId) -> Vec<OrgId> {
-        let decisions: Vec<&Fact> = self
-            .facts
-            .iter()
-            .filter(|f| f.kind == TokenKind::Decision && f.issuer == *ttp)
-            .collect();
-        if decisions.is_empty() {
-            return Vec::new();
-        }
-        let mut candidates: BTreeSet<&OrgId> = BTreeSet::new();
-        for report in &self.reports {
-            candidates.insert(&report.submitter);
-        }
-        for fact in &self.facts {
-            candidates.insert(&fact.issuer);
-            candidates.extend(fact.held_by.iter());
-        }
-        candidates
-            .into_iter()
-            .filter(|candidate| {
-                let digest = defection_digest(candidate, self.run_id);
-                decisions.iter().any(|f| f.subject == digest)
-            })
-            .cloned()
-            .collect()
-    }
-
-    /// Submitters proven *by their own submission* to have collected the
-    /// counterparty's receipt and still aborted the run at the TTP.
-    ///
-    /// The fair-offline abort sub-protocol exists for runs whose step-3
-    /// receipt never arrived. A server that absorbs the client's
-    /// `NRR_resp` and then wins an abort race against the client's
-    /// resolve keeps both items — the one unfair interleaving an offline
-    /// TTP cannot prevent. It cannot, however, *use* the receipt without
-    /// self-incrimination: its evidence log then carries a peer-issued
-    /// [`TokenKind::NrrResp`] alongside the `ttp`'s [`TokenKind::Abort`]
-    /// token for the same run, and this rule convicts exactly that
-    /// combination. An honest server is never caught by it — once it
-    /// aborts, it refuses late receipts — and because only an
-    /// organisation's own submission can convict it, counterparties
-    /// cannot frame it by planting tokens in theirs.
-    pub fn abort_after_receipt(&self, ttp: &OrgId) -> Vec<OrgId> {
-        let mut out = Vec::new();
-        for report in &self.reports {
-            let relevant = |t: &NrToken| t.run_id == self.run_id;
-            let holds_peer_receipt = report.tokens.iter().any(|(t, ok)| {
-                *ok && relevant(t) && t.kind == TokenKind::NrrResp && t.issuer != report.submitter
-            });
-            let holds_abort = report.tokens.iter().any(|(t, ok)| {
-                *ok && relevant(t) && t.kind == TokenKind::Abort && t.issuer == *ttp
-            });
-            if holds_peer_receipt && holds_abort && !out.contains(&report.submitter) {
-                out.push(report.submitter.clone());
-            }
-        }
-        out
-    }
-
-    /// Parties attributed as having *stalled* a timeout-aborted run:
-    /// they provably started it (a verified [`TokenKind::NroReq`] they
-    /// issued) yet never produced the step-3 receipt, and the `ttp`
-    /// aborted the run.
-    ///
-    /// This is the adjudicator's view of the supervisor's escalation
-    /// ladder: a client that goes silent after the response window
-    /// opens leaves exactly this shape behind — its own `NRO_req`, the
-    /// server's absorbed evidence, a TTP [`TokenKind::Abort`], and no
-    /// [`TokenKind::NrrResp`] under its signature anywhere. Attribution,
-    /// not conviction: timeouts cannot distinguish a crashed party from
-    /// a malicious one (nor from one behind a partition), so the result
-    /// names who *owes* the missing receipt — grounds to stop serving
-    /// them, not to punish them. Safety never rested on the receipt
-    /// arriving; the abort already restored fairness.
-    pub fn stalled_parties(&self, ttp: &OrgId) -> Vec<OrgId> {
-        let aborted = self
-            .facts
-            .iter()
-            .any(|f| f.kind == TokenKind::Abort && f.issuer == *ttp);
-        if !aborted {
-            return Vec::new();
-        }
-        let receipted: BTreeSet<&OrgId> = self
-            .facts
-            .iter()
-            .filter(|f| f.kind == TokenKind::NrrResp)
-            .map(|f| &f.issuer)
-            .collect();
-        let mut out: Vec<OrgId> = self
-            .facts
-            .iter()
-            .filter(|f| f.kind == TokenKind::NroReq && !receipted.contains(&f.issuer))
-            .map(|f| f.issuer.clone())
-            .collect();
-        out.dedup();
-        out
+        let suspect = |f: &Finding| match f {
+            Finding::Suspect { submitter } => Some(submitter.clone()),
+            _ => None,
+        };
+        self.findings.iter().filter_map(suspect).collect()
     }
 }
 
@@ -398,8 +327,8 @@ impl fmt::Display for Verdict {
                 fact.held_by.iter().map(OrgId::as_str).collect::<Vec<_>>()
             )?;
         }
-        for suspect in self.suspect_submitters() {
-            writeln!(f, "  suspect submission from {suspect}")?;
+        for finding in &self.findings {
+            writeln!(f, "  found: {finding}")?;
         }
         Ok(())
     }
@@ -431,7 +360,8 @@ impl Adjudicator {
     /// the bus while the evidence was being produced (typically
     /// `AnchorStore::snapshot`). A submitter whose window conflicts with
     /// what it gossiped itself is established as having forked or
-    /// truncated its history ([`Verdict::violations`]).
+    /// truncated its history ([`Finding::ForkedHistory`],
+    /// [`Finding::WithheldRecords`]).
     pub fn corroborated_by(mut self, corroboration: Corroboration) -> Self {
         self.corroboration = corroboration;
         self
@@ -493,23 +423,16 @@ impl Adjudicator {
 /// Incremental [`LogReport`] construction shared by the windowed and
 /// visitor-based verification paths.
 struct ReportBuilder<'a> {
-    submitter: OrgId,
+    /// The report so far. Its `chain` holds only a head mismatch until
+    /// `finish` puts the chain verifier's result first.
+    report: LogReport,
     directory: &'a dyn KeyDirectory,
     chain: ChainVerifier,
-    tokens: Vec<(NrToken, bool)>,
-    undecodable: usize,
     /// First sequence number fed in (window offset for epoch ranges).
     first_seq: Option<u64>,
     /// Running record hashes, reused for epoch-root recomputation (32
     /// bytes per record — never a clone of the records themselves).
     hashes: Vec<Digest>,
-    epoch_commits: usize,
-    epoch_verified: usize,
-    head_violation: Option<ChainViolation>,
-    context_mismatches: usize,
-    anchor_violation: Option<ChainViolation>,
-    rollovers: usize,
-    rollovers_verified: usize,
     /// Subtree certificates stored token signatures can reference: the
     /// submission's, then each certificate record as it is scanned.
     certs: HashMap<CertRef, SubtreeCert>,
@@ -525,23 +448,25 @@ impl<'a> ReportBuilder<'a> {
         anchor: Option<(u64, Digest)>,
     ) -> Self {
         Self {
-            submitter,
+            report: LogReport {
+                submitter,
+                chain: Ok(()),
+                tokens: Vec::new(),
+                undecodable: 0,
+                epoch_commits: 0,
+                epoch_verified: 0,
+                context_mismatches: 0,
+                anchor_violation: None,
+                rollovers: 0,
+                rollovers_verified: 0,
+            },
             directory,
             chain: match anchor {
                 Some((seq, prev_hash)) if seq > 0 => ChainVerifier::resume(seq, prev_hash),
                 _ => ChainVerifier::new(),
             },
-            tokens: Vec::new(),
-            undecodable: 0,
             first_seq: None,
             hashes: Vec::new(),
-            epoch_commits: 0,
-            epoch_verified: 0,
-            head_violation: None,
-            context_mismatches: 0,
-            anchor_violation: None,
-            rollovers: 0,
-            rollovers_verified: 0,
             certs: HashMap::new(),
         }
     }
@@ -561,10 +486,10 @@ impl<'a> ReportBuilder<'a> {
         self.hashes.push(hash);
 
         if record.is_epoch_commit() {
-            self.epoch_commits += 1;
+            self.report.epoch_commits += 1;
             match EpochCommitment::from_record(record) {
                 Some(commitment) => self.check_epoch(&commitment),
-                None => self.undecodable += 1,
+                None => self.report.undecodable += 1,
             }
             return;
         }
@@ -575,19 +500,19 @@ impl<'a> ReportBuilder<'a> {
             // attacker grafting its own subtree into someone else's
             // lifecycle — fails here even though the hash chain around
             // the record is intact.
-            self.rollovers += 1;
+            self.report.rollovers += 1;
             match KeyRollover::from_record(record) {
                 Some(roll) => {
                     let ok = self
                         .directory
-                        .key_of(&self.submitter)
+                        .key_of(&self.report.submitter)
                         .map(|key| roll.verify(&key))
                         .unwrap_or(false);
                     if ok {
-                        self.rollovers_verified += 1;
+                        self.report.rollovers_verified += 1;
                     }
                 }
-                None => self.undecodable += 1,
+                None => self.report.undecodable += 1,
             }
             return;
         }
@@ -599,7 +524,7 @@ impl<'a> ReportBuilder<'a> {
                 Some(cert) => {
                     self.certs.insert(cert.reference(), cert);
                 }
-                None => self.undecodable += 1,
+                None => self.report.undecodable += 1,
             }
             return;
         }
@@ -610,7 +535,7 @@ impl<'a> ReportBuilder<'a> {
             // Decodable markers are neutral; an undecodable one is an
             // edited record like any other.
             if RunMarker::from_record(record).is_none() {
-                self.undecodable += 1;
+                self.report.undecodable += 1;
             }
             return;
         }
@@ -637,11 +562,11 @@ impl<'a> ReportBuilder<'a> {
                     || token.issuer != record.draft.actor
                     || token.subject != record.draft.content_digest
                 {
-                    self.context_mismatches += 1;
+                    self.report.context_mismatches += 1;
                 }
-                self.tokens.push((token, ok));
+                self.report.tokens.push((token, ok));
             }
-            Err(_) => self.undecodable += 1,
+            Err(_) => self.report.undecodable += 1,
         }
     }
 
@@ -651,7 +576,7 @@ impl<'a> ReportBuilder<'a> {
     /// checked (the window's own integrity still rests on the chain and
     /// the in-window commitments).
     fn check_epoch(&mut self, commitment: &EpochCommitment) {
-        let Some(key) = self.directory.key_of(&self.submitter) else {
+        let Some(key) = self.directory.key_of(&self.report.submitter) else {
             return; // unknown submitter key: commitment stays unverified
         };
         let first = self.first_seq.unwrap_or(0);
@@ -669,7 +594,7 @@ impl<'a> ReportBuilder<'a> {
             )
         };
         if ok {
-            self.epoch_verified += 1;
+            self.report.epoch_verified += 1;
         }
     }
 
@@ -689,10 +614,10 @@ impl<'a> ReportBuilder<'a> {
     ///   ([`ChainViolation::WithheldRecords`]); a partial window claims
     ///   nothing about the tail and is never flagged.
     fn corroborate(&mut self, held: &Corroboration, claims_tail: bool) {
-        let Some(epochs) = held.epochs.get(&self.submitter) else {
+        let Some(epochs) = held.epochs.get(&self.report.submitter) else {
             return; // nothing held against this submitter
         };
-        let Some(key) = self.directory.key_of(&self.submitter) else {
+        let Some(key) = self.directory.key_of(&self.report.submitter) else {
             return; // unknown submitter key: anchors cannot be attributed
         };
         let verified: Vec<&EpochCommitment> = epochs
@@ -708,7 +633,8 @@ impl<'a> ReportBuilder<'a> {
         let mut roots: BTreeMap<(u64, u64), Digest> = BTreeMap::new();
         for a in &verified {
             if *roots.entry((a.lo, a.hi)).or_insert(a.root) != a.root {
-                self.anchor_violation
+                self.report
+                    .anchor_violation
                     .get_or_insert(ChainViolation::ForkedHistory { lo: a.lo, hi: a.hi });
             }
         }
@@ -719,12 +645,14 @@ impl<'a> ReportBuilder<'a> {
                 let lo_i = (a.lo - first) as usize;
                 let hi_i = (a.hi - first) as usize;
                 if EpochCommitment::root_over_hashes(&self.hashes[lo_i..=hi_i]) != a.root {
-                    self.anchor_violation
+                    self.report
+                        .anchor_violation
                         .get_or_insert(ChainViolation::ForkedHistory { lo: a.lo, hi: a.hi });
                 }
             }
             if claims_tail && a.hi > last {
-                self.anchor_violation
+                self.report
+                    .anchor_violation
                     .get_or_insert(ChainViolation::WithheldRecords {
                         attested: a.hi,
                         submitted: if self.hashes.is_empty() { 0 } else { last },
@@ -742,48 +670,30 @@ impl<'a> ReportBuilder<'a> {
         if let Some(last) = self.hashes.last() {
             if last != head && !self.chain.violated() {
                 let seq = self.first_seq.unwrap_or(0) + self.hashes.len() as u64 - 1;
-                self.head_violation = Some(ChainViolation::HeadMismatch { seq });
+                self.report.chain = Err(ChainViolation::HeadMismatch { seq });
             }
         }
     }
 
     fn finish(self) -> LogReport {
-        let chain = match self.chain.finish() {
-            Ok(()) => match self.head_violation {
-                Some(v) => Err(v),
-                None => Ok(()),
-            },
-            Err(v) => Err(v),
-        };
         LogReport {
-            submitter: self.submitter,
-            chain,
-            tokens: self.tokens,
-            undecodable: self.undecodable,
-            epoch_commits: self.epoch_commits,
-            epoch_verified: self.epoch_verified,
-            context_mismatches: self.context_mismatches,
-            anchor_violation: self.anchor_violation,
-            rollovers: self.rollovers,
-            rollovers_verified: self.rollovers_verified,
+            chain: self.chain.finish().and(self.report.chain),
+            ..self.report
         }
     }
 }
 
-/// Merges verified per-log reports into the final [`Verdict`].
+/// Merges verified per-log reports into the final [`Verdict`]: the facts
+/// they establish, then every conduct rule's findings.
 fn verdict_from_reports(run_id: RunId, reports: Vec<LogReport>) -> Verdict {
     // (kind-tag, issuer, subject) → holders.
-    let mut facts: BTreeMap<(String, OrgId, Digest), Fact> = BTreeMap::new();
+    let mut facts: BTreeMap<(&str, &OrgId, Digest), Fact> = BTreeMap::new();
     for report in &reports {
         for (token, ok) in &report.tokens {
             if !*ok || token.run_id != run_id {
                 continue;
             }
-            let key = (
-                token.kind.label().to_string(),
-                token.issuer.clone(),
-                token.subject,
-            );
+            let key = (token.kind.label(), &token.issuer, token.subject);
             let entry = facts.entry(key).or_insert_with(|| Fact {
                 kind: token.kind,
                 issuer: token.issuer.clone(),
@@ -791,16 +701,129 @@ fn verdict_from_reports(run_id: RunId, reports: Vec<LogReport>) -> Verdict {
                 run_id,
                 held_by: Vec::new(),
             });
-            if !entry.held_by.contains(&report.submitter) {
-                entry.held_by.push(report.submitter.clone());
+            if let Err(at) = entry.held_by.binary_search(&report.submitter) {
+                entry.held_by.insert(at, report.submitter.clone());
             }
         }
     }
-    Verdict {
+    let facts = facts.into_values().collect();
+    let mut verdict = Verdict {
         run_id,
         reports,
-        facts: facts.into_values().collect(),
+        facts,
+        findings: BTreeSet::new(),
+    };
+    verdict.findings = RULES.iter().flat_map(|rule| rule(&verdict)).collect();
+    verdict
+}
+
+/// The conduct rules: one pure reducer each over a verdict's reports and
+/// facts, yielding the [`Finding`] variant whose doc states the rule.
+/// Findings merge as a set, so neither rule nor submission order matters.
+const RULES: [fn(&Verdict) -> Vec<Finding>; 7] = [
+    suspects,
+    broken_chains,
+    anchor_violations,
+    equivocations,
+    defections,
+    aborts_after_receipt,
+    stalls,
+];
+
+/// Applies a rule over one report, given its submitter, to every report.
+fn per_report(v: &Verdict, rule: fn(&LogReport, OrgId) -> Option<Finding>) -> Vec<Finding> {
+    v.reports
+        .iter()
+        .filter_map(|r| rule(r, r.submitter.clone()))
+        .collect()
+}
+
+fn suspects(v: &Verdict) -> Vec<Finding> {
+    per_report(v, |r, submitter| {
+        (!r.clean()).then_some(Finding::Suspect { submitter })
+    })
+}
+
+fn broken_chains(v: &Verdict) -> Vec<Finding> {
+    per_report(v, |r, submitter| {
+        r.chain
+            .is_err()
+            .then_some(Finding::BrokenChain { submitter })
+    })
+}
+
+fn anchor_violations(v: &Verdict) -> Vec<Finding> {
+    per_report(v, |r, submitter| match r.anchor_violation.as_ref()? {
+        ChainViolation::ForkedHistory { .. } => Some(Finding::ForkedHistory { submitter }),
+        ChainViolation::WithheldRecords { .. } => Some(Finding::WithheldRecords { submitter }),
+        _ => None,
+    })
+}
+
+/// Issuers of a fact of `kind`.
+fn issuers(v: &Verdict, kind: TokenKind) -> BTreeSet<&OrgId> {
+    v.facts
+        .iter()
+        .filter(|f| f.kind == kind)
+        .map(|f| &f.issuer)
+        .collect()
+}
+
+fn equivocations(v: &Verdict) -> Vec<Finding> {
+    let (resolved, aborted) = (issuers(v, TokenKind::Resolve), issuers(v, TokenKind::Abort));
+    let both = resolved.intersection(&aborted).copied().cloned();
+    both.map(|ttp| Finding::Equivocated { ttp }).collect()
+}
+
+fn defections(v: &Verdict) -> Vec<Finding> {
+    let mut seen: BTreeSet<&OrgId> = v.reports.iter().map(|r| &r.submitter).collect();
+    for fact in &v.facts {
+        seen.insert(&fact.issuer);
+        seen.extend(&fact.held_by);
     }
+    let mut out = Vec::new();
+    for decision in v.facts.iter().filter(|f| f.kind == TokenKind::Decision) {
+        for &party in &seen {
+            if defection_digest(party, v.run_id) == decision.subject {
+                let (party, ttp) = (party.clone(), decision.issuer.clone());
+                out.push(Finding::Defected { party, ttp });
+            }
+        }
+    }
+    out
+}
+
+fn aborts_after_receipt(v: &Verdict) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for report in &v.reports {
+        let verified = report
+            .tokens
+            .iter()
+            .filter(|(t, ok)| *ok && t.run_id == v.run_id);
+        let held = verified.map(|(t, _)| t);
+        if held
+            .clone()
+            .any(|t| t.kind == TokenKind::NrrResp && t.issuer != report.submitter)
+        {
+            for abort in held.filter(|t| t.kind == TokenKind::Abort) {
+                let (party, ttp) = (report.submitter.clone(), abort.issuer.clone());
+                out.push(Finding::AbortedAfterReceipt { party, ttp });
+            }
+        }
+    }
+    out
+}
+
+fn stalls(v: &Verdict) -> Vec<Finding> {
+    let receipted = issuers(v, TokenKind::NrrResp);
+    let mut out = Vec::new();
+    for ttp in issuers(v, TokenKind::Abort) {
+        for party in issuers(v, TokenKind::NroReq).difference(&receipted) {
+            let (party, ttp) = ((*party).clone(), ttp.clone());
+            out.push(Finding::Stalled { party, ttp });
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -908,6 +931,7 @@ mod tests {
         // Neither party can deny their token.
         assert!(verdict.cannot_deny(&OrgId::new("alice"), TokenKind::NroReq));
         assert!(verdict.cannot_deny(&OrgId::new("bob"), TokenKind::NrrReq));
+        assert!(verdict.findings.is_empty());
         assert!(verdict.suspect_submitters().is_empty());
         // Both facts are held by both parties.
         for fact in &verdict.facts {
@@ -936,6 +960,14 @@ mod tests {
         let adjudicator = Adjudicator::new(p.dir.clone() as Arc<dyn KeyDirectory>);
         let verdict = adjudicator.adjudicate_windows(run, &[full("alice", records)]);
         assert_eq!(verdict.suspect_submitters(), vec![OrgId::new("alice")]);
+        let alice = || OrgId::new("alice");
+        assert_eq!(
+            verdict.findings,
+            BTreeSet::from([
+                Finding::Suspect { submitter: alice() },
+                Finding::BrokenChain { submitter: alice() },
+            ])
+        );
     }
 
     #[test]
@@ -1032,6 +1064,16 @@ mod tests {
             Some(ChainViolation::WithheldRecords { .. })
         ));
         assert!(!report.clean());
+        let alice = || OrgId::new("alice");
+        assert_eq!(
+            holding(&dir, &anchors)
+                .adjudicate_windows(run, &[submission])
+                .findings,
+            BTreeSet::from([
+                Finding::Suspect { submitter: alice() },
+                Finding::WithheldRecords { submitter: alice() },
+            ])
+        );
     }
 
     #[test]
@@ -1067,11 +1109,22 @@ mod tests {
         let submission = live(&alice);
         // The divergent anchor alone: its in-window root recomputation
         // conflicts with the submitted records.
-        let report = holding(&dir, std::slice::from_ref(&forked)).verify_window(&submission);
+        let judge = holding(&dir, std::slice::from_ref(&forked));
+        let report = judge.verify_window(&submission);
         assert!(matches!(
             report.anchor_violation,
             Some(ChainViolation::ForkedHistory { .. })
         ));
+        let alice = || OrgId::new("alice");
+        assert_eq!(
+            judge
+                .adjudicate_windows(run, std::slice::from_ref(&submission))
+                .findings,
+            BTreeSet::from([
+                Finding::Suspect { submitter: alice() },
+                Finding::ForkedHistory { submitter: alice() },
+            ])
+        );
         // Both anchors together: pairwise equivocation over one range.
         let report = holding(&dir, &[real.clone(), forked]).verify_window(&submission);
         assert!(matches!(
@@ -1196,8 +1249,13 @@ mod tests {
             .unwrap();
         let adjudicator = Adjudicator::new(p.dir.clone() as Arc<dyn KeyDirectory>);
         let verdict = adjudicator.adjudicate_windows(run, &[full("bob", p.bob.log().records())]);
-        assert_eq!(verdict.conflicting_decisions(), vec![OrgId::new("alice")]);
-        // Bob's submission itself is honest.
+        // Bob's submission itself is honest: the one finding is alice's.
+        assert_eq!(
+            verdict.findings,
+            BTreeSet::from([Finding::Equivocated {
+                ttp: OrgId::new("alice")
+            }])
+        );
         assert!(verdict.suspect_submitters().is_empty());
     }
 
@@ -1205,6 +1263,8 @@ mod tests {
         client: Arc<Party>,
         server: Arc<Party>,
         ttp: Arc<Party>,
+        /// A key holder the exchange parties never agreed on as TTP.
+        other: Arc<Party>,
         dir: Arc<StaticKeyDirectory>,
     }
 
@@ -1215,7 +1275,19 @@ mod tests {
             client: Party::quick("client", 1, &clock, &dir),
             server: Party::quick("server", 2, &clock, &dir),
             ttp: Party::quick("ttp", 3, &clock, &dir),
+            other: Party::quick("someone-else", 4, &clock, &dir),
             dir,
+        }
+    }
+
+    impl Trio {
+        fn judge(&self, run: RunId, parties: &[&Arc<Party>]) -> Verdict {
+            let submissions: Vec<WindowSubmission> = parties
+                .iter()
+                .map(|p| full(p.org().as_str(), p.log().records()))
+                .collect();
+            Adjudicator::new(self.dir.clone() as Arc<dyn KeyDirectory>)
+                .adjudicate_windows(run, &submissions)
         }
     }
 
@@ -1223,47 +1295,41 @@ mod tests {
     fn abort_after_receipt_convicts_the_racing_server() {
         // The fair-offline race: the server absorbs the client's step-3
         // receipt, then wins an abort race at the TTP. Its own log now
-        // pairs the peer receipt with the TTP's abort token.
+        // pairs the peer receipt with the TTP's abort token. An abort from
+        // someone else grounds a finding that names that issuer, never
+        // the agreed TTP.
         let t = trio();
-        let run = t.client.new_run_id();
-        let digest = sha256(b"response");
-        let receipt = t
-            .client
-            .issue_token(TokenKind::NrrResp, run, digest)
-            .unwrap();
-        t.client.store_token(&receipt).unwrap();
-        t.server
-            .verify_and_store(&receipt, TokenKind::NrrResp, run, Some(&digest))
-            .unwrap();
-        let abort = t
-            .ttp
-            .issue_token(TokenKind::Abort, run, Digest::ZERO)
-            .unwrap();
-        t.server
-            .verify_and_store(&abort, TokenKind::Abort, run, None)
-            .unwrap();
+        for issuer in [&t.ttp, &t.other] {
+            let run = t.client.new_run_id();
+            let digest = sha256(b"response");
+            let receipt = t
+                .client
+                .issue_token(TokenKind::NrrResp, run, digest)
+                .unwrap();
+            t.client.store_token(&receipt).unwrap();
+            t.server
+                .verify_and_store(&receipt, TokenKind::NrrResp, run, Some(&digest))
+                .unwrap();
+            let abort = issuer
+                .issue_token(TokenKind::Abort, run, Digest::ZERO)
+                .unwrap();
+            t.server
+                .verify_and_store(&abort, TokenKind::Abort, run, None)
+                .unwrap();
 
-        let adjudicator = Adjudicator::new(t.dir.clone() as Arc<dyn KeyDirectory>);
-        let verdict = adjudicator.adjudicate_windows(
-            run,
-            &[
-                full("client", t.client.log().records()),
-                full("server", t.server.log().records()),
-            ],
-        );
-        // The server is convicted by its own submission; the client,
-        // holding only its self-issued receipt, is not.
-        assert_eq!(
-            verdict.abort_after_receipt(&OrgId::new("ttp")),
-            vec![OrgId::new("server")]
-        );
-        // Abort tokens from anyone but the agreed TTP convict nobody.
-        assert!(verdict
-            .abort_after_receipt(&OrgId::new("someone-else"))
-            .is_empty());
-        // Both submissions are internally honest — this is a conduct
-        // conviction, not a tampering flag.
-        assert!(verdict.suspect_submitters().is_empty());
+            let verdict = t.judge(run, &[&t.client, &t.server]);
+            // The server is convicted by its own submission; the client,
+            // holding only its self-issued receipt, is not. Both
+            // submissions are internally honest — this is a conduct
+            // conviction, not a tampering flag.
+            assert_eq!(
+                verdict.findings,
+                BTreeSet::from([Finding::AbortedAfterReceipt {
+                    party: OrgId::new("server"),
+                    ttp: issuer.org().clone(),
+                }])
+            );
+        }
     }
 
     #[test]
@@ -1273,39 +1339,43 @@ mod tests {
         // the client's NRO_req (it provably started the run), the TTP's
         // abort, and no NRR_resp under the client's signature.
         let t = trio();
-        let run = t.client.new_run_id();
-        let nro = t
-            .client
-            .issue_token(TokenKind::NroReq, run, sha256(b"req"))
-            .unwrap();
-        t.server
-            .verify_and_store(&nro, TokenKind::NroReq, run, None)
-            .unwrap();
-        let abort = t
-            .ttp
-            .issue_token(TokenKind::Abort, run, Digest::ZERO)
-            .unwrap();
-        t.server
-            .verify_and_store(&abort, TokenKind::Abort, run, None)
-            .unwrap();
-        let adjudicator = Adjudicator::new(t.dir.clone() as Arc<dyn KeyDirectory>);
-        let verdict =
-            adjudicator.adjudicate_windows(run, &[full("server", t.server.log().records())]);
-        assert_eq!(
-            verdict.stalled_parties(&OrgId::new("ttp")),
-            vec![OrgId::new("client")]
-        );
-        // An abort from a non-agreed TTP attributes nobody.
-        assert!(verdict
-            .stalled_parties(&OrgId::new("someone-else"))
-            .is_empty());
+        for issuer in [&t.ttp, &t.other] {
+            let run = t.client.new_run_id();
+            let nro = t
+                .client
+                .issue_token(TokenKind::NroReq, run, sha256(b"req"))
+                .unwrap();
+            t.server
+                .verify_and_store(&nro, TokenKind::NroReq, run, None)
+                .unwrap();
+            let abort = issuer
+                .issue_token(TokenKind::Abort, run, Digest::ZERO)
+                .unwrap();
+            t.server
+                .verify_and_store(&abort, TokenKind::Abort, run, None)
+                .unwrap();
+            let verdict = t.judge(run, &[&t.server]);
+            // An abort from a non-agreed issuer names that issuer.
+            assert_eq!(
+                verdict.findings,
+                BTreeSet::from([Finding::Stalled {
+                    party: OrgId::new("client"),
+                    ttp: issuer.org().clone(),
+                }])
+            );
+            let line = format!(
+                "\n  found: client stalled the run {} aborted\n",
+                issuer.org()
+            );
+            assert!(verdict.to_string().contains(&line), "{verdict}");
+        }
     }
 
     #[test]
     fn stalled_parties_spares_a_client_whose_receipt_exists() {
         // The abort race: the receipt DID arrive somewhere before the
-        // abort won. Whatever else the verdict says (abort_after_receipt
-        // convicts the server), the client is not the stalled party.
+        // abort won. The server is convicted for aborting after the
+        // receipt; the client is not the stalled party.
         let t = trio();
         let run = t.client.new_run_id();
         let nro = t
@@ -1329,15 +1399,16 @@ mod tests {
         t.server
             .verify_and_store(&abort, TokenKind::Abort, run, None)
             .unwrap();
-        let adjudicator = Adjudicator::new(t.dir.clone() as Arc<dyn KeyDirectory>);
-        let verdict =
-            adjudicator.adjudicate_windows(run, &[full("server", t.server.log().records())]);
-        assert!(verdict.stalled_parties(&OrgId::new("ttp")).is_empty());
+        assert_eq!(
+            t.judge(run, &[&t.server]).findings,
+            BTreeSet::from([Finding::AbortedAfterReceipt {
+                party: OrgId::new("server"),
+                ttp: OrgId::new("ttp"),
+            }])
+        );
         // ... and without any abort at all, nobody is stalled either.
         t.client.store_token(&nro).unwrap();
-        let no_abort =
-            adjudicator.adjudicate_windows(run, &[full("client", t.client.log().records())]);
-        assert!(no_abort.stalled_parties(&OrgId::new("ttp")).is_empty());
+        assert!(t.judge(run, &[&t.client]).findings.is_empty());
     }
 
     #[test]
@@ -1353,50 +1424,84 @@ mod tests {
         t.server
             .verify_and_store(&receipt, TokenKind::NrrResp, run, None)
             .unwrap();
-        let adjudicator = Adjudicator::new(t.dir.clone() as Arc<dyn KeyDirectory>);
-        let verdict =
-            adjudicator.adjudicate_windows(run, &[full("server", t.server.log().records())]);
-        assert!(verdict.abort_after_receipt(&OrgId::new("ttp")).is_empty());
+        assert!(t.judge(run, &[&t.server]).findings.is_empty());
     }
 
     #[test]
     fn absent_defector_is_attributed_via_counterparty_logs() {
         // A real defector does not submit its log. It is still named: the
         // tokens it issued into the client's log make it a known
-        // organisation, and the TTP's decision digest matches it.
+        // organisation, and the decision digest matches it. A decision
+        // from an untrusted issuer names that issuer, never the agreed
+        // TTP.
+        let t = trio();
+        for issuer in [&t.ttp, &t.other] {
+            let run = t.client.new_run_id();
+            let nrr_req = t
+                .server
+                .issue_token(TokenKind::NrrReq, run, sha256(b"request"))
+                .unwrap();
+            t.client
+                .verify_and_store(&nrr_req, TokenKind::NrrReq, run, None)
+                .unwrap();
+            let decision = issuer
+                .issue_token(
+                    TokenKind::Decision,
+                    run,
+                    defection_digest(&OrgId::new("server"), run),
+                )
+                .unwrap();
+            t.client
+                .verify_and_store(&decision, TokenKind::Decision, run, None)
+                .unwrap();
+            // Only the client submits — the defector stays silent.
+            assert_eq!(
+                t.judge(run, &[&t.client]).findings,
+                BTreeSet::from([Finding::Defected {
+                    party: OrgId::new("server"),
+                    ttp: issuer.org().clone(),
+                }])
+            );
+        }
+    }
+
+    #[test]
+    fn verdicts_do_not_depend_on_submission_order() {
+        // Three submitters hold overlapping evidence of a stalled run.
+        // Every order of their submissions draws the same facts (holders
+        // included) and the same findings.
         let t = trio();
         let run = t.client.new_run_id();
-        let nrr_req = t
-            .server
-            .issue_token(TokenKind::NrrReq, run, sha256(b"request"))
+        let nro = t
+            .client
+            .issue_token(TokenKind::NroReq, run, sha256(b"req"))
             .unwrap();
-        t.client
-            .verify_and_store(&nrr_req, TokenKind::NrrReq, run, None)
-            .unwrap();
-        let decision = t
+        t.client.store_token(&nro).unwrap();
+        let abort = t
             .ttp
-            .issue_token(
-                TokenKind::Decision,
-                run,
-                defection_digest(&OrgId::new("server"), run),
-            )
+            .issue_token(TokenKind::Abort, run, Digest::ZERO)
             .unwrap();
-        t.client
-            .verify_and_store(&decision, TokenKind::Decision, run, None)
-            .unwrap();
-
-        let adjudicator = Adjudicator::new(t.dir.clone() as Arc<dyn KeyDirectory>);
-        // Only the client submits — the defector stays silent.
-        let verdict =
-            adjudicator.adjudicate_windows(run, &[full("client", t.client.log().records())]);
-        assert_eq!(
-            verdict.convicted_defectors(&OrgId::new("ttp")),
-            vec![OrgId::new("server")]
-        );
-        // A decision from an untrusted issuer convicts nobody.
-        assert!(verdict
-            .convicted_defectors(&OrgId::new("someone-else"))
-            .is_empty());
+        t.ttp.store_token(&abort).unwrap();
+        for party in [&t.server, &t.ttp] {
+            party
+                .verify_and_store(&nro, TokenKind::NroReq, run, None)
+                .unwrap();
+        }
+        for party in [&t.client, &t.server] {
+            party
+                .verify_and_store(&abort, TokenKind::Abort, run, None)
+                .unwrap();
+        }
+        let parties = [&t.client, &t.server, &t.ttp];
+        let first = t.judge(run, &parties);
+        assert_eq!(first.facts.len(), 2);
+        assert!(first.facts.iter().all(|f| f.held_by.len() == 3));
+        assert_eq!(first.findings.len(), 1);
+        for order in [[0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            let verdict = t.judge(run, &order.map(|i| parties[i]));
+            assert_eq!(verdict.facts, first.facts, "{order:?}");
+            assert_eq!(verdict.findings, first.findings, "{order:?}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   direct domain, inline TTP(s) and the offline-TTP fair exchange
 //!   (paper Fig 3), applied when building proxies.
 //! * [`dispute`] — [`Adjudicator`]: replays evidence logs, verifies every
-//!   token and hash chain, and derives the facts no party can deny.
+//!   token and hash chain, and derives facts and conduct findings.
 //!
 //! # Quickstart
 //!
@@ -39,7 +39,9 @@ pub mod handler_factory;
 pub mod interceptor;
 pub mod middleware;
 
-pub use dispute::{Adjudicator, Corroboration, Fact, LogReport, Verdict, WindowSubmission};
+pub use dispute::{
+    Adjudicator, Corroboration, Fact, Finding, LogReport, Verdict, WindowSubmission,
+};
 pub use domain::TrustDomain;
 pub use handler_factory::{B2BInvocation, B2BInvocationHandler, InvocationHandlerFactory};
 pub use interceptor::{ClientNrInterceptor, ContainerExecutor};

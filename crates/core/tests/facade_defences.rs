@@ -3,13 +3,14 @@
 //! that convict a forked history, and their `tick` abort-closes a fair
 //! run whose client stalls inside the receipt window.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use nonrep_container::component::FnComponent;
 use nonrep_container::descriptor::DeploymentDescriptor;
 use nonrep_container::interceptor::Invocation;
 use nonrep_core::{
-    Adjudicator, OrgMiddleware, TrustDomain, Verdict, WindowSubmission, RECEIPT_WINDOW_MS,
+    Adjudicator, Finding, OrgMiddleware, TrustDomain, Verdict, WindowSubmission, RECEIPT_WINDOW_MS,
 };
 use nonrep_crypto::digest::{sha256, Digest};
 use nonrep_net::bus::LocalBus;
@@ -199,10 +200,12 @@ fn tick_abort_closes_a_run_whose_client_stalls_after_step_two() {
 
     let verdict = trio.verdict(run);
     assert_eq!(
-        verdict.stalled_parties(trio.ttp.org()),
-        [trio.client.org().clone()]
+        verdict.findings,
+        BTreeSet::from([Finding::Stalled {
+            party: trio.client.org().clone(),
+            ttp: trio.ttp.org().clone(),
+        }])
     );
-    assert!(verdict.convicted_defectors(trio.ttp.org()).is_empty());
     assert!(verdict.suspect_submitters().is_empty());
 }
 
@@ -217,10 +220,12 @@ fn a_server_that_stalls_before_the_key_release_is_convicted() {
 
     let verdict = trio.verdict(run);
     assert_eq!(
-        verdict.convicted_defectors(trio.ttp.org()),
-        [trio.server.org().clone()]
+        verdict.findings,
+        BTreeSet::from([Finding::Defected {
+            party: trio.server.org().clone(),
+            ttp: trio.ttp.org().clone(),
+        }])
     );
-    assert!(verdict.stalled_parties(trio.ttp.org()).is_empty());
 }
 
 #[test]
@@ -240,7 +245,6 @@ fn a_peer_answering_one_millisecond_inside_the_window_fires_nothing() {
     assert!(trio.server.tick().is_empty());
 
     let verdict = trio.verdict(run);
-    assert!(verdict.stalled_parties(trio.ttp.org()).is_empty());
-    assert!(verdict.convicted_defectors(trio.ttp.org()).is_empty());
+    assert!(verdict.findings.is_empty());
     assert!(verdict.suspect_submitters().is_empty());
 }

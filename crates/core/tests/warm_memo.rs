@@ -5,12 +5,14 @@
 //!
 //! The tests read the process-wide memo counters, so they take turns.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use nonrep_core::{Adjudicator, Corroboration, Fact, LogReport, Verdict, WindowSubmission};
+use nonrep_core::{
+    Adjudicator, Corroboration, Fact, Finding, LogReport, Verdict, WindowSubmission,
+};
 use nonrep_crypto::digest::sha256;
 use nonrep_crypto::hss::CertLink;
 use nonrep_crypto::mss::{memo_stats, MemoStats};
@@ -88,8 +90,8 @@ fn window(org: &str, party: &Party) -> WindowSubmission {
 }
 
 /// Everything a verdict established, in comparable form.
-fn content(v: &Verdict) -> (Vec<LogReport>, Vec<Fact>) {
-    (v.reports.clone(), v.facts.clone())
+fn content(v: &Verdict) -> (Vec<LogReport>, Vec<Fact>, BTreeSet<Finding>) {
+    (v.reports.clone(), v.facts.clone(), v.findings.clone())
 }
 
 fn since(before: MemoStats) -> MemoStats {
@@ -235,7 +237,18 @@ fn doctored_submissions_draw_the_same_verdict_cold_warm_and_after_a_clean_pass()
     let judge =
         || anchored.adjudicate_windows(run, &[window("alice", &d.alice), bob_window.clone()]);
     let first = judge();
-    assert_eq!(first.violations().len(), 1, "forked history");
+    assert_eq!(
+        first.findings,
+        BTreeSet::from([
+            Finding::Suspect {
+                submitter: alice.clone()
+            },
+            Finding::ForkedHistory {
+                submitter: alice.clone()
+            },
+        ]),
+        "forked history"
+    );
     assert_eq!(first.suspect_submitters(), std::slice::from_ref(&alice));
     assert_eq!(content(&judge()), content(&first));
     assert_eq!(content(&clean()), content(&baseline));

@@ -34,7 +34,7 @@
 //! not prevented but it is **adjudicable**: pulling it off plants the
 //! client's `NRR_resp` next to the TTP's `Abort` token in the server's
 //! own evidence log, and the core adjudicator's
-//! `Verdict::abort_after_receipt` convicts exactly that combination —
+//! `Finding::AbortedAfterReceipt` convicts exactly that combination —
 //! the server cannot use the receipt without self-incrimination. An
 //! honest server never trips the rule: once it aborts, a late receipt is
 //! refused. Before step 3 neither party holds the other's item —
@@ -578,7 +578,7 @@ struct Supervision {
 /// choreography. Re-checks run state first — a receipt that raced the
 /// sweep means nothing is aborted, so the timeout path can never pair
 /// the client's `NRR_resp` with an `Abort` token in an honest server's
-/// log (the combination `Verdict::abort_after_receipt` convicts).
+/// log (the combination `Finding::AbortedAfterReceipt` convicts).
 struct FairTimeoutAbort {
     handler: Weak<FairServerHandler>,
 }
@@ -685,7 +685,7 @@ impl FairServerHandler {
         self.engine.absorb(&token, TokenKind::Abort, run, None)?;
         // The run is dead from our side: refuse any receipt that arrives
         // late, so this log never pairs an Abort with the client's
-        // NRR_resp (the combination `Verdict::abort_after_receipt`
+        // NRR_resp (the combination `Finding::AbortedAfterReceipt`
         // convicts a racing server of).
         if let Some(state) = self.keys.lock().get_mut(&run) {
             state.aborted = true;
@@ -818,7 +818,7 @@ impl FairServerHandler {
                 // We already killed this run at the TTP; accepting the
                 // receipt now would leave this log holding the client's
                 // NRR_resp next to an Abort token — the combination
-                // `Verdict::abort_after_receipt` convicts.
+                // `Finding::AbortedAfterReceipt` convicts.
                 return Err(ProtocolError::Aborted(msg.run_id));
             }
             (state.key, state.resp_digest)
@@ -1336,7 +1336,7 @@ mod tests {
 
         // The race is self-incriminating: the server's own evidence log
         // now pairs the client's NRR_resp with the TTP's Abort token —
-        // the combination `Verdict::abort_after_receipt` convicts.
+        // the combination `Finding::AbortedAfterReceipt` convicts.
         let records = w.server_party.log().by_run(&run);
         assert!(records
             .iter()
@@ -1497,7 +1497,7 @@ mod tests {
         assert!(w.client.resolve(dispute, &w.server, &nrr).is_err());
 
         // No false accusation: the server's log holds the TTP's Abort
-        // but NOT the client's NRR_resp, so `abort_after_receipt` has
+        // but NOT the client's NRR_resp, so `AbortedAfterReceipt` has
         // nothing to convict.
         let records = w.server_party.log().by_run(&run);
         assert!(records

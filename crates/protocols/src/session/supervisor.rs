@@ -21,7 +21,7 @@
 //!    never collect the key later. If the client already delivered the
 //!    receipt, the action reports [`EscalationOutcome::AlreadyComplete`]
 //!    and nothing is aborted — the timeout path never manufactures an
-//!    `abort_after_receipt` conviction against an honest server.
+//!    `AbortedAfterReceipt` finding against an honest server.
 //!
 //! Variants with no recourse protocol (direct, voluntary, inline TTP)
 //! have no rung of their own yet: their partial evidence is already in

@@ -8,7 +8,8 @@
 //! org's party and coordinator. Outcomes are *replay-deterministic* (every
 //! key, run id, payload and drop verdict derives from the scenario seed)
 //! and *schedule-invariant* (verdicts compare facts by kind, issuer,
-//! subject and holders, never by log order or signing leaf); see
+//! subject and holders, and findings by organisation and kind, never by
+//! log order or signing leaf); see
 //! "Scenario engine & schedule invariance" in `docs/ARCHITECTURE.md`.
 //! Retries exceed the bounded drop budget, so losses change how evidence
 //! is produced, never whether it is.
@@ -27,7 +28,7 @@ use std::sync::Arc;
 use nonrep_container::component::FnComponent;
 use nonrep_container::descriptor::DeploymentDescriptor;
 use nonrep_container::interceptor::Invocation;
-use nonrep_core::dispute::{Adjudicator, Verdict, WindowSubmission};
+use nonrep_core::dispute::{Adjudicator, Fact, Finding, WindowSubmission};
 use nonrep_core::{b2b_address, OrgMiddleware, RECEIPT_WINDOW_MS};
 use nonrep_crypto::digest::{sha256, Digest};
 use nonrep_crypto::rng::SecureRandom;
@@ -45,7 +46,6 @@ use nonrep_protocols::party::{KeyDirectory, StaticKeyDirectory};
 use nonrep_protocols::tokens::TokenKind;
 use nonrep_protocols::{CommitmentMode, ExpiryReport};
 use nonrep_store::log::SyncPolicy;
-use nonrep_store::record::ChainViolation;
 use nonrep_types::codec::Encode;
 use nonrep_types::ids::{MethodName, OrgId, RunId};
 use nonrep_types::time::LogicalClock;
@@ -57,9 +57,10 @@ use crate::adversary::{
 };
 use crate::scenario::{Adversity, Role, Scenario, Variant, WorkItem};
 
-/// The adjudicated result of one work item, reduced to the
-/// schedule-invariant verdict content. Two outcomes compare equal exactly
-/// when the adjudicator established the same things.
+/// The adjudicated result of one work item: the verdict's facts and its
+/// findings about the scenario's parties and TTP. Both are
+/// schedule-invariant, so two outcomes compare equal exactly when the
+/// adjudicator established the same things.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOutcome {
     /// Scenario item index.
@@ -70,25 +71,48 @@ pub struct RunOutcome {
     pub variant: &'static str,
     /// `true` if the client's invocation returned success.
     pub completed: bool,
-    /// Established facts: `(kind, issuer, subject, held_by)` with
-    /// `held_by` sorted.
-    pub facts: BTreeSet<(String, String, String, Vec<String>)>,
-    /// Submitters whose evidence failed verification.
-    pub suspects: BTreeSet<String>,
-    /// `(org, violation-kind)` pairs established against submitters.
-    pub violations: BTreeSet<(String, String)>,
-    /// Issuers proven to have both resolved and aborted the run.
-    pub conflicting_decisions: BTreeSet<String>,
-    /// Protocol-time defectors: named by a TTP dispute `Decision`, or
-    /// caught by `Verdict::abort_after_receipt`.
-    pub defectors: BTreeSet<String>,
     /// `true` if the TTP's `Abort` token is an established fact (the run
     /// was closed by a supervisor timeout, not by key release).
     pub aborted: bool,
-    /// Parties `Verdict::stalled_parties` attributes the timeout abort to:
-    /// attribution, not conviction, but in the simulator only a genuine
-    /// staller earns it, so [`FleetOutcome::detected`] counts it.
-    pub stalled: BTreeSet<String>,
+    /// Established facts.
+    pub facts: Vec<Fact>,
+    /// Findings that name no TTP, or name the scenario's TTP.
+    pub findings: BTreeSet<Finding>,
+}
+
+impl RunOutcome {
+    /// The organisations `pick` selects from this run's findings.
+    pub fn named(&self, pick: fn(&Finding) -> Option<&str>) -> BTreeSet<&str> {
+        self.findings.iter().filter_map(pick).collect()
+    }
+}
+
+/// The submitter a [`Finding::Suspect`] names.
+pub fn suspect(finding: &Finding) -> Option<&str> {
+    match finding {
+        Finding::Suspect { submitter } => Some(submitter.as_str()),
+        _ => None,
+    }
+}
+
+/// The party convicted of protocol-time defection: by a TTP dispute
+/// decision, or for aborting after taking the receipt.
+pub fn defector(finding: &Finding) -> Option<&str> {
+    match finding {
+        Finding::Defected { party, .. } | Finding::AbortedAfterReceipt { party, .. } => {
+            Some(party.as_str())
+        }
+        _ => None,
+    }
+}
+
+/// The party a timeout abort is attributed to. Attribution, not
+/// conviction, but in the simulator only a genuine staller earns it.
+pub fn staller(finding: &Finding) -> Option<&str> {
+    match finding {
+        Finding::Stalled { party, .. } => Some(party.as_str()),
+        _ => None,
+    }
 }
 
 /// The adjudicated result of a whole fleet execution.
@@ -103,39 +127,23 @@ pub struct FleetOutcome {
 }
 
 impl FleetOutcome {
-    /// `true` if `org` was flagged suspect in at least one run, or
-    /// convicted as a protocol-time defector.
+    /// `true` if `org` was flagged suspect, convicted as a defector or
+    /// named as a staller in at least one run.
     pub fn detected(&self, org: &OrgId) -> bool {
-        self.runs.iter().any(|r| {
-            r.suspects.contains(org.as_str())
-                || r.defectors.contains(org.as_str())
-                || r.stalled.contains(org.as_str())
-        })
+        let pickers = [suspect, defector, staller];
+        let accuses = |f| pickers.iter().any(|pick| pick(f) == Some(org.as_str()));
+        self.runs.iter().flat_map(|r| &r.findings).any(accuses)
     }
 
     /// Every organisation flagged suspect anywhere.
-    pub fn all_suspects(&self) -> BTreeSet<String> {
-        self.runs
-            .iter()
-            .flat_map(|r| r.suspects.iter().cloned())
-            .collect()
+    pub fn all_suspects(&self) -> BTreeSet<&str> {
+        self.runs.iter().flat_map(|r| r.named(suspect)).collect()
     }
 
     /// `true` if both executions established the same verdicts (the
     /// schedule seed itself is allowed to differ).
     pub fn verdicts_match(&self, other: &FleetOutcome) -> bool {
         self.seed == other.seed && self.runs == other.runs
-    }
-}
-
-fn violation_label(v: &ChainViolation) -> &'static str {
-    match v {
-        ChainViolation::BrokenLink { .. } => "broken_link",
-        ChainViolation::BadSequence { .. } => "bad_sequence",
-        ChainViolation::BadGenesis => "bad_genesis",
-        ChainViolation::HeadMismatch { .. } => "head_mismatch",
-        ChainViolation::ForkedHistory { .. } => "forked_history",
-        ChainViolation::WithheldRecords { .. } => "withheld_records",
     }
 }
 
@@ -472,7 +480,20 @@ impl<'a> Fleet<'a> {
             .map(|p| self.handles[p].conduct.submission())
             .collect();
         let verdict = judge.adjudicate_windows(item.run_id, &submissions);
-        reduce(item, completed, &verdict, &self.scenario.ttp)
+        let ttp = &self.scenario.ttp;
+        RunOutcome {
+            index: item.index,
+            run_id: item.run_id,
+            variant: item.variant.name(),
+            completed,
+            aborted: verdict.cannot_deny(ttp, TokenKind::Abort),
+            facts: verdict.facts,
+            findings: verdict
+                .findings
+                .into_iter()
+                .filter(|f| f.ttp().is_none_or(|t| t == ttp))
+                .collect(),
+        }
     }
 }
 
@@ -480,53 +501,6 @@ impl<'a> Fleet<'a> {
 /// never adjudicated, and distinct from every item's run id.
 fn replay_target_run(scenario: &Scenario) -> RunId {
     RunId::from_u128(((scenario.seed as u128) << 16) | 0xdead)
-}
-
-fn reduce(item: &WorkItem, completed: bool, verdict: &Verdict, ttp: &OrgId) -> RunOutcome {
-    let facts = verdict
-        .facts
-        .iter()
-        .map(|f| {
-            let mut held: Vec<String> = f.held_by.iter().map(|o| o.to_string()).collect();
-            held.sort();
-            (
-                f.kind.label().to_string(),
-                f.issuer.to_string(),
-                f.subject.to_string(),
-                held,
-            )
-        })
-        .collect();
-    RunOutcome {
-        index: item.index,
-        run_id: item.run_id,
-        variant: item.variant.name(),
-        completed,
-        facts,
-        suspects: names(&verdict.suspect_submitters()),
-        violations: verdict
-            .violations()
-            .iter()
-            .map(|(o, v)| (o.to_string(), violation_label(v).to_string()))
-            .collect(),
-        conflicting_decisions: names(&verdict.conflicting_decisions()),
-        defectors: names(
-            &[
-                verdict.convicted_defectors(ttp),
-                verdict.abort_after_receipt(ttp),
-            ]
-            .concat(),
-        ),
-        aborted: verdict
-            .facts
-            .iter()
-            .any(|f| f.kind == TokenKind::Abort && f.issuer == *ttp),
-        stalled: names(&verdict.stalled_parties(ttp)),
-    }
-}
-
-fn names(orgs: &[OrgId]) -> BTreeSet<String> {
-    orgs.iter().map(ToString::to_string).collect()
 }
 
 /// Executes `scenario` with the item order derived from `schedule_seed`
@@ -603,52 +577,56 @@ mod tests {
         }
         // The fork and the equivocating TTP are convicted specifically by
         // anchor corroboration; the withholder by the attested tail.
-        let all_violations: BTreeSet<(String, String)> = out
-            .runs
+        let findings: BTreeSet<&Finding> = out.runs.iter().flat_map(|r| &r.findings).collect();
+        let org = |name: &str| OrgId::new(name);
+        for finding in [
+            Finding::ForkedHistory {
+                submitter: org("o2"),
+            },
+            Finding::ForkedHistory {
+                submitter: org("ttp"),
+            },
+            Finding::WithheldRecords {
+                submitter: org("o3"),
+            },
+        ] {
+            assert!(findings.contains(&finding), "{finding} not found");
+        }
+        // Whom a chain or anchor violation is established against.
+        let violators: BTreeSet<&str> = findings
             .iter()
-            .flat_map(|r| r.violations.iter().cloned())
+            .filter_map(|f| match *f {
+                Finding::BrokenChain { submitter }
+                | Finding::ForkedHistory { submitter }
+                | Finding::WithheldRecords { submitter } => Some(submitter.as_str()),
+                _ => None,
+            })
             .collect();
-        assert!(all_violations.contains(&("o2".into(), "forked_history".into())));
-        assert!(all_violations.contains(&("ttp".into(), "forked_history".into())));
-        assert!(all_violations.contains(&("o3".into(), "withheld_records".into())));
+        let suspects: BTreeSet<&str> = findings.iter().filter_map(|f| suspect(f)).collect();
         // The forged-rollover org is convicted by cert cryptography alone:
         // no chain violation is ever established against it.
-        assert!(all_violations.iter().all(|(o, _)| o != "o5"));
+        assert!(!violators.contains("o5"));
         // The wire-conduct adversaries (defecting server, both stallers)
         // are convicted from protocol evidence alone — their own
         // submissions are honest, so neither a chain violation nor a
         // suspect flag is ever raised against them.
         for wire_adversary in ["o6", "o7", "o8"] {
-            assert!(all_violations.iter().all(|(o, _)| o != wire_adversary));
-            assert!(out
-                .runs
-                .iter()
-                .all(|r| !r.suspects.contains(wire_adversary)));
+            assert!(!violators.contains(wire_adversary));
+            assert!(!suspects.contains(wire_adversary));
         }
         // Withholding the key (o6) and stalling before its release (o8)
         // are punished identically: a TTP dispute decision.
-        let defectors: BTreeSet<String> = out
-            .runs
-            .iter()
-            .flat_map(|r| r.defectors.iter().cloned())
-            .collect();
-        assert_eq!(
-            defectors,
-            BTreeSet::from(["o6".to_string(), "o8".to_string()])
-        );
+        let named =
+            |pick| -> BTreeSet<&str> { out.runs.iter().flat_map(|r| r.named(pick)).collect() };
+        assert_eq!(named(defector), BTreeSet::from(["o6", "o8"]));
         // The stalling client is attributed through the timeout abort:
         // exactly its run is abort-closed, and exactly it is named.
-        let stalled: BTreeSet<String> = out
-            .runs
-            .iter()
-            .flat_map(|r| r.stalled.iter().cloned())
-            .collect();
-        assert_eq!(stalled, BTreeSet::from(["o7".to_string()]));
+        assert_eq!(named(staller), BTreeSet::from(["o7"]));
         for run in &out.runs {
             let staller_item = scenario.items[run.index].client == scenario.regular[7];
             assert_eq!(run.aborted, staller_item, "item {}", run.index);
             // Convictions and attributions land only on fair-offline runs.
-            if !run.defectors.is_empty() || !run.stalled.is_empty() {
+            if !run.named(defector).is_empty() || !run.named(staller).is_empty() {
                 assert_eq!(run.variant, "fair_offline", "item {}", run.index);
             }
         }
@@ -690,7 +668,7 @@ mod tests {
         // staller alone.
         let aborted: Vec<&RunOutcome> = base.runs.iter().filter(|r| r.aborted).collect();
         assert_eq!(aborted.len(), 1);
-        assert_eq!(aborted[0].stalled, BTreeSet::from(["m097".to_string()]));
+        assert_eq!(aborted[0].named(staller), BTreeSet::from(["m097"]));
         assert!(!aborted[0].completed);
         // Everything except the stalled run completed despite the
         // partitions, the crash, and the lossy channel.
@@ -841,7 +819,7 @@ mod tests {
         let completed = fleet.run_item(&item).unwrap();
         assert!(completed);
         let before = fleet.adjudicate(&fleet.adjudicator(), &item, completed);
-        assert!(before.suspects.is_empty());
+        assert!(before.named(suspect).is_empty());
         assert!(!before.facts.is_empty());
 
         let o0 = scenario.regular[0].clone();

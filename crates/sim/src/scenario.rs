@@ -101,7 +101,7 @@ pub enum Role {
     /// step-3 receipt goes out. The server's exchange supervisor times
     /// the window out and escalates to the TTP's abort choreography;
     /// the adjudicator then attributes the stall from the abort token
-    /// plus the client's own `NRO_req` (`Verdict::stalled_parties`).
+    /// plus the client's own `NRO_req` (`Finding::Stalled`).
     /// Like the defecting server, it submits honestly: walking away
     /// *is* the attack.
     StallingClient,

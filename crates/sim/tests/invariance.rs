@@ -67,7 +67,7 @@ proptest! {
 /// The second replay re-verifies, signature for signature, what the
 /// first left in the process-wide verification memo
 /// (`nonrep_crypto::mss`), so equality here — every `RunOutcome`, its
-/// facts, suspects, defectors and stalled sets — also shows that
+/// facts and findings — also shows that
 /// verdicts and attributions do not depend on the memo's state, which
 /// the sweep above, running many fleets through one table, relies on.
 #[test]

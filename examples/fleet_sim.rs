@@ -25,7 +25,7 @@
 
 use std::process::ExitCode;
 
-use nonrep_sim::engine::run_fleet;
+use nonrep_sim::engine::{defector, run_fleet, staller, suspect};
 use nonrep_sim::scenario::{Role, Scenario};
 
 fn main() -> ExitCode {
@@ -72,9 +72,9 @@ fn main() -> ExitCode {
             run.completed,
             run.aborted,
             run.facts.len(),
-            run.suspects,
-            run.defectors,
-            run.stalled,
+            run.named(suspect),
+            run.named(defector),
+            run.named(staller),
         );
     }
 
@@ -158,7 +158,10 @@ fn dispute_sweep(base_seed: u64) -> ExitCode {
             return fail(seed, "dispute verdicts diverged under schedule permutation");
         }
         for org in &defectors {
-            let convicted = base.runs.iter().any(|r| r.defectors.contains(org.as_str()));
+            let convicted = base
+                .runs
+                .iter()
+                .any(|r| r.named(defector).contains(org.as_str()));
             if !convicted {
                 return fail(seed, &format!("defecting server {org} not convicted"));
             }
@@ -209,14 +212,17 @@ fn stall_sweep(seed: u64) -> ExitCode {
         Ok(out) => out,
         Err(e) => return stall_fail(seed, &format!("metropolis permuted fleet errored: {e}")),
     };
-    for run in base
-        .runs
-        .iter()
-        .filter(|r| r.aborted || !r.completed || !r.stalled.is_empty() || !r.defectors.is_empty())
-    {
+    for run in base.runs.iter().filter(|r| {
+        r.aborted || !r.completed || !r.named(staller).is_empty() || !r.named(defector).is_empty()
+    }) {
         println!(
             "  run {:>2} [{:>12}] completed={} aborted={} defectors={:?} stalled={:?}",
-            run.index, run.variant, run.completed, run.aborted, run.defectors, run.stalled,
+            run.index,
+            run.variant,
+            run.completed,
+            run.aborted,
+            run.named(defector),
+            run.named(staller),
         );
     }
     if !base.verdicts_match(&permuted) {
@@ -245,7 +251,7 @@ fn stall_sweep(seed: u64) -> ExitCode {
         }
     }
     let aborted: Vec<_> = base.runs.iter().filter(|r| r.aborted).collect();
-    if aborted.len() != 1 || aborted[0].stalled.len() != 1 {
+    if aborted.len() != 1 || aborted[0].named(staller).len() != 1 {
         return stall_fail(
             seed,
             "expected exactly one abort-closed run naming one staller",
@@ -263,7 +269,7 @@ fn stall_sweep(seed: u64) -> ExitCode {
          verdicts schedule-invariant; no false accusations; {}",
         scenario.regular.len(),
         base.runs.len(),
-        aborted[0].stalled,
+        aborted[0].named(staller),
         memo_summary(),
     );
     ExitCode::SUCCESS

@@ -58,6 +58,8 @@ retired=(
     seal_run SealOnTimeout issue_tokens sealer_poll_interval
     # one wiring: the simulator builds every org with OrgMiddleware::builder
     echo_executor
+    # one definition of a finding: conduct rules are reducers into Verdict::findings
+    conflicting_decisions convicted_defectors abort_after_receipt stalled_parties violation_label
 )
 echo "==> retired names"
 if grep -rnwF "${retired[@]/#/-e}" --exclude=check.sh \
