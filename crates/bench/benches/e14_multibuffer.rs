@@ -1,14 +1,14 @@
 //! E14: the multi-buffer SHA-256 engine under the W-OTS workloads it
-//! was built for — key generation, signing and verification, plus a
-//! raw 8-lane chain-step batch, under both dispatch tiers.
+//! was built for — key generation, signing and verification, plus the
+//! raw chain walk (16 chains × 15 steps), under both dispatch tiers.
 //!
 //! Tier rows use *forced* dispatch (`Dispatch::all()` filtered by
 //! availability), so one run on one host compares the two side by side:
 //!
-//! * `avx2` — the 8-lane AVX2 kernel.
+//! * `avx512` — the 16-lane AVX-512 kernel.
 //! * `single` — multi-buffer off: one lane through the digest module's
 //!   runtime dispatch (SHA-NI here, if present). What a host without
-//!   AVX2 runs, and the row `auto` must never do worse than.
+//!   AVX-512 runs, and the row `auto` must never do worse than.
 //!
 //! The regression gate (`scripts/bench_gate.sh`) guards these rows via
 //! `scripts/bench_baseline_7.jsonl`; see docs/BENCHMARKS.md for how to
@@ -21,7 +21,7 @@ use std::time::Duration;
 
 fn tier_name(d: mb::Dispatch) -> &'static str {
     match d {
-        mb::Dispatch::Avx2 => "avx2",
+        mb::Dispatch::Avx512 => "avx512",
         mb::Dispatch::Single => "single",
     }
 }
@@ -67,21 +67,18 @@ fn bench_multibuffer(c: &mut Criterion) {
         );
     }
 
-    // The raw engine: a full 8-lane chain-step batch (one lockstep
-    // compression on avx2, eight sequential ones on single).
+    // The raw engine: 16 chains walked 15 steps each, the keygen shape
+    // `auto` calibrates on (one 16-lane group on avx512, 240 sequential
+    // compressions on single).
+    let heads: [[u8; 4]; 16] = std::array::from_fn(|l| [0x02, l as u8, 0, 0]);
+    let steps = [15u8; 16];
     for &tier in &tiers {
-        let mut blocks = [[0u8; 64]; 8];
-        for (l, block) in blocks.iter_mut().enumerate() {
-            for (j, byte) in block[..36].iter_mut().enumerate() {
-                *byte = (l * 29 + j) as u8;
-            }
-            block[36] = 0x80;
-            block[56..].copy_from_slice(&(36u64 * 8).to_be_bytes());
-        }
+        let mut values: [[u8; 32]; 16] =
+            std::array::from_fn(|l| std::array::from_fn(|j| (l * 29 + j) as u8));
         group.bench_with_input(
-            BenchmarkId::new("chain_steps_8", tier_name(tier)),
+            BenchmarkId::new("walk_16x15", tier_name(tier)),
             &tier,
-            |b, &t| b.iter(|| mb::chain_steps_with(t, &mut blocks)),
+            |b, &t| b.iter(|| mb::walk_chains_with(t, &heads, &steps, &mut values, &mut [])),
         );
     }
     group.finish();

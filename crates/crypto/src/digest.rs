@@ -25,7 +25,7 @@
 //!
 //! For workloads with many *independent* messages (W-OTS chain walks,
 //! Merkle levels, batched HMAC derivation), the [`mb`] submodule
-//! compresses up to eight of them in lockstep across AVX2 lanes.
+//! compresses up to sixteen of them in lockstep across AVX-512 lanes.
 
 use std::fmt;
 

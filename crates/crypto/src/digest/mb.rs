@@ -1,87 +1,88 @@
 //! Lane-interleaved multi-buffer SHA-256.
 //!
 //! The W-OTS chain walk hashes 67 *independent* chains and Merkle level
-//! construction hashes independent node pairs — embarrassingly
-//! data-parallel work that the single-message paths in [`super`] feed
-//! through one compression at a time. This module compresses up to
-//! eight independent single-block messages in lockstep with an AVX2
-//! kernel over a *transposed* state layout: eight vectors hold the
-//! working variables `a..h`, each vector carrying one 32-bit word per
-//! lane, so every round of the compression advances all lanes at once.
+//! construction hashes independent node pairs — data-parallel work that
+//! the single-message paths in [`super`] feed through one compression at
+//! a time. This module compresses up to [`MAX_LANES`] (16) independent
+//! messages in lockstep with an AVX-512 kernel over a *transposed* state
+//! layout: eight vectors hold the working variables `a..h`, one 32-bit
+//! word per lane — the multi-buffer technique of Gueron and Krasnov
+//! ("Simultaneous hashing of multiple messages", 2012). With `vprord`
+//! and `vpternlogd` a round is about 17 instructions for all 16 lanes.
 //!
 //! # Dispatch
 //!
-//! Two tiers sit behind one API:
-//!
-//! * [`Dispatch::Avx2`] — the 8-lane intrinsics kernel (`x86_64`,
-//!   runtime-detected).
-//! * [`Dispatch::Single`] — multi-buffer off: every lane compresses on
-//!   its own through [`super`]'s SHA-NI / scalar dispatch. What every
-//!   host without AVX2 runs.
-//!
+//! Two tiers sit behind one API: [`Dispatch::Avx512`], the 16-lane
+//! kernel (`x86_64`, runtime-detected `avx512f`), and
+//! [`Dispatch::Single`], every lane on its own through [`super`]'s
+//! SHA-NI / scalar dispatch — what every host without AVX-512 runs.
 //! [`Dispatch::active`] picks the tier once per process: the
-//! `NONREP_DISPATCH` environment variable (`avx2|single|auto`, mirroring
-//! `NONREP_WORKERS`) pins a tier for benches and tests; `auto` (or
-//! unset) *measures* the AVX2 kernel against the single-lane path on
-//! chain-step-shaped work and picks the faster — so dispatch never
-//! selects a tier slower than measured single-lane SHA-NI. A pinned
-//! `avx2` on a host without AVX2 falls back to `single`; pinning
-//! bypasses calibration by design.
-//!
-//! Every lane-batched entry point lays out its blocks the same way for
-//! both tiers; only the private `compress_lanes` branches on the tier.
+//! `NONREP_DISPATCH` environment variable (`avx512|single|auto`) pins one
+//! for benches and tests, clamped to what the host can run; `auto` (or
+//! unset) *times* both on the chain walk and picks the faster, so
+//! dispatch never selects a tier slower than measured single-lane SHA-NI.
+//! Only the private `compress_lanes` and [`walk_chains_with`] branch on
+//! the tier.
 //!
 //! # API shape
 //!
 //! * [`hash_lanes`] / [`hash_lanes_with`] — N short (≤ 55-byte)
 //!   messages to N digests; the differential-test anchor.
-//! * [`chain_steps_with`] — one W-OTS chain step per lane *in place*:
-//!   each padded block's value field (bytes 4..36) is replaced by its
-//!   digest, implementing `value ← H(header ‖ value)` without copies.
-//! * [`pair_lanes_with`] — the 65-byte `tag ‖ left ‖ right` Merkle-node
-//!   shape, two lockstep compressions per lane batch.
+//! * [`walk_chains_with`] — W-OTS hash chains, many steps per call: a
+//!   step hashes the 36-byte `head ‖ value`, so under `Avx512` the
+//!   chain values stay transposed in registers from step to step.
+//! * [`pair_lanes_with`] / [`hash_eq_lanes_with`] — Merkle nodes, and
+//!   equal-length messages of any length (public-key compression).
 //! * [`Midstate`] + [`finish_short_lanes_with`] — shared-prefix hashing
-//!   (HMAC under one key across many short messages: the W-OTS secret
-//!   derivation).
+//!   (HMAC under one key: the W-OTS secret derivation).
 //!
 //! All lane-batched paths are bit-identical to their sequential
-//! counterparts in [`super`]; `scripts/check.sh` additionally runs the
-//! crypto suite under `NONREP_DISPATCH=single`, so both tiers run on
-//! every AVX2 host.
+//! counterparts in [`super`]; `scripts/check.sh` runs the crypto suite
+//! once pinned to each tier.
 
 use std::sync::OnceLock;
 
 use super::{compress_blocks, state_to_digest, Digest, H0};
 
-/// Lane count of the AVX2 kernel.
-pub const MAX_LANES: usize = 8;
+/// Lane count of the AVX-512 kernel.
+pub const MAX_LANES: usize = 16;
+
+/// Steps between the chain values [`walk_chains_with`] can capture.
+pub const CHECKPOINT_STRIDE: u8 = 4;
+
+/// Chain values [`walk_chains_with`] captures per chain: after 0, 4, 8
+/// and 12 steps.
+pub const CHAIN_CHECKPOINTS: usize = 4;
 
 /// Longest message that fits one padded SHA-256 block.
 const SHORT_MAX: usize = 55;
 
+/// Length of a chain-step message: a 4-byte head and a 32-byte value.
+const CHAIN_MSG_LEN: usize = 36;
+
 /// A multi-buffer dispatch tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dispatch {
-    /// 8 lanes, AVX2 transposed-state intrinsics kernel (`x86_64`,
+    /// 16 lanes, AVX-512 transposed-state intrinsics kernel (`x86_64`,
     /// detected).
-    Avx2,
+    Avx512,
     /// Multi-buffer off: one lane through [`super`]'s runtime dispatch
     /// (SHA-NI where the host has it, scalar otherwise). What a host
-    /// without AVX2 runs, and what `auto` picks when one lane measures
-    /// faster than the AVX2 kernel.
+    /// without AVX-512 runs, and what `auto` picks when one lane measures
+    /// faster than the AVX-512 kernel.
     Single,
 }
 
 impl Dispatch {
     /// Every tier, widest first.
     pub fn all() -> [Dispatch; 2] {
-        [Dispatch::Avx2, Dispatch::Single]
+        [Dispatch::Avx512, Dispatch::Single]
     }
 
     /// Lanes the tier advances per compression.
     pub fn lanes(self) -> usize {
         match self {
-            Dispatch::Avx2 => MAX_LANES,
+            Dispatch::Avx512 => MAX_LANES,
             Dispatch::Single => 1,
         }
     }
@@ -90,9 +91,9 @@ impl Dispatch {
     pub fn is_available(self) -> bool {
         match self {
             #[cfg(target_arch = "x86_64")]
-            Dispatch::Avx2 => avx2::available(),
+            Dispatch::Avx512 => is_x86_feature_detected!("avx512f"),
             #[cfg(not(target_arch = "x86_64"))]
-            Dispatch::Avx2 => false,
+            Dispatch::Avx512 => false,
             Dispatch::Single => true,
         }
     }
@@ -104,20 +105,29 @@ impl Dispatch {
     /// # Panics
     ///
     /// Panics on an unrecognized `NONREP_DISPATCH` value. A tier pin
-    /// exists to *guarantee* which kernel runs (the pinned `single`
-    /// pass in `scripts/check.sh` relies on it); a typo silently falling
-    /// back to auto would void that guarantee while reporting green.
+    /// exists to *guarantee* which kernel runs (the pinned passes in
+    /// `scripts/check.sh` rely on it); a typo silently falling back to
+    /// auto would void that guarantee while reporting green.
     pub fn active() -> Dispatch {
         static ACTIVE: OnceLock<Dispatch> = OnceLock::new();
         *ACTIVE.get_or_init(|| match std::env::var("NONREP_DISPATCH").as_deref() {
-            Ok("avx2") => clamp(Dispatch::Avx2),
+            Ok("avx512") => clamp(Dispatch::Avx512),
             Ok("single") => Dispatch::Single,
             Ok("auto") | Ok("") | Err(_) => auto_select(),
             Ok(other) => panic!(
                 "NONREP_DISPATCH={other:?} is not a dispatch tier \
-                 (expected avx2|single|auto)"
+                 (expected avx512|single|auto)"
             ),
         })
+    }
+
+    /// Panics unless this host can run the tier: the check every
+    /// tier-explicit entry point makes before it reaches a kernel.
+    fn assert_available(self) {
+        assert!(
+            self.is_available(),
+            "dispatch tier {self:?} is not available on this host"
+        );
     }
 }
 
@@ -130,172 +140,111 @@ fn clamp(want: Dispatch) -> Dispatch {
     }
 }
 
-/// Picks the auto tier: where the host has AVX2, the kernel is timed
-/// against the single-lane path (SHA-NI on capable hosts) on
-/// chain-step-shaped work and selected only when it measured *strictly
-/// faster* — so dispatch can never pick a tier slower than measured
-/// SHA-NI. The measurement runs once, on first use.
+/// Picks the auto tier: where the host has AVX-512, the kernel is timed
+/// against the single-lane path (SHA-NI on capable hosts) on the chain
+/// walk and selected only when it measured *strictly faster* — so
+/// dispatch can never pick a tier slower than measured SHA-NI. The
+/// measurement runs once, on first use.
 fn auto_select() -> Dispatch {
-    if Dispatch::Avx2.is_available() && time_tier(Dispatch::Avx2) < time_tier(Dispatch::Single) {
-        Dispatch::Avx2
+    if Dispatch::Avx512.is_available() && time_tier(Dispatch::Avx512) < time_tier(Dispatch::Single)
+    {
+        Dispatch::Avx512
     } else {
         Dispatch::Single
     }
 }
 
-/// Picoseconds per hash for `d` on the 36-byte chain-step shape, best
-/// of three runs.
+/// Picoseconds per chain step for `d` on the keygen shape — 16 chains
+/// walked 15 steps by [`walk_chains_with`] — best of three runs.
 fn time_tier(d: Dispatch) -> u128 {
     use std::hint::black_box;
     use std::time::Instant;
 
-    const STEPS: usize = 128;
-    let width = d.lanes();
-    let mut blocks = [[0u8; 64]; MAX_LANES];
-    for (l, block) in blocks.iter_mut().take(width).enumerate() {
-        for (i, byte) in block.iter_mut().take(36).enumerate() {
-            *byte = (l as u8).wrapping_mul(31) ^ i as u8;
-        }
-        block[36] = 0x80;
-        block[56..].copy_from_slice(&(36u64 * 8).to_be_bytes());
-    }
+    const WALKS: usize = 8;
+    const STEPS: u8 = 15;
+    let heads: [[u8; 4]; MAX_LANES] = std::array::from_fn(|l| [0x02, l as u8, 0, 0]);
+    let steps = [STEPS; MAX_LANES];
+    let mut values: [[u8; 32]; MAX_LANES] =
+        std::array::from_fn(|l| std::array::from_fn(|i| (l as u8).wrapping_mul(31) ^ i as u8));
     let mut best = u128::MAX;
     for _ in 0..3 {
         let start = Instant::now();
-        for _ in 0..STEPS {
-            chain_steps_with(d, &mut blocks[..width]);
+        for _ in 0..WALKS {
+            walk_chains_with(d, &heads, &steps, &mut values, &mut []);
         }
         best = best.min(start.elapsed().as_nanos());
-        black_box(&blocks);
+        black_box(&values);
     }
-    best.saturating_mul(1000) / (STEPS * width) as u128
+    best.saturating_mul(1000) / (WALKS * MAX_LANES * usize::from(STEPS)) as u128
 }
 
-/// AVX2 backend: 8 lanes per `__m256i` vector.
+/// AVX-512 backend: 16 lanes per `__m512i` vector.
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::super::K;
+mod avx512 {
+    use super::super::{H0, K};
+    use super::{CHAIN_CHECKPOINTS, CHAIN_MSG_LEN, CHECKPOINT_STRIDE, MAX_LANES};
     use core::arch::x86_64::*;
 
-    /// Whether the avx2 feature is present (cached).
-    pub(super) fn available() -> bool {
-        use std::sync::OnceLock;
-        static AVAILABLE: OnceLock<bool> = OnceLock::new();
-        *AVAILABLE.get_or_init(|| is_x86_feature_detected!("avx2"))
-    }
-
-    type V = __m256i;
+    type V = __m512i;
 
     #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn splat(x: u32) -> V {
-        _mm256_set1_epi32(x as i32)
+    #[target_feature(enable = "avx512f")]
+    fn splat(x: u32) -> V {
+        _mm512_set1_epi32(x as i32)
     }
 
     #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn add(a: V, b: V) -> V {
-        _mm256_add_epi32(a, b)
+    #[target_feature(enable = "avx512f")]
+    fn add(a: V, b: V) -> V {
+        _mm512_add_epi32(a, b)
     }
 
     #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn xor(a: V, b: V) -> V {
-        _mm256_xor_si256(a, b)
+    #[target_feature(enable = "avx512f")]
+    fn load(words: &[u32; MAX_LANES]) -> V {
+        // SAFETY: `words` is 64 readable bytes; the load is unaligned.
+        unsafe { _mm512_loadu_si512(words.as_ptr().cast()) }
     }
 
+    /// `x ⋙ A ^ x ⋙ B ^ x ⋙ C`: the round functions Σ0 and Σ1.
     #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn and(a: V, b: V) -> V {
-        _mm256_and_si256(a, b)
+    #[target_feature(enable = "avx512f")]
+    fn big_sigma<const A: i32, const B: i32, const C: i32>(x: V) -> V {
+        let (a, b, c) = (
+            _mm512_ror_epi32::<A>(x),
+            _mm512_ror_epi32::<B>(x),
+            _mm512_ror_epi32::<C>(x),
+        );
+        _mm512_ternarylogic_epi32::<0x96>(a, b, c)
     }
 
-    /// `!a & b`.
+    /// `x ⋙ A ^ x ⋙ B ^ x ≫ C`: the schedule functions σ0 and σ1.
     #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn andnot(a: V, b: V) -> V {
-        _mm256_andnot_si256(a, b)
-    }
-
-    macro_rules! rotr_fn {
-        ($name:ident, $r:literal) => {
-            #[inline]
-            #[target_feature(enable = "avx2")]
-            unsafe fn $name(v: V) -> V {
-                _mm256_or_si256(
-                    _mm256_srli_epi32::<$r>(v),
-                    _mm256_slli_epi32::<{ 32 - $r }>(v),
-                )
-            }
-        };
-    }
-    rotr_fn!(rotr_2, 2);
-    rotr_fn!(rotr_6, 6);
-    rotr_fn!(rotr_7, 7);
-    rotr_fn!(rotr_11, 11);
-    rotr_fn!(rotr_13, 13);
-    rotr_fn!(rotr_17, 17);
-    rotr_fn!(rotr_18, 18);
-    rotr_fn!(rotr_19, 19);
-    rotr_fn!(rotr_22, 22);
-    rotr_fn!(rotr_25, 25);
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn shr_3(v: V) -> V {
-        _mm256_srli_epi32::<3>(v)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn shr_10(v: V) -> V {
-        _mm256_srli_epi32::<10>(v)
-    }
-
-    /// Message word `t` of every lane, big-endian, transposed.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn gather(blocks: &[[u8; 64]; 8], t: usize) -> V {
-        let mut tmp = [0u32; 8];
-        for (slot, block) in tmp.iter_mut().zip(blocks) {
-            *slot = u32::from_be_bytes(block[4 * t..4 * t + 4].try_into().expect("4-byte word"));
-        }
-        _mm256_loadu_si256(tmp.as_ptr().cast())
-    }
-
-    /// State word `w` of every lane, transposed.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load_state(states: &[[u32; 8]; 8], w: usize) -> V {
-        let mut tmp = [0u32; 8];
-        for (slot, state) in tmp.iter_mut().zip(states) {
-            *slot = state[w];
-        }
-        _mm256_loadu_si256(tmp.as_ptr().cast())
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn store_state(states: &mut [[u32; 8]; 8], w: usize, v: V) {
-        let mut tmp = [0u32; 8];
-        _mm256_storeu_si256(tmp.as_mut_ptr().cast(), v);
-        for (state, slot) in states.iter_mut().zip(tmp) {
-            state[w] = slot;
-        }
+    #[target_feature(enable = "avx512f")]
+    fn small_sigma<const A: i32, const B: i32, const C: u32>(x: V) -> V {
+        let (a, b, c) = (
+            _mm512_ror_epi32::<A>(x),
+            _mm512_ror_epi32::<B>(x),
+            _mm512_srli_epi32::<C>(x),
+        );
+        _mm512_ternarylogic_epi32::<0x96>(a, b, c)
     }
 
     /// One round of the compression for every lane at once; identical
-    /// structure to the scalar `round!` in `digest`, over lane vectors.
+    /// structure to the scalar `round!` in `digest`, over lane vectors,
+    /// with Ch (0xCA), Maj (0xE8) and each three-way xor one
+    /// `vpternlogd`.
     macro_rules! mb_round {
         ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident,
          $k:expr, $w:expr) => {{
-            let s1 = xor(xor(rotr_6($e), rotr_11($e)), rotr_25($e));
-            let ch = xor(and($e, $f), andnot($e, $g));
-            let t1 = add(add(add(add($h, s1), ch), splat($k)), $w);
-            let s0 = xor(xor(rotr_2($a), rotr_13($a)), rotr_22($a));
-            let maj = xor(xor(and($a, $b), and($a, $c)), and($b, $c));
+            let ch = _mm512_ternarylogic_epi32::<0xCA>($e, $f, $g);
+            let t1 = add(
+                add($h, big_sigma::<6, 11, 25>($e)),
+                add(ch, add(splat($k), $w)),
+            );
+            let maj = _mm512_ternarylogic_epi32::<0xE8>($a, $b, $c);
             $d = add($d, t1);
-            $h = add(add(t1, s0), maj);
+            $h = add(t1, add(big_sigma::<2, 13, 22>($a), maj));
         }};
     }
 
@@ -303,159 +252,374 @@ mod avx2 {
     /// scalar `rounds8!`).
     macro_rules! mb_rounds8 {
         ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident,
-         $t:expr, $w:ident) => {{
-            mb_round!($a, $b, $c, $d, $e, $f, $g, $h, K[$t], $w[($t) & 15]);
-            mb_round!($h, $a, $b, $c, $d, $e, $f, $g, K[$t + 1], $w[($t + 1) & 15]);
-            mb_round!($g, $h, $a, $b, $c, $d, $e, $f, K[$t + 2], $w[($t + 2) & 15]);
-            mb_round!($f, $g, $h, $a, $b, $c, $d, $e, K[$t + 3], $w[($t + 3) & 15]);
-            mb_round!($e, $f, $g, $h, $a, $b, $c, $d, K[$t + 4], $w[($t + 4) & 15]);
-            mb_round!($d, $e, $f, $g, $h, $a, $b, $c, K[$t + 5], $w[($t + 5) & 15]);
-            mb_round!($c, $d, $e, $f, $g, $h, $a, $b, K[$t + 6], $w[($t + 6) & 15]);
-            mb_round!($b, $c, $d, $e, $f, $g, $h, $a, K[$t + 7], $w[($t + 7) & 15]);
+         $k:ident, $t:expr, $w:ident) => {{
+            mb_round!($a, $b, $c, $d, $e, $f, $g, $h, $k[$t], $w[$t]);
+            mb_round!($h, $a, $b, $c, $d, $e, $f, $g, $k[$t + 1], $w[$t + 1]);
+            mb_round!($g, $h, $a, $b, $c, $d, $e, $f, $k[$t + 2], $w[$t + 2]);
+            mb_round!($f, $g, $h, $a, $b, $c, $d, $e, $k[$t + 3], $w[$t + 3]);
+            mb_round!($e, $f, $g, $h, $a, $b, $c, $d, $k[$t + 4], $w[$t + 4]);
+            mb_round!($d, $e, $f, $g, $h, $a, $b, $c, $k[$t + 5], $w[$t + 5]);
+            mb_round!($c, $d, $e, $f, $g, $h, $a, $b, $k[$t + 6], $w[$t + 6]);
+            mb_round!($b, $c, $d, $e, $f, $g, $h, $a, $k[$t + 7], $w[$t + 7]);
         }};
     }
 
-    /// One rolling message-schedule step for every lane at once.
-    macro_rules! mb_schedule_step {
-        ($w:ident, $t:expr) => {{
-            let w15 = $w[($t + 1) & 15];
-            let w2 = $w[($t + 14) & 15];
-            let s0 = xor(xor(rotr_7(w15), rotr_18(w15)), shr_3(w15));
-            let s1 = xor(xor(rotr_17(w2), rotr_19(w2)), shr_10(w2));
-            $w[$t & 15] = add(add(add($w[$t & 15], s0), $w[($t + 9) & 15]), s1);
+    /// The next sixteen words of the rolling message schedule, every
+    /// lane at once: word `t` of `w` becomes W[16 + t] of the pass. The
+    /// steps are spelled out so every index is a constant.
+    macro_rules! mb_schedule16 {
+        ($w:ident, $($t:literal)*) => {{
+            $(
+                let (w15, w2) = ($w[($t + 1) & 15], $w[($t + 14) & 15]);
+                let sum = add(small_sigma::<7, 18, 3>(w15), small_sigma::<17, 19, 10>(w2));
+                $w[$t] = add(add($w[$t], $w[($t + 9) & 15]), sum);
+            )*
         }};
     }
 
-    /// Compresses one 64-byte block per lane into its lane's state:
-    /// load lane-transposed state and message vectors, 64 rounds,
-    /// feed-forward, store.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the avx2 target feature is available.
-    #[target_feature(enable = "avx2")]
-    unsafe fn compress(states: &mut [[u32; 8]; 8], blocks: &[[u8; 64]; 8]) {
-        let mut a = load_state(states, 0);
-        let mut b = load_state(states, 1);
-        let mut c = load_state(states, 2);
-        let mut d = load_state(states, 3);
-        let mut e = load_state(states, 4);
-        let mut f = load_state(states, 5);
-        let mut g = load_state(states, 6);
-        let mut h = load_state(states, 7);
-        let (a0, b0, c0, d0, e0, f0, g0, h0) = (a, b, c, d, e, f, g, h);
-        let mut w = [
-            gather(blocks, 0),
-            gather(blocks, 1),
-            gather(blocks, 2),
-            gather(blocks, 3),
-            gather(blocks, 4),
-            gather(blocks, 5),
-            gather(blocks, 6),
-            gather(blocks, 7),
-            gather(blocks, 8),
-            gather(blocks, 9),
-            gather(blocks, 10),
-            gather(blocks, 11),
-            gather(blocks, 12),
-            gather(blocks, 13),
-            gather(blocks, 14),
-            gather(blocks, 15),
-        ];
-        mb_rounds8!(a, b, c, d, e, f, g, h, 0, w);
-        mb_rounds8!(a, b, c, d, e, f, g, h, 8, w);
+    /// Compresses one transposed block per lane into `state`: 64 rounds
+    /// over the message vectors `w`, then the feed-forward. Rounds 16..64
+    /// run as three passes of sixteen, so every schedule index is a
+    /// constant (`w` stays in registers) while the code stays small
+    /// enough for the decoded-instruction cache.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn compress(state: &mut [V; 8], mut w: [V; 16]) {
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        mb_rounds8!(a, b, c, d, e, f, g, h, K, 0, w);
+        mb_rounds8!(a, b, c, d, e, f, g, h, K, 8, w);
         let mut t = 16;
         while t < 64 {
-            mb_schedule_step!(w, t);
-            mb_schedule_step!(w, t + 1);
-            mb_schedule_step!(w, t + 2);
-            mb_schedule_step!(w, t + 3);
-            mb_schedule_step!(w, t + 4);
-            mb_schedule_step!(w, t + 5);
-            mb_schedule_step!(w, t + 6);
-            mb_schedule_step!(w, t + 7);
-            mb_rounds8!(a, b, c, d, e, f, g, h, t, w);
-            t += 8;
+            mb_schedule16!(w, 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
+            let k = &K[t..t + 16];
+            mb_rounds8!(a, b, c, d, e, f, g, h, k, 0, w);
+            mb_rounds8!(a, b, c, d, e, f, g, h, k, 8, w);
+            t += 16;
         }
-        store_state(states, 0, add(a, a0));
-        store_state(states, 1, add(b, b0));
-        store_state(states, 2, add(c, c0));
-        store_state(states, 3, add(d, d0));
-        store_state(states, 4, add(e, e0));
-        store_state(states, 5, add(f, f0));
-        store_state(states, 6, add(g, g0));
-        store_state(states, 7, add(h, h0));
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = add(*s, v);
+        }
     }
 
-    /// Compresses one 64-byte block per lane for any number of lanes,
-    /// eight per kernel call, padding a final partial batch with dummy
-    /// lanes whose results are dropped.
+    /// Compresses one 64-byte block per lane, up to sixteen lanes,
+    /// gathered straight into transposed vectors; spare lanes repeat the
+    /// last one and are never written back.
     ///
     /// # Safety
     ///
-    /// Caller must ensure the avx2 target feature is available.
+    /// Caller must ensure the avx512f target feature is available, and
+    /// that `states` and `blocks` each hold at least one lane.
+    #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn compress_lanes(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-        let mut schunks = states.chunks_exact_mut(8);
-        let mut bchunks = blocks.chunks_exact(8);
-        for (s, b) in (&mut schunks).zip(&mut bchunks) {
-            compress(
-                s.try_into().expect("exact state chunk"),
-                b.try_into().expect("exact block chunk"),
+        let last = states.len().min(blocks.len()).min(MAX_LANES) - 1;
+        let lane = _mm512_min_epu32(
+            _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
+            splat(last as u32),
+        );
+        let (block_at, state_at) = (_mm512_slli_epi32::<4>(lane), _mm512_slli_epi32::<3>(lane));
+        let mut w = [splat(0); 16];
+        for (t, v) in (0..).zip(w.iter_mut()) {
+            *v = bswap(gather(blocks.as_ptr().cast(), add(block_at, splat(t))));
+        }
+        let mut state = [splat(0); 8];
+        for (i, v) in (0..).zip(state.iter_mut()) {
+            *v = gather(states.as_ptr().cast(), add(state_at, splat(i)));
+        }
+        compress(&mut state, w);
+        let live = live_lanes(last + 1);
+        for (i, &v) in (0..).zip(&state) {
+            scatter(states.as_mut_ptr().cast(), live, add(state_at, splat(i)), v);
+        }
+    }
+
+    /// The mask of the first `n` (1..=16) lanes.
+    fn live_lanes(n: usize) -> __mmask16 {
+        (u32::MAX >> (32 - n)) as __mmask16
+    }
+
+    /// Reverses the bytes of every 32-bit lane: big-endian words to
+    /// numbers and back.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn bswap(v: V) -> V {
+        _mm512_ternarylogic_epi32::<0xCA>(
+            splat(0xFF00_FF00),
+            _mm512_ror_epi32::<8>(v),
+            _mm512_rol_epi32::<8>(v),
+        )
+    }
+
+    /// Word `at[l]` of `base` in lane `l`.
+    ///
+    /// # Safety
+    ///
+    /// Every `at[l]` must index a word of `base`'s allocation.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn gather(base: *const u32, at: V) -> V {
+        _mm512_i32gather_epi32::<4>(at, base.cast())
+    }
+
+    /// Writes lane `l` of `v` to word `at[l]` of `base`, for the lanes
+    /// in `live`.
+    ///
+    /// # Safety
+    ///
+    /// Every live `at[l]` must index a word of `base`'s allocation.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn scatter(base: *mut u32, live: __mmask16, at: V, v: V) {
+        _mm512_mask_i32scatter_epi32::<4>(base.cast(), live, at, v);
+    }
+
+    /// The 16-lane chain walk behind [`super::walk_chains_with`]:
+    /// chains are grouped by remaining steps, deepest first, so each
+    /// group of sixteen runs about as many steps as its lanes need.
+    /// A group's values are gathered straight into transposed vectors
+    /// and scattered back, with its checkpoints, when it is done.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the avx512f target feature is available, that
+    /// `heads`, `steps` and `values` have one entry per chain, and that
+    /// `checkpoints` is empty or holds [`CHAIN_CHECKPOINTS`] per chain.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn walk_chains(
+        heads: &[[u8; 4]],
+        steps: &[u8],
+        values: &mut [[u8; 32]],
+        checkpoints: &mut [[u8; 32]],
+    ) {
+        // Gather and scatter offsets are signed 32-bit word indices.
+        assert!(
+            (checkpoints.len().max(values.len()) as u64) * 8 <= i32::MAX as u64,
+            "mb: too many chains for one walk"
+        );
+        let capture = !checkpoints.is_empty();
+        // A chain with no steps to walk needs a lane only to have its
+        // checkpoints written.
+        let mut order: Vec<usize> = (0..values.len())
+            .filter(|&i| capture || steps[i] > 0)
+            .collect();
+        order.sort_unstable_by_key(|&i| std::cmp::Reverse(steps[i]));
+        for group in order.chunks(MAX_LANES) {
+            // Spare lanes repeat the group's first chain with no steps,
+            // and are never written back.
+            let mut chain = [group[0] as u32; MAX_LANES];
+            let mut head = [0u32; MAX_LANES];
+            let mut left = [0u32; MAX_LANES];
+            for (l, &i) in group.iter().enumerate() {
+                chain[l] = i as u32;
+                head[l] = u32::from_be_bytes(heads[i]);
+                left[l] = u32::from(steps[i]);
+            }
+            walk16(
+                values.as_mut_ptr(),
+                load(&chain),
+                live_lanes(group.len()),
+                &head,
+                &left,
+                capture.then_some(checkpoints.as_mut_ptr()),
             );
         }
-        let srem = schunks.into_remainder();
-        let brem = bchunks.remainder();
-        if !srem.is_empty() {
-            let mut ps = [[0u32; 8]; 8];
-            let mut pb = [[0u8; 64]; 8];
-            ps[..srem.len()].copy_from_slice(srem);
-            pb[..brem.len()].copy_from_slice(brem);
-            compress(&mut ps, &pb);
-            srem.copy_from_slice(&ps[..srem.len()]);
+    }
+
+    /// Walks up to sixteen chains of `values`, chain `chain[l]` in lane
+    /// `l`: the lane hashes `head[l] + k ‖ value` at its step `k` while
+    /// `k < left[l]`, then keeps its value (mask blend). The message
+    /// needs no transpose, byte swap or padding per step: word 0 is the
+    /// head, words 1..8 the previous state, words 9..15 the fixed
+    /// padding of a 36-byte message. Given `checkpoints`, every live
+    /// lane's value at steps 0, 4, 8 and 12 (or its final value, if it
+    /// stops sooner) is written there.
+    ///
+    /// # Safety
+    ///
+    /// Every lane's chain must index `values`, and `checkpoints`, if
+    /// given, [`CHAIN_CHECKPOINTS`] values per chain.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn walk16(
+        values: *mut [u8; 32],
+        chain: V,
+        live: __mmask16,
+        head: &[u32; MAX_LANES],
+        left: &[u32; MAX_LANES],
+        checkpoints: Option<*mut [u8; 32]>,
+    ) {
+        let max = left.iter().copied().max().unwrap_or(0);
+        let head = load(head);
+        let left = load(left);
+        let at = _mm512_slli_epi32::<3>(chain);
+        let saved_at = _mm512_slli_epi32::<5>(chain);
+        let mut iv = [splat(0); 8];
+        for (v, &h) in iv.iter_mut().zip(&H0) {
+            *v = splat(h);
+        }
+        let zero = splat(0);
+        let pad = splat(0x8000_0000);
+        let bits = splat(CHAIN_MSG_LEN as u32 * 8);
+        let mut value = [zero; 8];
+        for (w, v) in (0..).zip(value.iter_mut()) {
+            *v = bswap(gather(values.cast(), add(at, splat(w))));
+        }
+        let stride = u32::from(CHECKPOINT_STRIDE);
+        for k in 0..max {
+            if let (Some(checkpoints), 0) = (checkpoints, k % stride) {
+                save(checkpoints, live, saved_at, k / stride, &value);
+            }
+            let mut w = [zero; 16];
+            w[0] = add(head, splat(k));
+            w[1..9].copy_from_slice(&value);
+            (w[9], w[15]) = (pad, bits);
+            let mut next = iv;
+            compress(&mut next, w);
+            let stepping = _mm512_cmplt_epu32_mask(splat(k), left);
+            for (v, n) in value.iter_mut().zip(next) {
+                *v = _mm512_mask_blend_epi32(stepping, *v, n);
+            }
+        }
+        if let Some(checkpoints) = checkpoints {
+            for j in max.div_ceil(stride)..CHAIN_CHECKPOINTS as u32 {
+                save(checkpoints, live, saved_at, j, &value);
+            }
+        }
+        for (w, &v) in (0..).zip(&value) {
+            scatter(values.cast(), live, add(at, splat(w)), bswap(v));
+        }
+    }
+
+    /// Writes every live lane's `value` as checkpoint `j` of its chain
+    /// (`saved_at`: the chain's first checkpoint word).
+    ///
+    /// # Safety
+    ///
+    /// As for [`walk16`]'s `checkpoints`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn save(
+        checkpoints: *mut [u8; 32],
+        live: __mmask16,
+        saved_at: V,
+        j: u32,
+        value: &[V; 8],
+    ) {
+        let at = add(saved_at, splat(8 * j));
+        for (w, &v) in (0..).zip(value) {
+            scatter(checkpoints.cast(), live, add(at, splat(w)), bswap(v));
         }
     }
 }
 
-/// Compresses one 64-byte block per lane into its lane's state under
-/// `d` — the one place the tier is decided.
+/// Compresses one 64-byte block per lane (at most [`MAX_LANES`]) into
+/// its lane's state under `d`. The kernel costs as much for one lane as
+/// for sixteen, so a batch that fills less than half of it (a Merkle
+/// tree's top levels, a one-frame batch tree) runs lane by lane.
 fn compress_lanes(d: Dispatch, states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-    debug_assert_eq!(states.len(), blocks.len());
-    match d {
-        Dispatch::Single => {
-            for (state, block) in states.iter_mut().zip(blocks) {
-                compress_blocks(state, &block[..]);
-            }
-        }
-        Dispatch::Avx2 => {
-            assert!(
-                d.is_available(),
-                "dispatch tier {d:?} is not available on this host"
-            );
-            // SAFETY: the kernel's one requirement, AVX2 on this host, is
-            // asserted above.
+    debug_assert!(states.len() == blocks.len() && states.len() <= MAX_LANES);
+    if d == Dispatch::Avx512 {
+        d.assert_available();
+        if states.len() >= MAX_LANES / 2 {
+            // SAFETY: AVX-512 on this host is asserted above, and the
+            // batch holds at least half the lanes.
             #[cfg(target_arch = "x86_64")]
             unsafe {
-                avx2::compress_lanes(states, blocks)
+                avx512::compress_lanes(states, blocks)
+            };
+            return;
+        }
+    }
+    for (state, block) in states.iter_mut().zip(blocks) {
+        compress_blocks(state, &block[..]);
+    }
+}
+
+/// Walks independent hash chains of the W-OTS shape, in place: a step
+/// hashes the 36-byte `head ‖ value` into the new value, then increments
+/// the head's last (step) byte; chain `i` starts from `values[i]` under
+/// `heads[i]` and advances `steps[i]` steps. Given a non-empty
+/// `checkpoints` ([`CHAIN_CHECKPOINTS`] per chain, chain after chain),
+/// chain `i`'s value after `min(4j, steps[i])` steps lands in
+/// `checkpoints[i * CHAIN_CHECKPOINTS + j]`.
+///
+/// Under [`Dispatch::Avx512`] the chains go through the lanes sixteen at
+/// a time, deepest first, each group held in registers across its steps;
+/// under [`Dispatch::Single`] they walk one after another. Both give the
+/// same values bit for bit.
+///
+/// # Panics
+///
+/// Panics if `heads`, `steps` and `values` differ in length, if
+/// `checkpoints` is neither empty nor [`CHAIN_CHECKPOINTS`] per chain, if
+/// a chain's step byte would pass 255, or if `d` is unavailable here.
+pub fn walk_chains_with(
+    d: Dispatch,
+    heads: &[[u8; 4]],
+    steps: &[u8],
+    values: &mut [[u8; 32]],
+    checkpoints: &mut [[u8; 32]],
+) {
+    assert!(
+        heads.len() == values.len() && steps.len() == values.len(),
+        "mb: one head and one step count per chain"
+    );
+    assert!(
+        checkpoints.is_empty() || checkpoints.len() == values.len() * CHAIN_CHECKPOINTS,
+        "mb: checkpoints for every chain or none"
+    );
+    assert!(
+        heads
+            .iter()
+            .zip(steps)
+            .all(|(head, &n)| usize::from(head[3]) + usize::from(n) <= 256),
+        "mb: a chain's step byte passes 255"
+    );
+    match d {
+        Dispatch::Single => {
+            let mut saved = checkpoints.chunks_exact_mut(CHAIN_CHECKPOINTS);
+            for ((head, &n), value) in heads.iter().zip(steps).zip(values.iter_mut()) {
+                walk_one(*head, n, value, saved.next().unwrap_or_default());
+            }
+        }
+        Dispatch::Avx512 => {
+            d.assert_available();
+            // SAFETY: AVX-512 on this host, one head and step count per
+            // chain, and empty or full checkpoints are asserted above.
+            #[cfg(target_arch = "x86_64")]
+            unsafe {
+                avx512::walk_chains(heads, steps, values, checkpoints)
             };
         }
     }
 }
 
-/// Pads a ≤ 55-byte message into one compression block.
-fn pad_short(msg: &[u8], block: &mut [u8; 64]) {
-    assert!(
-        msg.len() <= SHORT_MAX,
-        "mb: message does not fit one padded block"
-    );
-    block[..msg.len()].copy_from_slice(msg);
-    block[msg.len()] = 0x80;
-    block[56..].copy_from_slice(&((msg.len() as u64) * 8).to_be_bytes());
-}
-
-/// Writes a lane's final state over `out` as the big-endian digest.
-fn state_to_bytes(state: &[u32; 8], out: &mut [u8]) {
-    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
-        chunk.copy_from_slice(&word.to_be_bytes());
+/// One chain of [`walk_chains_with`] on the single lane: the message
+/// block is padded once and each step's digest is written back over its
+/// value field.
+fn walk_one(head: [u8; 4], steps: u8, value: &mut [u8; 32], saved: &mut [[u8; 32]]) {
+    let mut block = [0u8; 64];
+    block[..4].copy_from_slice(&head);
+    block[4..CHAIN_MSG_LEN].copy_from_slice(value);
+    block[CHAIN_MSG_LEN] = 0x80;
+    block[56..].copy_from_slice(&(CHAIN_MSG_LEN as u64 * 8).to_be_bytes());
+    for k in 0..steps {
+        if k % CHECKPOINT_STRIDE == 0 {
+            if let Some(slot) = saved.get_mut(usize::from(k / CHECKPOINT_STRIDE)) {
+                slot.copy_from_slice(&block[4..CHAIN_MSG_LEN]);
+            }
+        }
+        let mut state = H0;
+        compress_blocks(&mut state, &block);
+        for (chunk, word) in block[4..CHAIN_MSG_LEN].chunks_exact_mut(4).zip(state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        block[3] = block[3].wrapping_add(1);
+    }
+    value.copy_from_slice(&block[4..CHAIN_MSG_LEN]);
+    for slot in saved
+        .iter_mut()
+        .skip(usize::from(steps.div_ceil(CHECKPOINT_STRIDE)))
+    {
+        *slot = *value;
     }
 }
 
@@ -476,17 +640,7 @@ pub fn hash_lanes(msgs: &[&[u8]]) -> Vec<Digest> {
 ///
 /// Panics if any message exceeds 55 bytes or `d` is unavailable here.
 pub fn hash_lanes_with(d: Dispatch, msgs: &[&[u8]]) -> Vec<Digest> {
-    let mut out = Vec::with_capacity(msgs.len());
-    for chunk in msgs.chunks(MAX_LANES) {
-        let mut blocks = [[0u8; 64]; MAX_LANES];
-        let mut states = [H0; MAX_LANES];
-        for (block, msg) in blocks.iter_mut().zip(chunk) {
-            pad_short(msg, block);
-        }
-        compress_lanes(d, &mut states[..chunk.len()], &blocks[..chunk.len()]);
-        out.extend(states[..chunk.len()].iter().map(state_to_digest));
-    }
-    out
+    finish_short_lanes_with(d, &Midstate::new(&[]), msgs)
 }
 
 /// Hashes N *equal-length* messages of any length in lockstep under
@@ -544,59 +698,25 @@ fn fill_eq_block(block: &mut [u8; 64], msg: &[u8], lo: usize, last: bool) {
     }
 }
 
-/// One W-OTS chain step per lane, in place: every block must be a
-/// pre-padded 36-byte message (`header ‖ value`, 0x80 at byte 36, the
-/// 288-bit length in bytes 56..64); each block's value field (bytes
-/// 4..36) is replaced by the block's digest, implementing
-/// `value ← H(header ‖ value)` with no copies. The caller advances the
-/// step byte between calls.
-///
-/// # Panics
-///
-/// Panics if `blocks` exceeds [`MAX_LANES`] entries or `d` is
-/// unavailable on this host.
-pub fn chain_steps_with(d: Dispatch, blocks: &mut [[u8; 64]]) {
-    assert!(blocks.len() <= MAX_LANES, "mb: too many chain lanes");
-    let mut states = [H0; MAX_LANES];
-    compress_lanes(d, &mut states[..blocks.len()], blocks);
-    for (block, state) in blocks.iter_mut().zip(&states) {
-        state_to_bytes(state, &mut block[4..36]);
-    }
-}
-
 /// Hashes `tag ‖ left_i ‖ right_i` (the 65-byte Merkle-node / chain-link
-/// shape of [`super::sha256_pair`]) for every pair, two lockstep
-/// compressions per lane batch.
+/// shape of [`super::sha256_pair`]) for every pair: two lockstep
+/// compressions per lane batch through [`hash_eq_lanes_with`].
 ///
 /// # Panics
 ///
 /// Panics if `d` is unavailable on this host.
 pub fn pair_lanes_with(d: Dispatch, tag: u8, pairs: &[(Digest, Digest)]) -> Vec<Digest> {
-    let mut out = Vec::with_capacity(pairs.len());
-    for chunk in pairs.chunks(MAX_LANES) {
-        let mut block0 = [[0u8; 64]; MAX_LANES];
-        let mut block1 = [[0u8; 64]; MAX_LANES];
-        let mut states = [H0; MAX_LANES];
-        for (i, (left, right)) in chunk.iter().enumerate() {
-            let mut both = [0u8; 128];
-            fill_pair_blocks(tag, left, right, &mut both);
-            block0[i].copy_from_slice(&both[..64]);
-            block1[i].copy_from_slice(&both[64..]);
-        }
-        compress_lanes(d, &mut states[..chunk.len()], &block0[..chunk.len()]);
-        compress_lanes(d, &mut states[..chunk.len()], &block1[..chunk.len()]);
-        out.extend(states[..chunk.len()].iter().map(state_to_digest));
-    }
-    out
-}
-
-/// Lays out `tag ‖ left ‖ right` with SHA-256 padding over two blocks.
-fn fill_pair_blocks(tag: u8, left: &Digest, right: &Digest, blocks: &mut [u8; 128]) {
-    blocks[0] = tag;
-    blocks[1..33].copy_from_slice(left.as_bytes());
-    blocks[33..65].copy_from_slice(right.as_bytes());
-    blocks[65] = 0x80;
-    blocks[120..].copy_from_slice(&(65u64 * 8).to_be_bytes());
+    let msgs: Vec<[u8; 65]> = pairs
+        .iter()
+        .map(|(left, right)| {
+            let mut msg = [tag; 65];
+            msg[1..33].copy_from_slice(left.as_bytes());
+            msg[33..].copy_from_slice(right.as_bytes());
+            msg
+        })
+        .collect();
+    let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
+    hash_eq_lanes_with(d, &refs)
 }
 
 /// SHA-256 state after absorbing a block-aligned prefix; the shared
@@ -749,70 +869,38 @@ mod tests {
 
     #[test]
     fn chain_step_shape_matches_sequential_all_tiers() {
-        // The exact W-OTS shape: 36-byte message, digest written back
-        // over the value field, step byte advanced by the caller.
-        for tier in available_tiers() {
-            let mut blocks = [[0u8; 64]; MAX_LANES];
-            let mut reference = [[0u8; 32]; MAX_LANES];
-            for (l, block) in blocks.iter_mut().enumerate() {
-                block[0] = 0x02;
-                block[1..3].copy_from_slice(&(l as u16).to_le_bytes());
-                block[3] = 0;
-                for (j, byte) in block[4..36].iter_mut().enumerate() {
-                    *byte = (l * 17 + j) as u8;
-                }
-                block[36] = 0x80;
-                block[56..].copy_from_slice(&(36u64 * 8).to_be_bytes());
-                reference[l].copy_from_slice(&block[4..36]);
-            }
-            for step in 0u8..5 {
-                for (l, r) in reference.iter_mut().enumerate() {
-                    let mut buf = [0u8; 36];
-                    buf[0] = 0x02;
-                    buf[1..3].copy_from_slice(&(l as u16).to_le_bytes());
-                    buf[3] = step;
-                    buf[4..].copy_from_slice(r);
-                    *r = *sha256_short(&buf).as_bytes();
-                }
-                for block in blocks.iter_mut() {
-                    block[3] = step;
-                }
-                chain_steps_with(tier, &mut blocks);
-                for (l, block) in blocks.iter().enumerate() {
-                    assert_eq!(
-                        &block[4..36],
-                        &reference[l][..],
-                        "tier {tier:?} step {step} lane {l}"
-                    );
-                }
+        // The exact W-OTS shape: 36-byte `head ‖ value` messages, the
+        // step byte advancing each step. A full 16-lane group and a
+        // partial one, every lane starting at its own step and walking
+        // its own count, so lanes stop at different steps.
+        let chains = MAX_LANES + 3;
+        let heads: Vec<[u8; 4]> = (0..chains)
+            .map(|l| [0x02, l as u8, (l >> 8) as u8, (l % 5) as u8])
+            .collect();
+        let steps: Vec<u8> = (0..chains).map(|l| ((l * 7) % 9) as u8).collect();
+        let init: Vec<[u8; 32]> = (0..chains)
+            .map(|l| std::array::from_fn(|j| (l * 17 + j) as u8))
+            .collect();
+        let mut want = init.clone();
+        for ((head, &n), value) in heads.iter().zip(&steps).zip(want.iter_mut()) {
+            let mut msg = [0u8; 36];
+            msg[..4].copy_from_slice(head);
+            for k in 0..n {
+                msg[3] = head[3] + k;
+                msg[4..].copy_from_slice(value);
+                *value = *sha256_short(&msg).as_bytes();
             }
         }
-    }
-
-    #[test]
-    fn fixed_width_wrappers_match_sequential() {
-        // A full 8-lane batch and a 4-lane one (half a vector on avx2)
-        // under whatever tier this process dispatches to.
-        for n in [8usize, 4] {
-            let mut blocks = vec![[0u8; 64]; n];
-            for (l, block) in blocks.iter_mut().enumerate() {
-                for (j, byte) in block[..36].iter_mut().enumerate() {
-                    *byte = (l * 13 + j) as u8;
-                }
-                block[36] = 0x80;
-                block[56..].copy_from_slice(&(36u64 * 8).to_be_bytes());
-            }
-            let expected: Vec<Digest> = blocks.iter().map(|b| sha256_short(&b[..36])).collect();
-            chain_steps_with(Dispatch::active(), &mut blocks);
-            for (block, exp) in blocks.iter().zip(&expected) {
-                assert_eq!(&block[4..36], exp.as_bytes(), "{n} lanes");
-            }
+        for tier in available_tiers() {
+            let mut got = init.clone();
+            walk_chains_with(tier, &heads, &steps, &mut got, &mut []);
+            assert_eq!(got, want, "tier {tier:?}");
         }
     }
 
     #[test]
     fn pair_lanes_matches_sha256_pair_all_tiers() {
-        let pairs: Vec<(Digest, Digest)> = (0u64..11)
+        let pairs: Vec<(Digest, Digest)> = (0u64..2 * MAX_LANES as u64 + 3)
             .map(|i| {
                 (
                     super::super::sha256(&i.to_le_bytes()),
@@ -839,7 +927,7 @@ mod tests {
         for prefix_blocks in [1usize, 2] {
             let prefix: Vec<u8> = (0..prefix_blocks * 64).map(|i| i as u8 ^ 0x3C).collect();
             let mid = Midstate::new(&prefix);
-            let msgs: Vec<Vec<u8>> = (0..9usize)
+            let msgs: Vec<Vec<u8>> = (0..MAX_LANES + 3)
                 .map(|i| (0..(i * 6) % 56).map(|j| (i + j) as u8).collect())
                 .collect();
             let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
@@ -857,8 +945,9 @@ mod tests {
 
     #[test]
     fn dispatch_invariants() {
-        assert_eq!(Dispatch::all(), [Dispatch::Avx2, Dispatch::Single]);
-        assert_eq!(Dispatch::Avx2.lanes(), MAX_LANES);
+        assert_eq!(Dispatch::all(), [Dispatch::Avx512, Dispatch::Single]);
+        assert_eq!(Dispatch::Avx512.lanes(), 16);
+        assert_eq!(Dispatch::Avx512.lanes(), MAX_LANES);
         assert!(Dispatch::Single.is_available());
         let active = Dispatch::active();
         assert!(active.is_available());
@@ -868,7 +957,7 @@ mod tests {
             active.lanes()
         );
         // A pinned tier always lands somewhere runnable.
-        assert!(clamp(Dispatch::Avx2).is_available());
+        assert!(clamp(Dispatch::Avx512).is_available());
     }
 
     #[test]

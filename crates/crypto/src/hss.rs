@@ -26,7 +26,9 @@
 //! * **Pre-generation** hides keygen latency: as soon as a subtree
 //!   activates (right after its first signature), the next one is built
 //!   on a background thread through the same `par` + multi-buffer
-//!   machinery as ordinary keygen, so the build has a whole subtree's
+//!   machinery as ordinary keygen (the 16-lane chain walk where the host
+//!   has AVX-512: every one of the subtree's 67 · 2^h chains runs 15
+//!   steps, so its lanes stay full), so the build has a whole subtree's
 //!   signatures to finish in. The subtree seed is drawn (and retained)
 //!   *before* the thread starts, so a lost or still-running
 //!   pregeneration falls back to a synchronous build of the

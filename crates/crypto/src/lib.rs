@@ -7,9 +7,10 @@
 //!
 //! * [`digest`] — SHA-256 (FIPS 180-4) and the 32-byte [`Digest`] type,
 //!   plus [`digest::mb`], the lane-interleaved multi-buffer engine that
-//!   hashes independent messages in SIMD lockstep (two tiers: the 8-lane
-//!   AVX2 kernel, or one lane through the SHA-NI/scalar path; calibrated
-//!   at first use, or pinned with `NONREP_DISPATCH=avx2|single|auto`, see
+//!   hashes independent messages in SIMD lockstep (two tiers: the
+//!   16-lane AVX-512 kernel, or one lane through the SHA-NI/scalar path;
+//!   calibrated at first use, or pinned with
+//!   `NONREP_DISPATCH=avx512|single|auto`, see
 //!   [`digest::mb::Dispatch::active`]),
 //! * [`hmac`] — HMAC-SHA-256,
 //! * [`rng`] — a seedable secure-random facade (deterministic under test),

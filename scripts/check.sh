@@ -60,6 +60,9 @@ retired=(
     echo_executor
     # one definition of a finding: conduct rules are reducers into Verdict::findings
     conflicting_decisions convicted_defectors abort_after_receipt stalled_parties violation_label
+    # one 16-lane AVX-512 tier replaces AVX2; W-OTS chains are walked in registers
+    Avx2 chain_steps_with padded_chain_block chain_steps_8 rotr_fn load_state store_state
+    fixed_width_wrappers_match_sequential
 )
 echo "==> retired names"
 if grep -rnwF "${retired[@]/#/-e}" --exclude=check.sh \
@@ -99,11 +102,15 @@ cargo test -q
 echo "==> cargo test -q -p nonrep_protocols --test conformance"
 cargo test -q -p nonrep_protocols --test conformance
 
-# SIMD bugs must not hide behind a fast host: the crypto differential
-# suite (multi-buffer vs sequential hashing, W-OTS tier equivalence)
-# re-runs with dispatch pinned to `single`, the path every host without
-# AVX2 runs. The full pass above ran the hss and mss suites under `auto`
-# (AVX2 on an AVX2 host), so both tiers run on every CI host.
+# SIMD bugs must not hide behind a fast host or a busy one: the crypto
+# differential suite (multi-buffer vs sequential hashing, W-OTS tier
+# equivalence) re-runs once pinned to each tier, because what `auto`
+# picked for the full pass above depends on the host and its load. The
+# `single` pass is the path every host without AVX-512 runs; a host
+# without AVX-512 clamps the `avx512` pin to `single`, so there both
+# passes run the single lane.
+echo "==> NONREP_DISPATCH=avx512 cargo test -q -p nonrep_crypto"
+NONREP_DISPATCH=avx512 cargo test -q -p nonrep_crypto
 echo "==> NONREP_DISPATCH=single cargo test -q -p nonrep_crypto"
 NONREP_DISPATCH=single cargo test -q -p nonrep_crypto
 
