@@ -431,7 +431,7 @@ mod avx512 {
     /// head, words 1..8 the previous state, words 9..15 the fixed
     /// padding of a 36-byte message. Given `checkpoints`, every live
     /// lane's value at steps 0, 4, 8 and 12 (or its final value, if it
-    /// stops sooner) is written there.
+    /// stops sooner) is written there, and no later step's.
     ///
     /// # Safety
     ///
@@ -463,8 +463,9 @@ mod avx512 {
             *v = bswap(gather(values.cast(), add(at, splat(w))));
         }
         let stride = u32::from(CHECKPOINT_STRIDE);
+        let saves = CHAIN_CHECKPOINTS as u32 * stride;
         for k in 0..max {
-            if let (Some(checkpoints), 0) = (checkpoints, k % stride) {
+            if let (Some(checkpoints), 0, true) = (checkpoints, k % stride, k < saves) {
                 save(checkpoints, live, saved_at, k / stride, &value);
             }
             let mut w = [zero; 16];
@@ -582,8 +583,8 @@ pub fn walk_chains_with(
         }
         Dispatch::Avx512 => {
             d.assert_available();
-            // SAFETY: AVX-512 on this host, one head and step count per
-            // chain, and empty or full checkpoints are asserted above.
+            // SAFETY: asserted above: AVX-512 here, one head and step count per
+            // chain, no checkpoints or all `CHAIN_CHECKPOINTS` (the most it writes).
             #[cfg(target_arch = "x86_64")]
             unsafe {
                 avx512::walk_chains(heads, steps, values, checkpoints)
@@ -872,29 +873,49 @@ mod tests {
         // The exact W-OTS shape: 36-byte `head ‖ value` messages, the
         // step byte advancing each step. A full 16-lane group and a
         // partial one, every lane starting at its own step and walking
-        // its own count, so lanes stop at different steps.
+        // its own count, so lanes stop at different steps; then every
+        // chain walking past the last checkpoint (steps 16..20 save
+        // nothing). Each pattern runs with and without checkpoints.
         let chains = MAX_LANES + 3;
         let heads: Vec<[u8; 4]> = (0..chains)
             .map(|l| [0x02, l as u8, (l >> 8) as u8, (l % 5) as u8])
             .collect();
-        let steps: Vec<u8> = (0..chains).map(|l| ((l * 7) % 9) as u8).collect();
         let init: Vec<[u8; 32]> = (0..chains)
             .map(|l| std::array::from_fn(|j| (l * 17 + j) as u8))
             .collect();
-        let mut want = init.clone();
-        for ((head, &n), value) in heads.iter().zip(&steps).zip(want.iter_mut()) {
-            let mut msg = [0u8; 36];
-            msg[..4].copy_from_slice(head);
-            for k in 0..n {
-                msg[3] = head[3] + k;
-                msg[4..].copy_from_slice(value);
-                *value = *sha256_short(&msg).as_bytes();
+        let skewed: Vec<u8> = (0..chains).map(|l| ((l * 7) % 9) as u8).collect();
+        let long: Vec<u8> = (0..chains).map(|l| 17 + (l % 4) as u8).collect();
+        for steps in [skewed, long] {
+            let mut want = init.clone();
+            let mut want_saved = vec![[0u8; 32]; chains * CHAIN_CHECKPOINTS];
+            for (i, ((head, &n), value)) in heads.iter().zip(&steps).zip(&mut want).enumerate() {
+                let mut msg = [0u8; 36];
+                msg[..4].copy_from_slice(head);
+                for k in 0..n {
+                    if k % CHECKPOINT_STRIDE == 0
+                        && usize::from(k / CHECKPOINT_STRIDE) < CHAIN_CHECKPOINTS
+                    {
+                        want_saved[i * CHAIN_CHECKPOINTS + usize::from(k / CHECKPOINT_STRIDE)] =
+                            *value;
+                    }
+                    msg[3] = head[3] + k;
+                    msg[4..].copy_from_slice(value);
+                    *value = *sha256_short(&msg).as_bytes();
+                }
+                for j in usize::from(n.div_ceil(CHECKPOINT_STRIDE))..CHAIN_CHECKPOINTS {
+                    want_saved[i * CHAIN_CHECKPOINTS + j] = *value;
+                }
             }
-        }
-        for tier in available_tiers() {
-            let mut got = init.clone();
-            walk_chains_with(tier, &heads, &steps, &mut got, &mut []);
-            assert_eq!(got, want, "tier {tier:?}");
+            for tier in available_tiers() {
+                let mut got = init.clone();
+                walk_chains_with(tier, &heads, &steps, &mut got, &mut []);
+                assert_eq!(got, want, "tier {tier:?} steps {steps:?}");
+                let mut got = init.clone();
+                let mut saved = vec![[0u8; 32]; chains * CHAIN_CHECKPOINTS];
+                walk_chains_with(tier, &heads, &steps, &mut got, &mut saved);
+                assert_eq!(got, want, "tier {tier:?} steps {steps:?} with checkpoints");
+                assert_eq!(saved, want_saved, "tier {tier:?} steps {steps:?}");
+            }
         }
     }
 
