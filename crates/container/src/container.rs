@@ -85,11 +85,6 @@ impl Container {
         Ok(())
     }
 
-    /// Undeploys the component bound to `service`.
-    pub fn undeploy(&self, service: &ServiceUri) {
-        self.deployments.write().remove(service);
-    }
-
     /// Appends an interceptor to the server chain (runs in append order).
     pub fn add_interceptor(&self, interceptor: Arc<dyn Interceptor>) {
         self.server_chain.write().push(interceptor);
@@ -108,11 +103,6 @@ impl Container {
             .read()
             .get(service)
             .map(|d| d.descriptor.clone())
-    }
-
-    /// Deployed service names.
-    pub fn services(&self) -> Vec<ServiceUri> {
-        self.deployments.read().keys().cloned().collect()
     }
 
     /// Executes an incoming invocation through the full server chain.
@@ -140,32 +130,6 @@ impl Container {
         let target = move |inv: Invocation| component.invoke(&inv.method, &inv.args);
         let chain = Chain::new(&interceptors, &target);
         chain.proceed(inv)
-    }
-
-    /// Executes an invocation *bypassing* the interceptor chain.
-    ///
-    /// Used by the NR protocol handlers at "the appropriate point during
-    /// execution of the non-repudiation protocol \[when\] the client's
-    /// request is actually passed … to the EJB component for execution"
-    /// (§4.2) — the chain already ran when the request first arrived.
-    ///
-    /// # Errors
-    ///
-    /// Binding failures and component errors, as for [`Container::invoke`].
-    pub fn invoke_component(&self, inv: &Invocation) -> Result<Value, ContainerError> {
-        let deployment = self
-            .deployments
-            .read()
-            .get(&inv.service)
-            .cloned()
-            .ok_or_else(|| ContainerError::NoSuchService(inv.service.clone()))?;
-        if !deployment.descriptor.exports(&inv.method) {
-            return Err(ContainerError::NoSuchMethod(
-                inv.service.clone(),
-                inv.method.clone(),
-            ));
-        }
-        deployment.component.invoke(&inv.method, &inv.args)
     }
 }
 
@@ -197,7 +161,6 @@ mod tests {
             ))
             .unwrap();
         assert_eq!(out, Value::from(7i64));
-        assert_eq!(c.services(), vec![ServiceUri::new("urn:echo")]);
         assert!(c.descriptor(&ServiceUri::new("urn:echo")).is_some());
     }
 
@@ -256,28 +219,5 @@ mod tests {
         c.invoke(Invocation::new("x", "urn:echo", "echo", Value::Null))
             .unwrap();
         assert_eq!(order.lock().as_slice(), &["first", "second"]);
-    }
-
-    #[test]
-    fn invoke_component_bypasses_chain() {
-        let c = Container::new("org-a");
-        c.deploy(descriptor(), echo_component()).unwrap();
-        let metrics = Arc::new(MetricsInterceptor::new());
-        c.add_interceptor(metrics.clone());
-        let inv = Invocation::new("x", "urn:echo", "echo", Value::from(1i64));
-        c.invoke_component(&inv).unwrap();
-        assert_eq!(metrics.counts(), (0, 0), "chain must not run");
-    }
-
-    #[test]
-    fn undeploy_removes_binding() {
-        let c = Container::new("org-a");
-        c.deploy(descriptor(), echo_component()).unwrap();
-        c.undeploy(&ServiceUri::new("urn:echo"));
-        assert!(c.services().is_empty());
-        assert!(matches!(
-            c.invoke(Invocation::new("x", "urn:echo", "echo", Value::Null)),
-            Err(ContainerError::NoSuchService(_))
-        ));
     }
 }

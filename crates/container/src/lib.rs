@@ -18,7 +18,7 @@
 //!   when non-repudiation is required").
 //! * [`interceptor`] — [`Interceptor`], [`Chain`], [`Invocation`]: the
 //!   chain-of-responsibility invocation path, plus stock interceptors
-//!   (logging, metrics, access control).
+//!   (metrics, access control).
 //! * [`container`] — [`Container`]: deploys components with descriptors
 //!   and runs the server-side chain.
 //! * [`proxy`] — [`ClientProxy`]: the client-side dynamic proxy running a
@@ -35,9 +35,7 @@ pub mod proxy;
 
 pub use component::{Component, FnComponent};
 pub use container::Container;
-pub use descriptor::{
-    DeploymentDescriptor, EvidenceDurability, KeyLifecycle, NrConfig, SharedObjectConfig,
-};
+pub use descriptor::{DeploymentDescriptor, EvidenceDurability, NrConfig};
 pub use interceptor::{Chain, Interceptor, Invocation, InvocationTarget};
 pub use proxy::{BusTransport, ClientProxy, ContainerEndpoint, ProxyTransport};
 

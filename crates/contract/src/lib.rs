@@ -23,6 +23,6 @@ pub mod fsm;
 pub mod monitor;
 pub mod validator;
 
-pub use fsm::{ContractSpec, SpecIssue, State, Transition};
+pub use fsm::{ContractSpec, SpecIssue, State};
 pub use monitor::{ContractMonitor, ContractViolation};
-pub use validator::{ContractValidator, EventExtractor};
+pub use validator::ContractValidator;

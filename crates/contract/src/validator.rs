@@ -3,7 +3,7 @@
 //! The integration the paper sketches in §6: a verified contract FSM
 //! validates proposed changes to shared information. The
 //! [`ContractValidator`] derives a contract event from each proposed
-//! update (via an application-supplied [`EventExtractor`]) and accepts the
+//! update (via an application-supplied `EventExtractor`) and accepts the
 //! update only if the monitor accepts the event.
 //!
 //! Vetoes produced this way flow back through the NR-sharing protocol as
@@ -21,7 +21,7 @@ use crate::monitor::ContractMonitor;
 ///
 /// Returns `None` when the update is outside the contract's scope (then
 /// the validator abstains, i.e. accepts).
-pub type EventExtractor = dyn Fn(&str, Option<&[u8]>, &[u8]) -> Option<String> + Send + Sync;
+type EventExtractor = dyn Fn(&str, Option<&[u8]>, &[u8]) -> Option<String> + Send + Sync;
 
 /// An [`UpdateValidator`] enforcing a contract monitor.
 pub struct ContractValidator {

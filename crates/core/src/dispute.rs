@@ -833,6 +833,31 @@ mod tests {
     use nonrep_protocols::party::{Party, StaticKeyDirectory};
     use nonrep_types::time::LogicalClock;
 
+    /// A party on a fresh MSS key and a memory log, committing evidence
+    /// in batches (the auto seal policy, 50 ms deadline on `clock`).
+    fn batched_party(
+        org: &str,
+        seed: u64,
+        clock: &LogicalClock,
+        dir: &Arc<StaticKeyDirectory>,
+    ) -> Arc<Party> {
+        let mut rng = nonrep_crypto::rng::SecureRandom::from_seed(seed);
+        let keys = Arc::new(nonrep_crypto::sig::KeyPair::generate(
+            nonrep_crypto::sig::SignatureScheme::Mss { height: 8 },
+            &mut rng,
+        ));
+        dir.insert(OrgId::new(org), keys.verifying_key());
+        Party::with_commitment(
+            org,
+            keys,
+            Arc::new(clock.clone()),
+            Arc::new(nonrep_store::MemoryLog::new()),
+            Arc::clone(dir) as Arc<dyn nonrep_protocols::party::KeyDirectory>,
+            rng,
+            nonrep_protocols::CommitmentMode::auto(50),
+        )
+    }
+
     struct Pair {
         alice: Arc<Party>,
         bob: Arc<Party>,
@@ -1045,7 +1070,7 @@ mod tests {
     fn withheld_evidence_detected_via_gossiped_anchors() {
         let clock = LogicalClock::new();
         let dir = Arc::new(StaticKeyDirectory::new());
-        let alice = Party::quick_batched("alice", 1, &clock, &dir);
+        let alice = batched_party("alice", 1, &clock, &dir);
         let run = alice.new_run_id();
         seal_tokens(&alice, run, 4);
         // Counterparties collected alice's sealed epoch anchors while the
@@ -1080,7 +1105,7 @@ mod tests {
     fn forked_history_detected_via_gossiped_anchors() {
         let clock = LogicalClock::new();
         let dir = Arc::new(StaticKeyDirectory::new());
-        let alice = Party::quick_batched("alice", 1, &clock, &dir);
+        let alice = batched_party("alice", 1, &clock, &dir);
         let run = alice.new_run_id();
         seal_tokens(&alice, run, 2);
         let real = alice
@@ -1139,7 +1164,7 @@ mod tests {
     fn unattributable_anchors_cannot_frame_an_honest_submitter() {
         let clock = LogicalClock::new();
         let dir = Arc::new(StaticKeyDirectory::new());
-        let alice = Party::quick_batched("alice", 1, &clock, &dir);
+        let alice = batched_party("alice", 1, &clock, &dir);
         let mallory = Party::quick("mallory", 66, &clock, &dir);
         let run = alice.new_run_id();
         seal_tokens(&alice, run, 2);

@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use nonrep_types::ids::{OrgId, ProtocolId};
+use nonrep_types::ids::OrgId;
 
 /// How this organisation reaches its peers for non-repudiable invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,24 +36,6 @@ pub enum TrustDomain {
 }
 
 impl TrustDomain {
-    /// The protocol id this domain executes.
-    pub fn protocol_id(&self) -> ProtocolId {
-        match self {
-            TrustDomain::Direct => {
-                ProtocolId::new(nonrep_protocols::invocation::direct::PROTOCOL_ID)
-            }
-            TrustDomain::Voluntary => {
-                ProtocolId::new(nonrep_protocols::invocation::voluntary::PROTOCOL_ID)
-            }
-            TrustDomain::InlineTtp { .. } => {
-                ProtocolId::new(nonrep_protocols::invocation::inline_ttp::PROTOCOL_ID)
-            }
-            TrustDomain::FairOffline { .. } => {
-                ProtocolId::new(nonrep_protocols::invocation::fair_offline::PROTOCOL_ID)
-            }
-        }
-    }
-
     /// The TTP this domain depends on, if any.
     pub fn ttp(&self) -> Option<&OrgId> {
         match self {
@@ -78,29 +60,6 @@ impl fmt::Display for TrustDomain {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn protocol_ids_match_registered_protocols() {
-        assert_eq!(TrustDomain::Direct.protocol_id(), ProtocolId::new("direct"));
-        assert_eq!(
-            TrustDomain::Voluntary.protocol_id(),
-            ProtocolId::new("voluntary")
-        );
-        assert_eq!(
-            TrustDomain::InlineTtp {
-                first_hop: OrgId::new("t")
-            }
-            .protocol_id(),
-            ProtocolId::new("inline-ttp")
-        );
-        assert_eq!(
-            TrustDomain::FairOffline {
-                ttp: OrgId::new("t")
-            }
-            .protocol_id(),
-            ProtocolId::new("fair-offline")
-        );
-    }
 
     #[test]
     fn ttp_accessor() {

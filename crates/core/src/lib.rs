@@ -20,11 +20,12 @@
 //!   invocation into a non-repudiation protocol instead of the plain
 //!   transport; plus [`ContainerExecutor`], the server-side hook through
 //!   which protocol handlers finally execute the request on the container.
-//! * [`handler_factory`] — the paper's
-//!   `B2BInvocationHandler.getInstance(platform, protocol)` factory (§4.2).
 //! * [`domain`] — [`TrustDomain`]: deployment-level choice between the
 //!   direct domain, inline TTP(s) and the offline-TTP fair exchange
-//!   (paper Fig 3), applied when building proxies.
+//!   (paper Fig 3), applied when building proxies. Together with
+//!   [`OrgMiddleware::builder`] it does the job of the paper's
+//!   `B2BInvocationHandler.getInstance(platform, protocol)` factory
+//!   (§4.2): the protocol is picked per organisation and per proxy.
 //! * [`dispute`] — [`Adjudicator`]: replays evidence logs, verifies every
 //!   token and hash chain, and derives facts and conduct findings.
 //!
@@ -35,7 +36,6 @@
 
 pub mod dispute;
 pub mod domain;
-pub mod handler_factory;
 pub mod interceptor;
 pub mod middleware;
 
@@ -43,6 +43,5 @@ pub use dispute::{
     Adjudicator, Corroboration, Fact, Finding, LogReport, Verdict, WindowSubmission,
 };
 pub use domain::TrustDomain;
-pub use handler_factory::{B2BInvocation, B2BInvocationHandler, InvocationHandlerFactory};
 pub use interceptor::{ClientNrInterceptor, ContainerExecutor};
 pub use middleware::{b2b_address, MiddlewareBuilder, OrgMiddleware, RECEIPT_WINDOW_MS};

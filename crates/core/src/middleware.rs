@@ -17,7 +17,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use nonrep_container::component::Component;
-use nonrep_container::descriptor::{DeploymentDescriptor, EvidenceDurability, KeyLifecycle};
+use nonrep_container::descriptor::{DeploymentDescriptor, EvidenceDurability};
 use nonrep_container::proxy::{BusTransport, ClientProxy, ContainerEndpoint};
 use nonrep_container::{Container, ContainerError};
 use nonrep_crypto::rng::SecureRandom;
@@ -409,17 +409,12 @@ impl OrgMiddleware {
         self.supervisor.sweep()
     }
 
-    /// Builds a windowed adjudication submission covering `range` of this
-    /// organisation's log — a `snapshot_range` of `Arc`-backed records
-    /// plus the chain head, never a clone of the full record set.
-    pub fn submit_window(&self, range: std::ops::Range<u64>) -> WindowSubmission {
-        WindowSubmission::from_log(self.org.clone(), &**self.party.log(), range)
-    }
-
-    /// [`OrgMiddleware::submit_window`] over the whole log (handles are
-    /// cloned, record payloads are not).
+    /// Builds an adjudication submission covering this organisation's
+    /// whole log — a `snapshot_range` of `Arc`-backed records plus the
+    /// chain head (handles are cloned, record payloads are not).
     pub fn submit_full_window(&self) -> WindowSubmission {
-        self.submit_window(0..self.party.log().len())
+        let log = self.party.log();
+        WindowSubmission::from_log(self.org.clone(), &**log, 0..log.len())
     }
 
     /// The default trust domain for outgoing invocations.
@@ -436,10 +431,10 @@ impl OrgMiddleware {
     ///
     /// See [`Container::deploy`]; additionally
     /// [`ContainerError::Protocol`] if the descriptor declares an
-    /// evidence-durability (`NrConfig::with_evidence_durability`) or
-    /// key-lifecycle requirement the organisation does not provide —
-    /// e.g. requiring group commit while the org runs a write-through (or
-    /// in-memory) log.
+    /// evidence-durability requirement
+    /// (`NrConfig::with_evidence_durability`) the organisation does not
+    /// provide — e.g. requiring group commit while the org runs a
+    /// write-through (or in-memory) log.
     pub fn deploy(
         &self,
         descriptor: DeploymentDescriptor,
@@ -465,40 +460,6 @@ impl OrgMiddleware {
                      {in_force:?} — build the middleware with \
                      MiddlewareBuilder::evidence_file(path, SyncPolicy::...) to match",
                     descriptor.service
-                )));
-            }
-        }
-        if let Some(required) = descriptor
-            .non_repudiation
-            .as_ref()
-            .and_then(|nr| nr.key_lifecycle)
-        {
-            // The signing key, too, is fixed when the organisation is
-            // built (`MiddlewareBuilder::scheme`); a descriptor can only
-            // *require* its lifecycle. A long-lived component demanding a
-            // hierarchical (never-exhausting) key must not silently land
-            // on a finite single tree — and a deployment pinned to the
-            // strict single-tree bound must not land on a rolling key.
-            let hierarchical = self.party.keys().is_hierarchical();
-            let satisfied = match required {
-                KeyLifecycle::Hierarchical => hierarchical,
-                KeyLifecycle::SingleTree => !hierarchical,
-            };
-            if !satisfied {
-                return Err(ContainerError::Protocol(format!(
-                    "key lifecycle mismatch: descriptor for {} requires {required:?} \
-                     but the organisation's signing key is {} — build the middleware \
-                     with MiddlewareBuilder::scheme(SignatureScheme::{}) to match",
-                    descriptor.service,
-                    if hierarchical {
-                        "hierarchical"
-                    } else {
-                        "a single tree"
-                    },
-                    match required {
-                        KeyLifecycle::Hierarchical => "Hss { .. }",
-                        KeyLifecycle::SingleTree => "Mss { .. }",
-                    }
                 )));
             }
         }
@@ -735,7 +696,7 @@ mod tests {
         // The commitment mode is decided once, by the builder. Whatever a
         // descriptor declares — and whether the deploy is accepted or
         // refused — the mode observed afterwards is the mode built.
-        use nonrep_container::descriptor::{KeyLifecycle, NrConfig};
+        use nonrep_container::descriptor::NrConfig;
         let (bus, dir, clock) = world();
         let built = [CommitmentMode::PerRecord, CommitmentMode::auto(40)];
         for (i, mode) in built.into_iter().enumerate() {
@@ -746,7 +707,6 @@ mod tests {
             let configs = [
                 None,
                 Some(NrConfig::protocol("direct")),
-                Some(NrConfig::protocol("direct").with_key_lifecycle(KeyLifecycle::SingleTree)),
                 Some(
                     NrConfig::protocol("direct")
                         .with_evidence_durability(EvidenceDurability::GroupCommit),
@@ -760,7 +720,7 @@ mod tests {
                     descriptor,
                     Arc::new(FnComponent::new().method("m", |args| Ok(args.clone()))),
                 );
-                assert_eq!(org.party().commitment_mode(), mode);
+                assert_eq!(org.party().scheduler().mode(), mode);
             }
         }
     }
@@ -1002,51 +962,5 @@ mod tests {
         assert!(matches!(mismatch, Err(ContainerError::Protocol(_))));
         drop(org);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn descriptor_key_lifecycle_requirement_validated_at_deploy() {
-        use nonrep_container::descriptor::{KeyLifecycle, NrConfig};
-        let (bus, dir, clock) = world();
-        let rolling = OrgMiddleware::builder("rolling", bus.clone(), dir.clone(), clock.clone())
-            .scheme(SignatureScheme::Hss {
-                root_height: 3,
-                subtree_height: 4,
-            })
-            .build();
-        // Matching requirement deploys fine.
-        rolling
-            .deploy(
-                DeploymentDescriptor::new("urn:hier", [MethodName::new("m")]).with_non_repudiation(
-                    NrConfig::protocol("direct").with_key_lifecycle(KeyLifecycle::Hierarchical),
-                ),
-                Arc::new(FnComponent::new().method("m", |args| Ok(args.clone()))),
-            )
-            .unwrap();
-        // A strict single-tree requirement conflicts with the rolling key.
-        let mismatch = rolling.deploy(
-            DeploymentDescriptor::new("urn:single", [MethodName::new("m")]).with_non_repudiation(
-                NrConfig::protocol("direct").with_key_lifecycle(KeyLifecycle::SingleTree),
-            ),
-            Arc::new(FnComponent::new().method("m", |args| Ok(args.clone()))),
-        );
-        assert!(matches!(mismatch, Err(ContainerError::Protocol(_))));
-        // A default (single-tree MSS) org cannot satisfy Hierarchical…
-        let flat = OrgMiddleware::builder("flat", bus, dir, clock).build();
-        let mismatch = flat.deploy(
-            DeploymentDescriptor::new("urn:hier2", [MethodName::new("m")]).with_non_repudiation(
-                NrConfig::protocol("direct").with_key_lifecycle(KeyLifecycle::Hierarchical),
-            ),
-            Arc::new(FnComponent::new().method("m", |args| Ok(args.clone()))),
-        );
-        assert!(matches!(mismatch, Err(ContainerError::Protocol(_))));
-        // …but satisfies SingleTree.
-        flat.deploy(
-            DeploymentDescriptor::new("urn:single2", [MethodName::new("m")]).with_non_repudiation(
-                NrConfig::protocol("direct").with_key_lifecycle(KeyLifecycle::SingleTree),
-            ),
-            Arc::new(FnComponent::new().method("m", |args| Ok(args.clone()))),
-        )
-        .unwrap();
     }
 }

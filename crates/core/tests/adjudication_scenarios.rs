@@ -1,6 +1,8 @@
 //! Additional adversarial adjudication scenarios for the dispute service
 //! (complementing the unit tests in `nonrep-core::dispute`).
 
+mod common;
+
 use std::sync::Arc;
 
 use nonrep_core::{Adjudicator, Verdict, WindowSubmission};
@@ -179,7 +181,7 @@ fn the_window_door_and_the_in_place_door_report_the_same_log_identically() {
     // (no anchors are held, so neither door sets `anchor_violation`).
     let clock = LogicalClock::new();
     let dir = Arc::new(StaticKeyDirectory::new());
-    let alice = Party::quick_batched("alice", 1, &clock, &dir);
+    let alice = common::batched_party("alice", 1, &clock, &dir);
     let run = alice.new_run_id();
     for i in 0..4u8 {
         let t = alice

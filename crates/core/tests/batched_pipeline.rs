@@ -3,6 +3,8 @@
 //! adjudicator, a differential test that batched and per-record modes
 //! yield equivalent verdicts, and windowed-adjudication scenarios.
 
+mod common;
+
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -33,8 +35,8 @@ fn duo(batched: bool) -> Duo {
     let dir = Arc::new(StaticKeyDirectory::new());
     let (alice, bob) = if batched {
         (
-            Party::quick_batched("alice", 1, &clock, &dir),
-            Party::quick_batched("bob", 2, &clock, &dir),
+            common::batched_party("alice", 1, &clock, &dir),
+            common::batched_party("bob", 2, &clock, &dir),
         )
     } else {
         (

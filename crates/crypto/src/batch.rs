@@ -51,7 +51,7 @@ pub fn batch_digest(root: &Digest) -> Digest {
 ///
 /// Batch leaves are the [`leaf_hash`] of the record's 32-byte digest, so
 /// the accumulator never needs the record bytes themselves.
-pub fn batch_leaf(d: &Digest) -> Digest {
+fn batch_leaf(d: &Digest) -> Digest {
     leaf_hash(d.as_bytes())
 }
 
@@ -107,11 +107,6 @@ impl MerkleAccumulator {
         }
         self.frontier.push(carry);
         index
-    }
-
-    /// Leaf-hashes `payload` and pushes it, returning its leaf index.
-    pub fn push_payload(&mut self, payload: &[u8]) -> u32 {
-        self.push(leaf_hash(payload))
     }
 
     /// Number of leaves pushed so far.
@@ -264,13 +259,6 @@ mod tests {
         // The accumulator is reusable after sealing.
         acc.push(ls[0]);
         assert_eq!(acc.root(), ls[0]);
-    }
-
-    #[test]
-    fn push_payload_leaf_hashes() {
-        let mut acc = MerkleAccumulator::new();
-        acc.push_payload(b"record");
-        assert_eq!(acc.root(), leaf_hash(b"record"));
     }
 
     #[test]

@@ -39,23 +39,6 @@ pub struct Digest(pub [u8; 32]);
 
 const HEX: &[u8; 16] = b"0123456789abcdef";
 
-/// Maps an ASCII hex character to its value, 0xFF for non-hex.
-const HEX_INV: [u8; 256] = {
-    let mut t = [0xFFu8; 256];
-    let mut i = 0u8;
-    while i < 10 {
-        t[(b'0' + i) as usize] = i;
-        i += 1;
-    }
-    let mut j = 0u8;
-    while j < 6 {
-        t[(b'a' + j) as usize] = 10 + j;
-        t[(b'A' + j) as usize] = 10 + j;
-        j += 1;
-    }
-    t
-};
-
 impl Digest {
     /// The all-zero digest (used as the chain head of an empty evidence log).
     pub const ZERO: Digest = Digest([0u8; 32]);
@@ -79,28 +62,6 @@ impl Digest {
         }
         // SAFETY-free: the LUT only emits ASCII.
         String::from_utf8(out.to_vec()).expect("hex is ASCII")
-    }
-
-    /// Parses a 64-character lowercase/uppercase hex string.
-    ///
-    /// # Errors
-    ///
-    /// Returns `None` if the string is not exactly 64 hex characters.
-    pub fn from_hex(s: &str) -> Option<Self> {
-        let bytes = s.as_bytes();
-        if bytes.len() != 64 {
-            return None;
-        }
-        let mut out = [0u8; 32];
-        for (i, chunk) in bytes.chunks_exact(2).enumerate() {
-            let hi = HEX_INV[chunk[0] as usize];
-            let lo = HEX_INV[chunk[1] as usize];
-            if hi == 0xFF || lo == 0xFF {
-                return None;
-            }
-            out[i] = (hi << 4) | lo;
-        }
-        Some(Self(out))
     }
 }
 
@@ -727,20 +688,13 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
     #[test]
     fn hex_roundtrip() {
         let d = sha256(b"roundtrip");
-        assert_eq!(Digest::from_hex(&d.to_hex()).unwrap(), d);
-        assert!(Digest::from_hex("abc").is_none());
-        assert!(Digest::from_hex(&"zz".repeat(32)).is_none());
-    }
-
-    #[test]
-    fn hex_accepts_uppercase_and_rejects_non_hex() {
-        let d = sha256(b"case");
-        assert_eq!(Digest::from_hex(&d.to_hex().to_uppercase()).unwrap(), d);
-        let mut bad = d.to_hex();
-        bad.replace_range(10..11, "g");
-        assert!(Digest::from_hex(&bad).is_none());
-        // Multi-byte UTF-8 of the right char-length must not slip through.
-        assert!(Digest::from_hex(&"é".repeat(32)).is_none());
+        let hex = d.to_hex();
+        assert_eq!(hex.len(), 64);
+        assert_eq!(hex, hex.to_lowercase());
+        let back: Vec<u8> = (0..32)
+            .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(back, d.as_bytes());
     }
 
     #[test]

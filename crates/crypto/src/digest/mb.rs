@@ -3,7 +3,7 @@
 //! The W-OTS chain walk hashes 67 *independent* chains and Merkle level
 //! construction hashes independent node pairs — data-parallel work that
 //! the single-message paths in [`super`] feed through one compression at
-//! a time. This module compresses up to [`MAX_LANES`] (16) independent
+//! a time. This module compresses up to `MAX_LANES` (16) independent
 //! messages in lockstep with an AVX-512 kernel over a *transposed* state
 //! layout: eight vectors hold the working variables `a..h`, one 32-bit
 //! word per lane — the multi-buffer technique of Gueron and Krasnov
@@ -45,7 +45,7 @@ use std::sync::OnceLock;
 use super::{compress_blocks, state_to_digest, Digest, H0};
 
 /// Lane count of the AVX-512 kernel.
-pub const MAX_LANES: usize = 16;
+const MAX_LANES: usize = 16;
 
 /// Steps between the chain values [`walk_chains_with`] can capture.
 pub const CHECKPOINT_STRIDE: u8 = 4;

@@ -497,25 +497,9 @@ impl HssSigner {
         self.generation
     }
 
-    /// The active subtree's certificate.
-    pub fn active_cert(&self) -> &SubtreeCert {
-        &self.active_cert
-    }
-
     /// Leaves left on the active subtree.
     pub fn subtree_remaining(&self) -> u32 {
         self.active.remaining()
-    }
-
-    /// Capacity of one subtree (`2^subtree_height`).
-    pub fn subtree_capacity(&self) -> u32 {
-        self.active.capacity()
-    }
-
-    /// Root leaves left — i.e. how many *more* subtrees can still be
-    /// certified.
-    pub fn root_remaining(&self) -> u32 {
-        self.root.remaining()
     }
 
     /// Total message signatures left across the hierarchy: the active
@@ -526,7 +510,8 @@ impl HssSigner {
     }
 
     /// `true` while a background subtree build is in flight.
-    pub fn pregen_in_flight(&self) -> bool {
+    #[cfg(test)]
+    fn pregen_in_flight(&self) -> bool {
         self.pregen.is_some()
     }
 
@@ -803,7 +788,7 @@ mod tests {
             cert.byte_len() - CertRef::BYTE_LEN
         );
         // Only the cert the reference names can be attached.
-        let mut other = s.active_cert().clone();
+        let mut other = s.active_cert.clone();
         other.generation += 1;
         assert!(!stored.attach_cert(other));
         assert!(stored.attach_cert(cert.clone()));
@@ -862,7 +847,7 @@ mod tests {
     #[test]
     fn cert_codec_roundtrip() {
         let s = signer(2, 1, 10);
-        let cert = s.active_cert().clone();
+        let cert = s.active_cert.clone();
         let back = SubtreeCert::decode_from_slice(&cert.encode_to_vec()).unwrap();
         assert_eq!(back, cert);
         assert!(back.verify(&s.public_key()));

@@ -28,15 +28,10 @@ pub fn leaf_hash(data: &[u8]) -> Digest {
 }
 
 /// Leaf-hashes a batch of digest-sized payloads (e.g. W-OTS public
-/// keys, the MSS keygen shape) through the multi-buffer engine: each
-/// 33-byte leaf message fits one compression block, so up to
-/// [`mb::Dispatch::lanes`] leaves hash per compression. Identical to mapping
-/// [`leaf_hash`] over the payload bytes.
-pub fn leaf_hash_digests(payloads: &[Digest]) -> Vec<Digest> {
-    leaf_hash_digests_with(mb::Dispatch::active(), payloads)
-}
-
-/// [`leaf_hash_digests`] under an explicit dispatch tier.
+/// keys, the MSS keygen shape) through the multi-buffer engine under
+/// dispatch tier `d`: each 33-byte leaf message fits one compression
+/// block, so up to [`mb::Dispatch::lanes`] leaves hash per compression.
+/// Identical to mapping [`leaf_hash`] over the payload bytes.
 pub fn leaf_hash_digests_with(d: mb::Dispatch, payloads: &[Digest]) -> Vec<Digest> {
     let msgs: Vec<[u8; 33]> = payloads
         .iter()
@@ -188,18 +183,6 @@ impl MerkleTree {
         Self { levels }
     }
 
-    /// Builds a tree by leaf-hashing each payload (split across workers
-    /// for large batches — the batch-evidence-commitment shape).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `payloads` is empty.
-    pub fn from_payloads<'a, I: IntoIterator<Item = &'a [u8]>>(payloads: I) -> Self {
-        let payloads: Vec<&[u8]> = payloads.into_iter().collect();
-        let leaves = par::par_map(&payloads, 4096, |p| leaf_hash(p));
-        Self::from_leaf_hashes(leaves)
-    }
-
     /// The root digest.
     pub fn root(&self) -> Digest {
         self.levels.last().unwrap()[0]
@@ -254,13 +237,17 @@ impl MerkleTree {
 mod tests {
     use super::*;
 
+    fn from_payloads<'a>(payloads: impl IntoIterator<Item = &'a [u8]>) -> MerkleTree {
+        MerkleTree::from_leaf_hashes(payloads.into_iter().map(leaf_hash).collect())
+    }
+
     fn payloads(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("leaf-{i}").into_bytes()).collect()
     }
 
     #[test]
     fn single_leaf_root_is_leaf_hash() {
-        let tree = MerkleTree::from_payloads([b"only".as_slice()]);
+        let tree = from_payloads([b"only".as_slice()]);
         assert_eq!(tree.root(), leaf_hash(b"only"));
         assert_eq!(tree.leaf_count(), 1);
         let path = tree.auth_path(0);
@@ -272,7 +259,7 @@ mod tests {
     fn all_paths_verify_for_various_sizes() {
         for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 16, 33] {
             let data = payloads(n);
-            let tree = MerkleTree::from_payloads(data.iter().map(Vec::as_slice));
+            let tree = from_payloads(data.iter().map(Vec::as_slice));
             let root = tree.root();
             for (i, payload) in data.iter().enumerate() {
                 let path = tree.auth_path(i);
@@ -287,7 +274,7 @@ mod tests {
     #[test]
     fn wrong_leaf_fails_verification() {
         let data = payloads(8);
-        let tree = MerkleTree::from_payloads(data.iter().map(Vec::as_slice));
+        let tree = from_payloads(data.iter().map(Vec::as_slice));
         let path = tree.auth_path(3);
         assert!(!MerkleTree::verify(
             &tree.root(),
@@ -299,7 +286,7 @@ mod tests {
     #[test]
     fn wrong_position_fails_verification() {
         let data = payloads(8);
-        let tree = MerkleTree::from_payloads(data.iter().map(Vec::as_slice));
+        let tree = from_payloads(data.iter().map(Vec::as_slice));
         let path_for_2 = tree.auth_path(2);
         // Leaf 3's hash with leaf 2's path must not verify.
         assert!(!MerkleTree::verify(
@@ -312,7 +299,7 @@ mod tests {
     #[test]
     fn tampered_path_fails() {
         let data = payloads(4);
-        let tree = MerkleTree::from_payloads(data.iter().map(Vec::as_slice));
+        let tree = from_payloads(data.iter().map(Vec::as_slice));
         let mut path = tree.auth_path(0);
         path.steps[0].sibling = leaf_hash(b"evil");
         assert!(!MerkleTree::verify(
@@ -339,15 +326,15 @@ mod tests {
     #[test]
     fn deterministic_roots() {
         let data = payloads(5);
-        let t1 = MerkleTree::from_payloads(data.iter().map(Vec::as_slice));
-        let t2 = MerkleTree::from_payloads(data.iter().map(Vec::as_slice));
+        let t1 = from_payloads(data.iter().map(Vec::as_slice));
+        let t2 = from_payloads(data.iter().map(Vec::as_slice));
         assert_eq!(t1.root(), t2.root());
     }
 
     #[test]
     fn path_byte_len() {
         let data = payloads(8);
-        let tree = MerkleTree::from_payloads(data.iter().map(Vec::as_slice));
+        let tree = from_payloads(data.iter().map(Vec::as_slice));
         assert_eq!(tree.auth_path(0).byte_len(), 4 + 3 * 33);
         assert_eq!(
             tree.auth_path(0).byte_len(),
@@ -402,7 +389,6 @@ mod tests {
                 assert_eq!(*digest, leaf_hash(p.as_bytes()), "tier {tier:?}");
             }
         }
-        assert_eq!(leaf_hash_digests(&payloads).len(), payloads.len());
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Scoped-thread data parallelism (no external dependencies).
 //!
-//! [`par_map_range_with`] and the maps built on it ([`par_map_indexed_with`],
-//! [`par_map_with`], [`par_map`]) split an embarrassingly parallel map
-//! over `std::thread::scope` workers. They are used by MSS key generation
-//! (per-leaf W-OTS chain walks), Merkle level construction and Merkle
-//! leaf hashing of batch payloads. Under them sits the crate-internal
-//! `par_map_chunks_with`, which also hands each worker its part of one
-//! shared output buffer (MSS keygen writes chain checkpoints so).
+//! [`par_map_range_with`] splits an embarrassingly parallel map over
+//! `std::thread::scope` workers (Merkle levels, MSS leaf hashing).
+//! Under it sits the crate-internal `par_map_chunks_with`, which also
+//! hands each worker its part of one shared output buffer (MSS keygen
+//! walks its per-leaf W-OTS chains and writes their checkpoints so).
 //!
 //! Work is only split when it is worth it: each worker must receive at
 //! least `min_per_worker` items, and the worker count is capped by
@@ -16,7 +14,7 @@
 
 use std::sync::OnceLock;
 
-/// The default worker budget (what [`par_map`] uses):
+/// The default worker budget:
 /// `NONREP_WORKERS` if set, otherwise `std::thread::available_parallelism`.
 pub fn workers() -> usize {
     static WORKERS: OnceLock<usize> = OnceLock::new();
@@ -119,58 +117,19 @@ where
     out
 }
 
-/// Maps `f` over `0..n` with an explicit worker budget, preserving order.
-///
-/// Splits into contiguous index ranges, one per worker; falls back to a
-/// sequential map when `n / min_per_worker` does not justify a second
-/// worker.
-///
-/// # Panics
-///
-/// Propagates panics from `f` (the scope joins all workers first).
-pub fn par_map_indexed_with<R, F>(
-    worker_budget: usize,
-    n: usize,
-    min_per_worker: usize,
-    f: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_map_range_with(worker_budget, n, min_per_worker, |range| {
-        range.map(&f).collect()
-    })
-}
-
-/// Maps `f` over a slice with an explicit worker budget, preserving order.
-pub fn par_map_with<T, R, F>(
-    worker_budget: usize,
-    items: &[T],
-    min_per_worker: usize,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indexed_with(worker_budget, items.len(), min_per_worker, |i| f(&items[i]))
-}
-
-/// [`par_map_with`] using the default [`workers`] budget.
-pub fn par_map<T, R, F>(items: &[T], min_per_worker: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_with(workers(), items, min_per_worker, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `f` mapped over `0..n` through [`par_map_range_with`].
+    fn indexed<R: Send>(
+        workers: usize,
+        n: usize,
+        min_per_worker: usize,
+        f: impl Fn(usize) -> R + Sync,
+    ) -> Vec<R> {
+        par_map_range_with(workers, n, min_per_worker, |range| range.map(&f).collect())
+    }
 
     #[test]
     fn matches_sequential_map_for_all_worker_counts() {
@@ -178,7 +137,7 @@ mod tests {
         let expected: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
         for workers in [1usize, 2, 3, 4, 7, 16] {
             assert_eq!(
-                par_map_with(workers, &items, 1, |x| x * 3 + 1),
+                indexed(workers, items.len(), 1, |i| items[i] * 3 + 1),
                 expected,
                 "workers={workers}"
             );
@@ -187,27 +146,27 @@ mod tests {
 
     #[test]
     fn indexed_preserves_order() {
-        let out = par_map_indexed_with(4, 100, 1, |i| i * i);
+        let out = indexed(4, 100, 1, |i| i * i);
         assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
     fn small_inputs_stay_sequential() {
         // min_per_worker larger than n forces the sequential path.
-        let out = par_map_indexed_with(8, 10, 100, |i| i + 1);
+        let out = indexed(8, 10, 100, |i| i + 1);
         assert_eq!(out, (1..=10).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_input() {
-        let out: Vec<usize> = par_map_indexed_with(4, 0, 1, |i| i);
+        let out: Vec<usize> = indexed(4, 0, 1, |i| i);
         assert!(out.is_empty());
     }
 
     #[test]
     fn uneven_split_covers_every_index() {
         // 7 items across 4 workers: chunks of 2 with a short tail.
-        let out = par_map_indexed_with(4, 7, 1, |i| i);
+        let out = indexed(4, 7, 1, |i| i);
         assert_eq!(out, vec![0, 1, 2, 3, 4, 5, 6]);
     }
 
@@ -250,7 +209,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "parallel worker panicked")]
     fn worker_panic_propagates() {
-        let _ = par_map_indexed_with(2, 100, 1, |i| {
+        let _ = indexed(2, 100, 1, |i| {
             if i == 73 {
                 panic!("boom");
             }

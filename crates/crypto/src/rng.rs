@@ -7,8 +7,7 @@
 //!
 //! [`SecureRandom`] wraps a CSPRNG (`rand::rngs::StdRng`, ChaCha-based) and
 //! is explicitly seedable so that *every* test and benchmark in the
-//! workspace is deterministic. Production deployments seed from OS entropy
-//! via [`SecureRandom::from_entropy`].
+//! workspace is deterministic; every caller supplies its seed.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -35,13 +34,6 @@ impl SecureRandom {
     pub fn from_seed32(seed: [u8; 32]) -> Self {
         Self {
             inner: StdRng::from_seed(seed),
-        }
-    }
-
-    /// Seeds from operating-system entropy (production).
-    pub fn from_entropy() -> Self {
-        Self {
-            inner: StdRng::from_entropy(),
         }
     }
 
@@ -92,17 +84,6 @@ impl SecureRandom {
         let mut bytes = [0u8; 16];
         self.fill(&mut bytes);
         RunId::from_bytes(bytes)
-    }
-
-    /// Returns `true` with probability `p` (clamped to `[0,1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        if p >= 1.0 {
-            return true;
-        }
-        (self.next_u64() as f64 / u64::MAX as f64) < p
     }
 }
 
@@ -157,22 +138,5 @@ mod tests {
     #[should_panic(expected = "bound must be positive")]
     fn below_zero_panics() {
         SecureRandom::from_seed(0).below(0);
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut rng = SecureRandom::from_seed(5);
-        assert!(!rng.chance(0.0));
-        assert!(rng.chance(1.0));
-        // p=0.5 should produce both outcomes over many trials.
-        let hits = (0..1000).filter(|_| rng.chance(0.5)).count();
-        assert!(hits > 300 && hits < 700, "hits={hits}");
-    }
-
-    #[test]
-    fn entropy_rng_produces_nonzero() {
-        let mut rng = SecureRandom::from_entropy();
-        let bytes = rng.bytes(32);
-        assert!(bytes.iter().any(|&b| b != 0));
     }
 }

@@ -445,12 +445,6 @@ impl KeyPair {
         }
     }
 
-    /// `true` if this key rolls subtree generations (scheme
-    /// [`SignatureScheme::Hss`]).
-    pub fn is_hierarchical(&self) -> bool {
-        matches!(&*self.inner.lock(), SignerInner::Hss(_))
-    }
-
     /// Leaves left on a hierarchical key's *active subtree* (`None`
     /// for other schemes) — the quantity exhaustion forecasting tracks.
     pub fn subtree_remaining(&self) -> Option<u32> {
@@ -820,12 +814,10 @@ mod tests {
     #[test]
     fn non_hierarchical_keys_report_empty_lifecycle() {
         let kp = mss_pair(33);
-        assert!(!kp.is_hierarchical());
         assert_eq!(kp.generation(), 0);
         assert!(kp.rollover_history().is_empty());
         assert_eq!(kp.subtree_remaining(), None);
         let h = hss_pair(34);
-        assert!(h.is_hierarchical());
         assert_eq!(h.subtree_remaining(), Some(2));
     }
 

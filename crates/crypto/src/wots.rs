@@ -53,7 +53,7 @@ pub const CSUM_CHUNKS: usize = 3;
 /// Total number of hash chains.
 pub const CHAINS: usize = MSG_CHUNKS + CSUM_CHUNKS;
 /// Maximum chain step (w - 1).
-pub const MAX_STEP: u8 = 15;
+const MAX_STEP: u8 = 15;
 /// Checkpoint values kept per key: each chain's values at steps 0, 4, 8
 /// and 12, chain after chain. 268 values, 8 576 bytes.
 pub const KEY_CHECKPOINTS: usize = CHAINS * CHAIN_CHECKPOINTS;
@@ -350,8 +350,8 @@ pub fn recover_public_key(digest: &Digest, sig: &WotsSignature) -> Digest {
     recover_public_key_with(digest, sig, mb::Dispatch::active())
 }
 
-/// [`recover_public_key`] under an explicit dispatch tier.
-pub fn recover_public_key_with(digest: &Digest, sig: &WotsSignature, d: mb::Dispatch) -> Digest {
+/// `recover_public_key` under an explicit dispatch tier.
+fn recover_public_key_with(digest: &Digest, sig: &WotsSignature, d: mb::Dispatch) -> Digest {
     let chunks = chunks_of(digest);
     let mut steps = [0u8; CHAINS];
     for (step, chunk) in steps.iter_mut().zip(chunks) {

@@ -1,6 +1,6 @@
 //! Property tests for the cryptographic primitives.
 
-use nonrep_crypto::batch::{batch_digest, batch_leaf, BatchSignature};
+use nonrep_crypto::batch::{batch_digest, BatchSignature};
 use nonrep_crypto::digest::{mb, sha256, sha256_short, Digest, Sha256};
 use nonrep_crypto::hmac::{hmac_sha256, hmac_short_lanes_with};
 use nonrep_crypto::hss::{CertLink, HssSignature, SubtreeCert, SubtreeSig};
@@ -32,7 +32,7 @@ fn reference_mss(root: &Digest, digest: &Digest, sig: &MssSignature) -> bool {
 }
 
 fn reference_batch(root: &Digest, digest: &Digest, b: &BatchSignature) -> bool {
-    let implied = b.auth_path.implied_root(&batch_leaf(digest));
+    let implied = b.auth_path.implied_root(&leaf_hash(digest.as_bytes()));
     reference_mss(root, &batch_digest(&implied), &b.mss_sig)
 }
 
@@ -222,7 +222,7 @@ proptest! {
     #[test]
     fn mb_hash_lanes_matches_sequential(
         seed in any::<u64>(),
-        n in 1usize..2 * mb::MAX_LANES + 2,
+        n in 1usize..2 * mb::Dispatch::Avx512.lanes() + 2,
         len in 0usize..56,
     ) {
         let msgs: Vec<Vec<u8>> = (0..n)
@@ -317,7 +317,7 @@ proptest! {
     fn merkle_all_leaves_verify(n in 1usize..24, seed in any::<u64>()) {
         let payloads: Vec<Vec<u8>> =
             (0..n).map(|i| format!("{seed}-{i}").into_bytes()).collect();
-        let tree = MerkleTree::from_payloads(payloads.iter().map(Vec::as_slice));
+        let tree = MerkleTree::from_leaf_hashes(payloads.iter().map(|p| leaf_hash(p)).collect());
         for (i, p) in payloads.iter().enumerate() {
             let path = tree.auth_path(i);
             prop_assert!(MerkleTree::verify(&tree.root(), &leaf_hash(p), &path));
@@ -329,7 +329,7 @@ proptest! {
     fn merkle_bitflip_detected(n in 2usize..16, idx in 0usize..16, byte in any::<u8>()) {
         let idx = idx % n;
         let payloads: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 8]).collect();
-        let tree = MerkleTree::from_payloads(payloads.iter().map(Vec::as_slice));
+        let tree = MerkleTree::from_leaf_hashes(payloads.iter().map(|p| leaf_hash(p)).collect());
         let mut forged = payloads[idx].clone();
         forged[0] ^= byte | 1; // guarantee at least one bit flips
         let path = tree.auth_path(idx);
@@ -368,7 +368,11 @@ proptest! {
     /// Digest hex round-trips.
     #[test]
     fn digest_hex_roundtrip(bytes in proptest::array::uniform32(any::<u8>())) {
-        let d = Digest::from_bytes(bytes);
-        prop_assert_eq!(Digest::from_hex(&d.to_hex()).unwrap(), d);
+        let hex = Digest::from_bytes(bytes).to_hex();
+        prop_assert_eq!(hex.len(), 64);
+        let back: Vec<u8> = (0..32)
+            .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).unwrap())
+            .collect();
+        prop_assert_eq!(back, bytes.to_vec());
     }
 }

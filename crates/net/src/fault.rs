@@ -166,11 +166,6 @@ impl FaultPlan {
         self.state.lock().crashed.remove(org);
     }
 
-    /// `true` if `org` is currently crashed.
-    pub fn is_crashed(&self, org: &OrgId) -> bool {
-        self.state.lock().crashed.contains(org)
-    }
-
     /// Partitions the link between `a` and `b` (both directions).
     pub fn partition(&self, a: &OrgId, b: &OrgId) {
         self.state.lock().partitions.insert(pair_key(a, b));
@@ -271,7 +266,6 @@ mod tests {
         let (a, b) = orgs();
         let plan = FaultPlan::none();
         plan.crash(&b);
-        assert!(plan.is_crashed(&b));
         assert_eq!(plan.judge(&a, &b), Verdict::Crashed);
         // Crashed sender also cannot send.
         assert_eq!(plan.judge(&b, &a), Verdict::Crashed);

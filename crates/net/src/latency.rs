@@ -30,21 +30,6 @@ pub enum LatencyModel {
 }
 
 impl LatencyModel {
-    /// The worst one-way latency this model can sample, in milliseconds.
-    ///
-    /// Retry deadline budgets are sized from this bound: a per-attempt
-    /// timeout must cover a full round trip at worst-case latency or an
-    /// honest-but-slow peer would be misread as silent.
-    pub fn worst_case_ms(&self) -> u64 {
-        match *self {
-            LatencyModel::Zero => 0,
-            LatencyModel::Constant(ms) => ms,
-            LatencyModel::Uniform { lo, hi } => hi.max(lo),
-            LatencyModel::Lan => 2,
-            LatencyModel::Wan => 80,
-        }
-    }
-
     /// Samples a latency in milliseconds.
     pub fn sample(&self, rng: &mut SecureRandom) -> u64 {
         match *self {

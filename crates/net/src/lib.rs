@@ -60,17 +60,6 @@ pub enum NetError {
         /// Attempts made before giving up.
         attempts: u32,
     },
-    /// The overall deadline budget for the send expired before delivery:
-    /// the failure outlasted the bounded-failure assumption. Unlike
-    /// [`NetError::RetriesExhausted`] this is *not* transient — the
-    /// caller's supervisor must take over (escalate, abort, resolve)
-    /// instead of spinning.
-    Timeout {
-        /// Attempts made before the budget expired.
-        attempts: u32,
-        /// Simulated milliseconds charged against the budget.
-        waited_ms: u64,
-    },
 }
 
 impl fmt::Display for NetError {
@@ -86,15 +75,6 @@ impl fmt::Display for NetError {
             NetError::Endpoint(msg) => write!(f, "endpoint failure: {msg}"),
             NetError::RetriesExhausted { attempts } => {
                 write!(f, "retries exhausted after {attempts} attempts")
-            }
-            NetError::Timeout {
-                attempts,
-                waited_ms,
-            } => {
-                write!(
-                    f,
-                    "deadline budget expired after {attempts} attempts ({waited_ms} ms)"
-                )
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Bounded retransmission with deadline budgets.
+//! Bounded retransmission.
 //!
 //! The paper's liveness argument rests on retrying over a channel with a
 //! bounded number of temporary failures. [`ReliableRequester`] implements
@@ -7,145 +7,35 @@
 //! eventually succeeds — the pairing tested here and exploited by every
 //! protocol in `nonrep-protocols`.
 //!
-//! The policy also carries the *detection* side of the assumption: each
-//! failed attempt is charged a per-attempt timeout, retries are separated
-//! by seeded exponential backoff + jitter, and an optional overall
-//! deadline budget bounds the total simulated wait. A failure pattern
-//! that outlasts the budget — a partition longer than the fault bound —
-//! surfaces as [`NetError::Timeout`] (not transient) so the caller's
-//! supervisor can escalate instead of spinning. All time accounting is
-//! logical: deterministic under a seed, optionally advancing a shared
-//! [`LogicalClock`].
+//! Retrying is all this layer does: a policy is an attempt count, and a
+//! failure that outlasts it surfaces as [`NetError::RetriesExhausted`].
+//! Detecting a silent peer is not a transport matter; the one deadline in
+//! the stack is the fair server's receipt window, which
+//! `ExchangeSupervisor` arms and sweeps on the shared logical clock.
 
 use std::sync::Arc;
 
 use nonrep_types::ids::OrgId;
-use nonrep_types::time::LogicalClock;
 
 use crate::bus::RequestBus;
-use crate::latency::LatencyModel;
 use crate::NetError;
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// How many attempts to make, how they back off, and how much total
-/// simulated time a send may consume before it times out.
+/// How many attempts a send makes before it gives up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum attempts (must be at least 1).
     pub max_attempts: u32,
-    /// Simulated cost charged against the budget per *failed* attempt
-    /// (the window the sender waited before concluding the attempt was
-    /// lost). Sized from the latency model's worst-case round trip.
-    pub attempt_timeout_ms: u64,
-    /// Backoff before the second attempt; doubles per further attempt.
-    pub base_backoff_ms: u64,
-    /// Cap on the exponential backoff.
-    pub max_backoff_ms: u64,
-    /// Seed for the deterministic jitter added to each backoff.
-    pub jitter_seed: u64,
-    /// Overall deadline budget. `None` retries until `max_attempts`;
-    /// `Some(ms)` fails with [`NetError::Timeout`] once the charged wait
-    /// exceeds the budget, however many attempts remain.
-    pub budget_ms: Option<u64>,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        // One more than the default fault bound used in tests, plus slack.
-        Self {
-            max_attempts: 8,
-            attempt_timeout_ms: 10,
-            base_backoff_ms: 5,
-            max_backoff_ms: 320,
-            jitter_seed: 0,
-            budget_ms: None,
-        }
-    }
 }
 
 impl RetryPolicy {
-    /// A policy with `max_attempts` attempts and default backoff.
+    /// A policy with `max_attempts` attempts.
     ///
     /// # Panics
     ///
     /// Panics if `max_attempts` is zero.
     pub fn new(max_attempts: u32) -> Self {
         assert!(max_attempts >= 1, "at least one attempt required");
-        Self {
-            max_attempts,
-            ..Self::default()
-        }
-    }
-
-    /// Sets the exponential-backoff base and cap.
-    pub fn with_backoff(mut self, base_ms: u64, max_ms: u64) -> Self {
-        self.base_backoff_ms = base_ms;
-        self.max_backoff_ms = max_ms.max(base_ms);
-        self
-    }
-
-    /// Sets the jitter seed (same seed ⇒ same backoff sequence).
-    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
-        self
-    }
-
-    /// Sets the overall deadline budget in simulated milliseconds.
-    pub fn with_budget_ms(mut self, budget_ms: u64) -> Self {
-        self.budget_ms = Some(budget_ms);
-        self
-    }
-
-    /// Sizes the per-attempt timeout for `model`: a full round trip at
-    /// the model's worst-case one-way latency, plus slack, so an honest
-    /// peer on a slow link is never misread as silent.
-    pub fn attuned_to(mut self, model: &LatencyModel) -> Self {
-        self.attempt_timeout_ms = 2 * model.worst_case_ms() + 10;
-        self
-    }
-
-    /// The backoff (with jitter) inserted before attempt `attempt`
-    /// (1-based; the first attempt has no backoff). Deterministic in
-    /// `(jitter_seed, attempt)`.
-    pub fn backoff_before_ms(&self, attempt: u32) -> u64 {
-        if attempt <= 1 {
-            return 0;
-        }
-        let exp = (attempt - 2).min(32);
-        let raw = self
-            .base_backoff_ms
-            .saturating_mul(1u64 << exp)
-            .min(self.max_backoff_ms);
-        let jitter = splitmix64(self.jitter_seed ^ u64::from(attempt)) % (raw / 2 + 1);
-        raw + jitter
-    }
-
-    /// Total simulated wait charged once `failures` consecutive attempts
-    /// have failed (per-attempt timeouts plus the backoffs between
-    /// them). A budget of at least `charge_after_failures(k)` tolerates
-    /// the fault plan's bound of `k` consecutive drops; a budget below
-    /// `charge_after_failures(k + 1)` detects a failure outlasting it.
-    pub fn charge_after_failures(&self, failures: u32) -> u64 {
-        let mut charge = u64::from(failures).saturating_mul(self.attempt_timeout_ms);
-        for attempt in 2..=failures {
-            charge = charge.saturating_add(self.backoff_before_ms(attempt));
-        }
-        charge
-    }
-
-    /// A budget that survives the fault plan's `bound` consecutive drops
-    /// but expires on the very next failure — the tightest budget under
-    /// which bounded failures never time out and unbounded ones always
-    /// do.
-    pub fn budget_for_fault_bound(self, bound: u32) -> Self {
-        let budget = self.charge_after_failures(bound) + self.attempt_timeout_ms / 2;
-        self.with_budget_ms(budget)
+        Self { max_attempts }
     }
 }
 
@@ -163,7 +53,6 @@ pub struct Attempted<T> {
 pub struct ReliableRequester {
     bus: Arc<dyn RequestBus>,
     policy: RetryPolicy,
-    clock: Option<LogicalClock>,
 }
 
 impl std::fmt::Debug for ReliableRequester {
@@ -177,19 +66,7 @@ impl std::fmt::Debug for ReliableRequester {
 impl ReliableRequester {
     /// Wraps `bus` with `policy`.
     pub fn new(bus: Arc<dyn RequestBus>, policy: RetryPolicy) -> Self {
-        Self {
-            bus,
-            policy,
-            clock: None,
-        }
-    }
-
-    /// Accounts retry waits (timeouts and backoffs) on `clock`, so
-    /// deadline supervision elsewhere in the process observes the time
-    /// a stalled send consumed.
-    pub fn with_clock(mut self, clock: LogicalClock) -> Self {
-        self.clock = Some(clock);
-        self
+        Self { bus, policy }
     }
 
     /// The underlying bus.
@@ -197,18 +74,12 @@ impl ReliableRequester {
         &self.bus
     }
 
-    /// The retry policy in force.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
     /// Sends a one-way message, retrying transient failures.
     ///
     /// # Errors
     ///
     /// [`NetError::RetriesExhausted`] after `max_attempts` transient
-    /// failures; [`NetError::Timeout`] once the deadline budget expires;
-    /// non-transient errors propagate immediately.
+    /// failures; non-transient errors propagate immediately.
     pub fn send(
         &self,
         from: &OrgId,
@@ -236,41 +107,17 @@ impl ReliableRequester {
         self.run(|| self.bus.request(from, to, payload))
     }
 
-    fn charge(&self, ms: u64) {
-        if let Some(clock) = &self.clock {
-            clock.advance(ms);
-        }
-    }
-
     fn run<T>(
         &self,
         mut op: impl FnMut() -> Result<T, NetError>,
     ) -> Result<Attempted<T>, NetError> {
         let mut attempts = 0;
-        let mut waited_ms = 0u64;
         loop {
             attempts += 1;
             match op() {
                 Ok(value) => return Ok(Attempted { value, attempts }),
-                Err(e) if e.is_transient() => {
-                    // The failed attempt consumed its full timeout window.
-                    waited_ms = waited_ms.saturating_add(self.policy.attempt_timeout_ms);
-                    self.charge(self.policy.attempt_timeout_ms);
-                    if let Some(budget) = self.policy.budget_ms {
-                        if waited_ms > budget {
-                            return Err(NetError::Timeout {
-                                attempts,
-                                waited_ms,
-                            });
-                        }
-                    }
-                    if attempts >= self.policy.max_attempts {
-                        return Err(NetError::RetriesExhausted { attempts });
-                    }
-                    let backoff = self.policy.backoff_before_ms(attempts + 1);
-                    waited_ms = waited_ms.saturating_add(backoff);
-                    self.charge(backoff);
-                }
+                Err(e) if e.is_transient() && attempts < self.policy.max_attempts => {}
+                Err(e) if e.is_transient() => return Err(NetError::RetriesExhausted { attempts }),
                 Err(e) => return Err(e),
             }
         }
@@ -372,111 +219,5 @@ mod tests {
     #[should_panic(expected = "at least one attempt")]
     fn zero_attempts_rejected() {
         let _ = RetryPolicy::new(0);
-    }
-
-    #[test]
-    fn backoff_is_deterministic_exponential_and_capped() {
-        let policy = RetryPolicy::new(8)
-            .with_backoff(10, 80)
-            .with_jitter_seed(42);
-        assert_eq!(policy.backoff_before_ms(1), 0, "first attempt is free");
-        let delays: Vec<u64> = (2..=8).map(|a| policy.backoff_before_ms(a)).collect();
-        let again: Vec<u64> = (2..=8).map(|a| policy.backoff_before_ms(a)).collect();
-        assert_eq!(delays, again, "same seed, same schedule");
-        // Raw doubling 10, 20, 40, 80, 80… with jitter below raw/2 + 1.
-        for (i, d) in delays.iter().enumerate() {
-            let raw = (10u64 << i).min(80);
-            assert!(
-                (raw..=raw + raw / 2).contains(d),
-                "attempt {}: {d} outside [{raw}, {}]",
-                i + 2,
-                raw + raw / 2
-            );
-        }
-        let other = RetryPolicy::new(8)
-            .with_backoff(10, 80)
-            .with_jitter_seed(43);
-        assert_ne!(
-            delays,
-            (2..=8)
-                .map(|a| other.backoff_before_ms(a))
-                .collect::<Vec<_>>(),
-            "different seed, different jitter"
-        );
-    }
-
-    #[test]
-    fn budget_inside_fault_bound_never_times_out() {
-        // Budget sized for the bound: bounded loss always delivers.
-        let policy = RetryPolicy::new(5).budget_for_fault_bound(3);
-        let bus = LocalBus::with_config(
-            FaultPlan::lossy(0.9, 3, 11).with_response_drop_share(0.0),
-            LatencyModel::Zero,
-            0,
-        );
-        let counter = Arc::new(Counter::default());
-        let (a, b) = (OrgId::new("a"), OrgId::new("b"));
-        bus.register(b.clone(), counter.clone());
-        let req = ReliableRequester::new(bus, policy);
-        for _ in 0..50 {
-            req.send(&a, &b, b"x").unwrap();
-        }
-        assert_eq!(*counter.hits.lock(), 50);
-    }
-
-    #[test]
-    fn over_bound_partition_exhausts_budget_into_timeout() {
-        // A partition persists across every retry: the budget, sized for
-        // fault bound 3, expires before the attempt count does.
-        let policy = RetryPolicy::new(50).budget_for_fault_bound(3);
-        let bus = LocalBus::with_config(FaultPlan::none(), LatencyModel::Zero, 0);
-        let counter = Arc::new(Counter::default());
-        let (a, b) = (OrgId::new("a"), OrgId::new("b"));
-        bus.register(b.clone(), counter.clone());
-        bus.fault_plan().partition(&a, &b);
-        let req = ReliableRequester::new(bus, policy);
-        let err = req.send(&a, &b, b"x").unwrap_err();
-        match err {
-            NetError::Timeout {
-                attempts,
-                waited_ms,
-            } => {
-                assert_eq!(attempts, 4, "one attempt past the tolerated bound");
-                assert!(waited_ms > policy.budget_ms.unwrap());
-            }
-            other => panic!("expected Timeout, got {other:?}"),
-        }
-        assert!(!err.is_transient(), "timeout must not be retried");
-        assert_eq!(*counter.hits.lock(), 0);
-    }
-
-    #[test]
-    fn retry_waits_advance_the_shared_clock() {
-        use nonrep_types::time::Clock;
-        let policy = RetryPolicy::new(50).budget_for_fault_bound(2);
-        let bus = LocalBus::with_config(FaultPlan::none(), LatencyModel::Zero, 0);
-        let clock = bus.clock();
-        let (a, b) = (OrgId::new("a"), OrgId::new("b"));
-        bus.register(b.clone(), Arc::new(Counter::default()));
-        bus.fault_plan().partition(&a, &b);
-        let req = ReliableRequester::new(bus, policy).with_clock(clock.clone());
-        let before = clock.now().millis();
-        let err = req.send(&a, &b, b"x").unwrap_err();
-        let waited = match err {
-            NetError::Timeout { waited_ms, .. } => waited_ms,
-            other => panic!("expected Timeout, got {other:?}"),
-        };
-        assert_eq!(
-            clock.now().millis() - before,
-            waited,
-            "every charged millisecond lands on the shared clock"
-        );
-    }
-
-    #[test]
-    fn attuned_timeout_covers_worst_case_round_trip() {
-        let policy = RetryPolicy::new(4).attuned_to(&LatencyModel::Wan);
-        assert_eq!(policy.attempt_timeout_ms, 2 * 80 + 10);
-        assert!(policy.charge_after_failures(1) >= 160);
     }
 }

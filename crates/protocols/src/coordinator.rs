@@ -133,7 +133,7 @@ impl B2BCoordinator {
     /// # Errors
     ///
     /// [`ProtocolError::UnknownProtocol`] or the handler's error.
-    pub fn dispatch_request(
+    fn dispatch_request(
         &self,
         from: &OrgId,
         msg: ProtocolMessage,

@@ -47,7 +47,7 @@ use crate::ProtocolError;
 pub const PROTOCOL_ID: &str = "anchor-gossip";
 
 /// Message step carrying an [`EpochCommitment`].
-pub const STEP_EPOCH: u32 = 1;
+const STEP_EPOCH: u32 = 1;
 
 /// Anchors do not belong to any protocol run; they travel under the same
 /// reserved run id as epoch records in the log.

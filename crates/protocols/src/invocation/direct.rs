@@ -91,7 +91,7 @@ impl DirectClient {
 
     /// Enables crash-recovery journalling: completed steps leave
     /// progress markers in this party's evidence log for
-    /// [`RunJournal::open_runs`] to find on reopen.
+    /// [`RunJournal::recovered_open_runs`] to find on reopen.
     #[must_use]
     pub fn with_journal(mut self, journal: Arc<RunJournal>) -> Self {
         self.engine = self.engine.with_journal(journal);
@@ -464,7 +464,7 @@ mod tests {
                 .client
                 .invoke(&fx.server, format!("req-{i}").into_bytes())
                 .unwrap();
-            assert!(out.response.is_executed());
+            assert!(matches!(out.response, ServerResponse::Executed(_)));
         }
         // At-most-once: despite retried deliveries, each request executed once.
         assert_eq!(*fx.exec_count.lock(), 10);

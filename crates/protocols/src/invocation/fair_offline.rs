@@ -99,24 +99,24 @@ pub const STEP_RECEIPT: u32 = 3;
 /// Step 4: the decryption key, in the honest completion.
 pub const STEP_KEY: u32 = 4;
 /// Server deposits the key with the TTP.
-pub const STEP_ESCROW: u32 = 10;
+const STEP_ESCROW: u32 = 10;
 /// TTP acknowledges the escrow (signed token in the body).
-pub const STEP_ESCROW_ACK: u32 = 11;
+const STEP_ESCROW_ACK: u32 = 11;
 /// Client escalates: presents the receipt, demands the key.
 pub const STEP_RESOLVE: u32 = 20;
 /// TTP releases the key and its signed dispute decision.
 pub const STEP_RESOLVE_ACK: u32 = 21;
 /// Server asks the TTP to kill an unresolved run.
-pub const STEP_ABORT: u32 = 30;
+const STEP_ABORT: u32 = 30;
 /// TTP confirms the abort (signed token in the body).
-pub const STEP_ABORT_ACK: u32 = 31;
+const STEP_ABORT_ACK: u32 = 31;
 /// Server fetches the receipt a resolving client deposited.
-pub const STEP_FETCH: u32 = 40;
+const STEP_FETCH: u32 = 40;
 /// TTP returns the deposited receipt.
-pub const STEP_FETCH_ACK: u32 = 41;
+const STEP_FETCH_ACK: u32 = 41;
 
 /// The dispute sub-protocol: one open round at the TTP. The ack frame is
-/// unsigned — the [`ResolveAck`] payload carries the TTP's signed
+/// unsigned — the `ResolveAck` payload carries the TTP's signed
 /// [`TokenKind::Decision`], which is the evidence that matters.
 pub type ResolveChoreography = CallOpen<STEP_RESOLVE, STEP_RESOLVE_ACK, End>;
 
@@ -136,13 +136,13 @@ type Opened = (
 );
 
 /// The server's escrow leg: deposit the key, collect the signed ack.
-pub type EscrowChoreography = CallOpen<STEP_ESCROW, STEP_ESCROW_ACK, End>;
+type EscrowChoreography = CallOpen<STEP_ESCROW, STEP_ESCROW_ACK, End>;
 
 /// The server's abort sub-protocol at the TTP.
-pub type AbortChoreography = CallOpen<STEP_ABORT, STEP_ABORT_ACK, End>;
+type AbortChoreography = CallOpen<STEP_ABORT, STEP_ABORT_ACK, End>;
 
 /// The server's fetch sub-protocol at the TTP.
-pub type FetchChoreography = CallOpen<STEP_FETCH, STEP_FETCH_ACK, End>;
+type FetchChoreography = CallOpen<STEP_FETCH, STEP_FETCH_ACK, End>;
 
 /// Step-2 body. The server's `NRR_req` and `NRO_resp` (over the
 /// plaintext response digest) ride the frame.
@@ -207,7 +207,7 @@ impl Decode for EscrowBody {
 /// Resolve-ack body (TTP → client): the escrowed key plus the TTP's
 /// signed dispute decision naming the server that failed to complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResolveAck {
+struct ResolveAck {
     /// The escrowed decryption key.
     pub key: [u8; 32],
     /// Signed [`TokenKind::Decision`] over
@@ -288,7 +288,7 @@ impl FairClient {
     /// Enables crash-recovery journalling: every completed step of an
     /// invocation leaves a progress marker in this party's evidence
     /// log, so a crashed client finds the run via
-    /// [`RunJournal::open_runs`] on reopen.
+    /// [`RunJournal::recovered_open_runs`] on reopen.
     #[must_use]
     pub fn with_journal(mut self, journal: Arc<RunJournal>) -> Self {
         self.engine = self.engine.with_journal(journal);
@@ -927,24 +927,6 @@ impl OfflineTtpHandler {
         })
     }
 
-    /// `true` if `run` is marked aborted.
-    pub fn is_aborted(&self, run: &RunId) -> bool {
-        self.ledger
-            .lock()
-            .get(run)
-            .map(|e| e.aborted)
-            .unwrap_or(false)
-    }
-
-    /// `true` if `run` was resolved for the client.
-    pub fn is_resolved(&self, run: &RunId) -> bool {
-        self.ledger
-            .lock()
-            .get(run)
-            .map(|e| e.resolved)
-            .unwrap_or(false)
-    }
-
     fn handle_escrow(
         &self,
         from: &OrgId,
@@ -1187,6 +1169,18 @@ mod tests {
         }
     }
 
+    impl World {
+        /// `true` if the TTP's own log holds a `kind` token it issued
+        /// for `run`: the evidence of a resolve or abort.
+        fn ttp_logged(&self, run: RunId, kind: TokenKind) -> bool {
+            let ttp = self.ttp_handler.engine.party();
+            ttp.log()
+                .by_run(&run)
+                .iter()
+                .any(|r| r.draft.kind == kind.label() && &r.draft.actor == ttp.org())
+        }
+    }
+
     /// The client's signed frame for `step` of `run`, carrying `tokens`.
     fn client_frame(
         w: &World,
@@ -1222,7 +1216,7 @@ mod tests {
         assert_eq!(out.response, ServerResponse::Executed(b"res:req".to_vec()));
         assert_eq!(out.key_source, KeySource::Server);
         assert!(w.server_handler.receipt_received(&out.run_id));
-        assert!(!w.ttp_handler.is_resolved(&out.run_id));
+        assert!(!w.ttp_logged(out.run_id, TokenKind::Resolve));
         // Evidence set complete on both sides.
         assert!(w.client_party.log().by_run(&out.run_id).len() >= 5);
         assert!(w.server_party.log().by_run(&out.run_id).len() >= 4);
@@ -1235,7 +1229,7 @@ mod tests {
         // The client still got the plaintext — via the TTP.
         assert_eq!(out.response, ServerResponse::Executed(b"res:req".to_vec()));
         assert_eq!(out.key_source, KeySource::TtpResolve);
-        assert!(w.ttp_handler.is_resolved(&out.run_id));
+        assert!(w.ttp_logged(out.run_id, TokenKind::Resolve));
         // Fairness: the server can fetch the receipt the client deposited.
         let receipt = w.server_handler.fetch_receipt(out.run_id).unwrap();
         assert_eq!(receipt.kind, TokenKind::NrrResp);
@@ -1276,7 +1270,7 @@ mod tests {
         let out = w.client.invoke(&w.server, b"req".to_vec()).unwrap();
         assert_eq!(out.response, ServerResponse::Executed(b"res:req".to_vec()));
         assert_eq!(out.key_source, KeySource::TtpResolve);
-        assert!(w.ttp_handler.is_resolved(&out.run_id));
+        assert!(w.ttp_logged(out.run_id, TokenKind::Resolve));
         // The defector was convicted just like a silent one.
         let expected = defection_digest(&w.server, out.run_id);
         let records = w.client_party.log().by_run(&out.run_id);
@@ -1367,7 +1361,7 @@ mod tests {
             .process_request(&OrgId::new("client"), msg)
             .unwrap_err();
         assert!(matches!(err, ProtocolError::Rejected(_)));
-        assert!(!w.ttp_handler.is_aborted(&out.run_id));
+        assert!(!w.ttp_logged(out.run_id, TokenKind::Abort));
     }
 
     #[test]
@@ -1386,7 +1380,7 @@ mod tests {
         // Server aborts (client went silent).
         let abort_token = w.server_handler.abort(run).unwrap();
         assert_eq!(abort_token.kind, TokenKind::Abort);
-        assert!(w.ttp_handler.is_aborted(&run));
+        assert!(w.ttp_logged(run, TokenKind::Abort));
 
         // Client belatedly tries to resolve: refused, and it never gets K.
         let nrr = w
@@ -1434,7 +1428,7 @@ mod tests {
             ExchangeError::Peer(PeerFault::Aborted(_)) | ExchangeError::Transport(_)
         ));
         // And no conviction was minted against the honest server.
-        assert!(!w.ttp_handler.is_resolved(&out.run_id));
+        assert!(!w.ttp_logged(out.run_id, TokenKind::Resolve));
     }
 
     #[test]
@@ -1485,7 +1479,7 @@ mod tests {
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].outcome, EscalationOutcome::Aborted);
         assert_eq!(reports[0].awaiting_step, STEP_RECEIPT);
-        assert!(w.ttp_handler.is_aborted(&run));
+        assert!(w.ttp_logged(run, TokenKind::Abort));
         assert_eq!(w.supervisor.in_flight(), 0, "no run left in flight");
 
         // The stalled client can no longer recover the key.
@@ -1525,7 +1519,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(out.key_source, KeySource::Server);
-        assert!(!w.ttp_handler.is_aborted(&run));
+        assert!(!w.ttp_logged(run, TokenKind::Abort));
         assert_eq!(w.supervisor.in_flight(), 0, "watch discharged on receipt");
         // Late sweeps stay quiet: the watch is gone.
         w.clock.advance(1000);
@@ -1552,7 +1546,7 @@ mod tests {
         let reports = w.supervisor.sweep();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].outcome, EscalationOutcome::AlreadyComplete);
-        assert!(!w.ttp_handler.is_aborted(&out.run_id));
+        assert!(!w.ttp_logged(out.run_id, TokenKind::Abort));
     }
 
     #[test]
@@ -1564,7 +1558,7 @@ mod tests {
         let out = w.client.invoke(&w.server, b"req".to_vec()).unwrap();
         assert_eq!(out.response, ServerResponse::Executed(b"res:req".to_vec()));
         assert_eq!(out.key_source, KeySource::TtpResolve);
-        assert!(w.ttp_handler.is_resolved(&out.run_id));
+        assert!(w.ttp_logged(out.run_id, TokenKind::Resolve));
         let expected = defection_digest(&w.server, out.run_id);
         let records = w.client_party.log().by_run(&out.run_id);
         assert!(records

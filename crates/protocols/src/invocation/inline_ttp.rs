@@ -93,7 +93,7 @@ impl Decode for InlineStep1 {
 /// receipts issued before the replying hop signed its frame, in issue
 /// order. That hop's response receipt rides the frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InlineResp {
+struct InlineResp {
     /// The server-side outcome.
     pub response: ServerResponse,
     /// The server's NRO over the response (forwarded by the terminal TTP).
@@ -165,7 +165,7 @@ impl InlineTtpClient {
 
     /// Enables crash-recovery journalling: completed steps leave
     /// progress markers in this party's evidence log for
-    /// [`RunJournal::open_runs`] to find on reopen.
+    /// [`RunJournal::recovered_open_runs`] to find on reopen.
     #[must_use]
     pub fn with_journal(mut self, journal: Arc<RunJournal>) -> Self {
         self.engine = self.engine.with_journal(journal);

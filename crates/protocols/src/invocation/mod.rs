@@ -65,13 +65,6 @@ pub enum ServerResponse {
     Failed(String),
 }
 
-impl ServerResponse {
-    /// `true` if the request executed successfully.
-    pub fn is_executed(&self) -> bool {
-        matches!(self, ServerResponse::Executed(_))
-    }
-}
-
 impl Encode for ServerResponse {
     fn encode(&self, w: &mut Writer) {
         match self {
@@ -206,8 +199,6 @@ mod tests {
             let back = ServerResponse::decode_from_slice(&resp.encode_to_vec()).unwrap();
             assert_eq!(back, resp);
         }
-        assert!(ServerResponse::Executed(vec![]).is_executed());
-        assert!(!ServerResponse::Failed("x".into()).is_executed());
     }
 
     #[test]

@@ -84,7 +84,7 @@ impl VoluntaryClient {
 
     /// Enables crash-recovery journalling: completed steps leave
     /// progress markers in this party's evidence log for
-    /// [`RunJournal::open_runs`] to find on reopen.
+    /// [`RunJournal::recovered_open_runs`] to find on reopen.
     #[must_use]
     pub fn with_journal(mut self, journal: Arc<RunJournal>) -> Self {
         self.engine = self.engine.with_journal(journal);

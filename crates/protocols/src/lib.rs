@@ -57,9 +57,7 @@ pub use coordinator::B2BCoordinator;
 pub use handler::ProtocolHandler;
 pub use message::ProtocolMessage;
 pub use party::{KeyDirectory, Party, StaticKeyDirectory};
-pub use scheduler::{
-    CommitmentMode, CommitmentScheduler, DeadlineSealer, ExhaustionForecaster, TokenSpec,
-};
+pub use scheduler::{CommitmentMode, CommitmentScheduler, DeadlineSealer, TokenSpec};
 pub use session::{
     EscalationAction, EscalationOutcome, ExchangeEngine, ExchangeError, ExchangeSupervisor,
     ExpiryReport, LocalFault, OpenRun, PeerFault, RunJournal,

@@ -8,7 +8,7 @@
 //!
 //! The NR tokens the sender issues at a step travel beside the body, in
 //! `tokens`, and the frame signature covers them: the signed digest
-//! ([`ProtocolMessage::frame_digest`]) is over the header, the body and
+//! (`ProtocolMessage::frame_digest`) is over the header, the body and
 //! each carried token's [`NrToken::digest`] — never a token's signature,
 //! so the frame and its tokens can be signed together. The sender's
 //! [`crate::scheduler::CommitmentScheduler::sign_frame`] does exactly
@@ -28,7 +28,7 @@ use crate::tokens::NrToken;
 /// Most tokens one frame may carry: the two a server issues at the
 /// response step (`NRR_req` and `NRO_resp`). The decoder rejects a larger
 /// count before allocating for it.
-pub const MAX_FRAME_TOKENS: usize = 2;
+const MAX_FRAME_TOKENS: usize = 2;
 
 /// A framed protocol message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,7 +44,7 @@ pub struct ProtocolMessage {
     /// Step-specific encoded content.
     pub body: Vec<u8>,
     /// The tokens the sender issued at this step (at most
-    /// [`MAX_FRAME_TOKENS`]), covered by the frame signature.
+    /// `MAX_FRAME_TOKENS`), covered by the frame signature.
     pub tokens: Vec<NrToken>,
     /// Optional sender signature over the frame.
     pub signature: Option<Signature>,
@@ -72,12 +72,12 @@ impl ProtocolMessage {
 
     /// The digest the frame signature covers: the header, the body and
     /// the digest of every carried token, in order.
-    pub fn frame_digest(&self) -> Digest {
+    pub(crate) fn frame_digest(&self) -> Digest {
         let tokens: Vec<Digest> = self.tokens.iter().map(NrToken::digest).collect();
         self.digest_over(&tokens)
     }
 
-    /// [`ProtocolMessage::frame_digest`] for carried tokens given by
+    /// `ProtocolMessage::frame_digest` for carried tokens given by
     /// their digests — what a signer computes before the tokens' own
     /// signatures exist.
     pub(crate) fn digest_over(&self, token_digests: &[Digest]) -> Digest {

@@ -142,7 +142,8 @@ impl Party {
 
     /// [`Party::quick`] with the batched commitment pipeline enabled
     /// (a 50 ms deadline on `clock`).
-    pub fn quick_batched(
+    #[cfg(test)]
+    pub(crate) fn quick_batched(
         org: &str,
         seed: u64,
         clock: &LogicalClock,
@@ -226,11 +227,6 @@ impl Party {
     /// a background [`crate::scheduler::DeadlineSealer`].
     pub fn scheduler(&self) -> &Arc<CommitmentScheduler> {
         &self.scheduler
-    }
-
-    /// The commitment mode in force.
-    pub fn commitment_mode(&self) -> CommitmentMode {
-        self.scheduler.mode()
     }
 
     /// Issues a signed token as this party (routed through the

@@ -39,8 +39,8 @@
 //! of:
 //!
 //! - **size** — the unsealed records reach the *effective batch size*.
-//!   It starts at [`DEFAULT_AUTO_BATCH`] and a load-driven tuner moves
-//!   it within [`MIN_AUTO_BATCH`]..=[`MAX_AUTO_BATCH`]: it doubles when a
+//!   It starts at `DEFAULT_AUTO_BATCH` and a load-driven tuner moves
+//!   it within `MIN_AUTO_BATCH`..=`MAX_AUTO_BATCH`: it doubles when a
 //!   batch fills in under half the deadline (high load → more
 //!   amortization per signature and per fsync) and halves when the
 //!   deadline fires on a less-than-half-full batch (low load → smaller
@@ -100,11 +100,11 @@ use crate::tokens::{NrToken, TokenKind};
 use crate::ProtocolError;
 
 /// Initial effective batch size of a batched scheduler.
-pub const DEFAULT_AUTO_BATCH: usize = 16;
+const DEFAULT_AUTO_BATCH: usize = 16;
 /// Smallest effective batch size the tuner shrinks to.
-pub const MIN_AUTO_BATCH: usize = 4;
+const MIN_AUTO_BATCH: usize = 4;
 /// Largest effective batch size the tuner grows to.
-pub const MAX_AUTO_BATCH: usize = 4096;
+const MAX_AUTO_BATCH: usize = 4096;
 
 /// How evidence is signed and committed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,7 +186,7 @@ enum SealTrigger {
 /// a single spike moves the rate by a quarter of its excess — while a
 /// sustained ramp converges within a handful of epochs.
 #[derive(Debug, Clone, Default)]
-pub struct ExhaustionForecaster {
+struct ExhaustionForecaster {
     /// `None` until the first full inter-seal interval has been
     /// observed — an explicit warm-up state, so a genuinely idle epoch
     /// (rate 0.0) is a real sample and later bursts stay EWMA-dampened.
@@ -197,10 +197,10 @@ pub struct ExhaustionForecaster {
 impl ExhaustionForecaster {
     /// EWMA smoothing factor: weight of the newest leaves-per-epoch
     /// sample.
-    pub const ALPHA: f64 = 0.25;
+    const ALPHA: f64 = 0.25;
 
     /// A fresh forecaster with no history.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
@@ -208,7 +208,7 @@ impl ExhaustionForecaster {
     /// seal. The first call only anchors the baseline; every later call
     /// folds `previous - current` into the smoothed rate. `None`
     /// (a scheme without exhaustion) is ignored.
-    pub fn observe_remaining(&mut self, remaining: Option<u32>) {
+    fn observe_remaining(&mut self, remaining: Option<u32>) {
         let Some(now) = remaining else { return };
         if let Some(prev) = self.last_remaining {
             let spent = f64::from(prev.saturating_sub(now));
@@ -222,14 +222,15 @@ impl ExhaustionForecaster {
     }
 
     /// The smoothed leaves-per-epoch spend rate (0.0 until warm).
-    pub fn rate(&self) -> f64 {
+    #[cfg(test)]
+    fn rate(&self) -> f64 {
         self.rate.unwrap_or(0.0)
     }
 
     /// Predicted epochs until the key can no longer sign, or `None`
     /// while the forecaster is cold, the measured rate is zero, or the
     /// key cannot exhaust.
-    pub fn forecast_epochs(&self, remaining: Option<u32>) -> Option<f64> {
+    fn forecast_epochs(&self, remaining: Option<u32>) -> Option<f64> {
         let remaining = remaining?;
         let rate = self.rate?;
         if rate <= 0.0 {
@@ -259,7 +260,7 @@ struct SchedulerState {
     /// When the oldest currently-unsealed record was appended (`None`
     /// when nothing is pending). The time trigger compares against this.
     pending_since: Option<Timestamp>,
-    /// Current effective batch size ([`DEFAULT_AUTO_BATCH`] until the
+    /// Current effective batch size (`DEFAULT_AUTO_BATCH` until the
     /// tuner moves it; 1 in per-record mode).
     effective_batch: usize,
     /// When the last seal attempt failed, and how many attempts have
@@ -382,7 +383,7 @@ impl CommitmentScheduler {
         self.state.lock().last_seal_failure.is_some()
     }
 
-    /// The batch size currently in force: [`DEFAULT_AUTO_BATCH`] as moved
+    /// The batch size currently in force: `DEFAULT_AUTO_BATCH` as moved
     /// by the tuner (1 in per-record mode, where every record is its own
     /// signature).
     pub fn effective_batch_size(&self) -> usize {
@@ -418,7 +419,7 @@ impl CommitmentScheduler {
     ///
     /// In batched mode one batch signature covers every token digest
     /// (leaves `0..n`) and the frame digest (leaf `n`), which
-    /// [`ProtocolMessage::frame_digest`] computes over the tokens'
+    /// `ProtocolMessage::frame_digest` computes over the tokens'
     /// digests, not their signatures. Per-record mode signs each token
     /// and then the frame directly, and so does batched mode for a frame
     /// with no tokens. The caller persists the tokens.
@@ -1142,11 +1143,18 @@ mod tests {
 
     #[test]
     fn deadline_sealer_seals_idle_log_in_wall_time() {
-        use nonrep_types::time::SystemClock;
         // Real clock + real thread: an idle log seals within the
         // deadline with no further appends.
+        #[derive(Debug)]
+        struct WallClock(std::time::Instant);
+        impl Clock for WallClock {
+            fn now(&self) -> Timestamp {
+                Timestamp(self.0.elapsed().as_millis() as u64)
+            }
+        }
         let mode = CommitmentMode::auto(30);
-        let (s, log) = scheduler_with_clock(mode, Arc::new(SystemClock::new()));
+        let clock = Arc::new(WallClock(std::time::Instant::now()));
+        let (s, log) = scheduler_with_clock(mode, clock);
         s.record(draft(0)).unwrap();
         let sealer = DeadlineSealer::spawn(Arc::clone(&s)).expect("batched mode");
         let deadline = std::time::Instant::now() + Duration::from_secs(5);

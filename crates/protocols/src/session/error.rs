@@ -93,34 +93,6 @@ pub enum ExchangeError {
     Local(LocalFault),
 }
 
-impl ExchangeError {
-    /// `true` if the failure is attributable to the remote party.
-    pub fn is_peer_fault(&self) -> bool {
-        matches!(self, ExchangeError::Peer(_))
-    }
-
-    /// `true` if the failure is a (possibly transient) transport fault.
-    pub fn is_transport_fault(&self) -> bool {
-        matches!(self, ExchangeError::Transport(_))
-    }
-
-    /// `true` if this party itself failed (keys, storage).
-    pub fn is_local_fault(&self) -> bool {
-        matches!(self, ExchangeError::Local(_))
-    }
-
-    /// `true` if the failure is a deadline expiry — either the peer
-    /// overran a step deadline ([`PeerFault::Timeout`]) or the transport
-    /// exhausted its overall retry budget ([`NetError::Timeout`]).
-    pub fn is_timeout(&self) -> bool {
-        matches!(
-            self,
-            ExchangeError::Peer(PeerFault::Timeout { .. })
-                | ExchangeError::Transport(NetError::Timeout { .. })
-        )
-    }
-}
-
 impl fmt::Display for PeerFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -304,38 +276,27 @@ mod tests {
         for (err, class) in cases {
             let ex = ExchangeError::from(err.clone());
             match class {
-                "peer" => assert!(ex.is_peer_fault(), "{err:?}"),
-                "transport" => assert!(ex.is_transport_fault(), "{err:?}"),
-                _ => assert!(ex.is_local_fault(), "{err:?}"),
+                "peer" => assert!(matches!(ex, ExchangeError::Peer(_)), "{err:?}"),
+                "transport" => assert!(matches!(ex, ExchangeError::Transport(_)), "{err:?}"),
+                _ => assert!(matches!(ex, ExchangeError::Local(_)), "{err:?}"),
             }
             assert_eq!(ProtocolError::from(ex), err, "lossless round trip");
         }
     }
 
     #[test]
-    fn peer_timeout_flattens_to_rejected_and_is_timeout() {
+    fn peer_timeout_flattens_to_rejected() {
         let ex = ExchangeError::Peer(PeerFault::Timeout {
             run: RunId::from_u128(5),
             step: 3,
             waited_ms: 120,
         });
-        assert!(ex.is_timeout());
-        assert!(ex.is_peer_fault());
         match ProtocolError::from(ex) {
             ProtocolError::Rejected(msg) => {
                 assert!(msg.contains("timed out awaiting step 3"), "{msg}");
             }
             other => panic!("expected Rejected, got {other:?}"),
         }
-        let transport = ExchangeError::Transport(NetError::Timeout {
-            attempts: 4,
-            waited_ms: 99,
-        });
-        assert!(transport.is_timeout());
-        assert!(
-            !ExchangeError::Transport(NetError::Dropped).is_timeout(),
-            "a mere drop is not a deadline expiry"
-        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! one unsigned append per step on the hot path (amortised into the
 //! same epoch seals as the tokens they describe — no extra signature).
 //!
-//! On reopen, [`RunJournal::open_runs`] folds the recovered log into
+//! On reopen, [`RunJournal::recovered_open_runs`] folds the recovered log into
 //! the set of runs that were in flight at the kill: a `Progress` marker
 //! opens (or advances) a run, a `Closed`/`Aborted` marker retires it.
 //! The recovering party either resumes each open run from its last
@@ -22,7 +22,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use nonrep_store::record::{MarkerPhase, RunMarker};
-use nonrep_store::EvidenceLog;
 use nonrep_types::ids::{ProtocolId, RunId};
 
 use crate::party::Party;
@@ -114,14 +113,14 @@ impl RunJournal {
         })
     }
 
-    /// Folds `log` into the set of runs that were open when the log was
-    /// last written: every run with a `Progress` marker and no
-    /// `Closed`/`Aborted` marker, with the deepest step that reached
-    /// the log. Call on the recovered log before re-registering the
-    /// party on the bus.
-    pub fn open_runs(log: &Arc<dyn EvidenceLog>) -> Vec<OpenRun> {
+    /// Folds this journal's own party log into the set of runs that were
+    /// open when it was last written: every run with a `Progress` marker
+    /// and no `Closed`/`Aborted` marker, with the deepest step that
+    /// reached the log. Call on the recovered log before re-registering
+    /// the party on the bus.
+    pub fn recovered_open_runs(&self) -> Vec<OpenRun> {
         let mut open: BTreeMap<RunId, OpenRun> = BTreeMap::new();
-        log.for_each(&mut |record| {
+        self.party.log().for_each(&mut |record| {
             let Some(marker) = RunMarker::from_record(record) else {
                 return;
             };
@@ -141,11 +140,6 @@ impl RunJournal {
         });
         open.into_values().collect()
     }
-
-    /// [`RunJournal::open_runs`] over this journal's own party log.
-    pub fn recovered_open_runs(&self) -> Vec<OpenRun> {
-        Self::open_runs(self.party.log())
-    }
 }
 
 #[cfg(test)]
@@ -164,7 +158,7 @@ mod tests {
 
     #[test]
     fn open_runs_are_those_with_progress_but_no_close() {
-        let (party, journal) = fixture();
+        let (_party, journal) = fixture();
         let variant = ProtocolId::new("direct");
         let done = RunId::from_u128(1);
         let open = RunId::from_u128(2);
@@ -176,7 +170,7 @@ mod tests {
         journal.close(done, &variant, 3).unwrap();
         journal.abort(aborted, &variant, 1).unwrap();
 
-        let recovered = RunJournal::open_runs(party.log());
+        let recovered = journal.recovered_open_runs();
         assert_eq!(recovered.len(), 1);
         assert_eq!(recovered[0].run, open);
         assert_eq!(recovered[0].variant, variant);
@@ -194,7 +188,7 @@ mod tests {
 
     #[test]
     fn no_markers_means_no_open_runs() {
-        let (party, _journal) = fixture();
-        assert!(RunJournal::open_runs(party.log()).is_empty());
+        let (_party, journal) = fixture();
+        assert!(journal.recovered_open_runs().is_empty());
     }
 }

@@ -14,8 +14,9 @@
 //! The escalation ladder, least to most drastic:
 //!
 //! 1. **retry** — the transport layer's business: `ReliableRequester`
-//!    retries with backoff until its deadline budget expires
-//!    (`NetError::Timeout`). The supervisor never re-sends.
+//!    re-sends a transiently failed message up to its policy's attempt
+//!    count (`NetError::RetriesExhausted`). It keeps no clock; the
+//!    supervisor never re-sends.
 //! 2. **abort choreography** — the fair-offline server escalates to the
 //!    TTP's abort sub-protocol, closing the run so a stalled client can
 //!    never collect the key later. If the client already delivered the
@@ -40,8 +41,6 @@ use std::sync::Arc;
 use nonrep_types::ids::{ProtocolId, RunId};
 use nonrep_types::time::{Clock, Timestamp};
 use parking_lot::Mutex;
-
-use super::error::ExchangeError;
 
 /// What an [`EscalationAction`] did when its watch expired.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -182,13 +181,15 @@ impl ExchangeSupervisor {
     }
 
     /// How many runs are currently watched.
-    pub fn in_flight(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn in_flight(&self) -> usize {
         self.inflight.lock().len()
     }
 
     /// The earliest pending deadline, if any — the next instant at
     /// which a sweep could fire something.
-    pub fn next_deadline(&self) -> Option<Timestamp> {
+    #[cfg(test)]
+    fn next_deadline(&self) -> Option<Timestamp> {
         self.inflight.lock().values().map(|w| w.deadline).min()
     }
 
@@ -222,16 +223,6 @@ impl ExchangeSupervisor {
             })
             .collect()
     }
-}
-
-/// Helper shared by deadline-aware call sites: classify the elapsed
-/// wait once a deadline has passed with no reply.
-pub fn timeout_fault(run: RunId, step: u32, waited_ms: u64) -> ExchangeError {
-    ExchangeError::Peer(super::error::PeerFault::Timeout {
-        run,
-        step,
-        waited_ms,
-    })
 }
 
 #[cfg(test)]

@@ -263,52 +263,6 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State> Session<R, Call<ST
         self.engine.journal_progress(self.run, STEP)?;
         Ok((reply, self.advance()))
     }
-
-    /// As [`Session::call`], but the round must complete within
-    /// `deadline_ms` on the party's clock. A transport failure that
-    /// exhausted the window — or the transport's own deadline budget
-    /// ([`NetError::Timeout`](nonrep_net::NetError::Timeout)) — is
-    /// classified as [`PeerFault::Timeout`](super::error::PeerFault),
-    /// with local evidence already captured, so the caller can surface
-    /// "the peer stalled" rather than a generic transport fault. A
-    /// reply that arrives *late but arrives* is still accepted: the
-    /// deadline drives escalation, never conviction of a slow-but-live
-    /// peer.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::call`], with timed-out transports reported as
-    /// [`ExchangeError::Peer`].
-    pub fn call_with_deadline(
-        self,
-        to: &OrgId,
-        body: Vec<u8>,
-        tokens: &[TokenSpec],
-        deadline_ms: u64,
-    ) -> Result<(ProtocolMessage, Session<R, Next>), ExchangeError> {
-        let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
-        let started = self.engine.party().now();
-        match self.engine.deliver(to, &msg) {
-            Ok(reply) => {
-                let reply = self.engine.expect_step(self.run, REPLY, reply)?;
-                self.engine.verify_frame_from(&reply, to)?;
-                self.engine.journal_progress(self.run, STEP)?;
-                Ok((reply, self.advance()))
-            }
-            Err(e) => {
-                let waited = self.engine.party().now().since(started);
-                match e {
-                    ExchangeError::Transport(t)
-                        if waited >= deadline_ms
-                            || matches!(t, nonrep_net::NetError::Timeout { .. }) =>
-                    {
-                        Err(super::supervisor::timeout_fault(self.run, REPLY, waited))
-                    }
-                    other => Err(other),
-                }
-            }
-        }
-    }
 }
 
 impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>

@@ -111,12 +111,7 @@ pub struct SignedVote {
 
 impl SignedVote {
     /// The digest the vote token must be signed over.
-    pub fn vote_digest(
-        voter: &OrgId,
-        accept: bool,
-        reason: &str,
-        proposal_digest: &Digest,
-    ) -> Digest {
+    fn vote_digest(voter: &OrgId, accept: bool, reason: &str, proposal_digest: &Digest) -> Digest {
         let mut w = Writer::new();
         w.put_str("nonrep.vote.v1");
         voter.encode(&mut w);

@@ -33,21 +33,21 @@ use crate::tokens::TokenKind;
 use crate::{B2BCoordinator, ProtocolError};
 
 /// Prefix of the shared objects holding group member sets.
-pub const GROUP_OBJECT_PREFIX: &str = "__group:";
+const GROUP_OBJECT_PREFIX: &str = "__group:";
 
 /// Protocol id of the welcome sub-protocol.
-pub const WELCOME_PROTOCOL_ID: &str = "nr-membership";
+const WELCOME_PROTOCOL_ID: &str = "nr-membership";
 
 const STEP_WELCOME: u32 = 5;
 const STEP_WELCOME_ACK: u32 = 6;
 
 /// The shared-object key of `group`'s member set.
-pub fn group_object(group: &GroupId) -> String {
+fn group_object(group: &GroupId) -> String {
     format!("{GROUP_OBJECT_PREFIX}{group}")
 }
 
 /// Encodes a member set as group-object state.
-pub fn encode_group_state(members: &BTreeSet<OrgId>) -> Vec<u8> {
+fn encode_group_state(members: &BTreeSet<OrgId>) -> Vec<u8> {
     let list: Vec<OrgId> = members.iter().cloned().collect();
     let mut w = Writer::new();
     encode_seq(&list, &mut w);
@@ -101,7 +101,7 @@ impl Decode for ObjectSnapshot {
 /// state snapshots of every shared object. The sponsor's
 /// [`TokenKind::Membership`] token over the decision rides the frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Welcome {
+struct Welcome {
     /// The group being joined.
     pub group: GroupId,
     /// The membership decision (proposal + all signed votes).

@@ -21,7 +21,6 @@ pub mod membership;
 pub use coordination::{
     CoordinationOutcome, ProposalBody, SharingMember, SignedVote, UpdateValidator,
 };
-pub use membership::GROUP_OBJECT_PREFIX;
 
 use std::collections::BTreeSet;
 use std::collections::HashMap;

@@ -42,7 +42,6 @@ struct World {
     server_party: Arc<Party>,
     ttp_party: Arc<Party>,
     client_coord: Arc<B2BCoordinator>,
-    ttp_handler: Arc<OfflineTtpHandler>,
     server: OrgId,
     ttp: OrgId,
 }
@@ -85,8 +84,7 @@ fn world(conduct: ServerConduct) -> World {
         ttp_party.clone(),
         ttp_coord.clone(),
     ));
-    let ttp_handler = OfflineTtpHandler::new(ttp_party.clone());
-    ttp_coord.register_handler(ttp_handler.clone());
+    ttp_coord.register_handler(OfflineTtpHandler::new(ttp_party.clone()));
     bus.register(OrgId::new("client"), client_coord.clone());
     bus.register(OrgId::new("server"), server_coord);
     bus.register(OrgId::new("ttp"), ttp_coord);
@@ -95,7 +93,6 @@ fn world(conduct: ServerConduct) -> World {
         server_party,
         ttp_party,
         client_coord,
-        ttp_handler,
         server: OrgId::new("server"),
         ttp: OrgId::new("ttp"),
     }
@@ -109,6 +106,16 @@ fn kinds(party: &Party, run: RunId) -> Vec<String> {
         .iter()
         .map(|r| r.draft.kind.clone())
         .collect()
+}
+
+/// `true` if the TTP's own log holds a `kind` token it issued for `run`
+/// — the evidence of a resolve or abort, not the TTP's memory.
+fn ttp_logged(w: &World, run: RunId, kind: TokenKind) -> bool {
+    w.ttp_party
+        .log()
+        .by_run(&run)
+        .iter()
+        .any(|r| r.draft.kind == kind.label() && r.draft.actor == w.ttp)
 }
 
 fn labels(kinds: &[TokenKind]) -> Vec<String> {
@@ -245,7 +252,7 @@ fn fair_offline_conformance_covers_every_legal_trace() {
                 assert_eq!(kinds(&w.client_party, out.run_id), expected);
                 // No dispute: the TTP never resolved the run and no
                 // decision exists anywhere.
-                assert!(!w.ttp_handler.is_resolved(&out.run_id));
+                assert!(!ttp_logged(&w, out.run_id, TokenKind::Resolve));
                 assert!(!kinds(&w.client_party, out.run_id)
                     .contains(&TokenKind::Decision.label().to_string()));
             }
@@ -272,7 +279,7 @@ fn fair_offline_conformance_covers_every_legal_trace() {
                     TokenKind::Resolve,
                 ]);
                 assert_eq!(kinds(&w.client_party, out.run_id), expected);
-                assert!(w.ttp_handler.is_resolved(&out.run_id));
+                assert!(ttp_logged(&w, out.run_id, TokenKind::Resolve));
                 // The decision is ledger-free evidence: any verifier can
                 // recompute its subject from (accused, run) and check the
                 // TTP's signature.

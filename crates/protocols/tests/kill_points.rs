@@ -6,7 +6,7 @@
 //! "Kill" means the driving code stops mid-choreography (the session is
 //! dropped); the party's evidence log — progress markers included —
 //! survives, exactly as a durable log would across a process crash.
-//! "Recovery" reopens the log with [`RunJournal::open_runs`] and acts on
+//! "Recovery" reopens the log with [`RunJournal::recovered_open_runs`] and acts on
 //! what it finds:
 //!
 //! - last completed step < the variant's commitment point → the run is
@@ -41,7 +41,7 @@ use nonrep_protocols::session::{Branch, Client, Session};
 use nonrep_protocols::tokens::TokenKind;
 use nonrep_protocols::{B2BCoordinator, ExchangeSupervisor, RunJournal, TokenSpec};
 use nonrep_types::codec::Encode;
-use nonrep_types::ids::OrgId;
+use nonrep_types::ids::{OrgId, RunId};
 use nonrep_types::time::LogicalClock;
 
 /// One process-wide fixture: client, server and TTP parties wired over
@@ -55,7 +55,7 @@ struct World {
     journal: Arc<RunJournal>,
     server_journal: Arc<RunJournal>,
     fair_server: Arc<FairServerHandler>,
-    ttp_handler: Arc<OfflineTtpHandler>,
+    ttp_party: Arc<Party>,
     supervisor: Arc<ExchangeSupervisor>,
     server: OrgId,
     ttp: OrgId,
@@ -102,9 +102,11 @@ fn world() -> World {
         },
     );
     server_coord.register_handler(fair_server.clone());
-    let ttp_handler = OfflineTtpHandler::new(ttp_party.clone());
-    ttp_coord.register_handler(ttp_handler.clone());
-    ttp_coord.register_handler(InlineTtpHandler::terminal(ttp_party, ttp_coord.clone()));
+    ttp_coord.register_handler(OfflineTtpHandler::new(ttp_party.clone()));
+    ttp_coord.register_handler(InlineTtpHandler::terminal(
+        ttp_party.clone(),
+        ttp_coord.clone(),
+    ));
 
     let journal = RunJournal::new(client_party.clone());
     World {
@@ -115,7 +117,7 @@ fn world() -> World {
         journal,
         server_journal,
         fair_server,
-        ttp_handler,
+        ttp_party,
         supervisor,
         server: OrgId::new("server"),
         ttp: OrgId::new("ttp"),
@@ -157,6 +159,16 @@ impl World {
         let open = self.journal.recovered_open_runs();
         assert_eq!(open.len(), 1, "exactly one in-flight run expected");
         open.into_iter().next().unwrap()
+    }
+
+    /// `true` if the TTP's own log holds a `kind` token it issued for
+    /// `run` — the evidence of an abort or resolve, not the TTP's memory.
+    fn ttp_logged(&self, run: RunId, kind: TokenKind) -> bool {
+        self.ttp_party
+            .log()
+            .by_run(&run)
+            .iter()
+            .any(|r| r.draft.kind == kind.label() && r.draft.actor == self.ttp)
     }
 
     fn assert_recovered_clean(&self) {
@@ -344,7 +356,7 @@ fn fair_client_killed_before_receipt_aborts_with_no_accusation() {
     w.clock.advance(RECEIPT_WINDOW_MS);
     let reports = w.supervisor.sweep();
     assert_eq!(reports.len(), 1);
-    assert!(w.ttp_handler.is_aborted(&run));
+    assert!(w.ttp_logged(run, TokenKind::Abort));
     let server_records = w.server_party.log().by_run(&run);
     assert!(!server_records.iter().any(
         |r| r.draft.kind == TokenKind::NrrResp.label() && r.draft.actor == OrgId::new("client")
@@ -502,7 +514,7 @@ fn fair_server_recovering_an_open_receipt_window_aborts_safely() {
     // Recovery action: abort at the TTP (journal_abort inside closes
     // the server's journal entry and seals).
     w.fair_server.abort(run).unwrap();
-    assert!(w.ttp_handler.is_aborted(&run));
+    assert!(w.ttp_logged(run, TokenKind::Abort));
     assert!(w.server_journal.recovered_open_runs().is_empty());
     w.server_party.log().verify().unwrap();
 

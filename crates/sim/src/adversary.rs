@@ -382,10 +382,35 @@ mod tests {
     use nonrep_protocols::party::{KeyDirectory, StaticKeyDirectory};
     use nonrep_types::time::LogicalClock;
 
+    /// A party on a fresh MSS key and a memory log, committing evidence
+    /// in batches (the auto seal policy, 50 ms deadline on `clock`).
+    fn batched_party(
+        org: &str,
+        seed: u64,
+        clock: &LogicalClock,
+        dir: &Arc<StaticKeyDirectory>,
+    ) -> Arc<Party> {
+        let mut rng = nonrep_crypto::rng::SecureRandom::from_seed(seed);
+        let keys = Arc::new(nonrep_crypto::sig::KeyPair::generate(
+            nonrep_crypto::sig::SignatureScheme::Mss { height: 8 },
+            &mut rng,
+        ));
+        dir.insert(OrgId::new(org), keys.verifying_key());
+        Party::with_commitment(
+            org,
+            keys,
+            Arc::new(clock.clone()),
+            Arc::new(nonrep_store::MemoryLog::new()),
+            Arc::clone(dir) as Arc<dyn nonrep_protocols::party::KeyDirectory>,
+            rng,
+            nonrep_protocols::CommitmentMode::auto(50),
+        )
+    }
+
     fn batched_party_with_tokens() -> (Arc<Party>, Arc<StaticKeyDirectory>) {
         let clock = LogicalClock::new();
         let dir = Arc::new(StaticKeyDirectory::new());
-        let party = Party::quick_batched("alice", 7, &clock, &dir);
+        let party = batched_party("alice", 7, &clock, &dir);
         let run = RunId::from_u128(9);
         for i in 0..4u8 {
             let t = party

@@ -56,7 +56,7 @@ impl Variant {
     }
 
     /// `true` if the variant routes through the TTP organisation.
-    pub fn uses_ttp(self) -> bool {
+    fn uses_ttp(self) -> bool {
         matches!(self, Variant::InlineTtp | Variant::FairOffline)
     }
 }
@@ -178,7 +178,7 @@ impl WorkItem {
     }
 
     /// `true` if `org` takes part in this item.
-    pub fn involves(&self, org: &OrgId, ttp: &OrgId) -> bool {
+    fn involves(&self, org: &OrgId, ttp: &OrgId) -> bool {
         self.participants(ttp).contains(org)
     }
 }
@@ -667,12 +667,6 @@ impl Scenario {
             .map(|(_, r)| *r)
     }
 
-    /// The guarantee item of `org` — the single run a byzantine org
-    /// participates in.
-    pub fn guarantee_item(&self, org: &OrgId) -> Option<&WorkItem> {
-        self.items.iter().find(|i| i.involves(org, &self.ttp))
-    }
-
     /// A permutation of item indices derived from `schedule_seed` — the
     /// execution order the engine drives. `schedule_seed == 0` is the
     /// identity schedule.
@@ -693,6 +687,12 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The guarantee item of `org` — the single run a byzantine org
+    /// participates in.
+    fn guarantee_item<'a>(s: &'a Scenario, org: &OrgId) -> Option<&'a WorkItem> {
+        s.items.iter().find(|i| i.involves(org, &s.ttp))
+    }
 
     #[test]
     fn scenarios_are_pure_functions_of_the_seed() {
@@ -781,7 +781,7 @@ mod tests {
         roles.dedup();
         assert_eq!(roles.len(), 8);
         for (org, _) in &s.byzantine {
-            assert!(s.guarantee_item(org).is_some(), "{org} has no item");
+            assert!(guarantee_item(&s, org).is_some(), "{org} has no item");
         }
         // The durable org runs the hierarchical key, so its crash overlay
         // is a crash at the rollover boundary.
@@ -802,11 +802,11 @@ mod tests {
                 let item = match role {
                     Role::StallingClient => {
                         saw_client = true;
-                        s.guarantee_item(org).expect("guarantee item")
+                        guarantee_item(&s, org).expect("guarantee item")
                     }
                     Role::StallingServer => {
                         saw_server = true;
-                        s.guarantee_item(org).expect("guarantee item")
+                        guarantee_item(&s, org).expect("guarantee item")
                     }
                     _ => continue,
                 };
@@ -881,7 +881,7 @@ mod tests {
                 // The dispute escalates to the TTP, so the TTP is honest.
                 assert!(s.role_of(&s.ttp).is_none(), "seed {seed}: byzantine ttp");
                 // The defector is the *server* of a fair-offline run.
-                let item = s.guarantee_item(org).expect("guarantee item");
+                let item = guarantee_item(&s, org).expect("guarantee item");
                 assert_eq!(item.variant, Variant::FairOffline, "seed {seed}");
                 assert_eq!(&item.server, org, "seed {seed}");
                 assert!(s.role_of(&item.client).is_none(), "seed {seed}");

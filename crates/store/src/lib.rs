@@ -36,7 +36,7 @@ pub use group_commit::{DurabilityTicket, GroupCommitQueue};
 pub use log::{DurabilityClass, EvidenceLog, FileLog, MemoryLog, SyncPolicy};
 pub use record::{
     ChainViolation, EpochCommitment, EvidenceRecord, KeyRollover, MarkerPhase, RecordDraft,
-    RunMarker, EPOCH_KIND, ROLLOVER_KIND, RUN_MARKER_KIND,
+    RunMarker, EPOCH_KIND,
 };
 pub use state::StateStore;
 

@@ -557,7 +557,7 @@ impl FileLog {
     /// it) is broken, and failing the append surfaces that instead of
     /// growing without bound toward an OOM kill — which would lose the
     /// whole buffered tail anyway.
-    pub const MAX_BUFFERED_BYTES: usize = 64 << 20;
+    const MAX_BUFFERED_BYTES: usize = 64 << 20;
 
     /// Opens (or creates) the log at `path`, verifying any existing
     /// chain. Opens under [`SyncPolicy::WriteThrough`] — the policy is a

@@ -12,7 +12,7 @@
 //!
 //! A hierarchical signer's subtree certificate is the same for every
 //! signature of one subtree, so a log stores it once, as a
-//! [`CERT_KIND`] record under the reserved [`cert_run_id`], ahead of the
+//! `CERT_KIND` record under the reserved [`cert_run_id`], ahead of the
 //! first token record whose signature references it.
 
 use std::fmt;
@@ -148,7 +148,7 @@ pub const EPOCH_KIND: &str = "epoch_commit";
 
 /// The protocol-run identifier used for epoch-commitment records (epochs
 /// span runs, so they are filed under a reserved nil run).
-pub fn epoch_run_id() -> RunId {
+fn epoch_run_id() -> RunId {
     RunId::from_u128(0)
 }
 
@@ -273,7 +273,7 @@ impl Decode for EpochCommitment {
 }
 
 /// Record kind under which key-rollover records are logged.
-pub const ROLLOVER_KIND: &str = "key_rollover";
+const ROLLOVER_KIND: &str = "key_rollover";
 
 /// Evidence of one hierarchical-key generation change: the old subtree's
 /// exhaustion and the new subtree's root, certified under the signer's
@@ -317,7 +317,7 @@ impl KeyRollover {
     }
 
     /// Wraps this rollover as a log record draft (kind
-    /// [`ROLLOVER_KIND`], filed under the reserved control run like
+    /// `ROLLOVER_KIND`, filed under the reserved control run like
     /// epoch commitments; content digest = new subtree root).
     pub fn to_draft(&self, actor: OrgId, at: Timestamp) -> RecordDraft {
         RecordDraft {
@@ -360,7 +360,7 @@ impl Decode for KeyRollover {
 }
 
 /// Record kind under which a log keeps each subtree certificate once.
-pub const CERT_KIND: &str = "subtree_cert";
+const CERT_KIND: &str = "subtree_cert";
 
 /// The reserved control run subtree-certificate records are filed under:
 /// one of their own, so the run index returns the certificates alone.
@@ -370,7 +370,7 @@ pub fn cert_run_id() -> RunId {
 }
 
 /// Wraps the subtree certificate `signer`'s stored token signatures
-/// reference as a log record draft (kind [`CERT_KIND`], filed under
+/// reference as a log record draft (kind `CERT_KIND`, filed under
 /// [`cert_run_id`]; content digest = the certified subtree root).
 pub fn cert_draft(cert: &SubtreeCert, signer: OrgId, at: Timestamp) -> RecordDraft {
     RecordDraft {
@@ -395,7 +395,7 @@ pub fn cert_from_record(record: &EvidenceRecord) -> Option<SubtreeCert> {
 }
 
 /// Record kind under which exchange progress markers are journalled.
-pub const RUN_MARKER_KIND: &str = "run_marker";
+const RUN_MARKER_KIND: &str = "run_marker";
 
 /// Phase of an exchange recorded by a [`RunMarker`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -451,7 +451,7 @@ pub struct RunMarker {
 
 impl RunMarker {
     /// Wraps this marker as a log record draft (kind
-    /// [`RUN_MARKER_KIND`], filed under the run it describes).
+    /// `RUN_MARKER_KIND`, filed under the run it describes).
     pub fn to_draft(&self, actor: OrgId, at: Timestamp) -> RecordDraft {
         let payload = self.encode_to_vec();
         RecordDraft {
@@ -853,8 +853,11 @@ mod tests {
 
     #[test]
     fn cert_record_roundtrips_and_rejects_edits() {
-        let (signer, _) = rolled_signer();
-        let cert = signer.active_cert().clone();
+        let (mut signer, _) = rolled_signer();
+        let signed = signer.sign(&sha256(b"m")).unwrap();
+        let nonrep_crypto::hss::CertLink::Inline(cert) = signed.cert else {
+            panic!("a fresh signature carries its subtree cert inline");
+        };
         let rec = EvidenceRecord {
             seq: 0,
             prev_hash: Digest::ZERO,

@@ -26,7 +26,7 @@ impl StateStore {
     }
 
     /// Stores `state`, returning its digest. Idempotent.
-    pub fn put(&self, state: &[u8]) -> Digest {
+    fn put(&self, state: &[u8]) -> Digest {
         let digest = sha256(state);
         self.blobs
             .write()
@@ -45,11 +45,6 @@ impl StateStore {
         self.blobs.read().contains_key(digest)
     }
 
-    /// Number of distinct blobs stored.
-    pub fn blob_count(&self) -> usize {
-        self.blobs.read().len()
-    }
-
     /// Total stored bytes across all blobs.
     pub fn total_bytes(&self) -> u64 {
         self.blobs.read().values().map(|b| b.len() as u64).sum()
@@ -63,15 +58,6 @@ impl StateStore {
         let history = versions.entry(object.to_owned()).or_default();
         history.push(digest);
         ((history.len() - 1) as u64, digest)
-    }
-
-    /// The digest of `object` at `version`, if recorded.
-    pub fn version_digest(&self, object: &str, version: u64) -> Option<Digest> {
-        self.versions
-            .read()
-            .get(object)?
-            .get(version as usize)
-            .copied()
     }
 
     /// The latest `(version, digest)` of `object`, if any.
@@ -89,15 +75,6 @@ impl StateStore {
             .get(object)
             .cloned()
             .unwrap_or_default()
-    }
-
-    /// Checks that `state` is a *previously recorded* version of `object`,
-    /// returning the version number (the §3.4 reconstruction check).
-    pub fn find_version(&self, object: &str, state: &[u8]) -> Option<u64> {
-        let digest = sha256(state);
-        let versions = self.versions.read();
-        let history = versions.get(object)?;
-        history.iter().position(|d| *d == digest).map(|v| v as u64)
     }
 
     /// Names of all objects with a version history.
@@ -143,7 +120,6 @@ mod tests {
         let d1 = store.put(b"same");
         let d2 = store.put(b"same");
         assert_eq!(d1, d2);
-        assert_eq!(store.blob_count(), 1);
         assert_eq!(store.total_bytes(), 4);
     }
 
@@ -153,9 +129,6 @@ mod tests {
         let (v0, d0) = store.record_version("doc", b"draft");
         let (v1, d1) = store.record_version("doc", b"final");
         assert_eq!((v0, v1), (0, 1));
-        assert_eq!(store.version_digest("doc", 0), Some(d0));
-        assert_eq!(store.version_digest("doc", 1), Some(d1));
-        assert_eq!(store.version_digest("doc", 2), None);
         assert_eq!(store.latest("doc"), Some((1, d1)));
         assert_eq!(store.history("doc"), vec![d0, d1]);
     }
@@ -172,25 +145,14 @@ mod tests {
     }
 
     #[test]
-    fn find_version_reconstruction_check() {
-        let store = StateStore::new();
-        store.record_version("doc", b"v0");
-        store.record_version("doc", b"v1");
-        assert_eq!(store.find_version("doc", b"v0"), Some(0));
-        assert_eq!(store.find_version("doc", b"v1"), Some(1));
-        assert_eq!(store.find_version("doc", b"never-agreed"), None);
-        assert_eq!(store.find_version("nope", b"v0"), None);
-    }
-
-    #[test]
     fn repeated_state_can_appear_at_multiple_versions() {
         let store = StateStore::new();
         store.record_version("doc", b"same");
         store.record_version("doc", b"other");
         store.record_version("doc", b"same");
-        assert_eq!(store.history("doc").len(), 3);
-        // find_version returns the first occurrence.
-        assert_eq!(store.find_version("doc", b"same"), Some(0));
-        assert_eq!(store.blob_count(), 2); // content-addressed dedup
+        let history = store.history("doc");
+        assert_eq!(history.len(), 3);
+        assert_eq!(history[0], history[2]);
+        assert_eq!(store.total_bytes(), 9); // content-addressed dedup
     }
 }

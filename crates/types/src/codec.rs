@@ -24,7 +24,7 @@ use std::fmt;
 ///
 /// A decoder reading attacker-supplied bytes must not allocate unbounded
 /// memory from a forged length prefix.
-pub const MAX_FIELD_LEN: usize = 16 * 1024 * 1024;
+const MAX_FIELD_LEN: usize = 16 * 1024 * 1024;
 
 /// Error produced when decoding malformed bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,7 +36,7 @@ pub enum CodecError {
         /// Bytes remaining in the input.
         remaining: usize,
     },
-    /// A length prefix exceeded [`MAX_FIELD_LEN`].
+    /// A length prefix exceeded the 16 MiB field limit.
     FieldTooLong(usize),
     /// An enum tag byte did not correspond to any variant.
     InvalidTag {
@@ -131,11 +131,6 @@ impl Writer {
         self.buf.push(u8::from(v));
     }
 
-    /// Writes a little-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Writes a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -161,7 +156,7 @@ impl Writer {
     /// # Panics
     ///
     /// Panics if `bytes.len()` exceeds `u32::MAX` (not reachable with
-    /// [`MAX_FIELD_LEN`]-sized fields).
+    /// fields inside the 16 MiB decode limit).
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         let len = u32::try_from(bytes.len()).expect("field larger than u32::MAX");
         self.put_u32(len);
@@ -226,12 +221,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads a little-endian `u16`.
-    pub fn get_u16(&mut self) -> Result<u16, CodecError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
     /// Reads a little-endian `u32`.
     pub fn get_u32(&mut self) -> Result<u32, CodecError> {
         let b = self.take(4)?;
@@ -269,7 +258,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<&'a str, CodecError> {
+    fn get_str(&mut self) -> Result<&'a str, CodecError> {
         std::str::from_utf8(self.get_bytes()?).map_err(|_| CodecError::InvalidUtf8)
     }
 
@@ -460,7 +449,6 @@ mod tests {
         let mut w = Writer::new();
         w.put_u8(7);
         w.put_bool(true);
-        w.put_u16(0xBEEF);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 1);
         w.put_i64(-42);
@@ -471,7 +459,6 @@ mod tests {
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
         assert!(r.get_bool().unwrap());
-        assert_eq!(r.get_u16().unwrap(), 0xBEEF);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.get_i64().unwrap(), -42);

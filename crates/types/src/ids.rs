@@ -27,11 +27,6 @@ macro_rules! string_id {
             pub fn as_str(&self) -> &str {
                 &self.0
             }
-
-            /// Consumes the identifier, returning the underlying `String`.
-            pub fn into_string(self) -> String {
-                self.0
-            }
         }
 
         impl fmt::Display for $name {
@@ -161,7 +156,7 @@ mod tests {
         let org = OrgId::new("supplier-a");
         assert_eq!(org.to_string(), "supplier-a");
         assert_eq!(org.as_str(), "supplier-a");
-        assert_eq!(org.clone().into_string(), "supplier-a");
+        assert_eq!(org.clone().as_str(), "supplier-a");
         assert_eq!(OrgId::from("x"), OrgId::new("x"));
     }
 

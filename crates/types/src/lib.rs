@@ -34,5 +34,5 @@ pub mod value;
 
 pub use codec::{CodecError, Decode, Encode, Reader, Writer};
 pub use ids::{GroupId, MethodName, OrgId, ProtocolId, RunId, ServiceUri};
-pub use time::{Clock, LogicalClock, SystemClock, Timestamp};
+pub use time::{Clock, LogicalClock, Timestamp};
 pub use value::Value;

@@ -7,14 +7,13 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::codec::{CodecError, Decode, Encode, Reader, Writer};
 
 /// A point in time, in milliseconds since an epoch.
 ///
-/// For [`SystemClock`] the epoch is the Unix epoch; for [`LogicalClock`]
-/// it is the start of the simulation. Evidence produced by different
+/// A wall clock would count from the Unix epoch; a [`LogicalClock`]
+/// counts from the start of the simulation. Evidence produced by different
 /// organisations in one trust domain must use the same epoch — that is part
 /// of the inter-organisation agreement, like the evidence format itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -64,27 +63,6 @@ pub trait Clock: Send + Sync + fmt::Debug {
     fn now(&self) -> Timestamp;
 }
 
-/// Wall-clock time from the operating system.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SystemClock;
-
-impl SystemClock {
-    /// Creates a system clock.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl Clock for SystemClock {
-    fn now(&self) -> Timestamp {
-        let ms = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
-        Timestamp(ms)
-    }
-}
-
 /// A manually-advanced logical clock, shared between components.
 ///
 /// Cloning shares the underlying counter, so a simulator can advance time
@@ -111,14 +89,6 @@ impl LogicalClock {
     pub fn advance(&self, ms: u64) -> Timestamp {
         let new = self.millis.fetch_add(ms, Ordering::SeqCst) + ms;
         Timestamp(new)
-    }
-
-    /// Sets the clock to `t` if `t` is later than the current time.
-    ///
-    /// Used by the discrete-event simulator, whose event queue only ever
-    /// moves time forward.
-    pub fn advance_to(&self, t: Timestamp) {
-        self.millis.fetch_max(t.0, Ordering::SeqCst);
     }
 }
 
@@ -149,30 +119,12 @@ mod tests {
     }
 
     #[test]
-    fn advance_to_never_goes_backwards() {
-        let clock = LogicalClock::starting_at(Timestamp(100));
-        clock.advance_to(Timestamp(50));
-        assert_eq!(clock.now(), Timestamp(100));
-        clock.advance_to(Timestamp(150));
-        assert_eq!(clock.now(), Timestamp(150));
-    }
-
-    #[test]
     fn timestamp_arithmetic() {
         let t = Timestamp(100);
         assert_eq!(t.plus_millis(50), Timestamp(150));
         assert_eq!(Timestamp(150).since(t), 50);
         assert_eq!(t.since(Timestamp(150)), 0);
         assert_eq!(t.to_string(), "t+100ms");
-    }
-
-    #[test]
-    fn system_clock_is_nonzero_and_monotonic_enough() {
-        let clock = SystemClock::new();
-        let a = clock.now();
-        let b = clock.now();
-        assert!(a.0 > 0);
-        assert!(b >= a);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::codec::{CodecError, Decode, Encode, Reader, Writer};
 ///
 /// Floating point is deliberately represented by its IEEE-754 bit pattern
 /// ([`Value::F64Bits`]) so that `Value` can implement `Eq`/`Hash` and encode
-/// canonically; use [`Value::from_f64`]/[`Value::as_f64`] at the edges.
+/// canonically; use `Value::F64Bits(x.to_bits())`/[`Value::as_f64`] at the edges.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub enum Value {
     /// Absence of a value.
@@ -59,11 +59,6 @@ impl Value {
         Value::List(items.into_iter().collect())
     }
 
-    /// Wraps an `f64` (stored as bits; NaN payloads are preserved).
-    pub fn from_f64(v: f64) -> Self {
-        Value::F64Bits(v.to_bits())
-    }
-
     /// Returns the value as `f64` if it is one.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -88,22 +83,6 @@ impl Value {
         }
     }
 
-    /// Returns the value as `u64` if it is an unsigned integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Returns the value as `bool` if it is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Returns the value as a byte slice if it is a byte string.
     pub fn as_bytes(&self) -> Option<&[u8]> {
         match self {
@@ -112,16 +91,8 @@ impl Value {
         }
     }
 
-    /// Returns the value as a slice if it is a list.
-    pub fn as_list(&self) -> Option<&[Value]> {
-        match self {
-            Value::List(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Returns the value as a map if it is one.
-    pub fn as_map(&self) -> Option<&BTreeMap<String, Value>> {
+    fn as_map(&self) -> Option<&BTreeMap<String, Value>> {
         match self {
             Value::Map(m) => Some(m),
             _ => None,
@@ -131,21 +102,6 @@ impl Value {
     /// Looks up `key` if the value is a map.
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.as_map().and_then(|m| m.get(key))
-    }
-
-    /// `true` if the value is [`Value::Null`].
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
-    /// Recursively counts the nodes of the value tree (used in benches to
-    /// scale workloads).
-    pub fn node_count(&self) -> usize {
-        match self {
-            Value::List(items) => 1 + items.iter().map(Value::node_count).sum::<usize>(),
-            Value::Map(m) => 1 + m.values().map(Value::node_count).sum::<usize>(),
-            _ => 1,
-        }
     }
 }
 
@@ -340,7 +296,7 @@ mod tests {
         Value::map([
             ("part", Value::from("gearbox")),
             ("qty", Value::from(2i64)),
-            ("unit_price", Value::from_f64(1999.99)),
+            ("unit_price", Value::F64Bits(1999.99f64.to_bits())),
             ("rush", Value::from(true)),
             ("notes", Value::Null),
             (
@@ -396,27 +352,15 @@ mod tests {
         let v = sample();
         assert_eq!(v.get("part").and_then(Value::as_str), Some("gearbox"));
         assert_eq!(v.get("qty").and_then(Value::as_i64), Some(2));
-        assert_eq!(v.get("rush").and_then(Value::as_bool), Some(true));
+        assert_eq!(v.get("rush"), Some(&Value::Bool(true)));
         assert_eq!(v.get("unit_price").and_then(Value::as_f64), Some(1999.99));
-        assert!(v.get("notes").unwrap().is_null());
-        assert_eq!(
-            v.get("serials")
-                .and_then(Value::as_list)
-                .map(<[Value]>::len),
-            Some(2)
-        );
+        assert_eq!(v.get("notes"), Some(&Value::Null));
+        assert!(matches!(v.get("serials"), Some(Value::List(items)) if items.len() == 2));
         assert_eq!(
             v.get("blob").and_then(Value::as_bytes),
             Some(&[0u8, 255][..])
         );
         assert!(v.get("missing").is_none());
-    }
-
-    #[test]
-    fn node_count_counts_recursively() {
-        let v = Value::list([Value::from(1i64), Value::list([Value::Null])]);
-        // list + i64 + inner list + null
-        assert_eq!(v.node_count(), 4);
     }
 
     #[test]
@@ -428,7 +372,7 @@ mod tests {
 
     #[test]
     fn nan_bits_are_preserved() {
-        let v = Value::from_f64(f64::NAN);
+        let v = Value::F64Bits(f64::NAN.to_bits());
         let back = Value::decode_from_slice(&v.encode_to_vec()).unwrap();
         assert_eq!(v, back); // bitwise equality, even for NaN
         assert!(back.as_f64().unwrap().is_nan());

@@ -63,6 +63,19 @@ retired=(
     # one 16-lane AVX-512 tier replaces AVX2; W-OTS chains are walked in registers
     Avx2 chain_steps_with padded_chain_block chain_steps_8 rotr_fn load_state store_state
     fixed_width_wrappers_match_sequential
+    # one public surface: the caller-less API, the settings only it could
+    # set, and the two deadline layers nothing armed
+    InvocationHandlerFactory handler_factory B2BInvocation KeyLifecycle with_key_lifecycle
+    key_lifecycle SharedObjectConfig with_shared_object with_metadata requires_nr rolls_up
+    call_with_deadline timeout_fault with_backoff with_jitter_seed with_budget_ms attuned_to
+    budget_for_fault_bound backoff_before_ms charge_after_failures attempt_timeout_ms
+    base_backoff_ms max_backoff_ms jitter_seed budget_ms with_clock worst_case_ms
+    is_peer_fault is_transport_fault is_local_fault is_timeout commitment_mode is_aborted
+    is_resolved put_u16 get_u16 find_version version_digest blob_count undeploy
+    invoke_component submit_window SystemClock advance_to node_count from_hex push_payload
+    leaf_hash_digests par_map par_map_with par_map_indexed_with is_hierarchical
+    subtree_capacity is_crashed is_executed with_context into_string is_null as_bool as_u64
+    as_list from_f64 open_runs
 )
 echo "==> retired names"
 if grep -rnwF "${retired[@]/#/-e}" --exclude=check.sh \
@@ -70,6 +83,12 @@ if grep -rnwF "${retired[@]/#/-e}" --exclude=check.sh \
     echo "check.sh: a retired name is back (file:line above)" >&2
     exit 1
 fi
+
+# One public surface: every pub item of a library crate has a caller or
+# an allowlist line naming the ROADMAP direction that will call it.
+echo "==> public surface (scripts/surface.sh)"
+scripts/surface.sh --self-test
+scripts/surface.sh
 
 # One wiring: the simulator drives the stack a deployment builds
 # (OrgMiddleware::builder), so its non-test code (every line before a

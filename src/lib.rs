@@ -93,9 +93,7 @@ pub use nonrep_types as types;
 /// The most common imports for applications built on the middleware.
 pub mod prelude {
     pub use nonrep_container::component::FnComponent;
-    pub use nonrep_container::descriptor::{
-        DeploymentDescriptor, EvidenceDurability, NrConfig, SharedObjectConfig,
-    };
+    pub use nonrep_container::descriptor::{DeploymentDescriptor, EvidenceDurability, NrConfig};
     pub use nonrep_container::{ClientProxy, Component, Container, ContainerError};
     pub use nonrep_core::{
         b2b_address, Adjudicator, ClientNrInterceptor, OrgMiddleware, TrustDomain, WindowSubmission,
