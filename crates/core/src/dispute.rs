@@ -62,7 +62,7 @@ use nonrep_protocols::party::KeyDirectory;
 use nonrep_protocols::tokens::{defection_digest, NrToken, TokenKind};
 use nonrep_store::record::{
     cert_from_record, cert_run_id, ChainVerifier, ChainViolation, EpochCommitment, EvidenceRecord,
-    KeyRollover, RunMarker,
+    RunMarker,
 };
 use nonrep_store::EvidenceLog;
 use nonrep_types::codec::Decode;
@@ -78,7 +78,7 @@ pub struct LogReport {
     /// Tokens decoded from the log: `(token, signature_valid)`.
     pub tokens: Vec<(NrToken, bool)>,
     /// Records whose payload was not a decodable token (or a decodable
-    /// epoch commitment, rollover, run marker or subtree certificate).
+    /// epoch commitment, run marker or subtree certificate).
     pub undecodable: usize,
     /// Epoch commitments encountered in the submission.
     pub epoch_commits: usize,
@@ -98,11 +98,6 @@ pub struct LogReport {
     /// ([`Adjudicator::corroborated_by`]): a forked history or withheld
     /// records. `None` when no anchors were held or all agree.
     pub anchor_violation: Option<ChainViolation>,
-    /// Key-rollover records encountered in the submission.
-    pub rollovers: usize,
-    /// Rollover records whose subtree certificate chains to the
-    /// submitter's registered root key (and names its own generation).
-    pub rollovers_verified: usize,
 }
 
 impl LogReport {
@@ -123,7 +118,6 @@ impl LogReport {
             && self.epoch_verified == self.epoch_commits
             && self.context_mismatches == 0
             && self.anchor_violation.is_none()
-            && self.rollovers_verified == self.rollovers
     }
 }
 
@@ -457,8 +451,6 @@ impl<'a> ReportBuilder<'a> {
                 epoch_verified: 0,
                 context_mismatches: 0,
                 anchor_violation: None,
-                rollovers: 0,
-                rollovers_verified: 0,
             },
             directory,
             chain: match anchor {
@@ -493,33 +485,13 @@ impl<'a> ReportBuilder<'a> {
             }
             return;
         }
-        if record.is_key_rollover() {
-            // A rollover record attests a hierarchical signer's
-            // generation change: its subtree certificate must chain to
-            // the submitter's registered root key. A forged cert — an
-            // attacker grafting its own subtree into someone else's
-            // lifecycle — fails here even though the hash chain around
-            // the record is intact.
-            self.report.rollovers += 1;
-            match KeyRollover::from_record(record) {
-                Some(roll) => {
-                    let ok = self
-                        .directory
-                        .key_of(&self.report.submitter)
-                        .map(|key| roll.verify(&key))
-                        .unwrap_or(false);
-                    if ok {
-                        self.report.rollovers_verified += 1;
-                    }
-                }
-                None => self.report.undecodable += 1,
-            }
-            return;
-        }
         if record.is_subtree_cert() {
             // Attests nothing by itself: a token that references it
-            // verifies the certificate through its own signature chain.
-            // An edited one no longer decodes or names its subtree.
+            // verifies the certificate through its own signature chain,
+            // so a foreign hierarchy's genuine certificate grafted under
+            // a submitter's token fails that token's check against the
+            // issuer's root key. An edited one no longer decodes or
+            // names its subtree.
             match cert_from_record(record) {
                 Some(cert) => {
                     self.certs.insert(cert.reference(), cert);

@@ -10,11 +10,11 @@ use nonrep_crypto::digest::{sha256, Digest};
 use nonrep_crypto::mss::MssSigner;
 use nonrep_crypto::rng::SecureRandom;
 use nonrep_crypto::sig::{KeyPair, SignatureScheme};
-use nonrep_crypto::{HssSigner, SubtreeCert};
+use nonrep_crypto::SubtreeCert;
 use nonrep_protocols::party::{KeyDirectory, Party, StaticKeyDirectory};
 use nonrep_protocols::tokens::TokenKind;
 use nonrep_protocols::CommitmentMode;
-use nonrep_store::record::{EpochCommitment, EvidenceRecord, KeyRollover, RecordDraft};
+use nonrep_store::record::{EpochCommitment, EvidenceRecord, RecordDraft};
 use nonrep_store::EvidenceLog;
 use nonrep_types::codec::Encode;
 use nonrep_types::ids::{OrgId, RunId};
@@ -198,18 +198,15 @@ fn the_window_door_and_the_in_place_door_report_the_same_log_identically() {
         commitment.root = sha256(b"another history");
         Arc::make_mut(&mut r[at]).draft.payload = commitment.encode_to_vec();
     };
-    let graft_rollover = |r: &mut Vec<Arc<EvidenceRecord>>| {
-        let mut attacker = HssSigner::generate(2, 1, &mut SecureRandom::from_seed(666));
-        for i in 0..3u8 {
-            attacker.sign(&sha256(&[i])).unwrap();
+    let launder_cert = |r: &mut Vec<Arc<EvidenceRecord>>| {
+        for draft in common::laundered_drafts(&alice, RunId::from_u128(666), 666) {
+            let last = r.last().unwrap();
+            r.push(Arc::new(EvidenceRecord {
+                seq: last.seq + 1,
+                prev_hash: last.record_hash(),
+                draft,
+            }));
         }
-        let forged = KeyRollover::from_event(&attacker.rollover_history()[0]);
-        let last = r.last().unwrap();
-        r.push(Arc::new(EvidenceRecord {
-            seq: last.seq + 1,
-            prev_hash: last.record_hash(),
-            draft: forged.to_draft(OrgId::new("alice"), alice.now()),
-        }));
     };
     type Doctoring<'a> = &'a dyn Fn(&mut Vec<Arc<EvidenceRecord>>);
     let table: [(&str, Doctoring, bool); 6] = [
@@ -222,7 +219,7 @@ fn the_window_door_and_the_in_place_door_report_the_same_log_identically() {
             false,
         ),
         ("forged epoch root", &forge_epoch_root, false),
-        ("grafted rollover record", &graft_rollover, false),
+        ("laundered foreign cert", &launder_cert, false),
         // Internally consistent: only held anchors could convict it.
         ("truncated tail", &|r| r.truncate(3), true),
     ];

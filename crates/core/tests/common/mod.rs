@@ -1,13 +1,19 @@
-//! Fixtures shared by the core integration tests.
+//! Fixtures shared by the core integration tests (each test crate uses
+//! a subset).
+#![allow(dead_code)]
 
 use std::sync::Arc;
 
+use nonrep_crypto::digest::sha256;
 use nonrep_crypto::rng::SecureRandom;
 use nonrep_crypto::sig::{KeyPair, SignatureScheme};
 use nonrep_protocols::party::{KeyDirectory, Party, StaticKeyDirectory};
+use nonrep_protocols::tokens::{NrToken, TokenKind};
 use nonrep_protocols::CommitmentMode;
+use nonrep_store::record::{cert_draft, RecordDraft};
 use nonrep_store::MemoryLog;
-use nonrep_types::ids::OrgId;
+use nonrep_types::codec::Encode;
+use nonrep_types::ids::{OrgId, RunId};
 use nonrep_types::time::LogicalClock;
 
 /// A party on a fresh MSS key (height 8, seeded) and a memory log,
@@ -34,4 +40,38 @@ pub fn batched_party(
         rng,
         CommitmentMode::auto(50),
     )
+}
+
+/// The two records that launder a subtree of a hierarchy `submitter`
+/// does not own (derived from `seed`) into its log: that subtree's
+/// genuine certificate record, then a token in the submitter's name —
+/// its key id, its context, run `run` — that the foreign subtree
+/// signed, in the stored form that references the certificate.
+pub fn laundered_drafts(submitter: &Party, run: RunId, seed: u64) -> [RecordDraft; 2] {
+    let org = submitter.org().clone();
+    let at = submitter.now();
+    let subject = sha256(&seed.to_le_bytes());
+    let foreign = KeyPair::generate(
+        SignatureScheme::Hss {
+            root_height: 2,
+            subtree_height: 1,
+        },
+        &mut SecureRandom::from_seed(seed),
+    );
+    let digest = NrToken::signing_digest(TokenKind::NroReq, &run, &org, &subject, at);
+    let mut signature = foreign.sign_digest(&digest).unwrap();
+    signature.key_id = submitter.keys().key_id();
+    let cert = signature.detach_cert().unwrap();
+    let token = NrToken::from_parts(TokenKind::NroReq, run, org.clone(), subject, at, signature);
+    [
+        cert_draft(&cert, org.clone(), at),
+        RecordDraft {
+            run_id: run,
+            kind: TokenKind::NroReq.label().to_string(),
+            actor: org,
+            at,
+            content_digest: subject,
+            payload: token.encode_to_vec(),
+        },
+    ]
 }

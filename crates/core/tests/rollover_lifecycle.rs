@@ -2,21 +2,26 @@
 //! differential property test pinning cross-generation adjudication
 //! verdicts to single-generation ground truth, the sustained-issuance
 //! acceptance run (four subtree exhaustions, zero failed seals, zero
-//! degraded-mode entries), and a forged-rollover conviction.
+//! degraded-mode entries), and the convictions of a laundered subtree
+//! certificate and of a retired `key_rollover` record.
 
+mod common;
+
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use nonrep_core::{Adjudicator, WindowSubmission};
 use nonrep_crypto::digest::{sha256, Digest};
+use nonrep_crypto::hss::CertRef;
 use nonrep_crypto::rng::SecureRandom;
 use nonrep_crypto::sig::{KeyPair, SignatureScheme};
 use nonrep_protocols::party::{KeyDirectory, Party, StaticKeyDirectory};
 use nonrep_protocols::tokens::TokenKind;
 use nonrep_protocols::CommitmentMode;
-use nonrep_store::record::KeyRollover;
-use nonrep_store::{EvidenceRecord, MemoryLog};
+use nonrep_store::record::{cert_from_record, RecordDraft};
+use nonrep_store::{EvidenceLog, EvidenceRecord, MemoryLog};
 use nonrep_types::ids::{OrgId, RunId};
 use nonrep_types::time::LogicalClock;
 
@@ -71,14 +76,28 @@ fn exchange(d: &Duo, payload: &[u8]) -> RunId {
 }
 
 /// [`exchange`], then an epoch seal on each side — every seal must
-/// land. A rollover a seal's own signature triggers is persisted by the
-/// next seal, so sealing per exchange keeps every generation's record in
-/// the log by the time the run ends.
+/// land.
 fn sealed_exchange(d: &Duo, payload: &[u8]) -> RunId {
     let run = exchange(d, payload);
     d.alice.scheduler().seal().unwrap();
     d.bob.scheduler().seal().unwrap();
     run
+}
+
+/// The subtree certificates `log` keeps, one per signer and subtree
+/// (panics on a second record of one).
+fn cert_records(log: &dyn EvidenceLog) -> HashSet<(OrgId, CertRef)> {
+    let mut certs = HashSet::new();
+    log.for_each(&mut |r| {
+        if let Some(cert) = cert_from_record(r) {
+            assert!(
+                certs.insert((r.draft.actor.clone(), cert.reference())),
+                "second record of one certificate at {}",
+                r.seq
+            );
+        }
+    });
+    certs
 }
 
 fn adjudicator(d: &Duo) -> Adjudicator {
@@ -162,11 +181,11 @@ proptest! {
                 prop_assert!(v_h.cannot_deny(&OrgId::new(who), kind));
             }
         }
-        // The HSS submission carries its rollover records, all verified.
+        // The HSS submission verifies through one certificate record per
+        // subtree its tokens reference.
         let report = adjudicator(&hss).verify_log_in_place(OrgId::new("alice"), &**hss.alice.log());
         prop_assert!(report.clean());
-        prop_assert!(report.rollovers >= target_rollovers as usize);
-        prop_assert_eq!(report.rollovers_verified, report.rollovers);
+        prop_assert!(!cert_records(&**hss.alice.log()).is_empty());
     }
 }
 
@@ -212,19 +231,51 @@ fn sustained_issuance_crosses_four_exhaustions_with_zero_failed_seals() {
         assert!(v.cannot_deny(&OrgId::new("alice"), TokenKind::NroReq));
         assert!(v.cannot_deny(&OrgId::new("bob"), TokenKind::NrrReq));
     }
-    // The log carries one verified rollover record per generation.
+    // The log carries one certificate record per generation alice's
+    // tokens used — each exchange's token opens a generation or shares
+    // one — and every token verifies through them.
     let report = adjudicator(&d).verify_log_in_place(OrgId::new("alice"), &**d.alice.log());
     assert!(report.clean());
-    assert!(report.rollovers >= 4);
-    assert_eq!(report.rollovers_verified, report.rollovers);
+    let generations: HashSet<u32> = cert_records(&**d.alice.log())
+        .into_iter()
+        .filter(|(org, _)| *org == OrgId::new("alice"))
+        .map(|(_, r)| r.generation)
+        .collect();
+    assert_eq!(generations, (0..=d.alice.keys().generation()).collect());
+}
+
+/// `records` with `drafts` chained onto its end.
+fn grafted(
+    mut records: Vec<Arc<EvidenceRecord>>,
+    drafts: Vec<RecordDraft>,
+) -> Vec<Arc<EvidenceRecord>> {
+    for draft in drafts {
+        let last = records.last().unwrap();
+        records.push(Arc::new(EvidenceRecord {
+            seq: last.seq + 1,
+            prev_hash: last.record_hash(),
+            draft,
+        }));
+    }
+    records
+}
+
+fn window(records: Vec<Arc<EvidenceRecord>>) -> WindowSubmission {
+    WindowSubmission {
+        submitter: OrgId::new("alice"),
+        records,
+        head: Digest::ZERO,
+        certs: Vec::new(),
+    }
 }
 
 #[test]
 fn forged_rollover_cert_convicts_the_submitter() {
-    // An attacker grafting its own subtree cert into alice's history —
-    // the byzantine-rollover move — is convicted: the record chains
-    // cleanly, but its cert verifies only under the *attacker's* root,
-    // so the report counts an unverified rollover and goes unclean.
+    // A foreign hierarchy's subtree laundered into alice's history — the
+    // byzantine-rollover move — is convicted: both grafted records chain
+    // cleanly and decode, but the token's certificate verifies only under
+    // the *foreign* root, so the token goes unverified and the report
+    // unclean.
     let d = duo_with_alice_scheme(
         SignatureScheme::Hss {
             root_height: 2,
@@ -234,36 +285,48 @@ fn forged_rollover_cert_convicts_the_submitter() {
     );
     exchange(&d, b"legit");
     d.alice.flush_evidence().unwrap();
-    // Attacker key rolls once to mint a genuine-looking rollover event.
-    let mut rng = SecureRandom::from_seed(666);
-    let mut attacker = nonrep_crypto::HssSigner::generate(2, 1, &mut rng);
-    for i in 0..3u8 {
-        attacker.sign(&sha256(&[i])).unwrap();
-    }
-    let forged = KeyRollover::from_event(&attacker.rollover_history()[0]);
-    // Graft it onto alice's log window with perfect chaining.
-    let mut records: Vec<Arc<EvidenceRecord>> =
-        d.alice.log().snapshot_range(0..d.alice.log().len());
-    let last = records.last().unwrap();
-    records.push(Arc::new(EvidenceRecord {
-        seq: last.seq + 1,
-        prev_hash: last.record_hash(),
-        draft: forged.to_draft(OrgId::new("alice"), d.alice.now()),
-    }));
-    let report = adjudicator(&d).verify_window(&WindowSubmission {
-        submitter: OrgId::new("alice"),
-        records,
-        head: Digest::ZERO,
-        certs: Vec::new(),
-    });
+    let log = d.alice.log();
+    let drafts = common::laundered_drafts(&d.alice, RunId::from_u128(666), 666);
+    let records = grafted(log.snapshot_range(0..log.len()), drafts.to_vec());
+    let report = adjudicator(&d).verify_window(&window(records));
     assert!(
         report.chain.is_ok(),
         "the graft chains — crypto must catch it"
     );
-    assert_eq!(report.rollovers, 1);
-    assert_eq!(report.rollovers_verified, 0);
+    assert_eq!((report.undecodable, report.context_mismatches), (0, 0));
+    assert_eq!(report.tokens.iter().filter(|(_, ok)| !ok).count(), 1);
     assert!(!report.clean());
     // The untampered window stays clean.
-    let honest = adjudicator(&d).verify_log_in_place(OrgId::new("alice"), &**d.alice.log());
+    let honest = adjudicator(&d).verify_log_in_place(OrgId::new("alice"), &**log);
     assert!(honest.clean());
+}
+
+#[test]
+fn a_retired_key_rollover_record_is_undecodable() {
+    // The stack writes no `key_rollover` records and keeps no reader for
+    // them: one in a submission — here carrying a genuine certificate of
+    // alice's own — counts against the submitter like any record that
+    // does not decode.
+    let d = duo_with_alice_scheme(
+        SignatureScheme::Hss {
+            root_height: 2,
+            subtree_height: 1,
+        },
+        7,
+    );
+    exchange(&d, b"legit");
+    d.alice.flush_evidence().unwrap();
+    let log = d.alice.log();
+    let records = log.snapshot_range(0..log.len());
+    let cert = records.iter().find_map(|r| cert_from_record(r)).unwrap();
+    let retired = RecordDraft {
+        kind: "key_rollover".into(),
+        ..nonrep_store::record::cert_draft(&cert, OrgId::new("alice"), d.alice.now())
+    };
+    let records = grafted(records, vec![retired]);
+    assert!(records.last().unwrap().is_key_rollover());
+    let report = adjudicator(&d).verify_window(&window(records));
+    assert!(report.chain.is_ok());
+    assert_eq!(report.undecodable, 1);
+    assert!(!report.clean());
 }

@@ -5,6 +5,8 @@
 //!
 //! The tests read the process-wide memo counters, so they take turns.
 
+mod common;
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -18,12 +20,11 @@ use nonrep_crypto::hss::CertLink;
 use nonrep_crypto::mss::{memo_stats, MemoStats};
 use nonrep_crypto::rng::SecureRandom;
 use nonrep_crypto::sig::{KeyPair, SignaturePayload, SignatureScheme};
-use nonrep_crypto::HssSigner;
 use nonrep_protocols::party::{KeyDirectory, Party, StaticKeyDirectory};
 use nonrep_protocols::scheduler::TokenSpec;
 use nonrep_protocols::tokens::{NrToken, TokenKind};
 use nonrep_protocols::{CommitmentMode, ProtocolMessage};
-use nonrep_store::record::{cert_from_record, EpochCommitment, KeyRollover, RecordDraft};
+use nonrep_store::record::{cert_from_record, EpochCommitment, RecordDraft};
 use nonrep_store::{EvidenceRecord, MemoryLog};
 use nonrep_types::codec::{Decode, Encode};
 use nonrep_types::ids::{OrgId, RunId};
@@ -152,18 +153,13 @@ fn doctored_submissions_draw_the_same_verdict_cold_warm_and_after_a_clean_pass()
     cert.generation += 1;
     Arc::make_mut(&mut forged_cert[slot]).draft.payload = token.encode_to_vec();
 
-    // Forged rollover: an attacker's genuine-looking subtree hand-over
-    // grafted onto alice's history.
-    let mut attacker = HssSigner::generate(2, 1, &mut SecureRandom::from_seed(666));
-    for i in 0..3u8 {
-        attacker.sign(&sha256(&[i])).unwrap();
+    // Laundered cert: a foreign hierarchy's genuine certificate record
+    // and a token in alice's name that its subtree signed, grafted onto
+    // alice's history.
+    let mut laundered = records();
+    for draft in common::laundered_drafts(&d.alice, RunId::from_u128(666), 666) {
+        graft(&mut laundered, draft);
     }
-    let mut forged_rollover = records();
-    graft(
-        &mut forged_rollover,
-        KeyRollover::from_event(&attacker.rollover_history()[0])
-            .to_draft(alice.clone(), d.alice.now()),
-    );
 
     // Replayed token: the other run's genuine NRO under this run's context.
     let mut replayed = records();
@@ -177,7 +173,7 @@ fn doctored_submissions_draw_the_same_verdict_cold_warm_and_after_a_clean_pass()
 
     let doctored: Vec<(&str, WindowSubmission)> = [
         ("forged cert", forged_cert),
-        ("forged rollover", forged_rollover),
+        ("laundered cert", laundered),
         ("replayed token", replayed),
     ]
     .into_iter()

@@ -21,8 +21,10 @@
 //!
 //! * **Rollover** is automatic: when the active subtree exhausts,
 //!   [`HssSigner::sign`] activates the next one, burns a single root
-//!   leaf on its certificate, and records a [`RolloverEvent`] that the
-//!   evidence layer seals into the log as a `key_rollover` record.
+//!   leaf on its certificate, and signs on. The new certificate rides
+//!   on every signature of the subtree, so a generation change needs no
+//!   evidence of its own: the log stores the certificate once, as a
+//!   `subtree_cert` record, the first time a token references it.
 //! * **Pre-generation** hides keygen latency: as soon as a subtree
 //!   activates (right after its first signature), the next one is built
 //!   on a background thread through the same `par` + multi-buffer
@@ -326,21 +328,6 @@ impl Decode for HssSignature {
     }
 }
 
-/// One subtree hand-over, kept by the signer so the evidence layer can
-/// seal a `key_rollover` record per generation change (and re-seal it
-/// after a crash — the history is retained for the signer's lifetime).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RolloverEvent {
-    /// The generation *activated* by this rollover (≥ 1).
-    pub generation: u32,
-    /// Merkle root of the subtree that was retired.
-    pub retired_root: Digest,
-    /// Leaves the retired subtree spent (its full capacity).
-    pub leaves_spent: u32,
-    /// The root-key certificate over the newly activated subtree.
-    pub cert: SubtreeCert,
-}
-
 /// Domain prefixes for the forward-secure subtree seed chain: from one
 /// 32-byte state, `SEED` derives the next subtree's key material and
 /// `RATCHET` derives the successor state.
@@ -431,7 +418,6 @@ pub struct HssSigner {
     /// the allocator is never left holding freed 2.1 MiB blocks in the
     /// arenas of exited pregen threads.
     spare: Vec<[u8; 32]>,
-    rollovers: Vec<RolloverEvent>,
     workers: usize,
 }
 
@@ -482,7 +468,6 @@ impl HssSigner {
             seed_chain,
             pregen: None,
             spare: Vec::new(),
-            rollovers: Vec::new(),
             workers,
         }
     }
@@ -513,13 +498,6 @@ impl HssSigner {
     #[cfg(test)]
     fn pregen_in_flight(&self) -> bool {
         self.pregen.is_some()
-    }
-
-    /// Every rollover since key generation, oldest first. Retained for
-    /// the signer's lifetime so the evidence layer can re-seal a
-    /// rollover record lost to a crash.
-    pub fn rollover_history(&self) -> &[RolloverEvent] {
-        &self.rollovers
     }
 
     /// Signs a message digest, rolling over to the next subtree first
@@ -573,12 +551,6 @@ impl HssSigner {
         };
         let generation = self.generation + 1;
         let cert = certify(&mut self.root, generation, next.public_key())?;
-        self.rollovers.push(RolloverEvent {
-            generation,
-            retired_root: self.active.public_key(),
-            leaves_spent: self.active.capacity() - self.active.remaining(),
-            cert: cert.clone(),
-        });
         self.spare = std::mem::replace(&mut self.active, next).into_buffer();
         self.active_cert = cert;
         self.generation = generation;
@@ -663,30 +635,8 @@ mod tests {
             }
         }
         assert_eq!(s.generation(), 7);
-        assert_eq!(s.rollover_history().len(), 7);
         assert_eq!(s.remaining_total(), 0);
         assert_eq!(s.sign(&sha256(b"x")).unwrap_err(), MssError::KeyExhausted);
-    }
-
-    #[test]
-    fn rollover_history_is_a_verifiable_generation_chain() {
-        let mut s = signer(3, 1, 3);
-        let pk = s.public_key();
-        for i in 0..6u8 {
-            s.sign(&sha256(&[i])).unwrap();
-        }
-        let history = s.rollover_history();
-        assert_eq!(history.len(), 2);
-        for (i, ev) in history.iter().enumerate() {
-            assert_eq!(ev.generation, i as u32 + 1);
-            assert_eq!(ev.leaves_spent, 2);
-            assert!(ev.cert.verify(&pk), "generation {} cert", ev.generation);
-        }
-        // Each event retires the previous generation's subtree.
-        assert_eq!(
-            history[1].retired_root, history[0].cert.subtree_root,
-            "generation chain must link"
-        );
     }
 
     #[test]
@@ -703,7 +653,6 @@ mod tests {
             let sb = b.sign(&d).unwrap();
             assert_eq!(sa, sb, "message {i}");
         }
-        assert_eq!(a.rollover_history(), b.rollover_history());
     }
 
     #[test]

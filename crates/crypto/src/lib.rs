@@ -63,6 +63,6 @@ pub mod wots;
 
 pub use batch::{BatchSignature, MerkleAccumulator};
 pub use digest::{sha256, Digest, Sha256};
-pub use hss::{HssSignature, HssSigner, RolloverEvent, SubtreeCert};
+pub use hss::{HssSignature, HssSigner, SubtreeCert};
 pub use rng::SecureRandom;
 pub use sig::{KeyId, KeyPair, Signature, SignatureScheme, VerifyingKey};

@@ -263,7 +263,7 @@ impl MssSigner {
     }
 
     /// Total capacity (`2^height`).
-    pub fn capacity(&self) -> u32 {
+    fn capacity(&self) -> u32 {
         self.tree.leaf_count() as u32
     }
 

@@ -22,9 +22,7 @@ use nonrep_types::codec::{CodecError, Decode, Encode, Reader, Writer};
 use crate::arbitrated::ArbitratedKey;
 use crate::batch::{batch_digest, batch_leaves, BatchSignature};
 use crate::digest::{sha256, Digest};
-use crate::hss::{
-    CertLink, CertRef, HssSignature, HssSigner, RolloverEvent, SubtreeCert, SubtreeSig,
-};
+use crate::hss::{CertLink, CertRef, HssSignature, HssSigner, SubtreeCert, SubtreeSig};
 use crate::merkle::MerkleTree;
 use crate::mss::{self, MssError, MssSignature, MssSigner};
 use crate::rng::SecureRandom;
@@ -454,17 +452,6 @@ impl KeyPair {
         }
     }
 
-    /// Every subtree rollover this key has performed, oldest first
-    /// (empty for non-hierarchical schemes). The history is retained
-    /// for the key's lifetime so the evidence layer can persist a
-    /// rollover record even after a crash lost the original append.
-    pub fn rollover_history(&self) -> Vec<RolloverEvent> {
-        match &*self.inner.lock() {
-            SignerInner::Hss(s) => s.rollover_history().to_vec(),
-            _ => Vec::new(),
-        }
-    }
-
     /// Signs `message`.
     ///
     /// # Errors
@@ -773,7 +760,6 @@ mod tests {
         }
         assert_eq!(kp.remaining(), Some(0));
         assert_eq!(kp.generation(), 3);
-        assert_eq!(kp.rollover_history().len(), 3);
         assert_eq!(kp.sign(b"x").unwrap_err(), SignError::KeyExhausted);
     }
 
@@ -815,7 +801,6 @@ mod tests {
     fn non_hierarchical_keys_report_empty_lifecycle() {
         let kp = mss_pair(33);
         assert_eq!(kp.generation(), 0);
-        assert!(kp.rollover_history().is_empty());
         assert_eq!(kp.subtree_remaining(), None);
         let h = hss_pair(34);
         assert_eq!(h.subtree_remaining(), Some(2));

@@ -71,6 +71,7 @@ use parking_lot::Mutex;
 
 use nonrep_crypto::digest::{sha256, Digest};
 use nonrep_crypto::stream::xor_keystream;
+use nonrep_net::NetError;
 use nonrep_types::codec::{CodecError, Decode, Encode, Reader, Writer};
 use nonrep_types::ids::{OrgId, ProtocolId, RunId};
 
@@ -85,6 +86,14 @@ use crate::session::{
 };
 use crate::tokens::{defection_digest, NrToken, TokenKind};
 use crate::{B2BCoordinator, ProtocolError};
+
+/// `true` if a TTP call's transport error is the TTP refusing the call:
+/// a handler's `Err` crosses the bus as [`NetError::Endpoint`]. (A
+/// refusal can also come back as a wrong-step reply.) Any other
+/// `NetError` is a transport fault.
+fn is_refusal(e: &NetError) -> bool {
+    matches!(e, NetError::Endpoint(_))
+}
 
 /// Protocol id of the fair offline-TTP protocol.
 pub const PROTOCOL_ID: &str = "fair-offline";
@@ -487,9 +496,11 @@ impl FairClient {
         let run = dispute.run();
         let (reply, session) = match dispute.call_open(&self.ttp, nrr_resp.encode_to_vec(), &[]) {
             Ok(ok) => ok,
-            Err(ExchangeError::Transport(e)) => return Err(ExchangeError::Transport(e)),
-            // A refusal (aborted run, bad receipt) surfaces as a
-            // wrong-step reply: the run is dead for this client.
+            Err(ExchangeError::Transport(e)) if !is_refusal(&e) => {
+                return Err(ExchangeError::Transport(e))
+            }
+            // A refusal (aborted run, bad receipt): the run is dead for
+            // this client.
             Err(_) => return Err(ExchangeError::Peer(PeerFault::Aborted(run))),
         };
         let ack: ResolveAck = self
@@ -674,7 +685,9 @@ impl FairServerHandler {
         let session = self.engine.session::<Server, AbortChoreography>(run);
         let (reply, _done) = match session.call_open(&self.ttp, Vec::new(), &[]) {
             Ok(ok) => ok,
-            Err(ExchangeError::Transport(e)) => return Err(ProtocolError::Net(e)),
+            Err(ExchangeError::Transport(e)) if !is_refusal(&e) => {
+                return Err(ProtocolError::Net(e))
+            }
             Err(_) => {
                 return Err(ProtocolError::Rejected(
                     "run already resolved at TTP".into(),
@@ -705,7 +718,9 @@ impl FairServerHandler {
         let session = self.engine.session::<Server, FetchChoreography>(run);
         let (reply, _done) = match session.call_open(&self.ttp, Vec::new(), &[]) {
             Ok(ok) => ok,
-            Err(ExchangeError::Transport(e)) => return Err(ProtocolError::Net(e)),
+            Err(ExchangeError::Transport(e)) if !is_refusal(&e) => {
+                return Err(ProtocolError::Net(e))
+            }
             Err(_) => return Err(ProtocolError::UnknownRun(run)),
         };
         let token: NrToken = self.engine.decode_body(&reply.body)?;
@@ -747,7 +762,9 @@ impl FairServerHandler {
             .session::<Server, EscrowChoreography>(msg.run_id);
         let (ack, _escrowed) = match session.call_open(&self.ttp, escrow.encode_to_vec(), &[]) {
             Ok(ok) => ok,
-            Err(ExchangeError::Transport(e)) => return Err(ProtocolError::Net(e)),
+            Err(ExchangeError::Transport(e)) if !is_refusal(&e) => {
+                return Err(ProtocolError::Net(e))
+            }
             Err(_) => return Err(ProtocolError::BadMessage("TTP refused escrow".into())),
         };
         let escrow_ack: NrToken = self.engine.decode_body(&ack.body)?;
@@ -1323,10 +1340,7 @@ mod tests {
         w.server_handler.abort(run).unwrap();
         let dispute = w.client.engine.session::<Client, ResolveChoreography>(run);
         let err = w.client.resolve(dispute, &w.server, &nrr).unwrap_err();
-        assert!(matches!(
-            err,
-            ExchangeError::Peer(PeerFault::Aborted(_)) | ExchangeError::Transport(_)
-        ));
+        assert!(matches!(err, ExchangeError::Peer(PeerFault::Aborted(r)) if r == run));
 
         // The race is self-incriminating: the server's own evidence log
         // now pairs the client's NRR_resp with the TTP's Abort token —
@@ -1389,10 +1403,7 @@ mod tests {
             .unwrap();
         let dispute = w.client.engine.session::<Client, ResolveChoreography>(run);
         let err = w.client.resolve(dispute, &w.server, &nrr).unwrap_err();
-        assert!(matches!(
-            err,
-            ExchangeError::Peer(PeerFault::Aborted(_)) | ExchangeError::Transport(_)
-        ));
+        assert!(matches!(err, ExchangeError::Peer(PeerFault::Aborted(r)) if r == run));
     }
 
     #[test]
@@ -1401,12 +1412,22 @@ mod tests {
         let out = w.client.invoke(&w.server, b"req".to_vec()).unwrap();
         assert_eq!(out.key_source, KeySource::TtpResolve);
         let err = w.server_handler.abort(out.run_id).unwrap_err();
-        assert!(matches!(
-            err,
-            ProtocolError::Rejected(_) | ProtocolError::Net(nonrep_net::NetError::Endpoint(_))
-        ));
+        assert!(matches!(err, ProtocolError::Rejected(_)), "{err:?}");
         // But fetch works.
         assert!(w.server_handler.fetch_receipt(out.run_id).is_ok());
+    }
+
+    #[test]
+    fn fetching_a_receipt_the_ttp_never_received_is_an_unknown_run() {
+        let w = world(ServerConduct::Honest);
+        let out = w.client.invoke(&w.server, b"req".to_vec()).unwrap();
+        // The server got its receipt directly: the TTP holds none.
+        assert_eq!(out.key_source, KeySource::Server);
+        let err = w.server_handler.fetch_receipt(out.run_id).unwrap_err();
+        assert!(
+            matches!(err, ProtocolError::UnknownRun(r) if r == out.run_id),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -1423,10 +1444,7 @@ mod tests {
             .engine
             .session::<Client, ResolveChoreography>(out.run_id);
         let err = w.client.resolve(dispute, &w.server, &bogus).unwrap_err();
-        assert!(matches!(
-            err,
-            ExchangeError::Peer(PeerFault::Aborted(_)) | ExchangeError::Transport(_)
-        ));
+        assert!(matches!(err, ExchangeError::Peer(PeerFault::Aborted(r)) if r == out.run_id));
         // And no conviction was minted against the honest server.
         assert!(!w.ttp_logged(out.run_id, TokenKind::Resolve));
     }

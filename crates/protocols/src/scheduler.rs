@@ -90,7 +90,7 @@ use parking_lot::Mutex;
 use nonrep_crypto::digest::Digest;
 use nonrep_crypto::hss::{CertRef, SubtreeCert};
 use nonrep_crypto::sig::KeyPair;
-use nonrep_store::record::{cert_draft, cert_from_record, EpochCommitment, KeyRollover};
+use nonrep_store::record::{cert_draft, cert_from_record, EpochCommitment};
 use nonrep_store::{EvidenceLog, EvidenceRecord, RecordDraft, StoreError};
 use nonrep_types::ids::{OrgId, RunId};
 use nonrep_types::time::{Clock, Timestamp};
@@ -249,9 +249,6 @@ const EXHAUSTION_LOW_WATER_EPOCHS: f64 = 16.0;
 struct SchedulerState {
     /// First log sequence number not yet covered by an epoch commitment.
     sealed_next: u64,
-    /// Highest hierarchical-key generation whose rollover record is in
-    /// the log (0 = none). Seals append records for newer generations.
-    rollover_persisted: u32,
     /// The subtree certificates the log holds a record of, whichever
     /// signer's: stored token signatures reference these.
     certs_stored: HashSet<CertRef>,
@@ -318,21 +315,12 @@ impl CommitmentScheduler {
         mode: CommitmentMode,
     ) -> Self {
         let mut sealed_next = 0u64;
-        let mut rollover_persisted = 0u32;
         let mut certs_stored = HashSet::new();
         log.for_each(&mut |r| {
             if r.is_epoch_commit() {
                 sealed_next = r.seq + 1;
             } else if let Some(cert) = cert_from_record(r) {
                 certs_stored.insert(cert.reference());
-            } else if r.is_key_rollover() {
-                // Recover the rollover watermark so a reopened log does
-                // not get duplicate records for generations already
-                // persisted (and *does* get records for generations the
-                // crash orphaned in signer memory).
-                if let Some(roll) = KeyRollover::from_record(r) {
-                    rollover_persisted = rollover_persisted.max(roll.generation);
-                }
             }
         });
         // Records orphaned by a crash (appended after the last surviving
@@ -352,7 +340,6 @@ impl CommitmentScheduler {
             mode,
             state: Mutex::new(SchedulerState {
                 sealed_next,
-                rollover_persisted,
                 certs_stored,
                 forecast: ExhaustionForecaster::new(),
                 pending_since,
@@ -684,28 +671,8 @@ impl CommitmentScheduler {
             // The previous attempt failed. Probe the backend with a
             // signature-free flush first: if the disk is still broken
             // this fails without consuming one of the finite
-            // forward-secure signatures (or appending rollover records
-            // it would buffer behind a dead disk).
+            // forward-secure signatures.
             self.log.flush()?;
-        }
-        // Persist any hierarchical-key rollovers the signer performed
-        // since the last seal (the watermark makes this exactly-once
-        // across crashes). Appended *before* the range bounds are taken,
-        // each rollover record is covered by the very epoch sealed
-        // below — a generation change burns no leaf beyond the cert the
-        // signer already spent. This also runs before the exhaustion
-        // check below: the hierarchy's *terminal* generation can be
-        // activated and fully spent between two seals (token signatures
-        // burn leaves outside the seal path), and its record must still
-        // reach the log — unsealed but durable via the exhaustion flush
-        // — rather than sit in signer memory forever.
-        for ev in self.keys.rollover_history() {
-            if ev.generation > state.rollover_persisted {
-                let roll = KeyRollover::from_event(&ev);
-                self.log
-                    .append(roll.to_draft(self.actor.clone(), self.clock.now()))?;
-                state.rollover_persisted = ev.generation;
-            }
         }
         if self.keys.remaining() == Some(0) {
             // Exhausted forward-secure key: a terminal condition, checked
@@ -1335,33 +1302,105 @@ mod tests {
         }
     }
 
-    /// Everything the rollover tests want to inspect, collected in one
-    /// `for_each` pass (snapshotting inside the pass would re-enter the
-    /// log's lock).
-    fn lifecycle_records(
-        log: &Arc<dyn EvidenceLog>,
-    ) -> (Vec<(u64, KeyRollover)>, Vec<EpochCommitment>) {
-        let mut rollovers = Vec::new();
-        let mut epochs = Vec::new();
-        log.for_each(&mut |r| {
-            if let Some(roll) = KeyRollover::from_record(r) {
-                rollovers.push((r.seq, roll));
-            } else if let Some(c) = EpochCommitment::from_record(r) {
-                epochs.push(c);
+    /// Stores token `n`, signed by the scheduler's own key, the way a
+    /// party stores it: certificate detached, and its record appended
+    /// ahead of the token unless the log already holds one.
+    fn store_own_token(s: &CommitmentScheduler, n: u64) {
+        use nonrep_types::codec::Encode;
+        let spec = TokenSpec::new(TokenKind::NroReq, draft(n).run_id, sha256(&n.to_le_bytes()));
+        let mut token = s.issue(spec).unwrap();
+        let cert = token.signature.detach_cert();
+        s.record_token(
+            RecordDraft {
+                payload: token.encode_to_vec(),
+                ..draft(n)
+            },
+            cert,
+        )
+        .unwrap();
+    }
+
+    /// What the rollover tests inspect, collected in one `for_each` pass
+    /// (snapshotting inside the pass would re-enter the log's lock).
+    /// Plain records decode as no token and are left out.
+    #[derive(Default)]
+    struct Lifecycle {
+        certs: Vec<(u64, SubtreeCert)>,
+        epochs: Vec<EpochCommitment>,
+        tokens: Vec<(u64, NrToken)>,
+    }
+
+    impl Lifecycle {
+        fn of(log: &Arc<dyn EvidenceLog>) -> Self {
+            use nonrep_types::codec::Decode;
+            let mut l = Lifecycle::default();
+            log.for_each(&mut |r| {
+                if let Some(cert) = cert_from_record(r) {
+                    l.certs.push((r.seq, cert));
+                } else if let Some(c) = EpochCommitment::from_record(r) {
+                    l.epochs.push(c);
+                } else if let Ok(token) = NrToken::decode_from_slice(&r.draft.payload) {
+                    l.tokens.push((r.seq, token));
+                }
+            });
+            l
+        }
+
+        /// The recorded certificates' generations, in log order.
+        fn generations(&self) -> Vec<u32> {
+            self.certs.iter().map(|(_, c)| c.generation).collect()
+        }
+
+        /// Every certificate record chains to `key`, and every stored
+        /// token verifies once the record that precedes it puts its
+        /// certificate back.
+        fn assert_verifies(&self, key: &nonrep_crypto::sig::VerifyingKey) {
+            let nonrep_crypto::sig::VerifyingKey::Mss { root } = key else {
+                panic!("a hierarchical key verifies under its root digest");
+            };
+            for (seq, cert) in &self.certs {
+                assert!(cert.verify(root), "cert record at {seq}");
             }
-        });
-        (rollovers, epochs)
+            for (seq, token) in &self.tokens {
+                let mut token = token.clone();
+                let reference = token.signature.cert_ref().expect("stored form");
+                let (at, cert) = self
+                    .certs
+                    .iter()
+                    .find(|(_, c)| c.reference() == reference)
+                    .unwrap_or_else(|| panic!("token at {seq} has no cert record"));
+                assert!(at < seq, "token at {seq} precedes its cert record");
+                assert!(token.signature.attach_cert(cert.clone()));
+                assert!(token.verify(key, None, None, None), "token at {seq}");
+            }
+        }
+    }
+
+    fn small_hss(root_height: u8, subtree_height: u8, seed: u64) -> Arc<KeyPair> {
+        Arc::new(KeyPair::generate(
+            SignatureScheme::Hss {
+                root_height,
+                subtree_height,
+            },
+            &mut SecureRandom::from_seed(seed),
+        ))
+    }
+
+    /// One token then one seal per step until the key is spent (the last
+    /// step may end on its token): each epoch costs two leaves.
+    fn token_epochs_until_spent(s: &CommitmentScheduler, keys: &KeyPair, mut n: u64) {
+        while keys.remaining().unwrap() > 0 {
+            store_own_token(s, n);
+            if keys.remaining().unwrap() > 0 {
+                s.seal().unwrap().unwrap();
+            }
+            n += 1;
+        }
     }
 
     #[test]
     fn hss_rollovers_are_sealed_into_the_chain_without_extra_leaves() {
-        let keys = Arc::new(KeyPair::generate(
-            SignatureScheme::Hss {
-                root_height: 2,
-                subtree_height: 1,
-            },
-            &mut SecureRandom::from_seed(21),
-        ));
+        let keys = small_hss(2, 1, 21);
         let log: Arc<dyn EvidenceLog> = Arc::new(MemoryLog::new());
         let s = CommitmentScheduler::new(
             keys.clone(),
@@ -1370,31 +1409,26 @@ mod tests {
             Arc::new(LogicalClock::new()),
             CommitmentMode::auto(100),
         );
-        // 4 subtrees x 2 leaves: 8 epoch seals drain the hierarchy.
-        let mut n = 0u64;
-        while keys.remaining().unwrap() > 0 {
-            record_in_pairs(&s, n);
-            n += 1;
-        }
-        assert_eq!(
-            log.count_where(&|r| r.is_epoch_commit()),
-            8,
-            "one leaf per epoch — rollovers burned none"
-        );
+        // 4 subtrees x 2 leaves: a token and a seal per subtree.
+        token_epochs_until_spent(&s, &keys, 0);
         assert_eq!(keys.generation(), 3);
-        let (rollovers, epochs) = lifecycle_records(&log);
-        let gens: Vec<u32> = rollovers.iter().map(|(_, r)| r.generation).collect();
-        assert_eq!(gens, vec![1, 2, 3]);
+        let l = Lifecycle::of(&log);
+        assert_eq!(
+            (l.epochs.len(), l.tokens.len()),
+            (4, 4),
+            "one leaf per epoch and per token — rollovers burned none"
+        );
+        assert_eq!(l.generations(), vec![0, 1, 2, 3], "one cert record each");
         let vk = keys.verifying_key();
-        for (seq, roll) in &rollovers {
-            assert!(roll.verify(&vk), "cert chains to the registered root");
+        l.assert_verifies(&vk);
+        for (seq, _) in &l.certs {
             assert!(
-                epochs.iter().any(|c| c.lo <= *seq && *seq <= c.hi),
-                "rollover record at {seq} is covered by an epoch"
+                l.epochs.iter().any(|c| c.lo <= *seq && *seq <= c.hi),
+                "cert record at {seq} is covered by an epoch"
             );
         }
         // Epoch commitments themselves verify across generations.
-        for c in &epochs {
+        for c in &l.epochs {
             let covered = log.snapshot_range(c.lo..c.hi + 1);
             assert!(c.verify(&vk, &covered), "epoch [{},{}]", c.lo, c.hi);
         }
@@ -1403,21 +1437,15 @@ mod tests {
 
     #[test]
     fn kill_before_rollover_record_flush_recovers_exactly_once() {
-        // R1: the signer has rolled to generation 1 but the rollover
-        // record has not hit the log yet. Kill, recover: the watermark
-        // rescan finds nothing persisted, so the next seal appends the
-        // record exactly once — and signing resumes on generation 1
-        // without reusing a leaf.
+        // R1: the signer has rolled to generation 1, and the cert record
+        // its first token appended is still buffered behind the next
+        // seal. Kill, recover: the rescan finds no generation-1 record,
+        // so the next generation-1 token appends it exactly once — and
+        // signing resumes on generation 1 without reusing a leaf.
         use nonrep_store::{FileLog, SyncPolicy};
         let path = temp_path("rollover-r1-");
         let _ = std::fs::remove_file(&path);
-        let keys = Arc::new(KeyPair::generate(
-            SignatureScheme::Hss {
-                root_height: 2,
-                subtree_height: 1,
-            },
-            &mut SecureRandom::from_seed(23),
-        ));
+        let keys = small_hss(2, 1, 23);
         let clock = Arc::new(LogicalClock::new());
         {
             let file = Arc::new(FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap());
@@ -1428,22 +1456,22 @@ mod tests {
                 clock.clone(),
                 CommitmentMode::auto(100),
             );
-            // Three seals: the third one's signature rolls the signer to
-            // generation 1; its record would only land at seal 4.
-            for i in 0..6 {
-                record_in_pairs(&s, i);
-            }
-            assert_eq!(keys.generation(), 1);
-            assert_eq!(
-                file.count_where(&|r| r.is_key_rollover()),
-                0,
-                "rollover exists only in signer memory at the kill point"
-            );
+            store_own_token(&s, 0);
+            s.seal().unwrap().unwrap();
             file.last_seal_ticket().unwrap().wait_durable().unwrap();
+            // This token's signature rolls the signer to generation 1.
+            store_own_token(&s, 1);
+            assert_eq!(keys.generation(), 1);
+            assert_eq!(file.count_where(&|r| r.is_subtree_cert()), 2);
             std::mem::forget(file);
         }
         let log: Arc<dyn EvidenceLog> =
             Arc::new(FileLog::open_recover_with(&path, SyncPolicy::GroupCommit).unwrap());
+        assert_eq!(
+            Lifecycle::of(&log).generations(),
+            vec![0],
+            "the generation-1 cert record died with the unsealed tail"
+        );
         let s = CommitmentScheduler::new(
             keys.clone(),
             log.clone(),
@@ -1451,23 +1479,19 @@ mod tests {
             clock,
             CommitmentMode::auto(100),
         );
-        let mut n = 10u64;
-        while keys.remaining().unwrap() > 0 {
-            record_in_pairs(&s, n);
-            n += 1;
-        }
-        let (rollovers, epochs) = lifecycle_records(&log);
-        let gens: Vec<u32> = rollovers.iter().map(|(_, r)| r.generation).collect();
-        assert_eq!(gens, vec![1, 2, 3], "each generation recorded exactly once");
+        token_epochs_until_spent(&s, &keys, 10);
+        let l = Lifecycle::of(&log);
+        assert_eq!(l.generations(), vec![0, 1, 2, 3], "one cert record each");
         let vk = keys.verifying_key();
-        for c in &epochs {
+        l.assert_verifies(&vk);
+        for c in &l.epochs {
             let covered = log.snapshot_range(c.lo..c.hi + 1);
             assert!(c.verify(&vk, &covered), "epoch [{},{}]", c.lo, c.hi);
         }
         assert_eq!(
-            epochs.len(),
+            l.epochs.len() + l.tokens.len() + 1,
             8,
-            "8 leaves, 8 sealed epochs — no leaf double-spent across the kill"
+            "8 leaves: stored tokens, epochs and the lost token — none double-spent"
         );
         log.verify().unwrap();
         let _ = std::fs::remove_file(&path);
@@ -1482,11 +1506,7 @@ mod tests {
         use nonrep_store::{FileLog, SyncPolicy};
         let path = temp_path("rollover-r2-");
         let _ = std::fs::remove_file(&path);
-        let scheme = SignatureScheme::Hss {
-            root_height: 2,
-            subtree_height: 2,
-        };
-        let keys = Arc::new(KeyPair::generate(scheme, &mut SecureRandom::from_seed(29)));
+        let keys = small_hss(2, 2, 29);
         let clock = Arc::new(LogicalClock::new());
         {
             let file = Arc::new(FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap());
@@ -1497,11 +1517,11 @@ mod tests {
                 clock.clone(),
                 CommitmentMode::auto(100),
             );
-            // Two seals spend half of generation 0, which kicks off
-            // background pre-generation of generation 1. Kill right there.
-            for i in 0..4 {
-                record_in_pairs(&s, i);
-            }
+            // A token and a seal spend half of generation 0; the first
+            // signature kicked off background pre-generation of
+            // generation 1. Kill right there.
+            store_own_token(&s, 0);
+            s.seal().unwrap().unwrap();
             assert_eq!(keys.generation(), 0);
             file.last_seal_ticket().unwrap().wait_durable().unwrap();
             std::mem::forget(file);
@@ -1515,28 +1535,23 @@ mod tests {
             clock,
             CommitmentMode::auto(100),
         );
-        let mut n = 10u64;
-        while keys.remaining().unwrap() > 0 {
-            record_in_pairs(&s, n);
-            n += 1;
-        }
-        let (rollovers, _) = lifecycle_records(&log);
-        let chain: Vec<(u32, Digest)> = rollovers
-            .iter()
-            .map(|(_, r)| (r.generation, r.cert.subtree_root))
-            .collect();
+        token_epochs_until_spent(&s, &keys, 10);
+        let l = Lifecycle::of(&log);
+        l.assert_verifies(&keys.verifying_key());
+        let chain: Vec<CertRef> = l.certs.iter().map(|(_, c)| c.reference()).collect();
         // Reference: an identical signer, never killed, spent the same
-        // way — the rollover chain depends only on the key seed, not on
-        // what was signed or when the process died.
-        let reference = KeyPair::generate(scheme, &mut SecureRandom::from_seed(29));
+        // way — the generation chain depends only on the key seed, not
+        // on what was signed or when the process died.
+        let reference = small_hss(2, 2, 29);
+        let mut expected: Vec<CertRef> = Vec::new();
         while reference.remaining().unwrap() > 0 {
-            reference.sign_digest(&sha256(b"ref")).unwrap();
+            let mut sig = reference.sign_digest(&sha256(b"ref")).unwrap();
+            let cert = sig.detach_cert().unwrap().reference();
+            if expected.last() != Some(&cert) {
+                expected.push(cert);
+            }
         }
-        let expected: Vec<(u32, Digest)> = reference
-            .rollover_history()
-            .iter()
-            .map(|e| (e.generation, e.cert.subtree_root))
-            .collect();
+        assert_eq!(expected.len(), 4);
         assert_eq!(chain, expected, "recovered chain forked from the reference");
         log.verify().unwrap();
         let _ = std::fs::remove_file(&path);
@@ -1545,43 +1560,49 @@ mod tests {
     #[test]
     fn terminal_generation_rollover_record_still_lands_after_exhaustion() {
         // The hierarchy's last generation can be activated *and* fully
-        // spent between two seals (token signatures burn leaves outside
-        // the seal path). The rollover record must still reach the log:
-        // persisting runs before the exhaustion early-return, so even a
-        // degraded seal attempt writes it — unsealed, but durable.
-        let clock = Arc::new(LogicalClock::new());
-        let keys = Arc::new(KeyPair::generate(
-            SignatureScheme::Hss {
-                root_height: 1,
-                subtree_height: 1,
-            },
-            &mut SecureRandom::from_seed(17),
-        ));
-        let log: Arc<dyn EvidenceLog> = Arc::new(MemoryLog::new());
-        let s = CommitmentScheduler::new(
-            keys.clone(),
-            log.clone(),
-            OrgId::new("org"),
-            clock,
-            CommitmentMode::auto(100),
-        );
-        // Two seals spend generation 0's two leaves.
-        for n in 0..4u64 {
-            record_in_pairs(&s, n);
+        // spent between two seals. Its cert record lands with the first
+        // token that references it, and the exhaustion flush of the
+        // failed seal makes it durable: a kill right after the failed
+        // seal loses neither the record nor its tokens.
+        use nonrep_store::{FileLog, SyncPolicy};
+        let path = temp_path("terminal-");
+        let _ = std::fs::remove_file(&path);
+        let keys = small_hss(1, 1, 17);
+        {
+            let file = Arc::new(FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap());
+            let s = CommitmentScheduler::new(
+                keys.clone(),
+                file.clone() as Arc<dyn EvidenceLog>,
+                OrgId::new("org"),
+                Arc::new(LogicalClock::new()),
+                CommitmentMode::auto(100),
+            );
+            // Two seals spend generation 0's two leaves.
+            for n in 0..4u64 {
+                record_in_pairs(&s, n);
+            }
+            assert_eq!(keys.generation(), 0);
+            // Two tokens activate and exhaust the terminal generation
+            // with no seal in between.
+            store_own_token(&s, 4);
+            store_own_token(&s, 5);
+            assert_eq!(keys.generation(), 1);
+            assert_eq!(keys.remaining(), Some(0));
+            assert!(s.seal().is_err(), "hierarchy is spent — the seal degrades");
+            std::mem::forget(file);
         }
-        assert_eq!(keys.generation(), 0);
-        // Token-path signatures activate and exhaust the terminal
-        // generation with no seal in between.
-        keys.sign_digest(&sha256(b"t0")).unwrap();
-        keys.sign_digest(&sha256(b"t1")).unwrap();
-        assert_eq!(keys.generation(), 1);
-        assert_eq!(keys.remaining(), Some(0));
-        s.record(draft(4)).unwrap();
-        assert!(s.seal().is_err(), "hierarchy is spent — the seal degrades");
-        let (rollovers, _) = lifecycle_records(&log);
-        let gens: Vec<u32> = rollovers.iter().map(|(_, r)| r.generation).collect();
-        assert_eq!(gens, vec![1], "terminal rollover record reached the log");
+        let log: Arc<dyn EvidenceLog> =
+            Arc::new(FileLog::open_recover_with(&path, SyncPolicy::GroupCommit).unwrap());
+        let l = Lifecycle::of(&log);
+        assert_eq!(
+            l.generations(),
+            vec![1],
+            "terminal cert record reached the disk"
+        );
+        assert_eq!(l.tokens.len(), 2);
+        l.assert_verifies(&keys.verifying_key());
         log.verify().unwrap();
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -320,11 +320,14 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
     /// `STEP`, tolerating a lost ack: returns
     /// whether a `REPLY`-stepped ack arrived. A transport fault is *not*
     /// an error — the session still advances (the exchange is complete
-    /// for this side; the peer may chase the receipt).
+    /// for this side; the peer may chase the receipt). A peer's refusal
+    /// crosses the bus as a transport fault (`NetError::Endpoint`), so
+    /// it too reads as a lost ack.
     ///
     /// # Errors
     ///
-    /// Non-transport faults only (signing, peer refusal).
+    /// Local faults (signing, journalling) and a reply that does not
+    /// decode (`PeerFault::BadMessage`).
     pub fn call_lossy(
         self,
         to: &OrgId,

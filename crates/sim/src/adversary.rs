@@ -6,8 +6,9 @@
 //! attacks worth simulating against the paper's adjudication layer are
 //! *evidence attacks* — what an organisation presents at dispute time, not
 //! how it behaves on the wire. Each wrapper therefore overrides only
-//! [`Adversary::submission`] (and, for the replayer, a one-time
-//! [`Adversary::finalize`] hook that plants the crafted record).
+//! [`Adversary::submission`] (and, for the replayer and the laundering
+//! submitter, a one-time [`Adversary::finalize`] hook that plants the
+//! crafted records).
 //!
 //! The catalogue:
 //!
@@ -23,11 +24,13 @@
 //!   gossiped anchor attests more).
 //! - [`TokenReplayer`] — re-files a counterparty's genuine token under a
 //!   different run id (caught as a draft/token context mismatch).
-//! - [`ForgedRolloverSubmitter`] — grafts a key-rollover record whose
-//!   subtree cert was signed by a root other than its registered one onto
-//!   its submission, chain intact: the byzantine move against the
-//!   hierarchical key lifecycle, convicted purely by the cert
-//!   cryptography (`rollovers_verified < rollovers`).
+//! - [`ForgedCertSubmitter`] — launders a foreign hierarchy's subtree
+//!   into its submission, chain intact: the foreign subtree's genuine
+//!   certificate record plus a token in the submitter's name that the
+//!   foreign subtree signed. The byzantine move against the
+//!   hierarchical key lifecycle, convicted purely by the token's
+//!   signature chain (its certificate does not chain to the issuer's
+//!   registered root).
 //! - [`EquivocatingTtp`] — an inline TTP that forks its history at one of
 //!   its own `TtpReceipt` records: the paper's "what if the trusted third
 //!   party lies" case, reduced to fork detection.
@@ -37,10 +40,10 @@ use std::sync::Arc;
 use nonrep_core::dispute::WindowSubmission;
 use nonrep_crypto::digest::{sha256, Digest};
 use nonrep_crypto::rng::SecureRandom;
-use nonrep_crypto::HssSigner;
+use nonrep_crypto::sig::{KeyPair, SignatureScheme};
 use nonrep_protocols::party::Party;
 use nonrep_protocols::tokens::{NrToken, TokenKind};
-use nonrep_store::record::{EpochCommitment, EvidenceRecord, KeyRollover, RecordDraft, EPOCH_KIND};
+use nonrep_store::record::{cert_draft, EpochCommitment, EvidenceRecord, RecordDraft, EPOCH_KIND};
 use nonrep_types::codec::{Decode, Encode};
 use nonrep_types::ids::{OrgId, RunId};
 
@@ -279,65 +282,69 @@ impl Adversary for TokenReplayer {
     }
 }
 
-/// Byzantine submitter that grafts a forged key-rollover record onto the
-/// end of its otherwise honest log window. The record decodes, chains
-/// perfectly (the head claim covers it), and lands beyond every gossiped
-/// anchor — but its subtree cert was signed by a hierarchy root that is
-/// *not* the submitter's registered key, so the adjudicator counts an
-/// unverified rollover and the report goes unclean. This is the attack
-/// the certified-rollover design exists to stop: an organisation cannot
-/// launder a key it does not own into its evidence history.
-pub struct ForgedRolloverSubmitter {
+/// Byzantine submitter that launders a subtree of a hierarchy it does
+/// not own into its evidence. Before submitting its full log it appends
+/// two records: the foreign subtree's genuine certificate record, then
+/// a token in its own name (its key id, its context, a run no work item
+/// uses) that the foreign subtree signed, stored in the form that
+/// references that certificate. Both decode, chain perfectly and land
+/// beyond every gossiped anchor; but the certificate chains to the
+/// foreign root, not the submitter's registered one, so the token fails
+/// verification and the report goes unclean.
+pub struct ForgedCertSubmitter {
     party: Arc<Party>,
-    /// Seed of the foreign hierarchy whose rollover cert is grafted.
+    /// Seed of the foreign hierarchy whose subtree is laundered.
     cert_seed: u64,
 }
 
-impl ForgedRolloverSubmitter {
-    /// Wraps `party`; the forged cert derives from `cert_seed` (kept off
-    /// the party's own key material, so the cert can never verify).
+impl ForgedCertSubmitter {
+    /// Wraps `party`; the foreign hierarchy derives from `cert_seed`
+    /// (kept off the party's own key material, so its certificates can
+    /// never verify under the party's root).
     pub fn new(party: Arc<Party>, cert_seed: u64) -> Self {
         Self { party, cert_seed }
     }
-
-    /// A genuine-looking rollover record minted by a hierarchy the
-    /// submitter does not own: a fresh HSS signer is driven through its
-    /// first subtree exhaustion and the resulting (correctly signed,
-    /// wrong-root) event is repackaged under the submitter's name.
-    fn forged_rollover(&self) -> KeyRollover {
-        let mut rng = SecureRandom::from_seed(self.cert_seed);
-        let mut signer = HssSigner::generate(2, 1, &mut rng);
-        let mut i = 0u8;
-        while signer.rollover_history().is_empty() {
-            signer.sign(&sha256(&[i])).expect("fresh hierarchy signs");
-            i += 1;
-        }
-        KeyRollover::from_event(&signer.rollover_history()[0])
-    }
 }
 
-impl Adversary for ForgedRolloverSubmitter {
+impl Adversary for ForgedCertSubmitter {
     fn party(&self) -> &Arc<Party> {
         &self.party
     }
 
+    fn finalize(&self) {
+        let (org, at) = (self.party.org().clone(), self.party.now());
+        // No work item uses this run: minted run ids are 128 random bits.
+        let run = RunId::from_u128(u128::from(self.cert_seed) << 64 | 0x6c61_756e);
+        let subject = sha256(&self.cert_seed.to_le_bytes());
+        let scheme = SignatureScheme::Hss {
+            root_height: 2,
+            subtree_height: 1,
+        };
+        let foreign = KeyPair::generate(scheme, &mut SecureRandom::from_seed(self.cert_seed));
+        let digest = NrToken::signing_digest(TokenKind::NroReq, &run, &org, &subject, at);
+        let mut signature = foreign.sign_digest(&digest).expect("fresh hierarchy signs");
+        signature.key_id = self.party.keys().key_id();
+        let cert = signature
+            .detach_cert()
+            .expect("fresh signatures carry their cert");
+        let token =
+            NrToken::from_parts(TokenKind::NroReq, run, org.clone(), subject, at, signature);
+        let log = self.party.log();
+        log.append(cert_draft(&cert, org.clone(), at))
+            .expect("append laundered cert");
+        log.append(RecordDraft {
+            run_id: run,
+            kind: TokenKind::NroReq.label().to_string(),
+            actor: org,
+            at,
+            content_digest: subject,
+            payload: token.encode_to_vec(),
+        })
+        .expect("append laundered token");
+    }
+
     fn submission(&self) -> WindowSubmission {
-        let mut submission = full_log_submission(&self.party);
-        let (seq, prev_hash) = submission
-            .records
-            .last()
-            .map(|r| (r.seq + 1, r.record_hash()))
-            .unwrap_or((0, Digest::ZERO));
-        let record = Arc::new(EvidenceRecord {
-            seq,
-            prev_hash,
-            draft: self
-                .forged_rollover()
-                .to_draft(self.party.org().clone(), self.party.now()),
-        });
-        submission.head = record.record_hash();
-        submission.records.push(record);
-        submission
+        full_log_submission(&self.party)
     }
 }
 
@@ -502,21 +509,26 @@ mod tests {
     fn forged_rollover_chains_cleanly_but_fails_cert_verification() {
         let (party, dir) = batched_party_with_tokens();
         let anchors = real_anchors(&party);
-        let adversary = ForgedRolloverSubmitter::new(party.clone(), 0x726f_6c6c);
+        let honest_len = party.log().len();
+        let adversary = ForgedCertSubmitter::new(party.clone(), 0x726f_6c6c);
+        adversary.finalize();
         let submission = adversary.submission();
-        // One record beyond the honest log, head claim covering it.
-        assert_eq!(submission.records.len() as u64, party.log().len() + 1);
+        // Two records beyond the honest log, head claim covering them.
+        assert_eq!(submission.records.len() as u64, honest_len + 2);
         assert_eq!(
             submission.head,
             submission.records.last().unwrap().record_hash()
         );
         let judge = Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>);
         let report = judge.verify_window(&submission);
-        // The chain holds and the record decodes — only the cert check
-        // catches the graft.
+        // The chain holds, both records decode and the token sits in its
+        // own context — only its signature chain catches the graft.
         assert!(report.chain.is_ok());
-        assert_eq!(report.rollovers, 1);
-        assert_eq!(report.rollovers_verified, 0);
+        assert_eq!(report.undecodable, 0);
+        assert_eq!(report.context_mismatches, 0);
+        let unverified: Vec<_> = report.tokens.iter().filter(|(_, ok)| !ok).collect();
+        assert_eq!(unverified.len(), 1);
+        assert_eq!(unverified[0].0.issuer, OrgId::new("alice"));
         assert!(!report.clean());
         // The grafted tail lands beyond every gossiped anchor, so anchor
         // corroboration alone would have let it through.

@@ -81,10 +81,12 @@ pub enum Role {
     /// Appends a counterparty's genuine token to its log under a
     /// different run id before submitting.
     TokenReplayer,
-    /// Grafts a key-rollover record whose subtree cert was signed by a
-    /// root *other than its registered one* onto its submission — the
+    /// Grafts a token in its own name, signed by a subtree of a
+    /// hierarchy *other than its registered one*, onto its submission
+    /// together with that subtree's genuine certificate record — the
     /// byzantine move against the hierarchical key lifecycle. The chain
-    /// stays intact; only the cert cryptography convicts it.
+    /// stays intact; the token's certificate does not chain to its
+    /// issuer's key, so its signature check convicts it.
     ForgedRollover,
     /// An inline TTP that rewrites one of its own receipts, forking its
     /// history against its gossiped anchors.

@@ -35,8 +35,8 @@ pub mod state;
 pub use group_commit::{DurabilityTicket, GroupCommitQueue};
 pub use log::{DurabilityClass, EvidenceLog, FileLog, MemoryLog, SyncPolicy};
 pub use record::{
-    ChainViolation, EpochCommitment, EvidenceRecord, KeyRollover, MarkerPhase, RecordDraft,
-    RunMarker, EPOCH_KIND,
+    ChainViolation, EpochCommitment, EvidenceRecord, MarkerPhase, RecordDraft, RunMarker,
+    EPOCH_KIND,
 };
 pub use state::StateStore;
 

@@ -84,7 +84,11 @@ impl EvidenceRecord {
         self.draft.kind == EPOCH_KIND
     }
 
-    /// `true` if this record carries a [`KeyRollover`].
+    /// `true` if this record is of the retired `key_rollover` kind. The
+    /// stack no longer writes such records, nor keeps a reader for them
+    /// (the log's `subtree_cert` records hold every certificate), so an
+    /// adjudicator counts one as undecodable. The predicate stays
+    /// because the end-to-end benchmark's record census calls it.
     pub fn is_key_rollover(&self) -> bool {
         self.draft.kind == ROLLOVER_KIND
     }
@@ -272,92 +276,8 @@ impl Decode for EpochCommitment {
     }
 }
 
-/// Record kind under which key-rollover records are logged.
+/// Record kind of the retired key-rollover records.
 const ROLLOVER_KIND: &str = "key_rollover";
-
-/// Evidence of one hierarchical-key generation change: the old subtree's
-/// exhaustion and the new subtree's root, certified under the signer's
-/// long-lived root key (see `nonrep_crypto::hss`). Sealed into the chain
-/// like any record — the epoch that covers it amortizes its signature,
-/// so a rollover burns no extra leaf beyond the cert itself.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KeyRollover {
-    /// The generation activated by this rollover (≥ 1).
-    pub generation: u32,
-    /// Merkle root of the retired subtree.
-    pub retired_root: Digest,
-    /// Leaves the retired subtree had spent when it was retired.
-    pub leaves_spent: u32,
-    /// The root key's certificate over the newly activated subtree.
-    pub cert: SubtreeCert,
-}
-
-impl KeyRollover {
-    /// Builds the record from the signer's rollover event.
-    pub fn from_event(ev: &nonrep_crypto::hss::RolloverEvent) -> Self {
-        Self {
-            generation: ev.generation,
-            retired_root: ev.retired_root,
-            leaves_spent: ev.leaves_spent,
-            cert: ev.cert.clone(),
-        }
-    }
-
-    /// Verifies the rollover against the organisation's registered
-    /// verifying key: the embedded cert must chain to the root digest
-    /// and name this rollover's generation. Non-MSS keys (which cannot
-    /// roll) verify nothing.
-    pub fn verify(&self, key: &VerifyingKey) -> bool {
-        match key {
-            VerifyingKey::Mss { root } => {
-                self.cert.generation == self.generation && self.cert.verify(root)
-            }
-            _ => false,
-        }
-    }
-
-    /// Wraps this rollover as a log record draft (kind
-    /// `ROLLOVER_KIND`, filed under the reserved control run like
-    /// epoch commitments; content digest = new subtree root).
-    pub fn to_draft(&self, actor: OrgId, at: Timestamp) -> RecordDraft {
-        RecordDraft {
-            run_id: epoch_run_id(),
-            kind: ROLLOVER_KIND.to_string(),
-            actor,
-            at,
-            content_digest: self.cert.subtree_root,
-            payload: self.encode_to_vec(),
-        }
-    }
-
-    /// Decodes the rollover carried by a record, if `record` is one.
-    pub fn from_record(record: &EvidenceRecord) -> Option<Self> {
-        if record.draft.kind != ROLLOVER_KIND {
-            return None;
-        }
-        Self::decode_from_slice(&record.draft.payload).ok()
-    }
-}
-
-impl Encode for KeyRollover {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.generation);
-        self.retired_root.encode(w);
-        w.put_u32(self.leaves_spent);
-        self.cert.encode(w);
-    }
-}
-
-impl Decode for KeyRollover {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            generation: r.get_u32()?,
-            retired_root: Digest::decode(r)?,
-            leaves_spent: r.get_u32()?,
-            cert: SubtreeCert::decode(r)?,
-        })
-    }
-}
 
 /// Record kind under which a log keeps each subtree certificate once.
 const CERT_KIND: &str = "subtree_cert";
@@ -805,55 +725,19 @@ mod tests {
         assert_eq!(EpochCommitment::from_record(&rec).unwrap(), commit);
     }
 
-    fn rolled_signer() -> (nonrep_crypto::hss::HssSigner, Digest) {
+    fn rolled_signer() -> nonrep_crypto::hss::HssSigner {
         let mut rng = nonrep_crypto::rng::SecureRandom::from_seed(11);
         let mut signer = nonrep_crypto::hss::HssSigner::generate(2, 1, &mut rng);
-        let root = signer.public_key();
         // Burn past generation 0 (two leaves) to force a rollover.
         for i in 0..3u8 {
             signer.sign(&sha256(&[i])).unwrap();
         }
-        (signer, root)
-    }
-
-    #[test]
-    fn key_rollover_verifies_and_roundtrips() {
-        let (signer, root) = rolled_signer();
-        let roll = KeyRollover::from_event(&signer.rollover_history()[0]);
-        assert_eq!(roll.generation, 1);
-        assert_eq!(roll.leaves_spent, 2);
-        let vk = nonrep_crypto::sig::VerifyingKey::Mss { root };
-        assert!(roll.verify(&vk));
-        let back = KeyRollover::decode_from_slice(&roll.encode_to_vec()).unwrap();
-        assert_eq!(back, roll);
-        // As a record draft it is recognizable and decodable.
-        let rec = EvidenceRecord {
-            seq: 0,
-            prev_hash: Digest::ZERO,
-            draft: roll.to_draft(OrgId::new("org"), Timestamp(1)),
-        };
-        assert!(rec.is_key_rollover());
-        assert!(!rec.is_epoch_commit());
-        assert_eq!(rec.draft.content_digest, roll.cert.subtree_root);
-        assert_eq!(KeyRollover::from_record(&rec).unwrap(), roll);
-    }
-
-    #[test]
-    fn key_rollover_rejects_wrong_root_and_tampered_generation() {
-        let (signer, root) = rolled_signer();
-        let roll = KeyRollover::from_event(&signer.rollover_history()[0]);
-        let wrong = nonrep_crypto::sig::VerifyingKey::Mss {
-            root: sha256(b"someone else's root"),
-        };
-        assert!(!roll.verify(&wrong));
-        let mut forged = roll.clone();
-        forged.generation += 1;
-        assert!(!forged.verify(&nonrep_crypto::sig::VerifyingKey::Mss { root }));
+        signer
     }
 
     #[test]
     fn cert_record_roundtrips_and_rejects_edits() {
-        let (mut signer, _) = rolled_signer();
+        let mut signer = rolled_signer();
         let signed = signer.sign(&sha256(b"m")).unwrap();
         let nonrep_crypto::hss::CertLink::Inline(cert) = signed.cert else {
             panic!("a fresh signature carries its subtree cert inline");
@@ -877,13 +761,6 @@ mod tests {
         renamed.draft.content_digest = sha256(b"another subtree");
         assert_eq!(cert_from_record(&renamed), None);
         assert_eq!(cert_from_record(&chain(1)[0]), None);
-    }
-
-    #[test]
-    fn key_rollover_from_record_ignores_other_kinds() {
-        let records = chain(1);
-        assert!(KeyRollover::from_record(&records[0]).is_none());
-        assert!(!records[0].is_key_rollover());
     }
 
     #[test]

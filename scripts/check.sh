@@ -76,6 +76,10 @@ retired=(
     leaf_hash_digests par_map par_map_with par_map_indexed_with is_hierarchical
     subtree_capacity is_crashed is_executed with_context into_string is_null as_bool as_u64
     as_list from_f64 open_runs
+    # one record per subtree certificate: the rollover record, the signer's
+    # history that fed it and the seal-time watermark
+    KeyRollover RolloverEvent rollover_history rollover_persisted rollovers_verified
+    ForgedRolloverSubmitter
 )
 echo "==> retired names"
 if grep -rnwF "${retired[@]/#/-e}" --exclude=check.sh \
