@@ -328,7 +328,7 @@ fn batched_tokens_survive_wire_roundtrip_and_adjudication() {
         ],
     );
     for t in &tokens {
-        assert!(t.signature.is_batched());
+        assert!(t.signature.batch().is_some());
         let wire = t.encode_to_vec();
         let back = NrToken::decode_from_slice(&wire).unwrap();
         // Bob verifies and stores the decoded token like any other.
@@ -367,7 +367,7 @@ fn token_lifted_out_of_its_frame_verifies_and_adjudicates_clean() {
     let alice_key = d.bob.key_of(&OrgId::new("alice")).unwrap();
     assert!(frame.verify_frame(&alice_key));
     let token = frame.tokens[0].clone();
-    assert!(token.signature.is_batched());
+    assert!(token.signature.batch().is_some());
     assert!(token.verify(
         &alice_key,
         Some(TokenKind::NroReq),

@@ -241,11 +241,6 @@ impl HssSignature {
         }
     }
 
-    /// `true` if the subtree signature was produced by a batch seal.
-    pub fn is_batched(&self) -> bool {
-        matches!(self.subtree_sig, SubtreeSig::Batched(_))
-    }
-
     /// Replaces an inline cert with its reference and returns the cert
     /// (`None`, changing nothing, if the cert is already a reference).
     pub fn detach_cert(&mut self) -> Option<SubtreeCert> {

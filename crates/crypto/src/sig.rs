@@ -176,14 +176,53 @@ impl Signature {
         }
     }
 
-    /// `true` if this signature was produced by a batch seal (one
-    /// underlying signature shared across the batch).
-    pub fn is_batched(&self) -> bool {
+    /// The batch signature inside a signature produced by a batch seal
+    /// (one underlying signature shared across the batch), directly
+    /// (`BatchedMss`) or under a subtree certificate (`Hss`); `None`
+    /// for a per-message signature or an HMAC tag.
+    pub fn batch(&self) -> Option<&BatchSignature> {
         match &self.payload {
-            SignaturePayload::BatchedMss(_) => true,
-            SignaturePayload::Hss(h) => h.is_batched(),
-            _ => false,
+            SignaturePayload::BatchedMss(b) => Some(b),
+            SignaturePayload::Hss(h) => match &h.subtree_sig {
+                SubtreeSig::Batched(b) => Some(b),
+                SubtreeSig::Direct(_) => None,
+            },
+            _ => None,
         }
+    }
+
+    /// [`Signature::batch`], mutably: a decoder rebuilds a record's
+    /// signature from another leaf's of the same batch by setting the
+    /// leaf index and authentication path.
+    pub fn batch_mut(&mut self) -> Option<&mut BatchSignature> {
+        match &mut self.payload {
+            SignaturePayload::BatchedMss(b) => Some(b),
+            SignaturePayload::Hss(h) => match &mut h.subtree_sig {
+                SubtreeSig::Batched(b) => Some(b),
+                SubtreeSig::Direct(_) => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// `true` if `self` signs another leaf of the batch `other` signs:
+    /// the same key, scheme, shared signature, leaf count, path depth
+    /// and subtree certificate. Such a signature is `other` with its
+    /// leaf index and authentication path set to its own.
+    pub fn shares_batch_with(&self, other: &Signature) -> bool {
+        let (Some(a), Some(b)) = (self.batch(), other.batch()) else {
+            return false;
+        };
+        let same_cert = match (&self.payload, &other.payload) {
+            (SignaturePayload::BatchedMss(_), SignaturePayload::BatchedMss(_)) => true,
+            (SignaturePayload::Hss(x), SignaturePayload::Hss(y)) => x.cert == y.cert,
+            _ => false,
+        };
+        same_cert
+            && self.key_id == other.key_id
+            && a.leaf_count == b.leaf_count
+            && a.auth_path.steps.len() == b.auth_path.steps.len()
+            && a.mss_sig == b.mss_sig
     }
 }
 
@@ -675,7 +714,7 @@ mod tests {
         assert_eq!(sigs.len(), 7);
         let vk = kp.verifying_key();
         for (d, s) in digests.iter().zip(&sigs) {
-            assert!(s.is_batched());
+            assert!(s.batch().is_some());
             assert!(vk.verify_digest(d, s));
         }
         // A signature does not verify for a different digest in the batch.
@@ -697,7 +736,7 @@ mod tests {
         let digests = [sha256(b"a"), sha256(b"b")];
         let sigs = arb.sign_batch(&digests).unwrap();
         for (d, s) in digests.iter().zip(&sigs) {
-            assert!(!s.is_batched());
+            assert!(s.batch().is_none());
             assert!(arb.verifying_key().verify_digest(d, s));
         }
     }
@@ -778,7 +817,7 @@ mod tests {
         assert_eq!(kp.remaining().unwrap(), before - 1);
         let vk = kp.verifying_key();
         for (d, s) in digests.iter().zip(&sigs) {
-            assert!(s.is_batched());
+            assert!(s.batch().is_some());
             assert!(vk.verify_digest(d, s));
         }
         assert!(!vk.verify_digest(&digests[0], &sigs[1]));

@@ -98,7 +98,7 @@ fn mutations(sig: &Signature) -> Vec<(Signature, bool)> {
     let arms = match &sig.payload {
         SignaturePayload::Mss(_) => 3,
         SignaturePayload::BatchedMss(_) => 6,
-        SignaturePayload::Hss(h) if h.is_batched() => 6 + 6,
+        SignaturePayload::Hss(_) if sig.batch().is_some() => 6 + 6,
         SignaturePayload::Hss(_) => 6 + 3,
         SignaturePayload::Arbitrated(_) => 0,
     };

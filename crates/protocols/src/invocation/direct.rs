@@ -531,6 +531,46 @@ mod tests {
     }
 
     #[test]
+    fn batched_server_caches_its_reply_sized_to_fit() {
+        let clock = LogicalClock::new();
+        let dir = Arc::new(StaticKeyDirectory::new());
+        let client = Party::quick_batched("client", 1, &clock, &dir);
+        let server = Party::quick_batched("server", 2, &clock, &dir);
+        let executor = Arc::new(|_caller: &OrgId, req: &[u8]| Ok(req.to_vec()));
+        let handler = DirectServerHandler::new(server.clone(), executor);
+        let run = client.new_run_id();
+        let request = b"idempotent".to_vec();
+        let nro = TokenSpec::new(TokenKind::NroReq, run, sha256(&request));
+        let msg1 = client
+            .sign_frame(
+                ProtocolMessage::new(PROTOCOL_ID, run, 1, "client", request),
+                &[nro],
+            )
+            .unwrap();
+        let from = OrgId::new("client");
+        let r1 = handler.process_request(&from, msg1.clone()).unwrap();
+        let r2 = handler.process_request(&from, msg1).unwrap();
+        assert_eq!(r1, r2, "a duplicate delivery gets the first reply");
+        let key = server.keys().verifying_key();
+        assert_eq!(r2.tokens.len(), 2);
+        for t in &r2.tokens {
+            assert!(t.signature.batch().is_some());
+            assert!(t.verify(&key, None, Some(run), None), "{} alone", t.kind);
+        }
+        let runs = handler.runs.runs.lock();
+        let cached = &runs[&run].response;
+        assert_eq!(cached.capacity(), cached.len());
+        assert_eq!(*cached, r1.encode_to_vec());
+        // The server stored the client's token and its own two through
+        // `Party::store_token`, each payload sized to fit.
+        let records = server.log().by_run(&run);
+        assert_eq!(records.len(), 3);
+        for r in &records {
+            assert_eq!(r.draft.payload.capacity(), r.draft.payload.len());
+        }
+    }
+
+    #[test]
     fn receipt_for_unknown_run_rejected() {
         let fx = fixture();
         let run = fx.client_party.new_run_id();

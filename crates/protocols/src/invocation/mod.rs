@@ -97,8 +97,10 @@ impl Decode for ServerResponse {
 /// (at-most-once semantics, §3.2) and tracks receipt arrival.
 ///
 /// The registry keeps one entry per run for the server's lifetime, so it
-/// holds each reply *encoded*: a decoded frame's tokens take several times
-/// their wire size in memory. Only a duplicate delivery decodes one.
+/// holds each reply *encoded*, in a buffer sized to fit: the wire form
+/// carries a batched frame's signature once, where the decoded frame
+/// rebuilds a full signature for each carried token. Only a duplicate
+/// delivery decodes one.
 #[derive(Debug, Default)]
 pub struct RunRegistry {
     runs: Mutex<HashMap<RunId, RunEntry>>,

@@ -13,12 +13,22 @@
 //! so the frame and its tokens can be signed together. The sender's
 //! [`crate::scheduler::CommitmentScheduler::sign_frame`] does exactly
 //! that: in batched mode one batch signature covers the tokens (leaves
-//! `0..n`) and the frame (leaf `n`). Each carried token still verifies
-//! alone, so the receiver persists it as an ordinary self-contained
-//! [`NrToken`]. Tokens relayed from another party, issued at an earlier
-//! step, or sent in an unsigned reply stay in the body.
+//! `0..n`) and the frame (leaf `n`). Tokens relayed from another party,
+//! issued at an earlier step, or sent in an unsigned reply stay in the
+//! body.
+//!
+//! On the wire the frame's signature comes before its tokens, and a
+//! token signed in the frame's own batch is written compact: its fields,
+//! its leaf index and its authentication path, without the shared
+//! signature, certificate and leaf count, which the frame's signature
+//! already carries. The decoder rebuilds each compact token's full
+//! [`Signature`] from the frame's, so every carried token still verifies
+//! alone and the receiver persists it as an ordinary self-contained
+//! [`NrToken`]. Any other token (per-record frames, HMAC tags) is
+//! written whole.
 
 use nonrep_crypto::digest::{sha256, Digest};
+use nonrep_crypto::merkle::AuthPath;
 use nonrep_crypto::sig::{Signature, VerifyingKey};
 use nonrep_types::codec::{encode_seq, CodecError, Decode, Encode, Reader, Writer};
 use nonrep_types::ids::{OrgId, ProtocolId, RunId};
@@ -29,6 +39,12 @@ use crate::tokens::NrToken;
 /// response step (`NRR_req` and `NRO_resp`). The decoder rejects a larger
 /// count before allocating for it.
 const MAX_FRAME_TOKENS: usize = 2;
+
+/// Wire tag of a carried token written whole.
+const TOKEN_FULL: u8 = 0;
+/// Wire tag of a carried token signed in the frame's batch, written
+/// without the signature material it shares with the frame.
+const TOKEN_COMPACT: u8 = 1;
 
 /// A framed protocol message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,11 +119,6 @@ impl ProtocolMessage {
             None => false,
         }
     }
-
-    /// Serialized size in bytes (communication-overhead accounting).
-    pub fn byte_len(&self) -> usize {
-        self.encode_to_vec().len()
-    }
 }
 
 impl Encode for ProtocolMessage {
@@ -117,9 +128,46 @@ impl Encode for ProtocolMessage {
         w.put_u32(self.step);
         self.sender.encode(w);
         w.put_bytes(&self.body);
-        encode_seq(&self.tokens, w);
         self.signature.encode(w);
+        let count = u32::try_from(self.tokens.len()).expect("frame token count fits u32");
+        w.put_u32(count);
+        for token in &self.tokens {
+            match (&self.signature, token.signature.batch()) {
+                (Some(frame), Some(leaf)) if token.signature.shares_batch_with(frame) => {
+                    w.put_u8(TOKEN_COMPACT);
+                    token.encode_fields(w);
+                    w.put_u32(leaf.leaf_index);
+                    leaf.auth_path.encode(w);
+                }
+                _ => {
+                    w.put_u8(TOKEN_FULL);
+                    token.encode(w);
+                }
+            }
+        }
     }
+}
+
+/// Rebuilds a compact token's signature: the frame's batched signature
+/// with the token's own leaf index and authentication path.
+fn leaf_signature(frame: Option<&Signature>, r: &mut Reader<'_>) -> Result<Signature, CodecError> {
+    let mut sig = frame
+        .ok_or_else(|| CodecError::Invalid("compact token in an unsigned frame".to_string()))?
+        .clone();
+    let leaf = sig.batch_mut().ok_or_else(|| {
+        CodecError::Invalid("compact token in a frame whose signature is not batched".to_string())
+    })?;
+    leaf.leaf_index = r.get_u32()?;
+    let auth_path = AuthPath::decode(r)?;
+    if auth_path.steps.len() != leaf.auth_path.steps.len() {
+        return Err(CodecError::Invalid(format!(
+            "compact token's auth path has {} steps, the frame's {}",
+            auth_path.steps.len(),
+            leaf.auth_path.steps.len()
+        )));
+    }
+    leaf.auth_path = auth_path;
+    Ok(sig)
 }
 
 impl Decode for ProtocolMessage {
@@ -129,6 +177,7 @@ impl Decode for ProtocolMessage {
         let step = r.get_u32()?;
         let sender = OrgId::decode(r)?;
         let body = r.get_bytes()?.to_vec();
+        let signature = Option::<Signature>::decode(r)?;
         let count = r.get_u32()? as usize;
         if count > MAX_FRAME_TOKENS {
             return Err(CodecError::Invalid(format!(
@@ -137,7 +186,18 @@ impl Decode for ProtocolMessage {
         }
         let mut tokens = Vec::with_capacity(count);
         for _ in 0..count {
-            tokens.push(NrToken::decode(r)?);
+            tokens.push(match r.get_u8()? {
+                TOKEN_FULL => NrToken::decode(r)?,
+                TOKEN_COMPACT => {
+                    NrToken::decode_fields(r, |r| leaf_signature(signature.as_ref(), r))?
+                }
+                tag => {
+                    return Err(CodecError::InvalidTag {
+                        ty: "carried token",
+                        tag,
+                    })
+                }
+            });
         }
         Ok(Self {
             protocol,
@@ -146,7 +206,7 @@ impl Decode for ProtocolMessage {
             sender,
             body,
             tokens,
-            signature: Option::<Signature>::decode(r)?,
+            signature,
         })
     }
 }
@@ -157,9 +217,13 @@ mod tests {
 
     use super::*;
     use crate::party::{Party, StaticKeyDirectory};
-    use crate::scheduler::TokenSpec;
+    use crate::scheduler::{CommitmentMode, TokenSpec};
     use crate::tokens::TokenKind;
+    use nonrep_crypto::rng::SecureRandom;
+    use nonrep_crypto::sig::{KeyPair, SignatureScheme};
+    use nonrep_store::MemoryLog;
     use nonrep_types::time::{LogicalClock, Timestamp};
+    use proptest::prelude::*;
 
     fn party(seed: u64, batched: bool) -> Arc<Party> {
         let clock = LogicalClock::new();
@@ -255,10 +319,10 @@ mod tests {
         let m = p.sign_frame(msg(), &specs(b"x")).unwrap();
         assert_eq!(p.keys().remaining().unwrap(), before - 1);
         assert!(m.verify_frame(&key));
-        assert!(m.signature.as_ref().unwrap().is_batched());
+        assert!(m.signature.as_ref().unwrap().batch().is_some());
         for (t, spec) in m.tokens.iter().zip(specs(b"x")) {
             // Each token verifies alone, lifted out of the frame.
-            assert!(t.signature.is_batched());
+            assert!(t.signature.batch().is_some());
             assert!(t.verify(
                 &key,
                 Some(spec.kind),
@@ -272,7 +336,7 @@ mod tests {
         let m = p.sign_frame(msg(), &specs(b"x")).unwrap();
         assert_eq!(p.keys().remaining().unwrap(), before - 3);
         assert!(m.verify_frame(&p.keys().verifying_key()));
-        assert!(m.tokens.iter().all(|t| !t.signature.is_batched()));
+        assert!(m.tokens.iter().all(|t| t.signature.batch().is_none()));
         // The issuer persisted the tokens it sent.
         assert_eq!(p.log().len(), 2);
     }
@@ -280,10 +344,14 @@ mod tests {
     #[test]
     fn codec_roundtrip_signed_and_unsigned() {
         let p = party(6, true);
+        let per_record = party(9, false);
+        let hss = hss_party(10);
         for m in [
             msg(),
             p.sign_frame(msg(), &[]).unwrap(),
             p.sign_frame(msg(), &specs(b"c")).unwrap(),
+            per_record.sign_frame(msg(), &specs(b"c")).unwrap(),
+            hss.sign_frame(msg(), &specs(b"c")).unwrap(),
         ] {
             let back = ProtocolMessage::decode_from_slice(&m.encode_to_vec()).unwrap();
             assert_eq!(back, m);
@@ -291,19 +359,156 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_a_token_count_over_the_bound() {
+    fn batched_frame_carries_its_signature_once() {
+        for p in [party(11, true), hss_party(12)] {
+            let key = p.keys().verifying_key();
+            let m = p.sign_frame(msg(), &specs(b"once")).unwrap();
+            let sig_len = m.signature.as_ref().unwrap().byte_len();
+            let bytes = m.encode_to_vec();
+            assert!(bytes.len() < sig_len + 600, "{} B on the wire", bytes.len());
+            let back = ProtocolMessage::decode_from_slice(&bytes).unwrap();
+            assert!(back.verify_frame(&key));
+            for (t, spec) in back.tokens.iter().zip(specs(b"once")) {
+                assert_eq!(t.signature.byte_len(), sig_len);
+                assert!(t.verify(&key, Some(spec.kind), Some(spec.run_id), None));
+            }
+        }
+        // Per-record tokens keep their own signatures.
+        let m = party(13, false).sign_frame(msg(), &specs(b"x")).unwrap();
+        let sig_len = m.signature.as_ref().unwrap().byte_len();
+        assert!(m.encode_to_vec().len() > 3 * sig_len);
+    }
+
+    /// A hierarchical, batched party: its frames carry compact HSS
+    /// tokens.
+    fn hss_party(seed: u64) -> Arc<Party> {
+        let dir = Arc::new(StaticKeyDirectory::new());
+        let mut rng = SecureRandom::from_seed(seed);
+        let scheme = SignatureScheme::Hss {
+            root_height: 2,
+            subtree_height: 2,
+        };
+        let keys = Arc::new(KeyPair::generate(scheme, &mut rng));
+        dir.insert(OrgId::new("client"), keys.verifying_key());
+        Party::with_commitment(
+            "client",
+            keys,
+            Arc::new(LogicalClock::new()),
+            Arc::new(MemoryLog::new()),
+            dir,
+            rng,
+            CommitmentMode::auto(50),
+        )
+    }
+
+    /// The wire form of `m`'s header and body.
+    fn header(m: &ProtocolMessage) -> Writer {
         let mut w = Writer::new();
-        ProtocolId::new("direct").encode(&mut w);
-        RunId::from_u128(5).encode(&mut w);
-        w.put_u32(1);
-        OrgId::new("client").encode(&mut w);
-        w.put_bytes(b"payload");
-        w.put_u32(u32::MAX);
+        m.protocol.encode(&mut w);
+        m.run_id.encode(&mut w);
+        w.put_u32(m.step);
+        m.sender.encode(&mut w);
+        w.put_bytes(&m.body);
+        w
+    }
+
+    /// `m`'s header and body followed by `signature` and the given
+    /// tagged token entries: what a hostile sender can put together.
+    fn wire(m: &ProtocolMessage, signature: Option<&Signature>, entries: &[Vec<u8>]) -> Vec<u8> {
+        let mut w = header(m);
+        signature.cloned().encode(&mut w);
+        w.put_u32(entries.len() as u32);
+        for entry in entries {
+            w.put_raw(entry);
+        }
+        w.into_vec()
+    }
+
+    /// A compact entry for `t` with authentication path `path`.
+    fn compact_entry(t: &NrToken, path: &AuthPath) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u8(TOKEN_COMPACT);
+        t.encode_fields(&mut w);
+        w.put_u32(t.signature.batch().unwrap().leaf_index);
+        path.encode(&mut w);
+        w.into_vec()
+    }
+
+    fn fields(t: &NrToken) -> Vec<u8> {
+        let mut w = Writer::new();
+        t.encode_fields(&mut w);
+        w.into_vec()
+    }
+
+    #[test]
+    fn decode_refuses_a_compact_token_the_frame_cannot_rebuild() {
+        let p = hss_party(14);
+        let m = p.sign_frame(msg(), &specs(b"h")).unwrap();
+        let path = |t: &NrToken| t.signature.batch().unwrap().auth_path.clone();
+        let entries: Vec<Vec<u8>> = m
+            .tokens
+            .iter()
+            .map(|t| compact_entry(t, &path(t)))
+            .collect();
+        // The hand-built form is the encoder's, so each case below
+        // differs from a valid frame in one respect only.
+        assert_eq!(wire(&m, m.signature.as_ref(), &entries), m.encode_to_vec());
+        let refused = |bytes: Vec<u8>| {
+            assert!(matches!(
+                ProtocolMessage::decode_from_slice(&bytes),
+                Err(CodecError::Invalid(_))
+            ));
+        };
+        // In an unsigned frame.
+        refused(wire(&m, None, &entries));
+        // In a frame whose signature is not batched.
+        let direct = party(15, false).sign_frame(msg(), &[]).unwrap();
+        refused(wire(&m, direct.signature.as_ref(), &entries));
+        // With an auth path shorter or longer than the frame's.
+        let mut short = path(&m.tokens[0]);
+        short.steps.pop();
+        let mut long = path(&m.tokens[0]);
+        long.steps.push(long.steps[0]);
+        for bad in [short, long] {
+            let entries = [compact_entry(&m.tokens[0], &bad), entries[1].clone()];
+            refused(wire(&m, m.signature.as_ref(), &entries));
+        }
+        // An unknown entry tag.
+        let mut unknown = entries.clone();
+        unknown[1][0] = 2;
         assert!(matches!(
-            ProtocolMessage::decode_from_slice(&w.into_vec()),
-            Err(CodecError::Invalid(_))
+            ProtocolMessage::decode_from_slice(&wire(&m, m.signature.as_ref(), &unknown)),
+            Err(CodecError::InvalidTag { .. })
         ));
-        // One over the bound is refused the same way.
+    }
+
+    #[test]
+    fn every_truncation_of_a_compact_hss_frame_is_refused() {
+        let m = hss_party(16).sign_frame(msg(), &specs(b"t")).unwrap();
+        let bytes = m.encode_to_vec();
+        for len in 0..bytes.len() {
+            assert!(
+                ProtocolMessage::decode_from_slice(&bytes[..len]).is_err(),
+                "a {len}-byte prefix of {} decoded",
+                bytes.len()
+            );
+        }
+    }
+
+    #[test]
+    fn decode_rejects_a_token_count_over_the_bound() {
+        let m = msg();
+        for count in [MAX_FRAME_TOKENS as u32 + 1, u32::MAX] {
+            let mut w = header(&m);
+            None::<Signature>.encode(&mut w);
+            w.put_u32(count);
+            assert!(matches!(
+                ProtocolMessage::decode_from_slice(&w.into_vec()),
+                Err(CodecError::Invalid(_))
+            ));
+        }
+        // One token over the bound, written out in full, is refused the
+        // same way.
         let mut m = msg();
         m.tokens = vote_tokens(MAX_FRAME_TOKENS + 1);
         assert!(matches!(
@@ -330,9 +535,30 @@ mod tests {
         assert_eq!(unsigned.frame_digest(), signed.frame_digest());
     }
 
-    #[test]
-    fn byte_len_counts_encoding() {
-        let m = msg();
-        assert_eq!(m.byte_len(), m.encode_to_vec().len());
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Flipping one byte of a compact frame's header, body or token
+        /// fields leaves a frame that fails to decode, or fails
+        /// `verify_frame` or its token's `verify`.
+        #[test]
+        fn a_flipped_covered_byte_fails_verification(pick in any::<u16>(), mask in 1u8..255) {
+            let p = hss_party(17);
+            let key = p.keys().verifying_key();
+            let m = p.sign_frame(msg(), &specs(b"p")).unwrap();
+            let bytes = m.encode_to_vec();
+            let mut covered: Vec<usize> = (0..header(&m).len()).collect();
+            for t in &m.tokens {
+                let f = fields(t);
+                let at = bytes.windows(f.len()).position(|w| w == f.as_slice()).unwrap();
+                covered.extend(at..at + f.len());
+            }
+            let mut flipped = bytes.clone();
+            flipped[covered[pick as usize % covered.len()]] ^= mask;
+            if let Ok(back) = ProtocolMessage::decode_from_slice(&flipped) {
+                let tokens_verify = back.tokens.iter().all(|t| t.verify(&key, None, None, None));
+                prop_assert!(!back.verify_frame(&key) || !tokens_verify);
+            }
+        }
     }
 }

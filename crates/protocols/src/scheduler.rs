@@ -950,7 +950,7 @@ mod tests {
                 .issue(TokenSpec::new(TokenKind::NrrReq, run, sha256(b"req")))
                 .unwrap();
             assert_eq!(s.keys.remaining().unwrap(), before - 1);
-            assert!(!token.signature.is_batched());
+            assert!(token.signature.batch().is_none());
             let vk = s.keys.verifying_key();
             assert!(token.verify(&vk, Some(TokenKind::NrrReq), Some(run), None));
         }

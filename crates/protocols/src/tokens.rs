@@ -241,19 +241,23 @@ impl NrToken {
     }
 }
 
-impl Encode for NrToken {
-    fn encode(&self, w: &mut Writer) {
+impl NrToken {
+    /// Encodes every field but the signature — the token's part of a
+    /// frame that carries the signature's shared material once.
+    pub(crate) fn encode_fields(&self, w: &mut Writer) {
         w.put_u8(self.kind.tag());
         self.run_id.encode(w);
         self.issuer.encode(w);
         self.subject.encode(w);
         self.at.encode(w);
-        self.signature.encode(w);
     }
-}
 
-impl Decode for NrToken {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+    /// Decodes what [`NrToken::encode_fields`] wrote, then the signature
+    /// with `signature`.
+    pub(crate) fn decode_fields(
+        r: &mut Reader<'_>,
+        signature: impl FnOnce(&mut Reader<'_>) -> Result<Signature, CodecError>,
+    ) -> Result<Self, CodecError> {
         let tag = r.get_u8()?;
         let kind = TokenKind::from_tag(tag).ok_or(CodecError::InvalidTag {
             ty: "TokenKind",
@@ -265,8 +269,21 @@ impl Decode for NrToken {
             issuer: OrgId::decode(r)?,
             subject: Digest::decode(r)?,
             at: Timestamp::decode(r)?,
-            signature: Signature::decode(r)?,
+            signature: signature(r)?,
         })
+    }
+}
+
+impl Encode for NrToken {
+    fn encode(&self, w: &mut Writer) {
+        self.encode_fields(w);
+        self.signature.encode(w);
+    }
+}
+
+impl Decode for NrToken {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Self::decode_fields(r, Signature::decode)
     }
 }
 

@@ -61,7 +61,7 @@ impl EvidenceRecord {
     /// The hash of this record (over its full canonical encoding), i.e. the
     /// chain link value embedded in the successor.
     pub fn record_hash(&self) -> Digest {
-        sha256(&self.encode_to_vec())
+        self.record_hash_with(&mut Writer::new())
     }
 
     /// [`EvidenceRecord::record_hash`] encoding into a caller-supplied

@@ -273,11 +273,16 @@ pub trait Encode {
     /// Appends the canonical encoding of `self` to `w`.
     fn encode(&self, w: &mut Writer);
 
-    /// Convenience: encodes into a fresh `Vec<u8>`.
+    /// Convenience: encodes into a fresh `Vec<u8>` whose capacity is its
+    /// length. Encodings are often kept (log records, cached replies),
+    /// and a buffer grown by doubling would keep up to half again its
+    /// size in slack for as long as it lives.
     fn encode_to_vec(&self) -> Vec<u8> {
         let mut w = Writer::new();
         self.encode(&mut w);
-        w.into_vec()
+        let mut bytes = w.into_vec();
+        bytes.shrink_to_fit();
+        bytes
     }
 }
 
@@ -508,6 +513,14 @@ mod tests {
         bytes.push(0);
         let err = u64::decode_from_slice(&bytes).unwrap_err();
         assert_eq!(err, CodecError::TrailingBytes(1));
+    }
+
+    #[test]
+    fn encode_to_vec_keeps_no_slack() {
+        for len in [0usize, 1, 100, 5_000, 70_000] {
+            let bytes = vec![7u8; len].encode_to_vec();
+            assert_eq!(bytes.capacity(), bytes.len(), "payload of {len} B");
+        }
     }
 
     #[test]
