@@ -26,7 +26,7 @@ use nonrep_protocols::invocation::fair_offline::FairClient;
 use nonrep_protocols::invocation::inline_ttp::InlineTtpClient;
 use nonrep_protocols::invocation::voluntary::VoluntaryClient;
 use nonrep_protocols::invocation::{RequestExecutor, ServerResponse};
-use nonrep_protocols::ExchangeError;
+use nonrep_protocols::ProtocolError;
 use nonrep_types::codec::{Decode, Encode};
 use nonrep_types::ids::OrgId;
 use nonrep_types::value::Value;
@@ -77,7 +77,7 @@ impl fmt::Debug for ClientNrInterceptor {
     }
 }
 
-fn map_protocol_err(e: ExchangeError) -> ContainerError {
+fn map_protocol_err(e: ProtocolError) -> ContainerError {
     ContainerError::Protocol(e.to_string())
 }
 

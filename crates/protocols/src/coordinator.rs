@@ -16,6 +16,12 @@
 //! dispatch; it is a [`BusEndpoint`]) and the *remote-facing* side
 //! ([`B2BCoordinator::deliver`]/[`B2BCoordinator::deliver_request`] send to
 //! a peer's coordinator over the bus, with bounded retries).
+//!
+//! A peer handler's `Err` crosses the bus as [`NetError::Endpoint`]
+//! carrying the handler's message; the two send methods are the one
+//! place it becomes [`ProtocolError::Rejected`], the peer's typed
+//! refusal. Every other [`NetError`] is a transport fault
+//! ([`ProtocolError::Net`]). A refusal is not retried.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -25,6 +31,7 @@ use parking_lot::RwLock;
 
 use nonrep_net::bus::BusEndpoint;
 use nonrep_net::retry::ReliableRequester;
+use nonrep_net::NetError;
 use nonrep_types::codec::{Decode, Encode};
 use nonrep_types::ids::{OrgId, ProtocolId};
 
@@ -145,10 +152,12 @@ impl B2BCoordinator {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::Net`] after retries are exhausted.
+    /// [`ProtocolError::Net`] after retries are exhausted;
+    /// [`ProtocolError::Rejected`] if `to`'s handler refused the message.
     pub fn deliver(&self, to: &OrgId, msg: &ProtocolMessage) -> Result<(), ProtocolError> {
         self.requester
-            .send(&self.org, &self.wire_addr(to), &msg.encode_to_vec())?;
+            .send(&self.org, &self.wire_addr(to), &msg.encode_to_vec())
+            .map_err(refusal_or_net)?;
         Ok(())
     }
 
@@ -157,7 +166,8 @@ impl B2BCoordinator {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::Net`] after retries; [`ProtocolError::BadMessage`]
+    /// [`ProtocolError::Net`] after retries; [`ProtocolError::Rejected`]
+    /// if `to`'s handler refused the request; [`ProtocolError::BadMessage`]
     /// if the response fails to decode.
     pub fn deliver_request(
         &self,
@@ -166,9 +176,18 @@ impl B2BCoordinator {
     ) -> Result<ProtocolMessage, ProtocolError> {
         let out = self
             .requester
-            .request(&self.org, &self.wire_addr(to), &msg.encode_to_vec())?;
+            .request(&self.org, &self.wire_addr(to), &msg.encode_to_vec())
+            .map_err(refusal_or_net)?;
         ProtocolMessage::decode_from_slice(&out.value)
             .map_err(|e| ProtocolError::BadMessage(format!("undecodable response: {e}")))
+    }
+}
+
+/// A peer's refusal (see the module docs) or a transport fault.
+fn refusal_or_net(e: NetError) -> ProtocolError {
+    match e {
+        NetError::Endpoint(msg) => ProtocolError::Rejected(msg),
+        e => ProtocolError::Net(e),
     }
 }
 
@@ -194,6 +213,7 @@ mod tests {
     use nonrep_net::retry::RetryPolicy;
     use nonrep_types::ids::RunId;
     use parking_lot::Mutex;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Echo handler: responds with the same body at step+1.
     struct EchoHandler {
@@ -271,10 +291,55 @@ mod tests {
         let (coord_a, _coord_b, _handler) = wired_pair();
         let bad = ProtocolMessage::new("nope", RunId::from_u128(1), 1, "a", vec![]);
         let err = coord_a.deliver_request(&OrgId::new("b"), &bad).unwrap_err();
-        assert!(matches!(
+        assert_eq!(
             err,
-            ProtocolError::Net(nonrep_net::NetError::Endpoint(_))
-        ));
+            ProtocolError::Rejected("unknown protocol: nope".into())
+        );
+    }
+
+    /// Refuses every request and counts how often it was asked.
+    struct RefusingHandler {
+        calls: AtomicUsize,
+    }
+
+    impl ProtocolHandler for RefusingHandler {
+        fn protocol(&self) -> ProtocolId {
+            ProtocolId::new("refuse")
+        }
+        fn process(&self, _from: &OrgId, _msg: ProtocolMessage) -> Result<(), ProtocolError> {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            Err(ProtocolError::Rejected("not today".into()))
+        }
+        fn process_request(
+            &self,
+            _from: &OrgId,
+            _msg: ProtocolMessage,
+        ) -> Result<ProtocolMessage, ProtocolError> {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            Err(ProtocolError::BadMessage("not today".into()))
+        }
+    }
+
+    #[test]
+    fn handler_refusal_arrives_as_rejected_once() {
+        let (coord_a, coord_b, _handler) = wired_pair();
+        let refusing = Arc::new(RefusingHandler {
+            calls: AtomicUsize::new(0),
+        });
+        coord_b.register_handler(refusing.clone());
+        let b = OrgId::new("b");
+        let req = ProtocolMessage::new("refuse", RunId::from_u128(2), 1, "a", vec![]);
+        // The requesters retry transient faults up to 4 attempts; a
+        // refusal is not one of them.
+        let err = coord_a.deliver_request(&b, &req).unwrap_err();
+        assert_eq!(
+            err,
+            ProtocolError::Rejected("bad message: not today".into())
+        );
+        assert_eq!(refusing.calls.load(Ordering::SeqCst), 1);
+        let err = coord_a.deliver(&b, &req).unwrap_err();
+        assert_eq!(err, ProtocolError::Rejected("rejected: not today".into()));
+        assert_eq!(refusing.calls.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -26,8 +26,8 @@ pub trait ProtocolHandler: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Any [`ProtocolError`]; the coordinator reports it to the sender as
-    /// an endpoint failure.
+    /// Any [`ProtocolError`]; the sender's coordinator reports it as
+    /// [`ProtocolError::Rejected`] carrying this error's text.
     fn process(&self, from: &OrgId, msg: ProtocolMessage) -> Result<(), ProtocolError>;
 
     /// Processes a request message and produces the response message

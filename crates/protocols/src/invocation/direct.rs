@@ -44,7 +44,7 @@ use crate::invocation::{RequestExecutor, RunRegistry, ServerResponse};
 use crate::message::ProtocolMessage;
 use crate::party::Party;
 use crate::scheduler::TokenSpec;
-use crate::session::{Call, CallLossy, Client, End, ExchangeEngine, ExchangeError, RunJournal};
+use crate::session::{Call, CallLossy, Client, End, ExchangeEngine, RunJournal};
 use crate::tokens::{NrToken, TokenKind};
 use crate::{B2BCoordinator, ProtocolError};
 
@@ -111,12 +111,14 @@ impl DirectClient {
     ///
     /// # Errors
     ///
-    /// [`ExchangeError::Transport`] on communication failure (after
-    /// retries), [`ExchangeError::Peer`] on bad peer evidence,
-    /// [`ExchangeError::Local`] on signing/persistence failure. If the
+    /// [`ProtocolError::Net`] on communication failure (after retries),
+    /// [`ProtocolError::Rejected`] if the server refuses the request,
+    /// [`ProtocolError::BadSignature`] or [`ProtocolError::BadMessage`]
+    /// on bad peer evidence, [`ProtocolError::Signing`] or
+    /// [`ProtocolError::Storage`] on signing/persistence failure. If the
     /// error occurs after step 2 the client has already persisted the
     /// server's evidence.
-    pub fn invoke(&self, server: &OrgId, request: Vec<u8>) -> Result<DirectOutcome, ExchangeError> {
+    pub fn invoke(&self, server: &OrgId, request: Vec<u8>) -> Result<DirectOutcome, ProtocolError> {
         self.invoke_with(self.engine.party().new_run_id(), server, request)
     }
 
@@ -133,7 +135,7 @@ impl DirectClient {
         run_id: RunId,
         server: &OrgId,
         request: Vec<u8>,
-    ) -> Result<DirectOutcome, ExchangeError> {
+    ) -> Result<DirectOutcome, ProtocolError> {
         let req_digest = sha256(&request);
         let session = self.engine.session::<Client, DirectChoreography>(run_id);
 
@@ -474,8 +476,47 @@ mod tests {
         );
     }
 
+    /// Answers step 1 through the real server, then refuses the receipt.
+    struct RefuseReceipt(Arc<DirectServerHandler>);
+
+    impl ProtocolHandler for RefuseReceipt {
+        fn protocol(&self) -> ProtocolId {
+            self.0.protocol()
+        }
+        fn process(&self, from: &OrgId, msg: ProtocolMessage) -> Result<(), ProtocolError> {
+            self.0.process(from, msg)
+        }
+        fn process_request(
+            &self,
+            from: &OrgId,
+            msg: ProtocolMessage,
+        ) -> Result<ProtocolMessage, ProtocolError> {
+            match msg.step {
+                3 => Err(ProtocolError::Rejected("receipt refused".into())),
+                _ => self.0.process_request(from, msg),
+            }
+        }
+    }
+
     #[test]
-    fn unknown_client_rejected_as_transport_fault() {
+    fn refused_receipt_reads_as_a_lost_ack() {
+        // The exchange is complete for the client once step 2 is
+        // verified: a server refusing the step-3 receipt costs only the
+        // ack, exactly like a lost one.
+        let fx = fixture();
+        let coord = B2BCoordinator::new(
+            "server",
+            ReliableRequester::new(fx.bus.clone(), RetryPolicy::new(8)),
+        );
+        coord.register_handler(Arc::new(RefuseReceipt(fx.server_handler.clone())));
+        fx.bus.register(fx.server.clone(), coord);
+        let out = fx.client.invoke(&fx.server, b"req".to_vec()).unwrap();
+        assert!(!out.receipt_acked);
+        assert!(!fx.server_handler.receipt_received(&out.run_id));
+    }
+
+    #[test]
+    fn unknown_client_rejected_as_refusal() {
         let fx = fixture();
         // A party whose key the server does not know.
         let clock = LogicalClock::new();
@@ -494,12 +535,8 @@ mod tests {
         fx.bus.register(OrgId::new("rogue"), coord.clone());
         let client = DirectClient::new(rogue, coord);
         let err = client.invoke(&fx.server, b"req".to_vec()).unwrap_err();
-        // The remote handler's refusal surfaces through the bus as an
-        // endpoint error — a transport-class fault for the caller.
-        assert!(matches!(
-            err,
-            ExchangeError::Transport(nonrep_net::NetError::Endpoint(_))
-        ));
+        // The remote handler's refusal reaches the caller as a refusal.
+        assert!(matches!(err, ProtocolError::Rejected(_)), "{err:?}");
         assert_eq!(*fx.exec_count.lock(), 0, "request must not execute");
     }
 

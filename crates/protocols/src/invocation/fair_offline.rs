@@ -71,7 +71,6 @@ use parking_lot::Mutex;
 
 use nonrep_crypto::digest::{sha256, Digest};
 use nonrep_crypto::stream::xor_keystream;
-use nonrep_net::NetError;
 use nonrep_types::codec::{CodecError, Decode, Encode, Reader, Writer};
 use nonrep_types::ids::{OrgId, ProtocolId, RunId};
 
@@ -82,17 +81,21 @@ use crate::party::Party;
 use crate::scheduler::TokenSpec;
 use crate::session::{
     Branch, Call, CallOpen, CallOr, Client, End, EscalationAction, EscalationOutcome,
-    ExchangeEngine, ExchangeError, ExchangeSupervisor, PeerFault, RunJournal, Server, Session,
+    ExchangeEngine, ExchangeSupervisor, RunJournal, Server, Session,
 };
 use crate::tokens::{defection_digest, NrToken, TokenKind};
 use crate::{B2BCoordinator, ProtocolError};
 
-/// `true` if a TTP call's transport error is the TTP refusing the call:
-/// a handler's `Err` crosses the bus as [`NetError::Endpoint`]. (A
-/// refusal can also come back as a wrong-step reply.) Any other
-/// `NetError` is a transport fault.
-fn is_refusal(e: &NetError) -> bool {
-    matches!(e, NetError::Endpoint(_))
+/// A failed TTP call as its caller reports it: a transport fault or
+/// this party's own signing or storage fault passes through unchanged;
+/// anything else is the TTP refusing the call (a
+/// [`ProtocolError::Rejected`] or a wrong-step reply), reported as the
+/// call site's documented `refusal`.
+fn ttp_refusal(e: ProtocolError, refusal: ProtocolError) -> ProtocolError {
+    match e {
+        ProtocolError::Net(_) | ProtocolError::Signing(_) | ProtocolError::Storage(_) => e,
+        _ => refusal,
+    }
 }
 
 /// Protocol id of the fair offline-TTP protocol.
@@ -322,13 +325,13 @@ impl FairClient {
     ///
     /// # Errors
     ///
-    /// [`PeerFault::Aborted`] if the server aborted the run at the TTP —
+    /// [`ProtocolError::Aborted`] if the server aborted the run at the TTP —
     /// normally before the client's receipt was committed (harmless), but
     /// a malicious server can also win an abort race *after* collecting
     /// the receipt; that interleaving is convicted at adjudication (see
-    /// the module docs). Other [`ExchangeError`]s on bad evidence or
+    /// the module docs). Other [`ProtocolError`]s on bad evidence or
     /// unreachable peers.
-    pub fn invoke(&self, server: &OrgId, request: Vec<u8>) -> Result<FairOutcome, ExchangeError> {
+    pub fn invoke(&self, server: &OrgId, request: Vec<u8>) -> Result<FairOutcome, ProtocolError> {
         self.invoke_with(self.engine.party().new_run_id(), server, request)
     }
 
@@ -343,7 +346,7 @@ impl FairClient {
         run_id: RunId,
         server: &OrgId,
         request: Vec<u8>,
-    ) -> Result<FairOutcome, ExchangeError> {
+    ) -> Result<FairOutcome, ProtocolError> {
         self.invoke_paced(run_id, server, request, || ())
     }
 
@@ -359,21 +362,21 @@ impl FairClient {
     ///
     /// As [`FairClient::invoke`]; additionally, if the pause outlasted
     /// the server's receipt window the server will have timeout-aborted
-    /// the run, surfacing here as [`PeerFault::Aborted`].
+    /// the run, surfacing here as [`ProtocolError::Aborted`].
     pub fn invoke_paced(
         &self,
         run_id: RunId,
         server: &OrgId,
         request: Vec<u8>,
         pause: impl FnOnce(),
-    ) -> Result<FairOutcome, ExchangeError> {
+    ) -> Result<FairOutcome, ProtocolError> {
         // Verify all evidence before committing.
         let (session, step2, [nrr_req, nro_resp]) = self.request_round(run_id, server, request)?;
         // The escrow ack must come from *our* TTP and cover this run.
         if step2.escrow_ack.issuer != self.ttp {
-            return Err(ExchangeError::Peer(PeerFault::BadMessage(
+            return Err(ProtocolError::BadMessage(
                 "escrow ack not from the agreed TTP".into(),
-            )));
+            ));
         }
         self.engine.absorb(
             &step2.escrow_ack,
@@ -419,9 +422,9 @@ impl FairClient {
         // garbage (the client still holds the TTP's signed decision
         // against it by the time this fires).
         if sha256(&plain) != step2.resp_digest {
-            return Err(ExchangeError::Peer(PeerFault::BadMessage(
+            return Err(ProtocolError::BadMessage(
                 "decrypted response does not match committed digest".into(),
-            )));
+            ));
         }
         let response: ServerResponse = self.engine.decode_body(&plain)?;
         // Run complete (key in hand, evidence stored): let the commitment
@@ -453,7 +456,7 @@ impl FairClient {
         run_id: RunId,
         server: &OrgId,
         request: Vec<u8>,
-    ) -> Result<(), ExchangeError> {
+    ) -> Result<(), ProtocolError> {
         let (session, _, _) = self.request_round(run_id, server, request)?;
         // Silence: the session is dropped mid-choreography (legal at
         // runtime — typestate forbids wrong orders, not walking away).
@@ -469,7 +472,7 @@ impl FairClient {
         run_id: RunId,
         server: &OrgId,
         request: Vec<u8>,
-    ) -> Result<Opened, ExchangeError> {
+    ) -> Result<Opened, ProtocolError> {
         let req_digest = sha256(&request);
         let session = self.engine.session::<Client, FairChoreography>(run_id);
         let nro_req = TokenSpec::new(TokenKind::NroReq, run_id, req_digest);
@@ -492,27 +495,23 @@ impl FairClient {
         dispute: Session<Client, ResolveChoreography>,
         server: &OrgId,
         nrr_resp: &NrToken,
-    ) -> Result<([u8; 32], Session<Client, End>), ExchangeError> {
+    ) -> Result<([u8; 32], Session<Client, End>), ProtocolError> {
         let run = dispute.run();
-        let (reply, session) = match dispute.call_open(&self.ttp, nrr_resp.encode_to_vec(), &[]) {
-            Ok(ok) => ok,
-            Err(ExchangeError::Transport(e)) if !is_refusal(&e) => {
-                return Err(ExchangeError::Transport(e))
-            }
-            // A refusal (aborted run, bad receipt): the run is dead for
-            // this client.
-            Err(_) => return Err(ExchangeError::Peer(PeerFault::Aborted(run))),
-        };
+        // A refusal (aborted run, bad receipt): the run is dead for this
+        // client.
+        let (reply, session) = dispute
+            .call_open(&self.ttp, nrr_resp.encode_to_vec(), &[])
+            .map_err(|e| ttp_refusal(e, ProtocolError::Aborted(run)))?;
         let ack: ResolveAck = self
             .engine
             .decode_body(&reply.body)
-            .map_err(|_| ExchangeError::Peer(PeerFault::Aborted(run)))?;
+            .map_err(|_| ProtocolError::Aborted(run))?;
         // The decision must be the agreed TTP's signed conviction of the
         // server we were exchanging with, for *this* run.
         if ack.decision.issuer != self.ttp {
-            return Err(ExchangeError::Peer(PeerFault::BadMessage(
+            return Err(ProtocolError::BadMessage(
                 "dispute decision not from the agreed TTP".into(),
-            )));
+            ));
         }
         self.engine.absorb(
             &ack.decision,
@@ -543,12 +542,12 @@ pub enum ServerConduct {
     /// committed digest before taking the primary branch, so this is
     /// treated as a withheld key and diverts to the TTP.
     GarbageKey,
-    /// Go silent before the key release: the server never answers step
-    /// 3 at all — the client's round dies on the wire (transport
-    /// fault), which diverts it into the dispute sub-protocol exactly
-    /// like a withheld key. Distinct from [`ServerConduct::WithholdKey`]
-    /// (which answers promptly with a useless frame): a staller makes
-    /// the client burn its whole retry budget first.
+    /// Go silent before the key release: the server answers step 3
+    /// with no frame at all — the client's round fails (the refusal
+    /// reaches it as [`ProtocolError::Rejected`], which is not retried)
+    /// and diverts into the dispute sub-protocol exactly like a withheld
+    /// key. Distinct from [`ServerConduct::WithholdKey`], which answers
+    /// with a frame that carries no key.
     Stall,
 }
 
@@ -680,20 +679,16 @@ impl FairServerHandler {
     /// # Errors
     ///
     /// [`ProtocolError::Rejected`] if the run was already resolved (the
-    /// TTP then holds the client's receipt — fetch it instead).
+    /// TTP then holds the client's receipt — fetch it instead);
+    /// [`ProtocolError::Net`] if the TTP is unreachable.
     pub fn abort(&self, run: RunId) -> Result<NrToken, ProtocolError> {
         let session = self.engine.session::<Server, AbortChoreography>(run);
-        let (reply, _done) = match session.call_open(&self.ttp, Vec::new(), &[]) {
-            Ok(ok) => ok,
-            Err(ExchangeError::Transport(e)) if !is_refusal(&e) => {
-                return Err(ProtocolError::Net(e))
-            }
-            Err(_) => {
-                return Err(ProtocolError::Rejected(
-                    "run already resolved at TTP".into(),
-                ));
-            }
-        };
+        let (reply, _done) = session.call_open(&self.ttp, Vec::new(), &[]).map_err(|e| {
+            ttp_refusal(
+                e,
+                ProtocolError::Rejected("run already resolved at TTP".into()),
+            )
+        })?;
         let token: NrToken = self.engine.decode_body(&reply.body)?;
         self.engine.absorb(&token, TokenKind::Abort, run, None)?;
         // The run is dead from our side: refuse any receipt that arrives
@@ -713,16 +708,13 @@ impl FairServerHandler {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::UnknownRun`] if the TTP holds no receipt for `run`.
+    /// [`ProtocolError::UnknownRun`] if the TTP holds no receipt for `run`;
+    /// [`ProtocolError::Net`] if the TTP is unreachable.
     pub fn fetch_receipt(&self, run: RunId) -> Result<NrToken, ProtocolError> {
         let session = self.engine.session::<Server, FetchChoreography>(run);
-        let (reply, _done) = match session.call_open(&self.ttp, Vec::new(), &[]) {
-            Ok(ok) => ok,
-            Err(ExchangeError::Transport(e)) if !is_refusal(&e) => {
-                return Err(ProtocolError::Net(e))
-            }
-            Err(_) => return Err(ProtocolError::UnknownRun(run)),
-        };
+        let (reply, _done) = session
+            .call_open(&self.ttp, Vec::new(), &[])
+            .map_err(|e| ttp_refusal(e, ProtocolError::UnknownRun(run)))?;
         let token: NrToken = self.engine.decode_body(&reply.body)?;
         self.engine.absorb(&token, TokenKind::NrrResp, run, None)?;
         Ok(token)
@@ -760,13 +752,9 @@ impl FairServerHandler {
         let session = self
             .engine
             .session::<Server, EscrowChoreography>(msg.run_id);
-        let (ack, _escrowed) = match session.call_open(&self.ttp, escrow.encode_to_vec(), &[]) {
-            Ok(ok) => ok,
-            Err(ExchangeError::Transport(e)) if !is_refusal(&e) => {
-                return Err(ProtocolError::Net(e))
-            }
-            Err(_) => return Err(ProtocolError::BadMessage("TTP refused escrow".into())),
-        };
+        let (ack, _escrowed) = session
+            .call_open(&self.ttp, escrow.encode_to_vec(), &[])
+            .map_err(|e| ttp_refusal(e, ProtocolError::BadMessage("TTP refused escrow".into())))?;
         let escrow_ack: NrToken = self.engine.decode_body(&ack.body)?;
         self.engine.absorb(
             &escrow_ack,
@@ -867,9 +855,9 @@ impl FairServerHandler {
             ServerConduct::GarbageKey => {
                 Ok(self.engine.open_frame(msg.run_id, STEP_KEY, vec![0x5a; 32]))
             }
-            // Silence: no reply at all. The coordinator surfaces this as
-            // an endpoint fault, so the client's round fails like a dead
-            // host rather than a wrong-step frame.
+            // Silence, modelled as a refusal with no reply frame: the
+            // client's round fails (as `Rejected`) rather than returning
+            // a wrong-step frame.
             ServerConduct::Stall => Err(ProtocolError::Rejected(
                 "server went silent before key release".into(),
             )),
@@ -1116,14 +1104,52 @@ impl ProtocolHandler for OfflineTtpHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::party::StaticKeyDirectory;
+    use crate::party::{KeyDirectory, StaticKeyDirectory};
+    use nonrep_crypto::sig::{KeyPair, SignatureScheme};
+    use nonrep_crypto::SecureRandom;
     use nonrep_net::bus::LocalBus;
     use nonrep_net::retry::{ReliableRequester, RetryPolicy};
+    use nonrep_store::{EvidenceLog, EvidenceRecord, MemoryLog, RecordDraft, StoreError};
     use nonrep_types::time::LogicalClock;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// The client's evidence log: appends fail while `fail` is set.
+    #[derive(Default)]
+    struct SwitchLog {
+        inner: MemoryLog,
+        fail: AtomicBool,
+    }
+
+    impl EvidenceLog for SwitchLog {
+        fn append(&self, draft: RecordDraft) -> Result<Arc<EvidenceRecord>, StoreError> {
+            if self.fail.load(Ordering::SeqCst) {
+                return Err(StoreError::Corrupt("disk full".into()));
+            }
+            self.inner.append(draft)
+        }
+
+        fn for_each(&self, f: &mut dyn FnMut(&EvidenceRecord)) {
+            self.inner.for_each(f)
+        }
+
+        fn snapshot_range(&self, range: std::ops::Range<u64>) -> Vec<Arc<EvidenceRecord>> {
+            self.inner.snapshot_range(range)
+        }
+
+        fn head(&self) -> Digest {
+            self.inner.head()
+        }
+
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+    }
 
     struct World {
+        bus: Arc<LocalBus>,
         client: FairClient,
         client_party: Arc<Party>,
+        client_log: Arc<SwitchLog>,
         server_handler: Arc<FairServerHandler>,
         server_party: Arc<Party>,
         ttp_handler: Arc<OfflineTtpHandler>,
@@ -1142,7 +1168,21 @@ mod tests {
         let bus = LocalBus::new();
         let clock = LogicalClock::new();
         let dir = Arc::new(StaticKeyDirectory::new());
-        let client_party = Party::quick("client", 1, &clock, &dir);
+        let client_log = Arc::new(SwitchLog::default());
+        let mut rng = SecureRandom::from_seed(1);
+        let client_keys = Arc::new(KeyPair::generate(
+            SignatureScheme::Mss { height: 8 },
+            &mut rng,
+        ));
+        dir.insert(OrgId::new("client"), client_keys.verifying_key());
+        let client_party = Party::new(
+            "client",
+            client_keys,
+            Arc::new(clock.clone()),
+            client_log.clone(),
+            Arc::clone(&dir) as Arc<dyn KeyDirectory>,
+            rng,
+        );
         let server_party = Party::quick("server", 2, &clock, &dir);
         let ttp_party = Party::quick("ttp", 3, &clock, &dir);
         let supervisor = ExchangeSupervisor::new(Arc::new(clock.clone()));
@@ -1175,8 +1215,10 @@ mod tests {
         coord_t.register_handler(ttp_handler.clone());
 
         World {
+            bus,
             client: FairClient::new(client_party.clone(), coord_c, OrgId::new("ttp")),
             client_party,
+            client_log,
             server_handler,
             server_party,
             ttp_handler,
@@ -1196,6 +1238,22 @@ mod tests {
                 .iter()
                 .any(|r| r.draft.kind == kind.label() && &r.draft.actor == ttp.org())
         }
+    }
+
+    /// Drives a run through step 2 (the server escrows its key with the
+    /// TTP) and returns it with the client's receipt, not yet sent.
+    fn escrowed_receipt(w: &World) -> (RunId, NrToken) {
+        let run = w.client_party.new_run_id();
+        let msg2 = w
+            .server_handler
+            .process_request(&OrgId::new("client"), request_frame(w, run, b"req"))
+            .unwrap();
+        let step2 = FairStep2::decode_from_slice(&msg2.body).unwrap();
+        let nrr = w
+            .client_party
+            .issue_token(TokenKind::NrrResp, run, step2.resp_digest)
+            .unwrap();
+        (run, nrr)
     }
 
     /// The client's signed frame for `step` of `run`, carrying `tokens`.
@@ -1340,7 +1398,7 @@ mod tests {
         w.server_handler.abort(run).unwrap();
         let dispute = w.client.engine.session::<Client, ResolveChoreography>(run);
         let err = w.client.resolve(dispute, &w.server, &nrr).unwrap_err();
-        assert!(matches!(err, ExchangeError::Peer(PeerFault::Aborted(r)) if r == run));
+        assert!(matches!(err, ProtocolError::Aborted(r) if r == run));
 
         // The race is self-incriminating: the server's own evidence log
         // now pairs the client's NRR_resp with the TTP's Abort token —
@@ -1403,7 +1461,7 @@ mod tests {
             .unwrap();
         let dispute = w.client.engine.session::<Client, ResolveChoreography>(run);
         let err = w.client.resolve(dispute, &w.server, &nrr).unwrap_err();
-        assert!(matches!(err, ExchangeError::Peer(PeerFault::Aborted(r)) if r == run));
+        assert!(matches!(err, ProtocolError::Aborted(r) if r == run));
     }
 
     #[test]
@@ -1444,7 +1502,7 @@ mod tests {
             .engine
             .session::<Client, ResolveChoreography>(out.run_id);
         let err = w.client.resolve(dispute, &w.server, &bogus).unwrap_err();
-        assert!(matches!(err, ExchangeError::Peer(PeerFault::Aborted(r)) if r == out.run_id));
+        assert!(matches!(err, ProtocolError::Aborted(r) if r == out.run_id));
         // And no conviction was minted against the honest server.
         assert!(!w.ttp_logged(out.run_id, TokenKind::Resolve));
     }
@@ -1474,6 +1532,77 @@ mod tests {
             err,
             ProtocolError::Rejected(_) | ProtocolError::BadSignature { .. }
         ));
+    }
+
+    #[test]
+    fn ttp_calls_pass_transport_faults_through() {
+        // An unreachable TTP is a transport fault at every TTP call
+        // site, never the call site's refusal variant.
+        let w = world(ServerConduct::Honest);
+        let ttp = OrgId::new("ttp");
+        let client = OrgId::new("client");
+        let (run, nrr) = escrowed_receipt(&w);
+        let is_net = |r: Result<NrToken, ProtocolError>| matches!(r, Err(ProtocolError::Net(_)));
+
+        w.bus.fault_plan().crash(&ttp);
+        let dispute = w.client.engine.session::<Client, ResolveChoreography>(run);
+        let err = w.client.resolve(dispute, &w.server, &nrr).unwrap_err();
+        assert!(matches!(err, ProtocolError::Net(_)), "{err:?}");
+        assert!(is_net(w.server_handler.abort(run)));
+        assert!(is_net(w.server_handler.fetch_receipt(run)));
+        let fresh = w.client_party.new_run_id();
+        let err = w
+            .server_handler
+            .process_request(&client, request_frame(&w, fresh, b"req"))
+            .unwrap_err();
+        assert!(matches!(err, ProtocolError::Net(_)), "{err:?}");
+
+        // The same through a partition between the server and the TTP.
+        w.bus.fault_plan().recover(&ttp);
+        w.bus.fault_plan().partition(&w.server, &ttp);
+        assert!(is_net(w.server_handler.abort(run)));
+        assert!(is_net(w.server_handler.fetch_receipt(run)));
+        let fresh = w.client_party.new_run_id();
+        let err = w
+            .server_handler
+            .process_request(&client, request_frame(&w, fresh, b"req"))
+            .unwrap_err();
+        assert!(matches!(err, ProtocolError::Net(_)), "{err:?}");
+        assert!(!w.ttp_logged(run, TokenKind::Abort));
+    }
+
+    #[test]
+    fn resolve_reports_its_own_signing_fault() {
+        // A client whose key is exhausted cannot sign its resolve frame:
+        // that is its own fault, not the TTP aborting the run.
+        let w = world(ServerConduct::Honest);
+        let (run, nrr) = escrowed_receipt(&w);
+        while w.client_party.keys().sign(b"burn").is_ok() {}
+        let dispute = w.client.engine.session::<Client, ResolveChoreography>(run);
+        let err = w.client.resolve(dispute, &w.server, &nrr).unwrap_err();
+        assert!(matches!(err, ProtocolError::Signing(_)), "{err:?}");
+    }
+
+    #[test]
+    fn resolve_reports_its_own_storage_fault() {
+        // A journalled client whose log fails to take the resolve round's
+        // progress marker reports a storage fault, not an aborted run.
+        let w = world(ServerConduct::Honest);
+        let (run, nrr) = escrowed_receipt(&w);
+        let client = FairClient::new(
+            w.client_party.clone(),
+            w.client
+                .engine
+                .coordinator()
+                .expect("client engine has a coordinator")
+                .clone(),
+            OrgId::new("ttp"),
+        )
+        .with_journal(RunJournal::new(w.client_party.clone()));
+        w.client_log.fail.store(true, Ordering::SeqCst);
+        let dispute = client.engine.session::<Client, ResolveChoreography>(run);
+        let err = client.resolve(dispute, &w.server, &nrr).unwrap_err();
+        assert!(matches!(err, ProtocolError::Storage(_)), "{err:?}");
     }
 
     #[test]
@@ -1569,9 +1698,9 @@ mod tests {
 
     #[test]
     fn stalling_server_is_defeated_by_resolve() {
-        // Silence before the key release is a transport fault at the
-        // client, which diverts into the dispute sub-protocol exactly
-        // like a withheld key — and convicts the same way.
+        // Silence before the key release fails the client's round, which
+        // diverts into the dispute sub-protocol exactly like a withheld
+        // key — and convicts the same way.
         let w = world(ServerConduct::Stall);
         let out = w.client.invoke(&w.server, b"req".to_vec()).unwrap();
         assert_eq!(out.response, ServerResponse::Executed(b"res:req".to_vec()));

@@ -46,9 +46,7 @@ use crate::invocation::{RunRegistry, ServerResponse};
 use crate::message::ProtocolMessage;
 use crate::party::Party;
 use crate::scheduler::TokenSpec;
-use crate::session::{
-    CallRelayed, Client, End, ExchangeEngine, ExchangeError, Forward, PeerFault, RunJournal, Ttp,
-};
+use crate::session::{CallRelayed, Client, End, ExchangeEngine, Forward, RunJournal, Ttp};
 use crate::tokens::{NrToken, TokenKind};
 use crate::{B2BCoordinator, ProtocolError};
 
@@ -181,8 +179,8 @@ impl InlineTtpClient {
     ///
     /// # Errors
     ///
-    /// [`ExchangeError`] on communication failure or bad evidence.
-    pub fn invoke(&self, server: &OrgId, request: Vec<u8>) -> Result<InlineOutcome, ExchangeError> {
+    /// [`ProtocolError`] on communication failure or bad evidence.
+    pub fn invoke(&self, server: &OrgId, request: Vec<u8>) -> Result<InlineOutcome, ProtocolError> {
         self.invoke_with(self.engine.party().new_run_id(), server, request)
     }
 
@@ -197,7 +195,7 @@ impl InlineTtpClient {
         run_id: RunId,
         server: &OrgId,
         request: Vec<u8>,
-    ) -> Result<InlineOutcome, ExchangeError> {
+    ) -> Result<InlineOutcome, ProtocolError> {
         let req_digest = sha256(&request);
         let session = self.engine.session::<Client, InlineChoreography>(run_id);
         let step1 = InlineStep1 {
@@ -231,10 +229,10 @@ impl InlineTtpClient {
             None,
             Some(&resp_digest),
         ) {
-            return Err(ExchangeError::Peer(PeerFault::BadSignature {
+            return Err(ProtocolError::BadSignature {
                 org: resp.server_nro_resp.issuer.clone(),
                 what: "server NRO_resp".into(),
-            }));
+            });
         }
         self.engine.party().store_token(&resp.server_nro_resp)?;
         // Run complete: seal pending evidence if the policy asks for it.

@@ -40,7 +40,7 @@ use crate::invocation::{RequestExecutor, RunRegistry, ServerResponse};
 use crate::message::ProtocolMessage;
 use crate::party::Party;
 use crate::scheduler::TokenSpec;
-use crate::session::{CallOpen, Client, End, ExchangeEngine, ExchangeError, RunJournal};
+use crate::session::{CallOpen, Client, End, ExchangeEngine, RunJournal};
 use crate::tokens::TokenKind;
 use crate::{B2BCoordinator, ProtocolError};
 use nonrep_types::codec::Encode;
@@ -100,12 +100,12 @@ impl VoluntaryClient {
     ///
     /// # Errors
     ///
-    /// [`ExchangeError`] on communication or signing failure.
+    /// [`ProtocolError`] on communication or signing failure.
     pub fn invoke(
         &self,
         server: &OrgId,
         request: Vec<u8>,
-    ) -> Result<VoluntaryOutcome, ExchangeError> {
+    ) -> Result<VoluntaryOutcome, ProtocolError> {
         self.invoke_with(self.engine.party().new_run_id(), server, request)
     }
 
@@ -120,7 +120,7 @@ impl VoluntaryClient {
         run_id: RunId,
         server: &OrgId,
         request: Vec<u8>,
-    ) -> Result<VoluntaryOutcome, ExchangeError> {
+    ) -> Result<VoluntaryOutcome, ProtocolError> {
         let req_digest = sha256(&request);
         let session = self.engine.session::<Client, VoluntaryChoreography>(run_id);
         let nro_req = TokenSpec::new(TokenKind::NroReq, run_id, req_digest);

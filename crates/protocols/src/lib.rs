@@ -59,8 +59,8 @@ pub use message::ProtocolMessage;
 pub use party::{KeyDirectory, Party, StaticKeyDirectory};
 pub use scheduler::{CommitmentMode, CommitmentScheduler, DeadlineSealer, TokenSpec};
 pub use session::{
-    EscalationAction, EscalationOutcome, ExchangeEngine, ExchangeError, ExchangeSupervisor,
-    ExpiryReport, LocalFault, OpenRun, PeerFault, RunJournal,
+    EscalationAction, EscalationOutcome, ExchangeEngine, ExchangeSupervisor, ExpiryReport, OpenRun,
+    RunJournal,
 };
 pub use tokens::{NrToken, TokenKind};
 
@@ -68,6 +68,7 @@ use std::error::Error;
 use std::fmt;
 
 use nonrep_net::NetError;
+use nonrep_types::codec::CodecError;
 use nonrep_types::ids::{OrgId, ProtocolId, RunId};
 
 /// Errors raised by protocol execution.
@@ -152,5 +153,11 @@ impl From<nonrep_crypto::sig::SignError> for ProtocolError {
 impl From<nonrep_store::StoreError> for ProtocolError {
     fn from(e: nonrep_store::StoreError) -> Self {
         ProtocolError::Storage(e.to_string())
+    }
+}
+
+impl From<CodecError> for ProtocolError {
+    fn from(e: CodecError) -> Self {
+        ProtocolError::BadMessage(e.to_string())
     }
 }

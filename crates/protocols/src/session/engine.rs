@@ -41,9 +41,8 @@ use crate::message::ProtocolMessage;
 use crate::party::Party;
 use crate::scheduler::TokenSpec;
 use crate::tokens::{NrToken, TokenKind};
-use crate::B2BCoordinator;
+use crate::{B2BCoordinator, ProtocolError};
 
-use super::error::{ExchangeError, PeerFault};
 use super::journal::RunJournal;
 use super::typestate::{Role, Session, State};
 
@@ -112,8 +111,8 @@ impl ExchangeEngine {
     ///
     /// # Errors
     ///
-    /// [`ExchangeError::Local`] if the marker cannot be persisted.
-    pub fn journal_progress(&self, run: RunId, step: u32) -> Result<(), ExchangeError> {
+    /// [`ProtocolError::Storage`] if the marker cannot be persisted.
+    pub fn journal_progress(&self, run: RunId, step: u32) -> Result<(), ProtocolError> {
         match &self.journal {
             Some(journal) => journal.progress(run, &self.protocol, step),
             None => Ok(()),
@@ -124,8 +123,8 @@ impl ExchangeEngine {
     ///
     /// # Errors
     ///
-    /// [`ExchangeError::Local`] if the marker cannot be persisted.
-    pub fn journal_close(&self, run: RunId, step: u32) -> Result<(), ExchangeError> {
+    /// [`ProtocolError::Storage`] if the marker cannot be persisted.
+    pub fn journal_close(&self, run: RunId, step: u32) -> Result<(), ProtocolError> {
         match &self.journal {
             Some(journal) => journal.close(run, &self.protocol, step),
             None => Ok(()),
@@ -136,8 +135,8 @@ impl ExchangeEngine {
     ///
     /// # Errors
     ///
-    /// [`ExchangeError::Local`] if the marker cannot be persisted.
-    pub fn journal_abort(&self, run: RunId, step: u32) -> Result<(), ExchangeError> {
+    /// [`ProtocolError::Storage`] if the marker cannot be persisted.
+    pub fn journal_abort(&self, run: RunId, step: u32) -> Result<(), ProtocolError> {
         match &self.journal {
             Some(journal) => journal.abort(run, &self.protocol, step),
             None => Ok(()),
@@ -172,15 +171,15 @@ impl ExchangeEngine {
     ///
     /// # Errors
     ///
-    /// [`ExchangeError::Local`] if signing (key exhausted) or persisting
-    /// the tokens fails.
+    /// [`ProtocolError::Signing`] if signing fails (key exhausted),
+    /// [`ProtocolError::Storage`] if persisting the tokens fails.
     pub fn request_frame(
         &self,
         run: RunId,
         step: u32,
         body: Vec<u8>,
         tokens: &[TokenSpec],
-    ) -> Result<ProtocolMessage, ExchangeError> {
+    ) -> Result<ProtocolMessage, ProtocolError> {
         let frame = ProtocolMessage::new(
             self.protocol.clone(),
             run,
@@ -188,9 +187,7 @@ impl ExchangeEngine {
             self.party.org().clone(),
             body,
         );
-        self.party
-            .sign_frame(frame, tokens)
-            .map_err(ExchangeError::from)
+        self.party.sign_frame(frame, tokens)
     }
 
     /// Builds an unsigned frame (acks and voluntary-style replies whose
@@ -210,8 +207,9 @@ impl ExchangeEngine {
     ///
     /// # Errors
     ///
-    /// [`ExchangeError::Transport`] after retries are exhausted, or the
-    /// remote handler's fault classified via [`ExchangeError::from`].
+    /// [`ProtocolError::Net`] after retries are exhausted;
+    /// [`ProtocolError::Rejected`] carrying the remote handler's message
+    /// if it refused the frame (see [`B2BCoordinator::deliver_request`]).
     ///
     /// # Panics
     ///
@@ -220,31 +218,29 @@ impl ExchangeEngine {
         &self,
         to: &OrgId,
         msg: &ProtocolMessage,
-    ) -> Result<ProtocolMessage, ExchangeError> {
+    ) -> Result<ProtocolMessage, ProtocolError> {
         self.coordinator
             .as_ref()
             .expect("local engine cannot deliver; build with ExchangeEngine::new")
             .deliver_request(to, msg)
-            .map_err(ExchangeError::from)
     }
 
     /// Checks a reply belongs to `run` and carries `expected` as step.
     ///
     /// # Errors
     ///
-    /// [`PeerFault::UnexpectedStep`] otherwise.
+    /// [`ProtocolError::BadMessage`] otherwise.
     pub fn expect_step(
         &self,
         run: RunId,
         expected: u32,
         reply: ProtocolMessage,
-    ) -> Result<ProtocolMessage, ExchangeError> {
+    ) -> Result<ProtocolMessage, ProtocolError> {
         if reply.step != expected || reply.run_id != run {
-            return Err(ExchangeError::Peer(PeerFault::UnexpectedStep {
-                run,
-                expected,
-                got: reply.step,
-            }));
+            return Err(ProtocolError::BadMessage(format!(
+                "expected step {expected} of run {run}, got step {}",
+                reply.step
+            )));
         }
         Ok(reply)
     }
@@ -254,19 +250,19 @@ impl ExchangeEngine {
     ///
     /// # Errors
     ///
-    /// [`PeerFault::BadSignature`] on verification failure,
-    /// [`ExchangeError::Local`] if no key is known for `org`.
+    /// [`ProtocolError::BadSignature`] on verification failure,
+    /// [`ProtocolError::UnknownKey`] if no key is known for `org`.
     pub fn verify_frame_from(
         &self,
         msg: &ProtocolMessage,
         org: &OrgId,
-    ) -> Result<(), ExchangeError> {
-        let key = self.party.key_of(org).map_err(ExchangeError::from)?;
+    ) -> Result<(), ProtocolError> {
+        let key = self.party.key_of(org)?;
         if msg.sender != *org || !msg.verify_frame(&key) {
-            return Err(ExchangeError::Peer(PeerFault::BadSignature {
+            return Err(ProtocolError::BadSignature {
                 org: org.clone(),
                 what: format!("step-{} frame", msg.step),
-            }));
+            });
         }
         Ok(())
     }
@@ -278,19 +274,18 @@ impl ExchangeEngine {
     /// # Errors
     ///
     /// As [`ExchangeEngine::verify_frame_from`].
-    pub fn verify_sender_frame(&self, msg: &ProtocolMessage) -> Result<(), ExchangeError> {
+    pub fn verify_sender_frame(&self, msg: &ProtocolMessage) -> Result<(), ProtocolError> {
         let sender = msg.sender.clone();
         self.verify_frame_from(msg, &sender)
     }
 
-    /// Decodes a message body, classifying malformed input as a peer
-    /// fault.
+    /// Decodes a message body.
     ///
     /// # Errors
     ///
-    /// [`PeerFault::BadMessage`] on codec failure.
-    pub fn decode_body<T: Decode>(&self, body: &[u8]) -> Result<T, ExchangeError> {
-        T::decode_from_slice(body).map_err(ExchangeError::from)
+    /// [`ProtocolError::BadMessage`] on codec failure.
+    pub fn decode_body<T: Decode>(&self, body: &[u8]) -> Result<T, ProtocolError> {
+        Ok(T::decode_from_slice(body)?)
     }
 
     /// Issues a token as this party and persists it, routed through the
@@ -298,13 +293,14 @@ impl ExchangeEngine {
     ///
     /// # Errors
     ///
-    /// [`ExchangeError::Local`] on signing or persistence failure.
+    /// [`ProtocolError::Signing`] or [`ProtocolError::Storage`] on
+    /// signing or persistence failure.
     pub fn issue_and_store(
         &self,
         kind: TokenKind,
         run: RunId,
         subject: Digest,
-    ) -> Result<NrToken, ExchangeError> {
+    ) -> Result<NrToken, ProtocolError> {
         let token = self.party.issue_token(kind, run, subject)?;
         self.party.store_token(&token)?;
         Ok(token)
@@ -315,17 +311,43 @@ impl ExchangeEngine {
     ///
     /// # Errors
     ///
-    /// [`PeerFault::BadSignature`] on verification failure,
-    /// [`ExchangeError::Local`] on unknown key or persistence failure.
+    /// [`ProtocolError::BadSignature`] on verification failure,
+    /// [`ProtocolError::UnknownKey`] or [`ProtocolError::Storage`] on
+    /// unknown key or persistence failure.
     pub fn absorb(
         &self,
         token: &NrToken,
         kind: TokenKind,
         run: RunId,
         subject: Option<&Digest>,
-    ) -> Result<(), ExchangeError> {
-        self.party
-            .verify_and_store(token, kind, run, subject)
-            .map_err(ExchangeError::from)
+    ) -> Result<(), ProtocolError> {
+        self.party.verify_and_store(token, kind, run, subject)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::party::StaticKeyDirectory;
+    use nonrep_types::time::LogicalClock;
+
+    #[test]
+    fn unexpected_step_is_bad_message() {
+        let party = Party::quick(
+            "o",
+            1,
+            &LogicalClock::new(),
+            &Arc::new(StaticKeyDirectory::new()),
+        );
+        let engine = ExchangeEngine::local(party, "p");
+        let run = RunId::from_u128(3);
+        let reply = engine.open_frame(run, 9, Vec::new());
+        match engine.expect_step(run, 2, reply) {
+            Err(ProtocolError::BadMessage(msg)) => {
+                assert!(msg.contains("expected step 2"), "{msg}");
+                assert!(msg.contains("got step 9"), "{msg}");
+            }
+            other => panic!("expected BadMessage, got {other:?}"),
+        }
     }
 }

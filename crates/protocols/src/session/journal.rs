@@ -25,8 +25,7 @@ use nonrep_store::record::{MarkerPhase, RunMarker};
 use nonrep_types::ids::{ProtocolId, RunId};
 
 use crate::party::Party;
-
-use super::error::ExchangeError;
+use crate::ProtocolError;
 
 /// A run the journal shows as in flight (opened, never closed).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,9 +56,9 @@ impl RunJournal {
         &self.party
     }
 
-    fn append(&self, marker: RunMarker) -> Result<(), ExchangeError> {
+    fn append(&self, marker: RunMarker) -> Result<(), ProtocolError> {
         let draft = marker.to_draft(self.party.org().clone(), self.party.now());
-        self.party.record_draft(draft).map_err(ExchangeError::from)
+        self.party.record_draft(draft)
     }
 
     /// Records that `run` completed choreography step `step` under
@@ -67,13 +66,13 @@ impl RunJournal {
     ///
     /// # Errors
     ///
-    /// [`ExchangeError::Local`] on persistence failure.
+    /// [`ProtocolError::Storage`] on persistence failure.
     pub fn progress(
         &self,
         run: RunId,
         variant: &ProtocolId,
         step: u32,
-    ) -> Result<(), ExchangeError> {
+    ) -> Result<(), ProtocolError> {
         self.append(RunMarker {
             run_id: run,
             variant: variant.to_string(),
@@ -86,8 +85,8 @@ impl RunJournal {
     ///
     /// # Errors
     ///
-    /// [`ExchangeError::Local`] on persistence failure.
-    pub fn close(&self, run: RunId, variant: &ProtocolId, step: u32) -> Result<(), ExchangeError> {
+    /// [`ProtocolError::Storage`] on persistence failure.
+    pub fn close(&self, run: RunId, variant: &ProtocolId, step: u32) -> Result<(), ProtocolError> {
         self.append(RunMarker {
             run_id: run,
             variant: variant.to_string(),
@@ -103,8 +102,8 @@ impl RunJournal {
     ///
     /// # Errors
     ///
-    /// [`ExchangeError::Local`] on persistence failure.
-    pub fn abort(&self, run: RunId, variant: &ProtocolId, step: u32) -> Result<(), ExchangeError> {
+    /// [`ProtocolError::Storage`] on persistence failure.
+    pub fn abort(&self, run: RunId, variant: &ProtocolId, step: u32) -> Result<(), ProtocolError> {
         self.append(RunMarker {
             run_id: run,
             variant: variant.to_string(),

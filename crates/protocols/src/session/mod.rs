@@ -42,14 +42,12 @@
 //! [`fair_offline::FairChoreography`]: crate::invocation::fair_offline::FairChoreography
 
 pub mod engine;
-pub mod error;
 pub mod journal;
 pub mod supervisor;
 pub mod trace;
 pub mod typestate;
 
 pub use engine::ExchangeEngine;
-pub use error::{ExchangeError, LocalFault, PeerFault};
 pub use journal::{OpenRun, RunJournal};
 pub use supervisor::{EscalationAction, EscalationOutcome, ExchangeSupervisor, ExpiryReport};
 pub use trace::{TraceStep, WireMode};

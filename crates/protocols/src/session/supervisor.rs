@@ -49,16 +49,13 @@ pub enum EscalationOutcome {
     /// exchange): the TTP confirmed the abort, the stalled peer can
     /// never finish the run.
     Aborted,
-    /// The run was declared dead; no recourse protocol exists for this
-    /// variant, so the caller surfaces a timeout fault with the partial
-    /// evidence it holds.
-    Faulted,
     /// The run had in fact completed between the deadline passing and
     /// the escalation firing (or the expected message raced the sweep);
     /// nothing was done.
     AlreadyComplete,
-    /// Escalation itself failed; the run stays closed locally but the
-    /// error is reported to the operator.
+    /// Escalation itself failed (the fair server's abort: the TTP was
+    /// unreachable or refused). The watch is spent and the run is not
+    /// closed; the error is reported to the operator.
     Failed(String),
 }
 
@@ -315,7 +312,7 @@ mod tests {
     #[test]
     fn rearming_replaces_the_deadline() {
         let (clock, sup) = fixture();
-        let action = CountingAction::new(EscalationOutcome::Faulted);
+        let action = CountingAction::new(EscalationOutcome::AlreadyComplete);
         let run = RunId::from_u128(3);
         let variant = ProtocolId::new("direct");
         sup.watch_for(run, &variant, 1, 50, action.clone());
@@ -334,7 +331,7 @@ mod tests {
     #[test]
     fn next_deadline_is_the_minimum() {
         let (_clock, sup) = fixture();
-        let action = CountingAction::new(EscalationOutcome::Faulted);
+        let action = CountingAction::new(EscalationOutcome::AlreadyComplete);
         let variant = ProtocolId::new("direct");
         sup.watch_for(RunId::from_u128(1), &variant, 3, 300, action.clone());
         sup.watch_for(RunId::from_u128(2), &variant, 3, 100, action.clone());
@@ -344,7 +341,7 @@ mod tests {
     #[test]
     fn sweep_fires_all_expired_watches() {
         let (clock, sup) = fixture();
-        let action = CountingAction::new(EscalationOutcome::Faulted);
+        let action = CountingAction::new(EscalationOutcome::AlreadyComplete);
         let variant = ProtocolId::new("voluntary");
         for i in 0..5u128 {
             sup.watch_for(

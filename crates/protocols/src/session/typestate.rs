@@ -43,11 +43,11 @@ use std::marker::PhantomData;
 use nonrep_types::ids::{OrgId, RunId};
 
 use super::engine::ExchangeEngine;
-use super::error::ExchangeError;
 use super::trace::{prepend, TraceStep, WireMode};
 use crate::message::ProtocolMessage;
 use crate::scheduler::TokenSpec;
 use crate::tokens::NrToken;
+use crate::ProtocolError;
 
 mod sealed {
     pub trait Sealed {}
@@ -247,15 +247,16 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State> Session<R, Call<ST
     ///
     /// # Errors
     ///
-    /// [`ExchangeError::Transport`] after retries;
-    /// [`ExchangeError::Peer`] on a wrong step or bad frame signature;
-    /// [`ExchangeError::Local`] if signing fails.
+    /// [`ProtocolError::Net`] after retries; [`ProtocolError::Rejected`]
+    /// if the peer refuses the frame; [`ProtocolError::BadMessage`] or
+    /// [`ProtocolError::BadSignature`] on a wrong step or bad frame
+    /// signature; [`ProtocolError::Signing`] if signing fails.
     pub fn call(
         self,
         to: &OrgId,
         body: Vec<u8>,
         tokens: &[TokenSpec],
-    ) -> Result<(ProtocolMessage, Session<R, Next>), ExchangeError> {
+    ) -> Result<(ProtocolMessage, Session<R, Next>), ProtocolError> {
         let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
         let reply = self.engine.deliver(to, &msg)?;
         let reply = self.engine.expect_step(self.run, REPLY, reply)?;
@@ -280,7 +281,7 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
         to: &OrgId,
         body: Vec<u8>,
         tokens: &[TokenSpec],
-    ) -> Result<(ProtocolMessage, Session<R, Next>), ExchangeError> {
+    ) -> Result<(ProtocolMessage, Session<R, Next>), ProtocolError> {
         let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
         let reply = self.engine.deliver(to, &msg)?;
         let reply = self.engine.expect_step(self.run, REPLY, reply)?;
@@ -304,7 +305,7 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
         to: &OrgId,
         body: Vec<u8>,
         tokens: &[TokenSpec],
-    ) -> Result<(ProtocolMessage, Session<R, Next>), ExchangeError> {
+    ) -> Result<(ProtocolMessage, Session<R, Next>), ProtocolError> {
         let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
         let reply = self.engine.deliver(to, &msg)?;
         let reply = self.engine.expect_step(self.run, REPLY, reply)?;
@@ -318,26 +319,26 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
 {
     /// Sends `body` (and `tokens`, as in [`Session::call`]) as step
     /// `STEP`, tolerating a lost ack: returns
-    /// whether a `REPLY`-stepped ack arrived. A transport fault is *not*
-    /// an error — the session still advances (the exchange is complete
-    /// for this side; the peer may chase the receipt). A peer's refusal
-    /// crosses the bus as a transport fault (`NetError::Endpoint`), so
-    /// it too reads as a lost ack.
+    /// whether a `REPLY`-stepped ack arrived. A transport fault
+    /// ([`ProtocolError::Net`]) or the peer's refusal
+    /// ([`ProtocolError::Rejected`]) is *not* an error — it reads as a
+    /// lost ack and the session still advances (the exchange is complete
+    /// for this side; the peer may chase the receipt).
     ///
     /// # Errors
     ///
-    /// Local faults (signing, journalling) and a reply that does not
-    /// decode (`PeerFault::BadMessage`).
+    /// Local faults (signing, journalling) and any other error the
+    /// round returns.
     pub fn call_lossy(
         self,
         to: &OrgId,
         body: Vec<u8>,
         tokens: &[TokenSpec],
-    ) -> Result<(bool, Session<R, Next>), ExchangeError> {
+    ) -> Result<(bool, Session<R, Next>), ProtocolError> {
         let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
         let outcome = match self.engine.deliver(to, &msg) {
             Ok(ack) => ack.step == REPLY,
-            Err(ExchangeError::Transport(_)) => false,
+            Err(ProtocolError::Net(_) | ProtocolError::Rejected(_)) => false,
             Err(e) => return Err(e),
         };
         self.engine.journal_progress(self.run, STEP)?;
@@ -365,7 +366,7 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State, Alt: State>
         body: Vec<u8>,
         tokens: &[TokenSpec],
         accept: impl FnOnce(&ProtocolMessage) -> bool,
-    ) -> Result<Branch<R, Next, Alt>, ExchangeError> {
+    ) -> Result<Branch<R, Next, Alt>, ProtocolError> {
         let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
         match self.engine.deliver(to, &msg) {
             Ok(reply) if reply.step == REPLY && reply.run_id == self.run && accept(&reply) => {
@@ -386,17 +387,19 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
     ///
     /// # Errors
     ///
-    /// [`ExchangeError::Peer`] if `msg` is not step `STEP`, the reply
-    /// step mismatches, or the reply frame fails verification;
-    /// [`ExchangeError::Transport`] after retries.
+    /// [`ProtocolError::BadMessage`] if `msg` is not step `STEP` or the
+    /// reply step mismatches, [`ProtocolError::BadSignature`] if the
+    /// reply frame fails verification; [`ProtocolError::Net`] after
+    /// retries.
     pub fn forward(
         self,
         to: &OrgId,
         msg: &ProtocolMessage,
-    ) -> Result<(ProtocolMessage, Session<R, Next>), ExchangeError> {
+    ) -> Result<(ProtocolMessage, Session<R, Next>), ProtocolError> {
         if msg.step != STEP || msg.run_id != self.run {
-            return Err(ExchangeError::Peer(super::error::PeerFault::BadMessage(
-                format!("forwarding step {} where step {STEP} is due", msg.step),
+            return Err(ProtocolError::BadMessage(format!(
+                "forwarding step {} where step {STEP} is due",
+                msg.step
             )));
         }
         let reply = self.engine.deliver(to, msg)?;
@@ -414,8 +417,8 @@ impl<R: Role> Session<R, End> {
     ///
     /// # Errors
     ///
-    /// [`ExchangeError::Local`] if the marker cannot be persisted.
-    pub fn finish(self) -> Result<(), ExchangeError> {
+    /// [`ProtocolError::Storage`] if the marker cannot be persisted.
+    pub fn finish(self) -> Result<(), ProtocolError> {
         self.engine.journal_close(self.run, 0)
     }
 }

@@ -871,10 +871,7 @@ mod tests {
             .member
             .propose(&nodes[0].coordinator, &group(), "doc", b"x".to_vec())
             .unwrap_err();
-        assert!(matches!(
-            err,
-            ProtocolError::Net(nonrep_net::NetError::Endpoint(_))
-        ));
+        assert!(matches!(err, ProtocolError::Rejected(_)), "{err:?}");
     }
 
     #[test]

@@ -95,22 +95,23 @@ fn main() -> ExitCode {
         }
     }
     println!(
-        "ok: verdicts schedule-invariant, {} byzantine org(s) detected ({:?}), no false accusations; {}",
+        "ok: verdicts schedule-invariant, {} byzantine org(s) detected ({:?}), no false accusations",
         scenario.byzantine.len(),
         base.all_suspects(),
-        memo_summary(),
     );
+    print_memo_summary();
     ExitCode::SUCCESS
 }
 
-/// The process-wide MSS verification memo's counters, for the summary
-/// line of every mode.
-fn memo_summary() -> String {
+/// Prints the process-wide MSS verification memo's counters to stderr
+/// after every mode's summary line. They vary between two runs of one
+/// seed, so they stay off stdout, which carries only the verdicts.
+fn print_memo_summary() {
     let m = nonrep_crypto::mss::memo_stats();
-    format!(
+    eprintln!(
         "verify memo {} hits / {} misses / {} inserts / {} overwrites",
         m.hits, m.misses, m.inserts, m.overwrites
-    )
+    );
 }
 
 fn fail(seed: u64, what: &str) -> ExitCode {
@@ -176,9 +177,9 @@ fn dispute_sweep(base_seed: u64) -> ExitCode {
     }
     println!(
         "ok: {checked} dispute scenarios convicted their defectors under permuted schedules, \
-         no false accusations; {}",
-        memo_summary()
+         no false accusations"
     );
+    print_memo_summary();
     ExitCode::SUCCESS
 }
 
@@ -266,12 +267,12 @@ fn stall_sweep(seed: u64) -> ExitCode {
     }
     println!(
         "ok: {} orgs, {} runs all terminated; timeout abort attributed {:?}; \
-         verdicts schedule-invariant; no false accusations; {}",
+         verdicts schedule-invariant; no false accusations",
         scenario.regular.len(),
         base.runs.len(),
         aborted[0].named(staller),
-        memo_summary(),
     );
+    print_memo_summary();
     ExitCode::SUCCESS
 }
 

@@ -80,6 +80,8 @@ retired=(
     # history that fed it and the seal-time watermark
     KeyRollover RolloverEvent rollover_history rollover_persisted rollovers_verified
     ForgedRolloverSubmitter
+    # one error type
+    ExchangeError PeerFault LocalFault is_refusal Faulted
 )
 echo "==> retired names"
 if grep -rnwF "${retired[@]/#/-e}" --exclude=check.sh \

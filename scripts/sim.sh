@@ -9,6 +9,8 @@
 # evidence, and a stalling sweep drives the hundred-organisation
 # metropolis fleet: every stalled run must terminate in a timeout abort
 # that attributes exactly the staller, with zero false accusations.
+# The lowest seed runs twice: its two stdout streams (the verdict lines)
+# must be equal byte for byte.
 #
 #   scripts/sim.sh                 # seeds 1..8, release build
 #   scripts/sim.sh 5               # seeds 1..5
@@ -36,15 +38,35 @@ fi
 # shellcheck disable=SC2086  # PROFILE_FLAG is intentionally word-split
 cargo build $PROFILE_FLAG --quiet --example fleet_sim
 
-for seed in $(seq "$LO" "$HI"); do
-    echo "==> fleet seed $seed"
+# Runs one fleet seed, printing its stdout and keeping it in $out.
+fleet_seed() {
+    local seed="$1"
     # shellcheck disable=SC2086
-    if ! NONREP_SIM_SEED="$seed" cargo run $PROFILE_FLAG --quiet --example fleet_sim; then
+    if ! out="$(NONREP_SIM_SEED="$seed" cargo run $PROFILE_FLAG --quiet --example fleet_sim)"; then
+        printf '%s\n' "$out"
         echo "sim.sh: FLEET INVARIANT VIOLATION at seed $seed" >&2
         echo "repro: NONREP_SIM_SEED=$seed cargo run --release --example fleet_sim" >&2
         exit 1
     fi
+    printf '%s\n' "$out"
+}
+
+out=""
+for seed in $(seq "$LO" "$HI"); do
+    echo "==> fleet seed $seed"
+    fleet_seed "$seed"
+    if [[ "$seed" -eq "$LO" ]]; then
+        first="$out"
+    fi
 done
+
+echo "==> fleet seed $LO again (stdout must repeat)"
+fleet_seed "$LO"
+if [[ "$out" != "$first" ]]; then
+    echo "sim.sh: fleet seed $LO printed different stdout on its second run:" >&2
+    diff <(printf '%s\n' "$first") <(printf '%s\n' "$out") >&2 || true
+    exit 1
+fi
 
 echo "==> dispute sweep (seeded family, defecting servers)"
 # shellcheck disable=SC2086
@@ -62,4 +84,4 @@ if ! NONREP_SIM_STALL=1 NONREP_SIM_SEED="$LO" cargo run $PROFILE_FLAG --quiet --
     exit 1
 fi
 
-echo "sim.sh: seeds $LO..$HI green (incl. dispute + stall sweeps)"
+echo "sim.sh: seeds $LO..$HI green (incl. seed $LO repeat, dispute + stall sweeps)"
