@@ -191,17 +191,24 @@ fn refusal_or_net(e: NetError) -> ProtocolError {
     }
 }
 
+/// A handler's error as it crosses the bus: a refusal as its own text
+/// (the sender's [`refusal_or_net`] restores it), else its `Display`.
+fn wire_error(e: ProtocolError) -> String {
+    match e {
+        ProtocolError::Rejected(reason) => reason,
+        e => e.to_string(),
+    }
+}
+
 impl BusEndpoint for B2BCoordinator {
     fn handle_oneway(&self, from: &OrgId, payload: &[u8]) -> Result<(), String> {
         let msg = ProtocolMessage::decode_from_slice(payload).map_err(|e| e.to_string())?;
-        self.dispatch(from, msg).map_err(|e| e.to_string())
+        self.dispatch(from, msg).map_err(wire_error)
     }
 
     fn handle_request(&self, from: &OrgId, payload: &[u8]) -> Result<Vec<u8>, String> {
         let msg = ProtocolMessage::decode_from_slice(payload).map_err(|e| e.to_string())?;
-        let resp = self
-            .dispatch_request(from, msg)
-            .map_err(|e| e.to_string())?;
+        let resp = self.dispatch_request(from, msg).map_err(wire_error)?;
         Ok(resp.encode_to_vec())
     }
 }
@@ -338,7 +345,7 @@ mod tests {
         );
         assert_eq!(refusing.calls.load(Ordering::SeqCst), 1);
         let err = coord_a.deliver(&b, &req).unwrap_err();
-        assert_eq!(err, ProtocolError::Rejected("rejected: not today".into()));
+        assert_eq!(err, ProtocolError::Rejected("not today".into()));
         assert_eq!(refusing.calls.load(Ordering::SeqCst), 2);
     }
 

@@ -27,7 +27,7 @@ pub trait ProtocolHandler: Send + Sync {
     /// # Errors
     ///
     /// Any [`ProtocolError`]; the sender's coordinator reports it as
-    /// [`ProtocolError::Rejected`] carrying this error's text.
+    /// [`ProtocolError::Rejected`] (a `Rejected` as itself, others by text).
     fn process(&self, from: &OrgId, msg: ProtocolMessage) -> Result<(), ProtocolError>;
 
     /// Processes a request message and produces the response message

@@ -16,29 +16,29 @@
 //!                                          always recover K from T
 //!   4  S → C : K                         — normal completion
 //!
-//! recovery sub-protocols at T
-//!   resolve (C) : present NRR_resp  → T stores it for S, releases K and a
-//!                                     signed dispute *decision* naming the
-//!                                     defecting server
-//!   abort   (S) : if not resolved   → run dead; future resolve refused
-//!   fetch   (S) : retrieve the NRR_resp deposited by a resolving client
+//! recovery sub-protocols at T — the first fixes the run's outcome, and
+//! every later one is answered with it
+//!   resolve (C) : present NRR_resp  → K and a signed dispute *decision*
+//!                                     naming the defecting server
+//!                                     (if aborted: T's Abort token)
+//!   abort   (S) :                   → T's Abort token (if resolved: NRR_resp)
 //! ```
 //!
-//! **Fairness**: after step 3 the server can always obtain `NRR_resp`
-//! (from C or T), and the client can obtain `K` from S or T — a wrong
-//! key at step 4 counts as a withheld one (the acceptance check decrypts
-//! against the committed digest before believing it), so garbage diverts
-//! to the TTP exactly like silence. One race is inherent to an *offline*
-//! TTP: a server that collects the receipt directly and then wins an
-//! abort race at T leaves the client without `K`. That interleaving is
-//! not prevented but it is **adjudicable**: pulling it off plants the
-//! client's `NRR_resp` next to the TTP's `Abort` token in the server's
-//! own evidence log, and the core adjudicator's
-//! `Finding::AbortedAfterReceipt` convicts exactly that combination —
-//! the server cannot use the receipt without self-incrimination. An
-//! honest server never trips the rule: once it aborts, a late receipt is
-//! refused. Before step 3 neither party holds the other's item —
-//! aborting is harmless.
+//! **Fairness**: after step 3 the server can always obtain `NRR_resp` (from
+//! C, or from T as the answer to its abort), and the client can obtain `K`
+//! from S or T — a wrong key at step 4 counts as a withheld one (the
+//! acceptance check decrypts against the committed digest before believing
+//! it), so garbage diverts to the TTP exactly like silence. One race is
+//! inherent to an *offline* TTP: a server that collects the receipt
+//! directly and then wins an abort race at T leaves the client without `K`.
+//! That interleaving is not prevented but it is **adjudicable**: pulling it
+//! off plants the client's `NRR_resp` next to the TTP's `Abort` token in
+//! the server's own evidence log, and the core adjudicator's
+//! `Finding::AbortedAfterReceipt` convicts exactly that combination — the
+//! server cannot use the receipt without self-incrimination. An honest
+//! server never trips the rule: once it aborts, a late receipt is refused.
+//! Before step 3 neither party holds the other's item — aborting is
+//! harmless.
 //!
 //! The client side is the [`FairChoreography`]: a signed opening round,
 //! then a *branching* step — the receipt round either completes normally
@@ -86,14 +86,19 @@ use crate::session::{
 use crate::tokens::{defection_digest, NrToken, TokenKind};
 use crate::{B2BCoordinator, ProtocolError};
 
-/// A failed TTP call as its caller reports it: a transport fault or
-/// this party's own signing or storage fault passes through unchanged;
-/// anything else is the TTP refusing the call (a
-/// [`ProtocolError::Rejected`] or a wrong-step reply), reported as the
-/// call site's documented `refusal`.
+/// `true` if a TTP call got no answer: a transport fault, or this
+/// party's own signing or storage fault.
+fn unanswered(e: &ProtocolError) -> bool {
+    use ProtocolError::{Net, Signing, Storage};
+    matches!(e, Net(_) | Signing(_) | Storage(_))
+}
+
+/// A failed TTP call as its caller reports it: an [`unanswered`] call's
+/// own error, else the call site's `refusal` (a refusal carries no
+/// outcome: wrong party, forged receipt, unknown run).
 fn ttp_refusal(e: ProtocolError, refusal: ProtocolError) -> ProtocolError {
     match e {
-        ProtocolError::Net(_) | ProtocolError::Signing(_) | ProtocolError::Storage(_) => e,
+        e if unanswered(&e) => e,
         _ => refusal,
     }
 }
@@ -116,20 +121,17 @@ const STEP_ESCROW: u32 = 10;
 const STEP_ESCROW_ACK: u32 = 11;
 /// Client escalates: presents the receipt, demands the key.
 pub const STEP_RESOLVE: u32 = 20;
-/// TTP releases the key and its signed dispute decision.
+/// TTP answers with the run's outcome (K + decision, or its `Abort`).
 pub const STEP_RESOLVE_ACK: u32 = 21;
 /// Server asks the TTP to kill an unresolved run.
 const STEP_ABORT: u32 = 30;
-/// TTP confirms the abort (signed token in the body).
+/// TTP answers with the run's outcome (its `Abort`, or `NRR_resp`).
 const STEP_ABORT_ACK: u32 = 31;
-/// Server fetches the receipt a resolving client deposited.
-const STEP_FETCH: u32 = 40;
-/// TTP returns the deposited receipt.
-const STEP_FETCH_ACK: u32 = 41;
 
 /// The dispute sub-protocol: one open round at the TTP. The ack frame is
 /// unsigned — the `ResolveAck` payload carries the TTP's signed
-/// [`TokenKind::Decision`], which is the evidence that matters.
+/// [`TokenKind::Decision`] (or its `Abort` token), which is the evidence
+/// that matters.
 pub type ResolveChoreography = CallOpen<STEP_RESOLVE, STEP_RESOLVE_ACK, End>;
 
 /// The client's choreography: signed request round, then the receipt
@@ -152,9 +154,6 @@ type EscrowChoreography = CallOpen<STEP_ESCROW, STEP_ESCROW_ACK, End>;
 
 /// The server's abort sub-protocol at the TTP.
 type AbortChoreography = CallOpen<STEP_ABORT, STEP_ABORT_ACK, End>;
-
-/// The server's fetch sub-protocol at the TTP.
-type FetchChoreography = CallOpen<STEP_FETCH, STEP_FETCH_ACK, End>;
 
 /// Step-2 body. The server's `NRR_req` and `NRO_resp` (over the
 /// plaintext response digest) ride the frame.
@@ -205,43 +204,43 @@ impl Encode for EscrowBody {
 
 impl Decode for EscrowBody {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let raw = r.get_raw(32)?;
-        let mut key = [0u8; 32];
-        key.copy_from_slice(raw);
         Ok(Self {
-            key,
+            key: r.get_raw(32)?.try_into().expect("32 bytes"),
             resp_digest: Digest::decode(r)?,
             client: OrgId::decode(r)?,
         })
     }
 }
 
-/// Resolve-ack body (TTP → client): the escrowed key plus the TTP's
-/// signed dispute decision naming the server that failed to complete.
+/// Resolve-ack body (TTP → client): the run's outcome behind a one-byte
+/// tag. Resolved: the escrowed `key`, and `token` is the TTP's signed
+/// [`TokenKind::Decision`] over [`defection_digest`]`(server, run)`.
+/// Aborted first: no key, and `token` is the TTP's `Abort` token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ResolveAck {
-    /// The escrowed decryption key.
-    pub key: [u8; 32],
-    /// Signed [`TokenKind::Decision`] over
-    /// [`defection_digest`]`(server, run)`.
-    pub decision: NrToken,
+    key: Option<[u8; 32]>,
+    token: NrToken,
 }
 
 impl Encode for ResolveAck {
     fn encode(&self, w: &mut Writer) {
-        w.put_raw(&self.key);
-        self.decision.encode(w);
+        w.put_bool(self.key.is_some());
+        if let Some(key) = &self.key {
+            w.put_raw(key);
+        }
+        self.token.encode(w);
     }
 }
 
 impl Decode for ResolveAck {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let raw = r.get_raw(32)?;
-        let mut key = [0u8; 32];
-        key.copy_from_slice(raw);
+        let key = match r.get_bool()? {
+            true => Some(r.get_raw(32)?.try_into().expect("32 bytes")),
+            false => None,
+        };
         Ok(Self {
             key,
-            decision: NrToken::decode(r)?,
+            token: NrToken::decode(r)?,
         })
     }
 }
@@ -396,16 +395,13 @@ impl FairClient {
         // ciphertext: 32 bytes of garbage is a withheld key with extra
         // steps, and diverts to the TTP exactly like silence.
         let branch = session.call_or(server, Vec::new(), &[nrr_resp], |m| {
-            m.body.len() == 32 && {
-                let mut key = [0u8; 32];
-                key.copy_from_slice(&m.body);
+            <[u8; 32]>::try_from(m.body.as_slice()).is_ok_and(|key| {
                 sha256(&xor_keystream(&key, &step2.enc_response)) == step2.resp_digest
-            }
+            })
         })?;
         let (key, key_source, session) = match branch {
             Branch::Primary(msg4, session) => {
-                let mut key = [0u8; 32];
-                key.copy_from_slice(&msg4.body);
+                let key = msg4.body[..].try_into().expect("32 bytes: vetted above");
                 (key, KeySource::Server, session)
             }
             // Server defected or vanished: the dispute sub-protocol,
@@ -489,7 +485,9 @@ impl FairClient {
     }
 
     /// The dispute sub-protocol: deposit the receipt with the TTP, get
-    /// the key and the TTP's signed decision against `server` back.
+    /// the key and the TTP's signed decision against `server` back — or,
+    /// if the server aborted first, the TTP's `Abort` token, which is
+    /// logged before the call reports [`ProtocolError::Aborted`].
     fn resolve(
         &self,
         dispute: Session<Client, ResolveChoreography>,
@@ -497,8 +495,8 @@ impl FairClient {
         nrr_resp: &NrToken,
     ) -> Result<([u8; 32], Session<Client, End>), ProtocolError> {
         let run = dispute.run();
-        // A refusal (aborted run, bad receipt): the run is dead for this
-        // client.
+        // A refusal (wrong party, bad receipt, unknown run): the run is
+        // dead for this client.
         let (reply, session) = dispute
             .call_open(&self.ttp, nrr_resp.encode_to_vec(), &[])
             .map_err(|e| ttp_refusal(e, ProtocolError::Aborted(run)))?;
@@ -506,23 +504,27 @@ impl FairClient {
             .engine
             .decode_body(&reply.body)
             .map_err(|_| ProtocolError::Aborted(run))?;
-        // The decision must be the agreed TTP's signed conviction of the
-        // server we were exchanging with, for *this* run.
-        if ack.decision.issuer != self.ttp {
+        // The answer must be the agreed TTP's: its signed conviction of
+        // the server we were exchanging with, for *this* run — or, if the
+        // server aborted first, its Abort token, kept all the same.
+        if ack.token.issuer != self.ttp {
             return Err(ProtocolError::BadMessage(
-                "dispute decision not from the agreed TTP".into(),
+                "resolve answer not from the agreed TTP".into(),
             ));
         }
-        self.engine.absorb(
-            &ack.decision,
-            TokenKind::Decision,
-            run,
-            Some(&defection_digest(server, run)),
-        )?;
+        let (kind, subject) = match ack.key {
+            Some(_) => (TokenKind::Decision, Some(defection_digest(server, run))),
+            None => (TokenKind::Abort, None),
+        };
+        self.engine
+            .absorb(&ack.token, kind, run, subject.as_ref())?;
+        let Some(key) = ack.key else {
+            return Err(ProtocolError::Aborted(run));
+        };
         // Record the TTP's involvement in our own log too.
         self.engine
-            .issue_and_store(TokenKind::Resolve, run, sha256(&ack.key))?;
-        Ok((ack.key, session))
+            .issue_and_store(TokenKind::Resolve, run, sha256(&key))?;
+        Ok((key, session))
     }
 }
 
@@ -553,6 +555,8 @@ pub enum ServerConduct {
 
 #[derive(Debug)]
 struct FairRunState {
+    /// The run's client: the only issuer of an acceptable receipt.
+    client: OrgId,
     key: [u8; 32],
     /// The committed response digest: the step-3 receipt must cover it,
     /// or the key is not released (a receipt over an arbitrary digest is
@@ -577,18 +581,11 @@ pub struct FairServerRuntime {
     pub journal: Option<Arc<RunJournal>>,
 }
 
-struct Supervision {
-    supervisor: Arc<ExchangeSupervisor>,
-    receipt_window_ms: u64,
-    me: Weak<FairServerHandler>,
-}
-
 /// The supervisor's escalation for a fair server whose client went
 /// silent after the receipt window opened: run the TTP's abort
-/// choreography. Re-checks run state first — a receipt that raced the
-/// sweep means nothing is aborted, so the timeout path can never pair
-/// the client's `NRR_resp` with an `Abort` token in an honest server's
-/// log (the combination `Finding::AbortedAfterReceipt` convicts).
+/// choreography, unless a receipt raced the sweep (the timeout path never
+/// pairs `NRR_resp` with `Abort` in an honest server's log). An
+/// unanswered abort is retried one receipt window later.
 struct FairTimeoutAbort {
     handler: Weak<FairServerHandler>,
 }
@@ -602,8 +599,14 @@ impl EscalationAction for FairTimeoutAbort {
             return EscalationOutcome::AlreadyComplete;
         }
         match handler.abort(run) {
-            Ok(_) => EscalationOutcome::Aborted,
-            Err(e) => EscalationOutcome::Failed(e.to_string()),
+            Ok(outcome) if outcome.kind == TokenKind::Abort => EscalationOutcome::Aborted,
+            Ok(_) => EscalationOutcome::AlreadyComplete,
+            Err(e) => {
+                if unanswered(&e) {
+                    handler.watch_receipt(run);
+                }
+                EscalationOutcome::Failed(e.to_string())
+            }
         }
     }
 }
@@ -616,7 +619,8 @@ pub struct FairServerHandler {
     conduct: ServerConduct,
     runs: RunRegistry,
     keys: Mutex<HashMap<RunId, FairRunState>>,
-    supervision: Option<Supervision>,
+    supervision: Option<(Arc<ExchangeSupervisor>, u64)>,
+    me: Weak<FairServerHandler>,
 }
 
 impl fmt::Debug for FairServerHandler {
@@ -649,20 +653,9 @@ impl FairServerHandler {
             conduct,
             runs: RunRegistry::new(),
             keys: Mutex::new(HashMap::new()),
-            supervision: runtime
-                .supervision
-                .map(|(supervisor, receipt_window_ms)| Supervision {
-                    supervisor,
-                    receipt_window_ms,
-                    me: me.clone(),
-                }),
+            supervision: runtime.supervision,
+            me: me.clone(),
         })
-    }
-
-    /// The engine driving this handler (kill-point harnesses journal
-    /// recovery decisions through it).
-    pub fn engine(&self) -> &ExchangeEngine {
-        &self.engine
     }
 
     /// `true` if the client's receipt arrived directly for `run`.
@@ -674,27 +667,45 @@ impl FairServerHandler {
             .unwrap_or(false)
     }
 
-    /// Runs the abort sub-protocol for `run` at the TTP.
+    /// Runs the abort sub-protocol for `run` at the TTP, then absorbs and
+    /// returns its answer, the run's outcome: the TTP's `Abort` token, or
+    /// the client's `NRR_resp` if the client resolved first (the run is
+    /// then complete).
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::Rejected`] if the run was already resolved (the
-    /// TTP then holds the client's receipt — fetch it instead);
-    /// [`ProtocolError::Net`] if the TTP is unreachable.
+    /// [`ProtocolError::Rejected`] if the TTP refused; `BadMessage`,
+    /// `BadSignature` or `UnknownRun` if a returned receipt is not this
+    /// run's client's over the committed digest; [`ProtocolError::Net`]
+    /// if the TTP is unreachable.
     pub fn abort(&self, run: RunId) -> Result<NrToken, ProtocolError> {
         let session = self.engine.session::<Server, AbortChoreography>(run);
-        let (reply, _done) = session.call_open(&self.ttp, Vec::new(), &[]).map_err(|e| {
-            ttp_refusal(
-                e,
-                ProtocolError::Rejected("run already resolved at TTP".into()),
-            )
-        })?;
+        let (reply, _done) = session
+            .call_open(&self.ttp, Vec::new(), &[])
+            .map_err(|e| ttp_refusal(e, ProtocolError::Rejected("TTP refused the abort".into())))?;
         let token: NrToken = self.engine.decode_body(&reply.body)?;
+        if token.kind == TokenKind::NrrResp {
+            // The client resolved first: its receipt, checked as at step 3.
+            let resp_digest = {
+                let keys = self.keys.lock();
+                let state = keys.get(&run).ok_or(ProtocolError::UnknownRun(run))?;
+                if token.issuer != state.client {
+                    return Err(ProtocolError::BadMessage(
+                        "relayed receipt not from the run's client".into(),
+                    ));
+                }
+                state.resp_digest
+            };
+            self.engine
+                .absorb(&token, TokenKind::NrrResp, run, Some(&resp_digest))?;
+            if let Some(state) = self.keys.lock().get_mut(&run) {
+                state.receipt_received = true;
+            }
+            self.engine.journal_close(run, STEP_RECEIPT)?;
+            return Ok(token);
+        }
         self.engine.absorb(&token, TokenKind::Abort, run, None)?;
-        // The run is dead from our side: refuse any receipt that arrives
-        // late, so this log never pairs an Abort with the client's
-        // NRR_resp (the combination `Finding::AbortedAfterReceipt`
-        // convicts a racing server of).
+        // The run is dead from our side: refuse a late receipt.
         if let Some(state) = self.keys.lock().get_mut(&run) {
             state.aborted = true;
         }
@@ -704,20 +715,19 @@ impl FairServerHandler {
         Ok(token)
     }
 
-    /// Fetches the client's receipt from the TTP after a resolve.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::UnknownRun`] if the TTP holds no receipt for `run`;
-    /// [`ProtocolError::Net`] if the TTP is unreachable.
-    pub fn fetch_receipt(&self, run: RunId) -> Result<NrToken, ProtocolError> {
-        let session = self.engine.session::<Server, FetchChoreography>(run);
-        let (reply, _done) = session
-            .call_open(&self.ttp, Vec::new(), &[])
-            .map_err(|e| ttp_refusal(e, ProtocolError::UnknownRun(run)))?;
-        let token: NrToken = self.engine.decode_body(&reply.body)?;
-        self.engine.absorb(&token, TokenKind::NrrResp, run, None)?;
-        Ok(token)
+    /// Arms the receipt-window watch on `run`, if this server is supervised.
+    fn watch_receipt(&self, run: RunId) {
+        if let Some((supervisor, receipt_window_ms)) = &self.supervision {
+            supervisor.watch_for(
+                run,
+                self.engine.protocol(),
+                STEP_RECEIPT,
+                *receipt_window_ms,
+                Arc::new(FairTimeoutAbort {
+                    handler: self.me.clone(),
+                }),
+            );
+        }
     }
 
     fn handle_step1(
@@ -782,6 +792,7 @@ impl FairServerHandler {
         self.keys.lock().insert(
             msg.run_id,
             FairRunState {
+                client: from.clone(),
                 key,
                 resp_digest,
                 receipt_received: false,
@@ -789,22 +800,9 @@ impl FairServerHandler {
             },
         );
         self.runs.record_response(msg.run_id, &msg2, None);
-        // Step 2 is committed: the receipt window opens. A supervised
-        // server arms the timeout-abort escalation here — if the client
-        // never commits its receipt, the TTP abort choreography closes
-        // the run.
+        // Step 2 is committed: the receipt window opens.
         self.engine.journal_progress(msg.run_id, STEP_RESPONSE)?;
-        if let Some(sup) = &self.supervision {
-            sup.supervisor.watch_for(
-                msg.run_id,
-                self.engine.protocol(),
-                STEP_RECEIPT,
-                sup.receipt_window_ms,
-                Arc::new(FairTimeoutAbort {
-                    handler: sup.me.clone(),
-                }),
-            );
-        }
+        self.watch_receipt(msg.run_id);
         Ok(msg2)
     }
 
@@ -820,10 +818,6 @@ impl FairServerHandler {
                 .get(&msg.run_id)
                 .ok_or(ProtocolError::UnknownRun(msg.run_id))?;
             if state.aborted {
-                // We already killed this run at the TTP; accepting the
-                // receipt now would leave this log holding the client's
-                // NRR_resp next to an Abort token — the combination
-                // `Finding::AbortedAfterReceipt` convicts.
                 return Err(ProtocolError::Aborted(msg.run_id));
             }
             (state.key, state.resp_digest)
@@ -838,8 +832,8 @@ impl FairServerHandler {
         }
         // The receipt arrived: discharge the deadline watch. Done before
         // replying, so a sweep racing this handler sees the run complete.
-        if let Some(sup) = &self.supervision {
-            sup.supervisor.complete(msg.run_id);
+        if let Some((supervisor, _)) = &self.supervision {
+            supervisor.complete(msg.run_id);
         }
         match self.conduct {
             ServerConduct::Honest => {
@@ -901,12 +895,15 @@ struct EscrowedKey {
 #[derive(Debug, Default)]
 struct EscrowEntry {
     key: Option<EscrowedKey>,
-    aborted: bool,
-    resolved: bool,
-    receipt: Option<NrToken>,
+    /// The run's outcome, once it has one: the TTP's own `Abort` token,
+    /// or the client's `NRR_resp` that a resolve deposited.
+    outcome: Option<NrToken>,
 }
 
-/// The offline TTP: escrow ledger plus resolve/abort/fetch sub-protocols.
+/// The offline TTP: escrow ledger plus the resolve and abort
+/// sub-protocols. A run's first resolve or abort fixes its outcome (the
+/// client's receipt or the TTP's `Abort` token), and every later one is
+/// answered with it (Asokan, Shoup and Waidner, IEEE S&P 1998).
 ///
 /// A resolve is adjudication, not just recovery: the TTP releases the key
 /// *and* issues a signed [`TokenKind::Decision`] over
@@ -942,7 +939,7 @@ impl OfflineTtpHandler {
         {
             let mut ledger = self.ledger.lock();
             let entry = ledger.entry(msg.run_id).or_default();
-            if entry.aborted {
+            if entry.outcome.is_some() {
                 return Err(ProtocolError::Aborted(msg.run_id));
             }
             entry.key = Some(EscrowedKey {
@@ -955,9 +952,7 @@ impl OfflineTtpHandler {
         let ack = self
             .engine
             .issue_and_store(TokenKind::Escrow, msg.run_id, body.resp_digest)?;
-        Ok(self
-            .engine
-            .open_frame(msg.run_id, STEP_ESCROW_ACK, ack.encode_to_vec()))
+        Ok(self.ack(msg.run_id, STEP_ESCROW_ACK, &ack))
     }
 
     fn handle_resolve(
@@ -973,8 +968,17 @@ impl OfflineTtpHandler {
             let entry = ledger
                 .get_mut(&msg.run_id)
                 .ok_or(ProtocolError::UnknownRun(msg.run_id))?;
-            if entry.aborted {
-                return Err(ProtocolError::Aborted(msg.run_id));
+            if let Some(abort) = entry
+                .outcome
+                .as_ref()
+                .filter(|t| t.kind == TokenKind::Abort)
+            {
+                // The server aborted first: that is the answer.
+                let ack = ResolveAck {
+                    key: None,
+                    token: abort.clone(),
+                };
+                return Ok(self.ack(msg.run_id, STEP_RESOLVE_ACK, &ack));
             }
             let escrowed = entry
                 .key
@@ -997,8 +1001,7 @@ impl OfflineTtpHandler {
                     what: "NRR_resp presented at resolve".into(),
                 });
             }
-            entry.resolved = true;
-            entry.receipt = Some(nrr_resp.clone());
+            entry.outcome = Some(nrr_resp.clone());
             escrowed
         };
         self.engine.party().store_token(&nrr_resp)?;
@@ -1012,15 +1015,11 @@ impl OfflineTtpHandler {
         )?;
         self.engine
             .issue_and_store(TokenKind::Resolve, msg.run_id, sha256(&escrowed.key))?;
-        Ok(self.engine.open_frame(
-            msg.run_id,
-            STEP_RESOLVE_ACK,
-            ResolveAck {
-                key: escrowed.key,
-                decision,
-            }
-            .encode_to_vec(),
-        ))
+        let ack = ResolveAck {
+            key: Some(escrowed.key),
+            token: decision,
+        };
+        Ok(self.ack(msg.run_id, STEP_RESOLVE_ACK, &ack))
     }
 
     fn handle_abort(
@@ -1031,10 +1030,6 @@ impl OfflineTtpHandler {
         self.engine.verify_frame_from(&msg, from)?;
         let mut ledger = self.ledger.lock();
         let entry = ledger.entry(msg.run_id).or_default();
-        if entry.resolved {
-            // Resolve won the race: the server should fetch the receipt.
-            return Err(ProtocolError::Rejected("already resolved".into()));
-        }
         // Only the party that escrowed the key may kill the run — a
         // stranger (or the client itself) cannot abort someone else's
         // exchange out from under them.
@@ -1045,31 +1040,23 @@ impl OfflineTtpHandler {
                 ));
             }
         }
-        entry.aborted = true;
-        drop(ledger);
-        let token = self
-            .engine
-            .issue_and_store(TokenKind::Abort, msg.run_id, Digest::ZERO)?;
-        Ok(self
-            .engine
-            .open_frame(msg.run_id, STEP_ABORT_ACK, token.encode_to_vec()))
+        // The answer is the run's outcome: the client's receipt if its
+        // resolve came first, else the Abort token — issued under the
+        // ledger lock, so a racing resolve finds it.
+        let outcome = match &entry.outcome {
+            Some(outcome) => outcome,
+            None => entry.outcome.insert(self.engine.issue_and_store(
+                TokenKind::Abort,
+                msg.run_id,
+                Digest::ZERO,
+            )?),
+        };
+        Ok(self.ack(msg.run_id, STEP_ABORT_ACK, outcome))
     }
 
-    fn handle_fetch(
-        &self,
-        from: &OrgId,
-        msg: ProtocolMessage,
-    ) -> Result<ProtocolMessage, ProtocolError> {
-        self.engine.verify_frame_from(&msg, from)?;
-        let receipt = self
-            .ledger
-            .lock()
-            .get(&msg.run_id)
-            .and_then(|e| e.receipt.clone())
-            .ok_or(ProtocolError::UnknownRun(msg.run_id))?;
-        Ok(self
-            .engine
-            .open_frame(msg.run_id, STEP_FETCH_ACK, receipt.encode_to_vec()))
+    /// An unsigned ack frame carrying `body`.
+    fn ack(&self, run: RunId, step: u32, body: &impl Encode) -> ProtocolMessage {
+        self.engine.open_frame(run, step, body.encode_to_vec())
     }
 }
 
@@ -1093,7 +1080,6 @@ impl ProtocolHandler for OfflineTtpHandler {
             STEP_ESCROW => self.handle_escrow(from, msg),
             STEP_RESOLVE => self.handle_resolve(from, msg),
             STEP_ABORT => self.handle_abort(from, msg),
-            STEP_FETCH => self.handle_fetch(from, msg),
             step => Err(ProtocolError::BadMessage(format!(
                 "unexpected TTP step {step}"
             ))),
@@ -1305,8 +1291,9 @@ mod tests {
         assert_eq!(out.response, ServerResponse::Executed(b"res:req".to_vec()));
         assert_eq!(out.key_source, KeySource::TtpResolve);
         assert!(w.ttp_logged(out.run_id, TokenKind::Resolve));
-        // Fairness: the server can fetch the receipt the client deposited.
-        let receipt = w.server_handler.fetch_receipt(out.run_id).unwrap();
+        // Fairness: an abort at the TTP is answered with the receipt the
+        // client deposited.
+        let receipt = w.server_handler.abort(out.run_id).unwrap();
         assert_eq!(receipt.kind, TokenKind::NrrResp);
         assert_eq!(receipt.issuer, OrgId::new("client"));
     }
@@ -1462,30 +1449,55 @@ mod tests {
         let dispute = w.client.engine.session::<Client, ResolveChoreography>(run);
         let err = w.client.resolve(dispute, &w.server, &nrr).unwrap_err();
         assert!(matches!(err, ProtocolError::Aborted(r) if r == run));
+        // The TTP answered with its Abort token, now in the client's log.
+        assert!(w
+            .client_party
+            .log()
+            .by_run(&run)
+            .iter()
+            .any(
+                |r| r.draft.kind == TokenKind::Abort.label() && r.draft.actor == OrgId::new("ttp")
+            ));
     }
 
     #[test]
-    fn abort_after_resolve_is_refused() {
+    fn abort_after_resolve_returns_the_receipt() {
         let w = world(ServerConduct::WithholdKey);
         let out = w.client.invoke(&w.server, b"req".to_vec()).unwrap();
         assert_eq!(out.key_source, KeySource::TtpResolve);
-        let err = w.server_handler.abort(out.run_id).unwrap_err();
-        assert!(matches!(err, ProtocolError::Rejected(_)), "{err:?}");
-        // But fetch works.
-        assert!(w.server_handler.fetch_receipt(out.run_id).is_ok());
+        let receipt = w.server_handler.abort(out.run_id).unwrap();
+        assert_eq!(receipt.kind, TokenKind::NrrResp);
+        assert_eq!(receipt.issuer, OrgId::new("client"));
+        assert!(!w.ttp_logged(out.run_id, TokenKind::Abort));
     }
 
     #[test]
-    fn fetching_a_receipt_the_ttp_never_received_is_an_unknown_run() {
+    fn relayed_receipt_must_be_the_clients_over_the_committed_digest() {
+        // A receipt the TTP hands back is checked as a step-3 receipt
+        // would be: the run's client must have issued it, over the
+        // committed response digest.
         let w = world(ServerConduct::Honest);
-        let out = w.client.invoke(&w.server, b"req".to_vec()).unwrap();
-        // The server got its receipt directly: the TTP holds none.
-        assert_eq!(out.key_source, KeySource::Server);
-        let err = w.server_handler.fetch_receipt(out.run_id).unwrap_err();
-        assert!(
-            matches!(err, ProtocolError::UnknownRun(r) if r == out.run_id),
-            "{err:?}"
-        );
+        let (run, genuine) = escrowed_receipt(&w);
+        let forgeries = [
+            w.server_party
+                .issue_token(TokenKind::NrrResp, run, genuine.subject)
+                .unwrap(),
+            w.client_party
+                .issue_token(TokenKind::NrrResp, run, sha256(b"other"))
+                .unwrap(),
+        ];
+        for forged in forgeries {
+            w.ttp_handler.ledger.lock().get_mut(&run).unwrap().outcome = Some(forged);
+            let err = w.server_handler.abort(run).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ProtocolError::BadMessage(_) | ProtocolError::BadSignature { .. }
+                ),
+                "{err:?}"
+            );
+            assert!(!w.server_handler.receipt_received(&run));
+        }
     }
 
     #[test]
@@ -1549,7 +1561,6 @@ mod tests {
         let err = w.client.resolve(dispute, &w.server, &nrr).unwrap_err();
         assert!(matches!(err, ProtocolError::Net(_)), "{err:?}");
         assert!(is_net(w.server_handler.abort(run)));
-        assert!(is_net(w.server_handler.fetch_receipt(run)));
         let fresh = w.client_party.new_run_id();
         let err = w
             .server_handler
@@ -1561,7 +1572,6 @@ mod tests {
         w.bus.fault_plan().recover(&ttp);
         w.bus.fault_plan().partition(&w.server, &ttp);
         assert!(is_net(w.server_handler.abort(run)));
-        assert!(is_net(w.server_handler.fetch_receipt(run)));
         let fresh = w.client_party.new_run_id();
         let err = w
             .server_handler
@@ -1694,6 +1704,72 @@ mod tests {
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].outcome, EscalationOutcome::AlreadyComplete);
         assert!(!w.ttp_logged(out.run_id, TokenKind::Abort));
+    }
+
+    #[test]
+    fn lost_receipt_frame_is_answered_with_the_receipt_at_the_ttp() {
+        // A partition between client and server loses the step-3 frame.
+        // The client resolves at the TTP; after the heal, the honest
+        // server's timeout abort is answered with the client's receipt,
+        // so it is not left without it and nothing is aborted.
+        let w = world_with(ServerConduct::Honest, Some(100));
+        let run = w.client_party.new_run_id();
+        let client = OrgId::new("client");
+        let out = w
+            .client
+            .invoke_paced(run, &w.server, b"req".to_vec(), || {
+                w.bus.fault_plan().partition(&client, &w.server)
+            })
+            .unwrap();
+        assert_eq!(out.key_source, KeySource::TtpResolve);
+        assert!(!w.server_handler.receipt_received(&run));
+
+        w.bus.fault_plan().heal(&client, &w.server);
+        w.clock.advance(100);
+        let reports = w.supervisor.sweep();
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].outcome, EscalationOutcome::AlreadyComplete);
+        assert!(w.server_handler.receipt_received(&run));
+        assert!(w
+            .server_party
+            .log()
+            .by_run(&run)
+            .iter()
+            .any(|r| r.draft.kind == TokenKind::NrrResp.label() && r.draft.actor == client));
+        assert!(!w.ttp_logged(run, TokenKind::Abort));
+        assert_eq!(w.supervisor.in_flight(), 0);
+    }
+
+    #[test]
+    fn unanswered_timeout_abort_is_retried_a_window_later() {
+        // The TTP is down at the first sweep: the abort gets no answer,
+        // so the watch is re-armed, and the next sweep closes the run.
+        let w = world_with(ServerConduct::Honest, Some(100));
+        let run = w.client_party.new_run_id();
+        let ttp = OrgId::new("ttp");
+        w.client
+            .invoke_stalling(run, &w.server, b"req".to_vec())
+            .unwrap();
+        w.bus.fault_plan().crash(&ttp);
+        w.clock.advance(100);
+        let reports = w.supervisor.sweep();
+        assert_eq!(reports.len(), 1);
+        assert!(
+            matches!(reports[0].outcome, EscalationOutcome::Failed(_)),
+            "{:?}",
+            reports[0].outcome
+        );
+        assert_eq!(w.supervisor.in_flight(), 1, "watch re-armed");
+
+        w.bus.fault_plan().recover(&ttp);
+        w.clock.advance(99);
+        assert!(w.supervisor.sweep().is_empty(), "one window, not sooner");
+        w.clock.advance(1);
+        let reports = w.supervisor.sweep();
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].outcome, EscalationOutcome::Aborted);
+        assert!(w.ttp_logged(run, TokenKind::Abort));
+        assert_eq!(w.supervisor.in_flight(), 0);
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //! 2. **abort choreography** — the fair-offline server escalates to the
 //!    TTP's abort sub-protocol, closing the run so a stalled client can
 //!    never collect the key later. If the client already delivered the
-//!    receipt, the action reports [`EscalationOutcome::AlreadyComplete`]
-//!    and nothing is aborted — the timeout path never manufactures an
-//!    `AbortedAfterReceipt` finding against an honest server.
+//!    receipt, or resolved first (the TTP then answers with it), the
+//!    action reports [`EscalationOutcome::AlreadyComplete`] and nothing is
+//!    aborted — the timeout path never manufactures an
+//!    `AbortedAfterReceipt` finding against an honest server. An abort
+//!    the TTP did not answer is re-armed one receipt window later.
 //!
 //! Variants with no recourse protocol (direct, voluntary, inline TTP)
 //! have no rung of their own yet: their partial evidence is already in
@@ -49,13 +51,13 @@ pub enum EscalationOutcome {
     /// exchange): the TTP confirmed the abort, the stalled peer can
     /// never finish the run.
     Aborted,
-    /// The run had in fact completed between the deadline passing and
-    /// the escalation firing (or the expected message raced the sweep);
-    /// nothing was done.
+    /// The run had in fact completed: the awaited message raced the
+    /// sweep, or was the escalation's answer (the TTP answering the fair
+    /// server's abort with the client's receipt). Nothing was aborted.
     AlreadyComplete,
     /// Escalation itself failed (the fair server's abort: the TTP was
-    /// unreachable or refused). The watch is spent and the run is not
-    /// closed; the error is reported to the operator.
+    /// unreachable or refused); the run is not closed, and the action may
+    /// have re-armed its watch to retry. The error goes to the operator.
     Failed(String),
 }
 

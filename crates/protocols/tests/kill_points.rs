@@ -39,7 +39,9 @@ use nonrep_protocols::invocation::{direct, voluntary, ServerResponse};
 use nonrep_protocols::party::{Party, StaticKeyDirectory};
 use nonrep_protocols::session::{Branch, Client, Session};
 use nonrep_protocols::tokens::TokenKind;
-use nonrep_protocols::{B2BCoordinator, ExchangeSupervisor, RunJournal, TokenSpec};
+use nonrep_protocols::{
+    B2BCoordinator, EscalationOutcome, ExchangeSupervisor, RunJournal, TokenSpec,
+};
 use nonrep_types::codec::Encode;
 use nonrep_types::ids::{OrgId, RunId};
 use nonrep_types::time::LogicalClock;
@@ -526,6 +528,42 @@ fn fair_server_recovering_an_open_receipt_window_aborts_safely() {
     assert!(!records.iter().any(
         |r| r.draft.kind == TokenKind::NrrResp.label() && r.draft.actor == OrgId::new("client")
     ));
+}
+
+#[test]
+fn fair_server_whose_receipt_was_lost_closes_on_the_ttp_answer() {
+    // The step-3 frame never reaches the server; the client resolves at
+    // the TTP instead. The server's timeout abort is answered with the
+    // client's receipt: the run closes in the server's journal, with the
+    // receipt in its log and nothing aborted.
+    let w = world();
+    let client = w.fair_client();
+    let run = w.client_party.new_run_id();
+    let engine = client.engine();
+    let nro_req = TokenSpec::new(TokenKind::NroReq, run, sha256(b"req"));
+    let (msg2, _lost) = engine
+        .session::<Client, FairChoreography>(run)
+        .call(&w.server, b"req".to_vec(), &[nro_req])
+        .unwrap();
+    let step2: FairStep2 = engine.decode_body(&msg2.body).unwrap();
+    let nrr_resp = w
+        .client_party
+        .issue_token(TokenKind::NrrResp, run, step2.resp_digest)
+        .unwrap();
+    engine
+        .session::<Client, ResolveChoreography>(run)
+        .call_open(&w.ttp, nrr_resp.encode_to_vec(), &[])
+        .unwrap();
+    assert_eq!(w.server_journal.recovered_open_runs().len(), 1);
+
+    w.clock.advance(RECEIPT_WINDOW_MS);
+    let reports = w.supervisor.sweep();
+    assert_eq!(reports.len(), 1);
+    assert_eq!(reports[0].outcome, EscalationOutcome::AlreadyComplete);
+    assert!(w.fair_server.receipt_received(&run));
+    assert!(w.server_journal.recovered_open_runs().is_empty());
+    assert!(!w.ttp_logged(run, TokenKind::Abort));
+    w.server_party.log().verify().unwrap();
 }
 
 #[test]

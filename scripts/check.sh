@@ -82,6 +82,8 @@ retired=(
     ForgedRolloverSubmitter
     # one error type
     ExchangeError PeerFault LocalFault is_refusal Faulted
+    # one answer per escalation
+    fetch_receipt FetchChoreography handle_fetch STEP_FETCH STEP_FETCH_ACK
 )
 echo "==> retired names"
 if grep -rnwF "${retired[@]/#/-e}" --exclude=check.sh \
