@@ -1,7 +1,7 @@
 //! The non-repudiation middleware core: trusted interceptors.
 //!
-//! This crate assembles the substrates (crypto, net, store, pki, access,
-//! container, protocols) into the paper's architecture:
+//! This crate assembles the substrates (crypto, net, store, container,
+//! protocols) into the paper's architecture:
 //!
 //! * [`middleware`] — [`OrgMiddleware`], one organisation's full stack:
 //!   party identity (keys, clock, evidence log), component container,

@@ -261,7 +261,12 @@ impl MiddlewareBuilder {
         // Information sharing.
         let store = Arc::new(StateStore::new());
         let groups = Arc::new(GroupRegistry::new());
-        let sharing = SharingMember::new(party.clone(), store.clone(), groups.clone());
+        let sharing = SharingMember::new(
+            party.clone(),
+            coordinator.clone(),
+            store.clone(),
+            groups.clone(),
+        );
         coordinator.register_handler(sharing.clone());
         coordinator.register_handler(MembershipHandler::new(sharing.clone()));
 
@@ -567,8 +572,7 @@ impl OrgMiddleware {
         object: &str,
         new_state: Vec<u8>,
     ) -> Result<CoordinationOutcome, ProtocolError> {
-        self.sharing
-            .propose(&self.coordinator, group, object, new_state)
+        self.sharing.propose(group, object, new_state)
     }
 
     /// The latest agreed state of a shared object.
@@ -586,7 +590,7 @@ impl OrgMiddleware {
         group: &GroupId,
         joiner: &OrgId,
     ) -> Result<CoordinationOutcome, ProtocolError> {
-        membership::connect(&self.sharing, &self.coordinator, group, joiner)
+        membership::connect(&self.sharing, group, joiner)
     }
 
     /// Proposes removing `leaver` from `group` (disconnect protocol).
@@ -599,7 +603,7 @@ impl OrgMiddleware {
         group: &GroupId,
         leaver: &OrgId,
     ) -> Result<CoordinationOutcome, ProtocolError> {
-        membership::disconnect(&self.sharing, &self.coordinator, group, leaver)
+        membership::disconnect(&self.sharing, group, leaver)
     }
 
     /// The local view of `group`'s membership.

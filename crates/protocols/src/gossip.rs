@@ -41,6 +41,7 @@ use crate::coordinator::B2BCoordinator;
 use crate::handler::ProtocolHandler;
 use crate::message::ProtocolMessage;
 use crate::party::Party;
+use crate::session::ExchangeEngine;
 use crate::ProtocolError;
 
 /// Wire id of the anchor-gossip protocol.
@@ -96,14 +97,17 @@ impl AnchorStore {
 
 /// Receiving side: verifies and files gossiped anchors.
 pub struct AnchorGossipHandler {
-    party: Arc<Party>,
+    engine: ExchangeEngine,
     store: Arc<AnchorStore>,
 }
 
 impl AnchorGossipHandler {
     /// Creates a handler filing verified anchors into `store`.
     pub fn new(party: Arc<Party>, store: Arc<AnchorStore>) -> Self {
-        Self { party, store }
+        Self {
+            engine: ExchangeEngine::local(party, PROTOCOL_ID),
+            store,
+        }
     }
 }
 
@@ -113,25 +117,14 @@ impl ProtocolHandler for AnchorGossipHandler {
     }
 
     fn process(&self, from: &OrgId, msg: ProtocolMessage) -> Result<(), ProtocolError> {
-        if msg.sender != *from {
-            return Err(ProtocolError::BadMessage(format!(
-                "anchor gossip from {from} claims sender {}",
-                msg.sender
-            )));
-        }
-        let key = self.party.key_of(&msg.sender)?;
-        if !msg.verify_frame(&key) {
-            return Err(ProtocolError::BadSignature {
-                org: msg.sender.clone(),
-                what: "anchor gossip frame".into(),
-            });
-        }
+        self.engine.verify_frame_from(&msg, from)?;
         match msg.step {
             STEP_EPOCH => {
                 let commitment = EpochCommitment::decode_from_slice(&msg.body)
                     .map_err(|e| ProtocolError::BadMessage(format!("undecodable anchor: {e}")))?;
                 // The anchor must be signed by the sender itself: gossip
                 // binds an organisation to *its own* history only.
+                let key = self.engine.party().key_of(from)?;
                 if !key.verify_digest(
                     &EpochCommitment::signing_digest(
                         commitment.lo,
@@ -171,7 +164,7 @@ impl ProtocolHandler for AnchorGossipHandler {
 /// Sending side: walks the party's own log for sealed epoch records and
 /// delivers each commitment to the counterparties.
 pub struct AnchorGossip {
-    party: Arc<Party>,
+    engine: ExchangeEngine,
     coordinator: Arc<B2BCoordinator>,
     /// Next log sequence number to scan.
     cursor: Mutex<u64>,
@@ -181,7 +174,7 @@ impl AnchorGossip {
     /// Creates a gossiper for `party` sending through `coordinator`.
     pub fn new(party: Arc<Party>, coordinator: Arc<B2BCoordinator>) -> Self {
         Self {
-            party,
+            engine: ExchangeEngine::local(party, PROTOCOL_ID),
             coordinator,
             cursor: Mutex::new(0),
         }
@@ -201,21 +194,17 @@ impl AnchorGossip {
     /// [`ProtocolError`] if signing or delivery (after retries) fails.
     pub fn gossip_to(&self, peers: &[OrgId]) -> Result<usize, ProtocolError> {
         let mut cursor = self.cursor.lock();
-        let log = self.party.log();
+        let log = self.engine.party().log();
         let len = log.len();
         let mut sent = 0;
         while *cursor < len {
             let records = log.snapshot_range(*cursor..len);
             for record in &records {
                 if let Some(commitment) = EpochCommitment::from_record(record) {
-                    let msg = self.party.sign_frame(
-                        ProtocolMessage::new(
-                            PROTOCOL_ID,
-                            gossip_run_id(),
-                            STEP_EPOCH,
-                            self.party.org().clone(),
-                            commitment.encode_to_vec(),
-                        ),
+                    let msg = self.engine.request_frame(
+                        gossip_run_id(),
+                        STEP_EPOCH,
+                        commitment.encode_to_vec(),
                         &[],
                     )?;
                     for peer in peers {

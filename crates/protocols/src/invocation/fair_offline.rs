@@ -898,6 +898,9 @@ struct EscrowEntry {
     /// The run's outcome, once it has one: the TTP's own `Abort` token,
     /// or the client's `NRR_resp` that a resolve deposited.
     outcome: Option<NrToken>,
+    /// The TTP's `Decision` issued with a deposited `NRR_resp` (boxed: a
+    /// token is ~2.3 KB inline, and the ledger keeps an entry per run).
+    decision: Option<Box<NrToken>>,
 }
 
 /// The offline TTP: escrow ledger plus the resolve and abort
@@ -963,60 +966,69 @@ impl OfflineTtpHandler {
         self.engine.verify_frame_from(&msg, from)?;
         let client_key = self.engine.party().key_of(from)?;
         let nrr_resp: NrToken = self.engine.decode_body(&msg.body)?;
-        let escrowed = {
-            let mut ledger = self.ledger.lock();
-            let entry = ledger
-                .get_mut(&msg.run_id)
-                .ok_or(ProtocolError::UnknownRun(msg.run_id))?;
-            if let Some(abort) = entry
-                .outcome
-                .as_ref()
-                .filter(|t| t.kind == TokenKind::Abort)
-            {
-                // The server aborted first: that is the answer.
-                let ack = ResolveAck {
-                    key: None,
-                    token: abort.clone(),
-                };
-                return Ok(self.ack(msg.run_id, STEP_RESOLVE_ACK, &ack));
+        let mut ledger = self.ledger.lock();
+        let entry = ledger
+            .get_mut(&msg.run_id)
+            .ok_or(ProtocolError::UnknownRun(msg.run_id))?;
+        if let Some(abort) = entry
+            .outcome
+            .as_ref()
+            .filter(|t| t.kind == TokenKind::Abort)
+        {
+            // The server aborted first: that is the answer.
+            let ack = ResolveAck {
+                key: None,
+                token: abort.clone(),
+            };
+            return Ok(self.ack(msg.run_id, STEP_RESOLVE_ACK, &ack));
+        }
+        let escrowed = entry
+            .key
+            .as_ref()
+            .ok_or(ProtocolError::UnknownRun(msg.run_id))?;
+        if escrowed.client != *from {
+            return Err(ProtocolError::Rejected(
+                "resolver is not the escrowed client".into(),
+            ));
+        }
+        let key = escrowed.key;
+        let decision = match &entry.decision {
+            // A repeated resolve (its ack was lost) gets the same answer
+            // and leaves no new evidence.
+            Some(decision) => NrToken::clone(decision),
+            None => {
+                // The receipt must cover the escrowed response digest.
+                if !nrr_resp.verify(
+                    &client_key,
+                    Some(TokenKind::NrrResp),
+                    Some(msg.run_id),
+                    Some(&escrowed.resp_digest),
+                ) {
+                    return Err(ProtocolError::BadSignature {
+                        org: from.clone(),
+                        what: "NRR_resp presented at resolve".into(),
+                    });
+                }
+                self.engine.party().store_token(&nrr_resp)?;
+                // Adjudicate: the escrowing server failed to complete a
+                // run its client committed to. The decision is signed
+                // evidence any verifier can check by recomputing the
+                // defection digest. Issued under the ledger lock, so a
+                // racing resolve finds it.
+                let decision = self.engine.issue_and_store(
+                    TokenKind::Decision,
+                    msg.run_id,
+                    defection_digest(&escrowed.server, msg.run_id),
+                )?;
+                self.engine
+                    .issue_and_store(TokenKind::Resolve, msg.run_id, sha256(&key))?;
+                entry.outcome = Some(nrr_resp);
+                entry.decision = Some(Box::new(decision.clone()));
+                decision
             }
-            let escrowed = entry
-                .key
-                .clone()
-                .ok_or(ProtocolError::UnknownRun(msg.run_id))?;
-            if escrowed.client != *from {
-                return Err(ProtocolError::Rejected(
-                    "resolver is not the escrowed client".into(),
-                ));
-            }
-            // The receipt must cover the escrowed response digest.
-            if !nrr_resp.verify(
-                &client_key,
-                Some(TokenKind::NrrResp),
-                Some(msg.run_id),
-                Some(&escrowed.resp_digest),
-            ) {
-                return Err(ProtocolError::BadSignature {
-                    org: from.clone(),
-                    what: "NRR_resp presented at resolve".into(),
-                });
-            }
-            entry.outcome = Some(nrr_resp.clone());
-            escrowed
         };
-        self.engine.party().store_token(&nrr_resp)?;
-        // Adjudicate: the escrowing server failed to complete a run its
-        // client committed to. The decision is signed evidence any
-        // verifier can check by recomputing the defection digest.
-        let decision = self.engine.issue_and_store(
-            TokenKind::Decision,
-            msg.run_id,
-            defection_digest(&escrowed.server, msg.run_id),
-        )?;
-        self.engine
-            .issue_and_store(TokenKind::Resolve, msg.run_id, sha256(&escrowed.key))?;
         let ack = ResolveAck {
-            key: Some(escrowed.key),
+            key: Some(key),
             token: decision,
         };
         Ok(self.ack(msg.run_id, STEP_RESOLVE_ACK, &ack))
@@ -1469,6 +1481,44 @@ mod tests {
         assert_eq!(receipt.kind, TokenKind::NrrResp);
         assert_eq!(receipt.issuer, OrgId::new("client"));
         assert!(!w.ttp_logged(out.run_id, TokenKind::Abort));
+    }
+
+    #[test]
+    fn repeated_resolve_is_answered_alike_and_logged_once() {
+        // A client whose resolve ack was lost resolves again: the TTP
+        // answers with the same key and decision, and signs nothing new.
+        let w = world(ServerConduct::WithholdKey);
+        let (run, nrr) = escrowed_receipt(&w);
+        let resolve = || {
+            let msg = client_frame(&w, run, STEP_RESOLVE, nrr.encode_to_vec(), &[]);
+            w.ttp_handler
+                .process_request(&OrgId::new("client"), msg)
+                .unwrap()
+        };
+        let first = resolve();
+        assert!(resolve() == first, "a repeated resolve got another answer");
+        let ack = ResolveAck::decode_from_slice(&first.body).unwrap();
+        assert!(ack.key.is_some());
+        assert_eq!(ack.token.kind, TokenKind::Decision);
+        let ttp = w.ttp_handler.engine.party();
+        let mut kinds: Vec<String> = ttp
+            .log()
+            .by_run(&run)
+            .iter()
+            .map(|r| r.draft.kind.clone())
+            .collect();
+        kinds.sort();
+        let mut expected: Vec<String> = [
+            TokenKind::Escrow,
+            TokenKind::NrrResp,
+            TokenKind::Decision,
+            TokenKind::Resolve,
+        ]
+        .iter()
+        .map(|k| k.label().to_string())
+        .collect();
+        expected.sort();
+        assert_eq!(kinds, expected);
     }
 
     #[test]

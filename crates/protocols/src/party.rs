@@ -30,8 +30,8 @@ use crate::ProtocolError;
 
 /// Resolves an organisation's verifying key.
 ///
-/// Backed by `nonrep_pki::CredentialManager` in full deployments; tests use
-/// [`StaticKeyDirectory`].
+/// [`StaticKeyDirectory`] is the one implementation, in deployments and
+/// tests alike; `nonrep_pki::CredentialManager` does not implement it.
 pub trait KeyDirectory: Send + Sync {
     /// The verifying key of `org`, if known and currently valid.
     fn key_of(&self, org: &OrgId) -> Option<VerifyingKey>;

@@ -25,10 +25,11 @@
 //! Sealing is not a per-run event: the party's `CommitmentScheduler`
 //! seals evidence on its own policy, whichever runs it belongs to.
 //!
-//! Typed choreographies drive the engine through
-//! [`Session`]; handlers (which are callback-shaped by
-//! the coordinator's RPC dispatch) call the same helpers directly, so
-//! client and server sides share one evidence path.
+//! Typed choreographies (the invocation variants, NR-sharing rounds and
+//! the membership welcome) drive the engine through [`Session`];
+//! handlers (which are callback-shaped by the coordinator's RPC
+//! dispatch) and anchor gossip call the same helpers directly, so every
+//! protocol shares one framing and evidence path.
 
 use std::fmt;
 use std::sync::Arc;

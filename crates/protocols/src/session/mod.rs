@@ -1,7 +1,7 @@
 //! Session-typed protocol core: typestate choreographies over one
 //! shared exchange engine.
 //!
-//! Every NR-invocation variant is a *choreography* — a type-level
+//! Every request/reply protocol is a *choreography* — a type-level
 //! program built from the combinators in [`typestate`] — executed by a
 //! [`Session`] against the shared [`ExchangeEngine`]. The session
 //! consumes itself on every transition and returns the next state type,
@@ -34,12 +34,17 @@
 //! [`inline_ttp::InlineChoreography`] (plus the TTP-role
 //! [`inline_ttp::RelayChoreography`]) and
 //! [`fair_offline::FairChoreography`] with its dispute sub-protocols.
+//! NR-sharing runs on the same engine:
+//! [`coordination::SharingChoreography`] fans each round out to the
+//! group, and [`membership::WelcomeChoreography`] welcomes a joiner.
 //!
 //! [`direct::DirectChoreography`]: crate::invocation::direct::DirectChoreography
 //! [`voluntary::VoluntaryChoreography`]: crate::invocation::voluntary::VoluntaryChoreography
 //! [`inline_ttp::InlineChoreography`]: crate::invocation::inline_ttp::InlineChoreography
 //! [`inline_ttp::RelayChoreography`]: crate::invocation::inline_ttp::RelayChoreography
 //! [`fair_offline::FairChoreography`]: crate::invocation::fair_offline::FairChoreography
+//! [`coordination::SharingChoreography`]: crate::sharing::coordination::SharingChoreography
+//! [`membership::WelcomeChoreography`]: crate::sharing::membership::WelcomeChoreography
 
 pub mod engine;
 pub mod journal;
@@ -52,6 +57,6 @@ pub use journal::{OpenRun, RunJournal};
 pub use supervisor::{EscalationAction, EscalationOutcome, ExchangeSupervisor, ExpiryReport};
 pub use trace::{TraceStep, WireMode};
 pub use typestate::{
-    Branch, Call, CallLossy, CallOpen, CallOr, CallRelayed, Client, End, Forward, Role, Server,
-    Session, State, Ttp,
+    Branch, Call, CallLossy, CallOpen, CallOr, CallRelayed, Client, End, Fan, Forward, Role,
+    Server, Session, State, Ttp,
 };

@@ -125,6 +125,11 @@ pub struct CallOr<const STEP: u32, const REPLY: u32, Next: State, Alt: State>(
 /// inline TTP's relay leg); continue as `Next`.
 pub struct Forward<const STEP: u32, const REPLY: u32, Next: State>(PhantomData<Next>);
 
+/// Signed request `STEP`, one frame delivered to each of several peers in
+/// turn; every peer's `REPLY` is accepted without frame verification, as
+/// in [`CallOpen`]; continue as `Next`.
+pub struct Fan<const STEP: u32, const REPLY: u32, Next: State>(PhantomData<Next>);
+
 impl State for End {
     fn traces() -> Vec<Vec<TraceStep>> {
         vec![Vec::new()]
@@ -178,6 +183,12 @@ impl<const STEP: u32, const REPLY: u32, Next: State> State for Forward<STEP, REP
             TraceStep::new(STEP, REPLY, WireMode::Forwarded),
             Next::traces(),
         )
+    }
+}
+
+impl<const STEP: u32, const REPLY: u32, Next: State> State for Fan<STEP, REPLY, Next> {
+    fn traces() -> Vec<Vec<TraceStep>> {
+        prepend(TraceStep::new(STEP, REPLY, WireMode::Open), Next::traces())
     }
 }
 
@@ -311,6 +322,35 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
         let reply = self.engine.expect_step(self.run, REPLY, reply)?;
         self.engine.journal_progress(self.run, STEP)?;
         Ok((reply, self.advance()))
+    }
+}
+
+impl<R: Role, const STEP: u32, const REPLY: u32, Next: State> Session<R, Fan<STEP, REPLY, Next>> {
+    /// Signs `body` as step `STEP` once, in a frame carrying the tokens
+    /// `tokens` asks this party to issue (see
+    /// [`ExchangeEngine::request_frame`]), and delivers that frame to
+    /// each of `peers` in order; returns their `REPLY`s, pinned to this
+    /// run, in peer order.
+    ///
+    /// # Errors
+    ///
+    /// As [`Session::call_open`], from the first peer that fails.
+    pub fn fan(
+        self,
+        peers: &[OrgId],
+        body: Vec<u8>,
+        tokens: &[TokenSpec],
+    ) -> Result<(Vec<ProtocolMessage>, Session<R, Next>), ProtocolError> {
+        let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
+        let replies = peers
+            .iter()
+            .map(|peer| {
+                let reply = self.engine.deliver(peer, &msg)?;
+                self.engine.expect_step(self.run, REPLY, reply)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        self.engine.journal_progress(self.run, STEP)?;
+        Ok((replies, self.advance()))
     }
 }
 

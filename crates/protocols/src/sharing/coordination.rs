@@ -4,11 +4,15 @@
 //! version `v+1`, or leaves it untouched:
 //!
 //! ```text
-//! 1  P → each member : proposal, Proposal-token          (deliver_request)
-//! 2  member → P      : signed vote (accept/reject)       (response)
-//! 3  P → each member : decision + all signed votes       (deliver_request)
-//! 4  member → P      : ack                               (response)
+//! 1  P → each member : proposal, Proposal-token    ┐ SharingChoreography
+//! 2  member → P      : signed vote (accept/reject) ┘   = Fan<1, 2,
+//! 3  P → each member : decision + all signed votes ┐     Fan<3, 4, End>>
+//! 4  member → P      : ack                         ┘
 //! ```
+//!
+//! The proposer's side is the [`SharingChoreography`] session type on the
+//! shared [`ExchangeEngine`]: each round signs one frame and delivers it
+//! to every other member in turn.
 //!
 //! Members do **not** trust the proposer's word on the outcome: the
 //! decision message carries every member's *signed* vote, and each member
@@ -16,7 +20,8 @@
 //! member other than the proposer produced a verifiable `accept` vote over
 //! exactly this proposal digest — realising the paper's safety property
 //! "no invalid changes to shared information whatever the behaviour of
-//! participants" (§4).
+//! participants" (§4). One check, `check_vote_set`, judges every vote
+//! set: the proposer's, each member's and a joiner's.
 //!
 //! Rounds for the same object are serialised by the `base_version` check:
 //! a proposal built against anything but the member's current version is
@@ -37,12 +42,18 @@ use crate::handler::ProtocolHandler;
 use crate::message::ProtocolMessage;
 use crate::party::Party;
 use crate::scheduler::TokenSpec;
+use crate::session::{Client, End, ExchangeEngine, Fan};
 use crate::sharing::GroupRegistry;
 use crate::tokens::{NrToken, TokenKind};
 use crate::{B2BCoordinator, ProtocolError};
 
 /// Protocol id of the sharing coordination protocol.
 pub const PROTOCOL_ID: &str = "nr-sharing";
+
+/// The proposer's choreography: the proposal fanned out to every other
+/// member for its vote (steps 1/2), then the decision for its ack (steps
+/// 3/4).
+pub type SharingChoreography = Fan<1, 2, Fan<3, 4, End>>;
 
 const STEP_PROPOSE: u32 = 1;
 const STEP_VOTE: u32 = 2;
@@ -205,6 +216,40 @@ impl Decode for DecisionBody {
     }
 }
 
+/// Checks the vote set of one round: exactly one vote from each of
+/// `voters`, each over the `proposal` digest in `run` and verifying under
+/// its voter's key. Returns whether every voter accepted.
+///
+/// # Errors
+///
+/// [`ProtocolError::BadMessage`] if the votes are not one per voter,
+/// [`ProtocolError::BadSignature`] for a vote that fails its check,
+/// [`ProtocolError::UnknownKey`] for a voter with no key.
+pub(crate) fn check_vote_set(
+    party: &Party,
+    run: RunId,
+    proposal: &Digest,
+    voters: &BTreeSet<&OrgId>,
+    votes: &[SignedVote],
+) -> Result<bool, ProtocolError> {
+    let cast: BTreeSet<&OrgId> = votes.iter().map(|v| &v.voter).collect();
+    if votes.len() != voters.len() || cast != *voters {
+        return Err(ProtocolError::BadMessage(
+            "vote set does not match membership".into(),
+        ));
+    }
+    for vote in votes {
+        let key = party.key_of(&vote.voter)?;
+        if vote.proposal_digest != *proposal || !vote.verify(&key, run) {
+            return Err(ProtocolError::BadSignature {
+                org: vote.voter.clone(),
+                what: "vote".into(),
+            });
+        }
+    }
+    Ok(votes.iter().all(|v| v.accept))
+}
+
 /// The proposer's view of a finished round.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoordinationOutcome {
@@ -248,24 +293,30 @@ where
 /// One organisation's NR-sharing node: proposes updates and votes on and
 /// applies others' proposals. Register as the `nr-sharing` handler.
 pub struct SharingMember {
-    party: Arc<Party>,
+    engine: ExchangeEngine,
     store: Arc<StateStore>,
     groups: Arc<GroupRegistry>,
     validators: Mutex<Vec<Arc<dyn UpdateValidator>>>,
-    pending: Mutex<HashMap<RunId, ProposalBody>>,
+    /// The proposal digest of each run this node voted to accept.
+    pending: Mutex<HashMap<RunId, Digest>>,
 }
 
 impl fmt::Debug for SharingMember {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SharingMember({})", self.party.org())
+        write!(f, "SharingMember({})", self.party().org())
     }
 }
 
 impl SharingMember {
-    /// Creates a sharing node.
-    pub fn new(party: Arc<Party>, store: Arc<StateStore>, groups: Arc<GroupRegistry>) -> Arc<Self> {
+    /// Creates a sharing node proposing through `coordinator`.
+    pub fn new(
+        party: Arc<Party>,
+        coordinator: Arc<B2BCoordinator>,
+        store: Arc<StateStore>,
+        groups: Arc<GroupRegistry>,
+    ) -> Arc<Self> {
         Arc::new(Self {
-            party,
+            engine: ExchangeEngine::new(party, coordinator, PROTOCOL_ID),
             store,
             groups,
             validators: Mutex::new(Vec::new()),
@@ -290,7 +341,18 @@ impl SharingMember {
 
     /// This node's party identity.
     pub fn party(&self) -> &Arc<Party> {
-        &self.party
+        self.engine.party()
+    }
+
+    /// The engine driving this node's rounds.
+    pub(crate) fn engine(&self) -> &ExchangeEngine {
+        &self.engine
+    }
+
+    /// The number of agreed versions of `object`: the version a proposal
+    /// built now creates.
+    fn next_version(&self, object: &str) -> u64 {
+        self.store.latest(object).map_or(0, |(v, _)| v + 1)
     }
 
     /// The latest agreed state of `object`, if any.
@@ -301,8 +363,9 @@ impl SharingMember {
 
     /// Proposes `new_state` for `object` to every member of `group`.
     ///
-    /// Runs the full coordination round; on unanimous acceptance the update
-    /// is applied locally (remote replicas applied it during step 3).
+    /// Runs the full coordination round ([`SharingChoreography`]); on
+    /// unanimous acceptance the update is applied locally (remote replicas
+    /// applied it during step 3).
     ///
     /// # Errors
     ///
@@ -311,105 +374,80 @@ impl SharingMember {
     /// error: it returns `accepted == false` with the signed veto votes.
     pub fn propose(
         &self,
-        coordinator: &B2BCoordinator,
         group: &GroupId,
         object: &str,
         new_state: Vec<u8>,
     ) -> Result<CoordinationOutcome, ProtocolError> {
+        self.coordinate(group, object, new_state)
+            .map(|(outcome, _, _)| outcome)
+    }
+
+    /// [`SharingMember::propose`], also returning the decision the round
+    /// sent and its digest (a welcome carries both).
+    pub(crate) fn coordinate(
+        &self,
+        group: &GroupId,
+        object: &str,
+        new_state: Vec<u8>,
+    ) -> Result<(CoordinationOutcome, DecisionBody, Digest), ProtocolError> {
+        let party = self.party();
         let members = self.groups.members(group)?;
-        if !members.contains(self.party.org()) {
+        if !members.contains(party.org()) {
             return Err(ProtocolError::Rejected(
                 "proposer is not a group member".into(),
             ));
         }
-        let run_id = self.party.new_run_id();
-        let base_version = self.store.latest(object).map_or(0, |(v, _)| v + 1);
+        let peers: Vec<OrgId> = members.into_iter().filter(|m| m != party.org()).collect();
+        let run_id = party.new_run_id();
         let proposal = ProposalBody {
             group: group.clone(),
             object: object.to_owned(),
-            base_version,
+            base_version: self.next_version(object),
             new_state,
-            proposer: self.party.org().clone(),
+            proposer: party.org().clone(),
         };
         let digest = proposal.digest();
-        let propose_msg = self.party.sign_frame(
-            ProtocolMessage::new(
-                PROTOCOL_ID,
-                run_id,
-                STEP_PROPOSE,
-                self.party.org().clone(),
-                proposal.encode_to_vec(),
-            ),
-            &[TokenSpec::new(TokenKind::Proposal, run_id, digest)],
-        )?;
+        let session = self.engine.session::<Client, SharingChoreography>(run_id);
 
-        // Step 1/2: collect signed votes from every other member.
-        let mut votes = Vec::new();
-        for member in members.iter().filter(|m| *m != self.party.org()) {
-            let reply = coordinator.deliver_request(member, &propose_msg)?;
-            if reply.step != STEP_VOTE || reply.run_id != run_id {
-                return Err(ProtocolError::BadMessage(format!(
-                    "expected vote from {member}, got step {}",
-                    reply.step
-                )));
-            }
-            let vote = SignedVote::decode_from_slice(&reply.body)
-                .map_err(|e| ProtocolError::BadMessage(e.to_string()))?;
-            let voter_key = self.party.key_of(member)?;
-            if vote.voter != *member
-                || vote.proposal_digest != digest
-                || !vote.verify(&voter_key, run_id)
-            {
-                return Err(ProtocolError::BadSignature {
-                    org: member.clone(),
-                    what: "vote".into(),
-                });
-            }
-            self.party.store_token(&vote.token)?;
-            votes.push(vote);
+        // Steps 1/2: collect signed votes from every other member.
+        let proposal_token = TokenSpec::new(TokenKind::Proposal, run_id, digest);
+        let (replies, session) =
+            session.fan(&peers, proposal.encode_to_vec(), &[proposal_token])?;
+        let votes = replies
+            .iter()
+            .map(|reply| self.engine.decode_body(&reply.body))
+            .collect::<Result<Vec<SignedVote>, _>>()?;
+        let accepted = check_vote_set(party, run_id, &digest, &peers.iter().collect(), &votes)?;
+        for vote in &votes {
+            party.store_token(&vote.token)?;
         }
-        let accepted = votes.iter().all(|v| v.accept);
 
-        // Step 3/4: disseminate the decision with all signed votes.
+        // Steps 3/4: disseminate the decision with all signed votes.
         let decision_digest = DecisionBody::decision_digest(accepted, &digest, &votes);
         let decision = DecisionBody {
             accepted,
-            proposal: proposal.clone(),
-            votes: votes.clone(),
+            proposal,
+            votes,
         };
-        let decision_msg = self.party.sign_frame(
-            ProtocolMessage::new(
-                PROTOCOL_ID,
-                run_id,
-                STEP_DECISION,
-                self.party.org().clone(),
-                decision.encode_to_vec(),
-            ),
-            &[TokenSpec::new(TokenKind::Decision, run_id, decision_digest)],
-        )?;
-        for member in members.iter().filter(|m| *m != self.party.org()) {
-            let ack = coordinator.deliver_request(member, &decision_msg)?;
-            if ack.step != STEP_ACK {
-                return Err(ProtocolError::BadMessage(format!(
-                    "bad decision ack from {member}"
-                )));
-            }
-        }
+        let decision_token = TokenSpec::new(TokenKind::Decision, run_id, decision_digest);
+        let (_acks, session) = session.fan(&peers, decision.encode_to_vec(), &[decision_token])?;
+        session.finish()?;
 
         // Apply locally last (remote replicas applied during step 3).
-        let version = if accepted {
-            let (v, _) = self.store.record_version(object, &proposal.new_state);
-            self.apply_side_effects(&proposal);
-            Some(v)
-        } else {
-            None
-        };
-        Ok(CoordinationOutcome {
+        let version = accepted.then(|| {
+            let (v, _) = self
+                .store
+                .record_version(object, &decision.proposal.new_state);
+            self.apply_side_effects(&decision.proposal);
+            v
+        });
+        let outcome = CoordinationOutcome {
             run_id,
             accepted,
             version,
-            votes,
-        })
+            votes: decision.votes.clone(),
+        };
+        Ok((outcome, decision, decision_digest))
     }
 
     /// Group-object side effects (membership updates) after an applied
@@ -427,37 +465,27 @@ impl SharingMember {
         from: &OrgId,
         msg: ProtocolMessage,
     ) -> Result<ProtocolMessage, ProtocolError> {
-        let proposer_key = self.party.key_of(from)?;
-        if msg.sender != *from || !msg.verify_frame(&proposer_key) {
-            return Err(ProtocolError::BadSignature {
-                org: from.clone(),
-                what: "proposal frame".into(),
-            });
-        }
-        let proposal = ProposalBody::decode_from_slice(&msg.body)
-            .map_err(|e| ProtocolError::BadMessage(e.to_string()))?;
+        self.engine.verify_frame_from(&msg, from)?;
+        let proposal: ProposalBody = self.engine.decode_body(&msg.body)?;
         if proposal.proposer != *from {
             return Err(ProtocolError::BadMessage(
                 "proposal proposer is not the sender".into(),
             ));
         }
         let digest = proposal.digest();
-        self.party
-            .absorb_carried(&msg, [(TokenKind::Proposal, digest)])?;
+        let party = self.party();
+        party.absorb_carried(&msg, [(TokenKind::Proposal, digest)])?;
 
         // Membership check: both proposer and this node must be members.
         let members = self.groups.members(&proposal.group)?;
-        if !members.contains(from) || !members.contains(self.party.org()) {
+        if !members.contains(from) || !members.contains(party.org()) {
             return Err(ProtocolError::Rejected(
                 "proposer or validator not in group".into(),
             ));
         }
 
         // Decide the vote: staleness first, then application validators.
-        let local_version = self
-            .store
-            .latest(&proposal.object)
-            .map_or(0, |(v, _)| v + 1);
+        let local_version = self.next_version(&proposal.object);
         let (accept, reason) = if proposal.base_version != local_version {
             (
                 false,
@@ -480,28 +508,23 @@ impl SharingMember {
             }
         };
 
-        let vote_digest = SignedVote::vote_digest(self.party.org(), accept, &reason, &digest);
+        let vote_digest = SignedVote::vote_digest(party.org(), accept, &reason, &digest);
         let token = self
-            .party
-            .issue_token(TokenKind::Vote, msg.run_id, vote_digest)?;
-        self.party.store_token(&token)?;
+            .engine
+            .issue_and_store(TokenKind::Vote, msg.run_id, vote_digest)?;
         let vote = SignedVote {
-            voter: self.party.org().clone(),
+            voter: party.org().clone(),
             accept,
             reason,
             proposal_digest: digest,
             token,
         };
         if accept {
-            self.pending.lock().insert(msg.run_id, proposal);
+            self.pending.lock().insert(msg.run_id, digest);
         }
-        Ok(ProtocolMessage::new(
-            PROTOCOL_ID,
-            msg.run_id,
-            STEP_VOTE,
-            self.party.org().clone(),
-            vote.encode_to_vec(),
-        ))
+        Ok(self
+            .engine
+            .open_frame(msg.run_id, STEP_VOTE, vote.encode_to_vec()))
     }
 
     fn handle_decision(
@@ -509,15 +532,8 @@ impl SharingMember {
         from: &OrgId,
         msg: ProtocolMessage,
     ) -> Result<ProtocolMessage, ProtocolError> {
-        let proposer_key = self.party.key_of(from)?;
-        if msg.sender != *from || !msg.verify_frame(&proposer_key) {
-            return Err(ProtocolError::BadSignature {
-                org: from.clone(),
-                what: "decision frame".into(),
-            });
-        }
-        let decision = DecisionBody::decode_from_slice(&msg.body)
-            .map_err(|e| ProtocolError::BadMessage(e.to_string()))?;
+        self.engine.verify_frame_from(&msg, from)?;
+        let decision: DecisionBody = self.engine.decode_body(&msg.body)?;
         if decision.proposal.proposer != *from {
             return Err(ProtocolError::BadMessage(
                 "decision not from the proposer".into(),
@@ -526,39 +542,26 @@ impl SharingMember {
         let digest = decision.proposal.digest();
         // If we voted on this run, the decided proposal must be the one we
         // saw (the proposer cannot substitute content after the votes).
-        if let Some(pending) = self.pending.lock().get(&msg.run_id) {
-            if pending.digest() != digest {
-                return Err(ProtocolError::BadMessage(
-                    "decision proposal differs from the voted proposal".into(),
-                ));
-            }
+        if self
+            .pending
+            .lock()
+            .get(&msg.run_id)
+            .is_some_and(|voted| *voted != digest)
+        {
+            return Err(ProtocolError::BadMessage(
+                "decision proposal differs from the voted proposal".into(),
+            ));
         }
         // Verify the proposer's decision token.
         let decision_digest =
             DecisionBody::decision_digest(decision.accepted, &digest, &decision.votes);
-        self.party
-            .absorb_carried(&msg, [(TokenKind::Decision, decision_digest)])?;
+        let party = self.party();
+        party.absorb_carried(&msg, [(TokenKind::Decision, decision_digest)])?;
         // Independently verify every vote; the proposer's claim of
         // unanimity is never taken on trust.
         let members = self.groups.members(&decision.proposal.group)?;
-        let expected_voters: BTreeSet<&OrgId> = members.iter().filter(|m| *m != from).collect();
-        let actual_voters: BTreeSet<&OrgId> = decision.votes.iter().map(|v| &v.voter).collect();
-        if expected_voters != actual_voters {
-            return Err(ProtocolError::BadMessage(
-                "vote set does not match membership".into(),
-            ));
-        }
-        let mut all_accept = true;
-        for vote in &decision.votes {
-            let voter_key = self.party.key_of(&vote.voter)?;
-            if vote.proposal_digest != digest || !vote.verify(&voter_key, msg.run_id) {
-                return Err(ProtocolError::BadSignature {
-                    org: vote.voter.clone(),
-                    what: "vote in decision".into(),
-                });
-            }
-            all_accept &= vote.accept;
-        }
+        let voters = members.iter().filter(|m| *m != from).collect();
+        let all_accept = check_vote_set(party, msg.run_id, &digest, &voters, &decision.votes)?;
         if decision.accepted != all_accept {
             return Err(ProtocolError::BadMessage(
                 "decision flag contradicts the signed votes".into(),
@@ -567,10 +570,7 @@ impl SharingMember {
 
         // Apply if unanimously accepted.
         if decision.accepted {
-            let local_version = self
-                .store
-                .latest(&decision.proposal.object)
-                .map_or(0, |(v, _)| v + 1);
+            let local_version = self.next_version(&decision.proposal.object);
             if decision.proposal.base_version != local_version {
                 return Err(ProtocolError::StaleVersion {
                     proposed_base: decision.proposal.base_version,
@@ -582,13 +582,7 @@ impl SharingMember {
             self.apply_side_effects(&decision.proposal);
         }
         self.pending.lock().remove(&msg.run_id);
-        Ok(ProtocolMessage::new(
-            PROTOCOL_ID,
-            msg.run_id,
-            STEP_ACK,
-            self.party.org().clone(),
-            Vec::new(),
-        ))
+        Ok(self.engine.open_frame(msg.run_id, STEP_ACK, Vec::new()))
     }
 }
 
@@ -597,13 +591,10 @@ impl ProtocolHandler for SharingMember {
         ProtocolId::new(PROTOCOL_ID)
     }
 
-    fn process(&self, from: &OrgId, msg: ProtocolMessage) -> Result<(), ProtocolError> {
-        match msg.step {
-            STEP_DECISION => self.handle_decision(from, msg).map(|_| ()),
-            step => Err(ProtocolError::BadMessage(format!(
-                "unexpected one-way step {step}"
-            ))),
-        }
+    fn process(&self, _from: &OrgId, _msg: ProtocolMessage) -> Result<(), ProtocolError> {
+        Err(ProtocolError::BadMessage(
+            "sharing rounds are request/response".into(),
+        ))
     }
 
     fn process_request(
@@ -631,7 +622,6 @@ mod tests {
 
     struct Node {
         member: Arc<SharingMember>,
-        coordinator: Arc<B2BCoordinator>,
     }
 
     fn world(names: &[&str]) -> Vec<Node> {
@@ -651,13 +641,15 @@ mod tests {
                 );
                 let groups = Arc::new(GroupRegistry::new());
                 groups.set(group.clone(), member_set.clone());
-                let member = SharingMember::new(party, Arc::new(StateStore::new()), groups);
+                let member = SharingMember::new(
+                    party,
+                    coordinator.clone(),
+                    Arc::new(StateStore::new()),
+                    groups,
+                );
                 coordinator.register_handler(member.clone());
-                bus.register(OrgId::new(*name), coordinator.clone());
-                Node {
-                    member,
-                    coordinator,
-                }
+                bus.register(OrgId::new(*name), coordinator);
+                Node { member }
             })
             .collect()
     }
@@ -671,7 +663,7 @@ mod tests {
         let nodes = world(&["a", "b", "c"]);
         let out = nodes[0]
             .member
-            .propose(&nodes[0].coordinator, &group(), "spec", b"v1 spec".to_vec())
+            .propose(&group(), "spec", b"v1 spec".to_vec())
             .unwrap();
         assert!(out.accepted);
         assert_eq!(out.version, Some(0));
@@ -687,7 +679,7 @@ mod tests {
         // Seed an initial version.
         nodes[0]
             .member
-            .propose(&nodes[0].coordinator, &group(), "spec", b"v1".to_vec())
+            .propose(&group(), "spec", b"v1".to_vec())
             .unwrap();
         // b vetoes anything containing "bad".
         nodes[1].member.add_validator(Arc::new(
@@ -701,7 +693,7 @@ mod tests {
         ));
         let out = nodes[0]
             .member
-            .propose(&nodes[0].coordinator, &group(), "spec", b"v2 bad".to_vec())
+            .propose(&group(), "spec", b"v2 bad".to_vec())
             .unwrap();
         assert!(!out.accepted);
         assert_eq!(out.version, None);
@@ -720,7 +712,7 @@ mod tests {
         for (i, state) in [b"v1".as_slice(), b"v2", b"v3"].iter().enumerate() {
             let out = nodes[i % 2]
                 .member
-                .propose(&nodes[i % 2].coordinator, &group(), "doc", state.to_vec())
+                .propose(&group(), "doc", state.to_vec())
                 .unwrap();
             assert!(out.accepted);
             assert_eq!(out.version, Some(i as u64));
@@ -735,7 +727,7 @@ mod tests {
         let nodes = world(&["a", "b"]);
         nodes[0]
             .member
-            .propose(&nodes[0].coordinator, &group(), "doc", b"v1".to_vec())
+            .propose(&group(), "doc", b"v1".to_vec())
             .unwrap();
         // Forge a proposal with base_version 0 while replicas are at 1.
         let run = nodes[0].member.party().new_run_id();
@@ -749,17 +741,8 @@ mod tests {
         let token = TokenSpec::new(TokenKind::Proposal, run, proposal.digest());
         let msg = nodes[0]
             .member
-            .party()
-            .sign_frame(
-                ProtocolMessage::new(
-                    PROTOCOL_ID,
-                    run,
-                    STEP_PROPOSE,
-                    "a",
-                    proposal.encode_to_vec(),
-                ),
-                &[token],
-            )
+            .engine()
+            .request_frame(run, STEP_PROPOSE, proposal.encode_to_vec(), &[token])
             .unwrap();
         let reply = nodes[1]
             .member
@@ -819,15 +802,11 @@ mod tests {
         };
         let msg = nodes[0]
             .member
-            .party()
-            .sign_frame(
-                ProtocolMessage::new(
-                    PROTOCOL_ID,
-                    run,
-                    STEP_DECISION,
-                    "a",
-                    decision.encode_to_vec(),
-                ),
+            .engine()
+            .request_frame(
+                run,
+                STEP_DECISION,
+                decision.encode_to_vec(),
                 &[TokenSpec::new(TokenKind::Decision, run, decision_digest)],
             )
             .unwrap();
@@ -852,7 +831,7 @@ mod tests {
             }));
         let out = nodes[0]
             .member
-            .propose(&nodes[0].coordinator, &group(), "doc", b"x".to_vec())
+            .propose(&group(), "doc", b"x".to_vec())
             .unwrap();
         assert!(!out.accepted);
         // b's replica untouched.
@@ -869,7 +848,7 @@ mod tests {
             .set(group(), [OrgId::new("b")].into());
         let err = nodes[0]
             .member
-            .propose(&nodes[0].coordinator, &group(), "doc", b"x".to_vec())
+            .propose(&group(), "doc", b"x".to_vec())
             .unwrap_err();
         assert!(matches!(err, ProtocolError::Rejected(_)), "{err:?}");
     }
@@ -879,7 +858,7 @@ mod tests {
         let nodes = world(&["a", "b", "c"]);
         let out = nodes[0]
             .member
-            .propose(&nodes[0].coordinator, &group(), "spec", b"v1".to_vec())
+            .propose(&group(), "spec", b"v1".to_vec())
             .unwrap();
         // Proposer: proposal + 2 votes + decision = 4 records.
         assert_eq!(nodes[0].member.party().log().by_run(&out.run_id).len(), 4);
@@ -895,7 +874,7 @@ mod tests {
         let nodes = world(&["a", "b"]);
         let out = nodes[1]
             .member
-            .propose(&nodes[1].coordinator, &group(), "doc", b"from-b".to_vec())
+            .propose(&group(), "doc", b"from-b".to_vec())
             .unwrap();
         assert!(out.accepted);
         assert_eq!(nodes[0].member.current_state("doc").unwrap(), b"from-b");

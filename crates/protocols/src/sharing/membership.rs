@@ -14,8 +14,10 @@
 //! in `coordination`).
 //!
 //! After an accepted join, the sponsor sends the new member a `welcome`
-//! message carrying the decided member set together with the full decision
-//! evidence, which the joiner verifies before installing the group.
+//! message ([`WelcomeChoreography`]) carrying the decided member set
+//! together with the full decision evidence, which the joiner verifies —
+//! every vote with the same check members apply to a decision — before
+//! installing the group.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -28,9 +30,12 @@ use nonrep_types::ids::{GroupId, OrgId, ProtocolId};
 use crate::handler::ProtocolHandler;
 use crate::message::ProtocolMessage;
 use crate::scheduler::TokenSpec;
-use crate::sharing::coordination::{CoordinationOutcome, DecisionBody, SharingMember};
+use crate::session::{CallOpen, Client, End, ExchangeEngine};
+use crate::sharing::coordination::{
+    check_vote_set, CoordinationOutcome, DecisionBody, SharingMember,
+};
 use crate::tokens::TokenKind;
-use crate::{B2BCoordinator, ProtocolError};
+use crate::ProtocolError;
 
 /// Prefix of the shared objects holding group member sets.
 const GROUP_OBJECT_PREFIX: &str = "__group:";
@@ -40,6 +45,23 @@ const WELCOME_PROTOCOL_ID: &str = "nr-membership";
 
 const STEP_WELCOME: u32 = 5;
 const STEP_WELCOME_ACK: u32 = 6;
+
+/// The sponsor's welcome round: the signed welcome, acknowledged by the
+/// joiner.
+pub type WelcomeChoreography = CallOpen<STEP_WELCOME, STEP_WELCOME_ACK, End>;
+
+/// `member`'s engine for the welcome protocol.
+fn welcome_engine(member: &SharingMember) -> ExchangeEngine {
+    let coordinator = member
+        .engine()
+        .coordinator()
+        .expect("a sharing member's engine delivers");
+    ExchangeEngine::new(
+        Arc::clone(member.party()),
+        Arc::clone(coordinator),
+        WELCOME_PROTOCOL_ID,
+    )
+}
 
 /// The shared-object key of `group`'s member set.
 fn group_object(group: &GroupId) -> String {
@@ -139,7 +161,6 @@ impl Decode for Welcome {
 /// and sends no welcome.
 pub fn connect(
     sponsor: &SharingMember,
-    coordinator: &B2BCoordinator,
     group: &GroupId,
     joiner: &OrgId,
 ) -> Result<CoordinationOutcome, ProtocolError> {
@@ -150,70 +171,31 @@ pub fn connect(
         )));
     }
     members.insert(joiner.clone());
-    let outcome = sponsor.propose(
-        coordinator,
-        group,
-        &group_object(group),
-        encode_group_state(&members),
-    )?;
+    let (outcome, decision, decision_digest) =
+        sponsor.coordinate(group, &group_object(group), encode_group_state(&members))?;
     if !outcome.accepted {
         return Ok(outcome);
     }
-    // Build the welcome from the decision evidence we just produced.
-    let proposal = crate::sharing::coordination::ProposalBody {
-        group: group.clone(),
-        object: group_object(group),
-        base_version: outcome.version.expect("accepted outcome has a version"),
-        new_state: encode_group_state(&members),
-        proposer: sponsor.party().org().clone(),
-    };
-    let digest = proposal.digest();
-    let decision_digest = DecisionBody::decision_digest(true, &digest, &outcome.votes);
     // Snapshot every shared object (including the group object, whose
     // history now ends at the just-agreed member set) for the joiner.
     let store = sponsor.store();
-    let mut snapshots = Vec::new();
-    for object in store.objects() {
-        let history = store.history(&object);
-        let latest_state = store
+    let snapshots = store.objects().into_iter().map(|object| ObjectSnapshot {
+        history: store.history(&object),
+        latest_state: store
             .latest(&object)
             .and_then(|(_, digest)| store.get(&digest))
-            .unwrap_or_default();
-        snapshots.push(ObjectSnapshot {
-            object,
-            history,
-            latest_state,
-        });
-    }
+            .unwrap_or_default(),
+        object,
+    });
     let welcome = Welcome {
         group: group.clone(),
-        decision: DecisionBody {
-            accepted: true,
-            proposal,
-            votes: outcome.votes.clone(),
-        },
-        snapshots,
+        decision,
+        snapshots: snapshots.collect(),
     };
-    let msg = sponsor.party().sign_frame(
-        ProtocolMessage::new(
-            WELCOME_PROTOCOL_ID,
-            outcome.run_id,
-            STEP_WELCOME,
-            sponsor.party().org().clone(),
-            welcome.encode_to_vec(),
-        ),
-        &[TokenSpec::new(
-            TokenKind::Membership,
-            outcome.run_id,
-            decision_digest,
-        )],
-    )?;
-    let ack = coordinator.deliver_request(joiner, &msg)?;
-    if ack.step != STEP_WELCOME_ACK {
-        return Err(ProtocolError::BadMessage(
-            "joiner did not acknowledge welcome".into(),
-        ));
-    }
+    let session = welcome_engine(sponsor).session::<Client, WelcomeChoreography>(outcome.run_id);
+    let membership = TokenSpec::new(TokenKind::Membership, outcome.run_id, decision_digest);
+    let (_ack, session) = session.call_open(joiner, welcome.encode_to_vec(), &[membership])?;
+    session.finish()?;
     Ok(outcome)
 }
 
@@ -226,7 +208,6 @@ pub fn connect(
 /// `accepted == false`.
 pub fn disconnect(
     proposer: &SharingMember,
-    coordinator: &B2BCoordinator,
     group: &GroupId,
     leaver: &OrgId,
 ) -> Result<CoordinationOutcome, ProtocolError> {
@@ -239,12 +220,7 @@ pub fn disconnect(
             "cannot empty a sharing group".into(),
         ));
     }
-    proposer.propose(
-        coordinator,
-        group,
-        &group_object(group),
-        encode_group_state(&members),
-    )
+    proposer.propose(group, &group_object(group), encode_group_state(&members))
 }
 
 /// The joiner-side handler for welcome messages.
@@ -252,6 +228,7 @@ pub fn disconnect(
 /// Verifies the sponsor's frame, the decision token, and every member's
 /// vote before installing the group locally.
 pub struct MembershipHandler {
+    engine: ExchangeEngine,
     member: Arc<SharingMember>,
 }
 
@@ -264,7 +241,10 @@ impl fmt::Debug for MembershipHandler {
 impl MembershipHandler {
     /// Creates the handler for `member` (the prospective joiner).
     pub fn new(member: Arc<SharingMember>) -> Arc<Self> {
-        Arc::new(Self { member })
+        Arc::new(Self {
+            engine: welcome_engine(&member),
+            member,
+        })
     }
 
     fn handle_welcome(
@@ -272,16 +252,8 @@ impl MembershipHandler {
         from: &OrgId,
         msg: ProtocolMessage,
     ) -> Result<ProtocolMessage, ProtocolError> {
-        let party = self.member.party();
-        let sponsor_key = party.key_of(from)?;
-        if msg.sender != *from || !msg.verify_frame(&sponsor_key) {
-            return Err(ProtocolError::BadSignature {
-                org: from.clone(),
-                what: "welcome frame".into(),
-            });
-        }
-        let welcome = Welcome::decode_from_slice(&msg.body)
-            .map_err(|e| ProtocolError::BadMessage(e.to_string()))?;
+        self.engine.verify_frame_from(&msg, from)?;
+        let welcome: Welcome = self.engine.decode_body(&msg.body)?;
         let decision = &welcome.decision;
         if !decision.accepted {
             return Err(ProtocolError::BadMessage(
@@ -292,23 +264,25 @@ impl MembershipHandler {
             .ok_or_else(|| {
             ProtocolError::BadMessage("welcome state is not a group object".into())
         })?;
+        let party = self.engine.party();
         if !members.contains(party.org()) {
             return Err(ProtocolError::Rejected(
                 "welcome does not include this member".into(),
             ));
         }
-        // Verify the membership token and all votes independently.
+        // Verify the membership token, then the votes of every member
+        // but the sponsor and this joiner.
         let digest = decision.proposal.digest();
         let decision_digest = DecisionBody::decision_digest(true, &digest, &decision.votes);
         party.absorb_carried(&msg, [(TokenKind::Membership, decision_digest)])?;
+        let voters = members
+            .iter()
+            .filter(|m| *m != from && *m != party.org())
+            .collect();
+        if !check_vote_set(party, msg.run_id, &digest, &voters, &decision.votes)? {
+            return Err(ProtocolError::BadMessage("welcome carries a veto".into()));
+        }
         for vote in &decision.votes {
-            let key = party.key_of(&vote.voter)?;
-            if vote.proposal_digest != digest || !vote.verify(&key, msg.run_id) || !vote.accept {
-                return Err(ProtocolError::BadSignature {
-                    org: vote.voter.clone(),
-                    what: "vote in welcome".into(),
-                });
-            }
             party.store_token(&vote.token)?;
         }
         // Install the group, then every object snapshot. The snapshot of
@@ -326,22 +300,14 @@ impl MembershipHandler {
                     ));
                 }
             }
-            let latest = if snap.latest_state.is_empty() {
-                None
-            } else {
-                Some(snap.latest_state.as_slice())
-            };
+            let latest = (!snap.latest_state.is_empty()).then_some(snap.latest_state.as_slice());
             self.member
                 .store()
                 .install_history(&snap.object, snap.history.clone(), latest);
         }
-        Ok(ProtocolMessage::new(
-            WELCOME_PROTOCOL_ID,
-            msg.run_id,
-            STEP_WELCOME_ACK,
-            party.org().clone(),
-            Vec::new(),
-        ))
+        Ok(self
+            .engine
+            .open_frame(msg.run_id, STEP_WELCOME_ACK, Vec::new()))
     }
 }
 
@@ -350,8 +316,10 @@ impl ProtocolHandler for MembershipHandler {
         ProtocolId::new(WELCOME_PROTOCOL_ID)
     }
 
-    fn process(&self, from: &OrgId, msg: ProtocolMessage) -> Result<(), ProtocolError> {
-        self.handle_welcome(from, msg).map(|_| ())
+    fn process(&self, _from: &OrgId, _msg: ProtocolMessage) -> Result<(), ProtocolError> {
+        Err(ProtocolError::BadMessage(
+            "the welcome is request/response".into(),
+        ))
     }
 
     fn process_request(
@@ -367,30 +335,19 @@ impl ProtocolHandler for MembershipHandler {
 }
 
 #[cfg(test)]
-impl SharingMember {
-    /// Test hook: drive a welcome message into this member directly.
-    fn coordinatorless_welcome_for_tests(
-        self: &Arc<Self>,
-        from: &OrgId,
-        msg: ProtocolMessage,
-    ) -> Result<ProtocolMessage, ProtocolError> {
-        MembershipHandler::new(Arc::clone(self)).handle_welcome(from, msg)
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::party::{Party, StaticKeyDirectory};
-    use crate::sharing::GroupRegistry;
+    use crate::sharing::{GroupRegistry, ProposalBody, SignedVote};
+    use crate::B2BCoordinator;
     use nonrep_net::bus::LocalBus;
     use nonrep_net::retry::{ReliableRequester, RetryPolicy};
     use nonrep_store::StateStore;
+    use nonrep_types::ids::RunId;
     use nonrep_types::time::LogicalClock;
 
     struct Node {
         member: Arc<SharingMember>,
-        coordinator: Arc<B2BCoordinator>,
     }
 
     struct World {
@@ -410,14 +367,16 @@ mod tests {
             if let Some(members) = in_group {
                 groups.set(GroupId::new("ve"), members.clone());
             }
-            let member = SharingMember::new(party, Arc::new(StateStore::new()), groups);
+            let member = SharingMember::new(
+                party,
+                coordinator.clone(),
+                Arc::new(StateStore::new()),
+                groups,
+            );
             coordinator.register_handler(member.clone());
             coordinator.register_handler(MembershipHandler::new(member.clone()));
-            self.bus.register(OrgId::new(name), coordinator.clone());
-            Node {
-                member,
-                coordinator,
-            }
+            self.bus.register(OrgId::new(name), coordinator);
+            Node { member }
         }
     }
 
@@ -425,12 +384,16 @@ mod tests {
         GroupId::new("ve")
     }
 
-    fn setup() -> (World, Vec<Node>) {
-        let world = World {
+    fn world() -> World {
+        World {
             bus: LocalBus::new(),
             clock: LogicalClock::new(),
             dir: Arc::new(StaticKeyDirectory::new()),
-        };
+        }
+    }
+
+    fn setup() -> (World, Vec<Node>) {
+        let world = world();
         let members: BTreeSet<OrgId> = [OrgId::new("a"), OrgId::new("b")].into();
         let nodes = vec![
             world.node("a", 1, Some(&members)),
@@ -452,13 +415,7 @@ mod tests {
     fn connect_adds_member_everywhere_and_welcomes_joiner() {
         let (world, nodes) = setup();
         let joiner = world.node("c", 3, None);
-        let out = connect(
-            &nodes[0].member,
-            &nodes[0].coordinator,
-            &group(),
-            &OrgId::new("c"),
-        )
-        .unwrap();
+        let out = connect(&nodes[0].member, &group(), &OrgId::new("c")).unwrap();
         assert!(out.accepted);
         let expected: BTreeSet<OrgId> = [OrgId::new("a"), OrgId::new("b"), OrgId::new("c")].into();
         for node in &nodes {
@@ -469,7 +426,7 @@ mod tests {
         // And can immediately participate in coordination.
         let update = joiner
             .member
-            .propose(&joiner.coordinator, &group(), "doc", b"from-c".to_vec())
+            .propose(&group(), "doc", b"from-c".to_vec())
             .unwrap();
         assert!(update.accepted);
         assert_eq!(nodes[0].member.current_state("doc").unwrap(), b"from-c");
@@ -479,20 +436,8 @@ mod tests {
     fn disconnect_removes_member_everywhere() {
         let (world, nodes) = setup();
         let _c = world.node("c", 3, None);
-        connect(
-            &nodes[0].member,
-            &nodes[0].coordinator,
-            &group(),
-            &OrgId::new("c"),
-        )
-        .unwrap();
-        let out = disconnect(
-            &nodes[0].member,
-            &nodes[0].coordinator,
-            &group(),
-            &OrgId::new("c"),
-        )
-        .unwrap();
+        connect(&nodes[0].member, &group(), &OrgId::new("c")).unwrap();
+        let out = disconnect(&nodes[0].member, &group(), &OrgId::new("c")).unwrap();
         assert!(out.accepted);
         let expected: BTreeSet<OrgId> = [OrgId::new("a"), OrgId::new("b")].into();
         for node in &nodes {
@@ -503,46 +448,22 @@ mod tests {
     #[test]
     fn connect_existing_member_rejected() {
         let (_world, nodes) = setup();
-        let err = connect(
-            &nodes[0].member,
-            &nodes[0].coordinator,
-            &group(),
-            &OrgId::new("b"),
-        )
-        .unwrap_err();
+        let err = connect(&nodes[0].member, &group(), &OrgId::new("b")).unwrap_err();
         assert!(matches!(err, ProtocolError::Rejected(_)));
     }
 
     #[test]
     fn disconnect_non_member_rejected() {
         let (_world, nodes) = setup();
-        let err = disconnect(
-            &nodes[0].member,
-            &nodes[0].coordinator,
-            &group(),
-            &OrgId::new("z"),
-        )
-        .unwrap_err();
+        let err = disconnect(&nodes[0].member, &group(), &OrgId::new("z")).unwrap_err();
         assert!(matches!(err, ProtocolError::Rejected(_)));
     }
 
     #[test]
     fn cannot_empty_a_group() {
         let (_world, nodes) = setup();
-        disconnect(
-            &nodes[0].member,
-            &nodes[0].coordinator,
-            &group(),
-            &OrgId::new("b"),
-        )
-        .unwrap();
-        let err = disconnect(
-            &nodes[0].member,
-            &nodes[0].coordinator,
-            &group(),
-            &OrgId::new("a"),
-        )
-        .unwrap_err();
+        disconnect(&nodes[0].member, &group(), &OrgId::new("b")).unwrap();
+        let err = disconnect(&nodes[0].member, &group(), &OrgId::new("a")).unwrap_err();
         assert!(matches!(err, ProtocolError::Rejected(_)));
     }
 
@@ -560,13 +481,7 @@ mod tests {
                 }
             },
         ));
-        let out = connect(
-            &nodes[0].member,
-            &nodes[0].coordinator,
-            &group(),
-            &OrgId::new("c"),
-        )
-        .unwrap();
+        let out = connect(&nodes[0].member, &group(), &OrgId::new("c")).unwrap();
         assert!(!out.accepted);
         // Joiner knows nothing of the group.
         assert!(joiner.member.groups().members(&group()).is_err());
@@ -578,63 +493,171 @@ mod tests {
         );
     }
 
-    #[test]
-    fn forged_welcome_rejected_by_joiner() {
-        let (world, nodes) = setup();
-        let joiner = world.node("c", 3, None);
-        // "b" (not having run any round) forges a welcome claiming c is in.
-        let members: BTreeSet<OrgId> = [OrgId::new("a"), OrgId::new("b"), OrgId::new("c")].into();
-        let run = nodes[1].member.party().new_run_id();
-        let proposal = crate::sharing::coordination::ProposalBody {
+    fn ids(names: &[&str]) -> BTreeSet<OrgId> {
+        names.iter().map(|n| OrgId::new(*n)).collect()
+    }
+
+    /// `proposer`'s proposal to make `members` the group.
+    fn group_proposal(members: &BTreeSet<OrgId>, proposer: &str) -> ProposalBody {
+        ProposalBody {
             group: group(),
             object: group_object(&group()),
             base_version: 0,
-            new_state: encode_group_state(&members),
-            proposer: OrgId::new("b"),
-        };
-        let digest = proposal.digest();
-        let decision_digest = DecisionBody::decision_digest(true, &digest, &[]);
+            new_state: encode_group_state(members),
+            proposer: OrgId::new(proposer),
+        }
+    }
+
+    /// `sponsor`'s signed welcome of `proposal`, decided by `votes`.
+    fn welcome_frame(
+        sponsor: &SharingMember,
+        run: RunId,
+        proposal: ProposalBody,
+        votes: Vec<SignedVote>,
+    ) -> ProtocolMessage {
+        let decision_digest = DecisionBody::decision_digest(true, &proposal.digest(), &votes);
         let welcome = Welcome {
             group: group(),
             decision: DecisionBody {
                 accepted: true,
                 proposal,
-                votes: vec![],
+                votes,
             },
             snapshots: vec![],
         };
-        let msg = nodes[1]
-            .member
-            .party()
-            .sign_frame(
-                ProtocolMessage::new(
-                    WELCOME_PROTOCOL_ID,
-                    run,
-                    STEP_WELCOME,
-                    "b",
-                    welcome.encode_to_vec(),
-                ),
+        welcome_engine(sponsor)
+            .request_frame(
+                run,
+                STEP_WELCOME,
+                welcome.encode_to_vec(),
                 &[TokenSpec::new(TokenKind::Membership, run, decision_digest)],
             )
+            .unwrap()
+    }
+
+    /// Drives a welcome from `from` into `joiner`'s handler.
+    fn welcome(
+        joiner: &Arc<SharingMember>,
+        from: &str,
+        msg: ProtocolMessage,
+    ) -> Result<ProtocolMessage, ProtocolError> {
+        MembershipHandler::new(Arc::clone(joiner)).process_request(&OrgId::new(from), msg)
+    }
+
+    #[test]
+    fn forged_welcome_rejected_by_joiner() {
+        let (world, nodes) = setup();
+        let joiner = world.node("c", 3, None);
+        // "b" (not having run any round) forges a welcome claiming c is
+        // in, with no votes at all: a's vote is missing.
+        let run = nodes[1].member.party().new_run_id();
+        let proposal = group_proposal(&ids(&["a", "b", "c"]), "b");
+        let msg = welcome_frame(&nodes[1].member, run, proposal, vec![]);
+        assert_eq!(
+            welcome(&joiner.member, "b", msg),
+            Err(ProtocolError::BadMessage(
+                "vote set does not match membership".into()
+            ))
+        );
+        assert!(joiner.member.groups().members(&group()).is_err());
+    }
+
+    #[test]
+    fn bad_vote_sets_are_refused_by_member_and_joiner() {
+        // Group {a, b, c}: a proposes adding d. b and c vote on the
+        // proposal, and so does z, a stranger whose own registry admits a.
+        let world = world();
+        let nodes: Vec<Node> = [("a", 1), ("b", 2), ("c", 3)]
+            .into_iter()
+            .map(|(name, seed)| world.node(name, seed, Some(&ids(&["a", "b", "c"]))))
+            .collect();
+        let joiner = world.node("d", 4, None);
+        let stranger = world.node("z", 26, Some(&ids(&["a", "z"])));
+        let a = &nodes[0].member;
+        let run = a.party().new_run_id();
+        let proposal = group_proposal(&ids(&["a", "b", "c", "d"]), "a");
+        let digest = proposal.digest();
+        let propose = a
+            .engine()
+            .request_frame(
+                run,
+                1, // the proposal step
+                proposal.encode_to_vec(),
+                &[TokenSpec::new(TokenKind::Proposal, run, digest)],
+            )
             .unwrap();
-        // The welcome has no votes — but the joiner cannot check the vote
-        // set against membership it does not know; what it *can* check is
-        // that every vote is an accept from its issuer. An empty vote set
-        // is accepted structurally, so guard: handler requires votes to be
-        // non-trivial? Here the decision token kind/digest DO verify, so
-        // the weakest forged welcome is one signed by a real member — the
-        // trust model says a single member cannot be prevented from lying
-        // to an outsider without consulting others. The joiner at least
-        // records the signed (false) claim as evidence against "b".
-        let result = joiner
-            .member
-            .coordinatorless_welcome_for_tests(&OrgId::new("b"), msg);
-        // Either rejected outright, or accepted-with-evidence; both leave a
-        // non-repudiable trail. We assert it does not crash and that if it
-        // was accepted the forged welcome is attributable to b.
-        if result.is_ok() {
-            let log = joiner.member.party().log();
-            assert!(log.count_where(&|r| r.draft.actor == OrgId::new("b")) > 0);
+        let vote_of = |voter: &Arc<SharingMember>| {
+            let reply = voter
+                .process_request(&OrgId::new("a"), propose.clone())
+                .unwrap();
+            SignedVote::decode_from_slice(&reply.body).unwrap()
+        };
+        let (vb, vc, vz) = (
+            vote_of(&nodes[1].member),
+            vote_of(&nodes[2].member),
+            vote_of(&stranger.member),
+        );
+        let decision_frame = |votes: Vec<SignedVote>| {
+            let decision_digest = DecisionBody::decision_digest(true, &digest, &votes);
+            let decision = DecisionBody {
+                accepted: true,
+                proposal: proposal.clone(),
+                votes,
+            };
+            a.engine()
+                .request_frame(
+                    run,
+                    3, // the decision step
+                    decision.encode_to_vec(),
+                    &[TokenSpec::new(TokenKind::Decision, run, decision_digest)],
+                )
+                .unwrap()
+        };
+        let mismatch = Err(ProtocolError::BadMessage(
+            "vote set does not match membership".into(),
+        ));
+        let cases = [
+            ("no votes", vec![]),
+            ("a missing voter", vec![vb.clone()]),
+            (
+                "a duplicated voter",
+                vec![vb.clone(), vc.clone(), vc.clone()],
+            ),
+            ("a stranger's vote", vec![vb.clone(), vc.clone(), vz]),
+        ];
+        for (case, votes) in cases {
+            let decided = nodes[1]
+                .member
+                .process_request(&OrgId::new("a"), decision_frame(votes.clone()));
+            assert_eq!(decided.map(|_| ()), mismatch, "decision with {case}");
+            let welcomed = welcome(
+                &joiner.member,
+                "a",
+                welcome_frame(a, run, proposal.clone(), votes),
+            );
+            assert_eq!(welcomed.map(|_| ()), mismatch, "welcome with {case}");
         }
+        assert!(nodes[1]
+            .member
+            .current_state(&group_object(&group()))
+            .is_none());
+        assert!(joiner.member.groups().members(&group()).is_err());
+        // The same round with the right vote set is accepted by both.
+        nodes[1]
+            .member
+            .process_request(
+                &OrgId::new("a"),
+                decision_frame(vec![vb.clone(), vc.clone()]),
+            )
+            .unwrap();
+        welcome(
+            &joiner.member,
+            "a",
+            welcome_frame(a, run, proposal.clone(), vec![vb, vc]),
+        )
+        .unwrap();
+        let all = ids(&["a", "b", "c", "d"]);
+        assert_eq!(nodes[1].member.groups().members(&group()).unwrap(), all);
+        assert_eq!(joiner.member.groups().members(&group()).unwrap(), all);
     }
 }

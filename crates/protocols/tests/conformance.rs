@@ -10,6 +10,7 @@
 //! suite is generated from the types, not maintained in parallel with
 //! them.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use nonrep_net::bus::LocalBus;
@@ -29,10 +30,14 @@ use nonrep_protocols::invocation::voluntary::{
 use nonrep_protocols::invocation::{RequestExecutor, ServerResponse};
 use nonrep_protocols::party::{Party, StaticKeyDirectory};
 use nonrep_protocols::session::{State, TraceStep, WireMode};
+use nonrep_protocols::sharing::coordination::SharingChoreography;
+use nonrep_protocols::sharing::membership::{connect, MembershipHandler, WelcomeChoreography};
+use nonrep_protocols::sharing::{GroupRegistry, SharingMember};
 use nonrep_protocols::tokens::{defection_digest, NrToken, TokenKind};
 use nonrep_protocols::B2BCoordinator;
+use nonrep_store::StateStore;
 use nonrep_types::codec::Decode;
-use nonrep_types::ids::{OrgId, RunId};
+use nonrep_types::ids::{GroupId, OrgId, RunId};
 use nonrep_types::time::LogicalClock;
 
 /// A three-party fixture (client, server, offline/inline TTP) with every
@@ -302,6 +307,127 @@ fn fair_offline_conformance_covers_every_legal_trace() {
                 ));
             }
             other => panic!("no conformance driver for fair-offline trace {other:?}"),
+        }
+    }
+}
+
+/// Sharing members a, b and c of group `ve`, and d, who knows no group
+/// yet; each with both sharing handlers registered.
+fn sharing_world() -> (Vec<Arc<SharingMember>>, Arc<SharingMember>) {
+    let bus = LocalBus::new();
+    let clock = LogicalClock::new();
+    let dir = Arc::new(StaticKeyDirectory::new());
+    let group: BTreeSet<OrgId> = ["a", "b", "c"].into_iter().map(OrgId::new).collect();
+    let node = |name: &str, seed: u64| {
+        let party = Party::quick(name, seed, &clock, &dir);
+        let coordinator = B2BCoordinator::new(
+            name,
+            ReliableRequester::new(bus.clone(), RetryPolicy::new(4)),
+        );
+        let groups = Arc::new(GroupRegistry::new());
+        if group.contains(party.org()) {
+            groups.set(GroupId::new("ve"), group.clone());
+        }
+        let member = SharingMember::new(
+            party,
+            coordinator.clone(),
+            Arc::new(StateStore::new()),
+            groups,
+        );
+        coordinator.register_handler(member.clone());
+        coordinator.register_handler(MembershipHandler::new(member.clone()));
+        bus.register(OrgId::new(name), coordinator);
+        member
+    };
+    let members = vec![node("a", 1), node("b", 2), node("c", 3)];
+    (members, node("d", 4))
+}
+
+/// Who issued each `kind` record `party` logged for `run`, in log order.
+fn issuers(party: &Party, run: RunId, kind: TokenKind) -> Vec<OrgId> {
+    party
+        .log()
+        .by_run(&run)
+        .iter()
+        .filter(|r| r.draft.kind == kind.label())
+        .map(|r| r.draft.actor.clone())
+        .collect()
+}
+
+#[test]
+fn sharing_conformance_covers_every_legal_trace() {
+    let voters = vec![OrgId::new("b"), OrgId::new("c")];
+    let traces = SharingChoreography::traces();
+    assert_eq!(
+        traces,
+        vec![vec![
+            TraceStep::new(1, 2, WireMode::Open),
+            TraceStep::new(3, 4, WireMode::Open),
+        ]]
+    );
+    for trace in traces {
+        let steps: Vec<u32> = trace.iter().map(|t| t.step).collect();
+        match steps.as_slice() {
+            [1, 3] => {
+                let (members, _) = sharing_world();
+                let out = members[0]
+                    .propose(&GroupId::new("ve"), "doc", b"v1".to_vec())
+                    .unwrap();
+                assert!(out.accepted);
+                // The proposer holds the proposal, both signed votes and
+                // its decision over them.
+                let proposer = members[0].party();
+                assert_eq!(
+                    kinds(proposer, out.run_id),
+                    labels(&[
+                        TokenKind::Proposal,
+                        TokenKind::Vote,
+                        TokenKind::Vote,
+                        TokenKind::Decision,
+                    ])
+                );
+                assert_eq!(issuers(proposer, out.run_id, TokenKind::Vote), voters);
+                // Each member holds the proposal, its own vote and the
+                // decision.
+                for member in &members[1..] {
+                    let party = member.party();
+                    assert_eq!(
+                        kinds(party, out.run_id),
+                        labels(&[TokenKind::Proposal, TokenKind::Vote, TokenKind::Decision])
+                    );
+                    assert_eq!(
+                        issuers(party, out.run_id, TokenKind::Vote),
+                        vec![party.org().clone()]
+                    );
+                }
+            }
+            other => panic!("no conformance driver for sharing trace {other:?}"),
+        }
+    }
+
+    let traces = WelcomeChoreography::traces();
+    assert_eq!(traces, vec![vec![TraceStep::new(5, 6, WireMode::Open)]]);
+    for trace in traces {
+        let steps: Vec<u32> = trace.iter().map(|t| t.step).collect();
+        match steps.as_slice() {
+            [5] => {
+                let (members, joiner) = sharing_world();
+                let out = connect(&members[0], &GroupId::new("ve"), joiner.party().org()).unwrap();
+                assert!(out.accepted);
+                // The joiner holds the sponsor's membership token and the
+                // votes that decided it.
+                let party = joiner.party();
+                assert_eq!(
+                    kinds(party, out.run_id),
+                    labels(&[TokenKind::Membership, TokenKind::Vote, TokenKind::Vote])
+                );
+                assert_eq!(issuers(party, out.run_id, TokenKind::Vote), voters);
+                assert_eq!(
+                    issuers(party, out.run_id, TokenKind::Membership),
+                    vec![OrgId::new("a")]
+                );
+            }
+            other => panic!("no conformance driver for welcome trace {other:?}"),
         }
     }
 }

@@ -84,6 +84,8 @@ retired=(
     ExchangeError PeerFault LocalFault is_refusal Faulted
     # one answer per escalation
     fetch_receipt FetchChoreography handle_fetch STEP_FETCH STEP_FETCH_ACK
+    # one framing path: sharing runs on the exchange engine
+    coordinatorless_welcome_for_tests
 )
 echo "==> retired names"
 if grep -rnwF "${retired[@]/#/-e}" --exclude=check.sh \
@@ -111,6 +113,27 @@ if awk 'FNR == 1 { test_attr = 0 }
     crates/sim/src/*.rs; then
     echo "check.sh: crates/sim/src wires protocol parts itself (file:line above);" \
         "build the org with OrgMiddleware::builder" >&2
+    exit 1
+fi
+
+# One framing path: non-test code (loc.sh's cut) builds, signs and checks
+# protocol frames only through ExchangeEngine (request_frame, open_frame,
+# verify_frame_from). Only the engine, Party and the message type itself
+# touch the raw constructor and signature calls.
+echo "==> one framing path (crates/*/src, src)"
+mapfile -t framed < <(find crates/*/src src -name '*.rs' \
+    ! -path crates/protocols/src/session/engine.rs \
+    ! -path crates/protocols/src/party.rs \
+    ! -path crates/protocols/src/message.rs | sort)
+if awk 'FNR == 1 { test_attr = 0 }
+        test_attr && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { nextfile }
+        { test_attr = ($0 ~ /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/) }
+        $0 ~ framing { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }' \
+    framing='ProtocolMessage::new|[.]sign_frame[(]|[.]verify_frame[(]' \
+    "${framed[@]}"; then
+    echo "check.sh: a frame is built or checked by hand (file:line above);" \
+        "use ExchangeEngine's request_frame, open_frame or verify_frame_from" >&2
     exit 1
 fi
 
