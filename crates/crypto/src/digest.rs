@@ -29,7 +29,7 @@
 
 use std::fmt;
 
-use nonrep_types::codec::{CodecError, Decode, Encode, Reader, Writer};
+use nonrep_types::codec::{with_scratch, CodecError, Decode, Encode, Reader, Writer};
 
 pub mod mb;
 
@@ -450,6 +450,15 @@ pub fn sha256(data: &[u8]) -> Digest {
     pad_and_finish(&mut state, &data[whole..], data.len() as u64)
 }
 
+/// SHA-256 of what `encode` writes, built in the thread's scratch writer
+/// ([`with_scratch`]) instead of a buffer of its own.
+pub fn sha256_encoded(encode: impl FnOnce(&mut Writer)) -> Digest {
+    with_scratch(|w| {
+        encode(w);
+        sha256(w.as_slice())
+    })
+}
+
 /// SHA-256 of a message short enough (≤ 55 bytes) to fit one padded
 /// block: exactly one compression, no buffering.
 ///
@@ -506,6 +515,22 @@ pub fn sha256_pair(tag: u8, left: &[u8], right: &[u8]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn encode_to_vec_inside_sha256_encoded_matches_a_fresh_writer() {
+        let value: Vec<u8> = (0u8..200).collect();
+        let mut fresh = Writer::new();
+        value.encode(&mut fresh);
+        let fresh = fresh.into_vec();
+        let mut inner = Vec::new();
+        let outer = sha256_encoded(|w| {
+            value.encode(w);
+            // The scratch is taken: this nested encode uses a fresh writer.
+            inner = value.encode_to_vec();
+        });
+        assert_eq!(inner, fresh);
+        assert_eq!(outer, sha256(&fresh));
+    }
 
     // NIST FIPS 180-4 test vectors.
     #[test]

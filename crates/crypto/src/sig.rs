@@ -21,7 +21,7 @@ use nonrep_types::codec::{CodecError, Decode, Encode, Reader, Writer};
 
 use crate::arbitrated::ArbitratedKey;
 use crate::batch::{batch_digest, batch_leaves, BatchSignature};
-use crate::digest::{sha256, Digest};
+use crate::digest::{sha256, sha256_encoded, Digest};
 use crate::hss::{CertLink, CertRef, HssSignature, HssSigner, SubtreeCert, SubtreeSig};
 use crate::merkle::MerkleTree;
 use crate::mss::{self, MssError, MssSignature, MssSigner};
@@ -34,7 +34,7 @@ pub struct KeyId(pub Digest);
 impl KeyId {
     /// Derives the key id of a verifying key.
     pub fn of(key: &VerifyingKey) -> Self {
-        Self(sha256(&key.encode_to_vec()))
+        Self(sha256_encoded(|w| key.encode(w)))
     }
 }
 
@@ -598,6 +598,24 @@ mod tests {
             SignatureScheme::Mss { height: 3 },
             &mut SecureRandom::from_seed(seed),
         )
+    }
+
+    /// Values computed before `KeyId::of` moved to the thread's scratch
+    /// writer: a key's id must not change.
+    #[test]
+    fn golden_key_ids() {
+        let mss = VerifyingKey::Mss {
+            root: sha256(b"root"),
+        };
+        let arbitrated = VerifyingKey::Arbitrated { secret: [7; 32] };
+        assert_eq!(
+            KeyId::of(&mss).0.to_hex(),
+            "6a393ba2c7ca21748fc501609a5eec71df2ddb67275db4646299794fb7f2d739"
+        );
+        assert_eq!(
+            KeyId::of(&arbitrated).0.to_hex(),
+            "d3907c0247e7e98b72338a00d87244248df71eb313589da290d45adfba44e6d2"
+        );
     }
 
     #[test]

@@ -896,10 +896,11 @@ struct EscrowedKey {
 struct EscrowEntry {
     key: Option<EscrowedKey>,
     /// The run's outcome, once it has one: the TTP's own `Abort` token,
-    /// or the client's `NRR_resp` that a resolve deposited.
-    outcome: Option<NrToken>,
-    /// The TTP's `Decision` issued with a deposited `NRR_resp` (boxed: a
-    /// token is ~2.3 KB inline, and the ledger keeps an entry per run).
+    /// or the client's `NRR_resp` that a resolve deposited. Boxed, as
+    /// `decision` is: a token is ~2.3 KB inline, and the ledger keeps an
+    /// entry per run.
+    outcome: Option<Box<NrToken>>,
+    /// The TTP's `Decision` issued with a deposited `NRR_resp`.
     decision: Option<Box<NrToken>>,
 }
 
@@ -978,7 +979,7 @@ impl OfflineTtpHandler {
             // The server aborted first: that is the answer.
             let ack = ResolveAck {
                 key: None,
-                token: abort.clone(),
+                token: NrToken::clone(abort),
             };
             return Ok(self.ack(msg.run_id, STEP_RESOLVE_ACK, &ack));
         }
@@ -1022,7 +1023,7 @@ impl OfflineTtpHandler {
                 )?;
                 self.engine
                     .issue_and_store(TokenKind::Resolve, msg.run_id, sha256(&key))?;
-                entry.outcome = Some(nrr_resp);
+                entry.outcome = Some(Box::new(nrr_resp));
                 entry.decision = Some(Box::new(decision.clone()));
                 decision
             }
@@ -1057,13 +1058,13 @@ impl OfflineTtpHandler {
         // ledger lock, so a racing resolve finds it.
         let outcome = match &entry.outcome {
             Some(outcome) => outcome,
-            None => entry.outcome.insert(self.engine.issue_and_store(
+            None => entry.outcome.insert(Box::new(self.engine.issue_and_store(
                 TokenKind::Abort,
                 msg.run_id,
                 Digest::ZERO,
-            )?),
+            )?)),
         };
-        Ok(self.ack(msg.run_id, STEP_ABORT_ACK, outcome))
+        Ok(self.ack(msg.run_id, STEP_ABORT_ACK, &**outcome))
     }
 
     /// An unsigned ack frame carrying `body`.
@@ -1537,7 +1538,7 @@ mod tests {
                 .unwrap(),
         ];
         for forged in forgeries {
-            w.ttp_handler.ledger.lock().get_mut(&run).unwrap().outcome = Some(forged);
+            w.ttp_handler.ledger.lock().get_mut(&run).unwrap().outcome = Some(Box::new(forged));
             let err = w.server_handler.abort(run).unwrap_err();
             assert!(
                 matches!(

@@ -36,7 +36,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use nonrep_crypto::digest::sha256;
+use nonrep_crypto::digest::{sha256, sha256_encoded};
 use nonrep_types::codec::{decode_seq, encode_seq, CodecError, Decode, Encode, Reader, Writer};
 use nonrep_types::ids::{OrgId, ProtocolId, RunId};
 
@@ -213,7 +213,7 @@ impl InlineTtpClient {
             self.engine
                 .absorb(receipt, TokenKind::TtpReceipt, run_id, None)?;
         }
-        let resp_digest = sha256(&resp.response.encode_to_vec());
+        let resp_digest = sha256_encoded(|w| resp.response.encode(w));
         let [last_receipt] = self
             .engine
             .party()
@@ -340,7 +340,7 @@ impl InlineTtpHandler {
                 (inner.response, inner.server_nro_resp, receipts)
             }
         };
-        let resp_digest = sha256(&response.encode_to_vec());
+        let resp_digest = sha256_encoded(|w| response.encode(w));
         let mut receipts = vec![receipt_req];
         receipts.extend(inner_receipts);
         let body = InlineResp {

@@ -27,7 +27,7 @@
 //! [`NrToken`]. Any other token (per-record frames, HMAC tags) is
 //! written whole.
 
-use nonrep_crypto::digest::{sha256, Digest};
+use nonrep_crypto::digest::{sha256_encoded, Digest};
 use nonrep_crypto::merkle::AuthPath;
 use nonrep_crypto::sig::{Signature, VerifyingKey};
 use nonrep_types::codec::{encode_seq, CodecError, Decode, Encode, Reader, Writer};
@@ -97,15 +97,15 @@ impl ProtocolMessage {
     /// their digests — what a signer computes before the tokens' own
     /// signatures exist.
     pub(crate) fn digest_over(&self, token_digests: &[Digest]) -> Digest {
-        let mut w = Writer::new();
-        w.put_str("nonrep.pmsg.v2");
-        self.protocol.encode(&mut w);
-        self.run_id.encode(&mut w);
-        w.put_u32(self.step);
-        self.sender.encode(&mut w);
-        w.put_bytes(&self.body);
-        encode_seq(token_digests, &mut w);
-        sha256(&w.into_vec())
+        sha256_encoded(|w| {
+            w.put_str("nonrep.pmsg.v2");
+            self.protocol.encode(w);
+            self.run_id.encode(w);
+            w.put_u32(self.step);
+            self.sender.encode(w);
+            w.put_bytes(&self.body);
+            encode_seq(token_digests, w);
+        })
     }
 
     /// Verifies the frame signature under `key`.
@@ -219,6 +219,7 @@ mod tests {
     use crate::party::{Party, StaticKeyDirectory};
     use crate::scheduler::{CommitmentMode, TokenSpec};
     use crate::tokens::TokenKind;
+    use nonrep_crypto::digest::sha256;
     use nonrep_crypto::rng::SecureRandom;
     use nonrep_crypto::sig::{KeyPair, SignatureScheme};
     use nonrep_store::MemoryLog;
@@ -251,6 +252,36 @@ mod tests {
             TokenSpec::new(TokenKind::NrrReq, run, sha256(&[tag, b"req"].concat())),
             TokenSpec::new(TokenKind::NroResp, run, sha256(&[tag, b"resp"].concat())),
         ]
+    }
+
+    /// Values computed before the frame digest moved to the thread's
+    /// scratch writer: what a frame signature covers must not change.
+    #[test]
+    fn golden_frame_digest() {
+        assert_eq!(
+            msg().frame_digest().to_hex(),
+            "29ca595c83b859ade51d44dd5acee978c291cff085820871485cdf1e8931271b"
+        );
+        let keys = KeyPair::generate(SignatureScheme::Arbitrated, &mut SecureRandom::from_seed(7));
+        let mut m = msg();
+        m.tokens = specs(b"golden")
+            .iter()
+            .map(|s| {
+                NrToken::issue(
+                    s.kind,
+                    s.run_id,
+                    OrgId::new("client"),
+                    s.subject,
+                    Timestamp(42),
+                    &keys,
+                )
+                .unwrap()
+            })
+            .collect();
+        assert_eq!(
+            m.frame_digest().to_hex(),
+            "e299ebbc178892115cddf744ec460d2853734d75545844a08b087577622f3d4d"
+        );
     }
 
     #[test]
@@ -547,7 +578,7 @@ mod tests {
             let key = p.keys().verifying_key();
             let m = p.sign_frame(msg(), &specs(b"p")).unwrap();
             let bytes = m.encode_to_vec();
-            let mut covered: Vec<usize> = (0..header(&m).len()).collect();
+            let mut covered: Vec<usize> = (0..header(&m).as_slice().len()).collect();
             for t in &m.tokens {
                 let f = fields(t);
                 let at = bytes.windows(f.len()).position(|w| w == f.as_slice()).unwrap();

@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use nonrep_crypto::digest::{sha256, Digest};
+use nonrep_crypto::digest::{sha256_encoded, Digest};
 use nonrep_store::StateStore;
 use nonrep_types::codec::{decode_seq, encode_seq, CodecError, Decode, Encode, Reader, Writer};
 use nonrep_types::ids::{GroupId, OrgId, ProtocolId, RunId};
@@ -79,7 +79,7 @@ pub struct ProposalBody {
 impl ProposalBody {
     /// The digest every token and vote in this round is bound to.
     pub fn digest(&self) -> Digest {
-        sha256(&self.encode_to_vec())
+        sha256_encoded(|w| self.encode(w))
     }
 }
 
@@ -123,13 +123,13 @@ pub struct SignedVote {
 impl SignedVote {
     /// The digest the vote token must be signed over.
     fn vote_digest(voter: &OrgId, accept: bool, reason: &str, proposal_digest: &Digest) -> Digest {
-        let mut w = Writer::new();
-        w.put_str("nonrep.vote.v1");
-        voter.encode(&mut w);
-        w.put_bool(accept);
-        w.put_str(reason);
-        proposal_digest.encode(&mut w);
-        sha256(&w.into_vec())
+        sha256_encoded(|w| {
+            w.put_str("nonrep.vote.v1");
+            voter.encode(w);
+            w.put_bool(accept);
+            w.put_str(reason);
+            proposal_digest.encode(w);
+        })
     }
 
     /// Verifies the vote's internal consistency and signature.
@@ -189,12 +189,12 @@ impl DecisionBody {
         proposal_digest: &Digest,
         votes: &[SignedVote],
     ) -> Digest {
-        let mut w = Writer::new();
-        w.put_str("nonrep.decision.v1");
-        w.put_bool(accepted);
-        proposal_digest.encode(&mut w);
-        encode_seq(votes, &mut w);
-        sha256(&w.into_vec())
+        sha256_encoded(|w| {
+            w.put_str("nonrep.decision.v1");
+            w.put_bool(accepted);
+            proposal_digest.encode(w);
+            encode_seq(votes, w);
+        })
     }
 }
 
@@ -616,9 +616,11 @@ impl ProtocolHandler for SharingMember {
 mod tests {
     use super::*;
     use crate::party::StaticKeyDirectory;
+    use nonrep_crypto::rng::SecureRandom;
+    use nonrep_crypto::sig::{KeyPair, SignatureScheme};
     use nonrep_net::bus::LocalBus;
     use nonrep_net::retry::{ReliableRequester, RetryPolicy};
-    use nonrep_types::time::LogicalClock;
+    use nonrep_types::time::{LogicalClock, Timestamp};
 
     struct Node {
         member: Arc<SharingMember>,
@@ -656,6 +658,52 @@ mod tests {
 
     fn group() -> GroupId {
         GroupId::new("ve")
+    }
+
+    /// Values computed before the sharing digests moved to the thread's
+    /// scratch writer: what proposals, votes and decisions bind must not
+    /// change a byte.
+    #[test]
+    fn golden_sharing_digests() {
+        let proposal = ProposalBody {
+            group: group(),
+            object: "price".into(),
+            base_version: 2,
+            new_state: b"42".to_vec(),
+            proposer: OrgId::new("a"),
+        };
+        let digest = proposal.digest();
+        assert_eq!(
+            digest.to_hex(),
+            "ba90fea84eae54a0091fb66ed266764b956b493d2a653705b7f2675a9ffa7288"
+        );
+        let voter = OrgId::new("b");
+        let vote_digest = SignedVote::vote_digest(&voter, true, "ok", &digest);
+        assert_eq!(
+            vote_digest.to_hex(),
+            "fc31134f8dd993bcacb5148a4370f15b57f74a9a36305dee633159daab75d4bc"
+        );
+        let keys = KeyPair::generate(SignatureScheme::Arbitrated, &mut SecureRandom::from_seed(5));
+        let run = RunId::from_u128(11);
+        let vote = SignedVote {
+            voter: voter.clone(),
+            accept: true,
+            reason: "ok".into(),
+            proposal_digest: digest,
+            token: NrToken::issue(
+                TokenKind::Vote,
+                run,
+                voter,
+                vote_digest,
+                Timestamp(9),
+                &keys,
+            )
+            .unwrap(),
+        };
+        assert_eq!(
+            DecisionBody::decision_digest(true, &digest, &[vote]).to_hex(),
+            "ed90e11dc213ce45ddf9b7931d513f8da566bb04a5003766fae6881fc4649f7d"
+        );
     }
 
     #[test]

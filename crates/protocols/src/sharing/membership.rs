@@ -285,21 +285,22 @@ impl MembershipHandler {
         for vote in &decision.votes {
             party.store_token(&vote.token)?;
         }
-        // Install the group, then every object snapshot. The snapshot of
-        // the group object must agree with the verified decision; other
-        // objects are taken on the sponsor's (signed) word — any mismatch
-        // with the rest of the group surfaces as stale votes at the
-        // joiner's first proposal.
+        // The snapshot of the group object must agree with the verified
+        // decision; other objects are taken on the sponsor's (signed) word
+        // — any mismatch with the rest of the group surfaces as stale
+        // votes at the joiner's first proposal. Every snapshot is checked
+        // before anything is installed, so a refused welcome leaves no
+        // group and no history behind.
+        let expected = nonrep_crypto::digest::sha256(&decision.proposal.new_state);
+        if welcome.snapshots.iter().any(|snap| {
+            snap.object == decision.proposal.object && snap.history.last() != Some(&expected)
+        }) {
+            return Err(ProtocolError::BadMessage(
+                "group-object snapshot disagrees with the decision".into(),
+            ));
+        }
         self.member.groups().set(welcome.group.clone(), members);
         for snap in &welcome.snapshots {
-            if snap.object == decision.proposal.object {
-                let expected = nonrep_crypto::digest::sha256(&decision.proposal.new_state);
-                if snap.history.last() != Some(&expected) {
-                    return Err(ProtocolError::BadMessage(
-                        "group-object snapshot disagrees with the decision".into(),
-                    ));
-                }
-            }
             let latest = (!snap.latest_state.is_empty()).then_some(snap.latest_state.as_slice());
             self.member
                 .store()
@@ -508,12 +509,14 @@ mod tests {
         }
     }
 
-    /// `sponsor`'s signed welcome of `proposal`, decided by `votes`.
+    /// `sponsor`'s signed welcome of `proposal`, decided by `votes`,
+    /// carrying `snapshots`.
     fn welcome_frame(
         sponsor: &SharingMember,
         run: RunId,
         proposal: ProposalBody,
         votes: Vec<SignedVote>,
+        snapshots: Vec<ObjectSnapshot>,
     ) -> ProtocolMessage {
         let decision_digest = DecisionBody::decision_digest(true, &proposal.digest(), &votes);
         let welcome = Welcome {
@@ -523,7 +526,7 @@ mod tests {
                 proposal,
                 votes,
             },
-            snapshots: vec![],
+            snapshots,
         };
         welcome_engine(sponsor)
             .request_frame(
@@ -552,7 +555,7 @@ mod tests {
         // in, with no votes at all: a's vote is missing.
         let run = nodes[1].member.party().new_run_id();
         let proposal = group_proposal(&ids(&["a", "b", "c"]), "b");
-        let msg = welcome_frame(&nodes[1].member, run, proposal, vec![]);
+        let msg = welcome_frame(&nodes[1].member, run, proposal, vec![], vec![]);
         assert_eq!(
             welcome(&joiner.member, "b", msg),
             Err(ProtocolError::BadMessage(
@@ -633,7 +636,7 @@ mod tests {
             let welcomed = welcome(
                 &joiner.member,
                 "a",
-                welcome_frame(a, run, proposal.clone(), votes),
+                welcome_frame(a, run, proposal.clone(), votes, vec![]),
             );
             assert_eq!(welcomed.map(|_| ()), mismatch, "welcome with {case}");
         }
@@ -653,11 +656,57 @@ mod tests {
         welcome(
             &joiner.member,
             "a",
-            welcome_frame(a, run, proposal.clone(), vec![vb, vc]),
+            welcome_frame(a, run, proposal.clone(), vec![vb, vc], vec![]),
         )
         .unwrap();
         let all = ids(&["a", "b", "c", "d"]);
         assert_eq!(nodes[1].member.groups().members(&group()).unwrap(), all);
         assert_eq!(joiner.member.groups().members(&group()).unwrap(), all);
+    }
+
+    #[test]
+    fn refused_welcome_installs_nothing() {
+        let (world, nodes) = setup();
+        let joiner = world.node("c", 3, None);
+        let a = &nodes[0].member;
+        let run = a.party().new_run_id();
+        let proposal = group_proposal(&ids(&["a", "b", "c"]), "a");
+        let propose = a
+            .engine()
+            .request_frame(
+                run,
+                1, // the proposal step
+                proposal.encode_to_vec(),
+                &[TokenSpec::new(TokenKind::Proposal, run, proposal.digest())],
+            )
+            .unwrap();
+        let reply = nodes[1]
+            .member
+            .process_request(&OrgId::new("a"), propose)
+            .unwrap();
+        let vote = SignedVote::decode_from_slice(&reply.body).unwrap();
+        // A valid vote set, an ordinary object, then a group-object
+        // history that does not end at the decided member set.
+        let snapshots = vec![
+            ObjectSnapshot {
+                object: "doc".into(),
+                history: vec![nonrep_crypto::digest::sha256(b"v1")],
+                latest_state: b"v1".to_vec(),
+            },
+            ObjectSnapshot {
+                object: group_object(&group()),
+                history: vec![],
+                latest_state: vec![],
+            },
+        ];
+        let msg = welcome_frame(a, run, proposal, vec![vote], snapshots);
+        assert_eq!(
+            welcome(&joiner.member, "a", msg),
+            Err(ProtocolError::BadMessage(
+                "group-object snapshot disagrees with the decision".into()
+            ))
+        );
+        assert!(joiner.member.groups().members(&group()).is_err());
+        assert!(joiner.member.store().objects().is_empty());
     }
 }

@@ -6,7 +6,7 @@
 //! [`NrToken`] is exactly that: `(kind, run, issuer, subject digest, time)`
 //! under the issuer's signature.
 
-use nonrep_crypto::digest::Digest;
+use nonrep_crypto::digest::{sha256_encoded, Digest};
 use nonrep_crypto::sig::{KeyPair, SignError, Signature, VerifyingKey};
 use nonrep_types::codec::{CodecError, Decode, Encode, Reader, Writer};
 use nonrep_types::ids::{OrgId, RunId};
@@ -121,23 +121,6 @@ pub struct NrToken {
 }
 
 impl NrToken {
-    fn tbs(
-        kind: TokenKind,
-        run_id: &RunId,
-        issuer: &OrgId,
-        subject: &Digest,
-        at: Timestamp,
-    ) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_str("nonrep.token.v1");
-        w.put_u8(kind.tag());
-        run_id.encode(&mut w);
-        issuer.encode(&mut w);
-        subject.encode(&mut w);
-        at.encode(&mut w);
-        w.into_vec()
-    }
-
     /// The digest a signer commits to for the given token body — what
     /// [`NrToken::issue`] signs, exposed so the batching scheduler can
     /// sign many token bodies under one batch signature.
@@ -148,7 +131,14 @@ impl NrToken {
         subject: &Digest,
         at: Timestamp,
     ) -> Digest {
-        nonrep_crypto::sha256(&Self::tbs(kind, run_id, issuer, subject, at))
+        sha256_encoded(|w| {
+            w.put_str("nonrep.token.v1");
+            w.put_u8(kind.tag());
+            run_id.encode(w);
+            issuer.encode(w);
+            subject.encode(w);
+            at.encode(w);
+        })
     }
 
     /// [`NrToken::signing_digest`] of this token's body: what its
@@ -197,7 +187,8 @@ impl NrToken {
         at: Timestamp,
         keys: &KeyPair,
     ) -> Result<Self, SignError> {
-        let signature = keys.sign(&Self::tbs(kind, &run_id, &issuer, &subject, at))?;
+        let signature =
+            keys.sign_digest(&Self::signing_digest(kind, &run_id, &issuer, &subject, at))?;
         Ok(Self {
             kind,
             run_id,
@@ -294,11 +285,11 @@ impl Decode for NrToken {
 /// run id) derive the same value, so a decision token is checkable
 /// without access to the TTP's ledger.
 pub fn defection_digest(accused: &OrgId, run: RunId) -> Digest {
-    let mut w = Writer::new();
-    w.put_str("nonrep.defect.v1");
-    accused.encode(&mut w);
-    run.encode(&mut w);
-    nonrep_crypto::sha256(&w.into_vec())
+    sha256_encoded(|w| {
+        w.put_str("nonrep.defect.v1");
+        accused.encode(w);
+        run.encode(w);
+    })
 }
 
 #[cfg(test)]
@@ -313,6 +304,33 @@ mod tests {
             SignatureScheme::Mss { height: 4 },
             &mut SecureRandom::from_seed(seed),
         )
+    }
+
+    /// Values computed before the token digests moved to the thread's
+    /// scratch writer: what is signed and hashed must not change a byte.
+    #[test]
+    fn golden_token_digests() {
+        let run = RunId::from_u128(0x0102_0304);
+        let digest = NrToken::signing_digest(
+            TokenKind::NrrResp,
+            &run,
+            &OrgId::new("client"),
+            &sha256(b"response"),
+            Timestamp(1_700_000),
+        );
+        assert_eq!(
+            digest.to_hex(),
+            "513dc6c8ada9fd407a4bb0350e2e12e91e1e5f4f91c5af80ea93e1ae870f5b09"
+        );
+        assert_eq!(
+            defection_digest(&OrgId::new("server"), run).to_hex(),
+            "45b3a57bc2f7d92af1db3debe28e3d64c19f27b57a71ff4e71add59654d6203e"
+        );
+        let issued = token(&keys(3));
+        assert_eq!(
+            sha256(&issued.encode_to_vec()).to_hex(),
+            "d4d53a27b2a97354585cc672d1c9eab630780d9ecdcac238162d20966aa2a13b"
+        );
     }
 
     fn token(kp: &KeyPair) -> NrToken {

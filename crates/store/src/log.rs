@@ -19,7 +19,8 @@
 //! # Append path
 //!
 //! Both backends cache the chain-head digest, so appending hashes only
-//! the new record (into a reused scratch buffer) instead of re-encoding
+//! the new record (encoded once, in the thread's scratch writer, for both
+//! the hash and the persisted bytes) instead of re-encoding
 //! and re-hashing its predecessor on every call. Records are stored as
 //! `Arc<EvidenceRecord>`: [`EvidenceLog::append`] returns a handle to the
 //! stored record without cloning its payload, and snapshots
@@ -48,8 +49,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use nonrep_crypto::digest::Digest;
-use nonrep_types::codec::{Decode, Reader, Writer};
+use nonrep_crypto::digest::{sha256, Digest};
+use nonrep_types::codec::{with_scratch, Decode, Encode, Reader};
 use nonrep_types::ids::RunId;
 
 use crate::group_commit::{DurabilityTicket, GroupCommitQueue};
@@ -304,7 +305,6 @@ struct LogState {
     records: Vec<Arc<EvidenceRecord>>,
     head: Digest,
     run_index: HashMap<RunId, Vec<u64>>,
-    scratch: Writer,
 }
 
 impl LogState {
@@ -319,7 +319,6 @@ impl LogState {
             records: records.into_iter().map(Arc::new).collect(),
             head,
             run_index,
-            scratch: Writer::new(),
         }
     }
 
@@ -337,8 +336,11 @@ impl LogState {
             prev_hash: self.head,
             draft,
         };
-        let hash = record.record_hash_with(&mut self.scratch);
-        persist(self.scratch.as_slice())?;
+        let hash = with_scratch(|w| {
+            record.encode(w);
+            let hash = sha256(w.as_slice());
+            persist(w.as_slice()).map(|()| hash)
+        })?;
         self.head = hash;
         self.run_index
             .entry(record.draft.run_id)
@@ -988,7 +990,6 @@ impl EvidenceLog for FileLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nonrep_crypto::digest::sha256;
     use nonrep_types::ids::OrgId;
     use nonrep_types::time::Timestamp;
 

@@ -18,7 +18,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use nonrep_crypto::digest::{sha256, Digest, Sha256};
+use nonrep_crypto::digest::{sha256, sha256_encoded, Digest, Sha256};
 use nonrep_crypto::hss::SubtreeCert;
 use nonrep_crypto::merkle::leaf_hash;
 use nonrep_crypto::sig::{Signature, VerifyingKey};
@@ -61,17 +61,7 @@ impl EvidenceRecord {
     /// The hash of this record (over its full canonical encoding), i.e. the
     /// chain link value embedded in the successor.
     pub fn record_hash(&self) -> Digest {
-        self.record_hash_with(&mut Writer::new())
-    }
-
-    /// [`EvidenceRecord::record_hash`] encoding into a caller-supplied
-    /// scratch writer, so hot append paths avoid a fresh allocation per
-    /// record. The scratch is cleared first and left holding the record's
-    /// canonical encoding.
-    pub fn record_hash_with(&self, scratch: &mut Writer) -> Digest {
-        scratch.clear();
-        self.encode(scratch);
-        sha256(scratch.as_slice())
+        sha256_encoded(|w| self.encode(w))
     }
 
     /// Total serialized size in bytes (for the space-overhead experiment).
@@ -502,7 +492,6 @@ impl std::error::Error for ChainViolation {}
 pub struct ChainVerifier {
     prev_hash: Digest,
     next_seq: u64,
-    scratch: Writer,
     violation: Option<ChainViolation>,
 }
 
@@ -519,7 +508,6 @@ impl ChainVerifier {
         Self {
             prev_hash: Digest::ZERO,
             next_seq: 0,
-            scratch: Writer::new(),
             violation: None,
         }
     }
@@ -535,7 +523,6 @@ impl ChainVerifier {
         Self {
             prev_hash,
             next_seq,
-            scratch: Writer::new(),
             violation: None,
         }
     }
@@ -561,7 +548,7 @@ impl ChainVerifier {
             });
             return;
         }
-        self.prev_hash = rec.record_hash_with(&mut self.scratch);
+        self.prev_hash = rec.record_hash();
         self.next_seq += 1;
     }
 
@@ -602,6 +589,21 @@ mod tests {
             content_digest: sha256(&n.to_le_bytes()),
             payload: vec![n as u8; 4],
         }
+    }
+
+    /// A value computed before the record hash moved to the thread's
+    /// scratch writer: the chain link must not change a byte.
+    #[test]
+    fn golden_record_hash() {
+        let rec = EvidenceRecord {
+            seq: 3,
+            prev_hash: sha256(b"prev"),
+            draft: draft(3),
+        };
+        assert_eq!(
+            rec.record_hash().to_hex(),
+            "1fecf592c318e2479dd3a1f975db54b6b0c41a29bd4792f4cbbd82c7baa1051d"
+        );
     }
 
     fn chain(n: u64) -> Vec<EvidenceRecord> {

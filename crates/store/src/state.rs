@@ -6,7 +6,7 @@
 //! so that "a subsequent reconstruction of information state is a state
 //! previously agreed by the organisations" (§3.4) can be checked.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use parking_lot::RwLock;
 
@@ -16,7 +16,9 @@ use nonrep_crypto::digest::{sha256, Digest};
 #[derive(Debug, Default)]
 pub struct StateStore {
     blobs: RwLock<HashMap<Digest, Vec<u8>>>,
-    versions: RwLock<HashMap<String, Vec<Digest>>>,
+    /// Ordered by name, so [`StateStore::objects`] (and every snapshot
+    /// built from it) comes out the same in every process.
+    versions: RwLock<BTreeMap<String, Vec<Digest>>>,
 }
 
 impl StateStore {
@@ -77,7 +79,7 @@ impl StateStore {
             .unwrap_or_default()
     }
 
-    /// Names of all objects with a version history.
+    /// Names of all objects with a version history, sorted.
     pub fn objects(&self) -> Vec<String> {
         self.versions.read().keys().cloned().collect()
     }
@@ -112,6 +114,15 @@ mod tests {
         assert!(store.contains(&d));
         assert!(!store.contains(&sha256(b"other")));
         assert_eq!(store.get(&sha256(b"other")), None);
+    }
+
+    #[test]
+    fn objects_are_sorted_whatever_the_insertion_order() {
+        let store = StateStore::new();
+        for name in ["zeta", "alpha", "mid", "__group:ve"] {
+            store.record_version(name, name.as_bytes());
+        }
+        assert_eq!(store.objects(), ["__group:ve", "alpha", "mid", "zeta"]);
     }
 
     #[test]

@@ -16,7 +16,15 @@
 //! There is no versioning or schema evolution by design — evidence formats
 //! are part of the inter-organisation agreement (paper §5: "the exact
 //! representation of evidence is a matter for agreement between parties").
+//!
+//! Scratch rule: an encoding that is only hashed, persisted or copied out
+//! is built in the thread's one scratch [`Writer`] ([`with_scratch`]),
+//! never in a fresh buffer grown by doubling. [`Encode::encode_to_vec`]
+//! copies the scratch out at its exact size; `nonrep_crypto`'s
+//! `sha256_encoded` hashes it in place. A nested call finds the scratch
+//! taken and encodes into a fresh writer instead, so nesting is safe.
 
+use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
 
@@ -88,23 +96,6 @@ impl Writer {
         Self::default()
     }
 
-    /// Creates a writer with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            buf: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Consumes the writer, returning the encoded bytes.
     pub fn into_vec(self) -> Vec<u8> {
         self.buf
@@ -113,12 +104,6 @@ impl Writer {
     /// The bytes written so far.
     pub fn as_slice(&self) -> &[u8] {
         &self.buf
-    }
-
-    /// Clears the buffer, keeping its allocation (scratch-buffer reuse on
-    /// hot encode-then-hash paths).
-    pub fn clear(&mut self) {
-        self.buf.clear();
     }
 
     /// Writes a single byte.
@@ -167,6 +152,27 @@ impl Writer {
     pub fn put_str(&mut self, s: &str) {
         self.put_bytes(s.as_bytes());
     }
+}
+
+/// A scratch writer grown past this is released after use, so one large
+/// encoding does not pin its buffer for the thread's lifetime.
+const SCRATCH_KEEP_MAX: usize = 1024 * 1024;
+
+thread_local! {
+    static SCRATCH: Cell<Writer> = const { Cell::new(Writer { buf: Vec::new() }) };
+}
+
+/// Runs `f` on this thread's scratch [`Writer`], cleared. The writer is
+/// out of its slot for the call, so a nested call gets a fresh writer.
+pub fn with_scratch<R>(f: impl FnOnce(&mut Writer) -> R) -> R {
+    let mut w = SCRATCH.try_with(Cell::take).unwrap_or_default();
+    w.buf.clear();
+    let out = f(&mut w);
+    if w.buf.capacity() <= SCRATCH_KEEP_MAX {
+        // A thread already tearing down its locals just drops the writer.
+        let _ = SCRATCH.try_with(|slot| slot.set(w));
+    }
+    out
 }
 
 /// Canonical decoder over a byte slice.
@@ -276,13 +282,13 @@ pub trait Encode {
     /// Convenience: encodes into a fresh `Vec<u8>` whose capacity is its
     /// length. Encodings are often kept (log records, cached replies),
     /// and a buffer grown by doubling would keep up to half again its
-    /// size in slack for as long as it lives.
+    /// size in slack for as long as it lives, so the encoding is built in
+    /// the thread's scratch writer and copied out once.
     fn encode_to_vec(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode(&mut w);
-        let mut bytes = w.into_vec();
-        bytes.shrink_to_fit();
-        bytes
+        with_scratch(|w| {
+            self.encode(w);
+            w.as_slice().to_vec()
+        })
     }
 }
 
@@ -513,6 +519,21 @@ mod tests {
         bytes.push(0);
         let err = u64::decode_from_slice(&bytes).unwrap_err();
         assert_eq!(err, CodecError::TrailingBytes(1));
+    }
+
+    #[test]
+    fn oversized_scratch_is_released() {
+        let kept = |f: &dyn Fn(&mut Writer)| {
+            with_scratch(f);
+            SCRATCH.with(|slot| {
+                let w = slot.take();
+                let cap = w.buf.capacity();
+                slot.set(w);
+                cap
+            })
+        };
+        assert!(kept(&|w| w.put_raw(&[1; 4096])) >= 4096);
+        assert_eq!(kept(&|w| w.put_raw(&vec![1; 2 * 1024 * 1024])), 0);
     }
 
     #[test]

@@ -86,6 +86,8 @@ retired=(
     fetch_receipt FetchChoreography handle_fetch STEP_FETCH STEP_FETCH_ACK
     # one framing path: sharing runs on the exchange engine
     coordinatorless_welcome_for_tests
+    # one scratch writer per thread
+    record_hash_with tbs
 )
 echo "==> retired names"
 if grep -rnwF "${retired[@]/#/-e}" --exclude=check.sh \
@@ -100,16 +102,25 @@ echo "==> public surface (scripts/surface.sh)"
 scripts/surface.sh --self-test
 scripts/surface.sh
 
+# non_test_match PATTERN FILE...: prints every line of non-test code
+# (loc.sh's cut: the lines before a file's `#[cfg(test)] mod`) that
+# matches the awk regex PATTERN, as file:line; succeeds iff one did.
+non_test_match() {
+    local pattern="$1"
+    shift
+    awk 'FNR == 1 { test_attr = 0 }
+         test_attr && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { nextfile }
+         { test_attr = ($0 ~ /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/) }
+         $0 ~ pattern { print FILENAME ":" FNR ": " $0; found = 1 }
+         END { exit !found }' pattern="$pattern" "$@"
+}
+
 # One wiring: the simulator drives the stack a deployment builds
-# (OrgMiddleware::builder), so its non-test code (every line before a
-# file's `#[cfg(test)] mod`) assembles no protocol stack of its own.
+# (OrgMiddleware::builder), so its non-test code assembles no protocol
+# stack of its own.
 echo "==> one wiring (crates/sim/src)"
-if awk 'FNR == 1 { test_attr = 0 }
-        test_attr && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { nextfile }
-        { test_attr = ($0 ~ /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/) }
-        $0 ~ wiring { print FILENAME ":" FNR ": " $0; found = 1 }
-        END { exit !found }' \
-    wiring='Party::with_commitment|B2BCoordinator::new|AnchorGossipHandler::new|FairServerHandler::|ExchangeSupervisor::new|AnchorGossip::new' \
+if non_test_match \
+    'Party::with_commitment|B2BCoordinator::new|AnchorGossipHandler::new|FairServerHandler::|ExchangeSupervisor::new|AnchorGossip::new' \
     crates/sim/src/*.rs; then
     echo "check.sh: crates/sim/src wires protocol parts itself (file:line above);" \
         "build the org with OrgMiddleware::builder" >&2
@@ -125,15 +136,20 @@ mapfile -t framed < <(find crates/*/src src -name '*.rs' \
     ! -path crates/protocols/src/session/engine.rs \
     ! -path crates/protocols/src/party.rs \
     ! -path crates/protocols/src/message.rs | sort)
-if awk 'FNR == 1 { test_attr = 0 }
-        test_attr && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { nextfile }
-        { test_attr = ($0 ~ /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/) }
-        $0 ~ framing { print FILENAME ":" FNR ": " $0; found = 1 }
-        END { exit !found }' \
-    framing='ProtocolMessage::new|[.]sign_frame[(]|[.]verify_frame[(]' \
-    "${framed[@]}"; then
+if non_test_match 'ProtocolMessage::new|[.]sign_frame[(]|[.]verify_frame[(]' "${framed[@]}"; then
     echo "check.sh: a frame is built or checked by hand (file:line above);" \
         "use ExchangeEngine's request_frame, open_frame or verify_frame_from" >&2
+    exit 1
+fi
+
+# One scratch path: non-test code hashes a canonical encoding with
+# digest::sha256_encoded, which builds it in the thread's scratch writer,
+# never by hashing a buffer it filled for the purpose.
+echo "==> one scratch path (crates/*/src, src)"
+mapfile -t sources < <(find crates/*/src src -name '*.rs' | sort)
+if non_test_match 'sha256[(]&.*([.]into_vec|encode_to_vec)[(][)][)]' "${sources[@]}"; then
+    echo "check.sh: an encoding is hashed from a buffer of its own (file:line above);" \
+        "use digest::sha256_encoded" >&2
     exit 1
 fi
 
