@@ -149,11 +149,6 @@ impl Decode for CertRef {
 
 /// The certificate an [`HssSignature`] chains through: the full cert
 /// (the wire form) or a reference to one stored elsewhere.
-// Unboxed on purpose: every wire signature is `Inline`, and a `Ref`
-// lives only between decoding a stored token and attaching its cert,
-// so boxing would add an allocation to the common case to save space
-// in the rare one.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CertLink {
     /// The root key's certificate itself.

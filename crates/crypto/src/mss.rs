@@ -90,7 +90,7 @@ impl MssSignature {
 impl Encode for MssSignature {
     fn encode(&self, w: &mut Writer) {
         w.put_u32(self.leaf_index);
-        w.put_bytes(&self.wots.to_bytes());
+        w.put_bytes(self.wots.chains.as_flattened());
         self.path.encode(w);
     }
 }
@@ -339,8 +339,9 @@ fn index_matches_path(sig: &MssSignature) -> bool {
     implied_index == u64::from(sig.leaf_index)
 }
 
-/// Slots in the process-wide memo (≈ 2.9 KiB each, ≈ 3 MiB): room for two
-/// 66-record dispute windows and every live certificate of a log's signers.
+/// Slots in the process-wide memo (752 B each, plus the 2 KiB of W-OTS chains
+/// each shares with its signature; ≈ 2.8 MiB full): room for two 66-record
+/// dispute windows and every live certificate of a log's signers.
 const MEMO_SLOTS: usize = 1024;
 
 /// Longest path the memo stores (the tallest tree [`MssSigner::generate`]
@@ -349,7 +350,8 @@ const MEMO_MAX_PATH: usize = 20;
 
 static MEMO: LazyLock<Memo> = LazyLock::new(|| Memo::with_slots(MEMO_SLOTS));
 
-/// One `(public key, digest, signature)` triple [`verify_walk`] accepted.
+/// One `(public key, digest, signature)` triple [`verify_walk`] accepted;
+/// `wots` shares the signature's chains, so a hit on it compares pointers.
 struct Verified {
     key: Digest,
     digest: Digest,
@@ -368,8 +370,8 @@ struct Verified {
 /// colliding triple merely overwrites its slot.
 #[derive(Default)]
 struct Memo {
-    /// Entries sit inline in one block: boxed one by one they would lie
-    /// scattered over the heap and pin it against trimming after an audit.
+    /// Entries sit inline in one block, all but their shared chains: boxed
+    /// one by one they would scatter over the heap and pin it after an audit.
     slots: Box<[Mutex<Option<Verified>>]>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -459,6 +461,7 @@ impl Memo {
 mod tests {
     use super::*;
     use crate::digest::sha256;
+    use std::sync::Arc;
 
     fn signer(height: u8, seed: u64) -> MssSigner {
         MssSigner::generate(height, &mut SecureRandom::from_seed(seed))
@@ -705,7 +708,7 @@ mod tests {
             (pk, sha256(b"another digest"), sig.clone()),
             (signer(3, seed + 1).public_key(), d, sig.clone()),
             with(&|m| m.leaf_index ^= 1),
-            with(&|m| m.wots.chains[66][31] ^= 1),
+            with(&|m| Arc::make_mut(&mut m.wots.chains)[66][31] ^= 1),
             with(&|m| m.path.steps[2].sibling = sha256(b"evil")),
             with(&|m| m.path.steps[0].sibling_on_right ^= true),
             with(&|m| {
@@ -732,6 +735,18 @@ mod tests {
         assert_eq!(stats.hits, 2, "only the genuine triple's repeats hit");
         assert_eq!(stats.misses, 3 * mutants.len() as u64 + 1);
         assert_eq!((stats.inserts, stats.overwrites), (1, 0));
+    }
+
+    #[test]
+    fn the_memo_entry_shares_the_verified_signatures_chains() {
+        let memo = Memo::with_slots(1);
+        let ((pk, d, sig), _) = genuine_and_mutations(44);
+        assert!(memo.verify(&pk, &d, &sig));
+        let slot = memo.slots[0].lock();
+        assert!(Arc::ptr_eq(
+            &slot.as_ref().unwrap().wots.chains,
+            &sig.wots.chains
+        ));
     }
 
     #[test]
@@ -777,7 +792,7 @@ mod tests {
         for (d, sig) in &signed {
             assert!(memo.verify(&pk, d, sig));
             let mut bad = sig.clone();
-            bad.wots.chains[0][0] ^= 1;
+            Arc::make_mut(&mut bad.wots.chains)[0][0] ^= 1;
             assert!(!memo.verify(&pk, d, &bad));
         }
         assert_eq!(memo.stats().inserts - memo.stats().overwrites, occupied);

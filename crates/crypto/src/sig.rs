@@ -126,8 +126,8 @@ pub enum SignaturePayload {
     /// Hierarchical signature: a subtree signature (direct or batched)
     /// chained to the root key by its subtree certificate, or — in the
     /// stored form — by a reference to it (see [`crate::hss`]). Boxed:
-    /// it is several times the size of the other variants, and
-    /// signatures mostly live behind this enum in bulk.
+    /// an `HssSignature` is 152 B, and inline it would take every token
+    /// past the 256 B its size test allows.
     Hss(Box<HssSignature>),
 }
 
@@ -162,6 +162,18 @@ impl Signature {
             SignaturePayload::Hss(h) => match h.cert {
                 CertLink::Ref(r) => Some(r),
                 CertLink::Inline(_) => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// The subtree certificate a hierarchical signature carries inline
+    /// (`None` in the stored form, or when the scheme has none).
+    pub fn inline_cert(&self) -> Option<&SubtreeCert> {
+        match &self.payload {
+            SignaturePayload::Hss(h) => match &h.cert {
+                CertLink::Inline(cert) => Some(cert),
+                CertLink::Ref(_) => None,
             },
             _ => None,
         }
@@ -538,54 +550,48 @@ impl KeyPair {
         if digests.is_empty() {
             return Ok(Vec::new());
         }
-        match &mut *self.inner.lock() {
-            SignerInner::Mss(s) => {
-                // One-shot tree build: the incremental accumulator is for
-                // streaming producers; here all leaves are in hand, and
-                // building the tree directly hashes each node once.
-                let tree = MerkleTree::from_leaf_hashes(batch_leaves(digests));
-                let mss_sig = s.sign(&batch_digest(&tree.root()))?;
-                Ok((0..digests.len())
-                    .map(|i| Signature {
-                        key_id: self.key_id,
-                        payload: SignaturePayload::BatchedMss(BatchSignature {
-                            mss_sig: mss_sig.clone(),
-                            leaf_index: i as u32,
-                            leaf_count: digests.len() as u32,
-                            auth_path: tree.auth_path(i),
-                        }),
-                    })
-                    .collect())
-            }
-            SignerInner::Hss(s) => {
-                // Same one-shot tree as the MSS arm; the single leaf
-                // signature comes from the active subtree and every
-                // batched payload carries the chaining cert.
-                let tree = MerkleTree::from_leaf_hashes(batch_leaves(digests));
-                let (mss_sig, cert) = s.sign_leaf(&batch_digest(&tree.root()))?;
-                Ok((0..digests.len())
-                    .map(|i| Signature {
-                        key_id: self.key_id,
-                        payload: SignaturePayload::Hss(Box::new(HssSignature {
-                            subtree_sig: SubtreeSig::Batched(BatchSignature {
-                                mss_sig: mss_sig.clone(),
-                                leaf_index: i as u32,
-                                leaf_count: digests.len() as u32,
-                                auth_path: tree.auth_path(i),
-                            }),
-                            cert: CertLink::Inline(cert.clone()),
-                        })),
-                    })
-                    .collect())
-            }
-            SignerInner::Arbitrated(k) => Ok(digests
+        let mut inner = self.inner.lock();
+        if let SignerInner::Arbitrated(k) = &*inner {
+            return Ok(digests
                 .iter()
                 .map(|d| Signature {
                     key_id: self.key_id,
                     payload: SignaturePayload::Arbitrated(k.tag(d.as_bytes())),
                 })
-                .collect()),
+                .collect());
         }
+        // One-shot tree build: the incremental accumulator is for
+        // streaming producers; here all leaves are in hand, and building
+        // the tree directly hashes each node once. Every signature shares
+        // the one leaf signature's chains (and an HSS key's cert's).
+        let tree = MerkleTree::from_leaf_hashes(batch_leaves(digests));
+        let root = batch_digest(&tree.root());
+        let (mss_sig, cert) = match &mut *inner {
+            SignerInner::Mss(s) => (s.sign(&root)?, None),
+            SignerInner::Hss(s) => s.sign_leaf(&root).map(|(sig, cert)| (sig, Some(cert)))?,
+            SignerInner::Arbitrated(_) => unreachable!("tags are answered above"),
+        };
+        let payload = |i: usize| {
+            let batch = BatchSignature {
+                mss_sig: mss_sig.clone(),
+                leaf_index: i as u32,
+                leaf_count: digests.len() as u32,
+                auth_path: tree.auth_path(i),
+            };
+            match &cert {
+                None => SignaturePayload::BatchedMss(batch),
+                Some(cert) => SignaturePayload::Hss(Box::new(HssSignature {
+                    subtree_sig: SubtreeSig::Batched(batch),
+                    cert: CertLink::Inline(cert.clone()),
+                })),
+            }
+        };
+        Ok((0..digests.len())
+            .map(|i| Signature {
+                key_id: self.key_id,
+                payload: payload(i),
+            })
+            .collect())
     }
 }
 
@@ -852,6 +858,32 @@ mod tests {
         assert!(stored.attach_cert(cert));
         assert_eq!(stored, sigs[2]);
         assert_eq!(stored.cert_ref(), None);
+    }
+
+    #[test]
+    fn a_batchs_signatures_share_its_chains() {
+        use std::sync::Arc;
+        let hss = KeyPair::generate(
+            SignatureScheme::Hss {
+                root_height: 2,
+                subtree_height: 2,
+            },
+            &mut SecureRandom::from_seed(34),
+        );
+        let digests: Vec<_> = (0..5u8).map(|i| sha256(&[i])).collect();
+        for kp in [mss_pair(35), hss] {
+            let sigs = kp.sign_batch(&digests).unwrap();
+            let chains = |s: &Signature| Arc::clone(&s.batch().unwrap().mss_sig.wots.chains);
+            let cert_chains =
+                |s: &Signature| s.inline_cert().map(|c| Arc::clone(&c.root_sig.wots.chains));
+            for s in &sigs[1..] {
+                assert!(Arc::ptr_eq(&chains(s), &chains(&sigs[0])));
+                match (cert_chains(s), cert_chains(&sigs[0])) {
+                    (Some(a), Some(b)) => assert!(Arc::ptr_eq(&a, &b)),
+                    (a, b) => assert!(a.is_none() && b.is_none()),
+                }
+            }
+        }
     }
 
     #[test]

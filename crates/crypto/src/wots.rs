@@ -42,6 +42,8 @@
 //! every walk to a sequential reference over
 //! [`crate::digest::sha256_short`].
 
+use std::sync::Arc;
+
 use crate::digest::mb::{self, CHAIN_CHECKPOINTS, CHECKPOINT_STRIDE};
 use crate::digest::{Digest, Sha256};
 use crate::hmac::hmac_short_lanes_with;
@@ -64,33 +66,26 @@ const PK_TAG: u8 = 0x03;
 /// A W-OTS signature: one 32-byte chain value per chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WotsSignature {
-    /// Chain values, one per chain, in chain order.
-    pub chains: [[u8; 32]; CHAINS],
+    /// Chain values, one per chain, in chain order, shared and never
+    /// written: a clone shares the 2 144 bytes instead of copying them.
+    pub chains: Arc<[[u8; 32]; CHAINS]>,
 }
 
 impl WotsSignature {
     /// Serialized size in bytes.
     pub const BYTE_LEN: usize = CHAINS * 32;
 
-    /// Flattens the signature to bytes (for transport/evidence encoding).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(Self::BYTE_LEN);
-        for chain in &self.chains {
-            out.extend_from_slice(chain);
-        }
-        out
-    }
-
-    /// Parses a signature from bytes produced by [`WotsSignature::to_bytes`].
+    /// Parses a signature from its flattened chain values
+    /// (`chains.as_flattened()`, the transport/evidence encoding).
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         if bytes.len() != Self::BYTE_LEN {
             return None;
         }
         let mut chains = [[0u8; 32]; CHAINS];
-        for (i, chunk) in bytes.chunks(32).enumerate() {
-            chains[i].copy_from_slice(chunk);
-        }
-        Some(Self { chains })
+        chains.as_flattened_mut().copy_from_slice(bytes);
+        Some(Self {
+            chains: Arc::new(chains),
+        })
     }
 }
 
@@ -180,9 +175,7 @@ fn derive_secrets(d: mb::Dispatch, seed: &[u8; 32]) -> [[u8; 32]; CHAINS] {
 fn compress_pk(ends: &[[u8; 32]; CHAINS]) -> Digest {
     let mut h = Sha256::new();
     h.update(&[PK_TAG]);
-    for end in ends {
-        h.update(end);
-    }
+    h.update(ends.as_flattened());
     h.finalize()
 }
 
@@ -202,9 +195,7 @@ fn compress_pk_lanes(d: mb::Dispatch, values: &[[u8; 32]]) -> Vec<Digest> {
         .map(|ends| {
             let mut buf = [0u8; PK_MSG_LEN];
             buf[0] = PK_TAG;
-            for (slot, end) in buf[1..].chunks_exact_mut(32).zip(ends) {
-                slot.copy_from_slice(end);
-            }
+            buf[1..].copy_from_slice(ends.as_flattened());
             buf
         })
         .collect();
@@ -284,7 +275,9 @@ impl WotsKeyPair {
         let chunks = chunks_of(digest);
         let mut values = derive_secrets(d, seed);
         walk_chains(d, &mut values, &[0; CHAINS], &chunks);
-        WotsSignature { chains: values }
+        WotsSignature {
+            chains: Arc::new(values),
+        }
     }
 
     /// Signs `digest` from one key's stored chain checkpoints (as
@@ -320,7 +313,9 @@ impl WotsKeyPair {
             steps[i] = chunks[i] - start[i];
         }
         walk_chains(d, &mut values, &start, &steps);
-        WotsSignature { chains: values }
+        WotsSignature {
+            chains: Arc::new(values),
+        }
     }
 
     /// The compressed public key (hash of all chain ends).
@@ -357,7 +352,7 @@ fn recover_public_key_with(digest: &Digest, sig: &WotsSignature, d: mb::Dispatch
     for (step, chunk) in steps.iter_mut().zip(chunks) {
         *step = MAX_STEP - chunk;
     }
-    let mut values = sig.chains;
+    let mut values = *sig.chains;
     walk_chains(d, &mut values, &chunks, &steps);
     compress_pk(&values)
 }
@@ -434,7 +429,7 @@ mod tests {
         let kp = keypair(5);
         let d = sha256(b"message");
         let mut sig = kp.sign(&d);
-        sig.chains[0][0] ^= 0xFF;
+        Arc::make_mut(&mut sig.chains)[0][0] ^= 0xFF;
         assert!(!verify(&kp.public_key(), &d, &sig));
     }
 
@@ -449,7 +444,7 @@ mod tests {
         // Find a message chunk that can be advanced.
         let i = (0..MSG_CHUNKS).find(|&i| chunks[i] < MAX_STEP).unwrap();
         let mut sig = kp.sign(&d);
-        sig.chains[i] = chain(sig.chains[i], i as u16, chunks[i], 1);
+        Arc::make_mut(&mut sig.chains)[i] = chain(sig.chains[i], i as u16, chunks[i], 1);
         // The forged signature must not verify for any digest we can cheaply
         // construct — in particular not for the original.
         assert!(!verify(&kp.public_key(), &d, &sig));
@@ -474,9 +469,9 @@ mod tests {
     fn signature_bytes_roundtrip() {
         let kp = keypair(7);
         let sig = kp.sign(&sha256(b"bytes"));
-        let bytes = sig.to_bytes();
+        let bytes = sig.chains.as_flattened();
         assert_eq!(bytes.len(), WotsSignature::BYTE_LEN);
-        assert_eq!(WotsSignature::from_bytes(&bytes).unwrap(), sig);
+        assert_eq!(WotsSignature::from_bytes(bytes).unwrap(), sig);
         assert!(WotsSignature::from_bytes(&bytes[1..]).is_none());
     }
 

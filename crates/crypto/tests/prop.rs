@@ -1,5 +1,7 @@
 //! Property tests for the cryptographic primitives.
 
+use std::sync::Arc;
+
 use nonrep_crypto::batch::{batch_digest, BatchSignature};
 use nonrep_crypto::digest::{mb, sha256, sha256_short, Digest, Sha256};
 use nonrep_crypto::hmac::{hmac_sha256, hmac_short_lanes_with};
@@ -73,7 +75,7 @@ fn mutations(sig: &Signature) -> Vec<(Signature, bool)> {
     fn mss(s: &mut MssSignature, which: usize) -> bool {
         match which {
             0 => s.leaf_index ^= 1,
-            1 => s.wots.chains[7][3] ^= 0x40,
+            1 => Arc::make_mut(&mut s.wots.chains)[7][3] ^= 0x40,
             _ => s.path.steps[0].sibling = sha256(b"grafted sibling"),
         }
         true

@@ -147,13 +147,14 @@ impl DirectClient {
 
         // Verify and persist the server's evidence.
         let resp_digest = sha256(&msg2.body);
-        let [nrr_req, nro_resp] = self.engine.party().absorb_carried(
+        self.engine.party().absorb_carried(
             &msg2,
             [
                 (TokenKind::NrrReq, req_digest),
                 (TokenKind::NroResp, resp_digest),
             ],
         )?;
+        let [nrr_req, nro_resp] = msg2.tokens.try_into().expect("absorbed: two tokens");
 
         // Step 3: client receipt for the response. The exchange is
         // already complete for the client; a lost ack only means the

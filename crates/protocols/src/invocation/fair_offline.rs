@@ -474,13 +474,14 @@ impl FairClient {
         let nro_req = TokenSpec::new(TokenKind::NroReq, run_id, req_digest);
         let (msg2, session) = session.call(server, request, &[nro_req])?;
         let step2: FairStep2 = self.engine.decode_body(&msg2.body)?;
-        let pair = self.engine.party().absorb_carried(
+        self.engine.party().absorb_carried(
             &msg2,
             [
                 (TokenKind::NrrReq, req_digest),
                 (TokenKind::NroResp, step2.resp_digest),
             ],
         )?;
+        let pair = msg2.tokens.try_into().expect("absorbed: two tokens");
         Ok((session, step2, pair))
     }
 
@@ -897,8 +898,8 @@ struct EscrowEntry {
     key: Option<EscrowedKey>,
     /// The run's outcome, once it has one: the TTP's own `Abort` token,
     /// or the client's `NRR_resp` that a resolve deposited. Boxed, as
-    /// `decision` is: a token is ~2.3 KB inline, and the ledger keeps an
-    /// entry per run.
+    /// `decision` is: most runs never get one, and the ledger keeps an
+    /// entry per run, so inline `None`s would cost 2 × 192 B each.
     outcome: Option<Box<NrToken>>,
     /// The TTP's `Decision` issued with a deposited `NRR_resp`.
     decision: Option<Box<NrToken>>,

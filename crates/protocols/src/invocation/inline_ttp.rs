@@ -214,8 +214,7 @@ impl InlineTtpClient {
                 .absorb(receipt, TokenKind::TtpReceipt, run_id, None)?;
         }
         let resp_digest = sha256_encoded(|w| resp.response.encode(w));
-        let [last_receipt] = self
-            .engine
+        self.engine
             .party()
             .absorb_carried(&msg2, [(TokenKind::TtpReceipt, resp_digest)])?;
         // Verify the server's own response-origin token. It is bound to the
@@ -238,7 +237,7 @@ impl InlineTtpClient {
         // Run complete: seal pending evidence if the policy asks for it.
         session.finish()?;
         let mut receipts = resp.receipts;
-        receipts.push(last_receipt);
+        receipts.extend(msg2.tokens);
         Ok(InlineOutcome {
             run_id,
             response: resp.response,

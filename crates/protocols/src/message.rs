@@ -514,6 +514,30 @@ mod tests {
     }
 
     #[test]
+    fn decoded_compact_tokens_share_the_frame_signatures_chains() {
+        let m = hss_party(18).sign_frame(msg(), &specs(b"s")).unwrap();
+        let back = ProtocolMessage::decode_from_slice(&m.encode_to_vec()).unwrap();
+        let chains = |s: &Signature| Arc::clone(&s.batch().unwrap().mss_sig.wots.chains);
+        let frame = chains(back.signature.as_ref().unwrap());
+        for t in &back.tokens {
+            assert!(Arc::ptr_eq(&chains(&t.signature), &frame));
+        }
+    }
+
+    /// Every move, clone and `Vec` growth of a token or a frame copies
+    /// these types whole; the W-OTS chains stay behind their `Arc`.
+    #[test]
+    fn in_memory_sizes_are_stated() {
+        for (ty, size) in [
+            ("NrToken", std::mem::size_of::<NrToken>()),
+            ("Signature", std::mem::size_of::<Signature>()),
+            ("ProtocolMessage", std::mem::size_of::<ProtocolMessage>()),
+        ] {
+            assert!(size <= 256, "{ty} grew to {size} B in memory (bound 256 B)");
+        }
+    }
+
+    #[test]
     fn every_truncation_of_a_compact_hss_frame_is_refused() {
         let m = hss_party(16).sign_frame(msg(), &specs(b"t")).unwrap();
         let bytes = m.encode_to_vec();

@@ -268,18 +268,18 @@ impl Party {
     /// Verifies and persists the tokens `msg`'s sender issued at this
     /// step: exactly one per `expected` entry, in order, each of that
     /// entry's kind and subject, bound to the frame's run and issued by
-    /// the frame's sender. Returns the tokens.
+    /// the frame's sender. Returns the tokens, borrowed from the frame.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::BadMessage`] on a wrong token count or issuer,
     /// otherwise as [`Party::verify_and_store`].
-    pub fn absorb_carried<const N: usize>(
+    pub fn absorb_carried<'m, const N: usize>(
         &self,
-        msg: &ProtocolMessage,
+        msg: &'m ProtocolMessage,
         expected: [(TokenKind, Digest); N],
-    ) -> Result<[NrToken; N], ProtocolError> {
-        let tokens: [NrToken; N] = msg.tokens.clone().try_into().map_err(|_| {
+    ) -> Result<[&'m NrToken; N], ProtocolError> {
+        let tokens = <&[NrToken; N]>::try_from(msg.tokens.as_slice()).map_err(|_| {
             ProtocolError::BadMessage(format!(
                 "step-{} frame carries {} tokens, expected {N}",
                 msg.step,
@@ -295,7 +295,7 @@ impl Party {
             }
             self.verify_and_store(token, kind, msg.run_id, Some(&subject))?;
         }
-        Ok(tokens)
+        Ok(tokens.each_ref())
     }
 
     /// Explicitly seals pending evidence under an epoch commitment and
@@ -360,8 +360,10 @@ impl Party {
     /// [`ProtocolError::Storage`] on logging failure.
     pub fn store_token(&self, token: &NrToken) -> Result<(), ProtocolError> {
         use nonrep_types::codec::Encode;
-        let mut stored = token.clone();
-        let cert = stored.signature.detach_cert();
+        // Only an inline certificate makes the stored form differ.
+        let mut detached = token.signature.inline_cert().map(|_| token.clone());
+        let cert = detached.as_mut().and_then(|t| t.signature.detach_cert());
+        let stored = detached.as_ref().unwrap_or(token);
         let draft = RecordDraft {
             run_id: token.run_id,
             kind: token.kind.label().to_string(),

@@ -241,8 +241,7 @@ impl<R: Role, S: State> Session<R, S> {
 /// a session diverted into the alternative sub-choreography.
 pub enum Branch<R: Role, Next: State, Alt: State> {
     /// The acceptable reply arrived; continue on the primary path.
-    /// (Boxed: a [`ProtocolMessage`] dwarfs the diverted variant.)
-    Primary(Box<ProtocolMessage>, Session<R, Next>),
+    Primary(ProtocolMessage, Session<R, Next>),
     /// The peer defected (or transport failed); the session diverts to
     /// the alternative sub-choreography, holding the tokens this party
     /// issued in the diverted round's request — the evidence it already
@@ -411,7 +410,7 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State, Alt: State>
         match self.engine.deliver(to, &msg) {
             Ok(reply) if reply.step == REPLY && reply.run_id == self.run && accept(&reply) => {
                 self.engine.journal_progress(self.run, STEP)?;
-                Ok(Branch::Primary(Box::new(reply), self.advance()))
+                Ok(Branch::Primary(reply, self.advance()))
             }
             _ => Ok(Branch::Diverted(msg.tokens, self.advance())),
         }

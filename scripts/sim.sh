@@ -10,7 +10,8 @@
 # metropolis fleet: every stalled run must terminate in a timeout abort
 # that attributes exactly the staller, with zero false accusations.
 # The lowest seed runs twice: its two stdout streams (the verdict lines)
-# must be equal byte for byte.
+# must be equal byte for byte. The last line is one sha256 over the
+# stdout of every run, so two commits' fleet output compares in a line.
 #
 #   scripts/sim.sh                 # seeds 1..8, release build
 #   scripts/sim.sh 5               # seeds 1..5
@@ -38,17 +39,27 @@ fi
 # shellcheck disable=SC2086  # PROFILE_FLAG is intentionally word-split
 cargo build $PROFILE_FLAG --quiet --example fleet_sim
 
-# Runs one fleet seed, printing its stdout and keeping it in $out.
+# Runs fleet_sim under the environment assignments "$@", printing its
+# stdout, keeping it in $out and adding it to $all; fails as fleet_sim does.
+all=""
+fleet_run() {
+    # shellcheck disable=SC2086
+    out="$(env "$@" cargo run $PROFILE_FLAG --quiet --example fleet_sim)" || {
+        printf '%s\n' "$out"
+        return 1
+    }
+    printf '%s\n' "$out"
+    all+="$out"$'\n'
+}
+
+# Runs one fleet seed.
 fleet_seed() {
     local seed="$1"
-    # shellcheck disable=SC2086
-    if ! out="$(NONREP_SIM_SEED="$seed" cargo run $PROFILE_FLAG --quiet --example fleet_sim)"; then
-        printf '%s\n' "$out"
+    if ! fleet_run NONREP_SIM_SEED="$seed"; then
         echo "sim.sh: FLEET INVARIANT VIOLATION at seed $seed" >&2
         echo "repro: NONREP_SIM_SEED=$seed cargo run --release --example fleet_sim" >&2
         exit 1
     fi
-    printf '%s\n' "$out"
 }
 
 out=""
@@ -69,19 +80,18 @@ if [[ "$out" != "$first" ]]; then
 fi
 
 echo "==> dispute sweep (seeded family, defecting servers)"
-# shellcheck disable=SC2086
-if ! NONREP_SIM_DISPUTE=1 NONREP_SIM_SEED="$LO" cargo run $PROFILE_FLAG --quiet --example fleet_sim; then
+if ! fleet_run NONREP_SIM_DISPUTE=1 NONREP_SIM_SEED="$LO"; then
     echo "sim.sh: DISPUTE SWEEP VIOLATION (base seed $LO)" >&2
     echo "repro: NONREP_SIM_DISPUTE=1 NONREP_SIM_SEED=$LO cargo run --release --example fleet_sim" >&2
     exit 1
 fi
 
 echo "==> stalling-adversary sweep (metropolis fleet, timeout aborts)"
-# shellcheck disable=SC2086
-if ! NONREP_SIM_STALL=1 NONREP_SIM_SEED="$LO" cargo run $PROFILE_FLAG --quiet --example fleet_sim; then
+if ! fleet_run NONREP_SIM_STALL=1 NONREP_SIM_SEED="$LO"; then
     echo "sim.sh: STALL SWEEP VIOLATION (base seed $LO)" >&2
     echo "repro: NONREP_SIM_STALL=1 NONREP_SIM_SEED=$LO cargo run --release --example fleet_sim" >&2
     exit 1
 fi
 
 echo "sim.sh: seeds $LO..$HI green (incl. seed $LO repeat, dispute + stall sweeps)"
+echo "sim.sh: stdout sha256 $(printf '%s' "$all" | sha256sum | cut -d' ' -f1)"
