@@ -71,6 +71,7 @@ use parking_lot::Mutex;
 
 use nonrep_crypto::digest::{sha256, Digest};
 use nonrep_crypto::stream::xor_keystream;
+use nonrep_store::MarkerPhase;
 use nonrep_types::codec::{CodecError, Decode, Encode, Reader, Writer};
 use nonrep_types::ids::{OrgId, ProtocolId, RunId};
 
@@ -702,7 +703,8 @@ impl FairServerHandler {
             if let Some(state) = self.keys.lock().get_mut(&run) {
                 state.receipt_received = true;
             }
-            self.engine.journal_close(run, STEP_RECEIPT)?;
+            self.engine
+                .journal(run, STEP_RECEIPT, MarkerPhase::Closed)?;
             return Ok(token);
         }
         self.engine.absorb(&token, TokenKind::Abort, run, None)?;
@@ -712,7 +714,8 @@ impl FairServerHandler {
         }
         // Journalled servers close the run and seal: the abort decision
         // itself must survive a crash.
-        self.engine.journal_abort(run, STEP_RECEIPT)?;
+        self.engine
+            .journal(run, STEP_RECEIPT, MarkerPhase::Aborted)?;
         Ok(token)
     }
 
@@ -802,7 +805,8 @@ impl FairServerHandler {
         );
         self.runs.record_response(msg.run_id, &msg2, None);
         // Step 2 is committed: the receipt window opens.
-        self.engine.journal_progress(msg.run_id, STEP_RESPONSE)?;
+        self.engine
+            .journal(msg.run_id, STEP_RESPONSE, MarkerPhase::Progress)?;
         self.watch_receipt(msg.run_id);
         Ok(msg2)
     }
@@ -838,7 +842,8 @@ impl FairServerHandler {
         }
         match self.conduct {
             ServerConduct::Honest => {
-                self.engine.journal_close(msg.run_id, STEP_KEY)?;
+                self.engine
+                    .journal(msg.run_id, STEP_KEY, MarkerPhase::Closed)?;
                 Ok(self.engine.open_frame(msg.run_id, STEP_KEY, key.to_vec()))
             }
             // Defection: acknowledge nothing useful (wrong step forces the

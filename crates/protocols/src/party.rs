@@ -66,7 +66,6 @@ pub struct Party {
     org: OrgId,
     keys: Arc<KeyPair>,
     clock: Arc<dyn Clock>,
-    log: Arc<dyn EvidenceLog>,
     directory: Arc<dyn KeyDirectory>,
     rng: Mutex<SecureRandom>,
     scheduler: Arc<CommitmentScheduler>,
@@ -113,7 +112,7 @@ impl Party {
         let org = org.into();
         let scheduler = Arc::new(CommitmentScheduler::new(
             Arc::clone(&keys),
-            Arc::clone(&log),
+            log,
             org.clone(),
             Arc::clone(&clock),
             mode,
@@ -122,7 +121,6 @@ impl Party {
             org,
             keys,
             clock,
-            log,
             directory,
             rng: Mutex::new(rng),
             scheduler,
@@ -198,7 +196,7 @@ impl Party {
 
     /// This party's evidence log.
     pub fn log(&self) -> &Arc<dyn EvidenceLog> {
-        &self.log
+        self.scheduler.log()
     }
 
     /// Mints a fresh protocol run identifier.

@@ -91,11 +91,12 @@ use nonrep_crypto::digest::Digest;
 use nonrep_crypto::hss::{CertRef, SubtreeCert};
 use nonrep_crypto::sig::KeyPair;
 use nonrep_store::record::{cert_draft, cert_from_record, EpochCommitment};
-use nonrep_store::{EvidenceLog, EvidenceRecord, RecordDraft, StoreError};
+use nonrep_store::{EvidenceLog, EvidenceRecord, Fold, RecordDraft, StoreError};
 use nonrep_types::ids::{OrgId, RunId};
 use nonrep_types::time::{Clock, Timestamp};
 
 use crate::message::ProtocolMessage;
+use crate::session::journal::{OpenRun, OpenRuns};
 use crate::tokens::{NrToken, TokenKind};
 use crate::ProtocolError;
 
@@ -199,11 +200,6 @@ impl ExhaustionForecaster {
     /// sample.
     const ALPHA: f64 = 0.25;
 
-    /// A fresh forecaster with no history.
-    fn new() -> Self {
-        Self::default()
-    }
-
     /// Feeds the key's remaining-signature count as observed at an epoch
     /// seal. The first call only anchors the baseline; every later call
     /// folds `previous - current` into the smoothed rate. `None`
@@ -245,13 +241,34 @@ impl ExhaustionForecaster {
 /// each remaining leaf covers more records).
 const EXHAUSTION_LOW_WATER_EPOCHS: f64 = 16.0;
 
-#[derive(Debug)]
-struct SchedulerState {
+/// The scheduler's fold over its log: where the next epoch starts, and
+/// which subtree certificates the log already holds.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct SealFold {
     /// First log sequence number not yet covered by an epoch commitment.
     sealed_next: u64,
     /// The subtree certificates the log holds a record of, whichever
     /// signer's: stored token signatures reference these.
     certs_stored: HashSet<CertRef>,
+}
+
+impl Fold for SealFold {
+    fn absorb(&mut self, record: &EvidenceRecord) {
+        if record.is_epoch_commit() {
+            // Epochs cover ordinary records only: the next starts after it.
+            self.sealed_next = record.seq + 1;
+        } else if let Some(cert) = cert_from_record(record) {
+            self.certs_stored.insert(cert.reference());
+        }
+    }
+}
+
+#[derive(Debug)]
+struct SchedulerState {
+    /// Seal watermark and stored certificates (a fold of the log).
+    seal: SealFold,
+    /// The run journal's open runs (a fold of the log).
+    runs: OpenRuns,
     /// Leaves-per-epoch EWMA driving pre-exhaustion cadence slowdown.
     forecast: ExhaustionForecaster,
     /// When the oldest currently-unsealed record was appended (`None`
@@ -280,6 +297,15 @@ struct SchedulerState {
 const SEAL_RETRY_COOLDOWN_MS: u64 = 1_000;
 const SEAL_RETRY_MAX_SHIFT: u32 = 9;
 
+impl SchedulerState {
+    /// Feeds one record to both folds: the reopen pass and the two
+    /// append sites call this, so replay and the live path agree.
+    fn absorb(&mut self, record: &EvidenceRecord) {
+        self.seal.absorb(record);
+        self.runs.absorb(record);
+    }
+}
+
 /// Routes all of a party's evidence generation, amortizing signatures in
 /// batched mode. See the [module docs](self).
 pub struct CommitmentScheduler {
@@ -302,11 +328,12 @@ impl fmt::Debug for CommitmentScheduler {
 impl CommitmentScheduler {
     /// Creates a scheduler over a party's keys, log and clock.
     ///
-    /// The sealing watermark resumes from the log's last epoch-commitment
-    /// record (everything after it is pending), so reopening a recovered
-    /// log re-seals exactly the records whose commitment was lost — and a
-    /// log with no commitments yet is sealed from the start on the first
-    /// flush in batched mode.
+    /// One pass over the log seeds the folds. The sealing watermark
+    /// resumes from the log's last epoch-commitment record (everything
+    /// after it is pending), so reopening a recovered log re-seals exactly
+    /// the records whose commitment was lost — and a log with no
+    /// commitments yet is sealed from the start on the first flush in
+    /// batched mode.
     pub fn new(
         keys: Arc<KeyPair>,
         log: Arc<dyn EvidenceLog>,
@@ -314,39 +341,31 @@ impl CommitmentScheduler {
         clock: Arc<dyn Clock>,
         mode: CommitmentMode,
     ) -> Self {
-        let mut sealed_next = 0u64;
-        let mut certs_stored = HashSet::new();
-        log.for_each(&mut |r| {
-            if r.is_epoch_commit() {
-                sealed_next = r.seq + 1;
-            } else if let Some(cert) = cert_from_record(r) {
-                certs_stored.insert(cert.reference());
-            }
-        });
+        let mut state = SchedulerState {
+            seal: SealFold::default(),
+            runs: OpenRuns::default(),
+            forecast: ExhaustionForecaster::default(),
+            pending_since: None,
+            effective_batch: match mode {
+                CommitmentMode::Batched { .. } => DEFAULT_AUTO_BATCH,
+                CommitmentMode::PerRecord => 1,
+            },
+            last_seal_failure: None,
+            seal_failure_streak: 0,
+        };
+        log.for_each(&mut |r| state.absorb(r));
         // Records orphaned by a crash (appended after the last surviving
         // commitment) restart their deadline countdown now: their
         // original append times are in the log, but what the deadline
         // bounds is how long they sit unsealed *from here on*.
-        let pending_since = (log.len() > sealed_next).then(|| clock.now());
-        let effective_batch = match mode {
-            CommitmentMode::Batched { .. } => DEFAULT_AUTO_BATCH,
-            CommitmentMode::PerRecord => 1,
-        };
+        state.pending_since = (log.len() > state.seal.sealed_next).then(|| clock.now());
         Self {
             keys,
             log,
             actor,
             clock,
             mode,
-            state: Mutex::new(SchedulerState {
-                sealed_next,
-                certs_stored,
-                forecast: ExhaustionForecaster::new(),
-                pending_since,
-                effective_batch,
-                last_seal_failure: None,
-                seal_failure_streak: 0,
-            }),
+            state: Mutex::new(state),
         }
     }
 
@@ -379,7 +398,13 @@ impl CommitmentScheduler {
 
     /// Number of appended records not yet covered by an epoch commitment.
     pub fn unsealed_len(&self) -> u64 {
-        self.log.len().saturating_sub(self.state.lock().sealed_next)
+        let sealed_next = self.state.lock().seal.sealed_next;
+        self.log.len().saturating_sub(sealed_next)
+    }
+
+    /// The runs the log shows open, in run order.
+    pub(crate) fn unclosed_runs(&self) -> Vec<OpenRun> {
+        self.state.lock().runs.0.values().cloned().collect()
     }
 
     /// Issues one token for `spec` under a direct signature — for a
@@ -489,11 +514,9 @@ impl CommitmentScheduler {
     ) -> Result<Arc<EvidenceRecord>, StoreError> {
         let mut state = self.state.lock();
         if let Some(cert) = cert {
-            let reference = cert.reference();
-            if !state.certs_stored.contains(&reference) {
+            if !state.seal.certs_stored.contains(&cert.reference()) {
                 let signer = draft.actor.clone();
                 self.record_locked(&mut state, cert_draft(&cert, signer, self.clock.now()))?;
-                state.certs_stored.insert(reference);
             }
         }
         self.record_locked(&mut state, draft)
@@ -524,10 +547,11 @@ impl CommitmentScheduler {
             }
         }
         let record = self.log.append(draft)?;
+        state.absorb(&record);
         if let CommitmentMode::Batched { max_delay_ms } = self.mode {
             let now = self.clock.now();
             let since = *state.pending_since.get_or_insert(now);
-            let due = if self.log.len().saturating_sub(state.sealed_next)
+            let due = if self.log.len().saturating_sub(state.seal.sealed_next)
                 >= state.effective_batch as u64
             {
                 Some(SealTrigger::Size)
@@ -623,7 +647,7 @@ impl CommitmentScheduler {
         state: &mut SchedulerState,
         trigger: SealTrigger,
     ) -> Result<Option<Arc<EvidenceRecord>>, StoreError> {
-        if self.log.len() <= state.sealed_next {
+        if self.log.len() <= state.seal.sealed_next {
             return Ok(None);
         }
         if trigger != SealTrigger::Explicit {
@@ -690,7 +714,7 @@ impl CommitmentScheduler {
             ));
         }
         let len = self.log.len();
-        let lo = state.sealed_next;
+        let lo = state.seal.sealed_next;
         let hi = len - 1;
         let covered = self.log.snapshot_range(lo..len);
         let hashes: Vec<Digest> = covered.iter().map(|r| r.record_hash()).collect();
@@ -720,9 +744,7 @@ impl CommitmentScheduler {
         let record = self
             .log
             .append(commitment.to_draft(self.actor.clone(), self.clock.now()))?;
-        // The epoch record itself is not covered; the next epoch starts
-        // after it, so commitments always cover ordinary records only.
-        state.sealed_next = record.seq + 1;
+        state.absorb(&record);
         state.forecast.observe_remaining(self.keys.remaining());
         self.tune_locked(state, trigger, hi - lo + 1);
         state.pending_since = None;
@@ -1189,7 +1211,7 @@ mod tests {
 
     #[test]
     fn forecaster_warms_up_before_forecasting() {
-        let mut f = ExhaustionForecaster::new();
+        let mut f = ExhaustionForecaster::default();
         assert!(f.forecast_epochs(Some(100)).is_none(), "cold start");
         f.observe_remaining(Some(100)); // anchors the baseline only
         assert!(f.forecast_epochs(Some(100)).is_none());
@@ -1206,7 +1228,7 @@ mod tests {
         // folds in a quarter of the spike and decays back, so one burst
         // must not collapse the forecast (which would slow the seal
         // cadence prematurely).
-        let mut f = ExhaustionForecaster::new();
+        let mut f = ExhaustionForecaster::default();
         let mut remaining = 1000u32;
         f.observe_remaining(Some(remaining));
         for _ in 0..10 {
@@ -1235,7 +1257,7 @@ mod tests {
         // Load ramps from 1 to 10 leaves/epoch and stays there: the EWMA
         // must follow within a few epochs so starvation is predicted
         // while there is still slack to react.
-        let mut f = ExhaustionForecaster::new();
+        let mut f = ExhaustionForecaster::default();
         let mut remaining = 500u32;
         f.observe_remaining(Some(remaining));
         for spent in 1..=10u32 {
@@ -1613,7 +1635,7 @@ mod tests {
         // instantly collapse the forecast. Warm-up is an explicit state
         // now: idle epochs are genuine zero-rate samples and the burst
         // folds in at ALPHA weight like any other.
-        let mut f = ExhaustionForecaster::new();
+        let mut f = ExhaustionForecaster::default();
         f.observe_remaining(Some(1000));
         for _ in 0..5 {
             f.observe_remaining(Some(1000)); // idle: nothing spent
@@ -1791,6 +1813,78 @@ mod tests {
         fn len(&self) -> u64 {
             self.inner.len()
         }
+    }
+
+    #[test]
+    fn a_rebuilt_scheduler_holds_what_the_live_one_folded() {
+        // Replay equals live: a scheduler built over a log holds the
+        // log-derived state of the scheduler that wrote it — token
+        // records with and without certificates, explicit and size
+        // seals, run markers, and a failed seal the backend refused.
+        use nonrep_store::record::{MarkerPhase, RunMarker};
+        let flaky = Arc::new(FlakyLog::broken());
+        flaky.set_fail(false);
+        let log: Arc<dyn EvidenceLog> = flaky.clone();
+        let keys = small_hss(4, 2, 11);
+        let clock = Arc::new(LogicalClock::new());
+        let build = || {
+            CommitmentScheduler::new(
+                keys.clone(),
+                log.clone(),
+                OrgId::new("org"),
+                clock.clone(),
+                CommitmentMode::auto(50),
+            )
+        };
+        let marker = |run: u128, step: u32, phase: MarkerPhase| {
+            RunMarker {
+                run_id: RunId::from_u128(run),
+                variant: "direct".into(),
+                step,
+                phase,
+            }
+            .to_draft(OrgId::new("org"), Timestamp(0))
+        };
+        let live = build();
+        for n in 0..6 {
+            store_own_token(&live, n);
+        }
+        live.record_token(draft(6), None).unwrap();
+        live.record(marker(1, 1, MarkerPhase::Progress)).unwrap();
+        live.record(marker(2, 1, MarkerPhase::Progress)).unwrap();
+        live.record(marker(3, 1, MarkerPhase::Progress)).unwrap();
+        live.record(marker(2, 3, MarkerPhase::Progress)).unwrap();
+        live.seal().unwrap().expect("explicit seal");
+        live.record(marker(1, 3, MarkerPhase::Closed)).unwrap();
+        live.record(marker(3, 1, MarkerPhase::Aborted)).unwrap();
+        flaky.set_fail(true);
+        assert!(live.seal().is_err(), "the backend refuses the epoch record");
+        flaky.set_fail(false);
+        live.seal().unwrap().expect("explicit re-seal");
+        for n in 7..60 {
+            live.record(draft(n)).unwrap();
+        }
+        for n in 60..64 {
+            store_own_token(&live, n);
+        }
+        let epochs = log.count_where(&|r| r.is_epoch_commit());
+        assert!(epochs >= 4, "size seals landed: {epochs} epochs");
+        assert!(live.unsealed_len() > 0, "the log ends on an unsealed tail");
+
+        let rebuilt = build();
+        assert_eq!(rebuilt.unsealed_len(), live.unsealed_len());
+        assert_eq!(
+            rebuilt.unclosed_runs(),
+            vec![OpenRun {
+                run: RunId::from_u128(2),
+                variant: nonrep_types::ids::ProtocolId::new("direct"),
+                last_step: 3,
+            }]
+        );
+        let (live, rebuilt) = (live.state.lock(), rebuilt.state.lock());
+        assert!(live.seal.certs_stored.len() > 1, "the key rolled over");
+        assert_eq!(rebuilt.seal, live.seal);
+        assert_eq!(rebuilt.runs, live.runs);
     }
 
     #[test]

@@ -35,6 +35,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use nonrep_crypto::digest::Digest;
+use nonrep_store::MarkerPhase;
 use nonrep_types::codec::Decode;
 use nonrep_types::ids::{OrgId, ProtocolId, RunId};
 
@@ -103,43 +104,15 @@ impl ExchangeEngine {
         self
     }
 
-    /// The run journal, if journalling is enabled.
-    pub fn journal(&self) -> Option<&Arc<RunJournal>> {
-        self.journal.as_ref()
-    }
-
-    /// Journals "step `step` of `run` completed", if journalling is on.
+    /// Journals that `run` reached `step` in `phase` (progress, close
+    /// or abort), if journalling is on.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::Storage`] if the marker cannot be persisted.
-    pub fn journal_progress(&self, run: RunId, step: u32) -> Result<(), ProtocolError> {
+    pub fn journal(&self, run: RunId, step: u32, phase: MarkerPhase) -> Result<(), ProtocolError> {
         match &self.journal {
-            Some(journal) => journal.progress(run, &self.protocol, step),
-            None => Ok(()),
-        }
-    }
-
-    /// Journals "`run` closed after `step`", if journalling is on.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::Storage`] if the marker cannot be persisted.
-    pub fn journal_close(&self, run: RunId, step: u32) -> Result<(), ProtocolError> {
-        match &self.journal {
-            Some(journal) => journal.close(run, &self.protocol, step),
-            None => Ok(()),
-        }
-    }
-
-    /// Journals "`run` aborted at `step`", if journalling is on.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::Storage`] if the marker cannot be persisted.
-    pub fn journal_abort(&self, run: RunId, step: u32) -> Result<(), ProtocolError> {
-        match &self.journal {
-            Some(journal) => journal.abort(run, &self.protocol, step),
+            Some(journal) => journal.mark(run, &self.protocol, step, phase),
             None => Ok(()),
         }
     }

@@ -40,6 +40,7 @@
 
 use std::marker::PhantomData;
 
+use nonrep_store::MarkerPhase;
 use nonrep_types::ids::{OrgId, RunId};
 
 use super::engine::ExchangeEngine;
@@ -271,7 +272,7 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State> Session<R, Call<ST
         let reply = self.engine.deliver(to, &msg)?;
         let reply = self.engine.expect_step(self.run, REPLY, reply)?;
         self.engine.verify_frame_from(&reply, to)?;
-        self.engine.journal_progress(self.run, STEP)?;
+        self.engine.journal(self.run, STEP, MarkerPhase::Progress)?;
         Ok((reply, self.advance()))
     }
 }
@@ -296,7 +297,7 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
         let reply = self.engine.deliver(to, &msg)?;
         let reply = self.engine.expect_step(self.run, REPLY, reply)?;
         self.engine.verify_sender_frame(&reply)?;
-        self.engine.journal_progress(self.run, STEP)?;
+        self.engine.journal(self.run, STEP, MarkerPhase::Progress)?;
         Ok((reply, self.advance()))
     }
 }
@@ -319,7 +320,7 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
         let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
         let reply = self.engine.deliver(to, &msg)?;
         let reply = self.engine.expect_step(self.run, REPLY, reply)?;
-        self.engine.journal_progress(self.run, STEP)?;
+        self.engine.journal(self.run, STEP, MarkerPhase::Progress)?;
         Ok((reply, self.advance()))
     }
 }
@@ -348,7 +349,7 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State> Session<R, Fan<STE
                 self.engine.expect_step(self.run, REPLY, reply)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        self.engine.journal_progress(self.run, STEP)?;
+        self.engine.journal(self.run, STEP, MarkerPhase::Progress)?;
         Ok((replies, self.advance()))
     }
 }
@@ -380,7 +381,7 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
             Err(ProtocolError::Net(_) | ProtocolError::Rejected(_)) => false,
             Err(e) => return Err(e),
         };
-        self.engine.journal_progress(self.run, STEP)?;
+        self.engine.journal(self.run, STEP, MarkerPhase::Progress)?;
         Ok((outcome, self.advance()))
     }
 }
@@ -409,7 +410,7 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State, Alt: State>
         let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
         match self.engine.deliver(to, &msg) {
             Ok(reply) if reply.step == REPLY && reply.run_id == self.run && accept(&reply) => {
-                self.engine.journal_progress(self.run, STEP)?;
+                self.engine.journal(self.run, STEP, MarkerPhase::Progress)?;
                 Ok(Branch::Primary(reply, self.advance()))
             }
             _ => Ok(Branch::Diverted(msg.tokens, self.advance())),
@@ -444,7 +445,7 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
         let reply = self.engine.deliver(to, msg)?;
         let reply = self.engine.expect_step(self.run, REPLY, reply)?;
         self.engine.verify_sender_frame(&reply)?;
-        self.engine.journal_progress(self.run, STEP)?;
+        self.engine.journal(self.run, STEP, MarkerPhase::Progress)?;
         Ok((reply, self.advance()))
     }
 }
@@ -458,7 +459,7 @@ impl<R: Role> Session<R, End> {
     ///
     /// [`ProtocolError::Storage`] if the marker cannot be persisted.
     pub fn finish(self) -> Result<(), ProtocolError> {
-        self.engine.journal_close(self.run, 0)
+        self.engine.journal(self.run, 0, MarkerPhase::Closed)
     }
 }
 

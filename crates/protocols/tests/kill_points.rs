@@ -6,8 +6,12 @@
 //! "Kill" means the driving code stops mid-choreography (the session is
 //! dropped); the party's evidence log — progress markers included —
 //! survives, exactly as a durable log would across a process crash.
-//! "Recovery" reopens the log with [`RunJournal::recovered_open_runs`] and acts on
-//! what it finds:
+//! "Recovery" reads the log's open runs with
+//! [`RunJournal::recovered_open_runs`] and acts on what it finds. Each
+//! row runs on the party that never stopped; the `_after_a_reopen` rows
+//! rebuild the party over its reopened `FileLog` (same keys, fresh
+//! journal), so the open runs come from the build's one pass over the
+//! file:
 //!
 //! - last completed step < the variant's commitment point → the run is
 //!   re-driven from the top (server caches make redelivery idempotent)
@@ -19,9 +23,11 @@
 //!   to the TTP's abort choreography, which is safe precisely because
 //!   the receipt never arrived.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use nonrep_crypto::digest::sha256;
+use nonrep_crypto::rng::SecureRandom;
 use nonrep_net::bus::LocalBus;
 use nonrep_net::retry::{ReliableRequester, RetryPolicy};
 use nonrep_protocols::invocation::direct::{DirectChoreography, DirectClient, DirectServerHandler};
@@ -42,18 +48,32 @@ use nonrep_protocols::tokens::TokenKind;
 use nonrep_protocols::{
     B2BCoordinator, EscalationOutcome, ExchangeSupervisor, RunJournal, TokenSpec,
 };
+use nonrep_store::{FileLog, MarkerPhase, SyncPolicy};
 use nonrep_types::codec::Encode;
 use nonrep_types::ids::{OrgId, RunId};
 use nonrep_types::time::LogicalClock;
+
+/// Where a row's recovering party reads its log back from.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Restart {
+    /// The party that never stopped, over a memory log.
+    Live,
+    /// A party rebuilt over its reopened write-through `FileLog`.
+    Reopen,
+}
 
 /// One process-wide fixture: client, server and TTP parties wired over
 /// a local bus, with every variant's server handler registered and a
 /// journal on the client party.
 struct World {
     clock: LogicalClock,
+    dir: Arc<StaticKeyDirectory>,
+    /// The client's and the server's log files (`Restart::Reopen` only).
+    files: Option<(PathBuf, PathBuf)>,
     client_party: Arc<Party>,
     server_party: Arc<Party>,
     client_coord: Arc<B2BCoordinator>,
+    server_coord: Arc<B2BCoordinator>,
     journal: Arc<RunJournal>,
     server_journal: Arc<RunJournal>,
     fair_server: Arc<FairServerHandler>,
@@ -65,12 +85,59 @@ struct World {
 
 const RECEIPT_WINDOW_MS: u64 = 200;
 
+fn echo() -> Arc<dyn nonrep_protocols::invocation::RequestExecutor> {
+    Arc::new(|_: &OrgId, req: &[u8]| Ok([b"res:".as_slice(), req].concat()))
+}
+
+/// `Party::quick`'s party, over a write-through `FileLog` at `file`.
+fn durable_party(
+    org: &str,
+    seed: u64,
+    clock: &LogicalClock,
+    dir: &Arc<StaticKeyDirectory>,
+    file: &PathBuf,
+) -> Arc<Party> {
+    let _ = std::fs::remove_file(file);
+    let keys = Party::quick(org, seed, clock, dir).keys().clone();
+    Party::new(
+        org,
+        keys,
+        Arc::new(clock.clone()),
+        Arc::new(FileLog::open(file).unwrap()),
+        dir.clone(),
+        SecureRandom::from_seed(seed),
+    )
+}
+
 fn world() -> World {
+    world_with(Restart::Live, "")
+}
+
+/// A world whose client and server logs are files named after `row`
+/// under `Restart::Reopen`.
+fn world_with(restart: Restart, row: &str) -> World {
     let bus = LocalBus::new();
     let clock = LogicalClock::new();
     let dir = Arc::new(StaticKeyDirectory::new());
-    let client_party = Party::quick("client", 1, &clock, &dir);
-    let server_party = Party::quick("server", 2, &clock, &dir);
+    let files = (restart == Restart::Reopen).then(|| {
+        let file = |org: &str| {
+            std::env::temp_dir().join(format!(
+                "nonrep-kill-{row}-{org}-{}.log",
+                std::process::id()
+            ))
+        };
+        (file("client"), file("server"))
+    });
+    let (client_party, server_party) = match &files {
+        Some((client, server)) => (
+            durable_party("client", 1, &clock, &dir, client),
+            durable_party("server", 2, &clock, &dir, server),
+        ),
+        None => (
+            Party::quick("client", 1, &clock, &dir),
+            Party::quick("server", 2, &clock, &dir),
+        ),
+    };
     let ttp_party = Party::quick("ttp", 3, &clock, &dir);
     let supervisor = ExchangeSupervisor::new(Arc::new(clock.clone()));
 
@@ -86,9 +153,6 @@ fn world() -> World {
     let server_coord = mk("server");
     let ttp_coord = mk("ttp");
 
-    let echo = || -> Arc<dyn nonrep_protocols::invocation::RequestExecutor> {
-        Arc::new(|_: &OrgId, req: &[u8]| Ok([b"res:".as_slice(), req].concat()))
-    };
     server_coord.register_handler(DirectServerHandler::new(server_party.clone(), echo()));
     server_coord.register_handler(VoluntaryServerHandler::new(server_party.clone(), echo()));
     let server_journal = RunJournal::new(server_party.clone());
@@ -113,9 +177,12 @@ fn world() -> World {
     let journal = RunJournal::new(client_party.clone());
     World {
         clock,
+        dir,
+        files,
         client_party,
         server_party,
         client_coord,
+        server_coord,
         journal,
         server_journal,
         fair_server,
@@ -158,9 +225,42 @@ impl World {
     /// The single open run the client journal reports, asserting there
     /// is exactly one.
     fn sole_open_run(&self) -> nonrep_protocols::OpenRun {
-        let open = self.journal.recovered_open_runs();
-        assert_eq!(open.len(), 1, "exactly one in-flight run expected");
-        open.into_iter().next().unwrap()
+        sole_open_run(&self.journal)
+    }
+
+    /// `party` as recovery finds it after the kill: the live party and
+    /// `journal`, or, under `Restart::Reopen`, a party rebuilt over its
+    /// reopened `file` with the same keys and a fresh journal.
+    fn recover(
+        &self,
+        party: &Arc<Party>,
+        journal: &Arc<RunJournal>,
+        file: Option<&PathBuf>,
+    ) -> (Arc<Party>, Arc<RunJournal>) {
+        let Some(file) = file else {
+            return (party.clone(), journal.clone());
+        };
+        let log = FileLog::open_recover_with(file, SyncPolicy::WriteThrough).unwrap();
+        let party = Party::new(
+            party.org().as_str(),
+            party.keys().clone(),
+            party.clock().clone(),
+            Arc::new(log),
+            self.dir.clone(),
+            SecureRandom::from_seed(99),
+        );
+        let journal = RunJournal::new(party.clone());
+        (party, journal)
+    }
+
+    fn recovered_client(&self) -> (Arc<Party>, Arc<RunJournal>) {
+        let file = self.files.as_ref().map(|(client, _)| client);
+        self.recover(&self.client_party, &self.journal, file)
+    }
+
+    fn recovered_server(&self) -> (Arc<Party>, Arc<RunJournal>) {
+        let file = self.files.as_ref().map(|(_, server)| server);
+        self.recover(&self.server_party, &self.server_journal, file)
     }
 
     /// `true` if the TTP's own log holds a `kind` token it issued for
@@ -174,19 +274,48 @@ impl World {
     }
 
     fn assert_recovered_clean(&self) {
-        assert!(
-            self.journal.recovered_open_runs().is_empty(),
-            "recovery must leave no open runs"
-        );
-        self.client_party.log().verify().unwrap();
+        assert_recovered_clean(&self.client_party, &self.journal);
     }
+}
+
+impl Drop for World {
+    fn drop(&mut self) {
+        if let Some((client, server)) = &self.files {
+            let _ = std::fs::remove_file(client);
+            let _ = std::fs::remove_file(server);
+        }
+    }
+}
+
+/// The single open run `journal` reports, asserting there is exactly one.
+fn sole_open_run(journal: &RunJournal) -> nonrep_protocols::OpenRun {
+    let open = journal.recovered_open_runs();
+    assert_eq!(open.len(), 1, "exactly one in-flight run expected");
+    open.into_iter().next().unwrap()
+}
+
+fn assert_recovered_clean(party: &Party, journal: &RunJournal) {
+    assert!(
+        journal.recovered_open_runs().is_empty(),
+        "recovery must leave no open runs"
+    );
+    party.log().verify().unwrap();
 }
 
 // ---------------------------------------------------------------- direct
 
 #[test]
 fn direct_killed_after_step1_resumes_to_the_same_facts() {
-    let w = world();
+    direct_killed_after_step1(Restart::Live);
+}
+
+#[test]
+fn direct_killed_after_step1_resumes_after_a_reopen() {
+    direct_killed_after_step1(Restart::Reopen);
+}
+
+fn direct_killed_after_step1(restart: Restart) {
+    let w = world_with(restart, "direct-step1");
     let client = w.direct_client();
     // Control: an uninterrupted run.
     let control = client
@@ -207,15 +336,18 @@ fn direct_killed_after_step1_resumes_to_the_same_facts() {
     // Recovery: the journal shows the run open at step 1; before the
     // receipt is committed a re-drive is safe — the server's run cache
     // replays step 2 instead of re-executing.
-    let open = w.sole_open_run();
+    let (party, journal) = w.recovered_client();
+    let open = sole_open_run(&journal);
     assert_eq!(open.run, run);
     assert_eq!(open.last_step, 1);
     assert_eq!(open.variant.as_str(), direct::PROTOCOL_ID);
+    let client =
+        DirectClient::new(party.clone(), w.client_coord.clone()).with_journal(journal.clone());
     let recovered = client.invoke_with(run, &w.server, b"req".to_vec()).unwrap();
     assert_eq!(recovered.response, control.response);
     assert_eq!(recovered.nrr_req.kind, TokenKind::NrrReq);
     assert!(recovered.receipt_acked);
-    w.assert_recovered_clean();
+    assert_recovered_clean(&party, &journal);
 }
 
 #[test]
@@ -252,7 +384,10 @@ fn direct_killed_after_step3_closes_on_recovery() {
     // whole, the run just closes.
     let open = w.sole_open_run();
     assert_eq!(open.last_step, 3);
-    client.engine().journal_close(run, 3).unwrap();
+    client
+        .engine()
+        .journal(run, 3, MarkerPhase::Closed)
+        .unwrap();
     w.assert_recovered_clean();
     // The server saw the receipt: no party has grounds to accuse.
     assert!(w
@@ -281,7 +416,10 @@ fn voluntary_killed_after_its_single_round_closes_on_recovery() {
     let open = w.sole_open_run();
     assert_eq!(open.last_step, 1);
     assert_eq!(open.variant.as_str(), voluntary::PROTOCOL_ID);
-    client.engine().journal_close(run, 1).unwrap();
+    client
+        .engine()
+        .journal(run, 1, MarkerPhase::Closed)
+        .unwrap();
     w.assert_recovered_clean();
 }
 
@@ -327,7 +465,10 @@ fn inline_killed_after_its_relayed_round_closes_on_recovery() {
 
     let open = w.sole_open_run();
     assert_eq!(open.last_step, 1);
-    client.engine().journal_close(run, 1).unwrap();
+    client
+        .engine()
+        .journal(run, 1, MarkerPhase::Closed)
+        .unwrap();
     w.assert_recovered_clean();
 }
 
@@ -335,11 +476,20 @@ fn inline_killed_after_its_relayed_round_closes_on_recovery() {
 
 #[test]
 fn fair_client_killed_before_receipt_aborts_with_no_accusation() {
+    fair_client_killed_before_receipt(Restart::Live);
+}
+
+#[test]
+fn fair_client_killed_before_receipt_aborts_after_a_reopen() {
+    fair_client_killed_before_receipt(Restart::Reopen);
+}
+
+fn fair_client_killed_before_receipt(restart: Restart) {
     // Killed after the step-1/2 round but before committing the
     // receipt: the commitment point was never crossed, so recovery
     // declines to resume and closes the run. Nobody can be accused —
     // and the *server's* supervisor independently reclaims its side.
-    let w = world();
+    let w = world_with(restart, "fair-client");
     let client = w.fair_client();
     let run = w.client_party.new_run_id();
     // invoke_stalling is exactly "drive to step 2 and die".
@@ -347,11 +497,17 @@ fn fair_client_killed_before_receipt_aborts_with_no_accusation() {
         .invoke_stalling(run, &w.server, b"req".to_vec())
         .unwrap();
 
-    let open = w.sole_open_run();
+    let (party, journal) = w.recovered_client();
+    let open = sole_open_run(&journal);
     assert_eq!(open.run, run);
     assert_eq!(open.last_step, 1);
-    client.engine().journal_abort(run, STEP_RECEIPT).unwrap();
-    w.assert_recovered_clean();
+    let client = FairClient::new(party.clone(), w.client_coord.clone(), w.ttp.clone())
+        .with_journal(journal.clone());
+    client
+        .engine()
+        .journal(run, STEP_RECEIPT, MarkerPhase::Aborted)
+        .unwrap();
+    assert_recovered_clean(&party, &journal);
 
     // The server's receipt window expires; its supervisor aborts at the
     // TTP. No NRR_resp ever reached it, so no false accusation arises.
@@ -400,7 +556,10 @@ fn fair_client_killed_after_key_arrival_closes_on_recovery() {
 
     let open = w.sole_open_run();
     assert_eq!(open.last_step, STEP_RECEIPT);
-    client.engine().journal_close(run, STEP_KEY).unwrap();
+    client
+        .engine()
+        .journal(run, STEP_KEY, MarkerPhase::Closed)
+        .unwrap();
     w.assert_recovered_clean();
     // Both items changed hands before the kill: receipt at the server,
     // key at the client — fairness held through the crash.
@@ -488,7 +647,9 @@ fn fair_client_killed_mid_resolve_still_holds_the_conviction() {
     let open = journal.recovered_open_runs();
     assert_eq!(open.len(), 1);
     assert_eq!(open[0].last_step, STEP_RESOLVE);
-    engine.journal_close(run, STEP_RESOLVE).unwrap();
+    engine
+        .journal(run, STEP_RESOLVE, MarkerPhase::Closed)
+        .unwrap();
     assert!(journal.recovered_open_runs().is_empty());
     client_party.log().verify().unwrap();
 }
@@ -497,31 +658,54 @@ fn fair_client_killed_mid_resolve_still_holds_the_conviction() {
 
 #[test]
 fn fair_server_recovering_an_open_receipt_window_aborts_safely() {
+    fair_server_recovering_an_open_receipt_window(Restart::Live);
+}
+
+#[test]
+fn fair_server_recovering_an_open_receipt_window_aborts_after_a_reopen() {
+    fair_server_recovering_an_open_receipt_window(Restart::Reopen);
+}
+
+fn fair_server_recovering_an_open_receipt_window(restart: Restart) {
     // The server crashes after step 2 went out (receipt window open,
     // supervisor state lost with the process). On reopen its journal
     // shows the run in flight; recovery escalates to the TTP's abort
     // choreography rather than waiting on a receipt that may never
     // come — safe, because the receipt never arrived.
-    let w = world();
+    let w = world_with(restart, "fair-server");
     let client = w.fair_client();
     let run = w.client_party.new_run_id();
     client
         .invoke_stalling(run, &w.server, b"req".to_vec())
         .unwrap();
 
-    // "Restart": read the server journal as a fresh process would.
-    let open = w.server_journal.recovered_open_runs();
-    assert_eq!(open.len(), 1);
-    assert_eq!(open[0].run, run);
-    // Recovery action: abort at the TTP (journal_abort inside closes
+    let (party, journal) = w.recovered_server();
+    let open = sole_open_run(&journal);
+    assert_eq!(open.run, run);
+    // The key escrow (sub-protocol step 10) is its deepest step.
+    assert_eq!(open.last_step, 10);
+    // Recovery action: abort at the TTP (its `Aborted` mark closes
     // the server's journal entry and seals).
-    w.fair_server.abort(run).unwrap();
+    let server = match restart {
+        Restart::Live => w.fair_server.clone(),
+        Restart::Reopen => FairServerHandler::with_runtime(
+            party.clone(),
+            w.server_coord.clone(),
+            echo(),
+            w.ttp.clone(),
+            ServerConduct::Honest,
+            FairServerRuntime {
+                supervision: None,
+                journal: Some(journal.clone()),
+            },
+        ),
+    };
+    server.abort(run).unwrap();
     assert!(w.ttp_logged(run, TokenKind::Abort));
-    assert!(w.server_journal.recovered_open_runs().is_empty());
-    w.server_party.log().verify().unwrap();
+    assert_recovered_clean(&party, &journal);
 
     // No false accusation: Abort present, client NRR_resp absent.
-    let records = w.server_party.log().by_run(&run);
+    let records = party.log().by_run(&run);
     assert!(records
         .iter()
         .any(|r| r.draft.kind == TokenKind::Abort.label()));
@@ -578,7 +762,7 @@ fn fair_recovery_composes_with_a_full_honest_rerun() {
         .unwrap();
     client
         .engine()
-        .journal_abort(crashed, STEP_RECEIPT)
+        .journal(crashed, STEP_RECEIPT, MarkerPhase::Aborted)
         .unwrap();
     w.clock.advance(RECEIPT_WINDOW_MS);
     assert_eq!(w.supervisor.sweep().len(), 1);

@@ -18,7 +18,9 @@
 //!   file backends (records stored behind `Arc`, snapshots clone handles,
 //!   never payloads), chain verification, queries by protocol run, and
 //!   the [`SyncPolicy`] durability contract (fsync per append, one
-//!   grouped fsync per sealed epoch, or async group commit).
+//!   grouped fsync per sealed epoch, or async group commit),
+//!   and the [`Fold`] trait: state a party derives from its own log,
+//!   fed by one reopen pass and then by every append.
 //! * [`group_commit`] — the [`GroupCommitQueue`] behind
 //!   [`SyncPolicy::GroupCommit`]: one dedicated sync thread per log, fed
 //!   by a bounded handoff channel, coalescing concurrently sealed epochs
@@ -33,7 +35,7 @@ pub mod record;
 pub mod state;
 
 pub use group_commit::{DurabilityTicket, GroupCommitQueue};
-pub use log::{DurabilityClass, EvidenceLog, FileLog, MemoryLog, SyncPolicy};
+pub use log::{DurabilityClass, EvidenceLog, FileLog, Fold, MemoryLog, SyncPolicy};
 pub use record::{
     ChainViolation, EpochCommitment, EvidenceRecord, MarkerPhase, RecordDraft, RunMarker,
     EPOCH_KIND,

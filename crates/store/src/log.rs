@@ -122,6 +122,14 @@ pub enum DurabilityClass {
     GroupCommit,
 }
 
+/// State a party derives from its own evidence log, defined once: its
+/// build feeds the fold every record of the log in one pass, then every
+/// record it appends, so a restart rebuilds what the live path kept.
+pub trait Fold {
+    /// Folds in the next record, in sequence order.
+    fn absorb(&mut self, record: &EvidenceRecord);
+}
+
 /// An append-only, hash-chained evidence log.
 ///
 /// Object-safe so middleware holds `Arc<dyn EvidenceLog>`.
@@ -311,15 +319,21 @@ impl LogState {
     /// Builds the state for already-verified records loaded from disk,
     /// with `head` as verified (so the tail record is not re-hashed).
     fn from_records(records: Vec<EvidenceRecord>, head: Digest) -> Self {
-        let mut run_index: HashMap<RunId, Vec<u64>> = HashMap::new();
-        for rec in &records {
-            run_index.entry(rec.draft.run_id).or_default().push(rec.seq);
-        }
-        Self {
-            records: records.into_iter().map(Arc::new).collect(),
+        let mut state = Self {
             head,
-            run_index,
-        }
+            ..Self::default()
+        };
+        records.into_iter().for_each(|r| state.push(Arc::new(r)));
+        state
+    }
+
+    /// Stores and indexes `record`; `rollback_tail` undoes it.
+    fn push(&mut self, record: Arc<EvidenceRecord>) {
+        self.run_index
+            .entry(record.draft.run_id)
+            .or_default()
+            .push(record.seq);
+        self.records.push(record);
     }
 
     /// Chains `draft` onto the log. `persist` receives the record's
@@ -342,12 +356,8 @@ impl LogState {
             persist(w.as_slice()).map(|()| hash)
         })?;
         self.head = hash;
-        self.run_index
-            .entry(record.draft.run_id)
-            .or_default()
-            .push(record.seq);
         let record = Arc::new(record);
-        self.records.push(Arc::clone(&record));
+        self.push(Arc::clone(&record));
         Ok(record)
     }
 
@@ -466,6 +476,8 @@ struct FileLogInner {
     /// a later error-path truncation chop into fsynced records — so
     /// every subsequent append/flush refuses instead.
     poisoned: bool,
+    /// Successful write-through `fsync`s (appends and flushes).
+    syncs: u64,
     /// The group-commit sync thread ([`SyncPolicy::GroupCommit`] only).
     /// Owns its own handle to the file; under this policy all writes go
     /// through it and `file`/`file_len` above stay at their open-time
@@ -496,6 +508,7 @@ impl FileLogInner {
     fn flush_pending(&mut self) -> Result<(), StoreError> {
         self.check_poisoned()?;
         self.file.sync_data()?;
+        self.syncs += 1;
         Ok(())
     }
 
@@ -709,6 +722,7 @@ impl FileLog {
                 pending: Vec::new(),
                 pending_records: 0,
                 poisoned: false,
+                syncs: 0,
                 group,
                 last_ticket: None,
                 state: LogState::from_records(records, head),
@@ -759,15 +773,16 @@ impl FileLog {
         self.inner.lock().last_ticket.clone()
     }
 
-    /// Successful group-commit device barriers since open (0 for other
-    /// policies). Fewer barriers than epoch seals is the coalescing win;
-    /// exposed for monitors and benches.
+    /// Successful device barriers since open: one per append and per
+    /// `flush` under [`SyncPolicy::WriteThrough`], one per landed batch
+    /// under [`SyncPolicy::GroupCommit`] (fewer barriers than epoch seals
+    /// is the coalescing win). Exposed for monitors and benches.
     pub fn sync_batches(&self) -> u64 {
-        self.inner
-            .lock()
+        let inner = self.inner.lock();
+        inner
             .group
             .as_ref()
-            .map_or(0, GroupCommitQueue::batches_synced)
+            .map_or(inner.syncs, GroupCommitQueue::batches_synced)
     }
 
     /// Test hook: make the next `n` group-commit barriers fail without
@@ -842,6 +857,7 @@ impl EvidenceLog for FileLog {
             pending,
             pending_records,
             poisoned,
+            syncs,
             state,
             ..
         } = &mut *inner;
@@ -853,6 +869,7 @@ impl EvidenceLog for FileLog {
                     file.write_all(&len.to_le_bytes())?;
                     file.write_all(encoded)?;
                     file.sync_data()?;
+                    *syncs += 1;
                     Ok(())
                 })();
                 match result {
@@ -1137,6 +1154,24 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("nonrep-test-{}-{name}", std::process::id()));
         p
+    }
+
+    #[test]
+    fn write_through_counts_one_barrier_per_append_and_per_flush() {
+        let path = temp_path("wt-barriers.log");
+        let _ = std::fs::remove_file(&path);
+        let log = FileLog::open(&path).unwrap();
+        assert_eq!(log.sync_batches(), 0);
+        for i in 0..3 {
+            log.append(draft(i)).unwrap();
+            assert_eq!(log.sync_batches(), i + 1);
+        }
+        log.flush().unwrap();
+        assert_eq!(log.sync_batches(), 4);
+        log.flush_async().unwrap();
+        assert_eq!(log.sync_batches(), 5);
+        drop(log);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

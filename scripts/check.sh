@@ -153,6 +153,20 @@ if non_test_match 'sha256[(]&.*([.]into_vec|encode_to_vec)[(][)][)]' "${sources[
     exit 1
 fi
 
+# One reopen pass: a party's log-derived state is a fold (nonrep_store::Fold)
+# that CommitmentScheduler::new feeds in its single pass over the log and
+# that every append feeds after it. No other non-test protocol code walks
+# a log to rebuild state.
+echo "==> one reopen pass (crates/protocols/src)"
+mapfile -t protocol_sources < <(find crates/protocols/src -name '*.rs' \
+    ! -path crates/protocols/src/scheduler.rs | sort)
+if non_test_match '[.](for_each|for_each_window|count_where)[(]|[.]records[(][)]' \
+    "${protocol_sources[@]}"; then
+    echo "check.sh: protocol code walks a log outside the scheduler's reopen pass" \
+        "(file:line above); make the state a nonrep_store::Fold fed by CommitmentScheduler" >&2
+    exit 1
+fi
+
 if [[ "$FAST" -eq 0 ]]; then
     echo "==> cargo build --release"
     cargo build --release
