@@ -61,7 +61,7 @@ pub use nonrep_protocols::gossip::Corroboration;
 use nonrep_protocols::party::KeyDirectory;
 use nonrep_protocols::tokens::{defection_digest, NrToken, TokenKind};
 use nonrep_store::record::{
-    cert_from_record, cert_run_id, ChainVerifier, ChainViolation, EpochCommitment, EvidenceRecord,
+    cert_from_record, stored_certs, ChainVerifier, ChainViolation, EpochCommitment, EvidenceRecord,
     RunMarker,
 };
 use nonrep_store::EvidenceLog;
@@ -167,23 +167,14 @@ impl WindowSubmission {
 }
 
 /// The certificates `log` holds for the references in `records`' token
-/// signatures, found through the run index of the certificate run.
+/// signatures.
 fn referenced_certs(log: &dyn EvidenceLog, records: &[Arc<EvidenceRecord>]) -> Vec<SubtreeCert> {
     let wanted: HashSet<CertRef> = records
         .iter()
         .filter_map(|r| NrToken::decode_from_slice(&r.draft.payload).ok())
         .filter_map(|t| t.signature.cert_ref())
         .collect();
-    if wanted.is_empty() {
-        return Vec::new();
-    }
-    let roots: HashSet<Digest> = wanted.iter().map(|r| r.subtree_root).collect();
-    log.by_run(&cert_run_id())
-        .iter()
-        .filter(|r| roots.contains(&r.draft.content_digest))
-        .filter_map(|r| cert_from_record(r))
-        .filter(|c| wanted.contains(&c.reference()))
-        .collect()
+    stored_certs(log, &wanted)
 }
 
 /// A token assertion established by the adjudication.

@@ -484,8 +484,8 @@ impl OrgMiddleware {
         self.coordinator.register_handler(handler);
     }
 
-    /// Turns this node into an offline TTP (escrow/resolve/abort/fetch for
-    /// the fair-offline protocol).
+    /// Turns this node into an offline TTP (escrow/resolve/abort for the
+    /// fair-offline protocol).
     pub fn serve_as_offline_ttp(&self) {
         self.coordinator
             .register_handler(OfflineTtpHandler::new(self.party.clone()));

@@ -5,17 +5,25 @@ mod common;
 
 use std::sync::Arc;
 
-use nonrep_core::{Adjudicator, Verdict, WindowSubmission};
+use nonrep_core::{Adjudicator, Finding, Verdict, WindowSubmission};
 use nonrep_crypto::digest::{sha256, Digest};
 use nonrep_crypto::mss::MssSigner;
 use nonrep_crypto::rng::SecureRandom;
 use nonrep_crypto::sig::{KeyPair, SignatureScheme};
 use nonrep_crypto::SubtreeCert;
+use nonrep_net::bus::LocalBus;
+use nonrep_net::retry::{ReliableRequester, RetryPolicy};
+use nonrep_protocols::handler::ProtocolHandler;
+use nonrep_protocols::invocation::fair_offline::{
+    self, FairClient, FairServerHandler, FairServerRuntime, KeySource, OfflineTtpHandler,
+    ServerConduct,
+};
+use nonrep_protocols::message::ProtocolMessage;
 use nonrep_protocols::party::{KeyDirectory, Party, StaticKeyDirectory};
 use nonrep_protocols::tokens::TokenKind;
-use nonrep_protocols::CommitmentMode;
+use nonrep_protocols::{B2BCoordinator, CommitmentMode, ProtocolError};
 use nonrep_store::record::{EpochCommitment, EvidenceRecord, RecordDraft};
-use nonrep_store::EvidenceLog;
+use nonrep_store::{EvidenceLog, MemoryLog};
 use nonrep_types::codec::Encode;
 use nonrep_types::ids::{OrgId, RunId};
 use nonrep_types::time::LogicalClock;
@@ -402,5 +410,105 @@ fn an_edited_cert_record_counts_as_undecodable() {
         let report = adj.verify_log_in_place(OrgId::new("alice"), &Exhibit(doctored));
         assert_eq!(report.undecodable, 1, "{what}");
         assert!(!report.clean(), "{what}");
+    }
+}
+
+/// A party on seeded HSS keys over a memory log, registered in `dir`.
+fn hss_party(
+    org: &str,
+    seed: u64,
+    clock: &LogicalClock,
+    dir: &Arc<StaticKeyDirectory>,
+) -> Arc<Party> {
+    let mut rng = SecureRandom::from_seed(seed);
+    let scheme = SignatureScheme::Hss {
+        root_height: 3,
+        subtree_height: 2,
+    };
+    let keys = Arc::new(KeyPair::generate(scheme, &mut rng));
+    dir.insert(OrgId::new(org), keys.verifying_key());
+    let directory = Arc::clone(dir) as Arc<dyn KeyDirectory>;
+    let log = Arc::new(MemoryLog::new());
+    Party::new(org, keys, Arc::new(clock.clone()), log, directory, rng)
+}
+
+#[test]
+fn a_rebuilt_ttp_answers_an_abort_with_the_resolved_outcome() {
+    // The client resolves against a server that withholds the key, then
+    // the TTP restarts: a new handler over the same party and log. The
+    // server's abort is answered with the client's receipt and the TTP
+    // logs no Abort, so the three logs never show it equivocating.
+    let bus = LocalBus::new();
+    let clock = LogicalClock::new();
+    let dir = Arc::new(StaticKeyDirectory::new());
+    let client = hss_party("client", 1, &clock, &dir);
+    let server = Party::quick("server", 2, &clock, &dir);
+    let ttp = hss_party("ttp", 3, &clock, &dir);
+    let other = Party::quick("other", 4, &clock, &dir);
+    let coord = |org: &str| {
+        let c = B2BCoordinator::new(
+            org,
+            ReliableRequester::new(bus.clone(), RetryPolicy::new(4)),
+        );
+        bus.register(OrgId::new(org), c.clone());
+        c
+    };
+    let client_coord = coord("client");
+    let server_coord = coord("server");
+    let ttp_coord = coord("ttp");
+    ttp_coord.register_handler(OfflineTtpHandler::new(ttp.clone()));
+    let fair_server = FairServerHandler::with_runtime(
+        server.clone(),
+        server_coord.clone(),
+        Arc::new(|_: &OrgId, req: &[u8]| Ok(req.to_vec())),
+        ttp.org().clone(),
+        ServerConduct::WithholdKey,
+        FairServerRuntime::default(),
+    );
+    server_coord.register_handler(fair_server.clone());
+    let out = FairClient::new(client.clone(), client_coord, ttp.org().clone())
+        .invoke(server.org(), b"req".to_vec())
+        .unwrap();
+    assert_eq!(out.key_source, KeySource::TtpResolve);
+    let run = out.run_id;
+
+    let rebuilt = OfflineTtpHandler::new(ttp.clone());
+    ttp_coord.register_handler(rebuilt.clone());
+    let receipt = fair_server.abort(run).unwrap();
+    assert_eq!(receipt.kind, TokenKind::NrrResp);
+    assert_eq!(&receipt.issuer, client.org());
+    let ttp_records = ttp.log().by_run(&run);
+    assert!(!ttp_records
+        .iter()
+        .any(|r| r.draft.kind == TokenKind::Abort.label()));
+
+    let logs = [&client, &server, &ttp]
+        .map(|p| WindowSubmission::from_log(p.org().clone(), &**p.log(), 0..p.log().len()));
+    let verdict =
+        Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>).adjudicate_windows(run, &logs);
+    assert!(
+        !verdict
+            .findings
+            .iter()
+            .any(|f| matches!(f, Finding::Equivocated { .. })),
+        "{:?}",
+        verdict.findings
+    );
+
+    // The receipt goes only to the server the decision names.
+    for org in [&client, &other] {
+        let frame = ProtocolMessage::new(
+            fair_offline::PROTOCOL_ID,
+            run,
+            30,
+            org.org().as_str(),
+            vec![],
+        );
+        let msg = org.sign_frame(frame, &[]).unwrap();
+        let answer = rebuilt.process_request(org.org(), msg);
+        assert!(
+            matches!(answer, Err(ProtocolError::Rejected(_))),
+            "{answer:?}"
+        );
     }
 }

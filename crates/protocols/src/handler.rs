@@ -23,12 +23,18 @@ pub trait ProtocolHandler: Send + Sync {
     fn protocol(&self) -> ProtocolId;
 
     /// Processes a one-way message (the coordinator's `deliver` path).
+    /// The default refuses it: a request/response protocol has none.
     ///
     /// # Errors
     ///
     /// Any [`ProtocolError`]; the sender's coordinator reports it as
     /// [`ProtocolError::Rejected`] (a `Rejected` as itself, others by text).
-    fn process(&self, from: &OrgId, msg: ProtocolMessage) -> Result<(), ProtocolError>;
+    fn process(&self, _from: &OrgId, msg: ProtocolMessage) -> Result<(), ProtocolError> {
+        Err(ProtocolError::BadMessage(format!(
+            "{} has no one-way step {}",
+            msg.protocol, msg.step
+        )))
+    }
 
     /// Processes a request message and produces the response message
     /// (the `deliverRequest` path).

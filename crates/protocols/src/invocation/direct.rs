@@ -40,7 +40,7 @@ use nonrep_types::codec::Encode;
 use nonrep_types::ids::{OrgId, ProtocolId, RunId};
 
 use crate::handler::ProtocolHandler;
-use crate::invocation::{RequestExecutor, RunRegistry, ServerResponse};
+use crate::invocation::{AnsweredRun, RequestExecutor, RunRegistry, ServerResponse};
 use crate::message::ProtocolMessage;
 use crate::party::Party;
 use crate::scheduler::TokenSpec;
@@ -196,13 +196,14 @@ impl DirectServerHandler {
         Arc::new(Self {
             engine: ExchangeEngine::local(party, PROTOCOL_ID),
             executor,
-            runs: RunRegistry::new(),
+            runs: RunRegistry::default(),
         })
     }
 
-    /// `true` if the client's final receipt arrived for `run`.
+    /// `true` if this server's log holds the client's final receipt for
+    /// `run`.
     pub fn receipt_received(&self, run: &RunId) -> bool {
-        self.runs.receipt_received(run)
+        AnsweredRun::read(self.engine.party(), *run).is_some_and(|r| r.receipt)
     }
 
     fn handle_step1(
@@ -210,12 +211,12 @@ impl DirectServerHandler {
         from: &OrgId,
         msg: ProtocolMessage,
     ) -> Result<ProtocolMessage, ProtocolError> {
+        self.engine.verify_frame_from(&msg, from)?;
         // Duplicate delivery (client retry): return the cached response
         // without re-executing (at-most-once semantics).
-        if let Some(cached) = self.runs.cached_response(&msg.run_id) {
+        if let Some(cached) = self.runs.cached_response(self.engine.party(), &msg)? {
             return Ok(cached);
         }
-        self.engine.verify_frame_from(&msg, from)?;
         let req_digest = sha256(&msg.body);
         self.engine
             .party()
@@ -241,8 +242,7 @@ impl DirectServerHandler {
                 TokenSpec::new(TokenKind::NroResp, msg.run_id, resp_digest),
             ],
         )?;
-        self.runs
-            .record_response(msg.run_id, &msg2, Some(resp_digest));
+        self.runs.record_response(msg.run_id, &msg2);
         Ok(msg2)
     }
 
@@ -251,17 +251,14 @@ impl DirectServerHandler {
         from: &OrgId,
         msg: ProtocolMessage,
     ) -> Result<ProtocolMessage, ProtocolError> {
-        // The receipt must cover the digest of the response we actually sent.
-        let resp_digest = self
-            .runs
-            .receipt_digest(&msg.run_id)
-            .ok_or(ProtocolError::UnknownRun(msg.run_id))?;
         self.engine.verify_frame_from(&msg, from)?;
-        if !self.runs.receipt_received(&msg.run_id) {
+        // The receipt must be the run's client's, over the digest of the
+        // response we actually sent; a repeated one is logged once.
+        let run = AnsweredRun::for_receipt(self.engine.party(), msg.run_id, from)?;
+        if !run.receipt {
             self.engine
                 .party()
-                .absorb_carried(&msg, [(TokenKind::NrrResp, resp_digest)])?;
-            self.runs.mark_receipt(&msg.run_id);
+                .absorb_carried(&msg, [(TokenKind::NrrResp, run.resp_digest)])?;
         }
         Ok(self.engine.open_frame(msg.run_id, 4, Vec::new()))
     }
@@ -315,6 +312,7 @@ mod tests {
         server_handler: Arc<DirectServerHandler>,
         server: OrgId,
         exec_count: Arc<Mutex<u32>>,
+        dir: Arc<StaticKeyDirectory>,
     }
 
     fn fixture_with_bus(bus: Arc<LocalBus>) -> Fixture {
@@ -351,6 +349,7 @@ mod tests {
             server_handler: handler,
             server,
             exec_count,
+            dir,
         }
     }
 
@@ -569,6 +568,48 @@ mod tests {
     }
 
     #[test]
+    fn a_cached_reply_goes_only_to_the_runs_client() {
+        // Another registered org's signed step-1 frame names the client's
+        // run: it is refused, and neither executes nor logs anything.
+        let fx = fixture();
+        let out = fx.client.invoke(&fx.server, b"order".to_vec()).unwrap();
+        let other = Party::quick("other", 7, &LogicalClock::new(), &fx.dir);
+        let nro = TokenSpec::new(TokenKind::NroReq, out.run_id, sha256(b"peek"));
+        let frame = ProtocolMessage::new(PROTOCOL_ID, out.run_id, 1, "other", b"peek".to_vec());
+        let msg1 = other.sign_frame(frame, &[nro]).unwrap();
+        let logged = fx.server_party.log().len();
+        let err = fx
+            .server_handler
+            .process_request(&OrgId::new("other"), msg1)
+            .unwrap_err();
+        assert!(matches!(err, ProtocolError::Rejected(_)), "{err:?}");
+        assert_eq!(*fx.exec_count.lock(), 1);
+        assert_eq!(fx.server_party.log().len(), logged);
+    }
+
+    #[test]
+    fn a_rebuilt_server_reads_the_receipt_from_its_log() {
+        // A handler built again over the same party reports the logged
+        // receipt, and acks a re-sent one without storing it again.
+        let fx = fixture();
+        let out = fx.client.invoke(&fx.server, b"order".to_vec()).unwrap();
+        let rebuilt = DirectServerHandler::new(
+            fx.server_party.clone(),
+            Arc::new(|_: &OrgId, req: &[u8]| Ok(req.to_vec())),
+        );
+        assert!(rebuilt.receipt_received(&out.run_id));
+        let nrr = TokenSpec::new(TokenKind::NrrResp, out.run_id, out.nro_resp.subject);
+        let frame = ProtocolMessage::new(PROTOCOL_ID, out.run_id, 3, "client", Vec::new());
+        let msg3 = fx.client_party.sign_frame(frame, &[nrr]).unwrap();
+        let logged = fx.server_party.log().len();
+        let ack = rebuilt
+            .process_request(&OrgId::new("client"), msg3)
+            .unwrap();
+        assert_eq!(ack.step, 4);
+        assert_eq!(fx.server_party.log().len(), logged);
+    }
+
+    #[test]
     fn batched_server_caches_its_reply_sized_to_fit() {
         let clock = LogicalClock::new();
         let dir = Arc::new(StaticKeyDirectory::new());
@@ -595,8 +636,8 @@ mod tests {
             assert!(t.signature.batch().is_some());
             assert!(t.verify(&key, None, Some(run), None), "{} alone", t.kind);
         }
-        let runs = handler.runs.runs.lock();
-        let cached = &runs[&run].response;
+        let replies = handler.runs.replies.lock();
+        let cached = &replies[&run];
         assert_eq!(cached.capacity(), cached.len());
         assert_eq!(*cached, r1.encode_to_vec());
         // The server stored the client's token and its own two through

@@ -63,7 +63,7 @@
 //! }
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Weak};
 
@@ -71,12 +71,13 @@ use parking_lot::Mutex;
 
 use nonrep_crypto::digest::{sha256, Digest};
 use nonrep_crypto::stream::xor_keystream;
-use nonrep_store::MarkerPhase;
+use nonrep_store::record::stored_certs;
+use nonrep_store::{EvidenceRecord, MarkerPhase};
 use nonrep_types::codec::{CodecError, Decode, Encode, Reader, Writer};
 use nonrep_types::ids::{OrgId, ProtocolId, RunId};
 
 use crate::handler::ProtocolHandler;
-use crate::invocation::{RequestExecutor, RunRegistry, ServerResponse};
+use crate::invocation::{AnsweredRun, RequestExecutor, RunRegistry, ServerResponse};
 use crate::message::ProtocolMessage;
 use crate::party::Party;
 use crate::scheduler::TokenSpec;
@@ -555,22 +556,6 @@ pub enum ServerConduct {
     Stall,
 }
 
-#[derive(Debug)]
-struct FairRunState {
-    /// The run's client: the only issuer of an acceptable receipt.
-    client: OrgId,
-    key: [u8; 32],
-    /// The committed response digest: the step-3 receipt must cover it,
-    /// or the key is not released (a receipt over an arbitrary digest is
-    /// worthless as non-repudiation-of-receipt evidence).
-    resp_digest: Digest,
-    receipt_received: bool,
-    /// Set once this server aborted the run at the TTP; a receipt
-    /// arriving afterwards is refused, so an honest server's log never
-    /// holds the client's `NRR_resp` alongside an `Abort` token.
-    aborted: bool,
-}
-
 /// Optional runtime attachments for a fair server: deadline supervision
 /// of the receipt window and crash-recovery journalling.
 #[derive(Clone, Default)]
@@ -620,7 +605,11 @@ pub struct FairServerHandler {
     ttp: OrgId,
     conduct: ServerConduct,
     runs: RunRegistry,
-    keys: Mutex<HashMap<RunId, FairRunState>>,
+    /// Each answered run's response key K. Memory only: the log cannot
+    /// hold K until it is sealed there (ROADMAP 9(b)), so a rebuilt
+    /// server refuses a late receipt. The rest of a run's state is read
+    /// from the server's own log.
+    keys: Mutex<HashMap<RunId, [u8; 32]>>,
     supervision: Option<(Arc<ExchangeSupervisor>, u64)>,
     me: Weak<FairServerHandler>,
 }
@@ -653,20 +642,17 @@ impl FairServerHandler {
             executor,
             ttp,
             conduct,
-            runs: RunRegistry::new(),
+            runs: RunRegistry::default(),
             keys: Mutex::new(HashMap::new()),
             supervision: runtime.supervision,
             me: me.clone(),
         })
     }
 
-    /// `true` if the client's receipt arrived directly for `run`.
+    /// `true` if this server's log holds the client's receipt for `run`,
+    /// delivered at step 3 or relayed by the TTP.
     pub fn receipt_received(&self, run: &RunId) -> bool {
-        self.keys
-            .lock()
-            .get(run)
-            .map(|s| s.receipt_received)
-            .unwrap_or(false)
+        AnsweredRun::read(self.engine.party(), *run).is_some_and(|r| r.receipt)
     }
 
     /// Runs the abort sub-protocol for `run` at the TTP, then absorbs and
@@ -688,30 +674,17 @@ impl FairServerHandler {
         let token: NrToken = self.engine.decode_body(&reply.body)?;
         if token.kind == TokenKind::NrrResp {
             // The client resolved first: its receipt, checked as at step 3.
-            let resp_digest = {
-                let keys = self.keys.lock();
-                let state = keys.get(&run).ok_or(ProtocolError::UnknownRun(run))?;
-                if token.issuer != state.client {
-                    return Err(ProtocolError::BadMessage(
-                        "relayed receipt not from the run's client".into(),
-                    ));
-                }
-                state.resp_digest
-            };
-            self.engine
-                .absorb(&token, TokenKind::NrrResp, run, Some(&resp_digest))?;
-            if let Some(state) = self.keys.lock().get_mut(&run) {
-                state.receipt_received = true;
+            let answered = AnsweredRun::for_receipt(self.engine.party(), run, &token.issuer)?;
+            if !answered.receipt {
+                self.engine
+                    .absorb(&token, TokenKind::NrrResp, run, Some(&answered.resp_digest))?;
             }
             self.engine
                 .journal(run, STEP_RECEIPT, MarkerPhase::Closed)?;
             return Ok(token);
         }
+        // Once logged, the TTP's Abort refuses a late receipt.
         self.engine.absorb(&token, TokenKind::Abort, run, None)?;
-        // The run is dead from our side: refuse a late receipt.
-        if let Some(state) = self.keys.lock().get_mut(&run) {
-            state.aborted = true;
-        }
         // Journalled servers close the run and seal: the abort decision
         // itself must survive a crash.
         self.engine
@@ -739,10 +712,10 @@ impl FairServerHandler {
         from: &OrgId,
         msg: ProtocolMessage,
     ) -> Result<ProtocolMessage, ProtocolError> {
-        if let Some(cached) = self.runs.cached_response(&msg.run_id) {
+        self.engine.verify_frame_from(&msg, from)?;
+        if let Some(cached) = self.runs.cached_response(self.engine.party(), &msg)? {
             return Ok(cached);
         }
-        self.engine.verify_frame_from(&msg, from)?;
         let req_digest = sha256(&msg.body);
         self.engine
             .party()
@@ -793,17 +766,8 @@ impl FairServerHandler {
                 TokenSpec::new(TokenKind::NroResp, msg.run_id, resp_digest),
             ],
         )?;
-        self.keys.lock().insert(
-            msg.run_id,
-            FairRunState {
-                client: from.clone(),
-                key,
-                resp_digest,
-                receipt_received: false,
-                aborted: false,
-            },
-        );
-        self.runs.record_response(msg.run_id, &msg2, None);
+        self.keys.lock().insert(msg.run_id, key);
+        self.runs.record_response(msg.run_id, &msg2);
         // Step 2 is committed: the receipt window opens.
         self.engine
             .journal(msg.run_id, STEP_RESPONSE, MarkerPhase::Progress)?;
@@ -817,23 +781,25 @@ impl FairServerHandler {
         msg: ProtocolMessage,
     ) -> Result<ProtocolMessage, ProtocolError> {
         self.engine.verify_frame_from(&msg, from)?;
-        let (key, resp_digest) = {
-            let keys = self.keys.lock();
-            let state = keys
-                .get(&msg.run_id)
-                .ok_or(ProtocolError::UnknownRun(msg.run_id))?;
-            if state.aborted {
-                return Err(ProtocolError::Aborted(msg.run_id));
-            }
-            (state.key, state.resp_digest)
-        };
-        // The receipt must cover the committed response digest — the key
-        // is exchanged for evidence that is actually worth something.
-        self.engine
-            .party()
-            .absorb_carried(&msg, [(TokenKind::NrrResp, resp_digest)])?;
-        if let Some(state) = self.keys.lock().get_mut(&msg.run_id) {
-            state.receipt_received = true;
+        // After the agreed TTP's `Abort` is logged a receipt is refused, so
+        // an honest server's log never pairs the client's `NRR_resp` with it.
+        let aborts = self.engine.party().logged(msg.run_id, TokenKind::Abort);
+        if aborts.iter().any(|r| r.draft.actor == self.ttp) {
+            return Err(ProtocolError::Aborted(msg.run_id));
+        }
+        // The receipt must be the run's client's, over the committed
+        // response digest: the key is exchanged for evidence that is
+        // actually worth something. A repeated one is logged once.
+        let run = AnsweredRun::for_receipt(self.engine.party(), msg.run_id, from)?;
+        let key = *self
+            .keys
+            .lock()
+            .get(&msg.run_id)
+            .ok_or(ProtocolError::UnknownRun(msg.run_id))?;
+        if !run.receipt {
+            self.engine
+                .party()
+                .absorb_carried(&msg, [(TokenKind::NrrResp, run.resp_digest)])?;
         }
         // The receipt arrived: discharge the deadline watch. Done before
         // replying, so a sweep racing this handler sees the run complete.
@@ -870,12 +836,6 @@ impl ProtocolHandler for FairServerHandler {
         ProtocolId::new(PROTOCOL_ID)
     }
 
-    fn process(&self, _from: &OrgId, _msg: ProtocolMessage) -> Result<(), ProtocolError> {
-        Err(ProtocolError::BadMessage(
-            "fair-offline has no one-way steps".into(),
-        ))
-    }
-
     fn process_request(
         &self,
         from: &OrgId,
@@ -898,22 +858,12 @@ struct EscrowedKey {
     server: OrgId,
 }
 
-#[derive(Debug, Default)]
-struct EscrowEntry {
-    key: Option<EscrowedKey>,
-    /// The run's outcome, once it has one: the TTP's own `Abort` token,
-    /// or the client's `NRR_resp` that a resolve deposited. Boxed, as
-    /// `decision` is: most runs never get one, and the ledger keeps an
-    /// entry per run, so inline `None`s would cost 2 × 192 B each.
-    outcome: Option<Box<NrToken>>,
-    /// The TTP's `Decision` issued with a deposited `NRR_resp`.
-    decision: Option<Box<NrToken>>,
-}
-
 /// The offline TTP: escrow ledger plus the resolve and abort
 /// sub-protocols. A run's first resolve or abort fixes its outcome (the
 /// client's receipt or the TTP's `Abort` token), and every later one is
-/// answered with it (Asokan, Shoup and Waidner, IEEE S&P 1998).
+/// answered with it (Asokan, Shoup and Waidner, IEEE S&P 1998). The
+/// outcome and the decision are read from the TTP's own log, so a
+/// rebuilt TTP gives the same answers.
 ///
 /// A resolve is adjudication, not just recovery: the TTP releases the key
 /// *and* issues a signed [`TokenKind::Decision`] over
@@ -921,7 +871,11 @@ struct EscrowEntry {
 /// that the escrowing server failed to complete the run.
 pub struct OfflineTtpHandler {
     engine: ExchangeEngine,
-    ledger: Mutex<HashMap<RunId, EscrowEntry>>,
+    /// The escrowed keys. Memory only: the log cannot hold K until it is
+    /// sealed there (ROADMAP 9(a)), so a rebuilt TTP answers from its log
+    /// alone. Every check that leads to a signed token runs under this lock,
+    /// so a racing resolve and abort each find the other's evidence.
+    ledger: Mutex<HashMap<RunId, EscrowedKey>>,
 }
 
 impl fmt::Debug for OfflineTtpHandler {
@@ -939,6 +893,32 @@ impl OfflineTtpHandler {
         })
     }
 
+    /// This TTP's own logged `kind` record for `run`.
+    fn own(&self, run: RunId, kind: TokenKind) -> Option<Arc<EvidenceRecord>> {
+        let party = self.engine.party();
+        let mut records = party.logged(run, kind).into_iter();
+        records.find(|r| r.draft.actor == *party.org())
+    }
+
+    /// This TTP's own `kind` token for `run`, as it was sent.
+    fn issued(&self, run: RunId, kind: TokenKind) -> Result<Option<NrToken>, ProtocolError> {
+        self.own(run, kind).map(|r| self.sendable(&r)).transpose()
+    }
+
+    /// The token `record` holds, with the subtree certificate its stored
+    /// signature references re-attached from this TTP's log.
+    fn sendable(&self, record: &EvidenceRecord) -> Result<NrToken, ProtocolError> {
+        let mut token = NrToken::decode_from_slice(&record.draft.payload)
+            .map_err(|e| ProtocolError::Storage(format!("{} record: {e}", record.draft.kind)))?;
+        if let Some(wanted) = token.signature.cert_ref() {
+            let log = self.engine.party().log();
+            if let Some(cert) = stored_certs(&**log, &HashSet::from([wanted])).pop() {
+                token.signature.attach_cert(cert);
+            }
+        }
+        Ok(token)
+    }
+
     fn handle_escrow(
         &self,
         from: &OrgId,
@@ -948,16 +928,19 @@ impl OfflineTtpHandler {
         let body: EscrowBody = self.engine.decode_body(&msg.body)?;
         {
             let mut ledger = self.ledger.lock();
-            let entry = ledger.entry(msg.run_id).or_default();
-            if entry.outcome.is_some() {
-                return Err(ProtocolError::Aborted(msg.run_id));
+            let run = msg.run_id;
+            if self.own(run, TokenKind::Abort).is_some()
+                || self.own(run, TokenKind::Decision).is_some()
+            {
+                return Err(ProtocolError::Aborted(run));
             }
-            entry.key = Some(EscrowedKey {
+            let escrowed = EscrowedKey {
                 key: body.key,
                 resp_digest: body.resp_digest,
                 client: body.client.clone(),
                 server: from.clone(),
-            });
+            };
+            ledger.insert(run, escrowed);
         }
         let ack = self
             .engine
@@ -973,36 +956,28 @@ impl OfflineTtpHandler {
         self.engine.verify_frame_from(&msg, from)?;
         let client_key = self.engine.party().key_of(from)?;
         let nrr_resp: NrToken = self.engine.decode_body(&msg.body)?;
-        let mut ledger = self.ledger.lock();
-        let entry = ledger
-            .get_mut(&msg.run_id)
-            .ok_or(ProtocolError::UnknownRun(msg.run_id))?;
-        if let Some(abort) = entry
-            .outcome
-            .as_ref()
-            .filter(|t| t.kind == TokenKind::Abort)
-        {
+        let ledger = self.ledger.lock();
+        if let Some(abort) = self.issued(msg.run_id, TokenKind::Abort)? {
             // The server aborted first: that is the answer.
             let ack = ResolveAck {
                 key: None,
-                token: NrToken::clone(abort),
+                token: abort,
             };
             return Ok(self.ack(msg.run_id, STEP_RESOLVE_ACK, &ack));
         }
-        let escrowed = entry
-            .key
-            .as_ref()
+        // A rebuilt TTP lost the key: it cannot resolve the run.
+        let escrowed = ledger
+            .get(&msg.run_id)
             .ok_or(ProtocolError::UnknownRun(msg.run_id))?;
         if escrowed.client != *from {
             return Err(ProtocolError::Rejected(
                 "resolver is not the escrowed client".into(),
             ));
         }
-        let key = escrowed.key;
-        let decision = match &entry.decision {
+        let decision = match self.issued(msg.run_id, TokenKind::Decision)? {
             // A repeated resolve (its ack was lost) gets the same answer
             // and leaves no new evidence.
-            Some(decision) => NrToken::clone(decision),
+            Some(decision) => decision,
             None => {
                 // The receipt must cover the escrowed response digest.
                 if !nrr_resp.verify(
@@ -1027,15 +1002,16 @@ impl OfflineTtpHandler {
                     msg.run_id,
                     defection_digest(&escrowed.server, msg.run_id),
                 )?;
-                self.engine
-                    .issue_and_store(TokenKind::Resolve, msg.run_id, sha256(&key))?;
-                entry.outcome = Some(Box::new(nrr_resp));
-                entry.decision = Some(Box::new(decision.clone()));
+                self.engine.issue_and_store(
+                    TokenKind::Resolve,
+                    msg.run_id,
+                    sha256(&escrowed.key),
+                )?;
                 decision
             }
         };
         let ack = ResolveAck {
-            key: Some(key),
+            key: Some(escrowed.key),
             token: decision,
         };
         Ok(self.ack(msg.run_id, STEP_RESOLVE_ACK, &ack))
@@ -1047,30 +1023,40 @@ impl OfflineTtpHandler {
         msg: ProtocolMessage,
     ) -> Result<ProtocolMessage, ProtocolError> {
         self.engine.verify_frame_from(&msg, from)?;
-        let mut ledger = self.ledger.lock();
-        let entry = ledger.entry(msg.run_id).or_default();
+        let run = msg.run_id;
+        let ledger = self.ledger.lock();
         // Only the party that escrowed the key may kill the run — a
         // stranger (or the client itself) cannot abort someone else's
         // exchange out from under them.
-        if let Some(escrowed) = &entry.key {
-            if escrowed.server != *from {
-                return Err(ProtocolError::Rejected(
-                    "aborter is not the escrowed server".into(),
-                ));
-            }
+        let refused = || ProtocolError::Rejected("aborter is not the escrowed server".into());
+        if ledger
+            .get(&run)
+            .is_some_and(|escrowed| escrowed.server != *from)
+        {
+            return Err(refused());
         }
-        // The answer is the run's outcome: the client's receipt if its
-        // resolve came first, else the Abort token — issued under the
-        // ledger lock, so a racing resolve finds it.
-        let outcome = match &entry.outcome {
-            Some(outcome) => outcome,
-            None => entry.outcome.insert(Box::new(self.engine.issue_and_store(
-                TokenKind::Abort,
-                msg.run_id,
-                Digest::ZERO,
-            )?)),
+        // The answer is the run's outcome: the TTP's Abort, or the
+        // client's receipt if its resolve came first — and that goes only
+        // to the server the logged decision names. With neither, the
+        // Abort is issued under the ledger lock, so a racing resolve
+        // finds it.
+        let outcome = match self.issued(run, TokenKind::Abort)? {
+            Some(abort) => abort,
+            None => match self.own(run, TokenKind::Decision) {
+                Some(decision) if decision.draft.content_digest != defection_digest(from, run) => {
+                    return Err(refused())
+                }
+                Some(_) => {
+                    let receipts = self.engine.party().logged(run, TokenKind::NrrResp);
+                    let receipt = receipts.first().ok_or(ProtocolError::UnknownRun(run))?;
+                    self.sendable(receipt)?
+                }
+                None => self
+                    .engine
+                    .issue_and_store(TokenKind::Abort, run, Digest::ZERO)?,
+            },
         };
-        Ok(self.ack(msg.run_id, STEP_ABORT_ACK, &**outcome))
+        Ok(self.ack(run, STEP_ABORT_ACK, &outcome))
     }
 
     /// An unsigned ack frame carrying `body`.
@@ -1082,12 +1068,6 @@ impl OfflineTtpHandler {
 impl ProtocolHandler for OfflineTtpHandler {
     fn protocol(&self) -> ProtocolId {
         ProtocolId::new(PROTOCOL_ID)
-    }
-
-    fn process(&self, _from: &OrgId, _msg: ProtocolMessage) -> Result<(), ProtocolError> {
-        Err(ProtocolError::BadMessage(
-            "TTP sub-protocols are request/response".into(),
-        ))
     }
 
     fn process_request(
@@ -1170,26 +1150,33 @@ mod tests {
     /// `receipt_window_ms: Some(w)` builds a *supervised* server whose
     /// receipt deadline is `w` ms on the shared logical clock.
     fn world_with(conduct: ServerConduct, receipt_window_ms: Option<u64>) -> World {
+        world_keyed(
+            conduct,
+            receipt_window_ms,
+            SignatureScheme::Mss { height: 8 },
+        )
+    }
+
+    /// [`world_with`] whose client and TTP sign under `scheme`.
+    fn world_keyed(
+        conduct: ServerConduct,
+        receipt_window_ms: Option<u64>,
+        scheme: SignatureScheme,
+    ) -> World {
         let bus = LocalBus::new();
         let clock = LogicalClock::new();
         let dir = Arc::new(StaticKeyDirectory::new());
+        let party = |org: &str, seed: u64, log: Arc<dyn EvidenceLog>| {
+            let mut rng = SecureRandom::from_seed(seed);
+            let keys = Arc::new(KeyPair::generate(scheme, &mut rng));
+            dir.insert(OrgId::new(org), keys.verifying_key());
+            let directory = Arc::clone(&dir) as Arc<dyn KeyDirectory>;
+            Party::new(org, keys, Arc::new(clock.clone()), log, directory, rng)
+        };
         let client_log = Arc::new(SwitchLog::default());
-        let mut rng = SecureRandom::from_seed(1);
-        let client_keys = Arc::new(KeyPair::generate(
-            SignatureScheme::Mss { height: 8 },
-            &mut rng,
-        ));
-        dir.insert(OrgId::new("client"), client_keys.verifying_key());
-        let client_party = Party::new(
-            "client",
-            client_keys,
-            Arc::new(clock.clone()),
-            client_log.clone(),
-            Arc::clone(&dir) as Arc<dyn KeyDirectory>,
-            rng,
-        );
+        let client_party = party("client", 1, client_log.clone());
         let server_party = Party::quick("server", 2, &clock, &dir);
-        let ttp_party = Party::quick("ttp", 3, &clock, &dir);
+        let ttp_party = party("ttp", 3, Arc::new(MemoryLog::new()));
         let supervisor = ExchangeSupervisor::new(Arc::new(clock.clone()));
 
         let mk = |org: &str| {
@@ -1529,22 +1516,143 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_receipt_is_logged_once() {
+        // A step 3 retried after its step-4 reply was lost: the receipt
+        // is logged once, and both deliveries get K.
+        let w = world(ServerConduct::Honest);
+        let client = OrgId::new("client");
+        let run = w.client_party.new_run_id();
+        let msg2 = w
+            .server_handler
+            .process_request(&client, request_frame(&w, run, b"req"))
+            .unwrap();
+        let step2 = FairStep2::decode_from_slice(&msg2.body).unwrap();
+        let msg3 = receipt_frame(&w, run, step2.resp_digest);
+        for _ in 0..2 {
+            let reply = w
+                .server_handler
+                .process_request(&client, msg3.clone())
+                .unwrap();
+            let key: [u8; 32] = reply.body.as_slice().try_into().unwrap();
+            let plain = xor_keystream(&key, &step2.enc_response);
+            assert_eq!(sha256(&plain), step2.resp_digest);
+        }
+        let records = w.server_party.log().by_run(&run);
+        let receipts = records
+            .iter()
+            .filter(|r| r.draft.kind == TokenKind::NrrResp.label() && r.draft.actor == client);
+        assert_eq!(receipts.count(), 1);
+    }
+
+    #[test]
+    fn a_receipt_from_another_org_releases_no_key() {
+        // Only the run's client can buy K: another registered org's
+        // receipt over the committed digest is refused and not logged.
+        let w = world(ServerConduct::Honest);
+        let (run, nrr) = escrowed_receipt(&w);
+        let other = w.ttp_handler.engine.party();
+        let spec = TokenSpec::new(TokenKind::NrrResp, run, nrr.subject);
+        let frame = ProtocolMessage::new(PROTOCOL_ID, run, STEP_RECEIPT, "ttp", Vec::new());
+        let msg3 = other.sign_frame(frame, &[spec]).unwrap();
+        let logged = w.server_party.log().len();
+        let err = w
+            .server_handler
+            .process_request(other.org(), msg3)
+            .unwrap_err();
+        assert!(matches!(err, ProtocolError::BadMessage(_)), "{err:?}");
+        assert_eq!(w.server_party.log().len(), logged);
+        assert!(!w.server_handler.receipt_received(&run));
+    }
+
+    #[test]
+    fn a_rebuilt_server_reads_receipt_and_abort_from_its_log() {
+        // A server handler built again over the same party acts on what
+        // the party's log holds: a logged receipt, and the TTP's Abort,
+        // which refuses a late receipt.
+        let w = world(ServerConduct::Honest);
+        let done = w.client.invoke(&w.server, b"req".to_vec()).unwrap().run_id;
+        let (aborted, nrr) = escrowed_receipt(&w);
+        let abort = w.server_handler.abort(aborted).unwrap();
+        assert_eq!(abort.kind, TokenKind::Abort);
+        let rebuilt = FairServerHandler::with_runtime(
+            w.server_party.clone(),
+            w.server_handler.engine.coordinator().unwrap().clone(),
+            Arc::new(|_: &OrgId, req: &[u8]| Ok(req.to_vec())),
+            OrgId::new("ttp"),
+            ServerConduct::Honest,
+            FairServerRuntime::default(),
+        );
+        assert!(rebuilt.receipt_received(&done));
+        assert!(!rebuilt.receipt_received(&aborted));
+        let late = receipt_frame(&w, aborted, nrr.subject);
+        let err = rebuilt
+            .process_request(&OrgId::new("client"), late)
+            .unwrap_err();
+        assert!(
+            matches!(err, ProtocolError::Aborted(r) if r == aborted),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn an_hss_ttp_repeats_its_answers_byte_for_byte() {
+        // A repeated resolve or abort is answered from the TTP's log,
+        // each token's subtree certificate re-attached from the log's
+        // certificate run: the frames match the first answers.
+        let hss = SignatureScheme::Hss {
+            root_height: 3,
+            subtree_height: 2,
+        };
+        let w = world_keyed(ServerConduct::WithholdKey, None, hss);
+        let ttp = &w.ttp_handler;
+        let ask = |org: &Party, run: RunId, step: u32, body: Vec<u8>| {
+            let frame = ProtocolMessage::new(PROTOCOL_ID, run, step, org.org().as_str(), body);
+            let msg = org.sign_frame(frame, &[]).unwrap();
+            ttp.process_request(org.org(), msg).unwrap().encode_to_vec()
+        };
+        // Resolved: the decision, then the deposited receipt for the abort.
+        let (run, nrr) = escrowed_receipt(&w);
+        let resolve = || ask(&w.client_party, run, STEP_RESOLVE, nrr.encode_to_vec());
+        let first = resolve();
+        assert_eq!(resolve(), first);
+        let abort = || ask(&w.server_party, run, STEP_ABORT, Vec::new());
+        let first = abort();
+        assert_eq!(abort(), first);
+        let answer = ProtocolMessage::decode_from_slice(&first).unwrap();
+        assert_eq!(NrToken::decode_from_slice(&answer.body).unwrap(), nrr);
+        // Aborted: the Abort token, issued once and then read back.
+        let (run, nrr) = escrowed_receipt(&w);
+        let abort = || ask(&w.server_party, run, STEP_ABORT, Vec::new());
+        let first = abort();
+        assert_eq!(abort(), first);
+        let resolve = || ask(&w.client_party, run, STEP_RESOLVE, nrr.encode_to_vec());
+        let ack = ProtocolMessage::decode_from_slice(&resolve()).unwrap();
+        let ack = ResolveAck::decode_from_slice(&ack.body).unwrap();
+        let answer = ProtocolMessage::decode_from_slice(&first).unwrap();
+        assert_eq!(ack.token.encode_to_vec(), answer.body);
+        assert!(ack.token.signature.inline_cert().is_some());
+    }
+
+    #[test]
     fn relayed_receipt_must_be_the_clients_over_the_committed_digest() {
         // A receipt the TTP hands back is checked as a step-3 receipt
         // would be: the run's client must have issued it, over the
         // committed response digest.
         let w = world(ServerConduct::Honest);
-        let (run, genuine) = escrowed_receipt(&w);
-        let forgeries = [
-            w.server_party
-                .issue_token(TokenKind::NrrResp, run, genuine.subject)
-                .unwrap(),
-            w.client_party
-                .issue_token(TokenKind::NrrResp, run, sha256(b"other"))
-                .unwrap(),
+        let forgers = [
+            (&w.server_party, None),
+            (&w.client_party, Some(sha256(b"other"))),
         ];
-        for forged in forgeries {
-            w.ttp_handler.ledger.lock().get_mut(&run).unwrap().outcome = Some(Box::new(forged));
+        for (forger, digest) in forgers {
+            let (run, genuine) = escrowed_receipt(&w);
+            let forged = forger
+                .issue_token(TokenKind::NrrResp, run, digest.unwrap_or(genuine.subject))
+                .unwrap();
+            // Planted in the TTP's log as a resolve leaves its receipt.
+            let ttp = &w.ttp_handler.engine;
+            ttp.party().store_token(&forged).unwrap();
+            ttp.issue_and_store(TokenKind::Decision, run, defection_digest(&w.server, run))
+                .unwrap();
             let err = w.server_handler.abort(run).unwrap_err();
             assert!(
                 matches!(

@@ -274,7 +274,7 @@ impl InlineTtpHandler {
         Arc::new(Self {
             engine: ExchangeEngine::new(party, coordinator, PROTOCOL_ID),
             next_hop: None,
-            runs: RunRegistry::new(),
+            runs: RunRegistry::default(),
         })
     }
 
@@ -284,7 +284,7 @@ impl InlineTtpHandler {
         Arc::new(Self {
             engine: ExchangeEngine::new(party, coordinator, PROTOCOL_ID),
             next_hop: Some(next),
-            runs: RunRegistry::new(),
+            runs: RunRegistry::default(),
         })
     }
 
@@ -293,12 +293,12 @@ impl InlineTtpHandler {
         _from: &OrgId,
         msg: ProtocolMessage,
     ) -> Result<ProtocolMessage, ProtocolError> {
-        if let Some(cached) = self.runs.cached_response(&msg.run_id) {
-            return Ok(cached);
-        }
         // The frame is signed by the *originating client* (msg.sender), not
         // necessarily the bus-level previous hop.
         self.engine.verify_sender_frame(&msg)?;
+        if let Some(cached) = self.runs.cached_response(self.engine.party(), &msg)? {
+            return Ok(cached);
+        }
         let step1: InlineStep1 = self.engine.decode_body(&msg.body)?;
         let req_digest = sha256(&step1.request);
         self.engine
@@ -358,7 +358,7 @@ impl InlineTtpHandler {
                 resp_digest,
             )],
         )?;
-        self.runs.record_response(msg.run_id, &msg2, None);
+        self.runs.record_response(msg.run_id, &msg2);
         Ok(msg2)
     }
 }
@@ -366,12 +366,6 @@ impl InlineTtpHandler {
 impl ProtocolHandler for InlineTtpHandler {
     fn protocol(&self) -> ProtocolId {
         ProtocolId::new(PROTOCOL_ID)
-    }
-
-    fn process(&self, _from: &OrgId, _msg: ProtocolMessage) -> Result<(), ProtocolError> {
-        Err(ProtocolError::BadMessage(
-            "inline-ttp has no one-way steps".into(),
-        ))
     }
 
     fn process_request(

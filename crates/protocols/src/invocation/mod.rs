@@ -25,6 +25,9 @@ use nonrep_types::codec::{CodecError, Decode, Encode, Reader, Writer};
 use nonrep_types::ids::{OrgId, RunId};
 
 use crate::message::ProtocolMessage;
+use crate::party::Party;
+use crate::tokens::TokenKind;
+use crate::ProtocolError;
 
 /// Executes the actual application request on the server side once the
 /// protocol says it should run.
@@ -93,98 +96,108 @@ impl Decode for ServerResponse {
     }
 }
 
-/// Per-run server state: caches the step-2 response for idempotent retries
-/// (at-most-once semantics, §3.2) and tracks receipt arrival.
+/// The at-most-once reply cache (§3.2): each run's step-2 reply, so a
+/// duplicate delivery gets the first reply without re-executing the
+/// request. Reply bytes are not evidence, so the log does not keep them;
+/// everything else a server knows about a run it reads from its log.
 ///
-/// The registry keeps one entry per run for the server's lifetime, so it
+/// The cache keeps one entry per run for the server's lifetime, so it
 /// holds each reply *encoded*, in a buffer sized to fit: the wire form
 /// carries a batched frame's signature once, where the decoded frame
 /// rebuilds a full signature for each carried token. Only a duplicate
 /// delivery decodes one.
 #[derive(Debug, Default)]
 pub struct RunRegistry {
-    runs: Mutex<HashMap<RunId, RunEntry>>,
-}
-
-#[derive(Debug, Clone)]
-struct RunEntry {
-    /// The encoded reply frame.
-    response: Vec<u8>,
-    /// Digest of the response a later client receipt must cover.
-    receipt_digest: Option<Digest>,
-    receipt_received: bool,
+    replies: Mutex<HashMap<RunId, Vec<u8>>>,
 }
 
 impl RunRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
+    /// The cached reply to the step-1 frame `msg`, if its run was
+    /// already answered (duplicate delivery). The caller has verified
+    /// `msg`'s signature; the reply goes only to the run's client, the
+    /// issuer of the `NRO_req` that `party` logged for it.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Rejected`] if the run was answered for another
+    /// sender.
+    pub fn cached_response(
+        &self,
+        party: &Party,
+        msg: &ProtocolMessage,
+    ) -> Result<Option<ProtocolMessage>, ProtocolError> {
+        let Some(reply) = self.replies.lock().get(&msg.run_id).map(|reply| {
+            ProtocolMessage::decode_from_slice(reply)
+                .expect("the registry holds frames it encoded itself")
+        }) else {
+            return Ok(None);
+        };
+        if !party
+            .logged(msg.run_id, TokenKind::NroReq)
+            .iter()
+            .any(|r| r.draft.actor == msg.sender)
+        {
+            return Err(ProtocolError::Rejected(format!(
+                "run {} belongs to another client",
+                msg.run_id
+            )));
+        }
+        Ok(Some(reply))
     }
 
-    /// Returns the cached response for `run`, if the request was already
-    /// executed (duplicate delivery).
-    pub fn cached_response(&self, run: &RunId) -> Option<ProtocolMessage> {
-        self.runs.lock().get(run).map(|e| {
-            ProtocolMessage::decode_from_slice(&e.response)
-                .expect("the registry holds frames it encoded itself")
+    /// Records the reply produced for `run`.
+    pub fn record_response(&self, run: RunId, response: &ProtocolMessage) {
+        self.replies.lock().insert(run, response.encode_to_vec());
+    }
+}
+
+/// A server's own log on a run it answered.
+struct AnsweredRun {
+    /// The issuer of the run's `NRO_req`, the only acceptable receipt issuer.
+    client: OrgId,
+    /// The subject of the server's own `NRO_resp`: what the receipt covers.
+    resp_digest: Digest,
+    /// `true` once the client's `NRR_resp` over `resp_digest` is logged.
+    receipt: bool,
+}
+
+impl AnsweredRun {
+    /// Reads `run` from `server`'s log; `None` if it sent no response.
+    fn read(server: &Party, run: RunId) -> Option<Self> {
+        let own_resp = server.logged(run, TokenKind::NroResp);
+        let resp = own_resp.iter().find(|r| r.draft.actor == *server.org())?;
+        let resp_digest = resp.draft.content_digest;
+        let client = server
+            .logged(run, TokenKind::NroReq)
+            .first()?
+            .draft
+            .actor
+            .clone();
+        let receipts = server.logged(run, TokenKind::NrrResp);
+        let receipt = receipts
+            .iter()
+            .any(|r| r.draft.actor == client && r.draft.content_digest == resp_digest);
+        Some(Self {
+            client,
+            resp_digest,
+            receipt,
         })
     }
 
-    /// Records the response produced for `run` and, for a variant whose
-    /// server later checks a client receipt against this registry, the
-    /// digest that receipt must cover.
-    pub fn record_response(
-        &self,
-        run: RunId,
-        response: &ProtocolMessage,
-        receipt_digest: Option<Digest>,
-    ) {
-        let response = response.encode_to_vec();
-        self.runs.lock().insert(
-            run,
-            RunEntry {
-                response,
-                receipt_digest,
-                receipt_received: false,
-            },
-        );
-    }
-
-    /// The digest recorded for `run`'s receipt (`None` for an unknown run
-    /// or one recorded without a digest).
-    pub fn receipt_digest(&self, run: &RunId) -> Option<Digest> {
-        self.runs.lock().get(run).and_then(|e| e.receipt_digest)
-    }
-
-    /// Marks the client receipt as received for `run`. Returns `false` if
-    /// the run is unknown.
-    pub fn mark_receipt(&self, run: &RunId) -> bool {
-        match self.runs.lock().get_mut(run) {
-            Some(e) => {
-                e.receipt_received = true;
-                true
-            }
-            None => false,
+    /// Reads `run` for a receipt from `sender`, which must be its client.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::UnknownRun`] for a run the server never
+    /// answered, [`ProtocolError::BadMessage`] for another sender.
+    fn for_receipt(server: &Party, run: RunId, sender: &OrgId) -> Result<Self, ProtocolError> {
+        let answered = Self::read(server, run).ok_or(ProtocolError::UnknownRun(run))?;
+        if answered.client != *sender {
+            return Err(ProtocolError::BadMessage(format!(
+                "receipt for run {run} not from its client"
+            )));
         }
-    }
-
-    /// `true` if the client's receipt arrived for `run`.
-    pub fn receipt_received(&self, run: &RunId) -> bool {
-        self.runs
-            .lock()
-            .get(run)
-            .map(|e| e.receipt_received)
-            .unwrap_or(false)
-    }
-
-    /// Number of runs tracked.
-    pub fn len(&self) -> usize {
-        self.runs.lock().len()
-    }
-
-    /// `true` if no runs are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.runs.lock().is_empty()
+        Ok(answered)
     }
 }
 
@@ -204,20 +217,37 @@ mod tests {
     }
 
     #[test]
-    fn run_registry_dedup_and_receipt() {
-        let reg = RunRegistry::new();
+    fn run_registry_replies_only_to_the_runs_client() {
+        use crate::party::StaticKeyDirectory;
+        use crate::scheduler::TokenSpec;
+        use nonrep_crypto::digest::sha256;
+        use nonrep_types::time::LogicalClock;
+        use std::sync::Arc;
+
+        let clock = LogicalClock::new();
+        let dir = Arc::new(StaticKeyDirectory::new());
+        let client = Party::quick("client", 1, &clock, &dir);
+        let server = Party::quick("server", 2, &clock, &dir);
+        let other = Party::quick("other", 3, &clock, &dir);
         let run = RunId::from_u128(1);
-        assert!(reg.cached_response(&run).is_none());
-        assert!(reg.is_empty());
+        let step1 = |party: &Party| {
+            let nro = TokenSpec::new(TokenKind::NroReq, run, sha256(b"req"));
+            let frame =
+                ProtocolMessage::new("direct", run, 1, party.org().as_str(), b"req".to_vec());
+            party.sign_frame(frame, &[nro]).unwrap()
+        };
+        let msg1 = step1(&client);
+        let reg = RunRegistry::default();
+        assert!(reg.cached_response(&server, &msg1).unwrap().is_none());
+        server
+            .absorb_carried(&msg1, [(TokenKind::NroReq, sha256(b"req"))])
+            .unwrap();
         let resp = ProtocolMessage::new("direct", run, 2, "server", vec![1]);
-        assert_eq!(reg.receipt_digest(&run), None);
-        reg.record_response(run, &resp, Some(Digest::ZERO));
-        assert_eq!(reg.cached_response(&run).unwrap(), resp);
-        assert_eq!(reg.receipt_digest(&run), Some(Digest::ZERO));
-        assert_eq!(reg.len(), 1);
-        assert!(!reg.receipt_received(&run));
-        assert!(reg.mark_receipt(&run));
-        assert!(reg.receipt_received(&run));
-        assert!(!reg.mark_receipt(&RunId::from_u128(9)));
+        reg.record_response(run, &resp);
+        assert_eq!(reg.cached_response(&server, &msg1).unwrap(), Some(resp));
+        assert!(matches!(
+            reg.cached_response(&server, &step1(&other)),
+            Err(ProtocolError::Rejected(_))
+        ));
     }
 }

@@ -152,7 +152,7 @@ impl VoluntaryServerHandler {
         Arc::new(Self {
             engine: ExchangeEngine::local(party, PROTOCOL_ID),
             executor,
-            runs: RunRegistry::new(),
+            runs: RunRegistry::default(),
         })
     }
 }
@@ -160,12 +160,6 @@ impl VoluntaryServerHandler {
 impl ProtocolHandler for VoluntaryServerHandler {
     fn protocol(&self) -> ProtocolId {
         ProtocolId::new(PROTOCOL_ID)
-    }
-
-    fn process(&self, _from: &OrgId, _msg: ProtocolMessage) -> Result<(), ProtocolError> {
-        Err(ProtocolError::BadMessage(
-            "voluntary protocol has no one-way steps".into(),
-        ))
     }
 
     fn process_request(
@@ -179,10 +173,10 @@ impl ProtocolHandler for VoluntaryServerHandler {
                 msg.step
             )));
         }
-        if let Some(cached) = self.runs.cached_response(&msg.run_id) {
+        self.engine.verify_frame_from(&msg, from)?;
+        if let Some(cached) = self.runs.cached_response(self.engine.party(), &msg)? {
             return Ok(cached);
         }
-        self.engine.verify_frame_from(&msg, from)?;
         self.engine
             .party()
             .absorb_carried(&msg, [(TokenKind::NroReq, sha256(&msg.body))])?;
@@ -193,7 +187,7 @@ impl ProtocolHandler for VoluntaryServerHandler {
         let msg2 = self
             .engine
             .open_frame(msg.run_id, 2, response.encode_to_vec());
-        self.runs.record_response(msg.run_id, &msg2, None);
+        self.runs.record_response(msg.run_id, &msg2);
         Ok(msg2)
     }
 }

@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 use nonrep_crypto::digest::Digest;
 use nonrep_crypto::rng::SecureRandom;
 use nonrep_crypto::sig::{KeyPair, VerifyingKey};
-use nonrep_store::{EvidenceLog, MemoryLog, RecordDraft};
+use nonrep_store::{EvidenceLog, EvidenceRecord, MemoryLog, RecordDraft};
 use nonrep_types::ids::{OrgId, RunId};
 use nonrep_types::time::{Clock, LogicalClock, Timestamp};
 
@@ -197,6 +197,16 @@ impl Party {
     /// This party's evidence log.
     pub fn log(&self) -> &Arc<dyn EvidenceLog> {
         self.scheduler.log()
+    }
+
+    /// This party's logged records of `kind` for `run`, in log order,
+    /// read through the log's run index. A handler's per-run facts (a
+    /// receipt arrived, the run was aborted, its outcome) are these
+    /// records, so callers match issuer and subject, not kind alone.
+    pub fn logged(&self, run: RunId, kind: TokenKind) -> Vec<Arc<EvidenceRecord>> {
+        let mut records = self.log().by_run(&run);
+        records.retain(|r| r.draft.kind == kind.label());
+        records
     }
 
     /// Mints a fresh protocol run identifier.

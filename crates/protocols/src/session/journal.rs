@@ -38,7 +38,7 @@ pub struct OpenRun {
     pub run: RunId,
     /// The protocol variant that was executing it.
     pub variant: ProtocolId,
-    /// The last choreography step whose completion reached the log.
+    /// The step of the run's latest `Progress` marker in log order.
     pub last_step: u32,
 }
 
@@ -59,7 +59,9 @@ impl Fold for OpenRuns {
                     variant: ProtocolId::new(marker.variant),
                     last_step: 0,
                 });
-                entry.last_step = entry.last_step.max(marker.step);
+                // Log order, not step order: a fair server's escrow leg
+                // (step 10) precedes the step-2 reply it secures.
+                entry.last_step = marker.step;
             }
             MarkerPhase::Closed | MarkerPhase::Aborted => {
                 self.0.remove(&marker.run_id);
@@ -110,8 +112,8 @@ impl RunJournal {
     }
 
     /// The runs this journal's party log shows open: every run with a
-    /// `Progress` marker and no `Closed`/`Aborted` marker, with the
-    /// deepest step that reached the log. Read from the scheduler's
+    /// `Progress` marker and no `Closed`/`Aborted` marker, with the step
+    /// of its latest `Progress` marker. Read from the scheduler's
     /// fold, so it costs no log scan. Call on the recovered log before
     /// re-registering the party on the bus.
     pub fn recovered_open_runs(&self) -> Vec<OpenRun> {

@@ -115,6 +115,7 @@ struct Watch {
 /// handles via `Arc`.
 pub struct ExchangeSupervisor {
     clock: Arc<dyn Clock>,
+    /// Armed deadlines: timers, not evidence, so the log does not keep them.
     inflight: Mutex<BTreeMap<RunId, Watch>>,
 }
 

@@ -297,7 +297,9 @@ pub struct SharingMember {
     store: Arc<StateStore>,
     groups: Arc<GroupRegistry>,
     validators: Mutex<Vec<Arc<dyn UpdateValidator>>>,
-    /// The proposal digest of each run this node voted to accept.
+    /// The proposal digest of each run this node voted to accept. Memory
+    /// only: the logged vote is a digest without its body, so the log
+    /// cannot yet say which proposal was accepted (ROADMAP 3(b)).
     pending: Mutex<HashMap<RunId, Digest>>,
 }
 
@@ -589,12 +591,6 @@ impl SharingMember {
 impl ProtocolHandler for SharingMember {
     fn protocol(&self) -> ProtocolId {
         ProtocolId::new(PROTOCOL_ID)
-    }
-
-    fn process(&self, _from: &OrgId, _msg: ProtocolMessage) -> Result<(), ProtocolError> {
-        Err(ProtocolError::BadMessage(
-            "sharing rounds are request/response".into(),
-        ))
     }
 
     fn process_request(

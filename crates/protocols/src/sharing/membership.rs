@@ -317,12 +317,6 @@ impl ProtocolHandler for MembershipHandler {
         ProtocolId::new(WELCOME_PROTOCOL_ID)
     }
 
-    fn process(&self, _from: &OrgId, _msg: ProtocolMessage) -> Result<(), ProtocolError> {
-        Err(ProtocolError::BadMessage(
-            "the welcome is request/response".into(),
-        ))
-    }
-
     fn process_request(
         &self,
         from: &OrgId,

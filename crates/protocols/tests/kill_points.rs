@@ -19,7 +19,8 @@
 //!   because nothing irrevocable happened yet;
 //! - last completed step ≥ the final wire step → the run is materially
 //!   complete, recovery just closes and seals it;
-//! - a fair *server* recovering with an open receipt window escalates
+//! - a fair *server* recovering with an open receipt window closes the
+//!   run if its log holds the client's receipt, and otherwise escalates
 //!   to the TTP's abort choreography, which is safe precisely because
 //!   the receipt never arrived.
 
@@ -34,6 +35,7 @@ use nonrep_protocols::invocation::direct::{DirectChoreography, DirectClient, Dir
 use nonrep_protocols::invocation::fair_offline::{
     FairChoreography, FairClient, FairServerHandler, FairServerRuntime, FairStep2, KeySource,
     OfflineTtpHandler, ResolveChoreography, ServerConduct, STEP_KEY, STEP_RECEIPT, STEP_RESOLVE,
+    STEP_RESPONSE,
 };
 use nonrep_protocols::invocation::inline_ttp::{
     InlineChoreography, InlineStep1, InlineTtpClient, InlineTtpHandler,
@@ -41,7 +43,7 @@ use nonrep_protocols::invocation::inline_ttp::{
 use nonrep_protocols::invocation::voluntary::{
     VoluntaryChoreography, VoluntaryClient, VoluntaryServerHandler,
 };
-use nonrep_protocols::invocation::{direct, voluntary, ServerResponse};
+use nonrep_protocols::invocation::{direct, fair_offline, voluntary, ServerResponse};
 use nonrep_protocols::party::{Party, StaticKeyDirectory};
 use nonrep_protocols::session::{Branch, Client, Session};
 use nonrep_protocols::tokens::TokenKind;
@@ -50,7 +52,7 @@ use nonrep_protocols::{
 };
 use nonrep_store::{FileLog, MarkerPhase, SyncPolicy};
 use nonrep_types::codec::Encode;
-use nonrep_types::ids::{OrgId, RunId};
+use nonrep_types::ids::{OrgId, ProtocolId, RunId};
 use nonrep_types::time::LogicalClock;
 
 /// Where a row's recovering party reads its log back from.
@@ -294,6 +296,34 @@ fn sole_open_run(journal: &RunJournal) -> nonrep_protocols::OpenRun {
     open.into_iter().next().unwrap()
 }
 
+/// Cuts the log `file` to end at record `seq`, as a crash that lost every
+/// later append leaves it (`FileLog` frames each record behind a 4-byte
+/// little-endian length).
+fn cut_after(file: &PathBuf, seq: u64) {
+    let bytes = std::fs::read(file).unwrap();
+    let mut end = 0;
+    for _ in 0..=seq {
+        let len = u32::from_le_bytes(bytes[end..end + 4].try_into().unwrap()) as usize;
+        end += 4 + len;
+    }
+    let file = std::fs::OpenOptions::new().write(true).open(file).unwrap();
+    file.set_len(end as u64).unwrap();
+}
+
+/// The fair server's recovery rule for a run its journal shows open: a
+/// logged receipt closes the run; with none, the receipt window is
+/// aborted at the TTP.
+fn recover_fair_server_run(server: &FairServerHandler, journal: &RunJournal, run: RunId) {
+    if server.receipt_received(&run) {
+        let variant = ProtocolId::new(fair_offline::PROTOCOL_ID);
+        journal
+            .mark(run, &variant, STEP_KEY, MarkerPhase::Closed)
+            .unwrap();
+    } else {
+        server.abort(run).unwrap();
+    }
+}
+
 fn assert_recovered_clean(party: &Party, journal: &RunJournal) {
     assert!(
         journal.recovered_open_runs().is_empty(),
@@ -396,6 +426,19 @@ fn direct_killed_after_step3_closes_on_recovery() {
         .by_run(&run)
         .iter()
         .any(|r| r.draft.kind == TokenKind::NrrResp.label()));
+}
+
+#[test]
+fn direct_server_reads_its_logged_receipt_after_a_reopen() {
+    let w = world_with(Restart::Reopen, "direct-server");
+    let out = w
+        .direct_client()
+        .invoke(&w.server, b"req".to_vec())
+        .unwrap();
+    assert!(out.receipt_acked);
+    let (party, _journal) = w.recovered_server();
+    let server = DirectServerHandler::new(party, echo());
+    assert!(server.receipt_received(&out.run_id));
 }
 
 // ------------------------------------------------------------- voluntary
@@ -682,10 +725,10 @@ fn fair_server_recovering_an_open_receipt_window(restart: Restart) {
     let (party, journal) = w.recovered_server();
     let open = sole_open_run(&journal);
     assert_eq!(open.run, run);
-    // The key escrow (sub-protocol step 10) is its deepest step.
-    assert_eq!(open.last_step, 10);
-    // Recovery action: abort at the TTP (its `Aborted` mark closes
-    // the server's journal entry and seals).
+    // The step-2 reply follows the key escrow (sub-protocol step 10).
+    assert_eq!(open.last_step, STEP_RESPONSE);
+    // Recovery action: no receipt is logged, so abort at the TTP (its
+    // `Aborted` mark closes the server's journal entry and seals).
     let server = match restart {
         Restart::Live => w.fair_server.clone(),
         Restart::Reopen => FairServerHandler::with_runtime(
@@ -700,7 +743,7 @@ fn fair_server_recovering_an_open_receipt_window(restart: Restart) {
             },
         ),
     };
-    server.abort(run).unwrap();
+    recover_fair_server_run(&server, &journal, run);
     assert!(w.ttp_logged(run, TokenKind::Abort));
     assert_recovered_clean(&party, &journal);
 
@@ -712,6 +755,53 @@ fn fair_server_recovering_an_open_receipt_window(restart: Restart) {
     assert!(!records.iter().any(
         |r| r.draft.kind == TokenKind::NrrResp.label() && r.draft.actor == OrgId::new("client")
     ));
+}
+
+#[test]
+fn fair_server_with_a_logged_receipt_closes_after_a_reopen() {
+    // The server logs the client's receipt at step 3, and the crash loses
+    // the `Closed` marker appended after it: the journal shows the run
+    // open, but the rebuilt handler reads the receipt from its log, so
+    // recovery closes the run. Aborting it would plant the TTP's `Abort`
+    // beside the client's `NRR_resp`, the pair `AbortedAfterReceipt`
+    // convicts.
+    let w = world_with(Restart::Reopen, "fair-server-receipt");
+    let run = w.client_party.new_run_id();
+    let out = w
+        .fair_client()
+        .invoke_with(run, &w.server, b"req".to_vec())
+        .unwrap();
+    assert_eq!(out.key_source, KeySource::Server);
+    let records = w.server_party.log().by_run(&run);
+    let receipt = records
+        .iter()
+        .find(|r| r.draft.kind == TokenKind::NrrResp.label())
+        .unwrap();
+    let (_, server_file) = w.files.as_ref().unwrap();
+    cut_after(server_file, receipt.seq);
+
+    let (party, journal) = w.recovered_server();
+    let open = sole_open_run(&journal);
+    assert_eq!((open.run, open.last_step), (run, STEP_RESPONSE));
+    let server = FairServerHandler::with_runtime(
+        party.clone(),
+        w.server_coord.clone(),
+        echo(),
+        w.ttp.clone(),
+        ServerConduct::Honest,
+        FairServerRuntime {
+            supervision: None,
+            journal: Some(journal.clone()),
+        },
+    );
+    assert!(server.receipt_received(&run));
+    recover_fair_server_run(&server, &journal, run);
+    assert_recovered_clean(&party, &journal);
+    assert!(!w.ttp_logged(run, TokenKind::Abort));
+    let records = party.log().by_run(&run);
+    assert!(!records
+        .iter()
+        .any(|r| r.draft.kind == TokenKind::Abort.label()));
 }
 
 #[test]

@@ -12,20 +12,23 @@
 //!
 //! A hierarchical signer's subtree certificate is the same for every
 //! signature of one subtree, so a log stores it once, as a
-//! `CERT_KIND` record under the reserved [`cert_run_id`], ahead of the
+//! `CERT_KIND` record under the reserved `cert_run_id`, ahead of the
 //! first token record whose signature references it.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
 use nonrep_crypto::digest::{sha256, sha256_encoded, Digest, Sha256};
-use nonrep_crypto::hss::SubtreeCert;
+use nonrep_crypto::hss::{CertRef, SubtreeCert};
 use nonrep_crypto::merkle::leaf_hash;
 use nonrep_crypto::sig::{Signature, VerifyingKey};
 use nonrep_crypto::MerkleAccumulator;
 use nonrep_types::codec::{CodecError, Decode, Encode, Reader, Writer};
 use nonrep_types::ids::{OrgId, RunId};
 use nonrep_types::time::Timestamp;
+
+use crate::log::EvidenceLog;
 
 /// The caller-supplied part of an evidence record; the log assigns the
 /// sequence number and chains it.
@@ -275,13 +278,13 @@ const CERT_KIND: &str = "subtree_cert";
 /// The reserved control run subtree-certificate records are filed under:
 /// one of their own, so the run index returns the certificates alone.
 /// Minted run ids are 128 random bits, so the all-ones id is never one.
-pub fn cert_run_id() -> RunId {
+fn cert_run_id() -> RunId {
     RunId::from_u128(u128::MAX)
 }
 
 /// Wraps the subtree certificate `signer`'s stored token signatures
 /// reference as a log record draft (kind `CERT_KIND`, filed under
-/// [`cert_run_id`]; content digest = the certified subtree root).
+/// `cert_run_id`; content digest = the certified subtree root).
 pub fn cert_draft(cert: &SubtreeCert, signer: OrgId, at: Timestamp) -> RecordDraft {
     RecordDraft {
         run_id: cert_run_id(),
@@ -302,6 +305,22 @@ pub fn cert_from_record(record: &EvidenceRecord) -> Option<SubtreeCert> {
     SubtreeCert::decode_from_slice(&record.draft.payload)
         .ok()
         .filter(|cert| cert.subtree_root == record.draft.content_digest)
+}
+
+/// The certificates `log` keeps for the references in `wanted`, found
+/// through the run index of `cert_run_id`: what a reader re-attaches to
+/// stored token signatures before it verifies or sends them.
+pub fn stored_certs(log: &dyn EvidenceLog, wanted: &HashSet<CertRef>) -> Vec<SubtreeCert> {
+    if wanted.is_empty() {
+        return Vec::new();
+    }
+    let roots: HashSet<Digest> = wanted.iter().map(|r| r.subtree_root).collect();
+    log.by_run(&cert_run_id())
+        .iter()
+        .filter(|r| roots.contains(&r.draft.content_digest))
+        .filter_map(|r| cert_from_record(r))
+        .filter(|c| wanted.contains(&c.reference()))
+        .collect()
 }
 
 /// Record kind under which exchange progress markers are journalled.

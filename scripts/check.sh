@@ -88,6 +88,8 @@ retired=(
     coordinatorless_welcome_for_tests
     # one scratch writer per thread
     record_hash_with tbs
+    # one record of a run: handlers read their run state from their own log
+    FairRunState EscrowEntry RunEntry mark_receipt receipt_digest
 )
 echo "==> retired names"
 if grep -rnwF "${retired[@]/#/-e}" --exclude=check.sh \
@@ -164,6 +166,33 @@ if non_test_match '[.](for_each|for_each_window|count_where)[(]|[.]records[(][)]
     "${protocol_sources[@]}"; then
     echo "check.sh: protocol code walks a log outside the scheduler's reopen pass" \
         "(file:line above); make the state a nonrep_store::Fold fed by CommitmentScheduler" >&2
+    exit 1
+fi
+
+# One record of a run: a handler reads a run's facts (receipt, abort,
+# outcome) from its own evidence log through the run index
+# (Party::logged), never from a run-keyed map beside it. Five maps hold
+# what the log cannot:
+run_state_allowed=(
+    # the at-most-once reply cache: reply bytes are not evidence
+    'invocation/mod.rs:[0-9]+: +replies:'
+    # the fair server's K, not logged until it is sealed (ROADMAP 9(b))
+    'invocation/fair_offline.rs:[0-9]+: +keys:'
+    # the TTP's escrowed key, client and server (ROADMAP 9(a))
+    'invocation/fair_offline.rs:[0-9]+: +ledger:'
+    # sharing's pending digests, not yet a log read (ROADMAP 3(b))
+    'sharing/coordination.rs:[0-9]+: +pending:'
+    # the supervisor's deadlines: timers, not evidence
+    'session/supervisor.rs:[0-9]+: +inflight:'
+)
+echo "==> run state (crates/protocols/src)"
+mapfile -t protocol_all < <(find crates/protocols/src -name '*.rs' | sort)
+mapfile -t run_maps < <(non_test_match 'Mutex<(HashMap|BTreeMap)<RunId' "${protocol_all[@]}" |
+    grep -Ev "${run_state_allowed[@]/#/-e}" || true)
+if [[ ${#run_maps[@]} -gt 0 ]]; then
+    printf '%s\n' "${run_maps[@]}"
+    echo "check.sh: a run-keyed map keeps run state beside the log (file:line above);" \
+        "read it from the party's log with Party::logged" >&2
     exit 1
 fi
 
