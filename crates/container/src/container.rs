@@ -22,8 +22,8 @@ struct Deployment {
 /// An organisation's component container.
 ///
 /// Deploys components under service names, holds the server-side
-/// interceptor chain, and executes incoming invocations: interceptors
-/// first, then descriptor checks, then the component — mirroring a J2EE
+/// interceptor chain, and executes incoming invocations: descriptor
+/// checks first, then interceptors, then the component — mirroring a J2EE
 /// container's managed invocation path.
 pub struct Container {
     org: OrgId,

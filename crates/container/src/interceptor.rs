@@ -18,7 +18,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use nonrep_access::{Action, SessionManager};
 use nonrep_types::codec::{CodecError, Decode, Encode, Reader, Writer};
 use nonrep_types::ids::{MethodName, OrgId, ServiceUri};
 use nonrep_types::value::Value;
@@ -58,11 +57,6 @@ impl Invocation {
             args,
             context: BTreeMap::new(),
         }
-    }
-
-    /// The access-control resource string for this invocation.
-    pub fn resource(&self) -> String {
-        format!("{}.{}", self.service, self.method)
     }
 }
 
@@ -258,48 +252,6 @@ impl Interceptor for MetricsInterceptor {
     }
 }
 
-/// Denies invocations the session manager does not authorize.
-///
-/// The container-level enforcement point for the paper's §3.5 access
-/// control requirement: resource = `service.method`, action = `Invoke`.
-pub struct AccessControlInterceptor {
-    sessions: Arc<SessionManager>,
-}
-
-impl fmt::Debug for AccessControlInterceptor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("AccessControlInterceptor")
-    }
-}
-
-impl AccessControlInterceptor {
-    /// Creates an interceptor enforcing `sessions`.
-    pub fn new(sessions: Arc<SessionManager>) -> Self {
-        Self { sessions }
-    }
-}
-
-impl Interceptor for AccessControlInterceptor {
-    fn invoke(&self, inv: Invocation, chain: &Chain<'_>) -> Result<Value, ContainerError> {
-        let decision = self
-            .sessions
-            .authorize(&inv.caller, &inv.resource(), Action::Invoke);
-        if decision.is_permit() {
-            chain.proceed(inv)
-        } else {
-            Err(ContainerError::AccessDenied(format!(
-                "{} may not invoke {} ({decision})",
-                inv.caller,
-                inv.resource()
-            )))
-        }
-    }
-
-    fn name(&self) -> &str {
-        "access-control"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,7 +299,7 @@ mod tests {
                 _inv: Invocation,
                 _chain: &Chain<'_>,
             ) -> Result<Value, ContainerError> {
-                Err(ContainerError::AccessDenied("blocked".into()))
+                Err(ContainerError::Application("blocked".into()))
             }
         }
         let chain_vec: Vec<Arc<dyn Interceptor>> = vec![Arc::new(Block)];
@@ -355,7 +307,7 @@ mod tests {
         let chain = Chain::new(&chain_vec, &target);
         assert!(matches!(
             chain.proceed(Invocation::new("a", "s", "m", Value::Null)),
-            Err(ContainerError::AccessDenied(_))
+            Err(ContainerError::Application(_))
         ));
     }
 
@@ -403,6 +355,5 @@ mod tests {
         inv.context.insert("trace".into(), Value::from("abc"));
         let back = Invocation::decode_from_slice(&inv.encode_to_vec()).unwrap();
         assert_eq!(back, inv);
-        assert_eq!(back.resource(), "svc.m");
     }
 }

@@ -17,8 +17,8 @@
 //!   is responsible for identifying, in a bean's deployment descriptor,
 //!   when non-repudiation is required").
 //! * [`interceptor`] — [`Interceptor`], [`Chain`], [`Invocation`]: the
-//!   chain-of-responsibility invocation path, plus stock interceptors
-//!   (metrics, access control).
+//!   chain-of-responsibility invocation path, plus a stock metrics
+//!   interceptor.
 //! * [`container`] — [`Container`]: deploys components with descriptors
 //!   and runs the server-side chain.
 //! * [`proxy`] — [`ClientProxy`]: the client-side dynamic proxy running a
@@ -51,8 +51,6 @@ pub enum ContainerError {
     NoSuchService(ServiceUri),
     /// The component does not export the method.
     NoSuchMethod(ServiceUri, MethodName),
-    /// An access-control interceptor denied the invocation.
-    AccessDenied(String),
     /// Business-logic failure raised by the component.
     Application(String),
     /// Transport failure between client proxy and remote container.
@@ -68,7 +66,6 @@ impl fmt::Display for ContainerError {
         match self {
             ContainerError::NoSuchService(s) => write!(f, "no such service: {s}"),
             ContainerError::NoSuchMethod(s, m) => write!(f, "no method {m} on {s}"),
-            ContainerError::AccessDenied(msg) => write!(f, "access denied: {msg}"),
             ContainerError::Application(msg) => write!(f, "application error: {msg}"),
             ContainerError::Transport(msg) => write!(f, "transport error: {msg}"),
             ContainerError::Protocol(msg) => write!(f, "protocol error: {msg}"),

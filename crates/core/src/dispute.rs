@@ -364,7 +364,9 @@ impl Adjudicator {
             submission.records.first().map(|r| (r.seq, r.prev_hash)),
         );
         for cert in &submission.certs {
-            builder.certs.insert(cert.reference(), cert.clone());
+            builder
+                .certs
+                .insert(cert.reference(), Arc::new(cert.clone()));
         }
         for record in &submission.records {
             builder.check(record);
@@ -420,7 +422,7 @@ struct ReportBuilder<'a> {
     hashes: Vec<Digest>,
     /// Subtree certificates stored token signatures can reference: the
     /// submission's, then each certificate record as it is scanned.
-    certs: HashMap<CertRef, SubtreeCert>,
+    certs: HashMap<CertRef, Arc<SubtreeCert>>,
 }
 
 impl<'a> ReportBuilder<'a> {
@@ -485,7 +487,7 @@ impl<'a> ReportBuilder<'a> {
             // names its subtree.
             match cert_from_record(record) {
                 Some(cert) => {
-                    self.certs.insert(cert.reference(), cert);
+                    self.certs.insert(cert.reference(), Arc::new(cert));
                 }
                 None => self.report.undecodable += 1,
             }
@@ -508,7 +510,7 @@ impl<'a> ReportBuilder<'a> {
                 // one this submission cannot resolve leaves the reference
                 // in place, and a reference never verifies.
                 if let Some(cert) = token.signature.cert_ref().and_then(|r| self.certs.get(&r)) {
-                    token.signature.attach_cert(cert.clone());
+                    token.signature.attach_cert(Arc::clone(cert));
                 }
                 let ok = self
                     .directory

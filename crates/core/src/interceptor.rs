@@ -12,9 +12,9 @@
 //!   handlers call it "at the appropriate point during execution of the
 //!   non-repudiation protocol \[when\] the client's request is actually
 //!   passed through the interceptor chain to the EJB component" — it runs
-//!   the *full server chain* (access control, logging, …), so a request
-//!   that arrives with valid evidence can still be denied by policy, and
-//!   that denial is itself evidenced.
+//!   the *full server chain* (every interceptor the container deployed),
+//!   so a request that arrives with valid evidence can still be refused by
+//!   the chain, and that refusal is itself evidenced.
 
 use std::fmt;
 use std::sync::Arc;

@@ -617,7 +617,7 @@ impl OrgMiddleware {
 
     /// The shared key directory: one current verifying key per
     /// organisation. It is the only `KeyDirectory` the middleware builds
-    /// on; `nonrep_pki::CredentialManager` does not implement that trait.
+    /// on.
     pub fn directory(&self) -> &Arc<StaticKeyDirectory> {
         &self.directory
     }

@@ -150,7 +150,7 @@ fn doctored_submissions_draw_the_same_verdict_cold_warm_and_after_a_clean_pass()
     let CertLink::Inline(cert) = &mut h.cert else {
         panic!("the cert was just attached");
     };
-    cert.generation += 1;
+    Arc::make_mut(cert).generation += 1;
     Arc::make_mut(&mut forged_cert[slot]).draft.payload = token.encode_to_vec();
 
     // Laundered cert: a foreign hierarchy's genuine certificate record

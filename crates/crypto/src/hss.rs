@@ -55,6 +55,7 @@
 //!   yet, and erasure is a best-effort overwrite — not a guarded-memory
 //!   guarantee.)
 
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use nonrep_types::codec::{CodecError, Decode, Encode, Reader, Writer};
@@ -151,8 +152,10 @@ impl Decode for CertRef {
 /// (the wire form) or a reference to one stored elsewhere.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CertLink {
-    /// The root key's certificate itself.
-    Inline(SubtreeCert),
+    /// The root key's certificate itself, behind an `Arc`: the signer's
+    /// signatures over one subtree share it, and so do the tokens
+    /// decoded from one frame.
+    Inline(Arc<SubtreeCert>),
     /// A reference to a certificate the reader resolves before
     /// verifying ([`HssSignature::attach_cert`]).
     Ref(CertRef),
@@ -238,7 +241,7 @@ impl HssSignature {
 
     /// Replaces an inline cert with its reference and returns the cert
     /// (`None`, changing nothing, if the cert is already a reference).
-    pub fn detach_cert(&mut self) -> Option<SubtreeCert> {
+    pub fn detach_cert(&mut self) -> Option<Arc<SubtreeCert>> {
         let reference = CertLink::Ref(self.cert.reference());
         match std::mem::replace(&mut self.cert, reference) {
             CertLink::Inline(cert) => Some(cert),
@@ -249,7 +252,8 @@ impl HssSignature {
     /// Puts `cert` in place of the reference it answers. Returns `false`,
     /// changing nothing, if the cert is inline already or `cert` names
     /// another subtree.
-    pub fn attach_cert(&mut self, cert: SubtreeCert) -> bool {
+    pub fn attach_cert(&mut self, cert: impl Into<Arc<SubtreeCert>>) -> bool {
+        let cert = cert.into();
         match self.cert {
             CertLink::Ref(r) if r == cert.reference() => {
                 self.cert = CertLink::Inline(cert);
@@ -310,7 +314,7 @@ impl Decode for HssSignature {
             }
         };
         let cert = if tag & SUBTREE_TAG_CERT_REF == 0 {
-            CertLink::Inline(SubtreeCert::decode(r)?)
+            CertLink::Inline(Arc::new(SubtreeCert::decode(r)?))
         } else {
             CertLink::Ref(CertRef::decode(r)?)
         };
@@ -394,7 +398,7 @@ fn build_subtree(seed: [u8; 32], height: u8, workers: usize, buffer: Vec<[u8; 32
 pub struct HssSigner {
     root: MssSigner,
     active: MssSigner,
-    active_cert: SubtreeCert,
+    active_cert: Arc<SubtreeCert>,
     subtree_height: u8,
     generation: u32,
     /// Forward-secure source of subtree seeds — the generation chain is
@@ -448,7 +452,8 @@ impl HssSigner {
         let mut seed_chain = SeedChain::new(rng.secret32());
         let active = build_subtree(seed_chain.next_seed(), subtree_height, workers, Vec::new());
         let active_cert = certify(&mut root, 0, active.public_key())
-            .expect("fresh root key certifies generation 0");
+            .expect("fresh root key certifies generation 0")
+            .into();
         Self {
             root,
             active,
@@ -515,7 +520,10 @@ impl HssSigner {
     ///
     /// Returns [`MssError::KeyExhausted`] when the hierarchy is spent
     /// (see [`HssSigner::sign`]).
-    pub fn sign_leaf(&mut self, digest: &Digest) -> Result<(MssSignature, SubtreeCert), MssError> {
+    pub fn sign_leaf(
+        &mut self,
+        digest: &Digest,
+    ) -> Result<(MssSignature, Arc<SubtreeCert>), MssError> {
         if self.active.remaining() == 0 {
             self.roll_over()?;
         }
@@ -542,7 +550,7 @@ impl HssSigner {
         let generation = self.generation + 1;
         let cert = certify(&mut self.root, generation, next.public_key())?;
         self.spare = std::mem::replace(&mut self.active, next).into_buffer();
-        self.active_cert = cert;
+        self.active_cert = cert.into();
         self.generation = generation;
         Ok(())
     }
@@ -701,7 +709,7 @@ mod tests {
         // Tampering the generation breaks the cert's digest binding.
         let mut sig = alice.sign(&d).unwrap();
         if let CertLink::Inline(cert) = &mut sig.cert {
-            cert.generation += 1;
+            Arc::make_mut(cert).generation += 1;
         }
         assert!(!sig.verify(&alice.public_key(), &d));
     }
@@ -727,7 +735,7 @@ mod tests {
             cert.byte_len() - CertRef::BYTE_LEN
         );
         // Only the cert the reference names can be attached.
-        let mut other = s.active_cert.clone();
+        let mut other = (*s.active_cert).clone();
         other.generation += 1;
         assert!(!stored.attach_cert(other));
         assert!(stored.attach_cert(cert.clone()));
@@ -753,7 +761,7 @@ mod tests {
                     &genuine.subtree_root,
                 ))
                 .unwrap(),
-            ..genuine
+            ..(*genuine).clone()
         };
         assert!(swapped.verify(&other_root.public_key()));
         assert!(sig.attach_cert(swapped));
@@ -788,7 +796,7 @@ mod tests {
         let s = signer(2, 1, 10);
         let cert = s.active_cert.clone();
         let back = SubtreeCert::decode_from_slice(&cert.encode_to_vec()).unwrap();
-        assert_eq!(back, cert);
+        assert_eq!(back, *cert);
         assert!(back.verify(&s.public_key()));
         assert_eq!(cert.encode_to_vec().len(), cert.byte_len());
     }

@@ -14,6 +14,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -23,7 +24,7 @@ use crate::arbitrated::ArbitratedKey;
 use crate::batch::{batch_digest, batch_leaves, BatchSignature};
 use crate::digest::{sha256, sha256_encoded, Digest};
 use crate::hss::{CertLink, CertRef, HssSignature, HssSigner, SubtreeCert, SubtreeSig};
-use crate::merkle::MerkleTree;
+use crate::merkle::{AuthPath, MerkleTree};
 use crate::mss::{self, MssError, MssSignature, MssSigner};
 use crate::rng::SecureRandom;
 
@@ -148,7 +149,7 @@ impl Signature {
     /// subtree certificate is replaced by its reference and returned.
     /// `None` (nothing changed) for other schemes and for a signature
     /// already in the stored form.
-    pub fn detach_cert(&mut self) -> Option<SubtreeCert> {
+    pub fn detach_cert(&mut self) -> Option<Arc<SubtreeCert>> {
         match &mut self.payload {
             SignaturePayload::Hss(h) => h.detach_cert(),
             _ => None,
@@ -169,7 +170,7 @@ impl Signature {
 
     /// The subtree certificate a hierarchical signature carries inline
     /// (`None` in the stored form, or when the scheme has none).
-    pub fn inline_cert(&self) -> Option<&SubtreeCert> {
+    pub fn inline_cert(&self) -> Option<&Arc<SubtreeCert>> {
         match &self.payload {
             SignaturePayload::Hss(h) => match &h.cert {
                 CertLink::Inline(cert) => Some(cert),
@@ -181,7 +182,7 @@ impl Signature {
 
     /// Resolves a stored signature's reference with `cert` (see
     /// [`HssSignature::attach_cert`]); `false` if it names another cert.
-    pub fn attach_cert(&mut self, cert: SubtreeCert) -> bool {
+    pub fn attach_cert(&mut self, cert: impl Into<Arc<SubtreeCert>>) -> bool {
         match &mut self.payload {
             SignaturePayload::Hss(h) => h.attach_cert(cert),
             _ => false,
@@ -203,18 +204,33 @@ impl Signature {
         }
     }
 
-    /// [`Signature::batch`], mutably: a decoder rebuilds a record's
-    /// signature from another leaf's of the same batch by setting the
-    /// leaf index and authentication path.
-    pub fn batch_mut(&mut self) -> Option<&mut BatchSignature> {
-        match &mut self.payload {
-            SignaturePayload::BatchedMss(b) => Some(b),
-            SignaturePayload::Hss(h) => match &mut h.subtree_sig {
-                SubtreeSig::Batched(b) => Some(b),
-                SubtreeSig::Direct(_) => None,
-            },
-            _ => None,
+    /// The signature of leaf `leaf_index`, with `auth_path`, in the batch
+    /// `self` signs: a decoder rebuilds a record's signature from another
+    /// leaf's of the same batch. It shares `self`'s leaf signature chains
+    /// and subtree certificate. `None` if `self` is not batched or
+    /// `auth_path` is not as deep as its own.
+    pub fn sibling(&self, leaf_index: u32, auth_path: AuthPath) -> Option<Signature> {
+        let own = self.batch()?;
+        if own.auth_path.steps.len() != auth_path.steps.len() {
+            return None;
         }
+        let batch = BatchSignature {
+            mss_sig: own.mss_sig.clone(),
+            leaf_index,
+            leaf_count: own.leaf_count,
+            auth_path,
+        };
+        let payload = match &self.payload {
+            SignaturePayload::Hss(h) => SignaturePayload::Hss(Box::new(HssSignature {
+                subtree_sig: SubtreeSig::Batched(batch),
+                cert: h.cert.clone(),
+            })),
+            _ => SignaturePayload::BatchedMss(batch),
+        };
+        Some(Signature {
+            key_id: self.key_id,
+            payload,
+        })
     }
 
     /// `true` if `self` signs another leaf of the batch `other` signs:
@@ -571,27 +587,29 @@ impl KeyPair {
             SignerInner::Hss(s) => s.sign_leaf(&root).map(|(sig, cert)| (sig, Some(cert)))?,
             SignerInner::Arbitrated(_) => unreachable!("tags are answered above"),
         };
-        let payload = |i: usize| {
-            let batch = BatchSignature {
-                mss_sig: mss_sig.clone(),
-                leaf_index: i as u32,
-                leaf_count: digests.len() as u32,
-                auth_path: tree.auth_path(i),
-            };
-            match &cert {
+        let batch = BatchSignature {
+            mss_sig,
+            leaf_index: 0,
+            leaf_count: digests.len() as u32,
+            auth_path: tree.auth_path(0),
+        };
+        let first = Signature {
+            key_id: self.key_id,
+            payload: match cert {
                 None => SignaturePayload::BatchedMss(batch),
                 Some(cert) => SignaturePayload::Hss(Box::new(HssSignature {
                     subtree_sig: SubtreeSig::Batched(batch),
-                    cert: CertLink::Inline(cert.clone()),
+                    cert: CertLink::Inline(cert),
                 })),
-            }
+            },
         };
-        Ok((0..digests.len())
-            .map(|i| Signature {
-                key_id: self.key_id,
-                payload: payload(i),
-            })
-            .collect())
+        let mut sigs = Vec::with_capacity(digests.len());
+        sigs.push(first);
+        for i in 1..digests.len() {
+            let sibling = sigs[0].sibling(i as u32, tree.auth_path(i));
+            sigs.push(sibling.expect("a batched signature has siblings"));
+        }
+        Ok(sigs)
     }
 }
 
@@ -862,7 +880,6 @@ mod tests {
 
     #[test]
     fn a_batchs_signatures_share_its_chains() {
-        use std::sync::Arc;
         let hss = KeyPair::generate(
             SignatureScheme::Hss {
                 root_height: 2,
@@ -874,12 +891,10 @@ mod tests {
         for kp in [mss_pair(35), hss] {
             let sigs = kp.sign_batch(&digests).unwrap();
             let chains = |s: &Signature| Arc::clone(&s.batch().unwrap().mss_sig.wots.chains);
-            let cert_chains =
-                |s: &Signature| s.inline_cert().map(|c| Arc::clone(&c.root_sig.wots.chains));
             for s in &sigs[1..] {
                 assert!(Arc::ptr_eq(&chains(s), &chains(&sigs[0])));
-                match (cert_chains(s), cert_chains(&sigs[0])) {
-                    (Some(a), Some(b)) => assert!(Arc::ptr_eq(&a, &b)),
+                match (s.inline_cert(), sigs[0].inline_cert()) {
+                    (Some(a), Some(b)) => assert!(Arc::ptr_eq(a, b)),
                     (a, b) => assert!(a.is_none() && b.is_none()),
                 }
             }
@@ -897,7 +912,6 @@ mod tests {
 
     #[test]
     fn concurrent_signing_is_safe() {
-        use std::sync::Arc;
         let kp = Arc::new(KeyPair::generate(
             SignatureScheme::Mss { height: 5 },
             &mut SecureRandom::from_seed(14),

@@ -113,7 +113,7 @@ fn mutations(sig: &Signature) -> Vec<(Signature, bool)> {
                 SignaturePayload::Hss(h) => match (which.checked_sub(6), &mut h.subtree_sig) {
                     (None, _) if which == 5 => h.detach_cert().is_some(),
                     (None, _) => match &mut h.cert {
-                        CertLink::Inline(c) => cert(c, which),
+                        CertLink::Inline(c) => cert(Arc::make_mut(c), which),
                         CertLink::Ref(_) => true,
                     },
                     (Some(w), SubtreeSig::Direct(s)) => mss(s, w),

@@ -151,23 +151,15 @@ impl Encode for ProtocolMessage {
 /// Rebuilds a compact token's signature: the frame's batched signature
 /// with the token's own leaf index and authentication path.
 fn leaf_signature(frame: Option<&Signature>, r: &mut Reader<'_>) -> Result<Signature, CodecError> {
-    let mut sig = frame
-        .ok_or_else(|| CodecError::Invalid("compact token in an unsigned frame".to_string()))?
-        .clone();
-    let leaf = sig.batch_mut().ok_or_else(|| {
-        CodecError::Invalid("compact token in a frame whose signature is not batched".to_string())
-    })?;
-    leaf.leaf_index = r.get_u32()?;
+    let frame = frame
+        .ok_or_else(|| CodecError::Invalid("compact token in an unsigned frame".to_string()))?;
+    let leaf_index = r.get_u32()?;
     let auth_path = AuthPath::decode(r)?;
-    if auth_path.steps.len() != leaf.auth_path.steps.len() {
-        return Err(CodecError::Invalid(format!(
-            "compact token's auth path has {} steps, the frame's {}",
-            auth_path.steps.len(),
-            leaf.auth_path.steps.len()
-        )));
-    }
-    leaf.auth_path = auth_path;
-    Ok(sig)
+    frame.sibling(leaf_index, auth_path).ok_or_else(|| {
+        CodecError::Invalid(
+            "compact token's auth path is not a leaf of the frame's batch signature".to_string(),
+        )
+    })
 }
 
 impl Decode for ProtocolMessage {
@@ -518,9 +510,16 @@ mod tests {
         let m = hss_party(18).sign_frame(msg(), &specs(b"s")).unwrap();
         let back = ProtocolMessage::decode_from_slice(&m.encode_to_vec()).unwrap();
         let chains = |s: &Signature| Arc::clone(&s.batch().unwrap().mss_sig.wots.chains);
-        let frame = chains(back.signature.as_ref().unwrap());
-        for t in &back.tokens {
-            assert!(Arc::ptr_eq(&chains(&t.signature), &frame));
+        let cert = |s: &Signature| Arc::clone(s.inline_cert().unwrap());
+        // The frame as one `sign_batch` call signed it, and as decoded:
+        // every token shares the frame's chains and subtree certificate.
+        for m in [&m, &back] {
+            let frame = m.signature.as_ref().unwrap();
+            assert!(!m.tokens.is_empty());
+            for t in &m.tokens {
+                assert!(Arc::ptr_eq(&chains(&t.signature), &chains(frame)));
+                assert!(Arc::ptr_eq(&cert(&t.signature), &cert(frame)));
+            }
         }
     }
 

@@ -30,8 +30,9 @@ use crate::ProtocolError;
 
 /// Resolves an organisation's verifying key.
 ///
-/// [`StaticKeyDirectory`] is the one implementation, in deployments and
-/// tests alike; `nonrep_pki::CredentialManager` does not implement it.
+/// This is the paper's §3.5 signature-verification service: the one way an
+/// organisation's key is resolved. [`StaticKeyDirectory`] is the one
+/// implementation, in deployments and tests alike.
 pub trait KeyDirectory: Send + Sync {
     /// The verifying key of `org`, if known and currently valid.
     fn key_of(&self, org: &OrgId) -> Option<VerifyingKey>;
@@ -380,7 +381,7 @@ impl Party {
             content_digest: token.subject,
             payload: stored.encode_to_vec(),
         };
-        self.scheduler.record_token(draft, cert)?;
+        self.scheduler.record_token(draft, cert.as_deref())?;
         Ok(())
     }
 

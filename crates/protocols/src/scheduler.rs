@@ -510,13 +510,13 @@ impl CommitmentScheduler {
     pub fn record_token(
         &self,
         draft: RecordDraft,
-        cert: Option<SubtreeCert>,
+        cert: Option<&SubtreeCert>,
     ) -> Result<Arc<EvidenceRecord>, StoreError> {
         let mut state = self.state.lock();
         if let Some(cert) = cert {
             if !state.seal.certs_stored.contains(&cert.reference()) {
                 let signer = draft.actor.clone();
-                self.record_locked(&mut state, cert_draft(&cert, signer, self.clock.now()))?;
+                self.record_locked(&mut state, cert_draft(cert, signer, self.clock.now()))?;
             }
         }
         self.record_locked(&mut state, draft)
@@ -1337,7 +1337,7 @@ mod tests {
                 payload: token.encode_to_vec(),
                 ..draft(n)
             },
-            cert,
+            cert.as_deref(),
         )
         .unwrap();
     }

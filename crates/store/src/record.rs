@@ -772,7 +772,7 @@ mod tests {
         assert!(!rec.is_key_rollover());
         assert_eq!(rec.draft.run_id, cert_run_id());
         assert_ne!(cert_run_id(), epoch_run_id());
-        assert_eq!(cert_from_record(&rec), Some(cert));
+        assert_eq!(cert_from_record(&rec), Some((*cert).clone()));
         // A payload that no longer decodes, or a content digest naming
         // another subtree, is not a certificate record.
         let mut cut = rec.clone();

@@ -78,13 +78,6 @@ impl LogicalClock {
         Self::default()
     }
 
-    /// Creates a logical clock starting at `start`.
-    pub fn starting_at(start: Timestamp) -> Self {
-        let clock = Self::new();
-        clock.millis.store(start.0, Ordering::SeqCst);
-        clock
-    }
-
     /// Advances the clock by `ms` milliseconds, returning the new time.
     pub fn advance(&self, ms: u64) -> Timestamp {
         let new = self.millis.fetch_add(ms, Ordering::SeqCst) + ms;

@@ -90,6 +90,11 @@ retired=(
     record_hash_with tbs
     # one record of a run: handlers read their run state from their own log
     FairRunState EscrowEntry RunEntry mark_receipt receipt_digest
+    # one key resolver: KeyDirectory; the credential and access-control
+    # crates, their container interceptor and what only they called
+    CredentialManager CertificateAuthority RevocationList PkiError SessionManager
+    AccessControlInterceptor CredentialRoleMapper AccessPolicy AccessDecision AccessDenied
+    nonrep_pki nonrep_access starting_at
 )
 echo "==> retired names"
 if grep -rnwF "${retired[@]/#/-e}" --exclude=check.sh \
@@ -116,6 +121,31 @@ non_test_match() {
          $0 ~ pattern { print FILENAME ":" FNR ": " $0; found = 1 }
          END { exit !found }' pattern="$pattern" "$@"
 }
+
+# Dependency edges equal use edges: every nonrep_* crate under a
+# manifest's [dependencies] is named in its package's non-test code
+# (loc.sh's cut of src/ and benches/; comments do not count). An edge
+# nothing uses still builds and links the crate for nothing.
+echo "==> dependency edges (Cargo.toml, crates/*/Cargo.toml)"
+unused_edges=0
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    package="$(dirname "$manifest")"
+    mapfile -t package_sources < <(find "$package/src" "$package/benches" -name '*.rs' 2>/dev/null | sort)
+    mapfile -t edges < <(awk '/^\[/ { deps = ($0 == "[dependencies]") }
+        deps && match($0, /^nonrep_[a-z_]+/) { print substr($0, RSTART, RLENGTH) }' "$manifest")
+    for dep in "${edges[@]}"; do
+        if ! non_test_match "^([^/]*[^A-Za-z0-9_/])?${dep}([^A-Za-z0-9_]|\$)" \
+            "${package_sources[@]}" >/dev/null; then
+            echo "$manifest: $dep"
+            unused_edges=1
+        fi
+    done
+done
+if [[ "$unused_edges" -eq 1 ]]; then
+    echo "check.sh: a manifest depends on a crate its package's code never names" \
+        "(manifest: crate above); delete the edge" >&2
+    exit 1
+fi
 
 # One wiring: the simulator drives the stack a deployment builds
 # (OrgMiddleware::builder), so its non-test code assembles no protocol

@@ -19,10 +19,12 @@
 # the test code.
 # Any other item must be listed in scripts/surface_allow.txt, one
 # `item  reason` line each: `crate::name` (or `crate::Type::name` for a
-# method) for one item, or a bare crate name for a whole crate.
+# method) for one item, or a bare crate name for a whole crate. A line
+# that names neither an existing crate nor a caller-less item is stale
+# (its item is gone or has gained a caller) and fails the guard too.
 #
-#   scripts/surface.sh              # list caller-less items; exit 1 if any is not allowed
-#   scripts/surface.sh --self-test  # a planted caller-less pub fn must fail the guard
+#   scripts/surface.sh              # list caller-less items and stale lines; exit 1 on either
+#   scripts/surface.sh --self-test  # a planted caller-less pub fn, and a planted stale line, must fail the guard
 set -euo pipefail
 
 cd "$(dirname "$0")/.." || exit 1
@@ -133,8 +135,11 @@ with open(allow_path) as f:
             allowed.add(line.split()[0])
 
 unused = []
+uncalled = set()
+crates = set()
 for src in lib_srcs:
     crate = crate_name(src)
+    crates.add(crate)
     for path in sorted(p for p in files if p.startswith(src + '/')):
         lines = non_test(files[path])
         impl_of = None
@@ -159,18 +164,26 @@ for src in lib_srcs:
             label = '%s::%s' % (crate, name)
             if impl_of and line[0].isspace():
                 label = '%s::%s::%s' % (crate, impl_of, name)
+            uncalled.add(label)
             if crate in allowed or label in allowed:
                 continue
             unused.append('%s:%d: %s %s' % (path, i + 1, m.group(1), label))
 
+stale = sorted(allowed - crates - uncalled)
 for u in unused:
     print('  ' + u)
+for s in stale:
+    print('  %s: stale allowlist line %s' % (allow_path, s))
 if unused:
     print('surface: %d pub item(s) with no caller and no allowlist line (%s);'
           ' delete them, make them private, or allow them with a reason'
           % (len(unused), allow_path), file=sys.stderr)
+if stale:
+    print('surface: %d allowlist line(s) name no crate and no caller-less item;'
+          ' delete them' % len(stale), file=sys.stderr)
+if unused or stale:
     sys.exit(1)
-print('surface: every pub item has a caller or an allowlist line')
+print('surface: every pub item has a caller or an allowlist line, and every line is live')
 PY
 }
 
@@ -191,6 +204,17 @@ if [[ "${1:-}" == "--self-test" ]]; then
     fi
     if ! grep -q ' fn nonrep_types::surface_self_test_planted$' <<<"$out"; then
         printf '%s\nsurface self-test FAILED: the planted item is not listed\n' "$out" >&2
+        exit 1
+    fi
+    rm "$tmp/crates/types/src/planted.rs"
+    echo "nonrep_types::surface_self_test_stale  planted stale line" >>"$tmp/$ALLOW"
+    echo "==> self-test: a planted stale allowlist line must fail"
+    if out="$(run_guard "$tmp" "$tmp/$ALLOW" 2>&1)"; then
+        echo "surface self-test FAILED: the stale line passed" >&2
+        exit 1
+    fi
+    if ! grep -q 'stale allowlist line nonrep_types::surface_self_test_stale$' <<<"$out"; then
+        printf '%s\nsurface self-test FAILED: the stale line is not listed\n' "$out" >&2
         exit 1
     fi
     echo "surface: self-test passed"

@@ -11,8 +11,6 @@
 //! | [`crypto`] | SHA-256, HMAC, Merkle trees, forward-secure signatures, timestamping |
 //! | [`net`] | in-process bus, fault injection, latency models, simulator |
 //! | [`store`] | hash-chained evidence logs (epoch-grouped durability), state store |
-//! | [`pki`] | certificates, CAs, CRLs, credential management |
-//! | [`access`] | roles, policies, event-driven sessions |
 //! | [`container`] | components, descriptors, interceptor chains, proxies |
 //! | [`protocols`] | NR-invocation & NR-sharing protocol suite, coordinator |
 //! | [`core`] | trusted interceptors, org middleware, trust domains, adjudication |
@@ -79,13 +77,11 @@
 //! See `docs/ARCHITECTURE.md` for the full map from the paper's concepts
 //! to these crates.
 
-pub use nonrep_access as access;
 pub use nonrep_container as container;
 pub use nonrep_contract as contract;
 pub use nonrep_core as core;
 pub use nonrep_crypto as crypto;
 pub use nonrep_net as net;
-pub use nonrep_pki as pki;
 pub use nonrep_protocols as protocols;
 pub use nonrep_store as store;
 pub use nonrep_types as types;
