@@ -45,10 +45,10 @@ type Backend = fn(MiddlewareBuilder, &Path) -> MiddlewareBuilder;
 /// four §3.2 cannot-deny assurances).
 type Facts = (bool, [bool; 4]);
 
-/// One echo invocation between a fresh client/server pair on a bus whose
+/// Two echo invocations between a fresh client/server pair on a bus whose
 /// every hop takes 1 ms of the shared clock; the client's evidence
-/// pipeline is `mode` over `backend`. Returns the adjudication facts and
-/// the number of epochs the client sealed.
+/// pipeline is `mode` over `backend`. Returns the adjudication facts of
+/// the first and the number of epochs the client sealed.
 fn facts_for(mode: CommitmentMode, backend: Backend, tag: &str) -> (Facts, u64) {
     let bus = LocalBus::with_config(FaultPlan::none(), LatencyModel::Constant(1), 0);
     let dir = Arc::new(StaticKeyDirectory::new());
@@ -61,10 +61,12 @@ fn facts_for(mode: CommitmentMode, backend: Backend, tag: &str) -> (Facts, u64) 
     let server = OrgMiddleware::builder("server", bus, dir, clock).build();
     deploy_echo(&server);
     let proxy = client.nr_proxy(server.org(), "urn:echo");
-    assert_eq!(
-        proxy.invoke("echo", Value::from(7i64)).unwrap(),
-        Value::from(7i64)
-    );
+    for arg in [7i64, 8] {
+        assert_eq!(
+            proxy.invoke("echo", Value::from(arg)).unwrap(),
+            Value::from(arg)
+        );
+    }
     // Seal (and, on buffered logs, fsync) whatever the policy left
     // pending, then adjudicate both windows.
     client.flush_evidence().unwrap();
@@ -98,8 +100,9 @@ fn adjudication_is_unaffected_by_seal_and_sync_policy() {
     // Exactly the configurations the code still supports: every
     // commitment mode over every backend, minus per-record over the
     // buffering log (rejected at build). A 1 ms deadline seals on the
-    // first append after each bus hop, so that row adjudicates a log of
-    // several epochs; the 1 s deadline leaves the run to the final seal.
+    // client's first step batch after a bus hop — its step-3 batch, once
+    // per invocation — so that row adjudicates a log of several epochs;
+    // the 1 s deadline leaves the runs to the final seal.
     let modes = [
         ("per-record", CommitmentMode::PerRecord),
         ("auto-1ms", CommitmentMode::auto(1)),

@@ -142,12 +142,13 @@ impl DirectClient {
         // Step 1: request + NRO_req; steps 1/2 ride one deliverRequest
         // (with retries; the server caches its reply per run).
         let nro_req = TokenSpec::new(TokenKind::NroReq, run_id, req_digest);
-        let (msg2, session) = session.call(server, request, &[nro_req])?;
+        let (msg2, mut session) = session.call(server, request, &[nro_req])?;
         let response: ServerResponse = self.engine.decode_body(&msg2.body)?;
 
-        // Verify and persist the server's evidence.
+        // Verify the server's evidence; it is persisted with the receipt
+        // below, in one write, before the receipt leaves.
         let resp_digest = sha256(&msg2.body);
-        self.engine.party().absorb_carried(
+        session.absorb_carried(
             &msg2,
             [
                 (TokenKind::NrrReq, req_digest),
@@ -719,6 +720,93 @@ mod tests {
         let ((client, client_seals), (server, server_seals)) = leaves_per_exchange(false);
         assert_eq!((client, client_seals), (4, 0));
         assert_eq!((server, server_seals), (3, 0));
+    }
+
+    /// Device barriers per op of each side of `ops` direct exchanges
+    /// between two parties over write-through `FileLog`s (the client
+    /// journalled if `journalled`). The server's executor checks that the
+    /// request's `NRO_req` is on disk before the request executes.
+    fn write_through_barriers(tag: &str, journalled: bool, ops: u64) -> (u64, u64) {
+        use nonrep_crypto::rng::SecureRandom;
+        use nonrep_store::{EvidenceLog, FileLog};
+        let clock = LogicalClock::new();
+        let dir = Arc::new(StaticKeyDirectory::new());
+        let bus = LocalBus::new();
+        let file = |org: &str| {
+            let name = format!("nonrep-direct-{tag}-{org}-{}.log", std::process::id());
+            let path = std::env::temp_dir().join(name);
+            let _ = std::fs::remove_file(&path);
+            path
+        };
+        let durable = |org: &str, seed: u64| {
+            let path = file(org);
+            let keys = Party::quick(org, seed, &clock, &dir).keys().clone();
+            let log = Arc::new(FileLog::open(&path).unwrap());
+            let rng = SecureRandom::from_seed(seed);
+            let party = Party::new(
+                org,
+                keys,
+                Arc::new(clock.clone()),
+                log.clone(),
+                dir.clone(),
+                rng,
+            );
+            (party, log, path)
+        };
+        let (client_party, client_log, client_path) = durable("client", 1);
+        let (server_party, server_log, server_path) = durable("server", 2);
+        let coord = |org: &str| {
+            let c = B2BCoordinator::new(
+                org,
+                ReliableRequester::new(bus.clone(), RetryPolicy::new(4)),
+            );
+            bus.register(OrgId::new(org), c.clone());
+            c
+        };
+        let on_disk = server_path.clone();
+        coord("server").register_handler(DirectServerHandler::new(
+            server_party,
+            Arc::new(move |_: &OrgId, req: &[u8]| {
+                let logged = FileLog::open(&on_disk).unwrap().records();
+                let last = logged.last().expect("the request's NRO_req is logged");
+                assert_eq!(last.draft.kind, TokenKind::NroReq.label());
+                assert_eq!(last.draft.content_digest, sha256(req));
+                Ok(req.to_vec())
+            }),
+        ));
+        let mut client = DirectClient::new(client_party.clone(), coord("client"));
+        if journalled {
+            client = client.with_journal(RunJournal::new(client_party));
+        }
+        for _ in 0..ops {
+            let out = client.invoke(&OrgId::new("server"), b"req".to_vec());
+            assert!(out.unwrap().receipt_acked);
+        }
+        let per_op = (
+            client_log.sync_batches() / ops,
+            server_log.sync_batches() / ops,
+        );
+        drop((client, client_log, server_log));
+        let _ = std::fs::remove_file(client_path);
+        let _ = std::fs::remove_file(server_path);
+        per_op
+    }
+
+    #[test]
+    fn a_write_through_op_waits_on_one_barrier_per_step() {
+        // Client: {NRO_req}, then {NRR_req, NRO_resp, NRR_resp}. Server:
+        // {NRO_req} before executing, {NRR_req, NRO_resp}, {NRR_resp}.
+        let (client, server) = write_through_barriers("plain", false, 3);
+        assert!(client + server <= 5, "{client} + {server} barriers per op");
+        assert_eq!((client, server), (2, 3));
+    }
+
+    #[test]
+    fn journal_markers_ride_their_steps_write() {
+        // The step-1 marker joins the step-3 batch; the step-3 marker and
+        // the close marker share one write.
+        let (client, _) = write_through_barriers("journalled", true, 3);
+        assert!(client <= 3, "{client} barriers per journalled client op");
     }
 
     #[test]

@@ -372,17 +372,17 @@ impl FairClient {
         pause: impl FnOnce(),
     ) -> Result<FairOutcome, ProtocolError> {
         // Verify all evidence before committing.
-        let (session, step2, [nrr_req, nro_resp]) = self.request_round(run_id, server, request)?;
+        let (mut session, step2, [nrr_req, nro_resp]) =
+            self.request_round(run_id, server, request)?;
         // The escrow ack must come from *our* TTP and cover this run.
         if step2.escrow_ack.issuer != self.ttp {
             return Err(ProtocolError::BadMessage(
                 "escrow ack not from the agreed TTP".into(),
             ));
         }
-        self.engine.absorb(
+        session.absorb(
             &step2.escrow_ack,
             TokenKind::Escrow,
-            run_id,
             Some(&step2.resp_digest),
         )?;
 
@@ -463,8 +463,8 @@ impl FairClient {
     }
 
     /// The step-1/2 round: sends `request` with its `NRO_req`, then
-    /// verifies and persists the `NRR_req` / `NRO_resp` pair the step-2
-    /// frame carries.
+    /// verifies the `NRR_req` / `NRO_resp` pair the step-2 frame carries,
+    /// which the session persists with its next step.
     fn request_round(
         &self,
         run_id: RunId,
@@ -474,9 +474,9 @@ impl FairClient {
         let req_digest = sha256(&request);
         let session = self.engine.session::<Client, FairChoreography>(run_id);
         let nro_req = TokenSpec::new(TokenKind::NroReq, run_id, req_digest);
-        let (msg2, session) = session.call(server, request, &[nro_req])?;
+        let (msg2, mut session) = session.call(server, request, &[nro_req])?;
         let step2: FairStep2 = self.engine.decode_body(&msg2.body)?;
-        self.engine.party().absorb_carried(
+        session.absorb_carried(
             &msg2,
             [
                 (TokenKind::NrrReq, req_digest),
@@ -500,7 +500,7 @@ impl FairClient {
         let run = dispute.run();
         // A refusal (wrong party, bad receipt, unknown run): the run is
         // dead for this client.
-        let (reply, session) = dispute
+        let (reply, mut session) = dispute
             .call_open(&self.ttp, nrr_resp.encode_to_vec(), &[])
             .map_err(|e| ttp_refusal(e, ProtocolError::Aborted(run)))?;
         let ack: ResolveAck = self
@@ -519,11 +519,11 @@ impl FairClient {
             Some(_) => (TokenKind::Decision, Some(defection_digest(server, run))),
             None => (TokenKind::Abort, None),
         };
-        self.engine
-            .absorb(&ack.token, kind, run, subject.as_ref())?;
-        let Some(key) = ack.key else {
-            return Err(ProtocolError::Aborted(run));
-        };
+        session.absorb(&ack.token, kind, subject.as_ref())?;
+        // The answer is on record, with the round's marker, before it is
+        // acted on.
+        session.persist()?;
+        let key = ack.key.ok_or(ProtocolError::Aborted(run))?;
         // Record the TTP's involvement in our own log too.
         self.engine
             .issue_and_store(TokenKind::Resolve, run, sha256(&key))?;
@@ -668,7 +668,7 @@ impl FairServerHandler {
     /// if the TTP is unreachable.
     pub fn abort(&self, run: RunId) -> Result<NrToken, ProtocolError> {
         let session = self.engine.session::<Server, AbortChoreography>(run);
-        let (reply, _done) = session
+        let (reply, mut done) = session
             .call_open(&self.ttp, Vec::new(), &[])
             .map_err(|e| ttp_refusal(e, ProtocolError::Rejected("TTP refused the abort".into())))?;
         let token: NrToken = self.engine.decode_body(&reply.body)?;
@@ -676,15 +676,16 @@ impl FairServerHandler {
             // The client resolved first: its receipt, checked as at step 3.
             let answered = AnsweredRun::for_receipt(self.engine.party(), run, &token.issuer)?;
             if !answered.receipt {
-                self.engine
-                    .absorb(&token, TokenKind::NrrResp, run, Some(&answered.resp_digest))?;
+                done.absorb(&token, TokenKind::NrrResp, Some(&answered.resp_digest))?;
             }
+            done.persist()?;
             self.engine
                 .journal(run, STEP_RECEIPT, MarkerPhase::Closed)?;
             return Ok(token);
         }
         // Once logged, the TTP's Abort refuses a late receipt.
-        self.engine.absorb(&token, TokenKind::Abort, run, None)?;
+        done.absorb(&token, TokenKind::Abort, None)?;
+        done.persist()?;
         // Journalled servers close the run and seal: the abort decision
         // itself must survive a crash.
         self.engine
@@ -739,20 +740,17 @@ impl FairServerHandler {
         let session = self
             .engine
             .session::<Server, EscrowChoreography>(msg.run_id);
-        let (ack, _escrowed) = session
+        let (ack, mut escrowed) = session
             .call_open(&self.ttp, escrow.encode_to_vec(), &[])
             .map_err(|e| ttp_refusal(e, ProtocolError::BadMessage("TTP refused escrow".into())))?;
         let escrow_ack: NrToken = self.engine.decode_body(&ack.body)?;
-        self.engine.absorb(
-            &escrow_ack,
-            TokenKind::Escrow,
-            msg.run_id,
-            Some(&resp_digest),
-        )?;
+        escrowed.absorb(&escrow_ack, TokenKind::Escrow, Some(&resp_digest))?;
 
         // The server's token pair rides the response frame: one
-        // signature for both tokens and the frame in batched mode.
-        let msg2 = self.engine.request_frame(
+        // signature for both tokens and the frame in batched mode, and
+        // one write for them and the escrow leg's records.
+        let msg2 = self.engine.request_frame_after(
+            &mut escrowed.into_records(),
             msg.run_id,
             STEP_RESPONSE,
             FairStep2 {

@@ -205,35 +205,29 @@ impl InlineTtpClient {
         let nro_req = TokenSpec::new(TokenKind::NroReq, run_id, req_digest);
         // The reply frame is signed by the first TTP hop, so the relayed
         // round verifies it under the reply *sender*'s key.
-        let (msg2, session) = session.call_relayed(&self.ttp, step1.encode_to_vec(), &[nro_req])?;
+        let (msg2, mut session) =
+            session.call_relayed(&self.ttp, step1.encode_to_vec(), &[nro_req])?;
         let resp: InlineResp = self.engine.decode_body(&msg2.body)?;
-        // Verify every relayed receipt under its issuer key and persist
-        // it, then the first hop's own response receipt.
+        // Verify every relayed receipt under its issuer key, then the
+        // first hop's own response receipt, and persist them together.
         for receipt in &resp.receipts {
-            self.engine
-                .absorb(receipt, TokenKind::TtpReceipt, run_id, None)?;
+            session.absorb(receipt, TokenKind::TtpReceipt, None)?;
         }
         let resp_digest = sha256_encoded(|w| resp.response.encode(w));
-        self.engine
-            .party()
-            .absorb_carried(&msg2, [(TokenKind::TtpReceipt, resp_digest)])?;
+        session.absorb_carried(&msg2, [(TokenKind::TtpReceipt, resp_digest)])?;
+        session.persist()?;
         // Verify the server's own response-origin token. It is bound to the
         // *inner* run id of the TTP↔server direct exchange (the TTP acts as
         // the protocol client there), so only kind and subject are pinned;
         // the TTP receipts bind the inner exchange to this outer run.
-        let server_key = self.engine.party().key_of(&resp.server_nro_resp.issuer)?;
-        if !resp.server_nro_resp.verify(
-            &server_key,
-            Some(TokenKind::NroResp),
-            None,
+        let nro_resp = &resp.server_nro_resp;
+        let inner_run = nro_resp.run_id;
+        self.engine.party().verify_and_store(
+            nro_resp,
+            TokenKind::NroResp,
+            inner_run,
             Some(&resp_digest),
-        ) {
-            return Err(ProtocolError::BadSignature {
-                org: resp.server_nro_resp.issuer.clone(),
-                what: "server NRO_resp".into(),
-            });
-        }
-        self.engine.party().store_token(&resp.server_nro_resp)?;
+        )?;
         // Run complete: seal pending evidence if the policy asks for it.
         session.finish()?;
         let mut receipts = resp.receipts;

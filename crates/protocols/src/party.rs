@@ -24,7 +24,7 @@ use nonrep_types::ids::{OrgId, RunId};
 use nonrep_types::time::{Clock, LogicalClock, Timestamp};
 
 use crate::message::ProtocolMessage;
-use crate::scheduler::{CommitmentMode, CommitmentScheduler, TokenSpec};
+use crate::scheduler::{CommitmentMode, CommitmentScheduler, StepRecord, TokenSpec};
 use crate::tokens::{NrToken, TokenKind};
 use crate::ProtocolError;
 
@@ -255,8 +255,9 @@ impl Party {
 
     /// Signs `frame` as this party together with the tokens `specs` asks
     /// it to issue at this step (one batch signature in batched mode, see
-    /// [`CommitmentScheduler::sign_frame`]), and persists those tokens.
-    /// The returned frame carries them.
+    /// [`CommitmentScheduler::sign_frame`]), and persists those tokens in
+    /// one batch before the frame is returned. The returned frame carries
+    /// them.
     ///
     /// # Errors
     ///
@@ -267,24 +268,54 @@ impl Party {
         frame: ProtocolMessage,
         specs: &[TokenSpec],
     ) -> Result<ProtocolMessage, ProtocolError> {
-        let frame = self.scheduler.sign_frame(frame, specs)?;
-        for token in &frame.tokens {
-            self.store_token(token)?;
+        self.sign_frame_after(&mut Vec::new(), frame, specs)
+    }
+
+    /// [`Party::sign_frame`], persisting the tokens in one batch with
+    /// `step`, the records this party's step collected before the frame
+    /// (write-ahead: all of them are durable before the frame can leave).
+    /// `step` is persisted even if signing fails.
+    pub(crate) fn sign_frame_after(
+        &self,
+        step: &mut Vec<StepRecord>,
+        frame: ProtocolMessage,
+        specs: &[TokenSpec],
+    ) -> Result<ProtocolMessage, ProtocolError> {
+        let signed = self.scheduler.sign_frame(frame, specs);
+        if let Ok(frame) = &signed {
+            step.extend(frame.tokens.iter().map(|t| self.token_record(t)));
         }
-        Ok(frame)
+        self.persist(step)?;
+        signed
     }
 
     /// Verifies and persists the tokens `msg`'s sender issued at this
-    /// step: exactly one per `expected` entry, in order, each of that
-    /// entry's kind and subject, bound to the frame's run and issued by
-    /// the frame's sender. Returns the tokens, borrowed from the frame.
+    /// step, in one batch: exactly one per `expected` entry, in order,
+    /// each of that entry's kind and subject, bound to the frame's run and
+    /// issued by the frame's sender. Returns the tokens, borrowed from the
+    /// frame.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::BadMessage`] on a wrong token count or issuer,
-    /// otherwise as [`Party::verify_and_store`].
+    /// otherwise as [`Party::verify_and_store`]; nothing is persisted
+    /// then.
     pub fn absorb_carried<'m, const N: usize>(
         &self,
+        msg: &'m ProtocolMessage,
+        expected: [(TokenKind, Digest); N],
+    ) -> Result<[&'m NrToken; N], ProtocolError> {
+        let mut step = Vec::new();
+        let tokens = self.stage_carried(&mut step, msg, expected)?;
+        self.persist(&mut step)?;
+        Ok(tokens)
+    }
+
+    /// [`Party::absorb_carried`]'s checks; the verified tokens' records
+    /// join `step` instead of being persisted.
+    pub(crate) fn stage_carried<'m, const N: usize>(
+        &self,
+        step: &mut Vec<StepRecord>,
         msg: &'m ProtocolMessage,
         expected: [(TokenKind, Digest); N],
     ) -> Result<[&'m NrToken; N], ProtocolError> {
@@ -295,15 +326,16 @@ impl Party {
                 msg.tokens.len()
             ))
         })?;
-        for (token, (kind, subject)) in tokens.iter().zip(expected) {
+        let records = tokens.iter().zip(expected).map(|(token, (kind, subject))| {
             if token.issuer != msg.sender {
                 return Err(ProtocolError::BadMessage(format!(
                     "{kind} carried by {} was issued by {}",
                     msg.sender, token.issuer
                 )));
             }
-            self.verify_and_store(token, kind, msg.run_id, Some(&subject))?;
-        }
+            self.verified_record(token, kind, msg.run_id, Some(&subject))
+        });
+        step.extend(records.collect::<Result<Vec<_>, _>>()?);
         Ok(tokens.each_ref())
     }
 
@@ -341,6 +373,19 @@ impl Party {
         expect_run: RunId,
         expect_subject: Option<&Digest>,
     ) -> Result<(), ProtocolError> {
+        let record = self.verified_record(token, expect_kind, expect_run, expect_subject)?;
+        self.persist(&mut vec![record])
+    }
+
+    /// [`Party::verify_and_store`]'s check; returns the record the token
+    /// becomes instead of persisting it.
+    pub(crate) fn verified_record(
+        &self,
+        token: &NrToken,
+        expect_kind: TokenKind,
+        expect_run: RunId,
+        expect_subject: Option<&Digest>,
+    ) -> Result<StepRecord, ProtocolError> {
         let key = self.key_of(&token.issuer)?;
         if !token.verify(&key, Some(expect_kind), Some(expect_run), expect_subject) {
             return Err(ProtocolError::BadSignature {
@@ -348,26 +393,28 @@ impl Party {
                 what: expect_kind.label().to_string(),
             });
         }
-        self.store_token(token)?;
-        Ok(())
+        Ok(self.token_record(token))
     }
 
     /// Persists a token in the evidence log without verification: the
     /// tokens this party issued itself, and — through
-    /// [`Party::verify_and_store`] — peer tokens it has verified. This is
-    /// the one place a token becomes a record. Routed through the
-    /// commitment scheduler, so in batched mode the append counts toward
-    /// the next epoch seal.
-    ///
-    /// A hierarchical signature is stored with its subtree certificate
-    /// replaced by a reference; the certificate itself gets one record
-    /// per log, ahead of the first token that references it
-    /// ([`CommitmentScheduler::record_token`]).
+    /// [`Party::verify_and_store`] — peer tokens it has verified. Routed
+    /// through the commitment scheduler, so in batched mode the append
+    /// counts toward the next epoch seal.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::Storage`] on logging failure.
     pub fn store_token(&self, token: &NrToken) -> Result<(), ProtocolError> {
+        self.persist(&mut vec![self.token_record(token)])
+    }
+
+    /// The record `token` becomes: the one place a token becomes a
+    /// record. A hierarchical signature is stored with its subtree
+    /// certificate replaced by a reference; the certificate itself gets
+    /// one record per log, ahead of the first token that references it
+    /// ([`CommitmentScheduler::record_tokens`]).
+    fn token_record(&self, token: &NrToken) -> StepRecord {
         use nonrep_types::codec::Encode;
         // Only an inline certificate makes the stored form differ.
         let mut detached = token.signature.inline_cert().map(|_| token.clone());
@@ -381,8 +428,13 @@ impl Party {
             content_digest: token.subject,
             payload: stored.encode_to_vec(),
         };
-        self.scheduler.record_token(draft, cert.as_deref())?;
-        Ok(())
+        (draft, cert)
+    }
+
+    /// Persists one step's records in one batch
+    /// ([`CommitmentScheduler::record_tokens`]), leaving `step` empty.
+    pub(crate) fn persist(&self, step: &mut Vec<StepRecord>) -> Result<(), ProtocolError> {
+        Ok(self.scheduler.record_tokens(step.drain(..))?)
     }
 
     /// Appends an arbitrary draft through the commitment pipeline (run

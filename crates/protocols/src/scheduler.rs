@@ -28,9 +28,9 @@
 //! its own signature and no epoch records are written.
 //!
 //! In either mode the scheduler stores each hierarchical signer's
-//! subtree certificate once per log: [`CommitmentScheduler::record_token`]
+//! subtree certificate once per log: [`CommitmentScheduler::record_tokens`]
 //! appends a certificate's record ahead of the first token record that
-//! references it.
+//! references it, in the same batch as the step's other records.
 //!
 //! # Seal policy
 //!
@@ -129,6 +129,10 @@ impl CommitmentMode {
         }
     }
 }
+
+/// One record of a protocol step: its draft and, for a token record whose
+/// signature references a subtree certificate, that certificate.
+pub type StepRecord = (RecordDraft, Option<Arc<SubtreeCert>>);
 
 /// What a token should attest — the unsigned part of an [`NrToken`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -495,38 +499,49 @@ impl CommitmentScheduler {
     ///
     /// [`StoreError`] if persisting the record itself fails.
     pub fn record(&self, draft: RecordDraft) -> Result<Arc<EvidenceRecord>, StoreError> {
-        self.record_locked(&mut self.state.lock(), draft)
+        let mut records = self.record_locked(&mut self.state.lock(), vec![draft])?;
+        Ok(records.remove(0))
     }
 
-    /// [`CommitmentScheduler::record`] for a token record whose
-    /// signature references `cert` (`None` when it references none): if
-    /// the log holds no record of `cert` yet, one is appended first,
-    /// under the same lock, so no token record ever precedes its
-    /// certificate's.
+    /// Appends one protocol step's records as one batch — one write and
+    /// one device barrier on a write-through log — under one lock, with
+    /// one seal check after it. A token record whose signature
+    /// references a certificate the log holds no record of yet gets that
+    /// record in the batch, ahead of it, so no token record ever precedes
+    /// its certificate's. An empty step appends nothing.
     ///
     /// # Errors
     ///
-    /// [`StoreError`] if persisting either record fails.
-    pub fn record_token(
+    /// [`StoreError`] if persisting the batch fails; none of it is then
+    /// appended.
+    pub fn record_tokens(
         &self,
-        draft: RecordDraft,
-        cert: Option<&SubtreeCert>,
-    ) -> Result<Arc<EvidenceRecord>, StoreError> {
+        step: impl IntoIterator<Item = StepRecord>,
+    ) -> Result<(), StoreError> {
         let mut state = self.state.lock();
-        if let Some(cert) = cert {
-            if !state.seal.certs_stored.contains(&cert.reference()) {
-                let signer = draft.actor.clone();
-                self.record_locked(&mut state, cert_draft(cert, signer, self.clock.now()))?;
+        let mut drafts = Vec::new();
+        let mut certs = Vec::new();
+        for (draft, cert) in step {
+            if let Some(cert) = cert {
+                let reference = cert.reference();
+                if !state.seal.certs_stored.contains(&reference) && !certs.contains(&reference) {
+                    certs.push(reference);
+                    drafts.push(cert_draft(&cert, draft.actor.clone(), self.clock.now()));
+                }
             }
+            drafts.push(draft);
         }
-        self.record_locked(&mut state, draft)
+        if drafts.is_empty() {
+            return Ok(());
+        }
+        self.record_locked(&mut state, drafts).map(drop)
     }
 
     fn record_locked(
         &self,
         state: &mut SchedulerState,
-        draft: RecordDraft,
-    ) -> Result<Arc<EvidenceRecord>, StoreError> {
+        drafts: Vec<RecordDraft>,
+    ) -> Result<Vec<Arc<EvidenceRecord>>, StoreError> {
         // On a bounded-buffer backend in batched mode, seal *before* an
         // append that would overflow the byte cap: the epoch record is
         // cap-exempt and its append flushes (drains) the whole buffer.
@@ -538,16 +553,17 @@ impl CommitmentScheduler {
         // sealing is real backpressure.
         if matches!(self.mode, CommitmentMode::Batched { .. }) {
             if let Some(headroom) = self.log.buffer_headroom() {
-                let estimate =
-                    (draft.payload.len() + draft.kind.len() + draft.actor.as_str().len() + 4096)
-                        as u64;
-                if estimate > headroom {
+                let estimate: usize = drafts
+                    .iter()
+                    .map(|d| d.payload.len() + d.kind.len() + d.actor.as_str().len() + 4096)
+                    .sum();
+                if estimate as u64 > headroom {
                     self.seal_locked(state, SealTrigger::Overflow)?;
                 }
             }
         }
-        let record = self.log.append(draft)?;
-        state.absorb(&record);
+        let records = self.log.append_all(drafts)?;
+        records.iter().for_each(|r| state.absorb(r));
         if let CommitmentMode::Batched { max_delay_ms } = self.mode {
             let now = self.clock.now();
             let since = *state.pending_since.get_or_insert(now);
@@ -567,7 +583,7 @@ impl CommitmentScheduler {
                 let _ = self.seal_locked(state, trigger);
             }
         }
-        Ok(record)
+        Ok(records)
     }
 
     /// Deadline check: seals the pending range if the oldest unsealed
@@ -1332,14 +1348,11 @@ mod tests {
         let spec = TokenSpec::new(TokenKind::NroReq, draft(n).run_id, sha256(&n.to_le_bytes()));
         let mut token = s.issue(spec).unwrap();
         let cert = token.signature.detach_cert();
-        s.record_token(
-            RecordDraft {
-                payload: token.encode_to_vec(),
-                ..draft(n)
-            },
-            cert.as_deref(),
-        )
-        .unwrap();
+        let draft = RecordDraft {
+            payload: token.encode_to_vec(),
+            ..draft(n)
+        };
+        s.record_tokens([(draft, cert)]).unwrap();
     }
 
     /// What the rollover tests inspect, collected in one `for_each` pass
@@ -1849,7 +1862,7 @@ mod tests {
         for n in 0..6 {
             store_own_token(&live, n);
         }
-        live.record_token(draft(6), None).unwrap();
+        live.record_tokens([(draft(6), None)]).unwrap();
         live.record(marker(1, 1, MarkerPhase::Progress)).unwrap();
         live.record(marker(2, 1, MarkerPhase::Progress)).unwrap();
         live.record(marker(3, 1, MarkerPhase::Progress)).unwrap();

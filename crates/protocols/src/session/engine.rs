@@ -8,7 +8,10 @@
 //!   an outbound frame together with the tokens this party issues at
 //!   that step, which the frame carries (one batch signature for all of
 //!   them in batched mode, through the party's `CommitmentScheduler`),
-//!   and persists those tokens; [`ExchangeEngine::open_frame`] builds
+//!   and persists those tokens — in a [`Session`], together with the
+//!   step's other records (the peer tokens it verified, its journal
+//!   marker): one batch, so one write and one device barrier per step
+//!   on a write-through log; [`ExchangeEngine::open_frame`] builds
 //!   unsigned frames;
 //! - **delivery** — [`ExchangeEngine::deliver`] rides the coordinator's
 //!   [`ReliableRequester`](nonrep_net::retry::ReliableRequester), so
@@ -17,7 +20,8 @@
 //! - **verification** — [`ExchangeEngine::verify_frame_from`] /
 //!   [`ExchangeEngine::verify_sender_frame`] check frame signatures,
 //!   `Party::absorb_carried` verifies-and-persists the tokens a frame
-//!   carries and [`ExchangeEngine::absorb`] any other peer token;
+//!   carries, and a [`Session`] verifies a reply's tokens into its next
+//!   step ([`Session::absorb_carried`], [`Session::absorb`]);
 //! - **unframed evidence** — [`ExchangeEngine::issue_and_store`] issues
 //!   and persists a token sent outside a signed frame of its own (in an
 //!   open reply, or at a later step).
@@ -41,7 +45,7 @@ use nonrep_types::ids::{OrgId, ProtocolId, RunId};
 
 use crate::message::ProtocolMessage;
 use crate::party::Party;
-use crate::scheduler::TokenSpec;
+use crate::scheduler::{StepRecord, TokenSpec};
 use crate::tokens::{NrToken, TokenKind};
 use crate::{B2BCoordinator, ProtocolError};
 
@@ -117,6 +121,21 @@ impl ExchangeEngine {
         }
     }
 
+    /// [`ExchangeEngine::journal`]'s marker, added to `records` — a
+    /// step's batch — instead of persisted on its own.
+    pub(crate) fn journal_into(
+        &self,
+        records: &mut Vec<StepRecord>,
+        run: RunId,
+        step: u32,
+        phase: MarkerPhase,
+    ) {
+        if let Some(journal) = &self.journal {
+            let marker = journal.marker(run, &self.protocol, step, phase);
+            records.push((marker, None));
+        }
+    }
+
     /// The party whose identity this engine signs and stores under.
     pub fn party(&self) -> &Arc<Party> {
         &self.party
@@ -154,6 +173,20 @@ impl ExchangeEngine {
         body: Vec<u8>,
         tokens: &[TokenSpec],
     ) -> Result<ProtocolMessage, ProtocolError> {
+        self.request_frame_after(&mut Vec::new(), run, step, body, tokens)
+    }
+
+    /// [`ExchangeEngine::request_frame`], persisting the tokens in one
+    /// batch with `records`, what the step collected before the frame
+    /// (see `Party::sign_frame_after`).
+    pub(crate) fn request_frame_after(
+        &self,
+        records: &mut Vec<StepRecord>,
+        run: RunId,
+        step: u32,
+        body: Vec<u8>,
+        tokens: &[TokenSpec],
+    ) -> Result<ProtocolMessage, ProtocolError> {
         let frame = ProtocolMessage::new(
             self.protocol.clone(),
             run,
@@ -161,7 +194,7 @@ impl ExchangeEngine {
             self.party.org().clone(),
             body,
         );
-        self.party.sign_frame(frame, tokens)
+        self.party.sign_frame_after(records, frame, tokens)
     }
 
     /// Builds an unsigned frame (acks and voluntary-style replies whose
@@ -278,24 +311,6 @@ impl ExchangeEngine {
         let token = self.party.issue_token(kind, run, subject)?;
         self.party.store_token(&token)?;
         Ok(token)
-    }
-
-    /// Verifies a peer token pinned to `kind`/`run` (and `subject` if
-    /// given) and persists it — the interceptor's verify-then-log duty.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadSignature`] on verification failure,
-    /// [`ProtocolError::UnknownKey`] or [`ProtocolError::Storage`] on
-    /// unknown key or persistence failure.
-    pub fn absorb(
-        &self,
-        token: &NrToken,
-        kind: TokenKind,
-        run: RunId,
-        subject: Option<&Digest>,
-    ) -> Result<(), ProtocolError> {
-        self.party.verify_and_store(token, kind, run, subject)
     }
 }
 

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use nonrep_store::record::{MarkerPhase, RunMarker};
-use nonrep_store::{EvidenceRecord, Fold};
+use nonrep_store::{EvidenceRecord, Fold, RecordDraft};
 use nonrep_types::ids::{ProtocolId, RunId};
 
 use crate::party::Party;
@@ -100,6 +100,18 @@ impl RunJournal {
         step: u32,
         phase: MarkerPhase,
     ) -> Result<(), ProtocolError> {
+        self.party
+            .record_draft(self.marker(run_id, variant, step, phase))
+    }
+
+    /// The record [`RunJournal::mark`] appends.
+    pub(crate) fn marker(
+        &self,
+        run_id: RunId,
+        variant: &ProtocolId,
+        step: u32,
+        phase: MarkerPhase,
+    ) -> RecordDraft {
         let variant = variant.to_string();
         let marker = RunMarker {
             run_id,
@@ -107,8 +119,7 @@ impl RunJournal {
             step,
             phase,
         };
-        let draft = marker.to_draft(self.party.org().clone(), self.party.now());
-        self.party.record_draft(draft)
+        marker.to_draft(self.party.org().clone(), self.party.now())
     }
 
     /// The runs this journal's party log shows open: every run with a

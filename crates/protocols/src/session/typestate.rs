@@ -39,15 +39,18 @@
 //! ```
 
 use std::marker::PhantomData;
+use std::sync::Arc;
 
+use nonrep_crypto::digest::Digest;
 use nonrep_store::MarkerPhase;
 use nonrep_types::ids::{OrgId, RunId};
 
 use super::engine::ExchangeEngine;
 use super::trace::{prepend, TraceStep, WireMode};
 use crate::message::ProtocolMessage;
-use crate::scheduler::TokenSpec;
-use crate::tokens::NrToken;
+use crate::party::Party;
+use crate::scheduler::{StepRecord, TokenSpec};
+use crate::tokens::{NrToken, TokenKind};
 use crate::ProtocolError;
 
 mod sealed {
@@ -196,10 +199,32 @@ impl<const STEP: u32, const REPLY: u32, Next: State> State for Fan<STEP, REPLY, 
 /// A live session: one run of a choreography, in role `R`, currently at
 /// state `S`. Transitions consume the session and return it retyped at
 /// the next state.
+///
+/// A session persists one batch per step: the records its step
+/// collects — the peer tokens [`Session::absorb_carried`] verified, the
+/// journal marker of the round just completed — are persisted with the
+/// tokens of the next frame it signs, before that frame leaves, or at
+/// [`Session::finish`]. A session dropped mid-choreography persists
+/// them as it drops.
 pub struct Session<R: Role, S: State> {
     engine: ExchangeEngine,
     run: RunId,
+    staged: Staged,
     _state: PhantomData<(R, S)>,
+}
+
+/// The records a session's current step has collected and not yet
+/// persisted.
+struct Staged {
+    party: Arc<Party>,
+    records: Vec<StepRecord>,
+}
+
+impl Drop for Staged {
+    fn drop(&mut self) {
+        // Best effort: an abandoned session has no caller to report to.
+        let _ = self.party.persist(&mut self.records);
+    }
 }
 
 impl<R: Role, S: State> std::fmt::Debug for Session<R, S> {
@@ -216,9 +241,14 @@ impl<R: Role, S: State> std::fmt::Debug for Session<R, S> {
 
 impl<R: Role, S: State> Session<R, S> {
     pub(super) fn open(engine: ExchangeEngine, run: RunId) -> Self {
+        let staged = Staged {
+            party: Arc::clone(engine.party()),
+            records: Vec::new(),
+        };
         Self {
             engine,
             run,
+            staged,
             _state: PhantomData,
         }
     }
@@ -233,8 +263,75 @@ impl<R: Role, S: State> Session<R, S> {
         &self.engine
     }
 
+    /// Verifies the tokens `msg`'s sender issued at its step, as
+    /// `Party::absorb_carried` does, and adds their records to this
+    /// party's step: they are persisted with the next frame it signs.
+    ///
+    /// # Errors
+    ///
+    /// As `Party::absorb_carried`; nothing is added then.
+    pub fn absorb_carried<'m, const N: usize>(
+        &mut self,
+        msg: &'m ProtocolMessage,
+        expected: [(TokenKind, Digest); N],
+    ) -> Result<[&'m NrToken; N], ProtocolError> {
+        let records = &mut self.staged.records;
+        self.engine.party().stage_carried(records, msg, expected)
+    }
+
+    /// Verifies a peer token pinned to `kind`, this run and `subject` (if
+    /// given), as `Party::verify_and_store` does, and adds its record to
+    /// this party's step: it is persisted with the next frame it signs.
+    ///
+    /// # Errors
+    ///
+    /// As `Party::verify_and_store`; nothing is added then.
+    pub fn absorb(
+        &mut self,
+        token: &NrToken,
+        kind: TokenKind,
+        subject: Option<&Digest>,
+    ) -> Result<(), ProtocolError> {
+        let party = self.engine.party();
+        let record = party.verified_record(token, kind, self.run, subject)?;
+        self.staged.records.push(record);
+        Ok(())
+    }
+
+    /// Persists what this party's step has collected so far, as one
+    /// batch, for a round whose answer is acted on before another frame.
+    pub(crate) fn persist(&mut self) -> Result<(), ProtocolError> {
+        self.engine.party().persist(&mut self.staged.records)
+    }
+
+    /// Signs the frame of `step` and persists its tokens with the records
+    /// the step collected (see [`ExchangeEngine::request_frame`]).
+    fn send(
+        &mut self,
+        step: u32,
+        body: Vec<u8>,
+        tokens: &[TokenSpec],
+    ) -> Result<ProtocolMessage, ProtocolError> {
+        let records = &mut self.staged.records;
+        self.engine
+            .request_frame_after(records, self.run, step, body, tokens)
+    }
+
+    /// Journals that the round of `step` completed, with the next step's
+    /// records.
+    fn completed(&mut self, step: u32) {
+        let records = &mut self.staged.records;
+        self.engine
+            .journal_into(records, self.run, step, MarkerPhase::Progress);
+    }
+
     fn advance<T: State>(self) -> Session<R, T> {
-        Session::open(self.engine, self.run)
+        Session {
+            engine: self.engine,
+            run: self.run,
+            staged: self.staged,
+            _state: PhantomData,
+        }
     }
 }
 
@@ -263,16 +360,16 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State> Session<R, Call<ST
     /// [`ProtocolError::BadSignature`] on a wrong step or bad frame
     /// signature; [`ProtocolError::Signing`] if signing fails.
     pub fn call(
-        self,
+        mut self,
         to: &OrgId,
         body: Vec<u8>,
         tokens: &[TokenSpec],
     ) -> Result<(ProtocolMessage, Session<R, Next>), ProtocolError> {
-        let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
+        let msg = self.send(STEP, body, tokens)?;
         let reply = self.engine.deliver(to, &msg)?;
         let reply = self.engine.expect_step(self.run, REPLY, reply)?;
         self.engine.verify_frame_from(&reply, to)?;
-        self.engine.journal(self.run, STEP, MarkerPhase::Progress)?;
+        self.completed(STEP);
         Ok((reply, self.advance()))
     }
 }
@@ -288,16 +385,16 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
     ///
     /// As [`Session::call`].
     pub fn call_relayed(
-        self,
+        mut self,
         to: &OrgId,
         body: Vec<u8>,
         tokens: &[TokenSpec],
     ) -> Result<(ProtocolMessage, Session<R, Next>), ProtocolError> {
-        let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
+        let msg = self.send(STEP, body, tokens)?;
         let reply = self.engine.deliver(to, &msg)?;
         let reply = self.engine.expect_step(self.run, REPLY, reply)?;
         self.engine.verify_sender_frame(&reply)?;
-        self.engine.journal(self.run, STEP, MarkerPhase::Progress)?;
+        self.completed(STEP);
         Ok((reply, self.advance()))
     }
 }
@@ -312,15 +409,15 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
     ///
     /// As [`Session::call`], minus frame-signature faults.
     pub fn call_open(
-        self,
+        mut self,
         to: &OrgId,
         body: Vec<u8>,
         tokens: &[TokenSpec],
     ) -> Result<(ProtocolMessage, Session<R, Next>), ProtocolError> {
-        let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
+        let msg = self.send(STEP, body, tokens)?;
         let reply = self.engine.deliver(to, &msg)?;
         let reply = self.engine.expect_step(self.run, REPLY, reply)?;
-        self.engine.journal(self.run, STEP, MarkerPhase::Progress)?;
+        self.completed(STEP);
         Ok((reply, self.advance()))
     }
 }
@@ -336,12 +433,12 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State> Session<R, Fan<STE
     ///
     /// As [`Session::call_open`], from the first peer that fails.
     pub fn fan(
-        self,
+        mut self,
         peers: &[OrgId],
         body: Vec<u8>,
         tokens: &[TokenSpec],
     ) -> Result<(Vec<ProtocolMessage>, Session<R, Next>), ProtocolError> {
-        let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
+        let msg = self.send(STEP, body, tokens)?;
         let replies = peers
             .iter()
             .map(|peer| {
@@ -349,7 +446,7 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State> Session<R, Fan<STE
                 self.engine.expect_step(self.run, REPLY, reply)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        self.engine.journal(self.run, STEP, MarkerPhase::Progress)?;
+        self.completed(STEP);
         Ok((replies, self.advance()))
     }
 }
@@ -370,18 +467,18 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
     /// Local faults (signing, journalling) and any other error the
     /// round returns.
     pub fn call_lossy(
-        self,
+        mut self,
         to: &OrgId,
         body: Vec<u8>,
         tokens: &[TokenSpec],
     ) -> Result<(bool, Session<R, Next>), ProtocolError> {
-        let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
+        let msg = self.send(STEP, body, tokens)?;
         let outcome = match self.engine.deliver(to, &msg) {
             Ok(ack) => ack.step == REPLY,
             Err(ProtocolError::Net(_) | ProtocolError::Rejected(_)) => false,
             Err(e) => return Err(e),
         };
-        self.engine.journal(self.run, STEP, MarkerPhase::Progress)?;
+        self.completed(STEP);
         Ok((outcome, self.advance()))
     }
 }
@@ -401,16 +498,16 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State, Alt: State>
     /// Only local faults (signing); every remote misbehaviour is a
     /// branch, not an error.
     pub fn call_or(
-        self,
+        mut self,
         to: &OrgId,
         body: Vec<u8>,
         tokens: &[TokenSpec],
         accept: impl FnOnce(&ProtocolMessage) -> bool,
     ) -> Result<Branch<R, Next, Alt>, ProtocolError> {
-        let msg = self.engine.request_frame(self.run, STEP, body, tokens)?;
+        let msg = self.send(STEP, body, tokens)?;
         match self.engine.deliver(to, &msg) {
             Ok(reply) if reply.step == REPLY && reply.run_id == self.run && accept(&reply) => {
-                self.engine.journal(self.run, STEP, MarkerPhase::Progress)?;
+                self.completed(STEP);
                 Ok(Branch::Primary(reply, self.advance()))
             }
             _ => Ok(Branch::Diverted(msg.tokens, self.advance())),
@@ -432,7 +529,7 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
     /// reply frame fails verification; [`ProtocolError::Net`] after
     /// retries.
     pub fn forward(
-        self,
+        mut self,
         to: &OrgId,
         msg: &ProtocolMessage,
     ) -> Result<(ProtocolMessage, Session<R, Next>), ProtocolError> {
@@ -445,21 +542,32 @@ impl<R: Role, const STEP: u32, const REPLY: u32, Next: State>
         let reply = self.engine.deliver(to, msg)?;
         let reply = self.engine.expect_step(self.run, REPLY, reply)?;
         self.engine.verify_sender_frame(&reply)?;
-        self.engine.journal(self.run, STEP, MarkerPhase::Progress)?;
+        self.completed(STEP);
         Ok((reply, self.advance()))
     }
 }
 
 impl<R: Role> Session<R, End> {
     /// Completes the run: journals the close marker, if journalling is
-    /// on. The run's evidence is sealed with whatever epoch the
-    /// commitment policy seals next, close marker included.
+    /// on, and persists it with the last step's records in one batch.
+    /// The run's evidence is sealed with whatever epoch the commitment
+    /// policy seals next, close marker included.
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::Storage`] if the marker cannot be persisted.
-    pub fn finish(self) -> Result<(), ProtocolError> {
-        self.engine.journal(self.run, 0, MarkerPhase::Closed)
+    /// [`ProtocolError::Storage`] if the records cannot be persisted.
+    pub fn finish(mut self) -> Result<(), ProtocolError> {
+        let records = &mut self.staged.records;
+        self.engine
+            .journal_into(records, self.run, 0, MarkerPhase::Closed);
+        self.engine.party().persist(records)
+    }
+
+    /// Ends a sub-choreography inside a handler's step without closing
+    /// the run: the step's records go to the frame that answers it
+    /// (`ExchangeEngine::request_frame_after`).
+    pub(crate) fn into_records(mut self) -> Vec<StepRecord> {
+        std::mem::take(&mut self.staged.records)
     }
 }
 

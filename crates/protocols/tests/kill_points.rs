@@ -23,10 +23,17 @@
 //!   run if its log holds the client's receipt, and otherwise escalates
 //!   to the TTP's abort choreography, which is safe precisely because
 //!   the receipt never arrived.
+//!
+//! A dropped session persists the records its step had collected, as a
+//! stopping process would. A kill *inside* a step's write is modelled
+//! by cutting the log file inside that step's batch (the `_write` rows):
+//! recovery keeps every acknowledged step whole and at most a
+//! record-aligned prefix of the torn one, none of which was sent.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use nonrep_core::{Adjudicator, WindowSubmission};
 use nonrep_crypto::digest::sha256;
 use nonrep_crypto::rng::SecureRandom;
 use nonrep_net::bus::LocalBus;
@@ -44,13 +51,13 @@ use nonrep_protocols::invocation::voluntary::{
     VoluntaryChoreography, VoluntaryClient, VoluntaryServerHandler,
 };
 use nonrep_protocols::invocation::{direct, fair_offline, voluntary, ServerResponse};
-use nonrep_protocols::party::{Party, StaticKeyDirectory};
+use nonrep_protocols::party::{KeyDirectory, Party, StaticKeyDirectory};
 use nonrep_protocols::session::{Branch, Client, Session};
 use nonrep_protocols::tokens::TokenKind;
 use nonrep_protocols::{
     B2BCoordinator, EscalationOutcome, ExchangeSupervisor, RunJournal, TokenSpec,
 };
-use nonrep_store::{FileLog, MarkerPhase, SyncPolicy};
+use nonrep_store::{EvidenceRecord, FileLog, MarkerPhase, SyncPolicy};
 use nonrep_types::codec::Encode;
 use nonrep_types::ids::{OrgId, ProtocolId, RunId};
 use nonrep_types::time::LogicalClock;
@@ -68,6 +75,7 @@ enum Restart {
 /// a local bus, with every variant's server handler registered and a
 /// journal on the client party.
 struct World {
+    bus: Arc<LocalBus>,
     clock: LogicalClock,
     dir: Arc<StaticKeyDirectory>,
     /// The client's and the server's log files (`Restart::Reopen` only).
@@ -178,6 +186,7 @@ fn world_with(restart: Restart, row: &str) -> World {
 
     let journal = RunJournal::new(client_party.clone());
     World {
+        bus,
         clock,
         dir,
         files,
@@ -296,18 +305,77 @@ fn sole_open_run(journal: &RunJournal) -> nonrep_protocols::OpenRun {
     open.into_iter().next().unwrap()
 }
 
-/// Cuts the log `file` to end at record `seq`, as a crash that lost every
-/// later append leaves it (`FileLog` frames each record behind a 4-byte
-/// little-endian length).
-fn cut_after(file: &PathBuf, seq: u64) {
+/// The end offset of every record in the log `file` (`FileLog` frames
+/// each record behind a 4-byte little-endian length).
+fn record_ends(file: &PathBuf) -> Vec<u64> {
     let bytes = std::fs::read(file).unwrap();
+    let mut ends = vec![];
     let mut end = 0;
-    for _ in 0..=seq {
-        let len = u32::from_le_bytes(bytes[end..end + 4].try_into().unwrap()) as usize;
-        end += 4 + len;
+    while end < bytes.len() {
+        end += 4 + u32::from_le_bytes(bytes[end..end + 4].try_into().unwrap()) as usize;
+        ends.push(end as u64);
     }
+    ends
+}
+
+/// Cuts the log `file` to `len` bytes, as a crash mid-write leaves it.
+fn cut_to(file: &PathBuf, len: u64) {
     let file = std::fs::OpenOptions::new().write(true).open(file).unwrap();
-    file.set_len(end as u64).unwrap();
+    file.set_len(len).unwrap();
+}
+
+/// Cuts the log `file` to end at record `seq`, as a crash that lost every
+/// later append leaves it.
+fn cut_after(file: &PathBuf, seq: u64) {
+    cut_to(file, record_ends(file)[seq as usize]);
+}
+
+/// Five cuts inside the write of records `first..first + n` of `file`:
+/// one byte in, inside its first record, after its first record, inside
+/// its last record and one byte short of its end.
+fn cuts_inside(file: &PathBuf, first: usize, n: usize) -> [u64; 5] {
+    let ends = record_ends(file);
+    let (start, end) = (ends[first - 1], ends[first + n - 1]);
+    let (one, last) = (ends[first], ends[first + n - 2]);
+    [start + 1, (start + one) / 2, one, (last + end) / 2, end - 1]
+}
+
+/// Asserts the recovered `party`'s log is `before`'s first `acked`
+/// records — every acknowledged one — plus a record-aligned prefix, short
+/// of the whole, of the torn step's `step` records.
+fn assert_recovered_prefix(
+    party: &Party,
+    before: &[Arc<EvidenceRecord>],
+    acked: usize,
+    step: usize,
+) {
+    let after = party.log().records();
+    assert!(
+        (acked..acked + step).contains(&after.len()),
+        "{} records recovered, {acked} acknowledged",
+        after.len()
+    );
+    assert_eq!(after[..], before[..after.len()]);
+}
+
+/// Adjudicates `run` over both parties' whole logs: the direct
+/// exchange's four facts hold and nobody is convicted or suspected.
+fn assert_convicts_nobody(dir: &Arc<StaticKeyDirectory>, run: RunId, parties: [&Arc<Party>; 2]) {
+    let windows = parties.map(|p| {
+        let log = p.log();
+        WindowSubmission::from_log(p.org().clone(), log.as_ref(), 0..log.len())
+    });
+    let verdict =
+        Adjudicator::new(dir.clone() as Arc<dyn KeyDirectory>).adjudicate_windows(run, &windows);
+    assert!(verdict.findings.is_empty(), "{:?}", verdict.findings);
+    for (issuer, kind) in [
+        ("client", TokenKind::NroReq),
+        ("server", TokenKind::NrrReq),
+        ("server", TokenKind::NroResp),
+        ("client", TokenKind::NrrResp),
+    ] {
+        assert!(verdict.cannot_deny(&OrgId::new(issuer), kind), "{kind}");
+    }
 }
 
 /// The fair server's recovery rule for a run its journal shows open: a
@@ -439,6 +507,91 @@ fn direct_server_reads_its_logged_receipt_after_a_reopen() {
     let (party, _journal) = w.recovered_server();
     let server = DirectServerHandler::new(party, echo());
     assert!(server.receipt_received(&out.run_id));
+}
+
+#[test]
+fn direct_server_killed_inside_its_step2_write_is_redriven() {
+    for cut in 0..5 {
+        let w = world_with(Restart::Reopen, &format!("direct-server-write-{cut}"));
+        let run = w.client_party.new_run_id();
+        w.direct_client()
+            .invoke_with(run, &w.server, b"req".to_vec())
+            .unwrap();
+        // The kill tears the server's {NRR_req, NRO_resp} write, so its
+        // step-2 frame never left: the client's log ends at its step 1.
+        let (client_file, server_file) = w.files.clone().unwrap();
+        let before = w.server_party.log().records();
+        let acked = before.iter().position(|r| r.draft.run_id == run).unwrap() + 1;
+        cut_to(&server_file, cuts_inside(&server_file, acked, 2)[cut]);
+        cut_after(&client_file, w.client_party.log().by_run(&run)[0].seq);
+
+        // The server's {NRO_req} was forced before the request executed.
+        let (server_party, _) = w.recovered_server();
+        assert_recovered_prefix(&server_party, &before, acked, 2);
+        let handler = DirectServerHandler::new(server_party.clone(), echo());
+        w.server_coord.register_handler(handler);
+        // No step of the run completed for the client, so its journal
+        // holds no marker; before the receipt a re-drive is safe.
+        let (client_party, journal) = w.recovered_client();
+        assert!(journal.recovered_open_runs().is_empty());
+        let client = DirectClient::new(client_party.clone(), w.client_coord.clone())
+            .with_journal(journal.clone());
+        let out = client.invoke_with(run, &w.server, b"req".to_vec()).unwrap();
+        assert!(out.receipt_acked);
+        assert_recovered_clean(&client_party, &journal);
+        assert_convicts_nobody(&w.dir, run, [&client_party, &server_party]);
+    }
+}
+
+#[test]
+fn direct_client_killed_inside_its_step3_write_is_redriven() {
+    for cut in 0..5 {
+        let w = world_with(Restart::Reopen, &format!("direct-client-write-{cut}"));
+        let run = w.client_party.new_run_id();
+        let client = w.direct_client();
+        let engine = client.engine();
+        let req_digest = sha256(b"req");
+        let nro_req = TokenSpec::new(TokenKind::NroReq, run, req_digest);
+        let (msg2, mut session) = engine
+            .session::<Client, DirectChoreography>(run)
+            .call(&w.server, b"req".to_vec(), &[nro_req])
+            .unwrap();
+        let resp_digest = sha256(&msg2.body);
+        let pair = [
+            (TokenKind::NrrReq, req_digest),
+            (TokenKind::NroResp, resp_digest),
+        ];
+        session.absorb_carried(&msg2, pair).unwrap();
+        // The step-3 frame never reaches the server, and the kill tears
+        // the client's {step-1 marker, NRR_req, NRO_resp, NRR_resp} write.
+        w.bus.fault_plan().crash(&w.server);
+        let nrr_resp = TokenSpec::new(TokenKind::NrrResp, run, resp_digest);
+        let (acked, session) = session
+            .call_lossy(&w.server, Vec::new(), &[nrr_resp])
+            .unwrap();
+        w.bus.fault_plan().recover(&w.server);
+        assert!(!acked);
+        session.finish().unwrap();
+        let (client_file, _) = w.files.clone().unwrap();
+        let before = w.client_party.log().records();
+        let acked = w.client_party.log().by_run(&run)[0].seq as usize + 1;
+        cut_to(&client_file, cuts_inside(&client_file, acked, 4)[cut]);
+
+        let (party, journal) = w.recovered_client();
+        assert_recovered_prefix(&party, &before, acked, 4);
+        // Open at step 1 if the torn write kept its marker, else not
+        // journalled at all; either way the receipt never left, so the
+        // run is re-driven and the server replays its cached step 2.
+        for open in journal.recovered_open_runs() {
+            assert_eq!((open.run, open.last_step), (run, 1));
+        }
+        let client =
+            DirectClient::new(party.clone(), w.client_coord.clone()).with_journal(journal.clone());
+        let out = client.invoke_with(run, &w.server, b"req".to_vec()).unwrap();
+        assert!(out.receipt_acked);
+        assert_recovered_clean(&party, &journal);
+        assert_convicts_nobody(&w.dir, run, [&party, &w.server_party]);
+    }
 }
 
 // ------------------------------------------------------------- voluntary

@@ -433,9 +433,8 @@ fn run_sync_thread(rx: Receiver<Frame>, shared: Arc<Shared>, mut io: SyncIo) {
     // failure, and a *clean* shutdown promises to drain everything it
     // can. (Its tickets already completed `Err`; this only narrows the
     // loss, it cannot un-report it.)
-    if !io.backlog.is_empty() && !shared.state().poisoned && io.file.write_all(&io.backlog).is_ok()
-    {
-        let _ = io.file.sync_data();
+    if !io.backlog.is_empty() {
+        land_cycle(&mut io, Vec::new(), 0, &[], false, &shared);
     }
 }
 

@@ -37,8 +37,8 @@
 //! memory and hands them to its sync thread with each epoch-commitment
 //! record, making the epoch the unit of durability as well as of
 //! signature amortization. [`SyncPolicy::WriteThrough`] (the default)
-//! keeps the write-and-fsync-per-append semantics. See [`SyncPolicy`]
-//! for the crash-consistency contract.
+//! writes and fsyncs every append call before it returns. See
+//! [`SyncPolicy`] for the crash-consistency contract.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -62,8 +62,9 @@ use crate::StoreError;
 /// # Crash-consistency contract
 ///
 /// * **`WriteThrough`** — an append that returned `Ok` survives a crash
-///   (the record was written and fsynced before the call returned). The
-///   torn-tail window of [`FileLog::open_recover`] is at most one record.
+///   (written and fsynced before the call returned). One call is one
+///   write, so the torn-tail window of [`FileLog::open_recover`] is one
+///   [`EvidenceLog::append_all`] batch — one protocol step's records.
 /// * **`GroupCommit`** — appends buffer in memory; appending an
 ///   epoch-commitment record (kind [`EPOCH_KIND`]) *enqueues* the
 ///   buffered batch to a dedicated sync thread
@@ -92,7 +93,7 @@ use crate::StoreError;
 /// lose an unbounded suffix, so that combination is a misconfiguration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
-    /// Write and fsync every append before returning (the default).
+    /// Write and fsync every append call before returning (the default).
     #[default]
     WriteThrough,
     /// Buffer appends; the epoch seal hands the batch to a dedicated
@@ -145,6 +146,13 @@ pub trait EvidenceLog: Send + Sync {
     ///
     /// Returns [`StoreError`] if persisting fails (file backend).
     fn append(&self, draft: RecordDraft) -> Result<Arc<EvidenceRecord>, StoreError>;
+
+    /// Appends `drafts` in order, all or none in the in-tree backends (a
+    /// write-through [`FileLog`] writes them under one device barrier);
+    /// the default appends them one by one. Fails as `append` does.
+    fn append_all(&self, drafts: Vec<RecordDraft>) -> Result<Vec<Arc<EvidenceRecord>>, StoreError> {
+        drafts.into_iter().map(|draft| self.append(draft)).collect()
+    }
 
     /// Visits every record in sequence order, without cloning.
     fn for_each(&self, f: &mut dyn FnMut(&EvidenceRecord));
@@ -315,6 +323,9 @@ struct LogState {
     run_index: HashMap<RunId, Vec<u64>>,
 }
 
+/// Records chained onto a [`LogState`]'s head, and the head after them.
+type Chained = (Vec<Arc<EvidenceRecord>>, Digest);
+
 impl LogState {
     /// Builds the state for already-verified records loaded from disk,
     /// with `head` as verified (so the tail record is not re-hashed).
@@ -327,7 +338,7 @@ impl LogState {
         state
     }
 
-    /// Stores and indexes `record`; `rollback_tail` undoes it.
+    /// Stores and indexes `record`.
     fn push(&mut self, record: Arc<EvidenceRecord>) {
         self.run_index
             .entry(record.draft.run_id)
@@ -336,47 +347,37 @@ impl LogState {
         self.records.push(record);
     }
 
-    /// Chains `draft` onto the log. `persist` receives the record's
-    /// canonical encoding and runs *before* anything is committed to
-    /// memory — if it fails, the state is untouched, so a failed write
-    /// can never leave a record in memory that is missing from disk.
-    fn append_with(
-        &mut self,
-        draft: RecordDraft,
-        persist: impl FnOnce(&[u8]) -> Result<(), StoreError>,
-    ) -> Result<Arc<EvidenceRecord>, StoreError> {
-        let record = EvidenceRecord {
-            seq: self.records.len() as u64,
-            prev_hash: self.head,
-            draft,
-        };
-        let hash = with_scratch(|w| {
-            record.encode(w);
-            let hash = sha256(w.as_slice());
-            persist(w.as_slice()).map(|()| hash)
-        })?;
-        self.head = hash;
-        let record = Arc::new(record);
-        self.push(Arc::clone(&record));
-        Ok(record)
+    /// Chains `drafts` onto the head, encoding each once in the thread's
+    /// scratch writer for its hash and for `frame`, and returns the
+    /// records and the new head unstored: nothing is stored before
+    /// [`LogState::commit`], so no failed write leaves a record in memory.
+    fn chain(
+        &self,
+        drafts: Vec<RecordDraft>,
+        mut frame: impl FnMut(&[u8]) -> Result<(), StoreError>,
+    ) -> Result<Chained, StoreError> {
+        let mut head = self.head;
+        let mut records = Vec::with_capacity(drafts.len());
+        for draft in drafts {
+            let record = EvidenceRecord {
+                seq: (self.records.len() + records.len()) as u64,
+                prev_hash: head,
+                draft,
+            };
+            head = with_scratch(|w| {
+                record.encode(w);
+                frame(w.as_slice()).map(|()| sha256(w.as_slice()))
+            })?;
+            records.push(Arc::new(record));
+        }
+        Ok((records, head))
     }
 
-    /// Removes the most recently appended record again, restoring the
-    /// chain head and run index. Used by the buffered file backend to
-    /// keep "`append` returned `Err` ⇒ the record is not in the log"
-    /// true when the epoch-seal flush fails *after* the in-memory
-    /// append (the record's only `Arc` is still internal at that point,
-    /// so no caller can observe the transient state).
-    fn rollback_tail(&mut self) {
-        if let Some(record) = self.records.pop() {
-            self.head = record.prev_hash;
-            if let Some(seqs) = self.run_index.get_mut(&record.draft.run_id) {
-                seqs.pop();
-                if seqs.is_empty() {
-                    self.run_index.remove(&record.draft.run_id);
-                }
-            }
-        }
+    /// Stores a batch [`LogState::chain`] made, once it is persisted.
+    fn commit(&mut self, (records, head): Chained) -> Vec<Arc<EvidenceRecord>> {
+        self.head = head;
+        records.iter().for_each(|r| self.push(Arc::clone(r)));
+        records
     }
 
     fn snapshot_range(&self, range: Range<u64>) -> Vec<Arc<EvidenceRecord>> {
@@ -412,7 +413,13 @@ impl MemoryLog {
 
 impl EvidenceLog for MemoryLog {
     fn append(&self, draft: RecordDraft) -> Result<Arc<EvidenceRecord>, StoreError> {
-        self.state.lock().append_with(draft, |_| Ok(()))
+        self.append_all(vec![draft]).map(|mut r| r.remove(0))
+    }
+
+    fn append_all(&self, drafts: Vec<RecordDraft>) -> Result<Vec<Arc<EvidenceRecord>>, StoreError> {
+        let mut state = self.state.lock();
+        let chained = state.chain(drafts, |_| Ok(()))?;
+        Ok(state.commit(chained))
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&EvidenceRecord)) {
@@ -463,11 +470,11 @@ struct FileLogInner {
     /// Committed on-disk length, tracked so the error path can truncate
     /// a partial write without a per-append stat.
     file_len: u64,
-    /// Encoded-but-unsubmitted records ([`SyncPolicy::GroupCommit`]
-    /// only): length-prefixed frames exactly as they will land on disk,
-    /// so one handoff is a single contiguous write.
+    /// Encoded-but-unwritten records: length-prefixed frames exactly as
+    /// they will land on disk, so one handoff (one step's batch under
+    /// [`SyncPolicy::WriteThrough`]) is a single contiguous write.
     pending: Vec<u8>,
-    /// Number of records currently buffered in `pending`.
+    /// Number of records buffered in `pending` ([`SyncPolicy::GroupCommit`]).
     pending_records: u64,
     /// Fail-stop latch: set when a failed write could not be truncated
     /// away either, i.e. `file_len` may no longer describe the real
@@ -476,7 +483,7 @@ struct FileLogInner {
     /// a later error-path truncation chop into fsynced records — so
     /// every subsequent append/flush refuses instead.
     poisoned: bool,
-    /// Successful write-through `fsync`s (appends and flushes).
+    /// Successful write-through `fsync`s (append batches and flushes).
     syncs: u64,
     /// The group-commit sync thread ([`SyncPolicy::GroupCommit`] only).
     /// Owns its own handle to the file; under this policy all writes go
@@ -509,6 +516,40 @@ impl FileLogInner {
         self.check_poisoned()?;
         self.file.sync_data()?;
         self.syncs += 1;
+        Ok(())
+    }
+
+    /// Persists the `records` just framed into `pending`: one write and
+    /// one barrier under write-through; under group commit they stay
+    /// buffered until a batch that `seals` an epoch hands them off.
+    fn persist(&mut self, policy: SyncPolicy, records: u64, seals: bool) -> Result<(), StoreError> {
+        match policy {
+            SyncPolicy::WriteThrough => {
+                let file = &mut self.file;
+                let written = file.write_all(&self.pending);
+                if let Err(e) = written.and_then(|()| file.sync_data()) {
+                    // Truncate the partial write so stray bytes cannot
+                    // corrupt the file ahead of later appends; if even
+                    // that fails, fail-stop (see `poisoned`).
+                    if self.file.set_len(self.file_len).is_err() {
+                        self.poisoned = true;
+                    }
+                    return Err(e.into());
+                }
+                self.file_len += self.pending.len() as u64;
+                self.syncs += 1;
+                self.pending.clear();
+            }
+            SyncPolicy::GroupCommit => {
+                self.pending_records += records;
+                if seals {
+                    // The handoff consumes an earlier barrier's async
+                    // failure, which fails this seal instead.
+                    self.enqueue_pending()
+                        .inspect_err(|_| self.pending_records -= records)?;
+                }
+            }
+        }
         Ok(())
     }
 
@@ -605,10 +646,10 @@ impl FileLog {
     /// [`FileLog::open_recover_with`] to keep its grouped-fsync policy.
     ///
     /// A process killed mid-write can leave a partial length prefix or a
-    /// partial record at the end of the file — under
-    /// [`SyncPolicy::GroupCommit`] the torn region can even span several
-    /// records of the final coalesced batch (a contiguous write landing
-    /// partially writes a prefix of the batch). None of those bytes are
+    /// partial record at the end of the file; the torn region can span
+    /// several records of the final write (one step's batch under
+    /// [`SyncPolicy::WriteThrough`], a coalesced batch under
+    /// [`SyncPolicy::GroupCommit`]). None of those bytes are
     /// covered by an acknowledged barrier, so dropping them restores
     /// the last consistent prefix: the file is truncated back to the end
     /// of the last complete record and the log reopens cleanly
@@ -773,7 +814,7 @@ impl FileLog {
         self.inner.lock().last_ticket.clone()
     }
 
-    /// Successful device barriers since open: one per append and per
+    /// Successful device barriers since open: one per append call and per
     /// `flush` under [`SyncPolicy::WriteThrough`], one per landed batch
     /// under [`SyncPolicy::GroupCommit`] (fewer barriers than epoch seals
     /// is the coalescing win). Exposed for monitors and benches.
@@ -843,7 +884,12 @@ impl Drop for FileLog {
 
 impl EvidenceLog for FileLog {
     fn append(&self, draft: RecordDraft) -> Result<Arc<EvidenceRecord>, StoreError> {
-        let mut inner = self.inner.lock();
+        self.append_all(vec![draft]).map(|mut r| r.remove(0))
+    }
+
+    fn append_all(&self, drafts: Vec<RecordDraft>) -> Result<Vec<Arc<EvidenceRecord>>, StoreError> {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         inner.check_poisoned()?;
         if let Some(queue) = &inner.group {
             // Fail-stop propagates from the sync thread: once the queue
@@ -851,92 +897,39 @@ impl EvidenceLog for FileLog {
             // the append beats buffering toward guaranteed loss.
             queue.check_poisoned()?;
         }
-        let FileLogInner {
-            file,
-            file_len,
-            pending,
-            pending_records,
-            poisoned,
-            syncs,
-            state,
-            ..
-        } = &mut *inner;
-        match self.policy {
-            SyncPolicy::WriteThrough => state.append_with(draft, |encoded| {
-                let len = u32::try_from(encoded.len())
-                    .map_err(|_| StoreError::Corrupt("record too large".into()))?;
-                let result = (|| {
-                    file.write_all(&len.to_le_bytes())?;
-                    file.write_all(encoded)?;
-                    file.sync_data()?;
-                    *syncs += 1;
-                    Ok(())
-                })();
-                match result {
-                    Ok(()) => *file_len += 4 + encoded.len() as u64,
-                    Err(_) => {
-                        // Truncate the partial write so stray bytes cannot
-                        // corrupt the file ahead of later appends; if even
-                        // that fails, fail-stop (see `poisoned`).
-                        if file.set_len(*file_len).is_err() {
-                            *poisoned = true;
-                        }
-                    }
-                }
-                result
-            }),
-            SyncPolicy::GroupCommit => {
-                let lands_epoch = draft.kind == EPOCH_KIND;
-                let frame_start = pending.len();
-                let record = state.append_with(draft, |encoded| {
-                    let len = u32::try_from(encoded.len())
-                        .map_err(|_| StoreError::Corrupt("record too large".into()))?;
-                    // Epoch frames are exempt from the cap: a seal is
-                    // exactly what *drains* a full buffer (its append
-                    // triggers the flush/handoff below), so capping it
-                    // would wedge the one operation that can recover —
-                    // after the sealer has already spent a signature.
-                    if !lands_epoch && pending.len() + 4 + encoded.len() > Self::MAX_BUFFERED_BYTES
-                    {
-                        // Backpressure, not corruption: the log on disk
-                        // is intact, the pipeline above it is stuck.
-                        return Err(StoreError::Unavailable(format!(
-                            "evidence buffer full ({} byte cap) — epoch sealing (or \
-                             the disk under it) appears stuck; seal or flush the log",
-                            Self::MAX_BUFFERED_BYTES
-                        )));
-                    }
-                    // Frame into the in-memory buffer only; the write and
-                    // fsync follow the next epoch seal (or explicit
-                    // flush). Past the cap check, buffering cannot fail,
-                    // so the chain and the buffer never diverge.
-                    pending.extend_from_slice(&len.to_le_bytes());
-                    pending.extend_from_slice(encoded);
-                    *pending_records += 1;
-                    Ok(())
-                })?;
-                if lands_epoch {
-                    // The epoch commitment is the durability point: the
-                    // batch is handed to the sync thread and this append
-                    // returns once the frame is queued — an earlier
-                    // barrier's *async* failure is consumed here and
-                    // fails this seal instead.
-                    if let Err(e) = inner.enqueue_pending() {
-                        // Keep "Err ⇒ not appended" true: remove the
-                        // epoch record from the chain and the buffer
-                        // again (earlier buffered records stay pending
-                        // and are retried by the next flush). The caller
-                        // can then re-seal once the disk recovers without
-                        // leaving an orphaned commitment behind.
-                        drop(record);
-                        let inner = &mut *inner;
-                        inner.pending.truncate(frame_start);
-                        inner.pending_records -= 1;
-                        inner.state.rollback_tail();
-                        return Err(e);
-                    }
-                }
-                Ok(record)
+        if drafts.is_empty() {
+            return Ok(Vec::new());
+        }
+        let records = drafts.len() as u64;
+        let seals = drafts.iter().any(|d| d.kind == EPOCH_KIND);
+        // Only a group-commit buffer is capped, and a seal is exempt: it
+        // is what *drains* a full buffer, after it spent a signature.
+        let cap = match self.policy {
+            SyncPolicy::GroupCommit if !seals => Self::MAX_BUFFERED_BYTES,
+            _ => usize::MAX,
+        };
+        let start = inner.pending.len();
+        let pending = &mut inner.pending;
+        let chained = inner.state.chain(drafts, |encoded| {
+            let len = u32::try_from(encoded.len())
+                .map_err(|_| StoreError::Corrupt("record too large".into()))?;
+            if pending.len() + 4 + encoded.len() > cap {
+                // Backpressure, not corruption: the log on disk is intact.
+                return Err(StoreError::Unavailable(format!(
+                    "evidence buffer full ({cap} byte cap) — epoch sealing (or \
+                     the disk under it) appears stuck; seal or flush the log"
+                )));
+            }
+            pending.extend_from_slice(&len.to_le_bytes());
+            pending.extend_from_slice(encoded);
+            Ok(())
+        });
+        match chained.and_then(|c| inner.persist(self.policy, records, seals).map(|()| c)) {
+            Ok(chained) => Ok(inner.state.commit(chained)),
+            Err(e) => {
+                // All or nothing: no frame stays buffered, no record chained.
+                inner.pending.truncate(start);
+                Err(e)
             }
         }
     }
@@ -1554,36 +1547,99 @@ mod tests {
     }
 
     #[test]
-    fn rollback_tail_restores_chain_head_and_run_index() {
-        // The rollback used when an epoch-seal handoff fails: the popped
-        // record must leave no trace — head, index and subsequent
-        // appends behave as if it was never appended.
-        let log = MemoryLog::new();
-        for i in 0..3 {
-            log.append(draft(i)).unwrap();
-        }
-        let head_before = log.head();
-        let run_of_tail = RunId::from_u128(u128::from(3u64 % 3));
-        let indexed_before = log.by_run(&run_of_tail).len();
-        log.append(draft(3)).unwrap();
-        log.state.lock().rollback_tail();
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.head(), head_before, "chain head restored");
-        assert_eq!(log.by_run(&run_of_tail).len(), indexed_before);
-        // The chain continues cleanly from the restored head.
-        let rec = log.append(draft(9)).unwrap();
-        assert_eq!(rec.seq, 3);
-        assert_eq!(rec.prev_hash, head_before);
+    fn append_all_is_one_write_under_one_barrier() {
+        let path = temp_path("wt-append-all.log");
+        let _ = std::fs::remove_file(&path);
+        let log = FileLog::open(&path).unwrap();
+        log.append(draft(0)).unwrap();
+        let before = (log.sync_batches(), std::fs::metadata(&path).unwrap().len());
+        assert!(log.append_all(Vec::new()).unwrap().is_empty());
+        assert_eq!(
+            log.sync_batches(),
+            before.0,
+            "an empty batch waits on nothing"
+        );
+        let records = log.append_all((1..4).map(draft).collect()).unwrap();
+        assert_eq!(records.iter().map(|r| r.seq).collect::<Vec<_>>(), [1, 2, 3]);
+        assert_eq!(
+            log.sync_batches(),
+            before.0 + 1,
+            "three records, one barrier"
+        );
+        let frames: u64 = records.iter().map(|r| 4 + r.byte_len() as u64).sum();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), before.1 + frames);
+        assert_eq!(log.head(), records[2].record_hash());
+        kill(log);
+        let log = FileLog::open(&path).unwrap();
+        assert_eq!(log.len(), 4);
         log.verify().unwrap();
-        // Rolling back past a run's only record drops its index entry.
-        let solo = MemoryLog::new();
-        solo.append(draft(5)).unwrap();
-        solo.state.lock().rollback_tail();
-        assert!(solo.is_empty());
-        assert_eq!(solo.head(), Digest::ZERO);
-        assert!(solo.by_run(&RunId::from_u128(2)).is_empty());
-        solo.append(draft(0)).unwrap();
-        solo.verify().unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Length, head, run-index sizes and file length of `log`.
+    fn footprint(log: &FileLog) -> (u64, Digest, Vec<usize>, u64) {
+        let runs = (0..3)
+            .map(|r| log.by_run(&RunId::from_u128(r)).len())
+            .collect();
+        let file_len = std::fs::metadata(log.path()).unwrap().len();
+        (log.len(), log.head(), runs, file_len)
+    }
+
+    #[test]
+    fn a_failed_append_all_leaves_the_log_unchanged() {
+        // Chaining fails on the second of three records: none is stored.
+        let memory = MemoryLog::new();
+        memory.append(draft(0)).unwrap();
+        let head = memory.head();
+        let mut framed = 0;
+        let state = memory.state.lock();
+        let failed = state.chain((1..4).map(draft).collect(), |_| {
+            framed += 1;
+            match framed {
+                2 => Err(StoreError::Unavailable("refused".into())),
+                _ => Ok(()),
+            }
+        });
+        assert!(failed.is_err());
+        drop(state);
+        assert_eq!((memory.len(), memory.head()), (1, head));
+
+        // Write-through: the write fails (a read-only handle). Nothing
+        // enters the chain; the truncate fails too, so the log fails stop.
+        let path = temp_path("wt-append-all-fails.log");
+        let _ = std::fs::remove_file(&path);
+        let log = FileLog::open(&path).unwrap();
+        log.append(draft(0)).unwrap();
+        let before = footprint(&log);
+        log.inner.lock().file = File::open(&path).unwrap();
+        assert!(log.append_all((1..4).map(draft).collect()).is_err());
+        assert_eq!(footprint(&log), before);
+        assert!(log.inner.lock().pending.is_empty());
+        assert!(log.append(draft(5)).is_err(), "poisoned");
+        drop(log);
+        let _ = std::fs::remove_file(&path);
+
+        // Group commit: a sealing batch whose handoff fails (it consumes
+        // an earlier barrier's failure) leaves no record and no frame.
+        let path = temp_path("gc-append-all-fails.log");
+        let _ = std::fs::remove_file(&path);
+        let log = FileLog::open_with(&path, SyncPolicy::GroupCommit).unwrap();
+        log.inject_barrier_failures(1);
+        log.append_all(vec![draft(0), epoch_draft(1)]).unwrap();
+        assert!(log.last_seal_ticket().unwrap().wait_durable().is_err());
+        let before = footprint(&log);
+        let headroom = log.buffer_headroom();
+        let batch = vec![draft(2), draft(3), epoch_draft(4)];
+        assert!(log.append_all(batch).is_err());
+        assert_eq!(footprint(&log), before);
+        assert_eq!(log.buffer_headroom(), headroom);
+        assert_eq!(log.unflushed_len(), 2);
+        // The disk is back: the next seal lands the backlog and itself.
+        log.append_all(vec![draft(2), epoch_draft(3)]).unwrap();
+        log.flush().unwrap();
+        drop(log);
+        assert_eq!(FileLog::open(&path).unwrap().len(), 4);
+        let _ = std::fs::remove_file(&path);
     }
 
     // Group-commit kill-point matrix. Timeline of one epoch under

@@ -226,6 +226,30 @@ if [[ ${#run_maps[@]} -gt 0 ]]; then
     exit 1
 fi
 
+# One barrier site: non-test store code forces the device at three
+# places, each once, so no write path can grow a second barrier per
+# protocol step:
+barrier_allowed=(
+    # the write-through persist: one step's batch, one write, one barrier
+    'log[.]rs:[0-9]+: +if let Err[(]e[)] = written[.]and_then[(][|][(][)][|] file[.]sync_data[(][)][)] [{]$'
+    # flush_pending: the write-through flush, a bare barrier (the
+    # scheduler's degraded-seal probe)
+    'log[.]rs:[0-9]+: +self[.]file[.]sync_data[(][)][?];$'
+    # the group-commit sync thread: one barrier per coalesced batch
+    'group_commit[.]rs:[0-9]+: .*io[.]file[.]write_all[(]&batch[)][.]and_then[(][|][(][)][|] io[.]file[.]sync_data[(][)][)]'
+)
+echo "==> one barrier site (crates/store/src)"
+mapfile -t store_sources < <(find crates/store/src -name '*.rs' | sort)
+mapfile -t barriers < <(non_test_match 'sync_data[(]' "${store_sources[@]}" || true)
+mapfile -t stray_barriers < <(printf '%s\n' "${barriers[@]}" |
+    grep -Ev "${barrier_allowed[@]/#/-e}" || true)
+if [[ ${#barriers[@]} -gt ${#barrier_allowed[@]} || ${#stray_barriers[@]} -gt 0 ]]; then
+    printf '%s\n' "${barriers[@]}"
+    echo "check.sh: sync_data( outside the three barrier sites, or at one twice" \
+        "(file:line above); persist through FileLogInner::persist" >&2
+    exit 1
+fi
+
 if [[ "$FAST" -eq 0 ]]; then
     echo "==> cargo build --release"
     cargo build --release
